@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -27,9 +27,10 @@ from .kernel import (
     HalfPlane,
     JetEvaluator,
     LatticePoints,
+    _circle_coeff,
+    log_theta_partial,
     rho_partial,
     theta,
-    theta_partial,
 )
 
 
@@ -307,23 +308,6 @@ def genus0_potentials(n: int) -> list[Potential]:
 # ---------------------------------------------------------------------------
 
 
-def _dlog_theta(z: complex, tau: complex, dz: int, dt: int) -> complex:
-    """Partial derivative of log theta(z, tau)."""
-    if dz >= 1:
-        return rho_partial(z, tau, dz - 1, dt)
-    if dt == 0:
-        return cmath.log(theta(z, tau))
-    # pure tau jet of log theta via the standard log-series recurrence
-    a = [theta_partial(z, tau, 0, j) / math.factorial(j) for j in range(dt + 1)]
-    c = [cmath.log(a[0])]
-    for nn in range(1, dt + 1):
-        s = a[nn]
-        for k in range(1, nn):
-            s -= (k / nn) * c[k] * a[nn - k]
-        c.append(s / a[0])
-    return math.factorial(dt) * c[dt]
-
-
 def genus1(n: int) -> GTStructure:
     """n punctures u_j plus the modulus tau as the last fiber coordinate."""
     if n < 1:
@@ -412,12 +396,8 @@ def genus1_enhanced(n: int) -> EnhancedGT:
     def lam_fn(*args):
         return base_f.fn(*args) - TWO_PI_I
 
-    def lam_partial(args, multi):
-        out = base_f.partial_fn(args, multi)
-        return out
-
     lam = JetEvaluator(base_f.arity, lam_fn, domain=base_f.domain,
-                       partial_fn=lam_partial, label="genus1:lambda")
+                       partial_fn=base_f.partial_fn, label="genus1:lambda")
     return EnhancedGT(s, lam)
 
 
@@ -453,9 +433,9 @@ def genus1_potentials(n: int) -> list[Potential]:
             return 0.0 + 0.0j
         k, r, t = multi[0], multi[1 + j], multi[tau_slot]
         p, u, tau = args[0], args[1 + j], args[tau_slot]
-        out = (-1) ** r * _dlog_theta(p - u, tau, k + r, t)
+        out = (-1) ** r * log_theta_partial(p - u, tau, k + r, t)
         if k == 0:
-            out -= _dlog_theta(u, tau, r, t)
+            out -= log_theta_partial(u, tau, r, t)
         return out
 
     for j in range(1, n):
@@ -557,21 +537,24 @@ class GenusTwoF(JetEvaluator):
         q2 = cmath.sqrt(_quintic(p2, a, b, c))
         return self._assemble(p1, p2, a, b, c, q1, q2)
 
-    def eval_circle(self, slot, args, center, radius, nodes):
-        args = list(args)
-        pts = [center + radius * cmath.exp(TWO_PI_I * k / nodes) for k in range(nodes)]
+    @staticmethod
+    def _circle_sheets(slot, args, center, radius, nodes):
+        """Argument rows on an equispaced circle in one slot, with q1 and q2
+        continued along it from their principal values at the centre."""
+        work = list(args)
         rows = []
-        for z in pts:
-            args[slot] = z
-            rows.append(tuple(args))
-        a0 = list(args)
-        a0[slot] = center
-        q1_anchor = cmath.sqrt(_quintic(a0[0], a0[2], a0[3], a0[4]))
-        q2_anchor = cmath.sqrt(_quintic(a0[1], a0[2], a0[3], a0[4]))
+        for k in range(nodes):
+            work[slot] = center + radius * cmath.exp(TWO_PI_I * k / nodes)
+            rows.append(tuple(work))
+        work[slot] = center
         q1 = _track_sqrt(np.array([_quintic(r[0], r[2], r[3], r[4]) for r in rows]),
-                         q1_anchor)
+                         cmath.sqrt(_quintic(work[0], work[2], work[3], work[4])))
         q2 = _track_sqrt(np.array([_quintic(r[1], r[2], r[3], r[4]) for r in rows]),
-                         q2_anchor)
+                         cmath.sqrt(_quintic(work[1], work[2], work[3], work[4])))
+        return rows, q1, q2
+
+    def eval_circle(self, slot, args, center, radius, nodes):
+        rows, q1, q2 = self._circle_sheets(slot, args, center, radius, nodes)
         return np.array([
             self._assemble(*rows[k], q1[k], q2[k]) for k in range(nodes)
         ])
@@ -617,36 +600,21 @@ class GenusTwoF(JetEvaluator):
         order = multi[slot]
         rest = tuple(0 if i == slot else o for i, o in enumerate(multi))
         radius = self.deriv_radius(args, slot)
-        center = args[slot]
         nodes = self.nodes
-        pts = [center + radius * cmath.exp(TWO_PI_I * k / nodes) for k in range(nodes)]
-        rows = []
-        work = list(args)
-        for z in pts:
-            work[slot] = z
-            rows.append(tuple(work))
-        anchor1 = cmath.sqrt(_quintic(args[0], args[2], args[3], args[4]))
-        anchor2 = cmath.sqrt(_quintic(args[1], args[2], args[3], args[4]))
-        q1 = _track_sqrt(np.array([_quintic(r[0], r[2], r[3], r[4]) for r in rows]),
-                         anchor1)
-        q2 = _track_sqrt(np.array([_quintic(r[1], r[2], r[3], r[4]) for r in rows]),
-                         anchor2)
+        if sum(rest) > 1:
+            raise NotImplementedError(
+                "genus-2 mixed partials beyond total order 2 in more than "
+                "one slot are not supported"
+            )
         if sum(rest) == 0:
-            vals = np.array([self._assemble(*rows[k], q1[k], q2[k])
-                             for k in range(nodes)])
-        elif sum(rest) == 1:
+            vals = self.eval_circle(slot, args, args[slot], radius, nodes)
+        else:
+            rows, q1, q2 = self._circle_sheets(slot, args, args[slot], radius, nodes)
             rslot = rest.index(1)
             vals = np.array([
                 self._first_partial(rows[k], rslot, q1[k], q2[k])
                 for k in range(nodes)
             ])
-        else:
-            raise NotImplementedError(
-                "genus-2 mixed partials beyond total order 2 in more than "
-                "one slot are not supported"
-            )
-        from .kernel import _circle_coeff
-
         return _circle_coeff(vals, radius, order) * math.factorial(order)
 
 

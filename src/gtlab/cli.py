@@ -27,6 +27,7 @@ import numpy as np
 from . import __version__, catalog, gtsys, hierarchy, hyperell
 from .core import (
     CoordinateChange,
+    VerificationReport,
     collide_points_closed,
     pushforward,
     verify_all,
@@ -50,7 +51,21 @@ COMMAND_KEYS = {
 }
 POSITIVE_KEYS = {"n", "samples", "tol", "M", "states", "steps", "h",
                  "z_count", "svd_tol", "delta", "nodes"}
+INT_KEYS = {"seed", "n", "samples", "M", "states", "steps", "z_count", "nodes",
+            "index", "branch"}
 DEFAULT_N = {"benney": 3, "genus0": 2, "genus1": 2}
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_real(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+
+
+def _is_int_list(val) -> bool:
+    return isinstance(val, list) and all(_is_int(x) for x in val)
 
 
 def validate_config(cfg: dict) -> dict:
@@ -58,7 +73,7 @@ def validate_config(cfg: dict) -> dict:
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a JSON object")
     command = cfg.get("command")
-    if command not in COMMAND_KEYS:
+    if not isinstance(command, str) or command not in COMMAND_KEYS:
         raise ConfigError(f"unknown or missing command: {command!r}")
     allowed = COMMON_KEYS | COMMAND_KEYS[command]
     unknown = set(cfg) - allowed
@@ -66,17 +81,19 @@ def validate_config(cfg: dict) -> dict:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     if "seed" not in cfg:
         raise ConfigError("seed is mandatory (no wall-clock defaults)")
-    seed = cfg["seed"]
-    if not isinstance(seed, int) or seed < 0:
-        raise ConfigError("seed must be a non-negative integer")
-    for key in POSITIVE_KEYS:
-        if key in cfg:
-            val = cfg[key]
-            if not isinstance(val, (int, float)) or isinstance(val, bool) or val <= 0:
-                raise ConfigError(f"{key} must be a positive number, got {val!r}")
-    if command not in ("rauch",):
+    for key in INT_KEYS & set(cfg):
+        if not _is_int(cfg[key]) or cfg[key] < 0:
+            raise ConfigError(f"{key} must be a non-negative integer, got {cfg[key]!r}")
+    for key in POSITIVE_KEYS & set(cfg):
+        if not _is_real(cfg[key]) or cfg[key] <= 0:
+            raise ConfigError(f"{key} must be a positive number, got {cfg[key]!r}")
+    if "scale" in cfg and not _is_real(cfg["scale"]):
+        raise ConfigError(f"scale must be a real number, got {cfg['scale']!r}")
+    if "out" in cfg and not isinstance(cfg["out"], str):
+        raise ConfigError("out must be a path string")
+    if command not in ("rauch", "report"):
         name = cfg.get("structure")
-        if command != "report" and name not in catalog.CATALOG:
+        if not isinstance(name, str) or name not in catalog.CATALOG:
             raise ConfigError(
                 f"unknown structure {name!r}; choose from "
                 f"{sorted(catalog.CATALOG)}"
@@ -84,17 +101,23 @@ def validate_config(cfg: dict) -> dict:
     if command == "rauch":
         moduli = cfg.get("moduli", [1.5, 2.9, 4.1])
         if (not isinstance(moduli, (list, tuple)) or len(moduli) != 3
-                or not all(isinstance(x, (int, float)) for x in moduli)):
+                or not all(_is_real(x) for x in moduli)):
             raise ConfigError("moduli must be three real numbers")
         a, b, c = moduli
         if not 1.0 < a < b < c:
             raise ConfigError(
                 "moduli must satisfy 1 < a < b < c with distinct values"
             )
-    if command == "hydro":
-        triple = cfg.get("triple", [0, 1, 2])
-        if len(set(triple)) != 3:
-            raise ConfigError("triple must be three distinct indices")
+    for key, length in (("pair", 2), ("triple", 3)):
+        val = cfg.get(key, list(range(length)))
+        if not (_is_int_list(val) and len(val) == len(set(val)) == length):
+            raise ConfigError(f"{key} must be {length} distinct integers, got {val!r}")
+    groups = cfg.get("groups", [])
+    if not (isinstance(groups, list) and all(_is_int_list(grp) for grp in groups)):
+        raise ConfigError(f"groups must be a list of slot lists, got {groups!r}")
+    slots = [slot for grp in groups for slot in grp]
+    if len(set(slots)) != len(slots):
+        raise ConfigError("collision groups must be disjoint")
     return cfg
 
 
@@ -118,17 +141,18 @@ def _build_enhanced(cfg):
 
 def _pseudo(identity: str, value: float, tol: float, seed: int, ok: bool,
             **params) -> dict:
-    """A report entry for scalar outcomes that are not sampled residuals."""
-    return {
-        "identity": identity,
-        "samples": 1,
-        "max_residual": float(value),
-        "mean_residual": float(value),
-        "tolerance": float(tol),
-        "pass": bool(ok),
-        "seed": seed,
-        "params": params,
-    }
+    """A report entry for scalar outcomes that are not sampled residuals;
+    the verdict ``ok`` need not be ``value < tol``."""
+    entry = VerificationReport(identity, 1, float(value), float(value),
+                               float(tol), seed, params).as_dict()
+    entry["pass"] = bool(ok)
+    return entry
+
+
+def _check_indices(key: str, indices, count: int) -> None:
+    for idx in indices:
+        if not 0 <= idx < count:
+            raise ConfigError(f"{key} index {idx} out of range for {count} potentials")
 
 
 # ---------------------------------------------------------------------------
@@ -171,8 +195,8 @@ def _cmd_collide(cfg):
     groups = cfg.get("groups", [[0, 1]])
     for grp in groups:
         for slot in grp:
-            if not isinstance(slot, int) or not 0 <= slot < s.m:
-                raise ConfigError(f"collision slot {slot!r} out of range")
+            if slot not in s.puncture_slots:
+                raise ConfigError(f"collision slot {slot} is not a puncture of {s.label}")
     collided = collide_points_closed(s, groups)
     reports = [r.as_dict() for r in verify_all(collided, samples, seed, tol)]
     return reports, {"collided_label": collided.label, "m": collided.m}
@@ -222,7 +246,7 @@ def _cmd_gtsys(cfg):
                                         tol=tol)
     reports = [
         _pseudo("gt_compatibility", comp.max_residual, tol, seed,
-                comp.passed, M=M, states=comp.states,
+                comp.passed, M=M, states=comp.samples,
                 mean_residual=comp.mean_residual)
     ]
     steps = int(cfg.get("steps", 10))
@@ -287,6 +311,8 @@ def _cmd_reconstruct(cfg):
     if ent.potentials is None:
         raise ConfigError(f"{ent.name} has no catalog potentials")
     pots = ent.potentials(n) if ent.takes_n else ent.potentials()
+    _check_indices("pair", pair, len(pots))
+    _check_indices("index", [index], len(pots))
     fam = hierarchy.PotentialFamily(enh.base, pots, enhanced=enh,
                                     label=ent.name)
     i, j = pair

@@ -31,7 +31,6 @@ from .kernel import (
     PathSpec,
     ReindexedEvaluator,
     SplitMix64,
-    cauchy_derivative,
     laurent_coeff,
     path_integrate,
 )
@@ -66,12 +65,24 @@ class VerificationReport:
         }
 
 
+def worst_residual(residuals) -> float:
+    """Largest residual, or NaN when any residual is NaN.
+
+    Python's max keeps or drops a NaN depending on where it stands, so a
+    verdict built on it could pass a NaN residual.
+    """
+    res = [float(r) for r in residuals]
+    if any(math.isnan(r) for r in res):
+        return math.nan
+    return max(res) if res else 0.0
+
+
 def _make_report(identity, residuals, tol, seed, **params) -> VerificationReport:
     res = [float(r) for r in residuals]
     return VerificationReport(
         identity=identity,
         samples=len(res),
-        max_residual=max(res) if res else 0.0,
+        max_residual=worst_residual(res),
         mean_residual=(sum(res) / len(res)) if res else 0.0,
         tol=tol,
         seed=seed,
@@ -235,6 +246,19 @@ class CoordinateChange:
 # ---------------------------------------------------------------------------
 
 
+def _diagonal_radius(e: JetEvaluator, p2: complex, v: Sequence[complex]) -> float:
+    """Radius of a Laurent circle about p2 in the first slot of e: limited by
+    every locus near the centre; loci that vanish there are the probed
+    diagonal itself (however declared)."""
+    clearances = [
+        c
+        for ex in e.domain.exclusions
+        for c in [ex.clearance((p2, p2, *v), 0)]
+        if c > 1e-9
+    ]
+    return 0.25 * min(clearances + [1.0])
+
+
 def verify_pole(s: GTStructure, samples: int = 100, seed: int = 1,
                 tol: float = 1e-8, nodes: int = 64) -> VerificationReport:
     """Diagonal normalization: Laurent coefficient -1 of f in p1 about p2
@@ -243,15 +267,7 @@ def verify_pole(s: GTStructure, samples: int = 100, seed: int = 1,
     for ps, v in s.sample(samples, seed, 2):
         p2 = ps[0]
         args = (ps[1], p2, *v)
-        # radius limited by every locus near the circle center p2; loci that
-        # vanish there are the probed diagonal itself (however declared)
-        clearances = [
-            c
-            for e in s.f.domain.exclusions
-            for c in [e.clearance((p2, p2, *v), 0)]
-            if c > 1e-9
-        ]
-        radius = 0.25 * min(clearances + [1.0])
+        radius = _diagonal_radius(s.f, p2, v)
         c_m1 = laurent_coeff(s.f, 0, args, p2, -1, radius, nodes)
         c_m2 = laurent_coeff(s.f, 0, args, p2, -2, radius, nodes)
         c_m3 = laurent_coeff(s.f, 0, args, p2, -3, radius, nodes)
@@ -269,7 +285,7 @@ def _bracket_residual(s: GTStructure, p1, p2, v) -> float:
     f21 = s.f_value(p2, p1, v)
     f21_d1 = s.f_partial(p2, p1, v, slot=1)  # d/d(p1) of f(p2, p1)
     f12_d2 = s.f_partial(p1, p2, v, slot=1)  # d/d(p2) of f(p1, p2)
-    worst = 0.0
+    residuals = []
     for i in range(m):
         gi = s.g[i]
         dp = [1] + [0] * m
@@ -286,8 +302,8 @@ def _bracket_residual(s: GTStructure, p1, p2, v) -> float:
             + 2 * f21_d1 * gi.value((p1, *v))
             - 2 * f12_d2 * gi.value((p2, *v))
         )
-        worst = max(worst, abs(bracket - rhs))
-    return worst
+        residuals.append(abs(bracket - rhs))
+    return worst_residual(residuals)
 
 
 def verify_bracket(s: GTStructure, samples: int = 100, seed: int = 2,
@@ -350,13 +366,7 @@ def verify_lambda(e: EnhancedGT, samples: int = 100, seed: int = 4,
     for ps, v in s.sample(min(samples, 10), seed + 1, 2):
         p2 = ps[0]
         args = (ps[1], p2, *v)
-        clearances = [
-            c
-            for ex in lam.domain.exclusions
-            for c in [ex.clearance((p2, p2, *v), 0)]
-            if c > 1e-9
-        ]
-        radius = 0.25 * min(clearances + [1.0])
+        radius = _diagonal_radius(lam, p2, v)
         res = laurent_coeff(lam, 0, args, p2, -1, radius, nodes)
         residuals.append(abs(res - 1.0))
     return _make_report("lambda_identity", residuals, tol, seed, structure=s.label)
@@ -426,13 +436,16 @@ def add_points(s: GTStructure, n: int) -> GTStructure:
     )
 
 
-def _collision_substitution(group: Sequence[int], eps: float, v: list[complex]) -> list[complex]:
-    """Binomial collision ladder: old coordinate r of the group becomes
-    sum_{s<=r} C(r, s) eps^s u_s."""
+def _collision_substitution(
+    groups: Sequence[Sequence[int]], eps: float, v: Sequence[complex]
+) -> list[complex]:
+    """Binomial collision ladder: old coordinate r of each group becomes
+    sum_{s<=r} C(r, s) eps^s u_s, with u the group's coordinates in v."""
     out = list(v)
-    u = [v[slot] for slot in group]
-    for r, slot in enumerate(group):
-        out[slot] = sum(math.comb(r, sk) * eps**sk * u[sk] for sk in range(r + 1))
+    for group in groups:
+        u = [v[slot] for slot in group]
+        for r, slot in enumerate(group):
+            out[slot] = sum(math.comb(r, sk) * eps**sk * u[sk] for sk in range(r + 1))
     return out
 
 
@@ -485,19 +498,13 @@ def collide_points_limit(
             assert 0 <= slot < s.m
     m = s.m
 
-    def subst_all(v, eps):
-        out = list(v)
-        for grp in groups:
-            out = _collision_substitution(grp, eps, out)
-        return out
-
     # inverse-Jacobian rows for the group coordinates
     def g_component(i: int) -> JetEvaluator:
         owner = next((grp for grp in groups if i in grp), None)
 
         def fn_eps(args, eps):
             p, v = args[0], list(args[1:])
-            vv = subst_all(v, eps)
+            vv = _collision_substitution(groups, eps, v)
             if owner is None:
                 return s.g[i].value((p, *vv))
             # r-th finite difference of f(p, v_l) across the group, scaled
@@ -517,7 +524,7 @@ def collide_points_limit(
     def f_eval() -> JetEvaluator:
         def fn_eps(args, eps):
             p1, p2, v = args[0], args[1], list(args[2:])
-            return s.f.value((p1, p2, *subst_all(v, eps)))
+            return s.f.value((p1, p2, *_collision_substitution(groups, eps, v)))
 
         dom = _collided_domain(s.f.domain, groups, offset=2, arity=2 + m)
         return _RichardsonLimit(2 + m, fn_eps, ladder, domain=dom,
@@ -632,93 +639,13 @@ def collide_enhanced(
     base = collide_points_limit(e.base, groups, ladder)
     m = e.m
 
-    def subst_all(v, eps):
-        out = list(v)
-        for grp in groups:
-            out = _collision_substitution(grp, eps, out)
-        return out
-
     def fn_eps(args, eps):
-        p1, p2, v = args[0], args[1], list(args[2:])
-        return e.lam.value((p1, p2, *subst_all(v, eps)))
+        p1, p2, v = args[0], args[1], args[2:]
+        return e.lam.value((p1, p2, *_collision_substitution(groups, eps, v)))
 
     lam = _RichardsonLimit(2 + m, fn_eps, ladder, domain=e.lam.domain,
                            label=f"{e.label}:collided lambda")
     return EnhancedGT(base, lam)
-
-
-def collide_potential(
-    pot: Potential,
-    groups: Sequence[Sequence[int]],
-    order: int,
-    m: int,
-    eps_radius: float = 0.05,
-    nodes: int = 32,
-) -> Potential:
-    """Taylor coefficient in the collision parameter of a transported
-    potential.  Coefficients that stay finite in the limit are potentials of
-    the collided structure; they are extracted by a circle quadrature in the
-    collision parameter (the composition is analytic in it)."""
-
-    def subst(v, eps):
-        out = list(v)
-        for grp in groups:
-            out = _collision_substitution(grp, eps, out)
-        return out
-
-    def eps_coeff(sample: Callable[[complex], complex]) -> complex:
-        total = 0.0 + 0.0j
-        for k in range(nodes):
-            eps = eps_radius * np.exp(2j * math.pi * k / nodes)
-            total += sample(eps) * np.exp(-2j * math.pi * k * order / nodes)
-        return total / (nodes * eps_radius**order)
-
-    def fn(*args):
-        p, v = args[0], list(args[1:])
-        return eps_coeff(lambda eps: pot.h.value((p, *subst(v, eps))))
-
-    def pf(args, multi):
-        # differentiate under the eps-integral; first order only (chain
-        # rule through the triangular substitution), higher orders fall
-        # back to circle quadrature of fn
-        if sum(multi) != 1:
-            return NotImplemented
-        p, v = args[0], list(args[1:])
-        slot = multi.index(1)
-        if slot == 0:
-            dmulti = [1] + [0] * (len(args) - 1)
-            return eps_coeff(
-                lambda eps: pot.h.partial((p, *subst(v, eps)), dmulti)
-            )
-        r_slot = slot - 1
-        owner = next((grp for grp in groups if r_slot in grp), None)
-
-        def chain(eps):
-            if owner is None:
-                dmulti = [0] * len(args)
-                dmulti[slot] = 1
-                return pot.h.partial((p, *subst(v, eps)), dmulti)
-            r = owner.index(r_slot)
-            total = 0.0 + 0.0j
-            vv = subst(v, eps)
-            for l_idx, vslot in enumerate(owner):
-                if l_idx < r:
-                    continue
-                dmulti = [0] * len(args)
-                dmulti[1 + vslot] = 1
-                total += math.comb(l_idx, r) * eps**r * pot.h.partial(
-                    (p, *vv), dmulti
-                )
-            return total
-
-        return eps_coeff(chain)
-
-    dom = _collided_domain(pot.h.domain, groups, offset=1, arity=1 + m)
-    return Potential(
-        JetEvaluator(1 + m, fn, domain=dom, partial_fn=pf,
-                     label=f"{pot.label}:collided[{order}]"),
-        label=f"{pot.label}:collided[{order}]",
-    )
 
 
 def pushforward(s: GTStructure, c: CoordinateChange,
@@ -951,18 +878,3 @@ def algebroid_constants(
         for j in range(order + 1):
             coeffs[(i, j)] = complex(np.sum(inner[:, j] * phases) / (nodes * r1**i))
     return AlgebroidTable(z=z, order=order, f_coeffs=coeffs)
-
-
-def basis_field_components(
-    s: GTStructure, z: complex, v: Sequence[complex], k: int
-) -> list[complex]:
-    """Components of e_k at (z, v): e_1 is the base translation (no fiber
-    components); e_{i+2} is the i-th Taylor coefficient of g about z."""
-    if k == 1:
-        return [0.0 + 0.0j] * s.m
-    i = k - 2
-    out = []
-    for j in range(s.m):
-        multi = [i] + [0] * s.m
-        out.append(s.g[j].partial((z, *v), multi) / math.factorial(i))
-    return out

@@ -21,13 +21,13 @@ scheme by step halving.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import GTStructure
+from .core import GTStructure, VerificationReport, _make_report, worst_residual
 from .errors import ConfigError, DomainViolation, NonConvergence
 from .kernel import Domain, Exclusion, JetEvaluator, SplitMix64
 
@@ -280,20 +280,6 @@ def inject_defect(s: GTStructure, scale: float = 1e-2, seed: int = 0) -> GTStruc
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CompatibilityReport:
-    M: int
-    states: int
-    max_residual: float
-    mean_residual: float
-    tol: float
-    seed: int
-
-    @property
-    def passed(self) -> bool:
-        return self.max_residual < self.tol
-
-
 class _State:
     """One jet of a solution: points p_1..p_M, fiber point v, slopes
     w_i = d_i v_1."""
@@ -304,7 +290,7 @@ class _State:
         self.w = list(w)
 
 
-def _flow_derivative(sys: GTSystem, st: _State, i: int, field_id, M: int):
+def _flow_derivative(sys: GTSystem, st: _State, i: int, field_id):
     """d_i of a state field by the system equations (None for the free
     fields p_i and w_i along their own direction)."""
     kind, idx = field_id
@@ -334,17 +320,17 @@ def _directional(sys: GTSystem, e: JetEvaluator, eargs, i: int, st: _State,
         multi = [0] * e.arity
         multi[slot] = 1
         if slot in p_slots:
-            d = _flow_derivative(sys, st, i, ("p", p_slots[slot]), 0)
+            d = _flow_derivative(sys, st, i, ("p", p_slots[slot]))
         else:
             l = slot - len(p_slots)
-            d = _flow_derivative(sys, st, i, ("v", l), 0)
+            d = _flow_derivative(sys, st, i, ("v", l))
         if d is None:
             raise ValueError("free field inside chain rule")
         total += e.partial(eargs, multi) * d
     return total
 
 
-def _mixed_second(sys: GTSystem, st: _State, i: int, j: int, field_id, M: int):
+def _mixed_second(sys: GTSystem, st: _State, i: int, j: int, field_id):
     """d_i d_j of a field, expanded through the system (i != j and the
     field is not free along i or j)."""
     kind, idx = field_id
@@ -353,23 +339,23 @@ def _mixed_second(sys: GTSystem, st: _State, i: int, j: int, field_id, M: int):
         eargs = (st.ps[j], st.ps[idx], *st.v)
         dA = _directional(sys, sys.A, eargs, i, st, {0: j, 1: idx})
         A = sys.A.value(eargs)
-        dw_j = _flow_derivative(sys, st, i, ("w", j), M)
+        dw_j = _flow_derivative(sys, st, i, ("w", j))
         return dA * st.w[j] + A * dw_j
     if kind == "v":
         if idx == sys.pivot:
             # d_j v_1 = w_j
-            return _flow_derivative(sys, st, i, ("w", j), M)
+            return _flow_derivative(sys, st, i, ("w", j))
         eargs = (st.ps[j], *st.v)
         dB = _directional(sys, sys.B[idx], eargs, i, st, {0: j})
         B = sys.B[idx].value(eargs)
-        dw_j = _flow_derivative(sys, st, i, ("w", j), M)
+        dw_j = _flow_derivative(sys, st, i, ("w", j))
         return dB * st.w[j] + B * dw_j
     if kind == "w":
         eargs = (st.ps[j], st.ps[idx], *st.v)
         dQ = _directional(sys, sys.Q, eargs, i, st, {0: j, 1: idx})
         Q = sys.Q.value(eargs)
-        dw_j = _flow_derivative(sys, st, i, ("w", j), M)
-        dw_idx = _flow_derivative(sys, st, i, ("w", idx), M)
+        dw_j = _flow_derivative(sys, st, i, ("w", j))
+        dw_idx = _flow_derivative(sys, st, i, ("w", idx))
         return dQ * st.w[j] * st.w[idx] + Q * (dw_j * st.w[idx] + st.w[j] * dw_idx)
     raise ValueError(kind)
 
@@ -380,7 +366,7 @@ def compatibility_residual(
     states: int = 50,
     seed: int = 17,
     tol: float = 1e-9,
-) -> CompatibilityReport:
+) -> VerificationReport:
     """Max over random states and index pairs of |d_i d_j F - d_j d_i F|
     for every field F that evolves in both directions."""
     if M < 3:
@@ -394,7 +380,7 @@ def compatibility_residual(
             complex(rng.uniform(0.3, 1.2), rng.uniform(-0.5, 0.5)) for _ in range(M)
         )
         st = _State(ps, v, w)
-        worst = 0.0
+        diffs = []
         for i in range(M):
             for j in range(i + 1, M):
                 fields = (
@@ -403,18 +389,11 @@ def compatibility_residual(
                     + [("w", k) for k in range(M) if k not in (i, j)]
                 )
                 for fid in fields:
-                    d_ij = _mixed_second(sys, st, i, j, fid, M)
-                    d_ji = _mixed_second(sys, st, j, i, fid, M)
-                    worst = max(worst, abs(d_ij - d_ji))
-        residuals.append(worst)
-    return CompatibilityReport(
-        M=M,
-        states=len(residuals),
-        max_residual=max(residuals),
-        mean_residual=sum(residuals) / len(residuals),
-        tol=tol,
-        seed=seed,
-    )
+                    d_ij = _mixed_second(sys, st, i, j, fid)
+                    d_ji = _mixed_second(sys, st, j, i, fid)
+                    diffs.append(abs(d_ij - d_ji))
+        residuals.append(worst_residual(diffs))
+    return _make_report("gt_compatibility", residuals, tol, seed, M=M)
 
 
 # ---------------------------------------------------------------------------
@@ -644,7 +623,7 @@ def integrate_reduction(
     # data axes mix prescribed and evolved corners and carry an error
     # boundary layer, so the a-posteriori measure runs over cells whose
     # corners are all interior
-    worst = 0.0
+    defects = []
     for i in range(M):
         for j in range(i + 1, M):
             for idx in product(range(1, steps), repeat=M):
@@ -665,13 +644,13 @@ def integrate_reduction(
                         * st["w"][i]
                         * st["w"][j]
                     )
-                worst = max(worst, abs(fd - rhs / 4.0))
+                defects.append(abs(fd - rhs / 4.0))
     return ReductionResult(
         M=M,
         steps=steps,
         h=h,
         grid_v1=grid_v1,
-        residual=worst,
+        residual=worst_residual(defects),
         blow_up=blow_up,
         blow_up_at=blow_up_at,
     )

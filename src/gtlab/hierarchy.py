@@ -15,13 +15,19 @@ the spectral parameter z and the fiber point v.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from itertools import permutations
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import EnhancedGT, GTStructure, Potential, VerificationReport, _make_report
+from .core import (
+    EnhancedGT,
+    GTStructure,
+    Potential,
+    VerificationReport,
+    _make_report,
+    worst_residual,
+)
 from .errors import ConfigError, DomainViolation, NonConvergence, SamplingExhausted
 from .gtsys import GTSystem
 from .kernel import Box, SplitMix64
@@ -230,8 +236,11 @@ def hydro_coefficients(
     D = int(np.sum(sv > svd_tol * sv[0])) if sv[0] else 0
     if D == 0:
         raise NonConvergence("compatibility tensor vanishes identically")
-    # pivoted QR on the transposed matrix: columns are the 3m functions
-    _, _, piv = _qr_pivots(mat.T)
+    # pivoted QR on the transposed matrix: columns are the 3m functions;
+    # scipy is imported here so that CLI jobs without a hydro step skip it
+    from scipy.linalg import qr
+
+    _, _, piv = qr(mat.T, pivoting=True)
     basis_rows = tuple(int(r) for r in piv[:D])
     S = mat[list(basis_rows)]  # (D, nz)
     # expansion of every function in the S basis
@@ -260,30 +269,6 @@ def hydro_coefficients(
         expansion_residual=residual,
         v=tuple(v),
     )
-
-
-def _qr_pivots(mat: np.ndarray):
-    """QR with column pivoting via scipy when available, greedy otherwise."""
-    try:
-        from scipy.linalg import qr
-
-        q, r, piv = qr(mat, pivoting=True)
-        return q, r, piv
-    except ImportError:  # pragma: no cover - scipy is a hard dependency
-        work = mat.copy()
-        piv = []
-        for _ in range(min(work.shape)):
-            norms = np.linalg.norm(work, axis=0)
-            norms[piv] = -1.0
-            p = int(np.argmax(norms))
-            piv.append(p)
-            col = work[:, p : p + 1]
-            denom = (col.conj().T @ col).item()
-            if abs(denom) < 1e-300:
-                break
-            work = work - col @ (col.conj().T @ work) / denom
-        rest = [c for c in range(mat.shape[1]) if c not in piv]
-        return None, None, np.array(piv + rest)
 
 
 # ---------------------------------------------------------------------------
@@ -415,11 +400,11 @@ def reconstruct_lambda(
         except DomainViolation:
             resampled += 1
             continue
-        worst = max(abs(got - x) for x in alt) if alt else 0.0
+        diffs = [abs(got - x) for x in alt]
         if fam.enhanced is not None:
             want = fam.enhanced.lam.value((ps[0], ps[1], *v))
-            worst = max(worst, abs(got - want))
-        residuals.append(worst / max(abs(got), 1.0))
+            diffs.append(abs(got - want))
+        residuals.append(worst_residual(diffs) / max(abs(got), 1.0))
     if len(residuals) < samples:
         raise SamplingExhausted("lambda reconstruction kept hitting zeros")
     return rec, _make_report(
@@ -462,14 +447,12 @@ def criterion_integrable(
                 / g1p1
             )
             hp1.append(_h_prime(pot, p1, v, m))
-        worst = 0.0
         scale = max(max(abs(x) for x in d1), 1.0)
-        for a in range(fam.N):
-            for b in range(a + 1, fam.N):
-                worst = max(
-                    worst, abs(hp1[b] * d1[a] - hp1[a] * d1[b]) / scale
-                )
-        residuals.append(worst)
+        residuals.append(worst_residual(
+            abs(hp1[b] * d1[a] - hp1[a] * d1[b]) / scale
+            for a in range(fam.N)
+            for b in range(a + 1, fam.N)
+        ))
     return _make_report(
         "integrability_criterion", residuals, tol, seed, label=fam.label,
     )

@@ -93,10 +93,10 @@ def periods(moduli, nodes: int = DEFAULT_NODES,
         A = np.column_stack([J @ v for v in A_CYCLES])
         Braw = np.column_stack([J @ v for v in B_CYCLES])
         C = np.linalg.inv(A)
-        return J, A, Braw, C @ Braw
+        return J, A, Braw, C, C @ Braw
 
-    J, A, Braw, B = assemble(nodes)
-    _, _, _, B2 = assemble(2 * nodes)
+    J, A, Braw, C, B = assemble(nodes)
+    *_, B2 = assemble(2 * nodes)
     conv = float(np.max(np.abs(B - B2)))
     if check_tol is not None and conv > check_tol:
         raise NonConvergence(
@@ -108,7 +108,7 @@ def periods(moduli, nodes: int = DEFAULT_NODES,
         J=J,
         A=A,
         Braw=Braw,
-        C=np.linalg.inv(A),
+        C=C,
         B=B2,
         symmetry_error=float(np.max(np.abs(B2 - B2.T))),
         im_eigenvalues=(float(ev[0]), float(ev[1])),

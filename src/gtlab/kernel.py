@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -120,23 +120,6 @@ class LatticePoints(Exclusion):
     def remap(self, mapping):
         j = None if self.j is None else mapping[self.j]
         return LatticePoints(mapping[self.i], mapping[self.tau_slot], j)
-
-
-class CallableExclusion(Exclusion):
-    """Arbitrary clearance rule: fn(args) bounds how far the listed slots
-    may move before a singular locus is hit."""
-
-    def __init__(self, fn: Callable[[Sequence[complex]], float], slots: Sequence[int]):
-        self.fn = fn
-        self.slots = tuple(slots)
-
-    def clearance(self, args, slot):
-        if slot not in self.slots:
-            return math.inf
-        return self.fn(args)
-
-    def remap(self, mapping):
-        raise NotImplementedError("callable exclusions cannot be remapped")
 
 
 def lattice_distance(z: complex, tau: complex) -> float:
@@ -266,16 +249,6 @@ def _circle_coeff(vals: np.ndarray, radius: float, k: int) -> complex:
     n = len(vals)
     phases = np.exp(-TWO_PI_I * k * np.arange(n) / n)
     return complex(np.sum(vals * phases) / (n * radius**k))
-
-
-def evaluator_from_fn(
-    arity: int,
-    fn: Callable[..., complex],
-    domain: Domain = EMPTY_DOMAIN,
-    label: str = "",
-    partial_fn: Callable | None = None,
-) -> JetEvaluator:
-    return JetEvaluator(arity, fn, domain=domain, partial_fn=partial_fn, label=label)
 
 
 class ReindexedEvaluator(JetEvaluator):
@@ -435,12 +408,6 @@ class PathSpec:
         if self.kind == "closed_polyline":
             verts = verts + [verts[0]]
         return list(zip(verts[:-1], verts[1:]))
-
-    def reversed(self) -> "PathSpec":
-        if self.kind == "circle":
-            # reversal of a circle is handled by negating in path_integrate
-            raise ValueError("use polyline paths for reversal tests")
-        return PathSpec(self.kind, self.nodes, vertices=tuple(reversed(self.vertices)))
 
 
 def circle_path(center: complex, radius: float, nodes: int = 24) -> PathSpec:
@@ -634,46 +601,38 @@ def rho(p: complex, tau: complex, tol: float = 1e-12, guard: float = 1e-7) -> co
 
 
 def rho_partial(p: complex, tau: complex, dp: int, dtau: int, tol: float = 1e-12) -> complex:
-    """Partial derivatives of rho from truncated two-variable jets of theta.
+    """Partial derivatives of rho = (d/dp) log theta."""
+    return log_theta_partial(p, tau, dp + 1, dtau, tol)
 
-    rho = (d/dp) log theta, so the (dp, dtau) partial of rho is the
-    (dp+1, dtau) Taylor coefficient of log theta scaled by factorials.
+
+def log_theta_partial(
+    p: complex, tau: complex, dp: int, dtau: int, tol: float = 1e-12
+) -> complex:
+    """(dp, dtau) partial derivative of log theta.
+
+    The Taylor coefficients a_ij of theta on the rectangle i <= dp,
+    j <= dtau determine those of L = log theta through the jet rule
+    (i + j) a_ij = sum_{k <= i, l <= j} (k + l) L_kl a_{i-k, j-l}
+    (Griewank & Walther, Evaluating Derivatives, ch. 13).
     """
-    n = dp + 1 + dtau
-    jet = {}
-    for i in range(n + 1):
-        for j in range(n + 1 - i):
-            jet[(i, j)] = theta_partial(p, tau, i, j, tol) / (
-                math.factorial(i) * math.factorial(j)
-            )
-    log_jet = _jet_log(jet, n)
-    c = log_jet[(dp + 1, dtau)]
-    return c * math.factorial(dp + 1) * math.factorial(dtau)
-
-
-def _jet_mul(a: dict, b: dict, n: int) -> dict:
-    out = {(i, j): 0.0 + 0.0j for i in range(n + 1) for j in range(n + 1 - i)}
-    for (i1, j1), v1 in a.items():
-        for (i2, j2), v2 in b.items():
-            i, j = i1 + i2, j1 + j2
-            if i + j <= n:
-                out[(i, j)] += v1 * v2
-    return out
-
-
-def _jet_log(a: dict, n: int) -> dict:
-    """log of a truncated 2-variable Taylor series with a[(0,0)] != 0."""
-    a00 = a[(0, 0)]
+    a = [
+        [theta_partial(p, tau, i, j, tol) / (math.factorial(i) * math.factorial(j))
+         for j in range(dtau + 1)]
+        for i in range(dp + 1)
+    ]
+    a00 = a[0][0]
     if a00 == 0:
         raise PoleHit("log of a jet vanishing at the expansion point")
-    u = {k: v / a00 for k, v in a.items()}
-    u[(0, 0)] = 0.0 + 0.0j  # u = (a/a00) - 1
-    out = {k: 0.0 + 0.0j for k in a}
-    out[(0, 0)] = cmath.log(a00)
-    power = {k: (1.0 + 0.0j if k == (0, 0) else 0.0 + 0.0j) for k in a}
-    for m in range(1, n + 1):
-        power = _jet_mul(power, u, n)
-        sign = (-1) ** (m + 1) / m
-        for k, v in power.items():
-            out[k] += sign * v
-    return out
+    L = [[0.0 + 0.0j] * (dtau + 1) for _ in range(dp + 1)]
+    L[0][0] = cmath.log(a00)
+    for i in range(dp + 1):
+        for j in range(dtau + 1):
+            if i + j == 0:
+                continue
+            s = (i + j) * a[i][j]
+            for k in range(i + 1):
+                for l in range(j + 1):
+                    if 0 < k + l < i + j:
+                        s -= (k + l) * L[k][l] * a[i - k][j - l]
+            L[i][j] = s / ((i + j) * a00)
+    return L[dp][dtau] * math.factorial(dp) * math.factorial(dtau)

@@ -68,6 +68,25 @@ def test_coincident_branch_points_exit_2(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("cfg", [
+    {"command": "reconstruct", "pair": [0, 99]},
+    {"command": "reconstruct", "index": 99},
+    {"command": "hydro", "triple": "abc"},
+    {"command": "hydro", "triple": [0, 1, "x"]},
+    {"command": "collide", "groups": 5},
+    {"command": "collide", "structure": "genus1", "groups": [[0, 2]]},
+    {"command": "verify", "n": 2.7},
+    {"command": "verify", "samples": 1.5},
+    {"command": "verify", "seed": True},
+    {"command": "pushforward", "scale": "big"},
+    {"command": "rauch", "branch": "a"},
+])
+def test_malformed_keys_exit_2(tmp_path, cfg):
+    code, out = _run(tmp_path, {"structure": "genus0", "n": 2, "seed": 5, **cfg})
+    assert code == 2
+    assert not out.exists()
+
+
 def test_malformed_json_exits_2(tmp_path):
     cfg_path = tmp_path / "broken.json"
     cfg_path.write_text("{not json")

@@ -10,19 +10,25 @@ import pytest
 from gtlab import catalog
 from gtlab.core import (
     CoordinateChange,
+    GTStructure,
+    _make_report,
     add_points,
     algebroid_constants,
     collide_enhanced,
     collide_points_closed,
     collide_points_limit,
     contour_endpoint_defect,
+    potential_from_contour,
     pushforward,
     pushforward_lambda,
     verify_all,
+    verify_bracket,
     verify_lambda,
     verify_potential,
 )
-from gtlab.kernel import Domain, JetEvaluator, circle_path
+from gtlab.errors import DomainViolation
+from gtlab.gtsys import build_system, compatibility_residual
+from gtlab.kernel import Domain, JetEvaluator, circle_path, polyline_path
 
 SAMPLES = 25
 
@@ -202,3 +208,58 @@ def test_contour_endpoint_defect_zero_for_closed_path():
     e = catalog.build_enhanced("benney", 1)
     path = circle_path(5.0 + 5.0j, 0.5, nodes=16)
     assert contour_endpoint_defect(e, path, 0.1, 0.2, (0.4,)) == 0.0
+
+
+def test_contour_potential_matches_log_closed_form():
+    # lambda = 1/(p1 - p2) on the sphere, so h(p) = int_0^1 dt / (t - p)
+    # = Log((p - 1)/p) off [0, 1]; the endpoint condition holds because
+    # f(p1, 0) = f(p1, 1) = 0
+    e = catalog.genus0_enhanced(2)
+    probe = e.base.sample(1, 3, 2)[0]
+    pot = potential_from_contour(e, polyline_path([0, 1]), endpoint_tol=1e-12,
+                                 endpoint_probe=probe)
+    v = (0.3 + 0.2j, -0.7 + 1.1j)
+    for p in (0.5 + 1j, -1 + 0.5j, 2 - 1j, 0.3 - 0.8j, 1.6 + 0.2j):
+        assert abs(pot.h.value((p, *v)) - cmath.log((p - 1) / p)) <= 1e-12
+    # samples and their derivative circles stay clear of the cut [0, 1]
+    e.base.p_box = (-2.0, 2.0, 0.6, 2.0)
+    rep = verify_potential(e, pot, samples=20, seed=5)
+    assert rep.passed, rep.max_residual
+
+
+def test_contour_endpoint_condition_is_enforced():
+    e = catalog.genus0_enhanced(2)
+    probe = e.base.sample(1, 3, 2)[0]
+    with pytest.raises(DomainViolation):
+        potential_from_contour(e, polyline_path([0, 0.5]), endpoint_tol=1e-12,
+                               endpoint_probe=probe)
+
+
+# ---------------------------------------------------------------------------
+# non-finite residuals fail closed
+# ---------------------------------------------------------------------------
+
+
+def test_report_with_a_nan_residual_fails_wherever_it_stands():
+    for residuals in ([1e-12, math.nan, 1e-12], [math.nan, 1e-12], [1e-12, math.nan]):
+        rep = _make_report("x", residuals, 1e-8, 1)
+        assert math.isnan(rep.max_residual) and not rep.passed
+    rep = _make_report("x", [1e-12, math.inf], 1e-8, 1)
+    assert rep.max_residual == math.inf and not rep.passed
+
+
+def _nan_f_structure() -> GTStructure:
+    s = catalog.build_structure("benney", 2)
+    nan = complex(math.nan, 0.0)
+    f = JetEvaluator(s.f.arity, lambda *args: nan, domain=s.f.domain,
+                     partial_fn=lambda args, multi: nan, label="nan f")
+    return GTStructure(m=s.m, g=s.g, f=f, label="benney+nan f", p_box=s.p_box,
+                       v_boxes=s.v_boxes, min_separation=s.min_separation)
+
+
+def test_nan_two_point_function_fails_bracket_and_compatibility():
+    s = _nan_f_structure()
+    rep = verify_bracket(s, samples=5, seed=2)
+    assert math.isnan(rep.max_residual) and not rep.passed
+    comp = compatibility_residual(build_system(s), M=3, states=3, seed=17)
+    assert math.isnan(comp.max_residual) and not comp.passed

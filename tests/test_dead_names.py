@@ -1,0 +1,47 @@
+"""Every module-level function and class of the package is used somewhere.
+
+A definition counts as used when its name appears as a code token in the
+package, the tests or the benchmark besides its own definition.  Names
+inside strings and comments do not count.
+"""
+
+from __future__ import annotations
+
+import ast
+import tokenize
+from collections import Counter
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "gtlab"
+SEARCHED = (PACKAGE, ROOT / "tests", ROOT / "bench")
+
+
+def _name_tokens() -> Counter:
+    counts: Counter = Counter()
+    for base in SEARCHED:
+        for path in sorted(base.rglob("*.py")):
+            with tokenize.open(path) as fh:
+                for tok in tokenize.generate_tokens(fh.readline):
+                    if tok.type == tokenize.NAME:
+                        counts[tok.string] += 1
+    return counts
+
+
+def _module_level_definitions() -> list[tuple[str, str]]:
+    defs = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defs.append((path.name, node.name))
+    return defs
+
+
+def test_every_module_level_definition_is_referenced():
+    tokens = _name_tokens()
+    defs = _module_level_definitions()
+    def_counts = Counter(name for _, name in defs)
+    unused = sorted(f"{module}:{name}" for module, name in defs
+                    if tokens[name] <= def_counts[name])
+    assert not unused, f"defined but never referenced: {unused}"

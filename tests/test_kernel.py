@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gtlab.errors import DomainViolation, NonConvergence, SamplingExhausted
+from gtlab import kernel
+from gtlab.errors import DomainViolation, NonConvergence, PoleHit, SamplingExhausted
 from gtlab.kernel import (
     Diagonal,
     Domain,
@@ -23,8 +24,10 @@ from gtlab.kernel import (
     circle_path,
     lattice_distance,
     laurent_coeff,
+    log_theta_partial,
     path_integrate,
     rho,
+    rho_partial,
     sample_points,
     theta,
 )
@@ -251,3 +254,38 @@ def test_rho_simple_pole_at_origin():
     for eps in (1e-3, 1e-4):
         z = eps * cmath.exp(0.37j)
         assert z * complex(rho(z, TAU)) == pytest.approx(1.0, abs=50 * eps)
+
+
+def _mp_log_theta(p, tau, K=15):
+    """log of the theta series truncated at |k| <= K, in mpmath."""
+    terms = ((-1) ** k * mp.exp(2j * mp.pi * (k * p + k * (k - 1) * tau / 2))
+             for k in range(-K, K + 1))
+    return mp.log(mp.fsum(terms))
+
+
+def _mp_log_theta_partial(z, dp, dtau):
+    with mp.workdps(30):
+        return complex(mp.diff(_mp_log_theta, (mp.mpc(z), mp.mpc(TAU)), (dp, dtau)))
+
+
+@pytest.mark.parametrize("dp", [0, 1, 2])
+@pytest.mark.parametrize("dtau", [0, 1, 2])
+def test_rho_partial_matches_mpmath_jet(dp, dtau):
+    # rho = d/dp log theta, so its (dp, dtau) partial is the (dp + 1, dtau)
+    # partial of log theta
+    for z in ZS:
+        oracle = _mp_log_theta_partial(z, dp + 1, dtau)
+        assert complex(rho_partial(z, TAU, dp, dtau)) == pytest.approx(oracle, rel=1e-10)
+
+
+@pytest.mark.parametrize("dtau", [0, 1, 2, 3])
+def test_log_theta_tau_partials_match_mpmath_jet(dtau):
+    for z in ZS:
+        oracle = _mp_log_theta_partial(z, 0, dtau)
+        assert complex(log_theta_partial(z, TAU, 0, dtau)) == pytest.approx(oracle, rel=1e-10)
+
+
+def test_log_theta_partial_rejects_a_vanishing_jet(monkeypatch):
+    monkeypatch.setattr(kernel, "theta_partial", lambda *args: 0j)
+    with pytest.raises(PoleHit):
+        log_theta_partial(0.1 + 0.1j, TAU, 1, 1)
