@@ -606,10 +606,12 @@ class GenusTwoF(JetEvaluator):
                 "genus-2 mixed partials beyond total order 2 in more than "
                 "one slot are not supported"
             )
+        rows, q1, q2 = self._circle_sheets(slot, args, args[slot], radius, nodes)
         if sum(rest) == 0:
-            vals = self.eval_circle(slot, args, args[slot], radius, nodes)
+            vals = np.array([
+                self._assemble(*rows[k], q1[k], q2[k]) for k in range(nodes)
+            ])
         else:
-            rows, q1, q2 = self._circle_sheets(slot, args, args[slot], radius, nodes)
             rslot = rest.index(1)
             vals = np.array([
                 self._first_partial(rows[k], rslot, q1[k], q2[k])

@@ -192,12 +192,7 @@ def _cmd_collide(cfg):
     tol = float(cfg.get("tol", 1e-6))
     seed = cfg["seed"]
     ent, s, _ = _build(cfg)
-    groups = cfg.get("groups", [[0, 1]])
-    for grp in groups:
-        for slot in grp:
-            if slot not in s.puncture_slots:
-                raise ConfigError(f"collision slot {slot} is not a puncture of {s.label}")
-    collided = collide_points_closed(s, groups)
+    collided = collide_points_closed(s, cfg.get("groups", [[0, 1]]))
     reports = [r.as_dict() for r in verify_all(collided, samples, seed, tol)]
     return reports, {"collided_label": collided.label, "m": collided.m}
 

@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DomainViolation, NonConvergence, SamplingExhausted
+from .errors import ConfigError, DomainViolation, NonConvergence, SamplingExhausted
 from .kernel import (
     Box,
     Diagonal,
@@ -587,7 +587,7 @@ def collide_points_closed(s: GTStructure, groups: Sequence[Sequence[int]]) -> GT
     for grp in groups:
         for slot in grp:
             if slot not in s.puncture_slots:
-                raise ValueError(
+                raise ConfigError(
                     f"coordinate {slot} of {s.label} is not a puncture; use "
                     f"collide_points_limit"
                 )

@@ -600,14 +600,12 @@ def rho(p: complex, tau: complex, tol: float = 1e-12, guard: float = 1e-7) -> co
     return thp / th
 
 
-def rho_partial(p: complex, tau: complex, dp: int, dtau: int, tol: float = 1e-12) -> complex:
+def rho_partial(p: complex, tau: complex, dp: int, dtau: int) -> complex:
     """Partial derivatives of rho = (d/dp) log theta."""
-    return log_theta_partial(p, tau, dp + 1, dtau, tol)
+    return log_theta_partial(p, tau, dp + 1, dtau)
 
 
-def log_theta_partial(
-    p: complex, tau: complex, dp: int, dtau: int, tol: float = 1e-12
-) -> complex:
+def log_theta_partial(p: complex, tau: complex, dp: int, dtau: int) -> complex:
     """(dp, dtau) partial derivative of log theta.
 
     The Taylor coefficients a_ij of theta on the rectangle i <= dp,
@@ -616,7 +614,7 @@ def log_theta_partial(
     (Griewank & Walther, Evaluating Derivatives, ch. 13).
     """
     a = [
-        [theta_partial(p, tau, i, j, tol) / (math.factorial(i) * math.factorial(j))
+        [theta_partial(p, tau, i, j) / (math.factorial(i) * math.factorial(j))
          for j in range(dtau + 1)]
         for i in range(dp + 1)
     ]
