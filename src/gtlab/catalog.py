@@ -27,7 +27,6 @@ from .kernel import (
     HalfPlane,
     JetEvaluator,
     LatticePoints,
-    _circle_coeff,
     log_theta_partial,
     rho_partial,
     theta,
@@ -523,7 +522,8 @@ class GenusTwoF(JetEvaluator):
             Diagonal(2, 3), Diagonal(2, 4), Diagonal(3, 4),
             FixedPoints([2, 3, 4], [0.0, 1.0]),
         ))
-        super().__init__(5, self._fn, domain=dom, label="genus2:f")
+        super().__init__(5, self._fn, domain=dom, partial_fn=self._partial_fn,
+                         label="genus2:f")
 
     @staticmethod
     def _assemble(p1, p2, a, b, c, q1, q2):
@@ -537,10 +537,15 @@ class GenusTwoF(JetEvaluator):
         q2 = cmath.sqrt(_quintic(p2, a, b, c))
         return self._assemble(p1, p2, a, b, c, q1, q2)
 
-    @staticmethod
-    def _circle_sheets(slot, args, center, radius, nodes):
-        """Argument rows on an equispaced circle in one slot, with q1 and q2
-        continued along it from their principal values at the centre."""
+    def eval_circle(self, slot, args, center, radius, nodes, rest):
+        """Values, or the closed-form first partial in the slot ``rest``
+        names, on an equispaced circle in one slot, with q1 and q2 continued
+        along it from their principal values at the centre."""
+        if rest is not None and sum(rest) > 1:
+            raise NotImplementedError(
+                "genus-2 mixed partials beyond total order 2 in more than "
+                "one slot are not supported"
+            )
         work = list(args)
         rows = []
         for k in range(nodes):
@@ -551,12 +556,13 @@ class GenusTwoF(JetEvaluator):
                          cmath.sqrt(_quintic(work[0], work[2], work[3], work[4])))
         q2 = _track_sqrt(np.array([_quintic(r[1], r[2], r[3], r[4]) for r in rows]),
                          cmath.sqrt(_quintic(work[1], work[2], work[3], work[4])))
-        return rows, q1, q2
-
-    def eval_circle(self, slot, args, center, radius, nodes):
-        rows, q1, q2 = self._circle_sheets(slot, args, center, radius, nodes)
+        if rest is None:
+            return np.array([
+                self._assemble(*rows[k], q1[k], q2[k]) for k in range(nodes)
+            ])
+        rslot = rest.index(1)
         return np.array([
-            self._assemble(*rows[k], q1[k], q2[k]) for k in range(nodes)
+            self._first_partial(rows[k], rslot, q1[k], q2[k]) for k in range(nodes)
         ])
 
     # closed-form first partials ------------------------------------------
@@ -587,37 +593,12 @@ class GenusTwoF(JetEvaluator):
             dden = den * (dA1 / A1)
         return (dnum - f * dden) / den
 
-    def partial(self, args, multi):
-        total = sum(multi)
-        if total == 0:
-            return self.value(args)
-        if total == 1:
-            slot = multi.index(1)
-            q1 = cmath.sqrt(_quintic(args[0], args[2], args[3], args[4]))
-            q2 = cmath.sqrt(_quintic(args[1], args[2], args[3], args[4]))
-            return self._first_partial(tuple(args), slot, q1, q2)
-        slot = next(i for i, o in enumerate(multi) if o > 0)
-        order = multi[slot]
-        rest = tuple(0 if i == slot else o for i, o in enumerate(multi))
-        radius = self.deriv_radius(args, slot)
-        nodes = self.nodes
-        if sum(rest) > 1:
-            raise NotImplementedError(
-                "genus-2 mixed partials beyond total order 2 in more than "
-                "one slot are not supported"
-            )
-        rows, q1, q2 = self._circle_sheets(slot, args, args[slot], radius, nodes)
-        if sum(rest) == 0:
-            vals = np.array([
-                self._assemble(*rows[k], q1[k], q2[k]) for k in range(nodes)
-            ])
-        else:
-            rslot = rest.index(1)
-            vals = np.array([
-                self._first_partial(rows[k], rslot, q1[k], q2[k])
-                for k in range(nodes)
-            ])
-        return _circle_coeff(vals, radius, order) * math.factorial(order)
+    def _partial_fn(self, args, multi):
+        if sum(multi) != 1:
+            return NotImplemented
+        q1 = cmath.sqrt(_quintic(args[0], args[2], args[3], args[4]))
+        q2 = cmath.sqrt(_quintic(args[1], args[2], args[3], args[4]))
+        return self._first_partial(args, multi.index(1), q1, q2)
 
 
 def genus2() -> GTStructure:

@@ -378,14 +378,13 @@ HANDLERS = {
 
 
 def _jsonify(obj: Any) -> Any:
-    """Deterministic JSON form: complex -> [re, im], numpy -> python."""
-    if isinstance(obj, complex):
-        return [float(obj.real), float(obj.imag)]
-    if isinstance(obj, (np.complexfloating,)):
-        return [float(obj.real), float(obj.imag)]
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
+    """Deterministic JSON form: complex -> [re, im], numpy -> python, and a
+    non-finite float (numpy's or a complex part too) -> its repr string."""
+    if isinstance(obj, (complex, np.complexfloating)):
+        return [_jsonify(float(obj.real)), _jsonify(float(obj.imag))]
+    if isinstance(obj, np.floating):
+        obj = float(obj)
+    if isinstance(obj, np.integer):
         return int(obj)
     if isinstance(obj, np.ndarray):
         return [_jsonify(x) for x in obj.tolist()]
@@ -400,7 +399,8 @@ def _jsonify(obj: Any) -> Any:
 
 def emit_report(report: dict, path: str, summary: str) -> None:
     """Atomic JSON write plus an adjacent .txt human summary."""
-    payload = json.dumps(_jsonify(report), indent=2, ensure_ascii=False)
+    payload = json.dumps(_jsonify(report), indent=2, ensure_ascii=False,
+                         allow_nan=False)
     tmp = path + ".tmp"
     with open(tmp, "w", encoding="utf-8") as fh:
         fh.write(payload)

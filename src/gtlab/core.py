@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DomainViolation, NonConvergence, SamplingExhausted
+from .errors import ConfigError, DomainViolation, SamplingExhausted
 from .kernel import (
     Box,
     Diagonal,
@@ -31,6 +31,7 @@ from .kernel import (
     PathSpec,
     ReindexedEvaluator,
     SplitMix64,
+    _circle_coeff,
     laurent_coeff,
     path_integrate,
 )
@@ -109,7 +110,6 @@ class GTStructure:
         p_box: Box = (-1.5, 1.5, -1.5, 1.5),
         v_boxes: Sequence[Box] | None = None,
         min_separation: float = 0.25,
-        sampler: Callable[[int, int, int], list[Sample]] | None = None,
         puncture_slots: tuple[int, ...] = (),
     ):
         assert len(g) == m
@@ -123,7 +123,6 @@ class GTStructure:
         self.p_box = p_box
         self.v_boxes = tuple(v_boxes) if v_boxes is not None else tuple([p_box] * m)
         self.min_separation = min_separation
-        self._sampler = sampler
         # fiber slots whose g-component is f(p, v_slot): collidable punctures
         self.puncture_slots = puncture_slots
 
@@ -147,8 +146,6 @@ class GTStructure:
 
     def sample(self, count: int, seed: int, n_p: int) -> list[Sample]:
         """count admissible points (p_1..p_{n_p}, v), deterministically."""
-        if self._sampler is not None:
-            return self._sampler(count, seed, n_p)
         rng = SplitMix64(seed)
         out: list[Sample] = []
         tries = 0
@@ -231,15 +228,6 @@ class CoordinateChange:
 
     mu: JetEvaluator  # arity 1 + m
 
-    def check_invertible(self, s: GTStructure, samples: int = 20, seed: int = 7,
-                         floor: float = 1e-6) -> None:
-        for ps, v in s.sample(samples, seed, 1):
-            d = self.mu.partial((ps[0], *v), [1] + [0] * s.m)
-            if abs(d) < floor:
-                raise DomainViolation(
-                    f"mu'({ps[0]}) = {d} below invertibility floor {floor}"
-                )
-
 
 # ---------------------------------------------------------------------------
 # identity verification
@@ -262,15 +250,13 @@ def _diagonal_radius(e: JetEvaluator, p2: complex, v: Sequence[complex]) -> floa
 def verify_pole(s: GTStructure, samples: int = 100, seed: int = 1,
                 tol: float = 1e-8, nodes: int = 64) -> VerificationReport:
     """Diagonal normalization: Laurent coefficient -1 of f in p1 about p2
-    equals 1; orders -2 and -3 vanish."""
+    equals 1; orders -2 and -3 vanish.  All three come from one circle."""
     residuals = []
     for ps, v in s.sample(samples, seed, 2):
         p2 = ps[0]
-        args = (ps[1], p2, *v)
         radius = _diagonal_radius(s.f, p2, v)
-        c_m1 = laurent_coeff(s.f, 0, args, p2, -1, radius, nodes)
-        c_m2 = laurent_coeff(s.f, 0, args, p2, -2, radius, nodes)
-        c_m3 = laurent_coeff(s.f, 0, args, p2, -3, radius, nodes)
+        vals = s.f.eval_circle(0, (ps[1], p2, *v), p2, radius, nodes, None)
+        c_m1, c_m2, c_m3 = (_circle_coeff(vals, radius, k) for k in (-1, -2, -3))
         residuals.append(max(abs(c_m1 - 1.0), abs(c_m2), abs(c_m3)))
     return _make_report("diagonal_pole", residuals, tol, seed,
                         structure=s.label, nodes=nodes)
@@ -449,46 +435,29 @@ def _collision_substitution(
     return out
 
 
-class _RichardsonLimit(JetEvaluator):
-    """eps -> 0 limit of a family of values by Neville extrapolation over a
-    fixed ladder.  ``fn_eps(args, eps)`` supplies the family."""
+LADDER = tuple(0.05 * 0.5**k for k in range(5))  # eps values, strictly toward 0
 
-    def __init__(self, arity, fn_eps, ladder, domain=EMPTY_DOMAIN, label="",
-                 check_tol: float | None = None):
+
+class _RichardsonLimit(JetEvaluator):
+    """eps -> 0 limit of a family of values by Neville extrapolation over
+    LADDER.  ``fn_eps(args, eps)`` supplies the family."""
+
+    def __init__(self, arity, fn_eps, domain=EMPTY_DOMAIN, label=""):
         self.fn_eps = fn_eps
-        self.ladder = tuple(ladder)
-        self.check_tol = check_tol
-        self.last_correction = 0.0
-        if any(b >= a for a, b in zip(self.ladder, self.ladder[1:])) or self.ladder[-1] <= 0:
-            raise ValueError("ladder must decrease strictly toward 0")
         super().__init__(arity, self._fn, domain=domain, label=label)
 
     def _fn(self, *args):
-        eps = list(self.ladder)
+        eps = LADDER
         vals = [complex(self.fn_eps(args, ei)) for ei in eps]
         # Neville tableau in eps toward 0
         for level in range(1, len(eps)):
             for i in range(len(eps) - level):
                 num = eps[i] * vals[i + 1] - eps[i + level] * vals[i]
                 vals[i] = num / (eps[i] - eps[i + level])
-            self.last_correction = abs(vals[0] - vals[1]) if len(eps) - level > 1 else self.last_correction
-        if self.check_tol is not None and self.last_correction > self.check_tol:
-            raise NonConvergence(
-                f"Richardson ladder residual {self.last_correction:.3e} above "
-                f"{self.check_tol:.1e}"
-            )
         return vals[0]
 
 
-DEFAULT_LADDER = tuple(0.05 * 0.5**k for k in range(5))
-
-
-def collide_points_limit(
-    s: GTStructure,
-    groups: Sequence[Sequence[int]],
-    ladder: Sequence[float] = DEFAULT_LADDER,
-    check_tol: float | None = None,
-) -> GTStructure:
+def collide_points_limit(s: GTStructure, groups: Sequence[Sequence[int]]) -> GTStructure:
     """Collide each group of fiber coordinates; evaluators are the Richardson
     eps -> 0 limit of the binomial substitution applied to s."""
     flat = [slot for grp in groups for slot in grp]
@@ -517,9 +486,8 @@ def collide_points_limit(
             return total
 
         dom = _collided_domain(s.g[i].domain, groups, offset=1, arity=1 + m)
-        return _RichardsonLimit(1 + m, fn_eps, ladder, domain=dom,
-                                label=f"{s.label}:collided g[{i}]",
-                                check_tol=check_tol)
+        return _RichardsonLimit(1 + m, fn_eps, domain=dom,
+                                label=f"{s.label}:collided g[{i}]")
 
     def f_eval() -> JetEvaluator:
         def fn_eps(args, eps):
@@ -527,8 +495,8 @@ def collide_points_limit(
             return s.f.value((p1, p2, *_collision_substitution(groups, eps, v)))
 
         dom = _collided_domain(s.f.domain, groups, offset=2, arity=2 + m)
-        return _RichardsonLimit(2 + m, fn_eps, ladder, domain=dom,
-                                label=f"{s.label}:collided f", check_tol=check_tol)
+        return _RichardsonLimit(2 + m, fn_eps, domain=dom,
+                                label=f"{s.label}:collided f")
 
     return GTStructure(
         m=m,
@@ -630,26 +598,21 @@ def collide_points_closed(s: GTStructure, groups: Sequence[Sequence[int]]) -> GT
     )
 
 
-def collide_enhanced(
-    e: EnhancedGT,
-    groups: Sequence[Sequence[int]],
-    ladder: Sequence[float] = DEFAULT_LADDER,
-) -> EnhancedGT:
+def collide_enhanced(e: EnhancedGT, groups: Sequence[Sequence[int]]) -> EnhancedGT:
     """Collide the base structure and push lambda through the same limit."""
-    base = collide_points_limit(e.base, groups, ladder)
+    base = collide_points_limit(e.base, groups)
     m = e.m
 
     def fn_eps(args, eps):
         p1, p2, v = args[0], args[1], args[2:]
         return e.lam.value((p1, p2, *_collision_substitution(groups, eps, v)))
 
-    lam = _RichardsonLimit(2 + m, fn_eps, ladder, domain=e.lam.domain,
+    lam = _RichardsonLimit(2 + m, fn_eps, domain=e.lam.domain,
                            label=f"{e.label}:collided lambda")
     return EnhancedGT(base, lam)
 
 
-def pushforward(s: GTStructure, c: CoordinateChange,
-                clearance_scale: float = 0.5) -> GTStructure:
+def pushforward(s: GTStructure, c: CoordinateChange) -> GTStructure:
     """Transport the structure through p = mu(p~, v).
 
     g~(p~) = mu'(p~)^2 g(mu(p~)); f picks up the extra g(mu(p~1))(mu(p~2))
@@ -684,10 +647,10 @@ def pushforward(s: GTStructure, c: CoordinateChange,
         return (mu_d(pt1, v) ** 2 / mu_d(pt2, v)) * (s.f.value((z1, z2, *v)) - gterm)
 
     g_dom = _PullbackDomain(lambda args: (mu_val(args[0], args[1:]), *args[1:]),
-                            [s.g[i].domain for i in range(m)], clearance_scale)
+                            [s.g[i].domain for i in range(m)])
     f_dom = _PullbackDomain(
         lambda args: (mu_val(args[0], args[2:]), mu_val(args[1], args[2:]), *args[2:]),
-        [s.f.domain], clearance_scale)
+        [s.f.domain])
     return GTStructure(
         m=m,
         g=[JetEvaluator(1 + m, g_fn(i), domain=Domain((g_dom,)),
@@ -703,12 +666,11 @@ def pushforward(s: GTStructure, c: CoordinateChange,
 
 class _PullbackDomain:
     """Clearance of a mapped locus, pulled back conservatively: the image
-    clearance scaled down to absorb the local stretch of the map."""
+    clearance halved to absorb the local stretch of the map."""
 
-    def __init__(self, mapping, domains, scale):
+    def __init__(self, mapping, domains):
         self.mapping = mapping
         self.domains = domains
-        self.scale = scale
 
     def clearance(self, args, slot):
         image = self.mapping(tuple(args))
@@ -716,7 +678,7 @@ class _PullbackDomain:
         for d in self.domains:
             for s_img in range(len(image)):
                 best = min(best, d.clearance(image, s_img))
-        return self.scale * best
+        return 0.5 * best
 
     def remap(self, mapping):
         raise NotImplementedError("pullback domains are terminal")
@@ -735,7 +697,7 @@ def pushforward_lambda(e: EnhancedGT, c: CoordinateChange) -> EnhancedGT:
 
     dom = _PullbackDomain(
         lambda args: (mu.value((args[0], *args[2:])), mu.value((args[1], *args[2:])), *args[2:]),
-        [e.lam.domain], 0.5)
+        [e.lam.domain])
     lam = JetEvaluator(2 + m, fn, domain=Domain((dom,)),
                        label=f"{e.label}:pushed lambda")
     return EnhancedGT(base, lam)
@@ -858,23 +820,18 @@ def algebroid_constants(
     )
     r1 = 0.2 * base_clear
     r2 = 0.1 * base_clear
-    coeffs: dict[tuple[int, int], complex] = {}
-    # inner rings in p2 at each p1 node, then the outer transform in p1
-    p1_nodes = [z + r1 * np.exp(2j * math.pi * k / nodes) for k in range(nodes)]
-    inner = np.empty((nodes, order + 1), dtype=complex)
-    for k, p1 in enumerate(p1_nodes):
-        ring = np.array(
-            [
-                s.f.value((p1, z + r2 * np.exp(2j * math.pi * l / nodes), *v))
-                - 1.0 / (p1 - z - r2 * np.exp(2j * math.pi * l / nodes))
-                for l in range(nodes)
-            ]
-        )
-        for j in range(order + 1):
-            phases = np.exp(-2j * math.pi * j * np.arange(nodes) / nodes)
-            inner[k, j] = np.sum(ring * phases) / (nodes * r2**j)
-    for i in range(order + 1):
-        phases = np.exp(-2j * math.pi * i * np.arange(nodes) / nodes)
-        for j in range(order + 1):
-            coeffs[(i, j)] = complex(np.sum(inner[:, j] * phases) / (nodes * r1**i))
+    regular = JetEvaluator(s.f.arity, lambda *a: s.f.fn(*a) - 1.0 / (a[0] - a[1]))
+    # Taylor coefficients in p2 on an inner ring at each node of the outer
+    # p1 ring (its nodes are the identity's values there), then in p1
+    p1_ring = JetEvaluator(1, lambda p: p).eval_circle(0, (z,), z, r1, nodes, None)
+    inner = np.array([
+        [_circle_coeff(ring, r2, j) for j in range(order + 1)]
+        for ring in (regular.eval_circle(1, (p1, z, *v), z, r2, nodes, None)
+                     for p1 in p1_ring)
+    ])
+    coeffs = {
+        (i, j): _circle_coeff(inner[:, j], r1, i)
+        for i in range(order + 1)
+        for j in range(order + 1)
+    }
     return AlgebroidTable(z=z, order=order, f_coeffs=coeffs)

@@ -31,6 +31,8 @@ from .core import GTStructure, VerificationReport, _make_report, worst_residual
 from .errors import ConfigError, DomainViolation, NonConvergence
 from .kernel import Domain, Exclusion, JetEvaluator, SplitMix64
 
+G1_FLOOR = 1e-8  # |g_1| below this counts as a zero of the pivot component
+
 
 def _remap_domain(domain: Domain, mapping: Sequence[int]) -> Domain:
     try:
@@ -61,7 +63,6 @@ def build_system(
     s: GTStructure,
     pivot: int = 0,
     extra_exclusions: Sequence[Exclusion] = (),
-    g1_floor: float = 1e-8,
 ) -> GTSystem:
     """Convert a structure into its quasilinear system.
 
@@ -79,13 +80,13 @@ def build_system(
     g1 = s.g[pivot]
     # reject an identically-zero pivot component up front
     probe_ps, probe_v = s.sample(1, 99, 1)[0]
-    if abs(g1.value((probe_ps[0], *probe_v))) < g1_floor:
+    if abs(g1.value((probe_ps[0], *probe_v))) < G1_FLOOR:
         raise ConfigError("pivot component of g vanishes at a generic point")
 
     def g1_at(p, v):
         val = g1.value((p, *v))
-        if abs(val) < g1_floor:
-            raise DomainViolation(f"g_1({p}) = {val} below floor {g1_floor}")
+        if abs(val) < G1_FLOOR:
+            raise DomainViolation(f"g_1({p}) = {val} below floor {G1_FLOOR}")
         return val
 
     # slot maps embedding g-argument lists into (p1, p2, v...) lists
@@ -110,10 +111,7 @@ def build_system(
     # analytic first-order partials of the quotients are available exactly
     # when the structure's own evaluators carry them; this keeps the chain
     # rule away from quadrature circles that could stray across zeros of g_1
-    have_pf = all(
-        e.partial_fn is not None or type(e).partial is not JetEvaluator.partial
-        for e in (s.f, *s.g)
-    )
+    have_pf = all(e.partial_fn is not None for e in (s.f, *s.g))
 
     def A_fn(*args):
         p1, p2, v = args[0], args[1], args[2:]
@@ -414,8 +412,7 @@ class FreeData:
     v0: tuple[complex, ...]
 
 
-def default_free_data(sys: GTSystem, M: int, seed: int = 23,
-                      amplitude: float = 0.05) -> FreeData:
+def default_free_data(sys: GTSystem, M: int, seed: int = 23) -> FreeData:
     """Smooth seeded free data anchored at an admissible sample of the
     structure."""
     s = sys.structure
@@ -423,7 +420,7 @@ def default_free_data(sys: GTSystem, M: int, seed: int = 23,
     rng = SplitMix64(seed + 1)
 
     def make_pair(base):
-        alpha = complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) * amplitude
+        alpha = complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) * 0.05
         beta = rng.uniform(2.0, 4.0)
         fn = lambda t, b=base, al=alpha, be=beta: b + al * math.sin(be * t)  # noqa: E731
         dfn = lambda t, al=alpha, be=beta: al * be * math.cos(be * t)  # noqa: E731
@@ -550,7 +547,6 @@ def integrate_reduction(
     h: float = 0.02,
     data: FreeData | None = None,
     seed: int = 23,
-    blow_up_bound: float = 1e6,
 ) -> ReductionResult:
     """March the reduction over a tensor grid [0, steps*h]^M with a
     second-order predictor-corrector and report the compatibility defect
@@ -613,7 +609,7 @@ def integrate_reduction(
             st["w"][axis] = pv["w"][axis] + 0.5 * h * (pv["z"][axis] + st["z"][axis])
         states[idx] = st
         mag = max(abs(x) for x in st["p"] + st["v"] + st["w"])
-        if not blow_up and (not math.isfinite(mag) or mag > blow_up_bound):
+        if not blow_up and (not math.isfinite(mag) or mag > 1e6):
             blow_up = True
             blow_up_at = idx
     grid_v1 = np.zeros(shape, dtype=complex)

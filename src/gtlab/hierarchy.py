@@ -75,12 +75,11 @@ class PotentialFamily:
             hv.append(e.partial(args, multi))
         return hp, hv
 
-    def sample_z(self, count: int, seed: int, v: Sequence[complex],
-                 min_clearance: float | None = None) -> list[complex]:
-        """Seeded z points inside z_box clearing every potential's poles."""
+    def sample_z(self, count: int, seed: int, v: Sequence[complex]) -> list[complex]:
+        """Seeded z points inside z_box clearing every potential's poles by
+        the structure's minimum separation."""
         rng = SplitMix64(seed)
-        floor = (min_clearance if min_clearance is not None
-                 else self.structure.min_separation)
+        floor = self.structure.min_separation
         out = []
         budget = 500 * count
         while len(out) < count and budget > 0:
@@ -276,16 +275,7 @@ def hydro_coefficients(
 # ---------------------------------------------------------------------------
 
 
-def _apply_g(s: GTStructure, pot: Potential, p1: complex, p2: complex,
-             v: Sequence[complex]) -> complex:
-    """g(p1) acting on h(p2) through the fiber coordinates."""
-    total = 0.0 + 0.0j
-    args2 = (p2, *v)
-    for kk in range(s.m):
-        multi = [0] * (1 + s.m)
-        multi[1 + kk] = 1
-        total += s.g[kk].value((p1, *v)) * pot.h.partial(args2, multi)
-    return total
+DEN_FLOOR = 1e-6  # reconstruction denominators below this are resampled
 
 
 def _h_prime(pot: Potential, z: complex, v: Sequence[complex], m: int) -> complex:
@@ -299,7 +289,6 @@ def reconstruct_f(
     samples: int = 30,
     seed: int = 11,
     tol: float = 1e-8,
-    den_floor: float = 1e-6,
 ) -> tuple[Callable, VerificationReport]:
     """Rebuild the two-point function from potentials i and j.
 
@@ -321,7 +310,7 @@ def reconstruct_f(
         hpi2 = _h_prime(hi, p2, v, m)
         hpj2 = _h_prime(hj, p2, v, m)
         den = hpj1 * hpi2 - hpj2 * hpi1
-        if abs(den) < den_floor:
+        if abs(den) < DEN_FLOOR:
             raise DomainViolation("reconstruction denominator vanishes")
         num = 0.0 + 0.0j
         for kk in range(m):
@@ -360,7 +349,6 @@ def reconstruct_lambda(
     samples: int = 30,
     seed: int = 13,
     tol: float = 1e-8,
-    den_floor: float = 1e-6,
 ) -> tuple[Callable, VerificationReport]:
     """Rebuild lambda from potential i:
 
@@ -378,11 +366,11 @@ def reconstruct_lambda(
 
         def rec(p1, p2, v):
             hp1 = _h_prime(pot, p1, v, m)
-            if abs(hp1) < den_floor:
+            if abs(hp1) < DEN_FLOOR:
                 raise DomainViolation("h'(p1) vanishes")
             fval = s.f.value((p1, p2, *v))
             return (fval * _h_prime(pot, p2, v, m)
-                    + _apply_g(s, pot, p1, p2, v)) / hp1
+                    + s.g_apply(p1, v, pot.h, (p2, *v), v_offset=1)) / hp1
 
         return rec
 
@@ -443,7 +431,8 @@ def criterion_integrable(
         hp1 = []
         for pot in fam.potentials:
             d1.append(
-                (fval * _h_prime(pot, p2, v, m) + _apply_g(s, pot, p1, p2, v))
+                (fval * _h_prime(pot, p2, v, m)
+                 + s.g_apply(p1, v, pot.h, (p2, *v), v_offset=1))
                 / g1p1
             )
             hp1.append(_h_prime(pot, p1, v, m))

@@ -5,6 +5,13 @@ holomorphic evaluators by Cauchy circle quadrature, Gauss-Legendre path
 integration, and seeded rejection sampling in complex boxes.  The genus-1
 special functions (the odd theta series and its logarithmic derivative)
 live here as well since they are plain scalar functions.
+
+``JetEvaluator.partial`` is the one way to take a partial derivative:
+analytic derivatives come from the evaluator's ``partial_fn``, everything
+else from samples on a circle, and ``JetEvaluator.eval_circle`` is the one
+place that takes those samples.  An evaluator with multivalued ingredients
+(a square root, say) overrides ``eval_circle`` alone, to continue its
+branch along the circle.
 """
 
 from __future__ import annotations
@@ -178,14 +185,12 @@ class JetEvaluator:
         domain: Domain = EMPTY_DOMAIN,
         partial_fn: Callable | None = None,
         label: str = "",
-        nodes: int = DEFAULT_NODES,
     ):
         self.arity = arity
         self.fn = fn
         self.domain = domain
         self.partial_fn = partial_fn
         self.label = label
-        self.nodes = nodes
 
     def value(self, args: Sequence[complex]) -> complex:
         assert len(args) == self.arity, (len(args), self.arity)
@@ -208,15 +213,17 @@ class JetEvaluator:
         center: complex,
         radius: float,
         nodes: int,
+        rest: Sequence[int] | None,
     ) -> np.ndarray:
-        """Values on an equispaced circle in one slot.  Subclasses with
-        multivalued ingredients override this to continue them along the
-        circle."""
+        """Samples on an equispaced circle in one slot: values when ``rest``
+        is None, else the partial with the (nonzero) multi-index ``rest``.
+        Subclasses with multivalued ingredients override this to continue
+        them along the circle."""
         args = list(args)
         out = np.empty(nodes, dtype=complex)
         for k in range(nodes):
             args[slot] = center + radius * cmath.exp(TWO_PI_I * k / nodes)
-            out[k] = self.fn(*args)
+            out[k] = self.fn(*args) if rest is None else self.partial(args, rest)
         return out
 
     def partial(self, args: Sequence[complex], multi: Sequence[int]) -> complex:
@@ -231,16 +238,8 @@ class JetEvaluator:
         order = multi[slot]
         rest = tuple(0 if i == slot else o for i, o in enumerate(multi))
         radius = self.deriv_radius(args, slot)
-        center = args[slot]
-        nodes = self.nodes
-        if any(rest):
-            work = list(args)
-            vals = np.empty(nodes, dtype=complex)
-            for k in range(nodes):
-                work[slot] = center + radius * cmath.exp(TWO_PI_I * k / nodes)
-                vals[k] = self.partial(work, rest)
-            return _circle_coeff(vals, radius, order) * math.factorial(order)
-        vals = self.eval_circle(slot, args, center, radius, nodes)
+        vals = self.eval_circle(slot, args, args[slot], radius, DEFAULT_NODES,
+                                rest if any(rest) else None)
         return _circle_coeff(vals, radius, order) * math.factorial(order)
 
 
@@ -265,24 +264,30 @@ class ReindexedEvaluator(JetEvaluator):
         self.base = base
         self.source = tuple(source)
         domain = base.domain.remap(self.source)
-        super().__init__(arity, self._fn, domain=domain, label=label or base.label)
+        super().__init__(arity, self._fn, domain=domain, partial_fn=self._partial,
+                         label=label or base.label)
 
     def _fn(self, *args):
         return self.base.fn(*(args[s] for s in self.source))
 
-    def eval_circle(self, slot, args, center, radius, nodes):
-        if slot not in self.source:
-            return np.full(nodes, self.value(args), dtype=complex)
-        bslot = self.source.index(slot)
-        bargs = [args[s] for s in self.source]
-        return self.base.eval_circle(bslot, bargs, center, radius, nodes)
+    def _inert(self, multi) -> bool:
+        return any(o > 0 and s not in self.source for s, o in enumerate(multi))
 
-    def partial(self, args, multi):
-        if any(o > 0 and s not in self.source for s, o in enumerate(multi)):
+    def _partial(self, args, multi):
+        if self._inert(multi):
             return 0.0 + 0.0j
+        return self.base.partial([args[s] for s in self.source],
+                                 [multi[s] for s in self.source])
+
+    def eval_circle(self, slot, args, center, radius, nodes, rest):
+        multi = (0,) * self.arity if rest is None else rest
+        if slot not in self.source or self._inert(multi):
+            # constant along the circle
+            return np.full(nodes, self.partial(args, multi), dtype=complex)
         bargs = [args[s] for s in self.source]
-        bmulti = [multi[s] for s in self.source]
-        return self.base.partial(bargs, bmulti)
+        brest = None if rest is None else tuple(rest[s] for s in self.source)
+        return self.base.eval_circle(self.source.index(slot), bargs, center,
+                                     radius, nodes, brest)
 
 
 # ---------------------------------------------------------------------------
@@ -302,13 +307,11 @@ def cauchy_derivative(
     """order-th derivative in one slot via trapezoid quadrature on a circle.
 
     Spectrally accurate for holomorphic integrands.  With ``tol`` set the
-    node count is doubled once and the two results must agree.
+    node count is doubled once and the two Taylor coefficients must agree.
     """
     require_finite(*args)
     if order < 0:
         raise ValueError("order must be >= 0")
-    args = list(args)
-    center = args[slot]
     if radius is None:
         radius = e.deriv_radius(args, slot)
     clearance = e.domain.clearance(args, slot)
@@ -319,22 +322,8 @@ def cauchy_derivative(
         )
     if order == 0 and tol is None:
         return e.value(args)
-
-    def compute(n):
-        vals = e.eval_circle(slot, args, center, radius, n)
-        return _circle_coeff(vals, radius, order) * math.factorial(order)
-
-    res = compute(nodes)
-    if tol is not None:
-        res2 = compute(2 * nodes)
-        scale = max(abs(res2), 1.0)
-        if abs(res - res2) > tol * scale:
-            raise NonConvergence(
-                f"cauchy_derivative did not converge: {abs(res - res2):.3e} "
-                f"change on node doubling"
-            )
-        res = res2
-    return res
+    coeff = laurent_coeff(e, slot, args, args[slot], order, radius, nodes, tol)
+    return coeff * math.factorial(order)
 
 
 def laurent_coeff(
@@ -352,7 +341,7 @@ def laurent_coeff(
     args = list(args)
 
     def compute(n):
-        vals = e.eval_circle(slot, args, center, radius, n)
+        vals = e.eval_circle(slot, args, center, radius, n, None)
         return _circle_coeff(vals, radius, k)
 
     res = compute(nodes)
@@ -424,7 +413,6 @@ def path_integrate(
     slot: int,
     args: Sequence[complex],
     path: PathSpec,
-    panels: int = 1,
     tol: float | None = None,
 ) -> complex:
     """Gauss-Legendre panel quadrature of e along the path (in one slot)."""
@@ -457,9 +445,9 @@ def path_integrate(
                     total += wi * zh * e.fn(*work)
         return total
 
-    res = compute(panels)
+    res = compute(1)
     if tol is not None:
-        res2 = compute(2 * panels)
+        res2 = compute(2)
         scale = max(abs(res2), 1.0)
         if abs(res - res2) > tol * scale:
             raise NonConvergence("path_integrate did not converge under panel refinement")
@@ -507,18 +495,16 @@ def sample_points(
     seed: int,
     exclusions: Sequence[complex] = (),
     min_separation: float = 0.0,
-    max_tries_per_point: int = 1000,
-    rng: SplitMix64 | None = None,
 ) -> list[complex]:
     """Deterministic rejection sampling in a complex box."""
     if count < 0:
         raise ValueError("count must be >= 0")
     if count == 0:
         return []
-    gen = rng if rng is not None else SplitMix64(seed)
+    gen = SplitMix64(seed)
     pts: list[complex] = []
     tries = 0
-    budget = max_tries_per_point * count
+    budget = 1000 * count
     while len(pts) < count:
         if tries >= budget:
             raise SamplingExhausted(
@@ -587,14 +573,14 @@ def theta_partial(
     return total
 
 
-def rho(p: complex, tau: complex, tol: float = 1e-12, guard: float = 1e-7) -> complex:
+def rho(p: complex, tau: complex, tol: float = 1e-12) -> complex:
     """Logarithmic derivative theta'/theta (derivative in p)."""
     tau = complex(tau)
     p = complex(p)
     if tau.imag <= 0:
         raise InvalidModulus(f"Im tau must be positive, got {tau}")
-    if lattice_distance(p, tau) < guard:
-        raise PoleHit(f"rho evaluated within {guard} of a theta zero")
+    if lattice_distance(p, tau) < 1e-7:
+        raise PoleHit("rho evaluated within 1e-7 of a theta zero")
     th = theta_partial(p, tau, 0, 0, tol)
     thp = theta_partial(p, tau, 1, 0, tol)
     return thp / th

@@ -162,6 +162,39 @@ def test_genus2_f_diagonal_residue():
         assert val * eps == pytest.approx(1.0, abs=1e3 * eps)
 
 
+def test_genus2_sheet_tracked_second_partials():
+    # the derivative circles about p1 cross the cut of the principal square
+    # root of the quintic, so only sheet-tracked samples give the partials
+    s = catalog.build_structure("genus2")
+    args = (1.3 + 0.01j, -0.6 + 0.8j, 1.7, 2.9, 4.1)
+    h = 1e-5
+
+    def first(x, slot):
+        return s.f.partial(x, [int(i == slot) for i in range(5)])
+
+    def central(outer, inner):
+        up = list(args)
+        down = list(args)
+        up[outer] += h
+        down[outer] -= h
+        return (first(up, inner) - first(down, inner)) / (2 * h)
+
+    principal = JetEvaluator(5, s.f.fn, domain=s.f.domain)
+    principal_errors = []
+    for multi, outer, inner in [
+        ((2, 0, 0, 0, 0), 0, 0),
+        ((1, 1, 0, 0, 0), 0, 1),
+        ((0, 2, 0, 0, 0), 1, 1),
+        ((1, 0, 1, 0, 0), 0, 2),
+        ((0, 1, 0, 1, 0), 1, 3),
+    ]:
+        want = central(outer, inner)
+        assert s.f.partial(args, multi) == pytest.approx(want, rel=1e-6)
+        principal_errors.append(abs(principal.partial(args, multi) - want) / abs(want))
+    # counter-check: without sheet tracking the same quadrature is far off
+    assert max(principal_errors) > 1.0
+
+
 # ---------------------------------------------------------------------------
 # potentials: values against independent formulas
 # ---------------------------------------------------------------------------

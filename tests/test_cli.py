@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 
-from gtlab.cli import main, validate_config
+from gtlab.cli import _jsonify, emit_report, main, validate_config
 from gtlab.errors import ConfigError
 
 BASE = {"command": "verify", "structure": "benney", "n": 1, "seed": 5,
@@ -150,6 +151,21 @@ def test_complex_values_serialize_as_pairs(tmp_path):
     entry = body["extras"]["period_matrix"][0][0]
     assert isinstance(entry, list) and len(entry) == 2
     assert all(isinstance(x, float) for x in entry)
+
+
+def test_non_finite_values_serialize_as_strings(tmp_path):
+    nan = float("nan")
+    body = {"a": np.float64(nan), "b": complex(nan, 0.0), "c": float("inf"),
+            "d": np.complex64(complex(1.0, -np.inf))}
+    assert _jsonify(body) == {"a": "nan", "b": ["nan", 0.0], "c": "inf",
+                              "d": [1.0, "-inf"]}
+    out = tmp_path / "nan.json"
+    emit_report(body, str(out), "")
+
+    def reject(token):
+        raise ValueError(f"bare {token} in report")
+
+    assert json.loads(out.read_text(), parse_constant=reject)["a"] == "nan"
 
 
 def test_numeric_failure_exits_1_with_report(tmp_path):

@@ -1,8 +1,9 @@
-"""Every module-level function and class of the package is used somewhere.
+"""Every module-level function and class of the package, and every method
+of its classes, is used somewhere.
 
 A definition counts as used when its name appears as a code token in the
-package, the tests or the benchmark besides its own definition.  Names
-inside strings and comments do not count.
+package, the tests or the benchmark besides its own definitions.  Names
+inside strings and comments do not count; dunder methods are exempt.
 """
 
 from __future__ import annotations
@@ -43,5 +44,28 @@ def test_every_module_level_definition_is_referenced():
     defs = _module_level_definitions()
     def_counts = Counter(name for _, name in defs)
     unused = sorted(f"{module}:{name}" for module, name in defs
+                    if tokens[name] <= def_counts[name])
+    assert not unused, f"defined but never referenced: {unused}"
+
+
+def _method_definitions() -> list[tuple[str, str]]:
+    defs = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and not node.name.startswith("__")):
+                    defs.append((f"{path.name}:{cls.name}", node.name))
+    return defs
+
+
+def test_every_method_is_referenced():
+    tokens = _name_tokens()
+    methods = _method_definitions()
+    def_counts = Counter(name for _, name in _module_level_definitions() + methods)
+    unused = sorted(f"{owner}.{name}" for owner, name in methods
                     if tokens[name] <= def_counts[name])
     assert not unused, f"defined but never referenced: {unused}"

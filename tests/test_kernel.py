@@ -19,6 +19,7 @@ from gtlab.kernel import (
     HalfPlane,
     JetEvaluator,
     LatticePoints,
+    ReindexedEvaluator,
     SplitMix64,
     cauchy_derivative,
     circle_path,
@@ -157,6 +158,21 @@ def test_mixed_partials_of_exponential():
     # d^2/dp dv e^{pv} = (1 + pv) e^{pv}
     expected = (1 + p * v) * cmath.exp(p * v)
     assert e.partial(args, (1, 1)) == pytest.approx(expected, rel=1e-9)
+
+
+def test_reindexed_circle_samples_map_rest_through_source():
+    # e^{pv} with p fed from slot 2 and v from slot 0; slot 1 is inert
+    base = JetEvaluator(2, lambda p, v: cmath.exp(p * v), domain=Domain())
+    r = ReindexedEvaluator(base, 3, (2, 0))
+    args = (0.7 - 0.2j, 5.0, 0.3 + 0.1j)
+    nodes = [args[2] + 0.1 * cmath.exp(2j * math.pi * k / 8) for k in range(8)]
+    # d/dv on the p circle is p e^{pv}
+    got = r.eval_circle(2, args, args[2], 0.1, 8, (1, 0, 0))
+    for g, p in zip(got, nodes):
+        assert g == pytest.approx(p * cmath.exp(p * args[0]), rel=1e-9)
+    assert not r.eval_circle(2, args, args[2], 0.1, 8, (0, 1, 0)).any()
+    const = r.eval_circle(1, args, args[1], 0.1, 8, None)
+    assert (const == cmath.exp(args[2] * args[0])).all()
 
 
 def test_partial_fn_hook_takes_precedence():
