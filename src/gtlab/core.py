@@ -112,10 +112,12 @@ class GTStructure:
         min_separation: float = 0.25,
         puncture_slots: tuple[int, ...] = (),
     ):
-        assert len(g) == m
-        assert f.arity == 2 + m
-        for gi in g:
-            assert gi.arity == 1 + m
+        if len(g) != m:
+            raise ValueError(f"need {m} g components, got {len(g)}")
+        if f.arity != 2 + m:
+            raise ValueError(f"f must take {2 + m} arguments, takes {f.arity}")
+        if any(gi.arity != 1 + m for gi in g):
+            raise ValueError(f"every g component must take {1 + m} arguments")
         self.m = m
         self.g = tuple(g)
         self.f = f
@@ -205,7 +207,11 @@ class EnhancedGT:
     lam: JetEvaluator
 
     def __post_init__(self):
-        assert self.lam.arity == 2 + self.base.m
+        if self.lam.arity != 2 + self.base.m:
+            raise ValueError(
+                f"lambda must take {2 + self.base.m} arguments, "
+                f"takes {self.lam.arity}"
+            )
 
     @property
     def m(self) -> int:
@@ -461,10 +467,10 @@ def collide_points_limit(s: GTStructure, groups: Sequence[Sequence[int]]) -> GTS
     """Collide each group of fiber coordinates; evaluators are the Richardson
     eps -> 0 limit of the binomial substitution applied to s."""
     flat = [slot for grp in groups for slot in grp]
-    assert len(set(flat)) == len(flat), "groups must be disjoint"
-    for grp in groups:
-        for slot in grp:
-            assert 0 <= slot < s.m
+    if len(set(flat)) != len(flat):
+        raise ValueError(f"collision groups must be disjoint, got {groups!r}")
+    if not all(0 <= slot < s.m for slot in flat):
+        raise ValueError(f"collision slots must lie in 0..{s.m - 1}, got {groups!r}")
     m = s.m
 
     # inverse-Jacobian rows for the group coordinates

@@ -21,6 +21,7 @@ match the local-coordinate variational formula at every branch point.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -32,6 +33,9 @@ A_CYCLES = (np.array([2, 0, 0, 0]), np.array([0, 0, 2, 0]))
 B_CYCLES = (np.array([0, 2, 0, 2]), np.array([0, 0, 0, 2]))
 
 DEFAULT_NODES = 200
+# numpy builds an n-node rule by an O(n^3) eigenvalue solve of a dense
+# n x n matrix, and periods uses n and 2n; the bound keeps a job small.
+MAX_NODES = 1000
 
 
 def _validate_moduli(moduli) -> tuple[float, float, float]:
@@ -46,21 +50,37 @@ def _validate_moduli(moduli) -> tuple[float, float, float]:
     return a, b, c
 
 
+def _check_nodes(nodes) -> None:
+    if not 1 <= nodes <= MAX_NODES:
+        raise ConfigError(f"nodes must be in 1..{MAX_NODES}, got {nodes}")
+
+
+@functools.lru_cache(maxsize=4)
+def _theta_rule(nodes: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(sin theta, cos theta, weight) of the Gauss-Legendre rule mapped to
+    theta in [-pi/2, pi/2]; built once per node count, read-only."""
+    # looked up at call time, so a wrapper on the numpy attribute sees builds
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    th = 0.5 * math.pi * x
+    rule = (np.sin(th), np.cos(th), 0.5 * math.pi * w)
+    for arr in rule:
+        arr.flags.writeable = False
+    return rule
+
+
 def interval_integrals(moduli, nodes: int = DEFAULT_NODES) -> np.ndarray:
     """2x4 matrix J[j, k] = integral of p^j dp / q over the k-th gap."""
     a, b, c = _validate_moduli(moduli)
     es = [0.0, 1.0, a, b, c]
-    x, w = np.polynomial.legendre.leggauss(nodes)
-    th = 0.5 * math.pi * x
-    wt = 0.5 * math.pi * w
+    sin_th, cos_th, wt = _theta_rule(nodes)
     J = np.zeros((2, 4), dtype=complex)
     for k in range(4):
         e0, e1 = es[k], es[k + 1]
         mid, half = 0.5 * (e0 + e1), 0.5 * (e1 - e0)
-        p = mid + half * np.sin(th)
+        p = mid + half * sin_th
         quintic = p * (p - 1.0) * (p - a) * (p - b) * (p - c)
         q = (1j ** (5 - (k + 1))) * np.sqrt(np.abs(quintic))
-        common = wt * half * np.cos(th) / q
+        common = wt * half * cos_th / q
         J[0, k] = np.sum(common)
         J[1, k] = np.sum(common * p)
     return J
@@ -83,20 +103,22 @@ class PeriodData:
         return min(self.im_eigenvalues) > 0
 
 
+def _assemble(moduli, n: int):
+    """J, A, Braw, C and the normalized B = C @ Braw with an n-node rule."""
+    J = interval_integrals(moduli, n)
+    A = np.column_stack([J @ v for v in A_CYCLES])
+    Braw = np.column_stack([J @ v for v in B_CYCLES])
+    C = np.linalg.inv(A)
+    return J, A, Braw, C, C @ Braw
+
+
 def periods(moduli, nodes: int = DEFAULT_NODES,
             check_tol: float | None = None) -> PeriodData:
     """Normalized period matrix of the curve; node doubling estimates the
     quadrature error."""
-
-    def assemble(n):
-        J = interval_integrals(moduli, n)
-        A = np.column_stack([J @ v for v in A_CYCLES])
-        Braw = np.column_stack([J @ v for v in B_CYCLES])
-        C = np.linalg.inv(A)
-        return J, A, Braw, C, C @ Braw
-
-    J, A, Braw, C, B = assemble(nodes)
-    *_, B2 = assemble(2 * nodes)
+    _check_nodes(nodes)
+    J, A, Braw, C, B = _assemble(moduli, nodes)
+    *_, B2 = _assemble(moduli, 2 * nodes)
     conv = float(np.max(np.abs(B - B2)))
     if check_tol is not None and conv > check_tol:
         raise NonConvergence(
@@ -153,11 +175,13 @@ def rauch_check(moduli, branch: int, delta: float = 1e-4,
     a, b, c = _validate_moduli(moduli)
     if branch not in (0, 1, 2):
         raise ConfigError("branch must be 0 (a), 1 (b) or 2 (c)")
+    _check_nodes(nodes)
 
     def B_at(step):
+        # periods(args, nodes).B without its unused n-node pass
         args = [a, b, c]
         args[branch] += step
-        return periods(args, nodes).B
+        return _assemble(args, 2 * nodes)[-1]
 
     def diff(d):
         return (B_at(d) - B_at(-d)) / (2.0 * d)

@@ -259,8 +259,10 @@ class ReindexedEvaluator(JetEvaluator):
     """
 
     def __init__(self, base: JetEvaluator, arity: int, source: Sequence[int], label: str = ""):
-        assert len(source) == base.arity
-        assert len(set(source)) == len(source)
+        if len(source) != base.arity:
+            raise ValueError(f"source must name {base.arity} slots, got {len(source)}")
+        if len(set(source)) != len(source):
+            raise ValueError(f"source slots must be distinct, got {tuple(source)}")
         self.base = base
         self.source = tuple(source)
         domain = base.domain.remap(self.source)
@@ -417,9 +419,9 @@ def path_integrate(
 ) -> complex:
     """Gauss-Legendre panel quadrature of e along the path (in one slot)."""
     require_finite(*args)
+    x, w = np.polynomial.legendre.leggauss(path.nodes)
 
     def compute(refine: int) -> complex:
-        x, w = np.polynomial.legendre.leggauss(path.nodes)
         total = 0.0 + 0.0j
         work = list(args)
         if path.kind == "circle":

@@ -6,8 +6,11 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from gtlab.cli import _jsonify, emit_report, main, validate_config
+from gtlab import hyperell
+from gtlab.cli import _jsonify, emit_report, main, run, validate_config
 from gtlab.errors import ConfigError
 
 BASE = {"command": "verify", "structure": "benney", "n": 1, "seed": 5,
@@ -84,6 +87,13 @@ def test_coincident_branch_points_exit_2(tmp_path):
 ])
 def test_malformed_keys_exit_2(tmp_path, cfg):
     code, out = _run(tmp_path, {"structure": "genus0", "n": 2, "seed": 5, **cfg})
+    assert code == 2
+    assert not out.exists()
+
+
+def test_oversized_node_count_exits_2(tmp_path):
+    code, out = _run(tmp_path, {"command": "rauch", "seed": 1,
+                                "nodes": 10_000_000})
     assert code == 2
     assert not out.exists()
 
@@ -180,3 +190,37 @@ def test_numeric_failure_exits_1_with_report(tmp_path):
 
 def test_list_structures_flag():
     assert main(["--list-structures"]) == 0
+
+
+# ---------------------------------------------------------------------------
+# config fuzzing
+# ---------------------------------------------------------------------------
+
+_JUNK = st.one_of(st.none(), st.booleans(), st.text(max_size=3),
+                  st.floats(allow_nan=True, allow_infinity=True),
+                  st.lists(st.integers(-2, 2), max_size=4),
+                  st.dictionaries(st.text(max_size=2), st.integers(), max_size=1))
+_MODULI = st.one_of(
+    st.lists(st.floats(1.0, 8.0), min_size=3, max_size=3).map(sorted),
+    st.lists(st.floats(-1e300, 1e300), min_size=3, max_size=3),
+    st.lists(st.floats(1.0, 8.0), min_size=0, max_size=5),
+    _JUNK,
+)
+_RAUCH = st.fixed_dictionaries(
+    {"command": st.just("rauch"), "seed": st.integers(0, 2**31)},
+    optional={
+        "moduli": _MODULI,
+        "nodes": st.one_of(st.integers(1, 64), st.integers(max_value=0),
+                           st.integers(min_value=hyperell.MAX_NODES + 1), _JUNK),
+        "branch": st.one_of(st.integers(-1, 3), _JUNK),
+        "delta": st.one_of(st.floats(1e-8, 10.0), st.floats(), _JUNK),
+        "tol": st.one_of(st.floats(1e-12, 1.0), _JUNK),
+    },
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(cfg=_RAUCH)
+def test_rauch_configs_never_raise(tmp_path, cfg):
+    assert run(cfg, str(tmp_path / "fuzz.json")) in (0, 1, 2, 3)

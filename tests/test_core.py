@@ -4,12 +4,17 @@ from __future__ import annotations
 
 import cmath
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from gtlab import catalog
 from gtlab.core import (
     CoordinateChange,
+    EnhancedGT,
     GTStructure,
     _make_report,
     add_points,
@@ -28,7 +33,13 @@ from gtlab.core import (
 )
 from gtlab.errors import DomainViolation
 from gtlab.gtsys import build_system, compatibility_residual
-from gtlab.kernel import Domain, JetEvaluator, circle_path, polyline_path
+from gtlab.kernel import (
+    Domain,
+    JetEvaluator,
+    ReindexedEvaluator,
+    circle_path,
+    polyline_path,
+)
 
 SAMPLES = 25
 
@@ -265,3 +276,44 @@ def test_nan_two_point_function_fails_bracket_and_compatibility():
     assert math.isnan(rep.max_residual) and not rep.passed
     comp = compatibility_residual(build_system(s), M=3, states=3, seed=17)
     assert math.isnan(comp.max_residual) and not comp.passed
+
+
+# ---------------------------------------------------------------------------
+# construction-time arity checks survive python -O
+# ---------------------------------------------------------------------------
+
+
+def _const(arity: int) -> JetEvaluator:
+    return JetEvaluator(arity, lambda *args: 1.0)
+
+
+@pytest.mark.parametrize("build", [
+    lambda s: GTStructure(m=2, g=s.g[:1], f=s.f),
+    lambda s: GTStructure(m=2, g=s.g, f=_const(3)),
+    lambda s: GTStructure(m=2, g=(s.g[0], _const(2)), f=s.f),
+    lambda s: EnhancedGT(base=s, lam=_const(3)),
+    lambda s: ReindexedEvaluator(s.f, 5, (0, 1, 2)),
+    lambda s: ReindexedEvaluator(s.f, 5, (0, 1, 1, 2)),
+    lambda s: collide_points_limit(s, [[0, 1], [1]]),
+    lambda s: collide_points_limit(s, [[0, 2]]),
+])
+def test_bad_construction_raises_value_error(build):
+    with pytest.raises(ValueError):
+        build(catalog.build_structure("benney", 2))
+
+
+def test_arity_check_holds_under_optimize_flag():
+    code = (
+        "from gtlab import catalog\n"
+        "from gtlab.core import GTStructure\n"
+        "s = catalog.build_structure('benney', 2)\n"
+        "try:\n"
+        "    GTStructure(m=2, g=s.g[:1], f=s.f)\n"
+        "except ValueError as exc:\n"
+        "    print('rejected:', exc)\n"
+    )
+    src = str(Path(catalog.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.startswith("rejected: need 2 g components")

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import json
 import math
 
 import mpmath as mp
 import numpy as np
 import pytest
 
+from gtlab import hyperell
+from gtlab.cli import main
 from gtlab.errors import ConfigError
 from gtlab.hyperell import (
     PeriodData,
@@ -86,3 +89,60 @@ def test_degenerating_handle_blows_up_a_period():
     wide = periods((1.6, 2.8, 4.3))
     tight = periods((1.6, 1.605, 4.3))
     assert float(np.max(tight.B.imag)) > 2.0 * float(np.max(wide.B.imag))
+
+
+def test_cached_rule_matches_a_fresh_rule_bit_for_bit():
+    a, b, c = MODULI
+    es = [0.0, 1.0, a, b, c]
+    x, w = np.polynomial.legendre.leggauss(100)
+    th = 0.5 * math.pi * x
+    wt = 0.5 * math.pi * w
+    fresh = np.zeros((2, 4), dtype=complex)
+    for k in range(4):
+        mid, half = 0.5 * (es[k] + es[k + 1]), 0.5 * (es[k + 1] - es[k])
+        p = mid + half * np.sin(th)
+        quintic = p * (p - 1.0) * (p - a) * (p - b) * (p - c)
+        q = (1j ** (4 - k)) * np.sqrt(np.abs(quintic))
+        common = wt * half * np.cos(th) / q
+        fresh[0, k] = np.sum(common)
+        fresh[1, k] = np.sum(common * p)
+    interval_integrals(MODULI, 100)  # the second call reads the cache
+    assert np.array_equal(interval_integrals(MODULI, 100), fresh)
+
+
+def test_cached_rule_is_read_only():
+    for arr in hyperell._theta_rule(100):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+
+
+def test_rauch_job_builds_each_rule_once(tmp_path, monkeypatch):
+    # one job uses an n- and a 2n-node rule; every other periods call and
+    # every stencil point must reuse them
+    builds = []
+    leggauss = np.polynomial.legendre.leggauss
+
+    def counting(n):
+        builds.append(n)
+        return leggauss(n)
+
+    hyperell._theta_rule.cache_clear()
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", counting)
+    cfg = tmp_path / "job.json"
+    cfg.write_text(json.dumps({"command": "rauch", "seed": 1, "nodes": 60,
+                               "moduli": list(MODULI)}))
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "r.json")]) == 0
+    assert sorted(builds) == [60, 120]
+
+
+@pytest.mark.parametrize("nodes", [0, hyperell.MAX_NODES + 1])
+def test_node_count_is_bounded_before_any_rule_is_built(nodes, monkeypatch):
+    def refuse(n):
+        raise AssertionError(f"leggauss({n}) built for an invalid node count")
+
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", refuse)
+    with pytest.raises(ConfigError):
+        periods(MODULI, nodes)
+    with pytest.raises(ConfigError):
+        rauch_check(MODULI, 0, nodes=nodes)
