@@ -467,6 +467,8 @@ def collide_points_limit(s: GTStructure, groups: Sequence[Sequence[int]]) -> GTS
     """Collide each group of fiber coordinates; evaluators are the Richardson
     eps -> 0 limit of the binomial substitution applied to s."""
     flat = [slot for grp in groups for slot in grp]
+    if not all(groups):
+        raise ValueError(f"collision groups must be non-empty, got {groups!r}")
     if len(set(flat)) != len(flat):
         raise ValueError(f"collision groups must be disjoint, got {groups!r}")
     if not all(0 <= slot < s.m for slot in flat):
@@ -559,6 +561,8 @@ def collide_points_closed(s: GTStructure, groups: Sequence[Sequence[int]]) -> GT
     the chain rule.  Only valid when every group coordinate is a puncture
     (its g-component is f(p, u))."""
     for grp in groups:
+        if not grp:
+            raise ConfigError(f"collision groups must be non-empty, got {groups!r}")
         for slot in grp:
             if slot not in s.puncture_slots:
                 raise ConfigError(

@@ -12,11 +12,18 @@ else from samples on a circle, and ``JetEvaluator.eval_circle`` is the one
 place that takes those samples.  An evaluator with multivalued ingredients
 (a square root, say) overrides ``eval_circle`` alone, to continue its
 branch along the circle.
+
+The genus-1 jets ``log_theta_partial(p, tau, dp, dtau)`` are memoised: the
+torus catalog asks for the same jet many times (a fixed puncture across
+every circle node, and the chain rules of gtsys and hydro re-asking their
+inputs), and the theta series behind a jet is a pure function of its
+arguments, so a cache hit is the exact float a recomputation would give.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -193,7 +200,9 @@ class JetEvaluator:
         self.label = label
 
     def value(self, args: Sequence[complex]) -> complex:
-        assert len(args) == self.arity, (len(args), self.arity)
+        if len(args) != self.arity:
+            raise ValueError(f"{self.label or 'evaluator'} takes {self.arity} "
+                             f"arguments, got {len(args)}")
         return complex(self.fn(*args))
 
     def deriv_radius(self, args: Sequence[complex], slot: int) -> float:
@@ -227,7 +236,9 @@ class JetEvaluator:
         return out
 
     def partial(self, args: Sequence[complex], multi: Sequence[int]) -> complex:
-        assert len(multi) == self.arity
+        if len(multi) != self.arity:
+            raise ValueError(f"{self.label or 'evaluator'} takes {self.arity} "
+                             f"derivative orders, got {len(multi)}")
         if all(o == 0 for o in multi):
             return self.value(args)
         if self.partial_fn is not None:
@@ -593,8 +604,13 @@ def rho_partial(p: complex, tau: complex, dp: int, dtau: int) -> complex:
     return log_theta_partial(p, tau, dp + 1, dtau)
 
 
+@functools.lru_cache(maxsize=1024)
 def log_theta_partial(p: complex, tau: complex, dp: int, dtau: int) -> complex:
     """(dp, dtau) partial derivative of log theta.
+
+    Memoised on (p, tau, dp, dtau), most recent 1024 keys: the result is a
+    pure function of them, so a hit returns the exact float a recomputation
+    would give; a ``PoleHit`` or ``InvalidModulus`` is raised, never cached.
 
     The Taylor coefficients a_ij of theta on the rectangle i <= dp,
     j <= dtau determine those of L = log theta through the jet rule

@@ -79,6 +79,7 @@ def test_coincident_branch_points_exit_2(tmp_path):
     {"command": "hydro", "triple": [0, 1, "x"]},
     {"command": "collide", "groups": 5},
     {"command": "collide", "structure": "genus1", "groups": [[0, 2]]},
+    {"command": "collide", "groups": [[], [0]]},
     {"command": "verify", "n": 2.7},
     {"command": "verify", "samples": 1.5},
     {"command": "verify", "seed": True},
@@ -223,4 +224,50 @@ _RAUCH = st.fixed_dictionaries(
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(cfg=_RAUCH)
 def test_rauch_configs_never_raise(tmp_path, cfg):
+    assert run(cfg, str(tmp_path / "fuzz.json")) in (0, 1, 2, 3)
+
+
+# a well-formed verify / potentials / collide config on a rational structure,
+# with up to two keys replaced by an out-of-range or junk value
+_GOOD = {
+    "structure": st.sampled_from(["benney", "genus0"]),
+    "seed": st.integers(0, 2**31),
+    "samples": st.integers(1, 3),
+}
+_OPTIONAL = {"n": st.integers(1, 3), "tol": st.floats(1e-300, 1.0)}
+_SLOTS = st.lists(st.integers(-1, 4), max_size=3)
+_BAD = {
+    "command": st.one_of(st.sampled_from(["Verify", "rauch"]), _JUNK),
+    "structure": st.one_of(st.sampled_from(["genus7", ""]), _JUNK),
+    "seed": st.one_of(st.integers(max_value=-1), _JUNK),
+    "samples": st.one_of(st.integers(max_value=0), _JUNK),
+    "n": st.one_of(st.integers(max_value=0), _JUNK),
+    "tol": st.one_of(st.floats(max_value=0.0), st.floats(), _JUNK),
+    "groups": st.one_of(st.lists(_SLOTS, max_size=3), _SLOTS, _JUNK),
+    "pair": st.one_of(st.lists(st.integers(-1, 9), max_size=3), _JUNK),
+    "index": st.one_of(st.integers(-1, 9), _JUNK),
+    "scale": st.one_of(st.floats(), _JUNK),
+}
+
+
+@st.composite
+def _rational_configs(draw):
+    cfg = {"command": draw(st.sampled_from(["verify", "potentials", "collide"]))}
+    cfg.update({key: draw(value) for key, value in _GOOD.items()})
+    for key, value in _OPTIONAL.items():
+        if draw(st.booleans()):
+            cfg[key] = draw(value)
+    if cfg["command"] == "collide":
+        cfg["groups"] = draw(st.lists(st.lists(st.integers(0, 3), max_size=3),
+                                      max_size=2))
+    for key in draw(st.lists(st.sampled_from(sorted(_BAD)), max_size=2,
+                             unique=True)):
+        cfg[key] = draw(_BAD[key])
+    return cfg
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(cfg=_rational_configs())
+def test_verify_potentials_collide_configs_never_raise(tmp_path, cfg):
     assert run(cfg, str(tmp_path / "fuzz.json")) in (0, 1, 2, 3)

@@ -296,6 +296,7 @@ def _const(arity: int) -> JetEvaluator:
     lambda s: ReindexedEvaluator(s.f, 5, (0, 1, 1, 2)),
     lambda s: collide_points_limit(s, [[0, 1], [1]]),
     lambda s: collide_points_limit(s, [[0, 2]]),
+    lambda s: collide_points_limit(s, [[], [0]]),
 ])
 def test_bad_construction_raises_value_error(build):
     with pytest.raises(ValueError):
@@ -312,8 +313,29 @@ def test_arity_check_holds_under_optimize_flag():
         "except ValueError as exc:\n"
         "    print('rejected:', exc)\n"
     )
+    out = _stdout_under_optimize_flag(code)
+    assert out.startswith("rejected: need 2 g components")
+
+
+def _stdout_under_optimize_flag(code: str) -> str:
     src = str(Path(catalog.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
-    out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
-                         capture_output=True, text=True, check=True).stdout
-    assert out.startswith("rejected: need 2 g components")
+    return subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, check=True).stdout
+
+
+def test_per_call_arity_check_holds_under_optimize_flag():
+    # benney f has arity 4: p1, p2, u1, u2
+    code = (
+        "from gtlab import catalog\n"
+        "f = catalog.build_structure('benney', 2).f\n"
+        "for call in (lambda: f.value([0.5 + 0.5j, 1.5 + 0.5j, 0.2]),\n"
+        "             lambda: f.partial([0.5 + 0.5j, 1.5 + 0.5j, 0.2, 0.3], (1, 0, 0))):\n"
+        "    try:\n"
+        "        call()\n"
+        "    except ValueError as exc:\n"
+        "        print('rejected:', exc)\n"
+    )
+    out = _stdout_under_optimize_flag(code)
+    assert out.splitlines() == ["rejected: benney:f takes 4 arguments, got 3",
+                                "rejected: benney:f takes 4 derivative orders, got 3"]

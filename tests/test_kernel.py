@@ -305,3 +305,50 @@ def test_log_theta_partial_rejects_a_vanishing_jet(monkeypatch):
     monkeypatch.setattr(kernel, "theta_partial", lambda *args: 0j)
     with pytest.raises(PoleHit):
         log_theta_partial(0.1 + 0.1j, TAU, 1, 1)
+
+
+# ---------------------------------------------------------------------------
+# memoised log-theta jets
+# ---------------------------------------------------------------------------
+
+def _bits(z: complex) -> tuple[str, str]:
+    return z.real.hex(), z.imag.hex()
+
+
+# jet orders the torus workload asks for
+@pytest.mark.parametrize("dp, dtau", [(1, 0), (2, 0), (1, 1), (0, 1), (3, 0),
+                                      (2, 1), (1, 2)])
+def test_memoised_jet_equals_a_recomputation_bit_for_bit(dp, dtau):
+    for z in ZS:
+        fresh = log_theta_partial.__wrapped__(z, TAU, dp, dtau)
+        miss = log_theta_partial(z, TAU, dp, dtau)
+        hit = log_theta_partial(z, TAU, dp, dtau)
+        assert _bits(miss) == _bits(fresh)
+        assert _bits(hit) == _bits(fresh)
+
+
+def test_repeated_jet_sums_no_theta_series(monkeypatch):
+    calls = []
+    original = kernel.theta_partial
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(kernel, "theta_partial", counted)
+    first = log_theta_partial(ZS[0], TAU, 2, 1)
+    assert len(calls) == 6  # the 3 x 2 rectangle of theta partials
+    assert log_theta_partial(ZS[0], TAU, 2, 1) == first
+    assert rho_partial(ZS[0], TAU, 1, 1) == first
+    assert len(calls) == 6
+
+
+def test_a_raised_pole_hit_is_not_memoised(monkeypatch):
+    z = 0.1 + 0.1j
+    with monkeypatch.context() as patch:
+        patch.setattr(kernel, "theta_partial", lambda *args: 0j)
+        with pytest.raises(PoleHit):
+            log_theta_partial(z, TAU, 1, 1)
+    value = log_theta_partial(z, TAU, 1, 1)
+    assert cmath.isfinite(value)
+    assert _bits(value) == _bits(log_theta_partial.__wrapped__(z, TAU, 1, 1))
