@@ -537,11 +537,11 @@ class GenusTwoF(JetEvaluator):
         q2 = cmath.sqrt(_quintic(p2, a, b, c))
         return self._assemble(p1, p2, a, b, c, q1, q2)
 
-    def eval_circle(self, slot, args, center, radius, nodes, rest):
-        """Values, or the closed-form first partial in the slot ``rest``
-        names, on an equispaced circle in one slot, with q1 and q2 continued
-        along it from their principal values at the centre."""
-        if rest is not None and sum(rest) > 1:
+    def eval_circle(self, slot, args, center, radius, nodes, rests):
+        """Values (rest None) or the closed-form first partial in the slot a
+        rest names, on an equispaced circle in one slot, with q1 and q2
+        continued along it once from their principal values at the centre."""
+        if any(rest is not None and sum(rest) > 1 for rest in rests):
             raise NotImplementedError(
                 "genus-2 mixed partials beyond total order 2 in more than "
                 "one slot are not supported"
@@ -556,14 +556,13 @@ class GenusTwoF(JetEvaluator):
                          cmath.sqrt(_quintic(work[0], work[2], work[3], work[4])))
         q2 = _track_sqrt(np.array([_quintic(r[1], r[2], r[3], r[4]) for r in rows]),
                          cmath.sqrt(_quintic(work[1], work[2], work[3], work[4])))
-        if rest is None:
-            return np.array([
-                self._assemble(*rows[k], q1[k], q2[k]) for k in range(nodes)
-            ])
-        rslot = rest.index(1)
         return np.array([
-            self._first_partial(rows[k], rslot, q1[k], q2[k]) for k in range(nodes)
-        ])
+            [self._assemble(*rows[k], q1[k], q2[k]) for k in range(nodes)]
+            if rest is None else
+            [self._first_partial(rows[k], rest.index(1), q1[k], q2[k])
+             for k in range(nodes)]
+            for rest in rests
+        ], dtype=complex)
 
     # closed-form first partials ------------------------------------------
 

@@ -130,22 +130,6 @@ class GTStructure:
 
     # -- sampling ----------------------------------------------------------
 
-    def clearance(self, ps: Sequence[complex], v: Sequence[complex]) -> float:
-        """Smallest clearance of any evaluator over all p-slot assignments."""
-        best = math.inf
-        for p in ps:
-            args = (p, *v)
-            for gi in self.g:
-                for slot in range(gi.arity):
-                    best = min(best, gi.domain.clearance(args, slot))
-        for pa, pb in product(ps, ps):
-            if pa is pb:
-                continue
-            args = (pa, pb, *v)
-            for slot in range(self.f.arity):
-                best = min(best, self.f.domain.clearance(args, slot))
-        return best
-
     def sample(self, count: int, seed: int, n_p: int) -> list[Sample]:
         """count admissible points (p_1..p_{n_p}, v), deterministically."""
         rng = SplitMix64(seed)
@@ -166,7 +150,14 @@ class GTStructure:
                 for pb in ps[i + 1 :]
             ):
                 continue
-            if self.clearance(ps, v) < self.min_separation:
+            # every evaluator at every p-slot assignment; the draw is
+            # rejected at the first declared locus closer than the separation
+            calls = [(gi, (p, *v)) for p in ps for gi in self.g]
+            calls += [(self.f, (pa, pb, *v)) for pa, pb in product(ps, ps) if pa is not pb]
+            if any(ex.clearance(args, slot) < self.min_separation
+                   for e, args in calls
+                   for slot in range(e.arity)
+                   for ex in e.domain.exclusions):
                 continue
             out.append((ps, v))
         return out
@@ -261,7 +252,7 @@ def verify_pole(s: GTStructure, samples: int = 100, seed: int = 1,
     for ps, v in s.sample(samples, seed, 2):
         p2 = ps[0]
         radius = _diagonal_radius(s.f, p2, v)
-        vals = s.f.eval_circle(0, (ps[1], p2, *v), p2, radius, nodes, None)
+        vals = s.f.eval_circle(0, (ps[1], p2, *v), p2, radius, nodes, [None])[0]
         c_m1, c_m2, c_m3 = (_circle_coeff(vals, radius, k) for k in (-1, -2, -3))
         residuals.append(max(abs(c_m1 - 1.0), abs(c_m2), abs(c_m3)))
     return _make_report("diagonal_pole", residuals, tol, seed,
@@ -833,10 +824,10 @@ def algebroid_constants(
     regular = JetEvaluator(s.f.arity, lambda *a: s.f.fn(*a) - 1.0 / (a[0] - a[1]))
     # Taylor coefficients in p2 on an inner ring at each node of the outer
     # p1 ring (its nodes are the identity's values there), then in p1
-    p1_ring = JetEvaluator(1, lambda p: p).eval_circle(0, (z,), z, r1, nodes, None)
+    p1_ring = JetEvaluator(1, lambda p: p).eval_circle(0, (z,), z, r1, nodes, [None])[0]
     inner = np.array([
         [_circle_coeff(ring, r2, j) for j in range(order + 1)]
-        for ring in (regular.eval_circle(1, (p1, z, *v), z, r2, nodes, None)
+        for ring in (regular.eval_circle(1, (p1, z, *v), z, r2, nodes, [None])[0]
                      for p1 in p1_ring)
     ])
     coeffs = {

@@ -46,6 +46,8 @@ class GTSystem:
     """Coefficient functions of the quasilinear system.
 
     A and Q have arity 2 + m over (p_1, p_2, v); each B_l has arity 1 + m.
+    ``A_row``, ``B_rows[l]`` and ``Q_row`` map a point to the list of every
+    first partial of A, B_l and Q there, in slot order.
     """
 
     structure: GTStructure
@@ -53,6 +55,9 @@ class GTSystem:
     A: JetEvaluator
     B: tuple[JetEvaluator, ...]
     Q: JetEvaluator
+    A_row: Callable[[Sequence[complex]], list[complex]]
+    B_rows: tuple[Callable[[Sequence[complex]], list[complex]], ...]
+    Q_row: Callable[[Sequence[complex]], list[complex]]
 
     @property
     def m(self) -> int:
@@ -71,6 +76,14 @@ def build_system(
     structure's own domain data).  They are expressed in the structure's
     (p, v_1, ..., v_m) slot convention and remapped onto both point slots
     of A and Q.
+
+    Each coefficient has a row function (``A_row``, ``B_rows[l]``,
+    ``Q_row``) that returns every first partial at one point and computes
+    the terms the slots share (F, G_1, G_2, N and the g_1 partials) once;
+    Q's row takes all the mixed partials d_1 d_k f in one ``partials`` call,
+    one circle per slot where f has no closed form.  The evaluators'
+    ``partial_fn`` read these rows.  Without analytic partials in the
+    structure, a row is ``partials`` of the quotient, one circle per slot.
     """
     if s.m < 1:
         raise ConfigError("need at least one fiber coordinate")
@@ -102,38 +115,44 @@ def build_system(
             multi[slot] += 1
         return multi
 
-    def fP(args, *slots):
-        return s.f.partial(args, _mp(2 + m, *slots))
-
-    def gP(l, gargs, *slots):
-        return s.g[l].partial(gargs, _mp(1 + m, *slots))
+    f_units = [_mp(2 + m, k) for k in range(2 + m)]
+    g_units = [_mp(1 + m, k) for k in range(1 + m)]
+    f_mixed = [_mp(2 + m, 1, k) for k in range(2 + m)]  # d_1 d_k f
+    g_pairs = [(a, b) for a in range(1 + m) for b in range(a, 1 + m)]
+    g_hess = [_mp(1 + m, a, b) for a, b in g_pairs]
 
     # analytic first-order partials of the quotients are available exactly
     # when the structure's own evaluators carry them; this keeps the chain
     # rule away from quadrature circles that could stray across zeros of g_1
     have_pf = all(e.partial_fn is not None for e in (s.f, *s.g))
 
+    def quotient(units, fn, row, dom, label):
+        """The evaluator and its first-partial row function: the closed-form
+        ``row`` when the structure is analytic, else one circle per slot."""
+        if not have_pf:
+            e = JetEvaluator(len(units), fn, domain=dom, label=label)
+            return e, lambda args: e.partials(args, units)
+
+        def pf(args, multi):
+            return row(args)[multi.index(1)] if sum(multi) == 1 else NotImplemented
+
+        return JetEvaluator(len(units), fn, domain=dom, partial_fn=pf, label=label), row
+
     def A_fn(*args):
         p1, p2, v = args[0], args[1], args[2:]
         return s.f.value(args) / g1_at(p1, v)
 
-    def A_partial(args, multi):
-        if sum(multi) != 1:
-            return NotImplemented
-        slot = list(multi).index(1)
+    def A_row(args):
         p1, v = args[0], args[2:]
-        a1 = (p1, *v)
         G = g1_at(p1, v)
-        if slot == 1:
-            return fP(args, 1) / G
         F = s.f.value(args)
-        gslot = 0 if slot == 0 else slot - 1  # slot in (p, v...) convention
-        return fP(args, slot) / G - F * gP(pivot, a1, gslot) / G**2
+        df = s.f.partials(args, f_units)
+        dG = g1.partials((p1, *v), g_units)
+        return [df[0] / G - F * dG[0] / G**2, df[1] / G,
+                *(df[2 + l] / G - F * dG[1 + l] / G**2 for l in range(m))]
 
     A_dom = s.f.domain.merged(_remap_domain(g1.domain, map_p1)).merged(extra_p1)
-    A = JetEvaluator(2 + m, A_fn, domain=A_dom,
-                     partial_fn=A_partial if have_pf else None,
-                     label=f"{s.label}:A")
+    A, A_row = quotient(f_units, A_fn, A_row, A_dom, f"{s.label}:A")
 
     def B_fn(l):
         def fn(*args):
@@ -142,81 +161,77 @@ def build_system(
 
         return fn
 
-    def B_partial_fn(l):
-        def pf(args, multi):
-            if sum(multi) != 1:
-                return NotImplemented
-            slot = list(multi).index(1)
+    def B_row(l):
+        def row(args):
             G = g1_at(args[0], args[1:])
-            return (
-                gP(l, args, slot) / G
-                - s.g[l].value(args) * gP(pivot, args, slot) / G**2
-            )
+            gl = s.g[l].value(args)
+            dgl = s.g[l].partials(args, g_units)
+            dG = g1.partials(args, g_units)
+            return [dgl[k] / G - gl * dG[k] / G**2 for k in range(1 + m)]
 
-        return pf
+        return row
 
-    B = []
+    B, B_rows = [], []
     for l in range(m):
         dom = s.g[l].domain.merged(g1.domain).merged(extra)
-        B.append(JetEvaluator(1 + m, B_fn(l), domain=dom,
-                              partial_fn=B_partial_fn(l) if have_pf else None,
-                              label=f"{s.label}:B[{l}]"))
+        e, row = quotient(g_units, B_fn(l), B_row(l), dom, f"{s.label}:B[{l}]")
+        B.append(e)
+        B_rows.append(row)
 
     def Q_fn(*args):
         p1, p2, v = args[0], args[1], args[2:]
         a1, a2 = (p1, *v), (p2, *v)
         g1p1 = g1_at(p1, v)
         g1p2 = g1_at(p2, v)
-        num = s.f.value(args) * gP(pivot, a2, 0)
+        dG2 = g1.partials(a2, g_units)
+        num = s.f.value(args) * dG2[0]
         for k in range(m):
-            num += s.g[k].value(a1) * gP(pivot, a2, 1 + k)
-        return 2.0 * fP(args, 1) / g1p1 + num / (g1p1 * g1p2)
+            num += s.g[k].value(a1) * dG2[1 + k]
+        return 2.0 * s.f.partial(args, f_units[1]) / g1p1 + num / (g1p1 * g1p2)
 
-    def Q_partial(args, multi):
-        if sum(multi) != 1:
-            return NotImplemented
-        slot = list(multi).index(1)
+    def Q_row(args):
         p1, p2, v = args[0], args[1], args[2:]
         a1, a2 = (p1, *v), (p2, *v)
         G1, G2 = g1_at(p1, v), g1_at(p2, v)
         F = s.f.value(args)
-        N = F * gP(pivot, a2, 0)
+        gv = [s.g[k].value(a1) for k in range(m)]
+        dg = [s.g[k].partials(a1, g_units) for k in range(m)]  # dg[k][j]: d_j g_k(p1)
+        dG2 = g1.partials(a2, g_units)
+        H = {}  # second partials of g_1 at p2
+        for (a, b), val in zip(g_pairs, g1.partials(a2, g_hess)):
+            H[a, b] = H[b, a] = val
+        N = F * dG2[0]
         for k in range(m):
-            N += s.g[k].value(a1) * gP(pivot, a2, 1 + k)
-        if slot == 0:
-            dG1 = gP(pivot, a1, 0)
-            dN = fP(args, 0) * gP(pivot, a2, 0)
-            for k in range(m):
-                dN += gP(k, a1, 0) * gP(pivot, a2, 1 + k)
-            return (
-                2.0 * fP(args, 0, 1) / G1
-                - 2.0 * fP(args, 1) * dG1 / G1**2
-                + dN / (G1 * G2)
-                - N * dG1 / (G1**2 * G2)
-            )
-        if slot == 1:
-            dG2 = gP(pivot, a2, 0)
-            dN = fP(args, 1) * gP(pivot, a2, 0) + F * gP(pivot, a2, 0, 0)
-            for k in range(m):
-                dN += s.g[k].value(a1) * gP(pivot, a2, 0, 1 + k)
-            return (
-                2.0 * fP(args, 1, 1) / G1
-                + dN / (G1 * G2)
-                - N * dG2 / (G1 * G2**2)
-            )
-        l = slot - 2
-        dG1 = gP(pivot, a1, 1 + l)
-        dG2 = gP(pivot, a2, 1 + l)
-        dN = fP(args, slot) * gP(pivot, a2, 0) + F * gP(pivot, a2, 0, 1 + l)
+            N += gv[k] * dG2[1 + k]
+        df = s.f.partials(args, f_units)
+        d1f = s.f.partials(args, f_mixed)
+        dG1 = dg[pivot][0]
+        dN = df[0] * dG2[0]
         for k in range(m):
-            dN += gP(k, a1, 1 + l) * gP(pivot, a2, 1 + k)
-            dN += s.g[k].value(a1) * gP(pivot, a2, 1 + k, 1 + l)
-        return (
-            2.0 * fP(args, 1, slot) / G1
-            - 2.0 * fP(args, 1) * dG1 / G1**2
+            dN += dg[k][0] * dG2[1 + k]
+        row = [
+            2.0 * d1f[0] / G1
+            - 2.0 * df[1] * dG1 / G1**2
             + dN / (G1 * G2)
-            - N * (dG1 * G2 + G1 * dG2) / (G1 * G2) ** 2
-        )
+            - N * dG1 / (G1**2 * G2)
+        ]
+        dN = df[1] * dG2[0] + F * H[0, 0]
+        for k in range(m):
+            dN += gv[k] * H[0, 1 + k]
+        row.append(2.0 * d1f[1] / G1 + dN / (G1 * G2) - N * dG2[0] / (G1 * G2**2))
+        for l in range(m):
+            dG1 = dg[pivot][1 + l]
+            dN = df[2 + l] * dG2[0] + F * H[0, 1 + l]
+            for k in range(m):
+                dN += dg[k][1 + l] * dG2[1 + k]
+                dN += gv[k] * H[1 + k, 1 + l]
+            row.append(
+                2.0 * d1f[2 + l] / G1
+                - 2.0 * df[1] * dG1 / G1**2
+                + dN / (G1 * G2)
+                - N * (dG1 * G2 + G1 * dG2[1 + l]) / (G1 * G2) ** 2
+            )
+        return row
 
     Q_dom = (
         s.f.domain
@@ -225,10 +240,9 @@ def build_system(
         .merged(extra_p1)
         .merged(extra_p2)
     )
-    Q = JetEvaluator(2 + m, Q_fn, domain=Q_dom,
-                     partial_fn=Q_partial if have_pf else None,
-                     label=f"{s.label}:Q")
-    return GTSystem(structure=s, pivot=pivot, A=A, B=tuple(B), Q=Q)
+    Q, Q_row = quotient(f_units, Q_fn, Q_row, Q_dom, f"{s.label}:Q")
+    return GTSystem(structure=s, pivot=pivot, A=A, B=tuple(B), Q=Q,
+                    A_row=A_row, B_rows=tuple(B_rows), Q_row=Q_row)
 
 
 def inject_defect(s: GTStructure, scale: float = 1e-2, seed: int = 0) -> GTStructure:
@@ -308,15 +322,12 @@ def _flow_derivative(sys: GTSystem, st: _State, i: int, field_id):
     raise ValueError(kind)
 
 
-def _directional(sys: GTSystem, e: JetEvaluator, eargs, i: int, st: _State,
-                 p_slots: dict[int, int]):
-    """d_i of e(eargs) by the chain rule; p_slots maps evaluator slots to
-    point indices, remaining slots are the fiber coordinates in order."""
-    m = sys.m
+def _directional(sys: GTSystem, row, i: int, st: _State, p_slots: dict[int, int]):
+    """d_i of an evaluator by the chain rule through its first-partial
+    ``row``; p_slots maps evaluator slots to point indices, remaining slots
+    are the fiber coordinates in order."""
     total = 0.0 + 0.0j
-    for slot in range(e.arity):
-        multi = [0] * e.arity
-        multi[slot] = 1
+    for slot, partial in enumerate(row):
         if slot in p_slots:
             d = _flow_derivative(sys, st, i, ("p", p_slots[slot]))
         else:
@@ -324,7 +335,7 @@ def _directional(sys: GTSystem, e: JetEvaluator, eargs, i: int, st: _State,
             d = _flow_derivative(sys, st, i, ("v", l))
         if d is None:
             raise ValueError("free field inside chain rule")
-        total += e.partial(eargs, multi) * d
+        total += partial * d
     return total
 
 
@@ -335,7 +346,7 @@ def _mixed_second(sys: GTSystem, st: _State, i: int, j: int, field_id):
     if kind == "p":
         # d_j p_idx = A(p_j, p_idx) w_j
         eargs = (st.ps[j], st.ps[idx], *st.v)
-        dA = _directional(sys, sys.A, eargs, i, st, {0: j, 1: idx})
+        dA = _directional(sys, sys.A_row(eargs), i, st, {0: j, 1: idx})
         A = sys.A.value(eargs)
         dw_j = _flow_derivative(sys, st, i, ("w", j))
         return dA * st.w[j] + A * dw_j
@@ -344,13 +355,13 @@ def _mixed_second(sys: GTSystem, st: _State, i: int, j: int, field_id):
             # d_j v_1 = w_j
             return _flow_derivative(sys, st, i, ("w", j))
         eargs = (st.ps[j], *st.v)
-        dB = _directional(sys, sys.B[idx], eargs, i, st, {0: j})
+        dB = _directional(sys, sys.B_rows[idx](eargs), i, st, {0: j})
         B = sys.B[idx].value(eargs)
         dw_j = _flow_derivative(sys, st, i, ("w", j))
         return dB * st.w[j] + B * dw_j
     if kind == "w":
         eargs = (st.ps[j], st.ps[idx], *st.v)
-        dQ = _directional(sys, sys.Q, eargs, i, st, {0: j, 1: idx})
+        dQ = _directional(sys, sys.Q_row(eargs), i, st, {0: j, 1: idx})
         Q = sys.Q.value(eargs)
         dw_j = _flow_derivative(sys, st, i, ("w", j))
         dw_idx = _flow_derivative(sys, st, i, ("w", idx))
@@ -449,12 +460,6 @@ class ReductionResult:
     blow_up_at: tuple | None
 
 
-def _partial1(e: JetEvaluator, args, slot: int) -> complex:
-    multi = [0] * e.arity
-    multi[slot] = 1
-    return e.partial(args, multi)
-
-
 def _rhs_extended(sys: GTSystem, state: dict, i: int, M: int):
     """Direction-i derivative of the extended state.
 
@@ -484,26 +489,20 @@ def _rhs_extended(sys: GTSystem, state: dict, i: int, M: int):
         if j == i:
             continue
         args = (ps[i], ps[j], *v)
-        out_p[j] = sys.A.value(args) * w[i]
-        out_w[j] = sys.Q.value(args) * w[i] * w[j]
+        A = sys.A.value(args)
+        Q = sys.Q.value(args)
+        out_p[j] = A * w[i]
+        out_w[j] = Q * w[i] * w[j]
         # d_i y_j = d_j (A(p_i, p_j) w_i), expanded along direction j
         d_pi, d_pj, d_v = dj_of(j)
-        dA = (
-            _partial1(sys.A, args, 0) * d_pi
-            + _partial1(sys.A, args, 1) * d_pj
-            + sum(_partial1(sys.A, args, 2 + l) * d_v[l] for l in range(m))
-        )
+        rA = sys.A_row(args)
+        dA = rA[0] * d_pi + rA[1] * d_pj + sum(rA[2 + l] * d_v[l] for l in range(m))
         dw_i_along_j = sys.Q.value((ps[j], ps[i], *v)) * w[j] * w[i]
-        out_y[j] = dA * w[i] + sys.A.value(args) * dw_i_along_j
+        out_y[j] = dA * w[i] + A * dw_i_along_j
         # d_i z_j = d_j (Q(p_i, p_j) w_i w_j)
-        dQ = (
-            _partial1(sys.Q, args, 0) * d_pi
-            + _partial1(sys.Q, args, 1) * d_pj
-            + sum(_partial1(sys.Q, args, 2 + l) * d_v[l] for l in range(m))
-        )
-        out_z[j] = dQ * w[i] * w[j] + sys.Q.value(args) * (
-            dw_i_along_j * w[j] + w[i] * z[j]
-        )
+        rQ = sys.Q_row(args)
+        dQ = rQ[0] * d_pi + rQ[1] * d_pj + sum(rQ[2 + l] * d_v[l] for l in range(m))
+        out_z[j] = dQ * w[i] * w[j] + Q * (dw_i_along_j * w[j] + w[i] * z[j])
     out_v = [
         w[i] if l == sys.pivot else sys.B[l].value((ps[i], *v)) * w[i]
         for l in range(m)

@@ -6,10 +6,13 @@ integration, and seeded rejection sampling in complex boxes.  The genus-1
 special functions (the odd theta series and its logarithmic derivative)
 live here as well since they are plain scalar functions.
 
-``JetEvaluator.partial`` is the one way to take a partial derivative:
-analytic derivatives come from the evaluator's ``partial_fn``, everything
-else from samples on a circle, and ``JetEvaluator.eval_circle`` is the one
-place that takes those samples.  An evaluator with multivalued ingredients
+``JetEvaluator.partials(args, multis)`` is the one way to take partial
+derivatives (``partial`` asks it for one): analytic derivatives come from
+the evaluator's ``partial_fn``, and the multi-indices it cannot answer are
+grouped by their leading slot, so each slot costs one ``deriv_radius`` and
+one circle whatever the number of partials read from it.
+``JetEvaluator.eval_circle`` is the one place that takes circle samples,
+one row per requested partial.  An evaluator with multivalued ingredients
 (a square root, say) overrides ``eval_circle`` alone, to continue its
 branch along the circle.
 
@@ -222,36 +225,59 @@ class JetEvaluator:
         center: complex,
         radius: float,
         nodes: int,
-        rest: Sequence[int] | None,
+        rests: Sequence[Sequence[int] | None],
     ) -> np.ndarray:
-        """Samples on an equispaced circle in one slot: values when ``rest``
-        is None, else the partial with the (nonzero) multi-index ``rest``.
-        Subclasses with multivalued ingredients override this to continue
-        them along the circle."""
+        """Samples on an equispaced circle in one slot, one row per entry of
+        ``rests``: values for None, else the partial with that (nonzero)
+        multi-index.  Subclasses with multivalued ingredients override this
+        to continue them along the circle."""
         args = list(args)
-        out = np.empty(nodes, dtype=complex)
-        for k in range(nodes):
-            args[slot] = center + radius * cmath.exp(TWO_PI_I * k / nodes)
-            out[k] = self.fn(*args) if rest is None else self.partial(args, rest)
-        return out
+        rows = []
+        for rest in rests:
+            row = []
+            for k in range(nodes):
+                args[slot] = center + radius * cmath.exp(TWO_PI_I * k / nodes)
+                row.append(self.fn(*args) if rest is None else self.partial(args, rest))
+            rows.append(row)
+        return np.array(rows, dtype=complex)
 
     def partial(self, args: Sequence[complex], multi: Sequence[int]) -> complex:
-        if len(multi) != self.arity:
+        return self.partials(args, (multi,))[0]
+
+    def partials(self, args: Sequence[complex],
+                 multis: Sequence[Sequence[int]]) -> list[complex]:
+        """Partials at one point, one per multi-index.  ``partial_fn``
+        answers what it can; the rest share one circle per leading slot."""
+        if len(args) != self.arity:
             raise ValueError(f"{self.label or 'evaluator'} takes {self.arity} "
-                             f"derivative orders, got {len(multi)}")
-        if all(o == 0 for o in multi):
-            return self.value(args)
-        if self.partial_fn is not None:
-            res = self.partial_fn(tuple(args), tuple(multi))
-            if res is not NotImplemented:
-                return complex(res)
-        slot = next(i for i, o in enumerate(multi) if o > 0)
-        order = multi[slot]
-        rest = tuple(0 if i == slot else o for i, o in enumerate(multi))
-        radius = self.deriv_radius(args, slot)
-        vals = self.eval_circle(slot, args, args[slot], radius, DEFAULT_NODES,
-                                rest if any(rest) else None)
-        return _circle_coeff(vals, radius, order) * math.factorial(order)
+                             f"arguments, got {len(args)}")
+        args = tuple(args)
+        out: list = []
+        circles: dict[int, list] = {}
+        for multi in multis:
+            if len(multi) != self.arity:
+                raise ValueError(f"{self.label or 'evaluator'} takes {self.arity} "
+                                 f"derivative orders, got {len(multi)}")
+            if not any(multi):
+                out.append(complex(self.fn(*args)))
+                continue
+            if self.partial_fn is not None:
+                res = self.partial_fn(args, tuple(multi))
+                if res is not NotImplemented:
+                    out.append(complex(res))
+                    continue
+            slot = next(s for s, o in enumerate(multi) if o > 0)
+            rest = tuple(0 if s == slot else o for s, o in enumerate(multi))
+            circles.setdefault(slot, []).append((len(out), multi[slot],
+                                                 rest if any(rest) else None))
+            out.append(None)
+        for slot, group in circles.items():
+            radius = self.deriv_radius(args, slot)
+            rows = self.eval_circle(slot, args, args[slot], radius, DEFAULT_NODES,
+                                    [rest for _, _, rest in group])
+            for (i, order, _), vals in zip(group, rows):
+                out[i] = _circle_coeff(vals, radius, order) * math.factorial(order)
+        return out
 
 
 def _circle_coeff(vals: np.ndarray, radius: float, k: int) -> complex:
@@ -292,15 +318,21 @@ class ReindexedEvaluator(JetEvaluator):
         return self.base.partial([args[s] for s in self.source],
                                  [multi[s] for s in self.source])
 
-    def eval_circle(self, slot, args, center, radius, nodes, rest):
-        multi = (0,) * self.arity if rest is None else rest
-        if slot not in self.source or self._inert(multi):
+    def eval_circle(self, slot, args, center, radius, nodes, rests):
+        multis = [(0,) * self.arity if r is None else r for r in rests]
+        if slot not in self.source:
             # constant along the circle
-            return np.full(nodes, self.partial(args, multi), dtype=complex)
-        bargs = [args[s] for s in self.source]
-        brest = None if rest is None else tuple(rest[s] for s in self.source)
-        return self.base.eval_circle(self.source.index(slot), bargs, center,
-                                     radius, nodes, brest)
+            return np.array([[v] * nodes for v in self.partials(args, multis)],
+                            dtype=complex)
+        out = np.zeros((len(rests), nodes), dtype=complex)
+        live = [i for i, multi in enumerate(multis) if not self._inert(multi)]
+        if live:
+            brests = [None if rests[i] is None else tuple(rests[i][s] for s in self.source)
+                      for i in live]
+            out[live] = self.base.eval_circle(self.source.index(slot),
+                                              [args[s] for s in self.source],
+                                              center, radius, nodes, brests)
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +386,7 @@ def laurent_coeff(
     args = list(args)
 
     def compute(n):
-        vals = e.eval_circle(slot, args, center, radius, n, None)
+        vals = e.eval_circle(slot, args, center, radius, n, [None])[0]
         return _circle_coeff(vals, radius, k)
 
     res = compute(nodes)

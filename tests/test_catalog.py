@@ -195,6 +195,55 @@ def test_genus2_sheet_tracked_second_partials():
     assert max(principal_errors) > 1.0
 
 
+# a point per structure; genus2's is the one above, where the p1 circle
+# crosses the principal square-root cut
+PARTIALS_AT = {
+    ("benney", 2): (0.9 + 0.4j, -0.7 + 0.2j, 0.3 - 0.6j, -0.2 + 0.9j),
+    ("genus0", 2): (0.6 + 0.7j, -0.9 + 0.3j, 1.4 - 0.5j, -0.4 - 1.1j),
+    ("genus1", 1): (0.1 + 0.05j, -0.2 + 0.1j, 0.4 + 0.25j, 0.2 + 1.3j),
+    ("genus2", None): (1.3 + 0.01j, -0.6 + 0.8j, 1.7, 2.9, 4.1),
+}
+
+
+@pytest.mark.parametrize("name,n", sorted(PARTIALS_AT, key=str))
+def test_batched_partials_equal_single_partials_bit_for_bit(name, n):
+    # every d_1 d_s f in one batch, then each multi-index on its own
+    f = catalog.build_structure(name, n).f
+    args = PARTIALS_AT[name, n]
+    multis = [[int(i == 1) + int(i == s) for i in range(f.arity)]
+              for s in range(f.arity)]
+    batch = f.partials(args, multis)
+    assert batch == [f.partial(args, multi) for multi in multis]
+    assert all(cmath.isfinite(x) for x in batch)
+
+
+def test_genus2_batch_shares_one_circle_per_slot():
+    f = catalog.build_structure("genus2").f
+    args = PARTIALS_AT["genus2", None]
+    calls = []
+    original = f.eval_circle
+
+    def counted(slot, *rest):
+        calls.append(slot)
+        return original(slot, *rest)
+
+    f.eval_circle = counted
+    f.partials(args, [[int(i == 1) + int(i == s) for i in range(5)] for s in range(5)])
+    # d_0 d_1 f on a p1 circle; d_1^2 f and d_1 d_{a,b,c} f on one p2 circle
+    assert calls == [0, 1]
+
+
+def test_partials_reject_wrong_argument_count():
+    # benney n=2 f has arity 4: p1, p2, u1, u2; a fifth argument used to be
+    # dropped silently by the analytic partial_fn
+    f = catalog.build_structure("benney", 2).f
+    five = (0.5 + 0.5j, 1.5 + 0.5j, 0.2, 0.3, 0.4)
+    with pytest.raises(ValueError, match="takes 4 arguments, got 5"):
+        f.partial(five, (1, 0, 0, 0))
+    with pytest.raises(ValueError, match="takes 4 arguments, got 5"):
+        f.partials(five, [(1, 0, 0, 0), (0, 1, 0, 0)])
+
+
 # ---------------------------------------------------------------------------
 # potentials: values against independent formulas
 # ---------------------------------------------------------------------------

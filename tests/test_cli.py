@@ -271,3 +271,44 @@ def _rational_configs(draw):
 @given(cfg=_rational_configs())
 def test_verify_potentials_collide_configs_never_raise(tmp_path, cfg):
     assert run(cfg, str(tmp_path / "fuzz.json")) in (0, 1, 2, 3)
+
+
+# a well-formed gtsys config on a rational structure, small enough to run in
+# a few milliseconds, with up to two keys replaced by an out-of-range or junk
+# value
+_GTSYS_GOOD = {
+    "structure": st.sampled_from(["benney", "genus0"]),
+    "n": st.integers(1, 2),
+    "seed": st.integers(0, 2**31),
+    "states": st.integers(1, 2),
+    "steps": st.just(2),
+}
+_GTSYS_BAD = {
+    "command": st.one_of(st.sampled_from(["GTSYS", "hydro"]), _JUNK),
+    "structure": st.one_of(st.sampled_from(["genus7", ""]), _JUNK),
+    "n": st.one_of(st.integers(max_value=0), _JUNK),
+    "seed": st.one_of(st.integers(max_value=-1), _JUNK),
+    "states": st.one_of(st.integers(max_value=0), _JUNK),
+    "steps": st.one_of(st.integers(max_value=1), _JUNK),
+    "M": st.one_of(st.integers(max_value=2), _JUNK),
+    "h": st.one_of(st.floats(max_value=0.0), st.floats(), st.floats(1e3, 1e300), _JUNK),
+    "tol": st.one_of(st.floats(max_value=0.0), st.floats(), _JUNK),
+    "samples": _JUNK,
+}
+
+
+@st.composite
+def _gtsys_configs(draw):
+    cfg = {"command": "gtsys"}
+    cfg.update({key: draw(value) for key, value in _GTSYS_GOOD.items()})
+    for key in draw(st.lists(st.sampled_from(sorted(_GTSYS_BAD)), max_size=2,
+                             unique=True)):
+        cfg[key] = draw(_GTSYS_BAD[key])
+    return cfg
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(cfg=_gtsys_configs())
+def test_gtsys_configs_never_raise(tmp_path, cfg):
+    assert run(cfg, str(tmp_path / "fuzz.json")) in (0, 1, 2, 3)

@@ -37,6 +37,7 @@ from gtlab.kernel import (
     Domain,
     JetEvaluator,
     ReindexedEvaluator,
+    SplitMix64,
     circle_path,
     polyline_path,
 )
@@ -181,6 +182,50 @@ def test_pushforward_identity_map_is_exact():
     for ps, v in s.sample(5, seed=10, n_p=2):
         assert pushed.f.value((*ps, *v)) == pytest.approx(
             s.f.value((*ps, *v)), rel=1e-9)
+
+
+def _full_minimum_sample(s, count, seed, n_p):
+    """The admission rule GTStructure.sample had before it stopped at the
+    first failing locus: the smallest clearance of every evaluator over all
+    p-slot assignments, compared once against the separation."""
+    rng = SplitMix64(seed)
+    out = []
+    for _ in range(2000 * max(count, 1)):
+        if len(out) == count:
+            break
+        ps = tuple(rng.complex_in_box(s.p_box) for _ in range(n_p))
+        v = tuple(rng.complex_in_box(b) for b in s.v_boxes)
+        if any(abs(pa - pb) < s.min_separation
+               for i, pa in enumerate(ps) for pb in ps[i + 1:]):
+            continue
+        best = math.inf
+        for p in ps:
+            for gi in s.g:
+                for slot in range(gi.arity):
+                    best = min(best, gi.domain.clearance((p, *v), slot))
+        for pa in ps:
+            for pb in ps:
+                if pa is not pb:
+                    for slot in range(s.f.arity):
+                        best = min(best, s.f.domain.clearance((pa, pb, *v), slot))
+        if best < s.min_separation:
+            continue
+        out.append((ps, v))
+    return out
+
+
+def _sampled_structures():
+    for entry in catalog.CATALOG.values():
+        yield entry.build(2) if entry.takes_n else entry.build()
+    yield pushforward(catalog.build_structure("genus0", 1), _quadratic_change(1))
+    yield collide_points_closed(catalog.build_structure("benney", 3), [[0, 1]])
+
+
+@pytest.mark.parametrize("n_p", [2, 3])
+def test_sample_admits_exactly_what_the_full_minimum_admitted(n_p):
+    for s in _sampled_structures():
+        for seed in (1, 7, 101):
+            assert s.sample(20, seed, n_p) == _full_minimum_sample(s, 20, seed, n_p), s.label
 
 
 # ---------------------------------------------------------------------------
@@ -339,3 +384,16 @@ def test_per_call_arity_check_holds_under_optimize_flag():
     out = _stdout_under_optimize_flag(code)
     assert out.splitlines() == ["rejected: benney:f takes 4 arguments, got 3",
                                 "rejected: benney:f takes 4 derivative orders, got 3"]
+
+
+def test_partial_argument_count_check_holds_under_optimize_flag():
+    code = (
+        "from gtlab import catalog\n"
+        "f = catalog.build_structure('benney', 2).f\n"
+        "try:\n"
+        "    f.partial([0.5 + 0.5j, 1.5 + 0.5j, 0.2, 0.3, 0.4], (1, 0, 0, 0))\n"
+        "except ValueError as exc:\n"
+        "    print('rejected:', exc)\n"
+    )
+    out = _stdout_under_optimize_flag(code)
+    assert out.splitlines() == ["rejected: benney:f takes 4 arguments, got 5"]

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from gtlab import catalog
+from gtlab.core import GTStructure
 from gtlab.errors import ConfigError
 from gtlab.gtsys import (
     build_system,
@@ -14,7 +15,7 @@ from gtlab.gtsys import (
     inject_defect,
     integrate_reduction,
 )
-from gtlab.kernel import JetEvaluator
+from gtlab.kernel import JetEvaluator, cauchy_derivative
 
 
 def _benney_system(n=2):
@@ -62,6 +63,72 @@ def test_coefficient_partials_match_quadrature():
             analytic = e.partial(args, multi)
             numeric = bare.partial(args, multi)
             assert analytic == pytest.approx(numeric, rel=1e-7), (e.label, slot)
+
+
+def _row_cases(name):
+    """(label, evaluator, row, args, value-only evaluator) for A, each B_l
+    and Q at a sampled point of the named structure."""
+    s = catalog.build_structure(name, 2)
+    sys_ = build_system(s, extra_exclusions=catalog.CATALOG[name].gt_exclusions)
+    (p1, p2), v = s.sample(1, 5, 2)[0]
+    cases = [("A", sys_.A, sys_.A_row, (p1, p2, *v)),
+             ("Q", sys_.Q, sys_.Q_row, (p1, p2, *v))]
+    cases += [(f"B[{l}]", sys_.B[l], sys_.B_rows[l], (p1, *v)) for l in range(s.m)]
+    return [(label, e, row, args, JetEvaluator(e.arity, e.fn, domain=e.domain))
+            for label, e, row, args in cases]
+
+
+def _row_oracle(bare, args):
+    """Every first partial of a value-only evaluator by quadrature, and the
+    scale the row is compared at: the largest of the value and the partials,
+    since some entries vanish exactly (benney's A does not depend on u_2,
+    and B_1 = 1).  Half the default radius keeps genus2's B circles in the
+    a slot clear of the zeros of g_1 at a = 0, 1, which no domain declares."""
+    want = [cauchy_derivative(bare, slot, args, 1,
+                              radius=0.5 * bare.deriv_radius(args, slot))
+            for slot in range(bare.arity)]
+    return want, max(abs(w) for w in [*want, bare.value(args)])
+
+
+@pytest.mark.parametrize("name", ["benney", "genus0", "genus2"])
+def test_gtsys_rows_match_quadrature_of_values(name):
+    for label, e, row, args, bare in _row_cases(name):
+        got = row(args)
+        want, scale = _row_oracle(bare, args)
+        assert len(got) == e.arity
+        for slot, value in enumerate(got):
+            assert abs(value - want[slot]) <= 1e-8 * scale, (label, slot)
+            assert e.partial(args, [int(i == slot) for i in range(e.arity)]) == value
+
+
+def test_gtsys_row_oracle_catches_a_dropped_q_term():
+    # drop F * d_p^2 g_1(p2) from the p2 slot of the Q row: the quadrature
+    # oracle above must see the difference
+    s = catalog.build_structure("benney", 2)
+    _, _, row, args, bare = _row_cases("benney")[1]
+    p1, p2, v = args[0], args[1], args[2:]
+    G1, G2 = s.g[0].value((p1, *v)), s.g[0].value((p2, *v))
+    dropped = s.f.value(args) * s.g[0].partial((p2, *v), (2, 0, 0)) / (G1 * G2)
+    want, scale = _row_oracle(bare, args)
+    assert abs(row(args)[1] - want[1]) <= 1e-8 * scale
+    assert abs(row(args)[1] - dropped - want[1]) > 1e-8 * scale
+
+
+def test_rows_without_closed_forms_come_from_circles():
+    # an f without partial_fn leaves the quotients without closed-form rows:
+    # their rows are circle partials of the quotient values
+    s = catalog.build_structure("benney", 2)
+    bare_f = JetEvaluator(s.f.arity, s.f.fn, domain=s.f.domain)
+    bare = build_system(GTStructure(m=s.m, g=s.g, f=bare_f, p_box=s.p_box,
+                                    v_boxes=s.v_boxes))
+    exact = build_system(s)
+    assert bare.A.partial_fn is None and bare.Q.partial_fn is None
+    args2, args1 = (P1, P2, *V), (P1, *V)
+    for got, want in ((bare.A_row(args2), exact.A_row(args2)),
+                      (bare.Q_row(args2), exact.Q_row(args2)),
+                      (bare.B_rows[1](args1), exact.B_rows[1](args1))):
+        scale = max(abs(w) for w in want)
+        assert max(abs(g - w) for g, w in zip(got, want)) <= 1e-8 * scale
 
 
 def test_build_system_rejects_bad_pivot():

@@ -167,12 +167,27 @@ def test_reindexed_circle_samples_map_rest_through_source():
     args = (0.7 - 0.2j, 5.0, 0.3 + 0.1j)
     nodes = [args[2] + 0.1 * cmath.exp(2j * math.pi * k / 8) for k in range(8)]
     # d/dv on the p circle is p e^{pv}
-    got = r.eval_circle(2, args, args[2], 0.1, 8, (1, 0, 0))
+    got = r.eval_circle(2, args, args[2], 0.1, 8, [(1, 0, 0)])[0]
     for g, p in zip(got, nodes):
         assert g == pytest.approx(p * cmath.exp(p * args[0]), rel=1e-9)
-    assert not r.eval_circle(2, args, args[2], 0.1, 8, (0, 1, 0)).any()
-    const = r.eval_circle(1, args, args[1], 0.1, 8, None)
+    assert not r.eval_circle(2, args, args[2], 0.1, 8, [(0, 1, 0)])[0].any()
+    const = r.eval_circle(1, args, args[1], 0.1, 8, [None])[0]
     assert (const == cmath.exp(args[2] * args[0])).all()
+
+
+def test_reindexed_batches_equal_single_rests_bit_for_bit():
+    # a base without partial_fn, so the base answers by circles; slot 1 of
+    # the reindexed evaluator is inert
+    base = JetEvaluator(2, lambda p, v: cmath.exp(p * v) / (p - 2.0),
+                        domain=Domain((FixedPoints([0], [2.0]),)))
+    r = ReindexedEvaluator(base, 3, (2, 0))
+    args = (0.7 - 0.2j, 5.0, 0.3 + 0.1j)
+    rests = [None, (1, 0, 0), (0, 1, 0), (2, 0, 0)]
+    batch = r.eval_circle(2, args, args[2], 0.1, 16, rests)
+    for row, rest in zip(batch, rests):
+        assert (row == r.eval_circle(2, args, args[2], 0.1, 16, [rest])[0]).all()
+    multis = [(1, 0, 1), (0, 0, 2), (2, 0, 0), (0, 1, 1), (0, 0, 0)]
+    assert r.partials(args, multis) == [r.partial(args, multi) for multi in multis]
 
 
 def test_partial_fn_hook_takes_precedence():
