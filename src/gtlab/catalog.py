@@ -537,30 +537,24 @@ class GenusTwoF(JetEvaluator):
         q2 = cmath.sqrt(_quintic(p2, a, b, c))
         return self._assemble(p1, p2, a, b, c, q1, q2)
 
-    def eval_circle(self, slot, args, center, radius, nodes, rests):
+    def eval_rows(self, rows, anchor, rests):
         """Values (rest None) or the closed-form first partial in the slot a
-        rest names, on an equispaced circle in one slot, with q1 and q2
-        continued along it once from their principal values at the centre."""
+        rest names along a loop of arguments, with q1 and q2 continued along
+        it once from their principal values at ``anchor``."""
         if any(rest is not None and sum(rest) > 1 for rest in rests):
             raise NotImplementedError(
                 "genus-2 mixed partials beyond total order 2 in more than "
                 "one slot are not supported"
             )
-        work = list(args)
-        rows = []
-        for k in range(nodes):
-            work[slot] = center + radius * cmath.exp(TWO_PI_I * k / nodes)
-            rows.append(tuple(work))
-        work[slot] = center
         q1 = _track_sqrt(np.array([_quintic(r[0], r[2], r[3], r[4]) for r in rows]),
-                         cmath.sqrt(_quintic(work[0], work[2], work[3], work[4])))
+                         cmath.sqrt(_quintic(anchor[0], anchor[2], anchor[3], anchor[4])))
         q2 = _track_sqrt(np.array([_quintic(r[1], r[2], r[3], r[4]) for r in rows]),
-                         cmath.sqrt(_quintic(work[1], work[2], work[3], work[4])))
+                         cmath.sqrt(_quintic(anchor[1], anchor[2], anchor[3], anchor[4])))
         return np.array([
-            [self._assemble(*rows[k], q1[k], q2[k]) for k in range(nodes)]
+            [self._assemble(*row, q1[k], q2[k]) for k, row in enumerate(rows)]
             if rest is None else
-            [self._first_partial(rows[k], rest.index(1), q1[k], q2[k])
-             for k in range(nodes)]
+            [self._first_partial(row, rest.index(1), q1[k], q2[k])
+             for k, row in enumerate(rows)]
             for rest in rests
         ], dtype=complex)
 
@@ -682,6 +676,7 @@ CATALOG: dict[str, CatalogEntry] = {
         "genus2",
         "genus-2 hyperelliptic curve, moduli a, b, c",
         lambda n=0: genus2(), None, None, takes_n=False,
+        gt_exclusions=(FixedPoints([1], [0.0, 1.0]),),
     ),
 }
 

@@ -440,7 +440,7 @@ def run(cfg: dict, out_path: str | None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except GTLabError as exc:
+    except (GTLabError, ArithmeticError) as exc:  # an overflow fails the job too
         entries, extras = [], {}
         error = f"{type(exc).__name__}: {exc}"
     verdict = "pass" if entries and all(e["pass"] for e in entries) else "fail"

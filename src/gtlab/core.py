@@ -14,6 +14,7 @@ the practical test.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from itertools import product
@@ -27,6 +28,7 @@ from .kernel import (
     Diagonal,
     Domain,
     EMPTY_DOMAIN,
+    Exclusion,
     JetEvaluator,
     PathSpec,
     ReindexedEvaluator,
@@ -613,6 +615,47 @@ def collide_enhanced(e: EnhancedGT, groups: Sequence[Sequence[int]]) -> Enhanced
     return EnhancedGT(base, lam)
 
 
+class _PulledBack(Exclusion):
+    """A locus of the evaluator behind ``to_inner``, pulled back
+    conservatively: its clearance at the image, halved to absorb the local
+    stretch of the map."""
+
+    def __init__(self, to_inner, locus: Exclusion):
+        self.to_inner = to_inner
+        self.locus = locus
+
+    def clearance(self, args, slot):
+        image = self.to_inner(tuple(args))
+        return 0.5 * min(self.locus.clearance(image, s) for s in range(len(image)))
+
+
+class _Composed(JetEvaluator):
+    """outer(args, mapped, inner(mapped)) with mapped = to_inner(args).
+
+    Value rows map their loop through ``to_inner`` and take ``inner``'s
+    rows, so a branch ``inner`` continues along a loop survives the
+    composition."""
+
+    def __init__(self, inner: JetEvaluator, to_inner, outer, arity: int, label: str):
+        self.inner, self.to_inner, self.outer = inner, to_inner, outer
+        image = functools.lru_cache(maxsize=1)(to_inner)  # the loci ask in turn at one point
+        domain = Domain(tuple(_PulledBack(image, ex) for ex in inner.domain.exclusions))
+        super().__init__(arity, self._fn, domain=domain, label=label)
+
+    def _fn(self, *args):
+        mapped = self.to_inner(args)
+        return self.outer(args, mapped, self.inner.value(mapped))
+
+    def eval_rows(self, rows, anchor, rests):
+        """Value rows continue ``inner``'s branch along the loop mapped
+        through ``to_inner``; a partial row takes the partial at each node."""
+        mapped = [self.to_inner(row) for row in rows]
+        vals = self.inner.eval_rows(mapped, self.to_inner(anchor), [None])[0]
+        values = [self.outer(row, m, complex(val)) for row, m, val in zip(rows, mapped, vals)]
+        return np.array([values if rest is None else [self.partial(row, rest) for row in rows]
+                         for rest in rests], dtype=complex)
+
+
 def pushforward(s: GTStructure, c: CoordinateChange) -> GTStructure:
     """Transport the structure through p = mu(p~, v).
 
@@ -623,41 +666,34 @@ def pushforward(s: GTStructure, c: CoordinateChange) -> GTStructure:
     mu = c.mu
     dp = [1] + [0] * m
 
-    def mu_val(pt, v):
-        return mu.value((pt, *v))
-
     def mu_d(pt, v):
         return mu.partial((pt, *v), dp)
 
-    def g_fn(i):
-        def fn(*args):
-            pt, v = args[0], args[1:]
-            return mu_d(pt, v) ** 2 * s.g[i].value((mu_val(pt, v), *v))
+    def g_map(args):
+        return (mu.value(args), *args[1:])
 
-        return fn
+    def g_outer(args, mapped, val):
+        return mu_d(args[0], args[1:]) ** 2 * val
 
-    def f_fn(*args):
+    def f_map(args):
+        v = args[2:]
+        return (mu.value((args[0], *v)), mu.value((args[1], *v)), *v)
+
+    def f_outer(args, mapped, val):
         pt1, pt2, v = args[0], args[1], args[2:]
-        z1, z2 = mu_val(pt1, v), mu_val(pt2, v)
         # g(mu(p1)) applied to mu(p2, v) through the fiber coordinates
         gterm = 0.0 + 0.0j
         for j in range(m):
             dv = [0] * (1 + m)
             dv[1 + j] = 1
-            gterm += s.g[j].value((z1, *v)) * mu.partial((pt2, *v), dv)
-        return (mu_d(pt1, v) ** 2 / mu_d(pt2, v)) * (s.f.value((z1, z2, *v)) - gterm)
+            gterm += s.g[j].value((mapped[0], *v)) * mu.partial((pt2, *v), dv)
+        return (mu_d(pt1, v) ** 2 / mu_d(pt2, v)) * (val - gterm)
 
-    g_dom = _PullbackDomain(lambda args: (mu_val(args[0], args[1:]), *args[1:]),
-                            [s.g[i].domain for i in range(m)])
-    f_dom = _PullbackDomain(
-        lambda args: (mu_val(args[0], args[2:]), mu_val(args[1], args[2:]), *args[2:]),
-        [s.f.domain])
     return GTStructure(
         m=m,
-        g=[JetEvaluator(1 + m, g_fn(i), domain=Domain((g_dom,)),
-                        label=f"{s.label}:pushed g[{i}]") for i in range(m)],
-        f=JetEvaluator(2 + m, f_fn, domain=Domain((f_dom,)),
-                       label=f"{s.label}:pushed f"),
+        g=[_Composed(s.g[i], g_map, g_outer, 1 + m, f"{s.label}:pushed g[{i}]")
+           for i in range(m)],
+        f=_Composed(s.f, f_map, f_outer, 2 + m, f"{s.label}:pushed f"),
         label=f"{s.label}:pushed",
         p_box=s.p_box,
         v_boxes=s.v_boxes,
@@ -665,42 +701,15 @@ def pushforward(s: GTStructure, c: CoordinateChange) -> GTStructure:
     )
 
 
-class _PullbackDomain:
-    """Clearance of a mapped locus, pulled back conservatively: the image
-    clearance halved to absorb the local stretch of the map."""
-
-    def __init__(self, mapping, domains):
-        self.mapping = mapping
-        self.domains = domains
-
-    def clearance(self, args, slot):
-        image = self.mapping(tuple(args))
-        best = math.inf
-        for d in self.domains:
-            for s_img in range(len(image)):
-                best = min(best, d.clearance(image, s_img))
-        return 0.5 * best
-
-    def remap(self, mapping):
-        raise NotImplementedError("pullback domains are terminal")
-
-
 def pushforward_lambda(e: EnhancedGT, c: CoordinateChange) -> EnhancedGT:
-    base = pushforward(e.base, c)
-    m = e.m
     mu = c.mu
-    dp = [1] + [0] * m
+    base = pushforward(e.base, c)
+    f = base.f
 
-    def fn(*args):
-        pt1, pt2, v = args[0], args[1], args[2:]
-        z1, z2 = mu.value((pt1, *v)), mu.value((pt2, *v))
-        return mu.partial((pt1, *v), dp) * e.lam.value((z1, z2, *v))
+    def lam_outer(args, mapped, val):
+        return mu.partial((args[0], *args[2:]), [1] + [0] * e.m) * val
 
-    dom = _PullbackDomain(
-        lambda args: (mu.value((args[0], *args[2:])), mu.value((args[1], *args[2:])), *args[2:]),
-        [e.lam.domain])
-    lam = JetEvaluator(2 + m, fn, domain=Domain((dom,)),
-                       label=f"{e.label}:pushed lambda")
+    lam = _Composed(e.lam, f.to_inner, lam_outer, f.arity, f"{e.label}:pushed lambda")
     return EnhancedGT(base, lam)
 
 

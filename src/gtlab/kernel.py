@@ -11,10 +11,12 @@ derivatives (``partial`` asks it for one): analytic derivatives come from
 the evaluator's ``partial_fn``, and the multi-indices it cannot answer are
 grouped by their leading slot, so each slot costs one ``deriv_radius`` and
 one circle whatever the number of partials read from it.
-``JetEvaluator.eval_circle`` is the one place that takes circle samples,
-one row per requested partial.  An evaluator with multivalued ingredients
-(a square root, say) overrides ``eval_circle`` alone, to continue its
-branch along the circle.
+``JetEvaluator.eval_rows`` samples values or partials along a loop of
+argument tuples, one row per requested partial, and is the one evaluator
+override: an evaluator with multivalued ingredients (a square root, say)
+continues its branch along the loop there, and a wrapper maps the loop
+into the evaluator it wraps.  ``eval_circle`` builds a circle's loop and
+hands it to ``eval_rows``.
 
 The genus-1 jets ``log_theta_partial(p, tau, dp, dtau)`` are memoised: the
 torus catalog asks for the same jet many times (a fixed puncture across
@@ -218,28 +220,27 @@ class JetEvaluator:
         r = DEFAULT_RADIUS_FRACTION * c
         return min(r, MAX_RADIUS)
 
-    def eval_circle(
-        self,
-        slot: int,
-        args: Sequence[complex],
-        center: complex,
-        radius: float,
-        nodes: int,
-        rests: Sequence[Sequence[int] | None],
-    ) -> np.ndarray:
-        """Samples on an equispaced circle in one slot, one row per entry of
+    def eval_rows(self, rows: Sequence[Sequence[complex]], anchor: Sequence[complex],
+                  rests: Sequence[Sequence[int] | None]) -> np.ndarray:
+        """Samples at each argument tuple of a loop, one row per entry of
         ``rests``: values for None, else the partial with that (nonzero)
-        multi-index.  Subclasses with multivalued ingredients override this
-        to continue them along the circle."""
-        args = list(args)
+        multi-index.  Evaluators with multivalued ingredients override
+        this to continue them along the loop from their values at
+        ``anchor``."""
+        return np.array([[self.fn(*row) if rest is None else self.partial(row, rest)
+                          for row in rows] for rest in rests], dtype=complex)
+
+    def eval_circle(self, slot: int, args: Sequence[complex], center: complex, radius: float,
+                    nodes: int, rests: Sequence[Sequence[int] | None]) -> np.ndarray:
+        """``eval_rows`` on an equispaced circle about ``center`` in one
+        slot, anchored at ``args`` with ``center`` in that slot."""
+        work = list(args)
         rows = []
-        for rest in rests:
-            row = []
-            for k in range(nodes):
-                args[slot] = center + radius * cmath.exp(TWO_PI_I * k / nodes)
-                row.append(self.fn(*args) if rest is None else self.partial(args, rest))
-            rows.append(row)
-        return np.array(rows, dtype=complex)
+        for k in range(nodes):
+            work[slot] = center + radius * cmath.exp(TWO_PI_I * k / nodes)
+            rows.append(tuple(work))
+        work[slot] = center
+        return self.eval_rows(rows, tuple(work), rests)
 
     def partial(self, args: Sequence[complex], multi: Sequence[int]) -> complex:
         return self.partials(args, (multi,))[0]
@@ -306,8 +307,11 @@ class ReindexedEvaluator(JetEvaluator):
         super().__init__(arity, self._fn, domain=domain, partial_fn=self._partial,
                          label=label or base.label)
 
+    def _to_base(self, xs):
+        return tuple(xs[s] for s in self.source)
+
     def _fn(self, *args):
-        return self.base.fn(*(args[s] for s in self.source))
+        return self.base.fn(*self._to_base(args))
 
     def _inert(self, multi) -> bool:
         return any(o > 0 and s not in self.source for s, o in enumerate(multi))
@@ -315,23 +319,15 @@ class ReindexedEvaluator(JetEvaluator):
     def _partial(self, args, multi):
         if self._inert(multi):
             return 0.0 + 0.0j
-        return self.base.partial([args[s] for s in self.source],
-                                 [multi[s] for s in self.source])
+        return self.base.partial(self._to_base(args), self._to_base(multi))
 
-    def eval_circle(self, slot, args, center, radius, nodes, rests):
-        multis = [(0,) * self.arity if r is None else r for r in rests]
-        if slot not in self.source:
-            # constant along the circle
-            return np.array([[v] * nodes for v in self.partials(args, multis)],
-                            dtype=complex)
-        out = np.zeros((len(rests), nodes), dtype=complex)
-        live = [i for i, multi in enumerate(multis) if not self._inert(multi)]
+    def eval_rows(self, rows, anchor, rests):
+        out = np.zeros((len(rests), len(rows)), dtype=complex)
+        live = [i for i, rest in enumerate(rests) if rest is None or not self._inert(rest)]
         if live:
-            brests = [None if rests[i] is None else tuple(rests[i][s] for s in self.source)
-                      for i in live]
-            out[live] = self.base.eval_circle(self.source.index(slot),
-                                              [args[s] for s in self.source],
-                                              center, radius, nodes, brests)
+            out[live] = self.base.eval_rows(
+                [self._to_base(row) for row in rows], self._to_base(anchor),
+                [None if rests[i] is None else self._to_base(rests[i]) for i in live])
         return out
 
 

@@ -312,3 +312,24 @@ def _gtsys_configs(draw):
 @given(cfg=_gtsys_configs())
 def test_gtsys_configs_never_raise(tmp_path, cfg):
     assert run(cfg, str(tmp_path / "fuzz.json")) in (0, 1, 2, 3)
+
+
+# a pushforward config on benney, genus0 or genus2, small enough to run in
+# tens of milliseconds, with scale zero, negative, huge or junk
+_PUSHFORWARD = st.fixed_dictionaries(
+    {"command": st.just("pushforward"),
+     "structure": st.sampled_from(["benney", "genus0", "genus2"]),
+     "n": st.integers(1, 2),
+     "seed": st.integers(0, 2**31),
+     "samples": st.integers(1, 2)},
+    optional={"scale": st.one_of(st.just(0), st.just(0.0), st.floats(-10.0, -1e-300),
+                                 st.floats(1e3, 1e308), st.floats(-1e308, -1e3),
+                                 st.floats(), _JUNK)},
+)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(cfg=_PUSHFORWARD)
+def test_pushforward_configs_never_raise(tmp_path, cfg):
+    assert run(cfg, str(tmp_path / "fuzz.json")) in (0, 1, 2, 3)

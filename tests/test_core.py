@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import cmath
+import json
 import math
 import os
 import subprocess
@@ -11,11 +12,12 @@ from pathlib import Path
 
 import pytest
 
-from gtlab import catalog
+from gtlab import catalog, cli
 from gtlab.core import (
     CoordinateChange,
     EnhancedGT,
     GTStructure,
+    _diagonal_radius,
     _make_report,
     add_points,
     algebroid_constants,
@@ -182,6 +184,52 @@ def test_pushforward_identity_map_is_exact():
     for ps, v in s.sample(5, seed=10, n_p=2):
         assert pushed.f.value((*ps, *v)) == pytest.approx(
             s.f.value((*ps, *v)), rel=1e-9)
+
+
+def _cli_pushforward(tmp_path, structure, seed, **cfg):
+    """Exit code and report of the CLI's pushforward (mu = p + 0.05 u1 p^2)."""
+    out = tmp_path / f"{structure}-{seed}.json"
+    cfg = {"command": "pushforward", "structure": structure, "seed": seed,
+           "samples": 10, "scale": 0.05, **cfg}
+    code = cli.run(cfg, str(out))
+    return code, json.loads(out.read_text())
+
+
+@pytest.mark.parametrize("seed", [101, 102, 103])
+def test_genus2_pushforward_continues_the_sheet(tmp_path, seed):
+    code, rep = _cli_pushforward(tmp_path, "genus2", seed)
+    assert [e["identity"] for e in rep["reports"]] == ["diagonal_pole", "bracket", "cocycle"]
+    assert code == 0 and rep["verdict"] == "pass"
+    assert max(e["max_residual"] for e in rep["reports"]) < 1e-10
+
+
+def test_principal_branch_pushed_genus2_f_fails(tmp_path, monkeypatch):
+    # the same pushed fn and domain in a plain evaluator: its circles take
+    # q1 and q2 on the principal branch at every node, so they cross the
+    # image of the square-root cut
+    code, continued = _cli_pushforward(tmp_path, "genus2", 101)
+
+    def principal(s, c):
+        pushed = pushforward(s, c)
+        pushed.f = JetEvaluator(pushed.f.arity, pushed.f.fn, domain=pushed.f.domain)
+        return pushed
+
+    monkeypatch.setattr(cli, "pushforward", principal)
+    _, plain = _cli_pushforward(tmp_path, "genus2", 101)
+    assert code == 0
+    assert max(e["max_residual"] for e in continued["reports"]) < 1e-10
+    assert max(e["max_residual"] for e in plain["reports"]) > 1e-3
+
+
+def test_genus1_pushforward_pole_circle_sees_each_locus(tmp_path):
+    # each pulled-back locus keeps its own clearance: only the diagonal
+    # vanishes at (p2, p2), so the puncture at 0 still bounds the circle
+    _, rep = _cli_pushforward(tmp_path, "genus1", 101, n=1)
+    pole = rep["reports"][0]
+    assert pole["identity"] == "diagonal_pole" and pole["pass"], pole
+    pushed = pushforward(catalog.build_structure("genus1", 1), _quadratic_change(2))
+    p2, v = 0.2 + 0.1j, (0.5 - 0.3j, 0.3 + 1.1j)
+    assert 0.0 < _diagonal_radius(pushed.f, p2, v) < 0.25
 
 
 def _full_minimum_sample(s, count, seed, n_p):

@@ -1,5 +1,6 @@
 """Every module-level function and class of the package, and every method
-of its classes, is used somewhere.
+of its classes, is used somewhere; and evaluators override ``eval_rows``,
+never ``eval_circle``.
 
 A definition counts as used when its name appears as a code token in the
 package, the tests or the benchmark besides its own definitions.  Names
@@ -69,3 +70,10 @@ def test_every_method_is_referenced():
     unused = sorted(f"{owner}.{name}" for owner, name in methods
                     if tokens[name] <= def_counts[name])
     assert not unused, f"defined but never referenced: {unused}"
+
+
+def test_only_the_base_evaluator_defines_eval_circle():
+    # eval_circle builds a circle's loop and hands it to eval_rows; an
+    # override would bypass wrappers that map loops into what they wrap
+    owners = sorted(owner for owner, name in _method_definitions() if name == "eval_circle")
+    assert owners == ["kernel.py:JetEvaluator"], owners

@@ -82,11 +82,9 @@ def _row_oracle(bare, args):
     """Every first partial of a value-only evaluator by quadrature, and the
     scale the row is compared at: the largest of the value and the partials,
     since some entries vanish exactly (benney's A does not depend on u_2,
-    and B_1 = 1).  Half the default radius keeps genus2's B circles in the
-    a slot clear of the zeros of g_1 at a = 0, 1, which no domain declares."""
-    want = [cauchy_derivative(bare, slot, args, 1,
-                              radius=0.5 * bare.deriv_radius(args, slot))
-            for slot in range(bare.arity)]
+    and B_1 = 1).  Each circle has the default radius, ``deriv_radius``, so
+    a pole the domain misses shows here."""
+    want = [cauchy_derivative(bare, slot, args, 1) for slot in range(bare.arity)]
     return want, max(abs(w) for w in [*want, bare.value(args)])
 
 
