@@ -29,8 +29,21 @@ from .kernel import (
     LatticePoints,
     log_theta_partial,
     rho_partial,
-    theta,
 )
+
+
+def _pole_partial(d: complex, k: int, r: int) -> complex:
+    """d^k/dp^k d^r/du^r of 1/(p - u) at d = p - u: the (k+r)-th
+    derivative of 1/x, with the u-slot picking up (-1)^r."""
+    tot = k + r
+    return (-1) ** r * (-1) ** tot * math.factorial(tot) / d ** (tot + 1)
+
+
+def _log_partial(d: complex, k: int, r: int) -> complex:
+    """d^k/dp^k d^r/du^r log(p - u) at d = p - u, for total order >= 1
+    (where the log branch never enters)."""
+    tot = k + r
+    return (-1) ** r * (-1) ** (tot - 1) * math.factorial(tot - 1) / d**tot
 
 
 # ---------------------------------------------------------------------------
@@ -48,17 +61,11 @@ def benney(n: int) -> GTStructure:
 
         return fn
 
-    # d^k/dp^k d^r/du^r (p - u)^-1: (k+r)-th derivative of 1/x with the
-    # u-slot picking up (-1)^r
-    def inv_partial(d: complex, k: int, r: int) -> complex:
-        tot = k + r
-        return (-1) ** r * (-1) ** tot * math.factorial(tot) / d ** (tot + 1)
-
     def g_partial(i):
         def pf(args, multi):
             if any(o for s, o in enumerate(multi) if s not in (0, 1 + i)):
                 return 0.0 + 0.0j
-            return inv_partial(args[0] - args[1 + i], multi[0], multi[1 + i])
+            return _pole_partial(args[0] - args[1 + i], multi[0], multi[1 + i])
 
         return pf
 
@@ -79,7 +86,7 @@ def benney(n: int) -> GTStructure:
     def f_partial(args, multi):
         if any(multi[2:]):
             return 0.0 + 0.0j
-        return inv_partial(args[0] - args[1], multi[0], multi[1])
+        return _pole_partial(args[0] - args[1], multi[0], multi[1])
 
     f = JetEvaluator(
         2 + n,
@@ -121,13 +128,7 @@ def benney_potentials(n: int) -> list[Potential]:
         def pf(args, multi, _j=j):
             if any(o for s, o in enumerate(multi) if s not in (0, 1 + _j)):
                 return 0.0 + 0.0j
-            k, r = multi[0], multi[1 + _j]
-            tot = k + r
-            if tot == 0:
-                return NotImplemented
-            # d^tot/dx^tot log x = (-1)^(tot-1) (tot-1)! / x^tot, u-slot sign
-            d = args[0] - args[1 + _j]
-            return (-1) ** r * (-1) ** (tot - 1) * math.factorial(tot - 1) / d**tot
+            return _log_partial(args[0] - args[1 + _j], multi[0], multi[1 + _j])
 
         pots.append(
             Potential(
@@ -143,7 +144,7 @@ def benney_potentials(n: int) -> list[Potential]:
     def pf_id(args, multi):
         if multi[0] == 1 and not any(multi[1:]):
             return 1.0 + 0.0j
-        return 0.0 + 0.0j if any(multi) else NotImplemented
+        return 0.0 + 0.0j
 
     pots.append(Potential(JetEvaluator(1 + n, fn_id, partial_fn=pf_id,
                                        label="benney:h[p]"), label="p"))
@@ -158,19 +159,12 @@ def benney_potentials(n: int) -> list[Potential]:
 def _genus0_kernel_partial(p: complex, u: complex, k: int, r: int) -> complex:
     """Partials of u(u-1) / ((p-u) p (p-1)), which splits into
     (u-1)/p - u/(p-1) + 1/(p-u)."""
-
-    def pole(base: complex, order_k: int) -> complex:
-        # d^k/dp^k of 1/(p - base)
-        return (-1) ** order_k * math.factorial(order_k) / (p - base) ** (order_k + 1)
-
     total = 0.0 + 0.0j
     if r == 0:
-        total += (u - 1.0) * pole(0.0, k) - u * pole(1.0, k)
+        total += (u - 1.0) * _pole_partial(p, k, 0) - u * _pole_partial(p - 1.0, k, 0)
     elif r == 1:
-        total += pole(0.0, k) - pole(1.0, k)
-    # 1/(p-u): mixed derivative, u-slot contributes (-1)^r
-    tot = k + r
-    total += (-1) ** r * (-1) ** tot * math.factorial(tot) / (p - u) ** (tot + 1)
+        total += _pole_partial(p, k, 0) - _pole_partial(p - 1.0, k, 0)
+    total += _pole_partial(p - u, k, r)
     return total
 
 
@@ -240,15 +234,6 @@ def genus0_enhanced(n: int) -> EnhancedGT:
     lam = JetEvaluator(2 + n, lam_fn, domain=Domain((Diagonal(0, 1),)),
                        label="genus0:lambda")
     return EnhancedGT(s, lam)
-
-
-def _log_partial(d: complex, k: int, r: int) -> complex:
-    """d^k/dp^k d^r/du^r log(p - u); the log branch never enters for
-    total order >= 1."""
-    tot = k + r
-    if tot == 0:
-        return cmath.log(d)
-    return (-1) ** r * (-1) ** (tot - 1) * math.factorial(tot - 1) / d**tot
 
 
 def _genus0_h(j: int, n: int) -> JetEvaluator:
@@ -410,13 +395,11 @@ def genus1_potentials(n: int) -> list[Potential]:
         return args[0] - args[tau_slot]
 
     def lin_pf(args, multi):
-        if sum(multi) == 1:
-            if multi[0] == 1:
-                return 1.0 + 0.0j
-            if multi[tau_slot] == 1:
-                return -1.0 + 0.0j
-            return 0.0 + 0.0j
-        return 0.0 + 0.0j if any(multi) else NotImplemented
+        if sum(multi) == 1 and multi[0] == 1:
+            return 1.0 + 0.0j
+        if sum(multi) == 1 and multi[tau_slot] == 1:
+            return -1.0 + 0.0j
+        return 0.0 + 0.0j
 
     pots = [
         Potential(
@@ -437,22 +420,14 @@ def genus1_potentials(n: int) -> list[Potential]:
             out -= log_theta_partial(u, tau, r, t)
         return out
 
+    zero = (0,) * (1 + m)  # the multi-index of a value
     for j in range(1, n):
 
-        def fn(*args, _j=j):
-            p, tau = args[0], args[tau_slot]
-            out = cmath.log(theta(p - args[1 + _j], tau)) - cmath.log(
-                theta(args[1 + _j], tau)
-            )
-            out -= cmath.log(theta(p - args[1], tau)) - cmath.log(
-                theta(args[1], tau)
-            )
-            return out
-
         def pf(args, multi, _j=j):
-            if not any(multi):
-                return NotImplemented
             return h_partial(_j, args, multi) - h_partial(0, args, multi)
+
+        def fn(*args, _pf=pf):
+            return _pf(args, zero)
 
         dom = Domain((
             LatticePoints(0, tau_slot, 1 + j),

@@ -29,6 +29,7 @@ from .kernel import (
     Domain,
     EMPTY_DOMAIN,
     Exclusion,
+    FixedPoints,
     JetEvaluator,
     PathSpec,
     ReindexedEvaluator,
@@ -628,18 +629,34 @@ class _PulledBack(Exclusion):
         image = self.to_inner(tuple(args))
         return 0.5 * min(self.locus.clearance(image, s) for s in range(len(image)))
 
+    def remap(self, mapping):
+        return _PulledBack(lambda args: self.to_inner(tuple(args[t] for t in mapping)),
+                           self.locus)
+
+
+def _declared(locus: Exclusion, loci: Sequence[Exclusion]) -> bool:
+    """Whether one of ``loci`` already bounds what ``locus`` would: an equal
+    locus, or fixed points over a superset of its slots and points."""
+    if isinstance(locus, FixedPoints):
+        return any(isinstance(e, FixedPoints) and set(locus.slots) <= set(e.slots)
+                   and set(locus.points) <= set(e.points) for e in loci)
+    return any(type(e) is type(locus) and vars(e) == vars(locus) for e in loci)
+
 
 class _Composed(JetEvaluator):
     """outer(args, mapped, inner(mapped)) with mapped = to_inner(args).
 
     Value rows map their loop through ``to_inner`` and take ``inner``'s
     rows, so a branch ``inner`` continues along a loop survives the
-    composition."""
+    composition.  The domain pulls back ``inner``'s loci and ``loci``, the
+    singular loci in ``inner``'s slots of what ``outer`` adds."""
 
-    def __init__(self, inner: JetEvaluator, to_inner, outer, arity: int, label: str):
+    def __init__(self, inner: JetEvaluator, to_inner, outer, arity: int, label: str,
+                 loci: Sequence[Exclusion] = ()):
         self.inner, self.to_inner, self.outer = inner, to_inner, outer
         image = functools.lru_cache(maxsize=1)(to_inner)  # the loci ask in turn at one point
-        domain = Domain(tuple(_PulledBack(image, ex) for ex in inner.domain.exclusions))
+        domain = Domain(tuple(_PulledBack(image, ex)
+                              for ex in (*inner.domain.exclusions, *loci)))
         super().__init__(arity, self._fn, domain=domain, label=label)
 
     def _fn(self, *args):
@@ -660,7 +677,8 @@ def pushforward(s: GTStructure, c: CoordinateChange) -> GTStructure:
     """Transport the structure through p = mu(p~, v).
 
     g~(p~) = mu'(p~)^2 g(mu(p~)); f picks up the extra g(mu(p~1))(mu(p~2))
-    term so that the pole normalization survives.
+    term so that the pole normalization survives, and with it each g_j
+    locus at (mu(p~1), v) that f does not already declare.
     """
     m = s.m
     mu = c.mu
@@ -689,11 +707,16 @@ def pushforward(s: GTStructure, c: CoordinateChange) -> GTStructure:
             gterm += s.g[j].value((mapped[0], *v)) * mu.partial((pt2, *v), dv)
         return (mu_d(pt1, v) ** 2 / mu_d(pt2, v)) * (val - gterm)
 
+    g_loci: list[Exclusion] = []
+    for g in s.g:
+        for ex in g.domain.remap([0, *range(2, 2 + m)]).exclusions:
+            if not _declared(ex, s.f.domain.exclusions + tuple(g_loci)):
+                g_loci.append(ex)
     return GTStructure(
         m=m,
         g=[_Composed(s.g[i], g_map, g_outer, 1 + m, f"{s.label}:pushed g[{i}]")
            for i in range(m)],
-        f=_Composed(s.f, f_map, f_outer, 2 + m, f"{s.label}:pushed f"),
+        f=_Composed(s.f, f_map, f_outer, 2 + m, f"{s.label}:pushed f", g_loci),
         label=f"{s.label}:pushed",
         p_box=s.p_box,
         v_boxes=s.v_boxes,

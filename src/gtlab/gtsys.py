@@ -12,10 +12,16 @@ with A = f / g_1, B_l = g_l / g_1 and
     Q(p_1, p_2) = 2 f_{p_2}(p_1, p_2) / g_1(p_1)
         + (f(p_1, p_2) g_1'(p_2) + g(p_1)(g_1(p_2))) / (g_1(p_1) g_1(p_2)).
 
-``compatibility_residual`` checks equality of mixed second derivatives of
-every field through the exact chain rule; ``integrate_reduction`` marches
-the system on a tensor grid and confirms the second-order accuracy of the
-scheme by step halving.
+Both checks below rest on one first-order flow: d_i of every field of a
+state (p, v, w), computed once per state and direction together with the
+A, Q and B_l values it used, and one mixed-derivative rule, which takes
+d_a d_b of a field by the chain rule through the coefficient rows.
+``compatibility_residual`` compares d_i d_j with d_j d_i for every field
+that evolves in both directions.  ``integrate_reduction`` marches the
+system on a tensor grid, its state extended by the own-direction slopes
+y_j = d_j p_j and z_j = d_j w_j, which evolve along i != j by the same rule
+(d_i y_j = d_j (A(p_i, p_j) w_i), d_i z_j = d_j (Q(p_i, p_j) w_i w_j)); it
+confirms the second-order accuracy of the scheme by step halving.
 """
 
 from __future__ import annotations
@@ -32,13 +38,6 @@ from .errors import ConfigError, DomainViolation, NonConvergence
 from .kernel import Domain, Exclusion, JetEvaluator, SplitMix64
 
 G1_FLOOR = 1e-8  # |g_1| below this counts as a zero of the pivot component
-
-
-def _remap_domain(domain: Domain, mapping: Sequence[int]) -> Domain:
-    try:
-        return domain.remap(mapping)
-    except NotImplementedError:
-        return Domain()
 
 
 @dataclass
@@ -106,8 +105,8 @@ def build_system(
     map_p1 = [0] + list(range(2, 2 + m))
     map_p2 = [1] + list(range(2, 2 + m))
     extra = Domain(tuple(extra_exclusions))
-    extra_p1 = _remap_domain(extra, map_p1)
-    extra_p2 = _remap_domain(extra, map_p2)
+    extra_p1 = extra.remap(map_p1)
+    extra_p2 = extra.remap(map_p2)
 
     def _mp(arity, *slots):
         multi = [0] * arity
@@ -151,7 +150,7 @@ def build_system(
         return [df[0] / G - F * dG[0] / G**2, df[1] / G,
                 *(df[2 + l] / G - F * dG[1 + l] / G**2 for l in range(m))]
 
-    A_dom = s.f.domain.merged(_remap_domain(g1.domain, map_p1)).merged(extra_p1)
+    A_dom = s.f.domain.merged(g1.domain.remap(map_p1)).merged(extra_p1)
     A, A_row = quotient(f_units, A_fn, A_row, A_dom, f"{s.label}:A")
 
     def B_fn(l):
@@ -235,8 +234,8 @@ def build_system(
 
     Q_dom = (
         s.f.domain
-        .merged(_remap_domain(g1.domain, map_p1))
-        .merged(_remap_domain(g1.domain, map_p2))
+        .merged(g1.domain.remap(map_p1))
+        .merged(g1.domain.remap(map_p2))
         .merged(extra_p1)
         .merged(extra_p2)
     )
@@ -263,8 +262,6 @@ def inject_defect(s: GTStructure, scale: float = 1e-2, seed: int = 0) -> GTStruc
 
     def pf(args, multi):
         out = base.partial(args, multi)
-        if sum(multi) == 0:
-            return out + scale * (c[0] + c[1] * args[0] + c[2] * args[1] ** 2)
         if multi[0] == 1 and sum(multi) == 1:
             return out + scale * c[1]
         if multi[1] == 1 and sum(multi) == 1:
@@ -288,85 +285,82 @@ def inject_defect(s: GTStructure, scale: float = 1e-2, seed: int = 0) -> GTStruc
 
 
 # ---------------------------------------------------------------------------
-# compatibility of mixed derivatives
+# the first-order flow and its mixed second derivatives
 # ---------------------------------------------------------------------------
 
 
 class _State:
     """One jet of a solution: points p_1..p_M, fiber point v, slopes
-    w_i = d_i v_1."""
+    w_i = d_i v_1 and, for a reduction march, the own-direction slopes
+    y_i = d_i p_i and z_i = d_i w_i.  A state of derivatives has the same
+    fields, None where a field has no equation along the direction."""
 
-    def __init__(self, ps, v, w):
-        self.ps = list(ps)
-        self.v = list(v)
-        self.w = list(w)
+    def __init__(self, p, v, w, y=None, z=None):
+        self.p, self.v, self.w, self.y, self.z = p, v, w, y, z
+
+    def step(self, h, d):
+        """This state advanced by h along the derivative state d; a field
+        that d leaves as None keeps its value."""
+
+        def advance(xs, ds):
+            return [x if dx is None else x + h * dx for x, dx in zip(xs, ds)]
+
+        return _State(advance(self.p, d.p), advance(self.v, d.v), advance(self.w, d.w),
+                      advance(self.y, d.y), advance(self.z, d.z))
 
 
-def _flow_derivative(sys: GTSystem, st: _State, i: int, field_id):
-    """d_i of a state field by the system equations (None for the free
-    fields p_i and w_i along their own direction)."""
-    kind, idx = field_id
-    args2 = lambda pa, pb: (pa, pb, *st.v)  # noqa: E731
-    if kind == "p":
-        if idx == i:
-            return None
-        return sys.A.value(args2(st.ps[i], st.ps[idx])) * st.w[i]
+def _flow(sys: GTSystem, st: _State, i: int):
+    """d_i of p, v and w by the system, with the coefficient values it
+    used: (d, A, Q, B) where A[k] = A(p_i, p_k, v) and Q[k] likewise (None
+    at k = i), and B[l] = B_l(p_i, v) (None at the pivot).  d_i p_i and
+    d_i w_i are the state's own slopes y_i and z_i, None without them."""
+    p, v, w = st.p, st.v, st.w
+    M, m = len(p), len(v)
+    A, Q, B = [None] * M, [None] * M, [None] * m
+    dp, dw = [None] * M, [None] * M
+    for k in range(M):
+        if k != i:
+            args = (p[i], p[k], *v)
+            A[k] = sys.A.value(args)
+            Q[k] = sys.Q.value(args)
+            dp[k] = A[k] * w[i]
+            dw[k] = Q[k] * w[i] * w[k]
+    if st.y is not None:
+        dp[i], dw[i] = st.y[i], st.z[i]
+    for l in range(m):
+        if l != sys.pivot:
+            B[l] = sys.B[l].value((p[i], *v))
+    dv = [w[i] if B[l] is None else B[l] * w[i] for l in range(m)]
+    return _State(dp, dv, dw), A, Q, B
+
+
+def _chain(row, da: _State, points) -> complex:
+    """d_a of a coefficient through its first-partial row: the point slots
+    (p_t for t in ``points``) first, then the fiber slots."""
+    n = len(points)
+    return (sum(row[s] * da.p[t] for s, t in enumerate(points))
+            + sum(row[n + l] * dv for l, dv in enumerate(da.v)))
+
+
+def _mixed(sys: GTSystem, st: _State, fa, fb, b: int, kind: str, k: int) -> complex:
+    """d_a d_b of the field p_k, v_k or w_k (``kind`` "p", "v" or "w"),
+    from the flows ``fa`` along a and ``fb`` along b.
+
+    d_b of the field is A(p_b, p_k) w_b, B_k(p_b) w_b (w_b at the pivot)
+    or Q(p_b, p_k) w_b w_k, with the coefficient value read off ``fb``;
+    the chain and product rules take d_a of its factors from ``fa``."""
+    da, (_, A, Q, B) = fa[0], fb
+    v, w = st.v, st.w
     if kind == "v":
-        if idx == sys.pivot:
-            return st.w[i]
-        return sys.B[idx].value((st.ps[i], *st.v)) * st.w[i]
-    if kind == "w":
-        if idx == i:
-            return None
-        return sys.Q.value(args2(st.ps[i], st.ps[idx])) * st.w[i] * st.w[idx]
-    raise ValueError(kind)
-
-
-def _directional(sys: GTSystem, row, i: int, st: _State, p_slots: dict[int, int]):
-    """d_i of an evaluator by the chain rule through its first-partial
-    ``row``; p_slots maps evaluator slots to point indices, remaining slots
-    are the fiber coordinates in order."""
-    total = 0.0 + 0.0j
-    for slot, partial in enumerate(row):
-        if slot in p_slots:
-            d = _flow_derivative(sys, st, i, ("p", p_slots[slot]))
-        else:
-            l = slot - len(p_slots)
-            d = _flow_derivative(sys, st, i, ("v", l))
-        if d is None:
-            raise ValueError("free field inside chain rule")
-        total += partial * d
-    return total
-
-
-def _mixed_second(sys: GTSystem, st: _State, i: int, j: int, field_id):
-    """d_i d_j of a field, expanded through the system (i != j and the
-    field is not free along i or j)."""
-    kind, idx = field_id
+        if k == sys.pivot:
+            return da.w[b]
+        dB = _chain(sys.B_rows[k]((st.p[b], *v)), da, (b,))
+        return dB * w[b] + B[k] * da.w[b]
+    args = (st.p[b], st.p[k], *v)
     if kind == "p":
-        # d_j p_idx = A(p_j, p_idx) w_j
-        eargs = (st.ps[j], st.ps[idx], *st.v)
-        dA = _directional(sys, sys.A_row(eargs), i, st, {0: j, 1: idx})
-        A = sys.A.value(eargs)
-        dw_j = _flow_derivative(sys, st, i, ("w", j))
-        return dA * st.w[j] + A * dw_j
-    if kind == "v":
-        if idx == sys.pivot:
-            # d_j v_1 = w_j
-            return _flow_derivative(sys, st, i, ("w", j))
-        eargs = (st.ps[j], *st.v)
-        dB = _directional(sys, sys.B_rows[idx](eargs), i, st, {0: j})
-        B = sys.B[idx].value(eargs)
-        dw_j = _flow_derivative(sys, st, i, ("w", j))
-        return dB * st.w[j] + B * dw_j
-    if kind == "w":
-        eargs = (st.ps[j], st.ps[idx], *st.v)
-        dQ = _directional(sys, sys.Q_row(eargs), i, st, {0: j, 1: idx})
-        Q = sys.Q.value(eargs)
-        dw_j = _flow_derivative(sys, st, i, ("w", j))
-        dw_idx = _flow_derivative(sys, st, i, ("w", idx))
-        return dQ * st.w[j] * st.w[idx] + Q * (dw_j * st.w[idx] + st.w[j] * dw_idx)
-    raise ValueError(kind)
+        return _chain(sys.A_row(args), da, (b, k)) * w[b] + A[k] * da.w[b]
+    dQ = _chain(sys.Q_row(args), da, (b, k))
+    return dQ * w[b] * w[k] + Q[k] * (da.w[b] * w[k] + w[b] * da.w[k])
 
 
 def compatibility_residual(
@@ -385,21 +379,18 @@ def compatibility_residual(
     residuals = []
     raw = s.sample(states, seed, M)
     for ps, v in raw:
-        w = tuple(
-            complex(rng.uniform(0.3, 1.2), rng.uniform(-0.5, 0.5)) for _ in range(M)
-        )
+        w = [complex(rng.uniform(0.3, 1.2), rng.uniform(-0.5, 0.5)) for _ in range(M)]
         st = _State(ps, v, w)
+        flows = [_flow(sys, st, i) for i in range(M)]
         diffs = []
         for i in range(M):
             for j in range(i + 1, M):
-                fields = (
-                    [("p", k) for k in range(M) if k not in (i, j)]
-                    + [("v", l) for l in range(sys.m)]
-                    + [("w", k) for k in range(M) if k not in (i, j)]
-                )
-                for fid in fields:
-                    d_ij = _mixed_second(sys, st, i, j, fid)
-                    d_ji = _mixed_second(sys, st, j, i, fid)
+                others = [k for k in range(M) if k not in (i, j)]
+                fields = ([("p", k) for k in others] + [("v", l) for l in range(sys.m)]
+                          + [("w", k) for k in others])
+                for kind, k in fields:
+                    d_ij = _mixed(sys, st, flows[i], flows[j], j, kind, k)
+                    d_ji = _mixed(sys, st, flows[j], flows[i], i, kind, k)
                     diffs.append(abs(d_ij - d_ji))
         residuals.append(worst_residual(diffs))
     return _make_report("gt_compatibility", residuals, tol, seed, M=M)
@@ -460,83 +451,28 @@ class ReductionResult:
     blow_up_at: tuple | None
 
 
-def _rhs_extended(sys: GTSystem, state: dict, i: int, M: int):
-    """Direction-i derivative of the extended state.
-
-    Besides (p, v, w) the state carries the own-direction slopes
-    y_j = d_j p_j and z_j = d_j w_j.  Their direction-i evolution for
-    j != i follows from cross-differentiating the system; d_i y_i and
-    d_i z_i have no equation and come back as None.
-    """
-    ps, v, w, y, z = state["p"], state["v"], state["w"], state["y"], state["z"]
-    m = sys.m
-    out_p, out_w, out_y, out_z = ([None] * M for _ in range(4))
-    out_p[i] = y[i]
-    out_w[i] = z[i]
-
-    def dj_of(j):
-        """Direction-j derivatives of (p_i, p_j, v): what the chain rule
-        through A(p_i, p_j, v) or Q(p_i, p_j, v) consumes."""
-        d_pi = sys.A.value((ps[j], ps[i], *v)) * w[j]
-        d_pj = y[j]
-        d_v = [
-            w[j] if l == sys.pivot else sys.B[l].value((ps[j], *v)) * w[j]
-            for l in range(m)
-        ]
-        return d_pi, d_pj, d_v
-
-    for j in range(M):
-        if j == i:
-            continue
-        args = (ps[i], ps[j], *v)
-        A = sys.A.value(args)
-        Q = sys.Q.value(args)
-        out_p[j] = A * w[i]
-        out_w[j] = Q * w[i] * w[j]
-        # d_i y_j = d_j (A(p_i, p_j) w_i), expanded along direction j
-        d_pi, d_pj, d_v = dj_of(j)
-        rA = sys.A_row(args)
-        dA = rA[0] * d_pi + rA[1] * d_pj + sum(rA[2 + l] * d_v[l] for l in range(m))
-        dw_i_along_j = sys.Q.value((ps[j], ps[i], *v)) * w[j] * w[i]
-        out_y[j] = dA * w[i] + A * dw_i_along_j
-        # d_i z_j = d_j (Q(p_i, p_j) w_i w_j)
-        rQ = sys.Q_row(args)
-        dQ = rQ[0] * d_pi + rQ[1] * d_pj + sum(rQ[2 + l] * d_v[l] for l in range(m))
-        out_z[j] = dQ * w[i] * w[j] + Q * (dw_i_along_j * w[j] + w[i] * z[j])
-    out_v = [
-        w[i] if l == sys.pivot else sys.B[l].value((ps[i], *v)) * w[i]
-        for l in range(m)
-    ]
-    return {"p": out_p, "v": out_v, "w": out_w, "y": out_y, "z": out_z}
+def _derivative(sys: GTSystem, st: _State, i: int) -> _State:
+    """d_i of the march state: the flow of (p, v, w) and, for j != i,
+    d_i y_j = d_j (A(p_i, p_j) w_i) and d_i z_j = d_j (Q(p_i, p_j) w_i w_j)
+    by the mixed rule.  d_i y_i and d_i z_i have no equation: None."""
+    fi = _flow(sys, st, i)
+    d = fi[0]
+    d.y, d.z = [None] * len(st.p), [None] * len(st.p)
+    for j in range(len(st.p)):
+        if j != i:
+            fj = _flow(sys, st, j)
+            d.y[j] = _mixed(sys, st, fj, fi, i, "p", j)
+            d.z[j] = _mixed(sys, st, fj, fi, i, "w", j)
+    return d
 
 
-def _heun_step_extended(sys, state, i, h, M):
-    """One predictor-corrector step along direction i; fields without a
-    direction-i equation (y_i, z_i) are carried over unchanged and must be
+def _heun_step(sys: GTSystem, st: _State, i: int, h: float) -> _State:
+    """One predictor-corrector step along direction i; y_i and z_i, which
+    have no direction-i equation, are carried over unchanged and must be
     fixed up by the caller."""
-    k1 = _rhs_extended(sys, state, i, M)
-
-    def advanced(base, deriv):
-        out = {}
-        for key in ("p", "v", "w", "y", "z"):
-            out[key] = [
-                base[key][n] + (h * deriv[key][n] if deriv[key][n] is not None else 0.0)
-                for n in range(len(base[key]))
-            ]
-        return out
-
-    pred = advanced(state, k1)
-    k2 = _rhs_extended(sys, pred, i, M)
-    avg = {
-        key: [
-            None
-            if k1[key][n] is None
-            else 0.5 * (k1[key][n] + k2[key][n])
-            for n in range(len(k1[key]))
-        ]
-        for key in ("p", "v", "w", "y", "z")
-    }
-    return advanced(state, avg)
+    k1 = _derivative(sys, st, i)
+    k2 = _derivative(sys, st.step(h, k1), i)
+    return st.step(h / 2, k1.step(1.0, k2))  # h along the mean of k1 and k2
 
 
 def integrate_reduction(
@@ -569,15 +505,14 @@ def integrate_reduction(
         data = default_free_data(sys, M, seed)
     n = steps + 1
     shape = (n,) * M
-    states: dict[tuple, dict] = {}
-    origin = {
-        "p": [data.p_funcs[i](0.0) for i in range(M)],
-        "v": list(data.v0),
-        "w": [data.w_funcs[i](0.0) for i in range(M)],
-        "y": [data.p_derivs[i](0.0) for i in range(M)],
-        "z": [data.w_derivs[i](0.0) for i in range(M)],
-    }
-    states[(0,) * M] = origin
+    states: dict[tuple, _State] = {}
+    states[(0,) * M] = _State(
+        [data.p_funcs[i](0.0) for i in range(M)],
+        list(data.v0),
+        [data.w_funcs[i](0.0) for i in range(M)],
+        [data.p_derivs[i](0.0) for i in range(M)],
+        [data.w_derivs[i](0.0) for i in range(M)],
+    )
     blow_up = False
     blow_up_at = None
     for idx in sorted(product(range(n), repeat=M)):
@@ -585,14 +520,14 @@ def integrate_reduction(
             continue
         axis = min(i for i in range(M) if idx[i] > 0)
         prev = tuple(idx[i] - (1 if i == axis else 0) for i in range(M))
-        st = _heun_step_extended(sys, states[prev], axis, h, M)
+        st = _heun_step(sys, states[prev], axis, h)
         on_axis = all(idx[i] == 0 for i in range(M) if i != axis)
         if on_axis:
             t = idx[axis] * h
-            st["p"][axis] = data.p_funcs[axis](t)
-            st["w"][axis] = data.w_funcs[axis](t)
-            st["y"][axis] = data.p_derivs[axis](t)
-            st["z"][axis] = data.w_derivs[axis](t)
+            st.p[axis] = data.p_funcs[axis](t)
+            st.w[axis] = data.w_funcs[axis](t)
+            st.y[axis] = data.p_derivs[axis](t)
+            st.z[axis] = data.w_derivs[axis](t)
         else:
             # transport the own-direction slopes from a transverse neighbor,
             # then integrate p_axis, w_axis by the trapezoid rule so their
@@ -600,20 +535,20 @@ def integrate_reduction(
             # slope at prev)
             taxis = next(i for i in range(M) if i != axis and idx[i] > 0)
             tprev = tuple(idx[i] - (1 if i == taxis else 0) for i in range(M))
-            tst = _heun_step_extended(sys, states[tprev], taxis, h, M)
-            st["y"][axis] = tst["y"][axis]
-            st["z"][axis] = tst["z"][axis]
+            tst = _heun_step(sys, states[tprev], taxis, h)
+            st.y[axis] = tst.y[axis]
+            st.z[axis] = tst.z[axis]
             pv = states[prev]
-            st["p"][axis] = pv["p"][axis] + 0.5 * h * (pv["y"][axis] + st["y"][axis])
-            st["w"][axis] = pv["w"][axis] + 0.5 * h * (pv["z"][axis] + st["z"][axis])
+            st.p[axis] = pv.p[axis] + 0.5 * h * (pv.y[axis] + st.y[axis])
+            st.w[axis] = pv.w[axis] + 0.5 * h * (pv.z[axis] + st.z[axis])
         states[idx] = st
-        mag = max(abs(x) for x in st["p"] + st["v"] + st["w"])
+        mag = max(abs(x) for x in st.p + st.v + st.w)
         if not blow_up and (not math.isfinite(mag) or mag > 1e6):
             blow_up = True
             blow_up_at = idx
     grid_v1 = np.zeros(shape, dtype=complex)
     for idx, st in states.items():
-        grid_v1[idx] = st["v"][sys.pivot]
+        grid_v1[idx] = st.v[sys.pivot]
     # compatibility defect on each (i, j) cell face; cells touching the
     # data axes mix prescribed and evolved corners and carry an error
     # boundary layer, so the a-posteriori measure runs over cells whose
@@ -634,11 +569,7 @@ def integrate_reduction(
                 rhs = 0.0 + 0.0j
                 for corner in (c00, c10, c01, c11):
                     st = states[corner]
-                    rhs += (
-                        sys.Q.value((st["p"][i], st["p"][j], *st["v"]))
-                        * st["w"][i]
-                        * st["w"][j]
-                    )
+                    rhs += sys.Q.value((st.p[i], st.p[j], *st.v)) * st.w[i] * st.w[j]
                 defects.append(abs(fd - rhs / 4.0))
     return ReductionResult(
         M=M,

@@ -10,7 +10,7 @@ import pytest
 
 from gtlab import catalog
 from gtlab.errors import ConfigError
-from gtlab.kernel import JetEvaluator
+from gtlab.kernel import JetEvaluator, theta
 
 
 def test_registry_contents():
@@ -105,6 +105,16 @@ def test_genus1_g_matches_theta_oracle():
     assert s.g[0].value((p, u, tau)) == pytest.approx(expected, rel=1e-10)
     # the modulus direction moves with constant speed 2 pi i
     assert s.g[1].value((p, u, tau)) == pytest.approx(2j * math.pi, rel=1e-14)
+
+
+def test_genus1_potential_values_match_log_theta():
+    # h[2]-h[1] = log theta(p - u_2) - log theta(u_2) - (same with u_1),
+    # from the theta series directly
+    pot = catalog.build_potentials("genus1", 2)[1]
+    p, u1, u2, tau = 0.12 + 0.08j, 0.4 + 0.25j, 0.7 + 0.3j, 0.2 + 1.3j
+    lt = lambda z: cmath.log(theta(z, tau))  # noqa: E731
+    want = lt(p - u2) - lt(u2) - (lt(p - u1) - lt(u1))
+    assert pot.h.value((p, u1, u2, tau)) == pytest.approx(want, rel=1e-13, abs=1e-13)
 
 
 def test_genus1_f_double_periodicity_in_p2():

@@ -134,6 +134,18 @@ def test_passing_run_exits_0_and_writes_report(tmp_path):
     assert "elapsed" in summary and "PASS" in summary
 
 
+@pytest.mark.parametrize("cfg", [
+    {"command": "hydro", "structure": "benney", "n": 2},
+    {"command": "reconstruct", "structure": "benney", "n": 2},
+    {"command": "report", "samples": 2},
+])
+def test_hierarchy_and_report_commands_pass(tmp_path, cfg):
+    code, out = _run(tmp_path, {**cfg, "seed": 7})
+    body = json.loads(out.read_text())
+    assert code == 0 and body["verdict"] == "pass"
+    assert body["reports"] and all(entry["pass"] for entry in body["reports"])
+
+
 def test_report_is_byte_deterministic(tmp_path):
     _, out1 = _run(tmp_path, BASE, "first")
     _, out2 = _run(tmp_path, BASE, "second")

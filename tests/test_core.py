@@ -221,6 +221,18 @@ def test_principal_branch_pushed_genus2_f_fails(tmp_path, monkeypatch):
     assert max(e["max_residual"] for e in plain["reports"]) > 1e-3
 
 
+def test_pushed_f_declares_the_loci_of_its_g_term(tmp_path):
+    # f~ holds g_1(mu(p1), v), singular where mu(p1) = u_1: without that
+    # locus a cocycle circle here comes within reach of it (6.0e-5)
+    code, rep = _cli_pushforward(tmp_path, "benney", 1234936988, n=1)
+    assert code == 0, [(e["identity"], e["max_residual"]) for e in rep["reports"]]
+    assert max(e["max_residual"] for e in rep["reports"]) < 1e-12
+    # a g locus that f already declares is not pulled back twice
+    s = catalog.build_structure("genus2")
+    assert len(pushforward(s, _quadratic_change(s.m)).f.domain.exclusions) == len(
+        s.f.domain.exclusions)
+
+
 def test_genus1_pushforward_pole_circle_sees_each_locus(tmp_path):
     # each pulled-back locus keeps its own clearance: only the diagonal
     # vanishes at (p2, p2), so the puncture at 0 still bounds the circle

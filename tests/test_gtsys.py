@@ -5,9 +5,10 @@ from __future__ import annotations
 import pytest
 
 from gtlab import catalog
-from gtlab.core import GTStructure
+from gtlab.core import CoordinateChange, GTStructure, pushforward
 from gtlab.errors import ConfigError
 from gtlab.gtsys import (
+    FreeData,
     build_system,
     compatibility_residual,
     convergence_ratio,
@@ -15,7 +16,7 @@ from gtlab.gtsys import (
     inject_defect,
     integrate_reduction,
 )
-from gtlab.kernel import JetEvaluator, cauchy_derivative
+from gtlab.kernel import Domain, JetEvaluator, cauchy_derivative
 
 
 def _benney_system(n=2):
@@ -129,6 +130,21 @@ def test_rows_without_closed_forms_come_from_circles():
         assert max(abs(g - w) for g, w in zip(got, want)) <= 1e-8 * scale
 
 
+def test_pushed_system_keeps_the_loci_of_g1():
+    # Q reads g_1 at p2 (through g_1'(p2) / g_1(p2)), so each pulled-back
+    # locus of the pushed g_1 must survive the remap onto both point slots
+    ent = catalog.CATALOG["genus0"]
+    s = ent.build(1)
+    mu = CoordinateChange(JetEvaluator(2, lambda p, u: p + 0.05 * u * p * p, domain=Domain()))
+    pushed = pushforward(s, mu)
+    plain_sys = build_system(s, extra_exclusions=ent.gt_exclusions)
+    pushed_sys = build_system(pushed, extra_exclusions=ent.gt_exclusions)
+    added = len(pushed.f.domain.exclusions) - len(s.f.domain.exclusions)
+    for name in ("A", "Q"):
+        plain, got = getattr(plain_sys, name), getattr(pushed_sys, name)
+        assert len(got.domain.exclusions) == len(plain.domain.exclusions) + added, name
+
+
 def test_build_system_rejects_bad_pivot():
     s = catalog.build_structure("benney", 2)
     with pytest.raises(ConfigError):
@@ -187,12 +203,33 @@ def test_integrate_reduction_runs_clean():
     assert res.residual < 1.0
 
 
+def test_integrate_reduction_marches_three_components():
+    sys_ = build_system(catalog.build_structure("benney", 2))
+    res = integrate_reduction(sys_, M=3, steps=3, h=0.02)
+    assert not res.blow_up
+    assert res.grid_v1.shape == (4, 4, 4)
+    assert res.residual < 1.0
+
+
 def test_integrate_reduction_respects_free_data():
     sys_ = build_system(catalog.build_structure("benney", 1))
     data = default_free_data(sys_, M=2, seed=23)
     a = integrate_reduction(sys_, M=2, steps=4, h=0.02, data=data)
     b = integrate_reduction(sys_, M=2, steps=4, h=0.02, data=data)
     assert (a.grid_v1 == b.grid_v1).all()  # fully deterministic
+
+
+def test_integrate_reduction_flags_a_blow_up():
+    # slopes w_i = 1e7 exceed the blow-up bound at the first grid point;
+    # the step is small enough that the march stays inside the domain
+    sys_ = build_system(catalog.build_structure("benney", 1))
+    d = default_free_data(sys_, M=2, seed=23)
+    big = tuple((lambda t: 1e7 + 0j) for _ in range(2))
+    still = tuple((lambda t: 0j) for _ in range(2))
+    res = integrate_reduction(sys_, M=2, steps=2, h=1e-9,
+                              data=FreeData(d.p_funcs, d.p_derivs, big, still, d.v0))
+    assert res.blow_up and res.blow_up_at == (0, 1)
+    assert not integrate_reduction(sys_, M=2, steps=2, h=1e-9, data=d).blow_up
 
 
 def test_integrate_reduction_needs_two_steps():
