@@ -515,7 +515,9 @@ class GenusTwoF(JetEvaluator):
     def eval_rows(self, rows, anchor, rests):
         """Values (rest None) or the closed-form first partial in the slot a
         rest names along a loop of arguments, with q1 and q2 continued along
-        it once from their principal values at ``anchor``."""
+        it once from their principal values at ``anchor``.  The partial
+        rows of one node share its terms, and _quintic_dp of a point that
+        stays put along the loop (p2 on a p1 circle) is computed once."""
         if any(rest is not None and sum(rest) > 1 for rest in rests):
             raise NotImplementedError(
                 "genus-2 mixed partials beyond total order 2 in more than "
@@ -525,31 +527,46 @@ class GenusTwoF(JetEvaluator):
                          cmath.sqrt(_quintic(anchor[0], anchor[2], anchor[3], anchor[4])))
         q2 = _track_sqrt(np.array([_quintic(r[1], r[2], r[3], r[4]) for r in rows]),
                          cmath.sqrt(_quintic(anchor[1], anchor[2], anchor[3], anchor[4])))
-        return np.array([
-            [self._assemble(*row, q1[k], q2[k]) for k, row in enumerate(rows)]
-            if rest is None else
-            [self._first_partial(row, rest.index(1), q1[k], q2[k])
-             for k, row in enumerate(rows)]
-            for rest in rests
-        ], dtype=complex)
+        slots = [None if rest is None else rest.index(1) for rest in rests]
+        seen: dict = {}
+
+        def quintic_dp(*key):
+            if key not in seen:
+                seen[key] = _quintic_dp(*key)
+            return seen[key]
+
+        any_partial = any(slot is not None for slot in slots)
+        out = np.empty((len(rests), len(rows)), dtype=complex)
+        for k, row in enumerate(rows):
+            shared = self._shared(row, q1[k], q2[k]) if any_partial else None
+            for i, slot in enumerate(slots):
+                out[i, k] = (self._assemble(*row, q1[k], q2[k]) if slot is None else
+                             self._first_partial(row, slot, q1[k], q2[k], shared, quintic_dp))
+        return out
 
     # closed-form first partials ------------------------------------------
 
     @staticmethod
-    def _first_partial(args, slot, q1, q2):
+    def _shared(args, q1, q2):
+        """(A1, B2, f, den) at one point: what every first partial there uses."""
         p1, p2, a, b, c = args
         A1 = (p1 - a) * (p1 - b) * (p1 - c)
         B2 = p2 * (p2 - 1.0)
         num = A1 * B2 + q1 * q2
         den = 2.0 * (p1 - p2) * p1 * (p1 - 1.0) * A1
-        f = num / den
+        return A1, B2, num / den, den
+
+    @staticmethod
+    def _first_partial(args, slot, q1, q2, shared, quintic_dp=_quintic_dp):
+        p1, p2, a, b, c = args
+        A1, B2, f, den = shared
         if slot == 0:
             dA1 = (p1 - b) * (p1 - c) + (p1 - a) * (p1 - c) + (p1 - a) * (p1 - b)
-            dq1 = _quintic_dp(p1, a, b, c) / (2.0 * q1)
+            dq1 = quintic_dp(p1, a, b, c) / (2.0 * q1)
             dnum = dA1 * B2 + dq1 * q2
             dden = den * (1.0 / (p1 - p2) + 1.0 / p1 + 1.0 / (p1 - 1.0) + dA1 / A1)
         elif slot == 1:
-            dq2 = _quintic_dp(p2, a, b, c) / (2.0 * q2)
+            dq2 = quintic_dp(p2, a, b, c) / (2.0 * q2)
             dnum = A1 * (2.0 * p2 - 1.0) + q1 * dq2
             dden = den * (-1.0 / (p1 - p2))
         else:
@@ -566,7 +583,7 @@ class GenusTwoF(JetEvaluator):
             return NotImplemented
         q1 = cmath.sqrt(_quintic(args[0], args[2], args[3], args[4]))
         q2 = cmath.sqrt(_quintic(args[1], args[2], args[3], args[4]))
-        return self._first_partial(args, multi.index(1), q1, q2)
+        return self._first_partial(args, multi.index(1), q1, q2, self._shared(args, q1, q2))
 
 
 def genus2() -> GTStructure:

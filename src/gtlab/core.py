@@ -10,6 +10,12 @@ g_i(p, v) and a two-point function f(p1, p2, v) with a normalized simple
 pole on the diagonal.  All verification is by dense seeded sampling: the
 in-scope functions are meromorphic, so vanishing at many generic points is
 the practical test.
+
+The transforms build their evaluators from the evaluators they transform,
+and answer first partials by the chain rule through the ingredients' own
+partials (a pushed evaluator through mu's as well); partials of order two
+and above, and the Laurent coefficients of the pole checks, come from
+Cauchy circles over the transformed values.
 """
 
 from __future__ import annotations
@@ -565,30 +571,59 @@ def collide_points_closed(s: GTStructure, groups: Sequence[Sequence[int]]) -> GT
                 )
     m = s.m
 
+    fm = functools.partial(_multi, s.f.arity)  # f's multi-indices over (p, u0, v)
+
     def g_component(i: int) -> JetEvaluator:
         owner = next((grp for grp in groups if i in grp), None)
         if owner is None:
             return s.g[i]
         r = owner.index(i)
         u0_slot = owner[0]
+        # one (d_{p2}^order f, weight, powers (r', i_r') of the monomial) per term
+        terms = [(fm(*[1] * sum(partition.values())), w, tuple(partition.items()))
+                 for partition, w in (_partitions_weighted(r) if r > 0 else [({}, 1)])]
 
         def fn(*args):
             p, v = args[0], args[1:]
             u = [v[slot] for slot in owner]
+            dvals = _asked(s.f, (p, v[u0_slot], *v), [dm for dm, _, _ in terms])
             total = 0.0 + 0.0j
-            for partition, w in _partitions_weighted(r) if r > 0 else [({}, 1)]:
-                order = sum(partition.values())
-                multi = [0] * s.f.arity
-                multi[1] = order
-                dval = s.f.partial((p, v[u0_slot], *v), multi)
+            for dm, w, powers in terms:
                 mono = 1.0 + 0.0j
-                for rr, c in partition.items():
+                for rr, c in powers:
                     mono *= u[rr] ** c
-                total += w * dval * mono
+                total += w * dvals[dm] * mono
+            return total
+
+        def first(args, multi):
+            """Term by term: f's partials in the slots the moving coordinate
+            feeds (u0 feeds two, p2 and its own fiber slot, so the two
+            partials add up), and the monomial's own derivative."""
+            if sum(multi) != 1:
+                return NotImplemented
+            t = multi.index(1)
+            p, v = args[0], args[1:]
+            u = [v[slot] for slot in owner]
+            fed = [0] if t == 0 else [1 + t] + ([1] if t - 1 == u0_slot else [])
+            # the monomial factor that moves; 0 (u0, never in a monomial) for none
+            rr_t = owner.index(t - 1) if t and t - 1 in owner else 0
+            moved = {dm: [fm(*[1] * dm[1], sl) for sl in fed] for dm, _, _ in terms}
+            dvals = _asked(s.f, (p, v[u0_slot], *v),
+                           [d for ds in moved.values() for d in ds]
+                           + ([dm for dm, _, _ in terms] if rr_t else []))
+            total = 0.0 + 0.0j
+            for dm, w, powers in terms:
+                mono, dmono = 1.0 + 0.0j, 0.0 + 0.0j
+                for rr, c in powers:
+                    x = u[rr] ** c
+                    dmono = dmono * x + (mono * c * u[rr] ** (c - 1) if rr == rr_t else 0.0)
+                    mono *= x
+                dval = sum(dvals[d] for d in moved[dm])
+                total += w * (dval * mono + (dvals[dm] * dmono if rr_t else 0.0))
             return total
 
         dom = _collided_domain(s.g[i].domain, groups, offset=1, arity=1 + m)
-        return JetEvaluator(1 + m, fn, domain=dom,
+        return JetEvaluator(1 + m, fn, domain=dom, partial_fn=first,
                             label=f"{s.label}:closed-collided g[{i}]")
 
     return GTStructure(
@@ -648,20 +683,29 @@ class _Composed(JetEvaluator):
 
     Value rows map their loop through ``to_inner`` and take ``inner``'s
     rows, so a branch ``inner`` continues along a loop survives the
-    composition.  The domain pulls back ``inner``'s loci and ``loci``, the
-    singular loci in ``inner``'s slots of what ``outer`` adds."""
+    composition.  First partials come from ``first(args, mapped, slot)``,
+    the chain rule through the ingredients' own partials; higher orders
+    fall back to circles.  The domain pulls back ``inner``'s loci and
+    ``loci``, the singular loci in ``inner``'s slots of what ``outer``
+    adds."""
 
-    def __init__(self, inner: JetEvaluator, to_inner, outer, arity: int, label: str,
+    def __init__(self, inner: JetEvaluator, to_inner, outer, first, arity: int, label: str,
                  loci: Sequence[Exclusion] = ()):
-        self.inner, self.to_inner, self.outer = inner, to_inner, outer
+        self.inner, self.to_inner, self.outer, self.first = inner, to_inner, outer, first
         image = functools.lru_cache(maxsize=1)(to_inner)  # the loci ask in turn at one point
         domain = Domain(tuple(_PulledBack(image, ex)
                               for ex in (*inner.domain.exclusions, *loci)))
-        super().__init__(arity, self._fn, domain=domain, label=label)
+        super().__init__(arity, self._fn, domain=domain, partial_fn=self._partial,
+                         label=label)
 
     def _fn(self, *args):
         mapped = self.to_inner(args)
         return self.outer(args, mapped, self.inner.value(mapped))
+
+    def _partial(self, args, multi):
+        if sum(multi) != 1:
+            return NotImplemented
+        return self.first(args, self.to_inner(args), multi.index(1))
 
     def eval_rows(self, rows, anchor, rests):
         """Value rows continue ``inner``'s branch along the loop mapped
@@ -673,39 +717,103 @@ class _Composed(JetEvaluator):
                          for rest in rests], dtype=complex)
 
 
+def _multi(arity: int, *slots: int) -> tuple[int, ...]:
+    """The multi-index with each of ``slots`` raised by one."""
+    multi = [0] * arity
+    for t in slots:
+        multi[t] += 1
+    return tuple(multi)
+
+
+def _asked(e: JetEvaluator, args, multis) -> dict:
+    """e's partials at args keyed by multi-index: one ``partials`` call,
+    each distinct multi-index asked once."""
+    keys = list(dict.fromkeys(multis))
+    return dict(zip(keys, e.partials(args, keys)))
+
+
+def _moved(e: JetEvaluator, args, rates: dict) -> tuple[complex, complex]:
+    """e's value at args and its rate of change while slot t moves at
+    ``rates[t]`` (the first-order chain rule); one ``partials`` call."""
+    vals = e.partials(args, [_multi(e.arity)] + [_multi(e.arity, t) for t in rates])
+    return vals[0], sum(r * d for r, d in zip(rates.values(), vals[1:]))
+
+
+def _mu_slots(t: int) -> tuple[int | None, int | None]:
+    """Slots of mu at p1 and at p2 that slot t of a pushed two-point
+    function over (p1, p2, v) moves; None where that point stays put."""
+    return {0: (0, None), 1: (None, 0)}.get(t, (t - 1, t - 1))
+
+
 def pushforward(s: GTStructure, c: CoordinateChange) -> GTStructure:
     """Transport the structure through p = mu(p~, v).
 
     g~(p~) = mu'(p~)^2 g(mu(p~)); f picks up the extra g(mu(p~1))(mu(p~2))
     term so that the pole normalization survives, and with it each g_j
-    locus at (mu(p~1), v) that f does not already declare.
+    locus at (mu(p~1), v) that f does not already declare.  First partials
+    follow by the chain rule from the first partials of f and g and from
+    mu's first partials and second partials mixed with the moving slot,
+    asked for in one ``partials`` call per point of mu.
     """
     m = s.m
     mu = c.mu
-    dp = [1] + [0] * m
-
-    def mu_d(pt, v):
-        return mu.partial((pt, *v), dp)
+    mi = functools.partial(_multi, 1 + m)  # mu's multi-indices over (p, v)
+    dvs = [mi(1 + j) for j in range(m)]
 
     def g_map(args):
         return (mu.value(args), *args[1:])
 
     def g_outer(args, mapped, val):
-        return mu_d(args[0], args[1:]) ** 2 * val
+        return mu.partial(args, mi(0)) ** 2 * val
+
+    def g_first(i):
+        def first(args, mapped, t):
+            # slot t of g~ is slot t of mu: p~ for t = 0, v_{t-1} otherwise
+            d = _asked(mu, args, [mi(0), mi(t), mi(0, t)])
+            val, dval = _moved(s.g[i], mapped, {0: d[mi(t)], t: 1.0} if t else {0: d[mi(0)]})
+            return d[mi(0)] * (2.0 * d[mi(0, t)] * val + d[mi(0)] * dval)
+
+        return first
 
     def f_map(args):
         v = args[2:]
         return (mu.value((args[0], *v)), mu.value((args[1], *v)), *v)
 
     def f_outer(args, mapped, val):
-        pt1, pt2, v = args[0], args[1], args[2:]
+        v = args[2:]
+        mu_p1 = mu.partial((args[0], *v), mi(0))
+        mu_p2, *mu_v2 = mu.partials((args[1], *v), [mi(0), *dvs])
         # g(mu(p1)) applied to mu(p2, v) through the fiber coordinates
         gterm = 0.0 + 0.0j
         for j in range(m):
-            dv = [0] * (1 + m)
-            dv[1 + j] = 1
-            gterm += s.g[j].value((mapped[0], *v)) * mu.partial((pt2, *v), dv)
-        return (mu_d(pt1, v) ** 2 / mu_d(pt2, v)) * (val - gterm)
+            gterm += s.g[j].value((mapped[0], *v)) * mu_v2[j]
+        return (mu_p1 ** 2 / mu_p2) * (val - gterm)
+
+    def f_first(args, mapped, t):
+        # f~ = K B with K = mu_p(p1)^2 / mu_p(p2) and
+        # B = f(mu1, mu2, v) - sum_j g_j(mu1, v) d_{v_j} mu(p2, v)
+        v = args[2:]
+        t1, t2 = _mu_slots(t)
+        d1 = _asked(mu, (args[0], *v), [mi(0)] + ([] if t1 is None else [mi(t1), mi(0, t1)]))
+        d2 = _asked(mu, (args[1], *v), [mi(0), *dvs] + ([] if t2 is None else [
+            mi(t2), mi(0, t2), *(mi(1 + j, t2) for j in range(m))]))
+        f_rates, g_rates = {}, {}
+        if t1 is not None:
+            f_rates[0] = g_rates[0] = d1[mi(t1)]
+        if t2 is not None:
+            f_rates[1] = d2[mi(t2)]
+        if t >= 2:
+            f_rates[t] = g_rates[t - 1] = 1.0
+        B, dB = _moved(s.f, mapped, f_rates)
+        for j in range(m):
+            G, dG = _moved(s.g[j], (mapped[0], *v), g_rates)
+            B -= G * d2[dvs[j]]
+            dB -= dG * d2[dvs[j]] + (0.0 if t2 is None else G * d2[mi(1 + j, t2)])
+        P1, P2 = d1[mi(0)], d2[mi(0)]
+        K = P1 ** 2 / P2
+        dK = (0.0 if t1 is None else 2.0 * P1 * d1[mi(0, t1)] / P2) - (
+            0.0 if t2 is None else K * d2[mi(0, t2)] / P2)
+        return dK * B + K * dB
 
     g_loci: list[Exclusion] = []
     for g in s.g:
@@ -714,9 +822,9 @@ def pushforward(s: GTStructure, c: CoordinateChange) -> GTStructure:
                 g_loci.append(ex)
     return GTStructure(
         m=m,
-        g=[_Composed(s.g[i], g_map, g_outer, 1 + m, f"{s.label}:pushed g[{i}]")
+        g=[_Composed(s.g[i], g_map, g_outer, g_first(i), 1 + m, f"{s.label}:pushed g[{i}]")
            for i in range(m)],
-        f=_Composed(s.f, f_map, f_outer, 2 + m, f"{s.label}:pushed f", g_loci),
+        f=_Composed(s.f, f_map, f_outer, f_first, 2 + m, f"{s.label}:pushed f", g_loci),
         label=f"{s.label}:pushed",
         p_box=s.p_box,
         v_boxes=s.v_boxes,
@@ -725,14 +833,30 @@ def pushforward(s: GTStructure, c: CoordinateChange) -> GTStructure:
 
 
 def pushforward_lambda(e: EnhancedGT, c: CoordinateChange) -> EnhancedGT:
+    """lambda~ = mu_p(p~1) lambda(mu1, mu2, v) beside the pushed base, with
+    first partials by the chain rule."""
     mu = c.mu
     base = pushforward(e.base, c)
     f = base.f
+    mi = functools.partial(_multi, 1 + e.m)
 
     def lam_outer(args, mapped, val):
-        return mu.partial((args[0], *args[2:]), [1] + [0] * e.m) * val
+        return mu.partial((args[0], *args[2:]), mi(0)) * val
 
-    lam = _Composed(e.lam, f.to_inner, lam_outer, f.arity, f"{e.label}:pushed lambda")
+    def lam_first(args, mapped, t):
+        v = args[2:]
+        t1, t2 = _mu_slots(t)
+        d1 = _asked(mu, (args[0], *v), [mi(0)] + ([] if t1 is None else [mi(t1), mi(0, t1)]))
+        rates = {t: 1.0} if t >= 2 else {}
+        if t1 is not None:
+            rates[0] = d1[mi(t1)]
+        if t2 is not None:
+            rates[1] = mu.partial((args[1], *v), mi(t2))
+        lam, dlam = _moved(e.lam, mapped, rates)
+        return (0.0 if t1 is None else d1[mi(0, t1)] * lam) + d1[mi(0)] * dlam
+
+    lam = _Composed(e.lam, f.to_inner, lam_outer, lam_first, f.arity,
+                    f"{e.label}:pushed lambda")
     return EnhancedGT(base, lam)
 
 

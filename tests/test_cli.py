@@ -345,3 +345,57 @@ _PUSHFORWARD = st.fixed_dictionaries(
 @given(cfg=_PUSHFORWARD)
 def test_pushforward_configs_never_raise(tmp_path, cfg):
     assert run(cfg, str(tmp_path / "fuzz.json")) in (0, 1, 2, 3)
+
+
+# a well-formed hydro, reconstruct or report config, small enough to run in
+# tens of milliseconds, with up to two keys replaced by an out-of-range or
+# junk value (cost-setting keys stay small: a huge z_count or n is a valid
+# config that runs long, not a failure to close)
+_HIERARCHY_GOOD = {
+    "hydro": {"structure": st.sampled_from(["benney", "genus0", "genus1", "genus2"]),
+              "n": st.integers(2, 3), "z_count": st.integers(11, 20)},
+    "reconstruct": {"structure": st.sampled_from(["benney", "genus0", "genus1", "genus2"]),
+                    "n": st.integers(2, 3), "samples": st.integers(1, 3)},
+    "report": {"samples": st.integers(1, 2)},
+}
+_HIERARCHY_OPTIONAL = {
+    "hydro": {"triple": st.lists(st.integers(0, 3), min_size=3, max_size=3),
+              "svd_tol": st.floats(1e-14, 1e-2), "tol": st.floats(1e-300, 1.0)},
+    "reconstruct": {"pair": st.lists(st.integers(0, 3), min_size=2, max_size=2),
+                    "index": st.integers(0, 3), "tol": st.floats(1e-300, 1.0)},
+    "report": {"tol": st.floats(1e-300, 1.0), "n": st.integers(1, 3)},
+}
+_HIERARCHY_BAD = {
+    "command": st.one_of(st.sampled_from(["Hydro", "verify"]), _JUNK),
+    "structure": st.one_of(st.sampled_from(["genus7", ""]), _JUNK),
+    "n": st.one_of(st.integers(max_value=0), _JUNK),
+    "seed": st.one_of(st.integers(max_value=-1), _JUNK),
+    "samples": st.one_of(st.integers(max_value=0), _JUNK),
+    "tol": st.one_of(st.floats(max_value=0.0), st.floats(), _JUNK),
+    "z_count": st.one_of(st.integers(max_value=10), _JUNK),
+    "svd_tol": st.one_of(st.floats(max_value=0.0), st.floats(), st.floats(1.0, 1e300), _JUNK),
+    "triple": st.one_of(st.lists(st.integers(-1, 9), max_size=4), _JUNK),
+    "pair": st.one_of(st.lists(st.integers(-1, 9), max_size=3), _JUNK),
+    "index": st.one_of(st.integers(-9, 9), _JUNK),
+}
+
+
+@st.composite
+def _hierarchy_configs(draw):
+    command = draw(st.sampled_from(sorted(_HIERARCHY_GOOD)))
+    cfg = {"command": command, "seed": draw(st.integers(0, 2**31))}
+    cfg.update({key: draw(value) for key, value in _HIERARCHY_GOOD[command].items()})
+    for key, value in _HIERARCHY_OPTIONAL[command].items():
+        if draw(st.booleans()):
+            cfg[key] = draw(value)
+    for key in draw(st.lists(st.sampled_from(sorted(_HIERARCHY_BAD)), max_size=2,
+                             unique=True)):
+        cfg[key] = draw(_HIERARCHY_BAD[key])
+    return cfg
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(cfg=_hierarchy_configs())
+def test_hydro_reconstruct_report_configs_never_raise(tmp_path, cfg):
+    assert run(cfg, str(tmp_path / "fuzz.json")) in (0, 1, 2, 3)

@@ -40,6 +40,7 @@ from gtlab.kernel import (
     JetEvaluator,
     ReindexedEvaluator,
     SplitMix64,
+    cauchy_derivative,
     circle_path,
     polyline_path,
 )
@@ -242,6 +243,130 @@ def test_genus1_pushforward_pole_circle_sees_each_locus(tmp_path):
     pushed = pushforward(catalog.build_structure("genus1", 1), _quadratic_change(2))
     p2, v = 0.2 + 0.1j, (0.5 - 0.3j, 0.3 + 1.1j)
     assert 0.0 < _diagonal_radius(pushed.f, p2, v) < 0.25
+
+
+class _ValueOnly(JetEvaluator):
+    """The same fn, domain and loop values as ``e``, without its
+    partial_fn: every partial is a Cauchy circle over e's value rows."""
+
+    def __init__(self, e):
+        self.e = e
+        super().__init__(e.arity, e.fn, domain=e.domain, label=f"value-only {e.label}")
+
+    def eval_rows(self, rows, anchor, rests):
+        return self.e.eval_rows(rows, anchor, rests)
+
+
+def _worst_first_partial_gap(e, points):
+    """Largest gap between e's first partials and the circle oracle, relative
+    to the larger of the oracle and e's value."""
+    oracle = _ValueOnly(e)
+    worst = 0.0
+    for args in points:
+        for slot in range(e.arity):
+            multi = [0] * e.arity
+            multi[slot] = 1
+            want = cauchy_derivative(oracle, slot, args, 1)
+            scale = max(abs(want), abs(e.value(args)))
+            worst = max(worst, abs(e.partial(args, multi) - want) / scale)
+    return worst
+
+
+def _closed_form_quadratic_change(m, scale=0.05):
+    """mu = p + scale u1 p^2 with its partials in closed form."""
+    def pf(args, multi):
+        pt, u1 = args[0], args[1]
+        if any(multi[2:]) or multi[1] > 1 or multi[0] > 2:
+            return 0.0 + 0.0j
+        if multi[1]:
+            return (scale * pt**2, 2.0 * scale * pt, 2.0 * scale)[multi[0]]
+        return 1.0 + 2.0 * scale * u1 * pt if multi[0] == 1 else 2.0 * scale * u1
+
+    mu = _quadratic_change(m, scale).mu
+    return CoordinateChange(JetEvaluator(1 + m, mu.fn, domain=Domain(), partial_fn=pf,
+                                         label="mu"))
+
+
+def _catalog_structure(name):
+    return catalog.build_structure(name) if name == "genus2" else catalog.build_structure(name, 2)
+
+
+@pytest.mark.parametrize("closed_mu", [True, False])
+@pytest.mark.parametrize("name", ["benney", "genus0", "genus1", "genus2"])
+def test_pushed_first_partials_match_the_circle_oracle(name, closed_mu):
+    s = _catalog_structure(name)
+    change = (_closed_form_quadratic_change if closed_mu else _quadratic_change)(s.m)
+    pushed = pushforward(s, change)
+    points = pushed.sample(3, seed=11, n_p=2)
+    for g in pushed.g:
+        assert _worst_first_partial_gap(g, [(ps[0], *v) for ps, v in points]) < 1e-10
+    assert _worst_first_partial_gap(pushed.f, [(*ps, *v) for ps, v in points]) < 1e-10
+
+
+@pytest.mark.parametrize("name", ["benney", "genus0", "genus1"])
+def test_pushed_lambda_first_partials_match_the_circle_oracle(name):
+    e = catalog.build_enhanced(name, 1)
+    pushed = pushforward_lambda(e, _closed_form_quadratic_change(e.m))
+    points = pushed.base.sample(3, seed=12, n_p=2)
+    assert _worst_first_partial_gap(pushed.lam, [(*ps, *v) for ps, v in points]) < 1e-10
+
+
+@pytest.mark.parametrize("name,n,groups", [
+    ("benney", 3, [[0, 1]]),          # depth 2
+    ("benney", 3, [[0, 1, 2]]),       # depth 3
+    ("benney", 4, [[0, 1], [2, 3]]),  # two groups
+    ("genus1", 3, [[0, 1, 2]]),       # f depends on a fiber slot (tau)
+])
+def test_closed_collided_first_partials_match_the_circle_oracle(name, n, groups):
+    collided = collide_points_closed(catalog.build_structure(name, n), groups)
+    points = [(ps[0], *v) for ps, v in collided.sample(3, seed=13, n_p=1)]
+    for g in collided.g:
+        assert _worst_first_partial_gap(g, points) < 1e-10
+
+
+def test_pushed_f_without_the_prefactor_derivative_is_caught():
+    # drop d(mu_p(p1)^2 / mu_p(p2)) * B from the chain rule, B = f~ / K:
+    # for mu = p + 0.05 u1 p^2 that term is f~ (2 d mu_p(p1) / mu_p(p1)
+    # - d mu_p(p2) / mu_p(p2))
+    s = catalog.build_structure("benney", 1)
+    pushed = pushforward(s, _closed_form_quadratic_change(1))
+    chain = pushed.f
+
+    def dropped(args, multi):
+        if sum(multi) != 1:
+            return NotImplemented
+        t = multi.index(1)
+        p1, p2, u1 = args
+        d1 = {0: 0.1 * u1, 2: 0.1 * p1}.get(t, 0.0) / (1.0 + 0.1 * u1 * p1)
+        d2 = {1: 0.1 * u1, 2: 0.1 * p2}.get(t, 0.0) / (1.0 + 0.1 * u1 * p2)
+        return chain.partial(args, multi) - chain.value(args) * (2.0 * d1 - d2)
+
+    pushed.f = JetEvaluator(3, chain.fn, domain=chain.domain, partial_fn=dropped)
+    points = [(*ps, *v) for ps, v in pushed.sample(3, seed=11, n_p=2)]
+    assert _worst_first_partial_gap(pushed.f, points) > 1e-3
+    reports = {r.identity: r for r in verify_all(pushed, 10, seed=5, tol=1e-6)}
+    assert reports["diagonal_pole"].passed  # values are untouched
+    assert not reports["bracket"].passed and not reports["cocycle"].passed
+
+
+@pytest.mark.parametrize("cfg", [
+    {"command": "pushforward", "structure": "benney", "n": 1},
+    {"command": "collide", "structure": "benney", "n": 3},
+])
+def test_transformed_first_partials_open_no_circle(tmp_path, monkeypatch, cfg):
+    # verify_pole takes one Laurent circle per sample; every first partial
+    # of the bracket and the cocycle comes by the chain rule
+    calls = []
+    circle = JetEvaluator.eval_circle
+
+    def counted(self, *args, **kwargs):
+        calls.append(self.label)
+        return circle(self, *args, **kwargs)
+
+    monkeypatch.setattr(JetEvaluator, "eval_circle", counted)
+    code = cli.run({**cfg, "seed": 101, "samples": 10}, str(tmp_path / "job.json"))
+    assert code == 0
+    assert len(calls) == 10 and len(set(calls)) == 1, calls
 
 
 def _full_minimum_sample(s, count, seed, n_p):
