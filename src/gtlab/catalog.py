@@ -39,6 +39,22 @@ def _pole_partial(d: complex, k: int, r: int) -> complex:
     return (-1) ** r * (-1) ** tot * math.factorial(tot) / d ** (tot + 1)
 
 
+def _pole_evaluator(arity: int, label: str) -> JetEvaluator:
+    """1/(p1 - p2) over (p1, p2, ...), with closed-form partials; the slots
+    after the first two are inert."""
+
+    def fn(*args):
+        return 1.0 / (args[0] - args[1])
+
+    def pf(args, multi):
+        if any(multi[2:]):
+            return 0.0 + 0.0j
+        return _pole_partial(args[0] - args[1], multi[0], multi[1])
+
+    return JetEvaluator(arity, fn, domain=Domain((Diagonal(0, 1),)), partial_fn=pf,
+                        label=label)
+
+
 def _log_partial(d: complex, k: int, r: int) -> complex:
     """d^k/dp^k d^r/du^r log(p - u) at d = p - u, for total order >= 1
     (where the log branch never enters)."""
@@ -80,25 +96,10 @@ def benney(n: int) -> GTStructure:
         for i in range(n)
     ]
 
-    def f_fn(*args):
-        return 1.0 / (args[0] - args[1])
-
-    def f_partial(args, multi):
-        if any(multi[2:]):
-            return 0.0 + 0.0j
-        return _pole_partial(args[0] - args[1], multi[0], multi[1])
-
-    f = JetEvaluator(
-        2 + n,
-        f_fn,
-        domain=Domain((Diagonal(0, 1),)),
-        partial_fn=f_partial,
-        label="benney:f",
-    )
     return GTStructure(
         m=n,
         g=g,
-        f=f,
+        f=_pole_evaluator(2 + n, "benney:f"),
         label=f"benney[{n}]",
         p_box=(-1.5, 1.5, -1.5, 1.5),
         v_boxes=[(-1.5, 1.5, -1.5, 1.5)] * n,
@@ -107,15 +108,7 @@ def benney(n: int) -> GTStructure:
 
 
 def benney_enhanced(n: int) -> EnhancedGT:
-    s = benney(n)
-    lam = JetEvaluator(
-        2 + n,
-        s.f.fn,
-        domain=s.f.domain,
-        partial_fn=s.f.partial_fn,
-        label="benney:lambda",
-    )
-    return EnhancedGT(s, lam)
+    return EnhancedGT(benney(n), _pole_evaluator(2 + n, "benney:lambda"))
 
 
 def benney_potentials(n: int) -> list[Potential]:
@@ -226,14 +219,7 @@ def genus0(n: int) -> GTStructure:
 
 
 def genus0_enhanced(n: int) -> EnhancedGT:
-    s = genus0(n)
-
-    def lam_fn(*args):
-        return 1.0 / (args[0] - args[1])
-
-    lam = JetEvaluator(2 + n, lam_fn, domain=Domain((Diagonal(0, 1),)),
-                       label="genus0:lambda")
-    return EnhancedGT(s, lam)
+    return EnhancedGT(genus0(n), _pole_evaluator(2 + n, "genus0:lambda"))
 
 
 def _genus0_h(j: int, n: int) -> JetEvaluator:
@@ -641,7 +627,6 @@ class CatalogEntry:
     build: Callable[..., GTStructure]
     build_enhanced: Callable[..., EnhancedGT] | None = None
     potentials: Callable[..., list[Potential]] | None = None
-    takes_n: bool = True
     # zero locus of g_1 in (p, v...) slots; poles of the quasilinear
     # coefficient functions that the structure's own domain does not know
     gt_exclusions: tuple = ()
@@ -667,7 +652,7 @@ CATALOG: dict[str, CatalogEntry] = {
     "genus2": CatalogEntry(
         "genus2",
         "genus-2 hyperelliptic curve, moduli a, b, c",
-        lambda n=0: genus2(), None, None, takes_n=False,
+        lambda n=0: genus2(), None, None,
         gt_exclusions=(FixedPoints([1], [0.0, 1.0]),),
     ),
 }
@@ -676,8 +661,7 @@ CATALOG: dict[str, CatalogEntry] = {
 def build_structure(name: str, n: int = 2) -> GTStructure:
     if name not in CATALOG:
         raise ConfigError(f"unknown structure {name!r}; known: {sorted(CATALOG)}")
-    entry = CATALOG[name]
-    return entry.build(n) if entry.takes_n else entry.build()
+    return CATALOG[name].build(n)
 
 
 def build_enhanced(name: str, n: int = 2) -> EnhancedGT:

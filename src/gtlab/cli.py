@@ -54,6 +54,17 @@ POSITIVE_KEYS = {"n", "samples", "tol", "M", "states", "steps", "h",
 INT_KEYS = {"seed", "n", "samples", "M", "states", "steps", "z_count", "nodes",
             "index", "branch"}
 DEFAULT_N = {"benney": 3, "genus0": 2, "genus1": 2}
+# the keys that set a job's cost: the largest value each takes, and what the
+# cost grows with; beyond it a job runs for hours or exhausts memory, so it
+# exits 2 (rauch's nodes are bounded by hyperell.MAX_NODES)
+COST_BOUNDS = {
+    "n": (16, "punctures; a sample costs O(n^2) partials in bracket and cocycle"),
+    "samples": (1000, "sampled points; each costs one full residual per identity"),
+    "states": (1000, "gtsys states; each costs O(M^3) mixed derivatives"),
+    "steps": (64, "reduction steps; the fine march visits (2 steps + 1)^2 grid points"),
+    "M": (8, "points per gtsys state; a state costs O(M^3) mixed derivatives"),
+    "z_count": (1000, "spectral points; hydro samples 2 z_count of them per potential"),
+}
 
 
 def _is_int(x) -> bool:
@@ -87,6 +98,9 @@ def validate_config(cfg: dict) -> dict:
     for key in POSITIVE_KEYS & set(cfg):
         if not _is_real(cfg[key]) or cfg[key] <= 0:
             raise ConfigError(f"{key} must be a positive number, got {cfg[key]!r}")
+    for key, (limit, reason) in COST_BOUNDS.items():
+        if key in cfg and cfg[key] > limit:
+            raise ConfigError(f"{key} must be at most {limit} ({reason}), got {cfg[key]!r}")
     if "scale" in cfg and not _is_real(cfg["scale"]):
         raise ConfigError(f"scale must be a real number, got {cfg['scale']!r}")
     if "out" in cfg and not isinstance(cfg["out"], str):
@@ -123,20 +137,16 @@ def validate_config(cfg: dict) -> dict:
 
 def _build(cfg):
     ent = catalog.CATALOG[cfg["structure"]]
-    if ent.takes_n:
-        n = int(cfg.get("n", DEFAULT_N.get(ent.name, 2)))
-        return ent, ent.build(n), n
-    return ent, ent.build(), None
+    n = int(cfg.get("n", DEFAULT_N.get(ent.name, 2)))
+    return ent, ent.build(n), n
 
 
 def _build_enhanced(cfg):
     ent = catalog.CATALOG[cfg["structure"]]
     if ent.build_enhanced is None:
         raise ConfigError(f"{ent.name} has no enhancement in the catalog")
-    if ent.takes_n:
-        n = int(cfg.get("n", DEFAULT_N.get(ent.name, 2)))
-        return ent, ent.build_enhanced(n), n
-    return ent, ent.build_enhanced(), None
+    n = int(cfg.get("n", DEFAULT_N.get(ent.name, 2)))
+    return ent, ent.build_enhanced(n), n
 
 
 def _pseudo(identity: str, value: float, tol: float, seed: int, ok: bool,
@@ -179,7 +189,7 @@ def _cmd_potentials(cfg):
     ent, enh, n = _build_enhanced(cfg)
     if ent.potentials is None:
         raise ConfigError(f"{ent.name} has no catalog potentials")
-    pots = ent.potentials(n) if ent.takes_n else ent.potentials()
+    pots = ent.potentials(n)
     reports = []
     for idx, pot in enumerate(pots):
         rep = verify_potential(enh, pot, samples, seed + idx, tol)
@@ -260,7 +270,7 @@ def _cmd_hydro(cfg):
     ent, enh, n = _build_enhanced(cfg)
     if ent.potentials is None:
         raise ConfigError(f"{ent.name} has no catalog potentials")
-    pots = ent.potentials(n) if ent.takes_n else ent.potentials()
+    pots = ent.potentials(n)
     fam = hierarchy.PotentialFamily(enh.base, pots, enhanced=enh,
                                     label=ent.name)
     _, v = fam.structure.sample(1, seed, 1)[0]
@@ -300,7 +310,7 @@ def _cmd_reconstruct(cfg):
     ent, enh, n = _build_enhanced(cfg)
     if ent.potentials is None:
         raise ConfigError(f"{ent.name} has no catalog potentials")
-    pots = ent.potentials(n) if ent.takes_n else ent.potentials()
+    pots = ent.potentials(n)
     _check_indices("pair", pair, len(pots))
     _check_indices("index", [index], len(pots))
     fam = hierarchy.PotentialFamily(enh.base, pots, enhanced=enh,

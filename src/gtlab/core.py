@@ -42,6 +42,7 @@ from .kernel import (
     SplitMix64,
     _circle_coeff,
     laurent_coeff,
+    multi_index,
     path_integrate,
 )
 
@@ -171,32 +172,13 @@ class GTStructure:
             out.append((ps, v))
         return out
 
-    # -- evaluation helpers --------------------------------------------------
-
-    def g_value(self, p: complex, v: Sequence[complex], i: int) -> complex:
-        return self.g[i].value((p, *v))
-
-    def g_apply(
-        self, p: complex, v: Sequence[complex], e: JetEvaluator, eargs: Sequence[complex], v_offset: int
-    ) -> complex:
-        """Action of the vector field g(p) on evaluator e: sum_j g_j d/dv_j.
-
-        ``v_offset`` locates the fiber coordinates inside ``eargs``.
-        """
+    def g_apply(self, p: complex, v: Sequence[complex], dv: Sequence[complex]) -> complex:
+        """Action of the vector field g(p) on a function whose fiber partials
+        d/dv_j at its point are ``dv``: sum_j g_j(p, v) dv[j]."""
         total = 0.0 + 0.0j
         for j in range(self.m):
-            multi = [0] * e.arity
-            multi[v_offset + j] = 1
-            total += self.g[j].value((p, *v)) * e.partial(eargs, multi)
+            total += self.g[j].value((p, *v)) * dv[j]
         return total
-
-    def f_value(self, p1: complex, p2: complex, v: Sequence[complex]) -> complex:
-        return self.f.value((p1, p2, *v))
-
-    def f_partial(self, p1, p2, v, slot: int, order: int = 1) -> complex:
-        multi = [0] * self.f.arity
-        multi[slot] = order
-        return self.f.partial((p1, p2, *v), multi)
 
 
 @dataclass
@@ -268,31 +250,31 @@ def verify_pole(s: GTStructure, samples: int = 100, seed: int = 1,
                         structure=s.label, nodes=nodes)
 
 
+def _jet(arity: int, *slots: int) -> list[tuple[int, ...]]:
+    """The multi-indices of a value and of its first partials in ``slots``."""
+    return [multi_index(arity)] + [multi_index(arity, t) for t in slots]
+
+
 def _bracket_residual(s: GTStructure, p1, p2, v) -> float:
     """Componentwise residual of the commutation identity at one sample."""
     m = s.m
-    gv1 = [s.g_value(p1, v, i) for i in range(m)]
-    gv2 = [s.g_value(p2, v, i) for i in range(m)]
-    f12 = s.f_value(p1, p2, v)
-    f21 = s.f_value(p2, p1, v)
-    f21_d1 = s.f_partial(p2, p1, v, slot=1)  # d/d(p1) of f(p2, p1)
-    f12_d2 = s.f_partial(p1, p2, v, slot=1)  # d/d(p2) of f(p1, p2)
+    # g1[i] = (g_i, d_p g_i, d_{v_1} g_i, ...) at p1, g2[i] at p2; f12_d2
+    # is f's partial in its second slot at (p1, p2), and so on
+    g_jet = _jet(1 + m, *range(1 + m))
+    g1 = [gi.partials((p1, *v), g_jet) for gi in s.g]
+    g2 = [gi.partials((p2, *v), g_jet) for gi in s.g]
+    f12, f12_d2 = s.f.partials((p1, p2, *v), _jet(s.f.arity, 1))
+    f21, f21_d2 = s.f.partials((p2, p1, *v), _jet(s.f.arity, 1))
     residuals = []
     for i in range(m):
-        gi = s.g[i]
-        dp = [1] + [0] * m
-        gi_p1 = gi.partial((p1, *v), dp)
-        gi_p2 = gi.partial((p2, *v), dp)
         bracket = 0.0 + 0.0j
         for j in range(m):
-            dv = [0] * (1 + m)
-            dv[1 + j] = 1
-            bracket += gv1[j] * gi.partial((p2, *v), dv) - gv2[j] * gi.partial((p1, *v), dv)
+            bracket += g1[j][0] * g2[i][2 + j] - g2[j][0] * g1[i][2 + j]
         rhs = (
-            f21 * gi_p1
-            - f12 * gi_p2
-            + 2 * f21_d1 * gi.value((p1, *v))
-            - 2 * f12_d2 * gi.value((p2, *v))
+            f21 * g1[i][1]
+            - f12 * g2[i][1]
+            + 2 * f21_d2 * g1[i][0]
+            - 2 * f12_d2 * g2[i][0]
         )
         residuals.append(abs(bracket - rhs))
     return worst_residual(residuals)
@@ -307,18 +289,19 @@ def verify_bracket(s: GTStructure, samples: int = 100, seed: int = 2,
 
 
 def _cocycle_residual(s: GTStructure, p1, p2, p3, v) -> float:
-    f = s.f_value
-    fd = s.f_partial
-    lhs = s.g_apply(p2, v, s.f, (p1, p3, *v), v_offset=2) - s.g_apply(
-        p1, v, s.f, (p2, p3, *v), v_offset=2
-    )
+    full, d2 = _jet(s.f.arity, *range(s.f.arity)), _jet(s.f.arity, 1)
+    f13, f13_d1, f13_d2, *f13_dv = s.f.partials((p1, p3, *v), full)
+    f23, f23_d1, f23_d2, *f23_dv = s.f.partials((p2, p3, *v), full)
+    f12, f12_d2 = s.f.partials((p1, p2, *v), d2)
+    f21, f21_d2 = s.f.partials((p2, p1, *v), d2)
+    lhs = s.g_apply(p2, v, f13_dv) - s.g_apply(p1, v, f23_dv)
     rhs = (
-        f(p1, p2, v) * fd(p2, p3, v, slot=0)
-        - f(p2, p1, v) * fd(p1, p3, v, slot=0)
-        + f(p1, p3, v) * fd(p2, p3, v, slot=1)
-        - f(p2, p3, v) * fd(p1, p3, v, slot=1)
-        + 2 * f(p2, p3, v) * fd(p1, p2, v, slot=1)
-        - 2 * f(p1, p3, v) * fd(p2, p1, v, slot=1)
+        f12 * f23_d1
+        - f21 * f13_d1
+        + f13 * f23_d2
+        - f23 * f13_d2
+        + 2 * f23 * f12_d2
+        - 2 * f13 * f21_d2
     )
     return abs(lhs - rhs)
 
@@ -337,21 +320,19 @@ def verify_lambda(e: EnhancedGT, samples: int = 100, seed: int = 4,
     """Functional identity for lambda, plus its diagonal residue = 1."""
     s = e.base
     lam = e.lam
-
-    def lam_d(pa, pb, v, slot):
-        multi = [0] * lam.arity
-        multi[slot] = 1
-        return lam.partial((pa, pb, *v), multi)
-
+    full, d2 = _jet(lam.arity, *range(lam.arity)), _jet(lam.arity, 1)
     residuals = []
     for ps, v in s.sample(samples, seed, 3):
         p1, p2, p3 = ps
-        lhs = s.g_apply(p1, v, lam, (p2, p3, *v), v_offset=2)
+        lam23, lam23_d1, lam23_d2, *lam23_dv = lam.partials((p2, p3, *v), full)
+        [lam21_d2] = lam.partials((p2, p1, *v), d2[1:])
+        f12, f12_d2 = s.f.partials((p1, p2, *v), d2)
+        lhs = s.g_apply(p1, v, lam23_dv)
         rhs = (
-            lam.value((p1, p3, *v)) * lam_d(p2, p1, v, slot=1)
-            - lam.value((p2, p3, *v)) * s.f_partial(p1, p2, v, slot=1)
-            - s.f_value(p1, p2, v) * lam_d(p2, p3, v, slot=0)
-            - s.f_value(p1, p3, v) * lam_d(p2, p3, v, slot=1)
+            lam.value((p1, p3, *v)) * lam21_d2
+            - lam23 * f12_d2
+            - f12 * lam23_d1
+            - s.f.value((p1, p3, *v)) * lam23_d2
         )
         residuals.append(abs(lhs - rhs))
     # diagonal residue check on a handful of pairs
@@ -368,14 +349,13 @@ def verify_potential(e: EnhancedGT, pot: Potential, samples: int = 100,
                      seed: int = 5, tol: float = 1e-8) -> VerificationReport:
     s = e.base
     h = pot.h
-    dp = [1] + [0] * s.m
     residuals = []
     for ps, v in s.sample(samples, seed, 2):
         p1, p2 = ps
-        lhs = s.g_apply(p1, v, h, (p2, *v), v_offset=1)
-        rhs = e.lam.value((p1, p2, *v)) * h.partial((p1, *v), dp) - s.f_value(
-            p1, p2, v
-        ) * h.partial((p2, *v), dp)
+        h2_dp, *h2_dv = h.partials((p2, *v), [multi_index(h.arity, t) for t in range(h.arity)])
+        [h1_dp] = h.partials((p1, *v), [multi_index(h.arity, 0)])
+        lhs = s.g_apply(p1, v, h2_dv)
+        rhs = e.lam.value((p1, p2, *v)) * h1_dp - s.f.value((p1, p2, *v)) * h2_dp
         residuals.append(abs(lhs - rhs))
     return _make_report(
         f"potential:{pot.label}", residuals, tol, seed, structure=s.label
@@ -571,7 +551,7 @@ def collide_points_closed(s: GTStructure, groups: Sequence[Sequence[int]]) -> GT
                 )
     m = s.m
 
-    fm = functools.partial(_multi, s.f.arity)  # f's multi-indices over (p, u0, v)
+    fm = functools.partial(multi_index, s.f.arity)  # f's multi-indices over (p, u0, v)
 
     def g_component(i: int) -> JetEvaluator:
         owner = next((grp for grp in groups if i in grp), None)
@@ -717,14 +697,6 @@ class _Composed(JetEvaluator):
                          for rest in rests], dtype=complex)
 
 
-def _multi(arity: int, *slots: int) -> tuple[int, ...]:
-    """The multi-index with each of ``slots`` raised by one."""
-    multi = [0] * arity
-    for t in slots:
-        multi[t] += 1
-    return tuple(multi)
-
-
 def _asked(e: JetEvaluator, args, multis) -> dict:
     """e's partials at args keyed by multi-index: one ``partials`` call,
     each distinct multi-index asked once."""
@@ -735,7 +707,7 @@ def _asked(e: JetEvaluator, args, multis) -> dict:
 def _moved(e: JetEvaluator, args, rates: dict) -> tuple[complex, complex]:
     """e's value at args and its rate of change while slot t moves at
     ``rates[t]`` (the first-order chain rule); one ``partials`` call."""
-    vals = e.partials(args, [_multi(e.arity)] + [_multi(e.arity, t) for t in rates])
+    vals = e.partials(args, _jet(e.arity, *rates))
     return vals[0], sum(r * d for r, d in zip(rates.values(), vals[1:]))
 
 
@@ -757,7 +729,7 @@ def pushforward(s: GTStructure, c: CoordinateChange) -> GTStructure:
     """
     m = s.m
     mu = c.mu
-    mi = functools.partial(_multi, 1 + m)  # mu's multi-indices over (p, v)
+    mi = functools.partial(multi_index, 1 + m)  # mu's multi-indices over (p, v)
     dvs = [mi(1 + j) for j in range(m)]
 
     def g_map(args):
@@ -838,7 +810,7 @@ def pushforward_lambda(e: EnhancedGT, c: CoordinateChange) -> EnhancedGT:
     mu = c.mu
     base = pushforward(e.base, c)
     f = base.f
-    mi = functools.partial(_multi, 1 + e.m)
+    mi = functools.partial(multi_index, 1 + e.m)
 
     def lam_outer(args, mapped, val):
         return mu.partial((args[0], *args[2:]), mi(0)) * val
@@ -870,7 +842,7 @@ def contour_endpoint_defect(
     t0, t1 = path.vertices[0], path.vertices[-1]
 
     def boundary(t):
-        return e.lam.value((t, p2, *v)) * e.base.f_value(p1, t, v)
+        return e.lam.value((t, p2, *v)) * e.base.f.value((p1, t, *v))
 
     return abs(boundary(t1) - boundary(t0))
 

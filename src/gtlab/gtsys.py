@@ -33,9 +33,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import GTStructure, VerificationReport, _make_report, worst_residual
+from .core import GTStructure, VerificationReport, _jet, _make_report, worst_residual
 from .errors import ConfigError, DomainViolation, NonConvergence
-from .kernel import Domain, Exclusion, JetEvaluator, SplitMix64
+from .kernel import Domain, Exclusion, JetEvaluator, SplitMix64, multi_index
 
 G1_FLOOR = 1e-8  # |g_1| below this counts as a zero of the pivot component
 
@@ -77,12 +77,13 @@ def build_system(
     of A and Q.
 
     Each coefficient has a row function (``A_row``, ``B_rows[l]``,
-    ``Q_row``) that returns every first partial at one point and computes
-    the terms the slots share (F, G_1, G_2, N and the g_1 partials) once;
-    Q's row takes all the mixed partials d_1 d_k f in one ``partials`` call,
-    one circle per slot where f has no closed form.  The evaluators'
-    ``partial_fn`` read these rows.  Without analytic partials in the
-    structure, a row is ``partials`` of the quotient, one circle per slot.
+    ``Q_row``) that returns every first partial at one point by the chain
+    rule and computes the terms the slots share (F, G_1, G_2, N and the g_1
+    partials) once; a row asks each evaluator for all it needs at a point
+    in one ``partials`` call, so an f or g without closed forms opens its
+    circles on its own domain, never on the quotient's, and no circle
+    approaches a zero of g_1.  The evaluators' ``partial_fn`` read these
+    rows.
     """
     if s.m < 1:
         raise ConfigError("need at least one fiber coordinate")
@@ -95,8 +96,8 @@ def build_system(
     if abs(g1.value((probe_ps[0], *probe_v))) < G1_FLOOR:
         raise ConfigError("pivot component of g vanishes at a generic point")
 
-    def g1_at(p, v):
-        val = g1.value((p, *v))
+    def g1_floor(p, val):
+        """``val`` = g_1(p, v), unless it lies below the floor: a zero of g_1."""
         if abs(val) < G1_FLOOR:
             raise DomainViolation(f"g_1({p}) = {val} below floor {G1_FLOOR}")
         return val
@@ -108,64 +109,46 @@ def build_system(
     extra_p1 = extra.remap(map_p1)
     extra_p2 = extra.remap(map_p2)
 
-    def _mp(arity, *slots):
-        multi = [0] * arity
-        for slot in slots:
-            multi[slot] += 1
-        return multi
-
-    f_units = [_mp(2 + m, k) for k in range(2 + m)]
-    g_units = [_mp(1 + m, k) for k in range(1 + m)]
-    f_mixed = [_mp(2 + m, 1, k) for k in range(2 + m)]  # d_1 d_k f
+    f_jet = _jet(2 + m, *range(2 + m))  # a value and every first partial
+    g_jet = _jet(1 + m, *range(1 + m))
+    f_mixed = [multi_index(2 + m, 1, k) for k in range(2 + m)]  # d_1 d_k f
     g_pairs = [(a, b) for a in range(1 + m) for b in range(a, 1 + m)]
-    g_hess = [_mp(1 + m, a, b) for a, b in g_pairs]
+    g_hess = [multi_index(1 + m, a, b) for a, b in g_pairs]
 
-    # analytic first-order partials of the quotients are available exactly
-    # when the structure's own evaluators carry them; this keeps the chain
-    # rule away from quadrature circles that could stray across zeros of g_1
-    have_pf = all(e.partial_fn is not None for e in (s.f, *s.g))
-
-    def quotient(units, fn, row, dom, label):
-        """The evaluator and its first-partial row function: the closed-form
-        ``row`` when the structure is analytic, else one circle per slot."""
-        if not have_pf:
-            e = JetEvaluator(len(units), fn, domain=dom, label=label)
-            return e, lambda args: e.partials(args, units)
-
+    def quotient(arity, fn, row, dom, label):
+        """The evaluator whose first partials are the entries of ``row``."""
         def pf(args, multi):
             return row(args)[multi.index(1)] if sum(multi) == 1 else NotImplemented
 
-        return JetEvaluator(len(units), fn, domain=dom, partial_fn=pf, label=label), row
+        return JetEvaluator(arity, fn, domain=dom, partial_fn=pf, label=label)
 
     def A_fn(*args):
         p1, p2, v = args[0], args[1], args[2:]
-        return s.f.value(args) / g1_at(p1, v)
+        return s.f.value(args) / g1_floor(p1, g1.value((p1, *v)))
 
     def A_row(args):
         p1, v = args[0], args[2:]
-        G = g1_at(p1, v)
-        F = s.f.value(args)
-        df = s.f.partials(args, f_units)
-        dG = g1.partials((p1, *v), g_units)
+        G, *dG = g1.partials((p1, *v), g_jet)
+        G = g1_floor(p1, G)
+        F, *df = s.f.partials(args, f_jet)
         return [df[0] / G - F * dG[0] / G**2, df[1] / G,
                 *(df[2 + l] / G - F * dG[1 + l] / G**2 for l in range(m))]
 
     A_dom = s.f.domain.merged(g1.domain.remap(map_p1)).merged(extra_p1)
-    A, A_row = quotient(f_units, A_fn, A_row, A_dom, f"{s.label}:A")
+    A = quotient(2 + m, A_fn, A_row, A_dom, f"{s.label}:A")
 
     def B_fn(l):
         def fn(*args):
             p, v = args[0], args[1:]
-            return s.g[l].value(args) / g1_at(p, v)
+            return s.g[l].value(args) / g1_floor(p, g1.value(args))
 
         return fn
 
     def B_row(l):
         def row(args):
-            G = g1_at(args[0], args[1:])
-            gl = s.g[l].value(args)
-            dgl = s.g[l].partials(args, g_units)
-            dG = g1.partials(args, g_units)
+            G, *dG = g1.partials(args, g_jet)
+            G = g1_floor(args[0], G)
+            gl, *dgl = (G, *dG) if l == pivot else s.g[l].partials(args, g_jet)
             return [dgl[k] / G - gl * dG[k] / G**2 for k in range(1 + m)]
 
         return row
@@ -173,37 +156,37 @@ def build_system(
     B, B_rows = [], []
     for l in range(m):
         dom = s.g[l].domain.merged(g1.domain).merged(extra)
-        e, row = quotient(g_units, B_fn(l), B_row(l), dom, f"{s.label}:B[{l}]")
-        B.append(e)
-        B_rows.append(row)
+        B.append(quotient(1 + m, B_fn(l), B_row(l), dom, f"{s.label}:B[{l}]"))
+        B_rows.append(B_row(l))
 
     def Q_fn(*args):
         p1, p2, v = args[0], args[1], args[2:]
-        a1, a2 = (p1, *v), (p2, *v)
-        g1p1 = g1_at(p1, v)
-        g1p2 = g1_at(p2, v)
-        dG2 = g1.partials(a2, g_units)
-        num = s.f.value(args) * dG2[0]
+        gv = [gk.value((p1, *v)) for gk in s.g]
+        g1p1 = g1_floor(p1, gv[pivot])
+        g1p2, *dG2 = g1.partials((p2, *v), g_jet)
+        g1p2 = g1_floor(p2, g1p2)
+        F, F_2 = s.f.partials(args, _jet(2 + m, 1))
+        num = F * dG2[0]
         for k in range(m):
-            num += s.g[k].value(a1) * dG2[1 + k]
-        return 2.0 * s.f.partial(args, f_units[1]) / g1p1 + num / (g1p1 * g1p2)
+            num += gv[k] * dG2[1 + k]
+        return 2.0 * F_2 / g1p1 + num / (g1p1 * g1p2)
 
     def Q_row(args):
         p1, p2, v = args[0], args[1], args[2:]
-        a1, a2 = (p1, *v), (p2, *v)
-        G1, G2 = g1_at(p1, v), g1_at(p2, v)
-        F = s.f.value(args)
-        gv = [s.g[k].value(a1) for k in range(m)]
-        dg = [s.g[k].partials(a1, g_units) for k in range(m)]  # dg[k][j]: d_j g_k(p1)
-        dG2 = g1.partials(a2, g_units)
+        # every g_k at p1: value and first partials; dg[k][j] = d_j g_k(p1)
+        jets = [gk.partials((p1, *v), g_jet) for gk in s.g]
+        gv, dg = [jet[0] for jet in jets], [jet[1:] for jet in jets]
+        G1 = g1_floor(p1, gv[pivot])
+        G2, *dG2 = g1.partials((p2, *v), g_jet + g_hess)  # first partials, then second
+        G2 = g1_floor(p2, G2)
         H = {}  # second partials of g_1 at p2
-        for (a, b), val in zip(g_pairs, g1.partials(a2, g_hess)):
+        for (a, b), val in zip(g_pairs, dG2[1 + m:]):
             H[a, b] = H[b, a] = val
+        F, *dfs = s.f.partials(args, f_jet + f_mixed)
+        df, d1f = dfs[:2 + m], dfs[2 + m:]
         N = F * dG2[0]
         for k in range(m):
             N += gv[k] * dG2[1 + k]
-        df = s.f.partials(args, f_units)
-        d1f = s.f.partials(args, f_mixed)
         dG1 = dg[pivot][0]
         dN = df[0] * dG2[0]
         for k in range(m):
@@ -239,7 +222,7 @@ def build_system(
         .merged(extra_p1)
         .merged(extra_p2)
     )
-    Q, Q_row = quotient(f_units, Q_fn, Q_row, Q_dom, f"{s.label}:Q")
+    Q = quotient(2 + m, Q_fn, Q_row, Q_dom, f"{s.label}:Q")
     return GTSystem(structure=s, pivot=pivot, A=A, B=tuple(B), Q=Q,
                     A_row=A_row, B_rows=tuple(B_rows), Q_row=Q_row)
 

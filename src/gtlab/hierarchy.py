@@ -30,7 +30,7 @@ from .core import (
 )
 from .errors import ConfigError, DomainViolation, NonConvergence, SamplingExhausted
 from .gtsys import GTSystem
-from .kernel import Box, SplitMix64
+from .kernel import Box, SplitMix64, multi_index
 
 
 @dataclass
@@ -63,17 +63,11 @@ class PotentialFamily:
         return self.structure.m
 
     def h_jet(self, i: int, z: complex, v: Sequence[complex]) -> tuple:
-        """(h_i'(z), [h_{i, v_l}(z)]) at the fiber point v."""
-        e = self.potentials[i].h
-        args = (z, *v)
-        dz = [1] + [0] * self.m
-        hp = e.partial(args, dz)
-        hv = []
-        for l in range(self.m):
-            multi = [0] * (1 + self.m)
-            multi[1 + l] = 1
-            hv.append(e.partial(args, multi))
+        """(h_i'(z), [h_{i, v_l}(z)]) at the fiber point v, in one call."""
+        hp, *hv = self.potentials[i].h.partials(
+            (z, *v), [multi_index(1 + self.m, t) for t in range(1 + self.m)])
         return hp, hv
+
 
     def sample_z(self, count: int, seed: int, v: Sequence[complex]) -> list[complex]:
         """Seeded z points inside z_box clearing every potential's poles by
@@ -278,8 +272,29 @@ def hydro_coefficients(
 DEN_FLOOR = 1e-6  # reconstruction denominators below this are resampled
 
 
-def _h_prime(pot: Potential, z: complex, v: Sequence[complex], m: int) -> complex:
-    return pot.h.partial((z, *v), [1] + [0] * m)
+def _redrawn(s: GTStructure, samples: int, seed: int, rebuild, residual,
+             exhausted: str) -> tuple[list[float], int]:
+    """Residuals at ``samples`` draws of (p1, p2, v), draw k from seed + k.
+
+    ``rebuild(p1, p2, v)`` is the reconstruction; a draw where it raises
+    ``DomainViolation`` (a vanishing denominator) is redrawn, up to
+    50 * samples draws, and counted.  ``residual(p1, p2, v, rebuilt)``
+    scores the others.  Returns (residuals, redrawn count)."""
+    residuals = []
+    resampled = 0
+    draw = 0
+    while len(residuals) < samples and draw < 50 * samples:
+        (p1, p2), v = s.sample(1, seed + draw, 2)[0]
+        draw += 1
+        try:
+            rebuilt = rebuild(p1, p2, v)
+        except DomainViolation:
+            resampled += 1
+            continue
+        residuals.append(residual(p1, p2, v, rebuilt))
+    if len(residuals) < samples:
+        raise SamplingExhausted(exhausted)
+    return residuals, resampled
 
 
 def reconstruct_f(
@@ -301,42 +316,27 @@ def reconstruct_f(
     if i == j:
         raise ConfigError("need two distinct potentials")
     s = fam.structure
-    m = s.m
-    hi, hj = fam.potentials[i], fam.potentials[j]
+    dz = [multi_index(1 + s.m, 0)]  # p1 needs only h'; p2 the whole h_jet
 
     def rec(p1, p2, v):
-        hpi1 = _h_prime(hi, p1, v, m)
-        hpj1 = _h_prime(hj, p1, v, m)
-        hpi2 = _h_prime(hi, p2, v, m)
-        hpj2 = _h_prime(hj, p2, v, m)
+        [hpi1] = fam.potentials[i].h.partials((p1, *v), dz)
+        [hpj1] = fam.potentials[j].h.partials((p1, *v), dz)
+        hpi2, hvi2 = fam.h_jet(i, p2, v)
+        hpj2, hvj2 = fam.h_jet(j, p2, v)
         den = hpj1 * hpi2 - hpj2 * hpi1
         if abs(den) < DEN_FLOOR:
             raise DomainViolation("reconstruction denominator vanishes")
         num = 0.0 + 0.0j
-        for kk in range(m):
-            multi = [0] * (1 + m)
-            multi[1 + kk] = 1
-            num += (
-                hpi1 * hj.h.partial((p2, *v), multi)
-                - hpj1 * hi.h.partial((p2, *v), multi)
-            ) * s.g[kk].value((p1, *v))
+        for kk in range(s.m):
+            num += (hpi1 * hvj2[kk] - hpj1 * hvi2[kk]) * s.g[kk].value((p1, *v))
         return num / den
 
-    residuals = []
-    resampled = 0
-    draw = 0
-    while len(residuals) < samples and draw < 50 * samples:
-        ps, v = s.sample(1, seed + draw, 2)[0]
-        draw += 1
-        try:
-            got = rec(ps[0], ps[1], v)
-        except DomainViolation:
-            resampled += 1
-            continue
-        want = s.f.value((ps[0], ps[1], *v))
-        residuals.append(abs(got - want) / max(abs(want), 1.0))
-    if len(residuals) < samples:
-        raise SamplingExhausted("reconstruction denominator kept vanishing")
+    def residual(p1, p2, v, got):
+        want = s.f.value((p1, p2, *v))
+        return abs(got - want) / max(abs(want), 1.0)
+
+    residuals, resampled = _redrawn(s, samples, seed, rec, residual,
+                                    "reconstruction denominator kept vanishing")
     return rec, _make_report(
         "reconstruct_f", residuals, tol, seed,
         pair=(i, j), resampled=resampled, label=fam.label,
@@ -359,42 +359,34 @@ def reconstruct_lambda(
     of i) otherwise.
     """
     s = fam.structure
-    m = s.m
+    dz = [multi_index(1 + s.m, 0)]  # p1 needs only h'; p2 the whole h_jet
 
     def rec_for(idx):
-        pot = fam.potentials[idx]
-
         def rec(p1, p2, v):
-            hp1 = _h_prime(pot, p1, v, m)
+            [hp1] = fam.potentials[idx].h.partials((p1, *v), dz)
             if abs(hp1) < DEN_FLOOR:
                 raise DomainViolation("h'(p1) vanishes")
             fval = s.f.value((p1, p2, *v))
-            return (fval * _h_prime(pot, p2, v, m)
-                    + s.g_apply(p1, v, pot.h, (p2, *v), v_offset=1)) / hp1
+            hp2, hv2 = fam.h_jet(idx, p2, v)
+            return (fval * hp2 + s.g_apply(p1, v, hv2)) / hp1
 
         return rec
 
     rec = rec_for(i)
-    residuals = []
-    resampled = 0
-    draw = 0
     others = [idx for idx in range(fam.N) if idx != i]
-    while len(residuals) < samples and draw < 50 * samples:
-        ps, v = s.sample(1, seed + draw, 2)[0]
-        draw += 1
-        try:
-            got = rec(ps[0], ps[1], v)
-            alt = [rec_for(idx)(ps[0], ps[1], v) for idx in others]
-        except DomainViolation:
-            resampled += 1
-            continue
+
+    def rebuild(p1, p2, v):
+        return rec(p1, p2, v), [rec_for(idx)(p1, p2, v) for idx in others]
+
+    def residual(p1, p2, v, rebuilt):
+        got, alt = rebuilt
         diffs = [abs(got - x) for x in alt]
         if fam.enhanced is not None:
-            want = fam.enhanced.lam.value((ps[0], ps[1], *v))
-            diffs.append(abs(got - want))
-        residuals.append(worst_residual(diffs) / max(abs(got), 1.0))
-    if len(residuals) < samples:
-        raise SamplingExhausted("lambda reconstruction kept hitting zeros")
+            diffs.append(abs(got - fam.enhanced.lam.value((p1, p2, *v))))
+        return worst_residual(diffs) / max(abs(got), 1.0)
+
+    residuals, resampled = _redrawn(s, samples, seed, rebuild, residual,
+                                    "lambda reconstruction kept hitting zeros")
     return rec, _make_report(
         "reconstruct_lambda", residuals, tol, seed,
         index=i, resampled=resampled, label=fam.label,
@@ -419,8 +411,8 @@ def criterion_integrable(
     if sys.structure is not fam.structure:
         raise ConfigError("family and system must share the structure")
     s = fam.structure
-    m = s.m
     g1 = s.g[sys.pivot]
+    dz = [multi_index(1 + s.m, 0)]  # p1 needs only h'; p2 the whole h_jet
     residuals = []
     raw = s.sample(samples, seed, 2)
     for ps, v in raw:
@@ -429,13 +421,10 @@ def criterion_integrable(
         g1p1 = g1.value((p1, *v))
         d1 = []
         hp1 = []
-        for pot in fam.potentials:
-            d1.append(
-                (fval * _h_prime(pot, p2, v, m)
-                 + s.g_apply(p1, v, pot.h, (p2, *v), v_offset=1))
-                / g1p1
-            )
-            hp1.append(_h_prime(pot, p1, v, m))
+        for idx, pot in enumerate(fam.potentials):
+            hp2, hv2 = fam.h_jet(idx, p2, v)
+            d1.append((fval * hp2 + s.g_apply(p1, v, hv2)) / g1p1)
+            hp1.append(pot.h.partials((p1, *v), dz)[0])
         scale = max(max(abs(x) for x in d1), 1.0)
         residuals.append(worst_residual(
             abs(hp1[b] * d1[a] - hp1[a] * d1[b]) / scale

@@ -2,15 +2,20 @@
 
 Everything downstream is built on three primitives: derivatives of
 holomorphic evaluators by Cauchy circle quadrature, Gauss-Legendre path
-integration, and seeded rejection sampling in complex boxes.  The genus-1
-special functions (the odd theta series and its logarithmic derivative)
-live here as well since they are plain scalar functions.
+integration, and a seeded generator of points in complex boxes (the
+samplers that reject points near singular loci, ``GTStructure.sample`` and
+``PotentialFamily.sample_z``, draw from it).  The genus-1 special
+functions (the odd theta series and its logarithmic derivative) live here
+as well since they are plain scalar functions.
 
 ``JetEvaluator.partials(args, multis)`` is the one way to take partial
-derivatives (``partial`` asks it for one): analytic derivatives come from
-the evaluator's ``partial_fn``, and the multi-indices it cannot answer are
-grouped by their leading slot, so each slot costs one ``deriv_radius`` and
-one circle whatever the number of partials read from it.
+derivatives (``partial`` asks it for one), and ``multi_index`` the one way
+to name them: analytic derivatives come from the evaluator's
+``partial_fn``, and the multi-indices it cannot answer are grouped by their
+leading slot, so each slot costs one ``deriv_radius`` and one circle, with
+one row of samples per distinct rest, whatever the number of partials read
+from it.  A consumer asks each evaluator for everything it needs at one
+point in one call.
 ``JetEvaluator.eval_rows`` samples values or partials along a loop of
 argument tuples, one row per requested partial, and is the one evaluator
 override: an evaluator with multivalued ingredients (a square root, say)
@@ -40,7 +45,6 @@ from .errors import (
     InvalidModulus,
     NonConvergence,
     PoleHit,
-    SamplingExhausted,
 )
 
 TWO_PI_I = 2j * math.pi
@@ -181,6 +185,15 @@ EMPTY_DOMAIN = Domain()
 # ---------------------------------------------------------------------------
 
 
+def multi_index(arity: int, *slots: int) -> tuple[int, ...]:
+    """The multi-index with each of ``slots`` raised by one: no slot names
+    the value, one a first partial, a repeated or second slot a second."""
+    multi = [0] * arity
+    for t in slots:
+        multi[t] += 1
+    return tuple(multi)
+
+
 class JetEvaluator:
     """A pure holomorphic function handle: values plus partial derivatives.
 
@@ -248,7 +261,8 @@ class JetEvaluator:
     def partials(self, args: Sequence[complex],
                  multis: Sequence[Sequence[int]]) -> list[complex]:
         """Partials at one point, one per multi-index.  ``partial_fn``
-        answers what it can; the rest share one circle per leading slot."""
+        answers what it can; the rest share one circle per leading slot,
+        and the orders read with one rest share its row."""
         if len(args) != self.arity:
             raise ValueError(f"{self.label or 'evaluator'} takes {self.arity} "
                              f"arguments, got {len(args)}")
@@ -274,9 +288,10 @@ class JetEvaluator:
             out.append(None)
         for slot, group in circles.items():
             radius = self.deriv_radius(args, slot)
-            rows = self.eval_circle(slot, args, args[slot], radius, DEFAULT_NODES,
-                                    [rest for _, _, rest in group])
-            for (i, order, _), vals in zip(group, rows):
+            rests = list(dict.fromkeys(rest for _, _, rest in group))
+            rows = self.eval_circle(slot, args, args[slot], radius, DEFAULT_NODES, rests)
+            for i, order, rest in group:
+                vals = rows[rests.index(rest)]
                 out[i] = _circle_coeff(vals, radius, order) * math.factorial(order)
         return out
 
@@ -528,37 +543,6 @@ class SplitMix64:
 
 
 Box = tuple[float, float, float, float]  # (re_min, re_max, im_min, im_max)
-
-
-def sample_points(
-    region: Box,
-    count: int,
-    seed: int,
-    exclusions: Sequence[complex] = (),
-    min_separation: float = 0.0,
-) -> list[complex]:
-    """Deterministic rejection sampling in a complex box."""
-    if count < 0:
-        raise ValueError("count must be >= 0")
-    if count == 0:
-        return []
-    gen = SplitMix64(seed)
-    pts: list[complex] = []
-    tries = 0
-    budget = 1000 * count
-    while len(pts) < count:
-        if tries >= budget:
-            raise SamplingExhausted(
-                f"placed {len(pts)}/{count} points after {tries} draws"
-            )
-        tries += 1
-        z = gen.complex_in_box(region)
-        if any(abs(z - q) < min_separation for q in exclusions):
-            continue
-        if any(abs(z - q) < min_separation for q in pts):
-            continue
-        pts.append(z)
-    return pts
 
 
 # ---------------------------------------------------------------------------

@@ -50,7 +50,7 @@ def _verdict(num: int, ok: bool, detail: str) -> None:
 
 def _system(name: str, n: int):
     ent = catalog.CATALOG[name]
-    s = ent.build(n) if ent.takes_n else ent.build()
+    s = ent.build(n)
     return build_system(s, extra_exclusions=ent.gt_exclusions)
 
 

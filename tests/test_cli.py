@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import importlib.util
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -50,6 +52,27 @@ def test_schema_violations_are_rejected(patch):
         cfg.pop("seed")
     with pytest.raises(ConfigError):
         validate_config(cfg)
+
+
+@pytest.mark.parametrize("cfg,key", [
+    ({"command": "hydro", "structure": "benney", "n": 2, "seed": 1,
+      "z_count": 1000000000}, "z_count"),
+    ({"command": "verify", "structure": "benney", "n": 10000000, "seed": 1}, "n"),
+])
+def test_cost_setting_keys_beyond_their_bound_exit_2(tmp_path, capsys, cfg, key):
+    code, out = _run(tmp_path, cfg)
+    assert code == 2 and not out.exists()
+    assert f"config error: {key} must be at most" in capsys.readouterr().err
+
+
+def test_benchmark_configs_stay_within_the_cost_bounds():
+    spec = importlib.util.spec_from_file_location(
+        "workloads", Path(__file__).resolve().parents[1] / "bench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    for name in workloads.CONFIGS:
+        for cfg in workloads.generate(name, 101, workloads.REF_SECONDS):
+            assert validate_config(dict(cfg)) == cfg
 
 
 def test_missing_seed_is_rejected():

@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -30,6 +31,7 @@ from gtlab.core import (
     pushforward_lambda,
     verify_all,
     verify_bracket,
+    verify_cocycle,
     verify_lambda,
     verify_potential,
 )
@@ -401,7 +403,7 @@ def _full_minimum_sample(s, count, seed, n_p):
 
 def _sampled_structures():
     for entry in catalog.CATALOG.values():
-        yield entry.build(2) if entry.takes_n else entry.build()
+        yield entry.build(2)
     yield pushforward(catalog.build_structure("genus0", 1), _quadratic_change(1))
     yield collide_points_closed(catalog.build_structure("benney", 3), [[0, 1]])
 
@@ -582,3 +584,41 @@ def test_partial_argument_count_check_holds_under_optimize_flag():
     )
     out = _stdout_under_optimize_flag(code)
     assert out.splitlines() == ["rejected: benney:f takes 4 arguments, got 5"]
+
+
+def _asked_per_point(monkeypatch):
+    """Count ``partials`` calls per (evaluator, point); ``partial`` fails."""
+    asked = Counter()
+    partials = JetEvaluator.partials
+
+    def counted(self, args, multis):
+        asked[id(self), tuple(args)] += 1
+        return partials(self, args, multis)
+
+    def single(self, args, multi):
+        raise AssertionError("a consumer asked for one partial at a time")
+
+    monkeypatch.setattr(JetEvaluator, "partials", counted)
+    monkeypatch.setattr(JetEvaluator, "partial", single)
+    return asked
+
+
+def test_bracket_asks_each_evaluator_once_per_point(monkeypatch):
+    s = catalog.build_structure("benney", 2)
+    asked = _asked_per_point(monkeypatch)
+    assert verify_bracket(s, samples=1, seed=2).passed
+    # g_1 and g_2 at p1 and p2, f at (p1, p2) and at (p2, p1)
+    assert len(asked) == 2 * 2 + 2
+    assert set(asked.values()) == {1}
+
+
+@pytest.mark.parametrize("check", ["cocycle", "lambda", "potential"])
+def test_identities_ask_each_evaluator_at_most_once_per_point(monkeypatch, check):
+    enh = catalog.build_enhanced("benney", 2)
+    pot = catalog.build_potentials("benney", 2)[0]
+    run = {"cocycle": lambda: verify_cocycle(enh.base, samples=3, seed=3),
+           "lambda": lambda: verify_lambda(enh, samples=3, seed=4),
+           "potential": lambda: verify_potential(enh, pot, samples=3, seed=5)}[check]
+    asked = _asked_per_point(monkeypatch)
+    assert run().passed
+    assert asked and set(asked.values()) == {1}

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
 from gtlab import catalog
@@ -114,20 +116,37 @@ def test_gtsys_row_oracle_catches_a_dropped_q_term():
 
 
 def test_rows_without_closed_forms_come_from_circles():
-    # an f without partial_fn leaves the quotients without closed-form rows:
-    # their rows are circle partials of the quotient values
+    # an f without partial_fn still gives the quotients chain-rule rows,
+    # whose partials of f come from circles on f's own domain
     s = catalog.build_structure("benney", 2)
     bare_f = JetEvaluator(s.f.arity, s.f.fn, domain=s.f.domain)
     bare = build_system(GTStructure(m=s.m, g=s.g, f=bare_f, p_box=s.p_box,
                                     v_boxes=s.v_boxes))
     exact = build_system(s)
-    assert bare.A.partial_fn is None and bare.Q.partial_fn is None
     args2, args1 = (P1, P2, *V), (P1, *V)
     for got, want in ((bare.A_row(args2), exact.A_row(args2)),
                       (bare.Q_row(args2), exact.Q_row(args2)),
                       (bare.B_rows[1](args1), exact.B_rows[1](args1))):
         scale = max(abs(w) for w in want)
         assert max(abs(g - w) for g, w in zip(got, want)) <= 1e-8 * scale
+
+
+def test_rows_ask_each_evaluator_at_most_once_per_point(monkeypatch):
+    sys_ = _benney_system()
+    asked = Counter()
+    partials = JetEvaluator.partials
+
+    def counted(self, args, multis):
+        asked[id(self), tuple(args)] += 1
+        return partials(self, args, multis)
+
+    monkeypatch.setattr(JetEvaluator, "partials", counted)
+    rows = [(sys_.A_row, (P1, P2, *V)), (sys_.Q_row, (P1, P2, *V))]
+    rows += [(row, (P1, *V)) for row in sys_.B_rows]
+    for row, args in rows:
+        asked.clear()
+        row(args)
+        assert asked and set(asked.values()) == {1}, row
 
 
 def test_pushed_system_keeps_the_loci_of_g1():

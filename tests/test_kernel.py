@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gtlab import kernel
-from gtlab.errors import DomainViolation, NonConvergence, PoleHit, SamplingExhausted
+from gtlab.errors import DomainViolation, NonConvergence, PoleHit
 from gtlab.kernel import (
     Diagonal,
     Domain,
@@ -29,7 +29,6 @@ from gtlab.kernel import (
     path_integrate,
     rho,
     rho_partial,
-    sample_points,
     theta,
 )
 
@@ -190,6 +189,22 @@ def test_reindexed_batches_equal_single_rests_bit_for_bit():
     assert r.partials(args, multis) == [r.partial(args, multi) for multi in multis]
 
 
+def test_orders_read_from_one_slot_share_one_value_row():
+    # a value-only evaluator asked for d_p, d_p^2 and d_p^3 in one call runs
+    # fn once per circle node, and each order equals the one-at-a-time answer
+    calls = []
+
+    def fn(p, v):
+        calls.append(p)
+        return cmath.exp(p * v)
+
+    e = JetEvaluator(2, fn, domain=Domain())
+    args = (0.3 + 0.1j, 0.7 - 0.2j)
+    got = e.partials(args, [(1, 0), (2, 0), (3, 0)])
+    assert len(calls) == kernel.DEFAULT_NODES == 32
+    assert got == [e.partial(args, (k, 0)) for k in (1, 2, 3)]
+
+
 def test_partial_fn_hook_takes_precedence():
     calls = []
 
@@ -231,15 +246,6 @@ def test_path_integrate_winding_number():
     e = JetEvaluator(1, lambda p: 1.0 / p, domain=Domain((FixedPoints([0], [0.0]),)))
     val = path_integrate(e, 0, (0.0,), circle_path(0.0, 1.0, nodes=32))
     assert val == pytest.approx(2j * math.pi, rel=1e-10)
-
-
-def test_sample_points_respects_exclusions():
-    pts = sample_points((-1, 1, -1, 1), 20, seed=3, exclusions=[0.0],
-                        min_separation=0.3)
-    assert len(pts) == 20
-    assert all(abs(z) >= 0.3 for z in pts)
-    with pytest.raises(SamplingExhausted):
-        sample_points((-1, 1, -1, 1), 200, seed=3, min_separation=0.5)
 
 
 # ---------------------------------------------------------------------------
