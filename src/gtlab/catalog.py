@@ -184,7 +184,7 @@ def genus0(n: int) -> GTStructure:
         JetEvaluator(
             1 + n,
             g_fn(i),
-            domain=Domain((Diagonal(0, 1 + i), FixedPoints([0], [0.0, 1.0]))),
+            domain=Domain((Diagonal(0, 1 + i), FixedPoints(0, [0.0, 1.0]))),
             partial_fn=g_partial(i),
             label=f"genus0:g[{i}]",
         )
@@ -203,7 +203,7 @@ def genus0(n: int) -> GTStructure:
     f = JetEvaluator(
         2 + n,
         f_fn,
-        domain=Domain((Diagonal(0, 1), FixedPoints([0], [0.0, 1.0]))),
+        domain=Domain((Diagonal(0, 1), FixedPoints(0, [0.0, 1.0]))),
         partial_fn=f_partial,
         label="genus0:f",
     )
@@ -246,7 +246,7 @@ def _genus0_h(j: int, n: int) -> JetEvaluator:
             return 0.0 + 0.0j
         return _log_partial(args[0] - point, multi[0], 0)
 
-    return JetEvaluator(1 + n, fn, domain=Domain((FixedPoints([0], [point]),)),
+    return JetEvaluator(1 + n, fn, domain=Domain((FixedPoints(0, [point]),)),
                         partial_fn=pf, label=f"genus0:h[{point}]")
 
 
@@ -477,11 +477,11 @@ class GenusTwoF(JetEvaluator):
     def __init__(self):
         dom = Domain((
             Diagonal(0, 1),
-            FixedPoints([0, 1], [0.0, 1.0]),
+            *(FixedPoints(t, [0.0, 1.0]) for t in (0, 1)),
             Diagonal(0, 2), Diagonal(0, 3), Diagonal(0, 4),
             Diagonal(1, 2), Diagonal(1, 3), Diagonal(1, 4),
             Diagonal(2, 3), Diagonal(2, 4), Diagonal(3, 4),
-            FixedPoints([2, 3, 4], [0.0, 1.0]),
+            *(FixedPoints(t, [0.0, 1.0]) for t in (2, 3, 4)),
         ))
         super().__init__(5, self._fn, domain=dom, partial_fn=self._partial_fn,
                          label="genus2:f")
@@ -598,7 +598,7 @@ def genus2() -> GTStructure:
         JetEvaluator(
             4,
             g_fn(i),
-            domain=Domain((Diagonal(0, 1 + i), FixedPoints([0], [0.0, 1.0]))),
+            domain=Domain((Diagonal(0, 1 + i), FixedPoints(0, [0.0, 1.0]))),
             partial_fn=g_partial(i),
             label=f"genus2:g[{'abc'[i]}]",
         )
@@ -642,7 +642,7 @@ CATALOG: dict[str, CatalogEntry] = {
         "genus0",
         "sphere with n+3 punctures (0, 1, infinity frozen)",
         genus0, genus0_enhanced, genus0_potentials,
-        gt_exclusions=(FixedPoints([1], [0.0, 1.0]),),
+        gt_exclusions=(FixedPoints(1, [0.0, 1.0]),),
     ),
     "genus1": CatalogEntry(
         "genus1",
@@ -653,7 +653,7 @@ CATALOG: dict[str, CatalogEntry] = {
         "genus2",
         "genus-2 hyperelliptic curve, moduli a, b, c",
         lambda n=0: genus2(), None, None,
-        gt_exclusions=(FixedPoints([1], [0.0, 1.0]),),
+        gt_exclusions=(FixedPoints(1, [0.0, 1.0]),),
     ),
 }
 

@@ -31,7 +31,6 @@ import numpy as np
 from .errors import ConfigError, DomainViolation, SamplingExhausted
 from .kernel import (
     Box,
-    Diagonal,
     Domain,
     EMPTY_DOMAIN,
     Exclusion,
@@ -160,14 +159,12 @@ class GTStructure:
                 for pb in ps[i + 1 :]
             ):
                 continue
-            # every evaluator at every p-slot assignment; the draw is
-            # rejected at the first declared locus closer than the separation
+            # every locus of every evaluator at every p-slot assignment; the
+            # draw is rejected at the first one closer than the separation
             calls = [(gi, (p, *v)) for p in ps for gi in self.g]
             calls += [(self.f, (pa, pb, *v)) for pa, pb in product(ps, ps) if pa is not pb]
-            if any(ex.clearance(args, slot) < self.min_separation
-                   for e, args in calls
-                   for slot in range(e.arity)
-                   for ex in e.domain.exclusions):
+            if any(ex.distance(args) < self.min_separation
+                   for e, args in calls for ex in e.domain.exclusions):
                 continue
             out.append((ps, v))
         return out
@@ -175,10 +172,16 @@ class GTStructure:
     def g_apply(self, p: complex, v: Sequence[complex], dv: Sequence[complex]) -> complex:
         """Action of the vector field g(p) on a function whose fiber partials
         d/dv_j at its point are ``dv``: sum_j g_j(p, v) dv[j]."""
-        total = 0.0 + 0.0j
-        for j in range(self.m):
-            total += self.g[j].value((p, *v)) * dv[j]
-        return total
+        return apply_field([gi.value((p, *v)) for gi in self.g], dv)
+
+
+def apply_field(gv: Sequence[complex], dv: Sequence[complex]) -> complex:
+    """sum_j gv[j] dv[j] in slot order: the vector field whose components
+    are ``gv`` applied to a function whose fiber partials are ``dv``."""
+    total = 0.0 + 0.0j
+    for gj, d in zip(gv, dv):
+        total += gj * d
+    return total
 
 
 @dataclass
@@ -223,13 +226,13 @@ class CoordinateChange:
 
 
 def _diagonal_radius(e: JetEvaluator, p2: complex, v: Sequence[complex]) -> float:
-    """Radius of a Laurent circle about p2 in the first slot of e: limited by
-    every locus near the centre; loci that vanish there are the probed
-    diagonal itself (however declared)."""
+    """Radius of a circle about p2 in the first slot of e: limited by every
+    locus of that slot near the centre; loci that vanish at (p2, p2) are
+    the probed diagonal itself (however declared)."""
     clearances = [
         c
-        for ex in e.domain.exclusions
-        for c in [ex.clearance((p2, p2, *v), 0)]
+        for ex in e.domain.exclusions if 0 in ex.slots
+        for c in [ex.distance((p2, p2, *v))]
         if c > 1e-9
     ]
     return 0.25 * min(clearances + [1.0])
@@ -633,27 +636,25 @@ def collide_enhanced(e: EnhancedGT, groups: Sequence[Sequence[int]]) -> Enhanced
 
 class _PulledBack(Exclusion):
     """A locus of the evaluator behind ``to_inner``, pulled back
-    conservatively: its clearance at the image, halved to absorb the local
-    stretch of the map."""
+    conservatively over ``slots``: its distance at the image, halved to
+    absorb the local stretch of the map."""
 
-    def __init__(self, to_inner, locus: Exclusion):
-        self.to_inner = to_inner
-        self.locus = locus
+    def __init__(self, to_inner, locus: Exclusion, slots: Sequence[int]):
+        self.to_inner, self.locus, self.slots = to_inner, locus, tuple(slots)
 
-    def clearance(self, args, slot):
-        image = self.to_inner(tuple(args))
-        return 0.5 * min(self.locus.clearance(image, s) for s in range(len(image)))
+    def distance(self, args):
+        return 0.5 * self.locus.distance(self.to_inner(tuple(args)))
 
     def remap(self, mapping):
         return _PulledBack(lambda args: self.to_inner(tuple(args[t] for t in mapping)),
-                           self.locus)
+                           self.locus, [mapping[s] for s in self.slots])
 
 
 def _declared(locus: Exclusion, loci: Sequence[Exclusion]) -> bool:
     """Whether one of ``loci`` already bounds what ``locus`` would: an equal
-    locus, or fixed points over a superset of its slots and points."""
+    locus, or fixed points in its slot over a superset of its points."""
     if isinstance(locus, FixedPoints):
-        return any(isinstance(e, FixedPoints) and set(locus.slots) <= set(e.slots)
+        return any(isinstance(e, FixedPoints) and e.slots == locus.slots
                    and set(locus.points) <= set(e.points) for e in loci)
     return any(type(e) is type(locus) and vars(e) == vars(locus) for e in loci)
 
@@ -673,7 +674,7 @@ class _Composed(JetEvaluator):
                  loci: Sequence[Exclusion] = ()):
         self.inner, self.to_inner, self.outer, self.first = inner, to_inner, outer, first
         image = functools.lru_cache(maxsize=1)(to_inner)  # the loci ask in turn at one point
-        domain = Domain(tuple(_PulledBack(image, ex)
+        domain = Domain(tuple(_PulledBack(image, ex, range(arity))
                               for ex in (*inner.domain.exclusions, *loci)))
         super().__init__(arity, self._fn, domain=domain, partial_fn=self._partial,
                          label=label)
@@ -942,13 +943,8 @@ def algebroid_constants(
     """
     if order > 6:
         raise ValueError("truncation order above 6 is outside the reliable range")
-    base_clear = min(
-        (ex.clearance((z, z, *v), 0) for ex in s.f.domain.exclusions
-         if not isinstance(ex, Diagonal)),
-        default=1.0,
-    )
-    r1 = 0.2 * base_clear
-    r2 = 0.1 * base_clear
+    r1 = 0.8 * _diagonal_radius(s.f, z, v)
+    r2 = 0.5 * r1
     regular = JetEvaluator(s.f.arity, lambda *a: s.f.fn(*a) - 1.0 / (a[0] - a[1]))
     # Taylor coefficients in p2 on an inner ring at each node of the outer
     # p1 ring (its nodes are the identity's values there), then in p1

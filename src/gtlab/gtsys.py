@@ -1,7 +1,8 @@
 """Gibbons-Tsarev systems attached to a structure.
 
-The distinguished fiber coordinate v_1 (index ``pivot``) turns a structure
-into the quasilinear system
+The distinguished fiber coordinate v_1 (slot 0 of the fiber; reorder the
+structure's g components to distinguish another) turns a structure into
+the quasilinear system
 
     d_i p_j = A(p_i, p_j, v) d_i v_1             (i != j)
     d_i v_l = B_l(p_i, v)   d_i v_1
@@ -37,7 +38,7 @@ from .core import GTStructure, VerificationReport, _jet, _make_report, worst_res
 from .errors import ConfigError, DomainViolation, NonConvergence
 from .kernel import Domain, Exclusion, JetEvaluator, SplitMix64, multi_index
 
-G1_FLOOR = 1e-8  # |g_1| below this counts as a zero of the pivot component
+G1_FLOOR = 1e-8  # |g_1| below this counts as a zero of g_1
 
 
 @dataclass
@@ -50,7 +51,6 @@ class GTSystem:
     """
 
     structure: GTStructure
-    pivot: int
     A: JetEvaluator
     B: tuple[JetEvaluator, ...]
     Q: JetEvaluator
@@ -65,14 +65,13 @@ class GTSystem:
 
 def build_system(
     s: GTStructure,
-    pivot: int = 0,
     extra_exclusions: Sequence[Exclusion] = (),
 ) -> GTSystem:
     """Convert a structure into its quasilinear system.
 
-    ``extra_exclusions`` should carry any known zero locus of the pivot
-    component g_1 (its zeros are poles of A, B, Q but are not part of the
-    structure's own domain data).  They are expressed in the structure's
+    ``extra_exclusions`` should carry any known zero locus of g_1 (its
+    zeros are poles of A, B, Q but are not part of the structure's own
+    domain data).  They are expressed in the structure's
     (p, v_1, ..., v_m) slot convention and remapped onto both point slots
     of A and Q.
 
@@ -87,14 +86,12 @@ def build_system(
     """
     if s.m < 1:
         raise ConfigError("need at least one fiber coordinate")
-    if not 0 <= pivot < s.m:
-        raise ConfigError(f"pivot {pivot} out of range for m={s.m}")
     m = s.m
-    g1 = s.g[pivot]
-    # reject an identically-zero pivot component up front
+    g1 = s.g[0]
+    # reject an identically-zero g_1 up front
     probe_ps, probe_v = s.sample(1, 99, 1)[0]
     if abs(g1.value((probe_ps[0], *probe_v))) < G1_FLOOR:
-        raise ConfigError("pivot component of g vanishes at a generic point")
+        raise ConfigError("g_1 vanishes at a generic point")
 
     def g1_floor(p, val):
         """``val`` = g_1(p, v), unless it lies below the floor: a zero of g_1."""
@@ -148,7 +145,7 @@ def build_system(
         def row(args):
             G, *dG = g1.partials(args, g_jet)
             G = g1_floor(args[0], G)
-            gl, *dgl = (G, *dG) if l == pivot else s.g[l].partials(args, g_jet)
+            gl, *dgl = (G, *dG) if l == 0 else s.g[l].partials(args, g_jet)
             return [dgl[k] / G - gl * dG[k] / G**2 for k in range(1 + m)]
 
         return row
@@ -162,7 +159,7 @@ def build_system(
     def Q_fn(*args):
         p1, p2, v = args[0], args[1], args[2:]
         gv = [gk.value((p1, *v)) for gk in s.g]
-        g1p1 = g1_floor(p1, gv[pivot])
+        g1p1 = g1_floor(p1, gv[0])
         g1p2, *dG2 = g1.partials((p2, *v), g_jet)
         g1p2 = g1_floor(p2, g1p2)
         F, F_2 = s.f.partials(args, _jet(2 + m, 1))
@@ -176,7 +173,7 @@ def build_system(
         # every g_k at p1: value and first partials; dg[k][j] = d_j g_k(p1)
         jets = [gk.partials((p1, *v), g_jet) for gk in s.g]
         gv, dg = [jet[0] for jet in jets], [jet[1:] for jet in jets]
-        G1 = g1_floor(p1, gv[pivot])
+        G1 = g1_floor(p1, gv[0])
         G2, *dG2 = g1.partials((p2, *v), g_jet + g_hess)  # first partials, then second
         G2 = g1_floor(p2, G2)
         H = {}  # second partials of g_1 at p2
@@ -187,7 +184,7 @@ def build_system(
         N = F * dG2[0]
         for k in range(m):
             N += gv[k] * dG2[1 + k]
-        dG1 = dg[pivot][0]
+        dG1 = dg[0][0]
         dN = df[0] * dG2[0]
         for k in range(m):
             dN += dg[k][0] * dG2[1 + k]
@@ -202,7 +199,7 @@ def build_system(
             dN += gv[k] * H[0, 1 + k]
         row.append(2.0 * d1f[1] / G1 + dN / (G1 * G2) - N * dG2[0] / (G1 * G2**2))
         for l in range(m):
-            dG1 = dg[pivot][1 + l]
+            dG1 = dg[0][1 + l]
             dN = df[2 + l] * dG2[0] + F * H[0, 1 + l]
             for k in range(m):
                 dN += dg[k][1 + l] * dG2[1 + k]
@@ -223,7 +220,7 @@ def build_system(
         .merged(extra_p2)
     )
     Q = quotient(2 + m, Q_fn, Q_row, Q_dom, f"{s.label}:Q")
-    return GTSystem(structure=s, pivot=pivot, A=A, B=tuple(B), Q=Q,
+    return GTSystem(structure=s, A=A, B=tuple(B), Q=Q,
                     A_row=A_row, B_rows=tuple(B_rows), Q_row=Q_row)
 
 
@@ -295,7 +292,7 @@ class _State:
 def _flow(sys: GTSystem, st: _State, i: int):
     """d_i of p, v and w by the system, with the coefficient values it
     used: (d, A, Q, B) where A[k] = A(p_i, p_k, v) and Q[k] likewise (None
-    at k = i), and B[l] = B_l(p_i, v) (None at the pivot).  d_i p_i and
+    at k = i), and B[l] = B_l(p_i, v) (None at l = 0).  d_i p_i and
     d_i w_i are the state's own slopes y_i and z_i, None without them."""
     p, v, w = st.p, st.v, st.w
     M, m = len(p), len(v)
@@ -311,7 +308,7 @@ def _flow(sys: GTSystem, st: _State, i: int):
     if st.y is not None:
         dp[i], dw[i] = st.y[i], st.z[i]
     for l in range(m):
-        if l != sys.pivot:
+        if l:
             B[l] = sys.B[l].value((p[i], *v))
     dv = [w[i] if B[l] is None else B[l] * w[i] for l in range(m)]
     return _State(dp, dv, dw), A, Q, B
@@ -329,13 +326,13 @@ def _mixed(sys: GTSystem, st: _State, fa, fb, b: int, kind: str, k: int) -> comp
     """d_a d_b of the field p_k, v_k or w_k (``kind`` "p", "v" or "w"),
     from the flows ``fa`` along a and ``fb`` along b.
 
-    d_b of the field is A(p_b, p_k) w_b, B_k(p_b) w_b (w_b at the pivot)
+    d_b of the field is A(p_b, p_k) w_b, B_k(p_b) w_b (w_b for v_1)
     or Q(p_b, p_k) w_b w_k, with the coefficient value read off ``fb``;
     the chain and product rules take d_a of its factors from ``fa``."""
     da, (_, A, Q, B) = fa[0], fb
     v, w = st.v, st.w
     if kind == "v":
-        if k == sys.pivot:
+        if k == 0:
             return da.w[b]
         dB = _chain(sys.B_rows[k]((st.p[b], *v)), da, (b,))
         return dB * w[b] + B[k] * da.w[b]
@@ -531,7 +528,7 @@ def integrate_reduction(
             blow_up_at = idx
     grid_v1 = np.zeros(shape, dtype=complex)
     for idx, st in states.items():
-        grid_v1[idx] = st.v[sys.pivot]
+        grid_v1[idx] = st.v[0]
     # compatibility defect on each (i, j) cell face; cells touching the
     # data axes mix prescribed and evolved corners and carry an error
     # boundary layer, so the a-posteriori measure runs over cells whose

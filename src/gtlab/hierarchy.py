@@ -26,6 +26,7 @@ from .core import (
     Potential,
     VerificationReport,
     _make_report,
+    apply_field,
     worst_residual,
 )
 from .errors import ConfigError, DomainViolation, NonConvergence, SamplingExhausted
@@ -361,22 +362,24 @@ def reconstruct_lambda(
     s = fam.structure
     dz = [multi_index(1 + s.m, 0)]  # p1 needs only h'; p2 the whole h_jet
 
-    def rec_for(idx):
-        def rec(p1, p2, v):
-            [hp1] = fam.potentials[idx].h.partials((p1, *v), dz)
-            if abs(hp1) < DEN_FLOOR:
-                raise DomainViolation("h'(p1) vanishes")
-            fval = s.f.value((p1, p2, *v))
-            hp2, hv2 = fam.h_jet(idx, p2, v)
-            return (fval * hp2 + s.g_apply(p1, v, hv2)) / hp1
+    def through(idx, p1, p2, v, fval, gv):
+        """The formula through potential idx, given f and every g_j at p1."""
+        [hp1] = fam.potentials[idx].h.partials((p1, *v), dz)
+        if abs(hp1) < DEN_FLOOR:
+            raise DomainViolation("h'(p1) vanishes")
+        hp2, hv2 = fam.h_jet(idx, p2, v)
+        return (fval * hp2 + apply_field(gv, hv2)) / hp1
 
-        return rec
+    def rec(p1, p2, v):
+        gv = [gj.value((p1, *v)) for gj in s.g]
+        return through(i, p1, p2, v, s.f.value((p1, p2, *v)), gv)
 
-    rec = rec_for(i)
     others = [idx for idx in range(fam.N) if idx != i]
 
     def rebuild(p1, p2, v):
-        return rec(p1, p2, v), [rec_for(idx)(p1, p2, v) for idx in others]
+        fval, gv = s.f.value((p1, p2, *v)), [gj.value((p1, *v)) for gj in s.g]
+        return (through(i, p1, p2, v, fval, gv),
+                [through(idx, p1, p2, v, fval, gv) for idx in others])
 
     def residual(p1, p2, v, rebuilt):
         got, alt = rebuilt
@@ -406,24 +409,23 @@ def criterion_integrable(
 
     where D1(X) = (f(p1, p2) X'(p2) + g(p1)(X(p2))) / g_1(p1) is the
     hierarchy derivative taken through the quasilinear system with unit
-    pivot slope.
+    slope in v_1.  f and every g_j(p1) are evaluated once per sample.
     """
     if sys.structure is not fam.structure:
         raise ConfigError("family and system must share the structure")
     s = fam.structure
-    g1 = s.g[sys.pivot]
     dz = [multi_index(1 + s.m, 0)]  # p1 needs only h'; p2 the whole h_jet
     residuals = []
     raw = s.sample(samples, seed, 2)
     for ps, v in raw:
         p1, p2 = ps
         fval = s.f.value((p1, p2, *v))
-        g1p1 = g1.value((p1, *v))
+        gv = [gj.value((p1, *v)) for gj in s.g]
         d1 = []
         hp1 = []
         for idx, pot in enumerate(fam.potentials):
             hp2, hv2 = fam.h_jet(idx, p2, v)
-            d1.append((fval * hp2 + s.g_apply(p1, v, hv2)) / g1p1)
+            d1.append((fval * hp2 + apply_field(gv, hv2)) / gv[0])
             hp1.append(pot.h.partials((p1, *v), dz)[0])
         scale = max(max(abs(x) for x in d1), 1.0)
         residuals.append(worst_residual(

@@ -67,10 +67,13 @@ def require_finite(*values: complex) -> None:
 
 
 class Exclusion:
-    """A singular locus.  clearance() bounds how far args[slot] may move
-    before the locus is hit; slots not involved return +inf."""
+    """A singular locus over the argument slots ``slots``.  distance()
+    bounds how far any of those arguments may move before the locus is
+    hit; the other slots do not see it."""
 
-    def clearance(self, args: Sequence[complex], slot: int) -> float:
+    slots: tuple[int, ...]
+
+    def distance(self, args: Sequence[complex]) -> float:
         raise NotImplementedError
 
     def remap(self, mapping: Sequence[int]) -> "Exclusion":
@@ -81,47 +84,42 @@ class Exclusion:
 class FixedPoints(Exclusion):
     """args[slot] must avoid a fixed finite point set (e.g. p in {0, 1})."""
 
-    def __init__(self, slots: Sequence[int], points: Sequence[complex]):
-        self.slots = tuple(slots)
+    def __init__(self, slot: int, points: Sequence[complex]):
+        self.slots = (slot,)
         self.points = tuple(complex(p) for p in points)
 
-    def clearance(self, args, slot):
-        if slot not in self.slots:
-            return math.inf
-        return min(abs(args[slot] - p) for p in self.points)
+    def distance(self, args):
+        return min(abs(args[self.slots[0]] - p) for p in self.points)
 
     def remap(self, mapping):
-        return FixedPoints([mapping[s] for s in self.slots], self.points)
+        return FixedPoints(mapping[self.slots[0]], self.points)
 
 
 class Diagonal(Exclusion):
     """args[i] = args[j] is excluded (simple pole on the diagonal)."""
 
     def __init__(self, i: int, j: int):
-        self.i, self.j = i, j
+        self.slots = (i, j)
 
-    def clearance(self, args, slot):
-        if slot not in (self.i, self.j):
-            return math.inf
-        return abs(args[self.i] - args[self.j])
+    def distance(self, args):
+        i, j = self.slots
+        return abs(args[i] - args[j])
 
     def remap(self, mapping):
-        return Diagonal(mapping[self.i], mapping[self.j])
+        return Diagonal(*(mapping[s] for s in self.slots))
 
 
 class HalfPlane(Exclusion):
     """Im args[slot] > 0 required (modular parameters)."""
 
     def __init__(self, slot: int):
-        self.slot = slot
+        self.slots = (slot,)
 
-    def clearance(self, args, slot):
-        if slot != self.slot:
-            return math.inf
-        return args[self.slot].imag
+    def distance(self, args):
+        return args[self.slots[0]].imag
 
     def remap(self, mapping):
-        return HalfPlane(mapping[self.slot])
+        return HalfPlane(mapping[self.slots[0]])
 
 
 class LatticePoints(Exclusion):
@@ -130,13 +128,9 @@ class LatticePoints(Exclusion):
 
     def __init__(self, i: int, tau_slot: int, j: int | None = None):
         self.i, self.j, self.tau_slot = i, j, tau_slot
+        self.slots = (i, tau_slot) if j is None else (i, j, tau_slot)
 
-    def clearance(self, args, slot):
-        involved = {self.i, self.tau_slot}
-        if self.j is not None:
-            involved.add(self.j)
-        if slot not in involved:
-            return math.inf
+    def distance(self, args):
         z = args[self.i] - (args[self.j] if self.j is not None else 0.0)
         return lattice_distance(z, args[self.tau_slot])
 
@@ -166,9 +160,10 @@ class Domain:
     exclusions: tuple[Exclusion, ...] = ()
 
     def clearance(self, args: Sequence[complex], slot: int) -> float:
-        if not self.exclusions:
-            return math.inf
-        return min(e.clearance(args, slot) for e in self.exclusions)
+        """How far args[slot] may move: the distance to the nearest locus
+        that involves the slot, inf when none does."""
+        return min((e.distance(args) for e in self.exclusions if slot in e.slots),
+                   default=math.inf)
 
     def remap(self, mapping: Sequence[int]) -> "Domain":
         return Domain(tuple(e.remap(mapping) for e in self.exclusions))
@@ -224,11 +219,12 @@ class JetEvaluator:
         return complex(self.fn(*args))
 
     def deriv_radius(self, args: Sequence[complex], slot: int) -> float:
+        require_finite(*args)
         c = self.domain.clearance(args, slot)
-        if c <= 0:
+        if not c > 0:  # NaN too: a locus that cannot be measured is not cleared
             raise DomainViolation(
                 f"argument {slot} of {self.label or 'evaluator'} sits on a "
-                f"declared singular locus"
+                f"declared singular locus (clearance {c})"
             )
         r = DEFAULT_RADIUS_FRACTION * c
         return min(r, MAX_RADIUS)

@@ -429,6 +429,24 @@ def test_algebroid_coeffs_vanish_when_f_is_bare_pole():
         assert abs(coeff) < 1e-10
 
 
+def test_algebroid_table_sees_a_diagonal_declared_as_lattice_points():
+    # genus1 declares its diagonal as LatticePoints(0, tau, 1): the radii
+    # skip it by vanishing at (z, z), as the pole check's do, and stay
+    # bounded by the lattice point at 0
+    s = catalog.build_structure("genus1", 1)
+    _, v = s.sample(1, 3, 1)[0]
+    z = 0.1 + 0.05j
+    table = algebroid_constants(s, z=z, v=v, order=3)
+    assert all(cmath.isfinite(c) for c in table.f_coeffs.values())
+
+    def regular(p1):
+        return s.f.value((p1, z, *v)) - 1.0 / (p1 - z)
+
+    # the symmetric mean about z cancels the first-order term
+    d = 1e-5
+    assert abs(0.5 * (regular(z + d) + regular(z - d)) - table.f_coeffs[(0, 0)]) < 1e-6
+
+
 def test_algebroid_bracket_antisymmetry_and_lowest_rung():
     s = catalog.build_structure("genus0", 1)
     table = algebroid_constants(s, z=0.4 + 0.6j, v=(0.5 + 1.1j,), order=4)

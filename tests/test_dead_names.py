@@ -1,6 +1,6 @@
 """Every module-level function and class of the package, and every method
-of its classes, is used somewhere; and evaluators override ``eval_rows``,
-never ``eval_circle``.
+of its classes, is used somewhere; evaluators override ``eval_rows``, never
+``eval_circle``; and only ``Domain`` answers a per-slot ``clearance``.
 
 A definition counts as used when its name appears as a code token in the
 package, the tests or the benchmark besides its own definitions.  Names
@@ -77,3 +77,10 @@ def test_only_the_base_evaluator_defines_eval_circle():
     # override would bypass wrappers that map loops into what they wrap
     owners = sorted(owner for owner, name in _method_definitions() if name == "eval_circle")
     assert owners == ["kernel.py:JetEvaluator"], owners
+
+
+def test_only_the_domain_defines_clearance():
+    # a locus answers one distance over its slots; how far one slot may
+    # move is the domain's question alone
+    owners = sorted(owner for owner, name in _method_definitions() if name == "clearance")
+    assert owners == ["kernel.py:Domain"], owners

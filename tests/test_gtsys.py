@@ -164,12 +164,6 @@ def test_pushed_system_keeps_the_loci_of_g1():
         assert len(got.domain.exclusions) == len(plain.domain.exclusions) + added, name
 
 
-def test_build_system_rejects_bad_pivot():
-    s = catalog.build_structure("benney", 2)
-    with pytest.raises(ConfigError):
-        build_system(s, pivot=5)
-
-
 # ---------------------------------------------------------------------------
 # compatibility of the mixed second derivatives
 # ---------------------------------------------------------------------------

@@ -117,6 +117,32 @@ def test_integrability_criterion_holds_for_catalog_family():
     assert rep.passed, rep.max_residual
 
 
+def _count_values(monkeypatch, evaluators) -> list:
+    """Replace each evaluator's ``value`` by one that logs its call."""
+    calls = []
+    for e in evaluators:
+        def counted(args, e=e, value=e.value):
+            calls.append(e)
+            return value(args)
+
+        monkeypatch.setattr(e, "value", counted)
+    return calls
+
+
+def test_f_and_g_are_evaluated_once_per_sample(monkeypatch):
+    # every potential's formula reads the same f(p1, p2) and g_j(p1)
+    fam = _family()
+    s = fam.structure
+    sys_ = build_system(s, extra_exclusions=catalog.CATALOG["genus0"].gt_exclusions)
+    calls = _count_values(monkeypatch, (*s.g, s.f))
+    criterion_integrable(fam, sys_, samples=5, seed=19)
+    assert len(calls) == 5 * (s.m + 1), len(calls)
+    calls.clear()
+    _, rep = reconstruct_lambda(fam, 0, samples=5, seed=13)
+    draws = 5 + rep.params["resampled"]
+    assert len(calls) == draws * (s.m + 1), (len(calls), draws)
+
+
 def test_integrability_criterion_rejects_foreign_potential():
     # replace one member by p^2, which is not a potential of this structure
     fam = _family()

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gtlab import kernel
+from gtlab.core import _PulledBack
 from gtlab.errors import DomainViolation, NonConvergence, PoleHit
 from gtlab.kernel import (
     Diagonal,
@@ -76,35 +77,35 @@ def test_complex_in_box_stays_inside():
 
 
 def test_fixed_points_clearance():
-    ex = FixedPoints([0], [1.0, -1.0])
-    assert ex.clearance((1.0 + 0.5j, 9.0), 0) == pytest.approx(0.5)
+    ex = FixedPoints(0, [1.0, -1.0])
+    assert Domain((ex,)).clearance((1.0 + 0.5j, 9.0), 0) == pytest.approx(0.5)
     # other slots are unconstrained
-    assert ex.clearance((1.0, 1.0), 1) == math.inf
+    assert Domain((ex,)).clearance((1.0, 1.0), 1) == math.inf
 
 
 def test_diagonal_clearance_both_slots():
     ex = Diagonal(0, 1)
     args = (0.2 + 0.1j, 0.5 + 0.1j)
-    assert ex.clearance(args, 0) == pytest.approx(0.3)
-    assert ex.clearance(args, 1) == pytest.approx(0.3)
-    assert ex.clearance(args, 2) == math.inf
+    assert Domain((ex,)).clearance(args, 0) == pytest.approx(0.3)
+    assert Domain((ex,)).clearance(args, 1) == pytest.approx(0.3)
+    assert Domain((ex,)).clearance(args, 2) == math.inf
 
 
 def test_half_plane_clearance():
     ex = HalfPlane(0)
-    assert ex.clearance((0.3 + 0.7j,), 0) == pytest.approx(0.7)
+    assert Domain((ex,)).clearance((0.3 + 0.7j,), 0) == pytest.approx(0.7)
 
 
 def test_domain_remap_relabels_slots():
-    dom = Domain((FixedPoints([0], [2.0]),))
+    dom = Domain((FixedPoints(0, [2.0]),))
     moved = dom.remap([3, 0])  # old slot 0 -> new slot 3
     assert moved.clearance((0.0, 0.0, 0.0, 2.0 + 0.25j), 3) == pytest.approx(0.25)
     assert moved.clearance((2.0, 0.0, 0.0, 9.0), 0) == math.inf
 
 
 def test_domain_merged_takes_min_clearance():
-    dom = Domain((FixedPoints([0], [0.0]),)).merged(
-        Domain((FixedPoints([0], [1.0]),))
+    dom = Domain((FixedPoints(0, [0.0]),)).merged(
+        Domain((FixedPoints(0, [1.0]),))
     )
     assert dom.clearance((0.1,), 0) == pytest.approx(0.1)
     assert dom.clearance((0.9,), 0) == pytest.approx(0.1)
@@ -114,7 +115,35 @@ def test_lattice_points_clearance_uses_tau():
     tau = 0.2 + 1.3j
     ex = LatticePoints(0, tau_slot=1)
     z = 0.4 + 0.3j
-    assert ex.clearance((z, tau), 0) == pytest.approx(lattice_distance(z, tau))
+    assert Domain((ex,)).clearance((z, tau), 0) == pytest.approx(lattice_distance(z, tau))
+
+
+# one locus of each type over (p1, p2, u, w, tau); the pulled-back one sees
+# a lattice locus through a map that mixes slots
+_LOCI = (
+    FixedPoints(1, [0.0, 1.0]),
+    Diagonal(0, 3),
+    HalfPlane(4),
+    LatticePoints(0, 4, 2),
+    LatticePoints(1, 4),
+    _PulledBack(lambda a: (a[0] * a[1], a[2] - a[3], a[4]), LatticePoints(0, 2, 1), range(5)),
+)
+
+
+@given(st.permutations(range(5)), st.integers(min_value=0, max_value=2**32))
+@settings(max_examples=40, deadline=None)
+def test_remap_moves_slots_and_keeps_distance(sigma, seed):
+    # slot s renamed sigma[s]: the same locus, read at the permuted arguments
+    rng = SplitMix64(seed)
+    args = [rng.complex_in_box((-1.5, 1.5, -1.5, 1.5)) for _ in range(4)]
+    args.append(rng.complex_in_box((-0.5, 0.5, 0.8, 1.5)))  # tau
+    moved = [None] * 5
+    for s, t in enumerate(sigma):
+        moved[t] = args[s]
+    for ex in _LOCI:
+        back = ex.remap(sigma)
+        assert back.slots == tuple(sigma[s] for s in ex.slots), type(ex).__name__
+        assert back.distance(moved) == ex.distance(args), type(ex).__name__
 
 
 def test_lattice_distance_zero_on_lattice():
@@ -132,7 +161,7 @@ def _rational():
     return JetEvaluator(
         1,
         lambda p: 1.0 / (p - 2.0),
-        domain=Domain((FixedPoints([0], [2.0]),)),
+        domain=Domain((FixedPoints(0, [2.0]),)),
         label="1/(p-2)",
     )
 
@@ -178,7 +207,7 @@ def test_reindexed_batches_equal_single_rests_bit_for_bit():
     # a base without partial_fn, so the base answers by circles; slot 1 of
     # the reindexed evaluator is inert
     base = JetEvaluator(2, lambda p, v: cmath.exp(p * v) / (p - 2.0),
-                        domain=Domain((FixedPoints([0], [2.0]),)))
+                        domain=Domain((FixedPoints(0, [2.0]),)))
     r = ReindexedEvaluator(base, 3, (2, 0))
     args = (0.7 - 0.2j, 5.0, 0.3 + 0.1j)
     rests = [None, (1, 0, 0), (0, 1, 0), (2, 0, 0)]
@@ -237,13 +266,21 @@ def test_cauchy_derivative_node_doubling_flags_noise():
         cauchy_derivative(e, 0, (0.7 + 0.2j,), 1, radius=0.3, tol=1e-10)
 
 
+@pytest.mark.parametrize("p1", [math.nan, math.inf])
+def test_circle_at_a_non_finite_point_fails_closed(p1):
+    # the clearance there is NaN or inf; neither is a circle to sample on
+    e = JetEvaluator(2, lambda a, b: 1.0 / (a - b), domain=Domain((Diagonal(0, 1),)))
+    with pytest.raises(DomainViolation):
+        e.partial((p1, 1.0), (1, 0))
+
+
 def test_laurent_coeff_recovers_residue():
     res = laurent_coeff(_rational(), 0, (0.0,), 2.0, -1, radius=0.3)
     assert res == pytest.approx(1.0, rel=1e-10)
 
 
 def test_path_integrate_winding_number():
-    e = JetEvaluator(1, lambda p: 1.0 / p, domain=Domain((FixedPoints([0], [0.0]),)))
+    e = JetEvaluator(1, lambda p: 1.0 / p, domain=Domain((FixedPoints(0, [0.0]),)))
     val = path_integrate(e, 0, (0.0,), circle_path(0.0, 1.0, nodes=32))
     assert val == pytest.approx(2j * math.pi, rel=1e-10)
 
