@@ -6,6 +6,13 @@ modulus, and a genus-2 hyperelliptic curve with moving branch points.
 Each family supplies the structure, where available its enhancement and a
 set of potentials, and sampling boxes tuned so that rejection sampling
 converges quickly.
+
+Every evaluator but genus2's f is a closed-form ``Kernel`` over a few
+variables of its own, ``place``d on argument slots: f(p1, p2) on slots
+(0, 1) and, at puncture u_i, g_i(p) = f(p, u_i) on slots (0, 1 + i), as in
+adding points.  A kernel is written once, with its value, its partials and
+its singular loci; the placement reads its slots, answers 0 for a partial
+in any other slot, and moves the loci onto the slots.
 """
 
 from __future__ import annotations
@@ -13,7 +20,8 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Callable
+from operator import itemgetter
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -23,6 +31,7 @@ from .kernel import (
     TWO_PI_I,
     Diagonal,
     Domain,
+    Exclusion,
     FixedPoints,
     HalfPlane,
     JetEvaluator,
@@ -32,27 +41,53 @@ from .kernel import (
 )
 
 
+@dataclass(frozen=True)
+class Kernel:
+    """A closed form over its own variables xs: ``value(*xs)``,
+    ``partial(xs, orders)`` for total order >= 1, and the singular
+    ``loci`` over slots 0..len(xs)-1."""
+
+    value: Callable[..., complex]
+    partial: Callable[[tuple, tuple], complex]
+    loci: tuple[Exclusion, ...] = ()
+
+
+def place(kernel: Kernel, arity: int, slots: Sequence[int], label: str = "") -> JetEvaluator:
+    """The kernel as an evaluator of ``arity`` arguments, its variables read
+    from ``slots``; the function is constant in every other slot."""
+    slots = tuple(slots)
+    pick = itemgetter(*slots) if len(slots) > 1 else lambda xs: (xs[slots[0]],)
+
+    def fn(*args):
+        return kernel.value(*pick(args))
+
+    def partial_fn(args, multi):
+        orders = pick(multi)
+        if sum(orders) != sum(multi):
+            return 0.0 + 0.0j
+        return kernel.partial(pick(args), orders)
+
+    return JetEvaluator(arity, fn, domain=Domain(kernel.loci).remap(slots),
+                        partial_fn=partial_fn, label=label)
+
+
+def _difference(a: JetEvaluator, b: JetEvaluator) -> JetEvaluator:
+    """a - b, values and partials from their own closed forms."""
+
+    def fn(*args):
+        return a.fn(*args) - b.fn(*args)
+
+    def partial_fn(args, multi):
+        return a.partial_fn(args, multi) - b.partial_fn(args, multi)
+
+    return JetEvaluator(a.arity, fn, domain=a.domain.merged(b.domain), partial_fn=partial_fn)
+
+
 def _pole_partial(d: complex, k: int, r: int) -> complex:
     """d^k/dp^k d^r/du^r of 1/(p - u) at d = p - u: the (k+r)-th
     derivative of 1/x, with the u-slot picking up (-1)^r."""
     tot = k + r
     return (-1) ** r * (-1) ** tot * math.factorial(tot) / d ** (tot + 1)
-
-
-def _pole_evaluator(arity: int, label: str) -> JetEvaluator:
-    """1/(p1 - p2) over (p1, p2, ...), with closed-form partials; the slots
-    after the first two are inert."""
-
-    def fn(*args):
-        return 1.0 / (args[0] - args[1])
-
-    def pf(args, multi):
-        if any(multi[2:]):
-            return 0.0 + 0.0j
-        return _pole_partial(args[0] - args[1], multi[0], multi[1])
-
-    return JetEvaluator(arity, fn, domain=Domain((Diagonal(0, 1),)), partial_fn=pf,
-                        label=label)
 
 
 def _log_partial(d: complex, k: int, r: int) -> complex:
@@ -62,94 +97,7 @@ def _log_partial(d: complex, k: int, r: int) -> complex:
     return (-1) ** r * (-1) ** (tot - 1) * math.factorial(tot - 1) / d**tot
 
 
-# ---------------------------------------------------------------------------
-# Benney (genus 0, non-compact): f = 1/(p1-p2), g_i = 1/(p-u_i)
-# ---------------------------------------------------------------------------
-
-
-def benney(n: int) -> GTStructure:
-    if n < 1:
-        raise ConfigError("benney needs at least one puncture")
-
-    def g_fn(i):
-        def fn(*args):
-            return 1.0 / (args[0] - args[1 + i])
-
-        return fn
-
-    def g_partial(i):
-        def pf(args, multi):
-            if any(o for s, o in enumerate(multi) if s not in (0, 1 + i)):
-                return 0.0 + 0.0j
-            return _pole_partial(args[0] - args[1 + i], multi[0], multi[1 + i])
-
-        return pf
-
-    g = [
-        JetEvaluator(
-            1 + n,
-            g_fn(i),
-            domain=Domain((Diagonal(0, 1 + i),)),
-            partial_fn=g_partial(i),
-            label=f"benney:g[{i}]",
-        )
-        for i in range(n)
-    ]
-
-    return GTStructure(
-        m=n,
-        g=g,
-        f=_pole_evaluator(2 + n, "benney:f"),
-        label=f"benney[{n}]",
-        p_box=(-1.5, 1.5, -1.5, 1.5),
-        v_boxes=[(-1.5, 1.5, -1.5, 1.5)] * n,
-        puncture_slots=tuple(range(n)),
-    )
-
-
-def benney_enhanced(n: int) -> EnhancedGT:
-    return EnhancedGT(benney(n), _pole_evaluator(2 + n, "benney:lambda"))
-
-
-def benney_potentials(n: int) -> list[Potential]:
-    pots = []
-    for j in range(n):
-
-        def fn(*args, _j=j):
-            return cmath.log(args[0] - args[1 + _j])
-
-        def pf(args, multi, _j=j):
-            if any(o for s, o in enumerate(multi) if s not in (0, 1 + _j)):
-                return 0.0 + 0.0j
-            return _log_partial(args[0] - args[1 + _j], multi[0], multi[1 + _j])
-
-        pots.append(
-            Potential(
-                JetEvaluator(1 + n, fn, domain=Domain((Diagonal(0, 1 + j),)),
-                             partial_fn=pf, label=f"benney:h[{j}]"),
-                label=f"log(p-u{j + 1})",
-            )
-        )
-
-    def fn_id(*args):
-        return args[0]
-
-    def pf_id(args, multi):
-        if multi[0] == 1 and not any(multi[1:]):
-            return 1.0 + 0.0j
-        return 0.0 + 0.0j
-
-    pots.append(Potential(JetEvaluator(1 + n, fn_id, partial_fn=pf_id,
-                                       label="benney:h[p]"), label="p"))
-    return pots
-
-
-# ---------------------------------------------------------------------------
-# sphere with n+3 punctures (three frozen at 0, 1, infinity)
-# ---------------------------------------------------------------------------
-
-
-def _genus0_kernel_partial(p: complex, u: complex, k: int, r: int) -> complex:
+def _sphere_partial(p: complex, u: complex, k: int, r: int) -> complex:
     """Partials of u(u-1) / ((p-u) p (p-1)), which splits into
     (u-1)/p - u/(p-1) + 1/(p-u)."""
     total = 0.0 + 0.0j
@@ -161,56 +109,103 @@ def _genus0_kernel_partial(p: complex, u: complex, k: int, r: int) -> complex:
     return total
 
 
+def _rho_partial(xs, orders) -> complex:
+    """Partials of rho(p - u, tau) - rho(p, tau) over (p, u, tau)."""
+    (p, u, tau), (k, r, t) = xs, orders
+    out = (-1) ** r * rho_partial(p - u, tau, k + r, t)
+    if r == 0:
+        out -= rho_partial(p, tau, k, t)
+    return out
+
+
+def _log_theta_partial(xs, orders) -> complex:
+    """Partials of log theta(p - u, tau) - log theta(u, tau) over (p, u, tau)."""
+    (p, u, tau), (k, r, t) = xs, orders
+    out = (-1) ** r * log_theta_partial(p - u, tau, k + r, t)
+    if k == 0:
+        out -= log_theta_partial(u, tau, r, t)
+    return out
+
+
+_SPHERE_LOCI = (Diagonal(0, 1), FixedPoints(0, [0.0, 1.0]))
+
+# 1/(x - y)
+POLE = Kernel(lambda x, y: 1.0 / (x - y),
+              lambda xs, o: _pole_partial(xs[0] - xs[1], *o), (Diagonal(0, 1),))
+# log(x - y)
+LOG = Kernel(lambda x, y: cmath.log(x - y),
+             lambda xs, o: _log_partial(xs[0] - xs[1], *o), (Diagonal(0, 1),))
+# u(u-1) / ((p-u) p (p-1)): the sphere with 0, 1 and infinity frozen
+SPHERE = Kernel(lambda p, u: u * (u - 1.0) / ((p - u) * p * (p - 1.0)),
+                lambda xs, o: _sphere_partial(*xs, *o), _SPHERE_LOCI)
+# e(e-1) / (2 p (p-1) (p-e)): half the sphere kernel, on the genus-2 curve
+HALF_SPHERE = Kernel(lambda p, e: e * (e - 1.0) / ((p - e) * 2.0 * p * (p - 1.0)),
+                     lambda xs, o: 0.5 * _sphere_partial(*xs, *o), _SPHERE_LOCI)
+# rho(p - u, tau) - rho(p, tau) over (p, u, tau)
+RHO = Kernel(lambda p, u, tau: rho_partial(p - u, tau, 0, 0) - rho_partial(p, tau, 0, 0),
+             _rho_partial, (LatticePoints(0, 2, 1), LatticePoints(0, 2), HalfPlane(2)))
+# log theta(p - u, tau) - log theta(u, tau) over (p, u, tau)
+LOG_THETA = Kernel(
+    lambda p, u, tau: log_theta_partial(p - u, tau, 0, 0) - log_theta_partial(u, tau, 0, 0),
+    _log_theta_partial, (LatticePoints(0, 2, 1), LatticePoints(1, 2), HalfPlane(2)))
+# p, and p - tau over (p, tau)
+IDENTITY = Kernel(lambda p: p, lambda xs, o: 1.0 + 0.0j if o == (1,) else 0.0 + 0.0j)
+P_MINUS_TAU = Kernel(lambda p, tau: p - tau,
+                     lambda xs, o: {(1, 0): 1.0 + 0.0j, (0, 1): -1.0 + 0.0j}.get(o, 0.0 + 0.0j),
+                     (HalfPlane(1),))
+# the modulus direction of the torus: constant speed 2 pi i
+CONSTANT_TWO_PI_I = Kernel(lambda tau: TWO_PI_I, lambda xs, o: 0.0 + 0.0j, (HalfPlane(0),))
+
+
+def _frozen_log(point: complex) -> Kernel:
+    """log(p - point) over p."""
+    return Kernel(lambda p: cmath.log(p - point),
+                  lambda xs, o: _log_partial(xs[0] - point, o[0], 0),
+                  (FixedPoints(0, [point]),))
+
+
+# ---------------------------------------------------------------------------
+# Benney (genus 0, non-compact): f = 1/(p1-p2), g_i = 1/(p-u_i)
+# ---------------------------------------------------------------------------
+
+
+def benney(n: int) -> GTStructure:
+    if n < 1:
+        raise ConfigError("benney needs at least one puncture")
+    return GTStructure(
+        m=n,
+        g=[place(POLE, 1 + n, (0, 1 + i), f"benney:g[{i}]") for i in range(n)],
+        f=place(POLE, 2 + n, (0, 1), "benney:f"),
+        label=f"benney[{n}]",
+        p_box=(-1.5, 1.5, -1.5, 1.5),
+        v_boxes=[(-1.5, 1.5, -1.5, 1.5)] * n,
+        puncture_slots=tuple(range(n)),
+    )
+
+
+def benney_enhanced(n: int) -> EnhancedGT:
+    return EnhancedGT(benney(n), place(POLE, 2 + n, (0, 1), "benney:lambda"))
+
+
+def benney_potentials(n: int) -> list[Potential]:
+    pots = [Potential(place(LOG, 1 + n, (0, 1 + j), f"benney:h[{j}]"), label=f"log(p-u{j + 1})")
+            for j in range(n)]
+    pots.append(Potential(place(IDENTITY, 1 + n, (0,), "benney:h[p]"), label="p"))
+    return pots
+
+
+# ---------------------------------------------------------------------------
+# sphere with n+3 punctures (three frozen at 0, 1, infinity)
+# ---------------------------------------------------------------------------
+
+
 def genus0(n: int) -> GTStructure:
     if n < 1:
         raise ConfigError("genus0 needs at least one movable puncture")
-
-    def g_fn(i):
-        def fn(*args):
-            p, u = args[0], args[1 + i]
-            return u * (u - 1.0) / ((p - u) * p * (p - 1.0))
-
-        return fn
-
-    def g_partial(i):
-        def pf(args, multi):
-            if any(o for s, o in enumerate(multi) if s not in (0, 1 + i)):
-                return 0.0 + 0.0j
-            return _genus0_kernel_partial(args[0], args[1 + i], multi[0], multi[1 + i])
-
-        return pf
-
-    g = [
-        JetEvaluator(
-            1 + n,
-            g_fn(i),
-            domain=Domain((Diagonal(0, 1 + i), FixedPoints(0, [0.0, 1.0]))),
-            partial_fn=g_partial(i),
-            label=f"genus0:g[{i}]",
-        )
-        for i in range(n)
-    ]
-
-    def f_fn(*args):
-        p1, p2 = args[0], args[1]
-        return p2 * (p2 - 1.0) / ((p1 - p2) * p1 * (p1 - 1.0))
-
-    def f_partial(args, multi):
-        if any(multi[2:]):
-            return 0.0 + 0.0j
-        return _genus0_kernel_partial(args[0], args[1], multi[0], multi[1])
-
-    f = JetEvaluator(
-        2 + n,
-        f_fn,
-        domain=Domain((Diagonal(0, 1), FixedPoints(0, [0.0, 1.0]))),
-        partial_fn=f_partial,
-        label="genus0:f",
-    )
     return GTStructure(
         m=n,
-        g=g,
-        f=f,
+        g=[place(SPHERE, 1 + n, (0, 1 + i), f"genus0:g[{i}]") for i in range(n)],
+        f=place(SPHERE, 2 + n, (0, 1), "genus0:f"),
         label=f"genus0[{n}]",
         p_box=(-2.0, 2.0, -2.0, 2.0),
         v_boxes=[(-2.0, 2.0, -2.0, 2.0)] * n,
@@ -219,58 +214,25 @@ def genus0(n: int) -> GTStructure:
 
 
 def genus0_enhanced(n: int) -> EnhancedGT:
-    return EnhancedGT(genus0(n), _pole_evaluator(2 + n, "genus0:lambda"))
+    return EnhancedGT(genus0(n), place(POLE, 2 + n, (0, 1), "genus0:lambda"))
 
 
 def _genus0_h(j: int, n: int) -> JetEvaluator:
     """h_j for the sphere: log(p - u_j) for j < n, log(p) and log(p-1) for
     the two frozen finite punctures."""
     if j < n:
-        def fn(*args):
-            return cmath.log(args[0] - args[1 + j])
-
-        def pf(args, multi):
-            if any(o for s, o in enumerate(multi) if s not in (0, 1 + j)):
-                return 0.0 + 0.0j
-            return _log_partial(args[0] - args[1 + j], multi[0], multi[1 + j])
-
-        return JetEvaluator(1 + n, fn, domain=Domain((Diagonal(0, 1 + j),)),
-                            partial_fn=pf, label=f"genus0:h[u{j + 1}]")
+        return place(LOG, 1 + n, (0, 1 + j), f"genus0:h[u{j + 1}]")
     point = 0.0 if j == n else 1.0
-
-    def fn(*args):
-        return cmath.log(args[0] - point)
-
-    def pf(args, multi):
-        if any(multi[1:]):
-            return 0.0 + 0.0j
-        return _log_partial(args[0] - point, multi[0], 0)
-
-    return JetEvaluator(1 + n, fn, domain=Domain((FixedPoints(0, [point]),)),
-                        partial_fn=pf, label=f"genus0:h[{point}]")
+    return place(_frozen_log(point), 1 + n, (0,), f"genus0:h[{point}]")
 
 
 def genus0_potentials(n: int) -> list[Potential]:
     """Differences h_j - h_1: individually the h_j miss the potential
     equation by a common j-independent defect, so pairwise differences
     satisfy it."""
-    pots = []
     h1 = _genus0_h(0, n)
-    for j in range(1, n + 2):
-        hj = _genus0_h(j, n)
-
-        def fn(*args, _hj=hj, _h1=h1):
-            return _hj.value(args) - _h1.value(args)
-
-        def pf(args, multi, _hj=hj, _h1=h1):
-            return _hj.partial(args, multi) - _h1.partial(args, multi)
-
-        dom = hj.domain.merged(h1.domain)
-        pots.append(
-            Potential(JetEvaluator(1 + n, fn, domain=dom, partial_fn=pf),
-                      label=f"h[{j + 1}]-h[1]")
-        )
-    return pots
+    return [Potential(_difference(_genus0_h(j, n), h1), label=f"h[{j + 1}]-h[1]")
+            for j in range(1, n + 2)]
 
 
 # ---------------------------------------------------------------------------
@@ -285,72 +247,12 @@ def genus1(n: int) -> GTStructure:
     m = n + 1
     f_tau = 2 + n  # tau slot inside f args (p1, p2, u_1..u_n, tau)
     g_tau = 1 + n  # tau slot inside g args (p, u_1..u_n, tau)
-
-    def f_fn(*args):
-        p1, p2, tau = args[0], args[1], args[f_tau]
-        return rho_partial(p1 - p2, tau, 0, 0) - rho_partial(p1, tau, 0, 0)
-
-    def f_partial(args, multi):
-        if any(multi[2:f_tau]):
-            return 0.0 + 0.0j
-        k, l, t = multi[0], multi[1], multi[f_tau]
-        p1, p2, tau = args[0], args[1], args[f_tau]
-        out = (-1) ** l * rho_partial(p1 - p2, tau, k + l, t)
-        if l == 0:
-            out -= rho_partial(p1, tau, k, t)
-        return out
-
-    f_dom = Domain((
-        LatticePoints(0, f_tau, 1),
-        LatticePoints(0, f_tau),
-        HalfPlane(f_tau),
-    ))
-    f = JetEvaluator(2 + m, f_fn, domain=f_dom, partial_fn=f_partial,
-                     label="genus1:f")
-
-    def g_fn(j):
-        def fn(*args):
-            p, u, tau = args[0], args[1 + j], args[g_tau]
-            return rho_partial(p - u, tau, 0, 0) - rho_partial(p, tau, 0, 0)
-
-        return fn
-
-    def g_partial(j):
-        def pf(args, multi):
-            if any(o for s, o in enumerate(multi) if s not in (0, 1 + j, g_tau)):
-                return 0.0 + 0.0j
-            k, r, t = multi[0], multi[1 + j], multi[g_tau]
-            p, u, tau = args[0], args[1 + j], args[g_tau]
-            out = (-1) ** r * rho_partial(p - u, tau, k + r, t)
-            if r == 0:
-                out -= rho_partial(p, tau, k, t)
-            return out
-
-        return pf
-
-    g = []
-    for j in range(n):
-        dom = Domain((
-            LatticePoints(0, g_tau, 1 + j),
-            LatticePoints(0, g_tau),
-            HalfPlane(g_tau),
-        ))
-        g.append(JetEvaluator(1 + m, g_fn(j), domain=dom,
-                              partial_fn=g_partial(j), label=f"genus1:g[u{j + 1}]"))
-
-    def g_tau_fn(*args):
-        return TWO_PI_I
-
-    def g_tau_partial(args, multi):
-        return 0.0 + 0.0j  # constant field
-
-    g.append(JetEvaluator(1 + m, g_tau_fn, domain=Domain((HalfPlane(g_tau),)),
-                          partial_fn=g_tau_partial, label="genus1:g[tau]"))
-
+    g = [place(RHO, 1 + m, (0, 1 + j, g_tau), f"genus1:g[u{j + 1}]") for j in range(n)]
+    g.append(place(CONSTANT_TWO_PI_I, 1 + m, (g_tau,), "genus1:g[tau]"))
     return GTStructure(
         m=m,
         g=g,
-        f=f,
+        f=place(RHO, 2 + m, (0, 1, f_tau), "genus1:f"),
         label=f"genus1[{n}]",
         p_box=(-0.45, 0.45, -0.35, 0.35),
         v_boxes=[(0.1, 0.9, 0.15, 0.45)] * n + [(-0.4, 0.4, 0.9, 1.7)],
@@ -376,57 +278,9 @@ def genus1_potentials(n: int) -> list[Potential]:
     h_j = log theta(p - u_j, tau) - log theta(u_j, tau)."""
     m = n + 1
     tau_slot = 1 + n
-
-    def lin_fn(*args):
-        return args[0] - args[tau_slot]
-
-    def lin_pf(args, multi):
-        if sum(multi) == 1 and multi[0] == 1:
-            return 1.0 + 0.0j
-        if sum(multi) == 1 and multi[tau_slot] == 1:
-            return -1.0 + 0.0j
-        return 0.0 + 0.0j
-
-    pots = [
-        Potential(
-            JetEvaluator(1 + m, lin_fn, domain=Domain((HalfPlane(tau_slot),)),
-                         partial_fn=lin_pf),
-            label="p-tau",
-        )
-    ]
-
-    def h_partial(j: int, args, multi) -> complex:
-        """Partials of h_j = log theta(p - u_j) - log theta(u_j)."""
-        if any(o for s, o in enumerate(multi) if s not in (0, 1 + j, tau_slot)):
-            return 0.0 + 0.0j
-        k, r, t = multi[0], multi[1 + j], multi[tau_slot]
-        p, u, tau = args[0], args[1 + j], args[tau_slot]
-        out = (-1) ** r * log_theta_partial(p - u, tau, k + r, t)
-        if k == 0:
-            out -= log_theta_partial(u, tau, r, t)
-        return out
-
-    zero = (0,) * (1 + m)  # the multi-index of a value
-    for j in range(1, n):
-
-        def pf(args, multi, _j=j):
-            return h_partial(_j, args, multi) - h_partial(0, args, multi)
-
-        def fn(*args, _pf=pf):
-            return _pf(args, zero)
-
-        dom = Domain((
-            LatticePoints(0, tau_slot, 1 + j),
-            LatticePoints(0, tau_slot, 1),
-            LatticePoints(1 + j, tau_slot),
-            LatticePoints(1, tau_slot),
-            HalfPlane(tau_slot),
-        ))
-        pots.append(
-            Potential(JetEvaluator(1 + m, fn, domain=dom, partial_fn=pf),
-                      label=f"h[{j + 1}]-h[1]")
-        )
-    return pots
+    h = [place(LOG_THETA, 1 + m, (0, 1 + j, tau_slot)) for j in range(n)]
+    return [Potential(place(P_MINUS_TAU, 1 + m, (0, tau_slot)), label="p-tau")] + [
+        Potential(_difference(h[j], h[0]), label=f"h[{j + 1}]-h[1]") for j in range(1, n)]
 
 
 # ---------------------------------------------------------------------------
@@ -574,36 +428,7 @@ class GenusTwoF(JetEvaluator):
 
 def genus2() -> GTStructure:
     """Genus-2 curve with branch points 0, 1, infinity and moduli a, b, c."""
-
-    def g_fn(slot):
-        def fn(p, a, b, c):
-            e = (a, b, c)[slot]
-            return e * (e - 1.0) / ((p - e) * 2.0 * p * (p - 1.0))
-
-        return fn
-
-    def g_partial(i):
-        # e(e-1) / (2 p (p-1) (p-e)) has the same partial-fraction shape
-        # as the sphere kernel, halved
-        def pf(args, multi):
-            if any(o for s, o in enumerate(multi) if s not in (0, 1 + i)):
-                return 0.0 + 0.0j
-            return 0.5 * _genus0_kernel_partial(
-                args[0], args[1 + i], multi[0], multi[1 + i]
-            )
-
-        return pf
-
-    g = [
-        JetEvaluator(
-            4,
-            g_fn(i),
-            domain=Domain((Diagonal(0, 1 + i), FixedPoints(0, [0.0, 1.0]))),
-            partial_fn=g_partial(i),
-            label=f"genus2:g[{'abc'[i]}]",
-        )
-        for i in range(3)
-    ]
+    g = [place(HALF_SPHERE, 4, (0, 1 + i), f"genus2:g[{'abc'[i]}]") for i in range(3)]
     return GTStructure(
         m=3,
         g=g,

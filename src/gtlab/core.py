@@ -31,6 +31,7 @@ import numpy as np
 from .errors import ConfigError, DomainViolation, SamplingExhausted
 from .kernel import (
     Box,
+    Diagonal,
     Domain,
     EMPTY_DOMAIN,
     Exclusion,
@@ -136,12 +137,14 @@ class GTStructure:
         self.min_separation = min_separation
         # fiber slots whose g-component is f(p, v_slot): collidable punctures
         self.puncture_slots = puncture_slots
+        self._loci: dict[tuple, tuple[Exclusion, ...]] = {}  # see _sample_loci
 
     # -- sampling ----------------------------------------------------------
 
     def sample(self, count: int, seed: int, n_p: int) -> list[Sample]:
         """count admissible points (p_1..p_{n_p}, v), deterministically."""
         rng = SplitMix64(seed)
+        loci = self._sample_loci(n_p)
         out: list[Sample] = []
         tries = 0
         budget = 2000 * max(count, 1)
@@ -159,15 +162,31 @@ class GTStructure:
                 for pb in ps[i + 1 :]
             ):
                 continue
-            # every locus of every evaluator at every p-slot assignment; the
-            # draw is rejected at the first one closer than the separation
-            calls = [(gi, (p, *v)) for p in ps for gi in self.g]
-            calls += [(self.f, (pa, pb, *v)) for pa, pb in product(ps, ps) if pa is not pb]
-            if any(ex.distance(args) < self.min_separation
-                   for e, args in calls for ex in e.domain.exclusions):
+            # the draw is rejected at the first locus closer than the separation
+            args = ps + v
+            if any(ex.distance(args) < self.min_separation for ex in loci):
                 continue
             out.append((ps, v))
         return out
+
+    def _sample_loci(self, n_p: int) -> tuple[Exclusion, ...]:
+        """Every locus of every evaluator at every assignment of n_p points,
+        over the coordinates (p_1..p_{n_p}, v) of a sample, each distinct
+        one once; an evaluator's loci stay together, in declaration order.
+        Built once per point count and (g, f), so a reassigned f or g is
+        read afresh."""
+        key = (n_p, self.g, self.f)
+        if key not in self._loci:
+            v = list(range(n_p, n_p + self.m))
+            calls = [(gi, [a, *v]) for a in range(n_p) for gi in self.g]
+            calls += [(self.f, [a, b, *v]) for a, b in product(range(n_p), repeat=2) if a != b]
+            loci: list[Exclusion] = []
+            for e, mapping in calls:
+                for ex in e.domain.remap(mapping).exclusions:
+                    if not _declared(ex, loci):
+                        loci.append(ex)
+            self._loci[key] = tuple(loci)
+        return self._loci[key]
 
     def g_apply(self, p: complex, v: Sequence[complex], dv: Sequence[complex]) -> complex:
         """Action of the vector field g(p) on a function whose fiber partials
@@ -652,7 +671,11 @@ class _PulledBack(Exclusion):
 
 def _declared(locus: Exclusion, loci: Sequence[Exclusion]) -> bool:
     """Whether one of ``loci`` already bounds what ``locus`` would: an equal
-    locus, or fixed points in its slot over a superset of its points."""
+    locus (a diagonal in either slot order), or fixed points in its slot
+    over a superset of its points."""
+    if isinstance(locus, Diagonal):
+        return any(isinstance(e, Diagonal) and sorted(e.slots) == sorted(locus.slots)
+                   for e in loci)
     if isinstance(locus, FixedPoints):
         return any(isinstance(e, FixedPoints) and e.slots == locus.slots
                    and set(locus.points) <= set(e.points) for e in loci)

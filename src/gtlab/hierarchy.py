@@ -278,7 +278,8 @@ def _redrawn(s: GTStructure, samples: int, seed: int, rebuild, residual,
     """Residuals at ``samples`` draws of (p1, p2, v), draw k from seed + k.
 
     ``rebuild(p1, p2, v)`` is the reconstruction; a draw where it raises
-    ``DomainViolation`` (a vanishing denominator) is redrawn, up to
+    ``DomainViolation`` (a vanishing denominator, or a circle through
+    non-finite values) is redrawn, up to
     50 * samples draws, and counted.  ``residual(p1, p2, v, rebuilt)``
     scores the others.  Returns (residuals, redrawn count)."""
     residuals = []

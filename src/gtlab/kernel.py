@@ -242,14 +242,22 @@ class JetEvaluator:
     def eval_circle(self, slot: int, args: Sequence[complex], center: complex, radius: float,
                     nodes: int, rests: Sequence[Sequence[int] | None]) -> np.ndarray:
         """``eval_rows`` on an equispaced circle about ``center`` in one
-        slot, anchored at ``args`` with ``center`` in that slot."""
+        slot, anchored at ``args`` with ``center`` in that slot.  A
+        non-finite sample (an undeclared singularity on the circle, or an
+        overflow) raises ``DomainViolation``."""
         work = list(args)
         rows = []
         for k in range(nodes):
             work[slot] = center + radius * cmath.exp(TWO_PI_I * k / nodes)
             rows.append(tuple(work))
         work[slot] = center
-        return self.eval_rows(rows, tuple(work), rests)
+        vals = self.eval_rows(rows, tuple(work), rests)
+        if not np.isfinite(vals).all():
+            raise DomainViolation(
+                f"{self.label or 'evaluator'}: non-finite samples on the circle of "
+                f"radius {radius} about {center!r} in slot {slot}"
+            )
+        return vals
 
     def partial(self, args: Sequence[complex], multi: Sequence[int]) -> complex:
         return self.partials(args, (multi,))[0]

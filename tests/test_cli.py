@@ -370,6 +370,19 @@ def test_pushforward_configs_never_raise(tmp_path, cfg):
     assert run(cfg, str(tmp_path / "fuzz.json")) in (0, 1, 2, 3)
 
 
+def test_pushed_genus2_circle_through_non_finite_values_names_its_cause(tmp_path):
+    # at this scale the pushed f's Laurent circle samples overflow; the job
+    # stops on the first such circle instead of reading NaN residuals
+    cfg = {"command": "pushforward", "structure": "genus2", "seed": 1, "samples": 3,
+           "scale": 1e200}
+    assert run(cfg, str(tmp_path / "r.json")) == 1
+    report = json.loads((tmp_path / "r.json").read_text())
+    assert report["error"].startswith(
+        "DomainViolation: genus2:pushed f: non-finite samples on the circle")
+    assert report["error"].endswith("in slot 0")
+    assert report["reports"] == []
+
+
 # a well-formed hydro, reconstruct or report config, small enough to run in
 # tens of milliseconds, with up to two keys replaced by an out-of-range or
 # junk value (cost-setting keys stay small: a huge z_count or n is a valid

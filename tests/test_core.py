@@ -107,15 +107,6 @@ def test_benney_point_values():
     assert s.g[1].value((p1, *v)) == pytest.approx(1.0 / (p1 - v[1]), rel=1e-14)
 
 
-def test_benney_analytic_partials_match_quadrature():
-    s = catalog.build_structure("benney", 1)
-    args = (0.9 + 0.3j, 0.1 - 0.2j, 0.4 + 0.6j)
-    for multi in [(1, 0, 0), (0, 1, 0), (0, 0, 1), (2, 0, 0), (1, 1, 0)]:
-        analytic = s.f.partial(args, multi)
-        numeric = JetEvaluator(3, s.f.fn, domain=s.f.domain).partial(args, multi)
-        assert analytic == pytest.approx(numeric, rel=1e-8)
-
-
 # ---------------------------------------------------------------------------
 # adding punctures, collisions, pushforwards
 # ---------------------------------------------------------------------------
@@ -413,6 +404,18 @@ def test_sample_admits_exactly_what_the_full_minimum_admitted(n_p):
     for s in _sampled_structures():
         for seed in (1, 7, 101):
             assert s.sample(20, seed, n_p) == _full_minimum_sample(s, 20, seed, n_p), s.label
+
+
+def test_sampler_asks_each_distinct_locus_once():
+    # benney[2] over (p1, p2, u1, u2): each g_i's puncture diagonal at each
+    # point, then f's diagonal once, in the slot order f declares it
+    loci = catalog.build_structure("benney", 2)._sample_loci(2)
+    assert [(type(ex).__name__, ex.slots) for ex in loci] == [
+        ("Diagonal", (0, 2)), ("Diagonal", (0, 3)), ("Diagonal", (1, 2)),
+        ("Diagonal", (1, 3)), ("Diagonal", (0, 1))]
+    # genus1[2]: every g_j and f declare Im tau > 0; it is asked once
+    loci = catalog.build_structure("genus1", 2)._sample_loci(3)
+    assert sum(type(ex).__name__ == "HalfPlane" for ex in loci) == 1
 
 
 # ---------------------------------------------------------------------------

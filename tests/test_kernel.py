@@ -274,6 +274,21 @@ def test_circle_at_a_non_finite_point_fails_closed(p1):
         e.partial((p1, 1.0), (1, 0))
 
 
+def test_a_non_finite_circle_sample_fails_closed():
+    # NaN at one of the 32 nodes of the p circle: no coefficient is read
+    # from it, and the error names the evaluator, the slot and the circle
+    node = 0.7 + 0.25 * 0.4  # the first node of the circle about 0.7
+
+    def fn(p, q):
+        return math.nan if p == node else 1.0 / (p - q)
+
+    e = JetEvaluator(2, fn, domain=Domain((Diagonal(0, 1),)), label="one nan")
+    with pytest.raises(DomainViolation, match=r"one nan: non-finite samples on the circle "
+                                              r"of radius 0\.0999\d* about 0\.7 in slot 0"):
+        e.partial((0.7, 0.3), (1, 0))
+    assert e.partial((0.7, 0.3), (0, 1)) == pytest.approx(1.0 / 0.4**2, rel=1e-10)
+
+
 def test_laurent_coeff_recovers_residue():
     res = laurent_coeff(_rational(), 0, (0.0,), 2.0, -1, radius=0.3)
     assert res == pytest.approx(1.0, rel=1e-10)
