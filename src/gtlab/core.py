@@ -37,6 +37,7 @@ from .kernel import (
     Exclusion,
     FixedPoints,
     JetEvaluator,
+    LatticePoints,
     PathSpec,
     ReindexedEvaluator,
     SplitMix64,
@@ -173,8 +174,9 @@ class GTStructure:
         """Every locus of every evaluator at every assignment of n_p points,
         over the coordinates (p_1..p_{n_p}, v) of a sample, each distinct
         one once; an evaluator's loci stay together, in declaration order.
-        Built once per point count and (g, f), so a reassigned f or g is
-        read afresh."""
+        A diagonal between two points is left to the pairwise separation
+        test, which bounds it at the same threshold.  Built once per point
+        count and (g, f), so a reassigned f or g is read afresh."""
         key = (n_p, self.g, self.f)
         if key not in self._loci:
             v = list(range(n_p, n_p + self.m))
@@ -183,6 +185,8 @@ class GTStructure:
             loci: list[Exclusion] = []
             for e, mapping in calls:
                 for ex in e.domain.remap(mapping).exclusions:
+                    if isinstance(ex, Diagonal) and max(ex.slots) < n_p:
+                        continue
                     if not _declared(ex, loci):
                         loci.append(ex)
             self._loci[key] = tuple(loci)
@@ -671,11 +675,15 @@ class _PulledBack(Exclusion):
 
 def _declared(locus: Exclusion, loci: Sequence[Exclusion]) -> bool:
     """Whether one of ``loci`` already bounds what ``locus`` would: an equal
-    locus (a diagonal in either slot order), or fixed points in its slot
-    over a superset of its points."""
+    locus (a diagonal, or lattice points of a difference, in either slot
+    order: the lattice is symmetric under z -> -z), or fixed points in its
+    slot over a superset of its points."""
     if isinstance(locus, Diagonal):
         return any(isinstance(e, Diagonal) and sorted(e.slots) == sorted(locus.slots)
                    for e in loci)
+    if isinstance(locus, LatticePoints):
+        return any(isinstance(e, LatticePoints) and e.tau_slot == locus.tau_slot
+                   and {e.i, e.j} == {locus.i, locus.j} for e in loci)
     if isinstance(locus, FixedPoints):
         return any(isinstance(e, FixedPoints) and e.slots == locus.slots
                    and set(locus.points) <= set(e.points) for e in loci)

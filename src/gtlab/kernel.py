@@ -4,9 +4,8 @@ Everything downstream is built on three primitives: derivatives of
 holomorphic evaluators by Cauchy circle quadrature, Gauss-Legendre path
 integration, and a seeded generator of points in complex boxes (the
 samplers that reject points near singular loci, ``GTStructure.sample`` and
-``PotentialFamily.sample_z``, draw from it).  The genus-1 special
-functions (the odd theta series and its logarithmic derivative) live here
-as well since they are plain scalar functions.
+``PotentialFamily.sample_z``, draw from it).  The genus-1 theta series
+and its logarithmic derivative live here as well.
 
 ``JetEvaluator.partials(args, multis)`` is the one way to take partial
 derivatives (``partial`` asks it for one), and ``multi_index`` the one way
@@ -23,11 +22,13 @@ continues its branch along the loop there, and a wrapper maps the loop
 into the evaluator it wraps.  ``eval_circle`` builds a circle's loop and
 hands it to ``eval_rows``.
 
-The genus-1 jets ``log_theta_partial(p, tau, dp, dtau)`` are memoised: the
-torus catalog asks for the same jet many times (a fixed puncture across
-every circle node, and the chain rules of gtsys and hydro re-asking their
-inputs), and the theta series behind a jet is a pure function of its
-arguments, so a cache hit is the exact float a recomputation would give.
+Each genus-1 jet is one ``theta_jet`` array sum over k, with its weights
+cached read-only per window; an overflowing series raises ``OverflowError``.
+The jets ``log_theta_partial(p, tau, dp, dtau)`` are memoised: the torus
+catalog asks for the same jet many times (a fixed puncture across every
+circle node, and the chain rules of gtsys and hydro re-asking their inputs),
+and the theta series behind a jet is a pure function of its arguments, so a
+cache hit is the exact float a recomputation would give.
 """
 
 from __future__ import annotations
@@ -569,50 +570,52 @@ def _theta_trunc_index(im_p: float, im_tau: float, tol: float) -> int:
     return int(math.ceil(k0 + depth)) + 3
 
 
-def theta(p: complex, tau: complex, tol: float = 1e-12) -> complex:
-    """Odd Jacobi-style theta series sum_k (-1)^k e^{2 pi i (k p + k(k-1) tau / 2)}.
+@functools.lru_cache(maxsize=128)
+def _theta_weights(K: int, dp: int, dtau: int) -> tuple[np.ndarray, ...]:
+    """k, k(k-1)/2 and the weights (-1)^k (2 pi i k)^i / i! (rows i <= dp) and
+    (pi i k(k-1))^j / j! (columns j <= dtau) over k = -K..K, read-only."""
+    k = np.arange(-K, K + 1)
+    half = 0.5 * k * (k - 1)
+    w_p = np.stack([(1 - 2 * (k & 1)) * (TWO_PI_I * k) ** i / math.factorial(i)
+                    for i in range(dp + 1)])
+    w_tau = np.stack([(TWO_PI_I * half) ** j / math.factorial(j) for j in range(dtau + 1)], 1)
+    for arr in (k, half, w_p, w_tau):
+        arr.flags.writeable = False
+    return k, half, w_p, w_tau
 
-    Truncation index is computed from the explicit tail bound, never
-    hard-coded.
-    """
-    return theta_partial(p, tau, 0, 0, tol)
 
-
-def theta_partial(
-    p: complex, tau: complex, dp: int = 0, dtau: int = 0, tol: float = 1e-12
-) -> complex:
-    """Term-wise partial derivative of the theta series.
-
-    Each term gains factors (2 pi i k)^dp (pi i k(k-1))^dtau; the
-    polynomial growth is absorbed by widening the truncation window.
-    """
-    tau = complex(tau)
-    if tau.imag <= 0:
-        raise InvalidModulus(f"Im tau must be positive, got {tau}")
+def theta_jet(p: complex, tau: complex, dp: int = 0, dtau: int = 0,
+              tol: float = 1e-12) -> list[list[complex]]:
+    """Taylor coefficients a[i][j] = d_p^i d_tau^j theta / (i! j!), i <= dp, j <= dtau, of
+    theta = sum_k (-1)^k e^{2 pi i (k p + k(k-1) tau / 2)}, over the tail bound's window
+    widened by 4 (dp + dtau); a series that is not finite raises ``OverflowError``."""
+    require_finite(p, tau)
     K = _theta_trunc_index(p.imag, tau.imag, tol) + 4 * (dp + dtau)
-    total = 0.0 + 0.0j
-    for k in range(-K, K + 1):
-        expo = TWO_PI_I * (k * p + 0.5 * k * (k - 1) * tau)
-        term = (-1) ** (k & 1) * cmath.exp(expo)
-        if dp:
-            term *= (TWO_PI_I * k) ** dp
-        if dtau:
-            term *= (1j * math.pi * k * (k - 1)) ** dtau
-        total += term
-    return total
+    k, half, w_p, w_tau = _theta_weights(K, dp, dtau)
+    with np.errstate(over="ignore", invalid="ignore"):
+        a = (w_p * np.exp(k * (TWO_PI_I * p) + half * (TWO_PI_I * tau))).dot(w_tau).tolist()
+    if not all(cmath.isfinite(x) for row in a for x in row):
+        raise OverflowError(f"theta series overflows at p = {p!r}, tau = {tau!r}")
+    return a
+
+
+def theta(p: complex, tau: complex, tol: float = 1e-12) -> complex:
+    """The odd theta series at (p, tau)."""
+    return theta_jet(p, tau, 0, 0, tol)[0][0]
+
+
+def theta_partial(p: complex, tau: complex, dp: int = 0, dtau: int = 0,
+                  tol: float = 1e-12) -> complex:
+    """The (dp, dtau) partial derivative of the theta series."""
+    return theta_jet(p, tau, dp, dtau, tol)[dp][dtau] * math.factorial(dp) * math.factorial(dtau)
 
 
 def rho(p: complex, tau: complex, tol: float = 1e-12) -> complex:
     """Logarithmic derivative theta'/theta (derivative in p)."""
-    tau = complex(tau)
-    p = complex(p)
-    if tau.imag <= 0:
-        raise InvalidModulus(f"Im tau must be positive, got {tau}")
+    a = theta_jet(p, tau, 1, 0, tol)
     if lattice_distance(p, tau) < 1e-7:
         raise PoleHit("rho evaluated within 1e-7 of a theta zero")
-    th = theta_partial(p, tau, 0, 0, tol)
-    thp = theta_partial(p, tau, 1, 0, tol)
-    return thp / th
+    return a[1][0] / a[0][0]
 
 
 def rho_partial(p: complex, tau: complex, dp: int, dtau: int) -> complex:
@@ -626,18 +629,14 @@ def log_theta_partial(p: complex, tau: complex, dp: int, dtau: int) -> complex:
 
     Memoised on (p, tau, dp, dtau), most recent 1024 keys: the result is a
     pure function of them, so a hit returns the exact float a recomputation
-    would give; a ``PoleHit`` or ``InvalidModulus`` is raised, never cached.
+    would give; a ``PoleHit``, ``InvalidModulus`` or ``OverflowError`` is never cached.
 
     The Taylor coefficients a_ij of theta on the rectangle i <= dp,
-    j <= dtau determine those of L = log theta through the jet rule
+    j <= dtau, one ``theta_jet``, give those of L = log theta by the jet rule
     (i + j) a_ij = sum_{k <= i, l <= j} (k + l) L_kl a_{i-k, j-l}
     (Griewank & Walther, Evaluating Derivatives, ch. 13).
     """
-    a = [
-        [theta_partial(p, tau, i, j) / (math.factorial(i) * math.factorial(j))
-         for j in range(dtau + 1)]
-        for i in range(dp + 1)
-    ]
+    a = theta_jet(p, tau, dp, dtau)
     a00 = a[0][0]
     if a00 == 0:
         raise PoleHit("log of a jet vanishing at the expansion point")

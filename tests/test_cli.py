@@ -383,6 +383,22 @@ def test_pushed_genus2_circle_through_non_finite_values_names_its_cause(tmp_path
     assert report["reports"] == []
 
 
+@pytest.mark.filterwarnings("error")
+def test_genus1_march_overflowing_theta_names_its_cause(tmp_path):
+    # this march carries p far off the real axis, where the theta series
+    # overflows float64: the job fails on that series, with no warning,
+    # traceback or non-finite residual
+    cfg = {"command": "gtsys", "structure": "genus1", "n": 1, "states": 2, "steps": 2,
+           "h": 0.005, "seed": 2081142491}
+    assert run(cfg, str(tmp_path / "r.json")) == 1
+    text = (tmp_path / "r.json").read_text()
+    report = json.loads(text)
+    assert report["error"].startswith("OverflowError: theta series overflows at p = ")
+    assert ", tau = " in report["error"]
+    assert report["reports"] == []
+    assert "nan" not in text and "inf" not in text
+
+
 # a well-formed hydro, reconstruct or report config, small enough to run in
 # tens of milliseconds, with up to two keys replaced by an out-of-range or
 # junk value (cost-setting keys stay small: a huge z_count or n is a valid

@@ -38,8 +38,10 @@ from gtlab.core import (
 from gtlab.errors import DomainViolation
 from gtlab.gtsys import build_system, compatibility_residual
 from gtlab.kernel import (
+    Diagonal,
     Domain,
     JetEvaluator,
+    LatticePoints,
     ReindexedEvaluator,
     SplitMix64,
     cauchy_derivative,
@@ -408,14 +410,33 @@ def test_sample_admits_exactly_what_the_full_minimum_admitted(n_p):
 
 def test_sampler_asks_each_distinct_locus_once():
     # benney[2] over (p1, p2, u1, u2): each g_i's puncture diagonal at each
-    # point, then f's diagonal once, in the slot order f declares it
+    # point; f's diagonal (0, 1) is the pairwise separation test's
     loci = catalog.build_structure("benney", 2)._sample_loci(2)
     assert [(type(ex).__name__, ex.slots) for ex in loci] == [
         ("Diagonal", (0, 2)), ("Diagonal", (0, 3)), ("Diagonal", (1, 2)),
-        ("Diagonal", (1, 3)), ("Diagonal", (0, 1))]
+        ("Diagonal", (1, 3))]
     # genus1[2]: every g_j and f declare Im tau > 0; it is asked once
     loci = catalog.build_structure("genus1", 2)._sample_loci(3)
     assert sum(type(ex).__name__ == "HalfPlane" for ex in loci) == 1
+
+
+def test_sampler_asks_a_lattice_difference_in_one_slot_order():
+    # genus1[2] over (p1, p2, u1, u2, tau): f declares p1 - p2 off the
+    # lattice at (p1, p2) and at (p2, p1), which read the same distance
+    s = catalog.build_structure("genus1", 2)
+    loci = s._sample_loci(2)
+    assert [(type(ex).__name__, ex.slots) for ex in loci] == [
+        ("LatticePoints", (0, 2, 4)), ("LatticePoints", (0, 4)), ("HalfPlane", (4,)),
+        ("LatticePoints", (0, 3, 4)), ("LatticePoints", (1, 2, 4)),
+        ("LatticePoints", (1, 4)), ("LatticePoints", (1, 3, 4)),
+        ("LatticePoints", (0, 1, 4))]
+    (ps, v), = s.sample(1, 3, 2)
+    args = ps + v
+    assert LatticePoints(0, 4, 1).distance(args) == LatticePoints(1, 4, 0).distance(args)
+    # a pair of sample points is never asked as a locus, in any catalog entry
+    for entry in catalog.CATALOG.values():
+        assert not any(isinstance(ex, Diagonal) and max(ex.slots) < 3
+                       for ex in entry.build(2)._sample_loci(3))
 
 
 # ---------------------------------------------------------------------------

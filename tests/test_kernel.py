@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from gtlab import kernel
 from gtlab.core import _PulledBack
-from gtlab.errors import DomainViolation, NonConvergence, PoleHit
+from gtlab.errors import DomainViolation, InvalidModulus, NonConvergence, PoleHit
 from gtlab.kernel import (
     Diagonal,
     Domain,
@@ -31,6 +31,8 @@ from gtlab.kernel import (
     rho,
     rho_partial,
     theta,
+    theta_jet,
+    theta_partial,
 )
 
 # ---------------------------------------------------------------------------
@@ -374,8 +376,72 @@ def test_log_theta_tau_partials_match_mpmath_jet(dtau):
         assert complex(log_theta_partial(z, TAU, 0, dtau)) == pytest.approx(oracle, rel=1e-10)
 
 
+def _scalar_theta_partial(p, tau, dp, dtau, tol=1e-12):
+    """The term-by-term loop theta_jet replaced, kept as its reference."""
+    K = kernel._theta_trunc_index(p.imag, tau.imag, tol) + 4 * (dp + dtau)
+    total = 0j
+    for k in range(-K, K + 1):
+        term = (-1) ** (k & 1) * cmath.exp(2j * math.pi * (k * p + 0.5 * k * (k - 1) * tau))
+        total += term * (2j * math.pi * k) ** dp * (1j * math.pi * k * (k - 1)) ** dtau
+    return total
+
+
+@pytest.mark.parametrize("dp, dtau", [(0, 0), (3, 0), (0, 3), (4, 2)])
+def test_theta_jet_matches_the_scalar_series(dp, dtau):
+    # the array sum reorders float64 additions over ~30 terms: each entry
+    # agrees with the loop to 1e-12 of its size
+    for z in ZS + [0.02 - 0.6j]:
+        a = theta_jet(z, TAU, dp, dtau)
+        assert [len(row) for row in a] == [dtau + 1] * (dp + 1)
+        for i in range(dp + 1):
+            for j in range(dtau + 1):
+                ref = _scalar_theta_partial(z, TAU, i, j) / (math.factorial(i) * math.factorial(j))
+                assert abs(a[i][j] - ref) <= 1e-12 * abs(ref)
+        assert theta_partial(z, TAU, dp, dtau) == pytest.approx(
+            _scalar_theta_partial(z, TAU, dp, dtau), rel=1e-12)
+
+
+def test_theta_weights_are_cached_read_only():
+    kernel._theta_weights.cache_clear()
+    weights = kernel._theta_weights(12, 3, 2)
+    assert kernel._theta_weights(12, 3, 2) is weights
+    for arr in weights:
+        with pytest.raises(ValueError):
+            arr[0] = 0
+
+
+@pytest.mark.filterwarnings("error")
+def test_theta_overflow_fails_closed_and_is_not_memoised():
+    # far off the real axis the terms overflow float64: the series raises
+    # an OverflowError naming (p, tau), and no RuntimeWarning escapes
+    p = 0.1 + 300j
+    for call in (lambda: theta_jet(p, TAU), lambda: theta(p, TAU),
+                 lambda: log_theta_partial(p, TAU, 1, 1)):
+        with pytest.raises(OverflowError, match=r"p = \(0\.1\+300j\), tau = \(0\.3\+1\.1j\)"):
+            call()
+    assert log_theta_partial.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize("p, tau", [(complex("nan"), TAU), (0.1, complex(0.3, math.inf)),
+                                    (complex(math.inf, 0.2), TAU)])
+def test_theta_jet_rejects_non_finite_arguments(p, tau):
+    with pytest.raises(DomainViolation, match="non-finite"):
+        theta_jet(p, tau, 1, 1)
+    with pytest.raises(DomainViolation, match="non-finite"):
+        rho(p, tau)
+
+
+def test_theta_jet_rejects_a_lower_half_plane_modulus():
+    with pytest.raises(InvalidModulus):
+        theta_jet(0.1, 0.3 - 1.1j, 1, 0)
+
+
+def _vanishing_jet(p, tau, dp=0, dtau=0, tol=1e-12):
+    return [[0j] * (dtau + 1) for _ in range(dp + 1)]
+
+
 def test_log_theta_partial_rejects_a_vanishing_jet(monkeypatch):
-    monkeypatch.setattr(kernel, "theta_partial", lambda *args: 0j)
+    monkeypatch.setattr(kernel, "theta_jet", _vanishing_jet)
     with pytest.raises(PoleHit):
         log_theta_partial(0.1 + 0.1j, TAU, 1, 1)
 
@@ -402,24 +468,24 @@ def test_memoised_jet_equals_a_recomputation_bit_for_bit(dp, dtau):
 
 def test_repeated_jet_sums_no_theta_series(monkeypatch):
     calls = []
-    original = kernel.theta_partial
+    original = kernel.theta_jet
 
     def counted(*args):
         calls.append(args)
         return original(*args)
 
-    monkeypatch.setattr(kernel, "theta_partial", counted)
+    monkeypatch.setattr(kernel, "theta_jet", counted)
     first = log_theta_partial(ZS[0], TAU, 2, 1)
-    assert len(calls) == 6  # the 3 x 2 rectangle of theta partials
+    assert len(calls) == 1  # one series fills the 3 x 2 rectangle
     assert log_theta_partial(ZS[0], TAU, 2, 1) == first
     assert rho_partial(ZS[0], TAU, 1, 1) == first
-    assert len(calls) == 6
+    assert len(calls) == 1
 
 
 def test_a_raised_pole_hit_is_not_memoised(monkeypatch):
     z = 0.1 + 0.1j
     with monkeypatch.context() as patch:
-        patch.setattr(kernel, "theta_partial", lambda *args: 0j)
+        patch.setattr(kernel, "theta_jet", _vanishing_jet)
         with pytest.raises(PoleHit):
             log_theta_partial(z, TAU, 1, 1)
     value = log_theta_partial(z, TAU, 1, 1)
