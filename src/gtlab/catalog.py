@@ -12,7 +12,10 @@ variables of its own, ``place``d on argument slots: f(p1, p2) on slots
 (0, 1) and, at puncture u_i, g_i(p) = f(p, u_i) on slots (0, 1 + i), as in
 adding points.  A kernel is written once, with its value, its partials and
 its singular loci; the placement reads its slots, answers 0 for a partial
-in any other slot, and moves the loci onto the slots.
+in any other slot, and moves the loci onto the slots.  genus2's f, built on
+square roots, is its own evaluator: its partials of total order <= 2 are
+closed form too, from one jet at the point per batch, and its circles
+(value rows only) continue the square-root sheet.
 """
 
 from __future__ import annotations
@@ -61,11 +64,13 @@ def place(kernel: Kernel, arity: int, slots: Sequence[int], label: str = "") -> 
     def fn(*args):
         return kernel.value(*pick(args))
 
-    def partial_fn(args, multi):
-        orders = pick(multi)
-        if sum(orders) != sum(multi):
-            return 0.0 + 0.0j
-        return kernel.partial(pick(args), orders)
+    def partial_fn(args, multis):
+        xs = pick(args)
+        out = []
+        for multi in multis:
+            orders = pick(multi)
+            out.append(kernel.partial(xs, orders) if sum(orders) == sum(multi) else 0.0 + 0.0j)
+        return out
 
     return JetEvaluator(arity, fn, domain=Domain(kernel.loci).remap(slots),
                         partial_fn=partial_fn, label=label)
@@ -77,8 +82,8 @@ def _difference(a: JetEvaluator, b: JetEvaluator) -> JetEvaluator:
     def fn(*args):
         return a.fn(*args) - b.fn(*args)
 
-    def partial_fn(args, multi):
-        return a.partial_fn(args, multi) - b.partial_fn(args, multi)
+    def partial_fn(args, multis):
+        return [x - y for x, y in zip(a.partial_fn(args, multis), b.partial_fn(args, multis))]
 
     return JetEvaluator(a.arity, fn, domain=a.domain.merged(b.domain), partial_fn=partial_fn)
 
@@ -316,14 +321,47 @@ def _track_sqrt(values: np.ndarray, anchor: complex) -> np.ndarray:
     return out
 
 
+def _factors(*pairs):
+    """Rows u of a product of linear factors x_i - x_j = u . x over
+    x = (p1, p2, a, b, c, 0, 1), one per pair (i, j)."""
+    u = np.zeros((len(pairs), 7))
+    for row, (i, j) in enumerate(pairs):
+        u[row, i], u[row, j] = 1.0, -1.0
+    return u
+
+
+# f = N / D with N = A1 B2 + q1 q2 and D = 2 (p1 - p2) p1 (p1 - 1) A1
+_A1_B2 = _factors((0, 2), (0, 3), (0, 4), (1, 5), (1, 6))
+_Q1_Q2 = _factors(*((i, r) for i in (0, 1) for r in (2, 3, 4, 5, 6)))
+_DEN = _factors((0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (0, 6))
+
+
+def _power_hessian(u, x, power=1.0):
+    """(P_kl / P, d_k log P) over the five arguments for P the product of
+    the factors u . x raised to ``power``: d log P = power sum u / (u . x),
+    and P_kl / P = d_k d_l log P + d_k log P d_l log P."""
+    inv = 1.0 / (u @ x)
+    u = u[:, :5]
+    grad = power * (inv @ u)
+    return np.outer(grad, grad) - (u.T * (power * inv * inv)) @ u, grad
+
+
+def _quotient_hessian(f, f_grad, den, den_grad, num_hess, den_hess):
+    """Second partials of f = N / D from the jets of N and D and f's own:
+    f_kl = (N_kl - f_k D_l - f_l D_k - f D_kl) / D."""
+    cross = np.outer(f_grad, den_grad)
+    return (num_hess - cross - cross.T - f * den_hess) / den
+
+
 class GenusTwoF(JetEvaluator):
     """Two-point function of the genus-2 curve.
 
-    Values use the principal branch of q at each argument; derivatives by
-    circle quadrature continue the sheet along the circle so the branch cut
+    Values use the principal branch of q at each argument.  Every partial
+    of total order <= 2 is closed form, from one jet of f = N / D at the
+    point on the principal q1 and q2: the batch a ``partials`` call hands
+    over shares them.  Circles (for higher orders in one slot) sample
+    values only, continuing the sheet along the circle so the branch cut
     of the principal square root never contaminates a derivative disc.
-    First-order partials are closed-form (the identities downstream consume
-    mostly those).
     """
 
     # args: (p1, p2, a, b, c)
@@ -353,42 +391,25 @@ class GenusTwoF(JetEvaluator):
         return self._assemble(p1, p2, a, b, c, q1, q2)
 
     def eval_rows(self, rows, anchor, rests):
-        """Values (rest None) or the closed-form first partial in the slot a
-        rest names along a loop of arguments, with q1 and q2 continued along
-        it once from their principal values at ``anchor``.  The partial
-        rows of one node share its terms, and _quintic_dp of a point that
-        stays put along the loop (p2 on a p1 circle) is computed once."""
-        if any(rest is not None and sum(rest) > 1 for rest in rests):
+        """Values along a loop of arguments, with q1 and q2 continued along
+        it once from their principal values at ``anchor``.  Partials of
+        order <= 2 never reach a circle, and a partial rest (a mixed
+        partial beyond them) is not supported."""
+        if any(rest is not None for rest in rests):
             raise NotImplementedError(
-                "genus-2 mixed partials beyond total order 2 in more than "
-                "one slot are not supported"
-            )
+                "genus-2 mixed partials beyond total order 2 are not supported")
         q1 = _track_sqrt(np.array([_quintic(r[0], r[2], r[3], r[4]) for r in rows]),
                          cmath.sqrt(_quintic(anchor[0], anchor[2], anchor[3], anchor[4])))
         q2 = _track_sqrt(np.array([_quintic(r[1], r[2], r[3], r[4]) for r in rows]),
                          cmath.sqrt(_quintic(anchor[1], anchor[2], anchor[3], anchor[4])))
-        slots = [None if rest is None else rest.index(1) for rest in rests]
-        seen: dict = {}
+        values = [self._assemble(*row, a, b) for row, a, b in zip(rows, q1, q2)]
+        return np.array([values] * len(rests), dtype=complex)
 
-        def quintic_dp(*key):
-            if key not in seen:
-                seen[key] = _quintic_dp(*key)
-            return seen[key]
-
-        any_partial = any(slot is not None for slot in slots)
-        out = np.empty((len(rests), len(rows)), dtype=complex)
-        for k, row in enumerate(rows):
-            shared = self._shared(row, q1[k], q2[k]) if any_partial else None
-            for i, slot in enumerate(slots):
-                out[i, k] = (self._assemble(*row, q1[k], q2[k]) if slot is None else
-                             self._first_partial(row, slot, q1[k], q2[k], shared, quintic_dp))
-        return out
-
-    # closed-form first partials ------------------------------------------
+    # closed-form partials -------------------------------------------------
 
     @staticmethod
     def _shared(args, q1, q2):
-        """(A1, B2, f, den) at one point: what every first partial there uses."""
+        """(A1, B2, f, den) at one point: what every partial there uses."""
         p1, p2, a, b, c = args
         A1 = (p1 - a) * (p1 - b) * (p1 - c)
         B2 = p2 * (p2 - 1.0)
@@ -397,16 +418,16 @@ class GenusTwoF(JetEvaluator):
         return A1, B2, num / den, den
 
     @staticmethod
-    def _first_partial(args, slot, q1, q2, shared, quintic_dp=_quintic_dp):
+    def _first_partial(args, slot, q1, q2, shared):
         p1, p2, a, b, c = args
         A1, B2, f, den = shared
         if slot == 0:
             dA1 = (p1 - b) * (p1 - c) + (p1 - a) * (p1 - c) + (p1 - a) * (p1 - b)
-            dq1 = quintic_dp(p1, a, b, c) / (2.0 * q1)
+            dq1 = _quintic_dp(p1, a, b, c) / (2.0 * q1)
             dnum = dA1 * B2 + dq1 * q2
             dden = den * (1.0 / (p1 - p2) + 1.0 / p1 + 1.0 / (p1 - 1.0) + dA1 / A1)
         elif slot == 1:
-            dq2 = quintic_dp(p2, a, b, c) / (2.0 * q2)
+            dq2 = _quintic_dp(p2, a, b, c) / (2.0 * q2)
             dnum = A1 * (2.0 * p2 - 1.0) + q1 * dq2
             dden = den * (-1.0 / (p1 - p2))
         else:
@@ -418,12 +439,42 @@ class GenusTwoF(JetEvaluator):
             dden = den * (dA1 / A1)
         return (dnum - f * dden) / den
 
-    def _partial_fn(self, args, multi):
-        if sum(multi) != 1:
-            return NotImplemented
+    @staticmethod
+    def _hessian(args, q1, q2, shared, f_grad):
+        """Every second partial at one point, as nested lists.  N's terms
+        A1 B2 and q1 q2 and the denominator are products of powers of linear
+        factors, so each jet is its value times the jet of its logarithm;
+        q1 q2 is (quintic(p1) quintic(p2))^(1/2) on either sheet, so its
+        logarithmic jet does not depend on the sheet."""
+        A1, B2, f, den = shared
+        x = np.array([*args, 0.0, 1.0], dtype=complex)
+        hess_ab, _ = _power_hessian(_A1_B2, x)
+        hess_qq, _ = _power_hessian(_Q1_Q2, x, 0.5)
+        hess_den, grad_den = _power_hessian(_DEN, x)
+        num_hess = (A1 * B2) * hess_ab + (q1 * q2) * hess_qq
+        return _quotient_hessian(f, np.array(f_grad), den, den * grad_den, num_hess,
+                                 den * hess_den).tolist()
+
+    def _partial_fn(self, args, multis):
+        """Orders 1 and 2 from one jet at the point; higher orders go to the
+        circles."""
         q1 = cmath.sqrt(_quintic(args[0], args[2], args[3], args[4]))
         q2 = cmath.sqrt(_quintic(args[1], args[2], args[3], args[4]))
-        return self._first_partial(args, multi.index(1), q1, q2, self._shared(args, q1, q2))
+        shared = self._shared(args, q1, q2)
+        orders = [sum(multi) for multi in multis]
+        slots = range(5) if 2 in orders else {m.index(1) for m, o in zip(multis, orders) if o == 1}
+        firsts = {t: self._first_partial(args, t, q1, q2, shared) for t in slots}
+        hess = self._hessian(args, q1, q2, shared, list(firsts.values())) if 2 in orders else None
+        out = []
+        for multi, order in zip(multis, orders):
+            if order == 1:
+                out.append(firsts[multi.index(1)])
+            elif order == 2:
+                s, t = (slot for slot, o in enumerate(multi) for _ in range(o))
+                out.append(hess[s][t])
+            else:
+                out.append(NotImplemented)
+        return out
 
 
 def genus2() -> GTStructure:

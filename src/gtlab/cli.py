@@ -218,15 +218,17 @@ def _cmd_pushforward(cfg):
     def mu_fn(*args):
         return args[0] + scale * args[1] * args[0] ** 2
 
-    def mu_pf(args, multi):
+    def mu_partial(pt, u1, multi):
         # d_p^k d_u1^r of mu for k + r >= 1 (order 0 never reaches a partial_fn)
-        pt, u1 = args[0], args[1]
         k, r = multi[0], multi[1]
         if any(multi[2:]) or r > 1 or k > 2:
             return 0.0 + 0.0j
         if r:
             return (scale * pt**2, 2.0 * scale * pt, 2.0 * scale)[k]
         return 1.0 + 2.0 * scale * u1 * pt if k == 1 else 2.0 * scale * u1
+
+    def mu_pf(args, multis):
+        return [mu_partial(args[0], args[1], multi) for multi in multis]
 
     mu = JetEvaluator(1 + m, mu_fn, domain=Domain(), partial_fn=mu_pf,
                       label="mu")

@@ -601,13 +601,10 @@ def collide_points_closed(s: GTStructure, groups: Sequence[Sequence[int]]) -> GT
                 total += w * dvals[dm] * mono
             return total
 
-        def first(args, multi):
+        def first(args, t):
             """Term by term: f's partials in the slots the moving coordinate
-            feeds (u0 feeds two, p2 and its own fiber slot, so the two
+            t feeds (u0 feeds two, p2 and its own fiber slot, so the two
             partials add up), and the monomial's own derivative."""
-            if sum(multi) != 1:
-                return NotImplemented
-            t = multi.index(1)
             p, v = args[0], args[1:]
             u = [v[slot] for slot in owner]
             fed = [0] if t == 0 else [1 + t] + ([1] if t - 1 == u0_slot else [])
@@ -628,8 +625,12 @@ def collide_points_closed(s: GTStructure, groups: Sequence[Sequence[int]]) -> GT
                 total += w * (dval * mono + (dvals[dm] * dmono if rr_t else 0.0))
             return total
 
+        def partial_fn(args, multis):
+            return [first(args, multi.index(1)) if sum(multi) == 1 else NotImplemented
+                    for multi in multis]
+
         dom = _collided_domain(s.g[i].domain, groups, offset=1, arity=1 + m)
-        return JetEvaluator(1 + m, fn, domain=dom, partial_fn=first,
+        return JetEvaluator(1 + m, fn, domain=dom, partial_fn=partial_fn,
                             label=f"{s.label}:closed-collided g[{i}]")
 
     return GTStructure(
@@ -691,7 +692,10 @@ def _declared(locus: Exclusion, loci: Sequence[Exclusion]) -> bool:
 
 
 class _Composed(JetEvaluator):
-    """outer(args, mapped, inner(mapped)) with mapped = to_inner(args).
+    """outer(args, mapped, rates, inner(mapped)) with (mapped, rates) =
+    to_inner(args): the map gives inner's arguments and, from the same
+    call, whatever of its own partials ``outer`` scales by; ``image(args)``
+    is the map alone.
 
     Value rows map their loop through ``to_inner`` and take ``inner``'s
     rows, so a branch ``inner`` continues along a loop survives the
@@ -701,30 +705,33 @@ class _Composed(JetEvaluator):
     ``loci``, the singular loci in ``inner``'s slots of what ``outer``
     adds."""
 
-    def __init__(self, inner: JetEvaluator, to_inner, outer, first, arity: int, label: str,
-                 loci: Sequence[Exclusion] = ()):
-        self.inner, self.to_inner, self.outer, self.first = inner, to_inner, outer, first
-        image = functools.lru_cache(maxsize=1)(to_inner)  # the loci ask in turn at one point
-        domain = Domain(tuple(_PulledBack(image, ex, range(arity))
+    def __init__(self, inner: JetEvaluator, image, to_inner, outer, first, arity: int,
+                 label: str, loci: Sequence[Exclusion] = ()):
+        self.inner, self.image, self.to_inner = inner, image, to_inner
+        self.outer, self.first = outer, first
+        cached = functools.lru_cache(maxsize=1)(image)  # the loci ask in turn at one point
+        domain = Domain(tuple(_PulledBack(cached, ex, range(arity))
                               for ex in (*inner.domain.exclusions, *loci)))
         super().__init__(arity, self._fn, domain=domain, partial_fn=self._partial,
                          label=label)
 
     def _fn(self, *args):
-        mapped = self.to_inner(args)
-        return self.outer(args, mapped, self.inner.value(mapped))
+        mapped, rates = self.to_inner(args)
+        return self.outer(args, mapped, rates, self.inner.value(mapped))
 
-    def _partial(self, args, multi):
-        if sum(multi) != 1:
-            return NotImplemented
-        return self.first(args, self.to_inner(args), multi.index(1))
+    def _partial(self, args, multis):
+        mapped = self.image(args) if any(sum(multi) == 1 for multi in multis) else None
+        return [self.first(args, mapped, multi.index(1)) if sum(multi) == 1 else NotImplemented
+                for multi in multis]
 
     def eval_rows(self, rows, anchor, rests):
         """Value rows continue ``inner``'s branch along the loop mapped
         through ``to_inner``; a partial row takes the partial at each node."""
-        mapped = [self.to_inner(row) for row in rows]
-        vals = self.inner.eval_rows(mapped, self.to_inner(anchor), [None])[0]
-        values = [self.outer(row, m, complex(val)) for row, m, val in zip(rows, mapped, vals)]
+        located = [self.to_inner(row) for row in rows]
+        vals = self.inner.eval_rows([mapped for mapped, _ in located], self.image(anchor),
+                                    [None])[0]
+        values = [self.outer(row, mapped, rates, complex(val))
+                  for row, (mapped, rates), val in zip(rows, located, vals)]
         return np.array([values if rest is None else [self.partial(row, rest) for row in rows]
                          for rest in rests], dtype=complex)
 
@@ -757,18 +764,24 @@ def pushforward(s: GTStructure, c: CoordinateChange) -> GTStructure:
     locus at (mu(p~1), v) that f does not already declare.  First partials
     follow by the chain rule from the first partials of f and g and from
     mu's first partials and second partials mixed with the moving slot,
-    asked for in one ``partials`` call per point of mu.
+    asked for in one ``partials`` call per point of mu.  The values take
+    mu and mu_p (and mu_v at p2) from the map's one call per point.
     """
     m = s.m
     mu = c.mu
     mi = functools.partial(multi_index, 1 + m)  # mu's multi-indices over (p, v)
     dvs = [mi(1 + j) for j in range(m)]
+    value_dp = [mi(), mi(0)]  # mu and mu_p
 
-    def g_map(args):
+    def g_image(args):
         return (mu.value(args), *args[1:])
 
-    def g_outer(args, mapped, val):
-        return mu.partial(args, mi(0)) ** 2 * val
+    def g_map(args):
+        mu_val, mu_p = mu.partials(args, value_dp)
+        return (mu_val, *args[1:]), mu_p
+
+    def g_outer(args, mapped, mu_p, val):
+        return mu_p ** 2 * val
 
     def g_first(i):
         def first(args, mapped, t):
@@ -779,14 +792,20 @@ def pushforward(s: GTStructure, c: CoordinateChange) -> GTStructure:
 
         return first
 
-    def f_map(args):
+    def f_image(args):
         v = args[2:]
         return (mu.value((args[0], *v)), mu.value((args[1], *v)), *v)
 
-    def f_outer(args, mapped, val):
+    def f_map(args):
+        """f_image(args), and mu_p at p1 and p2 with mu_v at p2."""
         v = args[2:]
-        mu_p1 = mu.partial((args[0], *v), mi(0))
-        mu_p2, *mu_v2 = mu.partials((args[1], *v), [mi(0), *dvs])
+        mu1, mu_p1 = mu.partials((args[0], *v), value_dp)
+        mu2, mu_p2, *mu_v2 = mu.partials((args[1], *v), value_dp + dvs)
+        return (mu1, mu2, *v), (mu_p1, mu_p2, mu_v2)
+
+    def f_outer(args, mapped, rates, val):
+        v = args[2:]
+        mu_p1, mu_p2, mu_v2 = rates
         # g(mu(p1)) applied to mu(p2, v) through the fiber coordinates
         gterm = 0.0 + 0.0j
         for j in range(m):
@@ -826,9 +845,10 @@ def pushforward(s: GTStructure, c: CoordinateChange) -> GTStructure:
                 g_loci.append(ex)
     return GTStructure(
         m=m,
-        g=[_Composed(s.g[i], g_map, g_outer, g_first(i), 1 + m, f"{s.label}:pushed g[{i}]")
-           for i in range(m)],
-        f=_Composed(s.f, f_map, f_outer, f_first, 2 + m, f"{s.label}:pushed f", g_loci),
+        g=[_Composed(s.g[i], g_image, g_map, g_outer, g_first(i), 1 + m,
+                     f"{s.label}:pushed g[{i}]") for i in range(m)],
+        f=_Composed(s.f, f_image, f_map, f_outer, f_first, 2 + m, f"{s.label}:pushed f",
+                    g_loci),
         label=f"{s.label}:pushed",
         p_box=s.p_box,
         v_boxes=s.v_boxes,
@@ -844,8 +864,8 @@ def pushforward_lambda(e: EnhancedGT, c: CoordinateChange) -> EnhancedGT:
     f = base.f
     mi = functools.partial(multi_index, 1 + e.m)
 
-    def lam_outer(args, mapped, val):
-        return mu.partial((args[0], *args[2:]), mi(0)) * val
+    def lam_outer(args, mapped, rates, val):
+        return rates[0] * val  # mu_p(p1), from f's map
 
     def lam_first(args, mapped, t):
         v = args[2:]
@@ -859,7 +879,7 @@ def pushforward_lambda(e: EnhancedGT, c: CoordinateChange) -> EnhancedGT:
         lam, dlam = _moved(e.lam, mapped, rates)
         return (0.0 if t1 is None else d1[mi(0, t1)] * lam) + d1[mi(0)] * dlam
 
-    lam = _Composed(e.lam, f.to_inner, lam_outer, lam_first, f.arity,
+    lam = _Composed(e.lam, f.image, f.to_inner, lam_outer, lam_first, f.arity,
                     f"{e.label}:pushed lambda")
     return EnhancedGT(base, lam)
 

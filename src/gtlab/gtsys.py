@@ -79,10 +79,12 @@ def build_system(
     ``Q_row``) that returns every first partial at one point by the chain
     rule and computes the terms the slots share (F, G_1, G_2, N and the g_1
     partials) once; a row asks each evaluator for all it needs at a point
-    in one ``partials`` call, so an f or g without closed forms opens its
+    in one ``partials`` call, so f's second partials d_{p_2} d_k f come
+    from f's own ``partial_fn`` where it has them (every catalog f,
+    genus2's included), and an f or g without closed forms opens its
     circles on its own domain, never on the quotient's, and no circle
     approaches a zero of g_1.  The evaluators' ``partial_fn`` read these
-    rows.
+    rows, one row per batch of multi-indices.
     """
     if s.m < 1:
         raise ConfigError("need at least one fiber coordinate")
@@ -114,8 +116,10 @@ def build_system(
 
     def quotient(arity, fn, row, dom, label):
         """The evaluator whose first partials are the entries of ``row``."""
-        def pf(args, multi):
-            return row(args)[multi.index(1)] if sum(multi) == 1 else NotImplemented
+        def pf(args, multis):
+            firsts = row(args) if any(sum(multi) == 1 for multi in multis) else None
+            return [firsts[multi.index(1)] if sum(multi) == 1 else NotImplemented
+                    for multi in multis]
 
         return JetEvaluator(arity, fn, domain=dom, partial_fn=pf, label=label)
 
@@ -240,14 +244,15 @@ def inject_defect(s: GTStructure, scale: float = 1e-2, seed: int = 0) -> GTStruc
         p1, p2 = args[0], args[1]
         return base.value(args) + scale * (c[0] + c[1] * p1 + c[2] * p2 * p2)
 
-    def pf(args, multi):
-        out = base.partial(args, multi)
-        if multi[0] == 1 and sum(multi) == 1:
-            return out + scale * c[1]
-        if multi[1] == 1 and sum(multi) == 1:
-            return out + scale * 2.0 * c[2] * args[1]
-        if multi[1] == 2 and sum(multi) == 2:
-            return out + scale * 2.0 * c[2]
+    def pf(args, multis):
+        out = base.partials(args, multis)
+        for i, multi in enumerate(multis):
+            if multi[0] == 1 and sum(multi) == 1:
+                out[i] += scale * c[1]
+            elif multi[1] == 1 and sum(multi) == 1:
+                out[i] += scale * 2.0 * c[2] * args[1]
+            elif multi[1] == 2 and sum(multi) == 2:
+                out[i] += scale * 2.0 * c[2]
         return out
 
     f = JetEvaluator(base.arity, fn, domain=base.domain, partial_fn=pf,

@@ -10,7 +10,9 @@ and its logarithmic derivative live here as well.
 ``JetEvaluator.partials(args, multis)`` is the one way to take partial
 derivatives (``partial`` asks it for one), and ``multi_index`` the one way
 to name them: analytic derivatives come from the evaluator's
-``partial_fn``, and the multi-indices it cannot answer are grouped by their
+``partial_fn(args, multis)``, which answers the whole batch of nonzero
+multi-indices at the point in one call, so a closed form shares its terms
+across them; the multi-indices it leaves NotImplemented are grouped by their
 leading slot, so each slot costs one ``deriv_radius`` and one circle, with
 one row of samples per distinct rest, whatever the number of partials read
 from it.  A consumer asks each evaluator for everything it needs at one
@@ -195,8 +197,10 @@ class JetEvaluator:
 
     ``fn`` maps ``arity`` complex arguments to a complex value.  Partials
     default to Cauchy circle quadrature with the radius derived from the
-    declared domain; an optional ``partial_fn(args, multi)`` may supply
-    analytic derivatives (return NotImplemented to fall back).
+    declared domain; an optional ``partial_fn(args, multis)`` may supply
+    analytic derivatives: it gets every nonzero multi-index asked at one
+    point and returns one entry per multi-index, NotImplemented where the
+    circles should answer.
     """
 
     def __init__(
@@ -266,31 +270,42 @@ class JetEvaluator:
     def partials(self, args: Sequence[complex],
                  multis: Sequence[Sequence[int]]) -> list[complex]:
         """Partials at one point, one per multi-index.  ``partial_fn``
-        answers what it can; the rest share one circle per leading slot,
-        and the orders read with one rest share its row."""
+        answers what it can of the batch in one call; the rest share one
+        circle per leading slot, and the orders read with one rest share
+        its row."""
         if len(args) != self.arity:
             raise ValueError(f"{self.label or 'evaluator'} takes {self.arity} "
                              f"arguments, got {len(args)}")
         args = tuple(args)
         out: list = []
-        circles: dict[int, list] = {}
+        asked: list = []  # the nonzero multi-indices; None holds their places in out
+        value = None
         for multi in multis:
             if len(multi) != self.arity:
                 raise ValueError(f"{self.label or 'evaluator'} takes {self.arity} "
                                  f"derivative orders, got {len(multi)}")
-            if not any(multi):
-                out.append(complex(self.fn(*args)))
+            if any(multi):
+                asked.append(multi)
+                out.append(None)
+            else:
+                if value is None:
+                    value = complex(self.fn(*args))
+                out.append(value)
+        if not asked:
+            return out
+        answers = iter(self.partial_fn(args, asked) if self.partial_fn is not None
+                       else [NotImplemented] * len(asked))
+        circles: dict[int, list] = {}
+        for i, multi in enumerate(multis):
+            if out[i] is not None:
                 continue
-            if self.partial_fn is not None:
-                res = self.partial_fn(args, tuple(multi))
-                if res is not NotImplemented:
-                    out.append(complex(res))
-                    continue
+            res = next(answers)
+            if res is not NotImplemented:
+                out[i] = complex(res)
+                continue
             slot = next(s for s, o in enumerate(multi) if o > 0)
             rest = tuple(0 if s == slot else o for s, o in enumerate(multi))
-            circles.setdefault(slot, []).append((len(out), multi[slot],
-                                                 rest if any(rest) else None))
-            out.append(None)
+            circles.setdefault(slot, []).append((i, multi[slot], rest if any(rest) else None))
         for slot, group in circles.items():
             radius = self.deriv_radius(args, slot)
             rests = list(dict.fromkeys(rest for _, _, rest in group))
@@ -336,10 +351,10 @@ class ReindexedEvaluator(JetEvaluator):
     def _inert(self, multi) -> bool:
         return any(o > 0 and s not in self.source for s, o in enumerate(multi))
 
-    def _partial(self, args, multi):
-        if self._inert(multi):
-            return 0.0 + 0.0j
-        return self.base.partial(self._to_base(args), self._to_base(multi))
+    def _partial(self, args, multis):
+        live = [self._to_base(multi) for multi in multis if not self._inert(multi)]
+        vals = iter(self.base.partials(self._to_base(args), live) if live else ())
+        return [0.0 + 0.0j if self._inert(multi) else next(vals) for multi in multis]
 
     def eval_rows(self, rows, anchor, rests):
         out = np.zeros((len(rests), len(rows)), dtype=complex)

@@ -56,11 +56,11 @@ def _partial_error(e, args, log=False):
     d_s d_t E / E = h_st + h_s h_t."""
     firsts = [multi_index(e.arity, s) for s in range(e.arity)]
     seconds = [(s, t) for s in range(e.arity) for t in range(s, e.arity)]
-    jet = {multi: e.partial_fn(args, multi) for multi in firsts}
+    jet = dict(zip(firsts, e.partial_fn(args, firsts)))
     want = dict(jet)
-    for s, t in seconds:
-        multi = multi_index(e.arity, s, t)
-        want[multi] = e.partial_fn(args, multi) + (jet[firsts[s]] * jet[firsts[t]] if log else 0)
+    second = e.partial_fn(args, [multi_index(e.arity, s, t) for s, t in seconds])
+    for (s, t), d2 in zip(seconds, second):
+        want[multi_index(e.arity, s, t)] = d2 + (jet[firsts[s]] * jet[firsts[t]] if log else 0)
     if log:
         bare = JetEvaluator(e.arity, lambda *a: cmath.exp(e.fn(*a)), domain=e.domain)
         unit, value = bare.value(args), 1.0
@@ -74,8 +74,9 @@ def _partial_error(e, args, log=False):
 
 def _catalog_evaluators(name, n):
     """(evaluator, points it takes, whether it is a log) for every
-    evaluator the catalog builds for (name, n); genus2's f answers first
-    partials only and has its own tests."""
+    evaluator the catalog builds for (name, n); genus2's f has its own
+    tests, since a value-only copy of it samples the principal branch of
+    q, whose cut its derivative circles may cross."""
     s = catalog.build_structure(name, n)
     out = [(g, 1, False) for g in s.g]
     if name != "genus2":
@@ -207,11 +208,11 @@ def test_genus1_f_double_periodicity_in_p2():
 # ---------------------------------------------------------------------------
 
 
-def _genus2_f_oracle(p1, p2, a, b, c):
+def _genus2_f_oracle(p1, p2, a, b, c, sqrt=cmath.sqrt):
     def quintic(p):
         return p * (p - 1.0) * (p - a) * (p - b) * (p - c)
 
-    q1, q2 = cmath.sqrt(quintic(p1)), cmath.sqrt(quintic(p2))
+    q1, q2 = sqrt(quintic(p1)), sqrt(quintic(p2))
     A1 = (p1 - a) * (p1 - b) * (p1 - c)
     return (A1 * p2 * (p2 - 1.0) + q1 * q2) / (
         2.0 * (p1 - p2) * p1 * (p1 - 1.0) * A1
@@ -246,7 +247,8 @@ def test_genus2_f_diagonal_residue():
 
 def test_genus2_sheet_tracked_second_partials():
     # the derivative circles about p1 cross the cut of the principal square
-    # root of the quintic, so only sheet-tracked samples give the partials
+    # root of the quintic, so circles over principal values are far off;
+    # the closed form reads q1 and q2 on one sheet at the point
     s = catalog.build_structure("genus2")
     args = (1.3 + 0.01j, -0.6 + 0.8j, 1.7, 2.9, 4.1)
     h = 1e-5
@@ -289,17 +291,21 @@ PARTIALS_AT = {
 
 @pytest.mark.parametrize("name,n", sorted(PARTIALS_AT, key=str))
 def test_batched_partials_equal_single_partials_bit_for_bit(name, n):
-    # every d_1 d_s f in one batch, then each multi-index on its own
+    # every d_1 d_s f in one batch, then each multi-index on its own; and a
+    # batch that mixes orders 0, 1 and 2 (the value in the middle)
     f = catalog.build_structure(name, n).f
     args = PARTIALS_AT[name, n]
-    multis = [[int(i == 1) + int(i == s) for i in range(f.arity)]
-              for s in range(f.arity)]
-    batch = f.partials(args, multis)
-    assert batch == [f.partial(args, multi) for multi in multis]
-    assert all(cmath.isfinite(x) for x in batch)
+    multis = [multi_index(f.arity, 1, s) for s in range(f.arity)]
+    mixed = [multi for s in range(f.arity)
+             for multi in (multi_index(f.arity, s), multi_index(f.arity, 1, s))]
+    mixed.insert(f.arity, multi_index(f.arity))
+    for batch_multis in (multis, mixed):
+        batch = f.partials(args, batch_multis)
+        assert batch == [f.partial(args, multi) for multi in batch_multis]
+        assert all(cmath.isfinite(x) for x in batch)
 
 
-def test_genus2_batch_shares_one_circle_per_slot():
+def test_genus2_batch_of_second_partials_opens_no_circle():
     f = catalog.build_structure("genus2").f
     args = PARTIALS_AT["genus2", None]
     calls = []
@@ -310,9 +316,62 @@ def test_genus2_batch_shares_one_circle_per_slot():
         return original(slot, *rest)
 
     f.eval_circle = counted
-    f.partials(args, [[int(i == 1) + int(i == s) for i in range(5)] for s in range(5)])
-    # d_0 d_1 f on a p1 circle; d_1^2 f and d_1 d_{a,b,c} f on one p2 circle
-    assert calls == [0, 1]
+    f.partials(args, [multi_index(5, 1, s) for s in range(5)])
+    # d_1 d_s f for every s, from one closed-form jet at the point
+    assert calls == []
+
+
+def _genus2_second_partial_error(args):
+    """Largest distance between a second partial of genus2's f and mpmath's
+    differentiation of the independent oracle (principal roots, 30
+    digits), over the largest of them."""
+    f = catalog.build_structure("genus2").f
+    seconds = [multi_index(5, s, t) for s in range(5) for t in range(s, 5)]
+    got = f.partials(args, seconds)
+    with mp.workdps(30):
+        point = [mp.mpc(x) for x in args]
+        want = [complex(mp.diff(lambda *z: _genus2_f_oracle(*z, sqrt=mp.sqrt), point, multi))
+                for multi in seconds]
+    return max(abs(x - y) for x, y in zip(got, want)) / max(map(abs, want))
+
+
+def _genus2_oracle_points():
+    """The near-cut point and sampled points of the genus2 box."""
+    s = catalog.build_structure("genus2")
+    return [PARTIALS_AT["genus2", None]] + [(*ps, *v) for ps, v in s.sample(6, seed=7, n_p=2)]
+
+
+def test_genus2_second_partials_match_mpmath():
+    for args in _genus2_oracle_points():
+        err = _genus2_second_partial_error(args)
+        assert err < 1e-11, (args, err)
+
+
+def test_genus2_mpmath_oracle_catches_a_dropped_denominator_term(monkeypatch):
+    # f_kl = (N_kl - f_k D_l - f_l D_k - f D_kl) / D without its f D_kl
+    original = catalog._quotient_hessian
+
+    def dropped(f, f_grad, den, den_grad, num_hess, den_hess):
+        return original(f, f_grad, den, den_grad, num_hess, 0.0 * den_hess)
+
+    monkeypatch.setattr(catalog, "_quotient_hessian", dropped)
+    for args in _genus2_oracle_points():
+        assert _genus2_second_partial_error(args) > 1e-3
+
+
+def test_genus2_third_partials_in_one_slot_take_value_circles():
+    # beyond order 2 genus2's f opens a circle, which samples values on the
+    # sheet continued from the centre; a mixed third partial would need a
+    # partial row on that circle, which genus2's f does not sample
+    f = catalog.build_structure("genus2").f
+    args = PARTIALS_AT["genus2", None]
+    point = [mp.mpc(x) for x in args]
+    for multi in [(3, 0, 0, 0, 0), (0, 3, 0, 0, 0)]:
+        with mp.workdps(30):
+            want = complex(mp.diff(lambda *z: _genus2_f_oracle(*z, sqrt=mp.sqrt), point, multi))
+        assert f.partial(args, multi) == pytest.approx(want, rel=1e-8)
+    with pytest.raises(NotImplementedError):
+        f.partial(args, (2, 1, 0, 0, 0))
 
 
 def test_partials_reject_wrong_argument_count():

@@ -269,13 +269,15 @@ def _worst_first_partial_gap(e, points):
 
 def _closed_form_quadratic_change(m, scale=0.05):
     """mu = p + scale u1 p^2 with its partials in closed form."""
-    def pf(args, multi):
-        pt, u1 = args[0], args[1]
+    def partial(pt, u1, multi):
         if any(multi[2:]) or multi[1] > 1 or multi[0] > 2:
             return 0.0 + 0.0j
         if multi[1]:
             return (scale * pt**2, 2.0 * scale * pt, 2.0 * scale)[multi[0]]
         return 1.0 + 2.0 * scale * u1 * pt if multi[0] == 1 else 2.0 * scale * u1
+
+    def pf(args, multis):
+        return [partial(args[0], args[1], multi) for multi in multis]
 
     mu = _quadratic_change(m, scale).mu
     return CoordinateChange(JetEvaluator(1 + m, mu.fn, domain=Domain(), partial_fn=pf,
@@ -327,7 +329,7 @@ def test_pushed_f_without_the_prefactor_derivative_is_caught():
     pushed = pushforward(s, _closed_form_quadratic_change(1))
     chain = pushed.f
 
-    def dropped(args, multi):
+    def dropped_one(args, multi):
         if sum(multi) != 1:
             return NotImplemented
         t = multi.index(1)
@@ -335,6 +337,9 @@ def test_pushed_f_without_the_prefactor_derivative_is_caught():
         d1 = {0: 0.1 * u1, 2: 0.1 * p1}.get(t, 0.0) / (1.0 + 0.1 * u1 * p1)
         d2 = {1: 0.1 * u1, 2: 0.1 * p2}.get(t, 0.0) / (1.0 + 0.1 * u1 * p2)
         return chain.partial(args, multi) - chain.value(args) * (2.0 * d1 - d2)
+
+    def dropped(args, multis):
+        return [dropped_one(args, multi) for multi in multis]
 
     pushed.f = JetEvaluator(3, chain.fn, domain=chain.domain, partial_fn=dropped)
     points = [(*ps, *v) for ps, v in pushed.sample(3, seed=11, n_p=2)]
@@ -539,7 +544,7 @@ def _nan_f_structure() -> GTStructure:
     s = catalog.build_structure("benney", 2)
     nan = complex(math.nan, 0.0)
     f = JetEvaluator(s.f.arity, lambda *args: nan, domain=s.f.domain,
-                     partial_fn=lambda args, multi: nan, label="nan f")
+                     partial_fn=lambda args, multis: [nan] * len(multis), label="nan f")
     return GTStructure(m=s.m, g=s.g, f=f, label="benney+nan f", p_box=s.p_box,
                        v_boxes=s.v_boxes, min_separation=s.min_separation)
 

@@ -239,11 +239,9 @@ def test_orders_read_from_one_slot_share_one_value_row():
 def test_partial_fn_hook_takes_precedence():
     calls = []
 
-    def pf(args, multi):
-        calls.append(tuple(multi))
-        if tuple(multi) == (1,):
-            return 123.0 + 0.0j
-        return NotImplemented
+    def pf(args, multis):
+        calls.extend(multis)
+        return [123.0 + 0.0j if tuple(multi) == (1,) else NotImplemented for multi in multis]
 
     e = JetEvaluator(1, lambda p: p * p, domain=Domain(), partial_fn=pf)
     assert e.partial((0.5,), (1,)) == 123.0
