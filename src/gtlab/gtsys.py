@@ -13,10 +13,13 @@ with A = f / g_1, B_l = g_l / g_1 and
     Q(p_1, p_2) = 2 f_{p_2}(p_1, p_2) / g_1(p_1)
         + (f(p_1, p_2) g_1'(p_2) + g(p_1)(g_1(p_2))) / (g_1(p_1) g_1(p_2)).
 
-Both checks below rest on one first-order flow: d_i of every field of a
-state (p, v, w), computed once per state and direction together with the
-A, Q and B_l values it used, and one mixed-derivative rule, which takes
-d_a d_b of a field by the chain rule through the coefficient rows.
+A and Q at a point come from one coefficient jet, ``GTSystem.pair``, with
+their first-partial rows when asked.  Both checks below rest on one
+first-order flow: d_i of every field of a state (p, v, w), together with
+the A, Q and B_l values it used and, where a mixed derivative along i
+needs them, the A and Q rows; it is memoised on the state, once per
+direction.  One mixed-derivative rule takes d_a d_b of a field by the
+chain rule through the rows of the flow along b.
 ``compatibility_residual`` compares d_i d_j with d_j d_i for every field
 that evolves in both directions.  ``integrate_reduction`` marches the
 system on a tensor grid, its state extended by the own-direction slopes
@@ -47,7 +50,9 @@ class GTSystem:
 
     A and Q have arity 2 + m over (p_1, p_2, v); each B_l has arity 1 + m.
     ``A_row``, ``B_rows[l]`` and ``Q_row`` map a point to the list of every
-    first partial of A, B_l and Q there, in slot order.
+    first partial of A, B_l and Q there, in slot order.  ``pair(args,
+    rows)`` gives (A, Q, A_row, Q_row) at one point, the rows None unless
+    ``rows`` is set; A, Q and their rows are views of it.
     """
 
     structure: GTStructure
@@ -57,6 +62,7 @@ class GTSystem:
     A_row: Callable[[Sequence[complex]], list[complex]]
     B_rows: tuple[Callable[[Sequence[complex]], list[complex]], ...]
     Q_row: Callable[[Sequence[complex]], list[complex]]
+    pair: Callable[[Sequence[complex], bool], tuple]
 
     @property
     def m(self) -> int:
@@ -75,11 +81,15 @@ def build_system(
     (p, v_1, ..., v_m) slot convention and remapped onto both point slots
     of A and Q.
 
-    Each coefficient has a row function (``A_row``, ``B_rows[l]``,
-    ``Q_row``) that returns every first partial at one point by the chain
-    rule and computes the terms the slots share (F, G_1, G_2, N and the g_1
-    partials) once; a row asks each evaluator for all it needs at a point
-    in one ``partials`` call, so f's second partials d_{p_2} d_k f come
+    A and Q at one point come from one jet, ``pair(args, rows)``: it
+    computes the terms they share (F, F_2, G_1, G_2, N) once and, with
+    ``rows``, every first partial of both by the chain rule.  Values only,
+    it asks f for F and d_{p_2} f, each g_k for its value at p_1 and g_1
+    for its first partials at p_2; with rows, each of these calls asks for
+    the rows' partials as well, the same expressions giving the same A and
+    Q bit for bit.  Each B_l has its row function ``B_rows[l]``.  Either
+    way each evaluator is asked once per point, in one ``partials`` call
+    where it gives partials, so f's second partials d_{p_2} d_k f come
     from f's own ``partial_fn`` where it has them (every catalog f,
     genus2's included), and an f or g without closed forms opens its
     circles on its own domain, never on the quotient's, and no circle
@@ -109,10 +119,59 @@ def build_system(
     extra_p2 = extra.remap(map_p2)
 
     f_jet = _jet(2 + m, *range(2 + m))  # a value and every first partial
+    f_val = _jet(2 + m, 1)  # f and d_{p_2} f
     g_jet = _jet(1 + m, *range(1 + m))
     f_mixed = [multi_index(2 + m, 1, k) for k in range(2 + m)]  # d_1 d_k f
     g_pairs = [(a, b) for a in range(1 + m) for b in range(a, 1 + m)]
     g_hess = [multi_index(1 + m, a, b) for a, b in g_pairs]
+
+    def pair(args, rows):
+        """(A, Q, A_row, Q_row) at (p_1, p_2, v); the rows are None unless
+        ``rows`` is set."""
+        p1, p2, v = args[0], args[1], args[2:]
+        # every g_k at p1, with its first partials for rows: dg[k][j] = d_j g_k(p1)
+        jets = [gk.partials((p1, *v), g_jet) if rows else (gk.value((p1, *v)),)
+                for gk in s.g]
+        gv, dg = [jet[0] for jet in jets], [jet[1:] for jet in jets]
+        G1 = g1_floor(p1, gv[0])
+        G2, *dG2 = g1.partials((p2, *v), g_jet + g_hess if rows else g_jet)
+        G2 = g1_floor(p2, G2)
+        if rows:
+            F, *dfs = s.f.partials(args, f_jet + f_mixed)
+            df, d1f = dfs[:2 + m], dfs[2 + m:]
+            F_2 = df[1]
+        else:
+            F, F_2 = s.f.partials(args, f_val)
+        N = F * dG2[0]
+        for k in range(m):
+            N += gv[k] * dG2[1 + k]
+        A, Q = F / G1, 2.0 * F_2 / G1 + N / (G1 * G2)
+        if not rows:
+            return A, Q, None, None
+        dG1 = dg[0][0]
+        A_row = [df[0] / G1 - F * dG1 / G1**2, df[1] / G1,
+                 *(df[2 + l] / G1 - F * dg[0][1 + l] / G1**2 for l in range(m))]
+        H = {}  # second partials of g_1 at p2
+        for (a, b), val in zip(g_pairs, dG2[1 + m:]):
+            H[a, b] = H[b, a] = val
+        dN = df[0] * dG2[0]
+        for k in range(m):
+            dN += dg[k][0] * dG2[1 + k]
+        Q_row = [2.0 * d1f[0] / G1 - 2.0 * df[1] * dG1 / G1**2 + dN / (G1 * G2)
+                 - N * dG1 / (G1**2 * G2)]
+        dN = df[1] * dG2[0] + F * H[0, 0]
+        for k in range(m):
+            dN += gv[k] * H[0, 1 + k]
+        Q_row.append(2.0 * d1f[1] / G1 + dN / (G1 * G2) - N * dG2[0] / (G1 * G2**2))
+        for l in range(m):
+            dG1 = dg[0][1 + l]
+            dN = df[2 + l] * dG2[0] + F * H[0, 1 + l]
+            for k in range(m):
+                dN += dg[k][1 + l] * dG2[1 + k]
+                dN += gv[k] * H[1 + k, 1 + l]
+            Q_row.append(2.0 * d1f[2 + l] / G1 - 2.0 * df[1] * dG1 / G1**2 + dN / (G1 * G2)
+                         - N * (dG1 * G2 + G1 * dG2[1 + l]) / (G1 * G2) ** 2)
+        return A, Q, A_row, Q_row
 
     def quotient(arity, fn, row, dom, label):
         """The evaluator whose first partials are the entries of ``row``."""
@@ -123,20 +182,17 @@ def build_system(
 
         return JetEvaluator(arity, fn, domain=dom, partial_fn=pf, label=label)
 
-    def A_fn(*args):
-        p1, p2, v = args[0], args[1], args[2:]
-        return s.f.value(args) / g1_floor(p1, g1.value((p1, *v)))
+    # A and Q share the domain of the pair, which reads g_1 at both points
+    AQ_dom = (s.f.domain.merged(g1.domain.remap(map_p1)).merged(g1.domain.remap(map_p2))
+              .merged(extra_p1).merged(extra_p2))
 
-    def A_row(args):
-        p1, v = args[0], args[2:]
-        G, *dG = g1.partials((p1, *v), g_jet)
-        G = g1_floor(p1, G)
-        F, *df = s.f.partials(args, f_jet)
-        return [df[0] / G - F * dG[0] / G**2, df[1] / G,
-                *(df[2 + l] / G - F * dG[1 + l] / G**2 for l in range(m))]
+    def view(k, name):
+        """Entry k of the pair (0 for A, 1 for Q) as an evaluator, and its row."""
+        row = lambda args: pair(args, True)[2 + k]  # noqa: E731
+        fn = lambda *args: pair(args, False)[k]  # noqa: E731
+        return quotient(2 + m, fn, row, AQ_dom, f"{s.label}:{name}"), row
 
-    A_dom = s.f.domain.merged(g1.domain.remap(map_p1)).merged(extra_p1)
-    A = quotient(2 + m, A_fn, A_row, A_dom, f"{s.label}:A")
+    (A, a_row), (Q, q_row) = view(0, "A"), view(1, "Q")
 
     def B_fn(l):
         def fn(*args):
@@ -159,73 +215,8 @@ def build_system(
         dom = s.g[l].domain.merged(g1.domain).merged(extra)
         B.append(quotient(1 + m, B_fn(l), B_row(l), dom, f"{s.label}:B[{l}]"))
         B_rows.append(B_row(l))
-
-    def Q_fn(*args):
-        p1, p2, v = args[0], args[1], args[2:]
-        gv = [gk.value((p1, *v)) for gk in s.g]
-        g1p1 = g1_floor(p1, gv[0])
-        g1p2, *dG2 = g1.partials((p2, *v), g_jet)
-        g1p2 = g1_floor(p2, g1p2)
-        F, F_2 = s.f.partials(args, _jet(2 + m, 1))
-        num = F * dG2[0]
-        for k in range(m):
-            num += gv[k] * dG2[1 + k]
-        return 2.0 * F_2 / g1p1 + num / (g1p1 * g1p2)
-
-    def Q_row(args):
-        p1, p2, v = args[0], args[1], args[2:]
-        # every g_k at p1: value and first partials; dg[k][j] = d_j g_k(p1)
-        jets = [gk.partials((p1, *v), g_jet) for gk in s.g]
-        gv, dg = [jet[0] for jet in jets], [jet[1:] for jet in jets]
-        G1 = g1_floor(p1, gv[0])
-        G2, *dG2 = g1.partials((p2, *v), g_jet + g_hess)  # first partials, then second
-        G2 = g1_floor(p2, G2)
-        H = {}  # second partials of g_1 at p2
-        for (a, b), val in zip(g_pairs, dG2[1 + m:]):
-            H[a, b] = H[b, a] = val
-        F, *dfs = s.f.partials(args, f_jet + f_mixed)
-        df, d1f = dfs[:2 + m], dfs[2 + m:]
-        N = F * dG2[0]
-        for k in range(m):
-            N += gv[k] * dG2[1 + k]
-        dG1 = dg[0][0]
-        dN = df[0] * dG2[0]
-        for k in range(m):
-            dN += dg[k][0] * dG2[1 + k]
-        row = [
-            2.0 * d1f[0] / G1
-            - 2.0 * df[1] * dG1 / G1**2
-            + dN / (G1 * G2)
-            - N * dG1 / (G1**2 * G2)
-        ]
-        dN = df[1] * dG2[0] + F * H[0, 0]
-        for k in range(m):
-            dN += gv[k] * H[0, 1 + k]
-        row.append(2.0 * d1f[1] / G1 + dN / (G1 * G2) - N * dG2[0] / (G1 * G2**2))
-        for l in range(m):
-            dG1 = dg[0][1 + l]
-            dN = df[2 + l] * dG2[0] + F * H[0, 1 + l]
-            for k in range(m):
-                dN += dg[k][1 + l] * dG2[1 + k]
-                dN += gv[k] * H[1 + k, 1 + l]
-            row.append(
-                2.0 * d1f[2 + l] / G1
-                - 2.0 * df[1] * dG1 / G1**2
-                + dN / (G1 * G2)
-                - N * (dG1 * G2 + G1 * dG2[1 + l]) / (G1 * G2) ** 2
-            )
-        return row
-
-    Q_dom = (
-        s.f.domain
-        .merged(g1.domain.remap(map_p1))
-        .merged(g1.domain.remap(map_p2))
-        .merged(extra_p1)
-        .merged(extra_p2)
-    )
-    Q = quotient(2 + m, Q_fn, Q_row, Q_dom, f"{s.label}:Q")
-    return GTSystem(structure=s, A=A, B=tuple(B), Q=Q,
-                    A_row=A_row, B_rows=tuple(B_rows), Q_row=Q_row)
+    return GTSystem(structure=s, A=A, B=tuple(B), Q=Q, A_row=a_row,
+                    B_rows=tuple(B_rows), Q_row=q_row, pair=pair)
 
 
 def inject_defect(s: GTStructure, scale: float = 1e-2, seed: int = 0) -> GTStructure:
@@ -278,10 +269,13 @@ class _State:
     """One jet of a solution: points p_1..p_M, fiber point v, slopes
     w_i = d_i v_1 and, for a reduction march, the own-direction slopes
     y_i = d_i p_i and z_i = d_i w_i.  A state of derivatives has the same
-    fields, None where a field has no equation along the direction."""
+    fields, None where a field has no equation along the direction.
+    ``flows`` memoises ``_flow`` per direction; a state is not changed
+    once a flow has read it."""
 
     def __init__(self, p, v, w, y=None, z=None):
         self.p, self.v, self.w, self.y, self.z = p, v, w, y, z
+        self.flows = {}
 
     def step(self, h, d):
         """This state advanced by h along the derivative state d; a field
@@ -294,20 +288,27 @@ class _State:
                       advance(self.y, d.y), advance(self.z, d.z))
 
 
-def _flow(sys: GTSystem, st: _State, i: int):
-    """d_i of p, v and w by the system, with the coefficient values it
-    used: (d, A, Q, B) where A[k] = A(p_i, p_k, v) and Q[k] likewise (None
-    at k = i), and B[l] = B_l(p_i, v) (None at l = 0).  d_i p_i and
-    d_i w_i are the state's own slopes y_i and z_i, None without them."""
+def _flow(sys: GTSystem, st: _State, i: int, rows: bool = False):
+    """d_i of p, v and w by the system, with the coefficients it used:
+    (d, A, Q, B, A_rows, Q_rows) where A[k] = A(p_i, p_k, v) and Q[k]
+    likewise (None at k = i), B[l] = B_l(p_i, v) (None at l = 0), and, if
+    ``rows``, A_rows[k] and Q_rows[k] are the first-partial rows of A[k]
+    and Q[k] (else None).  d_i p_i and d_i w_i are the state's own slopes
+    y_i and z_i, None without them.  The flow is memoised on the state:
+    once per direction, and once more if rows are asked after values."""
+    memo = st.flows.get(i)
+    if memo is not None and (memo[4] is not None or not rows):
+        return memo
     p, v, w = st.p, st.v, st.w
     M, m = len(p), len(v)
     A, Q, B = [None] * M, [None] * M, [None] * m
+    A_rows, Q_rows = ([None] * M, [None] * M) if rows else (None, None)
     dp, dw = [None] * M, [None] * M
     for k in range(M):
         if k != i:
-            args = (p[i], p[k], *v)
-            A[k] = sys.A.value(args)
-            Q[k] = sys.Q.value(args)
+            A[k], Q[k], *jet = sys.pair((p[i], p[k], *v), rows)
+            if rows:
+                A_rows[k], Q_rows[k] = jet
             dp[k] = A[k] * w[i]
             dw[k] = Q[k] * w[i] * w[k]
     if st.y is not None:
@@ -316,7 +317,8 @@ def _flow(sys: GTSystem, st: _State, i: int):
         if l:
             B[l] = sys.B[l].value((p[i], *v))
     dv = [w[i] if B[l] is None else B[l] * w[i] for l in range(m)]
-    return _State(dp, dv, dw), A, Q, B
+    st.flows[i] = _State(dp, dv, dw), A, Q, B, A_rows, Q_rows
+    return st.flows[i]
 
 
 def _chain(row, da: _State, points) -> complex:
@@ -332,19 +334,19 @@ def _mixed(sys: GTSystem, st: _State, fa, fb, b: int, kind: str, k: int) -> comp
     from the flows ``fa`` along a and ``fb`` along b.
 
     d_b of the field is A(p_b, p_k) w_b, B_k(p_b) w_b (w_b for v_1)
-    or Q(p_b, p_k) w_b w_k, with the coefficient value read off ``fb``;
-    the chain and product rules take d_a of its factors from ``fa``."""
-    da, (_, A, Q, B) = fa[0], fb
+    or Q(p_b, p_k) w_b w_k, with the coefficient value and, for A and Q,
+    its row read off ``fb`` (a flow with rows); the chain and product
+    rules take d_a of its factors from ``fa``."""
+    da, (_, A, Q, B, A_rows, Q_rows) = fa[0], fb
     v, w = st.v, st.w
     if kind == "v":
         if k == 0:
             return da.w[b]
         dB = _chain(sys.B_rows[k]((st.p[b], *v)), da, (b,))
         return dB * w[b] + B[k] * da.w[b]
-    args = (st.p[b], st.p[k], *v)
     if kind == "p":
-        return _chain(sys.A_row(args), da, (b, k)) * w[b] + A[k] * da.w[b]
-    dQ = _chain(sys.Q_row(args), da, (b, k))
+        return _chain(A_rows[k], da, (b, k)) * w[b] + A[k] * da.w[b]
+    dQ = _chain(Q_rows[k], da, (b, k))
     return dQ * w[b] * w[k] + Q[k] * (da.w[b] * w[k] + w[b] * da.w[k])
 
 
@@ -366,7 +368,7 @@ def compatibility_residual(
     for ps, v in raw:
         w = [complex(rng.uniform(0.3, 1.2), rng.uniform(-0.5, 0.5)) for _ in range(M)]
         st = _State(ps, v, w)
-        flows = [_flow(sys, st, i) for i in range(M)]
+        flows = [_flow(sys, st, i, rows=True) for i in range(M)]
         diffs = []
         for i in range(M):
             for j in range(i + 1, M):
@@ -439,16 +441,16 @@ class ReductionResult:
 def _derivative(sys: GTSystem, st: _State, i: int) -> _State:
     """d_i of the march state: the flow of (p, v, w) and, for j != i,
     d_i y_j = d_j (A(p_i, p_j) w_i) and d_i z_j = d_j (Q(p_i, p_j) w_i w_j)
-    by the mixed rule.  d_i y_i and d_i z_i have no equation: None."""
-    fi = _flow(sys, st, i)
-    d = fi[0]
-    d.y, d.z = [None] * len(st.p), [None] * len(st.p)
+    by the mixed rule, which needs rows along i only.  d_i y_i and d_i z_i
+    have no equation: None."""
+    fi = _flow(sys, st, i, rows=True)
+    y, z = [None] * len(st.p), [None] * len(st.p)
     for j in range(len(st.p)):
         if j != i:
             fj = _flow(sys, st, j)
-            d.y[j] = _mixed(sys, st, fj, fi, i, "p", j)
-            d.z[j] = _mixed(sys, st, fj, fi, i, "w", j)
-    return d
+            y[j] = _mixed(sys, st, fj, fi, i, "p", j)
+            z[j] = _mixed(sys, st, fj, fi, i, "w", j)
+    return _State(fi[0].p, fi[0].v, fi[0].w, y, z)  # the memo's state stays as it was
 
 
 def _heun_step(sys: GTSystem, st: _State, i: int, h: float) -> _State:
@@ -553,8 +555,8 @@ def integrate_reduction(
                 ) / (h * h)
                 rhs = 0.0 + 0.0j
                 for corner in (c00, c10, c01, c11):
-                    st = states[corner]
-                    rhs += sys.Q.value((st.p[i], st.p[j], *st.v)) * st.w[i] * st.w[j]
+                    st = states[corner]  # Q(p_i, p_j, v) from its flow along i
+                    rhs += _flow(sys, st, i)[2][j] * st.w[i] * st.w[j]
                 defects.append(abs(fd - rhs / 4.0))
     return ReductionResult(
         M=M,

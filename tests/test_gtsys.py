@@ -131,6 +131,31 @@ def test_rows_without_closed_forms_come_from_circles():
         assert max(abs(g - w) for g, w in zip(got, want)) <= 1e-8 * scale
 
 
+@pytest.mark.parametrize("name", ["benney", "genus0", "genus1", "genus2", "benney+defect"])
+def test_pair_values_do_not_depend_on_rows(name):
+    # the march mixes flows with and without rows at one point, so A and Q
+    # must be the same floats either way, and the public views must agree
+    if name == "benney+defect":
+        sys_ = build_system(inject_defect(catalog.build_structure("benney", 2), seed=1))
+        args = (P1, P2, *V)
+    else:
+        s = catalog.build_structure(name, 2)
+        sys_ = build_system(s, extra_exclusions=catalog.CATALOG[name].gt_exclusions)
+        (p1, p2), v = s.sample(1, 5, 2)[0]
+        args = (p1, p2, *v)
+    A, Q, no_a_row, no_q_row = sys_.pair(args, False)
+    A_r, Q_r, a_row, q_row = sys_.pair(args, True)
+    assert no_a_row is None and no_q_row is None
+    assert A == A_r == sys_.A.value(args)
+    assert Q == Q_r == sys_.Q.value(args)
+    assert a_row == sys_.A_row(args) and q_row == sys_.Q_row(args)
+    assert len(a_row) == len(q_row) == len(args)
+    for slot in range(len(args)):
+        multi = [int(t == slot) for t in range(len(args))]
+        assert sys_.A.partial(args, multi) == a_row[slot]
+        assert sys_.Q.partial(args, multi) == q_row[slot]
+
+
 def test_rows_ask_each_evaluator_at_most_once_per_point(monkeypatch):
     sys_ = _benney_system()
     asked = Counter()
@@ -143,6 +168,7 @@ def test_rows_ask_each_evaluator_at_most_once_per_point(monkeypatch):
     monkeypatch.setattr(JetEvaluator, "partials", counted)
     rows = [(sys_.A_row, (P1, P2, *V)), (sys_.Q_row, (P1, P2, *V))]
     rows += [(row, (P1, *V)) for row in sys_.B_rows]
+    rows += [(lambda args: sys_.pair(args, True), (P1, P2, *V))]  # values and both rows
     for row, args in rows:
         asked.clear()
         row(args)
@@ -249,6 +275,54 @@ def test_integrate_reduction_needs_two_steps():
     sys_ = build_system(catalog.build_structure("benney", 1))
     with pytest.raises(ConfigError):
         integrate_reduction(sys_, M=2, steps=1, h=0.02)
+
+
+# integrate_reduction(benney(1), M=2, steps=4, h=0.02, seed=23) before the
+# march memoised its flows: every float below must stay as it is
+GOLDEN_RESIDUAL = 6.334079935976284e-06
+GOLDEN_V1 = [
+    (0.7788632321116191+0.0938797667849145j), (0.7885796290153498+0.09209953677508552j),
+    (0.7983074753514618+0.09035467224040522j), (0.8080467007179214+0.08864495572019124j),
+    (0.817797188093179+0.08697002575349427j), (0.7925225092095113+0.09667035098026616j),
+    (0.8022008458545344+0.09488762568060528j), (0.8118908066670405+0.09313998952232029j),
+    (0.8215923225776071+0.09142723129943363j), (0.8313052778039223+0.08974899652365022j),
+    (0.8061824064807748+0.0995093928164869j), (0.8158225193088897+0.09772370869415818j),
+    (0.8254744369223259+0.09597286393350297j), (0.8351380911154289+0.09425663270452803j),
+    (0.8448133671365559+0.09257466744543369j), (0.8198429191319534+0.10239651775383367j),
+    (0.829444650512397+0.10060741457475242j), (0.8390583729834075+0.09885292742814182j),
+    (0.848684018742237+0.09713279508385582j), (0.8583214738651472+0.09544667685648002j),
+    (0.8335040392009245+0.10533110366679004j), (0.8430672373285635+0.1035381254036236j),
+    (0.8526426183418975+0.1017795660738126j), (0.8622301143896539+0.10005510848059929j),
+    (0.8718296121791558+0.09836441876123427j),
+]
+
+
+def test_memoised_march_keeps_every_float():
+    sys_ = build_system(catalog.build_structure("benney", 1))
+    res = integrate_reduction(sys_, M=2, steps=4, h=0.02, seed=23)
+    assert res.residual == GOLDEN_RESIDUAL
+    assert [complex(x) for x in res.grid_v1.ravel()] == GOLDEN_V1
+
+
+@pytest.mark.parametrize("M,steps", [(2, 6), (3, 3)])
+def test_march_asks_f_at_most_twice_per_point(monkeypatch, M, steps):
+    # once for values and once with rows, whichever flows need it: the
+    # flows are memoised per state and direction
+    s = catalog.build_structure("benney", 2)
+    sys_ = build_system(s)
+    asked = Counter()
+    partials = JetEvaluator.partials
+
+    def counted(self, args, multis):
+        if self is s.f:
+            asked[tuple(args), any(sum(multi) == 2 for multi in multis)] += 1
+        return partials(self, args, multis)
+
+    monkeypatch.setattr(JetEvaluator, "partials", counted)
+    integrate_reduction(sys_, M=M, steps=steps, h=0.02)
+    assert asked and max(asked.values()) == 1
+    points = Counter(args for args, _ in asked)
+    assert max(points.values()) == 2  # some point is asked both ways
 
 
 def test_convergence_ratio_is_second_order():
