@@ -346,7 +346,7 @@ def _power_hessian(u, x, power=1.0):
     return np.outer(grad, grad) - (u.T * (power * inv * inv)) @ u, grad
 
 
-def _quotient_hessian(f, f_grad, den, den_grad, num_hess, den_hess):
+def _ratio_hessian(f, f_grad, den, den_grad, num_hess, den_hess):
     """Second partials of f = N / D from the jets of N and D and f's own:
     f_kl = (N_kl - f_k D_l - f_l D_k - f D_kl) / D."""
     cross = np.outer(f_grad, den_grad)
@@ -452,7 +452,7 @@ class GenusTwoF(JetEvaluator):
         hess_qq, _ = _power_hessian(_Q1_Q2, x, 0.5)
         hess_den, grad_den = _power_hessian(_DEN, x)
         num_hess = (A1 * B2) * hess_ab + (q1 * q2) * hess_qq
-        return _quotient_hessian(f, np.array(f_grad), den, den * grad_den, num_hess,
+        return _ratio_hessian(f, np.array(f_grad), den, den * grad_den, num_hess,
                                  den * hess_den).tolist()
 
     def _partial_fn(self, args, multis):
@@ -503,9 +503,6 @@ class CatalogEntry:
     build: Callable[..., GTStructure]
     build_enhanced: Callable[..., EnhancedGT] | None = None
     potentials: Callable[..., list[Potential]] | None = None
-    # zero locus of g_1 in (p, v...) slots; poles of the quasilinear
-    # coefficient functions that the structure's own domain does not know
-    gt_exclusions: tuple = ()
 
 
 CATALOG: dict[str, CatalogEntry] = {
@@ -518,7 +515,6 @@ CATALOG: dict[str, CatalogEntry] = {
         "genus0",
         "sphere with n+3 punctures (0, 1, infinity frozen)",
         genus0, genus0_enhanced, genus0_potentials,
-        gt_exclusions=(FixedPoints(1, [0.0, 1.0]),),
     ),
     "genus1": CatalogEntry(
         "genus1",
@@ -529,7 +525,6 @@ CATALOG: dict[str, CatalogEntry] = {
         "genus2",
         "genus-2 hyperelliptic curve, moduli a, b, c",
         lambda n=0: genus2(), None, None,
-        gt_exclusions=(FixedPoints(1, [0.0, 1.0]),),
     ),
 }
 

@@ -242,8 +242,8 @@ def _cmd_gtsys(cfg):
     tol = float(cfg.get("tol", 1e-9))
     states = int(cfg.get("states", 50))
     M = int(cfg.get("M", 3))
-    ent, s, _ = _build(cfg)
-    sys_ = gtsys.build_system(s, extra_exclusions=ent.gt_exclusions)
+    _, s, _ = _build(cfg)
+    sys_ = gtsys.build_system(s)
     comp = gtsys.compatibility_residual(sys_, M=M, states=states, seed=seed,
                                         tol=tol)
     reports = [

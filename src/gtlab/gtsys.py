@@ -13,13 +13,14 @@ with A = f / g_1, B_l = g_l / g_1 and
     Q(p_1, p_2) = 2 f_{p_2}(p_1, p_2) / g_1(p_1)
         + (f(p_1, p_2) g_1'(p_2) + g(p_1)(g_1(p_2))) / (g_1(p_1) g_1(p_2)).
 
-A and Q at a point come from one coefficient jet, ``GTSystem.pair``, with
-their first-partial rows when asked.  Both checks below rest on one
-first-order flow: d_i of every field of a state (p, v, w), together with
-the A, Q and B_l values it used and, where a mixed derivative along i
-needs them, the A and Q rows; it is memoised on the state, once per
-direction.  One mixed-derivative rule takes d_a d_b of a field by the
-chain rule through the rows of the flow along b.
+``GTSystem.fiber`` asks each g_k once at a point and gives the B_l
+there; ``GTSystem.pair`` reads those jets and gives A and Q at a pair of
+points, each with its first-partial rows when asked.  Both checks below rest on one first-order
+flow: d_i of every field of a state (p, v, w), together with the A, Q and
+B_l values it used and, where a mixed derivative along i needs them, their
+rows; it is memoised on the state, once per direction.  One
+mixed-derivative rule takes d_a d_b of a field by the chain rule through
+the rows of the flow along b.
 ``compatibility_residual`` compares d_i d_j with d_j d_i for every field
 that evolves in both directions.  ``integrate_reduction`` marches the
 system on a tensor grid, its state extended by the own-direction slopes
@@ -39,7 +40,7 @@ import numpy as np
 
 from .core import GTStructure, VerificationReport, _jet, _make_report, worst_residual
 from .errors import ConfigError, DomainViolation, NonConvergence
-from .kernel import Domain, Exclusion, JetEvaluator, SplitMix64, multi_index
+from .kernel import JetEvaluator, SplitMix64, multi_index
 
 G1_FLOOR = 1e-8  # |g_1| below this counts as a zero of g_1
 
@@ -48,53 +49,39 @@ G1_FLOOR = 1e-8  # |g_1| below this counts as a zero of g_1
 class GTSystem:
     """Coefficient functions of the quasilinear system.
 
-    A and Q have arity 2 + m over (p_1, p_2, v); each B_l has arity 1 + m.
-    ``A_row``, ``B_rows[l]`` and ``Q_row`` map a point to the list of every
-    first partial of A, B_l and Q there, in slot order.  ``pair(args,
-    rows)`` gives (A, Q, A_row, Q_row) at one point, the rows None unless
-    ``rows`` is set; A, Q and their rows are views of it.
+    ``fiber(args, rows)`` at (p, v) gives (jets, B, B_rows): jets[k] is
+    (g_k,) or, with ``rows``, g_k followed by its first partials;
+    B[l] = B_l(p, v) and B_rows[l] its first-partial row in slot order,
+    None at l = 0 (B_1 = 1) and B_rows None without ``rows``.
+    ``pair(jets, args, rows)`` gives (A, Q, A_row, Q_row) at
+    (p_1, p_2, v) from the jets ``fiber`` gave at (p_1, v), asked with the
+    same ``rows``; the rows are None unless ``rows`` is set.
     """
 
     structure: GTStructure
-    A: JetEvaluator
-    B: tuple[JetEvaluator, ...]
-    Q: JetEvaluator
-    A_row: Callable[[Sequence[complex]], list[complex]]
-    B_rows: tuple[Callable[[Sequence[complex]], list[complex]], ...]
-    Q_row: Callable[[Sequence[complex]], list[complex]]
-    pair: Callable[[Sequence[complex], bool], tuple]
+    fiber: Callable[[Sequence[complex], bool], tuple]
+    pair: Callable[[list, Sequence[complex], bool], tuple]
 
     @property
     def m(self) -> int:
         return self.structure.m
 
 
-def build_system(
-    s: GTStructure,
-    extra_exclusions: Sequence[Exclusion] = (),
-) -> GTSystem:
+def build_system(s: GTStructure) -> GTSystem:
     """Convert a structure into its quasilinear system.
 
-    ``extra_exclusions`` should carry any known zero locus of g_1 (its
-    zeros are poles of A, B, Q but are not part of the structure's own
-    domain data).  They are expressed in the structure's
-    (p, v_1, ..., v_m) slot convention and remapped onto both point slots
-    of A and Q.
-
-    A and Q at one point come from one jet, ``pair(args, rows)``: it
-    computes the terms they share (F, F_2, G_1, G_2, N) once and, with
-    ``rows``, every first partial of both by the chain rule.  Values only,
-    it asks f for F and d_{p_2} f, each g_k for its value at p_1 and g_1
-    for its first partials at p_2; with rows, each of these calls asks for
-    the rows' partials as well, the same expressions giving the same A and
-    Q bit for bit.  Each B_l has its row function ``B_rows[l]``.  Either
-    way each evaluator is asked once per point, in one ``partials`` call
-    where it gives partials, so f's second partials d_{p_2} d_k f come
-    from f's own ``partial_fn`` where it has them (every catalog f,
-    genus2's included), and an f or g without closed forms opens its
-    circles on its own domain, never on the quotient's, and no circle
-    approaches a zero of g_1.  The evaluators' ``partial_fn`` read these
-    rows, one row per batch of multi-indices.
+    ``fiber`` asks each g_k once at (p, v): for its value, or in one
+    ``partials`` call for its value and first partials.  ``pair`` reuses
+    those jets at p_1, computes the terms A and Q share (F, F_2, G_1, G_2,
+    N) once and, with ``rows``, every first partial of both by the chain
+    rule.  Values only, it asks f for F and d_{p_2} f and g_1 for its first
+    partials at p_2; with rows, each of these calls asks for the rows'
+    partials as well, the same expressions giving the same A, Q and B bit
+    for bit.  So f's second partials d_{p_2} d_k f come from f's own
+    ``partial_fn`` where it has them (every catalog f, genus2's included),
+    and an f or g without closed forms opens its circles on its own domain,
+    where no circle approaches a zero of g_1.  A |g_1| below ``G1_FLOOR``
+    at any point raises ``DomainViolation``.
     """
     if s.m < 1:
         raise ConfigError("need at least one fiber coordinate")
@@ -111,13 +98,6 @@ def build_system(
             raise DomainViolation(f"g_1({p}) = {val} below floor {G1_FLOOR}")
         return val
 
-    # slot maps embedding g-argument lists into (p1, p2, v...) lists
-    map_p1 = [0] + list(range(2, 2 + m))
-    map_p2 = [1] + list(range(2, 2 + m))
-    extra = Domain(tuple(extra_exclusions))
-    extra_p1 = extra.remap(map_p1)
-    extra_p2 = extra.remap(map_p2)
-
     f_jet = _jet(2 + m, *range(2 + m))  # a value and every first partial
     f_val = _jet(2 + m, 1)  # f and d_{p_2} f
     g_jet = _jet(1 + m, *range(1 + m))
@@ -125,15 +105,25 @@ def build_system(
     g_pairs = [(a, b) for a in range(1 + m) for b in range(a, 1 + m)]
     g_hess = [multi_index(1 + m, a, b) for a, b in g_pairs]
 
-    def pair(args, rows):
+    def fiber(args, rows):
+        """(jets, B, B_rows) at (p, v); see ``GTSystem``."""
+        jets = [gk.partials(args, g_jet) if rows else (gk.value(args),) for gk in s.g]
+        G = g1_floor(args[0], jets[0][0])
+        B, B_rows = [None] * m, [None] * m if rows else None
+        for l in range(1, m):
+            B[l] = jets[l][0] / G
+            if rows:
+                dG, gl, dgl = jets[0][1:], jets[l][0], jets[l][1:]
+                B_rows[l] = [dgl[k] / G - gl * dG[k] / G**2 for k in range(1 + m)]
+        return jets, B, B_rows
+
+    def pair(jets, args, rows):
         """(A, Q, A_row, Q_row) at (p_1, p_2, v); the rows are None unless
         ``rows`` is set."""
-        p1, p2, v = args[0], args[1], args[2:]
+        p2, v = args[1], args[2:]
         # every g_k at p1, with its first partials for rows: dg[k][j] = d_j g_k(p1)
-        jets = [gk.partials((p1, *v), g_jet) if rows else (gk.value((p1, *v)),)
-                for gk in s.g]
         gv, dg = [jet[0] for jet in jets], [jet[1:] for jet in jets]
-        G1 = g1_floor(p1, gv[0])
+        G1 = gv[0]
         G2, *dG2 = g1.partials((p2, *v), g_jet + g_hess if rows else g_jet)
         G2 = g1_floor(p2, G2)
         if rows:
@@ -173,50 +163,7 @@ def build_system(
                          - N * (dG1 * G2 + G1 * dG2[1 + l]) / (G1 * G2) ** 2)
         return A, Q, A_row, Q_row
 
-    def quotient(arity, fn, row, dom, label):
-        """The evaluator whose first partials are the entries of ``row``."""
-        def pf(args, multis):
-            firsts = row(args) if any(sum(multi) == 1 for multi in multis) else None
-            return [firsts[multi.index(1)] if sum(multi) == 1 else NotImplemented
-                    for multi in multis]
-
-        return JetEvaluator(arity, fn, domain=dom, partial_fn=pf, label=label)
-
-    # A and Q share the domain of the pair, which reads g_1 at both points
-    AQ_dom = (s.f.domain.merged(g1.domain.remap(map_p1)).merged(g1.domain.remap(map_p2))
-              .merged(extra_p1).merged(extra_p2))
-
-    def view(k, name):
-        """Entry k of the pair (0 for A, 1 for Q) as an evaluator, and its row."""
-        row = lambda args: pair(args, True)[2 + k]  # noqa: E731
-        fn = lambda *args: pair(args, False)[k]  # noqa: E731
-        return quotient(2 + m, fn, row, AQ_dom, f"{s.label}:{name}"), row
-
-    (A, a_row), (Q, q_row) = view(0, "A"), view(1, "Q")
-
-    def B_fn(l):
-        def fn(*args):
-            p, v = args[0], args[1:]
-            return s.g[l].value(args) / g1_floor(p, g1.value(args))
-
-        return fn
-
-    def B_row(l):
-        def row(args):
-            G, *dG = g1.partials(args, g_jet)
-            G = g1_floor(args[0], G)
-            gl, *dgl = (G, *dG) if l == 0 else s.g[l].partials(args, g_jet)
-            return [dgl[k] / G - gl * dG[k] / G**2 for k in range(1 + m)]
-
-        return row
-
-    B, B_rows = [], []
-    for l in range(m):
-        dom = s.g[l].domain.merged(g1.domain).merged(extra)
-        B.append(quotient(1 + m, B_fn(l), B_row(l), dom, f"{s.label}:B[{l}]"))
-        B_rows.append(B_row(l))
-    return GTSystem(structure=s, A=A, B=tuple(B), Q=Q, A_row=a_row,
-                    B_rows=tuple(B_rows), Q_row=q_row, pair=pair)
+    return GTSystem(structure=s, fiber=fiber, pair=pair)
 
 
 def inject_defect(s: GTStructure, scale: float = 1e-2, seed: int = 0) -> GTStructure:
@@ -290,34 +237,34 @@ class _State:
 
 def _flow(sys: GTSystem, st: _State, i: int, rows: bool = False):
     """d_i of p, v and w by the system, with the coefficients it used:
-    (d, A, Q, B, A_rows, Q_rows) where A[k] = A(p_i, p_k, v) and Q[k]
-    likewise (None at k = i), B[l] = B_l(p_i, v) (None at l = 0), and, if
-    ``rows``, A_rows[k] and Q_rows[k] are the first-partial rows of A[k]
-    and Q[k] (else None).  d_i p_i and d_i w_i are the state's own slopes
-    y_i and z_i, None without them.  The flow is memoised on the state:
-    once per direction, and once more if rows are asked after values."""
+    (d, A, Q, B, A_rows, Q_rows, B_rows) where A[k] = A(p_i, p_k, v) and
+    Q[k] likewise (None at k = i), B[l] = B_l(p_i, v) (None at l = 0), and,
+    if ``rows``, A_rows[k], Q_rows[k] and B_rows[l] are the first-partial
+    rows of A[k], Q[k] and B[l] (else None).  One ``fiber`` call asks each
+    g_k at p_i once, and every pair reads its jets.  d_i p_i and d_i w_i
+    are the state's own slopes y_i and z_i, None without them.  The flow is
+    memoised on the state: once per direction, and once more if rows are
+    asked after values."""
     memo = st.flows.get(i)
     if memo is not None and (memo[4] is not None or not rows):
         return memo
     p, v, w = st.p, st.v, st.w
-    M, m = len(p), len(v)
-    A, Q, B = [None] * M, [None] * M, [None] * m
+    M = len(p)
+    jets, B, B_rows = sys.fiber((p[i], *v), rows)
+    A, Q = [None] * M, [None] * M
     A_rows, Q_rows = ([None] * M, [None] * M) if rows else (None, None)
     dp, dw = [None] * M, [None] * M
     for k in range(M):
         if k != i:
-            A[k], Q[k], *jet = sys.pair((p[i], p[k], *v), rows)
+            A[k], Q[k], *jet = sys.pair(jets, (p[i], p[k], *v), rows)
             if rows:
                 A_rows[k], Q_rows[k] = jet
             dp[k] = A[k] * w[i]
             dw[k] = Q[k] * w[i] * w[k]
     if st.y is not None:
         dp[i], dw[i] = st.y[i], st.z[i]
-    for l in range(m):
-        if l:
-            B[l] = sys.B[l].value((p[i], *v))
-    dv = [w[i] if B[l] is None else B[l] * w[i] for l in range(m)]
-    st.flows[i] = _State(dp, dv, dw), A, Q, B, A_rows, Q_rows
+    dv = [w[i] if b is None else b * w[i] for b in B]
+    st.flows[i] = _State(dp, dv, dw), A, Q, B, A_rows, Q_rows, B_rows
     return st.flows[i]
 
 
@@ -329,21 +276,20 @@ def _chain(row, da: _State, points) -> complex:
             + sum(row[n + l] * dv for l, dv in enumerate(da.v)))
 
 
-def _mixed(sys: GTSystem, st: _State, fa, fb, b: int, kind: str, k: int) -> complex:
+def _mixed(st: _State, fa, fb, b: int, kind: str, k: int) -> complex:
     """d_a d_b of the field p_k, v_k or w_k (``kind`` "p", "v" or "w"),
     from the flows ``fa`` along a and ``fb`` along b.
 
     d_b of the field is A(p_b, p_k) w_b, B_k(p_b) w_b (w_b for v_1)
-    or Q(p_b, p_k) w_b w_k, with the coefficient value and, for A and Q,
-    its row read off ``fb`` (a flow with rows); the chain and product
-    rules take d_a of its factors from ``fa``."""
-    da, (_, A, Q, B, A_rows, Q_rows) = fa[0], fb
-    v, w = st.v, st.w
+    or Q(p_b, p_k) w_b w_k, with the coefficient value and its row read
+    off ``fb`` (a flow with rows); the chain and product rules take d_a of
+    its factors from ``fa``."""
+    da, (_, A, Q, B, A_rows, Q_rows, B_rows) = fa[0], fb
+    w = st.w
     if kind == "v":
         if k == 0:
             return da.w[b]
-        dB = _chain(sys.B_rows[k]((st.p[b], *v)), da, (b,))
-        return dB * w[b] + B[k] * da.w[b]
+        return _chain(B_rows[k], da, (b,)) * w[b] + B[k] * da.w[b]
     if kind == "p":
         return _chain(A_rows[k], da, (b, k)) * w[b] + A[k] * da.w[b]
     dQ = _chain(Q_rows[k], da, (b, k))
@@ -376,8 +322,8 @@ def compatibility_residual(
                 fields = ([("p", k) for k in others] + [("v", l) for l in range(sys.m)]
                           + [("w", k) for k in others])
                 for kind, k in fields:
-                    d_ij = _mixed(sys, st, flows[i], flows[j], j, kind, k)
-                    d_ji = _mixed(sys, st, flows[j], flows[i], i, kind, k)
+                    d_ij = _mixed(st, flows[i], flows[j], j, kind, k)
+                    d_ji = _mixed(st, flows[j], flows[i], i, kind, k)
                     diffs.append(abs(d_ij - d_ji))
         residuals.append(worst_residual(diffs))
     return _make_report("gt_compatibility", residuals, tol, seed, M=M)
@@ -448,8 +394,8 @@ def _derivative(sys: GTSystem, st: _State, i: int) -> _State:
     for j in range(len(st.p)):
         if j != i:
             fj = _flow(sys, st, j)
-            y[j] = _mixed(sys, st, fj, fi, i, "p", j)
-            z[j] = _mixed(sys, st, fj, fi, i, "w", j)
+            y[j] = _mixed(st, fj, fi, i, "p", j)
+            z[j] = _mixed(st, fj, fi, i, "w", j)
     return _State(fi[0].p, fi[0].v, fi[0].w, y, z)  # the memo's state stays as it was
 
 
@@ -529,8 +475,8 @@ def integrate_reduction(
             st.p[axis] = pv.p[axis] + 0.5 * h * (pv.y[axis] + st.y[axis])
             st.w[axis] = pv.w[axis] + 0.5 * h * (pv.z[axis] + st.z[axis])
         states[idx] = st
-        mag = max(abs(x) for x in st.p + st.v + st.w)
-        if not blow_up and (not math.isfinite(mag) or mag > 1e6):
+        mags = [abs(x) for x in st.p + st.v + st.w]  # a NaN field is a blow-up too
+        if not blow_up and not all(math.isfinite(a) and a <= 1e6 for a in mags):
             blow_up = True
             blow_up_at = idx
     grid_v1 = np.zeros(shape, dtype=complex)

@@ -30,7 +30,6 @@ from .core import (
     worst_residual,
 )
 from .errors import ConfigError, DomainViolation, NonConvergence, SamplingExhausted
-from .gtsys import GTSystem
 from .kernel import Box, SplitMix64, multi_index
 
 
@@ -399,7 +398,6 @@ def reconstruct_lambda(
 
 def criterion_integrable(
     fam: PotentialFamily,
-    sys: GTSystem,
     samples: int = 30,
     seed: int = 19,
     tol: float = 1e-8,
@@ -412,8 +410,6 @@ def criterion_integrable(
     hierarchy derivative taken through the quasilinear system with unit
     slope in v_1.  f and every g_j(p1) are evaluated once per sample.
     """
-    if sys.structure is not fam.structure:
-        raise ConfigError("family and system must share the structure")
     s = fam.structure
     dz = [multi_index(1 + s.m, 0)]  # p1 needs only h'; p2 the whole h_jet
     residuals = []

@@ -49,9 +49,7 @@ def _verdict(num: int, ok: bool, detail: str) -> None:
 
 
 def _system(name: str, n: int):
-    ent = catalog.CATALOG[name]
-    s = ent.build(n)
-    return build_system(s, extra_exclusions=ent.gt_exclusions)
+    return build_system(catalog.build_structure(name, n))
 
 
 def _family(name: str, n: int) -> PotentialFamily:

@@ -349,12 +349,12 @@ def test_genus2_second_partials_match_mpmath():
 
 def test_genus2_mpmath_oracle_catches_a_dropped_denominator_term(monkeypatch):
     # f_kl = (N_kl - f_k D_l - f_l D_k - f D_kl) / D without its f D_kl
-    original = catalog._quotient_hessian
+    original = catalog._ratio_hessian
 
     def dropped(f, f_grad, den, den_grad, num_hess, den_hess):
         return original(f, f_grad, den, den_grad, num_hess, 0.0 * den_hess)
 
-    monkeypatch.setattr(catalog, "_quotient_hessian", dropped)
+    monkeypatch.setattr(catalog, "_ratio_hessian", dropped)
     for args in _genus2_oracle_points():
         assert _genus2_second_partial_error(args) > 1e-3
 

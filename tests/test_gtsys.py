@@ -2,15 +2,19 @@
 
 from __future__ import annotations
 
+import math
 from collections import Counter
+from itertools import product
 
 import pytest
 
 from gtlab import catalog
-from gtlab.core import CoordinateChange, GTStructure, pushforward
+from gtlab.core import GTStructure
 from gtlab.errors import ConfigError
 from gtlab.gtsys import (
     FreeData,
+    _flow,
+    _State,
     build_system,
     compatibility_residual,
     convergence_ratio,
@@ -18,7 +22,7 @@ from gtlab.gtsys import (
     inject_defect,
     integrate_reduction,
 )
-from gtlab.kernel import Domain, JetEvaluator, cauchy_derivative
+from gtlab.kernel import Domain, FixedPoints, JetEvaluator, cauchy_derivative
 
 
 def _benney_system(n=2):
@@ -39,11 +43,12 @@ def test_coefficient_values_match_closed_forms():
     def g(k, p):
         return 1.0 / (p - V[k])
 
+    jets, B, B_rows = sys_.fiber((P1, *V), False)
+    A, Q, _, _ = sys_.pair(jets, (P1, P2, *V), False)
     f12 = 1.0 / (P1 - P2)
-    assert sys_.A.value((P1, P2, *V)) == pytest.approx(f12 / g(0, P1), rel=1e-12)
-    for l in range(2):
-        assert sys_.B[l].value((P1, *V)) == pytest.approx(
-            g(l, P1) / g(0, P1), rel=1e-12)
+    assert A == pytest.approx(f12 / g(0, P1), rel=1e-12)
+    assert B[0] is None and B_rows is None  # B_1 = 1: the flow uses w itself
+    assert B[1] == pytest.approx(g(1, P1) / g(0, P1), rel=1e-12)
     # Q = 2 f_{p2}/g1(p1) + (f g1'(p2) + g(p1)(g1(p2))) / (g1(p1) g1(p2));
     # for this structure f_{p2} = 1/(p1-p2)^2, g1'(p) = -1/(p-u1)^2 and the
     # fiber action g(p1)(g1(p2)) = g1(p1)/(p2-u1)^2
@@ -51,62 +56,82 @@ def test_coefficient_values_match_closed_forms():
     g1p = -1.0 / (P2 - V[0]) ** 2
     action = g(0, P1) / (P2 - V[0]) ** 2
     q_oracle = 2.0 * fp2 / g(0, P1) + (f12 * g1p + action) / (g(0, P1) * g(0, P2))
-    assert sys_.Q.value((P1, P2, *V)) == pytest.approx(q_oracle, rel=1e-12)
+    assert Q == pytest.approx(q_oracle, rel=1e-12)
+
+
+# zero locus of g_1 in (p, v...) slots for the structures that have one:
+# poles of A, B and Q that the structure's own domains do not declare
+G1_ZEROS = {"genus0": Domain((FixedPoints(1, [0.0, 1.0]),)),
+            "genus2": Domain((FixedPoints(1, [0.0, 1.0]),))}
+
+
+def _value_cases(sys_, zeros=Domain()):
+    """(label, value-only evaluator, row function) for A, Q and each B_l
+    with l >= 1.  Each evaluator's domain holds the loci of everything its
+    value reads: f, g_1 at both points for A and Q, g_l and g_1 for B_l,
+    with ``zeros`` added to g_1's."""
+    s = sys_.structure
+    m = s.m
+    g1 = s.g[0].domain.merged(zeros)
+    pair_dom = (s.f.domain.merged(g1.remap([0, *range(2, 2 + m)]))
+                .merged(g1.remap([1, *range(2, 2 + m)])))
+
+    def pair(args, rows):
+        return sys_.pair(sys_.fiber((args[0], *args[2:]), rows)[0], args, rows)
+
+    cases = [("A", 2 + m, lambda *a: pair(a, False)[0], lambda a: pair(a, True)[2], pair_dom),
+             ("Q", 2 + m, lambda *a: pair(a, False)[1], lambda a: pair(a, True)[3], pair_dom)]
+    cases += [(f"B[{l}]", 1 + m, lambda *a, l=l: sys_.fiber(a, False)[1][l],
+               lambda a, l=l: sys_.fiber(a, True)[2][l], s.g[l].domain.merged(g1))
+              for l in range(1, m)]
+    return [(label, JetEvaluator(arity, fn, domain=dom, label=label), row)
+            for label, arity, fn, row, dom in cases]
 
 
 def test_coefficient_partials_match_quadrature():
     sys_ = _benney_system()
-    args2 = (P1, P2, *V)
-    args1 = (P1, *V)
-    for e, args in ((sys_.A, args2), (sys_.Q, args2), (sys_.B[1], args1)):
-        bare = JetEvaluator(e.arity, e.fn, domain=e.domain)
-        for slot in range(e.arity):
-            multi = [0] * e.arity
-            multi[slot] = 1
-            analytic = e.partial(args, multi)
-            numeric = bare.partial(args, multi)
-            assert analytic == pytest.approx(numeric, rel=1e-7), (e.label, slot)
+    for label, bare, row in _value_cases(sys_):
+        args = (P1, P2, *V) if bare.arity == 2 + len(V) else (P1, *V)
+        for slot, analytic in enumerate(row(args)):
+            multi = [int(t == slot) for t in range(bare.arity)]
+            assert analytic == pytest.approx(bare.partial(args, multi), rel=1e-7), (label, slot)
 
 
 def _row_cases(name):
-    """(label, evaluator, row, args, value-only evaluator) for A, each B_l
-    and Q at a sampled point of the named structure."""
+    """(label, value-only evaluator, row, args) for A, Q and each B_l
+    (l >= 1) at a sampled point of the named structure."""
     s = catalog.build_structure(name, 2)
-    sys_ = build_system(s, extra_exclusions=catalog.CATALOG[name].gt_exclusions)
     (p1, p2), v = s.sample(1, 5, 2)[0]
-    cases = [("A", sys_.A, sys_.A_row, (p1, p2, *v)),
-             ("Q", sys_.Q, sys_.Q_row, (p1, p2, *v))]
-    cases += [(f"B[{l}]", sys_.B[l], sys_.B_rows[l], (p1, *v)) for l in range(s.m)]
-    return [(label, e, row, args, JetEvaluator(e.arity, e.fn, domain=e.domain))
-            for label, e, row, args in cases]
+    return [(label, bare, row, (p1, p2, *v) if bare.arity == 2 + s.m else (p1, *v))
+            for label, bare, row in _value_cases(build_system(s), G1_ZEROS.get(name, Domain()))]
 
 
 def _row_oracle(bare, args):
     """Every first partial of a value-only evaluator by quadrature, and the
     scale the row is compared at: the largest of the value and the partials,
-    since some entries vanish exactly (benney's A does not depend on u_2,
-    and B_1 = 1).  Each circle has the default radius, ``deriv_radius``, so
-    a pole the domain misses shows here."""
+    since some entries vanish exactly (benney's A does not depend on u_2).
+    Each circle has the default radius, ``deriv_radius``, so a pole the
+    domain misses shows here."""
     want = [cauchy_derivative(bare, slot, args, 1) for slot in range(bare.arity)]
     return want, max(abs(w) for w in [*want, bare.value(args)])
 
 
 @pytest.mark.parametrize("name", ["benney", "genus0", "genus2"])
 def test_gtsys_rows_match_quadrature_of_values(name):
-    for label, e, row, args, bare in _row_cases(name):
+    for label, bare, row, args in _row_cases(name):
         got = row(args)
         want, scale = _row_oracle(bare, args)
-        assert len(got) == e.arity
+        assert len(got) == bare.arity
         for slot, value in enumerate(got):
             assert abs(value - want[slot]) <= 1e-8 * scale, (label, slot)
-            assert e.partial(args, [int(i == slot) for i in range(e.arity)]) == value
 
 
 def test_gtsys_row_oracle_catches_a_dropped_q_term():
     # drop F * d_p^2 g_1(p2) from the p2 slot of the Q row: the quadrature
     # oracle above must see the difference
     s = catalog.build_structure("benney", 2)
-    _, _, row, args, bare = _row_cases("benney")[1]
+    label, bare, row, args = _row_cases("benney")[1]
+    assert label == "Q"
     p1, p2, v = args[0], args[1], args[2:]
     G1, G2 = s.g[0].value((p1, *v)), s.g[0].value((p2, *v))
     dropped = s.f.value(args) * s.g[0].partial((p2, *v), (2, 0, 0)) / (G1 * G2)
@@ -116,78 +141,72 @@ def test_gtsys_row_oracle_catches_a_dropped_q_term():
 
 
 def test_rows_without_closed_forms_come_from_circles():
-    # an f without partial_fn still gives the quotients chain-rule rows,
-    # whose partials of f come from circles on f's own domain
+    # an f without partial_fn still gives A and Q chain-rule rows, whose
+    # partials of f come from circles on f's own domain
     s = catalog.build_structure("benney", 2)
     bare_f = JetEvaluator(s.f.arity, s.f.fn, domain=s.f.domain)
     bare = build_system(GTStructure(m=s.m, g=s.g, f=bare_f, p_box=s.p_box,
                                     v_boxes=s.v_boxes))
     exact = build_system(s)
-    args2, args1 = (P1, P2, *V), (P1, *V)
-    for got, want in ((bare.A_row(args2), exact.A_row(args2)),
-                      (bare.Q_row(args2), exact.Q_row(args2)),
-                      (bare.B_rows[1](args1), exact.B_rows[1](args1))):
+
+    def rows(sys_):
+        jets, _, B_rows = sys_.fiber((P1, *V), True)
+        return [*sys_.pair(jets, (P1, P2, *V), True)[2:], B_rows[1]]
+
+    for got, want in zip(rows(bare), rows(exact)):
         scale = max(abs(w) for w in want)
         assert max(abs(g - w) for g, w in zip(got, want)) <= 1e-8 * scale
 
 
 @pytest.mark.parametrize("name", ["benney", "genus0", "genus1", "genus2", "benney+defect"])
 def test_pair_values_do_not_depend_on_rows(name):
-    # the march mixes flows with and without rows at one point, so A and Q
-    # must be the same floats either way, and the public views must agree
+    # the march mixes flows with and without rows at one point, so A, Q and
+    # B must be the same floats either way
     if name == "benney+defect":
         sys_ = build_system(inject_defect(catalog.build_structure("benney", 2), seed=1))
         args = (P1, P2, *V)
     else:
         s = catalog.build_structure(name, 2)
-        sys_ = build_system(s, extra_exclusions=catalog.CATALOG[name].gt_exclusions)
+        sys_ = build_system(s)
         (p1, p2), v = s.sample(1, 5, 2)[0]
         args = (p1, p2, *v)
-    A, Q, no_a_row, no_q_row = sys_.pair(args, False)
-    A_r, Q_r, a_row, q_row = sys_.pair(args, True)
-    assert no_a_row is None and no_q_row is None
-    assert A == A_r == sys_.A.value(args)
-    assert Q == Q_r == sys_.Q.value(args)
-    assert a_row == sys_.A_row(args) and q_row == sys_.Q_row(args)
+    m = sys_.m
+    jets, B, no_b_rows = sys_.fiber((args[0], *args[2:]), False)
+    jets_r, B_r, b_rows = sys_.fiber((args[0], *args[2:]), True)
+    A, Q, no_a_row, no_q_row = sys_.pair(jets, args, False)
+    A_r, Q_r, a_row, q_row = sys_.pair(jets_r, args, True)
+    assert no_a_row is None and no_q_row is None and no_b_rows is None
+    assert A == A_r and Q == Q_r and B == B_r
+    assert [jet[0] for jet in jets] == [jet[0] for jet in jets_r]
     assert len(a_row) == len(q_row) == len(args)
-    for slot in range(len(args)):
-        multi = [int(t == slot) for t in range(len(args))]
-        assert sys_.A.partial(args, multi) == a_row[slot]
-        assert sys_.Q.partial(args, multi) == q_row[slot]
+    assert b_rows[0] is None and all(len(row) == 1 + m for row in b_rows[1:])
 
 
-def test_rows_ask_each_evaluator_at_most_once_per_point(monkeypatch):
-    sys_ = _benney_system()
+def test_flow_asks_each_g_once_at_its_point(monkeypatch):
+    # one fiber call per flow: every g_k at (p_i, v) is asked exactly once,
+    # for its value or with its first partials, and no evaluator is asked
+    # twice at one point
+    s = catalog.build_structure("genus0", 2)
+    sys_ = build_system(s)
+    ps, v = s.sample(1, 5, 3)[0]
     asked = Counter()
-    partials = JetEvaluator.partials
+    value, partials = JetEvaluator.value, JetEvaluator.partials
 
-    def counted(self, args, multis):
+    def counted_value(self, args):
+        asked[id(self), tuple(args)] += 1
+        return value(self, args)
+
+    def counted_partials(self, args, multis):
         asked[id(self), tuple(args)] += 1
         return partials(self, args, multis)
 
-    monkeypatch.setattr(JetEvaluator, "partials", counted)
-    rows = [(sys_.A_row, (P1, P2, *V)), (sys_.Q_row, (P1, P2, *V))]
-    rows += [(row, (P1, *V)) for row in sys_.B_rows]
-    rows += [(lambda args: sys_.pair(args, True), (P1, P2, *V))]  # values and both rows
-    for row, args in rows:
+    monkeypatch.setattr(JetEvaluator, "value", counted_value)
+    monkeypatch.setattr(JetEvaluator, "partials", counted_partials)
+    for rows, i in product((False, True), range(3)):
         asked.clear()
-        row(args)
-        assert asked and set(asked.values()) == {1}, row
-
-
-def test_pushed_system_keeps_the_loci_of_g1():
-    # Q reads g_1 at p2 (through g_1'(p2) / g_1(p2)), so each pulled-back
-    # locus of the pushed g_1 must survive the remap onto both point slots
-    ent = catalog.CATALOG["genus0"]
-    s = ent.build(1)
-    mu = CoordinateChange(JetEvaluator(2, lambda p, u: p + 0.05 * u * p * p, domain=Domain()))
-    pushed = pushforward(s, mu)
-    plain_sys = build_system(s, extra_exclusions=ent.gt_exclusions)
-    pushed_sys = build_system(pushed, extra_exclusions=ent.gt_exclusions)
-    added = len(pushed.f.domain.exclusions) - len(s.f.domain.exclusions)
-    for name in ("A", "Q"):
-        plain, got = getattr(plain_sys, name), getattr(pushed_sys, name)
-        assert len(got.domain.exclusions) == len(plain.domain.exclusions) + added, name
+        _flow(sys_, _State(list(ps), list(v), [1.0 + 0j] * 3), i, rows)
+        assert all(asked[id(gk), (ps[i], *v)] == 1 for gk in s.g), (rows, i)
+        assert set(asked.values()) == {1}, (rows, i)
 
 
 # ---------------------------------------------------------------------------
@@ -197,10 +216,24 @@ def test_pushed_system_keeps_the_loci_of_g1():
 
 @pytest.mark.parametrize("name,n", [("benney", 2), ("genus0", 2)])
 def test_compatibility_holds(name, n):
-    ent = catalog.CATALOG[name]
-    sys_ = build_system(ent.build(n), extra_exclusions=ent.gt_exclusions)
+    sys_ = build_system(catalog.build_structure(name, n))
     rep = compatibility_residual(sys_, M=3, states=15, seed=17, tol=1e-9)
     assert rep.passed, rep.max_residual
+
+
+# compatibility_residual(M=3, states=10, seed=17) before the flow read B and
+# its rows from one fiber jet: m = 2 and genus2's m = 3 run the B rows
+GOLDEN_COMPATIBILITY = {
+    ("benney", 2): (5.402578411571408e-14, 1.03091236188752e-14),
+    ("genus2", 0): (2.779303147179909e-13, 8.759508924159356e-14),
+}
+
+
+@pytest.mark.parametrize("name,n", list(GOLDEN_COMPATIBILITY))
+def test_compatibility_keeps_every_float(name, n):
+    rep = compatibility_residual(build_system(catalog.build_structure(name, n)),
+                                 M=3, states=10, seed=17)
+    assert (rep.max_residual, rep.mean_residual) == GOLDEN_COMPATIBILITY[name, n]
 
 
 def test_injected_defect_is_detected():
@@ -269,6 +302,11 @@ def test_integrate_reduction_flags_a_blow_up():
                               data=FreeData(d.p_funcs, d.p_derivs, big, still, d.v0))
     assert res.blow_up and res.blow_up_at == (0, 1)
     assert not integrate_reduction(sys_, M=2, steps=2, h=1e-9, data=d).blow_up
+    # a NaN slope is a blow-up where it first shows, whatever field comes first
+    nan = (lambda t: complex(math.nan, 0.0), d.w_funcs[1])
+    res = integrate_reduction(sys_, M=2, steps=2, h=1e-9,
+                              data=FreeData(d.p_funcs, d.p_derivs, nan, d.w_derivs, d.v0))
+    assert res.blow_up and res.blow_up_at == (0, 1)
 
 
 def test_integrate_reduction_needs_two_steps():

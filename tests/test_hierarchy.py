@@ -10,7 +10,6 @@ import pytest
 from gtlab import catalog
 from gtlab.core import Potential
 from gtlab.errors import ConfigError
-from gtlab.gtsys import build_system
 from gtlab.hierarchy import (
     PotentialFamily,
     compatibility_tensor,
@@ -111,9 +110,7 @@ def test_reconstruct_lambda_matches_enhancement():
 
 def test_integrability_criterion_holds_for_catalog_family():
     fam = _family()
-    sys_ = build_system(fam.structure,
-                        extra_exclusions=catalog.CATALOG["genus0"].gt_exclusions)
-    rep = criterion_integrable(fam, sys_, samples=20, seed=19, tol=1e-8)
+    rep = criterion_integrable(fam, samples=20, seed=19, tol=1e-8)
     assert rep.passed, rep.max_residual
 
 
@@ -133,9 +130,8 @@ def test_f_and_g_are_evaluated_once_per_sample(monkeypatch):
     # every potential's formula reads the same f(p1, p2) and g_j(p1)
     fam = _family()
     s = fam.structure
-    sys_ = build_system(s, extra_exclusions=catalog.CATALOG["genus0"].gt_exclusions)
     calls = _count_values(monkeypatch, (*s.g, s.f))
-    criterion_integrable(fam, sys_, samples=5, seed=19)
+    criterion_integrable(fam, samples=5, seed=19)
     assert len(calls) == 5 * (s.m + 1), len(calls)
     calls.clear()
     _, rep = reconstruct_lambda(fam, 0, samples=5, seed=13)
@@ -155,14 +151,5 @@ def test_integrability_criterion_rejects_foreign_potential():
     broken = PotentialFamily(fam.structure,
                              [fam.potentials[0], fam.potentials[1], fake],
                              enhanced=fam.enhanced)
-    sys_ = build_system(fam.structure,
-                        extra_exclusions=catalog.CATALOG["genus0"].gt_exclusions)
-    rep = criterion_integrable(broken, sys_, samples=20, seed=19, tol=1e-8)
+    rep = criterion_integrable(broken, samples=20, seed=19, tol=1e-8)
     assert not rep.passed
-
-
-def test_criterion_requires_shared_structure():
-    fam = _family()
-    other = build_system(catalog.build_structure("benney", 2))
-    with pytest.raises(ConfigError):
-        criterion_integrable(fam, other)
