@@ -12,10 +12,13 @@ variables of its own, ``place``d on argument slots: f(p1, p2) on slots
 (0, 1) and, at puncture u_i, g_i(p) = f(p, u_i) on slots (0, 1 + i), as in
 adding points.  A kernel is written once, with its value, its partials and
 its singular loci; the placement reads its slots, answers 0 for a partial
-in any other slot, and moves the loci onto the slots.  genus2's f, built on
-square roots, is its own evaluator: its partials of total order <= 2 are
-closed form too, from one jet at the point per batch, and its circles
-(value rows only) continue the square-root sheet.
+in any other slot, and moves the loci onto the slots.  The same formulas
+answer a placed evaluator's ``columns``: on numpy columns of N points,
+one array expression per multi-index, or point by point for the theta
+kernels.  genus2's f, built on square roots, is its own evaluator: its
+partials of total order <= 2 are closed form too, from one jet at the
+point per batch, and its circles (value rows only) continue the
+square-root sheet.
 """
 
 from __future__ import annotations
@@ -48,11 +51,14 @@ from .kernel import (
 class Kernel:
     """A closed form over its own variables xs: ``value(*xs)``,
     ``partial(xs, orders)`` for total order >= 1, and the singular
-    ``loci`` over slots 0..len(xs)-1."""
+    ``loci`` over slots 0..len(xs)-1.  With ``arrays`` the formulas also
+    take each variable as a numpy column of points; without it they are
+    asked point by point."""
 
     value: Callable[..., complex]
     partial: Callable[[tuple, tuple], complex]
     loci: tuple[Exclusion, ...] = ()
+    arrays: bool = True
 
 
 def place(kernel: Kernel, arity: int, slots: Sequence[int], label: str = "") -> JetEvaluator:
@@ -72,12 +78,28 @@ def place(kernel: Kernel, arity: int, slots: Sequence[int], label: str = "") -> 
             out.append(kernel.partial(xs, orders) if sum(orders) == sum(multi) else 0.0 + 0.0j)
         return out
 
+    def jet(xs, orders):
+        return kernel.partial(xs, orders) if any(orders) else kernel.value(*xs)
+
+    def columns_fn(points, multis):
+        xs = tuple(points[:, s] for s in slots)
+        each = None if kernel.arrays else list(zip(*(x.tolist() for x in xs)))
+        out = []
+        for multi in multis:
+            orders = pick(multi)
+            if sum(orders) != sum(multi):
+                out.append(0.0 + 0.0j)
+            else:
+                out.append(jet(xs, orders) if each is None else [jet(x, orders) for x in each])
+        return out
+
     return JetEvaluator(arity, fn, domain=Domain(kernel.loci).remap(slots),
-                        partial_fn=partial_fn, label=label)
+                        partial_fn=partial_fn, label=label, columns_fn=columns_fn)
 
 
-def _difference(a: JetEvaluator, b: JetEvaluator) -> JetEvaluator:
-    """a - b, values and partials from their own closed forms."""
+def _difference(a: JetEvaluator, b: JetEvaluator, label: str = "") -> JetEvaluator:
+    """a - b, values and partials from their own closed forms, columns
+    from their own columns."""
 
     def fn(*args):
         return a.fn(*args) - b.fn(*args)
@@ -85,7 +107,11 @@ def _difference(a: JetEvaluator, b: JetEvaluator) -> JetEvaluator:
     def partial_fn(args, multis):
         return [x - y for x, y in zip(a.partial_fn(args, multis), b.partial_fn(args, multis))]
 
-    return JetEvaluator(a.arity, fn, domain=a.domain.merged(b.domain), partial_fn=partial_fn)
+    def columns_fn(points, multis):
+        return a.columns(points, multis) - b.columns(points, multis)
+
+    return JetEvaluator(a.arity, fn, domain=a.domain.merged(b.domain), partial_fn=partial_fn,
+                        label=label, columns_fn=columns_fn)
 
 
 def _pole_partial(d: complex, k: int, r: int) -> complex:
@@ -138,7 +164,7 @@ _SPHERE_LOCI = (Diagonal(0, 1), FixedPoints(0, [0.0, 1.0]))
 POLE = Kernel(lambda x, y: 1.0 / (x - y),
               lambda xs, o: _pole_partial(xs[0] - xs[1], *o), (Diagonal(0, 1),))
 # log(x - y)
-LOG = Kernel(lambda x, y: cmath.log(x - y),
+LOG = Kernel(lambda x, y: np.log(x - y),
              lambda xs, o: _log_partial(xs[0] - xs[1], *o), (Diagonal(0, 1),))
 # u(u-1) / ((p-u) p (p-1)): the sphere with 0, 1 and infinity frozen
 SPHERE = Kernel(lambda p, u: u * (u - 1.0) / ((p - u) * p * (p - 1.0)),
@@ -148,11 +174,13 @@ HALF_SPHERE = Kernel(lambda p, e: e * (e - 1.0) / ((p - e) * 2.0 * p * (p - 1.0)
                      lambda xs, o: 0.5 * _sphere_partial(*xs, *o), _SPHERE_LOCI)
 # rho(p - u, tau) - rho(p, tau) over (p, u, tau)
 RHO = Kernel(lambda p, u, tau: rho_partial(p - u, tau, 0, 0) - rho_partial(p, tau, 0, 0),
-             _rho_partial, (LatticePoints(0, 2, 1), LatticePoints(0, 2), HalfPlane(2)))
+             _rho_partial, (LatticePoints(0, 2, 1), LatticePoints(0, 2), HalfPlane(2)),
+             arrays=False)
 # log theta(p - u, tau) - log theta(u, tau) over (p, u, tau)
 LOG_THETA = Kernel(
     lambda p, u, tau: log_theta_partial(p - u, tau, 0, 0) - log_theta_partial(u, tau, 0, 0),
-    _log_theta_partial, (LatticePoints(0, 2, 1), LatticePoints(1, 2), HalfPlane(2)))
+    _log_theta_partial, (LatticePoints(0, 2, 1), LatticePoints(1, 2), HalfPlane(2)),
+    arrays=False)
 # p, and p - tau over (p, tau)
 IDENTITY = Kernel(lambda p: p, lambda xs, o: 1.0 + 0.0j if o == (1,) else 0.0 + 0.0j)
 P_MINUS_TAU = Kernel(lambda p, tau: p - tau,
@@ -164,7 +192,7 @@ CONSTANT_TWO_PI_I = Kernel(lambda tau: TWO_PI_I, lambda xs, o: 0.0 + 0.0j, (Half
 
 def _frozen_log(point: complex) -> Kernel:
     """log(p - point) over p."""
-    return Kernel(lambda p: cmath.log(p - point),
+    return Kernel(lambda p: np.log(p - point),
                   lambda xs, o: _log_partial(xs[0] - point, o[0], 0),
                   (FixedPoints(0, [point]),))
 
@@ -268,14 +296,8 @@ def genus1(n: int) -> GTStructure:
 
 def genus1_enhanced(n: int) -> EnhancedGT:
     s = genus1(n)
-    base_f = s.f
-
-    def lam_fn(*args):
-        return base_f.fn(*args) - TWO_PI_I
-
-    lam = JetEvaluator(base_f.arity, lam_fn, domain=base_f.domain,
-                       partial_fn=base_f.partial_fn, label="genus1:lambda")
-    return EnhancedGT(s, lam)
+    tau = place(CONSTANT_TWO_PI_I, s.f.arity, (s.f.arity - 1,))
+    return EnhancedGT(s, _difference(s.f, tau, "genus1:lambda"))
 
 
 def genus1_potentials(n: int) -> list[Potential]:

@@ -42,7 +42,6 @@ from .kernel import (
     ReindexedEvaluator,
     SplitMix64,
     _circle_coeff,
-    laurent_coeff,
     multi_index,
     path_integrate,
 )
@@ -192,15 +191,11 @@ class GTStructure:
             self._loci[key] = tuple(loci)
         return self._loci[key]
 
-    def g_apply(self, p: complex, v: Sequence[complex], dv: Sequence[complex]) -> complex:
-        """Action of the vector field g(p) on a function whose fiber partials
-        d/dv_j at its point are ``dv``: sum_j g_j(p, v) dv[j]."""
-        return apply_field([gi.value((p, *v)) for gi in self.g], dv)
-
 
 def apply_field(gv: Sequence[complex], dv: Sequence[complex]) -> complex:
     """sum_j gv[j] dv[j] in slot order: the vector field whose components
-    are ``gv`` applied to a function whose fiber partials are ``dv``."""
+    are ``gv`` applied to a function whose fiber partials are ``dv``, at
+    one point or, with arrays, at a column of points."""
     total = 0.0 + 0.0j
     for gj, d in zip(gv, dv):
         total += gj * d
@@ -261,17 +256,34 @@ def _diagonal_radius(e: JetEvaluator, p2: complex, v: Sequence[complex]) -> floa
     return 0.25 * min(clearances + [1.0])
 
 
+def _rows(s: GTStructure, pts: Sequence[Sample], *orders: Sequence[int]) -> np.ndarray:
+    """Argument rows (p_a, p_b, ..., v) of every sample, one block of rows
+    per order of point indices, the blocks stacked in turn."""
+    rows = [(*(ps[a] for a in order), *v) for order in orders for ps, v in pts]
+    return np.array(rows, dtype=complex).reshape(len(rows), len(orders[0]) + s.m)
+
+
+def _values(evaluators: Sequence[JetEvaluator], rows: np.ndarray) -> np.ndarray:
+    """The value of each evaluator at every row, one row per evaluator."""
+    return np.array([e.columns(rows, [multi_index(e.arity)])[0] for e in evaluators])
+
+
+def _residues(e: JetEvaluator, s: GTStructure, pts: Sequence[Sample], nodes: int,
+              ks: Sequence[int]) -> list[np.ndarray]:
+    """Laurent coefficients k in ``ks`` of e in its first slot about p_1
+    of every sample, from one ``eval_circles`` call."""
+    radii = np.array([_diagonal_radius(e, ps[0], v) for ps, v in pts])
+    vals = e.eval_circles(0, _rows(s, pts, (0, 0)), radii, nodes)
+    return [_circle_coeff(vals, radii, k) for k in ks]
+
+
 def verify_pole(s: GTStructure, samples: int = 100, seed: int = 1,
                 tol: float = 1e-8, nodes: int = 64) -> VerificationReport:
     """Diagonal normalization: Laurent coefficient -1 of f in p1 about p2
-    equals 1; orders -2 and -3 vanish.  All three come from one circle."""
-    residuals = []
-    for ps, v in s.sample(samples, seed, 2):
-        p2 = ps[0]
-        radius = _diagonal_radius(s.f, p2, v)
-        vals = s.f.eval_circle(0, (ps[1], p2, *v), p2, radius, nodes, [None])[0]
-        c_m1, c_m2, c_m3 = (_circle_coeff(vals, radius, k) for k in (-1, -2, -3))
-        residuals.append(max(abs(c_m1 - 1.0), abs(c_m2), abs(c_m3)))
+    equals 1; orders -2 and -3 vanish.  All three come from one circle per
+    sample, every sample's circle from one call."""
+    c_m1, c_m2, c_m3 = _residues(s.f, s, s.sample(samples, seed, 2), nodes, (-1, -2, -3))
+    residuals = np.maximum.reduce([abs(c_m1 - 1.0), abs(c_m2), abs(c_m3)])
     return _make_report("diagonal_pole", residuals, tol, seed,
                         structure=s.label, nodes=nodes)
 
@@ -281,16 +293,20 @@ def _jet(arity: int, *slots: int) -> list[tuple[int, ...]]:
     return [multi_index(arity)] + [multi_index(arity, t) for t in slots]
 
 
-def _bracket_residual(s: GTStructure, p1, p2, v) -> float:
-    """Componentwise residual of the commutation identity at one sample."""
+def verify_bracket(s: GTStructure, samples: int = 100, seed: int = 2,
+                   tol: float = 1e-8) -> VerificationReport:
+    """Commutation identity, componentwise, at every sample (p1, p2, v):
+    each g_i asked once at every p1 and p2, f at every (p1, p2) and
+    (p2, p1)."""
     m = s.m
+    pts = s.sample(samples, seed, 2)
     # g1[i] = (g_i, d_p g_i, d_{v_1} g_i, ...) at p1, g2[i] at p2; f12_d2
     # is f's partial in its second slot at (p1, p2), and so on
-    g_jet = _jet(1 + m, *range(1 + m))
-    g1 = [gi.partials((p1, *v), g_jet) for gi in s.g]
-    g2 = [gi.partials((p2, *v), g_jet) for gi in s.g]
-    f12, f12_d2 = s.f.partials((p1, p2, *v), _jet(s.f.arity, 1))
-    f21, f21_d2 = s.f.partials((p2, p1, *v), _jet(s.f.arity, 1))
+    g_at = _rows(s, pts, (0,), (1,))
+    g1, g2 = zip(*(np.split(gi.columns(g_at, _jet(1 + m, *range(1 + m))), 2, axis=1)
+                   for gi in s.g))
+    (f12, f12_d2), (f21, f21_d2) = np.split(
+        s.f.columns(_rows(s, pts, (0, 1), (1, 0)), _jet(2 + m, 1)), 2, axis=1)
     residuals = []
     for i in range(m):
         bracket = 0.0 + 0.0j
@@ -303,88 +319,76 @@ def _bracket_residual(s: GTStructure, p1, p2, v) -> float:
             - 2 * f12_d2 * g2[i][0]
         )
         residuals.append(abs(bracket - rhs))
-    return worst_residual(residuals)
-
-
-def verify_bracket(s: GTStructure, samples: int = 100, seed: int = 2,
-                   tol: float = 1e-8) -> VerificationReport:
-    residuals = [
-        _bracket_residual(s, ps[0], ps[1], v) for ps, v in s.sample(samples, seed, 2)
-    ]
-    return _make_report("bracket", residuals, tol, seed, structure=s.label)
-
-
-def _cocycle_residual(s: GTStructure, p1, p2, p3, v) -> float:
-    full, d2 = _jet(s.f.arity, *range(s.f.arity)), _jet(s.f.arity, 1)
-    f13, f13_d1, f13_d2, *f13_dv = s.f.partials((p1, p3, *v), full)
-    f23, f23_d1, f23_d2, *f23_dv = s.f.partials((p2, p3, *v), full)
-    f12, f12_d2 = s.f.partials((p1, p2, *v), d2)
-    f21, f21_d2 = s.f.partials((p2, p1, *v), d2)
-    lhs = s.g_apply(p2, v, f13_dv) - s.g_apply(p1, v, f23_dv)
-    rhs = (
-        f12 * f23_d1
-        - f21 * f13_d1
-        + f13 * f23_d2
-        - f23 * f13_d2
-        + 2 * f23 * f12_d2
-        - 2 * f13 * f21_d2
-    )
-    return abs(lhs - rhs)
+    return _make_report("bracket", np.max(residuals, axis=0), tol, seed, structure=s.label)
 
 
 def verify_cocycle(s: GTStructure, samples: int = 100, seed: int = 3,
                    tol: float = 1e-8) -> VerificationReport:
-    residuals = [
-        _cocycle_residual(s, ps[0], ps[1], ps[2], v)
-        for ps, v in s.sample(samples, seed, 3)
-    ]
-    return _make_report("cocycle", residuals, tol, seed, structure=s.label)
+    """Cocycle identity at every sample (p1, p2, p3, v): f asked once for
+    its full jet at (p1, p3) and (p2, p3), once for its value and p2
+    partial at (p1, p2) and (p2, p1), each g_j once for values at p1 and
+    p2."""
+    m = s.m
+    pts = s.sample(samples, seed, 3)
+    f13, f23 = np.split(s.f.columns(_rows(s, pts, (0, 2), (1, 2)), _jet(2 + m, *range(2 + m))),
+                        2, axis=1)
+    (f12, f12_d2), (f21, f21_d2) = np.split(
+        s.f.columns(_rows(s, pts, (0, 1), (1, 0)), _jet(2 + m, 1)), 2, axis=1)
+    g1, g2 = np.split(_values(s.g, _rows(s, pts, (0,), (1,))), 2, axis=1)
+    lhs = apply_field(g2, f13[3:]) - apply_field(g1, f23[3:])
+    rhs = (
+        f12 * f23[1]
+        - f21 * f13[1]
+        + f13[0] * f23[2]
+        - f23[0] * f13[2]
+        + 2 * f23[0] * f12_d2
+        - 2 * f13[0] * f21_d2
+    )
+    return _make_report("cocycle", abs(lhs - rhs), tol, seed, structure=s.label)
 
 
 def verify_lambda(e: EnhancedGT, samples: int = 100, seed: int = 4,
                   tol: float = 1e-8, nodes: int = 64) -> VerificationReport:
-    """Functional identity for lambda, plus its diagonal residue = 1."""
+    """Functional identity for lambda, plus its diagonal residue = 1.
+    Each evaluator is asked once per jet over the sample set: lambda for
+    its full jet at every (p2, p3), its p2 partial at every (p2, p1), its
+    value at every (p1, p3) and its residue circles; f for its value and
+    p2 partial at every (p1, p2) and its value at every (p1, p3); each g_j
+    for values at p1."""
     s = e.base
     lam = e.lam
-    full, d2 = _jet(lam.arity, *range(lam.arity)), _jet(lam.arity, 1)
-    residuals = []
-    for ps, v in s.sample(samples, seed, 3):
-        p1, p2, p3 = ps
-        lam23, lam23_d1, lam23_d2, *lam23_dv = lam.partials((p2, p3, *v), full)
-        [lam21_d2] = lam.partials((p2, p1, *v), d2[1:])
-        f12, f12_d2 = s.f.partials((p1, p2, *v), d2)
-        lhs = s.g_apply(p1, v, lam23_dv)
-        rhs = (
-            lam.value((p1, p3, *v)) * lam21_d2
-            - lam23 * f12_d2
-            - f12 * lam23_d1
-            - s.f.value((p1, p3, *v)) * lam23_d2
-        )
-        residuals.append(abs(lhs - rhs))
+    m = s.m
+    pts = s.sample(samples, seed, 3)
+    d2 = _jet(2 + m, 1)
+    lam23 = lam.columns(_rows(s, pts, (1, 2)), _jet(2 + m, *range(2 + m)))
+    [lam21_d2] = lam.columns(_rows(s, pts, (1, 0)), d2[1:])
+    f12, f12_d2 = s.f.columns(_rows(s, pts, (0, 1)), d2)
+    lam13, f13 = _values((lam, s.f), _rows(s, pts, (0, 2)))
+    lhs = apply_field(_values(s.g, _rows(s, pts, (0,))), lam23[3:])
+    rhs = lam13 * lam21_d2 - lam23[0] * f12_d2 - f12 * lam23[1] - f13 * lam23[2]
     # diagonal residue check on a handful of pairs
-    for ps, v in s.sample(min(samples, 10), seed + 1, 2):
-        p2 = ps[0]
-        args = (ps[1], p2, *v)
-        radius = _diagonal_radius(lam, p2, v)
-        res = laurent_coeff(lam, 0, args, p2, -1, radius, nodes)
-        residuals.append(abs(res - 1.0))
-    return _make_report("lambda_identity", residuals, tol, seed, structure=s.label)
+    [res] = _residues(lam, s, s.sample(min(samples, 10), seed + 1, 2), nodes, (-1,))
+    return _make_report("lambda_identity", [*abs(lhs - rhs), *abs(res - 1.0)], tol, seed,
+                        structure=s.label)
 
 
 def verify_potential(e: EnhancedGT, pot: Potential, samples: int = 100,
                      seed: int = 5, tol: float = 1e-8) -> VerificationReport:
+    """Potential identity at every sample (p1, p2, v): h asked once for
+    its first partials at every p2 and once for its p partial at every
+    p1, lambda and f once for values at every (p1, p2), each g_j once for
+    values at p1."""
     s = e.base
     h = pot.h
-    residuals = []
-    for ps, v in s.sample(samples, seed, 2):
-        p1, p2 = ps
-        h2_dp, *h2_dv = h.partials((p2, *v), [multi_index(h.arity, t) for t in range(h.arity)])
-        [h1_dp] = h.partials((p1, *v), [multi_index(h.arity, 0)])
-        lhs = s.g_apply(p1, v, h2_dv)
-        rhs = e.lam.value((p1, p2, *v)) * h1_dp - s.f.value((p1, p2, *v)) * h2_dp
-        residuals.append(abs(lhs - rhs))
+    m = s.m
+    pts = s.sample(samples, seed, 2)
+    h2 = h.columns(_rows(s, pts, (1,)), _jet(1 + m, *range(1 + m))[1:])
+    [h1_dp] = h.columns(_rows(s, pts, (0,)), [multi_index(1 + m, 0)])
+    lam12, f12 = _values((e.lam, s.f), _rows(s, pts, (0, 1)))
+    lhs = apply_field(_values(s.g, _rows(s, pts, (0,))), h2[1:])
+    rhs = lam12 * h1_dp - f12 * h2[0]
     return _make_report(
-        f"potential:{pot.label}", residuals, tol, seed, structure=s.label
+        f"potential:{pot.label}", abs(lhs - rhs), tol, seed, structure=s.label
     )
 
 

@@ -103,13 +103,6 @@ class PotentialFamily:
         return int(np.sum(sv > svd_tol * sv[0]))
 
 
-def _tensor_block(fam: PotentialFamily, i: int, j: int, z: complex,
-                  v: Sequence[complex]) -> list[complex]:
-    hpi, hvi = fam.h_jet(i, z, v)
-    hpj, hvj = fam.h_jet(j, z, v)
-    return [hpi * hvj[l] - hpj * hvi[l] for l in range(fam.m)]
-
-
 def compatibility_tensor(
     fam: PotentialFamily,
     i: int,
@@ -121,22 +114,24 @@ def compatibility_tensor(
     """The 3m coefficient functions of the triple (i, j, k) sampled in z.
 
     Row layout: l-th row of block 0 multiplies dv_l/dt_k, block 1 (rows
-    m..2m-1) multiplies dv_l/dt_i, block 2 multiplies dv_l/dt_j.
+    m..2m-1) multiplies dv_l/dt_i, block 2 multiplies dv_l/dt_j.  Each of
+    h_i, h_j and h_k is asked once for its first partials at every z.
     """
     if len({i, j, k}) != 3:
         raise ConfigError("indices i, j, k must be pairwise distinct")
     for idx in (i, j, k):
         if not 0 <= idx < fam.N:
             raise ConfigError(f"potential index {idx} out of range")
-    cols = []
-    for z in z_points:
-        col = (
-            _tensor_block(fam, i, j, z, v)
-            + _tensor_block(fam, j, k, z, v)
-            + _tensor_block(fam, k, i, z, v)
-        )
-        cols.append(col)
-    return np.array(cols, dtype=complex).T
+    m = fam.m
+    at = np.array([(z, *v) for z in z_points], dtype=complex).reshape(len(z_points), 1 + m)
+    jets = {idx: fam.potentials[idx].h.columns(at, [multi_index(1 + m, t) for t in range(1 + m)])
+            for idx in (i, j, k)}
+
+    def block(a, b):
+        """h_a' h_{b, v_l} - h_b' h_{a, v_l}, one row per l."""
+        return jets[a][0] * jets[b][1:] - jets[b][0] * jets[a][1:]
+
+    return np.vstack([block(i, j), block(j, k), block(k, i)])
 
 
 def dimension_D(

@@ -24,6 +24,15 @@ continues its branch along the loop there, and a wrapper maps the loop
 into the evaluator it wraps.  ``eval_circle`` builds a circle's loop and
 hands it to ``eval_rows``.
 
+A sample set is asked in one call: ``JetEvaluator.columns(points,
+multis)`` takes N points as an (N, arity) array and returns one row per
+multi-index, and ``eval_circles`` returns the values on N circles as an
+N x nodes array.  An evaluator built with ``columns_fn`` (the placed
+catalog kernels) answers both with numpy arrays; for every other one the
+base class is the single per-point adapter: ``partials`` per row and
+``eval_circle`` per circle, so sheet tracking, composed and collided
+evaluators keep their exact floats.
+
 Each genus-1 jet is one ``theta_jet`` array sum over k, with its weights
 cached read-only per window; an overflowing series raises ``OverflowError``.
 The jets ``log_theta_partial(p, tau, dp, dtau)`` are memoised: the torus
@@ -200,7 +209,9 @@ class JetEvaluator:
     declared domain; an optional ``partial_fn(args, multis)`` may supply
     analytic derivatives: it gets every nonzero multi-index asked at one
     point and returns one entry per multi-index, NotImplemented where the
-    circles should answer.
+    circles should answer.  An optional ``columns_fn(points, multis)``
+    answers ``columns``: every multi-index at N points, one entry per
+    multi-index, each an array over the points or a constant.
     """
 
     def __init__(
@@ -210,12 +221,14 @@ class JetEvaluator:
         domain: Domain = EMPTY_DOMAIN,
         partial_fn: Callable | None = None,
         label: str = "",
+        columns_fn: Callable | None = None,
     ):
         self.arity = arity
         self.fn = fn
         self.domain = domain
         self.partial_fn = partial_fn
         self.label = label
+        self.columns_fn = columns_fn
 
     def value(self, args: Sequence[complex]) -> complex:
         if len(args) != self.arity:
@@ -261,6 +274,52 @@ class JetEvaluator:
             raise DomainViolation(
                 f"{self.label or 'evaluator'}: non-finite samples on the circle of "
                 f"radius {radius} about {center!r} in slot {slot}"
+            )
+        return vals
+
+    def columns(self, points: np.ndarray, multis: Sequence[Sequence[int]]) -> np.ndarray:
+        """Values and partials at N points in one call: ``points`` is an
+        (N, arity) array, and row r of the (len(multis), N) result is
+        multi-index r at every point.  Without ``columns_fn`` each point
+        is one ``partials`` call, so the rows are exactly its floats."""
+        points = np.asarray(points, dtype=complex)
+        if points.ndim != 2 or points.shape[1] != self.arity:
+            raise ValueError(f"{self.label or 'evaluator'} takes {self.arity} "
+                             f"argument columns, got shape {points.shape}")
+        if any(len(multi) != self.arity for multi in multis):
+            raise ValueError(f"{self.label or 'evaluator'} takes {self.arity} "
+                             f"derivative orders per multi-index")
+        n = len(points)
+        if self.columns_fn is None:
+            rows = [self.partials(row, multis) for row in points.tolist()]
+            return np.array(rows, dtype=complex).reshape(n, len(multis)).T
+        return np.array([np.broadcast_to(col, (n,)) for col in self.columns_fn(points, multis)],
+                        dtype=complex).reshape(len(multis), n)
+
+    def eval_circles(self, slot: int, points: np.ndarray, radii: Sequence[float],
+                     nodes: int) -> np.ndarray:
+        """Values on N circles, an (N, nodes) array: circle i runs in one
+        slot about points[i][slot] with radius radii[i], through the
+        nodes ``eval_circle`` would place.  With ``columns_fn`` every node
+        of every circle is one row of one ``columns`` call; without it
+        each circle is one ``eval_circle``.  A non-finite sample on any
+        circle raises ``DomainViolation``."""
+        points, radii = np.asarray(points, dtype=complex), np.asarray(radii, dtype=float)
+        if self.columns_fn is None:
+            return np.array([self.eval_circle(slot, row, row[slot], r, nodes, [None])[0]
+                             for row, r in zip(points.tolist(), radii.tolist())],
+                            dtype=complex).reshape(len(points), nodes)
+        ring = np.array([cmath.exp(TWO_PI_I * k / nodes) for k in range(nodes)])
+        grid = np.repeat(points, nodes, axis=0)
+        grid[:, slot] = (points[:, slot, None] + radii[:, None] * ring).ravel()
+        vals = self.columns(grid, [multi_index(self.arity)])[0].reshape(len(points), nodes)
+        bad = np.flatnonzero(~np.isfinite(vals).all(axis=1))
+        if len(bad):
+            i = bad[0]
+            raise DomainViolation(
+                f"{self.label or 'evaluator'}: non-finite samples on circle {i} of "
+                f"{len(points)}, radius {radii[i]} about {complex(points[i, slot])!r} "
+                f"in slot {slot}"
             )
         return vals
 
@@ -316,11 +375,14 @@ class JetEvaluator:
         return out
 
 
-def _circle_coeff(vals: np.ndarray, radius: float, k: int) -> complex:
-    """k-th Taylor/Laurent coefficient from equispaced circle samples."""
-    n = len(vals)
+def _circle_coeff(vals: np.ndarray, radius, k: int):
+    """k-th Taylor/Laurent coefficient from equispaced circle samples along
+    the last axis: a complex for one circle, an array for a stack of
+    circles with an array of radii."""
+    n = vals.shape[-1]
     phases = np.exp(-TWO_PI_I * k * np.arange(n) / n)
-    return complex(np.sum(vals * phases) / (n * radius**k))
+    out = np.sum(vals * phases, axis=-1) / (n * radius**k)
+    return complex(out) if np.ndim(out) == 0 else out
 
 
 class ReindexedEvaluator(JetEvaluator):

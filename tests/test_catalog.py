@@ -6,9 +6,11 @@ import cmath
 import math
 
 import mpmath as mp
+import numpy as np
 import pytest
 
 from gtlab import catalog
+from gtlab.core import CoordinateChange, _diagonal_radius, collide_points_closed, pushforward
 from gtlab.errors import ConfigError
 from gtlab.kernel import JetEvaluator, cauchy_derivative, multi_index, theta
 
@@ -408,3 +410,80 @@ def test_genus1_linear_potential_slope():
     lin = pots[0]
     assert lin.h.partial(fam_args, (1, 0, 0)) == pytest.approx(1.0, abs=1e-12)
     assert lin.h.partial(fam_args, (0, 0, 1)) == pytest.approx(-1.0, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# columns: N points in one call against the same points one at a time
+# ---------------------------------------------------------------------------
+
+
+def _to_order(arity, top):
+    """The value and every multi-index of total order 1 to ``top``."""
+    multis = [multi_index(arity)] + [multi_index(arity, s) for s in range(arity)]
+    if top == 2:
+        multis += [multi_index(arity, s, t) for s in range(arity) for t in range(s, arity)]
+    return multis
+
+
+def _column_evaluators(name):
+    """(evaluator, structure, points per sample) for every evaluator the
+    catalog builds for the name with a columns_fn: each g, f, lambda and
+    potential (genus0's and genus1's are differences), and genus2's g."""
+    if name == "genus2":
+        s = catalog.build_structure(name)
+        return [(g, s, 1) for g in s.g]
+    s = catalog.build_structure(name, 2)
+    return ([(g, s, 1) for g in s.g] + [(s.f, s, 2), (catalog.build_enhanced(name, 2).lam, s, 2)]
+            + [(pot.h, s, 1) for pot in catalog.build_potentials(name, 2)])
+
+
+def _points(s, n_p):
+    """32 seeded sample points as (N, arity) rows."""
+    return np.array([(*ps, *v) for ps, v in s.sample(32, 29, n_p)])
+
+
+def _one_at_a_time(e, points, multis):
+    return np.array([e.partials(row, multis) for row in points.tolist()]).T
+
+
+@pytest.mark.parametrize("name", ["benney", "genus0", "genus1", "genus2"])
+def test_columns_agree_with_points(name):
+    for e, s, n_p in _column_evaluators(name):
+        assert e.columns_fn is not None, e.label
+        points = _points(s, n_p)
+        multis = _to_order(e.arity, 2)
+        batch, single = e.columns(points, multis), _one_at_a_time(e, points, multis)
+        assert batch.shape == (len(multis), len(points))
+        assert np.all(np.abs(batch - single) <= 1e-13 * np.abs(single)), e.label
+
+
+def _mu(m, scale=0.05):
+    return CoordinateChange(JetEvaluator(1 + m, lambda *a: a[0] + scale * a[1] * a[0] ** 2,
+                                         label="mu"))
+
+
+def _adapted():
+    """(evaluator, structure, points per sample, top order) for evaluators
+    without a columns_fn: genus2's sheet-tracking f, a pushed f and a
+    closed-collided g."""
+    g2 = catalog.build_structure("genus2")
+    benney = catalog.build_structure("benney", 1)
+    collided = collide_points_closed(catalog.build_structure("benney", 3), [[0, 1]])
+    pushed = pushforward(benney, _mu(1))
+    return [(g2.f, g2, 2, 2), (pushed.f, pushed, 2, 1), (collided.g[1], collided, 1, 1)]
+
+
+@pytest.mark.parametrize("index", range(3))
+def test_the_per_point_adapter_keeps_every_float(index):
+    e, s, n_p, top = _adapted()[index]
+    assert e.columns_fn is None
+    points = _points(s, n_p)
+    multis = _to_order(e.arity, top)
+    assert np.array_equal(e.columns(points, multis), _one_at_a_time(e, points, multis))
+    if n_p == 2:
+        # circles in slot 0 about p_1, as the pole check draws them
+        points[:, 1] = points[:, 0]
+        radii = [_diagonal_radius(e, row[0], row[2:]) for row in points.tolist()]
+        want = [e.eval_circle(0, row, row[0], r, 16, [None])[0]
+                for row, r in zip(points.tolist(), radii)]
+        assert np.array_equal(e.eval_circles(0, points, radii, 16), np.array(want))

@@ -11,6 +11,7 @@ import sys
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from gtlab import catalog, cli
@@ -33,10 +34,11 @@ from gtlab.core import (
     verify_bracket,
     verify_cocycle,
     verify_lambda,
+    verify_pole,
     verify_potential,
 )
 from gtlab.errors import DomainViolation
-from gtlab.gtsys import build_system, compatibility_residual
+from gtlab.gtsys import build_system, compatibility_residual, inject_defect
 from gtlab.kernel import (
     Diagonal,
     Domain,
@@ -354,19 +356,25 @@ def test_pushed_f_without_the_prefactor_derivative_is_caught():
     {"command": "collide", "structure": "benney", "n": 3},
 ])
 def test_transformed_first_partials_open_no_circle(tmp_path, monkeypatch, cfg):
-    # verify_pole takes one Laurent circle per sample; every first partial
-    # of the bracket and the cocycle comes by the chain rule
-    calls = []
-    circle = JetEvaluator.eval_circle
+    # verify_pole takes one Laurent circle per sample, all in one call;
+    # every first partial of the bracket and the cocycle comes by the chain
+    # rule, and a partial that opened a circle would ask its radius
+    circles, opened = [], []
+    batch, radius = JetEvaluator.eval_circles, JetEvaluator.deriv_radius
 
-    def counted(self, *args, **kwargs):
-        calls.append(self.label)
-        return circle(self, *args, **kwargs)
+    def counted(self, slot, points, *args):
+        circles.append((self.label, len(points)))
+        return batch(self, slot, points, *args)
 
-    monkeypatch.setattr(JetEvaluator, "eval_circle", counted)
+    def asked(self, *args):
+        opened.append(self.label)
+        return radius(self, *args)
+
+    monkeypatch.setattr(JetEvaluator, "eval_circles", counted)
+    monkeypatch.setattr(JetEvaluator, "deriv_radius", asked)
     code = cli.run({**cfg, "seed": 101, "samples": 10}, str(tmp_path / "job.json"))
     assert code == 0
-    assert len(calls) == 10 and len(set(calls)) == 1, calls
+    assert len(circles) == 1 and circles[0][1] == 10 and not opened, (circles, opened)
 
 
 def _full_minimum_sample(s, count, seed, n_p):
@@ -540,11 +548,24 @@ def test_report_with_a_nan_residual_fails_wherever_it_stands():
     assert rep.max_residual == math.inf and not rep.passed
 
 
-def _nan_f_structure() -> GTStructure:
+def _nan_f_structure(at: complex | None = None) -> GTStructure:
+    """benney(2) whose f reads NaN wherever its first argument is ``at``
+    (everywhere for None): in values, in partials and in columns."""
     s = catalog.build_structure("benney", 2)
     nan = complex(math.nan, 0.0)
-    f = JetEvaluator(s.f.arity, lambda *args: nan, domain=s.f.domain,
-                     partial_fn=lambda args, multis: [nan] * len(multis), label="nan f")
+
+    def hit(p1):
+        return at is None or p1 == at
+
+    def columns_fn(points, multis):
+        out = s.f.columns(points, multis)
+        out[:, [hit(p1) for p1 in points[:, 0].tolist()]] = nan
+        return out
+
+    f = JetEvaluator(s.f.arity, lambda *args: nan if hit(args[0]) else s.f.fn(*args),
+                     domain=s.f.domain, label="nan f", columns_fn=columns_fn,
+                     partial_fn=lambda args, multis: [nan if hit(args[0]) else x
+                                                      for x in s.f.partial_fn(args, multis)])
     return GTStructure(m=s.m, g=s.g, f=f, label="benney+nan f", p_box=s.p_box,
                        v_boxes=s.v_boxes, min_separation=s.min_separation)
 
@@ -555,6 +576,64 @@ def test_nan_two_point_function_fails_bracket_and_compatibility():
     assert math.isnan(rep.max_residual) and not rep.passed
     comp = compatibility_residual(build_system(s), M=3, states=3, seed=17)
     assert math.isnan(comp.max_residual) and not comp.passed
+
+
+# (points per sample, seed, check) of every identity checked on a batch
+BATCHED_CHECKS = {
+    "bracket": (2, 2, lambda e, pot: verify_bracket(e.base, samples=7, seed=2)),
+    "cocycle": (3, 3, lambda e, pot: verify_cocycle(e.base, samples=7, seed=3)),
+    "lambda": (3, 4, lambda e, pot: verify_lambda(e, samples=7, seed=4)),
+    "potential": (2, 5, lambda e, pot: verify_potential(e, pot, samples=7, seed=5)),
+}
+
+
+@pytest.mark.parametrize("where", [0, 3, 6])
+@pytest.mark.parametrize("check", list(BATCHED_CHECKS))
+def test_a_nan_at_one_sample_of_a_batch_fails_the_identity(check, where):
+    # f reads NaN at the first, a middle or the last of 7 samples only;
+    # the identity must report NaN, never the worst of the other six
+    n_p, seed, run = BATCHED_CHECKS[check]
+    enh = catalog.build_enhanced("benney", 2)
+    pot = catalog.build_potentials("benney", 2)[0]
+    assert run(enh, pot).passed
+    (p1, *_), _ = enh.base.sample(7, seed, n_p)[where]
+    rep = run(EnhancedGT(_nan_f_structure(at=p1), enh.lam), pot)
+    assert math.isnan(rep.max_residual) and not rep.passed
+
+
+@pytest.mark.parametrize("where", [0, 3, 6])
+@pytest.mark.parametrize("batched", [True, False])
+def test_a_non_finite_circle_in_a_batch_fails_closed(batched, where):
+    # the pole check's circles run in slot 0 with slot 1 at the centre, so
+    # an f that reads NaN at one centre spoils exactly one circle of seven
+    s = catalog.build_structure("benney", 2)
+    points = np.array([(ps[0], ps[0], *v) for ps, v in s.sample(7, 1, 2)])
+    bad = points[where, 1]
+    f = JetEvaluator(s.f.arity, lambda *args: math.nan if args[1] == bad else s.f.fn(*args),
+                     domain=s.f.domain, label="spoiled f")
+    if batched:
+        def columns_fn(pts, multis):
+            out = s.f.columns(pts, multis)
+            out[:, pts[:, 1] == bad] = math.nan
+            return out
+
+        f.columns_fn = columns_fn
+    radii = [_diagonal_radius(f, row[0], row[2:]) for row in points.tolist()]
+    with pytest.raises(DomainViolation, match="non-finite samples on"):
+        f.eval_circles(0, points, radii, 16)
+    spoiled = GTStructure(m=s.m, g=s.g, f=f, p_box=s.p_box, v_boxes=s.v_boxes)
+    with pytest.raises(DomainViolation, match="non-finite samples on"):
+        verify_pole(spoiled, samples=7, seed=1)
+
+
+@pytest.mark.parametrize("name", ["benney", "genus0"])
+def test_an_injected_defect_fails_the_batched_bracket_and_cocycle(name):
+    s = catalog.build_structure(name, 2)
+    bad = inject_defect(s, scale=1e-2, seed=1)
+    for check in (verify_bracket, verify_cocycle):
+        assert check(s, samples=20).passed
+        rep = check(bad, samples=20)
+        assert not rep.passed and rep.max_residual > 1e-4, (check.__name__, rep.max_residual)
 
 
 # ---------------------------------------------------------------------------
@@ -634,29 +713,47 @@ def test_partial_argument_count_check_holds_under_optimize_flag():
 
 
 def _asked_per_point(monkeypatch):
-    """Count ``partials`` calls per (evaluator, point); ``partial`` fails."""
-    asked = Counter()
-    partials = JetEvaluator.partials
+    """Count, through ``columns``, how often each evaluator is asked at
+    each point and how many calls it takes; asking ``partials`` or
+    ``partial`` at one point fails."""
+    asked, calls = Counter(), Counter()
+    columns = JetEvaluator.columns
 
-    def counted(self, args, multis):
-        asked[id(self), tuple(args)] += 1
-        return partials(self, args, multis)
+    def counted(self, points, multis):
+        calls[self.label] += 1
+        for row in np.asarray(points).tolist():
+            asked[self.label, tuple(row)] += 1
+        return columns(self, points, multis)
 
-    def single(self, args, multi):
-        raise AssertionError("a consumer asked for one partial at a time")
+    def single(self, *args):
+        raise AssertionError("a consumer asked for one point at a time")
 
-    monkeypatch.setattr(JetEvaluator, "partials", counted)
+    monkeypatch.setattr(JetEvaluator, "columns", counted)
+    monkeypatch.setattr(JetEvaluator, "partials", single)
     monkeypatch.setattr(JetEvaluator, "partial", single)
-    return asked
+    return asked, calls
 
 
 def test_bracket_asks_each_evaluator_once_per_point(monkeypatch):
     s = catalog.build_structure("benney", 2)
-    asked = _asked_per_point(monkeypatch)
-    assert verify_bracket(s, samples=1, seed=2).passed
-    # g_1 and g_2 at p1 and p2, f at (p1, p2) and at (p2, p1)
-    assert len(asked) == 2 * 2 + 2
+    asked, calls = _asked_per_point(monkeypatch)
+    assert verify_bracket(s, samples=3, seed=2).passed
+    # g_1 and g_2 at p1 and p2, f at (p1, p2) and at (p2, p1), per sample;
+    # each evaluator in one call for the whole sample set
+    assert len(asked) == 3 * (2 * 2 + 2)
     assert set(asked.values()) == {1}
+    assert calls == {"benney:g[0]": 1, "benney:g[1]": 1, "benney:f": 1}
+
+
+# calls per evaluator: one per jet it is asked for (f's full jet and its
+# p2 jet in the cocycle; lambda's full jet, its p2 partial, its value and
+# its residue circles, and f's p2 jet and value; h's first partials at p2
+# and its p partial at p1)
+CALLS_PER_CHECK = {
+    "cocycle": {"benney:f": 2},
+    "lambda": {"benney:lambda": 4, "benney:f": 2},
+    "potential": {"benney:h[0]": 2, "benney:lambda": 1, "benney:f": 1},
+}
 
 
 @pytest.mark.parametrize("check", ["cocycle", "lambda", "potential"])
@@ -666,6 +763,7 @@ def test_identities_ask_each_evaluator_at_most_once_per_point(monkeypatch, check
     run = {"cocycle": lambda: verify_cocycle(enh.base, samples=3, seed=3),
            "lambda": lambda: verify_lambda(enh, samples=3, seed=4),
            "potential": lambda: verify_potential(enh, pot, samples=3, seed=5)}[check]
-    asked = _asked_per_point(monkeypatch)
+    asked, calls = _asked_per_point(monkeypatch)
     assert run().passed
     assert asked and set(asked.values()) == {1}
+    assert calls == {"benney:g[0]": 1, "benney:g[1]": 1, **CALLS_PER_CHECK[check]}
