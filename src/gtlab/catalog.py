@@ -13,12 +13,12 @@ variables of its own, ``place``d on argument slots: f(p1, p2) on slots
 adding points.  A kernel is written once, with its value, its partials and
 its singular loci; the placement reads its slots, answers 0 for a partial
 in any other slot, and moves the loci onto the slots.  The same formulas
-answer a placed evaluator's ``columns``: on numpy columns of N points,
-one array expression per multi-index, or point by point for the theta
-kernels.  genus2's f, built on square roots, is its own evaluator: its
-partials of total order <= 2 are closed form too, from one jet at the
-point per batch, and its circles (value rows only) continue the
-square-root sheet.
+answer a placed evaluator's ``columns`` on numpy columns of N points; the
+theta kernels read every multi-index asked, at N points or at one, from
+one log-theta rectangle per argument column.  genus2's f, built on square
+roots, is its own evaluator: its partials of total order <= 2 are closed
+form too, from one jet at the point per batch, and its circles (value rows
+only) continue the square-root sheet.
 """
 
 from __future__ import annotations
@@ -42,8 +42,9 @@ from .kernel import (
     HalfPlane,
     JetEvaluator,
     LatticePoints,
-    log_theta_partial,
-    rho_partial,
+    log_jet,
+    log_theta_jet,
+    theta_jet,
 )
 
 
@@ -51,14 +52,14 @@ from .kernel import (
 class Kernel:
     """A closed form over its own variables xs: ``value(*xs)``,
     ``partial(xs, orders)`` for total order >= 1, and the singular
-    ``loci`` over slots 0..len(xs)-1.  With ``arrays`` the formulas also
-    take each variable as a numpy column of points; without it they are
-    asked point by point."""
+    ``loci`` over slots 0..len(xs)-1, each variable a complex or a numpy
+    column of points.  A ``batch(xs, orders)`` answers a list of orders (all
+    zero for the value) in one call that shares work (the theta kernels)."""
 
     value: Callable[..., complex]
     partial: Callable[[tuple, tuple], complex]
     loci: tuple[Exclusion, ...] = ()
-    arrays: bool = True
+    batch: Callable[[tuple, list], list] | None = None
 
 
 def place(kernel: Kernel, arity: int, slots: Sequence[int], label: str = "") -> JetEvaluator:
@@ -66,35 +67,34 @@ def place(kernel: Kernel, arity: int, slots: Sequence[int], label: str = "") -> 
     from ``slots``; the function is constant in every other slot."""
     slots = tuple(slots)
     pick = itemgetter(*slots) if len(slots) > 1 else lambda xs: (xs[slots[0]],)
+    batch = kernel.batch or (lambda xs, orders: [kernel.partial(xs, o) if any(o)
+                                                 else kernel.value(*xs) for o in orders])
 
     def fn(*args):
         return kernel.value(*pick(args))
 
-    def partial_fn(args, multis):
+    def jets(xs, multis):
+        """The kernel's batch in one call for the multi-indices within its
+        slots, 0 for a partial in any other slot."""
+        orders = [pick(multi) for multi in multis]
+        live = [sum(o) == sum(multi) for o, multi in zip(orders, multis)]
+        vals = iter(batch(xs, [o for o, ok in zip(orders, live) if ok]))
+        return [next(vals) if ok else 0.0 + 0.0j for ok in live]
+
+    def partial_fn(args, multis):  # without a batch, no lists: rational's per-call cost
         xs = pick(args)
+        if kernel.batch is not None:
+            return jets(xs, multis)
         out = []
         for multi in multis:
             orders = pick(multi)
             out.append(kernel.partial(xs, orders) if sum(orders) == sum(multi) else 0.0 + 0.0j)
         return out
 
-    def jet(xs, orders):
-        return kernel.partial(xs, orders) if any(orders) else kernel.value(*xs)
-
-    def columns_fn(points, multis):
-        xs = tuple(points[:, s] for s in slots)
-        each = None if kernel.arrays else list(zip(*(x.tolist() for x in xs)))
-        out = []
-        for multi in multis:
-            orders = pick(multi)
-            if sum(orders) != sum(multi):
-                out.append(0.0 + 0.0j)
-            else:
-                out.append(jet(xs, orders) if each is None else [jet(x, orders) for x in each])
-        return out
-
     return JetEvaluator(arity, fn, domain=Domain(kernel.loci).remap(slots),
-                        partial_fn=partial_fn, label=label, columns_fn=columns_fn)
+                        partial_fn=partial_fn, label=label,
+                        columns_fn=lambda points, multis: jets(tuple(points[:, s] for s in slots),
+                                                               multis))
 
 
 def _difference(a: JetEvaluator, b: JetEvaluator, label: str = "") -> JetEvaluator:
@@ -140,22 +140,35 @@ def _sphere_partial(p: complex, u: complex, k: int, r: int) -> complex:
     return total
 
 
-def _rho_partial(xs, orders) -> complex:
-    """Partials of rho(p - u, tau) - rho(p, tau) over (p, u, tau)."""
-    (p, u, tau), (k, r, t) = xs, orders
-    out = (-1) ** r * rho_partial(p - u, tau, k + r, t)
-    if r == 0:
-        out -= rho_partial(p, tau, k, t)
-    return out
+def _log_theta_rect(x, tau, entries):
+    """(i, j) -> that partial of log theta at (x, tau), read from one rectangle holding
+    all ``entries`` (None without).  At one point it is at least (3, 2), every partial
+    of order <= 2 of either theta kernel: each the same float whatever a call asks."""
+    if not entries:
+        return None
+    dp, dtau = (max(col) for col in zip(*entries))
+    if isinstance(x, np.ndarray):
+        L = log_jet(theta_jet(x, tau, dp, dtau), x, tau)
+    else:
+        L = log_theta_jet(x, tau, max(dp, 3), max(dtau, 2))
+    return lambda i, j: L[i][j] * math.factorial(i) * math.factorial(j)
 
 
-def _log_theta_partial(xs, orders) -> complex:
-    """Partials of log theta(p - u, tau) - log theta(u, tau) over (p, u, tau)."""
-    (p, u, tau), (k, r, t) = xs, orders
-    out = (-1) ** r * log_theta_partial(p - u, tau, k + r, t)
-    if k == 0:
-        out -= log_theta_partial(u, tau, r, t)
-    return out
+def _theta_difference(shift: int, second: int, loci: tuple[Exclusion, ...]) -> Kernel:
+    """D(p - u, tau) - D(y, tau) over (p, u, tau), D = d_x^shift log theta(x, tau) and y
+    the variable ``second`` (0: p, 1: u), from one log-theta rectangle per column."""
+
+    def batch(xs, orders):
+        p, u, tau = xs
+        at_d = _log_theta_rect(p - u, tau, [(k + r + shift, t) for k, r, t in orders])
+        at_y = _log_theta_rect(xs[second], tau, [(o[second] + shift, o[2]) for o in orders
+                                                 if o[1 - second] == 0])
+        return [(-1) ** r * at_d(k + r + shift, t)
+                - (at_y((k, r)[second] + shift, t) if (k, r)[1 - second] == 0 else 0)
+                for k, r, t in orders]
+
+    return Kernel(lambda *xs: batch(xs, [(0, 0, 0)])[0], lambda xs, o: batch(xs, [o])[0],
+                  loci, batch)
 
 
 _SPHERE_LOCI = (Diagonal(0, 1), FixedPoints(0, [0.0, 1.0]))
@@ -172,15 +185,10 @@ SPHERE = Kernel(lambda p, u: u * (u - 1.0) / ((p - u) * p * (p - 1.0)),
 # e(e-1) / (2 p (p-1) (p-e)): half the sphere kernel, on the genus-2 curve
 HALF_SPHERE = Kernel(lambda p, e: e * (e - 1.0) / ((p - e) * 2.0 * p * (p - 1.0)),
                      lambda xs, o: 0.5 * _sphere_partial(*xs, *o), _SPHERE_LOCI)
-# rho(p - u, tau) - rho(p, tau) over (p, u, tau)
-RHO = Kernel(lambda p, u, tau: rho_partial(p - u, tau, 0, 0) - rho_partial(p, tau, 0, 0),
-             _rho_partial, (LatticePoints(0, 2, 1), LatticePoints(0, 2), HalfPlane(2)),
-             arrays=False)
+# rho(p - u, tau) - rho(p, tau) over (p, u, tau), rho = d_p log theta
+RHO = _theta_difference(1, 0, (LatticePoints(0, 2, 1), LatticePoints(0, 2), HalfPlane(2)))
 # log theta(p - u, tau) - log theta(u, tau) over (p, u, tau)
-LOG_THETA = Kernel(
-    lambda p, u, tau: log_theta_partial(p - u, tau, 0, 0) - log_theta_partial(u, tau, 0, 0),
-    _log_theta_partial, (LatticePoints(0, 2, 1), LatticePoints(1, 2), HalfPlane(2)),
-    arrays=False)
+LOG_THETA = _theta_difference(0, 1, (LatticePoints(0, 2, 1), LatticePoints(1, 2), HalfPlane(2)))
 # p, and p - tau over (p, tau)
 IDENTITY = Kernel(lambda p: p, lambda xs, o: 1.0 + 0.0j if o == (1,) else 0.0 + 0.0j)
 P_MINUS_TAU = Kernel(lambda p, tau: p - tau,

@@ -33,13 +33,11 @@ base class is the single per-point adapter: ``partials`` per row and
 ``eval_circle`` per circle, so sheet tracking, composed and collided
 evaluators keep their exact floats.
 
-Each genus-1 jet is one ``theta_jet`` array sum over k, with its weights
-cached read-only per window; an overflowing series raises ``OverflowError``.
-The jets ``log_theta_partial(p, tau, dp, dtau)`` are memoised: the torus
-catalog asks for the same jet many times (a fixed puncture across every
-circle node, and the chain rules of gtsys and hydro re-asking their inputs),
-and the theta series behind a jet is a pure function of its arguments, so a
-cache hit is the exact float a recomputation would give.
+Each genus-1 jet is one ``theta_jet`` sum over k, at one point or over N
+points (one ``np.exp`` over an N x (2K + 1) grid), with its weights cached
+read-only per window; ``log_jet`` turns its rectangle into log theta's.  A
+point's rectangle, ``log_theta_jet``, is memoised: the torus catalog asks at
+the same point many times, and a hit is the float a recomputation would give.
 """
 
 from __future__ import annotations
@@ -632,48 +630,64 @@ Box = tuple[float, float, float, float]  # (re_min, re_max, im_min, im_max)
 # ---------------------------------------------------------------------------
 
 
-def _theta_trunc_index(im_p: float, im_tau: float, tol: float) -> int:
-    """Symmetric truncation index K with the dropped tail below tol.
+def _theta_trunc_index(im_p, im_tau, tol: float) -> int:
+    """Symmetric truncation index K with the dropped tail below tol (a batch's largest).
 
     Term magnitudes are exp(-2 pi (k im_p + k(k-1)/2 im_tau)); beyond the
     quadratic turnaround they decay faster than a geometric series with
     ratio exp(-pi im_tau), so bounding the first dropped term suffices.
     """
-    if im_tau <= 0:
+    if not isinstance(im_tau, np.ndarray) and im_tau <= 0:
         raise InvalidModulus("Im tau must be positive")
     # turnaround index plus the tail-depth needed for the quadratic decay
-    k0 = abs(im_p) / im_tau + 1.0
-    depth = math.sqrt(max(-math.log(tol), 1.0) / (math.pi * im_tau))
-    return int(math.ceil(k0 + depth)) + 3
+    bound = abs(im_p) / im_tau + 1.0 + np.sqrt(max(-math.log(tol), 1.0) / (math.pi * im_tau))
+    return math.ceil(bound.max()) + 3
 
 
 @functools.lru_cache(maxsize=128)
 def _theta_weights(K: int, dp: int, dtau: int) -> tuple[np.ndarray, ...]:
-    """k, k(k-1)/2 and the weights (-1)^k (2 pi i k)^i / i! (rows i <= dp) and
-    (pi i k(k-1))^j / j! (columns j <= dtau) over k = -K..K, read-only."""
+    """k, k(k-1)/2 over k = -K..K and, read-only, a column per entry (i, j), i <= dp,
+    j <= dtau, row-major, of the weights (-1)^k (2 pi i k)^i / i! (pi i k(k-1))^j / j!."""
     k = np.arange(-K, K + 1)
     half = 0.5 * k * (k - 1)
-    w_p = np.stack([(1 - 2 * (k & 1)) * (TWO_PI_I * k) ** i / math.factorial(i)
-                    for i in range(dp + 1)])
-    w_tau = np.stack([(TWO_PI_I * half) ** j / math.factorial(j) for j in range(dtau + 1)], 1)
-    for arr in (k, half, w_p, w_tau):
+    w_p = [(1 - 2 * (k & 1)) * (TWO_PI_I * k) ** i / math.factorial(i) for i in range(dp + 1)]
+    w_tau = [(TWO_PI_I * half) ** j / math.factorial(j) for j in range(dtau + 1)]
+    w = np.stack([wp * wt for wp in w_p for wt in w_tau], 1)
+    for arr in (k, half, w):
         arr.flags.writeable = False
-    return k, half, w_p, w_tau
+    return k, half, w
 
 
-def theta_jet(p: complex, tau: complex, dp: int = 0, dtau: int = 0,
-              tol: float = 1e-12) -> list[list[complex]]:
+def _fail_closed(bad, error: type, what: str, p, tau) -> None:
+    """Raise ``error`` naming the first point (p, tau), of a batch or the one, where ``bad``."""
+    for i in np.flatnonzero(bad)[:1]:
+        p, tau = np.broadcast_arrays(p, tau)
+        where = f" (point {i} of {p.size})" if p.ndim else ""
+        raise error(f"{what} at p = {complex(p.flat[i])!r}, tau = {complex(tau.flat[i])!r}{where}")
+
+
+def theta_jet(p, tau, dp: int = 0, dtau: int = 0, tol: float = 1e-12):
     """Taylor coefficients a[i][j] = d_p^i d_tau^j theta / (i! j!), i <= dp, j <= dtau, of
     theta = sum_k (-1)^k e^{2 pi i (k p + k(k-1) tau / 2)}, over the tail bound's window
-    widened by 4 (dp + dtau); a series that is not finite raises ``OverflowError``."""
-    require_finite(p, tau)
+    widened by 4 (dp + dtau): complex numbers, or arrays over N points of arrays p and tau
+    from one ``np.exp`` over an (N, 2K + 1) grid, K the batch's widest.  A non-finite
+    argument raises ``DomainViolation``, Im tau <= 0 ``InvalidModulus`` and a series not
+    finite ``OverflowError``, each naming the first point at fault."""
+    batch = isinstance(p, np.ndarray) or isinstance(tau, np.ndarray)
+    if batch:  # one row of the grid per point
+        p, tau = np.broadcast_arrays(np.reshape(p, (-1, 1)), np.reshape(tau, (-1, 1)))
+        _fail_closed(~(np.isfinite(p) & np.isfinite(tau)), DomainViolation,
+                     "non-finite theta argument", p, tau)
+        _fail_closed(~(tau.imag > 0), InvalidModulus, "Im tau must be positive", p, tau)
+    else:
+        require_finite(p, tau)
     K = _theta_trunc_index(p.imag, tau.imag, tol) + 4 * (dp + dtau)
-    k, half, w_p, w_tau = _theta_weights(K, dp, dtau)
+    k, half, w = _theta_weights(K, dp, dtau)
     with np.errstate(over="ignore", invalid="ignore"):
-        a = (w_p * np.exp(k * (TWO_PI_I * p) + half * (TWO_PI_I * tau))).dot(w_tau).tolist()
-    if not all(cmath.isfinite(x) for row in a for x in row):
-        raise OverflowError(f"theta series overflows at p = {p!r}, tau = {tau!r}")
-    return a
+        a = np.exp(k * (TWO_PI_I * p) + half * (TWO_PI_I * tau)) @ w
+    if not np.isfinite(a).all():
+        _fail_closed(~np.isfinite(a).all(axis=-1), OverflowError, "theta series overflows", p, tau)
+    return a.T.reshape(dp + 1, dtau + 1, -1) if batch else a.reshape(dp + 1, dtau + 1).tolist()
 
 
 def theta(p: complex, tau: complex, tol: float = 1e-12) -> complex:
@@ -700,33 +714,41 @@ def rho_partial(p: complex, tau: complex, dp: int, dtau: int) -> complex:
     return log_theta_partial(p, tau, dp + 1, dtau)
 
 
-@functools.lru_cache(maxsize=1024)
 def log_theta_partial(p: complex, tau: complex, dp: int, dtau: int) -> complex:
-    """(dp, dtau) partial derivative of log theta.
+    """(dp, dtau) partial derivative of log theta, read from its rectangle."""
+    return log_theta_jet(p, tau, dp, dtau)[dp][dtau] * math.factorial(dp) * math.factorial(dtau)
 
-    Memoised on (p, tau, dp, dtau), most recent 1024 keys: the result is a
-    pure function of them, so a hit returns the exact float a recomputation
-    would give; a ``PoleHit``, ``InvalidModulus`` or ``OverflowError`` is never cached.
 
-    The Taylor coefficients a_ij of theta on the rectangle i <= dp,
-    j <= dtau, one ``theta_jet``, give those of L = log theta by the jet rule
-    (i + j) a_ij = sum_{k <= i, l <= j} (k + l) L_kl a_{i-k, j-l}
-    (Griewank & Walther, Evaluating Derivatives, ch. 13).
-    """
-    a = theta_jet(p, tau, dp, dtau)
+def log_jet(a, p, tau) -> list[list]:
+    """The Taylor rectangle L of log theta from theta's rectangle a at (p, tau), by
+    the jet rule (i + j) a_ij = sum_{k <= i, l <= j} (k + l) L_kl a_{i-k, j-l}
+    (Griewank & Walther, Evaluating Derivatives, ch. 13).  The entries are
+    complex numbers, or arrays over a batch; a vanishing a_00 raises ``PoleHit``."""
     a00 = a[0][0]
-    if a00 == 0:
-        raise PoleHit("log of a jet vanishing at the expansion point")
-    L = [[0.0 + 0.0j] * (dtau + 1) for _ in range(dp + 1)]
-    L[0][0] = cmath.log(a00)
-    for i in range(dp + 1):
-        for j in range(dtau + 1):
-            if i + j == 0:
-                continue
-            s = (i + j) * a[i][j]
-            for k in range(i + 1):
-                for l in range(j + 1):
-                    if 0 < k + l < i + j:
-                        s -= (k + l) * L[k][l] * a[i - k][j - l]
-            L[i][j] = s / ((i + j) * a00)
-    return L[dp][dtau] * math.factorial(dp) * math.factorial(dtau)
+    _fail_closed(a00 == 0, PoleHit, "log of a theta jet vanishing", p, tau)
+    L = [[None] * len(a[0]) for _ in a]
+    L[0][0] = np.log(a00) if isinstance(a00, np.ndarray) else cmath.log(a00)
+    for i, j, terms in _jet_rule_terms(len(a) - 1, len(a[0]) - 1):
+        s = (i + j) * a[i][j]
+        for k, l, i_k, j_l in terms:
+            s -= (k + l) * L[k][l] * a[i_k][j_l]
+        L[i][j] = s / ((i + j) * a00)
+    return L
+
+
+@functools.lru_cache(maxsize=None)
+def _jet_rule_terms(dp: int, dtau: int) -> tuple:
+    """Each entry (i, j) past (0, 0), row-major, with its jet-rule terms (k, l, i-k, j-l)."""
+    return tuple((i, j, tuple((k, l, i - k, j - l) for k in range(i + 1) for l in range(j + 1)
+                              if 0 < k + l < i + j))
+                 for i in range(dp + 1) for j in range(dtau + 1) if i + j)
+
+
+# A torus seed reads rectangles at 5,192 points, 10 of them in two jobs: 256 entries
+# miss 5,202 times (64: 6,498); holding all 5,192 would cost 5 MB of RSS for the 10.
+@functools.lru_cache(maxsize=256)
+def log_theta_jet(p: complex, tau: complex, dp: int, dtau: int) -> tuple[tuple[complex, ...], ...]:
+    """The Taylor rectangle L[i][j] = d_p^i d_tau^j log theta / (i! j!), i <= dp, j <= dtau,
+    at one point from one ``theta_jet`` (``log_jet`` gives it over arrays of points),
+    memoised: a hit is the float a recomputation would give; an error is never cached."""
+    return tuple(map(tuple, log_jet(theta_jet(p, tau, dp, dtau), p, tau)))

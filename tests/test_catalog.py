@@ -9,7 +9,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from gtlab import catalog
+from gtlab import catalog, kernel
 from gtlab.core import CoordinateChange, _diagonal_radius, collide_points_closed, pushforward
 from gtlab.errors import ConfigError
 from gtlab.kernel import JetEvaluator, cauchy_derivative, multi_index, theta
@@ -455,6 +455,37 @@ def test_columns_agree_with_points(name):
         batch, single = e.columns(points, multis), _one_at_a_time(e, points, multis)
         assert batch.shape == (len(multis), len(points))
         assert np.all(np.abs(batch - single) <= 1e-13 * np.abs(single)), e.label
+
+
+def _count_theta_series(monkeypatch):
+    """Every theta series from here on, at one point or over a batch."""
+    calls = []
+    original = kernel.theta_jet
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(kernel, "theta_jet", counted)
+    monkeypatch.setattr(catalog, "theta_jet", counted)
+    return calls
+
+
+def test_a_point_reads_its_value_and_first_partials_from_two_series(monkeypatch):
+    # g = rho(p - u, tau) - rho(p, tau): one rectangle at p - u and one at p
+    s = catalog.build_structure("genus1", 2)
+    (p,), v = s.sample(1, 7, 1)[0]
+    calls = _count_theta_series(monkeypatch)
+    s.g[0].partials((p, *v), _to_order(s.g[0].arity, 1))
+    assert len(calls) <= 2
+
+
+def test_a_column_call_reads_every_order_two_jet_from_two_series(monkeypatch):
+    s = catalog.build_structure("genus1", 2)
+    points = _points(s, 1)
+    calls = _count_theta_series(monkeypatch)
+    s.g[0].columns(points, _to_order(s.g[0].arity, 2))
+    assert len(calls) <= 2
 
 
 def _mu(m, scale=0.05):

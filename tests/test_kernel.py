@@ -6,6 +6,7 @@ import cmath
 import math
 
 import mpmath as mp
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -26,6 +27,7 @@ from gtlab.kernel import (
     circle_path,
     lattice_distance,
     laurent_coeff,
+    log_jet,
     log_theta_partial,
     path_integrate,
     rho,
@@ -417,7 +419,7 @@ def test_theta_overflow_fails_closed_and_is_not_memoised():
                  lambda: log_theta_partial(p, TAU, 1, 1)):
         with pytest.raises(OverflowError, match=r"p = \(0\.1\+300j\), tau = \(0\.3\+1\.1j\)"):
             call()
-    assert log_theta_partial.cache_info().currsize == 0
+    assert kernel.log_theta_jet.cache_info().currsize == 0
 
 
 @pytest.mark.parametrize("p, tau", [(complex("nan"), TAU), (0.1, complex(0.3, math.inf)),
@@ -432,6 +434,68 @@ def test_theta_jet_rejects_non_finite_arguments(p, tau):
 def test_theta_jet_rejects_a_lower_half_plane_modulus():
     with pytest.raises(InvalidModulus):
         theta_jet(0.1, 0.3 - 1.1j, 1, 0)
+
+
+# a batch: eight points with their own moduli; the point far off the real
+# axis needs a window far wider than the rest, so the batch's must be its
+BATCH_P = np.array(ZS + [0.02 - 0.6j, 0.3 + 0.55j, -0.1 - 0.2j, 0.05j, 0.2 + 5j])
+BATCH_TAU = np.array([TAU, 0.1 + 0.8j, TAU, -0.2 + 1.6j, TAU, 0.4 + 0.9j, TAU, 0.1 + 0.8j])
+
+
+@pytest.mark.parametrize("dp, dtau", [(0, 0), (1, 0), (3, 2)])
+def test_a_batched_jet_matches_its_points(dp, dtau):
+    # one grid over the batch's widest window against each point's own
+    # window: every entry agrees to 1e-12 of its size
+    a = theta_jet(BATCH_P, BATCH_TAU, dp, dtau)
+    assert a.shape == (dp + 1, dtau + 1, len(BATCH_P))
+    L = log_jet(a, BATCH_P, BATCH_TAU)
+    for n, (p, tau) in enumerate(zip(BATCH_P.tolist(), BATCH_TAU.tolist())):
+        one, log_one = theta_jet(p, tau, dp, dtau), kernel.log_theta_jet(p, tau, dp, dtau)
+        for i in range(dp + 1):
+            for j in range(dtau + 1):
+                assert abs(a[i][j][n] - one[i][j]) <= 1e-12 * abs(one[i][j])
+                # far off the axis the jet rule cancels: 5e-12 of the size at (3, 2)
+                if abs(p.imag) < 1:
+                    assert abs(L[i][j][n] - log_one[i][j]) <= 1e-12 * abs(log_one[i][j])
+
+
+def _with_bad_point(index, p=None, tau=None):
+    ps, taus = BATCH_P.copy(), BATCH_TAU.copy()
+    if p is not None:
+        ps[index] = p
+    if tau is not None:
+        taus[index] = tau
+    return ps, taus
+
+
+BAD_INDICES = [0, 3, len(BATCH_P) - 1]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("index", BAD_INDICES)
+@pytest.mark.parametrize("bad, error, match", [
+    ({"p": 0.1 + 300j}, OverflowError, r"theta series overflows at p = \(0\.1\+300j\)"),
+    ({"p": complex("nan")}, DomainViolation, "non-finite"),
+    ({"tau": complex(0.3, math.inf)}, DomainViolation, "non-finite"),
+    ({"tau": 0.3 - 1.1j}, InvalidModulus, r"Im tau must be positive at p = .*tau = \(0\.3-1\.1j\)"),
+])
+def test_a_batch_fails_closed_at_any_point(index, bad, error, match):
+    # the batch raises the named error of its one bad point, wherever it
+    # sits, names that point, lets no RuntimeWarning out and memoises nothing
+    ps, taus = _with_bad_point(index, **bad)
+    with pytest.raises(error, match=match) as info:
+        theta_jet(ps, taus, 1, 1)
+    assert f"(point {index} of {len(ps)})" in str(info.value)
+    assert kernel.log_theta_jet.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize("index", BAD_INDICES)
+def test_a_batched_log_jet_fails_closed_on_a_vanishing_point(index):
+    a = theta_jet(BATCH_P, BATCH_TAU, 1, 1)
+    a[0][0][index] = 0
+    with pytest.raises(PoleHit, match=rf"\(point {index} of {len(BATCH_P)}\)"):
+        log_jet(a, BATCH_P, BATCH_TAU)
+    assert kernel.log_theta_jet.cache_info().currsize == 0
 
 
 def _vanishing_jet(p, tau, dp=0, dtau=0, tol=1e-12):
@@ -452,12 +516,18 @@ def _bits(z: complex) -> tuple[str, str]:
     return z.real.hex(), z.imag.hex()
 
 
+def _fresh_log_theta_partial(p, tau, dp, dtau):
+    """The partial from a rectangle computed now, past the memo."""
+    L = kernel.log_theta_jet.__wrapped__(p, tau, dp, dtau)
+    return L[dp][dtau] * math.factorial(dp) * math.factorial(dtau)
+
+
 # jet orders the torus workload asks for
 @pytest.mark.parametrize("dp, dtau", [(1, 0), (2, 0), (1, 1), (0, 1), (3, 0),
                                       (2, 1), (1, 2)])
 def test_memoised_jet_equals_a_recomputation_bit_for_bit(dp, dtau):
     for z in ZS:
-        fresh = log_theta_partial.__wrapped__(z, TAU, dp, dtau)
+        fresh = _fresh_log_theta_partial(z, TAU, dp, dtau)
         miss = log_theta_partial(z, TAU, dp, dtau)
         hit = log_theta_partial(z, TAU, dp, dtau)
         assert _bits(miss) == _bits(fresh)
@@ -488,4 +558,4 @@ def test_a_raised_pole_hit_is_not_memoised(monkeypatch):
             log_theta_partial(z, TAU, 1, 1)
     value = log_theta_partial(z, TAU, 1, 1)
     assert cmath.isfinite(value)
-    assert _bits(value) == _bits(log_theta_partial.__wrapped__(z, TAU, 1, 1))
+    assert _bits(value) == _bits(_fresh_log_theta_partial(z, TAU, 1, 1))
