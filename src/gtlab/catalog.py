@@ -10,15 +10,17 @@ converges quickly.
 Every evaluator but genus2's f is a closed-form ``Kernel`` over a few
 variables of its own, ``place``d on argument slots: f(p1, p2) on slots
 (0, 1) and, at puncture u_i, g_i(p) = f(p, u_i) on slots (0, 1 + i), as in
-adding points.  A kernel is written once, with its value, its partials and
-its singular loci; the placement reads its slots, answers 0 for a partial
-in any other slot, and moves the loci onto the slots.  The same formulas
-answer a placed evaluator's ``columns`` on numpy columns of N points; the
-theta kernels read every multi-index asked, at N points or at one, from
-one log-theta rectangle per argument column.  genus2's f, built on square
+adding points.  A kernel is written once, with its value, its partials (or
+one batch of them) and its singular loci; the placement reads its slots,
+answers 0 for a partial in any other slot, and moves the loci onto the
+slots.  One function answers a placed evaluator's jet requests, the value
+included, at a point (its ``partial_fn``) and on numpy columns of N points
+(its ``columns_fn``, the same function on the argument columns); the theta
+kernels read every multi-index asked, at N points or at one, from one
+log-theta rectangle per argument column.  genus2's f, built on square
 roots, is its own evaluator: its partials of total order <= 2 are closed
-form too, from one jet at the point per batch, and its circles (value rows
-only) continue the square-root sheet.
+form too, from one jet at the point per batch, its value comes from ``fn``,
+and its circles (value rows only) continue the square-root sheet.
 """
 
 from __future__ import annotations
@@ -50,56 +52,56 @@ from .kernel import (
 
 @dataclass(frozen=True)
 class Kernel:
-    """A closed form over its own variables xs: ``value(*xs)``,
-    ``partial(xs, orders)`` for total order >= 1, and the singular
-    ``loci`` over slots 0..len(xs)-1, each variable a complex or a numpy
-    column of points.  A ``batch(xs, orders)`` answers a list of orders (all
-    zero for the value) in one call that shares work (the theta kernels)."""
+    """A closed form over its own variables xs: ``value(*xs)``, the singular
+    ``loci`` over slots 0..len(xs)-1, and either ``partial(xs, orders)`` for
+    total order >= 1 or a ``batch(xs, orders)`` that answers a list of
+    orders (all zero for the value) in one call sharing its work (the theta
+    kernels); each variable a complex or a numpy column of points."""
 
     value: Callable[..., complex]
-    partial: Callable[[tuple, tuple], complex]
+    partial: Callable[[tuple, tuple], complex] | None = None
     loci: tuple[Exclusion, ...] = ()
     batch: Callable[[tuple, list], list] | None = None
 
 
 def place(kernel: Kernel, arity: int, slots: Sequence[int], label: str = "") -> JetEvaluator:
     """The kernel as an evaluator of ``arity`` arguments, its variables read
-    from ``slots``; the function is constant in every other slot."""
+    from ``slots``; the function is constant in every other slot.  One
+    ``partial_fn`` answers every multi-index, the value included, at a
+    point or at N points given as a tuple of argument columns, so
+    ``columns_fn`` is that function on ``tuple(points.T)``."""
     slots = tuple(slots)
     pick = itemgetter(*slots) if len(slots) > 1 else lambda xs: (xs[slots[0]],)
-    batch = kernel.batch or (lambda xs, orders: [kernel.partial(xs, o) if any(o)
-                                                 else kernel.value(*xs) for o in orders])
 
     def fn(*args):
         return kernel.value(*pick(args))
 
-    def jets(xs, multis):
-        """The kernel's batch in one call for the multi-indices within its
+    def partial_fn(args, multis):
+        """The kernel's value or partial for the multi-indices within its
         slots, 0 for a partial in any other slot."""
-        orders = [pick(multi) for multi in multis]
-        live = [sum(o) == sum(multi) for o, multi in zip(orders, multis)]
-        vals = iter(batch(xs, [o for o, ok in zip(orders, live) if ok]))
-        return [next(vals) if ok else 0.0 + 0.0j for ok in live]
-
-    def partial_fn(args, multis):  # without a batch, no lists: rational's per-call cost
         xs = pick(args)
         if kernel.batch is not None:
-            return jets(xs, multis)
-        out = []
+            orders = [pick(multi) for multi in multis]
+            live = [sum(o) == sum(multi) for o, multi in zip(orders, multis)]
+            vals = iter(kernel.batch(xs, [o for o, ok in zip(orders, live) if ok]))
+            return [next(vals) if ok else 0.0 + 0.0j for ok in live]
+        out = []  # one order at a time: batch lists cost rational wall_s 8-10%
         for multi in multis:
             orders = pick(multi)
-            out.append(kernel.partial(xs, orders) if sum(orders) == sum(multi) else 0.0 + 0.0j)
+            total = sum(orders)
+            out.append(0.0 + 0.0j if total != sum(multi) else
+                       kernel.partial(xs, orders) if total else kernel.value(*xs))
         return out
 
     return JetEvaluator(arity, fn, domain=Domain(kernel.loci).remap(slots),
                         partial_fn=partial_fn, label=label,
-                        columns_fn=lambda points, multis: jets(tuple(points[:, s] for s in slots),
-                                                               multis))
+                        columns_fn=lambda points, multis: partial_fn(tuple(points.T), multis))
 
 
 def _difference(a: JetEvaluator, b: JetEvaluator, label: str = "") -> JetEvaluator:
-    """a - b, values and partials from their own closed forms, columns
-    from their own columns."""
+    """a - b for placed kernels a and b: one ``partial_fn`` subtracting
+    theirs answers a point or a tuple of argument columns, so
+    ``columns_fn`` is that function on ``tuple(points.T)``."""
 
     def fn(*args):
         return a.fn(*args) - b.fn(*args)
@@ -107,11 +109,9 @@ def _difference(a: JetEvaluator, b: JetEvaluator, label: str = "") -> JetEvaluat
     def partial_fn(args, multis):
         return [x - y for x, y in zip(a.partial_fn(args, multis), b.partial_fn(args, multis))]
 
-    def columns_fn(points, multis):
-        return a.columns(points, multis) - b.columns(points, multis)
-
     return JetEvaluator(a.arity, fn, domain=a.domain.merged(b.domain), partial_fn=partial_fn,
-                        label=label, columns_fn=columns_fn)
+                        label=label,
+                        columns_fn=lambda points, multis: partial_fn(tuple(points.T), multis))
 
 
 def _pole_partial(d: complex, k: int, r: int) -> complex:
@@ -167,8 +167,7 @@ def _theta_difference(shift: int, second: int, loci: tuple[Exclusion, ...]) -> K
                 - (at_y((k, r)[second] + shift, t) if (k, r)[1 - second] == 0 else 0)
                 for k, r, t in orders]
 
-    return Kernel(lambda *xs: batch(xs, [(0, 0, 0)])[0], lambda xs, o: batch(xs, [o])[0],
-                  loci, batch)
+    return Kernel(lambda *xs: batch(xs, [(0, 0, 0)])[0], loci=loci, batch=batch)
 
 
 _SPHERE_LOCI = (Diagonal(0, 1), FixedPoints(0, [0.0, 1.0]))
@@ -428,11 +427,14 @@ class GenusTwoF(JetEvaluator):
         if any(rest is not None for rest in rests):
             raise NotImplementedError(
                 "genus-2 mixed partials beyond total order 2 are not supported")
-        q1 = _track_sqrt(np.array([_quintic(r[0], r[2], r[3], r[4]) for r in rows]),
-                         cmath.sqrt(_quintic(anchor[0], anchor[2], anchor[3], anchor[4])))
-        q2 = _track_sqrt(np.array([_quintic(r[1], r[2], r[3], r[4]) for r in rows]),
-                         cmath.sqrt(_quintic(anchor[1], anchor[2], anchor[3], anchor[4])))
-        values = [self._assemble(*row, a, b) for row, a, b in zip(rows, q1, q2)]
+        # an overflow or inf - inf here is a non-finite sample, which
+        # ``eval_circle`` raises as ``DomainViolation``: no warning first
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            q1 = _track_sqrt(np.array([_quintic(r[0], r[2], r[3], r[4]) for r in rows]),
+                             cmath.sqrt(_quintic(anchor[0], anchor[2], anchor[3], anchor[4])))
+            q2 = _track_sqrt(np.array([_quintic(r[1], r[2], r[3], r[4]) for r in rows]),
+                             cmath.sqrt(_quintic(anchor[1], anchor[2], anchor[3], anchor[4])))
+            values = [self._assemble(*row, a, b) for row, a, b in zip(rows, q1, q2)]
         return np.array([values] * len(rests), dtype=complex)
 
     # closed-form partials -------------------------------------------------
@@ -486,12 +488,15 @@ class GenusTwoF(JetEvaluator):
                                  den * hess_den).tolist()
 
     def _partial_fn(self, args, multis):
-        """Orders 1 and 2 from one jet at the point; higher orders go to the
-        circles."""
+        """Orders 1 and 2 from one jet at the point; the value goes to
+        ``fn`` and higher orders to the circles, a request for nothing else
+        declined before any square root is taken."""
+        orders = [sum(multi) for multi in multis]
+        if 1 not in orders and 2 not in orders:
+            return [NotImplemented] * len(multis)
         q1 = cmath.sqrt(_quintic(args[0], args[2], args[3], args[4]))
         q2 = cmath.sqrt(_quintic(args[1], args[2], args[3], args[4]))
         shared = self._shared(args, q1, q2)
-        orders = [sum(multi) for multi in multis]
         slots = range(5) if 2 in orders else {m.index(1) for m, o in zip(multis, orders) if o == 1}
         firsts = {t: self._first_partial(args, t, q1, q2, shared) for t in slots}
         hess = self._hessian(args, q1, q2, shared, list(firsts.values())) if 2 in orders else None

@@ -207,20 +207,18 @@ def _cmd_collide(cfg):
     return reports, {"collided_label": collided.label, "m": collided.m}
 
 
-def _cmd_pushforward(cfg):
-    samples = int(cfg.get("samples", 40))
-    tol = float(cfg.get("tol", 1e-6))
-    seed = cfg["seed"]
-    scale = float(cfg.get("scale", 0.05))
-    ent, s, _ = _build(cfg)
-    m = s.m
+def quadratic_mu(m: int, scale: float) -> JetEvaluator:
+    """mu = p + scale u1 p^2 over (p, u_1..u_m), the pushforward command's
+    coordinate change, with its partials in closed form."""
 
     def mu_fn(*args):
         return args[0] + scale * args[1] * args[0] ** 2
 
     def mu_partial(pt, u1, multi):
-        # d_p^k d_u1^r of mu for k + r >= 1 (order 0 never reaches a partial_fn)
+        # d_p^k d_u1^r of mu; the value (k + r = 0) goes to mu_fn
         k, r = multi[0], multi[1]
+        if not any(multi):
+            return NotImplemented
         if any(multi[2:]) or r > 1 or k > 2:
             return 0.0 + 0.0j
         if r:
@@ -230,9 +228,16 @@ def _cmd_pushforward(cfg):
     def mu_pf(args, multis):
         return [mu_partial(args[0], args[1], multi) for multi in multis]
 
-    mu = JetEvaluator(1 + m, mu_fn, domain=Domain(), partial_fn=mu_pf,
-                      label="mu")
-    pushed = pushforward(s, CoordinateChange(mu))
+    return JetEvaluator(1 + m, mu_fn, domain=Domain(), partial_fn=mu_pf, label="mu")
+
+
+def _cmd_pushforward(cfg):
+    samples = int(cfg.get("samples", 40))
+    tol = float(cfg.get("tol", 1e-6))
+    seed = cfg["seed"]
+    scale = float(cfg.get("scale", 0.05))
+    ent, s, _ = _build(cfg)
+    pushed = pushforward(s, CoordinateChange(quadratic_mu(s.m, scale)))
     reports = [r.as_dict() for r in verify_all(pushed, samples, seed, tol)]
     return reports, {"mu": "p + scale*u1*p^2", "scale": scale}
 

@@ -183,9 +183,13 @@ def inject_defect(s: GTStructure, scale: float = 1e-2, seed: int = 0) -> GTStruc
         return base.value(args) + scale * (c[0] + c[1] * p1 + c[2] * p2 * p2)
 
     def pf(args, multis):
+        """base's partials plus the defect's; the value, which base's would
+        miss the defect in, goes to ``fn``."""
         out = base.partials(args, multis)
         for i, multi in enumerate(multis):
-            if multi[0] == 1 and sum(multi) == 1:
+            if not any(multi):
+                out[i] = NotImplemented
+            elif multi[0] == 1 and sum(multi) == 1:
                 out[i] += scale * c[1]
             elif multi[1] == 1 and sum(multi) == 1:
                 out[i] += scale * 2.0 * c[2] * args[1]

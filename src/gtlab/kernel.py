@@ -7,16 +7,17 @@ samplers that reject points near singular loci, ``GTStructure.sample`` and
 ``PotentialFamily.sample_z``, draw from it).  The genus-1 theta series
 and its logarithmic derivative live here as well.
 
-``JetEvaluator.partials(args, multis)`` is the one way to take partial
-derivatives (``partial`` asks it for one), and ``multi_index`` the one way
-to name them: analytic derivatives come from the evaluator's
-``partial_fn(args, multis)``, which answers the whole batch of nonzero
-multi-indices at the point in one call, so a closed form shares its terms
-across them; the multi-indices it leaves NotImplemented are grouped by their
-leading slot, so each slot costs one ``deriv_radius`` and one circle, with
-one row of samples per distinct rest, whatever the number of partials read
-from it.  A consumer asks each evaluator for everything it needs at one
-point in one call.
+``JetEvaluator.partials(args, multis)`` is the one way to take values and
+partial derivatives (``partial`` asks it for one), and ``multi_index`` the
+one way to name them, the zero multi-index naming the value.  The
+evaluator's ``partial_fn(args, multis)`` gets the request exactly as asked,
+the value included, and answers or declines (NotImplemented) each entry in
+one call, so a closed form shares its terms across them.  A declined value
+comes from ``fn``; the declined partials are grouped by their leading slot,
+so each slot costs one ``deriv_radius`` and one circle, with one row of
+samples per distinct rest, whatever the number of partials read from it.  A
+consumer asks each evaluator for everything it needs at one point in one
+call.
 ``JetEvaluator.eval_rows`` samples values or partials along a loop of
 argument tuples, one row per requested partial, and is the one evaluator
 override: an evaluator with multivalued ingredients (a square root, say)
@@ -28,7 +29,8 @@ A sample set is asked in one call: ``JetEvaluator.columns(points,
 multis)`` takes N points as an (N, arity) array and returns one row per
 multi-index, and ``eval_circles`` returns the values on N circles as an
 N x nodes array.  An evaluator built with ``columns_fn`` (the placed
-catalog kernels) answers both with numpy arrays; for every other one the
+catalog kernels, whose ``columns_fn`` is their ``partial_fn`` applied to the
+argument columns) answers both with numpy arrays; for every other one the
 base class is the single per-point adapter: ``partials`` per row and
 ``eval_circle`` per circle, so sheet tracking, composed and collided
 evaluators keep their exact floats.
@@ -205,11 +207,14 @@ class JetEvaluator:
     ``fn`` maps ``arity`` complex arguments to a complex value.  Partials
     default to Cauchy circle quadrature with the radius derived from the
     declared domain; an optional ``partial_fn(args, multis)`` may supply
-    analytic derivatives: it gets every nonzero multi-index asked at one
-    point and returns one entry per multi-index, NotImplemented where the
-    circles should answer.  An optional ``columns_fn(points, multis)``
-    answers ``columns``: every multi-index at N points, one entry per
-    multi-index, each an array over the points or a constant.
+    closed forms.  A ``partial_fn`` answers or declines every multi-index,
+    the value included: it gets the whole request at one point, as asked,
+    and returns one entry per multi-index, NotImplemented where ``fn`` (for
+    the value) or the circles should answer.  One that has no closed form
+    for the value declines it before doing any work.  An optional
+    ``columns_fn(points, multis)`` answers ``columns``: every multi-index at
+    N points, one entry per multi-index, each an array over the points or a
+    constant.
     """
 
     def __init__(
@@ -326,39 +331,28 @@ class JetEvaluator:
 
     def partials(self, args: Sequence[complex],
                  multis: Sequence[Sequence[int]]) -> list[complex]:
-        """Partials at one point, one per multi-index.  ``partial_fn``
-        answers what it can of the batch in one call; the rest share one
-        circle per leading slot, and the orders read with one rest share
-        its row."""
+        """Values and partials at one point, one per multi-index.
+        ``partial_fn`` gets the request as asked, the zero multi-index
+        included; of what it declines, the value comes from ``fn`` and the
+        partials share one circle per leading slot, the orders read with
+        one rest sharing its row."""
         if len(args) != self.arity:
             raise ValueError(f"{self.label or 'evaluator'} takes {self.arity} "
                              f"arguments, got {len(args)}")
         args = tuple(args)
-        out: list = []
-        asked: list = []  # the nonzero multi-indices; None holds their places in out
-        value = None
         for multi in multis:
             if len(multi) != self.arity:
                 raise ValueError(f"{self.label or 'evaluator'} takes {self.arity} "
                                  f"derivative orders, got {len(multi)}")
-            if any(multi):
-                asked.append(multi)
-                out.append(None)
-            else:
-                if value is None:
-                    value = complex(self.fn(*args))
-                out.append(value)
-        if not asked:
-            return out
-        answers = iter(self.partial_fn(args, asked) if self.partial_fn is not None
-                       else [NotImplemented] * len(asked))
+        out = (list(self.partial_fn(args, multis)) if self.partial_fn is not None
+               else [NotImplemented] * len(multis))
         circles: dict[int, list] = {}
         for i, multi in enumerate(multis):
-            if out[i] is not None:
+            if out[i] is not NotImplemented:
+                out[i] = complex(out[i])
                 continue
-            res = next(answers)
-            if res is not NotImplemented:
-                out[i] = complex(res)
+            if not any(multi):
+                out[i] = complex(self.fn(*args))
                 continue
             slot = next(s for s, o in enumerate(multi) if o > 0)
             rest = tuple(0 if s == slot else o for s, o in enumerate(multi))
@@ -497,12 +491,12 @@ def laurent_coeff(
 
 @dataclass(frozen=True)
 class PathSpec:
-    """Integration path: a circle or a (closed) polyline.
+    """Integration path: a circle or a polyline.
 
     ``nodes`` is the Gauss-Legendre order used per panel.
     """
 
-    kind: str  # "circle" | "polyline" | "closed_polyline"
+    kind: str  # "circle" | "polyline"
     nodes: int = 24
     center: complex = 0.0
     radius: float = 0.0
@@ -512,7 +506,7 @@ class PathSpec:
         if self.kind == "circle":
             if self.radius <= 0:
                 raise ValueError("circle radius must be positive")
-        elif self.kind in ("polyline", "closed_polyline"):
+        elif self.kind == "polyline":
             if len(self.vertices) < 2:
                 raise ValueError("polyline needs at least 2 vertices")
         else:
@@ -522,73 +516,47 @@ class PathSpec:
 
     @property
     def closed(self) -> bool:
-        if self.kind == "circle" or self.kind == "closed_polyline":
-            return True
-        return abs(self.vertices[0] - self.vertices[-1]) < 1e-14
+        return self.kind == "circle" or abs(self.vertices[0] - self.vertices[-1]) < 1e-14
 
     def segments(self) -> list[tuple[complex, complex]]:
         if self.kind == "circle":
             raise ValueError("circle paths have no straight segments")
-        verts = list(self.vertices)
-        if self.kind == "closed_polyline":
-            verts = verts + [verts[0]]
-        return list(zip(verts[:-1], verts[1:]))
+        return list(zip(self.vertices[:-1], self.vertices[1:]))
 
 
 def circle_path(center: complex, radius: float, nodes: int = 24) -> PathSpec:
     return PathSpec("circle", nodes, center=complex(center), radius=radius)
 
 
-def polyline_path(vertices: Sequence[complex], nodes: int = 24, closed: bool = False) -> PathSpec:
-    kind = "closed_polyline" if closed else "polyline"
-    return PathSpec(kind, nodes, vertices=tuple(complex(v) for v in vertices))
+def polyline_path(vertices: Sequence[complex], nodes: int = 24) -> PathSpec:
+    return PathSpec("polyline", nodes, vertices=tuple(complex(v) for v in vertices))
 
 
-def path_integrate(
-    e: JetEvaluator,
-    slot: int,
-    args: Sequence[complex],
-    path: PathSpec,
-    tol: float | None = None,
-) -> complex:
-    """Gauss-Legendre panel quadrature of e along the path (in one slot)."""
+def path_integrate(e: JetEvaluator, slot: int, args: Sequence[complex], path: PathSpec) -> complex:
+    """Gauss-Legendre panel quadrature of e along the path (in one slot):
+    one panel per polyline segment, four per circle."""
     require_finite(*args)
     x, w = np.polynomial.legendre.leggauss(path.nodes)
-
-    def compute(refine: int) -> complex:
-        total = 0.0 + 0.0j
-        work = list(args)
-        if path.kind == "circle":
-            # parametrize by angle, split into panels
-            npan = 4 * refine
-            for j in range(npan):
-                t0, t1 = 2 * math.pi * j / npan, 2 * math.pi * (j + 1) / npan
-                tm, th = 0.5 * (t0 + t1), 0.5 * (t1 - t0)
-                for xi, wi in zip(x, w):
-                    t = tm + th * xi
-                    z = path.center + path.radius * cmath.exp(1j * t)
-                    dz = 1j * path.radius * cmath.exp(1j * t)
-                    work[slot] = z
-                    total += wi * th * e.fn(*work) * dz
-            return total
-        for a, b in path.segments():
-            for j in range(refine):
-                za = a + (b - a) * j / refine
-                zb = a + (b - a) * (j + 1) / refine
-                zm, zh = 0.5 * (za + zb), 0.5 * (zb - za)
-                for xi, wi in zip(x, w):
-                    work[slot] = zm + zh * xi
-                    total += wi * zh * e.fn(*work)
+    total = 0.0 + 0.0j
+    work = list(args)
+    if path.kind == "circle":
+        # parametrize by angle, split into panels
+        for j in range(4):
+            t0, t1 = 2 * math.pi * j / 4, 2 * math.pi * (j + 1) / 4
+            tm, th = 0.5 * (t0 + t1), 0.5 * (t1 - t0)
+            for xi, wi in zip(x, w):
+                t = tm + th * xi
+                z = path.center + path.radius * cmath.exp(1j * t)
+                dz = 1j * path.radius * cmath.exp(1j * t)
+                work[slot] = z
+                total += wi * th * e.fn(*work) * dz
         return total
-
-    res = compute(1)
-    if tol is not None:
-        res2 = compute(2)
-        scale = max(abs(res2), 1.0)
-        if abs(res - res2) > tol * scale:
-            raise NonConvergence("path_integrate did not converge under panel refinement")
-        res = res2
-    return res
+    for a, b in path.segments():
+        zm, zh = 0.5 * (a + b), 0.5 * (b - a)
+        for xi, wi in zip(x, w):
+            work[slot] = zm + zh * xi
+            total += wi * zh * e.fn(*work)
+    return total
 
 
 # ---------------------------------------------------------------------------

@@ -48,6 +48,7 @@ from gtlab.kernel import (
     SplitMix64,
     cauchy_derivative,
     circle_path,
+    multi_index,
     polyline_path,
 )
 
@@ -270,20 +271,8 @@ def _worst_first_partial_gap(e, points):
 
 
 def _closed_form_quadratic_change(m, scale=0.05):
-    """mu = p + scale u1 p^2 with its partials in closed form."""
-    def partial(pt, u1, multi):
-        if any(multi[2:]) or multi[1] > 1 or multi[0] > 2:
-            return 0.0 + 0.0j
-        if multi[1]:
-            return (scale * pt**2, 2.0 * scale * pt, 2.0 * scale)[multi[0]]
-        return 1.0 + 2.0 * scale * u1 * pt if multi[0] == 1 else 2.0 * scale * u1
-
-    def pf(args, multis):
-        return [partial(args[0], args[1], multi) for multi in multis]
-
-    mu = _quadratic_change(m, scale).mu
-    return CoordinateChange(JetEvaluator(1 + m, mu.fn, domain=Domain(), partial_fn=pf,
-                                         label="mu"))
+    """mu = p + scale u1 p^2 with its partials in closed form: the CLI's."""
+    return CoordinateChange(cli.quadratic_mu(m, scale))
 
 
 def _catalog_structure(name):
@@ -349,6 +338,80 @@ def test_pushed_f_without_the_prefactor_derivative_is_caught():
     reports = {r.identity: r for r in verify_all(pushed, 10, seed=5, tol=1e-6)}
     assert reports["diagonal_pole"].passed  # values are untouched
     assert not reports["bracket"].passed and not reports["cocycle"].passed
+
+
+def _catalog_evaluators():
+    out = []
+    for name in ("benney", "genus0", "genus1"):
+        e = catalog.build_enhanced(name, 2)
+        out += [(g.label, g, e.base) for g in e.base.g]
+        out += [(e.base.f.label, e.base.f, e.base), (e.lam.label, e.lam, e.base)]
+        out += [(f"{name} h {pot.label}", pot.h, e.base)
+                for pot in catalog.build_potentials(name, 2)]
+    genus2 = catalog.build_structure("genus2")
+    return out + [(g.label, g, genus2) for g in genus2.g] + [(genus2.f.label, genus2.f, genus2)]
+
+
+def _pushed_evaluators(change):
+    out = []
+    for name in ("benney", "genus0", "genus1", "genus2"):
+        s = catalog.build_structure(name, 1)
+        pushed = pushforward(s, change(s.m))
+        out += [(f"{name} pushed g[{k}]", g, pushed) for k, g in enumerate(pushed.g)]
+        out.append((f"{name} pushed f", pushed.f, pushed))
+        if name != "genus2":
+            e = pushforward_lambda(catalog.build_enhanced(name, 1), change(s.m))
+            out.append((f"{name} pushed lambda", e.lam, e.base))
+    return out
+
+
+def _collided_evaluators():
+    out = []
+    for name, n, groups in (("benney", 3, [[0, 1]]), ("genus1", 3, [[0, 1]])):
+        collided = collide_points_closed(catalog.build_structure(name, n), groups)
+        out += [(g.label, g, collided) for g in collided.g]
+    return out
+
+
+def _added_point_evaluators():
+    out = []
+    for s in (catalog.build_structure("genus0", 1), catalog.build_structure("genus2")):
+        bigger = add_points(s, 1)
+        out += [(f"{bigger.label} g[{k}]", g, bigger) for k, g in enumerate(bigger.g)]
+        out.append((f"{bigger.label} f", bigger.f, bigger))
+    return out
+
+
+# every kind of evaluator with a partial_fn, as (label, evaluator, structure
+# whose samples feed it)
+_WITH_A_PARTIAL_FN = {
+    "catalog": _catalog_evaluators,
+    "pushed through the CLI's mu": lambda: _pushed_evaluators(_closed_form_quadratic_change),
+    "pushed through a value-only mu": lambda: _pushed_evaluators(_quadratic_change),
+    "the CLI's mu": lambda: [(s.label, cli.quadratic_mu(s.m, 0.05), s) for s in (
+        catalog.build_structure("benney", 1), catalog.build_structure("genus1", 1))],
+    "closed-collided": _collided_evaluators,
+    "add_points": _added_point_evaluators,
+    "inject_defect": lambda: [(bad.f.label, bad.f, bad) for bad in (
+        inject_defect(catalog.build_structure("benney", 2), seed=1),
+        inject_defect(catalog.build_structure("genus2"), seed=1))],
+}
+
+
+@pytest.mark.parametrize("kind", list(_WITH_A_PARTIAL_FN))
+def test_a_jet_request_answers_the_value_bit_for_bit(kind):
+    # the zero multi-index reaches every partial_fn: one that answers it
+    # must give fn's float, and one without a closed form declines it
+    wrong = []
+    for label, e, s in _WITH_A_PARTIAL_FN[kind]():
+        assert e.partial_fn is not None, label
+        request = [multi_index(e.arity)] + [multi_index(e.arity, t) for t in range(e.arity)]
+        for ps, v in s.sample(2, seed=31, n_p=e.arity - s.m):
+            args = (*ps, *v)
+            got, want = e.partials(args, request)[0], e.value(args)
+            if (got.real.hex(), got.imag.hex()) != (want.real.hex(), want.imag.hex()):
+                wrong.append((label, args, got, want))
+    assert not wrong, wrong
 
 
 @pytest.mark.parametrize("cfg", [

@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import cmath
+import math
 
 import numpy as np
 import pytest
 
-from gtlab import catalog
+from gtlab import catalog, hierarchy
 from gtlab.core import Potential
-from gtlab.errors import ConfigError
+from gtlab.errors import ConfigError, SamplingExhausted
 from gtlab.hierarchy import (
     PotentialFamily,
     compatibility_tensor,
@@ -19,7 +20,7 @@ from gtlab.hierarchy import (
     reconstruct_f,
     reconstruct_lambda,
 )
-from gtlab.kernel import Domain, JetEvaluator
+from gtlab.kernel import Domain, JetEvaluator, multi_index
 
 
 def _family(name="genus0", n=2):
@@ -106,6 +107,65 @@ def test_reconstruct_lambda_matches_enhancement():
     fam = _family()
     _, rep = reconstruct_lambda(fam, 0, samples=20, seed=13, tol=1e-8)
     assert rep.passed, rep.max_residual
+
+
+def test_reconstructed_lambda_reproduces_the_enhanced_lambda():
+    fam = _family()
+    rec, rep = reconstruct_lambda(fam, 0, samples=20, seed=13, tol=1e-8)
+    assert rep.passed, rep.max_residual
+    for ps, v in fam.structure.sample(5, seed=21, n_p=2):
+        want = fam.enhanced.lam.value((*ps, *v))
+        assert abs(rec(ps[0], ps[1], v) - want) / max(abs(want), 1.0) < rep.tol
+
+
+def _captured_residuals(monkeypatch) -> list:
+    """The residual list of every report made from now on, in call order."""
+    runs = []
+    make = hierarchy._make_report
+
+    def capture(identity, residuals, *args, **kwargs):
+        runs.append(list(residuals))
+        return make(identity, residuals, *args, **kwargs)
+
+    monkeypatch.setattr(hierarchy, "_make_report", capture)
+    return runs
+
+
+def test_reconstruct_f_redraws_below_the_floor_in_draw_order(monkeypatch):
+    fam = _family()
+    s = fam.structure
+    runs = _captured_residuals(monkeypatch)
+    _, rep = reconstruct_f(fam, 0, 1, samples=12, seed=11)
+    assert rep.params["resampled"] == 0
+    every = runs[-1]  # the residuals of draws 0..11
+    dz = multi_index(1 + s.m, 0)
+    dens = []
+    for k in range(12):
+        (p1, p2), v = s.sample(1, 11 + k, 2)[0]
+        hpi1, hpj1 = (fam.potentials[t].h.partial((p1, *v), dz) for t in (0, 1))
+        dens.append(abs(hpj1 * fam.h_jet(0, p2, v)[0] - fam.h_jet(1, p2, v)[0] * hpi1))
+    floor = sorted(dens)[6]  # half the draws fall below it
+    monkeypatch.setattr(hierarchy, "DEN_FLOOR", floor)
+    kept = [k for k in range(12) if dens[k] >= floor][:4]
+    _, rep = reconstruct_f(fam, 0, 1, samples=4, seed=11)
+    assert rep.params["resampled"] == kept[-1] + 1 - 4 > 0
+    assert runs[-1] == [every[k] for k in kept]
+
+
+def test_reconstruct_f_gives_up_after_fifty_draws_per_sample(monkeypatch):
+    fam = _family()
+    draws = []
+    sample = fam.structure.sample
+
+    def counted(*args):
+        draws.append(args)
+        return sample(*args)
+
+    monkeypatch.setattr(fam.structure, "sample", counted)
+    monkeypatch.setattr(hierarchy, "DEN_FLOOR", math.inf)  # no draw clears it
+    with pytest.raises(SamplingExhausted):
+        reconstruct_f(fam, 0, 1, samples=2, seed=11)
+    assert draws == [(1, 11 + k, 2) for k in range(50 * 2)]
 
 
 def test_integrability_criterion_holds_for_catalog_family():

@@ -252,6 +252,26 @@ def test_partial_fn_hook_takes_precedence():
     assert (1,) in calls and (2,) in calls
 
 
+def test_partial_fn_gets_the_request_as_asked_the_value_included():
+    seen = []
+
+    def recording(value):
+        def pf(args, multis):
+            seen.append(list(multis))
+            return [value if multi == (0,) else 2.0 * args[0] for multi in multis]
+
+        return pf
+
+    request = [(1,), (0,), (1,), (0,)]
+    declines = JetEvaluator(1, lambda p: p * p, domain=Domain(),
+                            partial_fn=recording(NotImplemented))
+    answers = JetEvaluator(1, lambda p: p * p, domain=Domain(), partial_fn=recording(7.0))
+    # a declined value comes from fn wherever it is asked; an answered one is taken
+    assert declines.partials((0.5,), request) == [1.0, 0.25, 1.0, 0.25]
+    assert answers.partials((0.5,), request) == [1.0, 7.0, 1.0, 7.0]
+    assert seen == [request, request]
+
+
 def test_cauchy_derivative_rejects_disc_through_pole():
     with pytest.raises(DomainViolation):
         cauchy_derivative(_rational(), 0, (2.0 + 1e-12,), 1, radius=0.5)
