@@ -23,7 +23,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import combinations, product
 from typing import Callable, Sequence
 
 import numpy as np
@@ -42,6 +42,7 @@ from .kernel import (
     ReindexedEvaluator,
     SplitMix64,
     _circle_coeff,
+    admitted,
     multi_index,
     path_integrate,
 )
@@ -143,31 +144,14 @@ class GTStructure:
 
     def sample(self, count: int, seed: int, n_p: int) -> list[Sample]:
         """count admissible points (p_1..p_{n_p}, v), deterministically."""
-        rng = SplitMix64(seed)
-        loci = self._sample_loci(n_p)
-        out: list[Sample] = []
-        tries = 0
-        budget = 2000 * max(count, 1)
-        while len(out) < count:
-            if tries >= budget:
-                raise SamplingExhausted(
-                    f"{self.label}: {len(out)}/{count} samples after {tries} draws"
-                )
-            tries += 1
-            ps = tuple(rng.complex_in_box(self.p_box) for _ in range(n_p))
-            v = tuple(rng.complex_in_box(b) for b in self.v_boxes)
-            if any(
-                abs(pa - pb) < self.min_separation
-                for i, pa in enumerate(ps)
-                for pb in ps[i + 1 :]
-            ):
-                continue
-            # the draw is rejected at the first locus closer than the separation
-            args = ps + v
-            if any(ex.distance(args) < self.min_separation for ex in loci):
-                continue
-            out.append((ps, v))
-        return out
+        loci, sep = _pairs(n_p) + self._sample_loci(n_p), self.min_separation
+        out, tries = admitted(SplitMix64(seed), (self.p_box,) * n_p + self.v_boxes, (), count,
+                              2000 * max(count, 1), loci, sep,
+                              lambda args: not any(ex.distance(args) < sep for ex in loci))
+        if len(out) < count:
+            raise SamplingExhausted(
+                f"{self.label}: {len(out)}/{count} samples after {tries} draws")
+        return [(args[:n_p], args[n_p:]) for args in out]
 
     def _sample_loci(self, n_p: int) -> tuple[Exclusion, ...]:
         """Every locus of every evaluator at every assignment of n_p points,
@@ -190,6 +174,11 @@ class GTStructure:
                         loci.append(ex)
             self._loci[key] = tuple(loci)
         return self._loci[key]
+
+
+@functools.lru_cache(maxsize=None)
+def _pairs(n_p: int) -> tuple[Diagonal, ...]:  # the separation of n_p points, in slot order
+    return tuple(Diagonal(a, b) for a, b in combinations(range(n_p), 2))
 
 
 def apply_field(gv: Sequence[complex], dv: Sequence[complex]) -> complex:

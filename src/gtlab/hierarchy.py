@@ -30,7 +30,7 @@ from .core import (
     worst_residual,
 )
 from .errors import ConfigError, DomainViolation, NonConvergence, SamplingExhausted
-from .kernel import Box, SplitMix64, multi_index
+from .kernel import Box, SplitMix64, admitted, multi_index
 
 
 @dataclass
@@ -72,21 +72,13 @@ class PotentialFamily:
     def sample_z(self, count: int, seed: int, v: Sequence[complex]) -> list[complex]:
         """Seeded z points inside z_box clearing every potential's poles by
         the structure's minimum separation."""
-        rng = SplitMix64(seed)
-        floor = self.structure.min_separation
-        out = []
-        budget = 500 * count
-        while len(out) < count and budget > 0:
-            budget -= 1
-            z = rng.complex_in_box(self.z_box)
-            args = (z, *v)
-            if all(p.h.domain.clearance(args, 0) > floor for p in self.potentials):
-                out.append(z)
+        floor, domains = self.structure.min_separation, [p.h.domain for p in self.potentials]
+        loci = [ex for d in domains for ex in d.exclusions if 0 in ex.slots]
+        out, _ = admitted(SplitMix64(seed), [self.z_box], v, count, 500 * count, loci, floor,
+                          lambda args: all(d.clearance(args, 0) > floor for d in domains))
         if len(out) < count:
-            raise SamplingExhausted(
-                f"could not place {count} z points clear of the poles"
-            )
-        return out
+            raise SamplingExhausted(f"could not place {count} z points clear of the poles")
+        return [args[0] for args in out]
 
     def independence_rank(self, v: Sequence[complex], z_points: Sequence[complex],
                           svd_tol: float = 1e-10) -> int:

@@ -1,11 +1,11 @@
 """Deterministic complex-analytic numerics.
 
-Everything downstream is built on three primitives: derivatives of
-holomorphic evaluators by Cauchy circle quadrature, Gauss-Legendre path
-integration, and a seeded generator of points in complex boxes (the
-samplers that reject points near singular loci, ``GTStructure.sample`` and
-``PotentialFamily.sample_z``, draw from it).  The genus-1 theta series
-and its logarithmic derivative live here as well.
+Everything downstream is built on three primitives: derivatives of holomorphic
+evaluators by Cauchy circle quadrature, Gauss-Legendre path integration, and a seeded
+generator of points in complex boxes, counter-based (``SplitMix64.block`` is n draws at
+once, the scalar stream bit for bit): the samplers that reject points near singular loci,
+``GTStructure.sample`` and ``PotentialFamily.sample_z``, judge blocks of its draws on
+argument columns in ``admitted``.  The genus-1 theta series and its log derivative live here.
 
 ``JetEvaluator.partials(args, multis)`` is the one way to take values and
 partial derivatives (``partial`` asks it for one), and ``multi_index`` the
@@ -86,6 +86,8 @@ class Exclusion:
     slots: tuple[int, ...]
 
     def distance(self, args: Sequence[complex]) -> float:
+        """The bound at one point, from a Python expression, or over argument columns
+        (arrays): not finite where the number would raise, else it but for the last bits."""
         raise NotImplementedError
 
     def remap(self, mapping: Sequence[int]) -> "Exclusion":
@@ -101,7 +103,9 @@ class FixedPoints(Exclusion):
         self.points = tuple(complex(p) for p in points)
 
     def distance(self, args):
-        return min(abs(args[self.slots[0]] - p) for p in self.points)
+        z = args[self.slots[0]]
+        return (np.abs(np.subtract.outer(z, self.points)).min(axis=-1) if isinstance(z, np.ndarray)
+                else min(abs(z - p) for p in self.points))
 
     def remap(self, mapping):
         return FixedPoints(mapping[self.slots[0]], self.points)
@@ -152,7 +156,12 @@ class LatticePoints(Exclusion):
 
 
 def lattice_distance(z: complex, tau: complex) -> float:
-    """Distance from z to the lattice Z + tau Z (Im tau > 0)."""
+    """Distance from z to the lattice Z + tau Z (Im tau > 0) over 3 x 3 points about the
+    nearest; over arrays, the 3 x 3 broadcast, and NaN where Im tau <= 0."""
+    if isinstance(z, np.ndarray) or isinstance(tau, np.ndarray):
+        z, tau = np.asarray(z)[..., None, None], np.asarray(tau)[..., None, None]
+        w = z - (np.rint(z.imag / np.where(tau.imag > 0, tau.imag, np.nan)) + _NEAR[:, None]) * tau
+        return np.abs(w - (np.rint(w.real) + _NEAR)).min(axis=(-2, -1))
     if tau.imag <= 0:
         raise InvalidModulus(f"Im tau must be positive, got {tau}")
     n = round(z.imag / tau.imag)
@@ -185,6 +194,45 @@ class Domain:
 
 
 EMPTY_DOMAIN = Domain()
+_NEAR = np.arange(-1.0, 2.0)
+
+
+def admitted(rng, boxes: Sequence, fixed: Sequence[complex], count: int, budget: int,
+             loci: Sequence[Exclusion], threshold: float, numbers) -> tuple[list, int]:
+    """The first ``count`` of at most ``budget`` draws (in ``boxes``, then ``fixed``) that
+    clear ``loci`` by ``threshold``, and the draws made; blocks of 16 + 2 * (count - admitted)
+    read by one array expression per locus kind.  The scalar test ``numbers(args)`` decides a
+    draw within 1e-9 * threshold (numpy's abs may differ in the last bit), not finite, or at
+    a locus that answers numbers only."""
+    groups, out, tries, band = _locus_groups(tuple(loci)), [], 0, 1e-9 * threshold
+    while len(out) < count and tries < budget:
+        block = rng.complex_in_boxes(boxes, min(16 + 2 * (count - len(out)), budget - tries))
+        if len(fixed):
+            block = np.hstack([block, np.tile(np.array(fixed, dtype=complex), (len(block), 1))])
+        with np.errstate(all="ignore"):  # without groups every distance reads NaN
+            d = np.concatenate([rep.distance(block.T[slots]) for rep, slots in groups]
+                               or [np.full((1, len(block)), np.nan)])
+        # (far - near) * 0 is 0 only when every distance is finite: NaN reaches both, inf one
+        for row, near, far in zip(block.tolist(), d.min(axis=0).tolist(), d.max(axis=0).tolist()):
+            tries += 1
+            sure = (far - near) * 0 == 0 and not -band <= near - threshold <= band
+            if (near > threshold) if sure else numbers(tuple(row)):
+                out.append(tuple(row))
+                if len(out) == count:
+                    break
+    return out, tries
+
+
+@functools.lru_cache(maxsize=8)
+def _locus_groups(loci: tuple[Exclusion, ...]) -> tuple:
+    """One representative over slots 0, 1, ... per locus kind (and point set) with its slots
+    stacked over the loci of that kind; none when a locus answers numbers only."""
+    groups: dict = {}
+    for ex in loci if all(isinstance(ex, (FixedPoints, Diagonal, HalfPlane, LatticePoints))
+                          for ex in loci) else ():
+        rep = ex.remap({s: k for k, s in enumerate(ex.slots)})
+        groups.setdefault((type(rep), repr(vars(rep))), (rep, []))[1].append(ex.slots)
+    return tuple((rep, np.array(slots).T) for rep, slots in groups.values())
 
 
 # ---------------------------------------------------------------------------
@@ -568,7 +616,8 @@ _MASK64 = (1 << 64) - 1
 
 class SplitMix64:
     """Fixed, documented 64-bit generator so reports reproduce across
-    platforms.  Reference: Steele, Lea & Flood, splitmix64."""
+    platforms (Steele, Lea & Flood, splitmix64); after n draws its state is seed + n * gamma
+    mod 2**64, so ``block`` draws n at once."""
 
     def __init__(self, seed: int):
         self.state = seed & _MASK64
@@ -580,6 +629,18 @@ class SplitMix64:
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
         return z ^ (z >> 31)
 
+    def block(self, n: int) -> np.ndarray:
+        """The next n ``next_u64`` outputs as one uint64 array, the state left as they leave
+        it; every operand is uint64, so each product wraps as the scalar mask does."""
+        z = np.arange(1, n + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+        z += np.uint64(self.state)
+        self.state = (self.state + n * 0x9E3779B97F4A7C15) & _MASK64
+        for shift, mult in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
+            z ^= z >> np.uint64(shift)
+            z *= np.uint64(mult)
+        z ^= z >> np.uint64(31)
+        return z
+
     def uniform(self, lo: float = 0.0, hi: float = 1.0) -> float:
         u = self.next_u64() >> 11  # 53 bits
         return lo + (hi - lo) * (u * (1.0 / (1 << 53)))
@@ -588,6 +649,13 @@ class SplitMix64:
         re = self.uniform(box[0], box[1])
         im = self.uniform(box[2], box[3])
         return complex(re, im)
+
+    def complex_in_boxes(self, boxes: Sequence[Box], n: int) -> np.ndarray:
+        """n draws of ``complex_in_box`` in each of ``boxes``, an (n, len(boxes)) array of the
+        same floats: each coordinate lo + (hi - lo) * ((u >> 11) * 2**-53), as ``uniform``."""
+        lo, span = np.array([(b[k], b[k + 1] - b[k]) for b in boxes for k in (0, 2)], float).T
+        u = self.block(len(lo) * n).reshape(n, len(lo))
+        return (lo + span * ((u >> np.uint64(11)) * 2.0**-53)).view(complex)
 
 
 Box = tuple[float, float, float, float]  # (re_min, re_max, im_min, im_max)

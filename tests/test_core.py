@@ -14,12 +14,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gtlab import catalog, cli
+from gtlab import catalog, cli, kernel
 from gtlab.core import (
     CoordinateChange,
     EnhancedGT,
     GTStructure,
     _diagonal_radius,
+    _pairs,
     _make_report,
     add_points,
     algebroid_constants,
@@ -37,11 +38,12 @@ from gtlab.core import (
     verify_pole,
     verify_potential,
 )
-from gtlab.errors import DomainViolation
+from gtlab.errors import DomainViolation, InvalidModulus, SamplingExhausted
 from gtlab.gtsys import build_system, compatibility_residual, inject_defect
 from gtlab.kernel import (
     Diagonal,
     Domain,
+    FixedPoints,
     JetEvaluator,
     LatticePoints,
     ReindexedEvaluator,
@@ -477,11 +479,123 @@ def _sampled_structures():
     yield collide_points_closed(catalog.build_structure("benney", 3), [[0, 1]])
 
 
-@pytest.mark.parametrize("n_p", [2, 3])
+@pytest.mark.parametrize("n_p", [1, 2, 3])
 def test_sample_admits_exactly_what_the_full_minimum_admitted(n_p):
     for s in _sampled_structures():
         for seed in (1, 7, 101):
-            assert s.sample(20, seed, n_p) == _full_minimum_sample(s, 20, seed, n_p), s.label
+            for count in (1, 20, 100):
+                got = s.sample(count, seed, n_p)
+                assert got == _full_minimum_sample(s, count, seed, n_p), (s.label, count)
+
+
+def _scalar_order_sample(s, count, seed, n_p):
+    """The sampler's rule one scalar draw at a time: a draw is rejected at
+    the first pair of points, then the first locus in ``_sample_loci`` order,
+    closer than the separation; after 2000 draws per sample it gives up."""
+    rng = SplitMix64(seed)
+    loci = s._sample_loci(n_p)
+    out = []
+    budget = 2000 * max(count, 1)
+    for _ in range(budget):
+        if len(out) == count:
+            return out
+        ps = tuple(rng.complex_in_box(s.p_box) for _ in range(n_p))
+        v = tuple(rng.complex_in_box(b) for b in s.v_boxes)
+        if any(abs(pa - pb) < s.min_separation for i, pa in enumerate(ps) for pb in ps[i + 1:]):
+            continue
+        if not any(ex.distance(ps + v) < s.min_separation for ex in loci):
+            out.append((ps, v))
+    if len(out) == count:
+        return out
+    raise SamplingExhausted(f"{s.label}: {len(out)}/{count} samples after {budget} draws")
+
+
+@pytest.mark.parametrize("name, kind", [("benney", Diagonal), ("genus0", FixedPoints),
+                                        ("genus1", LatticePoints)])
+def test_sample_decides_at_the_threshold_as_the_numbers_do(name, kind):
+    # a first draw whose nearest locus is of ``kind``, with min_separation set
+    # between numpy's reading of that distance and Python's (they differ in
+    # the last bit for about a third of complex abs calls): the block screen
+    # must leave the draw to the numbers.  HalfPlane reads .imag, which never
+    # differs.  Where numpy and Python agree on every draw, the threshold is
+    # the distance itself.
+    s = catalog.build_structure(name, 2)
+    n_p, count = 2, 1
+    loci = _pairs(n_p) + s._sample_loci(n_p)
+    boxes = (s.p_box,) * n_p + s.v_boxes
+    split, tied = [], []
+    for seed in range(300):
+        block = SplitMix64(seed).complex_in_boxes(boxes, 16 + 2 * count)
+        read = min(np.concatenate([rep.distance(block.T[slots])
+                                   for rep, slots in kernel._locus_groups(loci)])[:, 0])
+        nums = [ex.distance(tuple(block[0].tolist())) for ex in loci]
+        if isinstance(loci[nums.index(min(nums))], kind):
+            (split if read != min(nums) else tied).append((seed, float(max(read, min(nums)))))
+    assert split or tied, name
+    for seed, threshold in (split or tied)[:6]:
+        s.min_separation = threshold
+        assert s.sample(count, seed, n_p) == _full_minimum_sample(s, count, seed, n_p), seed
+        assert s.sample(20, seed, n_p) == _full_minimum_sample(s, 20, seed, n_p), seed
+
+
+def _last_draw_structure(seed: int, count: int) -> GTStructure:
+    """m = 1, one point per sample: g's locus is fixed points at the p of every
+    draw of ``seed``'s budget but the last, so only the last draw clears it."""
+    rng = SplitMix64(seed)
+    box, v_box = (-1.5, 1.5, -1.5, 1.5), (2.0, 3.0, 2.0, 3.0)
+    draws = []
+    for _ in range(2000 * count):
+        draws.append(rng.complex_in_box(box))
+        rng.complex_in_box(v_box)
+    *earlier, last = draws
+    g = JetEvaluator(2, lambda p, v: p - v, Domain((FixedPoints(0, earlier),)), label="g")
+    f = JetEvaluator(3, lambda p1, p2, v: 1 / (p1 - p2), Domain((Diagonal(0, 1),)), label="f")
+    sep = 0.5 * min(abs(last - p) for p in earlier)
+    return GTStructure(1, [g], f, label="last", p_box=box, v_boxes=[v_box], min_separation=sep)
+
+
+def test_sample_keeps_an_accept_on_the_last_draw_of_its_budget():
+    s = _last_draw_structure(5, 1)
+    (ps, v), = s.sample(1, 5, 1)
+    assert s.sample(1, 5, 1) == _scalar_order_sample(s, 1, 5, 1)
+    assert ps[0] not in s.g[0].domain.exclusions[0].points
+    s = _last_draw_structure(6, 2)
+    with pytest.raises(SamplingExhausted, match=r"^last: 1/2 samples after 4000 draws$"):
+        s.sample(2, 6, 1)
+
+
+@pytest.mark.parametrize("count", [1, 3])
+def test_sample_exhausts_at_the_same_draw(count):
+    s = catalog.build_structure("benney", 2)
+    s.min_separation = 100.0
+    message = f"{s.label}: 0/{count} samples after {2000 * count} draws"
+    with pytest.raises(SamplingExhausted) as exc:
+        s.sample(count, 9, 2)
+    assert str(exc.value) == message
+    assert s.sample(0, 9, 2) == []
+
+
+def test_sample_fails_closed_off_the_half_plane_at_the_scalar_draw():
+    # a tau box reaching Im tau <= 0: the first lattice locus in order raises
+    # at the first such draw whose points clear each other, as one scalar
+    # draw at a time would
+    s = catalog.build_structure("genus1", 2)
+    s.v_boxes = s.v_boxes[:-1] + ((-0.4, 0.4, -1.0, 1.7),)
+    for seed in (1, 2, 3):
+        with pytest.raises(InvalidModulus) as scalar:
+            _scalar_order_sample(s, 20, seed, 2)
+        with pytest.raises(InvalidModulus) as block:
+            s.sample(20, seed, 2)
+        assert str(block.value) == str(scalar.value)
+
+
+def test_sample_reads_a_reassigned_box_afresh():
+    s = catalog.build_structure("benney", 2)
+    first = s.sample(5, 1, 2)
+    s.p_box = (0.0, 3.0, 2.0, 4.0)
+    again = s.sample(5, 1, 2)
+    assert again != first and again == _full_minimum_sample(s, 5, 1, 2)
+    assert all(0.0 <= p.real <= 3.0 and 2.0 <= p.imag <= 4.0 for ps, _ in again for p in ps)
 
 
 def test_sampler_asks_each_distinct_locus_once():

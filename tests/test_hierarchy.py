@@ -20,7 +20,7 @@ from gtlab.hierarchy import (
     reconstruct_f,
     reconstruct_lambda,
 )
-from gtlab.kernel import Domain, JetEvaluator, multi_index
+from gtlab.kernel import Domain, JetEvaluator, SplitMix64, multi_index
 
 
 def _family(name="genus0", n=2):
@@ -39,6 +39,52 @@ def test_family_needs_three_potentials():
     enh = catalog.build_enhanced("benney", 2)
     with pytest.raises(ConfigError):
         PotentialFamily(enh.base, catalog.build_potentials("benney", 2)[:2])
+
+
+def _scalar_sample_z(fam, count, seed, v):
+    """sample_z's rule one scalar draw at a time: z is kept when every
+    potential's clearance in z is strictly above the separation."""
+    rng = SplitMix64(seed)
+    out = []
+    for _ in range(500 * count):
+        if len(out) == count:
+            break
+        z = rng.complex_in_box(fam.z_box)
+        if all(p.h.domain.clearance((z, *v), 0) > fam.structure.min_separation
+               for p in fam.potentials):
+            out.append(z)
+    return out
+
+
+@pytest.mark.parametrize("name, n", [("benney", 2), ("genus0", 2), ("genus1", 3)])
+def test_sample_z_admits_what_the_scalar_draws_admit(name, n):
+    fam = _family(name, n)
+    v = _fiber(fam)
+    for seed in (1, 2, 3):
+        for count in (1, 10, 60):
+            assert fam.sample_z(count, seed, v) == _scalar_sample_z(fam, count, seed, v)
+
+
+def test_sample_z_keeps_its_strict_floor():
+    # a first draw exactly at the floor is not above it; one ulp lower, it is
+    fam = _family()
+    v = _fiber(fam)
+    z0 = SplitMix64(4).complex_in_box(fam.z_box)
+    floor = min(p.h.domain.clearance((z0, *v), 0) for p in fam.potentials)
+    fam.structure.min_separation = floor
+    assert fam.sample_z(1, 4, v) == _scalar_sample_z(fam, 1, 4, v) != [z0]
+    fam.structure.min_separation = math.nextafter(floor, 0.0)
+    assert fam.sample_z(1, 4, v) == [z0]
+
+
+def test_sample_z_exhausts_with_its_own_message():
+    fam = _family()
+    v = _fiber(fam)
+    fam.structure.min_separation = 100.0
+    with pytest.raises(SamplingExhausted) as exc:
+        fam.sample_z(3, 1, v)
+    assert str(exc.value) == "could not place 3 z points clear of the poles"
+    assert fam.sample_z(0, 1, v) == []
 
 
 def test_family_is_functionally_independent():

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -73,6 +74,36 @@ def test_complex_in_box_stays_inside():
     for _ in range(100):
         z = rng.complex_in_box((-1.0, 2.0, 0.5, 1.5))
         assert -1.0 <= z.real <= 2.0 and 0.5 <= z.imag <= 1.5
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**63, 2**64 - 1])
+@pytest.mark.parametrize("offset", [0, 1, 7])
+@pytest.mark.parametrize("n", [0, 1, 1000])
+def test_block_equals_scalar_draws(seed, offset, n):
+    # the counter wraps mod 2**64 (seed 2**64 - 1 wraps on the first draw);
+    # a float64 promotion anywhere would lose the low bits of these 64-bit
+    # values, and a wrapping uint64 *scalar* product would warn
+    scalar, block = SplitMix64(seed), SplitMix64(seed)
+    for _ in range(offset):
+        scalar.next_u64()
+        block.next_u64()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        draws = block.block(n)
+    assert draws.dtype == np.uint64 and draws.shape == (n,)
+    assert draws.tolist() == [scalar.next_u64() for _ in range(n)]
+    assert block.state == scalar.state
+    assert block.next_u64() == scalar.next_u64()
+
+
+@pytest.mark.parametrize("seed", [0, 3, 2**64 - 1])
+def test_complex_in_boxes_equals_scalar_draws(seed):
+    boxes = [(-1.5, 1.5, -1.5, 1.5), (0.1, 0.9, 0.15, 0.45), (-2, 3, 1, 1)]
+    scalar, block = SplitMix64(seed), SplitMix64(seed)
+    rows = block.complex_in_boxes(boxes, 300)
+    assert rows.shape == (300, 3)
+    assert rows.tolist() == [[scalar.complex_in_box(b) for b in boxes] for _ in range(300)]
+    assert block.state == scalar.state
 
 
 # ---------------------------------------------------------------------------
@@ -148,6 +179,36 @@ def test_remap_moves_slots_and_keeps_distance(sigma, seed):
         back = ex.remap(sigma)
         assert back.slots == tuple(sigma[s] for s in ex.slots), type(ex).__name__
         assert back.distance(moved) == ex.distance(args), type(ex).__name__
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_distance_on_columns_is_the_number_to_rounding(seed):
+    # every locus but the pulled-back one answers argument columns; an entry
+    # may differ from the number in its last bits only
+    rng = SplitMix64(seed)
+    rows = rng.complex_in_boxes([(-1.5, 1.5, -1.5, 1.5)] * 4 + [(-0.5, 0.5, 0.8, 1.5)], 200)
+    for ex in _LOCI:
+        if isinstance(ex, _PulledBack):  # its map takes numbers only
+            continue
+        got = ex.distance(rows.T)
+        want = [ex.distance(tuple(row)) for row in rows.tolist()]
+        assert got.shape == (200,)
+        np.testing.assert_allclose(got, want, rtol=4e-16, atol=0, err_msg=type(ex).__name__)
+    # stacked columns: one locus read over a (k, N) block of slot columns
+    stacked = LatticePoints(0, 2, 1).distance(rows.T[[[0, 1], [2, 3], [4, 4]]])
+    assert stacked.shape == (2, 200)
+
+
+def test_lattice_distance_on_columns_is_nan_off_the_half_plane():
+    z = np.array([0.3 + 0.2j, 0.3 + 0.2j, 0.3 + 0.2j, 0.0j])
+    tau = np.array([0.1 + 1.1j, 0.1 + 0.0j, 0.1 - 0.4j, 0.0j])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        d = lattice_distance(z, tau)
+    assert d[0] == pytest.approx(lattice_distance(0.3 + 0.2j, 0.1 + 1.1j), rel=1e-15)
+    assert np.isnan(d[1:]).all()
+    with pytest.raises(InvalidModulus):
+        lattice_distance(0.3 + 0.2j, 0.1 + 0.0j)
 
 
 def test_lattice_distance_zero_on_lattice():
