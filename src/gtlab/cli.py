@@ -209,16 +209,19 @@ def _cmd_collide(cfg):
 
 def quadratic_mu(m: int, scale: float) -> JetEvaluator:
     """mu = p + scale u1 p^2 over (p, u_1..u_m), the pushforward command's
-    coordinate change, with its partials in closed form."""
+    coordinate change, with its value and partials in closed form at a
+    point or on a tuple of argument columns, so ``columns_fn`` is
+    ``partial_fn`` on the columns of the points."""
 
     def mu_fn(*args):
         return args[0] + scale * args[1] * args[0] ** 2
 
-    def mu_partial(pt, u1, multi):
-        # d_p^k d_u1^r of mu; the value (k + r = 0) goes to mu_fn
+    def mu_partial(args, multi):
+        # d_p^k d_u1^r of mu; the value (k + r = 0) is mu_fn's
+        pt, u1 = args[0], args[1]
         k, r = multi[0], multi[1]
         if not any(multi):
-            return NotImplemented
+            return mu_fn(*args)
         if any(multi[2:]) or r > 1 or k > 2:
             return 0.0 + 0.0j
         if r:
@@ -226,9 +229,10 @@ def quadratic_mu(m: int, scale: float) -> JetEvaluator:
         return 1.0 + 2.0 * scale * u1 * pt if k == 1 else 2.0 * scale * u1
 
     def mu_pf(args, multis):
-        return [mu_partial(args[0], args[1], multi) for multi in multis]
+        return [mu_partial(args, multi) for multi in multis]
 
-    return JetEvaluator(1 + m, mu_fn, domain=Domain(), partial_fn=mu_pf, label="mu")
+    return JetEvaluator(1 + m, mu_fn, domain=Domain(), partial_fn=mu_pf, label="mu",
+                        columns_fn=lambda points, multis: mu_pf(tuple(points.T), multis))
 
 
 def _cmd_pushforward(cfg):

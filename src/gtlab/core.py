@@ -15,7 +15,9 @@ The transforms build their evaluators from the evaluators they transform,
 and answer first partials by the chain rule through the ingredients' own
 partials (a pushed evaluator through mu's as well); partials of order two
 and above, and the Laurent coefficients of the pole checks, come from
-Cauchy circles over the transformed values.
+Cauchy circles over the transformed values.  A pushed evaluator whose
+ingredient answers argument columns answers them too, through the same
+closures, and its pulled-back loci read columns for the sampler.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ from .kernel import (
     JetEvaluator,
     LatticePoints,
     PathSpec,
+    PulledBack,
     ReindexedEvaluator,
     SplitMix64,
     _circle_coeff,
@@ -651,22 +654,6 @@ def collide_enhanced(e: EnhancedGT, groups: Sequence[Sequence[int]]) -> Enhanced
     return EnhancedGT(base, lam)
 
 
-class _PulledBack(Exclusion):
-    """A locus of the evaluator behind ``to_inner``, pulled back
-    conservatively over ``slots``: its distance at the image, halved to
-    absorb the local stretch of the map."""
-
-    def __init__(self, to_inner, locus: Exclusion, slots: Sequence[int]):
-        self.to_inner, self.locus, self.slots = to_inner, locus, tuple(slots)
-
-    def distance(self, args):
-        return 0.5 * self.locus.distance(self.to_inner(tuple(args)))
-
-    def remap(self, mapping):
-        return _PulledBack(lambda args: self.to_inner(tuple(args[t] for t in mapping)),
-                           self.locus, [mapping[s] for s in self.slots])
-
-
 def _declared(locus: Exclusion, loci: Sequence[Exclusion]) -> bool:
     """Whether one of ``loci`` already bounds what ``locus`` would: an equal
     locus (a diagonal, or lattice points of a difference, in either slot
@@ -696,17 +683,28 @@ class _Composed(JetEvaluator):
     the chain rule through the ingredients' own partials; higher orders
     fall back to circles.  The domain pulls back ``inner``'s loci and
     ``loci``, the singular loci in ``inner``'s slots of what ``outer``
-    adds."""
+    adds.
+
+    Every closure answers a point or a tuple of argument columns, as
+    ``catalog.place`` does: where ``inner`` answers ``columns`` from
+    arrays, so does the composition, its value and first partials through
+    the closures on the columns and each higher order from every point's
+    ``partials`` row."""
 
     def __init__(self, inner: JetEvaluator, image, to_inner, outer, first, arity: int,
                  label: str, loci: Sequence[Exclusion] = ()):
         self.inner, self.image, self.to_inner = inner, image, to_inner
         self.outer, self.first = outer, first
         cached = functools.lru_cache(maxsize=1)(image)  # the loci ask in turn at one point
-        domain = Domain(tuple(_PulledBack(cached, ex, range(arity))
+
+        def image_once(args):  # argument columns are not hashable: they map uncached
+            return image(args) if _on_columns(args) else cached(args)
+
+        domain = Domain(tuple(PulledBack(image_once, ex, range(arity))
                               for ex in (*inner.domain.exclusions, *loci)))
         super().__init__(arity, self._fn, domain=domain, partial_fn=self._partial,
-                         label=label)
+                         label=label,
+                         columns_fn=None if inner.columns_fn is None else self._columns)
 
     def _fn(self, *args):
         mapped, rates = self.to_inner(args)
@@ -716,6 +714,24 @@ class _Composed(JetEvaluator):
         mapped = self.image(args) if any(sum(multi) == 1 for multi in multis) else None
         return [self.first(args, mapped, multi.index(1)) if sum(multi) == 1 else NotImplemented
                 for multi in multis]
+
+    def _columns(self, points, multis):
+        """``_partial`` on the argument columns; the value is ``outer`` over
+        ``inner``'s values at the mapped columns.  An overflow or inf - inf
+        here is a non-finite entry, which ``eval_circles`` raises as
+        ``DomainViolation`` and a check reads as a failing residual: no
+        warning first."""
+        args = tuple(points.T)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            out = self._partial(args, multis)
+            if not all(map(any, multis)):
+                mapped, rates = self.to_inner(args)
+                value = self.outer(args, mapped, rates, _value(self.inner, mapped))
+        higher = [multi for multi in multis if sum(multi) > 1]
+        rows = iter(np.array([self.partials(row, higher) for row in points.tolist()],
+                             dtype=complex).reshape(len(points), len(higher)).T if higher else ())
+        return [value if not any(multi) else next(rows) if sum(multi) > 1 else d
+                for multi, d in zip(multis, out)]
 
     def eval_rows(self, rows, anchor, rests):
         """Value rows continue ``inner``'s branch along the loop mapped
@@ -729,17 +745,35 @@ class _Composed(JetEvaluator):
                          for rest in rests], dtype=complex)
 
 
+def _on_columns(args) -> bool:
+    """Whether ``args`` is a tuple of argument columns rather than a point."""
+    return isinstance(args[0], np.ndarray)
+
+
+def _jets(e: JetEvaluator, args, multis) -> list:
+    """e's ``partials`` at a point, or its ``columns`` rows on a tuple of
+    argument columns: one call either way."""
+    return list(e.columns(np.column_stack(args), multis)) if _on_columns(args) else (
+        e.partials(args, multis))
+
+
+def _value(e: JetEvaluator, args):
+    """e's ``value`` at a point, or its values on a tuple of argument columns."""
+    return e.columns(np.column_stack(args), [multi_index(e.arity)])[0] if _on_columns(args) else (
+        e.value(args))
+
+
 def _asked(e: JetEvaluator, args, multis) -> dict:
-    """e's partials at args keyed by multi-index: one ``partials`` call,
+    """e's partials at args keyed by multi-index: one ``_jets`` call,
     each distinct multi-index asked once."""
     keys = list(dict.fromkeys(multis))
-    return dict(zip(keys, e.partials(args, keys)))
+    return dict(zip(keys, _jets(e, args, keys)))
 
 
 def _moved(e: JetEvaluator, args, rates: dict) -> tuple[complex, complex]:
     """e's value at args and its rate of change while slot t moves at
-    ``rates[t]`` (the first-order chain rule); one ``partials`` call."""
-    vals = e.partials(args, _jet(e.arity, *rates))
+    ``rates[t]`` (the first-order chain rule); one ``_jets`` call."""
+    vals = _jets(e, args, _jet(e.arity, *rates))
     return vals[0], sum(r * d for r, d in zip(rates.values(), vals[1:]))
 
 
@@ -757,8 +791,9 @@ def pushforward(s: GTStructure, c: CoordinateChange) -> GTStructure:
     locus at (mu(p~1), v) that f does not already declare.  First partials
     follow by the chain rule from the first partials of f and g and from
     mu's first partials and second partials mixed with the moving slot,
-    asked for in one ``partials`` call per point of mu.  The values take
-    mu and mu_p (and mu_v at p2) from the map's one call per point.
+    asked for in one call per point of mu.  The values take mu and mu_p
+    (and mu_v at p2) from the map's one call per point.  Each closure
+    answers a sample set in the same calls, on argument columns.
     """
     m = s.m
     mu = c.mu
@@ -767,10 +802,10 @@ def pushforward(s: GTStructure, c: CoordinateChange) -> GTStructure:
     value_dp = [mi(), mi(0)]  # mu and mu_p
 
     def g_image(args):
-        return (mu.value(args), *args[1:])
+        return (_value(mu, args), *args[1:])
 
     def g_map(args):
-        mu_val, mu_p = mu.partials(args, value_dp)
+        mu_val, mu_p = _jets(mu, args, value_dp)
         return (mu_val, *args[1:]), mu_p
 
     def g_outer(args, mapped, mu_p, val):
@@ -787,13 +822,13 @@ def pushforward(s: GTStructure, c: CoordinateChange) -> GTStructure:
 
     def f_image(args):
         v = args[2:]
-        return (mu.value((args[0], *v)), mu.value((args[1], *v)), *v)
+        return (_value(mu, (args[0], *v)), _value(mu, (args[1], *v)), *v)
 
     def f_map(args):
         """f_image(args), and mu_p at p1 and p2 with mu_v at p2."""
         v = args[2:]
-        mu1, mu_p1 = mu.partials((args[0], *v), value_dp)
-        mu2, mu_p2, *mu_v2 = mu.partials((args[1], *v), value_dp + dvs)
+        mu1, mu_p1 = _jets(mu, (args[0], *v), value_dp)
+        mu2, mu_p2, *mu_v2 = _jets(mu, (args[1], *v), value_dp + dvs)
         return (mu1, mu2, *v), (mu_p1, mu_p2, mu_v2)
 
     def f_outer(args, mapped, rates, val):
@@ -802,7 +837,7 @@ def pushforward(s: GTStructure, c: CoordinateChange) -> GTStructure:
         # g(mu(p1)) applied to mu(p2, v) through the fiber coordinates
         gterm = 0.0 + 0.0j
         for j in range(m):
-            gterm += s.g[j].value((mapped[0], *v)) * mu_v2[j]
+            gterm += _value(s.g[j], (mapped[0], *v)) * mu_v2[j]
         return (mu_p1 ** 2 / mu_p2) * (val - gterm)
 
     def f_first(args, mapped, t):
@@ -868,7 +903,7 @@ def pushforward_lambda(e: EnhancedGT, c: CoordinateChange) -> EnhancedGT:
         if t1 is not None:
             rates[0] = d1[mi(t1)]
         if t2 is not None:
-            rates[1] = mu.partial((args[1], *v), mi(t2))
+            rates[1] = _jets(mu, (args[1], *v), [mi(t2)])[0]
         lam, dlam = _moved(e.lam, mapped, rates)
         return (0.0 if t1 is None else d1[mi(0, t1)] * lam) + d1[mi(0)] * dlam
 

@@ -30,10 +30,10 @@ multis)`` takes N points as an (N, arity) array and returns one row per
 multi-index, and ``eval_circles`` returns the values on N circles as an
 N x nodes array.  An evaluator built with ``columns_fn`` (the placed
 catalog kernels, whose ``columns_fn`` is their ``partial_fn`` applied to the
-argument columns) answers both with numpy arrays; for every other one the
-base class is the single per-point adapter: ``partials`` per row and
-``eval_circle`` per circle, so sheet tracking, composed and collided
-evaluators keep their exact floats.
+argument columns, and the pushed evaluators over them) answers both with
+numpy arrays; for every other one the base class is the single per-point
+adapter: ``partials`` per row and ``eval_circle`` per circle, so sheet
+tracking and collided evaluators keep their exact floats.
 
 Each genus-1 jet is one ``theta_jet`` sum over k, at one point or over N
 points (one ``np.exp`` over an N x (2K + 1) grid), with its weights cached
@@ -155,6 +155,21 @@ class LatticePoints(Exclusion):
         return LatticePoints(mapping[self.i], mapping[self.tau_slot], j)
 
 
+class PulledBack(Exclusion):
+    """A locus of an evaluator behind a map, pulled back conservatively: ``locus``'s
+    distance at ``image(args[t] for t in slots)``, halved to absorb the local stretch of the
+    map; at a point or on argument columns, as ``image`` answers either."""
+
+    def __init__(self, image, locus: Exclusion, slots: Sequence[int]):
+        self.image, self.locus, self.slots = image, locus, tuple(slots)
+
+    def distance(self, args):
+        return 0.5 * self.locus.distance(self.image(tuple(args[t] for t in self.slots)))
+
+    def remap(self, mapping):
+        return PulledBack(self.image, self.locus, [mapping[t] for t in self.slots])
+
+
 def lattice_distance(z: complex, tau: complex) -> float:
     """Distance from z to the lattice Z + tau Z (Im tau > 0) over 3 x 3 points about the
     nearest; over arrays, the 3 x 3 broadcast, and NaN where Im tau <= 0."""
@@ -201,17 +216,17 @@ def admitted(rng, boxes: Sequence, fixed: Sequence[complex], count: int, budget:
              loci: Sequence[Exclusion], threshold: float, numbers) -> tuple[list, int]:
     """The first ``count`` of at most ``budget`` draws (in ``boxes``, then ``fixed``) that
     clear ``loci`` by ``threshold``, and the draws made; blocks of 16 + 2 * (count - admitted)
-    read by one array expression per locus kind.  The scalar test ``numbers(args)`` decides a
-    draw within 1e-9 * threshold (numpy's abs may differ in the last bit), not finite, or at
-    a locus that answers numbers only."""
+    read by one array expression per locus kind (pulled-back loci: their map once, then one
+    per kind of what it pulls back).  The scalar test ``numbers(args)`` decides a draw within
+    1e-9 * threshold (numpy's abs may differ in the last bit) or not finite."""
     groups, out, tries, band = _locus_groups(tuple(loci)), [], 0, 1e-9 * threshold
     while len(out) < count and tries < budget:
         block = rng.complex_in_boxes(boxes, min(16 + 2 * (count - len(out)), budget - tries))
         if len(fixed):
             block = np.hstack([block, np.tile(np.array(fixed, dtype=complex), (len(block), 1))])
-        with np.errstate(all="ignore"):  # without groups every distance reads NaN
-            d = np.concatenate([rep.distance(block.T[slots]) for rep, slots in groups]
-                               or [np.full((1, len(block)), np.nan)])
+        with np.errstate(all="ignore"):  # without loci every distance reads NaN
+            d = np.vstack([rep.distance(block.T[slots]) for rep, slots in groups]
+                          or [np.full((1, len(block)), np.nan)])
         # (far - near) * 0 is 0 only when every distance is finite: NaN reaches both, inf one
         for row, near, far in zip(block.tolist(), d.min(axis=0).tolist(), d.max(axis=0).tolist()):
             tries += 1
@@ -226,13 +241,37 @@ def admitted(rng, boxes: Sequence, fixed: Sequence[complex], count: int, budget:
 @functools.lru_cache(maxsize=8)
 def _locus_groups(loci: tuple[Exclusion, ...]) -> tuple:
     """One representative over slots 0, 1, ... per locus kind (and point set) with its slots
-    stacked over the loci of that kind; none when a locus answers numbers only."""
+    stacked over the loci of that kind, and one ``_Images`` per map of pulled-back loci with
+    the slots of each of its placements stacked."""
     groups: dict = {}
-    for ex in loci if all(isinstance(ex, (FixedPoints, Diagonal, HalfPlane, LatticePoints))
-                          for ex in loci) else ():
+    pulled: dict = {}
+    for ex in loci:
+        if isinstance(ex, PulledBack):
+            pulled.setdefault(ex.image, []).append(ex)
+            continue
         rep = ex.remap({s: k for k, s in enumerate(ex.slots)})
         groups.setdefault((type(rep), repr(vars(rep))), (rep, []))[1].append(ex.slots)
-    return tuple((rep, np.array(slots).T) for rep, slots in groups.values())
+    return tuple((rep, np.array(slots).T) for rep, slots in groups.values()) + tuple(
+        (images, np.array(images.places).T) for images in map(_Images, pulled.values()))
+
+
+class _Images:
+    """Loci pulled back through one map, at K placements (slot tuples) of it: the map once
+    on the (arity, K, N) columns of all K, its K images side by side as one block of
+    K * width columns, each locus moved onto its placement's, one expression per kind there."""
+
+    def __init__(self, loci: Sequence[PulledBack]):
+        self.image = loci[0].image
+        self.places = list(dict.fromkeys(ex.slots for ex in loci))
+        self.width = w = 1 + max(max(ex.locus.slots) for ex in loci)
+        self.groups = _locus_groups(tuple(ex.locus.remap(range(k * w, (k + 1) * w))
+                                          for ex in loci for k in [self.places.index(ex.slots)]))
+
+    def distance(self, cols):
+        arity, k, n = cols.shape
+        mapped = np.array(self.image(tuple(cols.reshape(arity, k * n)))[:self.width])
+        block = mapped.reshape(self.width, k, n).transpose(1, 0, 2).reshape(k * self.width, n)
+        return 0.5 * np.vstack([rep.distance(block[slots]) for rep, slots in self.groups])
 
 
 # ---------------------------------------------------------------------------
@@ -667,13 +706,14 @@ Box = tuple[float, float, float, float]  # (re_min, re_max, im_min, im_max)
 
 
 def _theta_trunc_index(im_p, im_tau, tol: float) -> int:
-    """Symmetric truncation index K with the dropped tail below tol (a batch's largest).
+    """Symmetric truncation index K with the dropped tail below tol (a batch's largest);
+    an Im tau not positive, at the point or anywhere in the batch, raises ``InvalidModulus``.
 
     Term magnitudes are exp(-2 pi (k im_p + k(k-1)/2 im_tau)); beyond the
     quadratic turnaround they decay faster than a geometric series with
     ratio exp(-pi im_tau), so bounding the first dropped term suffices.
     """
-    if not isinstance(im_tau, np.ndarray) and im_tau <= 0:
+    if not ((im_tau > 0).all() if isinstance(im_tau, np.ndarray) else im_tau > 0):
         raise InvalidModulus("Im tau must be positive")
     # turnaround index plus the tail-depth needed for the quadratic decay
     bound = abs(im_p) / im_tau + 1.0 + np.sqrt(max(-math.log(tol), 1.0) / (math.pi * im_tau))

@@ -9,7 +9,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from gtlab import catalog, kernel
+from gtlab import catalog, cli, kernel
 from gtlab.core import CoordinateChange, _diagonal_radius, collide_points_closed, pushforward
 from gtlab.errors import ConfigError
 from gtlab.kernel import JetEvaluator, cauchy_derivative, multi_index, theta
@@ -488,19 +488,14 @@ def test_a_column_call_reads_every_order_two_jet_from_two_series(monkeypatch):
     assert len(calls) <= 2
 
 
-def _mu(m, scale=0.05):
-    return CoordinateChange(JetEvaluator(1 + m, lambda *a: a[0] + scale * a[1] * a[0] ** 2,
-                                         label="mu"))
-
-
 def _adapted():
     """(evaluator, structure, points per sample, top order) for evaluators
-    without a columns_fn: genus2's sheet-tracking f, a pushed f and a
+    without a columns_fn: genus2's sheet-tracking f, its pushed f (a pushed
+    evaluator answers columns only where what it wraps does) and a
     closed-collided g."""
     g2 = catalog.build_structure("genus2")
-    benney = catalog.build_structure("benney", 1)
     collided = collide_points_closed(catalog.build_structure("benney", 3), [[0, 1]])
-    pushed = pushforward(benney, _mu(1))
+    pushed = pushforward(g2, CoordinateChange(cli.quadratic_mu(3, 0.05)))
     return [(g2.f, g2, 2, 2), (pushed.f, pushed, 2, 1), (collided.g[1], collided, 1, 1)]
 
 

@@ -301,6 +301,68 @@ def test_pushed_lambda_first_partials_match_the_circle_oracle(name):
     assert _worst_first_partial_gap(pushed.lam, [(*ps, *v) for ps, v in points]) < 1e-10
 
 
+_PUSHED_THROUGH = {"the CLI's mu": _closed_form_quadratic_change, "a value-only mu": _quadratic_change}
+
+
+@pytest.mark.parametrize("mu", list(_PUSHED_THROUGH))
+@pytest.mark.parametrize("name", ["benney", "genus0", "genus1", "genus2"])
+def test_pushed_columns_are_the_per_point_jets(name, mu):
+    # a pushed g, f or lambda answers a sample set through its closures on
+    # argument columns: the value and every first partial agree with the
+    # per-point jet to rounding, each entry within rtol 1e-12 of the larger
+    # of it and 1, and a second partial is the per-point row itself (asked
+    # through the CLI's mu only: through a value-only one its circles nest).
+    # genus2's pushed f wraps the sheet-tracking f, which answers points only
+    s = _catalog_structure(name)
+    change = _PUSHED_THROUGH[mu](s.m)
+    pushed = pushforward(s, change)
+    evaluators = [*pushed.g, pushed.f]
+    if name == "genus2":
+        assert pushed.f.columns_fn is None
+        evaluators.pop()
+    else:
+        evaluators.append(pushforward_lambda(catalog.build_enhanced(name, 2), change).lam)
+    for e in evaluators:
+        assert e.columns_fn is not None, e.label
+        points = np.array([(*ps, *v) for ps, v in pushed.sample(4, seed=21, n_p=e.arity - s.m)])
+        firsts = [multi_index(e.arity)] + [multi_index(e.arity, t) for t in range(e.arity)]
+        second = [multi_index(e.arity, 0, 1)] if change.mu.columns_fn else []
+        got = e.columns(points, firsts + second)
+        want = np.array([e.partials(row, firsts + second) for row in points.tolist()]).T
+        n = len(firsts)
+        gap = np.abs(got[:n] - want[:n]) / np.maximum(np.abs(want[:n]), 1.0)
+        assert gap.max() <= 1e-12, (e.label, gap.max())
+        assert np.array_equal(got[n:], want[n:]), e.label
+
+
+@pytest.mark.parametrize("name", ["benney", "genus0", "genus1", "genus2"])
+def test_pushed_sample_sets_leave_the_scalar_test_only_the_band(name, monkeypatch):
+    # pulled-back loci answer argument columns through their map: every
+    # sample set is the scalar rule's, bit for bit, and the only draws left
+    # to the scalar test lie within 1e-9 of the threshold
+    s = _catalog_structure(name)
+    pushed = pushforward(s, _closed_form_quadratic_change(s.m))
+    screened, asked = [], []
+
+    def admitted(rng, boxes, fixed, count, budget, loci, threshold, numbers):
+        def scalar(args):
+            asked.append((args, loci, threshold))
+            return numbers(args)
+
+        out, tries = kernel.admitted(rng, boxes, fixed, count, budget, loci, threshold, scalar)
+        screened.append(tries)
+        return out, tries
+
+    monkeypatch.setattr("gtlab.core.admitted", admitted)
+    for n_p in (1, 2, 3):
+        for seed in (1, 7, 101):
+            assert pushed.sample(20, seed, n_p) == _scalar_order_sample(pushed, 20, seed, n_p)
+    assert sum(screened) > 180 and len(asked) < sum(screened) / 100
+    for args, loci, threshold in asked:
+        near = min(ex.distance(args) for ex in loci)
+        assert abs(near - threshold) <= 1e-9 * threshold, (name, args, near)
+
+
 @pytest.mark.parametrize("name,n,groups", [
     ("benney", 3, [[0, 1]]),          # depth 2
     ("benney", 3, [[0, 1, 2]]),       # depth 3

@@ -254,6 +254,24 @@ def test_injected_defect_scales_with_amplitude():
     assert res[0] > 10.0 * res[1]
 
 
+@pytest.mark.parametrize("name", ["benney", "genus2"])
+def test_defect_partials_match_circles_over_its_values(name):
+    # d_p1, d_p2 and d_p2^2 of the defected f against Cauchy circles over its
+    # fn.  Both sides drop the base f, whose partials are checked against
+    # circles elsewhere: the circles run over fn less the base's fn, the
+    # defect polynomial, which no square-root cut of genus2's f crosses
+    s = catalog.build_structure(name, 2)
+    bad = inject_defect(s, scale=1e-2, seed=1)
+    defect = JetEvaluator(bad.f.arity, lambda *a: bad.f.fn(*a) - s.f.fn(*a))
+    asked = [(0, 1), (1, 1), (1, 2)]  # (slot, order)
+    multis = [tuple(order if t == slot else 0 for t in range(bad.f.arity)) for slot, order in asked]
+    for ps, v in s.sample(4, seed=5, n_p=2):
+        args = (*ps, *v)
+        got = [x - y for x, y in zip(bad.f.partials(args, multis), s.f.partials(args, multis))]
+        want = [cauchy_derivative(defect, slot, args, order, radius=0.1) for slot, order in asked]
+        assert got == pytest.approx(want, rel=1e-9, abs=1e-11), (name, args)
+
+
 def test_defect_perturbs_values_but_keeps_domain():
     s = catalog.build_structure("benney", 1)
     bad = inject_defect(s, scale=1e-2, seed=1)

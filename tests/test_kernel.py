@@ -13,7 +13,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gtlab import kernel
-from gtlab.core import _PulledBack
 from gtlab.errors import DomainViolation, InvalidModulus, NonConvergence, PoleHit
 from gtlab.kernel import (
     Diagonal,
@@ -22,6 +21,7 @@ from gtlab.kernel import (
     HalfPlane,
     JetEvaluator,
     LatticePoints,
+    PulledBack,
     ReindexedEvaluator,
     SplitMix64,
     cauchy_derivative,
@@ -161,7 +161,7 @@ _LOCI = (
     HalfPlane(4),
     LatticePoints(0, 4, 2),
     LatticePoints(1, 4),
-    _PulledBack(lambda a: (a[0] * a[1], a[2] - a[3], a[4]), LatticePoints(0, 2, 1), range(5)),
+    PulledBack(lambda a: (a[0] * a[1], a[2] - a[3], a[4]), LatticePoints(0, 2, 1), range(5)),
 )
 
 
@@ -183,17 +183,18 @@ def test_remap_moves_slots_and_keeps_distance(sigma, seed):
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_distance_on_columns_is_the_number_to_rounding(seed):
-    # every locus but the pulled-back one answers argument columns; an entry
-    # may differ from the number in its last bits only
+    # every locus answers argument columns, the pulled-back one through its
+    # map; an entry may differ from the number in its last bits only, and
+    # the pulled-back one by the last bits of its map's product as well
     rng = SplitMix64(seed)
     rows = rng.complex_in_boxes([(-1.5, 1.5, -1.5, 1.5)] * 4 + [(-0.5, 0.5, 0.8, 1.5)], 200)
     for ex in _LOCI:
-        if isinstance(ex, _PulledBack):  # its map takes numbers only
-            continue
         got = ex.distance(rows.T)
         want = [ex.distance(tuple(row)) for row in rows.tolist()]
         assert got.shape == (200,)
-        np.testing.assert_allclose(got, want, rtol=4e-16, atol=0, err_msg=type(ex).__name__)
+        np.testing.assert_allclose(got, want, rtol=4e-16,
+                                   atol=4e-15 if isinstance(ex, PulledBack) else 0,
+                                   err_msg=type(ex).__name__)
     # stacked columns: one locus read over a (k, N) block of slot columns
     stacked = LatticePoints(0, 2, 1).distance(rows.T[[[0, 1], [2, 3], [4, 4]]])
     assert stacked.shape == (2, 200)
@@ -372,6 +373,21 @@ def test_a_non_finite_circle_sample_fails_closed():
     assert e.partial((0.7, 0.3), (0, 1)) == pytest.approx(1.0 / 0.4**2, rel=1e-10)
 
 
+def test_jet_requests_of_the_wrong_shape_are_refused():
+    e = JetEvaluator(2, lambda p, u: p * u, label="pu")
+    with pytest.raises(ValueError, match=r"^pu takes 2 argument columns, got shape \(3, 3\)$"):
+        e.columns(np.ones((3, 3)), [(0, 0)])
+    with pytest.raises(ValueError, match=r"^pu takes 2 argument columns, got shape \(2,\)$"):
+        e.columns(np.ones(2), [(0, 0)])
+    with pytest.raises(ValueError, match=r"^pu takes 2 derivative orders per multi-index$"):
+        e.columns(np.ones((3, 2)), [(0, 0), (1, 0, 0)])
+    with pytest.raises(ValueError, match=r"^pu takes 2 arguments, got 3$"):
+        e.partials((1.0, 2.0, 3.0), [(0, 0)])
+    with pytest.raises(ValueError, match=r"^pu takes 2 derivative orders, got 1$"):
+        e.partials((1.0, 2.0), [(1,)])
+    assert e.partials((1.0, 2.0), [(0, 0)]) == [2.0]
+
+
 def test_laurent_coeff_recovers_residue():
     res = laurent_coeff(_rational(), 0, (0.0,), 2.0, -1, radius=0.3)
     assert res == pytest.approx(1.0, rel=1e-10)
@@ -380,6 +396,15 @@ def test_laurent_coeff_recovers_residue():
 def test_path_integrate_winding_number():
     e = JetEvaluator(1, lambda p: 1.0 / p, domain=Domain((FixedPoints(0, [0.0]),)))
     val = path_integrate(e, 0, (0.0,), circle_path(0.0, 1.0, nodes=32))
+    assert val == pytest.approx(2j * math.pi, rel=1e-10)
+
+
+@pytest.mark.parametrize("radius", [0.5, 2.0])
+def test_path_integrate_winding_number_off_the_unit_radius(radius):
+    # dz = i r e^{it} dt: a circle of radius r != 1 tells r from 1 / r
+    c = 0.3 - 0.2j
+    e = JetEvaluator(1, lambda z: 1.0 / (z - c), domain=Domain((FixedPoints(0, [c]),)))
+    val = path_integrate(e, 0, (0.0,), circle_path(c + 0.1 * radius, radius, nodes=32))
     assert val == pytest.approx(2j * math.pi, rel=1e-10)
 
 
@@ -515,6 +540,20 @@ def test_theta_jet_rejects_non_finite_arguments(p, tau):
 def test_theta_jet_rejects_a_lower_half_plane_modulus():
     with pytest.raises(InvalidModulus):
         theta_jet(0.1, 0.3 - 1.1j, 1, 0)
+
+
+def test_a_real_modulus_is_invalid_at_a_point_and_in_a_batch():
+    # Im tau = 0 exactly is outside the half plane, as Im tau < 0 is
+    tau = 0.3 + 0j
+    with pytest.raises(InvalidModulus):
+        theta_jet(0.1 + 0.2j, tau, 1, 0)
+    with pytest.raises(InvalidModulus):
+        kernel._theta_trunc_index(0.2, tau.imag, 1e-12)
+    ps, taus = _with_bad_point(3, tau=tau)
+    with pytest.raises(InvalidModulus, match=r"\(point 3 of 8\)"):
+        theta_jet(ps, taus, 1, 0)
+    with pytest.raises(InvalidModulus):
+        kernel._theta_trunc_index(ps.imag, taus.imag, 1e-12)
 
 
 # a batch: eight points with their own moduli; the point far off the real
