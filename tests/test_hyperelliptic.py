@@ -4,14 +4,18 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
 import pytest
 
-from gtlab import hyperell
+from gtlab import hyperell, kernel
 from gtlab.cli import main
-from gtlab.errors import ConfigError
+from gtlab.errors import ConfigError, NonConvergence
 from gtlab.hyperell import (
     PeriodData,
     interval_integrals,
@@ -63,6 +67,13 @@ def test_period_matrix_converges_under_node_doubling():
     assert pd.convergence_error < 1e-8
 
 
+def test_period_matrix_refuses_an_unconverged_rule():
+    # 4 against 8 nodes cannot resolve the periods: node doubling moves B
+    # by far more than the tolerance, and periods raises instead of returning
+    with pytest.raises(NonConvergence, match="under node doubling"):
+        periods(MODULI, nodes=4, check_tol=1e-8)
+
+
 def test_rauch_prediction_is_symmetric():
     pd = periods(MODULI)
     for branch in range(3):
@@ -94,7 +105,7 @@ def test_degenerating_handle_blows_up_a_period():
 def test_cached_rule_matches_a_fresh_rule_bit_for_bit():
     a, b, c = MODULI
     es = [0.0, 1.0, a, b, c]
-    x, w = np.polynomial.legendre.leggauss(100)
+    x, w = kernel.gauss_legendre(100)
     th = 0.5 * math.pi * x
     wt = 0.5 * math.pi * w
     fresh = np.zeros((2, 4), dtype=complex)
@@ -121,14 +132,14 @@ def test_rauch_job_builds_each_rule_once(tmp_path, monkeypatch):
     # one job uses an n- and a 2n-node rule; every other periods call and
     # every stencil point must reuse them
     builds = []
-    leggauss = np.polynomial.legendre.leggauss
+    gauss_legendre = kernel.gauss_legendre
 
     def counting(n):
         builds.append(n)
-        return leggauss(n)
+        return gauss_legendre(n)
 
     hyperell._theta_rule.cache_clear()
-    monkeypatch.setattr(np.polynomial.legendre, "leggauss", counting)
+    monkeypatch.setattr(kernel, "gauss_legendre", counting)
     cfg = tmp_path / "job.json"
     cfg.write_text(json.dumps({"command": "rauch", "seed": 1, "nodes": 60,
                                "moduli": list(MODULI)}))
@@ -139,10 +150,28 @@ def test_rauch_job_builds_each_rule_once(tmp_path, monkeypatch):
 @pytest.mark.parametrize("nodes", [0, hyperell.MAX_NODES + 1])
 def test_node_count_is_bounded_before_any_rule_is_built(nodes, monkeypatch):
     def refuse(n):
-        raise AssertionError(f"leggauss({n}) built for an invalid node count")
+        raise AssertionError(f"gauss_legendre({n}) built for an invalid node count")
 
-    monkeypatch.setattr(np.polynomial.legendre, "leggauss", refuse)
+    hyperell._theta_rule.cache_clear()
+    monkeypatch.setattr(kernel, "gauss_legendre", refuse)
     with pytest.raises(ConfigError):
         periods(MODULI, nodes)
     with pytest.raises(ConfigError):
         rauch_check(MODULI, 0, nodes=nodes)
+
+
+def test_rauch_job_loads_no_numpy_polynomial(tmp_path):
+    # the rules come from kernel.gauss_legendre; numpy loads numpy.polynomial
+    # lazily, so a fresh process that runs a rauch job must never import it
+    code = (
+        "import sys\n"
+        "from gtlab import cli\n"
+        f"cfg = {{'command': 'rauch', 'seed': 1, 'nodes': 60, 'moduli': {list(MODULI)}}}\n"
+        f"assert cli.run(cfg, {str(tmp_path / 'r.json')!r}) == 0\n"
+        "print(sorted(m for m in sys.modules if m.startswith('numpy.polynomial')))\n"
+    )
+    src = str(Path(hyperell.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.splitlines()[-1] == "[]"

@@ -393,6 +393,97 @@ def test_laurent_coeff_recovers_residue():
     assert res == pytest.approx(1.0, rel=1e-10)
 
 
+# ---------------------------------------------------------------------------
+# Gauss-Legendre rules against 40-digit mpmath roots and weights
+# ---------------------------------------------------------------------------
+
+
+def _mp_legendre(x, n):
+    """P_n(x) and P'_n(x) in mpmath at the working precision."""
+    p0, p1 = mp.mpf(1), x
+    for k in range(2, n + 1):
+        p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
+    return p1, n * (p0 - x * p1) / (1 - x * x)
+
+
+def _mp_root_and_weight(seed: float, n: int):
+    """The root of P_n next to seed (within about 1e-16) and its weight,
+    to about 26 digits after one 40-digit Newton step."""
+    x = mp.mpf(seed)
+    pn, dpn = _mp_legendre(x, n)
+    step = pn / dpn
+    assert abs(step) < 1e-14, (n, seed)
+    x -= step
+    _, dpn = _mp_legendre(x, n)
+    return x, 2 / ((1 - x * x) * dpn * dpn)
+
+
+def _check_rule_against_mpmath(n: int):
+    """gauss_legendre(n) against mpmath: nodes within 2e-16, ascending and
+    symmetric, weights summing to 2, and no weight further from mpmath's
+    (relative) than numpy's eigenvalue-based leggauss at the same nodes.
+
+    The oracle's roots are refined from leggauss's nodes, an independent
+    method.  Above 60 nodes it checks the eight outermost nodes (the
+    largest weight errors sit there, where 1 - x^2 is smallest), the three
+    middle ones and about six in between, on the negative half.
+    """
+    x, w = kernel.gauss_legendre(n)
+    xl, wl = np.polynomial.legendre.leggauss(n)
+    assert x.shape == w.shape == (n,)
+    assert np.all(np.diff(x) > 0)
+    assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
+    assert abs(w.sum() - 2.0) <= 1e-14
+    half = (n + 1) // 2
+    if n <= 60:
+        idx = range(half)
+    else:
+        idx = sorted({*range(8), *range(half - 3, half), *range(0, half, half // 6)})
+    node_err = ours = theirs = 0.0
+    with mp.workdps(40):
+        for i in idx:
+            root, weight = _mp_root_and_weight(xl[i], n)
+            node_err = max(node_err, abs(float(x[i] - root)))
+            ours = max(ours, abs(float((w[i] - weight) / weight)))
+            theirs = max(theirs, abs(float((wl[i] - weight) / weight)))
+    assert node_err <= 2e-16, node_err
+    # leggauss normalises its weights to sum 2, which at n = 2 lands on 1.0
+    # exactly; the recurrence rounds that weight one unit off, hence the eps
+    assert ours <= max(theirs, np.finfo(float).eps), (ours, theirs)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 24, 60, 401, 800, 2000])
+def test_gauss_legendre_matches_mpmath_roots_and_weights(n):
+    _check_rule_against_mpmath(n)
+
+
+def test_gauss_legendre_oracle_catches_a_mutated_recurrence(monkeypatch):
+    # one of Bonnet's coefficients off by one part in 1e12: Newton converges
+    # to the roots of the wrong polynomial, about 7e-14 from Legendre's
+    recurrence = kernel._recurrence
+
+    def mutated(n):
+        a, b = recurrence(n)
+        a[5] *= 1 + 1e-12
+        return a, b
+
+    monkeypatch.setattr(kernel, "_recurrence", mutated)
+    with pytest.raises(AssertionError):
+        _check_rule_against_mpmath(24)
+
+
+def test_gauss_legendre_refuses_a_rule_whose_newton_passes_run_out(monkeypatch):
+    # Tricomi's guess is about 1e-6 off at 100 nodes: one pass cannot reach 1e-15
+    monkeypatch.setattr(kernel, "_NEWTON_PASSES", 1)
+    with pytest.raises(NonConvergence, match="after 1 Newton passes"):
+        kernel.gauss_legendre(100)
+
+
+def test_gauss_legendre_refuses_an_empty_rule():
+    with pytest.raises(ValueError, match="n >= 1"):
+        kernel.gauss_legendre(0)
+
+
 def test_path_integrate_winding_number():
     e = JetEvaluator(1, lambda p: 1.0 / p, domain=Domain((FixedPoints(0, [0.0]),)))
     val = path_integrate(e, 0, (0.0,), circle_path(0.0, 1.0, nodes=32))
