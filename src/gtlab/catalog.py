@@ -13,11 +13,12 @@ variables of its own, ``place``d on argument slots: f(p1, p2) on slots
 adding points.  A kernel is written once, with its value, its partials (or
 one batch of them) and its singular loci; the placement reads its slots,
 answers 0 for a partial in any other slot, and moves the loci onto the
-slots.  One function answers a placed evaluator's jet requests, the value
-included, at a point (its ``partial_fn``) and on numpy columns of N points
-(its ``columns_fn``, the same function on the argument columns); the theta
-kernels read every multi-index asked, at N points or at one, from one
-log-theta rectangle per argument column.  genus2's f, built on square
+slots.  One function, its ``partial_fn``, answers a placed evaluator's jet
+requests, the value included, at a point and on a tuple of numpy argument
+columns of N points (the evaluator is built with ``columns`` set, so
+``partials`` and ``value`` hand it either); the theta kernels read every
+multi-index asked, at N points or at one, from one log-theta rectangle per
+argument column.  genus2's f, built on square
 roots, is its own evaluator: its partials of total order <= 2 are closed
 form too, from one jet at the point per batch, its value comes from ``fn``,
 and its circles (value rows only) continue the square-root sheet.
@@ -68,8 +69,7 @@ def place(kernel: Kernel, arity: int, slots: Sequence[int], label: str = "") -> 
     """The kernel as an evaluator of ``arity`` arguments, its variables read
     from ``slots``; the function is constant in every other slot.  One
     ``partial_fn`` answers every multi-index, the value included, at a
-    point or at N points given as a tuple of argument columns, so
-    ``columns_fn`` is that function on ``tuple(points.T)``."""
+    point or at N points given as a tuple of argument columns."""
     slots = tuple(slots)
     pick = itemgetter(*slots) if len(slots) > 1 else lambda xs: (xs[slots[0]],)
 
@@ -94,14 +94,12 @@ def place(kernel: Kernel, arity: int, slots: Sequence[int], label: str = "") -> 
         return out
 
     return JetEvaluator(arity, fn, domain=Domain(kernel.loci).remap(slots),
-                        partial_fn=partial_fn, label=label,
-                        columns_fn=lambda points, multis: partial_fn(tuple(points.T), multis))
+                        partial_fn=partial_fn, label=label, columns=True)
 
 
 def _difference(a: JetEvaluator, b: JetEvaluator, label: str = "") -> JetEvaluator:
     """a - b for placed kernels a and b: one ``partial_fn`` subtracting
-    theirs answers a point or a tuple of argument columns, so
-    ``columns_fn`` is that function on ``tuple(points.T)``."""
+    theirs answers a point or a tuple of argument columns."""
 
     def fn(*args):
         return a.fn(*args) - b.fn(*args)
@@ -110,8 +108,7 @@ def _difference(a: JetEvaluator, b: JetEvaluator, label: str = "") -> JetEvaluat
         return [x - y for x, y in zip(a.partial_fn(args, multis), b.partial_fn(args, multis))]
 
     return JetEvaluator(a.arity, fn, domain=a.domain.merged(b.domain), partial_fn=partial_fn,
-                        label=label,
-                        columns_fn=lambda points, multis: partial_fn(tuple(points.T), multis))
+                        label=label, columns=True)
 
 
 def _pole_partial(d: complex, k: int, r: int) -> complex:

@@ -210,8 +210,7 @@ def _cmd_collide(cfg):
 def quadratic_mu(m: int, scale: float) -> JetEvaluator:
     """mu = p + scale u1 p^2 over (p, u_1..u_m), the pushforward command's
     coordinate change, with its value and partials in closed form at a
-    point or on a tuple of argument columns, so ``columns_fn`` is
-    ``partial_fn`` on the columns of the points."""
+    point or on a tuple of argument columns."""
 
     def mu_fn(*args):
         return args[0] + scale * args[1] * args[0] ** 2
@@ -232,7 +231,7 @@ def quadratic_mu(m: int, scale: float) -> JetEvaluator:
         return [mu_partial(args, multi) for multi in multis]
 
     return JetEvaluator(1 + m, mu_fn, domain=Domain(), partial_fn=mu_pf, label="mu",
-                        columns_fn=lambda points, multis: mu_pf(tuple(points.T), multis))
+                        columns=True)
 
 
 def _cmd_pushforward(cfg):

@@ -9,7 +9,8 @@ A structure with fiber dimension m carries m vector-field components
 g_i(p, v) and a two-point function f(p1, p2, v) with a normalized simple
 pole on the diagonal.  All verification is by dense seeded sampling: the
 in-scope functions are meromorphic, so vanishing at many generic points is
-the practical test.
+the practical test.  A check asks each evaluator's ``partials`` or ``value``
+once per jet, on the sample set's tuple of argument columns (``_rows``).
 
 The transforms build their evaluators from the evaluators they transform,
 and answer first partials by the chain rule through the ingredients' own
@@ -47,6 +48,7 @@ from .kernel import (
     _circle_coeff,
     admitted,
     multi_index,
+    on_columns,
     path_integrate,
 )
 
@@ -248,16 +250,16 @@ def _diagonal_radius(e: JetEvaluator, p2: complex, v: Sequence[complex]) -> floa
     return 0.25 * min(clearances + [1.0])
 
 
-def _rows(s: GTStructure, pts: Sequence[Sample], *orders: Sequence[int]) -> np.ndarray:
-    """Argument rows (p_a, p_b, ..., v) of every sample, one block of rows
-    per order of point indices, the blocks stacked in turn."""
+def _rows(s: GTStructure, pts: Sequence[Sample], *orders: Sequence[int]) -> tuple:
+    """The argument columns of the points (p_a, p_b, ..., v) of every sample,
+    one block of points per order of point indices, the blocks in turn."""
     rows = [(*(ps[a] for a in order), *v) for order in orders for ps, v in pts]
-    return np.array(rows, dtype=complex).reshape(len(rows), len(orders[0]) + s.m)
+    return tuple(np.array(rows, dtype=complex).reshape(len(rows), len(orders[0]) + s.m).T)
 
 
-def _values(evaluators: Sequence[JetEvaluator], rows: np.ndarray) -> np.ndarray:
-    """The value of each evaluator at every row, one row per evaluator."""
-    return np.array([e.columns(rows, [multi_index(e.arity)])[0] for e in evaluators])
+def _values(evaluators: Sequence[JetEvaluator], cols: tuple) -> np.ndarray:
+    """The value of each evaluator at every point of ``cols``, one row per evaluator."""
+    return np.array([e.value(cols) for e in evaluators])
 
 
 def _residues(e: JetEvaluator, s: GTStructure, pts: Sequence[Sample], nodes: int,
@@ -295,10 +297,10 @@ def verify_bracket(s: GTStructure, samples: int = 100, seed: int = 2,
     # g1[i] = (g_i, d_p g_i, d_{v_1} g_i, ...) at p1, g2[i] at p2; f12_d2
     # is f's partial in its second slot at (p1, p2), and so on
     g_at = _rows(s, pts, (0,), (1,))
-    g1, g2 = zip(*(np.split(gi.columns(g_at, _jet(1 + m, *range(1 + m))), 2, axis=1)
+    g1, g2 = zip(*(np.split(gi.partials(g_at, _jet(1 + m, *range(1 + m))), 2, axis=1)
                    for gi in s.g))
     (f12, f12_d2), (f21, f21_d2) = np.split(
-        s.f.columns(_rows(s, pts, (0, 1), (1, 0)), _jet(2 + m, 1)), 2, axis=1)
+        s.f.partials(_rows(s, pts, (0, 1), (1, 0)), _jet(2 + m, 1)), 2, axis=1)
     residuals = []
     for i in range(m):
         bracket = 0.0 + 0.0j
@@ -322,10 +324,10 @@ def verify_cocycle(s: GTStructure, samples: int = 100, seed: int = 3,
     p2."""
     m = s.m
     pts = s.sample(samples, seed, 3)
-    f13, f23 = np.split(s.f.columns(_rows(s, pts, (0, 2), (1, 2)), _jet(2 + m, *range(2 + m))),
+    f13, f23 = np.split(s.f.partials(_rows(s, pts, (0, 2), (1, 2)), _jet(2 + m, *range(2 + m))),
                         2, axis=1)
     (f12, f12_d2), (f21, f21_d2) = np.split(
-        s.f.columns(_rows(s, pts, (0, 1), (1, 0)), _jet(2 + m, 1)), 2, axis=1)
+        s.f.partials(_rows(s, pts, (0, 1), (1, 0)), _jet(2 + m, 1)), 2, axis=1)
     g1, g2 = np.split(_values(s.g, _rows(s, pts, (0,), (1,))), 2, axis=1)
     lhs = apply_field(g2, f13[3:]) - apply_field(g1, f23[3:])
     rhs = (
@@ -352,9 +354,9 @@ def verify_lambda(e: EnhancedGT, samples: int = 100, seed: int = 4,
     m = s.m
     pts = s.sample(samples, seed, 3)
     d2 = _jet(2 + m, 1)
-    lam23 = lam.columns(_rows(s, pts, (1, 2)), _jet(2 + m, *range(2 + m)))
-    [lam21_d2] = lam.columns(_rows(s, pts, (1, 0)), d2[1:])
-    f12, f12_d2 = s.f.columns(_rows(s, pts, (0, 1)), d2)
+    lam23 = lam.partials(_rows(s, pts, (1, 2)), _jet(2 + m, *range(2 + m)))
+    [lam21_d2] = lam.partials(_rows(s, pts, (1, 0)), d2[1:])
+    f12, f12_d2 = s.f.partials(_rows(s, pts, (0, 1)), d2)
     lam13, f13 = _values((lam, s.f), _rows(s, pts, (0, 2)))
     lhs = apply_field(_values(s.g, _rows(s, pts, (0,))), lam23[3:])
     rhs = lam13 * lam21_d2 - lam23[0] * f12_d2 - f12 * lam23[1] - f13 * lam23[2]
@@ -374,8 +376,8 @@ def verify_potential(e: EnhancedGT, pot: Potential, samples: int = 100,
     h = pot.h
     m = s.m
     pts = s.sample(samples, seed, 2)
-    h2 = h.columns(_rows(s, pts, (1,)), _jet(1 + m, *range(1 + m))[1:])
-    [h1_dp] = h.columns(_rows(s, pts, (0,)), [multi_index(1 + m, 0)])
+    h2 = h.partials(_rows(s, pts, (1,)), _jet(1 + m, *range(1 + m))[1:])
+    [h1_dp] = h.partials(_rows(s, pts, (0,)), [multi_index(1 + m, 0)])
     lam12, f12 = _values((e.lam, s.f), _rows(s, pts, (0, 1)))
     lhs = apply_field(_values(s.g, _rows(s, pts, (0,))), h2[1:])
     rhs = lam12 * h1_dp - f12 * h2[0]
@@ -686,10 +688,8 @@ class _Composed(JetEvaluator):
     adds.
 
     Every closure answers a point or a tuple of argument columns, as
-    ``catalog.place`` does: where ``inner`` answers ``columns`` from
-    arrays, so does the composition, its value and first partials through
-    the closures on the columns and each higher order from every point's
-    ``partials`` row."""
+    ``catalog.place`` does, so the composition takes columns where
+    ``inner`` does."""
 
     def __init__(self, inner: JetEvaluator, image, to_inner, outer, first, arity: int,
                  label: str, loci: Sequence[Exclusion] = ()):
@@ -698,13 +698,12 @@ class _Composed(JetEvaluator):
         cached = functools.lru_cache(maxsize=1)(image)  # the loci ask in turn at one point
 
         def image_once(args):  # argument columns are not hashable: they map uncached
-            return image(args) if _on_columns(args) else cached(args)
+            return image(args) if on_columns(args) else cached(args)
 
         domain = Domain(tuple(PulledBack(image_once, ex, range(arity))
                               for ex in (*inner.domain.exclusions, *loci)))
         super().__init__(arity, self._fn, domain=domain, partial_fn=self._partial,
-                         label=label,
-                         columns_fn=None if inner.columns_fn is None else self._columns)
+                         label=label, columns=inner.columns)
 
     def _fn(self, *args):
         mapped, rates = self.to_inner(args)
@@ -714,24 +713,6 @@ class _Composed(JetEvaluator):
         mapped = self.image(args) if any(sum(multi) == 1 for multi in multis) else None
         return [self.first(args, mapped, multi.index(1)) if sum(multi) == 1 else NotImplemented
                 for multi in multis]
-
-    def _columns(self, points, multis):
-        """``_partial`` on the argument columns; the value is ``outer`` over
-        ``inner``'s values at the mapped columns.  An overflow or inf - inf
-        here is a non-finite entry, which ``eval_circles`` raises as
-        ``DomainViolation`` and a check reads as a failing residual: no
-        warning first."""
-        args = tuple(points.T)
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            out = self._partial(args, multis)
-            if not all(map(any, multis)):
-                mapped, rates = self.to_inner(args)
-                value = self.outer(args, mapped, rates, _value(self.inner, mapped))
-        higher = [multi for multi in multis if sum(multi) > 1]
-        rows = iter(np.array([self.partials(row, higher) for row in points.tolist()],
-                             dtype=complex).reshape(len(points), len(higher)).T if higher else ())
-        return [value if not any(multi) else next(rows) if sum(multi) > 1 else d
-                for multi, d in zip(multis, out)]
 
     def eval_rows(self, rows, anchor, rests):
         """Value rows continue ``inner``'s branch along the loop mapped
@@ -745,35 +726,17 @@ class _Composed(JetEvaluator):
                          for rest in rests], dtype=complex)
 
 
-def _on_columns(args) -> bool:
-    """Whether ``args`` is a tuple of argument columns rather than a point."""
-    return isinstance(args[0], np.ndarray)
-
-
-def _jets(e: JetEvaluator, args, multis) -> list:
-    """e's ``partials`` at a point, or its ``columns`` rows on a tuple of
-    argument columns: one call either way."""
-    return list(e.columns(np.column_stack(args), multis)) if _on_columns(args) else (
-        e.partials(args, multis))
-
-
-def _value(e: JetEvaluator, args):
-    """e's ``value`` at a point, or its values on a tuple of argument columns."""
-    return e.columns(np.column_stack(args), [multi_index(e.arity)])[0] if _on_columns(args) else (
-        e.value(args))
-
-
 def _asked(e: JetEvaluator, args, multis) -> dict:
-    """e's partials at args keyed by multi-index: one ``_jets`` call,
+    """e's partials at args keyed by multi-index: one ``partials`` call,
     each distinct multi-index asked once."""
     keys = list(dict.fromkeys(multis))
-    return dict(zip(keys, _jets(e, args, keys)))
+    return dict(zip(keys, e.partials(args, keys)))
 
 
 def _moved(e: JetEvaluator, args, rates: dict) -> tuple[complex, complex]:
     """e's value at args and its rate of change while slot t moves at
-    ``rates[t]`` (the first-order chain rule); one ``_jets`` call."""
-    vals = _jets(e, args, _jet(e.arity, *rates))
+    ``rates[t]`` (the first-order chain rule); one ``partials`` call."""
+    vals = e.partials(args, _jet(e.arity, *rates))
     return vals[0], sum(r * d for r, d in zip(rates.values(), vals[1:]))
 
 
@@ -802,10 +765,10 @@ def pushforward(s: GTStructure, c: CoordinateChange) -> GTStructure:
     value_dp = [mi(), mi(0)]  # mu and mu_p
 
     def g_image(args):
-        return (_value(mu, args), *args[1:])
+        return (mu.value(args), *args[1:])
 
     def g_map(args):
-        mu_val, mu_p = _jets(mu, args, value_dp)
+        mu_val, mu_p = mu.partials(args, value_dp)
         return (mu_val, *args[1:]), mu_p
 
     def g_outer(args, mapped, mu_p, val):
@@ -822,13 +785,13 @@ def pushforward(s: GTStructure, c: CoordinateChange) -> GTStructure:
 
     def f_image(args):
         v = args[2:]
-        return (_value(mu, (args[0], *v)), _value(mu, (args[1], *v)), *v)
+        return (mu.value((args[0], *v)), mu.value((args[1], *v)), *v)
 
     def f_map(args):
         """f_image(args), and mu_p at p1 and p2 with mu_v at p2."""
         v = args[2:]
-        mu1, mu_p1 = _jets(mu, (args[0], *v), value_dp)
-        mu2, mu_p2, *mu_v2 = _jets(mu, (args[1], *v), value_dp + dvs)
+        mu1, mu_p1 = mu.partials((args[0], *v), value_dp)
+        mu2, mu_p2, *mu_v2 = mu.partials((args[1], *v), value_dp + dvs)
         return (mu1, mu2, *v), (mu_p1, mu_p2, mu_v2)
 
     def f_outer(args, mapped, rates, val):
@@ -837,7 +800,7 @@ def pushforward(s: GTStructure, c: CoordinateChange) -> GTStructure:
         # g(mu(p1)) applied to mu(p2, v) through the fiber coordinates
         gterm = 0.0 + 0.0j
         for j in range(m):
-            gterm += _value(s.g[j], (mapped[0], *v)) * mu_v2[j]
+            gterm += s.g[j].value((mapped[0], *v)) * mu_v2[j]
         return (mu_p1 ** 2 / mu_p2) * (val - gterm)
 
     def f_first(args, mapped, t):
@@ -903,7 +866,7 @@ def pushforward_lambda(e: EnhancedGT, c: CoordinateChange) -> EnhancedGT:
         if t1 is not None:
             rates[0] = d1[mi(t1)]
         if t2 is not None:
-            rates[1] = _jets(mu, (args[1], *v), [mi(t2)])[0]
+            rates[1] = mu.partials((args[1], *v), [mi(t2)])[0]
         lam, dlam = _moved(e.lam, mapped, rates)
         return (0.0 if t1 is None else d1[mi(0, t1)] * lam) + d1[mi(0)] * dlam
 

@@ -115,8 +115,8 @@ def compatibility_tensor(
         if not 0 <= idx < fam.N:
             raise ConfigError(f"potential index {idx} out of range")
     m = fam.m
-    at = np.array([(z, *v) for z in z_points], dtype=complex).reshape(len(z_points), 1 + m)
-    jets = {idx: fam.potentials[idx].h.columns(at, [multi_index(1 + m, t) for t in range(1 + m)])
+    at = tuple(np.array([(z, *v) for z in z_points], dtype=complex).reshape(len(z_points), 1 + m).T)
+    jets = {idx: fam.potentials[idx].h.partials(at, [multi_index(1 + m, t) for t in range(1 + m)])
             for idx in (i, j, k)}
 
     def block(a, b):

@@ -26,15 +26,15 @@ continues its branch along the loop there, and a wrapper maps the loop
 into the evaluator it wraps.  ``eval_circle`` builds a circle's loop and
 hands it to ``eval_rows``.
 
-A sample set is asked in one call: ``JetEvaluator.columns(points,
-multis)`` takes N points as an (N, arity) array and returns one row per
-multi-index, and ``eval_circles`` returns the values on N circles as an
-N x nodes array.  An evaluator built with ``columns_fn`` (the placed
-catalog kernels, whose ``columns_fn`` is their ``partial_fn`` applied to the
-argument columns, and the pushed evaluators over them) answers both with
-numpy arrays; for every other one the base class is the single per-point
-adapter: ``partials`` per row and ``eval_circle`` per circle, so sheet
-tracking and collided evaluators keep their exact floats.
+A sample set is asked in the same call: ``partials`` and ``value`` take a
+point or a tuple of ``arity`` argument columns of N points (``on_columns``
+is the one test of which), and on columns return one row per multi-index;
+``eval_circles`` returns the values on N circles as an N x nodes array.
+An evaluator built with ``columns`` set (the placed catalog kernels and
+the pushed evaluators over them) has its ``partial_fn`` and ``fn`` answer
+the columns with numpy arrays; for every other one the base class is the
+single per-point adapter: ``partials`` per point and ``eval_circle`` per
+circle, so sheet tracking and collided evaluators keep their exact floats.
 
 Each genus-1 jet is one ``theta_jet`` sum over k, at one point or over N
 points (one ``np.exp`` over an N x (2K + 1) grid), with its weights cached
@@ -289,6 +289,11 @@ def multi_index(arity: int, *slots: int) -> tuple[int, ...]:
     return tuple(multi)
 
 
+def on_columns(args) -> bool:
+    """Whether ``args`` is a tuple of argument columns (arrays) rather than one point."""
+    return isinstance(args[0], np.ndarray)
+
+
 class JetEvaluator:
     """A pure holomorphic function handle: values plus partial derivatives.
 
@@ -296,13 +301,13 @@ class JetEvaluator:
     default to Cauchy circle quadrature with the radius derived from the
     declared domain; an optional ``partial_fn(args, multis)`` may supply
     closed forms.  A ``partial_fn`` answers or declines every multi-index,
-    the value included: it gets the whole request at one point, as asked,
-    and returns one entry per multi-index, NotImplemented where ``fn`` (for
-    the value) or the circles should answer.  One that has no closed form
-    for the value declines it before doing any work.  An optional
-    ``columns_fn(points, multis)`` answers ``columns``: every multi-index at
-    N points, one entry per multi-index, each an array over the points or a
-    constant.
+    the value included: it gets the whole request, as asked, and returns
+    one entry per multi-index, NotImplemented where ``fn`` (for the value)
+    or the circles should answer.  One that has no closed form for the
+    value declines it before doing any work.  ``partials`` and ``value``
+    take a point or a tuple of ``arity`` argument columns; with ``columns``
+    set, ``partial_fn`` and ``fn`` answer columns too, each entry an array
+    over the points or a constant, else each point is asked in turn.
     """
 
     def __init__(
@@ -312,19 +317,22 @@ class JetEvaluator:
         domain: Domain = EMPTY_DOMAIN,
         partial_fn: Callable | None = None,
         label: str = "",
-        columns_fn: Callable | None = None,
+        columns: bool = False,
     ):
         self.arity = arity
         self.fn = fn
         self.domain = domain
         self.partial_fn = partial_fn
         self.label = label
-        self.columns_fn = columns_fn
+        self.columns = columns
 
     def value(self, args: Sequence[complex]) -> complex:
+        """The value at a point, or the values on argument columns (through ``partials``)."""
         if len(args) != self.arity:
             raise ValueError(f"{self.label or 'evaluator'} takes {self.arity} "
                              f"arguments, got {len(args)}")
+        if on_columns(args):
+            return self.partials(args, (multi_index(self.arity),))[0]
         return complex(self.fn(*args))
 
     def deriv_radius(self, args: Sequence[complex], slot: int) -> float:
@@ -368,48 +376,30 @@ class JetEvaluator:
             )
         return vals
 
-    def columns(self, points: np.ndarray, multis: Sequence[Sequence[int]]) -> np.ndarray:
-        """Values and partials at N points in one call: ``points`` is an
-        (N, arity) array, and row r of the (len(multis), N) result is
-        multi-index r at every point.  Without ``columns_fn`` each point
-        is one ``partials`` call, so the rows are exactly its floats."""
-        points = np.asarray(points, dtype=complex)
-        if points.ndim != 2 or points.shape[1] != self.arity:
-            raise ValueError(f"{self.label or 'evaluator'} takes {self.arity} "
-                             f"argument columns, got shape {points.shape}")
-        if any(len(multi) != self.arity for multi in multis):
-            raise ValueError(f"{self.label or 'evaluator'} takes {self.arity} "
-                             f"derivative orders per multi-index")
-        n = len(points)
-        if self.columns_fn is None:
-            rows = [self.partials(row, multis) for row in points.tolist()]
-            return np.array(rows, dtype=complex).reshape(n, len(multis)).T
-        return np.array([np.broadcast_to(col, (n,)) for col in self.columns_fn(points, multis)],
-                        dtype=complex).reshape(len(multis), n)
-
-    def eval_circles(self, slot: int, points: np.ndarray, radii: Sequence[float],
+    def eval_circles(self, slot: int, args: Sequence[np.ndarray], radii: Sequence[float],
                      nodes: int) -> np.ndarray:
-        """Values on N circles, an (N, nodes) array: circle i runs in one
-        slot about points[i][slot] with radius radii[i], through the
-        nodes ``eval_circle`` would place.  With ``columns_fn`` every node
-        of every circle is one row of one ``columns`` call; without it
-        each circle is one ``eval_circle``.  A non-finite sample on any
-        circle raises ``DomainViolation``."""
-        points, radii = np.asarray(points, dtype=complex), np.asarray(radii, dtype=float)
-        if self.columns_fn is None:
+        """Values on N circles, an (N, nodes) array: circle i runs in one slot
+        about args[slot][i], ``args`` a tuple of argument columns, with radius
+        radii[i], through the nodes ``eval_circle`` would place.  With ``columns``
+        every node of every circle is one entry of one ``value`` call; without it
+        each circle is one ``eval_circle``.  A non-finite sample on any circle
+        raises ``DomainViolation``."""
+        args, radii = [np.asarray(col, dtype=complex) for col in args], np.asarray(radii, float)
+        if not self.columns:
+            rows = zip(*(col.tolist() for col in args))
             return np.array([self.eval_circle(slot, row, row[slot], r, nodes, [None])[0]
-                             for row, r in zip(points.tolist(), radii.tolist())],
-                            dtype=complex).reshape(len(points), nodes)
+                             for row, r in zip(rows, radii.tolist())],
+                            dtype=complex).reshape(len(radii), nodes)
         ring = np.array([cmath.exp(TWO_PI_I * k / nodes) for k in range(nodes)])
-        grid = np.repeat(points, nodes, axis=0)
-        grid[:, slot] = (points[:, slot, None] + radii[:, None] * ring).ravel()
-        vals = self.columns(grid, [multi_index(self.arity)])[0].reshape(len(points), nodes)
+        grid = [np.repeat(col, nodes) for col in args]
+        grid[slot] = (args[slot][:, None] + radii[:, None] * ring).ravel()
+        vals = self.value(tuple(grid)).reshape(len(radii), nodes)
         bad = np.flatnonzero(~np.isfinite(vals).all(axis=1))
         if len(bad):
             i = bad[0]
             raise DomainViolation(
                 f"{self.label or 'evaluator'}: non-finite samples on circle {i} of "
-                f"{len(points)}, radius {radii[i]} about {complex(points[i, slot])!r} "
+                f"{len(radii)}, radius {radii[i]} about {complex(args[slot][i])!r} "
                 f"in slot {slot}"
             )
         return vals
@@ -418,20 +408,23 @@ class JetEvaluator:
         return self.partials(args, (multi,))[0]
 
     def partials(self, args: Sequence[complex],
-                 multis: Sequence[Sequence[int]]) -> list[complex]:
-        """Values and partials at one point, one per multi-index.
-        ``partial_fn`` gets the request as asked, the zero multi-index
-        included; of what it declines, the value comes from ``fn`` and the
-        partials share one circle per leading slot, the orders read with
-        one rest sharing its row."""
+                 multis: Sequence[Sequence[int]]) -> list[complex] | np.ndarray:
+        """Values and partials, one per multi-index: a list at one point, a
+        (len(multis), N) array on argument columns (``_column_partials``).
+        At a point ``partial_fn`` gets the request as asked, the zero
+        multi-index included; of what it declines, the value comes from
+        ``fn`` and the partials share one circle per leading slot, the
+        orders read with one rest sharing its row."""
         if len(args) != self.arity:
             raise ValueError(f"{self.label or 'evaluator'} takes {self.arity} "
                              f"arguments, got {len(args)}")
-        args = tuple(args)
         for multi in multis:
             if len(multi) != self.arity:
                 raise ValueError(f"{self.label or 'evaluator'} takes {self.arity} "
                                  f"derivative orders, got {len(multi)}")
+        if on_columns(args):
+            return self._column_partials([np.asarray(col, dtype=complex) for col in args], multis)
+        args = tuple(args)
         out = (list(self.partial_fn(args, multis)) if self.partial_fn is not None
                else [NotImplemented] * len(multis))
         circles: dict[int, list] = {}
@@ -453,6 +446,33 @@ class JetEvaluator:
                 vals = rows[rests.index(rest)]
                 out[i] = _circle_coeff(vals, radius, order) * math.factorial(order)
         return out
+
+    def _column_partials(self, cols: list[np.ndarray], multis) -> np.ndarray:
+        """``partials`` on argument columns: with ``columns`` set, ``partial_fn`` and
+        a declined value's ``fn`` on them, an overflow or inf - inf a non-finite entry
+        (which fails a check or ``eval_circles``) with no warning first; every other
+        entry from each point's ``partials`` row, its exact floats."""
+        n = cols[0].size
+        if any(col.shape != (n,) for col in cols):
+            raise ValueError(f"{self.label or 'evaluator'} takes argument columns of one "
+                             f"length, got shapes {[col.shape for col in cols]}")
+        out = [NotImplemented] * len(multis)
+        if self.columns:
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                if self.partial_fn is not None:
+                    out = list(self.partial_fn(tuple(cols), multis))
+                out = [self.fn(*cols) if entry is NotImplemented and not any(multi) else entry
+                       for multi, entry in zip(multis, out)]
+        rest = [multi for multi, entry in zip(multis, out) if entry is NotImplemented]
+        if rest:
+            points = zip(*(col.tolist() for col in cols))
+            rows = iter(np.array([self.partials(point, rest) for point in points],
+                                 dtype=complex).reshape(n, len(rest)).T)
+            out = [next(rows) if entry is NotImplemented else entry for entry in out]
+        table = np.empty((len(multis), n), dtype=complex)
+        for i, entry in enumerate(out):
+            table[i] = entry  # an array over the points, or a constant
+        return table
 
 
 def _circle_coeff(vals: np.ndarray, radius, k: int):

@@ -413,7 +413,7 @@ def test_genus1_linear_potential_slope():
 
 
 # ---------------------------------------------------------------------------
-# columns: N points in one call against the same points one at a time
+# argument columns: N points in one call against the same points one at a time
 # ---------------------------------------------------------------------------
 
 
@@ -427,7 +427,7 @@ def _to_order(arity, top):
 
 def _column_evaluators(name):
     """(evaluator, structure, points per sample) for every evaluator the
-    catalog builds for the name with a columns_fn: each g, f, lambda and
+    catalog builds for the name that takes columns: each g, f, lambda and
     potential (genus0's and genus1's are differences), and genus2's g."""
     if name == "genus2":
         s = catalog.build_structure(name)
@@ -438,22 +438,22 @@ def _column_evaluators(name):
 
 
 def _points(s, n_p):
-    """32 seeded sample points as (N, arity) rows."""
-    return np.array([(*ps, *v) for ps, v in s.sample(32, 29, n_p)])
+    """32 seeded sample points as a tuple of argument columns."""
+    return tuple(np.array([(*ps, *v) for ps, v in s.sample(32, 29, n_p)]).T)
 
 
 def _one_at_a_time(e, points, multis):
-    return np.array([e.partials(row, multis) for row in points.tolist()]).T
+    return np.array([e.partials(row, multis) for row in zip(*(c.tolist() for c in points))]).T
 
 
 @pytest.mark.parametrize("name", ["benney", "genus0", "genus1", "genus2"])
 def test_columns_agree_with_points(name):
     for e, s, n_p in _column_evaluators(name):
-        assert e.columns_fn is not None, e.label
+        assert e.columns, e.label
         points = _points(s, n_p)
         multis = _to_order(e.arity, 2)
-        batch, single = e.columns(points, multis), _one_at_a_time(e, points, multis)
-        assert batch.shape == (len(multis), len(points))
+        batch, single = e.partials(points, multis), _one_at_a_time(e, points, multis)
+        assert batch.shape == (len(multis), len(points[0]))
         assert np.all(np.abs(batch - single) <= 1e-13 * np.abs(single)), e.label
 
 
@@ -484,14 +484,14 @@ def test_a_column_call_reads_every_order_two_jet_from_two_series(monkeypatch):
     s = catalog.build_structure("genus1", 2)
     points = _points(s, 1)
     calls = _count_theta_series(monkeypatch)
-    s.g[0].columns(points, _to_order(s.g[0].arity, 2))
+    s.g[0].partials(points, _to_order(s.g[0].arity, 2))
     assert len(calls) <= 2
 
 
 def _adapted():
     """(evaluator, structure, points per sample, top order) for evaluators
-    without a columns_fn: genus2's sheet-tracking f, its pushed f (a pushed
-    evaluator answers columns only where what it wraps does) and a
+    that do not take columns: genus2's sheet-tracking f, its pushed f (a
+    pushed evaluator takes columns only where what it wraps does) and a
     closed-collided g."""
     g2 = catalog.build_structure("genus2")
     collided = collide_points_closed(catalog.build_structure("benney", 3), [[0, 1]])
@@ -502,14 +502,15 @@ def _adapted():
 @pytest.mark.parametrize("index", range(3))
 def test_the_per_point_adapter_keeps_every_float(index):
     e, s, n_p, top = _adapted()[index]
-    assert e.columns_fn is None
+    assert not e.columns
     points = _points(s, n_p)
     multis = _to_order(e.arity, top)
-    assert np.array_equal(e.columns(points, multis), _one_at_a_time(e, points, multis))
+    assert np.array_equal(e.partials(points, multis), _one_at_a_time(e, points, multis))
+    assert np.array_equal(e.value(points), _one_at_a_time(e, points, multis[:1])[0])
     if n_p == 2:
         # circles in slot 0 about p_1, as the pole check draws them
-        points[:, 1] = points[:, 0]
-        radii = [_diagonal_radius(e, row[0], row[2:]) for row in points.tolist()]
-        want = [e.eval_circle(0, row, row[0], r, 16, [None])[0]
-                for row, r in zip(points.tolist(), radii)]
+        points = (points[0], points[0], *points[2:])
+        rows = list(zip(*(c.tolist() for c in points)))
+        radii = [_diagonal_radius(e, row[0], row[2:]) for row in rows]
+        want = [e.eval_circle(0, row, row[0], r, 16, [None])[0] for row, r in zip(rows, radii)]
         assert np.array_equal(e.eval_circles(0, points, radii, 16), np.array(want))

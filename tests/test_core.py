@@ -51,6 +51,7 @@ from gtlab.kernel import (
     cauchy_derivative,
     circle_path,
     multi_index,
+    on_columns,
     polyline_path,
 )
 
@@ -146,6 +147,19 @@ def test_collision_limit_agrees_with_closed_form():
         for gl, gc in zip(lim.g, closed.g):
             assert gl.value((ps[0], *v)) == pytest.approx(
                 gc.value((ps[0], *v)), rel=1e-5)
+
+
+def test_a_coordinate_outside_every_group_keeps_its_field_through_the_limit():
+    # benney(3) collides u_1 and u_2; u_3 is in no group, so its limit
+    # component is g_3 at the substituted fiber point, the closed form's g_3
+    s = catalog.build_structure("benney", 3)
+    lim = collide_points_limit(s, [[0, 1]])
+    closed = collide_points_closed(s, [[0, 1]])
+    for rep in verify_all(lim, 10, tol=1e-6):
+        assert rep.passed, f"{rep.identity}: {rep.max_residual}"
+    for (p,), v in lim.sample(10, seed=5, n_p=1):
+        want = closed.g[2].value((p, *v))
+        assert abs(lim.g[2].value((p, *v)) - want) <= 1e-12 * abs(want)
 
 
 def test_collide_enhanced_keeps_lambda_identity():
@@ -318,17 +332,17 @@ def test_pushed_columns_are_the_per_point_jets(name, mu):
     pushed = pushforward(s, change)
     evaluators = [*pushed.g, pushed.f]
     if name == "genus2":
-        assert pushed.f.columns_fn is None
+        assert not pushed.f.columns
         evaluators.pop()
     else:
         evaluators.append(pushforward_lambda(catalog.build_enhanced(name, 2), change).lam)
     for e in evaluators:
-        assert e.columns_fn is not None, e.label
-        points = np.array([(*ps, *v) for ps, v in pushed.sample(4, seed=21, n_p=e.arity - s.m)])
+        assert e.columns, e.label
+        points = [(*ps, *v) for ps, v in pushed.sample(4, seed=21, n_p=e.arity - s.m)]
         firsts = [multi_index(e.arity)] + [multi_index(e.arity, t) for t in range(e.arity)]
-        second = [multi_index(e.arity, 0, 1)] if change.mu.columns_fn else []
-        got = e.columns(points, firsts + second)
-        want = np.array([e.partials(row, firsts + second) for row in points.tolist()]).T
+        second = [multi_index(e.arity, 0, 1)] if change.mu.columns else []
+        got = e.partials(tuple(np.array(points).T), firsts + second)
+        want = np.array([e.partials(row, firsts + second) for row in points]).T
         n = len(firsts)
         gap = np.abs(got[:n] - want[:n]) / np.maximum(np.abs(want[:n]), 1.0)
         assert gap.max() <= 1e-12, (e.label, gap.max())
@@ -489,9 +503,9 @@ def test_transformed_first_partials_open_no_circle(tmp_path, monkeypatch, cfg):
     circles, opened = [], []
     batch, radius = JetEvaluator.eval_circles, JetEvaluator.deriv_radius
 
-    def counted(self, slot, points, *args):
-        circles.append((self.label, len(points)))
-        return batch(self, slot, points, *args)
+    def counted(self, slot, args, *rest):
+        circles.append((self.label, len(args[0])))
+        return batch(self, slot, args, *rest)
 
     def asked(self, *args):
         opened.append(self.label)
@@ -789,21 +803,16 @@ def test_report_with_a_nan_residual_fails_wherever_it_stands():
 
 def _nan_f_structure(at: complex | None = None) -> GTStructure:
     """benney(2) whose f reads NaN wherever its first argument is ``at``
-    (everywhere for None): in values, in partials and in columns."""
+    (everywhere for None): in values and in partials, at a point and on
+    argument columns."""
     s = catalog.build_structure("benney", 2)
-    nan = complex(math.nan, 0.0)
 
-    def hit(p1):
-        return at is None or p1 == at
+    def spoiled(args, x):
+        return np.where(at is None or args[0] == at, complex(math.nan, 0.0), x)
 
-    def columns_fn(points, multis):
-        out = s.f.columns(points, multis)
-        out[:, [hit(p1) for p1 in points[:, 0].tolist()]] = nan
-        return out
-
-    f = JetEvaluator(s.f.arity, lambda *args: nan if hit(args[0]) else s.f.fn(*args),
-                     domain=s.f.domain, label="nan f", columns_fn=columns_fn,
-                     partial_fn=lambda args, multis: [nan if hit(args[0]) else x
+    f = JetEvaluator(s.f.arity, lambda *args: spoiled(args, s.f.fn(*args)),
+                     domain=s.f.domain, label="nan f", columns=True,
+                     partial_fn=lambda args, multis: [spoiled(args, x)
                                                       for x in s.f.partial_fn(args, multis)])
     return GTStructure(m=s.m, g=s.g, f=f, label="benney+nan f", p_box=s.p_box,
                        v_boxes=s.v_boxes, min_separation=s.min_separation)
@@ -848,18 +857,11 @@ def test_a_non_finite_circle_in_a_batch_fails_closed(batched, where):
     s = catalog.build_structure("benney", 2)
     points = np.array([(ps[0], ps[0], *v) for ps, v in s.sample(7, 1, 2)])
     bad = points[where, 1]
-    f = JetEvaluator(s.f.arity, lambda *args: math.nan if args[1] == bad else s.f.fn(*args),
-                     domain=s.f.domain, label="spoiled f")
-    if batched:
-        def columns_fn(pts, multis):
-            out = s.f.columns(pts, multis)
-            out[:, pts[:, 1] == bad] = math.nan
-            return out
-
-        f.columns_fn = columns_fn
+    f = JetEvaluator(s.f.arity, lambda *args: np.where(args[1] == bad, math.nan, s.f.fn(*args)),
+                     domain=s.f.domain, label="spoiled f", columns=batched)
     radii = [_diagonal_radius(f, row[0], row[2:]) for row in points.tolist()]
     with pytest.raises(DomainViolation, match="non-finite samples on"):
-        f.eval_circles(0, points, radii, 16)
+        f.eval_circles(0, tuple(points.T), radii, 16)
     spoiled = GTStructure(m=s.m, g=s.g, f=f, p_box=s.p_box, v_boxes=s.v_boxes)
     with pytest.raises(DomainViolation, match="non-finite samples on"):
         verify_pole(spoiled, samples=7, seed=1)
@@ -952,24 +954,29 @@ def test_partial_argument_count_check_holds_under_optimize_flag():
 
 
 def _asked_per_point(monkeypatch):
-    """Count, through ``columns``, how often each evaluator is asked at
-    each point and how many calls it takes; asking ``partials`` or
-    ``partial`` at one point fails."""
+    """Count, through ``partials`` on argument columns, how often each
+    evaluator is asked at each point and how many calls it takes; asking
+    ``partials``, ``partial`` or ``value`` at one point fails."""
     asked, calls = Counter(), Counter()
-    columns = JetEvaluator.columns
+    partials = JetEvaluator.partials
 
-    def counted(self, points, multis):
+    def counted(self, args, multis):
         calls[self.label] += 1
-        for row in np.asarray(points).tolist():
-            asked[self.label, tuple(row)] += 1
-        return columns(self, points, multis)
+        for row in zip(*(col.tolist() for col in args)):
+            asked[self.label, row] += 1
+        return partials(self, args, multis)
 
-    def single(self, *args):
-        raise AssertionError("a consumer asked for one point at a time")
+    def columns_only(method):
+        def checked(self, args, *rest):
+            if not on_columns(args):
+                raise AssertionError("a consumer asked for one point at a time")
+            return method(self, args, *rest)
 
-    monkeypatch.setattr(JetEvaluator, "columns", counted)
-    monkeypatch.setattr(JetEvaluator, "partials", single)
-    monkeypatch.setattr(JetEvaluator, "partial", single)
+        return checked
+
+    for name, method in (("partials", counted), ("partial", JetEvaluator.partial),
+                         ("value", JetEvaluator.value)):
+        monkeypatch.setattr(JetEvaluator, name, columns_only(method))
     return asked, calls
 
 
@@ -982,6 +989,12 @@ def test_bracket_asks_each_evaluator_once_per_point(monkeypatch):
     assert len(asked) == 3 * (2 * 2 + 2)
     assert set(asked.values()) == {1}
     assert calls == {"benney:g[0]": 1, "benney:g[1]": 1, "benney:f": 1}
+    # the count sees every ask: one at a single point fails it
+    point = (0.1 + 0.2j, -0.3j, 0.5, 0.7j)
+    for ask in (lambda: s.f.partials(point, [(0, 0, 0, 0)]), lambda: s.f.value(point),
+                lambda: s.f.partial(point, (1, 0, 0, 0))):
+        with pytest.raises(AssertionError, match="one point at a time"):
+            ask()
 
 
 # calls per evaluator: one per jet it is asked for (f's full jet and its

@@ -1,6 +1,7 @@
 """Every module-level function and class of the package, and every method
 of its classes, is used somewhere; evaluators override ``eval_rows``, never
-``eval_circle``; and only ``Domain`` answers a per-slot ``clearance``.
+``eval_circle``; only ``Domain`` answers a per-slot ``clearance``; and only
+the kernel tells one point from a tuple of argument columns.
 
 A definition counts as used when its name appears as a code token in the
 package, the tests or the benchmark besides its own definitions.  Names
@@ -19,9 +20,9 @@ PACKAGE = ROOT / "src" / "gtlab"
 SEARCHED = (PACKAGE, ROOT / "tests", ROOT / "bench")
 
 
-def _name_tokens() -> Counter:
+def _name_tokens(bases=SEARCHED) -> Counter:
     counts: Counter = Counter()
-    for base in SEARCHED:
+    for base in bases:
         for path in sorted(base.rglob("*.py")):
             with tokenize.open(path) as fh:
                 for tok in tokenize.generate_tokens(fh.readline):
@@ -84,3 +85,29 @@ def test_only_the_domain_defines_clearance():
     # move is the domain's question alone
     owners = sorted(owner for owner, name in _method_definitions() if name == "clearance")
     assert owners == ["kernel.py:Domain"], owners
+
+
+def _tells_a_point_from_columns(node: ast.AST) -> bool:
+    """Whether ``node`` is ``isinstance(<args>[0], np.ndarray)``: the test
+    of whether a request is one point or a tuple of argument columns."""
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "isinstance" and len(node.args) == 2
+            and isinstance(node.args[0], ast.Subscript)
+            and ast.unparse(node.args[0].slice) == "0"
+            and ast.unparse(node.args[1]) == "np.ndarray")
+
+
+def test_one_entry_point_answers_points_and_columns():
+    # partials and value take a point or a tuple of argument columns: the
+    # kernel alone tells which, and no second entry for columns exists
+    tests = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for fn in tree.body:
+            tests += [f"{path.name}:{getattr(fn, 'name', '?')}" for node in ast.walk(fn)
+                      if _tells_a_point_from_columns(node)]
+    assert tests == ["kernel.py:on_columns"], tests
+    assert [d for d in _module_level_definitions() if "on_columns" in d[1]] == [
+        ("kernel.py", "on_columns")]
+    assert _name_tokens([PACKAGE])["columns_fn"] == 0
+    assert [owner for owner, name in _method_definitions() if name == "columns"] == []

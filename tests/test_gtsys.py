@@ -8,11 +8,14 @@ from itertools import product
 
 import pytest
 
-from gtlab import catalog
+import numpy as np
+
+from gtlab import catalog, gtsys
 from gtlab.core import GTStructure
-from gtlab.errors import ConfigError
+from gtlab.errors import ConfigError, NonConvergence
 from gtlab.gtsys import (
     FreeData,
+    ReductionResult,
     _flow,
     _State,
     build_system,
@@ -386,3 +389,13 @@ def test_convergence_ratio_is_second_order():
     ratio, coarse, fine = convergence_ratio(sys_, M=2, steps=10, h=0.02)
     assert 3.5 <= ratio <= 4.5, ratio
     assert fine.residual < coarse.residual
+
+
+def test_convergence_ratio_refuses_a_zero_fine_grid_residual(monkeypatch):
+    # a march that closes exactly on the fine grid leaves no ratio to read
+    sys_ = build_system(catalog.build_structure("benney", 1))
+    exact = ReductionResult(M=2, steps=8, h=0.02, grid_v1=np.zeros((9, 9), dtype=complex),
+                            residual=0.0, blow_up=False, blow_up_at=None)
+    monkeypatch.setattr(gtsys, "integrate_reduction", lambda *args, **kwargs: exact)
+    with pytest.raises(NonConvergence, match=r"^zero fine-grid residual; ratio undefined$"):
+        convergence_ratio(sys_)

@@ -10,7 +10,7 @@ import pytest
 
 from gtlab import catalog, hierarchy
 from gtlab.core import Potential
-from gtlab.errors import ConfigError, SamplingExhausted
+from gtlab.errors import ConfigError, DomainViolation, NonConvergence, SamplingExhausted
 from gtlab.hierarchy import (
     PotentialFamily,
     compatibility_tensor,
@@ -259,3 +259,44 @@ def test_integrability_criterion_rejects_foreign_potential():
                              enhanced=fam.enhanced)
     rep = criterion_integrable(broken, samples=20, seed=19, tol=1e-8)
     assert not rep.passed
+
+
+# ---------------------------------------------------------------------------
+# the fail-closed guards of the hydro extraction and the reconstruction
+# ---------------------------------------------------------------------------
+
+
+def test_dimension_d_refuses_a_rank_that_moves_under_sample_doubling(monkeypatch):
+    # a tensor of rank nz / 20: 2 on the 40 z points, 4 on the doubled 80
+    fam = _family("benney", 2)
+    monkeypatch.setattr(hierarchy, "compatibility_tensor",
+                        lambda fam, i, j, k, v, zs: np.eye(len(zs) // 20, len(zs)))
+    with pytest.raises(NonConvergence, match=r"^rank unstable under sample doubling: 2 vs 4$"):
+        dimension_D(fam, 0, 1, 2, _fiber(fam))
+
+
+def test_hydro_extraction_refuses_potentials_that_ignore_the_fiber():
+    # p, log p and log(p - 1) on benney(2): every fiber partial is 0, so
+    # every compatibility function vanishes and there is no basis to pick
+    fam = _family("benney", 2)
+    arity = 1 + fam.m
+    flat = [catalog.place(catalog.IDENTITY, arity, (0,)),
+            *(catalog.place(catalog._frozen_log(point), arity, (0,)) for point in (0.0, 1.0))]
+    fam = PotentialFamily(fam.structure, [Potential(h) for h in flat], label="flat")
+    assert not compatibility_tensor(fam, 0, 1, 2, _fiber(fam), [0.3 + 0.2j]).any()
+    with pytest.raises(NonConvergence, match=r"^compatibility tensor vanishes identically$"):
+        hydro_coefficients(fam, 0, 1, 2, _fiber(fam))
+
+
+def test_lambda_reconstruction_refuses_a_vanishing_h_prime():
+    # through (p - c)^2, whose derivative vanishes at p1 = c; the sampled
+    # draws miss c, the returned reconstruction is asked there
+    fam = _family("benney", 2)
+    c = 0.3 + 0.2j
+    square = JetEvaluator(1 + fam.m, lambda *args: (args[0] - c) ** 2, label="(p-c)^2")
+    fam = PotentialFamily(fam.structure, [Potential(square), *fam.potentials],
+                          enhanced=fam.enhanced)
+    rec, _ = reconstruct_lambda(fam, 0, samples=3, seed=13)
+    (_, p2), v = fam.structure.sample(1, 13, 2)[0]
+    with pytest.raises(DomainViolation, match=r"^h'\(p1\) vanishes$"):
+        rec(c, p2, v)

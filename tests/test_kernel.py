@@ -375,17 +375,53 @@ def test_a_non_finite_circle_sample_fails_closed():
 
 def test_jet_requests_of_the_wrong_shape_are_refused():
     e = JetEvaluator(2, lambda p, u: p * u, label="pu")
-    with pytest.raises(ValueError, match=r"^pu takes 2 argument columns, got shape \(3, 3\)$"):
-        e.columns(np.ones((3, 3)), [(0, 0)])
-    with pytest.raises(ValueError, match=r"^pu takes 2 argument columns, got shape \(2,\)$"):
-        e.columns(np.ones(2), [(0, 0)])
-    with pytest.raises(ValueError, match=r"^pu takes 2 derivative orders per multi-index$"):
-        e.columns(np.ones((3, 2)), [(0, 0), (1, 0, 0)])
     with pytest.raises(ValueError, match=r"^pu takes 2 arguments, got 3$"):
         e.partials((1.0, 2.0, 3.0), [(0, 0)])
     with pytest.raises(ValueError, match=r"^pu takes 2 derivative orders, got 1$"):
         e.partials((1.0, 2.0), [(1,)])
     assert e.partials((1.0, 2.0), [(0, 0)]) == [2.0]
+
+
+@pytest.mark.parametrize("columns", [False, True])
+def test_column_requests_of_the_wrong_shape_are_refused(columns):
+    # a tuple of argument columns: one column per argument, each of one
+    # length, every multi-index of the evaluator's arity
+    e = JetEvaluator(2, lambda p, u: p * u, label="pu", columns=columns)
+    with pytest.raises(ValueError, match=r"^pu takes 2 arguments, got 3$"):
+        e.partials((np.ones(3),) * 3, [(0, 0)])
+    with pytest.raises(ValueError, match=r"^pu takes 2 arguments, got 1$"):
+        e.value((np.ones(3),))
+    with pytest.raises(ValueError, match=r"^pu takes argument columns of one length, "
+                                         r"got shapes \[\(3,\), \(2,\)\]$"):
+        e.partials((np.ones(3), np.ones(2)), [(0, 0)])
+    with pytest.raises(ValueError, match=r"^pu takes argument columns of one length, "
+                                         r"got shapes \[\(3, 2\), \(3,\)\]$"):
+        e.value((np.ones((3, 2)), np.ones(3)))
+    with pytest.raises(ValueError, match=r"^pu takes argument columns of one length, "
+                                         r"got shapes \[\(\), \(\)\]$"):
+        e.partials((np.array(1.0), np.array(2.0)), [(0, 0)])
+    with pytest.raises(ValueError, match=r"^pu takes 2 derivative orders, got 3$"):
+        e.partials((np.ones(3), np.ones(3)), [(0, 0), (1, 0, 0)])
+    got = e.partials((np.arange(3.0), np.full(3, 2.0)), [(0, 0)])
+    assert got.shape == (1, 3) and got.tolist() == [[0.0, 2.0, 4.0]]
+
+
+def test_a_radius_on_a_declared_locus_is_refused():
+    # clearance 0 at the pole: no circle to sample on, named by slot and evaluator
+    with pytest.raises(DomainViolation, match=r"^argument 0 of 1/\(p-2\) sits on a declared "
+                                              r"singular locus \(clearance 0\.0\)$"):
+        _rational().deriv_radius((2.0,), 0)
+    with pytest.raises(DomainViolation, match="sits on a declared singular locus"):
+        _rational().partial((2.0,), (1,))
+
+
+def test_an_order_zero_cauchy_derivative_is_the_value():
+    # without a node-doubling check the value opens no circle; with one it
+    # is the circle's mean, the same number to quadrature accuracy
+    e = _rational()
+    assert cauchy_derivative(e, 0, (0.5,), 0) == e.value((0.5,)) == 1.0 / (0.5 - 2.0)
+    assert cauchy_derivative(e, 0, (0.5,), 0, tol=1e-12) == pytest.approx(1.0 / (0.5 - 2.0),
+                                                                         rel=1e-13)
 
 
 def test_laurent_coeff_recovers_residue():
@@ -535,6 +571,13 @@ def test_rho_quasi_periodicity():
     assert complex(rho(z + 1.0, TAU)) == pytest.approx(complex(rho(z, TAU)), rel=1e-10)
     jump = complex(rho(z + TAU, TAU)) - complex(rho(z, TAU))
     assert jump == pytest.approx(-2j * math.pi, rel=1e-10)
+
+
+@pytest.mark.parametrize("z", [1e-8, -5e-8j, 1.0 + TAU + 9e-8])
+def test_rho_refuses_a_point_within_1e_7_of_a_theta_zero(z):
+    with pytest.raises(PoleHit, match=r"^rho evaluated within 1e-7 of a theta zero$"):
+        rho(z, TAU)
+    assert cmath.isfinite(rho(z + 2e-7, TAU))
 
 
 def test_rho_simple_pole_at_origin():
