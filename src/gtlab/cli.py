@@ -187,9 +187,7 @@ def _cmd_potentials(cfg):
     tol = float(cfg.get("tol", 1e-8))
     seed = cfg["seed"]
     ent, enh, n = _build_enhanced(cfg)
-    if ent.potentials is None:
-        raise ConfigError(f"{ent.name} has no catalog potentials")
-    pots = ent.potentials(n)
+    pots = catalog.build_potentials(ent.name, n)
     reports = []
     for idx, pot in enumerate(pots):
         rep = verify_potential(enh, pot, samples, seed + idx, tol)
@@ -278,9 +276,7 @@ def _cmd_hydro(cfg):
     svd_tol = float(cfg.get("svd_tol", 1e-8))
     i, j, k = cfg.get("triple", [0, 1, 2])
     ent, enh, n = _build_enhanced(cfg)
-    if ent.potentials is None:
-        raise ConfigError(f"{ent.name} has no catalog potentials")
-    pots = ent.potentials(n)
+    pots = catalog.build_potentials(ent.name, n)
     fam = hierarchy.PotentialFamily(enh.base, pots, enhanced=enh,
                                     label=ent.name)
     _, v = fam.structure.sample(1, seed, 1)[0]
@@ -318,9 +314,7 @@ def _cmd_reconstruct(cfg):
     pair = cfg.get("pair", [0, 1])
     index = int(cfg.get("index", 0))
     ent, enh, n = _build_enhanced(cfg)
-    if ent.potentials is None:
-        raise ConfigError(f"{ent.name} has no catalog potentials")
-    pots = ent.potentials(n)
+    pots = catalog.build_potentials(ent.name, n)
     _check_indices("pair", pair, len(pots))
     _check_indices("index", [index], len(pots))
     fam = hierarchy.PotentialFamily(enh.base, pots, enhanced=enh,

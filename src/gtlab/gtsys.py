@@ -13,12 +13,14 @@ with A = f / g_1, B_l = g_l / g_1 and
     Q(p_1, p_2) = 2 f_{p_2}(p_1, p_2) / g_1(p_1)
         + (f(p_1, p_2) g_1'(p_2) + g(p_1)(g_1(p_2))) / (g_1(p_1) g_1(p_2)).
 
-``GTSystem.fiber`` asks each g_k once at a point and gives the B_l
-there; ``GTSystem.pair`` reads those jets and gives A and Q at a pair of
-points, each with its first-partial rows when asked.  Both checks below rest on one first-order
+``GTSystem.fiber`` asks each g_k once at a point and gives the B_l and
+their first-partial rows there; ``GTSystem.pair`` reads the jets ``fiber``
+gave at two points and gives A and Q at the pair, each with its
+first-partial rows when asked.  Both checks below rest on one first-order
 flow: d_i of every field of a state (p, v, w), together with the A, Q and
 B_l values it used and, where a mixed derivative along i needs them, their
-rows; it is memoised on the state, once per direction.  One
+rows; it reads g from the state's jet table, ``fiber`` at each point,
+and both are memoised on the state, the flow once per direction.  One
 mixed-derivative rule takes d_a d_b of a field by the chain rule through
 the rows of the flow along b.
 ``compatibility_residual`` compares d_i d_j with d_j d_i for every field
@@ -49,18 +51,18 @@ G1_FLOOR = 1e-8  # |g_1| below this counts as a zero of g_1
 class GTSystem:
     """Coefficient functions of the quasilinear system.
 
-    ``fiber(args, rows)`` at (p, v) gives (jets, B, B_rows): jets[k] is
-    (g_k,) or, with ``rows``, g_k followed by its first partials;
-    B[l] = B_l(p, v) and B_rows[l] its first-partial row in slot order,
-    None at l = 0 (B_1 = 1) and B_rows None without ``rows``.
-    ``pair(jets, args, rows)`` gives (A, Q, A_row, Q_row) at
-    (p_1, p_2, v) from the jets ``fiber`` gave at (p_1, v), asked with the
-    same ``rows``; the rows are None unless ``rows`` is set.
+    ``fiber(args)`` at (p, v) gives (jets, B, B_rows): jets[k] is g_k
+    followed by its first partials, and for g_1 (k = 0) by its second
+    partials too; B[l] = B_l(p, v) and B_rows[l] its first-partial row in
+    slot order, both None at l = 0 (B_1 = 1).  ``pair(jets_1, jets_2,
+    args, rows)`` gives (A, Q, A_row, Q_row) at (p_1, p_2, v) from the jets
+    ``fiber`` gave at (p_1, v) and (p_2, v); the rows are None unless
+    ``rows`` is set.
     """
 
     structure: GTStructure
-    fiber: Callable[[Sequence[complex], bool], tuple]
-    pair: Callable[[list, Sequence[complex], bool], tuple]
+    fiber: Callable[[Sequence[complex]], tuple]
+    pair: Callable[[list, list, Sequence[complex], bool], tuple]
 
     @property
     def m(self) -> int:
@@ -70,18 +72,18 @@ class GTSystem:
 def build_system(s: GTStructure) -> GTSystem:
     """Convert a structure into its quasilinear system.
 
-    ``fiber`` asks each g_k once at (p, v): for its value, or in one
-    ``partials`` call for its value and first partials.  ``pair`` reuses
-    those jets at p_1, computes the terms A and Q share (F, F_2, G_1, G_2,
-    N) once and, with ``rows``, every first partial of both by the chain
-    rule.  Values only, it asks f for F and d_{p_2} f and g_1 for its first
-    partials at p_2; with rows, each of these calls asks for the rows'
-    partials as well, the same expressions giving the same A, Q and B bit
-    for bit.  So f's second partials d_{p_2} d_k f come from f's own
+    ``fiber`` asks each g_k once at (p, v), in one ``partials`` call, for
+    its value and first partials, and g_1 for its second partials too:
+    every point is some pair's p_2.  ``pair`` reads g at both points from
+    those jets and asks only f: for F and d_{p_2} f or, with ``rows``,
+    every first partial and d_{p_2} d_k f too, the same expressions giving
+    the same A and Q bit for bit.  It computes the terms A and Q share (F,
+    F_2, G_1, G_2, N) once and, with ``rows``, every first partial of both
+    by the chain rule.  So f's second partials come from f's own
     ``partial_fn`` where it has them (every catalog f, genus2's included),
     and an f or g without closed forms opens its circles on its own domain,
-    where no circle approaches a zero of g_1.  A |g_1| below ``G1_FLOOR``
-    at any point raises ``DomainViolation``.
+    where no circle approaches a zero of g_1.  ``fiber`` raises
+    ``DomainViolation`` at a |g_1| below ``G1_FLOOR``.
     """
     if s.m < 1:
         raise ConfigError("need at least one fiber coordinate")
@@ -92,40 +94,30 @@ def build_system(s: GTStructure) -> GTSystem:
     if abs(g1.value((probe_ps[0], *probe_v))) < G1_FLOOR:
         raise ConfigError("g_1 vanishes at a generic point")
 
-    def g1_floor(p, val):
-        """``val`` = g_1(p, v), unless it lies below the floor: a zero of g_1."""
-        if abs(val) < G1_FLOOR:
-            raise DomainViolation(f"g_1({p}) = {val} below floor {G1_FLOOR}")
-        return val
-
     f_jet = _jet(2 + m, *range(2 + m))  # a value and every first partial
     f_val = _jet(2 + m, 1)  # f and d_{p_2} f
     g_jet = _jet(1 + m, *range(1 + m))
     f_mixed = [multi_index(2 + m, 1, k) for k in range(2 + m)]  # d_1 d_k f
     g_pairs = [(a, b) for a in range(1 + m) for b in range(a, 1 + m)]
-    g_hess = [multi_index(1 + m, a, b) for a, b in g_pairs]
+    g1_jet = g_jet + [multi_index(1 + m, a, b) for a, b in g_pairs]  # and every second partial
 
-    def fiber(args, rows):
+    def fiber(args):
         """(jets, B, B_rows) at (p, v); see ``GTSystem``."""
-        jets = [gk.partials(args, g_jet) if rows else (gk.value(args),) for gk in s.g]
-        G = g1_floor(args[0], jets[0][0])
-        B, B_rows = [None] * m, [None] * m if rows else None
-        for l in range(1, m):
-            B[l] = jets[l][0] / G
-            if rows:
-                dG, gl, dgl = jets[0][1:], jets[l][0], jets[l][1:]
-                B_rows[l] = [dgl[k] / G - gl * dG[k] / G**2 for k in range(1 + m)]
+        jets = [g1.partials(args, g1_jet), *(gk.partials(args, g_jet) for gk in s.g[1:])]
+        G, dG = jets[0][0], jets[0][1:]
+        if abs(G) < G1_FLOOR:  # a zero of g_1
+            raise DomainViolation(f"g_1({args[0]}) = {G} below floor {G1_FLOOR}")
+        B = [None] + [jet[0] / G for jet in jets[1:]]
+        B_rows = [None] + [[dgl[k] / G - gl * dG[k] / G**2 for k in range(1 + m)]
+                           for gl, *dgl in jets[1:]]
         return jets, B, B_rows
 
-    def pair(jets, args, rows):
-        """(A, Q, A_row, Q_row) at (p_1, p_2, v); the rows are None unless
-        ``rows`` is set."""
-        p2, v = args[1], args[2:]
-        # every g_k at p1, with its first partials for rows: dg[k][j] = d_j g_k(p1)
-        gv, dg = [jet[0] for jet in jets], [jet[1:] for jet in jets]
+    def pair(jets_1, jets_2, args, rows):
+        """(A, Q, A_row, Q_row) at (p_1, p_2, v); see ``GTSystem``."""
+        # g_k at p1 and g_1 at p2 with their partials: dg[k][j] = d_j g_k(p1)
+        gv, dg = [jet[0] for jet in jets_1], [jet[1:] for jet in jets_1]
         G1 = gv[0]
-        G2, *dG2 = g1.partials((p2, *v), g_jet + g_hess if rows else g_jet)
-        G2 = g1_floor(p2, G2)
+        G2, *dG2 = jets_2[0]
         if rows:
             F, *dfs = s.f.partials(args, f_jet + f_mixed)
             df, d1f = dfs[:2 + m], dfs[2 + m:]
@@ -221,12 +213,13 @@ class _State:
     w_i = d_i v_1 and, for a reduction march, the own-direction slopes
     y_i = d_i p_i and z_i = d_i w_i.  A state of derivatives has the same
     fields, None where a field has no equation along the direction.
-    ``flows`` memoises ``_flow`` per direction; a state is not changed
-    once a flow has read it."""
+    ``fibers`` is its jet table, ``fiber`` at every (p_k, v), and ``flows``
+    memoises ``_flow`` per direction; both fill on first use, and a state
+    is not changed once a flow has read it."""
 
     def __init__(self, p, v, w, y=None, z=None):
         self.p, self.v, self.w, self.y, self.z = p, v, w, y, z
-        self.flows = {}
+        self.fibers, self.flows = None, {}
 
     def step(self, h, d):
         """This state advanced by h along the derivative state d; a field
@@ -242,25 +235,27 @@ class _State:
 def _flow(sys: GTSystem, st: _State, i: int, rows: bool = False):
     """d_i of p, v and w by the system, with the coefficients it used:
     (d, A, Q, B, A_rows, Q_rows, B_rows) where A[k] = A(p_i, p_k, v) and
-    Q[k] likewise (None at k = i), B[l] = B_l(p_i, v) (None at l = 0), and,
-    if ``rows``, A_rows[k], Q_rows[k] and B_rows[l] are the first-partial
-    rows of A[k], Q[k] and B[l] (else None).  One ``fiber`` call asks each
-    g_k at p_i once, and every pair reads its jets.  d_i p_i and d_i w_i
-    are the state's own slopes y_i and z_i, None without them.  The flow is
-    memoised on the state: once per direction, and once more if rows are
+    Q[k] likewise (None at k = i), B[l] = B_l(p_i, v) (None at l = 0), and
+    A_rows[k], Q_rows[k] and B_rows[l] are the first-partial rows of A[k],
+    Q[k] and B[l], A_rows and Q_rows None unless ``rows``.  It reads g
+    from the state's jet table.  d_i p_i and d_i w_i are the state's own
+    slopes y_i and z_i, None without them.  The flow is memoised on the
+    state: once per direction, and once more, asking f again, if rows are
     asked after values."""
     memo = st.flows.get(i)
     if memo is not None and (memo[4] is not None or not rows):
         return memo
     p, v, w = st.p, st.v, st.w
     M = len(p)
-    jets, B, B_rows = sys.fiber((p[i], *v), rows)
+    if st.fibers is None:
+        st.fibers = [sys.fiber((pk, *v)) for pk in p]
+    jets, B, B_rows = st.fibers[i]
     A, Q = [None] * M, [None] * M
     A_rows, Q_rows = ([None] * M, [None] * M) if rows else (None, None)
     dp, dw = [None] * M, [None] * M
     for k in range(M):
         if k != i:
-            A[k], Q[k], *jet = sys.pair(jets, (p[i], p[k], *v), rows)
+            A[k], Q[k], *jet = sys.pair(jets, st.fibers[k][0], (p[i], p[k], *v), rows)
             if rows:
                 A_rows[k], Q_rows[k] = jet
             dp[k] = A[k] * w[i]

@@ -29,6 +29,14 @@ def test_unknown_structure_raises():
         catalog.build_enhanced("genus2")
 
 
+def test_genus2_has_no_catalog_potentials():
+    # the one entry without potentials; the CLI's potential commands refuse
+    # it earlier, as it has no enhancement either
+    assert catalog.CATALOG["genus2"].potentials is None
+    with pytest.raises(ConfigError, match=r"^no potentials catalogued for 'genus2'$"):
+        catalog.build_potentials("genus2")
+
+
 def test_minimum_puncture_counts():
     with pytest.raises(ConfigError):
         catalog.build_structure("benney", 0)

@@ -46,11 +46,11 @@ def test_coefficient_values_match_closed_forms():
     def g(k, p):
         return 1.0 / (p - V[k])
 
-    jets, B, B_rows = sys_.fiber((P1, *V), False)
-    A, Q, _, _ = sys_.pair(jets, (P1, P2, *V), False)
+    jets, B, B_rows = sys_.fiber((P1, *V))
+    A, Q, _, _ = sys_.pair(jets, sys_.fiber((P2, *V))[0], (P1, P2, *V), False)
     f12 = 1.0 / (P1 - P2)
     assert A == pytest.approx(f12 / g(0, P1), rel=1e-12)
-    assert B[0] is None and B_rows is None  # B_1 = 1: the flow uses w itself
+    assert B[0] is None and B_rows[0] is None  # B_1 = 1: the flow uses w itself
     assert B[1] == pytest.approx(g(1, P1) / g(0, P1), rel=1e-12)
     # Q = 2 f_{p2}/g1(p1) + (f g1'(p2) + g(p1)(g1(p2))) / (g1(p1) g1(p2));
     # for this structure f_{p2} = 1/(p1-p2)^2, g1'(p) = -1/(p-u1)^2 and the
@@ -60,6 +60,19 @@ def test_coefficient_values_match_closed_forms():
     action = g(0, P1) / (P2 - V[0]) ** 2
     q_oracle = 2.0 * fp2 / g(0, P1) + (f12 * g1p + action) / (g(0, P1) * g(0, P2))
     assert Q == pytest.approx(q_oracle, rel=1e-12)
+
+
+def test_build_system_needs_a_fiber_coordinate():
+    f = JetEvaluator(2, lambda p1, p2: 1.0 / (p1 - p2))
+    with pytest.raises(ConfigError, match=r"^need at least one fiber coordinate$"):
+        build_system(GTStructure(m=0, g=(), f=f))
+
+
+def test_build_system_refuses_an_identically_zero_g1():
+    s = catalog.build_structure("benney", 1)
+    zero = JetEvaluator(2, lambda p, v: 0.0 * p)
+    with pytest.raises(ConfigError, match=r"^g_1 vanishes at a generic point$"):
+        build_system(GTStructure(m=1, g=(zero,), f=s.f, p_box=s.p_box, v_boxes=s.v_boxes))
 
 
 # zero locus of g_1 in (p, v...) slots for the structures that have one:
@@ -80,12 +93,13 @@ def _value_cases(sys_, zeros=Domain()):
                 .merged(g1.remap([1, *range(2, 2 + m)])))
 
     def pair(args, rows):
-        return sys_.pair(sys_.fiber((args[0], *args[2:]), rows)[0], args, rows)
+        jets_1, jets_2 = (sys_.fiber((p, *args[2:]))[0] for p in args[:2])
+        return sys_.pair(jets_1, jets_2, args, rows)
 
     cases = [("A", 2 + m, lambda *a: pair(a, False)[0], lambda a: pair(a, True)[2], pair_dom),
              ("Q", 2 + m, lambda *a: pair(a, False)[1], lambda a: pair(a, True)[3], pair_dom)]
-    cases += [(f"B[{l}]", 1 + m, lambda *a, l=l: sys_.fiber(a, False)[1][l],
-               lambda a, l=l: sys_.fiber(a, True)[2][l], s.g[l].domain.merged(g1))
+    cases += [(f"B[{l}]", 1 + m, lambda *a, l=l: sys_.fiber(a)[1][l],
+               lambda a, l=l: sys_.fiber(a)[2][l], s.g[l].domain.merged(g1))
               for l in range(1, m)]
     return [(label, JetEvaluator(arity, fn, domain=dom, label=label), row)
             for label, arity, fn, row, dom in cases]
@@ -153,8 +167,8 @@ def test_rows_without_closed_forms_come_from_circles():
     exact = build_system(s)
 
     def rows(sys_):
-        jets, _, B_rows = sys_.fiber((P1, *V), True)
-        return [*sys_.pair(jets, (P1, P2, *V), True)[2:], B_rows[1]]
+        jets, _, B_rows = sys_.fiber((P1, *V))
+        return [*sys_.pair(jets, sys_.fiber((P2, *V))[0], (P1, P2, *V), True)[2:], B_rows[1]]
 
     for got, want in zip(rows(bare), rows(exact)):
         scale = max(abs(w) for w in want)
@@ -163,8 +177,9 @@ def test_rows_without_closed_forms_come_from_circles():
 
 @pytest.mark.parametrize("name", ["benney", "genus0", "genus1", "genus2", "benney+defect"])
 def test_pair_values_do_not_depend_on_rows(name):
-    # the march mixes flows with and without rows at one point, so A, Q and
-    # B must be the same floats either way
+    # the march mixes flows with and without rows at one point, so A and Q
+    # must be the same floats either way, and the jet table's g values
+    # those ``value`` gives
     if name == "benney+defect":
         sys_ = build_system(inject_defect(catalog.build_structure("benney", 2), seed=1))
         args = (P1, P2, *V)
@@ -174,42 +189,71 @@ def test_pair_values_do_not_depend_on_rows(name):
         (p1, p2), v = s.sample(1, 5, 2)[0]
         args = (p1, p2, *v)
     m = sys_.m
-    jets, B, no_b_rows = sys_.fiber((args[0], *args[2:]), False)
-    jets_r, B_r, b_rows = sys_.fiber((args[0], *args[2:]), True)
-    A, Q, no_a_row, no_q_row = sys_.pair(jets, args, False)
-    A_r, Q_r, a_row, q_row = sys_.pair(jets_r, args, True)
-    assert no_a_row is None and no_q_row is None and no_b_rows is None
-    assert A == A_r and Q == Q_r and B == B_r
-    assert [jet[0] for jet in jets] == [jet[0] for jet in jets_r]
+    jets_1, B, b_rows = sys_.fiber((args[0], *args[2:]))
+    jets_2 = sys_.fiber((args[1], *args[2:]))[0]
+    A, Q, no_a_row, no_q_row = sys_.pair(jets_1, jets_2, args, False)
+    A_r, Q_r, a_row, q_row = sys_.pair(jets_1, jets_2, args, True)
+    assert no_a_row is None and no_q_row is None
+    assert A == A_r and Q == Q_r
+    assert [jet[0] for jet in jets_1] == [gk.value((args[0], *args[2:]))
+                                         for gk in sys_.structure.g]
+    assert B[1:] == [jet[0] / jets_1[0][0] for jet in jets_1[1:]]
     assert len(a_row) == len(q_row) == len(args)
     assert b_rows[0] is None and all(len(row) == 1 + m for row in b_rows[1:])
 
 
-def test_flow_asks_each_g_once_at_its_point(monkeypatch):
-    # one fiber call per flow: every g_k at (p_i, v) is asked exactly once,
-    # for its value or with its first partials, and no evaluator is asked
-    # twice at one point
-    s = catalog.build_structure("genus0", 2)
-    sys_ = build_system(s)
-    ps, v = s.sample(1, 5, 3)[0]
+def _count_asks(monkeypatch, s):
+    """A Counter of (evaluator, point, second partials asked) over every
+    ``value`` and ``partials`` call on the structure's g and f."""
     asked = Counter()
     value, partials = JetEvaluator.value, JetEvaluator.partials
+    watched = {id(e) for e in (*s.g, s.f)}
 
     def counted_value(self, args):
-        asked[id(self), tuple(args)] += 1
+        if id(self) in watched:
+            asked[id(self), tuple(args), False] += 1
         return value(self, args)
 
     def counted_partials(self, args, multis):
-        asked[id(self), tuple(args)] += 1
+        if id(self) in watched:
+            asked[id(self), tuple(args), any(sum(multi) == 2 for multi in multis)] += 1
         return partials(self, args, multis)
 
     monkeypatch.setattr(JetEvaluator, "value", counted_value)
     monkeypatch.setattr(JetEvaluator, "partials", counted_partials)
-    for rows, i in product((False, True), range(3)):
-        asked.clear()
-        _flow(sys_, _State(list(ps), list(v), [1.0 + 0j] * 3), i, rows)
-        assert all(asked[id(gk), (ps[i], *v)] == 1 for gk in s.g), (rows, i)
-        assert set(asked.values()) == {1}, (rows, i)
+    return asked
+
+
+def test_state_asks_each_g_once_per_point(monkeypatch):
+    # every flow of one M=3 state reads one jet table: each g_k is asked
+    # exactly once at every (p_k, v), so pair asks no g, and f at most once
+    # per ordered pair and jet level (rows first leave values nothing to ask)
+    s = catalog.build_structure("genus0", 2)
+    sys_ = build_system(s)
+    ps, v = s.sample(1, 5, 3)[0]
+    for levels, f_count in (((False, True), 2 * 6), ((True, False), 6)):
+        st = _State(list(ps), list(v), [1.0 + 0j] * 3)
+        asked = _count_asks(monkeypatch, s)
+        for rows, i in product(levels, range(3)):
+            _flow(sys_, st, i, rows)
+        g_asks = {(e, args): n for (e, args, _), n in asked.items() if e != id(s.f)}
+        assert g_asks == {(id(gk), (p, *v)): 1 for gk in s.g for p in ps}
+        f_asks = {key: n for key, n in asked.items() if key[0] == id(s.f)}
+        assert len(f_asks) == f_count and set(f_asks.values()) == {1}
+
+
+@pytest.mark.parametrize("M,steps", [(2, 4), (3, 2)])
+def test_march_asks_each_g_once_per_point(monkeypatch, M, steps):
+    # a march asks every g_k once at each point of each state it visits,
+    # and no g twice at one point
+    s = catalog.build_structure("benney", 2)
+    sys_ = build_system(s)
+    asked = _count_asks(monkeypatch, s)
+    integrate_reduction(sys_, M=M, steps=steps, h=0.02)
+    g_asks = {key: n for key, n in asked.items() if key[0] != id(s.f)}
+    assert g_asks and max(g_asks.values()) == 1
+    points = Counter(args for _, args, _ in g_asks)
+    assert set(points.values()) == {len(s.g)}
 
 
 # ---------------------------------------------------------------------------
@@ -222,6 +266,11 @@ def test_compatibility_holds(name, n):
     sys_ = build_system(catalog.build_structure(name, n))
     rep = compatibility_residual(sys_, M=3, states=15, seed=17, tol=1e-9)
     assert rep.passed, rep.max_residual
+
+
+def test_compatibility_needs_three_points():
+    with pytest.raises(ConfigError, match=r"^mixed-derivative compatibility needs M >= 3$"):
+        compatibility_residual(_benney_system(), M=2)
 
 
 # compatibility_residual(M=3, states=10, seed=17) before the flow read B and
@@ -328,6 +377,12 @@ def test_integrate_reduction_flags_a_blow_up():
     res = integrate_reduction(sys_, M=2, steps=2, h=1e-9,
                               data=FreeData(d.p_funcs, d.p_derivs, nan, d.w_derivs, d.v0))
     assert res.blow_up and res.blow_up_at == (0, 1)
+
+
+@pytest.mark.parametrize("M", [1, 4])
+def test_integrate_reduction_supports_two_or_three_points(M):
+    with pytest.raises(ConfigError, match=r"^grid integration supports M = 2 or 3$"):
+        integrate_reduction(_benney_system(1), M=M)
 
 
 def test_integrate_reduction_needs_two_steps():

@@ -214,9 +214,16 @@ def test_reconstruct_f_gives_up_after_fifty_draws_per_sample(monkeypatch):
     assert draws == [(1, 11 + k, 2) for k in range(50 * 2)]
 
 
-def test_integrability_criterion_holds_for_catalog_family():
-    fam = _family()
-    rep = criterion_integrable(fam, samples=20, seed=19, tol=1e-8)
+# the catalog families with potentials (genus2 has none), at several n
+CRITERION_FAMILIES = [("benney", 2), ("benney", 3), ("benney", 4), ("genus0", 2),
+                      ("genus0", 3), ("genus1", 3), ("genus1", 4)]
+
+
+@pytest.mark.parametrize("seed", [19, 101])
+@pytest.mark.parametrize("name,n", CRITERION_FAMILIES)
+def test_integrability_criterion_holds_for_catalog_family(name, n, seed):
+    fam = _family(name, n)
+    rep = criterion_integrable(fam, samples=20, seed=seed, tol=1e-8)
     assert rep.passed, rep.max_residual
 
 
