@@ -334,18 +334,17 @@ def _cmd_rauch(cfg):
     delta = float(cfg.get("delta", 1e-4))
     nodes = int(cfg.get("nodes", hyperell.DEFAULT_NODES))
     branches = [int(cfg["branch"])] if "branch" in cfg else [0, 1, 2]
-    pd = hyperell.periods(moduli, nodes=nodes)
+    pd, checks = hyperell.rauch(moduli, branches, delta=delta, nodes=nodes)
     reports = [
         _pseudo("period_symmetry", pd.symmetry_error, 1e-8, seed,
                 pd.symmetry_error < 1e-8, moduli=list(moduli)),
         _pseudo("period_positivity", float(min(pd.im_eigenvalues)), 0.0,
                 seed, pd.positive, note="pass iff Im B positive definite"),
     ]
-    for branch in branches:
-        rd = hyperell.rauch_check(moduli, branch, delta=delta, nodes=nodes)
+    for rd in checks:
         reports.append(
             _pseudo("rauch_variation", rd.max_rel_error, tol, seed,
-                    rd.max_rel_error < tol, branch=branch, delta=delta,
+                    rd.max_rel_error < tol, branch=rd.branch, delta=delta,
                     step_stability=rd.step_stability)
         )
     extras = {"period_matrix": pd.B.tolist()}

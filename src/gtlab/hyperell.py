@@ -17,6 +17,10 @@ The homology basis, expressed in the interval integrals J_1..J_4, is
 This combination was validated numerically: it yields a symmetric period
 matrix with positive-definite imaginary part whose branch-point derivatives
 match the local-coordinate variational formula at every branch point.
+
+``interval_integrals`` answers a (K, 3) stack of branch-point triples in one
+array pass per gap, so a whole ``rauch`` job is two passes: an n-node one
+over its moduli and a 2n-node one over its moduli and every stencil point.
 """
 
 from __future__ import annotations
@@ -34,9 +38,10 @@ A_CYCLES = (np.array([2, 0, 0, 0]), np.array([0, 0, 2, 0]))
 B_CYCLES = (np.array([0, 2, 0, 2]), np.array([0, 0, 0, 2]))
 
 DEFAULT_NODES = 200
-# periods builds an n- and a 2n-node rule (kernel.gauss_legendre, O(n^2)
-# array work: about 55 ms for 2n = 2000 nodes on a 2-vCPU host) and sums
-# over both; the bound keeps a job small.
+# a rauch job builds an n- and a 2n-node rule (kernel.gauss_legendre, O(n^2)
+# array work) and sums over both, the 2n-node pass over 13 rows: at
+# n = MAX_NODES 60-80 ms for the rules and about 6 ms for the rest of the job
+# on a 2-vCPU host; the bound keeps a job small.
 MAX_NODES = 1000
 
 
@@ -46,6 +51,8 @@ def _validate_moduli(moduli) -> tuple[float, float, float]:
         raise ConfigError(
             f"branch points must satisfy 1 < a < b < c, got {(a, b, c)}"
         )
+    if not math.isfinite(c):  # the order leaves c = +inf as the one non-finite case
+        raise ConfigError(f"branch points must be finite, got {(a, b, c)}")
     gaps = (a - 1.0, b - a, c - b)
     if min(gaps) < 1e-3:
         raise ConfigError(f"branch points too close: gaps {gaps}")
@@ -72,11 +79,18 @@ def _theta_rule(nodes: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def interval_integrals(moduli, nodes: int = DEFAULT_NODES) -> np.ndarray:
-    """2x4 matrix J[j, k] = integral of p^j dp / q over the k-th gap."""
-    a, b, c = _validate_moduli(moduli)
-    es = [0.0, 1.0, a, b, c]
+    """J[j, k] = integral of p^j dp / q over the k-th gap: (2, 4) for one
+    triple (a, b, c), (K, 2, 4) for a (K, 3) stack of them.  Every row is
+    validated before the rule is read; each gap is one pass over (K, nodes)
+    arrays, and each row's sums equal a one-triple call's bit for bit."""
+    m = np.asarray(moduli, dtype=float)
+    rows = np.atleast_2d(m)
+    for row in rows:
+        _validate_moduli(row)
     sin_th, cos_th, wt = _theta_rule(nodes)
-    J = np.zeros((2, 4), dtype=complex)
+    a, b, c = (rows[:, i, None] for i in range(3))
+    es = [0.0, 1.0, a, b, c]
+    J = np.zeros((len(rows), 2, 4), dtype=complex)
     for k in range(4):
         e0, e1 = es[k], es[k + 1]
         mid, half = 0.5 * (e0 + e1), 0.5 * (e1 - e0)
@@ -84,9 +98,9 @@ def interval_integrals(moduli, nodes: int = DEFAULT_NODES) -> np.ndarray:
         quintic = p * (p - 1.0) * (p - a) * (p - b) * (p - c)
         q = (1j ** (5 - (k + 1))) * np.sqrt(np.abs(quintic))
         common = wt * half * cos_th / q
-        J[0, k] = np.sum(common)
-        J[1, k] = np.sum(common * p)
-    return J
+        J[:, 0, k] = np.sum(common, axis=-1)
+        J[:, 1, k] = np.sum(common * p, axis=-1)
+    return J if m.ndim == 2 else J[0]
 
 
 @dataclass(frozen=True)
@@ -97,6 +111,7 @@ class PeriodData:
     Braw: np.ndarray  # b-periods of the raw differentials, 2x2
     C: np.ndarray  # normalization: omega_j = sum_l C[j,l] p^l dp / q
     B: np.ndarray  # normalized period matrix, 2x2
+    B_stencil: np.ndarray  # B at each stencil triple on the same rule, Kx2x2
     symmetry_error: float
     im_eigenvalues: tuple[float, float]
     convergence_error: float
@@ -107,21 +122,26 @@ class PeriodData:
 
 
 def _assemble(moduli, n: int):
-    """J, A, Braw, C and the normalized B = C @ Braw with an n-node rule."""
+    """J, A, Braw, C and the normalized B = C @ Braw with an n-node rule,
+    for one triple or, stacked along a leading axis, for a (K, 3) stack."""
     J = interval_integrals(moduli, n)
-    A = np.column_stack([J @ v for v in A_CYCLES])
-    Braw = np.column_stack([J @ v for v in B_CYCLES])
+    A = np.stack([J @ v for v in A_CYCLES], -1)
+    Braw = np.stack([J @ v for v in B_CYCLES], -1)
     C = np.linalg.inv(A)
     return J, A, Braw, C, C @ Braw
 
 
 def periods(moduli, nodes: int = DEFAULT_NODES,
-            check_tol: float | None = None) -> PeriodData:
+            check_tol: float | None = None, stencil=()) -> PeriodData:
     """Normalized period matrix of the curve; node doubling estimates the
-    quadrature error."""
+    quadrature error.  The 2n-node pass also answers the triples in
+    ``stencil`` (as ``B_stencil``), each validated before any rule is
+    built."""
     _check_nodes(nodes)
+    moduli = _validate_moduli(moduli)
+    *_, B2s = _assemble([moduli, *stencil], 2 * nodes)
     J, A, Braw, C, B = _assemble(moduli, nodes)
-    *_, B2 = _assemble(moduli, 2 * nodes)
+    B2 = B2s[0]
     conv = float(np.max(np.abs(B - B2)))
     if check_tol is not None and conv > check_tol:
         raise NonConvergence(
@@ -129,12 +149,13 @@ def periods(moduli, nodes: int = DEFAULT_NODES,
         )
     ev = np.linalg.eigvalsh(B2.imag)
     return PeriodData(
-        moduli=tuple(float(x) for x in moduli),
+        moduli=moduli,
         J=J,
         A=A,
         Braw=Braw,
         C=C,
         B=B2,
+        B_stencil=B2s[1:],
         symmetry_error=float(np.max(np.abs(B2 - B2.T))),
         im_eigenvalues=(float(ev[0]), float(ev[1])),
         convergence_error=conv,
@@ -170,36 +191,46 @@ def rauch_prediction(pd: PeriodData, branch: int) -> np.ndarray:
     )
 
 
+def rauch(moduli, branches=(0, 1, 2), delta: float = 1e-4,
+          nodes: int = DEFAULT_NODES) -> tuple[PeriodData, list[RauchData]]:
+    """The period matrix and, at each branch point in ``branches``, the
+    central-difference derivative of it against the variational formula;
+    the derivative is recomputed at half the step to confirm it has
+    converged.  One ``periods`` call answers every stencil point: one
+    n-node pass over the moduli and one 2n-node pass over the moduli and
+    the points at +-delta and +-delta/2 of every branch."""
+    _check_nodes(nodes)
+    moduli = _validate_moduli(moduli)
+    if any(branch not in (0, 1, 2) for branch in branches):
+        raise ConfigError("branch must be 0 (a), 1 (b) or 2 (c)")
+    steps = (delta, -delta, delta / 2.0, -delta / 2.0)
+    stencil = []
+    for branch in branches:
+        for step in steps:
+            point = list(moduli)
+            point[branch] += step
+            stencil.append(point)
+    pd = periods(moduli, nodes, stencil=stencil)
+    checks = []
+    for branch, (B_up, B_down, B_half_up, B_half_down) in zip(
+            branches, pd.B_stencil.reshape(-1, 4, 2, 2)):
+        dB = (B_up - B_down) / (2.0 * delta)
+        dB_half = (B_half_up - B_half_down) / (2.0 * (delta / 2.0))
+        pred = rauch_prediction(pd, branch)
+        rel = float(np.max(np.abs(dB_half - pred) / np.maximum(np.abs(pred), 1e-12)))
+        checks.append(RauchData(
+            moduli=moduli,
+            branch=branch,
+            delta=delta,
+            dB_numeric=dB_half,
+            dB_predicted=pred,
+            max_rel_error=rel,
+            step_stability=float(np.max(np.abs(dB - dB_half))),
+        ))
+    return pd, checks
+
+
 def rauch_check(moduli, branch: int, delta: float = 1e-4,
                 nodes: int = DEFAULT_NODES) -> RauchData:
-    """Central-difference derivative of the period matrix in one branch
-    point against the variational formula; the derivative is recomputed at
-    half the step to confirm it has converged."""
-    a, b, c = _validate_moduli(moduli)
-    if branch not in (0, 1, 2):
-        raise ConfigError("branch must be 0 (a), 1 (b) or 2 (c)")
-    _check_nodes(nodes)
-
-    def B_at(step):
-        # periods(args, nodes).B without its unused n-node pass
-        args = [a, b, c]
-        args[branch] += step
-        return _assemble(args, 2 * nodes)[-1]
-
-    def diff(d):
-        return (B_at(d) - B_at(-d)) / (2.0 * d)
-
-    dB = diff(delta)
-    dB_half = diff(delta / 2.0)
-    pd = periods(moduli, nodes)
-    pred = rauch_prediction(pd, branch)
-    rel = float(np.max(np.abs(dB_half - pred) / np.maximum(np.abs(pred), 1e-12)))
-    return RauchData(
-        moduli=(a, b, c),
-        branch=branch,
-        delta=delta,
-        dB_numeric=dB_half,
-        dB_predicted=pred,
-        max_rel_error=rel,
-        step_stability=float(np.max(np.abs(dB - dB_half))),
-    )
+    """``rauch`` at one branch point."""
+    return rauch(moduli, (branch,), delta, nodes)[1][0]

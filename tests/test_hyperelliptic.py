@@ -147,13 +147,18 @@ def test_rauch_job_builds_each_rule_once(tmp_path, monkeypatch):
     assert sorted(builds) == [60, 120]
 
 
-@pytest.mark.parametrize("nodes", [0, hyperell.MAX_NODES + 1])
-def test_node_count_is_bounded_before_any_rule_is_built(nodes, monkeypatch):
+@pytest.fixture
+def no_rules(monkeypatch):
+    """Any Gauss-Legendre rule built from here on fails the test."""
     def refuse(n):
-        raise AssertionError(f"gauss_legendre({n}) built for an invalid node count")
+        raise AssertionError(f"gauss_legendre({n}) built for an invalid job")
 
     hyperell._theta_rule.cache_clear()
     monkeypatch.setattr(kernel, "gauss_legendre", refuse)
+
+
+@pytest.mark.parametrize("nodes", [0, hyperell.MAX_NODES + 1])
+def test_node_count_is_bounded_before_any_rule_is_built(nodes, no_rules):
     with pytest.raises(ConfigError):
         periods(MODULI, nodes)
     with pytest.raises(ConfigError):
@@ -175,3 +180,105 @@ def test_rauch_job_loads_no_numpy_polynomial(tmp_path):
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out.splitlines()[-1] == "[]"
+
+
+@pytest.mark.parametrize("bad", [(1.5, 2.9, math.inf), (1.5, math.nan, 4.1),
+                                 (-math.inf, 2.9, 4.1)])
+def test_non_finite_modulus_fails_before_any_rule_is_built(bad, no_rules):
+    # c = +inf satisfies 1 < a < b < c; without the finiteness check it ran
+    # into inf * 0 and returned an all-NaN period matrix
+    calls = [lambda: periods(bad, 20), lambda: rauch_check(bad, 0, nodes=20),
+             lambda: interval_integrals(bad, 20),
+             lambda: interval_integrals([MODULI, bad], 20)]
+    for call in calls:
+        with pytest.raises(ConfigError, match="branch points must"):
+            call()
+
+
+@pytest.mark.parametrize("branch, delta, point", [
+    (None, 0.6, (1.5 - 0.6, 2.9, 4.1)),
+    (0, 0.6, (1.5 - 0.6, 2.9, 4.1)),
+    (1, 1.3, (1.5, 2.9 + 1.3, 4.1)),
+    (2, 1.3, (1.5, 2.9, 4.1 - 1.3)),
+])
+def test_stencil_point_across_a_branch_point_exits_2(branch, delta, point, tmp_path,
+                                                      capsys, no_rules):
+    # every stencil row is validated before any rule is built, and the first
+    # bad one (in the order +delta, -delta, +delta/2, -delta/2 per branch)
+    # is named
+    job = {"command": "rauch", "seed": 1, "moduli": [1.5, 2.9, 4.1], "delta": delta}
+    if branch is not None:
+        job["branch"] = branch
+    cfg = tmp_path / "job.json"
+    cfg.write_text(json.dumps(job))
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "r.json")]) == 2
+    err = capsys.readouterr().err
+    assert f"branch points must satisfy 1 < a < b < c, got {point}" in err
+    assert "Traceback" not in err
+
+
+def test_rauch_job_makes_two_passes_and_one_periods_call(tmp_path, monkeypatch):
+    # the n-node pass answers the moduli; the 2n-node pass the moduli and the
+    # +-delta, +-delta/2 points of each of the three branches
+    passes, calls = [], []
+    interval_integrals_, periods_ = hyperell.interval_integrals, hyperell.periods
+
+    def counting_integrals(moduli, nodes):
+        passes.append((nodes, len(np.atleast_2d(moduli))))
+        return interval_integrals_(moduli, nodes)
+
+    def counting_periods(*args, **kwargs):
+        calls.append(args)
+        return periods_(*args, **kwargs)
+
+    monkeypatch.setattr(hyperell, "interval_integrals", counting_integrals)
+    monkeypatch.setattr(hyperell, "periods", counting_periods)
+    cfg = tmp_path / "job.json"
+    cfg.write_text(json.dumps({"command": "rauch", "seed": 1, "nodes": 60,
+                               "moduli": list(MODULI)}))
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "r.json")]) == 0
+    assert sorted(passes) == [(60, 1), (120, 13)]
+    assert len(calls) == 1
+
+
+def _stack(count, seed):
+    rng = np.random.default_rng(seed)
+    gaps = rng.uniform(0.3, 1.5, size=(count, 3))
+    return 1.0 + np.cumsum(gaps, axis=1)
+
+
+@pytest.mark.parametrize("nodes", [1, 7, 60, 200, 2000])
+def test_stacked_rows_equal_one_triple_calls_bit_for_bit(nodes):
+    stack = _stack(13, nodes)
+    J = interval_integrals(stack, nodes)
+    assert J.shape == (13, 2, 4)
+    for row, J_row in zip(stack, J):
+        assert np.array_equal(J_row, interval_integrals(tuple(row), nodes))
+
+
+@pytest.mark.parametrize("nodes", [7, 60, 200])
+def test_stacked_assemble_equals_per_row_assemble(nodes):
+    stack = _stack(9, 100 + nodes)
+    stacked = hyperell._assemble(stack, nodes)
+    for i, row in enumerate(stack):
+        for whole, one in zip(stacked, hyperell._assemble(tuple(row), nodes)):
+            assert np.array_equal(whole[i], one)
+
+
+def test_rauch_stencil_equals_one_triple_periods_bit_for_bit():
+    # the stacked stencil gives the central differences that one periods call
+    # per stencil point gives
+    delta, nodes = 1e-3, 60
+    pd, checks = hyperell.rauch(MODULI, (0, 1, 2), delta, nodes)
+    assert np.array_equal(pd.B, periods(MODULI, nodes).B)
+    for rd in checks:
+        def B_at(step):
+            point = list(MODULI)
+            point[rd.branch] += step
+            return periods(point, nodes).B
+
+        dB = (B_at(delta) - B_at(-delta)) / (2.0 * delta)
+        dB_half = (B_at(delta / 2.0) - B_at(-delta / 2.0)) / (2.0 * (delta / 2.0))
+        assert np.array_equal(rd.dB_numeric, dB_half)
+        assert rd.step_stability == float(np.max(np.abs(dB - dB_half)))
+        assert np.array_equal(rd.dB_predicted, rauch_prediction(pd, rd.branch))
