@@ -13,26 +13,35 @@ with A = f / g_1, B_l = g_l / g_1 and
     Q(p_1, p_2) = 2 f_{p_2}(p_1, p_2) / g_1(p_1)
         + (f(p_1, p_2) g_1'(p_2) + g(p_1)(g_1(p_2))) / (g_1(p_1) g_1(p_2)).
 
-``GTSystem.fiber`` asks each g_k once at a point and gives the B_l and
-their first-partial rows there; ``GTSystem.pair`` reads the jets ``fiber``
-gave at two points and gives A and Q at the pair, each with its
-first-partial rows when asked.  Both checks below rest on one first-order
-flow: d_i of every field of a state (p, v, w), together with the A, Q and
-B_l values it used and, where a mixed derivative along i needs them, their
-rows; it reads g from the state's jet table, ``fiber`` at each point,
-and both are memoised on the state, the flow once per direction.  One
-mixed-derivative rule takes d_a d_b of a field by the chain rule through
-the rows of the flow along b.
+``GTSystem.fiber`` asks each g_k once at a point, or once over argument
+columns, and gives the B_l and their first-partial rows there;
+``GTSystem.pair`` reads the jets ``fiber`` gave at two points (or two
+columns of points) and gives A and Q at the pairs, each with its
+first-partial rows when asked.  Both checks below run on batches: a
+``_State`` holds one row per field over N states, and ``_flows`` gives
+d_i of every field (p, v, w) of every state along every direction i,
+together with the A, Q and B_l values it used and, where a mixed
+derivative along i needs them, their rows.  It asks each g_k once, one
+``fiber`` call over every point of every state, and f once per jet level,
+one ``pair`` call over every ordered pair of points whose rows are asked
+and one over the rest.  One mixed-derivative rule takes d_a d_b of a field
+by the chain rule through the rows of the flow along b.
 ``compatibility_residual`` compares d_i d_j with d_j d_i for every field
-that evolves in both directions.  ``integrate_reduction`` marches the
-system on a tensor grid, its state extended by the own-direction slopes
-y_j = d_j p_j and z_j = d_j w_j, which evolve along i != j by the same rule
-(d_i y_j = d_j (A(p_i, p_j) w_i), d_i z_j = d_j (Q(p_i, p_j) w_i w_j)); it
-confirms the second-order accuracy of the scheme by step halving.
+that evolves in both directions, over all its sampled states at once.
+``integrate_reduction`` marches the system on a tensor grid, its state
+extended by the own-direction slopes y_j = d_j p_j and z_j = d_j w_j, which
+evolve along i != j by the same rule (d_i y_j = d_j (A(p_i, p_j) w_i),
+d_i z_j = d_j (Q(p_i, p_j) w_i w_j)); ``convergence_ratio`` marches the
+grids of steps h and h/2 together and confirms the second-order accuracy
+of the scheme by step halving.  A grid state depends only on states one
+level (sum of grid indices) below it, so the march goes level by level
+(Lamport's hyperplane method): the states of one level, on every grid, are
+one batch, and so are the predictor states of every step leaving it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from itertools import product
@@ -42,7 +51,7 @@ import numpy as np
 
 from .core import GTStructure, VerificationReport, _jet, _make_report, worst_residual
 from .errors import ConfigError, DomainViolation, NonConvergence
-from .kernel import JetEvaluator, SplitMix64, multi_index
+from .kernel import JetEvaluator, SplitMix64, multi_index, on_columns
 
 G1_FLOOR = 1e-8  # |g_1| below this counts as a zero of g_1
 
@@ -51,13 +60,14 @@ G1_FLOOR = 1e-8  # |g_1| below this counts as a zero of g_1
 class GTSystem:
     """Coefficient functions of the quasilinear system.
 
-    ``fiber(args)`` at (p, v) gives (jets, B, B_rows): jets[k] is g_k
-    followed by its first partials, and for g_1 (k = 0) by its second
-    partials too; B[l] = B_l(p, v) and B_rows[l] its first-partial row in
-    slot order, both None at l = 0 (B_1 = 1).  ``pair(jets_1, jets_2,
-    args, rows)`` gives (A, Q, A_row, Q_row) at (p_1, p_2, v) from the jets
-    ``fiber`` gave at (p_1, v) and (p_2, v); the rows are None unless
-    ``rows`` is set.
+    ``fiber(args)`` at (p, v), a point or a tuple of argument columns,
+    gives (jets, B, B_rows): jets[k] is g_k followed by its first partials,
+    and for g_1 (k = 0) by its second partials too, a row per entry on
+    columns; B[l] = B_l(p, v) and B_rows[l] its first-partial row in slot
+    order, both None at l = 0 (B_1 = 1).  ``pair(jets_1, jets_2, args,
+    rows)`` gives (A, Q, A_row, Q_row) at (p_1, p_2, v) from the jets
+    ``fiber`` gave at (p_1, v) and (p_2, v), of which it reads g_1's alone
+    at p_2; the rows are None unless ``rows`` is set.
     """
 
     structure: GTStructure
@@ -82,8 +92,10 @@ def build_system(s: GTStructure) -> GTSystem:
     by the chain rule.  So f's second partials come from f's own
     ``partial_fn`` where it has them (every catalog f, genus2's included),
     and an f or g without closed forms opens its circles on its own domain,
-    where no circle approaches a zero of g_1.  ``fiber`` raises
-    ``DomainViolation`` at a |g_1| below ``G1_FLOOR``.
+    where no circle approaches a zero of g_1.  Both answer a point or
+    argument columns, with the same expressions.  ``fiber`` raises
+    ``DomainViolation`` at a |g_1| below ``G1_FLOOR``, naming the first
+    point at fault.
     """
     if s.m < 1:
         raise ConfigError("need at least one fiber coordinate")
@@ -105,8 +117,12 @@ def build_system(s: GTStructure) -> GTSystem:
         """(jets, B, B_rows) at (p, v); see ``GTSystem``."""
         jets = [g1.partials(args, g1_jet), *(gk.partials(args, g_jet) for gk in s.g[1:])]
         G, dG = jets[0][0], jets[0][1:]
-        if abs(G) < G1_FLOOR:  # a zero of g_1
-            raise DomainViolation(f"g_1({args[0]}) = {G} below floor {G1_FLOOR}")
+        low = np.abs(G) < G1_FLOOR  # a zero of g_1
+        if np.any(low):
+            at = np.flatnonzero(low)[0]
+            where = f" (point {at} of {low.size})" if on_columns(args) else ""
+            raise DomainViolation(f"g_1({complex(np.ravel(args[0])[at])}) = "
+                                  f"{complex(np.ravel(G)[at])} below floor {G1_FLOOR}{where}")
         B = [None] + [jet[0] / G for jet in jets[1:]]
         B_rows = [None] + [[dgl[k] / G - gl * dG[k] / G**2 for k in range(1 + m)]
                            for gl, *dgl in jets[1:]]
@@ -164,7 +180,8 @@ def inject_defect(s: GTStructure, scale: float = 1e-2, seed: int = 0) -> GTStruc
 
     The perturbed structure is no longer compatible, so the compatibility
     residual must light up; this is the detection test for the a-posteriori
-    machinery.
+    machinery.  The polluted f answers argument columns where the base f
+    does.
     """
     rng = SplitMix64(seed)
     c = [complex(rng.uniform(0.5, 1.0), rng.uniform(-0.5, 0.5)) for _ in range(3)]
@@ -177,7 +194,7 @@ def inject_defect(s: GTStructure, scale: float = 1e-2, seed: int = 0) -> GTStruc
     def pf(args, multis):
         """base's partials plus the defect's; the value, which base's would
         miss the defect in, goes to ``fn``."""
-        out = base.partials(args, multis)
+        out = list(base.partials(args, multis))  # on columns, the rows of base's table
         for i, multi in enumerate(multis):
             if not any(multi):
                 out[i] = NotImplemented
@@ -190,7 +207,7 @@ def inject_defect(s: GTStructure, scale: float = 1e-2, seed: int = 0) -> GTStruc
         return out
 
     f = JetEvaluator(base.arity, fn, domain=base.domain, partial_fn=pf,
-                     label=f"{base.label}+defect")
+                     label=f"{base.label}+defect", columns=base.columns)
     return GTStructure(
         m=s.m,
         g=s.g,
@@ -209,65 +226,90 @@ def inject_defect(s: GTStructure, scale: float = 1e-2, seed: int = 0) -> GTStruc
 
 
 class _State:
-    """One jet of a solution: points p_1..p_M, fiber point v, slopes
-    w_i = d_i v_1 and, for a reduction march, the own-direction slopes
-    y_i = d_i p_i and z_i = d_i w_i.  A state of derivatives has the same
-    fields, None where a field has no equation along the direction.
-    ``fibers`` is its jet table, ``fiber`` at every (p_k, v), and ``flows``
-    memoises ``_flow`` per direction; both fill on first use, and a state
-    is not changed once a flow has read it."""
+    """A batch of N solution jets, one row per field over the states: the
+    points p_1..p_M, the fiber point v_1..v_m, the slopes w_i = d_i v_1 and,
+    for a reduction march, the own-direction slopes y_i = d_i p_i and
+    z_i = d_i w_i (no rows without them).  A batch of derivatives has the
+    same rows, 0 where a field has no equation along the direction, so a
+    step keeps that field as it is."""
 
-    def __init__(self, p, v, w, y=None, z=None):
-        self.p, self.v, self.w, self.y, self.z = p, v, w, y, z
-        self.fibers, self.flows = None, {}
+    def __init__(self, X: np.ndarray, M: int, m: int):
+        self.X, self.M, self.m = X, M, m
 
-    def step(self, h, d):
-        """This state advanced by h along the derivative state d; a field
-        that d leaves as None keeps its value."""
+    def _field(self, k: int) -> np.ndarray:
+        """The rows of p, v, w, y or z (k = 0..4)."""
+        M, m = self.M, self.m
+        start = (0, M, M + m, 2 * M + m, 3 * M + m)[k]
+        return self.X[start:start + (M, m, M, M, M)[k]]
 
-        def advance(xs, ds):
-            return [x if dx is None else x + h * dx for x, dx in zip(xs, ds)]
+    p = property(lambda self: self._field(0))
+    v = property(lambda self: self._field(1))
+    w = property(lambda self: self._field(2))
+    y = property(lambda self: self._field(3))
+    z = property(lambda self: self._field(4))
 
-        return _State(advance(self.p, d.p), advance(self.v, d.v), advance(self.w, d.w),
-                      advance(self.y, d.y), advance(self.z, d.z))
+    def step(self, h, d: "_State") -> "_State":
+        """This batch advanced by h (a number or a column) along the derivatives d."""
+        return _State(self.X + h * d.X, self.M, self.m)
+
+    def take(self, at) -> "_State":
+        """The states ``at`` (an index array or a slice) of this batch."""
+        return _State(self.X[:, at], self.M, self.m)
+
+    @staticmethod
+    def join(batches: Sequence["_State"]) -> "_State":
+        """One batch of the states of ``batches``, in order."""
+        return _State(np.concatenate([b.X for b in batches], axis=1), batches[0].M, batches[0].m)
 
 
-def _flow(sys: GTSystem, st: _State, i: int, rows: bool = False):
-    """d_i of p, v and w by the system, with the coefficients it used:
-    (d, A, Q, B, A_rows, Q_rows, B_rows) where A[k] = A(p_i, p_k, v) and
-    Q[k] likewise (None at k = i), B[l] = B_l(p_i, v) (None at l = 0), and
-    A_rows[k], Q_rows[k] and B_rows[l] are the first-partial rows of A[k],
-    Q[k] and B[l], A_rows and Q_rows None unless ``rows``.  It reads g
-    from the state's jet table.  d_i p_i and d_i w_i are the state's own
-    slopes y_i and z_i, None without them.  The flow is memoised on the
-    state: once per direction, and once more, asking f again, if rows are
-    asked after values."""
-    memo = st.flows.get(i)
-    if memo is not None and (memo[4] is not None or not rows):
-        return memo
+def _flows(sys: GTSystem, st: _State, rows: np.ndarray) -> list[tuple]:
+    """The flow of every state of a batch along every direction i: for each
+    i, (d, A, Q, B, A_rows, Q_rows, B_rows) over the batch, where d holds
+    d_i of p, v and w, A[k] = A(p_i, p_k, v) and Q[k] likewise (NaN at
+    k = i), B[l] = B_l(p_i, v) (1 at l = 0), and A_rows[k], Q_rows[k] and
+    B_rows[l] are the first-partial rows of A[k], Q[k] and B[l] (NaN at
+    l = 0).  ``rows[i]`` marks the states whose flow along i carries A's and
+    Q's rows; elsewhere they are NaN.  d_i p_i and d_i w_i are the batch's
+    own slopes y_i and z_i, NaN without them.
+
+    Each g_k is asked once, by one ``fiber`` call over every point of every
+    state, and f once per jet level: one ``pair`` call over every ordered
+    pair of points whose rows are asked, and one over the rest."""
     p, v, w = st.p, st.v, st.w
-    M = len(p)
-    if st.fibers is None:
-        st.fibers = [sys.fiber((pk, *v)) for pk in p]
-    jets, B, B_rows = st.fibers[i]
-    A, Q = [None] * M, [None] * M
-    A_rows, Q_rows = ([None] * M, [None] * M) if rows else (None, None)
-    dp, dw = [None] * M, [None] * M
-    for k in range(M):
-        if k != i:
-            A[k], Q[k], *jet = sys.pair(jets, st.fibers[k][0], (p[i], p[k], *v), rows)
-            if rows:
-                A_rows[k], Q_rows[k] = jet
-            dp[k] = A[k] * w[i]
-            dw[k] = Q[k] * w[i] * w[k]
-    if st.y is not None:
-        dp[i], dw[i] = st.y[i], st.z[i]
-    dv = [w[i] if b is None else b * w[i] for b in B]
-    st.flows[i] = _State(dp, dv, dw), A, Q, B, A_rows, Q_rows, B_rows
-    return st.flows[i]
+    M, m, N = st.M, st.m, st.X.shape[1]
+    # the jet table: point k of state s in column k N + s
+    at = p.ravel()
+    jets, B, B_rows = sys.fiber((at, *np.concatenate([v] * M, axis=1)))
+    # A and Q, and their rows, of the ordered pair (i, k) of state s at [..., i, k, s]
+    coef = np.full((2, M, M, N), np.nan, dtype=complex)
+    coef_rows = np.full((2, 2 + m, M, M, N), np.nan, dtype=complex)
+    pairs = ~np.eye(M, dtype=bool)[:, :, None]
+    asked = rows[:, None, :]
+    for level, where in ((True, pairs & asked), (False, pairs & ~asked)):
+        flat = np.flatnonzero(where)
+        if not flat.size:
+            continue
+        i, k, s = flat // (M * N), flat // N % M, flat % N
+        one, two = i * N + s, k * N + s
+        a, q, a_row, q_row = sys.pair([jet.take(one, axis=1) for jet in jets],
+                                      [jets[0].take(two, axis=1)],
+                                      (at[one], at[two], *v[:, s]), level)
+        coef.reshape(2, -1)[:, flat] = a, q
+        if level:
+            coef_rows.reshape(2, 2 + m, -1)[..., flat] = a_row, q_row
+    (A, Q), (A_rows, Q_rows) = coef, coef_rows.transpose(0, 2, 3, 1, 4)
+    dp, dw = A * w[:, None], Q * w[:, None] * w  # [i, k]: A(p_i, p_k) w_i, Q(p_i, p_k) w_i w_k
+    if st.y.size:
+        diag = np.arange(M)
+        dp[diag, diag], dw[diag, diag] = st.y, st.z
+    B = np.array([np.ones(M * N), *B[1:]]).reshape(m, M, N)  # B_1 = 1
+    B_rows = np.array([np.full((1 + m, M * N), np.nan), *B_rows[1:]]).reshape(m, 1 + m, M, N)
+    d = np.concatenate((dp, (B * w).transpose(1, 0, 2), dw), axis=1)
+    return [(_State(d[i], M, m), A[i], Q[i], B[:, i], A_rows[i], Q_rows[i], B_rows[:, :, i])
+            for i in range(M)]
 
 
-def _chain(row, da: _State, points) -> complex:
+def _chain(row, da: _State, points):
     """d_a of a coefficient through its first-partial row: the point slots
     (p_t for t in ``points``) first, then the fiber slots."""
     n = len(points)
@@ -275,14 +317,14 @@ def _chain(row, da: _State, points) -> complex:
             + sum(row[n + l] * dv for l, dv in enumerate(da.v)))
 
 
-def _mixed(st: _State, fa, fb, b: int, kind: str, k: int) -> complex:
+def _mixed(st: _State, fa, fb, b: int, kind: str, k: int):
     """d_a d_b of the field p_k, v_k or w_k (``kind`` "p", "v" or "w"),
     from the flows ``fa`` along a and ``fb`` along b.
 
     d_b of the field is A(p_b, p_k) w_b, B_k(p_b) w_b (w_b for v_1)
     or Q(p_b, p_k) w_b w_k, with the coefficient value and its row read
-    off ``fb`` (a flow with rows); the chain and product rules take d_a of
-    its factors from ``fa``."""
+    off ``fb`` (NaN where it has no rows); the chain and product rules take
+    d_a of its factors from ``fa``."""
     da, (_, A, Q, B, A_rows, Q_rows, B_rows) = fa[0], fb
     w = st.w
     if kind == "v":
@@ -303,18 +345,20 @@ def compatibility_residual(
     tol: float = 1e-9,
 ) -> VerificationReport:
     """Max over random states and index pairs of |d_i d_j F - d_j d_i F|
-    for every field F that evolves in both directions."""
+    for every field F that evolves in both directions, the states one
+    batch."""
     if M < 3:
         raise ConfigError("mixed-derivative compatibility needs M >= 3")
     s = sys.structure
     rng = SplitMix64(seed)
-    residuals = []
     raw = s.sample(states, seed, M)
-    for ps, v in raw:
-        w = [complex(rng.uniform(0.3, 1.2), rng.uniform(-0.5, 0.5)) for _ in range(M)]
-        st = _State(ps, v, w)
-        flows = [_flow(sys, st, i, rows=True) for i in range(M)]
-        diffs = []
+    ws = [[complex(rng.uniform(0.3, 1.2), rng.uniform(-0.5, 0.5)) for _ in range(M)]
+          for _ in raw]
+    st = _State(np.array([(*ps, *v, *w) for (ps, v), w in zip(raw, ws)], dtype=complex)
+                .reshape(len(raw), 2 * M + sys.m).T.copy(), M, sys.m)
+    diffs = []
+    with np.errstate(all="ignore"):  # a non-finite residual fails the report
+        flows = _flows(sys, st, np.ones((M, len(raw)), bool))
         for i in range(M):
             for j in range(i + 1, M):
                 others = [k for k in range(M) if k not in (i, j)]
@@ -323,9 +367,9 @@ def compatibility_residual(
                 for kind, k in fields:
                     d_ij = _mixed(st, flows[i], flows[j], j, kind, k)
                     d_ji = _mixed(st, flows[j], flows[i], i, kind, k)
-                    diffs.append(abs(d_ij - d_ji))
-        residuals.append(worst_residual(diffs))
-    return _make_report("gt_compatibility", residuals, tol, seed, M=M)
+                    diffs.append(np.abs(d_ij - d_ji))
+    residuals = np.max(diffs, axis=0)  # NaN at a state with any NaN difference
+    return _make_report("gt_compatibility", residuals.tolist(), tol, seed, M=M)
 
 
 # ---------------------------------------------------------------------------
@@ -383,28 +427,175 @@ class ReductionResult:
     blow_up_at: tuple | None
 
 
-def _derivative(sys: GTSystem, st: _State, i: int) -> _State:
-    """d_i of the march state: the flow of (p, v, w) and, for j != i,
-    d_i y_j = d_j (A(p_i, p_j) w_i) and d_i z_j = d_j (Q(p_i, p_j) w_i w_j)
-    by the mixed rule, which needs rows along i only.  d_i y_i and d_i z_i
-    have no equation: None."""
-    fi = _flow(sys, st, i, rows=True)
-    y, z = [None] * len(st.p), [None] * len(st.p)
-    for j in range(len(st.p)):
+def _derivative(st: _State, flows: list[tuple], i: int) -> _State:
+    """d_i of every state of a march batch: the flow of (p, v, w) and, for
+    j != i, d_i y_j = d_j (A(p_i, p_j) w_i) and d_i z_j = d_j (Q(p_i, p_j) w_i w_j)
+    by the mixed rule, which reads the rows along i: NaN at a state whose
+    flow along i has none.  d_i y_i and d_i z_i have no equation: 0."""
+    fi = flows[i]
+    yz = np.zeros((2, st.M, st.X.shape[1]), dtype=complex)
+    for j in range(st.M):
         if j != i:
-            fj = _flow(sys, st, j)
-            y[j] = _mixed(st, fj, fi, i, "p", j)
-            z[j] = _mixed(st, fj, fi, i, "w", j)
-    return _State(fi[0].p, fi[0].v, fi[0].w, y, z)  # the memo's state stays as it was
+            yz[0, j] = _mixed(st, flows[j], fi, i, "p", j)
+            yz[1, j] = _mixed(st, flows[j], fi, i, "w", j)
+    return _State(np.concatenate((fi[0].X, yz.reshape(2 * st.M, -1))), st.M, st.m)
 
 
-def _heun_step(sys: GTSystem, st: _State, i: int, h: float) -> _State:
-    """One predictor-corrector step along direction i; y_i and z_i, which
-    have no direction-i equation, are carried over unchanged and must be
-    fixed up by the caller."""
-    k1 = _derivative(sys, st, i)
-    k2 = _derivative(sys, st.step(h, k1), i)
-    return st.step(h / 2, k1.step(1.0, k2))  # h along the mean of k1 and k2
+def _heun(sys: GTSystem, st: _State, flows: list[tuple], src: np.ndarray, h: np.ndarray,
+          cuts: Sequence[int]) -> _State:
+    """Every predictor-corrector step leaving a batch at once, in step order:
+    step t from state src[t] by h[t], along direction i for t in
+    [cuts[i], cuts[i + 1]).  ``flows`` are the batch's, with rows along
+    every direction a state steps in.  The predictor states of all steps are
+    one batch, asked for its flows in one ``_flows`` call, each with rows
+    along its own step's direction.  y_i and z_i, which have no direction-i
+    equation, are carried over unchanged and must be fixed up by the
+    caller."""
+    spans = [(i, slice(a, b)) for i, (a, b) in enumerate(zip(cuts, cuts[1:])) if b > a]
+    base = st.take(src)
+    k1 = _State.join([_derivative(st, flows, i).take(src[span]) for i, span in spans])
+    pred = base.step(h, k1)
+    own = np.zeros((st.M, len(src)), bool)
+    for i, span in spans:
+        own[i, span] = True
+    flows = _flows(sys, pred, own)
+    k2 = _State.join([_derivative(pred, flows, i).take(span) for i, span in spans])
+    return base.step(h / 2, k1.step(1.0, k2))  # h along the mean of k1 and k2
+
+
+@functools.lru_cache(maxsize=8)
+def _plan(M: int, steps: tuple[int, ...]) -> tuple[tuple, ...]:
+    """The levels of a march on grids of ``steps`` steps each, from the
+    origins up, each (record, rows, src, grid_of, cuts, targets, main,
+    on_axis, transport); the states of a level, on every grid, are one batch.
+    ``record`` holds, per grid with states on the level, (g, their places in
+    the batch, their grid indices as an index tuple); rows[i] marks the
+    states that step along i.  The steps leaving the level go from src[t] on
+    grid grid_of[t], along i for t in [cuts[i], cuts[i + 1]).  Target t,
+    targets[t] = (g, index) on the next level, is step main[t] advanced,
+    then fixed up: ``on_axis`` holds (t, g, axis, n) for a target n steps
+    out on a data axis, and ``transport`` (axis, targets, their main steps,
+    their transverse steps) for the targets off the axes.  A target's main
+    step goes along its first nonzero axis and, off the data axes, its
+    transverse step along the next."""
+    levels = []
+    for n in steps:
+        levels.append([[] for _ in range(M * n + 1)])
+        for idx in product(range(n + 1), repeat=M):  # each level in lexicographic order
+            levels[-1][sum(idx)].append(idx)
+    keys, plan = [(g, (0,) * M) for g in range(len(steps))], []
+    for k in range(max(len(lv) for lv in levels)):
+        pos = {key: t for t, key in enumerate(keys)}
+        targets = [(g, idx) for g, lv in enumerate(levels) if k + 1 < len(lv) for idx in lv[k + 1]]
+        legs = sorted(((axis, pos[g, tuple(x - (t == axis) for t, x in enumerate(idx))], g, t, leg)
+                       for t, (g, idx) in enumerate(targets)
+                       for leg, axis in enumerate([a for a in range(M) if idx[a] > 0][:2])),
+                      key=lambda step: step[0])
+        rows = np.zeros((M, len(keys)), bool)
+        main, trans = np.zeros(len(targets), int), {}
+        for n, (axis, src, _, t, leg) in enumerate(legs):
+            rows[axis, src] = True
+            if leg:
+                trans[t] = n
+            else:
+                main[t] = n
+        record = []
+        for g in dict.fromkeys(g for g, _ in keys):
+            here = np.array([t for t, (gt, _) in enumerate(keys) if gt == g])
+            record.append((g, here, tuple(np.array([keys[t][1] for t in here]).T)))
+        transport = []
+        for axis in range(M):
+            ts = [t for t in trans if legs[main[t]][0] == axis]
+            if ts:
+                transport.append((axis, np.array(ts), main[ts], np.array([trans[t] for t in ts])))
+        plan.append((
+            tuple(record), rows, np.array([step[1] for step in legs], int),
+            np.array([step[2] for step in legs], int),
+            np.searchsorted([step[0] for step in legs], range(M + 1)).tolist(), tuple(targets),
+            main, tuple((t, g, legs[main[t]][0], idx[legs[main[t]][0]])
+                        for t, (g, idx) in enumerate(targets) if t not in trans),
+            tuple(transport)))
+        keys = targets
+    return tuple(plan)
+
+
+def _march(sys: GTSystem, M: int, grids: Sequence[tuple[int, float]],
+           data: FreeData) -> list[ReductionResult]:
+    """March the reduction from the free data on every grid (steps, h) of
+    ``grids`` together, level by level (``_plan``): the states of one level
+    on every grid are one batch, whose flows serve every step that leaves
+    it, and the predictors of those steps are one batch; so each g_k is
+    asked once per level and Heun stage, and f once per jet level there.
+    A grid's blow-up is at its first blown-up state in lexicographic
+    order."""
+    if M not in (2, 3):
+        raise ConfigError("grid integration supports M = 2 or 3")
+    if any(steps < 2 for steps, _ in grids):
+        raise ConfigError("need at least 2 steps for an interior defect cell")
+    hs = np.array([h for _, h in grids], float)
+    v1 = [np.zeros((steps + 1,) * M, dtype=complex) for steps, _ in grids]
+    pairs = [(i, j) for i in range(M) for j in range(i + 1, M)]
+    qww = [{ij: np.zeros_like(grid) for ij in pairs} for grid in v1]  # Q w_i w_j along i
+    blown = [[] for _ in grids]
+
+    origin = [*(fn(0.0) for fn in data.p_funcs), *data.v0, *(fn(0.0) for fn in data.w_funcs),
+              *(fn(0.0) for fn in data.p_derivs), *(fn(0.0) for fn in data.w_derivs)]
+    st = _State(np.array(origin, dtype=complex)[:, None].repeat(len(grids), axis=1),
+                M, len(data.v0))
+    with np.errstate(all="ignore"):  # a non-finite field is a blow-up, flagged below
+        for (record, rows, src, grid_of, cuts, targets, main, on_axis,
+             transport) in _plan(M, tuple(steps for steps, _ in grids)):
+            flows = _flows(sys, st, rows)
+            for g, here, where in record:
+                v1[g][where] = st.v[0][here]
+                for i, j in pairs:
+                    qww[g][i, j][where] = flows[i][0].w[j][here]  # d_i w_j = Q w_i w_j
+            if not targets:
+                break
+            done = _heun(sys, st, flows, src, hs[grid_of], cuts)
+            new = done.take(main)
+            for t, g, axis, n in on_axis:  # p, w and their slopes on a data axis are data
+                time = n * grids[g][1]
+                new.p[axis][t] = data.p_funcs[axis](time)
+                new.w[axis][t] = data.w_funcs[axis](time)
+                new.y[axis][t] = data.p_derivs[axis](time)
+                new.z[axis][t] = data.w_derivs[axis](time)
+            # off the axes, transport the own-direction slopes from the
+            # transverse step, then integrate p_axis, w_axis by the trapezoid
+            # rule so their update stays second order (the main step only
+            # sees the stale slope at its source)
+            for axis, ts, mains, trans in transport:
+                prev, h = src[mains], hs[grid_of[mains]]
+                new.y[axis][ts], new.z[axis][ts] = done.y[axis][trans], done.z[axis][trans]
+                new.p[axis][ts] = st.p[axis][prev] + 0.5 * h * (st.y[axis][prev] + new.y[axis][ts])
+                new.w[axis][ts] = st.w[axis][prev] + 0.5 * h * (st.z[axis][prev] + new.z[axis][ts])
+            far = ~(np.abs(new.X[:2 * M + new.m]) <= 1e6).all(axis=0)  # p, v and w
+            for t in np.flatnonzero(far):  # a NaN field is a blow-up too
+                blown[targets[t][0]].append(targets[t][1])
+            st = new
+    return [ReductionResult(M=M, steps=steps, h=h, grid_v1=v1[g],
+                            residual=_defect(v1[g], qww[g], steps, h),
+                            blow_up=bool(blown[g]), blow_up_at=min(blown[g], default=None))
+            for g, (steps, h) in enumerate(grids)]
+
+
+def _defect(v1: np.ndarray, qww: dict, steps: int, h: float) -> float:
+    """The compatibility defect on each (i, j) cell face: the finite-
+    difference mixed derivative of v_1 against Q w_i w_j averaged over the
+    cell corners.  Cells touching the data axes mix prescribed and evolved
+    corners and carry an error boundary layer, so the a-posteriori measure
+    runs over cells whose corners are all interior."""
+    defects = []
+    for (i, j), q in qww.items():
+        def corner(di, dj):
+            shift = [di * (t == i) + dj * (t == j) for t in range(v1.ndim)]
+            return tuple(slice(1 + x, steps + x) for x in shift)
+
+        c00, c10, c01, c11 = corner(0, 0), corner(1, 0), corner(0, 1), corner(1, 1)
+        fd = (v1[c11] - v1[c10] - v1[c01] + v1[c00]) / (h * h)
+        rhs = q[c00] + q[c10] + q[c01] + q[c11]
+        defects.append(np.abs(fd - rhs / 4.0).ravel())
+    return worst_residual(np.concatenate(defects))
 
 
 def integrate_reduction(
@@ -429,97 +620,17 @@ def integrate_reduction(
     each grid cell with Q w_i w_j averaged over the cell corners; both are
     O(h^2)-accurate, so halving h must cut the defect by about four.
     """
-    if M not in (2, 3):
-        raise ConfigError("grid integration supports M = 2 or 3")
-    if steps < 2:
-        raise ConfigError("need at least 2 steps for an interior defect cell")
     if data is None:
         data = default_free_data(sys, M, seed)
-    n = steps + 1
-    shape = (n,) * M
-    states: dict[tuple, _State] = {}
-    states[(0,) * M] = _State(
-        [data.p_funcs[i](0.0) for i in range(M)],
-        list(data.v0),
-        [data.w_funcs[i](0.0) for i in range(M)],
-        [data.p_derivs[i](0.0) for i in range(M)],
-        [data.w_derivs[i](0.0) for i in range(M)],
-    )
-    blow_up = False
-    blow_up_at = None
-    for idx in sorted(product(range(n), repeat=M)):
-        if idx == (0,) * M:
-            continue
-        axis = min(i for i in range(M) if idx[i] > 0)
-        prev = tuple(idx[i] - (1 if i == axis else 0) for i in range(M))
-        st = _heun_step(sys, states[prev], axis, h)
-        on_axis = all(idx[i] == 0 for i in range(M) if i != axis)
-        if on_axis:
-            t = idx[axis] * h
-            st.p[axis] = data.p_funcs[axis](t)
-            st.w[axis] = data.w_funcs[axis](t)
-            st.y[axis] = data.p_derivs[axis](t)
-            st.z[axis] = data.w_derivs[axis](t)
-        else:
-            # transport the own-direction slopes from a transverse neighbor,
-            # then integrate p_axis, w_axis by the trapezoid rule so their
-            # update stays second order (the main step only sees the stale
-            # slope at prev)
-            taxis = next(i for i in range(M) if i != axis and idx[i] > 0)
-            tprev = tuple(idx[i] - (1 if i == taxis else 0) for i in range(M))
-            tst = _heun_step(sys, states[tprev], taxis, h)
-            st.y[axis] = tst.y[axis]
-            st.z[axis] = tst.z[axis]
-            pv = states[prev]
-            st.p[axis] = pv.p[axis] + 0.5 * h * (pv.y[axis] + st.y[axis])
-            st.w[axis] = pv.w[axis] + 0.5 * h * (pv.z[axis] + st.z[axis])
-        states[idx] = st
-        mags = [abs(x) for x in st.p + st.v + st.w]  # a NaN field is a blow-up too
-        if not blow_up and not all(math.isfinite(a) and a <= 1e6 for a in mags):
-            blow_up = True
-            blow_up_at = idx
-    grid_v1 = np.zeros(shape, dtype=complex)
-    for idx, st in states.items():
-        grid_v1[idx] = st.v[0]
-    # compatibility defect on each (i, j) cell face; cells touching the
-    # data axes mix prescribed and evolved corners and carry an error
-    # boundary layer, so the a-posteriori measure runs over cells whose
-    # corners are all interior
-    defects = []
-    for i in range(M):
-        for j in range(i + 1, M):
-            for idx in product(range(1, steps), repeat=M):
-                c00 = idx
-                c10 = tuple(x + (1 if k == i else 0) for k, x in enumerate(idx))
-                c01 = tuple(x + (1 if k == j else 0) for k, x in enumerate(idx))
-                c11 = tuple(
-                    x + (1 if k in (i, j) else 0) for k, x in enumerate(idx)
-                )
-                fd = (
-                    grid_v1[c11] - grid_v1[c10] - grid_v1[c01] + grid_v1[c00]
-                ) / (h * h)
-                rhs = 0.0 + 0.0j
-                for corner in (c00, c10, c01, c11):
-                    st = states[corner]  # Q(p_i, p_j, v) from its flow along i
-                    rhs += _flow(sys, st, i)[2][j] * st.w[i] * st.w[j]
-                defects.append(abs(fd - rhs / 4.0))
-    return ReductionResult(
-        M=M,
-        steps=steps,
-        h=h,
-        grid_v1=grid_v1,
-        residual=worst_residual(defects),
-        blow_up=blow_up,
-        blow_up_at=blow_up_at,
-    )
+    return _march(sys, M, [(steps, h)], data)[0]
 
 
 def convergence_ratio(sys: GTSystem, M: int = 2, steps: int = 8, h: float = 0.02,
                       seed: int = 23) -> tuple[float, ReductionResult, ReductionResult]:
-    """Defect ratio between step h and h/2 over the same physical domain."""
+    """Defect ratio between step h and h/2 over the same physical domain,
+    the two grids marched together."""
     data = default_free_data(sys, M, seed)
-    coarse = integrate_reduction(sys, M, steps, h, data=data, seed=seed)
-    fine = integrate_reduction(sys, M, 2 * steps, h / 2.0, data=data, seed=seed)
+    coarse, fine = _march(sys, M, [(steps, h), (2 * steps, h / 2.0)], data)
     if fine.residual == 0:
         raise NonConvergence("zero fine-grid residual; ratio undefined")
     return coarse.residual / fine.residual, coarse, fine

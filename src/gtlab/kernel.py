@@ -813,10 +813,12 @@ def _theta_weights(K: int, dp: int, dtau: int) -> tuple[np.ndarray, ...]:
 
 def _fail_closed(bad, error: type, what: str, p, tau) -> None:
     """Raise ``error`` naming the first point (p, tau), of a batch or the one, where ``bad``."""
-    for i in np.flatnonzero(bad)[:1]:
-        p, tau = np.broadcast_arrays(p, tau)
-        where = f" (point {i} of {p.size})" if p.ndim else ""
-        raise error(f"{what} at p = {complex(p.flat[i])!r}, tau = {complex(tau.flat[i])!r}{where}")
+    if not (bad.any() if isinstance(bad, np.ndarray) else bad):
+        return
+    i = np.flatnonzero(bad)[0]
+    p, tau = np.broadcast_arrays(p, tau)
+    where = f" (point {i} of {p.size})" if p.ndim else ""
+    raise error(f"{what} at p = {complex(p.flat[i])!r}, tau = {complex(tau.flat[i])!r}{where}")
 
 
 def theta_jet(p, tau, dp: int = 0, dtau: int = 0, tol: float = 1e-12):
@@ -825,21 +827,31 @@ def theta_jet(p, tau, dp: int = 0, dtau: int = 0, tol: float = 1e-12):
     widened by 4 (dp + dtau): complex numbers, or arrays over N points of arrays p and tau
     from one ``np.exp`` over an (N, 2K + 1) grid, K the batch's widest.  A non-finite
     argument raises ``DomainViolation``, Im tau <= 0 ``InvalidModulus`` and a series not
-    finite ``OverflowError``, each naming the first point at fault."""
+    finite ``OverflowError``; a batch raises the error of its first point at fault, as
+    its points would one after another, and names that point."""
     batch = isinstance(p, np.ndarray) or isinstance(tau, np.ndarray)
     if batch:  # one row of the grid per point
         p, tau = np.broadcast_arrays(np.reshape(p, (-1, 1)), np.reshape(tau, (-1, 1)))
-        _fail_closed(~(np.isfinite(p) & np.isfinite(tau)), DomainViolation,
-                     "non-finite theta argument", p, tau)
-        _fail_closed(~(tau.imag > 0), InvalidModulus, "Im tau must be positive", p, tau)
+        finite = np.isfinite(p) & np.isfinite(tau)
+        valid = finite & (tau.imag > 0)
+        # the series runs over the points before the first invalid one, which may overflow first
+        cut = len(p) if valid.all() else int(np.argmin(valid))
+        at_p, at_tau = p[:cut], tau[:cut]
     else:
         require_finite(p, tau)
-    K = _theta_trunc_index(p.imag, tau.imag, tol) + 4 * (dp + dtau)
-    k, half, w = _theta_weights(K, dp, dtau)
-    with np.errstate(over="ignore", invalid="ignore"):
-        a = np.exp(k * (TWO_PI_I * p) + half * (TWO_PI_I * tau)) @ w
-    if not np.isfinite(a).all():
-        _fail_closed(~np.isfinite(a).all(axis=-1), OverflowError, "theta series overflows", p, tau)
+        cut, at_p, at_tau = 1, p, tau
+    if cut:
+        K = _theta_trunc_index(at_p.imag, at_tau.imag, tol) + 4 * (dp + dtau)
+        k, half, w = _theta_weights(K, dp, dtau)
+        with np.errstate(over="ignore", invalid="ignore"):
+            a = np.exp(k * (TWO_PI_I * at_p) + half * (TWO_PI_I * at_tau)) @ w
+        if not np.isfinite(a).all():  # row n of a is point n of the batch
+            _fail_closed(~np.isfinite(a).all(axis=-1), OverflowError, "theta series overflows",
+                         p, tau)
+    if batch and cut < len(p):
+        first = np.arange(len(p)) == cut
+        _fail_closed(first & ~finite.ravel(), DomainViolation, "non-finite theta argument", p, tau)
+        _fail_closed(first, InvalidModulus, "Im tau must be positive", p, tau)
     return a.T.reshape(dp + 1, dtau + 1, -1) if batch else a.reshape(dp + 1, dtau + 1).tolist()
 
 
@@ -872,15 +884,29 @@ def log_theta_partial(p: complex, tau: complex, dp: int, dtau: int) -> complex:
     return log_theta_jet(p, tau, dp, dtau)[dp][dtau] * math.factorial(dp) * math.factorial(dtau)
 
 
-def log_jet(a, p, tau) -> list[list]:
+def log_jet(a, p, tau):
     """The Taylor rectangle L of log theta from theta's rectangle a at (p, tau), by
     the jet rule (i + j) a_ij = sum_{k <= i, l <= j} (k + l) L_kl a_{i-k, j-l}
-    (Griewank & Walther, Evaluating Derivatives, ch. 13).  The entries are
-    complex numbers, or arrays over a batch; a vanishing a_00 raises ``PoleHit``."""
+    (Griewank & Walther, Evaluating Derivatives, ch. 13).  At a point the entries are
+    complex numbers, from one term at a time; over a batch, a (dp + 1, dtau + 1, N) array,
+    every entry of one total degree at once (``_degree_terms``).  A vanishing a_00
+    raises ``PoleHit``."""
     a00 = a[0][0]
     _fail_closed(a00 == 0, PoleHit, "log of a theta jet vanishing", p, tau)
+    if isinstance(a00, np.ndarray):
+        order, spans, back = _degree_terms(len(a) - 1, len(a[0]) - 1)
+        flat = a.reshape(-1, a00.size).take(order, axis=0)  # entries by total degree
+        L = np.empty_like(flat)
+        L[0] = np.log(a00)
+        for lo, hi, d, kl, rest, weight, starts in spans:
+            s = d * flat[lo:hi]
+            if kl.size:
+                s -= np.add.reduceat(L.take(kl, axis=0) * (weight * flat.take(rest, axis=0)),
+                                     starts, axis=0)
+            L[lo:hi] = s / (d * a00)
+        return L.take(back, axis=0).reshape(a.shape)
     L = [[None] * len(a[0]) for _ in a]
-    L[0][0] = np.log(a00) if isinstance(a00, np.ndarray) else cmath.log(a00)
+    L[0][0] = cmath.log(a00)
     for i, j, terms in _jet_rule_terms(len(a) - 1, len(a[0]) - 1):
         s = (i + j) * a[i][j]
         for k, l, i_k, j_l in terms:
@@ -895,6 +921,29 @@ def _jet_rule_terms(dp: int, dtau: int) -> tuple:
     return tuple((i, j, tuple((k, l, i - k, j - l) for k in range(i + 1) for l in range(j + 1)
                               if 0 < k + l < i + j))
                  for i in range(dp + 1) for j in range(dtau + 1) if i + j)
+
+
+@functools.lru_cache(maxsize=None)
+def _degree_terms(dp: int, dtau: int) -> tuple:
+    """The jet rule over a rectangle with its entries ordered by total degree: (the
+    row-major place of each entry, one span per degree d >= 1, and each row-major
+    entry's place in degree order).  A span is (its first and last entry + 1, d, the
+    entries (k, l) and (i-k, j-l) of its terms and their weights k + l as a column,
+    grouped by entry, and where each entry's terms start)."""
+    entries = sorted(np.ndindex(dp + 1, dtau + 1), key=sum)
+    place = {e: n for n, e in enumerate(entries)}
+    spans = []
+    for d in range(1, dp + dtau + 1):
+        lo, hi = (sum(sum(e) < t for e in entries) for t in (d, d + 1))
+        terms = [(place[k, l], place[i - k, j - l], k + l, n)
+                 for n, (i, j) in enumerate(entries[lo:hi])
+                 for k in range(i + 1) for l in range(j + 1) if 0 < k + l < d]
+        kl, rest, weight, owner = zip(*terms) if terms else [()] * 4
+        spans.append((lo, hi, d, np.array(kl, dtype=int), np.array(rest, dtype=int),
+                      np.array(weight, dtype=float)[:, None],
+                      np.searchsorted(owner, range(hi - lo))))
+    order = np.array([i * (dtau + 1) + j for i, j in entries])
+    return order, tuple(spans), np.argsort(order)
 
 
 # A torus seed reads rectangles at 5,192 points, 10 of them in two jobs: 256 entries

@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 import math
+import re
 from collections import Counter
-from itertools import product
 
 import pytest
 
@@ -12,11 +12,12 @@ import numpy as np
 
 from gtlab import catalog, gtsys
 from gtlab.core import GTStructure
-from gtlab.errors import ConfigError, NonConvergence
+from gtlab.errors import ConfigError, DomainViolation, NonConvergence
 from gtlab.gtsys import (
+    G1_FLOOR,
     FreeData,
     ReductionResult,
-    _flow,
+    _flows,
     _State,
     build_system,
     compatibility_residual,
@@ -25,7 +26,7 @@ from gtlab.gtsys import (
     inject_defect,
     integrate_reduction,
 )
-from gtlab.kernel import Domain, FixedPoints, JetEvaluator, cauchy_derivative
+from gtlab.kernel import Domain, FixedPoints, JetEvaluator, cauchy_derivative, on_columns
 
 
 def _benney_system(n=2):
@@ -202,21 +203,85 @@ def test_pair_values_do_not_depend_on_rows(name):
     assert b_rows[0] is None and all(len(row) == 1 + m for row in b_rows[1:])
 
 
+def _system(name):
+    """The named system; benney+defect is benney's with a defected f."""
+    s = catalog.build_structure(name.split("+")[0], 2)
+    return build_system(inject_defect(s, seed=1) if name.endswith("+defect") else s)
+
+
+@pytest.mark.parametrize("name", ["benney", "genus0", "genus1", "genus2", "benney+defect"])
+def test_fiber_and_pair_on_columns_agree_with_points(name):
+    # a batch of pairs through the same expressions as its points, to 1e-13
+    # of each answer's scale: every g jet, B and each B row from fiber, and
+    # A, Q and their rows from pair at both jet levels.  A jet or row is
+    # scaled by its largest entry, as the row oracles above scale theirs
+    # (benney's A does not depend on u_2, and genus1's columns sum theta
+    # over the batch's window: 1.5e-13 of one entry, 4e-14 of its row)
+    sys_ = _system(name)
+    pts = sys_.structure.sample(6, 7, 2)
+    cols = [np.array(col) for col in zip(*((*ps, *v) for ps, v in pts))]
+    fib_1, fib_2 = sys_.fiber((cols[0], *cols[2:])), sys_.fiber((cols[1], *cols[2:]))
+
+    def close(got, want):
+        scale = max(abs(x) for x in want)
+        assert max(abs(x - y) for x, y in zip(got, want)) <= 1e-13 * scale, (name, got, want)
+
+    for n, (ps, v) in enumerate(pts):
+        one, two = sys_.fiber((ps[0], *v)), sys_.fiber((ps[1], *v))
+        for jet_col, jet in zip(fib_1[0], one[0]):
+            close(jet_col[:, n], jet)
+        for b_col, b, rows_col, row in zip(fib_1[1][1:], one[1][1:], fib_1[2][1:], one[2][1:]):
+            close([b_col[n]], [b])
+            close([x[n] for x in rows_col], row)
+        for rows in (False, True):
+            batch = sys_.pair(fib_1[0], fib_2[0], tuple(cols), rows)
+            point = sys_.pair(one[0], two[0], (*ps, *v), rows)
+            close([batch[0][n]], [point[0]])
+            close([batch[1][n]], [point[1]])
+            for row_col, row in zip(batch[2:], point[2:]):
+                assert (row_col is None) == (row is None) == (not rows)
+                if rows:
+                    close([x[n] for x in row_col], row)
+
+
+def test_fiber_on_columns_names_the_first_point_below_the_floor():
+    # g_1 = (p - 0.3)(p - 0.5i) vanishes at two of five points: the error
+    # names the first of them; the three others pass
+    s = catalog.build_structure("benney", 1)
+    g1 = JetEvaluator(2, lambda p, u: (p - 0.3) * (p - 0.5j))
+    sys_ = build_system(GTStructure(m=1, g=(g1,), f=s.f, p_box=s.p_box, v_boxes=s.v_boxes))
+    p = np.array([0.1 + 0.2j, -0.4 + 0.1j, 0.3 + 0j, 0.2 - 0.3j, 0.5j])
+    u = np.full(5, 1.2 + 0.4j)
+    with pytest.raises(DomainViolation, match=re.escape(f"g_1({complex(p[2])}) = ") + ".* below "
+                       + re.escape(f"floor {G1_FLOOR} (point 2 of 5)") + "$"):
+        sys_.fiber((p, u))
+    sys_.fiber((p[[0, 1, 3]], u[:3]))
+
+
+def _points(args):
+    """The points an evaluator call was asked at: one, or a row per point of columns."""
+    return list(zip(*(np.asarray(col).tolist() for col in args))) if on_columns(args) else [
+        tuple(args)]
+
+
 def _count_asks(monkeypatch, s):
     """A Counter of (evaluator, point, second partials asked) over every
-    ``value`` and ``partials`` call on the structure's g and f."""
+    ``value`` and ``partials`` call on the structure's g and f, a call on
+    argument columns counted at each of its points."""
     asked = Counter()
     value, partials = JetEvaluator.value, JetEvaluator.partials
     watched = {id(e) for e in (*s.g, s.f)}
 
     def counted_value(self, args):
         if id(self) in watched:
-            asked[id(self), tuple(args), False] += 1
+            for point in _points(args):
+                asked[id(self), point, False] += 1
         return value(self, args)
 
     def counted_partials(self, args, multis):
         if id(self) in watched:
-            asked[id(self), tuple(args), any(sum(multi) == 2 for multi in multis)] += 1
+            for point in _points(args):
+                asked[id(self), point, any(sum(multi) == 2 for multi in multis)] += 1
         return partials(self, args, multis)
 
     monkeypatch.setattr(JetEvaluator, "value", counted_value)
@@ -225,21 +290,22 @@ def _count_asks(monkeypatch, s):
 
 
 def test_state_asks_each_g_once_per_point(monkeypatch):
-    # every flow of one M=3 state reads one jet table: each g_k is asked
-    # exactly once at every (p_k, v), so pair asks no g, and f at most once
-    # per ordered pair and jet level (rows first leave values nothing to ask)
+    # the flows of a batch of M=3 states along every direction read one jet
+    # table: each g_k is asked exactly once at every (p_k, v) of every state,
+    # so pair asks no g, and f once per ordered pair, with rows only along
+    # the directions a state asks them for
     s = catalog.build_structure("genus0", 2)
     sys_ = build_system(s)
-    ps, v = s.sample(1, 5, 3)[0]
-    for levels, f_count in (((False, True), 2 * 6), ((True, False), 6)):
-        st = _State(list(ps), list(v), [1.0 + 0j] * 3)
-        asked = _count_asks(monkeypatch, s)
-        for rows, i in product(levels, range(3)):
-            _flow(sys_, st, i, rows)
-        g_asks = {(e, args): n for (e, args, _), n in asked.items() if e != id(s.f)}
-        assert g_asks == {(id(gk), (p, *v)): 1 for gk in s.g for p in ps}
-        f_asks = {key: n for key, n in asked.items() if key[0] == id(s.f)}
-        assert len(f_asks) == f_count and set(f_asks.values()) == {1}
+    raw = s.sample(4, 5, 3)
+    st = _State(np.array([(*ps, *v, 1.0, 1.0, 1.0) for ps, v in raw], dtype=complex).T, 3, 2)
+    rows = np.array([[True, False, True, False]] * 3)
+    asked = _count_asks(monkeypatch, s)
+    _flows(sys_, st, rows)
+    g_asks = {(e, args): n for (e, args, _), n in asked.items() if e != id(s.f)}
+    assert g_asks == {(id(gk), (p, *v)): 1 for gk in s.g for ps, v in raw for p in ps}
+    f_asks = {key: n for key, n in asked.items() if key[0] == id(s.f)}
+    assert len(f_asks) == 6 * 4 and set(f_asks.values()) == {1}
+    assert sum(second for _, _, second in f_asks) == 6 * 2  # rows at states 0 and 2
 
 
 @pytest.mark.parametrize("M,steps", [(2, 4), (3, 2)])
@@ -254,6 +320,28 @@ def test_march_asks_each_g_once_per_point(monkeypatch, M, steps):
     assert g_asks and max(g_asks.values()) == 1
     points = Counter(args for _, args, _ in g_asks)
     assert set(points.values()) == {len(s.g)}
+
+
+@pytest.mark.parametrize("M,steps", [(2, 4), (3, 2)])
+def test_march_asks_each_evaluator_once_per_level_stage_and_jet_level(monkeypatch, M, steps):
+    # both grids of a convergence ratio march together, level by level: each
+    # g_k is asked in one call per level (the level's flows) and one per
+    # level left (its steps' predictors), and f in at most one call per jet
+    # level there; a march asking per state makes a call per state
+    s = catalog.build_structure("benney", 2)
+    sys_ = build_system(s)
+    calls = Counter()
+    partials = JetEvaluator.partials
+
+    def counted(self, args, multis):
+        calls[id(self)] += 1
+        return partials(self, args, multis)
+
+    monkeypatch.setattr(JetEvaluator, "partials", counted)
+    convergence_ratio(sys_, M=M, steps=steps, h=0.02)
+    stages = 2 * (M * 2 * steps + 1) - 1  # the fine grid's levels, and the levels left
+    assert [calls[id(gk)] for gk in s.g] == [stages] * len(s.g)
+    assert stages <= calls[id(s.f)] <= 2 * stages
 
 
 # ---------------------------------------------------------------------------
@@ -273,11 +361,22 @@ def test_compatibility_needs_three_points():
         compatibility_residual(_benney_system(), M=2)
 
 
-# compatibility_residual(M=3, states=10, seed=17) before the flow read B and
-# its rows from one fiber jet: m = 2 and genus2's m = 3 run the B rows
+# compatibility_residual(M=3, states=10, seed=17), every state in one batch:
+# (max, mean) residual, pinned exactly; m = 2 and genus2's m = 3 run the B rows
 GOLDEN_COMPATIBILITY = {
-    ("benney", 2): (5.402578411571408e-14, 1.03091236188752e-14),
-    ("genus2", 0): (2.779303147179909e-13, 8.759508924159356e-14),
+    ("benney", 2): (5.720310336735898e-14, 1.1498039220205471e-14),
+    ("genus2", 0): (1.7866300027947316e-13, 6.909709535250087e-14),
+}
+# The same report from one state at a time with Python's complex arithmetic,
+# before the batch, with S, the largest |d_a d_b F| among the differences.
+# A residual |d_i d_j F - d_j d_i F| is zero in exact arithmetic: it is
+# rounding, 2.6 to 11 eps S in both floats, and numpy's complex division
+# (a reciprocal, then a product) rounds otherwise than Python's, so the
+# batch moves it by its own size.  The oracle: old and new max residual
+# within 16 eps S of each other, the new below 16 eps S.
+PER_STATE_COMPATIBILITY = {
+    ("benney", 2): (5.402578411571408e-14, 22.739053223825213),
+    ("genus2", 0): (2.779303147179909e-13, 306.23301790997584),
 }
 
 
@@ -286,6 +385,9 @@ def test_compatibility_keeps_every_float(name, n):
     rep = compatibility_residual(build_system(catalog.build_structure(name, n)),
                                  M=3, states=10, seed=17)
     assert (rep.max_residual, rep.mean_residual) == GOLDEN_COMPATIBILITY[name, n]
+    old, scale = PER_STATE_COMPATIBILITY[name, n]
+    bound = 16 * np.finfo(float).eps * scale
+    assert rep.max_residual <= bound and abs(rep.max_residual - old) <= bound
 
 
 def test_injected_defect_is_detected():
@@ -391,9 +493,20 @@ def test_integrate_reduction_needs_two_steps():
         integrate_reduction(sys_, M=2, steps=1, h=0.02)
 
 
-# integrate_reduction(benney(1), M=2, steps=4, h=0.02, seed=23) before the
-# march memoised its flows: every float below must stay as it is
-GOLDEN_RESIDUAL = 6.334079935976284e-06
+# integrate_reduction(benney(1), M=2, steps=4, h=0.02, seed=23), level by
+# level: every float below must stay as it is.  v_1 is the per-state march's
+# bit for bit; the residual is pinned as the level march gives it
+GOLDEN_RESIDUAL = 6.334079935963067e-06
+# The per-state march's residual, an oracle.  v_1 does not move, so the
+# finite differences do not; the defect moves with Q w_i w_j at the cell
+# corners, which numpy's complex division (a reciprocal, then a product)
+# rounds otherwise than Python's: Q has two divisions, each within 3 eps of
+# its value either way, so a corner term moves by less than 16 eps
+# |Q w_i w_j|, and |Q w_i w_j| <= 0.0969 on this grid.  The mean of four
+# corners moves by no more, and the defect is a max of |fd - mean|:
+# 16 eps * 0.0969 / 6.33e-6 = 5.4e-11 of it.
+PER_STATE_RESIDUAL = 6.334079935976284e-06
+RESIDUAL_ORACLE_REL = 16 * 2.0**-52 * 0.0969 / PER_STATE_RESIDUAL
 GOLDEN_V1 = [
     (0.7788632321116191+0.0938797667849145j), (0.7885796290153498+0.09209953677508552j),
     (0.7983074753514618+0.09035467224040522j), (0.8080467007179214+0.08864495572019124j),
@@ -416,12 +529,14 @@ def test_memoised_march_keeps_every_float():
     res = integrate_reduction(sys_, M=2, steps=4, h=0.02, seed=23)
     assert res.residual == GOLDEN_RESIDUAL
     assert [complex(x) for x in res.grid_v1.ravel()] == GOLDEN_V1
+    assert res.residual == pytest.approx(PER_STATE_RESIDUAL, rel=RESIDUAL_ORACLE_REL, abs=0)
 
 
 @pytest.mark.parametrize("M,steps", [(2, 6), (3, 3)])
 def test_march_asks_f_at_most_twice_per_point(monkeypatch, M, steps):
-    # once for values and once with rows, whichever flows need it: the
-    # flows are memoised per state and direction
+    # a state's flows ask f once at each ordered pair of its points, for
+    # values or with rows, whichever the steps leaving it need: no point
+    # is asked twice, and some with rows and some for values only
     s = catalog.build_structure("benney", 2)
     sys_ = build_system(s)
     asked = Counter()
@@ -429,14 +544,16 @@ def test_march_asks_f_at_most_twice_per_point(monkeypatch, M, steps):
 
     def counted(self, args, multis):
         if self is s.f:
-            asked[tuple(args), any(sum(multi) == 2 for multi in multis)] += 1
+            for point in _points(args):
+                asked[point, any(sum(multi) == 2 for multi in multis)] += 1
         return partials(self, args, multis)
 
     monkeypatch.setattr(JetEvaluator, "partials", counted)
     integrate_reduction(sys_, M=M, steps=steps, h=0.02)
     assert asked and max(asked.values()) == 1
     points = Counter(args for args, _ in asked)
-    assert max(points.values()) == 2  # some point is asked both ways
+    assert max(points.values()) == 1
+    assert {rows for _, rows in asked} == {False, True}
 
 
 def test_convergence_ratio_is_second_order():
@@ -451,6 +568,6 @@ def test_convergence_ratio_refuses_a_zero_fine_grid_residual(monkeypatch):
     sys_ = build_system(catalog.build_structure("benney", 1))
     exact = ReductionResult(M=2, steps=8, h=0.02, grid_v1=np.zeros((9, 9), dtype=complex),
                             residual=0.0, blow_up=False, blow_up_at=None)
-    monkeypatch.setattr(gtsys, "integrate_reduction", lambda *args, **kwargs: exact)
+    monkeypatch.setattr(gtsys, "_march", lambda *args, **kwargs: [exact, exact])
     with pytest.raises(NonConvergence, match=r"^zero fine-grid residual; ratio undefined$"):
         convergence_ratio(sys_)

@@ -12,6 +12,7 @@ from gtlab import catalog, hierarchy
 from gtlab.core import Potential
 from gtlab.errors import ConfigError, DomainViolation, NonConvergence, SamplingExhausted
 from gtlab.hierarchy import (
+    HydroSystem,
     PotentialFamily,
     compatibility_tensor,
     criterion_integrable,
@@ -282,17 +283,44 @@ def test_dimension_d_refuses_a_rank_that_moves_under_sample_doubling(monkeypatch
         dimension_D(fam, 0, 1, 2, _fiber(fam))
 
 
-def test_hydro_extraction_refuses_potentials_that_ignore_the_fiber():
-    # p, log p and log(p - 1) on benney(2): every fiber partial is 0, so
-    # every compatibility function vanishes and there is no basis to pick
+def _flat_family():
+    """p, log p and log(p - 1) on benney(2): every fiber partial is 0, so
+    every compatibility function vanishes."""
     fam = _family("benney", 2)
     arity = 1 + fam.m
     flat = [catalog.place(catalog.IDENTITY, arity, (0,)),
             *(catalog.place(catalog._frozen_log(point), arity, (0,)) for point in (0.0, 1.0))]
-    fam = PotentialFamily(fam.structure, [Potential(h) for h in flat], label="flat")
+    return PotentialFamily(fam.structure, [Potential(h) for h in flat], label="flat")
+
+
+def test_hydro_extraction_refuses_potentials_that_ignore_the_fiber():
+    # no compatibility function survives, so there is no basis to pick
+    fam = _flat_family()
     assert not compatibility_tensor(fam, 0, 1, 2, _fiber(fam), [0.3 + 0.2j]).any()
     with pytest.raises(NonConvergence, match=r"^compatibility tensor vanishes identically$"):
         hydro_coefficients(fam, 0, 1, 2, _fiber(fam))
+
+
+def test_a_vanishing_tensor_has_dimension_zero():
+    # the zero matrix has no leading singular value to scale the rank
+    # threshold by: its rank is 0 on both sample sets
+    fam = _flat_family()
+    assert dimension_D(fam, 0, 1, 2, _fiber(fam)) == 0
+
+
+def test_zero_coefficient_matrices_have_rank_zero():
+    a, b, c = np.zeros((3, 1, 2), dtype=complex)
+    hs = HydroSystem(D=1, a=a, b=b, c=c, basis_rows=(0,),
+                     basis_samples=np.zeros((1, 1), dtype=complex), z_points=(0.5j,),
+                     expansion_residual=0.0, v=(0.1j, 0.2j))
+    assert hs.rank_abc == 0
+    hs.a[0, 1] = 1e-3
+    assert hs.rank_abc == 1
+
+
+def test_reconstruct_f_needs_two_distinct_potentials():
+    with pytest.raises(ConfigError, match=r"^need two distinct potentials$"):
+        reconstruct_f(_family("benney", 2), 1, 1)
 
 
 def test_lambda_reconstruction_refuses_a_vanishing_h_prime():

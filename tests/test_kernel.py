@@ -743,6 +743,24 @@ def test_a_batch_fails_closed_at_any_point(index, bad, error, match):
     assert kernel.log_theta_jet.cache_info().currsize == 0
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("first, later, error", [
+    ({"p": 0.1 + 300j}, {"tau": 0.3 - 1.1j}, OverflowError),
+    ({"tau": 0.3 - 1.1j}, {"p": 0.1 + 300j}, InvalidModulus),
+    ({"p": complex("nan")}, {"tau": 0.3 - 1.1j}, DomainViolation),
+    ({"tau": 0.3 - 1.1j}, {"p": complex("nan")}, InvalidModulus),
+])
+def test_a_batch_raises_the_error_of_its_first_point_at_fault(first, later, error):
+    # two bad points of different kinds: the batch fails as its points would
+    # one after another, with the first one's error, naming it
+    ps, taus = _with_bad_point(1, **first)
+    ps, taus = [col.copy() for col in (ps, taus)]
+    for key, value in later.items():
+        {"p": ps, "tau": taus}[key][5] = value
+    with pytest.raises(error, match=r"\(point 1 of 8\)"):
+        theta_jet(ps, taus, 1, 1)
+
+
 @pytest.mark.parametrize("index", BAD_INDICES)
 def test_a_batched_log_jet_fails_closed_on_a_vanishing_point(index):
     a = theta_jet(BATCH_P, BATCH_TAU, 1, 1)
