@@ -15,18 +15,17 @@ one batch of them) and its singular loci; the placement reads its slots,
 answers 0 for a partial in any other slot, and moves the loci onto the
 slots.  One function, its ``partial_fn``, answers a placed evaluator's jet
 requests, the value included, at a point and on a tuple of numpy argument
-columns of N points (the evaluator is built with ``columns`` set, so
-``partials`` and ``value`` hand it either); the theta kernels read every
-multi-index asked, at N points or at one, from one log-theta rectangle per
-argument column.  genus2's f, built on square
-roots, is its own evaluator: its partials of total order <= 2 are closed
-form too, from one jet at the point per batch, its value comes from ``fn``,
-and its circles (value rows only) continue the square-root sheet.
+columns of N points, as every evaluator's does; the theta kernels read
+every multi-index asked, at N points or at one, from one log-theta
+rectangle per argument column.  genus2's f, built on square roots, is its
+own evaluator: its partials of total order <= 2 are closed form too, from
+one jet per batch on the principal square roots at each argument, its
+value comes from ``fn``, and its circles (value rows only) continue the
+square-root sheet along every loop at once.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from operator import itemgetter
@@ -94,7 +93,7 @@ def place(kernel: Kernel, arity: int, slots: Sequence[int], label: str = "") -> 
         return out
 
     return JetEvaluator(arity, fn, domain=Domain(kernel.loci).remap(slots),
-                        partial_fn=partial_fn, label=label, columns=True)
+                        partial_fn=partial_fn, label=label)
 
 
 def _difference(a: JetEvaluator, b: JetEvaluator, label: str = "") -> JetEvaluator:
@@ -108,7 +107,7 @@ def _difference(a: JetEvaluator, b: JetEvaluator, label: str = "") -> JetEvaluat
         return [x - y for x, y in zip(a.partial_fn(args, multis), b.partial_fn(args, multis))]
 
     return JetEvaluator(a.arity, fn, domain=a.domain.merged(b.domain), partial_fn=partial_fn,
-                        label=label, columns=True)
+                        label=label)
 
 
 def _pole_partial(d: complex, k: int, r: int) -> complex:
@@ -335,16 +334,15 @@ def _quintic_dp(p, a, b, c):
     return tot
 
 
-def _track_sqrt(values: np.ndarray, anchor: complex) -> np.ndarray:
-    """Continuous square root along a sampled loop, anchored so the first
-    point's root is the one closest to ``anchor``."""
-    out = np.empty_like(values)
-    prev = anchor
-    for k, v in enumerate(values):
-        r = cmath.sqrt(v)
-        out[k] = r if abs(r - prev) <= abs(r + prev) else -r
-        prev = out[k]
-    return out
+def _track_sqrt(values: np.ndarray, anchors: np.ndarray) -> np.ndarray:
+    """Continuous square roots along N sampled loops, an (N, nodes) array of
+    their squares: each loop's first root the one closest to its anchor,
+    every next one the one closest to the root before.  Relative to the
+    principal roots r, a sign flips wherever r_k is closer to -r_{k-1} than
+    to r_{k-1}, so the signs are a running product along each loop."""
+    r = np.sqrt(values)
+    before = np.concatenate([anchors[:, None], r[:, :-1]], axis=1)
+    return r * np.cumprod(np.where(abs(r - before) <= abs(r + before), 1.0, -1.0), axis=1)
 
 
 def _factors(*pairs):
@@ -364,30 +362,32 @@ _DEN = _factors((0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (0, 6))
 
 def _power_hessian(u, x, power=1.0):
     """(P_kl / P, d_k log P) over the five arguments for P the product of
-    the factors u . x raised to ``power``: d log P = power sum u / (u . x),
+    the factors u . x raised to ``power``, x the seven coordinates with a
+    trailing point axis on argument columns: d log P = power sum u / (u . x),
     and P_kl / P = d_k d_l log P + d_k log P d_l log P."""
-    inv = 1.0 / (u @ x)
+    inv = 1.0 / np.tensordot(u, x, 1)
     u = u[:, :5]
-    grad = power * (inv @ u)
-    return np.outer(grad, grad) - (u.T * (power * inv * inv)) @ u, grad
+    grad = power * np.tensordot(u.T, inv, 1)
+    return grad[:, None] * grad - np.einsum("fk,fl,f...->kl...", u, u, power * inv * inv), grad
 
 
 def _ratio_hessian(f, f_grad, den, den_grad, num_hess, den_hess):
     """Second partials of f = N / D from the jets of N and D and f's own:
-    f_kl = (N_kl - f_k D_l - f_l D_k - f D_kl) / D."""
-    cross = np.outer(f_grad, den_grad)
-    return (num_hess - cross - cross.T - f * den_hess) / den
+    f_kl = (N_kl - f_k D_l - f_l D_k - f D_kl) / D, over any trailing point axis."""
+    cross = f_grad[:, None] * den_grad
+    return (num_hess - cross - cross.swapaxes(0, 1) - f * den_hess) / den
 
 
 class GenusTwoF(JetEvaluator):
     """Two-point function of the genus-2 curve.
 
-    Values use the principal branch of q at each argument.  Every partial
-    of total order <= 2 is closed form, from one jet of f = N / D at the
-    point on the principal q1 and q2: the batch a ``partials`` call hands
-    over shares them.  Circles (for higher orders in one slot) sample
-    values only, continuing the sheet along the circle so the branch cut
-    of the principal square root never contaminates a derivative disc.
+    Values use the principal branch of q at each argument (``np.sqrt``, at
+    a point or on argument columns).  Every partial of total order <= 2 is
+    closed form, from one jet of f = N / D on the principal q1 and q2: the
+    batch a ``partials`` call hands over shares them.  Circles (for higher
+    orders in one slot) sample values only, continuing the sheet along
+    every loop so the branch cut of the principal square root never
+    contaminates a derivative disc.
     """
 
     # args: (p1, p2, a, b, c)
@@ -405,40 +405,37 @@ class GenusTwoF(JetEvaluator):
                          label="genus2:f")
 
     @staticmethod
+    def _roots(args):
+        """The principal q1 and q2 at (p1, p2, a, b, c)."""
+        return (np.sqrt(_quintic(args[t], *args[2:])) for t in (0, 1))
+
+    @staticmethod
     def _assemble(p1, p2, a, b, c, q1, q2):
         A1 = (p1 - a) * (p1 - b) * (p1 - c)
         num = A1 * p2 * (p2 - 1.0) + q1 * q2
         den = 2.0 * (p1 - p2) * p1 * (p1 - 1.0) * A1
         return num / den
 
-    def _fn(self, p1, p2, a, b, c):
-        q1 = cmath.sqrt(_quintic(p1, a, b, c))
-        q2 = cmath.sqrt(_quintic(p2, a, b, c))
-        return self._assemble(p1, p2, a, b, c, q1, q2)
+    def _fn(self, *args):
+        return self._assemble(*args, *self._roots(args))
 
-    def eval_rows(self, rows, anchor, rests):
-        """Values along a loop of arguments, with q1 and q2 continued along
-        it once from their principal values at ``anchor``.  Partials of
-        order <= 2 never reach a circle, and a partial rest (a mixed
-        partial beyond them) is not supported."""
+    def eval_rows(self, loops, anchors, rests):
+        """Values on the loops, with q1 and q2 continued along each from
+        their principal values at its anchor.  Partials of order <= 2 never
+        reach a circle, and a partial rest (a mixed partial beyond them) is
+        not supported."""
         if any(rest is not None for rest in rests):
             raise NotImplementedError(
                 "genus-2 mixed partials beyond total order 2 are not supported")
-        # an overflow or inf - inf here is a non-finite sample, which
-        # ``eval_circle`` raises as ``DomainViolation``: no warning first
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            q1 = _track_sqrt(np.array([_quintic(r[0], r[2], r[3], r[4]) for r in rows]),
-                             cmath.sqrt(_quintic(anchor[0], anchor[2], anchor[3], anchor[4])))
-            q2 = _track_sqrt(np.array([_quintic(r[1], r[2], r[3], r[4]) for r in rows]),
-                             cmath.sqrt(_quintic(anchor[1], anchor[2], anchor[3], anchor[4])))
-            values = [self._assemble(*row, a, b) for row, a, b in zip(rows, q1, q2)]
-        return np.array([values] * len(rests), dtype=complex)
+        roots = map(_track_sqrt, (_quintic(loops[t], *loops[2:]) for t in (0, 1)),
+                    self._roots(anchors))
+        return np.array([self._assemble(*loops, *roots)] * len(rests))
 
     # closed-form partials -------------------------------------------------
 
     @staticmethod
     def _shared(args, q1, q2):
-        """(A1, B2, f, den) at one point: what every partial there uses."""
+        """(A1, B2, f, den) at the points: what every partial there uses."""
         p1, p2, a, b, c = args
         A1 = (p1 - a) * (p1 - b) * (p1 - c)
         B2 = p2 * (p2 - 1.0)
@@ -470,29 +467,29 @@ class GenusTwoF(JetEvaluator):
 
     @staticmethod
     def _hessian(args, q1, q2, shared, f_grad):
-        """Every second partial at one point, as nested lists.  N's terms
-        A1 B2 and q1 q2 and the denominator are products of powers of linear
-        factors, so each jet is its value times the jet of its logarithm;
-        q1 q2 is (quintic(p1) quintic(p2))^(1/2) on either sheet, so its
-        logarithmic jet does not depend on the sheet."""
+        """Every second partial, a 5 x 5 array with a trailing point axis on
+        argument columns.  N's terms A1 B2 and q1 q2 and the denominator are
+        products of powers of linear factors, so each jet is its value times
+        the jet of its logarithm; q1 q2 is (quintic(p1) quintic(p2))^(1/2)
+        on either sheet, so its logarithmic jet does not depend on the
+        sheet."""
         A1, B2, f, den = shared
-        x = np.array([*args, 0.0, 1.0], dtype=complex)
+        x = np.array(np.broadcast_arrays(*args, 0.0, 1.0), dtype=complex)
         hess_ab, _ = _power_hessian(_A1_B2, x)
         hess_qq, _ = _power_hessian(_Q1_Q2, x, 0.5)
         hess_den, grad_den = _power_hessian(_DEN, x)
         num_hess = (A1 * B2) * hess_ab + (q1 * q2) * hess_qq
         return _ratio_hessian(f, np.array(f_grad), den, den * grad_den, num_hess,
-                                 den * hess_den).tolist()
+                              den * hess_den)
 
     def _partial_fn(self, args, multis):
-        """Orders 1 and 2 from one jet at the point; the value goes to
+        """Orders 1 and 2 from one jet at the points; the value goes to
         ``fn`` and higher orders to the circles, a request for nothing else
         declined before any square root is taken."""
         orders = [sum(multi) for multi in multis]
         if 1 not in orders and 2 not in orders:
             return [NotImplemented] * len(multis)
-        q1 = cmath.sqrt(_quintic(args[0], args[2], args[3], args[4]))
-        q2 = cmath.sqrt(_quintic(args[1], args[2], args[3], args[4]))
+        q1, q2 = self._roots(args)
         shared = self._shared(args, q1, q2)
         slots = range(5) if 2 in orders else {m.index(1) for m, o in zip(multis, orders) if o == 1}
         firsts = {t: self._first_partial(args, t, q1, q2, shared) for t in slots}
@@ -503,7 +500,7 @@ class GenusTwoF(JetEvaluator):
                 out.append(firsts[multi.index(1)])
             elif order == 2:
                 s, t = (slot for slot, o in enumerate(multi) for _ in range(o))
-                out.append(hess[s][t])
+                out.append(hess[s, t])
             else:
                 out.append(NotImplemented)
         return out

@@ -228,8 +228,7 @@ def quadratic_mu(m: int, scale: float) -> JetEvaluator:
     def mu_pf(args, multis):
         return [mu_partial(args, multi) for multi in multis]
 
-    return JetEvaluator(1 + m, mu_fn, domain=Domain(), partial_fn=mu_pf, label="mu",
-                        columns=True)
+    return JetEvaluator(1 + m, mu_fn, domain=Domain(), partial_fn=mu_pf, label="mu")
 
 
 def _cmd_pushforward(cfg):
@@ -386,16 +385,14 @@ HANDLERS = {
 
 
 def _jsonify(obj: Any) -> Any:
-    """Deterministic JSON form: complex -> [re, im], numpy -> python, and a
-    non-finite float (numpy's or a complex part too) -> its repr string."""
+    """Deterministic JSON form: complex -> [re, im], a numpy float or complex
+    -> python's, and a non-finite float (numpy's or a complex part too) ->
+    its repr string.  Handlers hand over ints and lists, never numpy ints
+    or arrays."""
     if isinstance(obj, (complex, np.complexfloating)):
         return [_jsonify(float(obj.real)), _jsonify(float(obj.imag))]
     if isinstance(obj, np.floating):
         obj = float(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.ndarray):
-        return [_jsonify(x) for x in obj.tolist()]
     if isinstance(obj, dict):
         return {str(k): _jsonify(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):

@@ -16,9 +16,9 @@ The transforms build their evaluators from the evaluators they transform,
 and answer first partials by the chain rule through the ingredients' own
 partials (a pushed evaluator through mu's as well); partials of order two
 and above, and the Laurent coefficients of the pole checks, come from
-Cauchy circles over the transformed values.  A pushed evaluator whose
-ingredient answers argument columns answers them too, through the same
-closures, and its pulled-back loci read columns for the sampler.
+Cauchy circles over the transformed values.  Every evaluator answers a
+point and argument columns through the same closures, and a pushed
+evaluator's pulled-back loci read columns for the sampler.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import functools
 import math
 from dataclasses import dataclass, field
 from itertools import combinations, product
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -458,7 +458,7 @@ class _RichardsonLimit(JetEvaluator):
 
     def _fn(self, *args):
         eps = LADDER
-        vals = [complex(self.fn_eps(args, ei)) for ei in eps]
+        vals = [self.fn_eps(args, ei) for ei in eps]
         # Neville tableau in eps toward 0
         for level in range(1, len(eps)):
             for i in range(len(eps) - level):
@@ -599,19 +599,18 @@ def collide_points_closed(s: GTStructure, groups: Sequence[Sequence[int]]) -> GT
                 total += w * dvals[dm] * mono
             return total
 
-        def first(args, t):
-            """Term by term: f's partials in the slots the moving coordinate
-            t feeds (u0 feeds two, p2 and its own fiber slot, so the two
-            partials add up), and the monomial's own derivative."""
-            p, v = args[0], args[1:]
-            u = [v[slot] for slot in owner]
+        def moved(t):
+            """f's partials that slot t moves, per term (the slots of f it
+            feeds: u0 feeds two, p2 and its own fiber slot), and the
+            monomial factor it moves (0, u0's, never in a monomial, for none)."""
             fed = [0] if t == 0 else [1 + t] + ([1] if t - 1 == u0_slot else [])
-            # the monomial factor that moves; 0 (u0, never in a monomial) for none
-            rr_t = owner.index(t - 1) if t and t - 1 in owner else 0
-            moved = {dm: [fm(*[1] * dm[1], sl) for sl in fed] for dm, _, _ in terms}
-            dvals = _asked(s.f, (p, v[u0_slot], *v),
-                           [d for ds in moved.values() for d in ds]
-                           + ([dm for dm, _, _ in terms] if rr_t else []))
+            return ({dm: [fm(*[1] * dm[1], sl) for sl in fed] for dm, _, _ in terms},
+                    owner.index(t - 1) if t and t - 1 in owner else 0)
+
+        def first(u, t, dvals):
+            """Term by term: the moved partials of f, which add up, and the
+            monomial's own derivative."""
+            moves, rr_t = moved(t)
             total = 0.0 + 0.0j
             for dm, w, powers in terms:
                 mono, dmono = 1.0 + 0.0j, 0.0 + 0.0j
@@ -619,12 +618,20 @@ def collide_points_closed(s: GTStructure, groups: Sequence[Sequence[int]]) -> GT
                     x = u[rr] ** c
                     dmono = dmono * x + (mono * c * u[rr] ** (c - 1) if rr == rr_t else 0.0)
                     mono *= x
-                dval = sum(dvals[d] for d in moved[dm])
+                dval = sum(dvals[d] for d in moves[dm])
                 total += w * (dval * mono + (dvals[dm] * dmono if rr_t else 0.0))
             return total
 
         def partial_fn(args, multis):
-            return [first(args, multi.index(1)) if sum(multi) == 1 else NotImplemented
+            """Every first partial asked from one request to f."""
+            slots = [multi.index(1) for multi in multis if sum(multi) == 1]
+            if not slots:
+                return [NotImplemented] * len(multis)
+            p, v = args[0], args[1:]
+            dvals = _asked(s.f, (p, v[u0_slot], *v), [dm for dm, _, _ in terms] + [
+                d for t in slots for ds in moved(t)[0].values() for d in ds])
+            u = [v[slot] for slot in owner]
+            return [first(u, multi.index(1), dvals) if sum(multi) == 1 else NotImplemented
                     for multi in multis]
 
         dom = _collided_domain(s.g[i].domain, groups, offset=1, arity=1 + m)
@@ -688,8 +695,7 @@ class _Composed(JetEvaluator):
     adds.
 
     Every closure answers a point or a tuple of argument columns, as
-    ``catalog.place`` does, so the composition takes columns where
-    ``inner`` does."""
+    ``catalog.place`` does."""
 
     def __init__(self, inner: JetEvaluator, image, to_inner, outer, first, arity: int,
                  label: str, loci: Sequence[Exclusion] = ()):
@@ -703,7 +709,7 @@ class _Composed(JetEvaluator):
         domain = Domain(tuple(PulledBack(image_once, ex, range(arity))
                               for ex in (*inner.domain.exclusions, *loci)))
         super().__init__(arity, self._fn, domain=domain, partial_fn=self._partial,
-                         label=label, columns=inner.columns)
+                         label=label)
 
     def _fn(self, *args):
         mapped, rates = self.to_inner(args)
@@ -714,16 +720,18 @@ class _Composed(JetEvaluator):
         return [self.first(args, mapped, multi.index(1)) if sum(multi) == 1 else NotImplemented
                 for multi in multis]
 
-    def eval_rows(self, rows, anchor, rests):
-        """Value rows continue ``inner``'s branch along the loop mapped
+    def eval_rows(self, loops, anchors, rests):
+        """Value rows continue ``inner``'s branch along the loops mapped
         through ``to_inner``; a partial row takes the partial at each node."""
-        located = [self.to_inner(row) for row in rows]
-        vals = self.inner.eval_rows([mapped for mapped, _ in located], self.image(anchor),
-                                    [None])[0]
-        values = [self.outer(row, mapped, rates, complex(val))
-                  for row, (mapped, rates), val in zip(rows, located, vals)]
-        return np.array([values if rest is None else [self.partial(row, rest) for row in rows]
-                         for rest in rests], dtype=complex)
+        cols = tuple(col.ravel() for col in loops)
+        mapped, rates = self.to_inner(cols)
+        vals = self.inner.eval_rows(tuple(np.reshape(x, loops[0].shape) for x in mapped),
+                                    self.image(anchors), [None])[0]
+        asked = [rest for rest in rests if rest is not None]
+        table = iter(self.partials(cols, asked) if asked else ())
+        values = self.outer(cols, mapped, rates, vals.ravel())
+        return np.array([values if rest is None else next(table)
+                         for rest in rests]).reshape(len(rests), *loops[0].shape)
 
 
 def _asked(e: JetEvaluator, args, multis) -> dict:
@@ -892,26 +900,17 @@ def contour_endpoint_defect(
 
 def potential_from_contour(
     e: EnhancedGT,
-    path: PathSpec | Callable[[Sequence[complex]], PathSpec],
+    path: PathSpec,
     label: str = "contour",
     endpoint_tol: float | None = None,
     endpoint_probe: Sample | None = None,
     domain: Domain = EMPTY_DOMAIN,
 ) -> Potential:
-    """h(p, v) = integral of lambda(t, p, v) dt along the path.
-
-    The path may be a factory of the fiber point (endpoints that move with
-    the moduli are then differentiated through automatically).  When
-    ``endpoint_tol`` is set and the path is fixed and open, the endpoint
-    condition is enforced at the probe sample.
+    """h(p, v) = integral of lambda(t, p, v) dt along the path, at a point
+    or on argument columns.  When ``endpoint_tol`` is set and the path is
+    open, the endpoint condition is enforced at the probe sample.
     """
-    m = e.m
-    lam = e.lam
-
-    def path_for(v) -> PathSpec:
-        return path(v) if callable(path) else path
-
-    if endpoint_tol is not None and not callable(path) and not path.closed:
+    if endpoint_tol is not None and not path.closed:
         if endpoint_probe is None:
             raise ValueError("endpoint_tol requires an endpoint_probe sample")
         ps, v = endpoint_probe
@@ -922,12 +921,9 @@ def potential_from_contour(
             )
 
     def fn(*args):
-        p, v = args[0], args[1:]
-        return path_integrate(lam, 0, (0.0, p, *v), path_for(v))
+        return path_integrate(e.lam, 0, (0.0, *args), path)
 
-    return Potential(
-        JetEvaluator(1 + m, fn, domain=domain, label=label), label=label
-    )
+    return Potential(JetEvaluator(1 + e.m, fn, domain=domain, label=label), label=label)
 
 
 # ---------------------------------------------------------------------------
@@ -988,14 +984,11 @@ def algebroid_constants(
     r1 = 0.8 * _diagonal_radius(s.f, z, v)
     r2 = 0.5 * r1
     regular = JetEvaluator(s.f.arity, lambda *a: s.f.fn(*a) - 1.0 / (a[0] - a[1]))
-    # Taylor coefficients in p2 on an inner ring at each node of the outer
-    # p1 ring (its nodes are the identity's values there), then in p1
+    # Taylor coefficients in p2 on an inner ring about z at each node of the
+    # outer p1 ring (its nodes are the identity's values there), then in p1
     p1_ring = JetEvaluator(1, lambda p: p).eval_circle(0, (z,), z, r1, nodes, [None])[0]
-    inner = np.array([
-        [_circle_coeff(ring, r2, j) for j in range(order + 1)]
-        for ring in (regular.eval_circle(1, (p1, z, *v), z, r2, nodes, [None])[0]
-                     for p1 in p1_ring)
-    ])
+    rings = regular.eval_circles(1, np.broadcast_arrays(p1_ring, z, *v), [r2] * nodes, nodes)
+    inner = np.array([_circle_coeff(rings, r2, j) for j in range(order + 1)]).T
     coeffs = {
         (i, j): _circle_coeff(inner[:, j], r1, i)
         for i in range(order + 1)

@@ -180,8 +180,7 @@ def inject_defect(s: GTStructure, scale: float = 1e-2, seed: int = 0) -> GTStruc
 
     The perturbed structure is no longer compatible, so the compatibility
     residual must light up; this is the detection test for the a-posteriori
-    machinery.  The polluted f answers argument columns where the base f
-    does.
+    machinery.
     """
     rng = SplitMix64(seed)
     c = [complex(rng.uniform(0.5, 1.0), rng.uniform(-0.5, 0.5)) for _ in range(3)]
@@ -207,7 +206,7 @@ def inject_defect(s: GTStructure, scale: float = 1e-2, seed: int = 0) -> GTStruc
         return out
 
     f = JetEvaluator(base.arity, fn, domain=base.domain, partial_fn=pf,
-                     label=f"{base.label}+defect", columns=base.columns)
+                     label=f"{base.label}+defect")
     return GTStructure(
         m=s.m,
         g=s.g,

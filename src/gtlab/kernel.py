@@ -19,22 +19,20 @@ so each slot costs one ``deriv_radius`` and one circle, with one row of
 samples per distinct rest, whatever the number of partials read from it.  A
 consumer asks each evaluator for everything it needs at one point in one
 call.
-``JetEvaluator.eval_rows`` samples values or partials along a loop of
-argument tuples, one row per requested partial, and is the one evaluator
-override: an evaluator with multivalued ingredients (a square root, say)
-continues its branch along the loop there, and a wrapper maps the loop
-into the evaluator it wraps.  ``eval_circle`` builds a circle's loop and
-hands it to ``eval_rows``.
+``JetEvaluator.eval_rows`` samples values or partials on N loops of
+argument tuples, given as argument columns, one row per requested partial,
+and is the one evaluator override: an evaluator with multivalued
+ingredients (a square root, say) continues its branch along every loop
+there, from one anchor per loop, and a wrapper maps the loops into the
+evaluator it wraps.  ``eval_circles`` hands it N circles and
+``eval_circle`` one.
 
 A sample set is asked in the same call: ``partials`` and ``value`` take a
 point or a tuple of ``arity`` argument columns of N points (``on_columns``
-is the one test of which), and on columns return one row per multi-index;
-``eval_circles`` returns the values on N circles as an N x nodes array.
-An evaluator built with ``columns`` set (the placed catalog kernels and
-the pushed evaluators over them) has its ``partial_fn`` and ``fn`` answer
-the columns with numpy arrays; for every other one the base class is the
-single per-point adapter: ``partials`` per point and ``eval_circle`` per
-circle, so sheet tracking and collided evaluators keep their exact floats.
+is the one test of which), and on columns return one row per multi-index.
+Every ``fn`` and ``partial_fn`` answers both, on columns with numpy
+arrays; only a partial that ``partial_fn`` declines is taken point by
+point, on its circles.
 
 Each genus-1 jet is one ``theta_jet`` sum over k, at one point or over N
 points (one ``np.exp`` over an N x (2K + 1) grid), with its weights cached
@@ -67,11 +65,11 @@ DEFAULT_RADIUS_FRACTION = 0.25
 MAX_RADIUS = 0.35
 
 
-def require_finite(*values: complex) -> None:
+def require_finite(*values) -> None:
+    """Raise ``DomainViolation`` unless every value, a number or an array, is finite."""
     for z in values:
-        z = complex(z)
-        if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-            raise DomainViolation(f"non-finite complex value {z!r}")
+        if not np.isfinite(z).all():
+            raise DomainViolation(f"non-finite complex value {z if np.ndim(z) else complex(z)!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -305,9 +303,9 @@ class JetEvaluator:
     one entry per multi-index, NotImplemented where ``fn`` (for the value)
     or the circles should answer.  One that has no closed form for the
     value declines it before doing any work.  ``partials`` and ``value``
-    take a point or a tuple of ``arity`` argument columns; with ``columns``
-    set, ``partial_fn`` and ``fn`` answer columns too, each entry an array
-    over the points or a constant, else each point is asked in turn.
+    take a point or a tuple of ``arity`` argument columns, and ``fn`` and
+    ``partial_fn`` answer either: on columns each entry is an array over
+    the points or a constant.
     """
 
     def __init__(
@@ -317,14 +315,12 @@ class JetEvaluator:
         domain: Domain = EMPTY_DOMAIN,
         partial_fn: Callable | None = None,
         label: str = "",
-        columns: bool = False,
     ):
         self.arity = arity
         self.fn = fn
         self.domain = domain
         self.partial_fn = partial_fn
         self.label = label
-        self.columns = columns
 
     def value(self, args: Sequence[complex]) -> complex:
         """The value at a point, or the values on argument columns (through ``partials``)."""
@@ -346,29 +342,28 @@ class JetEvaluator:
         r = DEFAULT_RADIUS_FRACTION * c
         return min(r, MAX_RADIUS)
 
-    def eval_rows(self, rows: Sequence[Sequence[complex]], anchor: Sequence[complex],
+    def eval_rows(self, loops: Sequence[np.ndarray], anchors: Sequence[np.ndarray],
                   rests: Sequence[Sequence[int] | None]) -> np.ndarray:
-        """Samples at each argument tuple of a loop, one row per entry of
-        ``rests``: values for None, else the partial with that (nonzero)
-        multi-index.  Evaluators with multivalued ingredients override
-        this to continue them along the loop from their values at
-        ``anchor``."""
-        return np.array([[self.fn(*row) if rest is None else self.partial(row, rest)
-                          for row in rows] for rest in rests], dtype=complex)
+        """Samples on N loops of argument tuples, ``loops`` a tuple of ``arity``
+        (N, nodes) arrays: a (len(rests), N, nodes) array, values for a None
+        rest, else the partial with that (nonzero) multi-index, from one
+        ``partials`` call on the loops as argument columns.  Evaluators with
+        multivalued ingredients override this to continue them along each
+        loop from their values at its anchor, ``anchors`` the argument
+        columns of the N anchors."""
+        multis = [multi_index(self.arity) if rest is None else rest for rest in rests]
+        table = self.partials(tuple(col.ravel() for col in loops), multis)
+        return table.reshape(len(rests), *loops[0].shape)
 
     def eval_circle(self, slot: int, args: Sequence[complex], center: complex, radius: float,
                     nodes: int, rests: Sequence[Sequence[int] | None]) -> np.ndarray:
-        """``eval_rows`` on an equispaced circle about ``center`` in one
-        slot, anchored at ``args`` with ``center`` in that slot.  A
-        non-finite sample (an undeclared singularity on the circle, or an
-        overflow) raises ``DomainViolation``."""
-        work = list(args)
-        rows = []
-        for k in range(nodes):
-            work[slot] = center + radius * cmath.exp(TWO_PI_I * k / nodes)
-            rows.append(tuple(work))
-        work[slot] = center
-        vals = self.eval_rows(rows, tuple(work), rests)
+        """``eval_rows`` on one equispaced circle about ``center`` in one
+        slot, anchored at ``args`` with ``center`` in that slot, one row per
+        rest.  A non-finite sample (an undeclared singularity on the circle,
+        or an overflow) raises ``DomainViolation``."""
+        anchors = [np.array([x], dtype=complex) for x in args]
+        anchors[slot] = np.array([center], dtype=complex)
+        vals = _on_circles(self, slot, anchors, np.array([radius]), nodes, rests)[:, 0]
         if not np.isfinite(vals).all():
             raise DomainViolation(
                 f"{self.label or 'evaluator'}: non-finite samples on the circle of "
@@ -380,20 +375,11 @@ class JetEvaluator:
                      nodes: int) -> np.ndarray:
         """Values on N circles, an (N, nodes) array: circle i runs in one slot
         about args[slot][i], ``args`` a tuple of argument columns, with radius
-        radii[i], through the nodes ``eval_circle`` would place.  With ``columns``
-        every node of every circle is one entry of one ``value`` call; without it
-        each circle is one ``eval_circle``.  A non-finite sample on any circle
-        raises ``DomainViolation``."""
+        radii[i], through the nodes ``eval_circle`` would place, all N in one
+        ``eval_rows`` call.  A non-finite sample on any circle raises
+        ``DomainViolation``."""
         args, radii = [np.asarray(col, dtype=complex) for col in args], np.asarray(radii, float)
-        if not self.columns:
-            rows = zip(*(col.tolist() for col in args))
-            return np.array([self.eval_circle(slot, row, row[slot], r, nodes, [None])[0]
-                             for row, r in zip(rows, radii.tolist())],
-                            dtype=complex).reshape(len(radii), nodes)
-        ring = np.array([cmath.exp(TWO_PI_I * k / nodes) for k in range(nodes)])
-        grid = [np.repeat(col, nodes) for col in args]
-        grid[slot] = (args[slot][:, None] + radii[:, None] * ring).ravel()
-        vals = self.value(tuple(grid)).reshape(len(radii), nodes)
+        vals = _on_circles(self, slot, args, radii, nodes, [None])[0]
         bad = np.flatnonzero(~np.isfinite(vals).all(axis=1))
         if len(bad):
             i = bad[0]
@@ -448,21 +434,20 @@ class JetEvaluator:
         return out
 
     def _column_partials(self, cols: list[np.ndarray], multis) -> np.ndarray:
-        """``partials`` on argument columns: with ``columns`` set, ``partial_fn`` and
-        a declined value's ``fn`` on them, an overflow or inf - inf a non-finite entry
-        (which fails a check or ``eval_circles``) with no warning first; every other
-        entry from each point's ``partials`` row, its exact floats."""
+        """``partials`` on argument columns: ``partial_fn`` and a declined
+        value's ``fn`` on them, an overflow or inf - inf a non-finite entry
+        (which fails a check or ``eval_circles``) with no warning first; a
+        partial that ``partial_fn`` declines from each point's ``partials``
+        row, its circles."""
         n = cols[0].size
         if any(col.shape != (n,) for col in cols):
             raise ValueError(f"{self.label or 'evaluator'} takes argument columns of one "
                              f"length, got shapes {[col.shape for col in cols]}")
-        out = [NotImplemented] * len(multis)
-        if self.columns:
-            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                if self.partial_fn is not None:
-                    out = list(self.partial_fn(tuple(cols), multis))
-                out = [self.fn(*cols) if entry is NotImplemented and not any(multi) else entry
-                       for multi, entry in zip(multis, out)]
+        with np.errstate(all="ignore"):
+            out = (list(self.partial_fn(tuple(cols), multis)) if self.partial_fn is not None
+                   else [NotImplemented] * len(multis))
+            out = [self.fn(*cols) if entry is NotImplemented and not any(multi) else entry
+                   for multi, entry in zip(multis, out)]
         rest = [multi for multi, entry in zip(multis, out) if entry is NotImplemented]
         if rest:
             points = zip(*(col.tolist() for col in cols))
@@ -473,6 +458,18 @@ class JetEvaluator:
         for i, entry in enumerate(out):
             table[i] = entry  # an array over the points, or a constant
         return table
+
+
+def _on_circles(e: JetEvaluator, slot: int, anchors: list[np.ndarray], radii: np.ndarray,
+                nodes: int, rests) -> np.ndarray:
+    """e's ``eval_rows`` on N equispaced circles in one slot, each about its
+    anchor's entry there, under no floating-point warning: a non-finite
+    sample is the caller's to raise."""
+    ring = np.array([cmath.exp(TWO_PI_I * k / nodes) for k in range(nodes)])
+    loops = [np.repeat(col[:, None], nodes, axis=1) for col in anchors]
+    loops[slot] = anchors[slot][:, None] + radii[:, None] * ring
+    with np.errstate(all="ignore"):
+        return e.eval_rows(tuple(loops), tuple(anchors), rests)
 
 
 def _circle_coeff(vals: np.ndarray, radius, k: int):
@@ -518,12 +515,12 @@ class ReindexedEvaluator(JetEvaluator):
         vals = iter(self.base.partials(self._to_base(args), live) if live else ())
         return [0.0 + 0.0j if self._inert(multi) else next(vals) for multi in multis]
 
-    def eval_rows(self, rows, anchor, rests):
-        out = np.zeros((len(rests), len(rows)), dtype=complex)
+    def eval_rows(self, loops, anchors, rests):
+        out = np.zeros((len(rests), *loops[0].shape), dtype=complex)
         live = [i for i, rest in enumerate(rests) if rest is None or not self._inert(rest)]
         if live:
             out[live] = self.base.eval_rows(
-                [self._to_base(row) for row in rows], self._to_base(anchor),
+                self._to_base(loops), self._to_base(anchors),
                 [None if rests[i] is None else self._to_base(rests[i]) for i in live])
         return out
 
@@ -576,7 +573,6 @@ def laurent_coeff(
 ) -> complex:
     """k-th Laurent coefficient of e (in one slot) about ``center``."""
     require_finite(*args, center)
-    args = list(args)
 
     def compute(n):
         vals = e.eval_circle(slot, args, center, radius, n, [None])[0]
@@ -698,29 +694,21 @@ def polyline_path(vertices: Sequence[complex], nodes: int = 24) -> PathSpec:
 
 def path_integrate(e: JetEvaluator, slot: int, args: Sequence[complex], path: PathSpec) -> complex:
     """Gauss-Legendre panel quadrature of e along the path (in one slot):
-    one panel per polyline segment, four per circle."""
+    one panel per polyline segment, four per circle (by angle); at a point
+    or on argument columns, every node of every point in one ``fn`` call."""
     require_finite(*args)
     x, w = gauss_legendre(path.nodes)
-    total = 0.0 + 0.0j
-    work = list(args)
     if path.kind == "circle":
-        # parametrize by angle, split into panels
-        for j in range(4):
-            t0, t1 = 2 * math.pi * j / 4, 2 * math.pi * (j + 1) / 4
-            tm, th = 0.5 * (t0 + t1), 0.5 * (t1 - t0)
-            for xi, wi in zip(x, w):
-                t = tm + th * xi
-                z = path.center + path.radius * cmath.exp(1j * t)
-                dz = 1j * path.radius * cmath.exp(1j * t)
-                work[slot] = z
-                total += wi * th * e.fn(*work) * dz
-        return total
-    for a, b in path.segments():
-        zm, zh = 0.5 * (a + b), 0.5 * (b - a)
-        for xi, wi in zip(x, w):
-            work[slot] = zm + zh * xi
-            total += wi * zh * e.fn(*work)
-    return total
+        turn = np.exp(0.5j * math.pi * (np.arange(4)[:, None] + 0.5 * (1.0 + x)))
+        z, dz = path.center + path.radius * turn, 0.25j * math.pi * path.radius * turn
+    else:
+        a, b = (np.array(ends, dtype=complex)[:, None] for ends in zip(*path.segments()))
+        z, dz = 0.5 * (a + b) + 0.5 * (b - a) * x, np.broadcast_to(0.5 * (b - a), (len(a), len(x)))
+    z, weight, cols = z.ravel(), (w * dz).ravel(), np.broadcast_arrays(*args)
+    flat = [np.repeat(col.ravel(), z.size) for col in cols]
+    flat[slot] = np.tile(z, cols[0].size)
+    total = np.broadcast_to(e.fn(*flat), flat[0].shape).reshape(-1, z.size) @ weight
+    return total.reshape(cols[0].shape)[()]
 
 
 # ---------------------------------------------------------------------------

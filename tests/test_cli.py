@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -228,6 +231,43 @@ def test_list_structures_flag():
     assert main(["--list-structures"]) == 0
 
 
+def test_the_module_runs_as_a_script():
+    # python -m gtlab.cli: the __main__ guard hands main's exit code to sys.exit
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    done = subprocess.run([sys.executable, "-m", "gtlab.cli", "--list-structures"],
+                          env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+                          text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert [line.split(":")[0] for line in done.stdout.splitlines()] == [
+        "benney", "genus0", "genus1", "genus2"]
+
+
+def test_main_without_a_config_exits_2(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([])
+    assert exc.value.code == 2
+    assert "--config is required (or use --list-structures)" in capsys.readouterr().err
+
+
+def test_a_seed_over_a_config_that_is_no_object_exits_2(tmp_path, capsys):
+    cfg_path = tmp_path / "list.json"
+    cfg_path.write_text("[1, 2]")
+    assert main(["--config", str(cfg_path), "--seed", "3"]) == 2
+    assert capsys.readouterr().err == "config must be a JSON object\n"
+
+
+@pytest.mark.parametrize("cfg,reason", [
+    ([BASE], "config must be a JSON object"),
+    ({**BASE, "out": 5}, "out must be a path string"),
+])
+def test_config_guards_name_their_reason(tmp_path, capsys, cfg, reason):
+    with pytest.raises(ConfigError, match=f"^{reason}$"):
+        validate_config(cfg)
+    assert run(cfg, str(tmp_path / "r.json")) == 2
+    assert capsys.readouterr().err == f"config error: {reason}\n"
+    assert not (tmp_path / "r.json").exists()
+
+
 # ---------------------------------------------------------------------------
 # config fuzzing
 # ---------------------------------------------------------------------------
@@ -372,13 +412,14 @@ def test_pushforward_configs_never_raise(tmp_path, cfg):
 
 def test_pushed_genus2_circle_through_non_finite_values_names_its_cause(tmp_path):
     # at this scale the pushed f's Laurent circle samples overflow; the job
-    # stops on the first such circle instead of reading NaN residuals
+    # stops on the first such circle of its three instead of reading NaN
+    # residuals
     cfg = {"command": "pushforward", "structure": "genus2", "seed": 1, "samples": 3,
            "scale": 1e200}
     assert run(cfg, str(tmp_path / "r.json")) == 1
     report = json.loads((tmp_path / "r.json").read_text())
     assert report["error"].startswith(
-        "DomainViolation: genus2:pushed f: non-finite samples on the circle")
+        "DomainViolation: genus2:pushed f: non-finite samples on circle 0 of 3")
     assert report["error"].endswith("in slot 0")
     assert report["reports"] == []
 

@@ -326,21 +326,17 @@ def test_pushed_columns_are_the_per_point_jets(name, mu):
     # per-point jet to rounding, each entry within rtol 1e-12 of the larger
     # of it and 1, and a second partial is the per-point row itself (asked
     # through the CLI's mu only: through a value-only one its circles nest).
-    # genus2's pushed f wraps the sheet-tracking f, which answers points only
+    # genus2's pushed f wraps the sheet-tracking f
     s = _catalog_structure(name)
     change = _PUSHED_THROUGH[mu](s.m)
     pushed = pushforward(s, change)
     evaluators = [*pushed.g, pushed.f]
-    if name == "genus2":
-        assert not pushed.f.columns
-        evaluators.pop()
-    else:
+    if name != "genus2":
         evaluators.append(pushforward_lambda(catalog.build_enhanced(name, 2), change).lam)
     for e in evaluators:
-        assert e.columns, e.label
         points = [(*ps, *v) for ps, v in pushed.sample(4, seed=21, n_p=e.arity - s.m)]
         firsts = [multi_index(e.arity)] + [multi_index(e.arity, t) for t in range(e.arity)]
-        second = [multi_index(e.arity, 0, 1)] if change.mu.columns else []
+        second = [multi_index(e.arity, 0, 1)] if mu == "the CLI's mu" else []
         got = e.partials(tuple(np.array(points).T), firsts + second)
         want = np.array([e.partials(row, firsts + second) for row in points]).T
         n = len(firsts)
@@ -811,7 +807,7 @@ def _nan_f_structure(at: complex | None = None) -> GTStructure:
         return np.where(at is None or args[0] == at, complex(math.nan, 0.0), x)
 
     f = JetEvaluator(s.f.arity, lambda *args: spoiled(args, s.f.fn(*args)),
-                     domain=s.f.domain, label="nan f", columns=True,
+                     domain=s.f.domain, label="nan f",
                      partial_fn=lambda args, multis: [spoiled(args, x)
                                                       for x in s.f.partial_fn(args, multis)])
     return GTStructure(m=s.m, g=s.g, f=f, label="benney+nan f", p_box=s.p_box,
@@ -853,15 +849,24 @@ def test_a_nan_at_one_sample_of_a_batch_fails_the_identity(check, where):
 @pytest.mark.parametrize("batched", [True, False])
 def test_a_non_finite_circle_in_a_batch_fails_closed(batched, where):
     # the pole check's circles run in slot 0 with slot 1 at the centre, so
-    # an f that reads NaN at one centre spoils exactly one circle of seven
+    # an f that reads NaN at one centre spoils exactly one circle of seven:
+    # all seven as one batch of loops fail on it, and so does that circle
+    # alone, while the others pass
     s = catalog.build_structure("benney", 2)
     points = np.array([(ps[0], ps[0], *v) for ps, v in s.sample(7, 1, 2)])
     bad = points[where, 1]
     f = JetEvaluator(s.f.arity, lambda *args: np.where(args[1] == bad, math.nan, s.f.fn(*args)),
-                     domain=s.f.domain, label="spoiled f", columns=batched)
+                     domain=s.f.domain, label="spoiled f")
     radii = [_diagonal_radius(f, row[0], row[2:]) for row in points.tolist()]
-    with pytest.raises(DomainViolation, match="non-finite samples on"):
-        f.eval_circles(0, tuple(points.T), radii, 16)
+    if batched:
+        with pytest.raises(DomainViolation, match=f"non-finite samples on circle {where} of 7,"):
+            f.eval_circles(0, tuple(points.T), radii, 16)
+    else:
+        for i, (row, radius) in enumerate(zip(points.tolist(), radii)):
+            if i != where:
+                assert np.isfinite(f.eval_circle(0, row, row[0], radius, 16, [None])).all()
+        with pytest.raises(DomainViolation, match="non-finite samples on the circle of radius"):
+            f.eval_circle(0, points[where].tolist(), points[where, 0], radii[where], 16, [None])
     spoiled = GTStructure(m=s.m, g=s.g, f=f, p_box=s.p_box, v_boxes=s.v_boxes)
     with pytest.raises(DomainViolation, match="non-finite samples on"):
         verify_pole(spoiled, samples=7, seed=1)

@@ -1,7 +1,8 @@
 """Every module-level function and class of the package, and every method
 of its classes, is used somewhere; evaluators override ``eval_rows``, never
-``eval_circle``; only ``Domain`` answers a per-slot ``clearance``; and only
-the kernel tells one point from a tuple of argument columns.
+``eval_circle``; only ``Domain`` answers a per-slot ``clearance``; only the
+kernel tells one point from a tuple of argument columns; and no evaluator
+is flagged as taking columns, since every one does.
 
 A definition counts as used when its name appears as a code token in the
 package, the tests or the benchmark besides its own definitions.  Names
@@ -111,3 +112,10 @@ def test_one_entry_point_answers_points_and_columns():
         ("kernel.py", "on_columns")]
     assert _name_tokens([PACKAGE])["columns_fn"] == 0
     assert [owner for owner, name in _method_definitions() if name == "columns"] == []
+
+
+def test_no_evaluator_is_flagged_as_taking_columns():
+    # every fn and partial_fn answers a point and argument columns alike, so
+    # no name in the package may say which do: a `columns` flag or attribute
+    # would bring back a second evaluation path
+    assert _name_tokens([PACKAGE])["columns"] == 0
