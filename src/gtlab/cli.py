@@ -461,12 +461,13 @@ def run(cfg: dict, out_path: str | None) -> int:
     }
     elapsed = time.perf_counter() - t0
     out = out_path or cfg.get("out") or "gtlab-report.json"
+    summary = _summary_text(report, elapsed)
     try:
-        emit_report(report, out, _summary_text(report, elapsed))
+        emit_report(report, out, summary)
     except OSError as exc:
         print(f"i/o error writing report: {exc}", file=sys.stderr)
         return 3
-    print(_summary_text(report, elapsed), end="")
+    print(summary, end="")
     return 0 if verdict == "pass" else 1
 
 

@@ -11,11 +11,19 @@ system; the integrability criterion ties the family back to a structure by
 reconstructing f and lambda from any two potentials.  Times are never
 instantiated: everything is analyzed through the potentials as functions of
 the spectral parameter z and the fiber point v.
+
+Every check here runs on argument columns: each evaluator is asked once
+per set of points.  A reconstruction scores draws of one seeded stream,
+draw k the k-th sample of ``structure.sample(., seed, 2)``, in rounds: the
+first round asks for every wanted draw, and each later one extends the
+prefix to that many plus the draws rejected so far and scores only its new
+draws (see ``_redrawn``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Callable, Sequence
 
 import numpy as np
@@ -26,8 +34,9 @@ from .core import (
     Potential,
     VerificationReport,
     _make_report,
+    _rows,
+    _values,
     apply_field,
-    worst_residual,
 )
 from .errors import ConfigError, DomainViolation, NonConvergence, SamplingExhausted
 from .kernel import Box, SplitMix64, admitted, multi_index
@@ -62,12 +71,11 @@ class PotentialFamily:
     def m(self) -> int:
         return self.structure.m
 
-    def h_jet(self, i: int, z: complex, v: Sequence[complex]) -> tuple:
-        """(h_i'(z), [h_{i, v_l}(z)]) at the fiber point v, in one call."""
-        hp, *hv = self.potentials[i].h.partials(
-            (z, *v), [multi_index(1 + self.m, t) for t in range(1 + self.m)])
-        return hp, hv
-
+    def h_jet(self, i: int, at: tuple) -> np.ndarray:
+        """h_i' and h_{i, v_1}, ..., h_{i, v_m} on the argument columns ``at``
+        of points (z, v), one row each, in one call."""
+        return self.potentials[i].h.partials(
+            at, [multi_index(1 + self.m, t) for t in range(1 + self.m)])
 
     def sample_z(self, count: int, seed: int, v: Sequence[complex]) -> list[complex]:
         """Seeded z points inside z_box clearing every potential's poles by
@@ -83,14 +91,10 @@ class PotentialFamily:
     def independence_rank(self, v: Sequence[complex], z_points: Sequence[complex],
                           svd_tol: float = 1e-10) -> int:
         """Numeric rank of the (h_i', h_{i,v}) jet matrix; equals N for a
-        functionally independent family."""
-        rows = []
-        for i in range(self.N):
-            row = []
-            for z in z_points:
-                hp, hv = self.h_jet(i, z, v)
-                row.extend([hp, *hv])
-            rows.append(row)
+        functionally independent family.  Row i holds h_i's jet at every z
+        in turn, from one call per potential."""
+        at = _rows(self.structure, [((z,), v) for z in z_points], (0,))
+        rows = [self.h_jet(i, at).T.ravel() for i in range(self.N)]
         sv = np.linalg.svd(np.array(rows), compute_uv=False)
         return int(np.sum(sv > svd_tol * sv[0]))
 
@@ -114,10 +118,8 @@ def compatibility_tensor(
     for idx in (i, j, k):
         if not 0 <= idx < fam.N:
             raise ConfigError(f"potential index {idx} out of range")
-    m = fam.m
-    at = tuple(np.array([(z, *v) for z in z_points], dtype=complex).reshape(len(z_points), 1 + m).T)
-    jets = {idx: fam.potentials[idx].h.partials(at, [multi_index(1 + m, t) for t in range(1 + m)])
-            for idx in (i, j, k)}
+    at = _rows(fam.structure, [((z,), v) for z in z_points], (0,))
+    jets = {idx: fam.h_jet(idx, at) for idx in (i, j, k)}
 
     def block(a, b):
         """h_a' h_{b, v_l} - h_b' h_{a, v_l}, one row per l."""
@@ -259,30 +261,43 @@ def hydro_coefficients(
 DEN_FLOOR = 1e-6  # reconstruction denominators below this are resampled
 
 
-def _redrawn(s: GTStructure, samples: int, seed: int, rebuild, residual,
+def _redrawn(s: GTStructure, samples: int, seed: int, scored,
              exhausted: str) -> tuple[list[float], int]:
-    """Residuals at ``samples`` draws of (p1, p2, v), draw k from seed + k.
+    """Residuals at the first ``samples`` kept draws of (p1, p2, v), in draw
+    order, and the number of draws rejected.
 
-    ``rebuild(p1, p2, v)`` is the reconstruction; a draw where it raises
-    ``DomainViolation`` (a vanishing denominator, or a circle through
-    non-finite values) is redrawn, up to
-    50 * samples draws, and counted.  ``residual(p1, p2, v, rebuilt)``
-    scores the others.  Returns (residuals, redrawn count)."""
-    residuals = []
-    resampled = 0
-    draw = 0
-    while len(residuals) < samples and draw < 50 * samples:
-        (p1, p2), v = s.sample(1, seed + draw, 2)[0]
-        draw += 1
+    Draw k is the k-th sample of ``s.sample(., seed, 2)``: a sample is a
+    prefix of every longer one from the same seed.  The first round asks
+    for ``samples`` draws; each later round extends the prefix to
+    ``samples`` plus the draws rejected so far and scores only its new
+    draws, one ``sample`` call per round.  ``scored(pts)`` gives a round's
+    residuals and which of its draws are kept, asking each evaluator once
+    on argument columns.  A ``DomainViolation`` from that call (a circle
+    through non-finite values) rejects every draw of the round.  After
+    50 * samples draws the run raises ``SamplingExhausted``."""
+    residuals: list[float] = []
+    drawn = resampled = 0
+    while len(residuals) < samples:
+        total = min(samples + resampled, 50 * samples)
+        if total == drawn:
+            raise SamplingExhausted(exhausted)
+        pts = s.sample(total, seed, 2)[drawn:]
+        drawn = total
         try:
-            rebuilt = rebuild(p1, p2, v)
+            with np.errstate(all="ignore"):  # a rejected draw may read inf or NaN
+                res, kept = scored(pts)
         except DomainViolation:
-            resampled += 1
+            resampled += len(pts)
             continue
-        residuals.append(residual(p1, p2, v, rebuilt))
-    if len(residuals) < samples:
-        raise SamplingExhausted(exhausted)
+        residuals += res[kept].tolist()
+        resampled += len(pts) - int(kept.sum())
     return residuals, resampled
+
+
+def _flow(fval: np.ndarray, gv: np.ndarray, jet: np.ndarray) -> np.ndarray:
+    """f(p1, p2) X'(p2) + g(p1)(X(p2)) for X with p2 jet ``jet`` (``h_jet``'s
+    rows): the numerator of the hierarchy derivative D1 and of lambda."""
+    return fval * jet[0] + apply_field(gv, jet[1:])
 
 
 def reconstruct_f(
@@ -299,31 +314,40 @@ def reconstruct_f(
                     / (h_j'(p1) h_i'(p2) - h_j'(p2) h_i'(p1))
 
     The report compares against the structure's own f (relative residual)
-    over seeded samples; near-zero denominators are resampled.
+    over the draws of ``_redrawn``; a draw whose denominator falls below
+    ``DEN_FLOOR`` or whose rebuilt value is not finite is redrawn.  In
+    each round h_i and h_j are asked once at p1 and once at p2, f and each
+    g_k once.  The returned callable raises ``DomainViolation`` at a point
+    whose denominator vanishes.
     """
     if i == j:
         raise ConfigError("need two distinct potentials")
     s = fam.structure
     dz = [multi_index(1 + s.m, 0)]  # p1 needs only h'; p2 the whole h_jet
 
+    def rebuilt(pts):
+        """The formula and its denominator at every draw."""
+        at1, at2 = _rows(s, pts, (0,)), _rows(s, pts, (1,))
+        [hpi1], [hpj1] = (fam.potentials[t].h.partials(at1, dz) for t in (i, j))
+        jet_i, jet_j = fam.h_jet(i, at2), fam.h_jet(j, at2)
+        num = apply_field(_values(s.g, at1), hpi1 * jet_j[1:] - hpj1 * jet_i[1:])
+        den = hpj1 * jet_i[0] - jet_j[0] * hpi1
+        with np.errstate(all="ignore"):
+            return num / den, den
+
     def rec(p1, p2, v):
-        [hpi1] = fam.potentials[i].h.partials((p1, *v), dz)
-        [hpj1] = fam.potentials[j].h.partials((p1, *v), dz)
-        hpi2, hvi2 = fam.h_jet(i, p2, v)
-        hpj2, hvj2 = fam.h_jet(j, p2, v)
-        den = hpj1 * hpi2 - hpj2 * hpi1
+        [got], [den] = rebuilt([((p1, p2), v)])
         if abs(den) < DEN_FLOOR:
             raise DomainViolation("reconstruction denominator vanishes")
-        num = 0.0 + 0.0j
-        for kk in range(s.m):
-            num += (hpi1 * hvj2[kk] - hpj1 * hvi2[kk]) * s.g[kk].value((p1, *v))
-        return num / den
+        return complex(got)
 
-    def residual(p1, p2, v, got):
-        want = s.f.value((p1, p2, *v))
-        return abs(got - want) / max(abs(want), 1.0)
+    def scored(pts):
+        got, den = rebuilt(pts)
+        want = s.f.value(_rows(s, pts, (0, 1)))
+        return (abs(got - want) / np.maximum(abs(want), 1.0),
+                (abs(den) >= DEN_FLOOR) & np.isfinite(got))
 
-    residuals, resampled = _redrawn(s, samples, seed, rec, residual,
+    residuals, resampled = _redrawn(s, samples, seed, scored,
                                     "reconstruction denominator kept vanishing")
     return rec, _make_report(
         "reconstruct_f", residuals, tol, seed,
@@ -344,38 +368,41 @@ def reconstruct_lambda(
 
     compared against the enhanced structure's lambda when available and
     against the same formula through every other potential (independence
-    of i) otherwise.
+    of i) otherwise, over the draws of ``_redrawn``.  A draw where some
+    h'(p1) falls below ``DEN_FLOOR`` or some rebuilt value is not finite
+    is redrawn.  In each round every h is asked once at p1 and once at p2,
+    f, each g_j and lambda once.  The returned callable raises
+    ``DomainViolation`` at a point where h_i'(p1) vanishes.
     """
     s = fam.structure
     dz = [multi_index(1 + s.m, 0)]  # p1 needs only h'; p2 the whole h_jet
+    order = [i, *(idx for idx in range(fam.N) if idx != i)]
 
-    def through(idx, p1, p2, v, fval, gv):
-        """The formula through potential idx, given f and every g_j at p1."""
-        [hp1] = fam.potentials[idx].h.partials((p1, *v), dz)
-        if abs(hp1) < DEN_FLOOR:
-            raise DomainViolation("h'(p1) vanishes")
-        hp2, hv2 = fam.h_jet(idx, p2, v)
-        return (fval * hp2 + apply_field(gv, hv2)) / hp1
+    def through(idxs, pts):
+        """h'(p1) and the formula at every draw, one row per potential of idxs."""
+        at1, at2 = _rows(s, pts, (0,)), _rows(s, pts, (1,))
+        fval, gv = s.f.value(_rows(s, pts, (0, 1))), _values(s.g, at1)
+        hp1 = np.array([fam.potentials[idx].h.partials(at1, dz)[0] for idx in idxs])
+        flows = np.array([_flow(fval, gv, fam.h_jet(idx, at2)) for idx in idxs])
+        with np.errstate(all="ignore"):
+            return hp1, flows / hp1
 
     def rec(p1, p2, v):
-        gv = [gj.value((p1, *v)) for gj in s.g]
-        return through(i, p1, p2, v, s.f.value((p1, p2, *v)), gv)
+        [[hp1]], [[got]] = through([i], [((p1, p2), v)])
+        if abs(hp1) < DEN_FLOOR:
+            raise DomainViolation("h'(p1) vanishes")
+        return complex(got)
 
-    others = [idx for idx in range(fam.N) if idx != i]
-
-    def rebuild(p1, p2, v):
-        fval, gv = s.f.value((p1, p2, *v)), [gj.value((p1, *v)) for gj in s.g]
-        return (through(i, p1, p2, v, fval, gv),
-                [through(idx, p1, p2, v, fval, gv) for idx in others])
-
-    def residual(p1, p2, v, rebuilt):
-        got, alt = rebuilt
-        diffs = [abs(got - x) for x in alt]
+    def scored(pts):
+        hp1, rebuilt = through(order, pts)
+        got, alt = rebuilt[0], rebuilt[1:]
+        diffs = [*abs(got - alt)]
         if fam.enhanced is not None:
-            diffs.append(abs(got - fam.enhanced.lam.value((p1, p2, *v))))
-        return worst_residual(diffs) / max(abs(got), 1.0)
+            diffs.append(abs(got - fam.enhanced.lam.value(_rows(s, pts, (0, 1)))))
+        kept = (abs(hp1) >= DEN_FLOOR).all(axis=0) & np.isfinite(rebuilt).all(axis=0)
+        return np.max(diffs, axis=0) / np.maximum(abs(got), 1.0), kept
 
-    residuals, resampled = _redrawn(s, samples, seed, rebuild, residual,
+    residuals, resampled = _redrawn(s, samples, seed, scored,
                                     "lambda reconstruction kept hitting zeros")
     return rec, _make_report(
         "reconstruct_lambda", residuals, tol, seed,
@@ -395,28 +422,20 @@ def criterion_integrable(
 
     where D1(X) = (f(p1, p2) X'(p2) + g(p1)(X(p2))) / g_1(p1) is the
     hierarchy derivative taken through the quasilinear system with unit
-    slope in v_1.  f and every g_j(p1) are evaluated once per sample.
+    slope in v_1.  Over the seeded samples, every h is asked once at p1
+    and once at p2, f and each g_j once.
     """
     s = fam.structure
     dz = [multi_index(1 + s.m, 0)]  # p1 needs only h'; p2 the whole h_jet
-    residuals = []
-    raw = s.sample(samples, seed, 2)
-    for ps, v in raw:
-        p1, p2 = ps
-        fval = s.f.value((p1, p2, *v))
-        gv = [gj.value((p1, *v)) for gj in s.g]
-        d1 = []
-        hp1 = []
-        for idx, pot in enumerate(fam.potentials):
-            hp2, hv2 = fam.h_jet(idx, p2, v)
-            d1.append((fval * hp2 + apply_field(gv, hv2)) / gv[0])
-            hp1.append(pot.h.partials((p1, *v), dz)[0])
-        scale = max(max(abs(x) for x in d1), 1.0)
-        residuals.append(worst_residual(
-            abs(hp1[b] * d1[a] - hp1[a] * d1[b]) / scale
-            for a in range(fam.N)
-            for b in range(a + 1, fam.N)
-        ))
+    pts = s.sample(samples, seed, 2)
+    at1, at2 = _rows(s, pts, (0,)), _rows(s, pts, (1,))
+    fval, gv = s.f.value(_rows(s, pts, (0, 1))), _values(s.g, at1)
+    hp1 = np.array([pot.h.partials(at1, dz)[0] for pot in fam.potentials])
+    with np.errstate(all="ignore"):
+        d1 = np.array([_flow(fval, gv, fam.h_jet(idx, at2)) for idx in range(fam.N)]) / gv[0]
+        scale = np.maximum(abs(d1).max(axis=0), 1.0)
+        residuals = np.max([abs(hp1[b] * d1[a] - hp1[a] * d1[b]) / scale
+                            for a, b in combinations(range(fam.N), 2)], axis=0)
     return _make_report(
         "integrability_criterion", residuals, tol, seed, label=fam.label,
     )

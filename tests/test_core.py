@@ -128,6 +128,11 @@ def test_add_points_extends_fiber_and_keeps_axioms():
         assert rep.passed, rep.identity
 
 
+def test_add_points_refuses_fewer_than_one_point():
+    with pytest.raises(ValueError, match=r"^n must be >= 1$"):
+        add_points(catalog.build_structure("genus0", 1), 0)
+
+
 def test_collision_closed_form_keeps_axioms():
     s = catalog.build_structure("benney", 3)
     collided = collide_points_closed(s, [[0, 1]])
@@ -751,6 +756,17 @@ def test_algebroid_bracket_antisymmetry_and_lowest_rung():
         assert b[j + 1] == pytest.approx(complex(j - 1), abs=1e-10)
 
 
+def test_algebroid_table_refuses_what_it_does_not_hold():
+    s = catalog.build_structure("genus0", 1)
+    with pytest.raises(ValueError, match=r"^truncation order above 6 is outside the reliable"):
+        algebroid_constants(s, z=0.4 + 0.6j, v=(0.5 + 1.1j,), order=7)
+    table = algebroid_constants(s, z=0.4 + 0.6j, v=(0.5 + 1.1j,), order=2)
+    with pytest.raises(ValueError, match=r"^coefficient \(3,0\) beyond truncation order 2$"):
+        table.f_coeff(3, 0)
+    with pytest.raises(ValueError, match=r"^basis indices start at 1$"):
+        table.bracket(0, 2)
+
+
 def test_contour_endpoint_defect_zero_for_closed_path():
     e = catalog.build_enhanced("benney", 1)
     path = circle_path(5.0 + 5.0j, 0.5, nodes=16)
@@ -774,6 +790,12 @@ def test_contour_potential_matches_log_closed_form():
     e.base.p_box = (-2.0, 2.0, 0.6, 2.0)
     rep = verify_potential(e, pot, samples=20, seed=5)
     assert rep.passed, rep.max_residual
+
+
+def test_contour_endpoint_tolerance_needs_a_probe():
+    e = catalog.genus0_enhanced(2)
+    with pytest.raises(ValueError, match=r"^endpoint_tol requires an endpoint_probe sample$"):
+        potential_from_contour(e, polyline_path([0, 1]), endpoint_tol=1e-12)
 
 
 def test_contour_endpoint_condition_is_enforced():

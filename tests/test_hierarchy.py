@@ -21,7 +21,7 @@ from gtlab.hierarchy import (
     reconstruct_f,
     reconstruct_lambda,
 )
-from gtlab.kernel import Domain, JetEvaluator, SplitMix64, multi_index
+from gtlab.kernel import Domain, JetEvaluator, SplitMix64, multi_index, on_columns
 
 
 def _family(name="genus0", n=2):
@@ -178,41 +178,173 @@ def _captured_residuals(monkeypatch) -> list:
     return runs
 
 
+def _recorded_samples(monkeypatch, s) -> list:
+    """The arguments of every ``sample`` call on s from now on, in call order."""
+    calls = []
+    sample = s.sample
+
+    def recorded(*args):
+        calls.append(args)
+        return sample(*args)
+
+    monkeypatch.setattr(s, "sample", recorded)
+    return calls
+
+
 def test_reconstruct_f_redraws_below_the_floor_in_draw_order(monkeypatch):
+    # the kept residuals are those of the stream's first draws above the
+    # floor, in stream order, and resampled counts the draws before them
     fam = _family()
     s = fam.structure
     runs = _captured_residuals(monkeypatch)
     _, rep = reconstruct_f(fam, 0, 1, samples=12, seed=11)
     assert rep.params["resampled"] == 0
-    every = runs[-1]  # the residuals of draws 0..11
+    every = runs[-1]  # the residuals of stream draws 0..11
     dz = multi_index(1 + s.m, 0)
     dens = []
-    for k in range(12):
-        (p1, p2), v = s.sample(1, 11 + k, 2)[0]
+    for (p1, p2), v in s.sample(12, 11, 2):
         hpi1, hpj1 = (fam.potentials[t].h.partial((p1, *v), dz) for t in (0, 1))
-        dens.append(abs(hpj1 * fam.h_jet(0, p2, v)[0] - fam.h_jet(1, p2, v)[0] * hpi1))
-    floor = sorted(dens)[6]  # half the draws fall below it
+        hpi2, hpj2 = (fam.potentials[t].h.partial((p2, *v), dz) for t in (0, 1))
+        dens.append(abs(hpj1 * hpi2 - hpj2 * hpi1))
+    floor = sum(sorted(dens)[5:7]) / 2  # half the draws fall below it, none at it
     monkeypatch.setattr(hierarchy, "DEN_FLOOR", floor)
-    kept = [k for k in range(12) if dens[k] >= floor][:4]
+    kept = [k for k in range(12) if dens[k] > floor][:4]
     _, rep = reconstruct_f(fam, 0, 1, samples=4, seed=11)
     assert rep.params["resampled"] == kept[-1] + 1 - 4 > 0
     assert runs[-1] == [every[k] for k in kept]
 
 
 def test_reconstruct_f_gives_up_after_fifty_draws_per_sample(monkeypatch):
+    # each round redraws the rejected two, one sample call per round, until
+    # the stream's prefix reaches 2 x 50 draws
     fam = _family()
-    draws = []
-    sample = fam.structure.sample
-
-    def counted(*args):
-        draws.append(args)
-        return sample(*args)
-
-    monkeypatch.setattr(fam.structure, "sample", counted)
+    draws = _recorded_samples(monkeypatch, fam.structure)
     monkeypatch.setattr(hierarchy, "DEN_FLOOR", math.inf)  # no draw clears it
-    with pytest.raises(SamplingExhausted):
+    with pytest.raises(SamplingExhausted, match=r"^reconstruction denominator kept vanishing$"):
         reconstruct_f(fam, 0, 1, samples=2, seed=11)
-    assert draws == [(1, 11 + k, 2) for k in range(50 * 2)]
+    assert draws == [(2 * k, 11, 2) for k in range(1, 51)]
+
+
+def _nan_at(monkeypatch, e, p):
+    """Make e answer NaN wherever its first argument is p, at a point or on columns."""
+    partials = e.partials
+
+    def poisoned(args, multis):
+        out = partials(args, multis)
+        if on_columns(args):
+            out = np.where(args[0] == p, np.nan, out)
+        elif args[0] == p:
+            out = [complex(math.nan)] * len(multis)
+        return out
+
+    monkeypatch.setattr(e, "partials", poisoned)
+
+
+def _asks(monkeypatch, evaluators) -> list:
+    """Log the calls of ``value`` and ``partials`` on each evaluator that come
+    from outside them, as (evaluator, the number of columns' points or None
+    at a point)."""
+    log, depth = [], [0]
+    for e in evaluators:
+        for name in ("value", "partials"):
+            def asked(args, *rest, e=e, method=getattr(e, name)):
+                if not depth[0]:
+                    log.append((e, len(args[0]) if on_columns(args) else None))
+                depth[0] += 1
+                try:
+                    return method(args, *rest)
+                finally:
+                    depth[0] -= 1
+
+            monkeypatch.setattr(e, name, asked)
+    return log
+
+
+@pytest.mark.parametrize("what", ["f", "lambda"])
+def test_each_evaluator_is_asked_once_per_round_on_columns(monkeypatch, what):
+    # a NaN at the stream's draw 1 rejects it, so a second round redraws it
+    fam = _family()
+    s = fam.structure
+    seed = 11 if what == "f" else 13
+    hs = [pot.h for pot in fam.potentials]
+    _nan_at(monkeypatch, hs[0], s.sample(3, seed, 2)[1][0][1])
+    rounds = _recorded_samples(monkeypatch, s)
+    log = _asks(monkeypatch, (*hs, *s.g, s.f, fam.enhanced.lam))
+    if what == "f":
+        _, rep = reconstruct_f(fam, 0, 1, samples=6, seed=seed)
+        per_round = {hs[0]: 2, hs[1]: 2, s.f: 1, fam.enhanced.lam: 0}  # h at p1, at p2
+    else:
+        _, rep = reconstruct_lambda(fam, 0, samples=6, seed=seed)
+        per_round = {**{h: 2 for h in hs}, s.f: 1, fam.enhanced.lam: 1}
+    per_round.update({g: 1 for g in s.g})
+    assert rep.passed and rep.params["resampled"] == 1 and len(rounds) == 2
+    for e, count in per_round.items():
+        assert [n for asked, n in log if asked is e] == [6] * count + [1] * count, e.label
+
+
+def test_reconstruction_makes_no_single_sample_call(monkeypatch):
+    fam = _family()
+    s = fam.structure
+    for seed in (11, 13):  # one redraw each, read from a longer prefix
+        _nan_at(monkeypatch, fam.potentials[0].h, s.sample(3, seed, 2)[1][0][1])
+    calls = _recorded_samples(monkeypatch, s)
+    reconstruct_f(fam, 0, 1, samples=5, seed=11)
+    reconstruct_lambda(fam, 0, samples=5, seed=13)
+    criterion_integrable(fam, samples=5, seed=19)
+    assert calls == [(5, 11, 2), (6, 11, 2), (5, 13, 2), (6, 13, 2), (5, 19, 2)]
+
+
+@pytest.mark.parametrize("what, seed", [("f", 11), ("lambda", 13), ("criterion", 19)])
+def test_a_nan_at_one_draw_is_redrawn_or_fails_the_report(monkeypatch, what, seed):
+    fam = _family()
+    _nan_at(monkeypatch, fam.potentials[0].h, fam.structure.sample(5, seed, 2)[2][0][1])
+    if what == "criterion":  # no redraws: the NaN residual fails the report
+        rep = criterion_integrable(fam, samples=5, seed=seed)
+        assert math.isnan(rep.max_residual) and not rep.passed
+    else:
+        _, rep = (reconstruct_f(fam, 0, 1, samples=5, seed=seed) if what == "f"
+                  else reconstruct_lambda(fam, 0, samples=5, seed=seed))
+        assert rep.params["resampled"] == 1 and rep.samples == 5
+        assert rep.passed and math.isfinite(rep.max_residual)
+
+
+def test_a_nan_in_the_compared_f_fails_the_report(monkeypatch):
+    # the rebuilt value is finite, so the draw is kept and its NaN residual counts
+    fam = _family()
+    s = fam.structure
+    _nan_at(monkeypatch, s.f, s.sample(5, 11, 2)[2][0][0])
+    _, rep = reconstruct_f(fam, 0, 1, samples=5, seed=11)
+    assert rep.params["resampled"] == 0
+    assert math.isnan(rep.max_residual) and not rep.passed
+
+
+def test_a_domain_violation_in_a_round_rejects_its_every_draw(monkeypatch):
+    fam = _family()
+    runs = _captured_residuals(monkeypatch)
+    reconstruct_f(fam, 0, 1, samples=8, seed=11)
+    every = runs[-1]
+    h = fam.potentials[1].h
+    partials, raised = h.partials, []
+
+    def first_call_raises(args, multis):
+        if not raised:
+            raised.append(args)
+            raise DomainViolation("non-finite samples on the circle")
+        return partials(args, multis)
+
+    monkeypatch.setattr(h, "partials", first_call_raises)
+    _, rep = reconstruct_f(fam, 0, 1, samples=4, seed=11)
+    assert rep.params["resampled"] == 4 and rep.passed
+    assert runs[-1] == every[4:]
+
+
+def test_reconstructed_f_refuses_a_vanishing_denominator(monkeypatch):
+    fam = _family()
+    rec, _ = reconstruct_f(fam, 0, 1, samples=3, seed=11)
+    (p1, p2), v = fam.structure.sample(1, 21, 2)[0]
+    monkeypatch.setattr(hierarchy, "DEN_FLOOR", math.inf)
+    with pytest.raises(DomainViolation, match=r"^reconstruction denominator vanishes$"):
+        rec(p1, p2, v)
 
 
 # the catalog families with potentials (genus2 has none), at several n
@@ -241,16 +373,19 @@ def _count_values(monkeypatch, evaluators) -> list:
 
 
 def test_f_and_g_are_evaluated_once_per_sample(monkeypatch):
-    # every potential's formula reads the same f(p1, p2) and g_j(p1)
+    # every potential's formula reads the same f(p1, p2) and g_j(p1), asked
+    # once per round for all of the round's draws
     fam = _family()
     s = fam.structure
     calls = _count_values(monkeypatch, (*s.g, s.f))
     criterion_integrable(fam, samples=5, seed=19)
-    assert len(calls) == 5 * (s.m + 1), len(calls)
+    assert len(calls) == s.m + 1, len(calls)
     calls.clear()
+    _nan_at(monkeypatch, fam.potentials[1].h, s.sample(5, 13, 2)[3][0][1])  # one redraw
+    rounds = _recorded_samples(monkeypatch, s)
     _, rep = reconstruct_lambda(fam, 0, samples=5, seed=13)
-    draws = 5 + rep.params["resampled"]
-    assert len(calls) == draws * (s.m + 1), (len(calls), draws)
+    assert rep.params["resampled"] == 1 and len(rounds) == 2
+    assert len(calls) == len(rounds) * (s.m + 1), (len(calls), len(rounds))
 
 
 def test_integrability_criterion_rejects_foreign_potential():

@@ -17,10 +17,12 @@ from gtlab.errors import DomainViolation, InvalidModulus, NonConvergence, PoleHi
 from gtlab.kernel import (
     Diagonal,
     Domain,
+    Exclusion,
     FixedPoints,
     HalfPlane,
     JetEvaluator,
     LatticePoints,
+    PathSpec,
     PulledBack,
     ReindexedEvaluator,
     SplitMix64,
@@ -31,6 +33,7 @@ from gtlab.kernel import (
     log_jet,
     log_theta_partial,
     path_integrate,
+    polyline_path,
     rho,
     rho_partial,
     theta,
@@ -544,6 +547,26 @@ def test_path_integrate_winding_number_off_the_unit_radius(radius):
     e = JetEvaluator(1, lambda z: 1.0 / (z - c), domain=Domain((FixedPoints(0, [c]),)))
     val = path_integrate(e, 0, (0.0,), circle_path(c + 0.1 * radius, radius, nodes=32))
     assert val == pytest.approx(2j * math.pi, rel=1e-10)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: circle_path(0.0, 0.0), "circle radius must be positive"),
+    (lambda: polyline_path([0.5]), "polyline needs at least 2 vertices"),
+    (lambda: PathSpec("spiral"), "unknown path kind 'spiral'"),
+    (lambda: circle_path(0.0, 1.0, nodes=7), "node count must be >= 8"),
+    (lambda: circle_path(0.0, 1.0).segments(), "circle paths have no straight segments"),
+])
+def test_path_spec_refuses_a_path_it_cannot_integrate(build, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build()
+
+
+def test_the_bare_exclusion_locus_measures_nothing():
+    # every locus kind overrides both; the base class names the contract
+    with pytest.raises(NotImplementedError):
+        Exclusion().distance((0.1, 0.2))
+    with pytest.raises(NotImplementedError):
+        Exclusion().remap([1, 0])
 
 
 # ---------------------------------------------------------------------------
