@@ -14,10 +14,10 @@ adding points.  A kernel is written once, with its value, its partials (or
 one batch of them) and its singular loci; the placement reads its slots,
 answers 0 for a partial in any other slot, and moves the loci onto the
 slots.  One function, its ``partial_fn``, answers a placed evaluator's jet
-requests, the value included, at a point and on a tuple of numpy argument
-columns of N points, as every evaluator's does; the theta kernels read
-every multi-index asked, at N points or at one, from one log-theta
-rectangle per argument column.  genus2's f, built on square roots, is its
+requests, the value included, on a tuple of numpy argument columns of N
+points (a point is a column of one), as every evaluator's does; the theta
+kernels read every multi-index asked from one log-theta rectangle per
+argument column.  genus2's f, built on square roots, is its
 own evaluator: its partials of total order <= 2 are closed form too, from
 one jet per batch on the principal square roots at each argument, its
 value comes from ``fn``, and its circles (value rows only) continue the
@@ -45,7 +45,6 @@ from .kernel import (
     JetEvaluator,
     LatticePoints,
     log_jet,
-    log_theta_jet,
     theta_jet,
 )
 
@@ -67,8 +66,8 @@ class Kernel:
 def place(kernel: Kernel, arity: int, slots: Sequence[int], label: str = "") -> JetEvaluator:
     """The kernel as an evaluator of ``arity`` arguments, its variables read
     from ``slots``; the function is constant in every other slot.  One
-    ``partial_fn`` answers every multi-index, the value included, at a
-    point or at N points given as a tuple of argument columns."""
+    ``partial_fn`` answers every multi-index, the value included, at N
+    points given as a tuple of argument columns."""
     slots = tuple(slots)
     pick = itemgetter(*slots) if len(slots) > 1 else lambda xs: (xs[slots[0]],)
 
@@ -98,7 +97,7 @@ def place(kernel: Kernel, arity: int, slots: Sequence[int], label: str = "") -> 
 
 def _difference(a: JetEvaluator, b: JetEvaluator, label: str = "") -> JetEvaluator:
     """a - b for placed kernels a and b: one ``partial_fn`` subtracting
-    theirs answers a point or a tuple of argument columns."""
+    theirs answers a tuple of argument columns."""
 
     def fn(*args):
         return a.fn(*args) - b.fn(*args)
@@ -137,17 +136,13 @@ def _sphere_partial(p: complex, u: complex, k: int, r: int) -> complex:
 
 
 def _log_theta_rect(x, tau, entries):
-    """(i, j) -> that partial of log theta at (x, tau), read from one rectangle holding
-    all ``entries`` (None without).  At one point it is at least (3, 2), every partial
-    of order <= 2 of either theta kernel: each the same float whatever a call asks."""
+    """(i, j) -> that partial of log theta at the points (x, tau), read from one rectangle
+    holding all ``entries`` (None without)."""
     if not entries:
         return None
     dp, dtau = (max(col) for col in zip(*entries))
-    if isinstance(x, np.ndarray):
-        L = log_jet(theta_jet(x, tau, dp, dtau), x, tau)
-    else:
-        L = log_theta_jet(x, tau, max(dp, 3), max(dtau, 2))
-    return lambda i, j: L[i][j] * math.factorial(i) * math.factorial(j)
+    L = log_jet(theta_jet(x, tau, dp, dtau), x, tau)
+    return lambda i, j: L[i, j] * math.factorial(i) * math.factorial(j)
 
 
 def _theta_difference(shift: int, second: int, loci: tuple[Exclusion, ...]) -> Kernel:
@@ -381,8 +376,8 @@ def _ratio_hessian(f, f_grad, den, den_grad, num_hess, den_hess):
 class GenusTwoF(JetEvaluator):
     """Two-point function of the genus-2 curve.
 
-    Values use the principal branch of q at each argument (``np.sqrt``, at
-    a point or on argument columns).  Every partial of total order <= 2 is
+    Values use the principal branch of q at each argument (``np.sqrt`` on
+    argument columns).  Every partial of total order <= 2 is
     closed form, from one jet of f = N / D on the principal q1 and q2: the
     batch a ``partials`` call hands over shares them.  Circles (for higher
     orders in one slot) sample values only, continuing the sheet along

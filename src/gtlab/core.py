@@ -48,7 +48,6 @@ from .kernel import (
     _circle_coeff,
     admitted,
     multi_index,
-    on_columns,
     path_integrate,
 )
 
@@ -237,17 +236,19 @@ class CoordinateChange:
 # ---------------------------------------------------------------------------
 
 
-def _diagonal_radius(e: JetEvaluator, p2: complex, v: Sequence[complex]) -> float:
-    """Radius of a circle about p2 in the first slot of e: limited by every
-    locus of that slot near the centre; loci that vanish at (p2, p2) are
-    the probed diagonal itself (however declared)."""
-    clearances = [
-        c
-        for ex in e.domain.exclusions if 0 in ex.slots
-        for c in [ex.distance((p2, p2, *v))]
-        if c > 1e-9
-    ]
-    return 0.25 * min(clearances + [1.0])
+def _diagonal_radius(e: JetEvaluator, cols: Sequence[np.ndarray]) -> np.ndarray:
+    """Radii of circles in the first slot of e about each point of the
+    argument columns ``cols`` (p2, p2, v): limited by every locus of that
+    slot near the centre, one distance call per locus over all the points;
+    a locus that vanishes at (p2, p2) is the probed diagonal itself
+    (however declared), and one not finite bounds nothing."""
+    radii = np.ones(len(cols[0]))
+    with np.errstate(all="ignore"):
+        for ex in e.domain.exclusions:
+            if 0 in ex.slots:
+                c = ex.distance(cols)
+                radii = np.where(c > 1e-9, np.minimum(radii, c), radii)
+    return 0.25 * radii
 
 
 def _rows(s: GTStructure, pts: Sequence[Sample], *orders: Sequence[int]) -> tuple:
@@ -266,8 +267,9 @@ def _residues(e: JetEvaluator, s: GTStructure, pts: Sequence[Sample], nodes: int
               ks: Sequence[int]) -> list[np.ndarray]:
     """Laurent coefficients k in ``ks`` of e in its first slot about p_1
     of every sample, from one ``eval_circles`` call."""
-    radii = np.array([_diagonal_radius(e, ps[0], v) for ps, v in pts])
-    vals = e.eval_circles(0, _rows(s, pts, (0, 0)), radii, nodes)
+    cols = _rows(s, pts, (0, 0))
+    radii = _diagonal_radius(e, cols)
+    vals = e.eval_circles(0, cols, radii, nodes)
     return [_circle_coeff(vals, radii, k) for k in ks]
 
 
@@ -701,12 +703,7 @@ class _Composed(JetEvaluator):
                  label: str, loci: Sequence[Exclusion] = ()):
         self.inner, self.image, self.to_inner = inner, image, to_inner
         self.outer, self.first = outer, first
-        cached = functools.lru_cache(maxsize=1)(image)  # the loci ask in turn at one point
-
-        def image_once(args):  # argument columns are not hashable: they map uncached
-            return image(args) if on_columns(args) else cached(args)
-
-        domain = Domain(tuple(PulledBack(image_once, ex, range(arity))
+        domain = Domain(tuple(PulledBack(image, ex, range(arity))
                               for ex in (*inner.domain.exclusions, *loci)))
         super().__init__(arity, self._fn, domain=domain, partial_fn=self._partial,
                          label=label)
@@ -981,7 +978,7 @@ def algebroid_constants(
     """
     if order > 6:
         raise ValueError("truncation order above 6 is outside the reliable range")
-    r1 = 0.8 * _diagonal_radius(s.f, z, v)
+    r1 = 0.8 * float(_diagonal_radius(s.f, np.array([(z, z, *v)], dtype=complex).T)[0])
     r2 = 0.5 * r1
     regular = JetEvaluator(s.f.arity, lambda *a: s.f.fn(*a) - 1.0 / (a[0] - a[1]))
     # Taylor coefficients in p2 on an inner ring about z at each node of the

@@ -9,16 +9,21 @@ once, the scalar stream bit for bit): the samplers that reject points near singu
 argument columns in ``admitted``.  The genus-1 theta series and its log derivative live here.
 
 ``JetEvaluator.partials(args, multis)`` is the one way to take values and
-partial derivatives (``partial`` asks it for one), and ``multi_index`` the
-one way to name them, the zero multi-index naming the value.  The
-evaluator's ``partial_fn(args, multis)`` gets the request exactly as asked,
-the value included, and answers or declines (NotImplemented) each entry in
-one call, so a closed form shares its terms across them.  A declined value
-comes from ``fn``; the declined partials are grouped by their leading slot,
-so each slot costs one ``deriv_radius`` and one circle, with one row of
-samples per distinct rest, whatever the number of partials read from it.  A
-consumer asks each evaluator for everything it needs at one point in one
-call.
+partial derivatives (``partial`` and ``value`` ask it for one), and
+``multi_index`` the one way to name them, the zero multi-index naming the
+value.  It takes a tuple of ``arity`` argument columns of N points and
+returns one row per multi-index; a point is a column of one (``on_columns``
+is the one test of which), its row read back as a list.  The evaluator's
+``partial_fn(args, multis)`` gets the request on the columns exactly as
+asked, the value included, and answers or declines (NotImplemented) each
+entry in one call, so a closed form shares its terms across them; every
+``fn`` and ``partial_fn`` answers columns with numpy arrays.  A declined
+value comes from ``fn``; the declined partials are grouped by their leading
+slot, so each slot costs one circle per point, its radius a quarter of the
+point's clearance, all N in one ``eval_rows`` call with one row of samples
+per distinct rest, whatever the number of partials read from it.  A
+consumer asks each evaluator for everything it needs over a sample set in
+one call.
 ``JetEvaluator.eval_rows`` samples values or partials on N loops of
 argument tuples, given as argument columns, one row per requested partial,
 and is the one evaluator override: an evaluator with multivalued
@@ -27,18 +32,11 @@ there, from one anchor per loop, and a wrapper maps the loops into the
 evaluator it wraps.  ``eval_circles`` hands it N circles and
 ``eval_circle`` one.
 
-A sample set is asked in the same call: ``partials`` and ``value`` take a
-point or a tuple of ``arity`` argument columns of N points (``on_columns``
-is the one test of which), and on columns return one row per multi-index.
-Every ``fn`` and ``partial_fn`` answers both, on columns with numpy
-arrays; only a partial that ``partial_fn`` declines is taken point by
-point, on its circles.
-
-Each genus-1 jet is one ``theta_jet`` sum over k, at one point or over N
-points (one ``np.exp`` over an N x (2K + 1) grid), with its weights cached
-read-only per window; ``log_jet`` turns its rectangle into log theta's.  A
-point's rectangle, ``log_theta_jet``, is memoised: the torus catalog asks at
-the same point many times, and a hit is the float a recomputation would give.
+Each genus-1 jet is one ``theta_jet`` sum over k at N points (one ``np.exp``
+over an N x (2K + 1) grid), with its weights cached read-only per window;
+``log_jet`` turns its rectangle into log theta's.  Nothing is memoised: the
+point functions (``theta``, ``rho``, ``theta_partial``, ``rho_partial``,
+``log_theta_partial``) read a column of one.
 """
 
 from __future__ import annotations
@@ -196,9 +194,10 @@ class Domain:
 
     def clearance(self, args: Sequence[complex], slot: int) -> float:
         """How far args[slot] may move: the distance to the nearest locus
-        that involves the slot, inf when none does."""
-        return min((e.distance(args) for e in self.exclusions if slot in e.slots),
-                   default=math.inf)
+        that involves the slot, inf when none does; at a point, or over
+        argument columns (NaN where any locus reads NaN)."""
+        return functools.reduce(np.minimum, (e.distance(args) for e in self.exclusions
+                                             if slot in e.slots), math.inf)
 
     def remap(self, mapping: Sequence[int]) -> "Domain":
         return Domain(tuple(e.remap(mapping) for e in self.exclusions))
@@ -303,9 +302,9 @@ class JetEvaluator:
     one entry per multi-index, NotImplemented where ``fn`` (for the value)
     or the circles should answer.  One that has no closed form for the
     value declines it before doing any work.  ``partials`` and ``value``
-    take a point or a tuple of ``arity`` argument columns, and ``fn`` and
-    ``partial_fn`` answer either: on columns each entry is an array over
-    the points or a constant.
+    take a point or a tuple of ``arity`` argument columns; ``fn`` and
+    ``partial_fn`` see columns only (a point's is a column of one), and
+    each entry they give is an array over the points or a constant.
     """
 
     def __init__(
@@ -324,23 +323,7 @@ class JetEvaluator:
 
     def value(self, args: Sequence[complex]) -> complex:
         """The value at a point, or the values on argument columns (through ``partials``)."""
-        if len(args) != self.arity:
-            raise ValueError(f"{self.label or 'evaluator'} takes {self.arity} "
-                             f"arguments, got {len(args)}")
-        if on_columns(args):
-            return self.partials(args, (multi_index(self.arity),))[0]
-        return complex(self.fn(*args))
-
-    def deriv_radius(self, args: Sequence[complex], slot: int) -> float:
-        require_finite(*args)
-        c = self.domain.clearance(args, slot)
-        if not c > 0:  # NaN too: a locus that cannot be measured is not cleared
-            raise DomainViolation(
-                f"argument {slot} of {self.label or 'evaluator'} sits on a "
-                f"declared singular locus (clearance {c})"
-            )
-        r = DEFAULT_RADIUS_FRACTION * c
-        return min(r, MAX_RADIUS)
+        return self.partials(args, (multi_index(self.arity),))[0]
 
     def eval_rows(self, loops: Sequence[np.ndarray], anchors: Sequence[np.ndarray],
                   rests: Sequence[Sequence[int] | None]) -> np.ndarray:
@@ -359,17 +342,12 @@ class JetEvaluator:
                     nodes: int, rests: Sequence[Sequence[int] | None]) -> np.ndarray:
         """``eval_rows`` on one equispaced circle about ``center`` in one
         slot, anchored at ``args`` with ``center`` in that slot, one row per
-        rest.  A non-finite sample (an undeclared singularity on the circle,
-        or an overflow) raises ``DomainViolation``."""
+        rest: the circles of a column of one.  A non-finite sample (an
+        undeclared singularity on the circle, or an overflow) raises
+        ``DomainViolation``."""
         anchors = [np.array([x], dtype=complex) for x in args]
         anchors[slot] = np.array([center], dtype=complex)
-        vals = _on_circles(self, slot, anchors, np.array([radius]), nodes, rests)[:, 0]
-        if not np.isfinite(vals).all():
-            raise DomainViolation(
-                f"{self.label or 'evaluator'}: non-finite samples on the circle of "
-                f"radius {radius} about {center!r} in slot {slot}"
-            )
-        return vals
+        return _on_circles(self, slot, anchors, np.array([radius]), nodes, rests)[:, 0]
 
     def eval_circles(self, slot: int, args: Sequence[np.ndarray], radii: Sequence[float],
                      nodes: int) -> np.ndarray:
@@ -379,27 +357,20 @@ class JetEvaluator:
         ``eval_rows`` call.  A non-finite sample on any circle raises
         ``DomainViolation``."""
         args, radii = [np.asarray(col, dtype=complex) for col in args], np.asarray(radii, float)
-        vals = _on_circles(self, slot, args, radii, nodes, [None])[0]
-        bad = np.flatnonzero(~np.isfinite(vals).all(axis=1))
-        if len(bad):
-            i = bad[0]
-            raise DomainViolation(
-                f"{self.label or 'evaluator'}: non-finite samples on circle {i} of "
-                f"{len(radii)}, radius {radii[i]} about {complex(args[slot][i])!r} "
-                f"in slot {slot}"
-            )
-        return vals
+        return _on_circles(self, slot, args, radii, nodes, [None])[0]
 
     def partial(self, args: Sequence[complex], multi: Sequence[int]) -> complex:
         return self.partials(args, (multi,))[0]
 
     def partials(self, args: Sequence[complex],
                  multis: Sequence[Sequence[int]]) -> list[complex] | np.ndarray:
-        """Values and partials, one per multi-index: a list at one point, a
-        (len(multis), N) array on argument columns (``_column_partials``).
-        At a point ``partial_fn`` gets the request as asked, the zero
-        multi-index included; of what it declines, the value comes from
-        ``fn`` and the partials share one circle per leading slot, the
+        """Values and partials, one per multi-index: a (len(multis), N) array
+        on argument columns of N points, a list at one point, read from its
+        column of one.  ``partial_fn`` gets the request as asked, the zero
+        multi-index included, and of what it declines the value comes from
+        ``fn``, an overflow or inf - inf a non-finite entry (which fails a
+        check) with no warning first; the declined partials share one circle
+        per leading slot and point, all N in one ``eval_rows`` call, the
         orders read with one rest sharing its row."""
         if len(args) != self.arity:
             raise ValueError(f"{self.label or 'evaluator'} takes {self.arity} "
@@ -408,37 +379,10 @@ class JetEvaluator:
             if len(multi) != self.arity:
                 raise ValueError(f"{self.label or 'evaluator'} takes {self.arity} "
                                  f"derivative orders, got {len(multi)}")
-        if on_columns(args):
-            return self._column_partials([np.asarray(col, dtype=complex) for col in args], multis)
-        args = tuple(args)
-        out = (list(self.partial_fn(args, multis)) if self.partial_fn is not None
-               else [NotImplemented] * len(multis))
-        circles: dict[int, list] = {}
-        for i, multi in enumerate(multis):
-            if out[i] is not NotImplemented:
-                out[i] = complex(out[i])
-                continue
-            if not any(multi):
-                out[i] = complex(self.fn(*args))
-                continue
-            slot = next(s for s, o in enumerate(multi) if o > 0)
-            rest = tuple(0 if s == slot else o for s, o in enumerate(multi))
-            circles.setdefault(slot, []).append((i, multi[slot], rest if any(rest) else None))
-        for slot, group in circles.items():
-            radius = self.deriv_radius(args, slot)
-            rests = list(dict.fromkeys(rest for _, _, rest in group))
-            rows = self.eval_circle(slot, args, args[slot], radius, DEFAULT_NODES, rests)
-            for i, order, rest in group:
-                vals = rows[rests.index(rest)]
-                out[i] = _circle_coeff(vals, radius, order) * math.factorial(order)
-        return out
-
-    def _column_partials(self, cols: list[np.ndarray], multis) -> np.ndarray:
-        """``partials`` on argument columns: ``partial_fn`` and a declined
-        value's ``fn`` on them, an overflow or inf - inf a non-finite entry
-        (which fails a check or ``eval_circles``) with no warning first; a
-        partial that ``partial_fn`` declines from each point's ``partials``
-        row, its circles."""
+        point = not on_columns(args)
+        cols = [np.asarray(col, dtype=complex) for col in args]
+        if point:  # a column of one
+            cols = [col.reshape(1) for col in cols]
         n = cols[0].size
         if any(col.shape != (n,) for col in cols):
             raise ValueError(f"{self.label or 'evaluator'} takes argument columns of one "
@@ -448,28 +392,65 @@ class JetEvaluator:
                    else [NotImplemented] * len(multis))
             out = [self.fn(*cols) if entry is NotImplemented and not any(multi) else entry
                    for multi, entry in zip(multis, out)]
-        rest = [multi for multi, entry in zip(multis, out) if entry is NotImplemented]
-        if rest:
-            points = zip(*(col.tolist() for col in cols))
-            rows = iter(np.array([self.partials(point, rest) for point in points],
-                                 dtype=complex).reshape(n, len(rest)).T)
-            out = [next(rows) if entry is NotImplemented else entry for entry in out]
+        circles: dict[int, list] = {}
+        for i, (multi, entry) in enumerate(zip(multis, out)):
+            if entry is NotImplemented:
+                slot = next(s for s, o in enumerate(multi) if o > 0)
+                rest = tuple(0 if s == slot else o for s, o in enumerate(multi))
+                circles.setdefault(slot, []).append((i, multi[slot], rest if any(rest) else None))
+        for slot, group in circles.items():
+            radii = _radii(self, cols, slot)
+            rests = list(dict.fromkeys(rest for _, _, rest in group))
+            rows = _on_circles(self, slot, cols, radii, DEFAULT_NODES, rests)
+            for i, order, rest in group:
+                out[i] = _circle_coeff(rows[rests.index(rest)], radii, order) * math.factorial(order)
         table = np.empty((len(multis), n), dtype=complex)
         for i, entry in enumerate(out):
             table[i] = entry  # an array over the points, or a constant
-        return table
+        return table[:, 0].tolist() if point else table
 
 
-def _on_circles(e: JetEvaluator, slot: int, anchors: list[np.ndarray], radii: np.ndarray,
+def _radii(e: JetEvaluator, cols: Sequence[np.ndarray], slot: int) -> np.ndarray:
+    """The radius of the derivative circle in one slot about each point of
+    the argument columns: a quarter of its clearance, at most ``MAX_RADIUS``.
+    A point not finite, or whose clearance is not positive (NaN too: a locus
+    that cannot be measured is not cleared), raises ``DomainViolation``
+    naming it."""
+    with np.errstate(all="ignore"):
+        c = np.broadcast_to(e.domain.clearance(cols, slot), cols[0].shape)
+    unmeasured = ~np.isfinite(cols).all(axis=0)
+    bad = np.flatnonzero(unmeasured | ~(c > 0))
+    if len(bad):
+        i = bad[0]
+        where = f"at point {i} of {len(c)}"
+        raise DomainViolation(
+            f"{e.label or 'evaluator'}: non-finite argument {where}" if unmeasured[i] else
+            f"argument {slot} of {e.label or 'evaluator'} sits on a declared singular "
+            f"locus {where} (clearance {c[i]})")
+    return np.minimum(DEFAULT_RADIUS_FRACTION * c, MAX_RADIUS)
+
+
+def _on_circles(e: JetEvaluator, slot: int, anchors: Sequence[np.ndarray], radii: np.ndarray,
                 nodes: int, rests) -> np.ndarray:
-    """e's ``eval_rows`` on N equispaced circles in one slot, each about its
-    anchor's entry there, under no floating-point warning: a non-finite
-    sample is the caller's to raise."""
+    """e's ``eval_rows`` on N equispaced circles in one slot, circle i about
+    anchor i's entry there with radius radii[i], a (len(rests), N, nodes)
+    array taken under no floating-point warning.  A non-finite sample (an
+    undeclared singularity on a circle, or an overflow) raises
+    ``DomainViolation`` naming the first circle that has one."""
     ring = np.array([cmath.exp(TWO_PI_I * k / nodes) for k in range(nodes)])
     loops = [np.repeat(col[:, None], nodes, axis=1) for col in anchors]
     loops[slot] = anchors[slot][:, None] + radii[:, None] * ring
     with np.errstate(all="ignore"):
-        return e.eval_rows(tuple(loops), tuple(anchors), rests)
+        vals = e.eval_rows(tuple(loops), tuple(anchors), rests)
+    bad = np.flatnonzero(~np.isfinite(vals).all(axis=(0, 2)))
+    if len(bad):
+        i = bad[0]
+        raise DomainViolation(
+            f"{e.label or 'evaluator'}: non-finite samples on circle {i} of "
+            f"{len(radii)}, radius {radii[i]} about {complex(anchors[slot][i])!r} "
+            f"in slot {slot}"
+        )
+    return vals
 
 
 def _circle_coeff(vals: np.ndarray, radius, k: int):
@@ -547,8 +528,8 @@ def cauchy_derivative(
     require_finite(*args)
     if order < 0:
         raise ValueError("order must be >= 0")
-    if radius is None:
-        radius = e.deriv_radius(args, slot)
+    if radius is None:  # the radius a declined partial's circle takes there
+        radius = float(_radii(e, np.array([args], dtype=complex).T, slot)[0])
     clearance = e.domain.clearance(args, slot)
     if radius >= clearance:
         raise DomainViolation(
@@ -778,7 +759,7 @@ def _theta_trunc_index(im_p, im_tau, tol: float) -> int:
     quadratic turnaround they decay faster than a geometric series with
     ratio exp(-pi im_tau), so bounding the first dropped term suffices.
     """
-    if not ((im_tau > 0).all() if isinstance(im_tau, np.ndarray) else im_tau > 0):
+    if not np.all(im_tau > 0):
         raise InvalidModulus("Im tau must be positive")
     # turnaround index plus the tail-depth needed for the quadratic decay
     bound = abs(im_p) / im_tau + 1.0 + np.sqrt(max(-math.log(tol), 1.0) / (math.pi * im_tau))
@@ -799,35 +780,30 @@ def _theta_weights(K: int, dp: int, dtau: int) -> tuple[np.ndarray, ...]:
     return k, half, w
 
 
-def _fail_closed(bad, error: type, what: str, p, tau) -> None:
-    """Raise ``error`` naming the first point (p, tau), of a batch or the one, where ``bad``."""
-    if not (bad.any() if isinstance(bad, np.ndarray) else bad):
+def _fail_closed(bad: np.ndarray, error: type, what: str, p, tau) -> None:
+    """Raise ``error`` naming the first point (p, tau) of a batch where ``bad``."""
+    if not bad.any():
         return
     i = np.flatnonzero(bad)[0]
     p, tau = np.broadcast_arrays(p, tau)
-    where = f" (point {i} of {p.size})" if p.ndim else ""
-    raise error(f"{what} at p = {complex(p.flat[i])!r}, tau = {complex(tau.flat[i])!r}{where}")
+    raise error(f"{what} at p = {complex(p.flat[i])!r}, tau = {complex(tau.flat[i])!r} "
+                f"(point {i} of {p.size})")
 
 
-def theta_jet(p, tau, dp: int = 0, dtau: int = 0, tol: float = 1e-12):
-    """Taylor coefficients a[i][j] = d_p^i d_tau^j theta / (i! j!), i <= dp, j <= dtau, of
-    theta = sum_k (-1)^k e^{2 pi i (k p + k(k-1) tau / 2)}, over the tail bound's window
-    widened by 4 (dp + dtau): complex numbers, or arrays over N points of arrays p and tau
-    from one ``np.exp`` over an (N, 2K + 1) grid, K the batch's widest.  A non-finite
-    argument raises ``DomainViolation``, Im tau <= 0 ``InvalidModulus`` and a series not
-    finite ``OverflowError``; a batch raises the error of its first point at fault, as
-    its points would one after another, and names that point."""
-    batch = isinstance(p, np.ndarray) or isinstance(tau, np.ndarray)
-    if batch:  # one row of the grid per point
-        p, tau = np.broadcast_arrays(np.reshape(p, (-1, 1)), np.reshape(tau, (-1, 1)))
-        finite = np.isfinite(p) & np.isfinite(tau)
-        valid = finite & (tau.imag > 0)
-        # the series runs over the points before the first invalid one, which may overflow first
-        cut = len(p) if valid.all() else int(np.argmin(valid))
-        at_p, at_tau = p[:cut], tau[:cut]
-    else:
-        require_finite(p, tau)
-        cut, at_p, at_tau = 1, p, tau
+def theta_jet(p, tau, dp: int = 0, dtau: int = 0, tol: float = 1e-12) -> np.ndarray:
+    """Taylor coefficients a[i, j] = d_p^i d_tau^j theta / (i! j!), i <= dp, j <= dtau, of
+    theta = sum_k (-1)^k e^{2 pi i (k p + k(k-1) tau / 2)} at N points, a (dp + 1, dtau + 1, N)
+    array over the broadcast of p and tau (a number is a column of one), from one ``np.exp``
+    over an (N, 2K + 1) grid, K the tail bound's window of the batch's widest point widened
+    by 4 (dp + dtau).  A non-finite argument raises ``DomainViolation``, Im tau <= 0
+    ``InvalidModulus`` and a series not finite ``OverflowError``: the error of the batch's
+    first point at fault, as its points would one after another, naming that point."""
+    p, tau = np.broadcast_arrays(np.reshape(p, (-1, 1)), np.reshape(tau, (-1, 1)))
+    finite = np.isfinite(p) & np.isfinite(tau)
+    valid = finite & (tau.imag > 0)
+    # the series runs over the points before the first invalid one, which may overflow first
+    cut = len(p) if valid.all() else int(np.argmin(valid))
+    at_p, at_tau = p[:cut], tau[:cut]
     if cut:
         K = _theta_trunc_index(at_p.imag, at_tau.imag, tol) + 4 * (dp + dtau)
         k, half, w = _theta_weights(K, dp, dtau)
@@ -836,79 +812,63 @@ def theta_jet(p, tau, dp: int = 0, dtau: int = 0, tol: float = 1e-12):
         if not np.isfinite(a).all():  # row n of a is point n of the batch
             _fail_closed(~np.isfinite(a).all(axis=-1), OverflowError, "theta series overflows",
                          p, tau)
-    if batch and cut < len(p):
+    if cut < len(p):
         first = np.arange(len(p)) == cut
         _fail_closed(first & ~finite.ravel(), DomainViolation, "non-finite theta argument", p, tau)
         _fail_closed(first, InvalidModulus, "Im tau must be positive", p, tau)
-    return a.T.reshape(dp + 1, dtau + 1, -1) if batch else a.reshape(dp + 1, dtau + 1).tolist()
+    return a.T.reshape(dp + 1, dtau + 1, -1)
 
 
 def theta(p: complex, tau: complex, tol: float = 1e-12) -> complex:
     """The odd theta series at (p, tau)."""
-    return theta_jet(p, tau, 0, 0, tol)[0][0]
+    return complex(theta_jet(p, tau, 0, 0, tol)[0, 0, 0])
 
 
 def theta_partial(p: complex, tau: complex, dp: int = 0, dtau: int = 0,
                   tol: float = 1e-12) -> complex:
-    """The (dp, dtau) partial derivative of the theta series."""
-    return theta_jet(p, tau, dp, dtau, tol)[dp][dtau] * math.factorial(dp) * math.factorial(dtau)
+    """The (dp, dtau) partial derivative of the theta series at (p, tau)."""
+    a = theta_jet(p, tau, dp, dtau, tol)[dp, dtau, 0]
+    return complex(a) * math.factorial(dp) * math.factorial(dtau)
 
 
 def rho(p: complex, tau: complex, tol: float = 1e-12) -> complex:
-    """Logarithmic derivative theta'/theta (derivative in p)."""
-    a = theta_jet(p, tau, 1, 0, tol)
+    """Logarithmic derivative theta'/theta (derivative in p) at (p, tau)."""
+    a = theta_jet(p, tau, 1, 0, tol)[:, 0, 0]
     if lattice_distance(p, tau) < 1e-7:
         raise PoleHit("rho evaluated within 1e-7 of a theta zero")
-    return a[1][0] / a[0][0]
+    return complex(a[1] / a[0])
 
 
 def rho_partial(p: complex, tau: complex, dp: int, dtau: int) -> complex:
-    """Partial derivatives of rho = (d/dp) log theta."""
+    """Partial derivatives of rho = (d/dp) log theta at (p, tau)."""
     return log_theta_partial(p, tau, dp + 1, dtau)
 
 
 def log_theta_partial(p: complex, tau: complex, dp: int, dtau: int) -> complex:
-    """(dp, dtau) partial derivative of log theta, read from its rectangle."""
-    return log_theta_jet(p, tau, dp, dtau)[dp][dtau] * math.factorial(dp) * math.factorial(dtau)
+    """(dp, dtau) partial derivative of log theta at (p, tau), read from its rectangle."""
+    L = log_jet(theta_jet(p, tau, dp, dtau), p, tau)[dp, dtau, 0]
+    return complex(L) * math.factorial(dp) * math.factorial(dtau)
 
 
-def log_jet(a, p, tau):
-    """The Taylor rectangle L of log theta from theta's rectangle a at (p, tau), by
-    the jet rule (i + j) a_ij = sum_{k <= i, l <= j} (k + l) L_kl a_{i-k, j-l}
-    (Griewank & Walther, Evaluating Derivatives, ch. 13).  At a point the entries are
-    complex numbers, from one term at a time; over a batch, a (dp + 1, dtau + 1, N) array,
-    every entry of one total degree at once (``_degree_terms``).  A vanishing a_00
-    raises ``PoleHit``."""
-    a00 = a[0][0]
+def log_jet(a: np.ndarray, p, tau) -> np.ndarray:
+    """The Taylor rectangle L of log theta from theta's rectangle a at N points (p, tau),
+    both (dp + 1, dtau + 1, N) arrays, by the jet rule
+    (i + j) a_ij = sum_{k <= i, l <= j} (k + l) L_kl a_{i-k, j-l}
+    (Griewank & Walther, Evaluating Derivatives, ch. 13), every entry of one total degree
+    at once (``_degree_terms``).  A vanishing a_00 raises ``PoleHit``."""
+    a00 = a[0, 0]
     _fail_closed(a00 == 0, PoleHit, "log of a theta jet vanishing", p, tau)
-    if isinstance(a00, np.ndarray):
-        order, spans, back = _degree_terms(len(a) - 1, len(a[0]) - 1)
-        flat = a.reshape(-1, a00.size).take(order, axis=0)  # entries by total degree
-        L = np.empty_like(flat)
-        L[0] = np.log(a00)
-        for lo, hi, d, kl, rest, weight, starts in spans:
-            s = d * flat[lo:hi]
-            if kl.size:
-                s -= np.add.reduceat(L.take(kl, axis=0) * (weight * flat.take(rest, axis=0)),
-                                     starts, axis=0)
-            L[lo:hi] = s / (d * a00)
-        return L.take(back, axis=0).reshape(a.shape)
-    L = [[None] * len(a[0]) for _ in a]
-    L[0][0] = cmath.log(a00)
-    for i, j, terms in _jet_rule_terms(len(a) - 1, len(a[0]) - 1):
-        s = (i + j) * a[i][j]
-        for k, l, i_k, j_l in terms:
-            s -= (k + l) * L[k][l] * a[i_k][j_l]
-        L[i][j] = s / ((i + j) * a00)
-    return L
-
-
-@functools.lru_cache(maxsize=None)
-def _jet_rule_terms(dp: int, dtau: int) -> tuple:
-    """Each entry (i, j) past (0, 0), row-major, with its jet-rule terms (k, l, i-k, j-l)."""
-    return tuple((i, j, tuple((k, l, i - k, j - l) for k in range(i + 1) for l in range(j + 1)
-                              if 0 < k + l < i + j))
-                 for i in range(dp + 1) for j in range(dtau + 1) if i + j)
+    order, spans, back = _degree_terms(len(a) - 1, len(a[0]) - 1)
+    flat = a.reshape(-1, a00.size).take(order, axis=0)  # entries by total degree
+    L = np.empty_like(flat)
+    L[0] = np.log(a00)
+    for lo, hi, d, kl, rest, weight, starts in spans:
+        s = d * flat[lo:hi]
+        if kl.size:
+            s -= np.add.reduceat(L.take(kl, axis=0) * (weight * flat.take(rest, axis=0)),
+                                 starts, axis=0)
+        L[lo:hi] = s / (d * a00)
+    return L.take(back, axis=0).reshape(a.shape)
 
 
 @functools.lru_cache(maxsize=None)
@@ -932,13 +892,3 @@ def _degree_terms(dp: int, dtau: int) -> tuple:
                       np.searchsorted(owner, range(hi - lo))))
     order = np.array([i * (dtau + 1) + j for i, j in entries])
     return order, tuple(spans), np.argsort(order)
-
-
-# A torus seed reads rectangles at 5,192 points, 10 of them in two jobs: 256 entries
-# miss 5,202 times (64: 6,498); holding all 5,192 would cost 5 MB of RSS for the 10.
-@functools.lru_cache(maxsize=256)
-def log_theta_jet(p: complex, tau: complex, dp: int, dtau: int) -> tuple[tuple[complex, ...], ...]:
-    """The Taylor rectangle L[i][j] = d_p^i d_tau^j log theta / (i! j!), i <= dp, j <= dtau,
-    at one point from one ``theta_jet`` (``log_jet`` gives it over arrays of points),
-    memoised: a hit is the float a recomputation would give; an error is never cached."""
-    return tuple(map(tuple, log_jet(theta_jet(p, tau, dp, dtau), p, tau)))

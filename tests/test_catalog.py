@@ -314,7 +314,11 @@ PARTIALS_AT = {
 @pytest.mark.parametrize("name,n", sorted(PARTIALS_AT, key=str))
 def test_batched_partials_equal_single_partials_bit_for_bit(name, n):
     # every d_1 d_s f in one batch, then each multi-index on its own; and a
-    # batch that mixes orders 0, 1 and 2 (the value in the middle)
+    # batch that mixes orders 0, 1 and 2 (the value in the middle).  genus1's
+    # f sums each log-theta rectangle over a window widened by the orders a
+    # call asks (kernel.theta_jet), so a batch and a single entry round apart:
+    # within 1e-13 of the entry's size, the bound columns meet against points
+    # in test_columns_agree_with_points
     f = catalog.build_structure(name, n).f
     args = PARTIALS_AT[name, n]
     multis = [multi_index(f.arity, 1, s) for s in range(f.arity)]
@@ -323,21 +327,25 @@ def test_batched_partials_equal_single_partials_bit_for_bit(name, n):
     mixed.insert(f.arity, multi_index(f.arity))
     for batch_multis in (multis, mixed):
         batch = f.partials(args, batch_multis)
-        assert batch == [f.partial(args, multi) for multi in batch_multis]
+        single = [f.partial(args, multi) for multi in batch_multis]
+        if name == "genus1":
+            assert all(abs(b - x) <= 1e-13 * abs(x) for b, x in zip(batch, single))
+        else:
+            assert batch == single
         assert all(cmath.isfinite(x) for x in batch)
 
 
-def test_genus2_batch_of_second_partials_opens_no_circle():
+def test_genus2_batch_of_second_partials_opens_no_circle(monkeypatch):
     f = catalog.build_structure("genus2").f
     args = PARTIALS_AT["genus2", None]
     calls = []
-    original = f.eval_circle
+    original = kernel._on_circles
 
-    def counted(slot, *rest):
+    def counted(e, slot, *rest):
         calls.append(slot)
-        return original(slot, *rest)
+        return original(e, slot, *rest)
 
-    f.eval_circle = counted
+    monkeypatch.setattr(kernel, "_on_circles", counted)
     f.partials(args, [multi_index(5, 1, s) for s in range(5)])
     # d_1 d_s f for every s, from one closed-form jet at the point
     assert calls == []
@@ -598,7 +606,7 @@ def test_n_loops_on_columns_match_one_loop_at_a_time(index):
     points = _points(s, 2)
     points = (points[0], points[0], *points[2:])
     rows = list(zip(*(c.tolist() for c in points)))
-    radii = [_diagonal_radius(e, row[0], row[2:]) for row in rows]
+    radii = _diagonal_radius(e, points)
     want = np.array([e.eval_circle(0, row, row[0], r, 16, [None])[0]
                      for row, r in zip(rows, radii)])
     got = e.eval_circles(0, points, radii, 16)

@@ -261,7 +261,8 @@ def test_genus1_pushforward_pole_circle_sees_each_locus(tmp_path):
     assert pole["identity"] == "diagonal_pole" and pole["pass"], pole
     pushed = pushforward(catalog.build_structure("genus1", 1), _quadratic_change(2))
     p2, v = 0.2 + 0.1j, (0.5 - 0.3j, 0.3 + 1.1j)
-    assert 0.0 < _diagonal_radius(pushed.f, p2, v) < 0.25
+    [radius] = _diagonal_radius(pushed.f, np.array([(p2, p2, *v)]).T)
+    assert 0.0 < radius < 0.25
 
 
 class _ValueOnly(JetEvaluator):
@@ -480,7 +481,12 @@ _WITH_A_PARTIAL_FN = {
 @pytest.mark.parametrize("kind", list(_WITH_A_PARTIAL_FN))
 def test_a_jet_request_answers_the_value_bit_for_bit(kind):
     # the zero multi-index reaches every partial_fn: one that answers it
-    # must give fn's float, and one without a closed form declines it
+    # must give fn's float, and one without a closed form declines it.  A
+    # genus1 catalog evaluator sums its log-theta rectangle over a window
+    # widened by the orders asked (kernel.theta_jet), so with its first
+    # partials the value rounds apart from the value alone: within 1e-13 of
+    # its size, the bound columns meet against points in
+    # test_columns_agree_with_points
     wrong = []
     for label, e, s in _WITH_A_PARTIAL_FN[kind]():
         assert e.partial_fn is not None, label
@@ -488,7 +494,10 @@ def test_a_jet_request_answers_the_value_bit_for_bit(kind):
         for ps, v in s.sample(2, seed=31, n_p=e.arity - s.m):
             args = (*ps, *v)
             got, want = e.partials(args, request)[0], e.value(args)
-            if (got.real.hex(), got.imag.hex()) != (want.real.hex(), want.imag.hex()):
+            if label.startswith(("genus1:", "genus1 h")):
+                if not abs(got - want) <= 1e-13 * abs(want):
+                    wrong.append((label, args, got, want))
+            elif (got.real.hex(), got.imag.hex()) != (want.real.hex(), want.imag.hex()):
                 wrong.append((label, args, got, want))
     assert not wrong, wrong
 
@@ -500,23 +509,19 @@ def test_a_jet_request_answers_the_value_bit_for_bit(kind):
 def test_transformed_first_partials_open_no_circle(tmp_path, monkeypatch, cfg):
     # verify_pole takes one Laurent circle per sample, all in one call;
     # every first partial of the bracket and the cocycle comes by the chain
-    # rule, and a partial that opened a circle would ask its radius
-    circles, opened = [], []
-    batch, radius = JetEvaluator.eval_circles, JetEvaluator.deriv_radius
+    # rule, and a partial that opened a circle would sample one more batch
+    # of circles
+    circles = []
+    on_circles = kernel._on_circles
 
-    def counted(self, slot, args, *rest):
-        circles.append((self.label, len(args[0])))
-        return batch(self, slot, args, *rest)
+    def counted(e, slot, anchors, *rest):
+        circles.append((e.label, len(anchors[0])))
+        return on_circles(e, slot, anchors, *rest)
 
-    def asked(self, *args):
-        opened.append(self.label)
-        return radius(self, *args)
-
-    monkeypatch.setattr(JetEvaluator, "eval_circles", counted)
-    monkeypatch.setattr(JetEvaluator, "deriv_radius", asked)
+    monkeypatch.setattr(kernel, "_on_circles", counted)
     code = cli.run({**cfg, "seed": 101, "samples": 10}, str(tmp_path / "job.json"))
     assert code == 0
-    assert len(circles) == 1 and circles[0][1] == 10 and not opened, (circles, opened)
+    assert len(circles) == 1 and circles[0][1] == 10, circles
 
 
 def _full_minimum_sample(s, count, seed, n_p):
@@ -879,7 +884,7 @@ def test_a_non_finite_circle_in_a_batch_fails_closed(batched, where):
     bad = points[where, 1]
     f = JetEvaluator(s.f.arity, lambda *args: np.where(args[1] == bad, math.nan, s.f.fn(*args)),
                      domain=s.f.domain, label="spoiled f")
-    radii = [_diagonal_radius(f, row[0], row[2:]) for row in points.tolist()]
+    radii = _diagonal_radius(f, points.T)
     if batched:
         with pytest.raises(DomainViolation, match=f"non-finite samples on circle {where} of 7,"):
             f.eval_circles(0, tuple(points.T), radii, 16)
@@ -887,7 +892,7 @@ def test_a_non_finite_circle_in_a_batch_fails_closed(batched, where):
         for i, (row, radius) in enumerate(zip(points.tolist(), radii)):
             if i != where:
                 assert np.isfinite(f.eval_circle(0, row, row[0], radius, 16, [None])).all()
-        with pytest.raises(DomainViolation, match="non-finite samples on the circle of radius"):
+        with pytest.raises(DomainViolation, match="non-finite samples on circle 0 of 1, radius"):
             f.eval_circle(0, points[where].tolist(), points[where, 0], radii[where], 16, [None])
     spoiled = GTStructure(m=s.m, g=s.g, f=f, p_box=s.p_box, v_boxes=s.v_boxes)
     with pytest.raises(DomainViolation, match="non-finite samples on"):

@@ -128,8 +128,8 @@ def _row_oracle(bare, args):
     """Every first partial of a value-only evaluator by quadrature, and the
     scale the row is compared at: the largest of the value and the partials,
     since some entries vanish exactly (benney's A does not depend on u_2).
-    Each circle has the default radius, ``deriv_radius``, so a pole the
-    domain misses shows here."""
+    Each circle has the default radius, a declined partial's (a quarter of
+    the clearance), so a pole the domain misses shows here."""
     want = [cauchy_derivative(bare, slot, args, 1) for slot in range(bare.arity)]
     return want, max(abs(w) for w in [*want, bare.value(args)])
 
@@ -196,8 +196,14 @@ def test_pair_values_do_not_depend_on_rows(name):
     A_r, Q_r, a_row, q_row = sys_.pair(jets_1, jets_2, args, True)
     assert no_a_row is None and no_q_row is None
     assert A == A_r and Q == Q_r
-    assert [jet[0] for jet in jets_1] == [gk.value((args[0], *args[2:]))
-                                         for gk in sys_.structure.g]
+    values = [gk.value((args[0], *args[2:])) for gk in sys_.structure.g]
+    if name == "genus1":
+        # a jet widens each log-theta window by its orders (kernel.theta_jet), so
+        # its value rounds apart from the value alone: within 1e-13 of its size,
+        # the bound columns meet against points in test_columns_agree_with_points
+        assert all(abs(jet[0] - x) <= 1e-13 * abs(x) for jet, x in zip(jets_1, values))
+    else:
+        assert [jet[0] for jet in jets_1] == values
     assert B[1:] == [jet[0] / jets_1[0][0] for jet in jets_1[1:]]
     assert len(a_row) == len(q_row) == len(args)
     assert b_rows[0] is None and all(len(row) == 1 + m for row in b_rows[1:])

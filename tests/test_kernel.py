@@ -377,10 +377,71 @@ def test_a_non_finite_circle_sample_fails_closed():
         return np.where(p == node, math.nan, 1.0 / (p - q))
 
     e = JetEvaluator(2, fn, domain=Domain((Diagonal(0, 1),)), label="one nan")
-    with pytest.raises(DomainViolation, match=r"one nan: non-finite samples on the circle "
-                                              r"of radius 0\.0999\d* about 0\.7 in slot 0"):
+    with pytest.raises(DomainViolation, match=r"one nan: non-finite samples on circle 0 of 1, "
+                                              r"radius 0\.0999\d* about \(0\.7\+0j\) in slot 0"):
         e.partial((0.7, 0.3), (1, 0))
     assert e.partial((0.7, 0.3), (0, 1)) == pytest.approx(1.0 / 0.4**2, rel=1e-10)
+
+
+# a value-only evaluator on columns: every partial it is asked is declined,
+# so each comes from one circle per point, all of a slot's in one call
+COLUMN_P = np.array([0.1 + 0.2j, 0.7, -0.4 + 0.5j, 0.3 - 0.6j])
+COLUMN_Q = np.array([0.9 - 0.1j, 0.3, 0.6 + 0.2j, -0.5 - 0.2j])
+
+
+def _value_only_pole(label="value only", spoil=None):
+    """1/(p - q) with its diagonal declared; NaN where p equals ``spoil``."""
+    def fn(p, q):
+        return np.where(p == spoil, math.nan, 1.0 / (p - q))
+
+    return JetEvaluator(2, fn, domain=Domain((Diagonal(0, 1),)), label=label)
+
+
+@pytest.mark.parametrize("where", range(len(COLUMN_P)))
+def test_a_column_point_on_a_declared_locus_is_named(where):
+    # one point of four on the diagonal: no circle to sample about it, and
+    # the error names that point, not the others
+    q = COLUMN_Q.copy()
+    q[where] = COLUMN_P[where]
+    e = _value_only_pole()
+    with pytest.raises(DomainViolation, match=rf"^argument 0 of value only sits on a declared "
+                                              rf"singular locus at point {where} of 4 "
+                                              rf"\(clearance 0\.0\)$"):
+        e.partials((COLUMN_P, q), [(1, 0)])
+    others = np.arange(len(q)) != where
+    assert np.isfinite(e.partials((COLUMN_P[others], q[others]), [(1, 0)])).all()
+
+
+@pytest.mark.parametrize("where", range(len(COLUMN_P)))
+def test_an_undeclared_singularity_on_one_circle_names_that_circle(where):
+    # NaN at the first node of circle ``where`` only (its centre plus its
+    # radius, a quarter of the distance to the diagonal): the column call
+    # raises naming that circle of four, and no coefficient is read
+    node = COLUMN_P[where] + 0.25 * abs(COLUMN_P[where] - COLUMN_Q[where])
+    e = _value_only_pole("spoiled", spoil=node)
+    with pytest.raises(DomainViolation, match=rf"^spoiled: non-finite samples on circle "
+                                              rf"{where} of 4, radius "):
+        e.partials((COLUMN_P, COLUMN_Q), [(1, 0), (2, 0)])
+    assert np.isfinite(e.partials((COLUMN_P, COLUMN_Q), [(0, 1)])).all()
+
+
+def test_declined_partials_on_columns_agree_with_cauchy_derivative():
+    # first and second partials in either slot, and the mixed one, read from
+    # the circles of all four points at once, against one cauchy_derivative
+    # circle per point (the same radius and nodes) and the closed form
+    e = _value_only_pole()
+    multis = [(1, 0), (0, 1), (2, 0), (0, 2), (1, 1)]
+    table = e.partials((COLUMN_P, COLUMN_Q), multis)
+    assert table.shape == (len(multis), len(COLUMN_P))
+    for n, args in enumerate(zip(COLUMN_P.tolist(), COLUMN_Q.tolist())):
+        d = args[0] - args[1]
+        for row, multi in zip(table, multis):
+            exact = (-1) ** multi[0] * math.factorial(sum(multi)) / d ** (sum(multi) + 1)
+            if 0 in multi:
+                slot = multi.index(max(multi))
+                want = cauchy_derivative(e, slot, args, multi[slot])
+                assert abs(row[n] - want) <= 1e-13 * abs(want), (n, multi)
+            assert row[n] == pytest.approx(exact, rel=1e-9), (n, multi)
 
 
 def test_jet_requests_of_the_wrong_shape_are_refused():
@@ -421,12 +482,13 @@ def test_column_requests_of_the_wrong_shape_are_refused(closed):
 
 
 def test_a_radius_on_a_declared_locus_is_refused():
-    # clearance 0 at the pole: no circle to sample on, named by slot and evaluator
+    # clearance 0 at the pole: no circle to sample on, named by slot, evaluator
+    # and point, a point being a column of one
     with pytest.raises(DomainViolation, match=r"^argument 0 of 1/\(p-2\) sits on a declared "
-                                              r"singular locus \(clearance 0\.0\)$"):
-        _rational().deriv_radius((2.0,), 0)
-    with pytest.raises(DomainViolation, match="sits on a declared singular locus"):
+                                              r"singular locus at point 0 of 1 \(clearance 0\.0\)$"):
         _rational().partial((2.0,), (1,))
+    with pytest.raises(DomainViolation, match="sits on a declared singular locus at point 0 of 1"):
+        cauchy_derivative(_rational(), 0, (2.0,), 1)
 
 
 def test_an_order_zero_cauchy_derivative_is_the_value():
@@ -693,7 +755,6 @@ def test_theta_overflow_fails_closed_and_is_not_memoised():
                  lambda: log_theta_partial(p, TAU, 1, 1)):
         with pytest.raises(OverflowError, match=r"p = \(0\.1\+300j\), tau = \(0\.3\+1\.1j\)"):
             call()
-    assert kernel.log_theta_jet.cache_info().currsize == 0
 
 
 @pytest.mark.parametrize("p, tau", [(complex("nan"), TAU), (0.1, complex(0.3, math.inf)),
@@ -738,7 +799,9 @@ def test_a_batched_jet_matches_its_points(dp, dtau):
     assert a.shape == (dp + 1, dtau + 1, len(BATCH_P))
     L = log_jet(a, BATCH_P, BATCH_TAU)
     for n, (p, tau) in enumerate(zip(BATCH_P.tolist(), BATCH_TAU.tolist())):
-        one, log_one = theta_jet(p, tau, dp, dtau), kernel.log_theta_jet(p, tau, dp, dtau)
+        one = theta_jet(p, tau, dp, dtau)
+        log_one = log_jet(one, p, tau)[..., 0]
+        one = one[..., 0]
         for i in range(dp + 1):
             for j in range(dtau + 1):
                 assert abs(a[i][j][n] - one[i][j]) <= 1e-12 * abs(one[i][j])
@@ -769,12 +832,11 @@ BAD_INDICES = [0, 3, len(BATCH_P) - 1]
 ])
 def test_a_batch_fails_closed_at_any_point(index, bad, error, match):
     # the batch raises the named error of its one bad point, wherever it
-    # sits, names that point, lets no RuntimeWarning out and memoises nothing
+    # sits, names that point and lets no RuntimeWarning out
     ps, taus = _with_bad_point(index, **bad)
     with pytest.raises(error, match=match) as info:
         theta_jet(ps, taus, 1, 1)
     assert f"(point {index} of {len(ps)})" in str(info.value)
-    assert kernel.log_theta_jet.cache_info().currsize == 0
 
 
 @pytest.mark.filterwarnings("error")
@@ -801,11 +863,10 @@ def test_a_batched_log_jet_fails_closed_on_a_vanishing_point(index):
     a[0][0][index] = 0
     with pytest.raises(PoleHit, match=rf"\(point {index} of {len(BATCH_P)}\)"):
         log_jet(a, BATCH_P, BATCH_TAU)
-    assert kernel.log_theta_jet.cache_info().currsize == 0
 
 
 def _vanishing_jet(p, tau, dp=0, dtau=0, tol=1e-12):
-    return [[0j] * (dtau + 1) for _ in range(dp + 1)]
+    return np.zeros((dp + 1, dtau + 1, np.size(p)), dtype=complex)
 
 
 def test_log_theta_partial_rejects_a_vanishing_jet(monkeypatch):
@@ -815,7 +876,7 @@ def test_log_theta_partial_rejects_a_vanishing_jet(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# memoised log-theta jets
+# a point's log-theta jet is its column of one
 # ---------------------------------------------------------------------------
 
 def _bits(z: complex) -> tuple[str, str]:
@@ -823,37 +884,23 @@ def _bits(z: complex) -> tuple[str, str]:
 
 
 def _fresh_log_theta_partial(p, tau, dp, dtau):
-    """The partial from a rectangle computed now, past the memo."""
-    L = kernel.log_theta_jet.__wrapped__(p, tau, dp, dtau)
-    return L[dp][dtau] * math.factorial(dp) * math.factorial(dtau)
+    """The partial read from a one-point rectangle computed now."""
+    L = log_jet(theta_jet(np.array([p]), np.array([tau]), dp, dtau), p, tau)
+    return complex(L[dp, dtau, 0]) * math.factorial(dp) * math.factorial(dtau)
 
 
 # jet orders the torus workload asks for
 @pytest.mark.parametrize("dp, dtau", [(1, 0), (2, 0), (1, 1), (0, 1), (3, 0),
                                       (2, 1), (1, 2)])
 def test_memoised_jet_equals_a_recomputation_bit_for_bit(dp, dtau):
+    # nothing is memoised: a point's partial, read twice, is each time the
+    # float of its one-point rectangle
     for z in ZS:
         fresh = _fresh_log_theta_partial(z, TAU, dp, dtau)
-        miss = log_theta_partial(z, TAU, dp, dtau)
-        hit = log_theta_partial(z, TAU, dp, dtau)
-        assert _bits(miss) == _bits(fresh)
-        assert _bits(hit) == _bits(fresh)
-
-
-def test_repeated_jet_sums_no_theta_series(monkeypatch):
-    calls = []
-    original = kernel.theta_jet
-
-    def counted(*args):
-        calls.append(args)
-        return original(*args)
-
-    monkeypatch.setattr(kernel, "theta_jet", counted)
-    first = log_theta_partial(ZS[0], TAU, 2, 1)
-    assert len(calls) == 1  # one series fills the 3 x 2 rectangle
-    assert log_theta_partial(ZS[0], TAU, 2, 1) == first
-    assert rho_partial(ZS[0], TAU, 1, 1) == first
-    assert len(calls) == 1
+        first = log_theta_partial(z, TAU, dp, dtau)
+        again = log_theta_partial(z, TAU, dp, dtau)
+        assert _bits(first) == _bits(fresh)
+        assert _bits(again) == _bits(fresh)
 
 
 def test_a_raised_pole_hit_is_not_memoised(monkeypatch):
