@@ -278,7 +278,7 @@ def _cmd_hydro(cfg):
     pots = catalog.build_potentials(ent.name, n)
     fam = hierarchy.PotentialFamily(enh.base, pots, enhanced=enh,
                                     label=ent.name)
-    _, v = fam.structure.sample(1, seed, 1)[0]
+    v = tuple(fam.structure.sample(1, seed, 1)[0, 1:].tolist())
     D = hierarchy.dimension_D(fam, i, j, k, v, z_count=z_count, seed=seed,
                               svd_tol=svd_tol)
     hs = hierarchy.hydro_coefficients(fam, i, j, k, v, z_count=z_count,

@@ -10,7 +10,7 @@ g_i(p, v) and a two-point function f(p1, p2, v) with a normalized simple
 pole on the diagonal.  All verification is by dense seeded sampling: the
 in-scope functions are meromorphic, so vanishing at many generic points is
 the practical test.  A check asks each evaluator's ``partials`` or ``value``
-once per jet, on the sample set's tuple of argument columns (``_rows``).
+once per jet, on argument columns cut from the sample array (``_rows``).
 
 The transforms build their evaluators from the evaluators they transform,
 and answer first partials by the chain rule through the ingredients' own
@@ -51,7 +51,7 @@ from .kernel import (
     path_integrate,
 )
 
-Sample = tuple[tuple[complex, ...], tuple[complex, ...]]  # (p-points, fiber point)
+_LOCI: dict[tuple, tuple[Exclusion, ...]] = {}  # see GTStructure._sample_loci
 
 
 @dataclass(frozen=True)
@@ -142,42 +142,48 @@ class GTStructure:
         self.min_separation = min_separation
         # fiber slots whose g-component is f(p, v_slot): collidable punctures
         self.puncture_slots = puncture_slots
-        self._loci: dict[tuple, tuple[Exclusion, ...]] = {}  # see _sample_loci
 
     # -- sampling ----------------------------------------------------------
 
-    def sample(self, count: int, seed: int, n_p: int) -> list[Sample]:
-        """count admissible points (p_1..p_{n_p}, v), deterministically."""
+    def sample(self, count: int, seed: int | SplitMix64, n_p: int) -> np.ndarray:
+        """count admissible points (p_1..p_{n_p}, v) as (count, n_p + m) rows in draw
+        order.  An int ``seed`` starts a stream; a ``SplitMix64`` there is continued and
+        left just past the last draw made, so a next call scores only new draws."""
         loci, sep = _pairs(n_p) + self._sample_loci(n_p), self.min_separation
-        out, tries = admitted(SplitMix64(seed), (self.p_box,) * n_p + self.v_boxes, (), count,
+        rng = seed if isinstance(seed, SplitMix64) else SplitMix64(seed)
+        out, tries = admitted(rng, (self.p_box,) * n_p + self.v_boxes, (), count,
                               2000 * max(count, 1), loci, sep,
                               lambda args: not any(ex.distance(args) < sep for ex in loci))
         if len(out) < count:
             raise SamplingExhausted(
                 f"{self.label}: {len(out)}/{count} samples after {tries} draws")
-        return [(args[:n_p], args[n_p:]) for args in out]
+        return out
 
     def _sample_loci(self, n_p: int) -> tuple[Exclusion, ...]:
         """Every locus of every evaluator at every assignment of n_p points,
         over the coordinates (p_1..p_{n_p}, v) of a sample, each distinct
         one once; an evaluator's loci stay together, in declaration order.
         A diagonal between two points is left to the pairwise separation
-        test, which bounds it at the same threshold.  Built once per point
-        count and (g, f), so a reassigned f or g is read afresh."""
-        key = (n_p, self.g, self.f)
-        if key not in self._loci:
+        test, which bounds it at the same threshold.  Cached by what it
+        reads, n_p and each evaluator's ``Domain.key``, so structures built
+        afresh share an entry and a reassigned f or g is read afresh."""
+        key = (n_p, *(e.domain.key for e in (*self.g, self.f)))
+        loci = _LOCI.pop(key, None)  # put back last, so the least recently used go first
+        if loci is None:
             v = list(range(n_p, n_p + self.m))
             calls = [(gi, [a, *v]) for a in range(n_p) for gi in self.g]
             calls += [(self.f, [a, b, *v]) for a, b in product(range(n_p), repeat=2) if a != b]
-            loci: list[Exclusion] = []
+            loci = []
             for e, mapping in calls:
                 for ex in e.domain.remap(mapping).exclusions:
                     if isinstance(ex, Diagonal) and max(ex.slots) < n_p:
                         continue
                     if not _declared(ex, loci):
                         loci.append(ex)
-            self._loci[key] = tuple(loci)
-        return self._loci[key]
+            if len(_LOCI) == 63:  # a pushed structure's maps are new every time
+                del _LOCI[next(iter(_LOCI))]
+        _LOCI[key] = tuple(loci)  # a tuple's tuple is itself
+        return _LOCI[key]
 
 
 @functools.lru_cache(maxsize=None)
@@ -189,10 +195,7 @@ def apply_field(gv: Sequence[complex], dv: Sequence[complex]) -> complex:
     """sum_j gv[j] dv[j] in slot order: the vector field whose components
     are ``gv`` applied to a function whose fiber partials are ``dv``, at
     one point or, with arrays, at a column of points."""
-    total = 0.0 + 0.0j
-    for gj, d in zip(gv, dv):
-        total += gj * d
-    return total
+    return sum(gj * d for gj, d in zip(gv, dv))
 
 
 @dataclass
@@ -251,11 +254,11 @@ def _diagonal_radius(e: JetEvaluator, cols: Sequence[np.ndarray]) -> np.ndarray:
     return 0.25 * radii
 
 
-def _rows(s: GTStructure, pts: Sequence[Sample], *orders: Sequence[int]) -> tuple:
-    """The argument columns of the points (p_a, p_b, ..., v) of every sample,
-    one block of points per order of point indices, the blocks in turn."""
-    rows = [(*(ps[a] for a in order), *v) for order in orders for ps, v in pts]
-    return tuple(np.array(rows, dtype=complex).reshape(len(rows), len(orders[0]) + s.m).T)
+def _rows(s: GTStructure, pts: np.ndarray, *orders: Sequence[int]) -> tuple:
+    """The argument columns of the points (p_a, p_b, ..., v) of every row (p_1..p_{n_p}, v)
+    of ``pts``, one block per order of point indices, in turn: one fancy index each."""
+    v = [*range(pts.shape[1] - s.m, pts.shape[1])]
+    return tuple(np.concatenate([pts[:, [*order, *v]] for order in orders]).T)
 
 
 def _values(evaluators: Sequence[JetEvaluator], cols: tuple) -> np.ndarray:
@@ -263,7 +266,7 @@ def _values(evaluators: Sequence[JetEvaluator], cols: tuple) -> np.ndarray:
     return np.array([e.value(cols) for e in evaluators])
 
 
-def _residues(e: JetEvaluator, s: GTStructure, pts: Sequence[Sample], nodes: int,
+def _residues(e: JetEvaluator, s: GTStructure, pts: np.ndarray, nodes: int,
               ks: Sequence[int]) -> list[np.ndarray]:
     """Laurent coefficients k in ``ks`` of e in its first slot about p_1
     of every sample, from one ``eval_circles`` call."""
@@ -409,19 +412,13 @@ def add_points(s: GTStructure, n: int) -> GTStructure:
     if n < 1:
         raise ValueError("n must be >= 1")
     m, mn = s.m, s.m + n
-    # argument layout of the new structure: (p, v_1..v_m, u_1..u_n)
-    g_new: list[JetEvaluator] = []
-    for i in range(m):
-        src = tuple(range(1 + m))  # old g_i ignores the punctures
-        g_new.append(ReindexedEvaluator(s.g[i], 1 + mn, src, label=s.g[i].label))
-    for j in range(n):
-        # f(p, u_j, v): base slots (p1, p2, v...) <- (0, 1+m+j, 1..m)
-        src = (0, 1 + m + j) + tuple(range(1, 1 + m))
-        g_new.append(
-            ReindexedEvaluator(s.f, 1 + mn, src, label=f"{s.label}:g[u{j + 1}]")
-        )
-    f_src = (0, 1) + tuple(range(2, 2 + m))
-    f_new = ReindexedEvaluator(s.f, 2 + mn, f_src, label=s.f.label)
+    # argument layout of the new structure: (p, v_1..v_m, u_1..u_n); old g_i
+    # ignore the punctures, and g[u_j] is f(p, u_j, v): base slots (p1, p2, v)
+    # read (0, 1 + m + j, 1..m)
+    g_new = [ReindexedEvaluator(gi, 1 + mn, range(1 + m), label=gi.label) for gi in s.g]
+    g_new += [ReindexedEvaluator(s.f, 1 + mn, (0, 1 + m + j, *range(1, 1 + m)),
+                                 label=f"{s.label}:g[u{j + 1}]") for j in range(n)]
+    f_new = ReindexedEvaluator(s.f, 2 + mn, range(2 + m), label=s.f.label)
     return GTStructure(
         m=mn,
         g=g_new,
@@ -900,18 +897,18 @@ def potential_from_contour(
     path: PathSpec,
     label: str = "contour",
     endpoint_tol: float | None = None,
-    endpoint_probe: Sample | None = None,
+    endpoint_probe: np.ndarray | None = None,
     domain: Domain = EMPTY_DOMAIN,
 ) -> Potential:
     """h(p, v) = integral of lambda(t, p, v) dt along the path, at a point
     or on argument columns.  When ``endpoint_tol`` is set and the path is
-    open, the endpoint condition is enforced at the probe sample.
-    """
+    open, the endpoint condition is enforced at the probe, a sample row
+    (p1, p2, v)."""
     if endpoint_tol is not None and not path.closed:
         if endpoint_probe is None:
             raise ValueError("endpoint_tol requires an endpoint_probe sample")
-        ps, v = endpoint_probe
-        defect = contour_endpoint_defect(e, path, ps[0], ps[1], v)
+        p1, p2, *v = endpoint_probe
+        defect = contour_endpoint_defect(e, path, p1, p2, v)
         if defect > endpoint_tol:
             raise DomainViolation(
                 f"contour endpoint condition violated: defect {defect:.3e}"

@@ -102,8 +102,7 @@ def build_system(s: GTStructure) -> GTSystem:
     m = s.m
     g1 = s.g[0]
     # reject an identically-zero g_1 up front
-    probe_ps, probe_v = s.sample(1, 99, 1)[0]
-    if abs(g1.value((probe_ps[0], *probe_v))) < G1_FLOOR:
+    if abs(g1.value(tuple(s.sample(1, 99, 1)[0].tolist()))) < G1_FLOOR:
         raise ConfigError("g_1 vanishes at a generic point")
 
     f_jet = _jet(2 + m, *range(2 + m))  # a value and every first partial
@@ -351,10 +350,8 @@ def compatibility_residual(
     s = sys.structure
     rng = SplitMix64(seed)
     raw = s.sample(states, seed, M)
-    ws = [[complex(rng.uniform(0.3, 1.2), rng.uniform(-0.5, 0.5)) for _ in range(M)]
-          for _ in raw]
-    st = _State(np.array([(*ps, *v, *w) for (ps, v), w in zip(raw, ws)], dtype=complex)
-                .reshape(len(raw), 2 * M + sys.m).T.copy(), M, sys.m)
+    ws = [complex(rng.uniform(0.3, 1.2), rng.uniform(-0.5, 0.5)) for _ in range(M * len(raw))]
+    st = _State(np.hstack([raw, np.reshape(ws, (len(raw), M))]).T.copy(), M, sys.m)
     diffs = []
     with np.errstate(all="ignore"):  # a non-finite residual fails the report
         flows = _flows(sys, st, np.ones((M, len(raw)), bool))
@@ -393,7 +390,7 @@ def default_free_data(sys: GTSystem, M: int, seed: int = 23) -> FreeData:
     """Smooth seeded free data anchored at an admissible sample of the
     structure."""
     s = sys.structure
-    ps, v = s.sample(1, seed, M)[0]
+    row = s.sample(1, seed, M)[0].tolist()  # (p_1..p_M, v)
     rng = SplitMix64(seed + 1)
 
     def make_pair(base):
@@ -405,14 +402,14 @@ def default_free_data(sys: GTSystem, M: int, seed: int = 23) -> FreeData:
 
     pf, pd, wf, wd = [], [], [], []
     for i in range(M):
-        fn, dfn = make_pair(ps[i])
+        fn, dfn = make_pair(row[i])
         pf.append(fn)
         pd.append(dfn)
         w0 = complex(rng.uniform(0.4, 0.9), rng.uniform(-0.2, 0.2))
         fn, dfn = make_pair(w0)
         wf.append(fn)
         wd.append(dfn)
-    return FreeData(tuple(pf), tuple(pd), tuple(wf), tuple(wd), tuple(v))
+    return FreeData(tuple(pf), tuple(pd), tuple(wf), tuple(wd), tuple(row[M:]))
 
 
 @dataclass

@@ -13,11 +13,11 @@ instantiated: everything is analyzed through the potentials as functions of
 the spectral parameter z and the fiber point v.
 
 Every check here runs on argument columns: each evaluator is asked once
-per set of points.  A reconstruction scores draws of one seeded stream,
-draw k the k-th sample of ``structure.sample(., seed, 2)``, in rounds: the
-first round asks for every wanted draw, and each later one extends the
-prefix to that many plus the draws rejected so far and scores only its new
-draws (see ``_redrawn``).
+per set of points.  A reconstruction scores the samples of one seeded
+stream in draw order, in rounds: the first round asks for every wanted
+draw, and each later one for as many as were rejected before it, one
+``structure.sample`` call continuing the stream where the last left it,
+so a round scores only its new draws (see ``_redrawn``).
 """
 
 from __future__ import annotations
@@ -86,14 +86,14 @@ class PotentialFamily:
                           lambda args: all(d.clearance(args, 0) > floor for d in domains))
         if len(out) < count:
             raise SamplingExhausted(f"could not place {count} z points clear of the poles")
-        return [args[0] for args in out]
+        return out[:, 0].tolist()
 
     def independence_rank(self, v: Sequence[complex], z_points: Sequence[complex],
                           svd_tol: float = 1e-10) -> int:
         """Numeric rank of the (h_i', h_{i,v}) jet matrix; equals N for a
         functionally independent family.  Row i holds h_i's jet at every z
         in turn, from one call per potential."""
-        at = _rows(self.structure, [((z,), v) for z in z_points], (0,))
+        at = _rows(self.structure, np.column_stack([z_points, [v] * len(z_points)]), (0,))
         rows = [self.h_jet(i, at).T.ravel() for i in range(self.N)]
         sv = np.linalg.svd(np.array(rows), compute_uv=False)
         return int(np.sum(sv > svd_tol * sv[0]))
@@ -118,7 +118,7 @@ def compatibility_tensor(
     for idx in (i, j, k):
         if not 0 <= idx < fam.N:
             raise ConfigError(f"potential index {idx} out of range")
-    at = _rows(fam.structure, [((z,), v) for z in z_points], (0,))
+    at = _rows(fam.structure, np.column_stack([z_points, [v] * len(z_points)]), (0,))
     jets = {idx: fam.h_jet(idx, at) for idx in (i, j, k)}
 
     def block(a, b):
@@ -235,22 +235,9 @@ def hydro_coefficients(
         raise NonConvergence(
             f"basis expansion residual {residual:.3e} above {residual_tol:.1e}"
         )
-    m = fam.m
     # block 0 multiplies dv/dt_k, block 1 dv/dt_i, block 2 dv/dt_j
-    c_mat = coef.T[0:m].T
-    a_mat = coef.T[m:2 * m].T
-    b_mat = coef.T[2 * m:3 * m].T
-    return HydroSystem(
-        D=D,
-        a=np.array(a_mat),
-        b=np.array(b_mat),
-        c=np.array(c_mat),
-        basis_rows=basis_rows,
-        basis_samples=S,
-        z_points=tuple(fit_z),
-        expansion_residual=residual,
-        v=tuple(v),
-    )
+    c, a, b = (np.array(coef[:, k * fam.m:(k + 1) * fam.m]) for k in range(3))
+    return HydroSystem(D, a, b, c, basis_rows, S, tuple(fit_z), residual, tuple(v))
 
 
 # ---------------------------------------------------------------------------
@@ -266,23 +253,21 @@ def _redrawn(s: GTStructure, samples: int, seed: int, scored,
     """Residuals at the first ``samples`` kept draws of (p1, p2, v), in draw
     order, and the number of draws rejected.
 
-    Draw k is the k-th sample of ``s.sample(., seed, 2)``: a sample is a
-    prefix of every longer one from the same seed.  The first round asks
-    for ``samples`` draws; each later round extends the prefix to
-    ``samples`` plus the draws rejected so far and scores only its new
-    draws, one ``sample`` call per round.  ``scored(pts)`` gives a round's
+    The draws are the samples of one stream, ``SplitMix64(seed)``, in draw
+    order: the first round asks ``s.sample`` for ``samples`` draws and each
+    later one for as many as the rounds before it rejected, one ``sample``
+    call per round continuing the stream where the last left it, so each
+    round admits and scores only its new draws.  ``scored(pts)`` gives a round's
     residuals and which of its draws are kept, asking each evaluator once
     on argument columns.  A ``DomainViolation`` from that call (a circle
     through non-finite values) rejects every draw of the round.  After
     50 * samples draws the run raises ``SamplingExhausted``."""
-    residuals: list[float] = []
-    drawn = resampled = 0
+    residuals, stream, drawn, resampled = [], SplitMix64(seed), 0, 0
     while len(residuals) < samples:
-        total = min(samples + resampled, 50 * samples)
-        if total == drawn:
+        if drawn == 50 * samples:
             raise SamplingExhausted(exhausted)
-        pts = s.sample(total, seed, 2)[drawn:]
-        drawn = total
+        pts = s.sample(min(samples - len(residuals), 50 * samples - drawn), stream, 2)
+        drawn += len(pts)
         try:
             with np.errstate(all="ignore"):  # a rejected draw may read inf or NaN
                 res, kept = scored(pts)
@@ -336,7 +321,7 @@ def reconstruct_f(
             return num / den, den
 
     def rec(p1, p2, v):
-        [got], [den] = rebuilt([((p1, p2), v)])
+        [got], [den] = rebuilt(np.array([(p1, p2, *v)], dtype=complex))
         if abs(den) < DEN_FLOOR:
             raise DomainViolation("reconstruction denominator vanishes")
         return complex(got)
@@ -388,7 +373,7 @@ def reconstruct_lambda(
             return hp1, flows / hp1
 
     def rec(p1, p2, v):
-        [[hp1]], [[got]] = through([i], [((p1, p2), v)])
+        [[hp1]], [[got]] = through([i], np.array([(p1, p2, *v)], dtype=complex))
         if abs(hp1) < DEN_FLOOR:
             raise DomainViolation("h'(p1) vanishes")
         return complex(got)

@@ -91,6 +91,11 @@ class Exclusion:
         """Return the same locus with slot s renamed to mapping[s]."""
         raise NotImplementedError
 
+    def key(self) -> tuple:
+        """The locus by content, its kind and hashable fields (a pulled-back map by identity)."""
+        return (type(self),
+                *(x.key() if isinstance(x, Exclusion) else x for x in vars(self).values()))
+
 
 class FixedPoints(Exclusion):
     """args[slot] must avoid a fixed finite point set (e.g. p in {0, 1})."""
@@ -202,6 +207,11 @@ class Domain:
     def remap(self, mapping: Sequence[int]) -> "Domain":
         return Domain(tuple(e.remap(mapping) for e in self.exclusions))
 
+    @functools.cached_property
+    def key(self) -> tuple:
+        """The loci by content: domains built apart from the same loci share it."""
+        return tuple(ex.key() for ex in self.exclusions)
+
     def merged(self, other: "Domain") -> "Domain":
         return Domain(self.exclusions + other.exclusions)
 
@@ -211,32 +221,39 @@ _NEAR = np.arange(-1.0, 2.0)
 
 
 def admitted(rng, boxes: Sequence, fixed: Sequence[complex], count: int, budget: int,
-             loci: Sequence[Exclusion], threshold: float, numbers) -> tuple[list, int]:
+             loci: Sequence[Exclusion], threshold: float, numbers) -> tuple[np.ndarray, int]:
     """The first ``count`` of at most ``budget`` draws (in ``boxes``, then ``fixed``) that
-    clear ``loci`` by ``threshold``, and the draws made; blocks of 16 + 2 * (count - admitted)
-    read by one array expression per locus kind (pulled-back loci: their map once, then one
-    per kind of what it pulls back).  The scalar test ``numbers(args)`` decides a draw within
-    1e-9 * threshold (numpy's abs may differ in the last bit) or not finite."""
-    groups, out, tries, band = _locus_groups(tuple(loci)), [], 0, 1e-9 * threshold
-    while len(out) < count and tries < budget:
-        block = rng.complex_in_boxes(boxes, min(16 + 2 * (count - len(out)), budget - tries))
+    clear ``loci`` by ``threshold``, one row each in draw order, and the draws made, ``rng``
+    left just past the last of them; blocks of 16 + 2 * (count - admitted) read by one array
+    expression per locus kind (pulled-back loci: their map once, then one per kind of what it
+    pulls back), kept as a mask over the block.  The scalar test ``numbers(args)`` decides,
+    in draw order up to the last draw needed, a draw within 1e-9 * threshold (numpy's abs
+    may differ in the last bit) or not finite."""
+    groups, band, tries = _locus_groups(tuple(loci)), 1e-9 * threshold, 0
+    out = [np.empty((0, len(boxes) + len(fixed)), dtype=complex)]
+    while (need := count - sum(map(len, out))) > 0 and tries < budget:
+        n = min(16 + 2 * need, budget - tries)
+        block = rng.complex_in_boxes(boxes, n)
         if len(fixed):
-            block = np.hstack([block, np.tile(np.array(fixed, dtype=complex), (len(block), 1))])
+            block = np.hstack([block, np.tile(np.array(fixed, dtype=complex), (n, 1))])
         with np.errstate(all="ignore"):  # without loci every distance reads NaN
             d = np.vstack([rep.distance(block.T[slots]) for rep, slots in groups]
-                          or [np.full((1, len(block)), np.nan)])
-        # (far - near) * 0 is 0 only when every distance is finite: NaN reaches both, inf one
-        for row, near, far in zip(block.tolist(), d.min(axis=0).tolist(), d.max(axis=0).tolist()):
-            tries += 1
-            sure = (far - near) * 0 == 0 and not -band <= near - threshold <= band
-            if (near > threshold) if sure else numbers(tuple(row)):
-                out.append(tuple(row))
-                if len(out) == count:
-                    break
-    return out, tries
+                          or [np.full((1, n), np.nan)])
+            near, far = d.min(axis=0), d.max(axis=0)
+            # (far - near) * 0 is 0 only when every distance is finite: NaN reaches both, inf one
+            sure = ((far - near) * 0 == 0) & (abs(near - threshold) > band)
+            ok = sure & (near > threshold)
+        for i in np.flatnonzero(~sure):  # asked until the block holds the draws needed
+            ok[i] = np.count_nonzero(ok[:i]) < need and numbers(tuple(block[i].tolist()))
+        rows = np.flatnonzero(ok)[:need]
+        used = int(rows[-1]) + 1 if len(rows) == need else n
+        rng.skip(2 * len(boxes) * (used - n))
+        tries += used
+        out.append(block[rows])
+    return np.concatenate(out), tries
 
 
-@functools.lru_cache(maxsize=8)
+@functools.lru_cache(maxsize=64)
 def _locus_groups(loci: tuple[Exclusion, ...]) -> tuple:
     """One representative over slots 0, 1, ... per locus kind (and point set) with its slots
     stacked over the loci of that kind, and one ``_Images`` per map of pulled-back loci with
@@ -248,7 +265,7 @@ def _locus_groups(loci: tuple[Exclusion, ...]) -> tuple:
             pulled.setdefault(ex.image, []).append(ex)
             continue
         rep = ex.remap({s: k for k, s in enumerate(ex.slots)})
-        groups.setdefault((type(rep), repr(vars(rep))), (rep, []))[1].append(ex.slots)
+        groups.setdefault(rep.key(), (rep, []))[1].append(ex.slots)
     return tuple((rep, np.array(slots).T) for rep, slots in groups.values()) + tuple(
         (images, np.array(images.places).T) for images in map(_Images, pulled.values()))
 
@@ -719,12 +736,16 @@ class SplitMix64:
         it; every operand is uint64, so each product wraps as the scalar mask does."""
         z = np.arange(1, n + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
         z += np.uint64(self.state)
-        self.state = (self.state + n * 0x9E3779B97F4A7C15) & _MASK64
+        self.skip(n)
         for shift, mult in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
             z ^= z >> np.uint64(shift)
             z *= np.uint64(mult)
         z ^= z >> np.uint64(31)
         return z
+
+    def skip(self, n: int) -> None:
+        """Move the stream n outputs on (back for n < 0): one addition."""
+        self.state = (self.state + n * 0x9E3779B97F4A7C15) & _MASK64
 
     def uniform(self, lo: float = 0.0, hi: float = 1.0) -> float:
         u = self.next_u64() >> 11  # 53 bits

@@ -93,8 +93,7 @@ def test_criterion_2_enhanced_suite():
     enh = catalog.build_enhanced("genus1", 1)
     lin = catalog.build_potentials("genus1", 1)[0]
     s = enh.base
-    ps, v = s.sample(1, seed=2, n_p=2)[0]
-    p1, p2 = ps
+    p1, p2, *v = s.sample(1, seed=2, n_p=2)[0].tolist()
     action = sum(
         s.g[k].value((p1, *v))
         * lin.h.partial((p2, *v), [0] * (1 + k) + [1] + [0] * (s.m - 1 - k))
@@ -137,8 +136,8 @@ def test_criterion_3_transform_preservation():
     lim = collide_points_limit(s, [[0, 1]])
     closed = collide_points_closed(s, [[0, 1]])
     gap = 0.0
-    for ps, v in closed.sample(20, seed=9, n_p=2):
-        a, b = lim.f.value((*ps, *v)), closed.f.value((*ps, *v))
+    for row in map(tuple, closed.sample(20, seed=9, n_p=2).tolist()):
+        a, b = lim.f.value(row), closed.f.value(row)
         gap = max(gap, abs(a - b) / max(abs(b), 1.0))
     ok = gap < 1e-5
     _verdict(3, ok, f"worst axiom residual {worst:.2e}, "
@@ -204,7 +203,7 @@ def test_criterion_7_hydrodynamic_extraction():
     fam = _family("genus0", 2)
     m = fam.m
     assert m == 2
-    _, v = fam.structure.sample(1, seed=1, n_p=1)[0]
+    v = tuple(fam.structure.sample(1, seed=1, n_p=1)[0, 1:].tolist())
     D = dimension_D(fam, 0, 1, 2, v, z_count=40, seed=7)
     D2 = dimension_D(fam, 0, 1, 2, v, z_count=80, seed=7)  # sample doubling
     hs = hydro_coefficients(fam, 0, 1, 2, v, z_count=40, seed=7,

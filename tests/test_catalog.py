@@ -121,7 +121,8 @@ ORACLE_POINTS = {
 @pytest.mark.parametrize("name,n", list(ORACLE_POINTS), ids=str)
 def test_closed_form_partials_match_quadrature(name, n):
     s, evaluators = _catalog_evaluators(name, n)
-    for ps, v in ORACLE_POINTS[name, n] + s.sample(2, seed=11, n_p=2):
+    sampled = [(tuple(row[:2]), tuple(row[2:])) for row in s.sample(2, seed=11, n_p=2).tolist()]
+    for ps, v in ORACLE_POINTS[name, n] + sampled:
         for e, points, log in evaluators:
             err = _partial_error(e, (*ps[:points], *v), log)
             assert err < 1e-8, (e.label, ps, v, err)
@@ -368,7 +369,7 @@ def _genus2_second_partial_error(args):
 def _genus2_oracle_points():
     """The near-cut point and sampled points of the genus2 box."""
     s = catalog.build_structure("genus2")
-    return [PARTIALS_AT["genus2", None]] + [(*ps, *v) for ps, v in s.sample(6, seed=7, n_p=2)]
+    return [PARTIALS_AT["genus2", None], *map(tuple, s.sample(6, seed=7, n_p=2).tolist())]
 
 
 def test_genus2_second_partials_match_mpmath():
@@ -478,7 +479,7 @@ def _column_evaluators(name):
 
 def _points(s, n_p, count=32):
     """``count`` seeded sample points as a tuple of argument columns."""
-    return tuple(np.array([(*ps, *v) for ps, v in s.sample(count, 29, n_p)]).T)
+    return tuple(s.sample(count, 29, n_p).T)
 
 
 def _one_at_a_time(e, points, multis):
@@ -574,7 +575,7 @@ def _count_theta_series(monkeypatch):
 def test_a_point_reads_its_value_and_first_partials_from_two_series(monkeypatch):
     # g = rho(p - u, tau) - rho(p, tau): one rectangle at p - u and one at p
     s = catalog.build_structure("genus1", 2)
-    (p,), v = s.sample(1, 7, 1)[0]
+    p, *v = s.sample(1, 7, 1)[0].tolist()
     calls = _count_theta_series(monkeypatch)
     s.g[0].partials((p, *v), _to_order(s.g[0].arity, 1))
     assert len(calls) <= 2

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gtlab import catalog, cli, kernel
+from gtlab import catalog, cli, core, kernel
 from gtlab.core import (
     CoordinateChange,
     EnhancedGT,
@@ -145,7 +145,8 @@ def test_collision_limit_agrees_with_closed_form():
     s = catalog.build_structure("benney", 2)
     lim = collide_points_limit(s, [[0, 1]])
     closed = collide_points_closed(s, [[0, 1]])
-    for ps, v in closed.sample(10, seed=9, n_p=2):
+    for p1, p2, *v in closed.sample(10, seed=9, n_p=2).tolist():
+        ps = (p1, p2)
         a = lim.f.value((*ps, *v))
         b = closed.f.value((*ps, *v))
         assert a == pytest.approx(b, rel=1e-5)
@@ -162,7 +163,7 @@ def test_a_coordinate_outside_every_group_keeps_its_field_through_the_limit():
     closed = collide_points_closed(s, [[0, 1]])
     for rep in verify_all(lim, 10, tol=1e-6):
         assert rep.passed, f"{rep.identity}: {rep.max_residual}"
-    for (p,), v in lim.sample(10, seed=5, n_p=1):
+    for p, *v in lim.sample(10, seed=5, n_p=1).tolist():
         want = closed.g[2].value((p, *v))
         assert abs(lim.g[2].value((p, *v)) - want) <= 1e-12 * abs(want)
 
@@ -201,9 +202,8 @@ def test_pushforward_identity_map_is_exact():
     ident = CoordinateChange(
         JetEvaluator(1 + s.m, lambda *a: a[0], domain=Domain(), label="id"))
     pushed = pushforward(s, ident)
-    for ps, v in s.sample(5, seed=10, n_p=2):
-        assert pushed.f.value((*ps, *v)) == pytest.approx(
-            s.f.value((*ps, *v)), rel=1e-9)
+    for row in s.sample(5, seed=10, n_p=2).tolist():
+        assert pushed.f.value(tuple(row)) == pytest.approx(s.f.value(tuple(row)), rel=1e-9)
 
 
 def _cli_pushforward(tmp_path, structure, seed, **cfg):
@@ -307,18 +307,18 @@ def test_pushed_first_partials_match_the_circle_oracle(name, closed_mu):
     s = _catalog_structure(name)
     change = (_closed_form_quadratic_change if closed_mu else _quadratic_change)(s.m)
     pushed = pushforward(s, change)
-    points = pushed.sample(3, seed=11, n_p=2)
+    points = pushed.sample(3, seed=11, n_p=2).tolist()
     for g in pushed.g:
-        assert _worst_first_partial_gap(g, [(ps[0], *v) for ps, v in points]) < 1e-10
-    assert _worst_first_partial_gap(pushed.f, [(*ps, *v) for ps, v in points]) < 1e-10
+        assert _worst_first_partial_gap(g, [(p1, *v) for p1, _, *v in points]) < 1e-10
+    assert _worst_first_partial_gap(pushed.f, [tuple(row) for row in points]) < 1e-10
 
 
 @pytest.mark.parametrize("name", ["benney", "genus0", "genus1"])
 def test_pushed_lambda_first_partials_match_the_circle_oracle(name):
     e = catalog.build_enhanced(name, 1)
     pushed = pushforward_lambda(e, _closed_form_quadratic_change(e.m))
-    points = pushed.base.sample(3, seed=12, n_p=2)
-    assert _worst_first_partial_gap(pushed.lam, [(*ps, *v) for ps, v in points]) < 1e-10
+    points = pushed.base.sample(3, seed=12, n_p=2).tolist()
+    assert _worst_first_partial_gap(pushed.lam, [tuple(row) for row in points]) < 1e-10
 
 
 _PUSHED_THROUGH = {"the CLI's mu": _closed_form_quadratic_change, "a value-only mu": _quadratic_change}
@@ -340,7 +340,7 @@ def test_pushed_columns_are_the_per_point_jets(name, mu):
     if name != "genus2":
         evaluators.append(pushforward_lambda(catalog.build_enhanced(name, 2), change).lam)
     for e in evaluators:
-        points = [(*ps, *v) for ps, v in pushed.sample(4, seed=21, n_p=e.arity - s.m)]
+        points = [tuple(row) for row in pushed.sample(4, seed=21, n_p=e.arity - s.m).tolist()]
         firsts = [multi_index(e.arity)] + [multi_index(e.arity, t) for t in range(e.arity)]
         second = [multi_index(e.arity, 0, 1)] if mu == "the CLI's mu" else []
         got = e.partials(tuple(np.array(points).T), firsts + second)
@@ -372,7 +372,8 @@ def test_pushed_sample_sets_leave_the_scalar_test_only_the_band(name, monkeypatc
     monkeypatch.setattr("gtlab.core.admitted", admitted)
     for n_p in (1, 2, 3):
         for seed in (1, 7, 101):
-            assert pushed.sample(20, seed, n_p) == _scalar_order_sample(pushed, 20, seed, n_p)
+            assert _tuples(pushed.sample(20, seed, n_p), n_p) == _scalar_order_sample(
+                pushed, 20, seed, n_p)
     assert sum(screened) > 180 and len(asked) < sum(screened) / 100
     for args, loci, threshold in asked:
         near = min(ex.distance(args) for ex in loci)
@@ -387,7 +388,7 @@ def test_pushed_sample_sets_leave_the_scalar_test_only_the_band(name, monkeypatc
 ])
 def test_closed_collided_first_partials_match_the_circle_oracle(name, n, groups):
     collided = collide_points_closed(catalog.build_structure(name, n), groups)
-    points = [(ps[0], *v) for ps, v in collided.sample(3, seed=13, n_p=1)]
+    points = [tuple(row) for row in collided.sample(3, seed=13, n_p=1).tolist()]
     for g in collided.g:
         assert _worst_first_partial_gap(g, points) < 1e-10
 
@@ -413,7 +414,7 @@ def test_pushed_f_without_the_prefactor_derivative_is_caught():
         return [dropped_one(args, multi) for multi in multis]
 
     pushed.f = JetEvaluator(3, chain.fn, domain=chain.domain, partial_fn=dropped)
-    points = [(*ps, *v) for ps, v in pushed.sample(3, seed=11, n_p=2)]
+    points = [tuple(row) for row in pushed.sample(3, seed=11, n_p=2).tolist()]
     assert _worst_first_partial_gap(pushed.f, points) > 1e-3
     reports = {r.identity: r for r in verify_all(pushed, 10, seed=5, tol=1e-6)}
     assert reports["diagonal_pole"].passed  # values are untouched
@@ -491,8 +492,7 @@ def test_a_jet_request_answers_the_value_bit_for_bit(kind):
     for label, e, s in _WITH_A_PARTIAL_FN[kind]():
         assert e.partial_fn is not None, label
         request = [multi_index(e.arity)] + [multi_index(e.arity, t) for t in range(e.arity)]
-        for ps, v in s.sample(2, seed=31, n_p=e.arity - s.m):
-            args = (*ps, *v)
+        for args in map(tuple, s.sample(2, seed=31, n_p=e.arity - s.m).tolist()):
             got, want = e.partials(args, request)[0], e.value(args)
             if label.startswith(("genus1:", "genus1 h")):
                 if not abs(got - want) <= 1e-13 * abs(want):
@@ -554,6 +554,11 @@ def _full_minimum_sample(s, count, seed, n_p):
     return out
 
 
+def _tuples(pts, n_p):
+    """``sample``'s rows as the (p-points, fiber point) pairs the oracles build."""
+    return [(tuple(row[:n_p]), tuple(row[n_p:])) for row in pts.tolist()]
+
+
 def _sampled_structures():
     for entry in catalog.CATALOG.values():
         yield entry.build(2)
@@ -566,8 +571,59 @@ def test_sample_admits_exactly_what_the_full_minimum_admitted(n_p):
     for s in _sampled_structures():
         for seed in (1, 7, 101):
             for count in (1, 20, 100):
-                got = s.sample(count, seed, n_p)
+                got = _tuples(s.sample(count, seed, n_p), n_p)
                 assert got == _full_minimum_sample(s, count, seed, n_p), (s.label, count)
+
+
+def test_a_sample_continues_a_stream_where_the_last_call_left_it():
+    # calls on one SplitMix64 stream, in turn, draw the samples one call
+    # from its seed draws, the same rows in the same order
+    for s in _sampled_structures():
+        for n_p in (1, 2, 3):
+            stream = SplitMix64(7)
+            parts = [s.sample(count, stream, n_p) for count in (3, 1, 0, 6)]
+            assert np.array_equal(np.concatenate(parts), s.sample(10, 7, n_p)), s.label
+            assert all(part.shape == (count, n_p + s.m) for part, count in zip(parts, (3, 1, 0, 6)))
+
+
+def test_sampler_loci_are_cached_by_domain_content(monkeypatch):
+    # the cache is keyed by n_p and each evaluator's Domain.key, not by the
+    # structure: fresh builds of one catalog entry share an entry (and with
+    # it the kernel's grouping of the loci), while a reassigned f or g, a
+    # different point count and a pushforward through another map each miss
+    monkeypatch.setattr(core, "_LOCI", {})
+
+    def uncached(s, n_p):
+        with monkeypatch.context() as patch:
+            patch.setattr(core, "_LOCI", {})
+            return s._sample_loci(n_p)
+
+    a, b = catalog.build_structure("genus0", 2), catalog.build_structure("genus0", 2)
+    assert a.f.domain is not b.f.domain and a.f.domain.exclusions[0] is not b.f.domain.exclusions[0]
+    loci = a._sample_loci(2)
+    assert b._sample_loci(2) is loci and len(core._LOCI) == 1
+    a.sample(5, 1, 2)
+    groups = kernel._locus_groups.cache_info()
+    b.sample(5, 1, 2)
+    assert kernel._locus_groups.cache_info().hits == groups.hits + 1
+    c = catalog.build_structure("genus0", 2)
+    c.f = JetEvaluator(c.f.arity, c.f.fn, Domain(c.f.domain.exclusions[:-1]), c.f.partial_fn)
+    d = catalog.build_structure("genus0", 2)
+    d.g = (JetEvaluator(d.g[0].arity, d.g[0].fn, Domain(), d.g[0].partial_fn), *d.g[1:])
+    pushed = [pushforward(a, change(a.m)) for change in (_quadratic_change,
+                                                         _closed_form_quadratic_change)]
+    misses = [(a, 3), (c, 2), (d, 2), (pushed[0], 2), (pushed[1], 2)]
+    for k, (s, n_p) in enumerate(misses, start=2):
+        assert s._sample_loci(n_p) is not loci and len(core._LOCI) == k, (s.label, n_p)
+        assert s._sample_loci(n_p) is s._sample_loci(n_p)
+    for s, n_p in [(a, 2), (b, 2), *misses]:
+        keys = [ex.key() for ex in s._sample_loci(n_p)]
+        assert keys == [ex.key() for ex in uncached(s, n_p)], (s.label, n_p)
+    for _ in range(80):  # a pushed structure's maps are new with every pushforward:
+        pushforward(a, _quadratic_change(a.m))._sample_loci(2)  # the oldest entries go,
+        assert b._sample_loci(2) is loci  # never the most recently used
+    assert len(core._LOCI) == 63
+    assert (2, *(e.domain.key for e in (*c.g, c.f))) not in core._LOCI
 
 
 def _scalar_order_sample(s, count, seed, n_p):
@@ -616,8 +672,9 @@ def test_sample_decides_at_the_threshold_as_the_numbers_do(name, kind):
     assert split or tied, name
     for seed, threshold in (split or tied)[:6]:
         s.min_separation = threshold
-        assert s.sample(count, seed, n_p) == _full_minimum_sample(s, count, seed, n_p), seed
-        assert s.sample(20, seed, n_p) == _full_minimum_sample(s, 20, seed, n_p), seed
+        got = _tuples(s.sample(count, seed, n_p), n_p)
+        assert got == _full_minimum_sample(s, count, seed, n_p), seed
+        assert _tuples(s.sample(20, seed, n_p), n_p) == _full_minimum_sample(s, 20, seed, n_p)
 
 
 def _last_draw_structure(seed: int, count: int) -> GTStructure:
@@ -638,8 +695,8 @@ def _last_draw_structure(seed: int, count: int) -> GTStructure:
 
 def test_sample_keeps_an_accept_on_the_last_draw_of_its_budget():
     s = _last_draw_structure(5, 1)
-    (ps, v), = s.sample(1, 5, 1)
-    assert s.sample(1, 5, 1) == _scalar_order_sample(s, 1, 5, 1)
+    (ps, v), = _tuples(s.sample(1, 5, 1), 1)
+    assert _tuples(s.sample(1, 5, 1), 1) == _scalar_order_sample(s, 1, 5, 1)
     assert ps[0] not in s.g[0].domain.exclusions[0].points
     s = _last_draw_structure(6, 2)
     with pytest.raises(SamplingExhausted, match=r"^last: 1/2 samples after 4000 draws$"):
@@ -654,7 +711,7 @@ def test_sample_exhausts_at_the_same_draw(count):
     with pytest.raises(SamplingExhausted) as exc:
         s.sample(count, 9, 2)
     assert str(exc.value) == message
-    assert s.sample(0, 9, 2) == []
+    assert s.sample(0, 9, 2).shape == (0, 2 + s.m)
 
 
 def test_sample_fails_closed_off_the_half_plane_at_the_scalar_draw():
@@ -673,9 +730,9 @@ def test_sample_fails_closed_off_the_half_plane_at_the_scalar_draw():
 
 def test_sample_reads_a_reassigned_box_afresh():
     s = catalog.build_structure("benney", 2)
-    first = s.sample(5, 1, 2)
+    first = _tuples(s.sample(5, 1, 2), 2)
     s.p_box = (0.0, 3.0, 2.0, 4.0)
-    again = s.sample(5, 1, 2)
+    again = _tuples(s.sample(5, 1, 2), 2)
     assert again != first and again == _full_minimum_sample(s, 5, 1, 2)
     assert all(0.0 <= p.real <= 3.0 and 2.0 <= p.imag <= 4.0 for ps, _ in again for p in ps)
 
@@ -702,8 +759,7 @@ def test_sampler_asks_a_lattice_difference_in_one_slot_order():
         ("LatticePoints", (0, 3, 4)), ("LatticePoints", (1, 2, 4)),
         ("LatticePoints", (1, 4)), ("LatticePoints", (1, 3, 4)),
         ("LatticePoints", (0, 1, 4))]
-    (ps, v), = s.sample(1, 3, 2)
-    args = ps + v
+    args = tuple(s.sample(1, 3, 2)[0].tolist())
     assert LatticePoints(0, 4, 1).distance(args) == LatticePoints(1, 4, 0).distance(args)
     # a pair of sample points is never asked as a locus, in any catalog entry
     for entry in catalog.CATALOG.values():
@@ -730,7 +786,7 @@ def test_algebroid_table_sees_a_diagonal_declared_as_lattice_points():
     # skip it by vanishing at (z, z), as the pole check's do, and stay
     # bounded by the lattice point at 0
     s = catalog.build_structure("genus1", 1)
-    _, v = s.sample(1, 3, 1)[0]
+    _, *v = s.sample(1, 3, 1)[0].tolist()
     z = 0.1 + 0.05j
     table = algebroid_constants(s, z=z, v=v, order=3)
     assert all(cmath.isfinite(c) for c in table.f_coeffs.values())
@@ -867,7 +923,7 @@ def test_a_nan_at_one_sample_of_a_batch_fails_the_identity(check, where):
     enh = catalog.build_enhanced("benney", 2)
     pot = catalog.build_potentials("benney", 2)[0]
     assert run(enh, pot).passed
-    (p1, *_), _ = enh.base.sample(7, seed, n_p)[where]
+    p1 = enh.base.sample(7, seed, n_p)[where, 0]
     rep = run(EnhancedGT(_nan_f_structure(at=p1), enh.lam), pot)
     assert math.isnan(rep.max_residual) and not rep.passed
 
@@ -880,7 +936,7 @@ def test_a_non_finite_circle_in_a_batch_fails_closed(batched, where):
     # all seven as one batch of loops fail on it, and so does that circle
     # alone, while the others pass
     s = catalog.build_structure("benney", 2)
-    points = np.array([(ps[0], ps[0], *v) for ps, v in s.sample(7, 1, 2)])
+    points = s.sample(7, 1, 2)[:, [0, 0, 2, 3]]
     bad = points[where, 1]
     f = JetEvaluator(s.f.arity, lambda *args: np.where(args[1] == bad, math.nan, s.f.fn(*args)),
                      domain=s.f.domain, label="spoiled f")

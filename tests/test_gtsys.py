@@ -119,7 +119,7 @@ def _row_cases(name):
     """(label, value-only evaluator, row, args) for A, Q and each B_l
     (l >= 1) at a sampled point of the named structure."""
     s = catalog.build_structure(name, 2)
-    (p1, p2), v = s.sample(1, 5, 2)[0]
+    p1, p2, *v = s.sample(1, 5, 2)[0].tolist()
     return [(label, bare, row, (p1, p2, *v) if bare.arity == 2 + s.m else (p1, *v))
             for label, bare, row in _value_cases(build_system(s), G1_ZEROS.get(name, Domain()))]
 
@@ -187,8 +187,7 @@ def test_pair_values_do_not_depend_on_rows(name):
     else:
         s = catalog.build_structure(name, 2)
         sys_ = build_system(s)
-        (p1, p2), v = s.sample(1, 5, 2)[0]
-        args = (p1, p2, *v)
+        args = tuple(s.sample(1, 5, 2)[0].tolist())
     m = sys_.m
     jets_1, B, b_rows = sys_.fiber((args[0], *args[2:]))
     jets_2 = sys_.fiber((args[1], *args[2:]))[0]
@@ -225,15 +224,15 @@ def test_fiber_and_pair_on_columns_agree_with_points(name):
     # over the batch's window: 1.5e-13 of one entry, 4e-14 of its row)
     sys_ = _system(name)
     pts = sys_.structure.sample(6, 7, 2)
-    cols = [np.array(col) for col in zip(*((*ps, *v) for ps, v in pts))]
+    cols = list(np.ascontiguousarray(pts.T))
     fib_1, fib_2 = sys_.fiber((cols[0], *cols[2:])), sys_.fiber((cols[1], *cols[2:]))
 
     def close(got, want):
         scale = max(abs(x) for x in want)
         assert max(abs(x - y) for x, y in zip(got, want)) <= 1e-13 * scale, (name, got, want)
 
-    for n, (ps, v) in enumerate(pts):
-        one, two = sys_.fiber((ps[0], *v)), sys_.fiber((ps[1], *v))
+    for n, (p1, p2, *v) in enumerate(pts.tolist()):
+        one, two = sys_.fiber((p1, *v)), sys_.fiber((p2, *v))
         for jet_col, jet in zip(fib_1[0], one[0]):
             close(jet_col[:, n], jet)
         for b_col, b, rows_col, row in zip(fib_1[1][1:], one[1][1:], fib_1[2][1:], one[2][1:]):
@@ -241,7 +240,7 @@ def test_fiber_and_pair_on_columns_agree_with_points(name):
             close([x[n] for x in rows_col], row)
         for rows in (False, True):
             batch = sys_.pair(fib_1[0], fib_2[0], tuple(cols), rows)
-            point = sys_.pair(one[0], two[0], (*ps, *v), rows)
+            point = sys_.pair(one[0], two[0], (p1, p2, *v), rows)
             close([batch[0][n]], [point[0]])
             close([batch[1][n]], [point[1]])
             for row_col, row in zip(batch[2:], point[2:]):
@@ -303,12 +302,13 @@ def test_state_asks_each_g_once_per_point(monkeypatch):
     s = catalog.build_structure("genus0", 2)
     sys_ = build_system(s)
     raw = s.sample(4, 5, 3)
-    st = _State(np.array([(*ps, *v, 1.0, 1.0, 1.0) for ps, v in raw], dtype=complex).T, 3, 2)
+    st = _State(np.hstack([raw, np.ones((4, 3))]).T, 3, 2)
     rows = np.array([[True, False, True, False]] * 3)
     asked = _count_asks(monkeypatch, s)
     _flows(sys_, st, rows)
     g_asks = {(e, args): n for (e, args, _), n in asked.items() if e != id(s.f)}
-    assert g_asks == {(id(gk), (p, *v)): 1 for gk in s.g for ps, v in raw for p in ps}
+    assert g_asks == {(id(gk), (p, *row[3:])): 1 for gk in s.g for row in raw.tolist()
+                      for p in row[:3]}
     f_asks = {key: n for key, n in asked.items() if key[0] == id(s.f)}
     assert len(f_asks) == 6 * 4 and set(f_asks.values()) == {1}
     assert sum(second for _, _, second in f_asks) == 6 * 2  # rows at states 0 and 2
@@ -408,8 +408,7 @@ def _per_state_compatibility(s, M, states, seed):
     raw = s.sample(states, seed, M)
     ws = [[complex(rng.uniform(0.3, 1.2), rng.uniform(-0.5, 0.5)) for _ in range(M)]
           for _ in raw]
-    st = _State(np.array([(*ps, *v, *w) for (ps, v), w in zip(raw, ws)], dtype=complex)
-                .reshape(len(raw), 2 * M + s.m).T.copy(), M, s.m)
+    st = _State(np.hstack([raw, np.reshape(ws, (len(raw), M))]).T.copy(), M, s.m)
     flows = _flows(sys_, st, np.ones((M, len(raw)), bool))
     diffs, sizes = [], []
     for i in range(M):
@@ -421,7 +420,7 @@ def _per_state_compatibility(s, M, states, seed):
                 d_ji = gtsys._mixed(st, flows[j], flows[i], i, kind, k)
                 diffs.append(np.abs(d_ij - d_ji))
                 sizes.append(np.maximum(np.abs(d_ij), np.abs(d_ji)))
-    g1 = np.array([[abs(s.g[0].value((p, *v))) for p in ps] for ps, v in raw])
+    g1 = np.array([[abs(s.g[0].value((p, *row[M:]))) for p in row[:M]] for row in raw.tolist()])
     return np.max(diffs, axis=0), np.max(sizes, axis=0), g1
 
 
@@ -479,8 +478,7 @@ def test_defect_partials_match_circles_over_its_values(name):
     defect = JetEvaluator(bad.f.arity, lambda *a: bad.f.fn(*a) - s.f.fn(*a))
     asked = [(0, 1), (1, 1), (1, 2)]  # (slot, order)
     multis = [tuple(order if t == slot else 0 for t in range(bad.f.arity)) for slot, order in asked]
-    for ps, v in s.sample(4, seed=5, n_p=2):
-        args = (*ps, *v)
+    for args in map(tuple, s.sample(4, seed=5, n_p=2).tolist()):
         got = [x - y for x, y in zip(bad.f.partials(args, multis), s.f.partials(args, multis))]
         want = [cauchy_derivative(defect, slot, args, order, radius=0.1) for slot, order in asked]
         assert got == pytest.approx(want, rel=1e-9, abs=1e-11), (name, args)

@@ -32,8 +32,7 @@ def _family(name="genus0", n=2):
 
 
 def _fiber(fam, seed=1):
-    _, v = fam.structure.sample(1, seed, 1)[0]
-    return v
+    return tuple(fam.structure.sample(1, seed, 1)[0, 1:].tolist())
 
 
 def test_family_needs_three_potentials():
@@ -138,9 +137,8 @@ def test_reconstruct_f_matches_structure():
     rec, rep = reconstruct_f(fam, 0, 1, samples=20, seed=11, tol=1e-8)
     assert rep.passed, rep.max_residual
     s = fam.structure
-    for ps, v in s.sample(5, seed=21, n_p=2):
-        assert rec(ps[0], ps[1], v) == pytest.approx(
-            s.f.value((*ps, *v)), rel=1e-7)
+    for p1, p2, *v in s.sample(5, seed=21, n_p=2).tolist():
+        assert rec(p1, p2, v) == pytest.approx(s.f.value((p1, p2, *v)), rel=1e-7)
 
 
 def test_reconstruct_f_is_pair_independent():
@@ -160,9 +158,9 @@ def test_reconstructed_lambda_reproduces_the_enhanced_lambda():
     fam = _family()
     rec, rep = reconstruct_lambda(fam, 0, samples=20, seed=13, tol=1e-8)
     assert rep.passed, rep.max_residual
-    for ps, v in fam.structure.sample(5, seed=21, n_p=2):
-        want = fam.enhanced.lam.value((*ps, *v))
-        assert abs(rec(ps[0], ps[1], v) - want) / max(abs(want), 1.0) < rep.tol
+    for p1, p2, *v in fam.structure.sample(5, seed=21, n_p=2).tolist():
+        want = fam.enhanced.lam.value((p1, p2, *v))
+        assert abs(rec(p1, p2, v) - want) / max(abs(want), 1.0) < rep.tol
 
 
 def _captured_residuals(monkeypatch) -> list:
@@ -179,13 +177,16 @@ def _captured_residuals(monkeypatch) -> list:
 
 
 def _recorded_samples(monkeypatch, s) -> list:
-    """The arguments of every ``sample`` call on s from now on, in call order."""
+    """Every ``sample`` call on s from now on, in call order: its arguments
+    (count, seed, n_p), a continued stream's seed read as "stream", and the
+    rows it returned."""
     calls = []
     sample = s.sample
 
-    def recorded(*args):
-        calls.append(args)
-        return sample(*args)
+    def recorded(count, seed, n_p):
+        out = sample(count, seed, n_p)
+        calls.append(((count, seed if isinstance(seed, int) else "stream", n_p), out))
+        return out
 
     monkeypatch.setattr(s, "sample", recorded)
     return calls
@@ -202,7 +203,7 @@ def test_reconstruct_f_redraws_below_the_floor_in_draw_order(monkeypatch):
     every = runs[-1]  # the residuals of stream draws 0..11
     dz = multi_index(1 + s.m, 0)
     dens = []
-    for (p1, p2), v in s.sample(12, 11, 2):
+    for p1, p2, *v in s.sample(12, 11, 2).tolist():
         hpi1, hpj1 = (fam.potentials[t].h.partial((p1, *v), dz) for t in (0, 1))
         hpi2, hpj2 = (fam.potentials[t].h.partial((p2, *v), dz) for t in (0, 1))
         dens.append(abs(hpj1 * hpi2 - hpj2 * hpi1))
@@ -215,14 +216,78 @@ def test_reconstruct_f_redraws_below_the_floor_in_draw_order(monkeypatch):
 
 
 def test_reconstruct_f_gives_up_after_fifty_draws_per_sample(monkeypatch):
-    # each round redraws the rejected two, one sample call per round, until
-    # the stream's prefix reaches 2 x 50 draws
+    # each round redraws the rejected two, one sample call per round
+    # continuing the stream, until it has drawn 2 x 50: the stream's first 100
     fam = _family()
+    stream = fam.structure.sample(100, 11, 2)
     draws = _recorded_samples(monkeypatch, fam.structure)
     monkeypatch.setattr(hierarchy, "DEN_FLOOR", math.inf)  # no draw clears it
     with pytest.raises(SamplingExhausted, match=r"^reconstruction denominator kept vanishing$"):
         reconstruct_f(fam, 0, 1, samples=2, seed=11)
-    assert draws == [(2 * k, 11, 2) for k in range(1, 51)]
+    assert [args for args, _ in draws] == [(2, "stream", 2)] * 50
+    assert np.array_equal(np.concatenate([rows for _, rows in draws]), stream)
+
+
+def _prefix_redrawn(s, samples, seed, scored, exhausted):
+    """The draw protocol before a sample could continue its stream: each
+    round samples the stream's whole prefix again from the seed, ``samples``
+    plus the draws rejected so far, and scores the draws past the last
+    round's."""
+    residuals, drawn, resampled = [], 0, 0
+    while len(residuals) < samples:
+        total = min(samples + resampled, 50 * samples)
+        if total == drawn:
+            raise SamplingExhausted(exhausted)
+        pts = s.sample(total, seed, 2)[drawn:]
+        drawn = total
+        try:
+            with np.errstate(all="ignore"):
+                res, kept = scored(pts)
+        except DomainViolation:
+            resampled += len(pts)
+            continue
+        residuals += res[kept].tolist()
+        resampled += len(pts) - int(kept.sum())
+    return residuals, resampled
+
+
+def test_a_rejecting_reconstruction_admits_each_draw_once(monkeypatch):
+    # DEN_FLOOR = inf rejects every draw: 50 rounds of 30, one sample call
+    # each, continuing the stream, admit 1,500 points, where re-sampling the
+    # prefix admitted 30 + 60 + ... + 1,500 = 38,250 for the same draws
+    monkeypatch.setattr(hierarchy, "DEN_FLOOR", math.inf)
+    draws = []
+    for protocol, admitted in ((hierarchy._redrawn, 1500), (_prefix_redrawn, 38250)):
+        fam = _family("genus0", 2)
+        monkeypatch.setattr(hierarchy, "_redrawn", protocol)
+        calls = _recorded_samples(monkeypatch, fam.structure)
+        with pytest.raises(SamplingExhausted, match=r"^reconstruction denominator kept vanishing$"):
+            reconstruct_f(fam, 0, 1, samples=30, seed=11)
+        assert len(calls) == 50 and sum(len(rows) for _, rows in calls) == admitted
+        draws.append(np.concatenate([rows for _, rows in calls])[-1500:])
+    assert np.array_equal(*draws)  # the stream's 1,500 draws, scored in the same order
+
+
+def test_a_resumed_stream_keeps_the_prefix_protocols_residuals(monkeypatch):
+    # a floor that rejects about half of the stream's draws: several rounds,
+    # and the kept residuals and the resampled count are those of re-sampling
+    # the whole prefix every round
+    fam = _family("genus0", 2)
+    s = fam.structure
+    dz = multi_index(1 + s.m, 0)
+    dens = []
+    for p1, p2, *v in s.sample(60, 11, 2).tolist():
+        hpi1, hpj1 = (fam.potentials[t].h.partial((p1, *v), dz) for t in (0, 1))
+        hpi2, hpj2 = (fam.potentials[t].h.partial((p2, *v), dz) for t in (0, 1))
+        dens.append(abs(hpj1 * hpi2 - hpj2 * hpi1))
+    monkeypatch.setattr(hierarchy, "DEN_FLOOR", sum(sorted(dens)[29:31]) / 2)
+    runs = _captured_residuals(monkeypatch)
+    reports = []
+    for protocol in (hierarchy._redrawn, _prefix_redrawn):
+        monkeypatch.setattr(hierarchy, "_redrawn", protocol)
+        reports.append(reconstruct_f(fam, 0, 1, samples=30, seed=11)[1])
+    assert runs[0] == runs[1] and len(runs[0]) == 30
+    assert reports[0].params["resampled"] == reports[1].params["resampled"] > 0
 
 
 def _nan_at(monkeypatch, e, p):
@@ -267,7 +332,7 @@ def test_each_evaluator_is_asked_once_per_round_on_columns(monkeypatch, what):
     s = fam.structure
     seed = 11 if what == "f" else 13
     hs = [pot.h for pot in fam.potentials]
-    _nan_at(monkeypatch, hs[0], s.sample(3, seed, 2)[1][0][1])
+    _nan_at(monkeypatch, hs[0], s.sample(3, seed, 2)[1, 1])
     rounds = _recorded_samples(monkeypatch, s)
     log = _asks(monkeypatch, (*hs, *s.g, s.f, fam.enhanced.lam))
     if what == "f":
@@ -285,19 +350,24 @@ def test_each_evaluator_is_asked_once_per_round_on_columns(monkeypatch, what):
 def test_reconstruction_makes_no_single_sample_call(monkeypatch):
     fam = _family()
     s = fam.structure
-    for seed in (11, 13):  # one redraw each, read from a longer prefix
-        _nan_at(monkeypatch, fam.potentials[0].h, s.sample(3, seed, 2)[1][0][1])
+    for seed in (11, 13):  # one redraw each, read from the stream's next draw
+        _nan_at(monkeypatch, fam.potentials[0].h, s.sample(3, seed, 2)[1, 1])
+    streams = [s.sample(6, seed, 2) for seed in (11, 13)]
     calls = _recorded_samples(monkeypatch, s)
     reconstruct_f(fam, 0, 1, samples=5, seed=11)
     reconstruct_lambda(fam, 0, samples=5, seed=13)
     criterion_integrable(fam, samples=5, seed=19)
-    assert calls == [(5, 11, 2), (6, 11, 2), (5, 13, 2), (6, 13, 2), (5, 19, 2)]
+    assert [args for args, _ in calls] == [(5, "stream", 2), (1, "stream", 2),
+                                           (5, "stream", 2), (1, "stream", 2), (5, 19, 2)]
+    for k, stream in enumerate(streams):
+        assert np.array_equal(np.concatenate([rows for _, rows in calls[2 * k:2 * k + 2]]),
+                              stream)
 
 
 @pytest.mark.parametrize("what, seed", [("f", 11), ("lambda", 13), ("criterion", 19)])
 def test_a_nan_at_one_draw_is_redrawn_or_fails_the_report(monkeypatch, what, seed):
     fam = _family()
-    _nan_at(monkeypatch, fam.potentials[0].h, fam.structure.sample(5, seed, 2)[2][0][1])
+    _nan_at(monkeypatch, fam.potentials[0].h, fam.structure.sample(5, seed, 2)[2, 1])
     if what == "criterion":  # no redraws: the NaN residual fails the report
         rep = criterion_integrable(fam, samples=5, seed=seed)
         assert math.isnan(rep.max_residual) and not rep.passed
@@ -312,7 +382,7 @@ def test_a_nan_in_the_compared_f_fails_the_report(monkeypatch):
     # the rebuilt value is finite, so the draw is kept and its NaN residual counts
     fam = _family()
     s = fam.structure
-    _nan_at(monkeypatch, s.f, s.sample(5, 11, 2)[2][0][0])
+    _nan_at(monkeypatch, s.f, s.sample(5, 11, 2)[2, 0])
     _, rep = reconstruct_f(fam, 0, 1, samples=5, seed=11)
     assert rep.params["resampled"] == 0
     assert math.isnan(rep.max_residual) and not rep.passed
@@ -341,7 +411,7 @@ def test_a_domain_violation_in_a_round_rejects_its_every_draw(monkeypatch):
 def test_reconstructed_f_refuses_a_vanishing_denominator(monkeypatch):
     fam = _family()
     rec, _ = reconstruct_f(fam, 0, 1, samples=3, seed=11)
-    (p1, p2), v = fam.structure.sample(1, 21, 2)[0]
+    p1, p2, *v = fam.structure.sample(1, 21, 2)[0].tolist()
     monkeypatch.setattr(hierarchy, "DEN_FLOOR", math.inf)
     with pytest.raises(DomainViolation, match=r"^reconstruction denominator vanishes$"):
         rec(p1, p2, v)
@@ -381,7 +451,7 @@ def test_f_and_g_are_evaluated_once_per_sample(monkeypatch):
     criterion_integrable(fam, samples=5, seed=19)
     assert len(calls) == s.m + 1, len(calls)
     calls.clear()
-    _nan_at(monkeypatch, fam.potentials[1].h, s.sample(5, 13, 2)[3][0][1])  # one redraw
+    _nan_at(monkeypatch, fam.potentials[1].h, s.sample(5, 13, 2)[3, 1])  # one redraw
     rounds = _recorded_samples(monkeypatch, s)
     _, rep = reconstruct_lambda(fam, 0, samples=5, seed=13)
     assert rep.params["resampled"] == 1 and len(rounds) == 2
@@ -467,6 +537,6 @@ def test_lambda_reconstruction_refuses_a_vanishing_h_prime():
     fam = PotentialFamily(fam.structure, [Potential(square), *fam.potentials],
                           enhanced=fam.enhanced)
     rec, _ = reconstruct_lambda(fam, 0, samples=3, seed=13)
-    (_, p2), v = fam.structure.sample(1, 13, 2)[0]
+    _, p2, *v = fam.structure.sample(1, 13, 2)[0].tolist()
     with pytest.raises(DomainViolation, match=r"^h'\(p1\) vanishes$"):
         rec(c, p2, v)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import re
 import warnings
 
 import mpmath as mp
@@ -107,6 +108,94 @@ def test_complex_in_boxes_equals_scalar_draws(seed):
     assert rows.shape == (300, 3)
     assert rows.tolist() == [[scalar.complex_in_box(b) for b in boxes] for _ in range(300)]
     assert block.state == scalar.state
+
+
+@pytest.mark.parametrize("n", [-5, 0, 3])
+def test_skip_moves_the_stream_as_its_draws_would(n):
+    drawn, skipped = SplitMix64(11), SplitMix64(11)
+    for _ in range(max(n, 0)):
+        drawn.next_u64()
+    skipped.skip(n)
+    if n < 0:  # back: n draws from there lead to the seed's state
+        skipped.block(-n)
+    assert skipped.state == drawn.state and skipped.next_u64() == drawn.next_u64()
+
+
+class _Planted(Exclusion):
+    """A locus whose distance at a draw is planted by the draw's real part in
+    [0, 1): exactly ``t``, inside the 1e-9 band on either side, NaN, inf, or
+    clear of the band on either side; at a point or over argument columns."""
+
+    def __init__(self, slot, t):
+        self.slots, self.t = (slot,), t
+
+    def distance(self, args):
+        kind = (np.floor(np.real(args[self.slots[0]]) * 7) % 7).astype(int)
+        t = self.t
+        out = np.array([t, t * (1 + 4e-10), t * (1 - 4e-10), np.nan, np.inf, 2 * t, t / 2])[kind]
+        return out if np.ndim(out) else float(out)
+
+    def remap(self, mapping):
+        return _Planted(mapping[self.slots[0]], self.t)
+
+
+def _row_loop_admitted(rng, boxes, fixed, count, budget, loci, threshold, numbers):
+    """The accept rule before it kept a mask: each block scored as arrays,
+    then walked row by row, the scalar test asked in draw order."""
+    groups, out, tries, band = kernel._locus_groups(tuple(loci)), [], 0, 1e-9 * threshold
+    while len(out) < count and tries < budget:
+        block = rng.complex_in_boxes(boxes, min(16 + 2 * (count - len(out)), budget - tries))
+        if len(fixed):
+            block = np.hstack([block, np.tile(np.array(fixed, dtype=complex), (len(block), 1))])
+        with np.errstate(all="ignore"):
+            d = np.vstack([rep.distance(block.T[slots]) for rep, slots in groups]
+                          or [np.full((1, len(block)), np.nan)])
+        for row, near, far in zip(block.tolist(), d.min(axis=0).tolist(), d.max(axis=0).tolist()):
+            tries += 1
+            sure = (far - near) * 0 == 0 and not -band <= near - threshold <= band
+            if (near > threshold) if sure else numbers(tuple(row)):
+                out.append(tuple(row))
+                if len(out) == count:
+                    break
+    return out, tries
+
+
+@pytest.mark.parametrize("count, budget", [(1, 100), (5, 100), (40, 1000), (30, 25)])
+@pytest.mark.parametrize("case", ["planted", "planted and a diagonal", "fixed", "no loci"])
+def test_the_block_mask_admits_what_the_row_loop_admitted(case, count, budget):
+    # draws at the threshold, inside the band, at NaN and at inf go to the
+    # scalar test, in draw order, and no other draw does; the rows, their
+    # order and the draws made are the row loop's, and the stream is left
+    # just past the last draw made
+    t = 0.25
+    boxes, fixed = [(0.0, 1.0, -1.0, 1.0), (-1.0, 1.0, -1.0, 1.0)], ()
+    loci = {"planted": [_Planted(0, t)], "no loci": [],
+            "planted and a diagonal": [_Planted(0, t), Diagonal(0, 1)]}.get(case)
+    if case == "fixed":  # as sample_z: one box, the fiber point fixed
+        boxes, fixed, loci = boxes[:1], (0.5 + 0.5j,), [_Planted(0, t), Diagonal(0, 1)]
+    for seed in (1, 2, 3):
+        asked = {"mask": [], "loop": []}
+
+        def numbers(args, log):
+            log.append(args)
+            return not any(ex.distance(args) < t for ex in loci)
+
+        rng = SplitMix64(seed)
+        out, tries = kernel.admitted(rng, boxes, fixed, count, budget, loci, t,
+                                     lambda args: numbers(args, asked["mask"]))
+        want, want_tries = _row_loop_admitted(SplitMix64(seed), boxes, fixed, count, budget,
+                                              loci, t, lambda args: numbers(args, asked["loop"]))
+        assert out.shape == (len(want), len(boxes) + len(fixed))
+        assert out.tolist() == [list(row) for row in want] and tries == want_tries
+        assert asked["mask"] == asked["loop"]
+        if case != "no loci":
+            assert asked["mask"]
+        for args in asked["mask"]:  # without loci, every draw is the scalar test's
+            ds = [ex.distance(args) for ex in loci] or [math.nan]
+            assert not all(map(math.isfinite, ds)) or abs(min(ds) - t) <= 1e-9 * t, (case, ds)
+        resumed = SplitMix64(seed)
+        resumed.skip(2 * len(boxes) * tries)
+        assert rng.state == resumed.state
 
 
 # ---------------------------------------------------------------------------
@@ -255,6 +344,27 @@ def test_mixed_partials_of_exponential():
     # d^2/dp dv e^{pv} = (1 + pv) e^{pv}
     expected = (1 + p * v) * cmath.exp(p * v)
     assert e.partial(args, (1, 1)) == pytest.approx(expected, rel=1e-9)
+
+
+def test_a_reindexed_fn_reads_its_base_fn():
+    # fn, the value a wrapper composes (as algebroid_constants does with f's),
+    # takes the base's fn at the reindexed arguments; slot 1 is inert
+    base = JetEvaluator(2, lambda p, v: np.exp(p * v) / (p - 2.0))
+    r = ReindexedEvaluator(base, 3, (2, 0))
+    args = (0.7 - 0.2j, 5.0, 0.3 + 0.1j)
+    assert r.fn(*args) == base.fn(args[2], args[0]) == r.value(args)
+
+
+@pytest.mark.parametrize("bad", [complex(math.nan, 0.0), complex(0.0, math.inf)])
+def test_a_non_finite_argument_is_refused_before_any_circle(bad):
+    e = JetEvaluator(2, lambda p, q: 1.0 / (p - q), domain=Domain((Diagonal(0, 1),)))
+    message = rf"^non-finite complex value {re.escape(repr(bad))}$"
+    with pytest.raises(DomainViolation, match=message):
+        cauchy_derivative(e, 0, (bad, 1.0), 1)
+    with pytest.raises(DomainViolation, match=message):
+        laurent_coeff(e, 0, (0.5, bad), 0.5, -1, 0.1)
+    with pytest.raises(DomainViolation, match=message):
+        path_integrate(e, 0, (0.5, bad), polyline_path([0, 1]))
 
 
 def test_reindexed_circle_samples_map_rest_through_source():
