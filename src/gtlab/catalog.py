@@ -17,11 +17,12 @@ slots.  One function, its ``partial_fn``, answers a placed evaluator's jet
 requests, the value included, on a tuple of numpy argument columns of N
 points (a point is a column of one), as every evaluator's does; the theta
 kernels read every multi-index asked from one log-theta rectangle per
-argument column.  genus2's f, built on square roots, is its
-own evaluator: its partials of total order <= 2 are closed form too, from
-one jet per batch on the principal square roots at each argument, its
-value comes from ``fn``, and its circles (value rows only) continue the
-square-root sheet along every loop at once.
+argument column.  genus2's f, built on square roots, is its own
+evaluator: its partials of total order <= 2 are closed form too, one jet
+per batch from one log-derivative pass over the linear factors of its
+numerator's two terms and its denominator, on the principal square roots
+at each argument; its value comes from ``fn``, and its circles (value rows
+only) continue the square-root sheet along every loop at once.
 """
 
 from __future__ import annotations
@@ -317,18 +318,6 @@ def _quintic(p, a, b, c):
     return p * (p - 1.0) * (p - a) * (p - b) * (p - c)
 
 
-def _quintic_dp(p, a, b, c):
-    roots = (0.0, 1.0, a, b, c)
-    tot = 0.0 + 0.0j
-    for k in range(5):
-        prod = 1.0 + 0.0j
-        for l, r in enumerate(roots):
-            if l != k:
-                prod *= p - r
-        tot += prod
-    return tot
-
-
 def _track_sqrt(values: np.ndarray, anchors: np.ndarray) -> np.ndarray:
     """Continuous square roots along N sampled loops, an (N, nodes) array of
     their squares: each loop's first root the one closest to its anchor,
@@ -353,17 +342,17 @@ def _factors(*pairs):
 _A1_B2 = _factors((0, 2), (0, 3), (0, 4), (1, 5), (1, 6))
 _Q1_Q2 = _factors(*((i, r) for i in (0, 1) for r in (2, 3, 4, 5, 6)))
 _DEN = _factors((0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (0, 6))
-
-
-def _power_hessian(u, x, power=1.0):
-    """(P_kl / P, d_k log P) over the five arguments for P the product of
-    the factors u . x raised to ``power``, x the seven coordinates with a
-    trailing point axis on argument columns: d log P = power sum u / (u . x),
-    and P_kl / P = d_k d_l log P + d_k log P d_l log P."""
-    inv = 1.0 / np.tensordot(u, x, 1)
-    u = u[:, :5]
-    grad = power * np.tensordot(u.T, inv, 1)
-    return grad[:, None] * grad - np.einsum("fk,fl,f...->kl...", u, u, power * inv * inv), grad
+# The 21 factors of the three products stacked, each with its power in its
+# product (q1 q2 is the square root of ten).  For a product P over factors r,
+# d_k log P = sum_r power_r u_rk / (u_r . x) and
+# d_k d_l log P = -sum_r power_r u_rk u_rl / (u_r . x)^2, so one matrix per
+# order maps the powered reciprocals of all 21 factors onto the three
+# products' log-gradients (3 x 5 rows) and log-Hessians (3 x 5 x 5 rows).
+_FACTORS = np.concatenate((_A1_B2, _Q1_Q2, _DEN))
+_POWERS = np.array([1.0] * 5 + [0.5] * 10 + [1.0] * 6)
+_IN = np.repeat(np.eye(3), (5, 10, 6), axis=1)  # _IN[P, r]: factor r is one of P's
+_LOG_GRAD = np.einsum("pr,rk->pkr", _IN, _FACTORS[:, :5]).reshape(15, 21)
+_LOG_HESS = -np.einsum("pr,rk,rl->pklr", _IN, _FACTORS[:, :5], _FACTORS[:, :5]).reshape(75, 21)
 
 
 def _ratio_hessian(f, f_grad, den, den_grad, num_hess, den_hess):
@@ -377,12 +366,14 @@ class GenusTwoF(JetEvaluator):
     """Two-point function of the genus-2 curve.
 
     Values use the principal branch of q at each argument (``np.sqrt`` on
-    argument columns).  Every partial of total order <= 2 is
-    closed form, from one jet of f = N / D on the principal q1 and q2: the
-    batch a ``partials`` call hands over shares them.  Circles (for higher
-    orders in one slot) sample values only, continuing the sheet along
-    every loop so the branch cut of the principal square root never
-    contaminates a derivative disc.
+    argument columns).  Every partial of total order <= 2 is closed form,
+    from one jet of f = N / D on the principal q1 and q2, which one
+    log-derivative pass over the 21 linear factors of N's two terms and D
+    gives: every ``partials`` call asking an order 1 or 2 reads it, and
+    builds its second order only when asked.  Circles (for higher orders in
+    one slot) sample values only, continuing the sheet along every loop so
+    the branch cut of the principal square root never contaminates a
+    derivative disc.
     """
 
     # args: (p1, p2, a, b, c)
@@ -429,76 +420,43 @@ class GenusTwoF(JetEvaluator):
     # closed-form partials -------------------------------------------------
 
     @staticmethod
-    def _shared(args, q1, q2):
-        """(A1, B2, f, den) at the points: what every partial there uses."""
+    def _factor_jet(args, second):
+        """(f_k, f_kl) at the points: every first partial, a 5-row array, and,
+        if ``second``, every second partial, 5 x 5 rows (else None), over
+        argument columns.  A1 B2, q1 q2 and D are products of powers of the
+        linear factors, so each jet is its value times the jet of its
+        logarithm, all three from one pass over the 21 factors: d_k log P
+        and P_kl / P = d_k d_l log P + d_k log P d_l log P.  q1 q2 is
+        (quintic(p1) quintic(p2))^(1/2) on either sheet, so its logarithmic
+        jet does not depend on the sheet.  Then f_k = (N_k - f D_k) / D, and
+        f_kl from ``_ratio_hessian``."""
         p1, p2, a, b, c = args
+        q1, q2 = GenusTwoF._roots(args)
         A1 = (p1 - a) * (p1 - b) * (p1 - c)
-        B2 = p2 * (p2 - 1.0)
-        num = A1 * B2 + q1 * q2
-        den = 2.0 * (p1 - p2) * p1 * (p1 - 1.0) * A1
-        return A1, B2, num / den, den
-
-    @staticmethod
-    def _first_partial(args, slot, q1, q2, shared):
-        p1, p2, a, b, c = args
-        A1, B2, f, den = shared
-        if slot == 0:
-            dA1 = (p1 - b) * (p1 - c) + (p1 - a) * (p1 - c) + (p1 - a) * (p1 - b)
-            dq1 = _quintic_dp(p1, a, b, c) / (2.0 * q1)
-            dnum = dA1 * B2 + dq1 * q2
-            dden = den * (1.0 / (p1 - p2) + 1.0 / p1 + 1.0 / (p1 - 1.0) + dA1 / A1)
-        elif slot == 1:
-            dq2 = _quintic_dp(p2, a, b, c) / (2.0 * q2)
-            dnum = A1 * (2.0 * p2 - 1.0) + q1 * dq2
-            dden = den * (-1.0 / (p1 - p2))
-        else:
-            e = args[slot]  # the moving branch point
-            dA1 = -A1 / (p1 - e)
-            dq1 = -q1 / (2.0 * (p1 - e))
-            dq2 = -q2 / (2.0 * (p2 - e))
-            dnum = dA1 * B2 + dq1 * q2 + q1 * dq2
-            dden = den * (dA1 / A1)
-        return (dnum - f * dden) / den
-
-    @staticmethod
-    def _hessian(args, q1, q2, shared, f_grad):
-        """Every second partial, a 5 x 5 array with a trailing point axis on
-        argument columns.  N's terms A1 B2 and q1 q2 and the denominator are
-        products of powers of linear factors, so each jet is its value times
-        the jet of its logarithm; q1 q2 is (quintic(p1) quintic(p2))^(1/2)
-        on either sheet, so its logarithmic jet does not depend on the
-        sheet."""
-        A1, B2, f, den = shared
-        x = np.array(np.broadcast_arrays(*args, 0.0, 1.0), dtype=complex)
-        hess_ab, _ = _power_hessian(_A1_B2, x)
-        hess_qq, _ = _power_hessian(_Q1_Q2, x, 0.5)
-        hess_den, grad_den = _power_hessian(_DEN, x)
-        num_hess = (A1 * B2) * hess_ab + (q1 * q2) * hess_qq
-        return _ratio_hessian(f, np.array(f_grad), den, den * grad_den, num_hess,
-                              den * hess_den)
+        P = np.array([A1 * (p2 * (p2 - 1.0)), q1 * q2, 2.0 * (p1 - p2) * p1 * (p1 - 1.0) * A1])
+        inv = 1.0 / (_FACTORS @ np.array(np.broadcast_arrays(*args, 0.0, 1.0)))
+        powered = _POWERS[:, None] * inv
+        log_grad = (_LOG_GRAD @ powered).reshape(3, 5, -1)
+        grad = P[:, None] * log_grad
+        f = (P[0] + P[1]) / P[2]
+        f_grad = (grad[0] + grad[1] - f * grad[2]) / P[2]
+        if not second:
+            return f_grad, None
+        log_hess = (_LOG_HESS @ (powered * inv)).reshape(3, 5, 5, -1)
+        hess = P[:, None, None] * (log_hess + log_grad[:, :, None] * log_grad[:, None])
+        return f_grad, _ratio_hessian(f, f_grad, P[2], grad[2], hess[0] + hess[1], hess[2])
 
     def _partial_fn(self, args, multis):
-        """Orders 1 and 2 from one jet at the points; the value goes to
-        ``fn`` and higher orders to the circles, a request for nothing else
-        declined before any square root is taken."""
+        """Orders 1 and 2 from one jet at the points, its second partials
+        only when asked; the value goes to ``fn`` and higher orders to the
+        circles, a request for nothing else declined before any square root
+        is taken."""
         orders = [sum(multi) for multi in multis]
         if 1 not in orders and 2 not in orders:
             return [NotImplemented] * len(multis)
-        q1, q2 = self._roots(args)
-        shared = self._shared(args, q1, q2)
-        slots = range(5) if 2 in orders else {m.index(1) for m, o in zip(multis, orders) if o == 1}
-        firsts = {t: self._first_partial(args, t, q1, q2, shared) for t in slots}
-        hess = self._hessian(args, q1, q2, shared, list(firsts.values())) if 2 in orders else None
-        out = []
-        for multi, order in zip(multis, orders):
-            if order == 1:
-                out.append(firsts[multi.index(1)])
-            elif order == 2:
-                s, t = (slot for slot, o in enumerate(multi) for _ in range(o))
-                out.append(hess[s, t])
-            else:
-                out.append(NotImplemented)
-        return out
+        jet = self._factor_jet(args, 2 in orders)
+        return [jet[order - 1][tuple(slot for slot, o in enumerate(multi) for _ in range(o))]
+                if order in (1, 2) else NotImplemented for multi, order in zip(multis, orders)]
 
 
 def genus2() -> GTStructure:

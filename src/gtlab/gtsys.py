@@ -14,18 +14,18 @@ with A = f / g_1, B_l = g_l / g_1 and
         + (f(p_1, p_2) g_1'(p_2) + g(p_1)(g_1(p_2))) / (g_1(p_1) g_1(p_2)).
 
 ``GTSystem.fiber`` asks each g_k once at a point, or once over argument
-columns, and gives the B_l and their first-partial rows there;
-``GTSystem.pair`` reads the jets ``fiber`` gave at two points (or two
-columns of points) and gives A and Q at the pairs, each with its
-first-partial rows when asked.  Both checks below run on batches: a
-``_State`` holds one row per field over N states, and ``_flows`` gives
-d_i of every field (p, v, w) of every state along every direction i,
-together with the A, Q and B_l values it used and, where a mixed
-derivative along i needs them, their rows.  It asks each g_k once, one
-``fiber`` call over every point of every state, and f once per jet level,
-one ``pair`` call over every ordered pair of points whose rows are asked
-and one over the rest.  One mixed-derivative rule takes d_a d_b of a field
-by the chain rule through the rows of the flow along b.
+columns, and gives their jets and the B_l there (``_b_row`` reads a B_l's
+first-partial row off the jets); ``GTSystem.pair`` reads the jets
+``fiber`` gave at two points (or two columns of points) and gives A and Q
+at the pairs, each with its first-partial row.  Both checks below run on
+batches: a ``_State`` holds one row per field over N states, and
+``_flows`` gives d_i of every field (p, v, w) of every state along every
+direction i, together with the A, Q and B_l values it used, A's and Q's
+rows and the g jets B_l's rows come from.  It asks each g_k once, one
+``fiber`` call over every point of every state, and f once, one ``pair``
+call over every ordered pair of points of every state.  One
+mixed-derivative rule takes d_a d_b of a field by the chain rule through
+the rows of the flow along b.
 ``compatibility_residual`` compares d_i d_j with d_j d_i for every field
 that evolves in both directions, over all its sampled states at once.
 ``integrate_reduction`` marches the system on a tensor grid, its state
@@ -61,18 +61,18 @@ class GTSystem:
     """Coefficient functions of the quasilinear system.
 
     ``fiber(args)`` at (p, v), a point or a tuple of argument columns,
-    gives (jets, B, B_rows): jets[k] is g_k followed by its first partials,
-    and for g_1 (k = 0) by its second partials too, a row per entry on
-    columns; B[l] = B_l(p, v) and B_rows[l] its first-partial row in slot
-    order, both None at l = 0 (B_1 = 1).  ``pair(jets_1, jets_2, args,
-    rows)`` gives (A, Q, A_row, Q_row) at (p_1, p_2, v) from the jets
-    ``fiber`` gave at (p_1, v) and (p_2, v), of which it reads g_1's alone
-    at p_2; the rows are None unless ``rows`` is set.
+    gives (jets, B): jets[k] is g_k followed by its first partials, and for
+    g_1 (k = 0) by its second partials too, a row per entry on columns;
+    B[l] = B_l(p, v), None at l = 0 (B_1 = 1), whose first-partial row
+    ``_b_row`` reads off the jets.  ``pair(jets_1, jets_2, args)`` gives
+    (A, Q, A_row, Q_row) at (p_1, p_2, v), A and Q with their first-partial
+    rows in slot order, from the jets ``fiber`` gave at (p_1, v) and
+    (p_2, v), of which it reads g_1's alone at p_2.
     """
 
     structure: GTStructure
     fiber: Callable[[Sequence[complex]], tuple]
-    pair: Callable[[list, list, Sequence[complex], bool], tuple]
+    pair: Callable[[list, list, Sequence[complex]], tuple]
 
     @property
     def m(self) -> int:
@@ -85,17 +85,15 @@ def build_system(s: GTStructure) -> GTSystem:
     ``fiber`` asks each g_k once at (p, v), in one ``partials`` call, for
     its value and first partials, and g_1 for its second partials too:
     every point is some pair's p_2.  ``pair`` reads g at both points from
-    those jets and asks only f: for F and d_{p_2} f or, with ``rows``,
-    every first partial and d_{p_2} d_k f too, the same expressions giving
-    the same A and Q bit for bit.  It computes the terms A and Q share (F,
-    F_2, G_1, G_2, N) once and, with ``rows``, every first partial of both
-    by the chain rule.  So f's second partials come from f's own
-    ``partial_fn`` where it has them (every catalog f, genus2's included),
-    and an f or g without closed forms opens its circles on its own domain,
-    where no circle approaches a zero of g_1.  Both answer a point or
-    argument columns, with the same expressions.  ``fiber`` raises
-    ``DomainViolation`` at a |g_1| below ``G1_FLOOR``, naming the first
-    point at fault.
+    those jets and asks only f, once, for its value, every first partial
+    and every d_{p_2} d_k f.  It computes the terms A and Q share (F, F_2,
+    G_1, G_2, N) once and every first partial of both by the chain rule.
+    So f's second partials come from f's own ``partial_fn`` where it has
+    them (every catalog f, genus2's included), and an f or g without closed
+    forms opens its circles on its own domain, where no circle approaches
+    a zero of g_1.  Both answer a point or argument columns, with the same
+    expressions.  ``fiber`` raises ``DomainViolation`` at a |g_1| below
+    ``G1_FLOOR``, naming the first point at fault.
     """
     if s.m < 1:
         raise ConfigError("need at least one fiber coordinate")
@@ -106,45 +104,35 @@ def build_system(s: GTStructure) -> GTSystem:
         raise ConfigError("g_1 vanishes at a generic point")
 
     f_jet = _jet(2 + m, *range(2 + m))  # a value and every first partial
-    f_val = _jet(2 + m, 1)  # f and d_{p_2} f
     g_jet = _jet(1 + m, *range(1 + m))
     f_mixed = [multi_index(2 + m, 1, k) for k in range(2 + m)]  # d_1 d_k f
     g_pairs = [(a, b) for a in range(1 + m) for b in range(a, 1 + m)]
     g1_jet = g_jet + [multi_index(1 + m, a, b) for a, b in g_pairs]  # and every second partial
 
     def fiber(args):
-        """(jets, B, B_rows) at (p, v); see ``GTSystem``."""
+        """(jets, B) at (p, v); see ``GTSystem``."""
         jets = [g1.partials(args, g1_jet), *(gk.partials(args, g_jet) for gk in s.g[1:])]
-        G, dG = jets[0][0], jets[0][1:]
+        G = jets[0][0]
         low = np.abs(G) < G1_FLOOR  # a zero of g_1
         if np.any(low):
             at = np.flatnonzero(low)[0]
             where = f" (point {at} of {low.size})" if on_columns(args) else ""
             raise DomainViolation(f"g_1({complex(np.ravel(args[0])[at])}) = "
                                   f"{complex(np.ravel(G)[at])} below floor {G1_FLOOR}{where}")
-        B = [None] + [jet[0] / G for jet in jets[1:]]
-        B_rows = [None] + [[dgl[k] / G - gl * dG[k] / G**2 for k in range(1 + m)]
-                           for gl, *dgl in jets[1:]]
-        return jets, B, B_rows
+        return jets, [None] + [jet[0] / G for jet in jets[1:]]
 
-    def pair(jets_1, jets_2, args, rows):
+    def pair(jets_1, jets_2, args):
         """(A, Q, A_row, Q_row) at (p_1, p_2, v); see ``GTSystem``."""
         # g_k at p1 and g_1 at p2 with their partials: dg[k][j] = d_j g_k(p1)
         gv, dg = [jet[0] for jet in jets_1], [jet[1:] for jet in jets_1]
         G1 = gv[0]
         G2, *dG2 = jets_2[0]
-        if rows:
-            F, *dfs = s.f.partials(args, f_jet + f_mixed)
-            df, d1f = dfs[:2 + m], dfs[2 + m:]
-            F_2 = df[1]
-        else:
-            F, F_2 = s.f.partials(args, f_val)
+        F, *dfs = s.f.partials(args, f_jet + f_mixed)
+        df, d1f = dfs[:2 + m], dfs[2 + m:]
         N = F * dG2[0]
         for k in range(m):
             N += gv[k] * dG2[1 + k]
-        A, Q = F / G1, 2.0 * F_2 / G1 + N / (G1 * G2)
-        if not rows:
-            return A, Q, None, None
+        A, Q = F / G1, 2.0 * df[1] / G1 + N / (G1 * G2)
         dG1 = dg[0][0]
         A_row = [df[0] / G1 - F * dG1 / G1**2, df[1] / G1,
                  *(df[2 + l] / G1 - F * dg[0][1 + l] / G1**2 for l in range(m))]
@@ -260,51 +248,51 @@ class _State:
         return _State(np.concatenate([b.X for b in batches], axis=1), batches[0].M, batches[0].m)
 
 
-def _flows(sys: GTSystem, st: _State, rows: np.ndarray) -> list[tuple]:
+def _flows(sys: GTSystem, st: _State) -> list[tuple]:
     """The flow of every state of a batch along every direction i: for each
-    i, (d, A, Q, B, A_rows, Q_rows, B_rows) over the batch, where d holds
-    d_i of p, v and w, A[k] = A(p_i, p_k, v) and Q[k] likewise (NaN at
-    k = i), B[l] = B_l(p_i, v) (1 at l = 0), and A_rows[k], Q_rows[k] and
-    B_rows[l] are the first-partial rows of A[k], Q[k] and B[l] (NaN at
-    l = 0).  ``rows[i]`` marks the states whose flow along i carries A's and
-    Q's rows; elsewhere they are NaN.  d_i p_i and d_i w_i are the batch's
-    own slopes y_i and z_i, NaN without them.
+    i, (d, A, Q, B, A_rows, Q_rows, g) over the batch, where d holds d_i of
+    p, v and w, A[k] = A(p_i, p_k, v) and Q[k] likewise (NaN at k = i),
+    B[l] = B_l(p_i, v) (1 at l = 0), A_rows[k] and Q_rows[k] are the
+    first-partial rows of A[k] and Q[k] (NaN at k = i), and g[l] is g_l's
+    value and first partials at (p_i, v), which B_l's row is read off
+    (``_b_row``).  d_i p_i and d_i w_i are the batch's own slopes y_i and
+    z_i, NaN without them.
 
     Each g_k is asked once, by one ``fiber`` call over every point of every
-    state, and f once per jet level: one ``pair`` call over every ordered
-    pair of points whose rows are asked, and one over the rest."""
+    state, and f once, by one ``pair`` call over every ordered pair of
+    points of every state."""
     p, v, w = st.p, st.v, st.w
     M, m, N = st.M, st.m, st.X.shape[1]
     # the jet table: point k of state s in column k N + s
     at = p.ravel()
-    jets, B, B_rows = sys.fiber((at, *np.concatenate([v] * M, axis=1)))
+    jets, B = sys.fiber((at, *np.concatenate([v] * M, axis=1)))
     # A and Q, and their rows, of the ordered pair (i, k) of state s at [..., i, k, s]
     coef = np.full((2, M, M, N), np.nan, dtype=complex)
     coef_rows = np.full((2, 2 + m, M, M, N), np.nan, dtype=complex)
-    pairs = ~np.eye(M, dtype=bool)[:, :, None]
-    asked = rows[:, None, :]
-    for level, where in ((True, pairs & asked), (False, pairs & ~asked)):
-        flat = np.flatnonzero(where)
-        if not flat.size:
-            continue
-        i, k, s = flat // (M * N), flat // N % M, flat % N
-        one, two = i * N + s, k * N + s
-        a, q, a_row, q_row = sys.pair([jet.take(one, axis=1) for jet in jets],
-                                      [jets[0].take(two, axis=1)],
-                                      (at[one], at[two], *v[:, s]), level)
-        coef.reshape(2, -1)[:, flat] = a, q
-        if level:
-            coef_rows.reshape(2, 2 + m, -1)[..., flat] = a_row, q_row
+    i, k, s = np.nonzero(np.broadcast_to(~np.eye(M, dtype=bool)[:, :, None], (M, M, N)))
+    one, two = i * N + s, k * N + s
+    a, q, a_row, q_row = sys.pair([jet.take(one, axis=1) for jet in jets],
+                                  [jets[0].take(two, axis=1)], (at[one], at[two], *v[:, s]))
+    coef[:, i, k, s], coef_rows[:, :, i, k, s] = (a, q), (a_row, q_row)
     (A, Q), (A_rows, Q_rows) = coef, coef_rows.transpose(0, 2, 3, 1, 4)
     dp, dw = A * w[:, None], Q * w[:, None] * w  # [i, k]: A(p_i, p_k) w_i, Q(p_i, p_k) w_i w_k
     if st.y.size:
         diag = np.arange(M)
         dp[diag, diag], dw[diag, diag] = st.y, st.z
     B = np.array([np.ones(M * N), *B[1:]]).reshape(m, M, N)  # B_1 = 1
-    B_rows = np.array([np.full((1 + m, M * N), np.nan), *B_rows[1:]]).reshape(m, 1 + m, M, N)
+    g = np.array([jet[:2 + m] for jet in jets]).reshape(m, 2 + m, M, N)
     d = np.concatenate((dp, (B * w).transpose(1, 0, 2), dw), axis=1)
-    return [(_State(d[i], M, m), A[i], Q[i], B[:, i], A_rows[i], Q_rows[i], B_rows[:, :, i])
+    return [(_State(d[i], M, m), A[i], Q[i], B[:, i], A_rows[i], Q_rows[i], g[:, :, i])
             for i in range(M)]
+
+
+def _b_row(jets, l: int):
+    """The first-partial row of B_l = g_l / g_1 in slot order, from the
+    values and first partials of g_1 and g_l: ``fiber``'s jets, or a
+    flow's."""
+    n = len(jets[l])
+    G, dG, gl, dgl = jets[0][0], np.asarray(jets[0][1:n]), jets[l][0], np.asarray(jets[l][1:])
+    return dgl / G - gl * dG / G**2
 
 
 def _chain(row, da: _State, points):
@@ -321,14 +309,14 @@ def _mixed(st: _State, fa, fb, b: int, kind: str, k: int):
 
     d_b of the field is A(p_b, p_k) w_b, B_k(p_b) w_b (w_b for v_1)
     or Q(p_b, p_k) w_b w_k, with the coefficient value and its row read
-    off ``fb`` (NaN where it has no rows); the chain and product rules take
-    d_a of its factors from ``fa``."""
-    da, (_, A, Q, B, A_rows, Q_rows, B_rows) = fa[0], fb
+    off ``fb``; the chain and product rules take d_a of its factors from
+    ``fa``."""
+    da, (_, A, Q, B, A_rows, Q_rows, g) = fa[0], fb
     w = st.w
     if kind == "v":
         if k == 0:
             return da.w[b]
-        return _chain(B_rows[k], da, (b,)) * w[b] + B[k] * da.w[b]
+        return _chain(_b_row(g, k), da, (b,)) * w[b] + B[k] * da.w[b]
     if kind == "p":
         return _chain(A_rows[k], da, (b, k)) * w[b] + A[k] * da.w[b]
     dQ = _chain(Q_rows[k], da, (b, k))
@@ -354,7 +342,7 @@ def compatibility_residual(
     st = _State(np.hstack([raw, np.reshape(ws, (len(raw), M))]).T.copy(), M, sys.m)
     diffs = []
     with np.errstate(all="ignore"):  # a non-finite residual fails the report
-        flows = _flows(sys, st, np.ones((M, len(raw)), bool))
+        flows = _flows(sys, st)
         for i in range(M):
             for j in range(i + 1, M):
                 others = [k for k in range(M) if k not in (i, j)]
@@ -426,8 +414,8 @@ class ReductionResult:
 def _derivative(st: _State, flows: list[tuple], i: int) -> _State:
     """d_i of every state of a march batch: the flow of (p, v, w) and, for
     j != i, d_i y_j = d_j (A(p_i, p_j) w_i) and d_i z_j = d_j (Q(p_i, p_j) w_i w_j)
-    by the mixed rule, which reads the rows along i: NaN at a state whose
-    flow along i has none.  d_i y_i and d_i z_i have no equation: 0."""
+    by the mixed rule, which reads the rows along i.  d_i y_i and d_i z_i
+    have no equation: 0."""
     fi = flows[i]
     yz = np.zeros((2, st.M, st.X.shape[1]), dtype=complex)
     for j in range(st.M):
@@ -441,20 +429,15 @@ def _heun(sys: GTSystem, st: _State, flows: list[tuple], src: np.ndarray, h: np.
           cuts: Sequence[int]) -> _State:
     """Every predictor-corrector step leaving a batch at once, in step order:
     step t from state src[t] by h[t], along direction i for t in
-    [cuts[i], cuts[i + 1]).  ``flows`` are the batch's, with rows along
-    every direction a state steps in.  The predictor states of all steps are
-    one batch, asked for its flows in one ``_flows`` call, each with rows
-    along its own step's direction.  y_i and z_i, which have no direction-i
-    equation, are carried over unchanged and must be fixed up by the
-    caller."""
+    [cuts[i], cuts[i + 1]).  ``flows`` are the batch's.  The predictor
+    states of all steps are one batch, asked for its flows in one ``_flows``
+    call.  y_i and z_i, which have no direction-i equation, are carried over
+    unchanged and must be fixed up by the caller."""
     spans = [(i, slice(a, b)) for i, (a, b) in enumerate(zip(cuts, cuts[1:])) if b > a]
     base = st.take(src)
     k1 = _State.join([_derivative(st, flows, i).take(src[span]) for i, span in spans])
     pred = base.step(h, k1)
-    own = np.zeros((st.M, len(src)), bool)
-    for i, span in spans:
-        own[i, span] = True
-    flows = _flows(sys, pred, own)
+    flows = _flows(sys, pred)
     k2 = _State.join([_derivative(pred, flows, i).take(span) for i, span in spans])
     return base.step(h / 2, k1.step(1.0, k2))  # h along the mean of k1 and k2
 
@@ -462,18 +445,18 @@ def _heun(sys: GTSystem, st: _State, flows: list[tuple], src: np.ndarray, h: np.
 @functools.lru_cache(maxsize=8)
 def _plan(M: int, steps: tuple[int, ...]) -> tuple[tuple, ...]:
     """The levels of a march on grids of ``steps`` steps each, from the
-    origins up, each (record, rows, src, grid_of, cuts, targets, main,
-    on_axis, transport); the states of a level, on every grid, are one batch.
+    origins up, each (record, src, grid_of, cuts, targets, main, on_axis,
+    transport); the states of a level, on every grid, are one batch.
     ``record`` holds, per grid with states on the level, (g, their places in
-    the batch, their grid indices as an index tuple); rows[i] marks the
-    states that step along i.  The steps leaving the level go from src[t] on
-    grid grid_of[t], along i for t in [cuts[i], cuts[i + 1]).  Target t,
-    targets[t] = (g, index) on the next level, is step main[t] advanced,
-    then fixed up: ``on_axis`` holds (t, g, axis, n) for a target n steps
-    out on a data axis, and ``transport`` (axis, targets, their main steps,
-    their transverse steps) for the targets off the axes.  A target's main
-    step goes along its first nonzero axis and, off the data axes, its
-    transverse step along the next."""
+    the batch, their grid indices as an index tuple).  The steps leaving the
+    level go from src[t] on grid grid_of[t], along i for t in
+    [cuts[i], cuts[i + 1]).  Target t, targets[t] = (g, index) on the next
+    level, is step main[t] advanced, then fixed up: ``on_axis`` holds
+    (t, g, axis, n) for a target n steps out on a data axis, and
+    ``transport`` (axis, targets, their main steps, their transverse steps)
+    for the targets off the axes.  A target's main step goes along its first
+    nonzero axis and, off the data axes, its transverse step along the
+    next."""
     levels = []
     for n in steps:
         levels.append([[] for _ in range(M * n + 1)])
@@ -487,10 +470,8 @@ def _plan(M: int, steps: tuple[int, ...]) -> tuple[tuple, ...]:
                        for t, (g, idx) in enumerate(targets)
                        for leg, axis in enumerate([a for a in range(M) if idx[a] > 0][:2])),
                       key=lambda step: step[0])
-        rows = np.zeros((M, len(keys)), bool)
         main, trans = np.zeros(len(targets), int), {}
-        for n, (axis, src, _, t, leg) in enumerate(legs):
-            rows[axis, src] = True
+        for n, (*_, t, leg) in enumerate(legs):
             if leg:
                 trans[t] = n
             else:
@@ -505,7 +486,7 @@ def _plan(M: int, steps: tuple[int, ...]) -> tuple[tuple, ...]:
             if ts:
                 transport.append((axis, np.array(ts), main[ts], np.array([trans[t] for t in ts])))
         plan.append((
-            tuple(record), rows, np.array([step[1] for step in legs], int),
+            tuple(record), np.array([step[1] for step in legs], int),
             np.array([step[2] for step in legs], int),
             np.searchsorted([step[0] for step in legs], range(M + 1)).tolist(), tuple(targets),
             main, tuple((t, g, legs[main[t]][0], idx[legs[main[t]][0]])
@@ -521,7 +502,7 @@ def _march(sys: GTSystem, M: int, grids: Sequence[tuple[int, float]],
     ``grids`` together, level by level (``_plan``): the states of one level
     on every grid are one batch, whose flows serve every step that leaves
     it, and the predictors of those steps are one batch; so each g_k is
-    asked once per level and Heun stage, and f once per jet level there.
+    asked once per level and Heun stage, and f once there.
     A grid's blow-up is at its first blown-up state in lexicographic
     order."""
     if M not in (2, 3):
@@ -539,9 +520,9 @@ def _march(sys: GTSystem, M: int, grids: Sequence[tuple[int, float]],
     st = _State(np.array(origin, dtype=complex)[:, None].repeat(len(grids), axis=1),
                 M, len(data.v0))
     with np.errstate(all="ignore"):  # a non-finite field is a blow-up, flagged below
-        for (record, rows, src, grid_of, cuts, targets, main, on_axis,
+        for (record, src, grid_of, cuts, targets, main, on_axis,
              transport) in _plan(M, tuple(steps for steps, _ in grids)):
-            flows = _flows(sys, st, rows)
+            flows = _flows(sys, st)
             for g, here, where in record:
                 v1[g][where] = st.v[0][here]
                 for i, j in pairs:

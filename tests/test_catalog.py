@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from itertools import combinations_with_replacement
 
 import mpmath as mp
 import numpy as np
@@ -352,17 +353,17 @@ def test_genus2_batch_of_second_partials_opens_no_circle(monkeypatch):
     assert calls == []
 
 
-def _genus2_second_partial_error(args):
-    """Largest distance between a second partial of genus2's f and mpmath's
-    differentiation of the independent oracle (principal roots, 30
-    digits), over the largest of them."""
+def _genus2_partial_error(args, order=2):
+    """Largest distance between a partial of genus2's f of total ``order``
+    and mpmath's differentiation of the independent oracle (principal roots,
+    30 digits), over the largest of them."""
     f = catalog.build_structure("genus2").f
-    seconds = [multi_index(5, s, t) for s in range(5) for t in range(s, 5)]
-    got = f.partials(args, seconds)
+    multis = [multi_index(5, *slots) for slots in combinations_with_replacement(range(5), order)]
+    got = f.partials(args, multis)
     with mp.workdps(30):
         point = [mp.mpc(x) for x in args]
         want = [complex(mp.diff(lambda *z: _genus2_f_oracle(*z, sqrt=mp.sqrt), point, multi))
-                for multi in seconds]
+                for multi in multis]
     return max(abs(x - y) for x, y in zip(got, want)) / max(map(abs, want))
 
 
@@ -373,9 +374,11 @@ def _genus2_oracle_points():
 
 
 def test_genus2_second_partials_match_mpmath():
+    # and the first partials, which the same jet gives
     for args in _genus2_oracle_points():
-        err = _genus2_second_partial_error(args)
-        assert err < 1e-11, (args, err)
+        for order in (1, 2):
+            err = _genus2_partial_error(args, order)
+            assert err < 1e-11, (args, order, err)
 
 
 def test_genus2_mpmath_oracle_catches_a_dropped_denominator_term(monkeypatch):
@@ -387,7 +390,17 @@ def test_genus2_mpmath_oracle_catches_a_dropped_denominator_term(monkeypatch):
 
     monkeypatch.setattr(catalog, "_ratio_hessian", dropped)
     for args in _genus2_oracle_points():
-        assert _genus2_second_partial_error(args) > 1e-3
+        assert _genus2_partial_error(args) > 1e-3
+
+
+def test_genus2_mpmath_oracle_catches_q1_q2_taken_to_the_power_one(monkeypatch):
+    # the jet with the q1 q2 factors' power 1 in place of 1/2: d_k log(q1 q2)
+    # doubled misses the first partials
+    powers = catalog._POWERS.copy()
+    powers[powers == 0.5] = 1.0
+    monkeypatch.setattr(catalog, "_POWERS", powers)
+    for args in _genus2_oracle_points():
+        assert _genus2_partial_error(args, 1) > 1e-3
 
 
 def test_genus2_third_partials_in_one_slot_take_value_circles():

@@ -26,7 +26,8 @@ from gtlab.gtsys import (
     inject_defect,
     integrate_reduction,
 )
-from gtlab.kernel import Domain, FixedPoints, JetEvaluator, cauchy_derivative, on_columns
+from gtlab.kernel import (Domain, FixedPoints, JetEvaluator, cauchy_derivative, multi_index,
+                          on_columns)
 
 
 def _benney_system(n=2):
@@ -47,11 +48,11 @@ def test_coefficient_values_match_closed_forms():
     def g(k, p):
         return 1.0 / (p - V[k])
 
-    jets, B, B_rows = sys_.fiber((P1, *V))
-    A, Q, _, _ = sys_.pair(jets, sys_.fiber((P2, *V))[0], (P1, P2, *V), False)
+    jets, B = sys_.fiber((P1, *V))
+    A, Q, _, _ = sys_.pair(jets, sys_.fiber((P2, *V))[0], (P1, P2, *V))
     f12 = 1.0 / (P1 - P2)
     assert A == pytest.approx(f12 / g(0, P1), rel=1e-12)
-    assert B[0] is None and B_rows[0] is None  # B_1 = 1: the flow uses w itself
+    assert B[0] is None  # B_1 = 1: the flow uses w itself
     assert B[1] == pytest.approx(g(1, P1) / g(0, P1), rel=1e-12)
     # Q = 2 f_{p2}/g1(p1) + (f g1'(p2) + g(p1)(g1(p2))) / (g1(p1) g1(p2));
     # for this structure f_{p2} = 1/(p1-p2)^2, g1'(p) = -1/(p-u1)^2 and the
@@ -93,14 +94,14 @@ def _value_cases(sys_, zeros=Domain()):
     pair_dom = (s.f.domain.merged(g1.remap([0, *range(2, 2 + m)]))
                 .merged(g1.remap([1, *range(2, 2 + m)])))
 
-    def pair(args, rows):
+    def pair(args):
         jets_1, jets_2 = (sys_.fiber((p, *args[2:]))[0] for p in args[:2])
-        return sys_.pair(jets_1, jets_2, args, rows)
+        return sys_.pair(jets_1, jets_2, args)
 
-    cases = [("A", 2 + m, lambda *a: pair(a, False)[0], lambda a: pair(a, True)[2], pair_dom),
-             ("Q", 2 + m, lambda *a: pair(a, False)[1], lambda a: pair(a, True)[3], pair_dom)]
+    cases = [("A", 2 + m, lambda *a: pair(a)[0], lambda a: pair(a)[2], pair_dom),
+             ("Q", 2 + m, lambda *a: pair(a)[1], lambda a: pair(a)[3], pair_dom)]
     cases += [(f"B[{l}]", 1 + m, lambda *a, l=l: sys_.fiber(a)[1][l],
-               lambda a, l=l: sys_.fiber(a)[2][l], s.g[l].domain.merged(g1))
+               lambda a, l=l: gtsys._b_row(sys_.fiber(a)[0], l), s.g[l].domain.merged(g1))
               for l in range(1, m)]
     return [(label, JetEvaluator(arity, fn, domain=dom, label=label), row)
             for label, arity, fn, row, dom in cases]
@@ -168,8 +169,8 @@ def test_rows_without_closed_forms_come_from_circles():
     exact = build_system(s)
 
     def rows(sys_):
-        jets, _, B_rows = sys_.fiber((P1, *V))
-        return [*sys_.pair(jets, sys_.fiber((P2, *V))[0], (P1, P2, *V), True)[2:], B_rows[1]]
+        jets, _ = sys_.fiber((P1, *V))
+        return [*sys_.pair(jets, sys_.fiber((P2, *V))[0], (P1, P2, *V))[2:], gtsys._b_row(jets, 1)]
 
     for got, want in zip(rows(bare), rows(exact)):
         scale = max(abs(w) for w in want)
@@ -178,9 +179,10 @@ def test_rows_without_closed_forms_come_from_circles():
 
 @pytest.mark.parametrize("name", ["benney", "genus0", "genus1", "genus2", "benney+defect"])
 def test_pair_values_do_not_depend_on_rows(name):
-    # the march mixes flows with and without rows at one point, so A and Q
-    # must be the same floats either way, and the jet table's g values
-    # those ``value`` gives
+    # pair gives A and Q with their rows from one f request, and A and Q
+    # must be the floats f's value and d_{p_2} f alone give, read as the
+    # values-only expressions A = F / G_1 and Q = 2 F_2 / G_1 + N / (G_1 G_2);
+    # and the jet table's g values those ``value`` gives
     if name == "benney+defect":
         sys_ = build_system(inject_defect(catalog.build_structure("benney", 2), seed=1))
         args = (P1, P2, *V)
@@ -189,12 +191,15 @@ def test_pair_values_do_not_depend_on_rows(name):
         sys_ = build_system(s)
         args = tuple(s.sample(1, 5, 2)[0].tolist())
     m = sys_.m
-    jets_1, B, b_rows = sys_.fiber((args[0], *args[2:]))
+    jets_1, B = sys_.fiber((args[0], *args[2:]))
     jets_2 = sys_.fiber((args[1], *args[2:]))[0]
-    A, Q, no_a_row, no_q_row = sys_.pair(jets_1, jets_2, args, False)
-    A_r, Q_r, a_row, q_row = sys_.pair(jets_1, jets_2, args, True)
-    assert no_a_row is None and no_q_row is None
-    assert A == A_r and Q == Q_r
+    A, Q, a_row, q_row = sys_.pair(jets_1, jets_2, args)
+    F, F_2 = sys_.structure.f.partials(args, [(0,) * len(args), multi_index(len(args), 1)])
+    G1, (G2, *dG2) = jets_1[0][0], jets_2[0]
+    N = F * dG2[0]
+    for k in range(m):
+        N += jets_1[k][0] * dG2[1 + k]
+    assert A == F / G1 and Q == 2.0 * F_2 / G1 + N / (G1 * G2)
     values = [gk.value((args[0], *args[2:])) for gk in sys_.structure.g]
     if name == "genus1":
         # a jet widens each log-theta window by its orders (kernel.theta_jet), so
@@ -205,7 +210,7 @@ def test_pair_values_do_not_depend_on_rows(name):
         assert [jet[0] for jet in jets_1] == values
     assert B[1:] == [jet[0] / jets_1[0][0] for jet in jets_1[1:]]
     assert len(a_row) == len(q_row) == len(args)
-    assert b_rows[0] is None and all(len(row) == 1 + m for row in b_rows[1:])
+    assert all(len(gtsys._b_row(jets_1, l)) == 1 + m for l in range(1, m))
 
 
 def _system(name):
@@ -217,11 +222,11 @@ def _system(name):
 @pytest.mark.parametrize("name", ["benney", "genus0", "genus1", "genus2", "benney+defect"])
 def test_fiber_and_pair_on_columns_agree_with_points(name):
     # a batch of pairs through the same expressions as its points, to 1e-13
-    # of each answer's scale: every g jet, B and each B row from fiber, and
-    # A, Q and their rows from pair at both jet levels.  A jet or row is
-    # scaled by its largest entry, as the row oracles above scale theirs
-    # (benney's A does not depend on u_2, and genus1's columns sum theta
-    # over the batch's window: 1.5e-13 of one entry, 4e-14 of its row)
+    # of each answer's scale: every g jet, B and each B row from fiber's
+    # jets, and A, Q and their rows from pair.  A jet or row is scaled by its
+    # largest entry, as the row oracles above scale theirs (benney's A does
+    # not depend on u_2, and genus1's columns sum theta over the batch's
+    # window: 1.5e-13 of one entry, 4e-14 of its row)
     sys_ = _system(name)
     pts = sys_.structure.sample(6, 7, 2)
     cols = list(np.ascontiguousarray(pts.T))
@@ -235,18 +240,15 @@ def test_fiber_and_pair_on_columns_agree_with_points(name):
         one, two = sys_.fiber((p1, *v)), sys_.fiber((p2, *v))
         for jet_col, jet in zip(fib_1[0], one[0]):
             close(jet_col[:, n], jet)
-        for b_col, b, rows_col, row in zip(fib_1[1][1:], one[1][1:], fib_1[2][1:], one[2][1:]):
-            close([b_col[n]], [b])
-            close([x[n] for x in rows_col], row)
-        for rows in (False, True):
-            batch = sys_.pair(fib_1[0], fib_2[0], tuple(cols), rows)
-            point = sys_.pair(one[0], two[0], (p1, p2, *v), rows)
-            close([batch[0][n]], [point[0]])
-            close([batch[1][n]], [point[1]])
-            for row_col, row in zip(batch[2:], point[2:]):
-                assert (row_col is None) == (row is None) == (not rows)
-                if rows:
-                    close([x[n] for x in row_col], row)
+        for l in range(1, sys_.m):
+            close([fib_1[1][l][n]], [one[1][l]])
+            close(gtsys._b_row(fib_1[0], l)[:, n], gtsys._b_row(one[0], l))
+        batch = sys_.pair(fib_1[0], fib_2[0], tuple(cols))
+        point = sys_.pair(one[0], two[0], (p1, p2, *v))
+        close([batch[0][n]], [point[0]])
+        close([batch[1][n]], [point[1]])
+        for row_col, row in zip(batch[2:], point[2:]):
+            close([x[n] for x in row_col], row)
 
 
 def test_fiber_on_columns_names_the_first_point_below_the_floor():
@@ -297,21 +299,19 @@ def _count_asks(monkeypatch, s):
 def test_state_asks_each_g_once_per_point(monkeypatch):
     # the flows of a batch of M=3 states along every direction read one jet
     # table: each g_k is asked exactly once at every (p_k, v) of every state,
-    # so pair asks no g, and f once per ordered pair, with rows only along
-    # the directions a state asks them for
+    # so pair asks no g, and f once per ordered pair, always with rows
     s = catalog.build_structure("genus0", 2)
     sys_ = build_system(s)
     raw = s.sample(4, 5, 3)
     st = _State(np.hstack([raw, np.ones((4, 3))]).T, 3, 2)
-    rows = np.array([[True, False, True, False]] * 3)
     asked = _count_asks(monkeypatch, s)
-    _flows(sys_, st, rows)
+    _flows(sys_, st)
     g_asks = {(e, args): n for (e, args, _), n in asked.items() if e != id(s.f)}
     assert g_asks == {(id(gk), (p, *row[3:])): 1 for gk in s.g for row in raw.tolist()
                       for p in row[:3]}
     f_asks = {key: n for key, n in asked.items() if key[0] == id(s.f)}
     assert len(f_asks) == 6 * 4 and set(f_asks.values()) == {1}
-    assert sum(second for _, _, second in f_asks) == 6 * 2  # rows at states 0 and 2
+    assert all(second for _, _, second in f_asks)
 
 
 @pytest.mark.parametrize("M,steps", [(2, 4), (3, 2)])
@@ -332,8 +332,8 @@ def test_march_asks_each_g_once_per_point(monkeypatch, M, steps):
 def test_march_asks_each_evaluator_once_per_level_stage_and_jet_level(monkeypatch, M, steps):
     # both grids of a convergence ratio march together, level by level: each
     # g_k is asked in one call per level (the level's flows) and one per
-    # level left (its steps' predictors), and f in at most one call per jet
-    # level there; a march asking per state makes a call per state
+    # level left (its steps' predictors), and f in one call there; a march
+    # asking per state makes a call per state
     s = catalog.build_structure("benney", 2)
     sys_ = build_system(s)
     calls = Counter()
@@ -347,7 +347,7 @@ def test_march_asks_each_evaluator_once_per_level_stage_and_jet_level(monkeypatc
     convergence_ratio(sys_, M=M, steps=steps, h=0.02)
     stages = 2 * (M * 2 * steps + 1) - 1  # the fine grid's levels, and the levels left
     assert [calls[id(gk)] for gk in s.g] == [stages] * len(s.g)
-    assert stages <= calls[id(s.f)] <= 2 * stages
+    assert calls[id(s.f)] == stages
 
 
 # ---------------------------------------------------------------------------
@@ -370,11 +370,13 @@ def test_compatibility_needs_three_points():
 # compatibility_residual(M=3, states=10, seed=17), every state in one batch:
 # (max, mean) residual, pinned exactly; m = 2 and genus2's m = 3 run the B rows.
 # genus2's moved from (1.787e-13, 6.910e-14) when its f took argument columns
-# (numpy's square root and Hessian contractions over the batch); both lie
-# within the per-state oracle's 16 eps S below
+# (numpy's square root and Hessian contractions over the batch), and from
+# (3.962e-13, 9.188e-14) when its f's first and second partials came from one
+# log-derivative pass over its 21 linear factors; all lie within the
+# per-state oracle's 16 eps S below
 GOLDEN_COMPATIBILITY = {
     ("benney", 2): (5.720310336735898e-14, 1.1498039220205471e-14),
-    ("genus2", 0): (3.962032423538954e-13, 9.187999769684254e-14),
+    ("genus2", 0): (4.5396952955807387e-13, 9.243390397621338e-14),
 }
 # The same report from one state at a time with Python's complex arithmetic,
 # before the batch, with S, the largest |d_a d_b F| among the differences.
@@ -409,7 +411,7 @@ def _per_state_compatibility(s, M, states, seed):
     ws = [[complex(rng.uniform(0.3, 1.2), rng.uniform(-0.5, 0.5)) for _ in range(M)]
           for _ in raw]
     st = _State(np.hstack([raw, np.reshape(ws, (len(raw), M))]).T.copy(), M, s.m)
-    flows = _flows(sys_, st, np.ones((M, len(raw)), bool))
+    flows = _flows(sys_, st)
     diffs, sizes = [], []
     for i in range(M):
         for j in range(i + 1, M):
@@ -592,9 +594,8 @@ def test_memoised_march_keeps_every_float():
 
 @pytest.mark.parametrize("M,steps", [(2, 6), (3, 3)])
 def test_march_asks_f_at_most_twice_per_point(monkeypatch, M, steps):
-    # a state's flows ask f once at each ordered pair of its points, for
-    # values or with rows, whichever the steps leaving it need: no point
-    # is asked twice, and some with rows and some for values only
+    # a state's flows ask f once at each ordered pair of its points, always
+    # with rows: no point is asked twice
     s = catalog.build_structure("benney", 2)
     sys_ = build_system(s)
     asked = Counter()
@@ -611,7 +612,7 @@ def test_march_asks_f_at_most_twice_per_point(monkeypatch, M, steps):
     assert asked and max(asked.values()) == 1
     points = Counter(args for args, _ in asked)
     assert max(points.values()) == 1
-    assert {rows for _, rows in asked} == {False, True}
+    assert {rows for _, rows in asked} == {True}
 
 
 def test_convergence_ratio_is_second_order():
