@@ -16,13 +16,14 @@ answers 0 for a partial in any other slot, and moves the loci onto the
 slots.  One function, its ``partial_fn``, answers a placed evaluator's jet
 requests, the value included, on a tuple of numpy argument columns of N
 points (a point is a column of one), as every evaluator's does; the theta
-kernels read every multi-index asked from one log-theta rectangle per
-argument column.  genus2's f, built on square roots, is its own
-evaluator: its partials of total order <= 2 are closed form too, one jet
-per batch from one log-derivative pass over the linear factors of its
-numerator's two terms and its denominator, on the principal square roots
-at each argument; its value comes from ``fn``, and its circles (value rows
-only) continue the square-root sheet along every loop at once.
+kernels read every multi-index asked from one log-theta rectangle over
+their two argument columns stacked, one theta series per call.  genus2's f,
+built on square roots, is its own evaluator: its partials of total order
+<= 2 are closed form too, one jet per batch from one log-derivative pass
+over the linear factors of its numerator's two terms and its denominator,
+on the principal square roots at each argument; its value comes from
+``fn``, and its circles (value rows only) continue the square-root sheet
+along every loop at once.
 """
 
 from __future__ import annotations
@@ -137,10 +138,9 @@ def _sphere_partial(p: complex, u: complex, k: int, r: int) -> complex:
 
 
 def _log_theta_rect(x, tau, entries):
-    """(i, j) -> that partial of log theta at the points (x, tau), read from one rectangle
-    holding all ``entries`` (None without)."""
-    if not entries:
-        return None
+    """(i, j) -> that partial of log theta at the points (x, tau), an array over x's
+    columns, read from one rectangle holding all ``entries`` for every column: one series
+    over them all, whose window each column's points widen for the others."""
     dp, dtau = (max(col) for col in zip(*entries))
     L = log_jet(theta_jet(x, tau, dp, dtau), x, tau)
     return lambda i, j: L[i, j] * math.factorial(i) * math.factorial(j)
@@ -148,15 +148,21 @@ def _log_theta_rect(x, tau, entries):
 
 def _theta_difference(shift: int, second: int, loci: tuple[Exclusion, ...]) -> Kernel:
     """D(p - u, tau) - D(y, tau) over (p, u, tau), D = d_x^shift log theta(x, tau) and y
-    the variable ``second`` (0: p, 1: u), from one log-theta rectangle per column."""
+    the variable ``second`` (0: p, 1: u), from one log-theta rectangle over the column
+    p - u stacked on the column y (y only when an order asks it): one series per call,
+    whose window the two columns share, and which fails closed as their own series would
+    one after the other, naming the point by its place in the caller's column."""
 
     def batch(xs, orders):
+        if not orders:
+            return []
         p, u, tau = xs
-        at_d = _log_theta_rect(p - u, tau, [(k + r + shift, t) for k, r, t in orders])
-        at_y = _log_theta_rect(xs[second], tau, [(o[second] + shift, o[2]) for o in orders
-                                                 if o[1 - second] == 0])
-        return [(-1) ** r * at_d(k + r + shift, t)
-                - (at_y((k, r)[second] + shift, t) if (k, r)[1 - second] == 0 else 0)
+        at_y = [(o[second] + shift, o[2]) for o in orders if o[1 - second] == 0]
+        cols = [p - u, xs[second]] if at_y else [p - u]
+        rect = _log_theta_rect(np.array(cols), tau,
+                               [(k + r + shift, t) for k, r, t in orders] + at_y)
+        return [(-1) ** r * rect(k + r + shift, t)[0]
+                - (rect((k, r)[second] + shift, t)[1] if (k, r)[1 - second] == 0 else 0)
                 for k, r, t in orders]
 
     return Kernel(lambda *xs: batch(xs, [(0, 0, 0)])[0], loci=loci, batch=batch)

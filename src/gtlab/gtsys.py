@@ -221,18 +221,9 @@ class _State:
 
     def __init__(self, X: np.ndarray, M: int, m: int):
         self.X, self.M, self.m = X, M, m
-
-    def _field(self, k: int) -> np.ndarray:
-        """The rows of p, v, w, y or z (k = 0..4)."""
-        M, m = self.M, self.m
-        start = (0, M, M + m, 2 * M + m, 3 * M + m)[k]
-        return self.X[start:start + (M, m, M, M, M)[k]]
-
-    p = property(lambda self: self._field(0))
-    v = property(lambda self: self._field(1))
-    w = property(lambda self: self._field(2))
-    y = property(lambda self: self._field(3))
-    z = property(lambda self: self._field(4))
+        w = M + m  # the first row of w
+        self.p, self.v, self.w, self.y, self.z = (
+            X[:M], X[M:w], X[w:w + M], X[w + M:w + 2 * M], X[w + 2 * M:w + 3 * M])
 
     def step(self, h, d: "_State") -> "_State":
         """This batch advanced by h (a number or a column) along the derivatives d."""

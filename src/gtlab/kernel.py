@@ -32,11 +32,13 @@ there, from one anchor per loop, and a wrapper maps the loops into the
 evaluator it wraps.  ``eval_circles`` hands it N circles and
 ``eval_circle`` one.
 
-Each genus-1 jet is one ``theta_jet`` sum over k at N points (one ``np.exp``
-over an N x (2K + 1) grid), with its weights cached read-only per window;
-``log_jet`` turns its rectangle into log theta's.  Nothing is memoised: the
-point functions (``theta``, ``rho``, ``theta_partial``, ``rho_partial``,
-``log_theta_partial``) read a column of one.
+Each genus-1 jet is one ``theta_jet`` sum over k at the points of one or
+more stacked columns (one ``np.exp`` over a points x (2K + 1) grid), with its
+weights cached read-only per window; ``log_jet`` turns its rectangle into log
+theta's.  A theta kernel of the catalog stacks its two columns (p - u and p
+or u) into one series per call, so one window serves both.  Nothing is
+memoised: the point functions (``theta``, ``rho``, ``theta_partial``,
+``rho_partial``, ``log_theta_partial``) read a column of one.
 """
 
 from __future__ import annotations
@@ -773,8 +775,10 @@ Box = tuple[float, float, float, float]  # (re_min, re_max, im_min, im_max)
 
 
 def _theta_trunc_index(im_p, im_tau, tol: float) -> int:
-    """Symmetric truncation index K with the dropped tail below tol (a batch's largest);
-    an Im tau not positive, at the point or anywhere in the batch, raises ``InvalidModulus``.
+    """Symmetric truncation index K with the dropped tail below tol: the largest over all
+    the points of one series, so each column stacked in it gets the window of the widest
+    point of any column; an Im tau not positive, at the point or anywhere in the batch,
+    raises ``InvalidModulus``.
 
     Term magnitudes are exp(-2 pi (k im_p + k(k-1)/2 im_tau)); beyond the
     quadratic turnaround they decay faster than a geometric series with
@@ -802,42 +806,49 @@ def _theta_weights(K: int, dp: int, dtau: int) -> tuple[np.ndarray, ...]:
 
 
 def _fail_closed(bad: np.ndarray, error: type, what: str, p, tau) -> None:
-    """Raise ``error`` naming the first point (p, tau) of a batch where ``bad``."""
+    """Raise ``error`` naming the first point (p, tau) where ``bad``, in C order over the
+    broadcast of p and tau, by its place in its column (the last axis)."""
     if not bad.any():
         return
     i = np.flatnonzero(bad)[0]
-    p, tau = np.broadcast_arrays(p, tau)
+    p, tau = np.broadcast_arrays(np.atleast_1d(p), tau)
+    n = p.shape[-1]
     raise error(f"{what} at p = {complex(p.flat[i])!r}, tau = {complex(tau.flat[i])!r} "
-                f"(point {i} of {p.size})")
+                f"(point {i % n} of {n})")
 
 
 def theta_jet(p, tau, dp: int = 0, dtau: int = 0, tol: float = 1e-12) -> np.ndarray:
     """Taylor coefficients a[i, j] = d_p^i d_tau^j theta / (i! j!), i <= dp, j <= dtau, of
-    theta = sum_k (-1)^k e^{2 pi i (k p + k(k-1) tau / 2)} at N points, a (dp + 1, dtau + 1, N)
-    array over the broadcast of p and tau (a number is a column of one), from one ``np.exp``
-    over an (N, 2K + 1) grid, K the tail bound's window of the batch's widest point widened
-    by 4 (dp + dtau).  A non-finite argument raises ``DomainViolation``, Im tau <= 0
-    ``InvalidModulus`` and a series not finite ``OverflowError``: the error of the batch's
-    first point at fault, as its points would one after another, naming that point."""
-    p, tau = np.broadcast_arrays(np.reshape(p, (-1, 1)), np.reshape(tau, (-1, 1)))
-    finite = np.isfinite(p) & np.isfinite(tau)
-    valid = finite & (tau.imag > 0)
+    theta = sum_k (-1)^k e^{2 pi i (k p + k(k-1) tau / 2)} at the points of the broadcast of
+    p and tau, columns of N along its last axis (a number is a column of one): a
+    (dp + 1, dtau + 1, *shape) array from one ``np.exp`` over a (points, 2K + 1) grid, K
+    the tail bound's window of the widest point of all the columns widened by 4 (dp + dtau).
+    A non-finite argument raises ``DomainViolation``, Im tau <= 0 ``InvalidModulus`` and a
+    series not finite ``OverflowError``: the error of the first point at fault, the columns
+    read one after another and each point by point, naming that point by its place in its
+    column."""
+    cols = np.empty((2, *np.broadcast(p, tau, [0]).shape), dtype=complex)
+    cols[0], cols[1] = p, tau  # broadcast in place: cheaper than np.broadcast_arrays
+    p, tau = cols
+    x, t = p.reshape(-1, 1), tau.reshape(-1, 1)
+    finite = np.isfinite(x) & np.isfinite(t)
+    valid = finite & (t.imag > 0)
     # the series runs over the points before the first invalid one, which may overflow first
-    cut = len(p) if valid.all() else int(np.argmin(valid))
-    at_p, at_tau = p[:cut], tau[:cut]
+    cut = len(x) if valid.all() else int(np.argmin(valid))
+    at_x, at_t = x[:cut], t[:cut]
     if cut:
-        K = _theta_trunc_index(at_p.imag, at_tau.imag, tol) + 4 * (dp + dtau)
+        K = _theta_trunc_index(at_x.imag, at_t.imag, tol) + 4 * (dp + dtau)
         k, half, w = _theta_weights(K, dp, dtau)
         with np.errstate(over="ignore", invalid="ignore"):
-            a = np.exp(k * (TWO_PI_I * at_p) + half * (TWO_PI_I * at_tau)) @ w
-        if not np.isfinite(a).all():  # row n of a is point n of the batch
+            a = np.exp(k * (TWO_PI_I * at_x) + half * (TWO_PI_I * at_t)) @ w
+        if not np.isfinite(a).all():  # row n of a is point n of the flattened columns
             _fail_closed(~np.isfinite(a).all(axis=-1), OverflowError, "theta series overflows",
                          p, tau)
-    if cut < len(p):
-        first = np.arange(len(p)) == cut
+    if cut < len(x):
+        first = np.arange(len(x)) == cut
         _fail_closed(first & ~finite.ravel(), DomainViolation, "non-finite theta argument", p, tau)
         _fail_closed(first, InvalidModulus, "Im tau must be positive", p, tau)
-    return a.T.reshape(dp + 1, dtau + 1, -1)
+    return a.T.reshape(dp + 1, dtau + 1, *p.shape)
 
 
 def theta(p: complex, tau: complex, tol: float = 1e-12) -> complex:
@@ -872,15 +883,15 @@ def log_theta_partial(p: complex, tau: complex, dp: int, dtau: int) -> complex:
 
 
 def log_jet(a: np.ndarray, p, tau) -> np.ndarray:
-    """The Taylor rectangle L of log theta from theta's rectangle a at N points (p, tau),
-    both (dp + 1, dtau + 1, N) arrays, by the jet rule
+    """The Taylor rectangle L of log theta from theta's rectangle a at the points (p, tau),
+    both (dp + 1, dtau + 1, *shape) arrays over ``theta_jet``'s columns, by the jet rule
     (i + j) a_ij = sum_{k <= i, l <= j} (k + l) L_kl a_{i-k, j-l}
     (Griewank & Walther, Evaluating Derivatives, ch. 13), every entry of one total degree
     at once (``_degree_terms``).  A vanishing a_00 raises ``PoleHit``."""
-    a00 = a[0, 0]
-    _fail_closed(a00 == 0, PoleHit, "log of a theta jet vanishing", p, tau)
     order, spans, back = _degree_terms(len(a) - 1, len(a[0]) - 1)
-    flat = a.reshape(-1, a00.size).take(order, axis=0)  # entries by total degree
+    flat = a.reshape(-1, a[0, 0].size).take(order, axis=0)  # entries by total degree
+    a00 = flat[0]
+    _fail_closed(a00 == 0, PoleHit, "log of a theta jet vanishing", p, tau)
     L = np.empty_like(flat)
     L[0] = np.log(a00)
     for lo, hi, d, kl, rest, weight, starts in spans:

@@ -20,7 +20,7 @@ from gtlab.core import (
     collide_points_limit,
     pushforward,
 )
-from gtlab.errors import ConfigError
+from gtlab.errors import ConfigError, DomainViolation
 from gtlab.kernel import JetEvaluator, cauchy_derivative, multi_index, theta
 
 
@@ -585,21 +585,100 @@ def _count_theta_series(monkeypatch):
     return calls
 
 
-def test_a_point_reads_its_value_and_first_partials_from_two_series(monkeypatch):
-    # g = rho(p - u, tau) - rho(p, tau): one rectangle at p - u and one at p
+def test_a_point_reads_its_value_and_first_partials_from_one_series(monkeypatch):
+    # g = rho(p - u, tau) - rho(p, tau): one rectangle over p - u stacked on p
     s = catalog.build_structure("genus1", 2)
     p, *v = s.sample(1, 7, 1)[0].tolist()
     calls = _count_theta_series(monkeypatch)
     s.g[0].partials((p, *v), _to_order(s.g[0].arity, 1))
-    assert len(calls) <= 2
+    assert len(calls) == 1
 
 
-def test_a_column_call_reads_every_order_two_jet_from_two_series(monkeypatch):
+def test_a_column_call_reads_every_order_two_jet_from_one_series(monkeypatch):
     s = catalog.build_structure("genus1", 2)
     points = _points(s, 1)
     calls = _count_theta_series(monkeypatch)
     s.g[0].partials(points, _to_order(s.g[0].arity, 2))
-    assert len(calls) <= 2
+    assert len(calls) == 1
+
+
+def test_each_half_of_a_stacked_series_matches_its_own_column():
+    # the rectangle every order-2 request of g reads, over p - u stacked on p,
+    # against each column's own: one window, the wider of the two, serves
+    # both, so each half rounds apart from its own, within the 1e-13 of each
+    # entry's size that test_batched_partials_equal_single_partials_bit_for_bit
+    # allows genus1
+    p, u, tau = _points(catalog.build_structure("genus1", 1), 1)
+    stacked = catalog._log_theta_rect(np.stack([p - u, p]), tau, [(3, 2)])
+    for half, x in enumerate((p - u, p)):
+        own = catalog._log_theta_rect(x, tau, [(3, 2)])
+        for i, j in np.ndindex(4, 3):
+            assert np.all(np.abs(stacked(i, j)[half] - own(i, j)) <= 1e-13 * np.abs(own(i, j)))
+
+
+# a fault at point 1, 2 or 3 of four, made in the p - u half or in the p half
+# of g = rho(p - u, tau) - rho(p, tau): the slots it sets
+_FAULTS = {
+    ("non-finite", "p - u"): {"u": complex(math.nan, 0.2)},
+    ("non-finite", "p"): {"p": complex(math.inf, 0.1)},  # p - u is not finite either
+    ("overflow", "p - u"): {"u": 0.6 - 300j},
+    ("overflow", "p"): {"p": 0.3 + 300j, "u": 0.3 + 299.8j},
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("faults, error, message", [
+    pytest.param(
+        [(2, "non-finite", "p - u")], DomainViolation,
+        "non-finite theta argument at p = (nan-0.30000000000000004j), tau = (0.2+1.3j) "
+        "(point 2 of 4)", id="non-finite-in-p-u"),
+    pytest.param(
+        [(2, "non-finite", "p")], DomainViolation,
+        "non-finite theta argument at p = (inf-0.1j), tau = (0.2+1.3j) (point 2 of 4)",
+        id="non-finite-in-p"),
+    pytest.param(
+        [(2, "overflow", "p - u")], OverflowError,
+        "theta series overflows at p = (-0.3+299.9j), tau = (0.2+1.3j) (point 2 of 4)",
+        id="overflow-in-p-u"),
+    pytest.param(
+        [(2, "overflow", "p")], OverflowError,
+        "theta series overflows at p = (0.3+300j), tau = (0.2+1.3j) (point 2 of 4)",
+        id="overflow-in-p"),
+    pytest.param(
+        [(1, "non-finite", "p - u"), (3, "overflow", "p - u")], DomainViolation,
+        "non-finite theta argument at p = (nan-0.1j), tau = (0.2+1.3j) (point 1 of 4)",
+        id="non-finite-then-overflow-in-p-u"),
+    pytest.param(
+        [(1, "overflow", "p - u"), (3, "non-finite", "p - u")], OverflowError,
+        "theta series overflows at p = (-0.8+300.1j), tau = (0.2+1.3j) (point 1 of 4)",
+        id="overflow-then-non-finite-in-p-u"),
+    pytest.param(
+        [(1, "non-finite", "p"), (3, "overflow", "p")], DomainViolation,
+        "non-finite theta argument at p = (inf-0.19999999999999998j), tau = (0.2+1.3j) "
+        "(point 1 of 4)", id="non-finite-then-overflow-in-p"),
+    pytest.param(
+        [(1, "overflow", "p"), (3, "non-finite", "p")], DomainViolation,
+        "non-finite theta argument at p = (inf-0.19999999999999998j), tau = (0.2+1.3j) "
+        "(point 3 of 4)", id="overflow-then-non-finite-in-p"),
+    pytest.param(
+        [(1, "overflow", "p"), (3, "non-finite", "p - u")], DomainViolation,
+        "non-finite theta argument at p = (nan+0j), tau = (0.2+1.3j) (point 3 of 4)",
+        id="overflow-in-p-then-non-finite-in-p-u"),
+])
+def test_a_stacked_series_fails_closed_as_its_two_columns_would(faults, error, message):
+    # the error class and message that the two columns' own series give, one
+    # after the other: the first fault of the p - u column, else of the p
+    # column, named by its place in the caller's column of four
+    p = np.array([0.1 + 0.05j, -0.2 + 0.1j, 0.3 - 0.1j, 0.05 + 0.2j])
+    u = np.array([0.4 + 0.25j, 0.5 + 0.3j, 0.6 + 0.2j, 0.45 + 0.3j])
+    cols = {"p": p, "u": u}
+    for index, kind, half in faults:
+        for slot, value in _FAULTS[kind, half].items():
+            cols[slot][index] = value
+    g = catalog.build_structure("genus1", 1).g[0]
+    with pytest.raises(error) as info:
+        g.partials((p, u, np.full(4, 0.2 + 1.3j)), [multi_index(3), multi_index(3, 0)])
+    assert str(info.value) == message
 
 
 def _looped():
