@@ -27,7 +27,7 @@ import numpy as np
 from . import __version__, catalog, gtsys, hierarchy, hyperell
 from .core import (
     CoordinateChange,
-    VerificationReport,
+    _make_report,
     collide_points_closed,
     pushforward,
     verify_all,
@@ -149,16 +149,6 @@ def _build_enhanced(cfg):
     return ent, ent.build_enhanced(n), n
 
 
-def _pseudo(identity: str, value: float, tol: float, seed: int, ok: bool,
-            **params) -> dict:
-    """A report entry for scalar outcomes that are not sampled residuals;
-    the verdict ``ok`` need not be ``value < tol``."""
-    entry = VerificationReport(identity, 1, float(value), float(value),
-                               float(tol), seed, params).as_dict()
-    entry["pass"] = bool(ok)
-    return entry
-
-
 def _check_indices(key: str, indices, count: int) -> None:
     for idx in indices:
         if not 0 <= idx < count:
@@ -166,7 +156,8 @@ def _check_indices(key: str, indices, count: int) -> None:
 
 
 # ---------------------------------------------------------------------------
-# command handlers: each returns (report_entries, extras)
+# command handlers: each returns (reports, extras), every report a
+# VerificationReport whose verdict is max_residual < tolerance
 # ---------------------------------------------------------------------------
 
 
@@ -175,10 +166,10 @@ def _cmd_verify(cfg):
     tol = float(cfg.get("tol", 1e-8))
     seed = cfg["seed"]
     ent, s, _ = _build(cfg)
-    reports = [r.as_dict() for r in verify_all(s, samples, seed, tol)]
+    reports = verify_all(s, samples, seed, tol)
     if ent.build_enhanced is not None:
         _, enh, n = _build_enhanced(cfg)
-        reports.append(verify_lambda(enh, samples, seed + 3, tol).as_dict())
+        reports.append(verify_lambda(enh, samples, seed + 3, tol))
     return reports, {}
 
 
@@ -188,11 +179,8 @@ def _cmd_potentials(cfg):
     seed = cfg["seed"]
     ent, enh, n = _build_enhanced(cfg)
     pots = catalog.build_potentials(ent.name, n)
-    reports = []
-    for idx, pot in enumerate(pots):
-        rep = verify_potential(enh, pot, samples, seed + idx, tol)
-        reports.append(rep.as_dict())
-    return reports, {}
+    return [verify_potential(enh, pot, samples, seed + idx, tol)
+            for idx, pot in enumerate(pots)], {}
 
 
 def _cmd_collide(cfg):
@@ -201,8 +189,8 @@ def _cmd_collide(cfg):
     seed = cfg["seed"]
     ent, s, _ = _build(cfg)
     collided = collide_points_closed(s, cfg.get("groups", [[0, 1]]))
-    reports = [r.as_dict() for r in verify_all(collided, samples, seed, tol)]
-    return reports, {"collided_label": collided.label, "m": collided.m}
+    return (verify_all(collided, samples, seed, tol),
+            {"collided_label": collided.label, "m": collided.m})
 
 
 def quadratic_mu(m: int, scale: float) -> JetEvaluator:
@@ -238,8 +226,7 @@ def _cmd_pushforward(cfg):
     scale = float(cfg.get("scale", 0.05))
     ent, s, _ = _build(cfg)
     pushed = pushforward(s, CoordinateChange(quadratic_mu(s.m, scale)))
-    reports = [r.as_dict() for r in verify_all(pushed, samples, seed, tol)]
-    return reports, {"mu": "p + scale*u1*p^2", "scale": scale}
+    return verify_all(pushed, samples, seed, tol), {"mu": "p + scale*u1*p^2", "scale": scale}
 
 
 def _cmd_gtsys(cfg):
@@ -251,21 +238,19 @@ def _cmd_gtsys(cfg):
     sys_ = gtsys.build_system(s)
     comp = gtsys.compatibility_residual(sys_, M=M, states=states, seed=seed,
                                         tol=tol)
-    reports = [
-        _pseudo("gt_compatibility", comp.max_residual, tol, seed,
-                comp.passed, M=M, states=comp.samples,
-                mean_residual=comp.mean_residual)
-    ]
     steps = int(cfg.get("steps", 10))
     h = float(cfg.get("h", 0.02))
     ratio, coarse, fine = gtsys.convergence_ratio(sys_, M=2, steps=steps,
                                                   h=h, seed=seed)
-    ok = 3.5 <= ratio <= 4.5 and not coarse.blow_up and not fine.blow_up
-    reports.append(
-        _pseudo("reduction_order", ratio, 4.5, seed, ok, steps=steps, h=h,
-                coarse_residual=coarse.residual, fine_residual=fine.residual)
-    )
-    return reports, {}
+    # a second-order march cuts its defect by 4 when h halves (Richardson);
+    # ratio - 4 is exact between 2 and 8, so this passes 3.5 < ratio < 4.5
+    order = _make_report("reduction_order", [abs(ratio - 4.0)], 0.5, seed, ratio=ratio,
+                         steps=steps, h=h, coarse_residual=coarse.residual,
+                         fine_residual=fine.residual)
+    blow_up = _make_report("reduction_blow_up", [coarse.blow_up + fine.blow_up], 0.5, seed,
+                           coarse_blow_up_at=coarse.blow_up_at,
+                           fine_blow_up_at=fine.blow_up_at)
+    return [comp, order, blow_up], {}
 
 
 def _cmd_hydro(cfg):
@@ -284,13 +269,13 @@ def _cmd_hydro(cfg):
     hs = hierarchy.hydro_coefficients(fam, i, j, k, v, z_count=z_count,
                                       seed=seed, svd_tol=svd_tol,
                                       residual_tol=tol)
-    ok = fam.m <= D <= 2 * fam.m - 1 and hs.expansion_residual < tol
+    m = fam.m
     reports = [
-        _pseudo("hydro_dimension", float(D), float(2 * fam.m - 1), seed,
-                fam.m <= D <= 2 * fam.m - 1, m=fam.m, triple=[i, j, k]),
-        _pseudo("hydro_expansion", hs.expansion_residual, tol, seed,
-                hs.expansion_residual < tol, D=hs.D,
-                rank_abc=hs.rank_abc),
+        # how far the integer D lies outside [m, 2m - 1]
+        _make_report("hydro_dimension", [max(m - D, D - (2 * m - 1), 0)], 0.5, seed,
+                     D=D, m=m, triple=[i, j, k]),
+        _make_report("hydro_expansion", [hs.expansion_residual], tol, seed, D=hs.D,
+                     rank_abc=hs.rank_abc),
     ]
     extras = {
         "D": D,
@@ -323,7 +308,7 @@ def _cmd_reconstruct(cfg):
                                        seed=seed, tol=tol)
     _, rep_l = hierarchy.reconstruct_lambda(fam, index, samples=samples,
                                             seed=seed + 1, tol=tol)
-    return [rep_f.as_dict(), rep_l.as_dict()], {}
+    return [rep_f, rep_l], {}
 
 
 def _cmd_rauch(cfg):
@@ -335,33 +320,28 @@ def _cmd_rauch(cfg):
     branches = [int(cfg["branch"])] if "branch" in cfg else [0, 1, 2]
     pd, checks = hyperell.rauch(moduli, branches, delta=delta, nodes=nodes)
     reports = [
-        _pseudo("period_symmetry", pd.symmetry_error, 1e-8, seed,
-                pd.symmetry_error < 1e-8, moduli=list(moduli)),
-        _pseudo("period_positivity", float(min(pd.im_eigenvalues)), 0.0,
-                seed, pd.positive, note="pass iff Im B positive definite"),
+        _make_report("period_symmetry", [pd.symmetry_error], 1e-8, seed,
+                     moduli=list(moduli)),
+        _make_report("period_positivity", [pd.nonpositive], 0.5, seed,
+                     min_eigenvalue=float(np.min(pd.im_eigenvalues))),
     ]
-    for rd in checks:
-        reports.append(
-            _pseudo("rauch_variation", rd.max_rel_error, tol, seed,
-                    rd.max_rel_error < tol, branch=rd.branch, delta=delta,
-                    step_stability=rd.step_stability)
-        )
-    extras = {"period_matrix": pd.B.tolist()}
-    return reports, extras
+    reports += [_make_report("rauch_variation", [rd.max_rel_error], tol, seed,
+                             branch=rd.branch, delta=delta,
+                             step_stability=rd.step_stability)
+                for rd in checks]
+    return reports, {"period_matrix": pd.B.tolist()}
 
 
 def _cmd_report(cfg):
-    seed = cfg["seed"]
-    samples = int(cfg.get("samples", 40))
     reports = []
-    for name, ent in catalog.CATALOG.items():
-        sub = dict(cfg)
-        sub["structure"] = name
-        sub["samples"] = samples
-        sub["tol"] = 1e-6 if name == "genus2" else 1e-8
+    for name in catalog.CATALOG:
+        # a config's tol holds for every structure; without one, genus2 is
+        # held to 1e-6
+        sub = {"samples": 40, "tol": 1e-6 if name == "genus2" else 1e-8, **cfg,
+               "structure": name}
         entries, _ = _cmd_verify(sub)
-        for e in entries:
-            e["params"]["structure"] = name
+        for r in entries:
+            r.params["structure"] = name
         reports.extend(entries)
     return reports, {}
 
@@ -441,7 +421,8 @@ def run(cfg: dict, out_path: str | None) -> int:
     t0 = time.perf_counter()
     error = None
     try:
-        entries, extras = HANDLERS[cfg["command"]](cfg)
+        reports, extras = HANDLERS[cfg["command"]](cfg)
+        entries = [r.as_dict() for r in reports]
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -42,6 +42,13 @@ from .errors import ConfigError, DomainViolation, NonConvergence, SamplingExhaus
 from .kernel import Box, SplitMix64, admitted, multi_index
 
 
+def _rank(mat: np.ndarray, tol: float) -> int:
+    """Numeric rank: how many singular values exceed tol times the largest
+    (none of a zero matrix, whose largest is 0)."""
+    sv = np.linalg.svd(mat, compute_uv=False)
+    return int(np.sum(sv > tol * sv[0]))
+
+
 @dataclass
 class PotentialFamily:
     """An ordered family of potentials over a shared structure.
@@ -94,9 +101,7 @@ class PotentialFamily:
         functionally independent family.  Row i holds h_i's jet at every z
         in turn, from one call per potential."""
         at = _rows(self.structure, np.column_stack([z_points, [v] * len(z_points)]), (0,))
-        rows = [self.h_jet(i, at).T.ravel() for i in range(self.N)]
-        sv = np.linalg.svd(np.array(rows), compute_uv=False)
-        return int(np.sum(sv > svd_tol * sv[0]))
+        return _rank(np.array([self.h_jet(i, at).T.ravel() for i in range(self.N)]), svd_tol)
 
 
 def compatibility_tensor(
@@ -147,12 +152,7 @@ def dimension_D(
         raise ConfigError("need at least 3m + 5 z samples for a stable rank")
 
     def rank(count, s):
-        zs = fam.sample_z(count, s, v)
-        mat = compatibility_tensor(fam, i, j, k, v, zs)
-        sv = np.linalg.svd(mat, compute_uv=False)
-        if sv[0] == 0:
-            return 0
-        return int(np.sum(sv > svd_tol * sv[0]))
+        return _rank(compatibility_tensor(fam, i, j, k, v, fam.sample_z(count, s, v)), svd_tol)
 
     d = rank(z_count, seed)
     d2 = rank(2 * z_count, seed + 1)
@@ -185,11 +185,7 @@ class HydroSystem:
 
     @property
     def rank_abc(self) -> int:
-        stacked = np.hstack([self.a, self.b, self.c])
-        sv = np.linalg.svd(stacked, compute_uv=False)
-        if sv[0] == 0:
-            return 0
-        return int(np.sum(sv > 1e-10 * sv[0]))
+        return _rank(np.hstack([self.a, self.b, self.c]), 1e-10)
 
 
 def hydro_coefficients(
@@ -214,8 +210,7 @@ def hydro_coefficients(
     fit_z, held_z = zs[:z_count], zs[z_count:]
     mat = compatibility_tensor(fam, i, j, k, v, fit_z)  # (3m, nz)
     held = compatibility_tensor(fam, i, j, k, v, held_z)
-    sv = np.linalg.svd(mat, compute_uv=False)
-    D = int(np.sum(sv > svd_tol * sv[0])) if sv[0] else 0
+    D = _rank(mat, svd_tol)
     if D == 0:
         raise NonConvergence("compatibility tensor vanishes identically")
     # pivoted QR on the transposed matrix: columns are the 3m functions;

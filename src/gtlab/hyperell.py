@@ -117,8 +117,13 @@ class PeriodData:
     convergence_error: float
 
     @property
+    def nonpositive(self) -> int:
+        """How many eigenvalues of Im B are not > 0; a NaN is not."""
+        return sum(not ev > 0 for ev in self.im_eigenvalues)
+
+    @property
     def positive(self) -> bool:
-        return min(self.im_eigenvalues) > 0
+        return self.nonpositive == 0
 
 
 def _assemble(moduli, n: int):

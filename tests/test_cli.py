@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import dataclasses
 import importlib.util
 import json
+import math
 import os
 import subprocess
 import sys
@@ -14,7 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from gtlab import hyperell
+from gtlab import gtsys, hierarchy, hyperell
 from gtlab.cli import _jsonify, emit_report, main, run, validate_config
 from gtlab.errors import ConfigError
 
@@ -28,6 +30,27 @@ def _run(tmp_path, cfg, name="job"):
     cfg_path.write_text(json.dumps(cfg))
     code = main(["--config", str(cfg_path), "--out", str(out_path)])
     return code, out_path
+
+
+def _assert_own_verdicts(body):
+    """Each entry passes iff its max residual is under its tolerance (a NaN
+    residual, written as a string, never is), and the job passes iff it
+    has entries and every one passes."""
+    for entry in body["reports"]:
+        assert entry["pass"] == (float(entry["max_residual"]) < entry["tolerance"]), entry
+    passed = bool(body["reports"]) and all(entry["pass"] for entry in body["reports"])
+    assert body["verdict"] == ("pass" if passed else "fail")
+
+
+def _run_fuzz(tmp_path, cfg):
+    """``run`` on a fresh report path: never a traceback, and a report it
+    writes carries its own verdicts."""
+    out = tmp_path / "fuzz.json"
+    out.unlink(missing_ok=True)
+    code = run(cfg, str(out))
+    assert code in (0, 1, 2, 3)
+    if out.exists():
+        _assert_own_verdicts(json.loads(out.read_text()))
 
 
 # ---------------------------------------------------------------------------
@@ -154,6 +177,7 @@ def test_passing_run_exits_0_and_writes_report(tmp_path):
     assert body["verdict"] == "pass"
     assert body["config"]["command"] == "verify"
     assert all(entry["pass"] for entry in body["reports"])
+    _assert_own_verdicts(body)
     # timing lives only in the adjacent text summary
     assert "elapsed" not in json.dumps(body)
     summary = out.with_suffix(".txt").read_text()
@@ -170,6 +194,114 @@ def test_hierarchy_and_report_commands_pass(tmp_path, cfg):
     body = json.loads(out.read_text())
     assert code == 0 and body["verdict"] == "pass"
     assert body["reports"] and all(entry["pass"] for entry in body["reports"])
+    _assert_own_verdicts(body)
+
+
+def test_report_holds_every_structure_to_the_config_tol(tmp_path):
+    code, out = _run(tmp_path, {"command": "report", "samples": 2, "tol": 1e-3, "seed": 7})
+    body = json.loads(out.read_text())
+    assert code == 0 and body["config"]["tol"] == 1e-3
+    assert {entry["params"]["structure"] for entry in body["reports"]} >= {"genus0", "genus2"}
+    assert all(entry["tolerance"] == 1e-3 for entry in body["reports"])
+
+
+def test_report_without_tol_holds_genus2_to_1e_6(tmp_path):
+    _, out = _run(tmp_path, {"command": "report", "samples": 2, "seed": 7})
+    for entry in json.loads(out.read_text())["reports"]:
+        assert entry["tolerance"] == (1e-6 if entry["params"]["structure"] == "genus2" else 1e-8)
+
+
+# ---------------------------------------------------------------------------
+# the verdicts at the edges of the restated checks: each entry's own
+# residual against its own tolerance decides it
+# ---------------------------------------------------------------------------
+
+_GTSYS = {"command": "gtsys", "structure": "benney", "n": 1, "states": 1, "steps": 2,
+          "seed": 3}
+
+
+def _entries(tmp_path, cfg):
+    code, out = _run(tmp_path, cfg)
+    body = json.loads(out.read_text())
+    _assert_own_verdicts(body)
+    return code, {entry["identity"]: entry for entry in body["reports"]}
+
+
+def _fake_march(monkeypatch, ratio, blown=(None, None)):
+    def grid(at):
+        return gtsys.ReductionResult(M=2, steps=2, h=0.02, grid_v1=np.zeros((3, 3)),
+                                     residual=1.0, blow_up=at is not None, blow_up_at=at)
+
+    monkeypatch.setattr(gtsys, "convergence_ratio",
+                        lambda *args, **kwargs: (ratio, *map(grid, blown)))
+
+
+@pytest.mark.parametrize("ratio,passed", [
+    (3.5, False), (4.5, False), (3.5000001, True), (4.0, True), (4.4999999, True),
+    (2.2, False), (float("nan"), False), (float("inf"), False),
+])
+def test_reduction_order_passes_strictly_inside_3_5_to_4_5(tmp_path, monkeypatch, ratio,
+                                                           passed):
+    _fake_march(monkeypatch, ratio)
+    code, entries = _entries(tmp_path, _GTSYS)
+    order = entries["reduction_order"]
+    assert order["pass"] is passed and order["tolerance"] == 0.5
+    assert order["max_residual"] == (abs(ratio - 4.0) if math.isfinite(ratio) else repr(ratio))
+    assert order["params"]["ratio"] == (ratio if math.isfinite(ratio) else repr(ratio))
+    assert entries["reduction_blow_up"]["pass"]
+    assert code == (0 if passed and entries["gt_compatibility"]["pass"] else 1)
+
+
+@pytest.mark.parametrize("blown", [((1, 0), None), (None, (2, 3)), ((0, 1), (1, 1))])
+def test_a_blown_grid_fails_with_the_ratio_in_band(tmp_path, monkeypatch, blown):
+    _fake_march(monkeypatch, 4.0, blown)
+    code, entries = _entries(tmp_path, _GTSYS)
+    assert code == 1 and entries["reduction_order"]["pass"]
+    blow_up = entries["reduction_blow_up"]
+    assert not blow_up["pass"]
+    assert blow_up["max_residual"] == sum(at is not None for at in blown)
+    assert blow_up["params"] == {
+        "coarse_blow_up_at": blown[0] and list(blown[0]),
+        "fine_blow_up_at": blown[1] and list(blown[1]),
+    }
+
+
+@pytest.mark.parametrize("dimension,passed", [
+    (lambda m: m - 1, False), (lambda m: m, True), (lambda m: 2 * m - 1, True),
+    (lambda m: 2 * m, False),
+], ids=["m-1", "m", "2m-1", "2m"])
+def test_hydro_dimension_passes_from_m_to_2m_minus_1(tmp_path, monkeypatch, dimension,
+                                                     passed):
+    monkeypatch.setattr(hierarchy, "dimension_D",
+                        lambda fam, *args, **kwargs: dimension(fam.m))
+    code, entries = _entries(tmp_path, {"command": "hydro", "structure": "benney", "n": 2,
+                                        "seed": 7})
+    dim = entries["hydro_dimension"]
+    assert dim["params"]["m"] == 2 and dim["params"]["D"] == dimension(2)
+    assert dim["pass"] is passed and dim["max_residual"] == (0 if passed else 1)
+    assert code == (0 if passed else 1)
+
+
+@pytest.mark.parametrize("eigenvalues,passed", [
+    ((0.0, 1.0), False), ((1.0, float("nan")), False), ((float("nan"), 1.0), False),
+    ((-1.0, -0.5), False), ((5e-324, 1.0), True),
+])
+def test_period_positivity_counts_eigenvalues_not_above_0(tmp_path, monkeypatch,
+                                                         eigenvalues, passed):
+    real = hyperell.rauch
+
+    def fake(*args, **kwargs):
+        pd, checks = real(*args, **kwargs)
+        return dataclasses.replace(pd, im_eigenvalues=eigenvalues), checks
+
+    monkeypatch.setattr(hyperell, "rauch", fake)
+    code, entries = _entries(tmp_path, {"command": "rauch", "seed": 1, "moduli": [1.6, 2.8, 4.3]})
+    positivity = entries["period_positivity"]
+    assert positivity["pass"] is passed and positivity["tolerance"] == 0.5
+    assert positivity["max_residual"] == sum(not ev > 0 for ev in eigenvalues)
+    lowest = positivity["params"]["min_eigenvalue"]
+    assert lowest == ("nan" if any(map(math.isnan, eigenvalues)) else min(eigenvalues))
+    assert code == (0 if passed else 1)
 
 
 def test_report_is_byte_deterministic(tmp_path):
@@ -299,7 +431,7 @@ _RAUCH = st.fixed_dictionaries(
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(cfg=_RAUCH)
 def test_rauch_configs_never_raise(tmp_path, cfg):
-    assert run(cfg, str(tmp_path / "fuzz.json")) in (0, 1, 2, 3)
+    _run_fuzz(tmp_path, cfg)
 
 
 # a well-formed verify / potentials / collide config on a rational structure,
@@ -345,7 +477,7 @@ def _rational_configs(draw):
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(cfg=_rational_configs())
 def test_verify_potentials_collide_configs_never_raise(tmp_path, cfg):
-    assert run(cfg, str(tmp_path / "fuzz.json")) in (0, 1, 2, 3)
+    _run_fuzz(tmp_path, cfg)
 
 
 # a well-formed gtsys config on a rational structure, small enough to run in
@@ -386,7 +518,7 @@ def _gtsys_configs(draw):
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(cfg=_gtsys_configs())
 def test_gtsys_configs_never_raise(tmp_path, cfg):
-    assert run(cfg, str(tmp_path / "fuzz.json")) in (0, 1, 2, 3)
+    _run_fuzz(tmp_path, cfg)
 
 
 # a pushforward config on benney, genus0 or genus2, small enough to run in
@@ -407,7 +539,7 @@ _PUSHFORWARD = st.fixed_dictionaries(
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(cfg=_PUSHFORWARD)
 def test_pushforward_configs_never_raise(tmp_path, cfg):
-    assert run(cfg, str(tmp_path / "fuzz.json")) in (0, 1, 2, 3)
+    _run_fuzz(tmp_path, cfg)
 
 
 def test_pushed_genus2_circle_through_non_finite_values_names_its_cause(tmp_path):
@@ -491,4 +623,4 @@ def _hierarchy_configs(draw):
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(cfg=_hierarchy_configs())
 def test_hydro_reconstruct_report_configs_never_raise(tmp_path, cfg):
-    assert run(cfg, str(tmp_path / "fuzz.json")) in (0, 1, 2, 3)
+    _run_fuzz(tmp_path, cfg)

@@ -41,6 +41,20 @@ def test_family_needs_three_potentials():
         PotentialFamily(enh.base, catalog.build_potentials("benney", 2)[:2])
 
 
+@pytest.mark.parametrize("triple, bad", [((0, 1, 3), 3), ((-1, 0, 1), -1)])
+def test_compatibility_tensor_rejects_a_potential_index_out_of_range(triple, bad):
+    fam = _family("benney", 2)
+    with pytest.raises(ConfigError, match=rf"^potential index {bad} out of range$"):
+        compatibility_tensor(fam, *triple, _fiber(fam), [0.5j])
+
+
+def test_dimension_needs_3m_plus_5_z_samples():
+    fam = _family("benney", 2)
+    with pytest.raises(ConfigError, match=r"^need at least 3m \+ 5 z samples for a stable rank$"):
+        dimension_D(fam, 0, 1, 2, _fiber(fam), z_count=3 * fam.m + 4)
+    assert dimension_D(fam, 0, 1, 2, _fiber(fam), z_count=3 * fam.m + 5) == 2
+
+
 def _scalar_sample_z(fam, count, seed, v):
     """sample_z's rule one scalar draw at a time: z is kept when every
     potential's clearance in z is strictly above the separation."""
@@ -507,8 +521,8 @@ def test_hydro_extraction_refuses_potentials_that_ignore_the_fiber():
 
 
 def test_a_vanishing_tensor_has_dimension_zero():
-    # the zero matrix has no leading singular value to scale the rank
-    # threshold by: its rank is 0 on both sample sets
+    # the zero matrix's rank threshold is tol times 0, which no singular
+    # value exceeds: its rank is 0 on both sample sets
     fam = _flat_family()
     assert dimension_D(fam, 0, 1, 2, _fiber(fam)) == 0
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import os
@@ -60,6 +61,18 @@ def test_period_matrix_symmetry_and_positivity():
     assert pd.positive
     assert min(pd.im_eigenvalues) > 0.1  # comfortably positive definite
     assert pd.convergence_error < 1e-10
+
+
+@pytest.mark.parametrize("eigenvalues,nonpositive", [
+    ((0.1, 1.0), 0), ((0.0, 1.0), 1), ((1.0, math.nan), 1), ((math.nan, 1.0), 1),
+    ((-1.0, math.nan), 2),
+])
+def test_positivity_counts_every_eigenvalue_not_above_0(eigenvalues, nonpositive):
+    # a NaN eigenvalue is not positive wherever it stands (min() of a
+    # tuple would keep or drop it by position)
+    pd = dataclasses.replace(periods(MODULI), im_eigenvalues=eigenvalues)
+    assert pd.nonpositive == nonpositive
+    assert pd.positive is (nonpositive == 0)
 
 
 def test_period_matrix_converges_under_node_doubling():
