@@ -20,6 +20,7 @@ import math
 import os
 import sys
 import time
+from json.encoder import encode_basestring
 from typing import Any
 
 import numpy as np
@@ -264,12 +265,10 @@ def _cmd_hydro(cfg):
     fam = hierarchy.PotentialFamily(enh.base, pots, enhanced=enh,
                                     label=ent.name)
     v = tuple(fam.structure.sample(1, seed, 1)[0, 1:].tolist())
-    D = hierarchy.dimension_D(fam, i, j, k, v, z_count=z_count, seed=seed,
-                              svd_tol=svd_tol)
     hs = hierarchy.hydro_coefficients(fam, i, j, k, v, z_count=z_count,
                                       seed=seed, svd_tol=svd_tol,
                                       residual_tol=tol)
-    m = fam.m
+    D, m = hs.D, fam.m
     reports = [
         # how far the integer D lies outside [m, 2m - 1]
         _make_report("hydro_dimension", [max(m - D, D - (2 * m - 1), 0)], 0.5, seed,
@@ -364,31 +363,54 @@ HANDLERS = {
 # ---------------------------------------------------------------------------
 
 
-def _jsonify(obj: Any) -> Any:
-    """Deterministic JSON form: complex -> [re, im], a numpy float or complex
-    -> python's, and a non-finite float (numpy's or a complex part too) ->
-    its repr string.  Handlers hand over ints and lists, never numpy ints
-    or arrays."""
-    if isinstance(obj, (complex, np.complexfloating)):
-        return [_jsonify(float(obj.real)), _jsonify(float(obj.imag))]
-    if isinstance(obj, np.floating):
-        obj = float(obj)
-    if isinstance(obj, dict):
-        return {str(k): _jsonify(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonify(x) for x in obj]
-    if isinstance(obj, float) and not math.isfinite(obj):
-        return repr(obj)
-    return obj
+_CONSTANTS = {None: "null", True: "true", False: "false"}
+
+
+def _encode(obj: Any, indent: str, out: list[str]) -> None:
+    """Append to ``out`` the JSON text of ``obj`` at ``indent``, in one walk, as
+    ``json.dumps(obj, indent=2, ensure_ascii=False, allow_nan=False)`` writes it,
+    with the report's forms: complex -> [re, im], a numpy float or complex ->
+    python's, and a non-finite float (numpy's or a complex part too) -> its
+    repr string.  Handlers hand over ints and lists, never numpy ints or
+    arrays; any other type raises ``TypeError``, as ``json.dumps`` does."""
+    if isinstance(obj, float):
+        text = float.__repr__(obj)
+        out.append(text if math.isfinite(obj) else encode_basestring(text))
+    elif isinstance(obj, str):
+        out.append(encode_basestring(obj))
+    elif isinstance(obj, (list, tuple, dict)):
+        brackets = "{}" if isinstance(obj, dict) else "[]"
+        if not obj:
+            out.append(brackets)
+            return
+        inner, sep = indent + "  ", brackets[0] + "\n"
+        for item in obj.items() if isinstance(obj, dict) else obj:
+            out.append(sep + inner)
+            sep = ",\n"
+            if isinstance(obj, dict):
+                out.append(encode_basestring(str(item[0])) + ": ")
+                item = item[1]
+            _encode(item, inner, out)
+        out.append("\n" + indent + brackets[1])
+    elif obj is None or obj is True or obj is False:
+        out.append(_CONSTANTS[obj])
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
+    elif isinstance(obj, (complex, np.complexfloating)):
+        _encode([float(obj.real), float(obj.imag)], indent, out)
+    elif isinstance(obj, np.floating):
+        _encode(float(obj), indent, out)
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def emit_report(report: dict, path: str, summary: str) -> None:
     """Atomic JSON write plus an adjacent .txt human summary."""
-    payload = json.dumps(_jsonify(report), indent=2, ensure_ascii=False,
-                         allow_nan=False)
+    parts: list[str] = []
+    _encode(report, "", parts)
     tmp = path + ".tmp"
     with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(payload)
+        fh.write("".join(parts))
         fh.write("\n")
     os.replace(tmp, path)
     stem, _ = os.path.splitext(path)

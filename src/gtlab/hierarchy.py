@@ -148,19 +148,28 @@ def dimension_D(
     The rank is recomputed on a doubled sample; a mismatch is reported as
     non-convergence rather than guessed away.
     """
+    return _fit(fam, i, j, k, v, z_count, seed, svd_tol)[2]
+
+
+def _fit(fam, i, j, k, v, z_count, seed, svd_tol) -> tuple[list[complex], np.ndarray, int]:
+    """``dimension_D``'s first sample: its z_count z points at ``seed``, their
+    compatibility tensor and its rank, checked against the rank on 2 z_count
+    points at seed + 1."""
     if z_count < 3 * fam.m + 5:
         raise ConfigError("need at least 3m + 5 z samples for a stable rank")
 
-    def rank(count, s):
-        return _rank(compatibility_tensor(fam, i, j, k, v, fam.sample_z(count, s, v)), svd_tol)
+    def fit(count, s):
+        zs = fam.sample_z(count, s, v)
+        mat = compatibility_tensor(fam, i, j, k, v, zs)
+        return zs, mat, _rank(mat, svd_tol)
 
-    d = rank(z_count, seed)
-    d2 = rank(2 * z_count, seed + 1)
+    first = fit(z_count, seed)
+    d, d2 = first[2], fit(2 * z_count, seed + 1)[2]
     if d != d2:
         raise NonConvergence(
             f"rank unstable under sample doubling: {d} vs {d2}"
         )
-    return d
+    return first
 
 
 @dataclass
@@ -201,16 +210,15 @@ def hydro_coefficients(
 ) -> HydroSystem:
     """Extract the hydrodynamic system of one compatibility triple.
 
-    A pivoted QR over the sampled coefficient functions picks the basis
+    The fit is ``dimension_D``'s first sample, its tensor and its rank D.  A
+    pivoted QR over the sampled coefficient functions picks the basis
     S_1..S_D; least squares gives the expansion of every coefficient
-    function, and the expansion is validated on a held-out half of the z
-    sample before the a, b, c matrices are assembled.
+    function, and the expansion is validated on held-out z points, the next
+    z_count of the fit's seeded stream, before the a, b, c matrices are
+    assembled.
     """
-    zs = fam.sample_z(2 * z_count, seed, v)
-    fit_z, held_z = zs[:z_count], zs[z_count:]
-    mat = compatibility_tensor(fam, i, j, k, v, fit_z)  # (3m, nz)
-    held = compatibility_tensor(fam, i, j, k, v, held_z)
-    D = _rank(mat, svd_tol)
+    fit_z, mat, D = _fit(fam, i, j, k, v, z_count, seed, svd_tol)  # mat: (3m, nz)
+    held = compatibility_tensor(fam, i, j, k, v, fam.sample_z(2 * z_count, seed, v)[z_count:])
     if D == 0:
         raise NonConvergence("compatibility tensor vanishes identically")
     # pivoted QR on the transposed matrix: columns are the 3m functions;

@@ -774,21 +774,19 @@ Box = tuple[float, float, float, float]  # (re_min, re_max, im_min, im_max)
 # ---------------------------------------------------------------------------
 
 
-def _theta_trunc_index(im_p, im_tau, tol: float) -> int:
-    """Symmetric truncation index K with the dropped tail below tol: the largest over all
-    the points of one series, so each column stacked in it gets the window of the widest
-    point of any column; an Im tau not positive, at the point or anywhere in the batch,
-    raises ``InvalidModulus``.
-
-    Term magnitudes are exp(-2 pi (k im_p + k(k-1)/2 im_tau)); beyond the
-    quadratic turnaround they decay faster than a geometric series with
-    ratio exp(-pi im_tau), so bounding the first dropped term suffices.
-    """
-    if not np.all(im_tau > 0):
-        raise InvalidModulus("Im tau must be positive")
-    # turnaround index plus the tail-depth needed for the quadratic decay
-    bound = abs(im_p) / im_tau + 1.0 + np.sqrt(max(-math.log(tol), 1.0) / (math.pi * im_tau))
-    return math.ceil(bound.max()) + 3
+def _theta_window(im_p, im_tau, dp: int, dtau: int) -> int:
+    """The smallest K such that each term |k| > K of every entry (i, j), i <= dp, j <= dtau,
+    is below 2^-64 of its series' largest term at every point.  With k0 = 1/2 - im_p / im_tau
+    a term is exp(-pi im_tau ((k - k0)^2 - k0^2)) and the largest at least exp(pi im_tau (k0^2
+    - 1/4)), and its weight at most (2 pi |k|)^(dp + 2 dtau), so |k| = n >= |k0| + 1/2 drops
+    it when pi im_tau ((n - |k0|)^2 - 1/4) >= 64 ln 2 + (dp + 2 dtau) ln(2 pi n), a condition
+    that once met holds for every larger n.  The least such n over all the points is the
+    fixed point of n -> the ceiling of the largest root of the square, iterated from 1."""
+    a, b, n, last = abs(0.5 - im_p / im_tau), 1 / (math.pi * im_tau), 1, 0
+    while n != last:
+        log_w = 64 * math.log(2) + (dp + 2 * dtau) * math.log(2 * math.pi * n)
+        last, n = n, max(1, math.ceil((a + np.sqrt(0.25 + log_w * b)).max()))
+    return n - 1
 
 
 @functools.lru_cache(maxsize=128)
@@ -817,12 +815,13 @@ def _fail_closed(bad: np.ndarray, error: type, what: str, p, tau) -> None:
                 f"(point {i % n} of {n})")
 
 
-def theta_jet(p, tau, dp: int = 0, dtau: int = 0, tol: float = 1e-12) -> np.ndarray:
+def theta_jet(p, tau, dp: int = 0, dtau: int = 0) -> np.ndarray:
     """Taylor coefficients a[i, j] = d_p^i d_tau^j theta / (i! j!), i <= dp, j <= dtau, of
     theta = sum_k (-1)^k e^{2 pi i (k p + k(k-1) tau / 2)} at the points of the broadcast of
     p and tau, columns of N along its last axis (a number is a column of one): a
     (dp + 1, dtau + 1, *shape) array from one ``np.exp`` over a (points, 2K + 1) grid, K
-    the tail bound's window of the widest point of all the columns widened by 4 (dp + dtau).
+    the ``_theta_window`` of all the columns: every term it drops, weighted for any entry,
+    is below 2^-64 of its point's largest term.
     A non-finite argument raises ``DomainViolation``, Im tau <= 0 ``InvalidModulus`` and a
     series not finite ``OverflowError``: the error of the first point at fault, the columns
     read one after another and each point by point, naming that point by its place in its
@@ -837,8 +836,7 @@ def theta_jet(p, tau, dp: int = 0, dtau: int = 0, tol: float = 1e-12) -> np.ndar
     cut = len(x) if valid.all() else int(np.argmin(valid))
     at_x, at_t = x[:cut], t[:cut]
     if cut:
-        K = _theta_trunc_index(at_x.imag, at_t.imag, tol) + 4 * (dp + dtau)
-        k, half, w = _theta_weights(K, dp, dtau)
+        k, half, w = _theta_weights(_theta_window(at_x.imag, at_t.imag, dp, dtau), dp, dtau)
         with np.errstate(over="ignore", invalid="ignore"):
             a = np.exp(k * (TWO_PI_I * at_x) + half * (TWO_PI_I * at_t)) @ w
         if not np.isfinite(a).all():  # row n of a is point n of the flattened columns
@@ -851,21 +849,20 @@ def theta_jet(p, tau, dp: int = 0, dtau: int = 0, tol: float = 1e-12) -> np.ndar
     return a.T.reshape(dp + 1, dtau + 1, *p.shape)
 
 
-def theta(p: complex, tau: complex, tol: float = 1e-12) -> complex:
+def theta(p: complex, tau: complex) -> complex:
     """The odd theta series at (p, tau)."""
-    return complex(theta_jet(p, tau, 0, 0, tol)[0, 0, 0])
+    return complex(theta_jet(p, tau)[0, 0, 0])
 
 
-def theta_partial(p: complex, tau: complex, dp: int = 0, dtau: int = 0,
-                  tol: float = 1e-12) -> complex:
+def theta_partial(p: complex, tau: complex, dp: int = 0, dtau: int = 0) -> complex:
     """The (dp, dtau) partial derivative of the theta series at (p, tau)."""
-    a = theta_jet(p, tau, dp, dtau, tol)[dp, dtau, 0]
+    a = theta_jet(p, tau, dp, dtau)[dp, dtau, 0]
     return complex(a) * math.factorial(dp) * math.factorial(dtau)
 
 
-def rho(p: complex, tau: complex, tol: float = 1e-12) -> complex:
+def rho(p: complex, tau: complex) -> complex:
     """Logarithmic derivative theta'/theta (derivative in p) at (p, tau)."""
-    a = theta_jet(p, tau, 1, 0, tol)[:, 0, 0]
+    a = theta_jet(p, tau, 1)[:, 0, 0]
     if lattice_distance(p, tau) < 1e-7:
         raise PoleHit("rho evaluated within 1e-7 of a theta zero")
     return complex(a[1] / a[0])

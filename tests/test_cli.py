@@ -16,8 +16,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from gtlab import gtsys, hierarchy, hyperell
-from gtlab.cli import _jsonify, emit_report, main, run, validate_config
+from gtlab import catalog, gtsys, hierarchy, hyperell
+from gtlab.cli import emit_report, main, run, validate_config
+from gtlab.core import verify_potential
 from gtlab.errors import ConfigError
 
 BASE = {"command": "verify", "structure": "benney", "n": 1, "seed": 5,
@@ -272,14 +273,34 @@ def test_a_blown_grid_fails_with_the_ratio_in_band(tmp_path, monkeypatch, blown)
 ], ids=["m-1", "m", "2m-1", "2m"])
 def test_hydro_dimension_passes_from_m_to_2m_minus_1(tmp_path, monkeypatch, dimension,
                                                      passed):
-    monkeypatch.setattr(hierarchy, "dimension_D",
-                        lambda fam, *args, **kwargs: dimension(fam.m))
+    real = hierarchy.hydro_coefficients
+    monkeypatch.setattr(hierarchy, "hydro_coefficients", lambda fam, *args, **kwargs:
+                        dataclasses.replace(real(fam, *args, **kwargs), D=dimension(fam.m)))
     code, entries = _entries(tmp_path, {"command": "hydro", "structure": "benney", "n": 2,
                                         "seed": 7})
     dim = entries["hydro_dimension"]
     assert dim["params"]["m"] == 2 and dim["params"]["D"] == dimension(2)
     assert dim["pass"] is passed and dim["max_residual"] == (0 if passed else 1)
     assert code == (0 if passed else 1)
+
+
+def test_a_hydro_job_builds_three_tensors_and_reports_one_rank(tmp_path, monkeypatch):
+    # the fit sample, its doubling and the held-out points: the fit tensor
+    # and its rank serve both the dimension and the expansion
+    calls = []
+    real = hierarchy.compatibility_tensor
+
+    def counted(fam, i, j, k, v, zs):
+        calls.append(len(zs))
+        return real(fam, i, j, k, v, zs)
+
+    monkeypatch.setattr(hierarchy, "compatibility_tensor", counted)
+    code, out = _run(tmp_path, {"command": "hydro", "structure": "benney", "n": 2, "seed": 7})
+    body = json.loads(out.read_text())
+    assert code == 0 and calls == [40, 80, 40]
+    entries = {entry["identity"]: entry for entry in body["reports"]}
+    assert (body["extras"]["D"] == entries["hydro_dimension"]["params"]["D"]
+            == entries["hydro_expansion"]["params"]["D"] == 2)
 
 
 @pytest.mark.parametrize("eigenvalues,passed", [
@@ -338,15 +359,59 @@ def test_non_finite_values_serialize_as_strings(tmp_path):
     nan = float("nan")
     body = {"a": np.float64(nan), "b": complex(nan, 0.0), "c": float("inf"),
             "d": np.complex64(complex(1.0, -np.inf))}
-    assert _jsonify(body) == {"a": "nan", "b": ["nan", 0.0], "c": "inf",
-                              "d": [1.0, "-inf"]}
     out = tmp_path / "nan.json"
     emit_report(body, str(out), "")
 
     def reject(token):
         raise ValueError(f"bare {token} in report")
 
-    assert json.loads(out.read_text(), parse_constant=reject)["a"] == "nan"
+    assert json.loads(out.read_text(), parse_constant=reject) == {
+        "a": "nan", "b": ["nan", 0.0], "c": "inf", "d": [1.0, "-inf"]}
+
+
+def _reference_form(obj):
+    """The report's JSON form built apart, for ``json.dumps``: complex -> [re, im],
+    numpy floats -> python's, non-finite floats -> their repr strings."""
+    if isinstance(obj, (complex, np.complexfloating)):
+        return [_reference_form(float(obj.real)), _reference_form(float(obj.imag))]
+    if isinstance(obj, np.floating):
+        obj = float(obj)
+    if isinstance(obj, dict):
+        return {str(key): _reference_form(val) for key, val in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_reference_form(x) for x in obj]
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return repr(obj)
+    return obj
+
+
+def test_a_report_is_written_as_json_dumps_writes_its_form(tmp_path):
+    # one walk writes every leaf kind a report holds, byte for byte as
+    # json.dumps writes the report's form
+    inf, nan = float("inf"), float("nan")
+    body = {
+        "complex": [1.5 - 2j, complex(inf, nan), complex(-inf, 0.0), np.complex128(0.1 + 1e-300j),
+                    np.complex64(complex(nan, -inf))],
+        "floats": [0.1, -0.0, 1e300, 5e-324, np.float64(2.5e-17), np.float32(0.1), inf, -inf,
+                   nan, np.float64(-inf), np.float64(nan)],
+        "other": [0, -7, 2**70, True, False, None, "", "plain", "quote \" \\ \n\t\x01",
+                  "τ = 0.3+1.1i, ∂ρ", "\u2028 \U0001f600"],
+        "empty": [[], {}, (), [[]], {"x": {}}],
+        "nested": {"a": [{"b": (1, [2.0, {"c": []}])}], "": {"d": [[1j]]}},
+        "keys": {1: "int key", 2.5: "float key", None: "none key", "ü": "text"},
+    }
+    out = tmp_path / "leaves.json"
+    emit_report(body, str(out), "")
+    want = json.dumps(_reference_form(body), indent=2, ensure_ascii=False, allow_nan=False)
+    assert out.read_text(encoding="utf-8") == want + "\n"
+
+
+@pytest.mark.parametrize("leaf", [np.int64(3), np.array([1.0]), np.bool_(True), object()])
+def test_a_leaf_json_cannot_write_raises_type_error(tmp_path, leaf):
+    with pytest.raises(TypeError, match="is not JSON serializable"):
+        emit_report({"x": [leaf]}, str(tmp_path / "bad.json"), "")
+    with pytest.raises(TypeError, match="is not JSON serializable"):
+        json.dumps(_reference_form({"x": [leaf]}))
 
 
 def test_numeric_failure_exits_1_with_report(tmp_path):
@@ -391,6 +456,11 @@ def test_a_seed_over_a_config_that_is_no_object_exits_2(tmp_path, capsys):
 @pytest.mark.parametrize("cfg,reason", [
     ([BASE], "config must be a JSON object"),
     ({**BASE, "out": 5}, "out must be a path string"),
+    ({"command": "rauch", "seed": 1, "moduli": [1.5, 2.9]}, "moduli must be three real numbers"),
+    ({"command": "rauch", "seed": 1, "moduli": [1.5, 2.9, "4.1"]},
+     "moduli must be three real numbers"),
+    ({"command": "collide", "structure": "genus0", "n": 3, "seed": 1, "groups": [[0, 1], [1, 2]]},
+     "collision groups must be disjoint"),
 ])
 def test_config_guards_name_their_reason(tmp_path, capsys, cfg, reason):
     with pytest.raises(ConfigError, match=f"^{reason}$"):
@@ -398,6 +468,30 @@ def test_config_guards_name_their_reason(tmp_path, capsys, cfg, reason):
     assert run(cfg, str(tmp_path / "r.json")) == 2
     assert capsys.readouterr().err == f"config error: {reason}\n"
     assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize("command", ["potentials", "hydro", "reconstruct"])
+def test_a_structure_without_an_enhancement_exits_2(tmp_path, capsys, command):
+    # genus2 validates, and its handler refuses it before any work
+    cfg = {"command": command, "structure": "genus2", "seed": 1}
+    assert validate_config(dict(cfg)) == cfg
+    assert run(cfg, str(tmp_path / "r.json")) == 2
+    assert capsys.readouterr().err == "config error: genus2 has no enhancement in the catalog\n"
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_potentials_verifies_each_catalog_potential_at_its_own_seed(tmp_path):
+    # one entry per potential of the enhanced structure, potential idx at seed + idx
+    code, out = _run(tmp_path, {"command": "potentials", "structure": "benney", "n": 2,
+                                "seed": 3, "samples": 5, "tol": 1e-9})
+    body = json.loads(out.read_text())
+    assert code == 0 and body["extras"] == {}
+    enh = catalog.CATALOG["benney"].build_enhanced(2)
+    want = [verify_potential(enh, pot, 5, 3 + idx, 1e-9)
+            for idx, pot in enumerate(catalog.build_potentials("benney", 2))]
+    assert [(e["identity"], e["samples"], e["max_residual"], e["tolerance"])
+            for e in body["reports"]] == [
+        (r.identity, 5, r.max_residual, 1e-9) for r in want]
 
 
 # ---------------------------------------------------------------------------

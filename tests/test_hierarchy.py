@@ -512,6 +512,14 @@ def _flat_family():
     return PotentialFamily(fam.structure, [Potential(h) for h in flat], label="flat")
 
 
+def test_hydro_extraction_refuses_an_expansion_residual_above_its_tolerance():
+    # the held-out points' residual, about 1e-15 here, is above a tolerance of 1e-300
+    fam = _family("benney", 2)
+    with pytest.raises(NonConvergence, match=r"^basis expansion residual \S+ above 1\.0e-300$"):
+        hydro_coefficients(fam, 0, 1, 2, _fiber(fam), residual_tol=1e-300)
+    assert hydro_coefficients(fam, 0, 1, 2, _fiber(fam)).expansion_residual < 1e-8
+
+
 def test_hydro_extraction_refuses_potentials_that_ignore_the_fiber():
     # no compatibility function survives, so there is no basis to pick
     fam = _flat_family()

@@ -822,9 +822,9 @@ def test_log_theta_tau_partials_match_mpmath_jet(dtau):
         assert complex(log_theta_partial(z, TAU, 0, dtau)) == pytest.approx(oracle, rel=1e-10)
 
 
-def _scalar_theta_partial(p, tau, dp, dtau, tol=1e-12):
-    """The term-by-term loop theta_jet replaced, kept as its reference."""
-    K = kernel._theta_trunc_index(p.imag, tau.imag, tol) + 4 * (dp + dtau)
+def _scalar_theta_partial(p, tau, dp, dtau, K=30):
+    """The term-by-term loop theta_jet replaced, kept as its reference, over a fixed window
+    far wider than any the kernel takes at these points."""
     total = 0j
     for k in range(-K, K + 1):
         term = (-1) ** (k & 1) * cmath.exp(2j * math.pi * (k * p + 0.5 * k * (k - 1) * tau))
@@ -845,6 +845,78 @@ def test_theta_jet_matches_the_scalar_series(dp, dtau):
                 assert abs(a[i][j] - ref) <= 1e-12 * abs(ref)
         assert theta_partial(z, TAU, dp, dtau) == pytest.approx(
             _scalar_theta_partial(z, TAU, dp, dtau), rel=1e-12)
+
+
+def _log_terms(im_p, im_tau, k):
+    """log |e^{2 pi i (k p + k(k-1) tau / 2)}| of the theta series' terms k."""
+    return -2 * math.pi * (k * im_p + 0.5 * k * (k - 1) * im_tau)
+
+
+def _window_condition(im_p, im_tau, dp, dtau, n, bits=64):
+    """The kernel's stated test that |k| = n drops a term of every entry of the rectangle
+    (below 2^-bits of the point's largest term)."""
+    a = abs(0.5 - im_p / im_tau)
+    return n >= a + 0.5 and math.pi * im_tau * ((n - a) ** 2 - 0.25) >= (
+        bits * math.log(2) + (dp + 2 * dtau) * math.log(2 * math.pi * n))
+
+
+WINDOW_TAUS = [0.05, 0.3, 1.0, 3.0]
+WINDOW_ORDERS = [(0, 0), (1, 0), (0, 1), (2, 1), (3, 2), (6, 0), (0, 3), (6, 3)]
+
+
+@pytest.mark.parametrize("dp, dtau", WINDOW_ORDERS)
+def test_every_term_outside_the_window_is_below_2_to_the_minus_64(dp, dtau):
+    # brute force over k: at every point of a column, each term just outside
+    # the window, times its largest derivative weight over the rectangle, is
+    # below 2^-64 of the point's largest term, and so are the terms beyond
+    k = np.arange(-400, 401)
+    for im_tau in WINDOW_TAUS:
+        # on the real axis, halfway, and on either side of |Im p| = Im tau
+        im_p = im_tau * np.array([0.0, 0.5, -0.5, 0.98, -0.98, 1.02, -1.02, 1.0, -1.0])
+        K = kernel._theta_window(im_p[:, None], np.full((len(im_p), 1), im_tau), dp, dtau)
+        for y in im_p:
+            logs = _log_terms(y, im_tau, k)
+            outside = np.abs(k) > K
+            far = k[outside]
+            weights = np.max([i * np.log(2 * math.pi * np.abs(far))
+                              + (j and j * np.log(math.pi * np.abs(far * (far - 1))))
+                              for i in range(dp + 1) for j in range(dtau + 1)], axis=0)
+            assert (logs[outside] + weights <= logs.max() - 64 * math.log(2)).all(), (y, K)
+        # and no narrower window meets the condition at every point
+        assert K == 0 or not all(_window_condition(y, im_tau, dp, dtau, K) for y in im_p)
+        # a column's window is its widest point's
+        assert K == max(kernel._theta_window(np.array([[y]]), np.array([[im_tau]]), dp, dtau)
+                        for y in im_p)
+
+
+def _mp_theta_entry(p, tau, i, j, K=80):
+    """a[i, j] of the theta series summed term by term in mpmath over |k| <= K."""
+    with mp.workdps(40):
+        p, tau = mp.mpc(p), mp.mpc(tau)
+        total = mp.fsum((-1) ** k * (2j * mp.pi * k) ** i * (1j * mp.pi * k * (k - 1)) ** j
+                        * mp.exp(2j * mp.pi * (k * p + k * (k - 1) * tau / 2))
+                        for k in range(-K, K + 1))
+        return complex(total) / (math.factorial(i) * math.factorial(j))
+
+
+@pytest.mark.parametrize("dp, dtau", [(3, 2), (6, 3)])
+def test_a_window_without_the_derivative_weights_misses_the_oracle(dp, dtau):
+    # the window cut where the bare terms fall below 2^-40 of the largest,
+    # with no allowance for the derivative weights, drops terms that the
+    # weights lift into the sum: it misses the mpmath series by more than
+    # 1e-10 of an entry, where the kernel's window meets it to 1e-14
+    p, tau = 0.1 + 0.05j, 0.3 + 0.3j
+    bare = 0
+    while not _window_condition(p.imag, tau.imag, 0, 0, bare + 1, bits=40):
+        bare += 1
+    k, half, w = kernel._theta_weights(bare, dp, dtau)
+    cut = (np.exp(k * (2j * math.pi * p) + half * (2j * math.pi * tau)) @ w).reshape(dp + 1,
+                                                                                    dtau + 1)
+    a = theta_jet(p, tau, dp, dtau)[..., 0]
+    oracle = np.array([[_mp_theta_entry(p, tau, i, j) for j in range(dtau + 1)]
+                       for i in range(dp + 1)])
+    assert np.max(np.abs(cut - oracle) / np.abs(oracle)) > 1e-10
+    assert np.max(np.abs(a - oracle) / np.abs(oracle)) < 1e-14
 
 
 def test_theta_weights_are_cached_read_only():
@@ -886,13 +958,9 @@ def test_a_real_modulus_is_invalid_at_a_point_and_in_a_batch():
     tau = 0.3 + 0j
     with pytest.raises(InvalidModulus):
         theta_jet(0.1 + 0.2j, tau, 1, 0)
-    with pytest.raises(InvalidModulus):
-        kernel._theta_trunc_index(0.2, tau.imag, 1e-12)
     ps, taus = _with_bad_point(3, tau=tau)
     with pytest.raises(InvalidModulus, match=r"\(point 3 of 8\)"):
         theta_jet(ps, taus, 1, 0)
-    with pytest.raises(InvalidModulus):
-        kernel._theta_trunc_index(ps.imag, taus.imag, 1e-12)
 
 
 # a batch: eight points with their own moduli; the point far off the real
@@ -975,7 +1043,7 @@ def test_a_batched_log_jet_fails_closed_on_a_vanishing_point(index):
         log_jet(a, BATCH_P, BATCH_TAU)
 
 
-def _vanishing_jet(p, tau, dp=0, dtau=0, tol=1e-12):
+def _vanishing_jet(p, tau, dp=0, dtau=0):
     return np.zeros((dp + 1, dtau + 1, np.size(p)), dtype=complex)
 
 
