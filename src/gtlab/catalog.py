@@ -17,7 +17,8 @@ slots.  One function, its ``partial_fn``, answers a placed evaluator's jet
 requests, the value included, on a tuple of numpy argument columns of N
 points (a point is a column of one), as every evaluator's does; the theta
 kernels read every multi-index asked from one log-theta rectangle over
-their two argument columns stacked, one theta series per call.  genus2's f,
+their two argument columns stacked, one theta series per call, and one per
+``kernel.jets`` call for all the placements it asks.  genus2's f,
 built on square roots, is its own evaluator: its partials of total order
 <= 2 are closed form too, one jet per batch from one log-derivative pass
 over the linear factors of its numerator's two terms and its denominator,
@@ -39,6 +40,7 @@ from .core import EnhancedGT, GTStructure, Potential
 from .errors import ConfigError
 from .kernel import (
     TWO_PI_I,
+    Batch,
     Diagonal,
     Domain,
     Exclusion,
@@ -69,22 +71,26 @@ def place(kernel: Kernel, arity: int, slots: Sequence[int], label: str = "") -> 
     """The kernel as an evaluator of ``arity`` arguments, its variables read
     from ``slots``; the function is constant in every other slot.  One
     ``partial_fn`` answers every multi-index, the value included, at N
-    points given as a tuple of argument columns."""
+    points given as a tuple of argument columns: a kernel with a ``batch``
+    is a ``pool.Batch``, which is also the evaluator's ``pool``, so
+    ``kernel.jets`` answers every placement of it that one call asks from
+    one batch call."""
     slots = tuple(slots)
     pick = itemgetter(*slots) if len(slots) > 1 else lambda xs: (xs[slots[0]],)
 
     def fn(*args):
         return kernel.value(*pick(args))
 
+    domain = Domain(kernel.loci).remap(slots)
+    if kernel.batch is not None:
+        batch = Batch(kernel.batch, pick)
+        return JetEvaluator(arity, fn, domain=domain, partial_fn=batch, label=label,
+                            pool=(batch,))
+
     def partial_fn(args, multis):
         """The kernel's value or partial for the multi-indices within its
         slots, 0 for a partial in any other slot."""
         xs = pick(args)
-        if kernel.batch is not None:
-            orders = [pick(multi) for multi in multis]
-            live = [sum(o) == sum(multi) for o, multi in zip(orders, multis)]
-            vals = iter(kernel.batch(xs, [o for o, ok in zip(orders, live) if ok]))
-            return [next(vals) if ok else 0.0 + 0.0j for ok in live]
         out = []  # one order at a time: batch lists cost rational wall_s 8-10%
         for multi in multis:
             orders = pick(multi)
@@ -93,13 +99,13 @@ def place(kernel: Kernel, arity: int, slots: Sequence[int], label: str = "") -> 
                        kernel.partial(xs, orders) if total else kernel.value(*xs))
         return out
 
-    return JetEvaluator(arity, fn, domain=Domain(kernel.loci).remap(slots),
-                        partial_fn=partial_fn, label=label)
+    return JetEvaluator(arity, fn, domain=domain, partial_fn=partial_fn, label=label)
 
 
 def _difference(a: JetEvaluator, b: JetEvaluator, label: str = "") -> JetEvaluator:
     """a - b for placed kernels a and b: one ``partial_fn`` subtracting
-    theirs answers a tuple of argument columns."""
+    theirs answers a tuple of argument columns.  Its ``pool``, when either
+    has one, is their parts, so ``kernel.jets`` joins it through them."""
 
     def fn(*args):
         return a.fn(*args) - b.fn(*args)
@@ -107,8 +113,9 @@ def _difference(a: JetEvaluator, b: JetEvaluator, label: str = "") -> JetEvaluat
     def partial_fn(args, multis):
         return [x - y for x, y in zip(a.partial_fn(args, multis), b.partial_fn(args, multis))]
 
+    pool = (*(a.pool or (a,)), *(b.pool or (b,))) if a.pool or b.pool else None
     return JetEvaluator(a.arity, fn, domain=a.domain.merged(b.domain), partial_fn=partial_fn,
-                        label=label)
+                        label=label, pool=pool)
 
 
 def _pole_partial(d: complex, k: int, r: int) -> complex:
@@ -154,8 +161,6 @@ def _theta_difference(shift: int, second: int, loci: tuple[Exclusion, ...]) -> K
     one after the other, naming the point by its place in the caller's column."""
 
     def batch(xs, orders):
-        if not orders:
-            return []
         p, u, tau = xs
         at_y = [(o[second] + shift, o[2]) for o in orders if o[1 - second] == 0]
         cols = [p - u, xs[second]] if at_y else [p - u]

@@ -9,8 +9,9 @@ A structure with fiber dimension m carries m vector-field components
 g_i(p, v) and a two-point function f(p1, p2, v) with a normalized simple
 pole on the diagonal.  All verification is by dense seeded sampling: the
 in-scope functions are meromorphic, so vanishing at many generic points is
-the practical test.  A check asks each evaluator's ``partials`` or ``value``
-once per jet, on argument columns cut from the sample array (``_rows``).
+the practical test.  A check asks each evaluator once per jet, on argument
+columns cut from the sample array (``_rows``), every jet in one
+``kernel.jets`` call (the residue circles apart).
 
 The transforms build their evaluators from the evaluators they transform,
 and answer first partials by the chain rule through the ingredients' own
@@ -27,7 +28,7 @@ import functools
 import math
 from dataclasses import dataclass, field
 from itertools import combinations, product
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -47,6 +48,7 @@ from .kernel import (
     SplitMix64,
     _circle_coeff,
     admitted,
+    jets,
     multi_index,
     path_integrate,
 )
@@ -173,13 +175,9 @@ class GTStructure:
             v = list(range(n_p, n_p + self.m))
             calls = [(gi, [a, *v]) for a in range(n_p) for gi in self.g]
             calls += [(self.f, [a, b, *v]) for a, b in product(range(n_p), repeat=2) if a != b]
-            loci = []
-            for e, mapping in calls:
-                for ex in e.domain.remap(mapping).exclusions:
-                    if isinstance(ex, Diagonal) and max(ex.slots) < n_p:
-                        continue
-                    if not _declared(ex, loci):
-                        loci.append(ex)
+            loci = _undeclared(ex for e, mapping in calls
+                               for ex in e.domain.remap(mapping).exclusions
+                               if not (isinstance(ex, Diagonal) and max(ex.slots) < n_p))
             if len(_LOCI) == 63:  # a pushed structure's maps are new every time
                 del _LOCI[next(iter(_LOCI))]
         _LOCI[key] = tuple(loci)  # a tuple's tuple is itself
@@ -302,10 +300,10 @@ def verify_bracket(s: GTStructure, samples: int = 100, seed: int = 2,
     # g1[i] = (g_i, d_p g_i, d_{v_1} g_i, ...) at p1, g2[i] at p2; f12_d2
     # is f's partial in its second slot at (p1, p2), and so on
     g_at = _rows(s, pts, (0,), (1,))
-    g1, g2 = zip(*(np.split(gi.partials(g_at, _jet(1 + m, *range(1 + m))), 2, axis=1)
-                   for gi in s.g))
-    (f12, f12_d2), (f21, f21_d2) = np.split(
-        s.f.partials(_rows(s, pts, (0, 1), (1, 0)), _jet(2 + m, 1)), 2, axis=1)
+    *g, f = jets([(gi, g_at, _jet(1 + m, *range(1 + m))) for gi in s.g]
+                 + [(s.f, _rows(s, pts, (0, 1), (1, 0)), _jet(2 + m, 1))])
+    g1, g2 = zip(*(np.split(gi, 2, axis=1) for gi in g))
+    (f12, f12_d2), (f21, f21_d2) = np.split(f, 2, axis=1)
     residuals = []
     for i in range(m):
         bracket = 0.0 + 0.0j
@@ -323,17 +321,19 @@ def verify_bracket(s: GTStructure, samples: int = 100, seed: int = 2,
 
 def verify_cocycle(s: GTStructure, samples: int = 100, seed: int = 3,
                    tol: float = 1e-8) -> VerificationReport:
-    """Cocycle identity at every sample (p1, p2, p3, v): f asked once for
-    its full jet at (p1, p3) and (p2, p3), once for its value and p2
-    partial at (p1, p2) and (p2, p1), each g_j once for values at p1 and
-    p2."""
+    """Cocycle identity at every sample (p1, p2, p3, v): f asked for its
+    full jet at (p1, p3) and (p2, p3), for its value and p2 partial at
+    (p1, p2) and (p2, p1), each g_j for values at p1 and p2, all in one
+    ``jets`` call."""
     m = s.m
     pts = s.sample(samples, seed, 3)
-    f13, f23 = np.split(s.f.partials(_rows(s, pts, (0, 2), (1, 2)), _jet(2 + m, *range(2 + m))),
-                        2, axis=1)
-    (f12, f12_d2), (f21, f21_d2) = np.split(
-        s.f.partials(_rows(s, pts, (0, 1), (1, 0)), _jet(2 + m, 1)), 2, axis=1)
-    g1, g2 = np.split(_values(s.g, _rows(s, pts, (0,), (1,))), 2, axis=1)
+    g_at, value = _rows(s, pts, (0,), (1,)), [multi_index(1 + m)]
+    f_full, f_d2, *g = jets([(s.f, _rows(s, pts, (0, 2), (1, 2)), _jet(2 + m, *range(2 + m))),
+                             (s.f, _rows(s, pts, (0, 1), (1, 0)), _jet(2 + m, 1))]
+                            + [(gi, g_at, value) for gi in s.g])
+    f13, f23 = np.split(f_full, 2, axis=1)
+    (f12, f12_d2), (f21, f21_d2) = np.split(f_d2, 2, axis=1)
+    g1, g2 = np.split(np.concatenate(g), 2, axis=1)
     lhs = apply_field(g2, f13[3:]) - apply_field(g1, f23[3:])
     rhs = (
         f12 * f23[1]
@@ -349,21 +349,24 @@ def verify_cocycle(s: GTStructure, samples: int = 100, seed: int = 3,
 def verify_lambda(e: EnhancedGT, samples: int = 100, seed: int = 4,
                   tol: float = 1e-8, nodes: int = 64) -> VerificationReport:
     """Functional identity for lambda, plus its diagonal residue = 1.
-    Each evaluator is asked once per jet over the sample set: lambda for
-    its full jet at every (p2, p3), its p2 partial at every (p2, p1), its
-    value at every (p1, p3) and its residue circles; f for its value and
-    p2 partial at every (p1, p2) and its value at every (p1, p3); each g_j
-    for values at p1."""
+    Each evaluator is asked once per jet over the sample set, every jet
+    in one ``jets`` call: lambda for its full jet at every (p2, p3), its
+    p2 partial at every (p2, p1) and its value at every (p1, p3); f for
+    its value and p2 partial at every (p1, p2) and its value at every
+    (p1, p3); each g_j for values at p1.  The residue circles are a
+    second call."""
     s = e.base
     lam = e.lam
     m = s.m
     pts = s.sample(samples, seed, 3)
-    d2 = _jet(2 + m, 1)
-    lam23 = lam.partials(_rows(s, pts, (1, 2)), _jet(2 + m, *range(2 + m)))
-    [lam21_d2] = lam.partials(_rows(s, pts, (1, 0)), d2[1:])
-    f12, f12_d2 = s.f.partials(_rows(s, pts, (0, 1)), d2)
-    lam13, f13 = _values((lam, s.f), _rows(s, pts, (0, 2)))
-    lhs = apply_field(_values(s.g, _rows(s, pts, (0,))), lam23[3:])
+    d2, at13, value = _jet(2 + m, 1), _rows(s, pts, (0, 2)), [multi_index(2 + m)]
+    g_at = _rows(s, pts, (0,))
+    lam23, [lam21_d2], (f12, f12_d2), [lam13], [f13], *g = jets(
+        [(lam, _rows(s, pts, (1, 2)), _jet(2 + m, *range(2 + m))),
+         (lam, _rows(s, pts, (1, 0)), d2[1:]), (s.f, _rows(s, pts, (0, 1)), d2),
+         (lam, at13, value), (s.f, at13, value)]
+        + [(gi, g_at, [multi_index(1 + m)]) for gi in s.g])
+    lhs = apply_field(np.concatenate(g), lam23[3:])
     rhs = lam13 * lam21_d2 - lam23[0] * f12_d2 - f12 * lam23[1] - f13 * lam23[2]
     # diagonal residue check on a handful of pairs
     [res] = _residues(lam, s, s.sample(min(samples, 10), seed + 1, 2), nodes, (-1,))
@@ -373,18 +376,21 @@ def verify_lambda(e: EnhancedGT, samples: int = 100, seed: int = 4,
 
 def verify_potential(e: EnhancedGT, pot: Potential, samples: int = 100,
                      seed: int = 5, tol: float = 1e-8) -> VerificationReport:
-    """Potential identity at every sample (p1, p2, v): h asked once for
-    its first partials at every p2 and once for its p partial at every
-    p1, lambda and f once for values at every (p1, p2), each g_j once for
+    """Potential identity at every sample (p1, p2, v), from one ``jets``
+    call: h for its first partials at every p2 and for its p partial at
+    every p1, lambda and f for values at every (p1, p2), each g_j for
     values at p1."""
     s = e.base
     h = pot.h
     m = s.m
     pts = s.sample(samples, seed, 2)
-    h2 = h.partials(_rows(s, pts, (1,)), _jet(1 + m, *range(1 + m))[1:])
-    [h1_dp] = h.partials(_rows(s, pts, (0,)), [multi_index(1 + m, 0)])
-    lam12, f12 = _values((e.lam, s.f), _rows(s, pts, (0, 1)))
-    lhs = apply_field(_values(s.g, _rows(s, pts, (0,))), h2[1:])
+    at1, at12 = _rows(s, pts, (0,)), _rows(s, pts, (0, 1))
+    h2, [h1_dp], [lam12], [f12], *g = jets(
+        [(h, _rows(s, pts, (1,)), _jet(1 + m, *range(1 + m))[1:]),
+         (h, at1, [multi_index(1 + m, 0)]),
+         (e.lam, at12, [multi_index(2 + m)]), (s.f, at12, [multi_index(2 + m)])]
+        + [(gi, at1, [multi_index(1 + m)]) for gi in s.g])
+    lhs = apply_field(np.concatenate(g), h2[1:])
     rhs = lam12 * h1_dp - f12 * h2[0]
     return _make_report(
         f"potential:{pot.label}", abs(lhs - rhs), tol, seed, structure=s.label
@@ -662,21 +668,31 @@ def collide_enhanced(e: EnhancedGT, groups: Sequence[Sequence[int]]) -> Enhanced
     return EnhancedGT(base, lam)
 
 
-def _declared(locus: Exclusion, loci: Sequence[Exclusion]) -> bool:
-    """Whether one of ``loci`` already bounds what ``locus`` would: an equal
-    locus (a diagonal, or lattice points of a difference, in either slot
-    order: the lattice is symmetric under z -> -z), or fixed points in its
-    slot over a superset of its points."""
-    if isinstance(locus, Diagonal):
-        return any(isinstance(e, Diagonal) and sorted(e.slots) == sorted(locus.slots)
-                   for e in loci)
-    if isinstance(locus, LatticePoints):
-        return any(isinstance(e, LatticePoints) and e.tau_slot == locus.tau_slot
-                   and {e.i, e.j} == {locus.i, locus.j} for e in loci)
-    if isinstance(locus, FixedPoints):
-        return any(isinstance(e, FixedPoints) and e.slots == locus.slots
-                   and set(locus.points) <= set(e.points) for e in loci)
-    return any(type(e) is type(locus) and vars(e) == vars(locus) for e in loci)
+def _undeclared(loci: Iterable[Exclusion], declared: Sequence[Exclusion] = ()) -> list:
+    """The loci, in order, that neither ``declared`` nor an earlier one of them
+    already bounds, in one pass: a locus is bounded by an equal one (a
+    diagonal, or lattice points of a difference, in either slot order: the
+    lattice is symmetric under z -> -z; any other kind by its fields, a
+    pulled-back locus by identity), fixed points by fixed points in their
+    slot over a superset of their points."""
+    seen: set = set()
+    fixed: dict[tuple, list[set]] = {}  # slots -> the point sets kept there
+    out = []
+    for k, ex in enumerate((*declared, *loci)):
+        if isinstance(ex, FixedPoints):
+            points, kept = set(ex.points), fixed.setdefault(ex.slots, [])
+            new = not any(points <= other for other in kept)
+            if new:
+                kept.append(points)
+        else:
+            key = ((Diagonal, tuple(sorted(ex.slots))) if isinstance(ex, Diagonal) else
+                   (LatticePoints, ex.tau_slot, frozenset((ex.i, ex.j)))
+                   if isinstance(ex, LatticePoints) else (type(ex), *vars(ex).items()))
+            new = key not in seen
+            seen.add(key)
+        if new and k >= len(declared):
+            out.append(ex)
+    return out
 
 
 class _Composed(JetEvaluator):
@@ -831,11 +847,9 @@ def pushforward(s: GTStructure, c: CoordinateChange) -> GTStructure:
             0.0 if t2 is None else K * d2[mi(0, t2)] / P2)
         return dK * B + K * dB
 
-    g_loci: list[Exclusion] = []
-    for g in s.g:
-        for ex in g.domain.remap([0, *range(2, 2 + m)]).exclusions:
-            if not _declared(ex, s.f.domain.exclusions + tuple(g_loci)):
-                g_loci.append(ex)
+    g_loci = _undeclared([ex for g in s.g
+                          for ex in g.domain.remap([0, *range(2, 2 + m)]).exclusions],
+                         s.f.domain.exclusions)
     return GTStructure(
         m=m,
         g=[_Composed(s.g[i], g_image, g_map, g_outer, g_first(i), 1 + m,

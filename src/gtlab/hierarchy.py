@@ -39,7 +39,7 @@ from .core import (
     apply_field,
 )
 from .errors import ConfigError, DomainViolation, NonConvergence, SamplingExhausted
-from .kernel import Box, SplitMix64, admitted, multi_index
+from .kernel import Box, SplitMix64, admitted, jets, multi_index
 
 
 def _rank(mat: np.ndarray, tol: float) -> int:
@@ -78,11 +78,15 @@ class PotentialFamily:
     def m(self) -> int:
         return self.structure.m
 
+    def h_request(self, i: int, at: tuple) -> tuple:
+        """The ``jets`` request for h_i' and h_{i, v_1}, ..., h_{i, v_m} on the
+        argument columns ``at`` of points (z, v)."""
+        return self.potentials[i].h, at, [multi_index(1 + self.m, t) for t in range(1 + self.m)]
+
     def h_jet(self, i: int, at: tuple) -> np.ndarray:
-        """h_i' and h_{i, v_1}, ..., h_{i, v_m} on the argument columns ``at``
-        of points (z, v), one row each, in one call."""
-        return self.potentials[i].h.partials(
-            at, [multi_index(1 + self.m, t) for t in range(1 + self.m)])
+        """``h_request``'s rows, one each, in one call."""
+        h, at, multis = self.h_request(i, at)
+        return h.partials(at, multis)
 
     def sample_z(self, count: int, seed: int, v: Sequence[complex]) -> list[complex]:
         """Seeded z points inside z_box clearing every potential's poles by
@@ -116,7 +120,8 @@ def compatibility_tensor(
 
     Row layout: l-th row of block 0 multiplies dv_l/dt_k, block 1 (rows
     m..2m-1) multiplies dv_l/dt_i, block 2 multiplies dv_l/dt_j.  Each of
-    h_i, h_j and h_k is asked once for its first partials at every z.
+    h_i, h_j and h_k is asked for its first partials at every z, all three
+    in one ``jets`` call.
     """
     if len({i, j, k}) != 3:
         raise ConfigError("indices i, j, k must be pairwise distinct")
@@ -124,11 +129,11 @@ def compatibility_tensor(
         if not 0 <= idx < fam.N:
             raise ConfigError(f"potential index {idx} out of range")
     at = _rows(fam.structure, np.column_stack([z_points, [v] * len(z_points)]), (0,))
-    jets = {idx: fam.h_jet(idx, at) for idx in (i, j, k)}
+    jet = dict(zip((i, j, k), jets([fam.h_request(idx, at) for idx in (i, j, k)])))
 
     def block(a, b):
         """h_a' h_{b, v_l} - h_b' h_{a, v_l}, one row per l."""
-        return jets[a][0] * jets[b][1:] - jets[b][0] * jets[a][1:]
+        return jet[a][0] * jet[b][1:] - jet[b][0] * jet[a][1:]
 
     return np.vstack([block(i, j), block(j, k), block(k, i)])
 
@@ -151,25 +156,24 @@ def dimension_D(
     return _fit(fam, i, j, k, v, z_count, seed, svd_tol)[2]
 
 
-def _fit(fam, i, j, k, v, z_count, seed, svd_tol) -> tuple[list[complex], np.ndarray, int]:
+def _fit(fam, i, j, k, v, z_count, seed, svd_tol,
+         held: int = 0) -> tuple[list[complex], np.ndarray, int, list[complex]]:
     """``dimension_D``'s first sample: its z_count z points at ``seed``, their
     compatibility tensor and its rank, checked against the rank on 2 z_count
-    points at seed + 1."""
+    points at seed + 1; and the next ``held`` z points of the stream at
+    ``seed``, drawn with the first z_count in one ``sample_z`` call."""
     if z_count < 3 * fam.m + 5:
         raise ConfigError("need at least 3m + 5 z samples for a stable rank")
-
-    def fit(count, s):
-        zs = fam.sample_z(count, s, v)
-        mat = compatibility_tensor(fam, i, j, k, v, zs)
-        return zs, mat, _rank(mat, svd_tol)
-
-    first = fit(z_count, seed)
-    d, d2 = first[2], fit(2 * z_count, seed + 1)[2]
+    zs = fam.sample_z(z_count + held, seed, v)
+    mat = compatibility_tensor(fam, i, j, k, v, zs[:z_count])
+    d = _rank(mat, svd_tol)
+    d2 = _rank(compatibility_tensor(fam, i, j, k, v, fam.sample_z(2 * z_count, seed + 1, v)),
+               svd_tol)
     if d != d2:
         raise NonConvergence(
             f"rank unstable under sample doubling: {d} vs {d2}"
         )
-    return first
+    return zs[:z_count], mat, d, zs[z_count:]
 
 
 @dataclass
@@ -217,8 +221,8 @@ def hydro_coefficients(
     z_count of the fit's seeded stream, before the a, b, c matrices are
     assembled.
     """
-    fit_z, mat, D = _fit(fam, i, j, k, v, z_count, seed, svd_tol)  # mat: (3m, nz)
-    held = compatibility_tensor(fam, i, j, k, v, fam.sample_z(2 * z_count, seed, v)[z_count:])
+    fit_z, mat, D, held_z = _fit(fam, i, j, k, v, z_count, seed, svd_tol, held=z_count)
+    held = compatibility_tensor(fam, i, j, k, v, held_z)  # mat and held: (3m, nz)
     if D == 0:
         raise NonConvergence("compatibility tensor vanishes identically")
     # pivoted QR on the transposed matrix: columns are the 3m functions;

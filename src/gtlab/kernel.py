@@ -23,7 +23,8 @@ slot, so each slot costs one circle per point, its radius a quarter of the
 point's clearance, all N in one ``eval_rows`` call with one row of samples
 per distinct rest, whatever the number of partials read from it.  A
 consumer asks each evaluator for everything it needs over a sample set in
-one call.
+one call, and ``jets`` (from ``pool``) takes many such requests at once:
+those whose evaluators have a ``pool`` share one call per ``Batch`` kernel.
 ``JetEvaluator.eval_rows`` samples values or partials on N loops of
 argument tuples, given as argument columns, one row per requested partial,
 and is the one evaluator override: an evaluator with multivalued
@@ -36,7 +37,8 @@ Each genus-1 jet is one ``theta_jet`` sum over k at the points of one or
 more stacked columns (one ``np.exp`` over a points x (2K + 1) grid), with its
 weights cached read-only per window; ``log_jet`` turns its rectangle into log
 theta's.  A theta kernel of the catalog stacks its two columns (p - u and p
-or u) into one series per call, so one window serves both.  Nothing is
+or u) into one series per call, so one window serves both, and ``jets``
+concatenates the columns of every placement it is asked.  Nothing is
 memoised: the point functions (``theta``, ``rho``, ``theta_partial``,
 ``rho_partial``, ``log_theta_partial``) read a column of one.
 """
@@ -57,6 +59,7 @@ from .errors import (
     NonConvergence,
     PoleHit,
 )
+from .pool import Batch, jets  # noqa: F401  (re-exported: kernel.jets)
 
 TWO_PI_I = 2j * math.pi
 
@@ -324,6 +327,9 @@ class JetEvaluator:
     take a point or a tuple of ``arity`` argument columns; ``fn`` and
     ``partial_fn`` see columns only (a point's is a column of one), and
     each entry they give is an array over the points or a constant.
+    ``pool``, when set, names the parts whose entries make this evaluator's,
+    the first's minus the others' (each a ``Batch`` or an evaluator whose
+    ``partial_fn`` answers), so that ``jets`` can answer it with others.
     """
 
     def __init__(
@@ -333,12 +339,14 @@ class JetEvaluator:
         domain: Domain = EMPTY_DOMAIN,
         partial_fn: Callable | None = None,
         label: str = "",
+        pool: tuple | None = None,
     ):
         self.arity = arity
         self.fn = fn
         self.domain = domain
         self.partial_fn = partial_fn
         self.label = label
+        self.pool = pool
 
     def value(self, args: Sequence[complex]) -> complex:
         """The value at a point, or the values on argument columns (through ``partials``)."""
@@ -391,6 +399,14 @@ class JetEvaluator:
         check) with no warning first; the declined partials share one circle
         per leading slot and point, all N in one ``eval_rows`` call, the
         orders read with one rest sharing its row."""
+        cols, point = self._columns(args, multis)
+        with np.errstate(all="ignore"):
+            out = (list(self.partial_fn(tuple(cols), multis)) if self.partial_fn is not None
+                   else [NotImplemented] * len(multis))
+        return self._table(cols, multis, out, point)
+
+    def _columns(self, args, multis) -> tuple[list[np.ndarray], bool]:
+        """A request's argument columns, checked against the arity, and whether it is a point."""
         if len(args) != self.arity:
             raise ValueError(f"{self.label or 'evaluator'} takes {self.arity} "
                              f"arguments, got {len(args)}")
@@ -406,14 +422,17 @@ class JetEvaluator:
         if any(col.shape != (n,) for col in cols):
             raise ValueError(f"{self.label or 'evaluator'} takes argument columns of one "
                              f"length, got shapes {[col.shape for col in cols]}")
-        with np.errstate(all="ignore"):
-            out = (list(self.partial_fn(tuple(cols), multis)) if self.partial_fn is not None
-                   else [NotImplemented] * len(multis))
-            out = [self.fn(*cols) if entry is NotImplemented and not any(multi) else entry
-                   for multi, entry in zip(multis, out)]
+        return cols, point
+
+    def _table(self, cols, multis, out, point) -> list[complex] | np.ndarray:
+        """The request's table from the entries ``out`` its ``partial_fn`` gave: a declined
+        value from ``fn``, the declined partials from the circles."""
         circles: dict[int, list] = {}
         for i, (multi, entry) in enumerate(zip(multis, out)):
-            if entry is NotImplemented:
+            if entry is NotImplemented and not any(multi):
+                with np.errstate(all="ignore"):
+                    out[i] = self.fn(*cols)
+            elif entry is NotImplemented:
                 slot = next(s for s, o in enumerate(multi) if o > 0)
                 rest = tuple(0 if s == slot else o for s, o in enumerate(multi))
                 circles.setdefault(slot, []).append((i, multi[slot], rest if any(rest) else None))
@@ -423,7 +442,7 @@ class JetEvaluator:
             rows = _on_circles(self, slot, cols, radii, DEFAULT_NODES, rests)
             for i, order, rest in group:
                 out[i] = _circle_coeff(rows[rests.index(rest)], radii, order) * math.factorial(order)
-        table = np.empty((len(multis), n), dtype=complex)
+        table = np.empty((len(multis), cols[0].size), dtype=complex)
         for i, entry in enumerate(out):
             table[i] = entry  # an array over the points, or a constant
         return table[:, 0].tolist() if point else table
@@ -761,9 +780,17 @@ class SplitMix64:
     def complex_in_boxes(self, boxes: Sequence[Box], n: int) -> np.ndarray:
         """n draws of ``complex_in_box`` in each of ``boxes``, an (n, len(boxes)) array of the
         same floats: each coordinate lo + (hi - lo) * ((u >> 11) * 2**-53), as ``uniform``."""
-        lo, span = np.array([(b[k], b[k + 1] - b[k]) for b in boxes for k in (0, 2)], float).T
+        lo, span = _box_bounds(tuple(map(tuple, boxes)))
         u = self.block(len(lo) * n).reshape(n, len(lo))
         return (lo + span * ((u >> np.uint64(11)) * 2.0**-53)).view(complex)
+
+
+@functools.lru_cache(maxsize=64)
+def _box_bounds(boxes: tuple[Box, ...]) -> np.ndarray:
+    """lo and hi - lo of each coordinate of ``boxes`` (re, then im, per box), read-only."""
+    bounds = np.array([(b[k], b[k + 1] - b[k]) for b in boxes for k in (0, 2)], float).T
+    bounds.flags.writeable = False
+    return bounds
 
 
 Box = tuple[float, float, float, float]  # (re_min, re_max, im_min, im_max)

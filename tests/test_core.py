@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gtlab import catalog, cli, core, kernel
+from gtlab import catalog, cli, core, hierarchy, kernel, pool
 from gtlab.core import (
     CoordinateChange,
     EnhancedGT,
@@ -1107,3 +1107,221 @@ def test_identities_ask_each_evaluator_at_most_once_per_point(monkeypatch, check
     assert run().passed
     assert asked and set(asked.values()) == {1}
     assert calls == {"benney:g[0]": 1, "benney:g[1]": 1, **CALLS_PER_CHECK[check]}
+
+
+# ---------------------------------------------------------------------------
+# the loci a sample clears, deduplicated in one pass
+# ---------------------------------------------------------------------------
+
+
+def _declared_scan(locus, loci) -> bool:
+    """The quadratic scan ``core._undeclared`` replaced, kept as its oracle:
+    whether one of ``loci`` already bounds what ``locus`` would."""
+    if isinstance(locus, Diagonal):
+        return any(isinstance(e, Diagonal) and sorted(e.slots) == sorted(locus.slots)
+                   for e in loci)
+    if isinstance(locus, LatticePoints):
+        return any(isinstance(e, LatticePoints) and e.tau_slot == locus.tau_slot
+                   and {e.i, e.j} == {locus.i, locus.j} for e in loci)
+    if isinstance(locus, FixedPoints):
+        return any(isinstance(e, FixedPoints) and e.slots == locus.slots
+                   and set(locus.points) <= set(e.points) for e in loci)
+    return any(type(e) is type(locus) and vars(e) == vars(locus) for e in loci)
+
+
+def _scanned(loci, declared=()) -> list:
+    out = []
+    for ex in loci:
+        if not _declared_scan(ex, (*declared, *out)):
+            out.append(ex)
+    return out
+
+
+def _transformed_structures():
+    """Every catalog structure, and its pushed, collided and added-point transforms."""
+    for name, entry in catalog.CATALOG.items():
+        s = entry.build(2)
+        yield s
+        yield pushforward(s, _quadratic_change(s.m))
+        yield collide_points_limit(s, [[0, 1]])
+        if s.puncture_slots:
+            yield collide_points_closed(s, [[0, 1]])
+        yield add_points(s, 1)
+
+
+def test_one_pass_keeps_the_loci_the_scan_kept(monkeypatch):
+    # every list the program dedupes (each structure's sample loci at 1 to 3
+    # points, and each pushed f's g loci against f's own): the same loci,
+    # the very objects, in the same order
+    monkeypatch.setattr(core, "_LOCI", {})
+    real, lists = core._undeclared, []
+
+    def recorded(loci, declared=()):
+        loci = list(loci)
+        lists.append((loci, tuple(declared)))
+        return real(loci, declared)
+
+    monkeypatch.setattr(core, "_undeclared", recorded)
+    for s in _transformed_structures():
+        for n_p in (1, 2, 3):
+            s._sample_loci(n_p)
+    assert sum(bool(declared) for _, declared in lists) == 4  # one per pushforward
+    assert sum(len(loci) for loci, _ in lists) > 2 * sum(len(real(*args)) for args in lists)
+    for loci, declared in lists:
+        got = real(loci, declared)
+        assert [id(ex) for ex in got] == [id(ex) for ex in _scanned(loci, declared)]
+
+
+def test_one_pass_keeps_the_superset_rule_and_pulled_back_identity():
+    small, large = FixedPoints(0, [0.0]), FixedPoints(0, [1.0, 0.0])
+    assert core._undeclared([small, large, FixedPoints(0, [1.0])]) == [small, large]
+    assert core._undeclared([large, small, FixedPoints(1, [0.0])])[::2] == [large]
+    assert core._undeclared([small], [large]) == []
+    lattice = [LatticePoints(0, 2, 1), LatticePoints(1, 2, 0), LatticePoints(0, 2)]
+    assert core._undeclared(lattice) == lattice[::2]
+    image = lambda args: args  # noqa: E731
+    twins = [kernel.PulledBack(image, Diagonal(0, 1), (0, 1)) for _ in range(2)]
+    same = kernel.PulledBack(image, twins[0].locus, (0, 1))
+    assert core._undeclared([*twins, same]) == twins == _scanned([*twins, same])
+
+
+# ---------------------------------------------------------------------------
+# one jets call per check
+# ---------------------------------------------------------------------------
+
+
+def _genus1_checks(n):
+    """(name, call) of every genus-1 check at n punctures that asks ``jets``:
+    bracket, cocycle, lambda, each potential and, from n = 3 on, the
+    compatibility tensor of potentials 0, 1 and 2."""
+    e = catalog.build_enhanced("genus1", n)
+    s, pots = e.base, catalog.build_potentials("genus1", n)
+    checks = [("bracket", lambda: verify_bracket(s, 6)), ("cocycle", lambda: verify_cocycle(s, 6)),
+              ("lambda", lambda: verify_lambda(e, 6))]
+    checks += [(f"potential {pot.label}", lambda pot=pot: verify_potential(e, pot, 6))
+               for pot in pots]
+    if len(pots) >= 3:
+        fam = hierarchy.PotentialFamily(s, pots, enhanced=e)
+        v = tuple(s.sample(1, 1, 1)[0, 1:].tolist())
+        zs = fam.sample_z(12, 7, v)
+        checks.append(("compatibility tensor",
+                       lambda: hierarchy.compatibility_tensor(fam, 0, 1, 2, v, zs)))
+    return checks
+
+
+def _recorded_jets(monkeypatch) -> list:
+    """Every ``jets`` call the checks make: its requests and its tables."""
+    calls, real = [], kernel.jets
+
+    def recorded(requests):
+        requests = list(requests)
+        tables = real(requests)
+        calls.append((requests, tables))
+        return tables
+
+    monkeypatch.setattr(core, "jets", recorded)
+    monkeypatch.setattr(hierarchy, "jets", recorded)
+    return calls
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_pooled_tables_equal_each_requests_own(monkeypatch, n):
+    # one call per check; a pooled series has the widest window and orders
+    # of its columns, so an entry rounds apart from its own request's within
+    # the 1e-13 of its size that test_each_half_of_a_stacked_series_matches_its_own_column
+    # allows
+    calls = _recorded_jets(monkeypatch)
+    for name, check in _genus1_checks(n):
+        calls.clear()
+        check()
+        [(requests, tables)] = calls
+        assert any(e.pool for e, _, _ in requests), name
+        for (e, args, multis), table in zip(requests, tables):
+            own = e.partials(args, multis)
+            assert table.shape == own.shape
+            assert np.all(np.abs(table - own) <= 1e-13 * np.abs(own)), (name, e.label)
+
+
+# theta series per check, at every n: one per kernel (rho, and log theta for
+# an h difference) and the lambda residue circles' own
+SERIES_PER_CHECK = {"bracket": 1, "cocycle": 1, "lambda": 2, "potential p-tau": 1,
+                    "compatibility tensor": 1}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_a_check_sums_one_theta_series_per_kernel(monkeypatch, n):
+    calls, original = [], kernel.theta_jet
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(kernel, "theta_jet", counted)
+    monkeypatch.setattr(catalog, "theta_jet", counted)
+    for name, check in _genus1_checks(n):
+        calls.clear()
+        check()
+        assert len(calls) == SERIES_PER_CHECK.get(name, 2), name
+
+
+def _pooled_requests(fault=None):
+    """A g jet at p1, g[tau]'s value, and an f jet at (p1, p2) of genus1[2] at four
+    samples, with ``fault`` put in p2 of sample 2 of the f request."""
+    s = catalog.build_structure("genus1", 2)
+    pts = s.sample(4, 3, 2)
+    f_at = [col.copy() for col in core._rows(s, pts, (0, 1))]
+    if fault is not None:
+        f_at[1][2] = fault
+    g_at = core._rows(s, pts, (0,))
+    return [(s.g[0], g_at, [multi_index(4), multi_index(4, 0)]), (s.g[2], g_at, [multi_index(4)]),
+            (s.f, tuple(f_at), [multi_index(5), multi_index(5, 1)])]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("fault, error", [(complex(math.nan, 0.2), DomainViolation),
+                                          (0.6 - 300j, OverflowError)])
+def test_a_fault_in_a_later_pooled_request_raises_as_that_request_alone(fault, error):
+    # the pooled series names the point by its place in the columns of all
+    # the requests; the requests asked again one by one name it in its own
+    requests = _pooled_requests(fault)
+    with pytest.raises(error) as alone:
+        for e, args, multis in requests:
+            e.partials(args, multis)
+    with pytest.raises(error) as pooled:
+        pool._pooled([requests[0], requests[2]])
+    with pytest.raises(error) as jets:
+        kernel.jets(requests)
+    assert str(alone.value).endswith("(point 2 of 4)")
+    assert str(pooled.value) != str(alone.value)
+    assert type(jets.value) is error and str(jets.value) == str(alone.value)
+
+
+def test_the_pool_and_not_the_partial_fn_decides(monkeypatch):
+    # a span tracer swaps each evaluator's partial_fn: the pooled call is the
+    # same one, its tables bit for bit, and the swapped function is not asked
+    requests = _pooled_requests()
+    want = kernel.jets(requests)
+    asked = []
+    for e, _, _ in requests:
+        if e.pool:
+            monkeypatch.setattr(e, "partial_fn", lambda args, multis, _fn=e.partial_fn:
+                                asked.append(multis) or _fn(args, multis))
+    got = kernel.jets(requests)
+    assert not asked
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+def test_a_request_without_a_pool_goes_to_its_partials_as_asked(monkeypatch):
+    s = catalog.build_structure("benney", 2)
+    at = core._rows(s, s.sample(3, 1, 2), (0, 1))
+    requests = [(s.f, at, [multi_index(4)]), (s.f, at, [multi_index(4, 1)])]
+    seen, partials = [], JetEvaluator.partials
+
+    def recorded(self, args, multis):
+        seen.append((self, args, multis))
+        return partials(self, args, multis)
+
+    monkeypatch.setattr(JetEvaluator, "partials", recorded)
+    tables = kernel.jets(requests)
+    assert [tuple(map(id, ask)) for ask in seen] == [tuple(map(id, ask)) for ask in requests]
+    assert all(np.array_equal(t, partials(*ask)) for t, ask in zip(tables, requests))

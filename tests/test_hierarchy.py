@@ -146,6 +146,31 @@ def test_hydro_expansion_validates_on_held_out_points():
     assert len(hs.basis_rows) == hs.D
 
 
+def test_hydro_draws_its_held_out_points_once_after_its_fit_points(monkeypatch):
+    # one sample_z call at the seed gives both: the fit's z_count points are
+    # its first draws and the held-out points the next z_count, draws
+    # z_count..2 z_count - 1 of the stream that a 2 z_count draw gives
+    fam, tensors, draws = _family(), [], []
+    v = _fiber(fam)
+    real_sample, real_tensor = PotentialFamily.sample_z, hierarchy.compatibility_tensor
+
+    def sample_z(self, count, seed, v):
+        draws.append((count, seed))
+        return real_sample(self, count, seed, v)
+
+    def tensor(fam, i, j, k, v, zs):
+        tensors.append(list(zs))
+        return real_tensor(fam, i, j, k, v, zs)
+
+    monkeypatch.setattr(PotentialFamily, "sample_z", sample_z)
+    monkeypatch.setattr(hierarchy, "compatibility_tensor", tensor)
+    hs = hydro_coefficients(fam, 0, 1, 2, v, z_count=30, seed=7)
+    stream = real_sample(fam, 60, 7, v)
+    assert draws == [(60, 7), (60, 8)]
+    assert list(hs.z_points) == tensors[0] == stream[:30]
+    assert tensors[2] == stream[30:] and len(tensors) == 3
+
+
 def test_reconstruct_f_matches_structure():
     fam = _family()
     rec, rep = reconstruct_f(fam, 0, 1, samples=20, seed=11, tol=1e-8)

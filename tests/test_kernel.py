@@ -110,6 +110,20 @@ def test_complex_in_boxes_equals_scalar_draws(seed):
     assert block.state == scalar.state
 
 
+def test_box_bounds_are_built_once_per_boxes_and_read_only():
+    # boxes given as lists or tuples share one entry: a later call with the
+    # same boxes draws the same rows from the cached bounds
+    boxes = [[-1.0, 1.0, 0.0, 2.0], [0.5, 0.75, -1.0, -0.5]]
+    first = SplitMix64(5).complex_in_boxes(boxes, 7)
+    before = kernel._box_bounds.cache_info()
+    again = SplitMix64(5).complex_in_boxes(tuple(map(tuple, boxes)), 7)
+    assert kernel._box_bounds.cache_info().hits == before.hits + 1
+    assert again.tolist() == first.tolist()
+    bounds = kernel._box_bounds(tuple(map(tuple, boxes)))
+    assert not bounds.flags.writeable
+    assert bounds.tolist() == [[-1.0, 0.0, 0.5, -1.0], [2.0, 2.0, 0.25, 0.5]]
+
+
 @pytest.mark.parametrize("n", [-5, 0, 3])
 def test_skip_moves_the_stream_as_its_draws_would(n):
     drawn, skipped = SplitMix64(11), SplitMix64(11)
