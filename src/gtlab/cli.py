@@ -118,11 +118,6 @@ def validate_config(cfg: dict) -> dict:
         if (not isinstance(moduli, (list, tuple)) or len(moduli) != 3
                 or not all(_is_real(x) for x in moduli)):
             raise ConfigError("moduli must be three real numbers")
-        a, b, c = moduli
-        if not 1.0 < a < b < c:
-            raise ConfigError(
-                "moduli must satisfy 1 < a < b < c with distinct values"
-            )
     for key, length in (("pair", 2), ("triple", 3)):
         val = cfg.get(key, list(range(length)))
         if not (_is_int_list(val) and len(val) == len(set(val)) == length):

@@ -47,6 +47,7 @@ from .kernel import (
     ReindexedEvaluator,
     SplitMix64,
     _circle_coeff,
+    _ring,
     admitted,
     jets,
     multi_index,
@@ -151,11 +152,10 @@ class GTStructure:
         """count admissible points (p_1..p_{n_p}, v) as (count, n_p + m) rows in draw
         order.  An int ``seed`` starts a stream; a ``SplitMix64`` there is continued and
         left just past the last draw made, so a next call scores only new draws."""
-        loci, sep = _pairs(n_p) + self._sample_loci(n_p), self.min_separation
         rng = seed if isinstance(seed, SplitMix64) else SplitMix64(seed)
         out, tries = admitted(rng, (self.p_box,) * n_p + self.v_boxes, (), count,
-                              2000 * max(count, 1), loci, sep,
-                              lambda args: not any(ex.distance(args) < sep for ex in loci))
+                              2000 * max(count, 1), _pairs(n_p) + self._sample_loci(n_p),
+                              self.min_separation)
         if len(out) < count:
             raise SamplingExhausted(
                 f"{self.label}: {len(out)}/{count} samples after {tries} draws")
@@ -267,10 +267,10 @@ def _values(evaluators: Sequence[JetEvaluator], cols: tuple) -> np.ndarray:
 def _residues(e: JetEvaluator, s: GTStructure, pts: np.ndarray, nodes: int,
               ks: Sequence[int]) -> list[np.ndarray]:
     """Laurent coefficients k in ``ks`` of e in its first slot about p_1
-    of every sample, from one ``eval_circles`` call."""
+    of every sample, from one ``eval_circle`` call over the samples' columns."""
     cols = _rows(s, pts, (0, 0))
     radii = _diagonal_radius(e, cols)
-    vals = e.eval_circles(0, cols, radii, nodes)
+    [vals] = e.eval_circle(0, cols, radii, nodes)
     return [_circle_coeff(vals, radii, k) for k in ks]
 
 
@@ -993,9 +993,9 @@ def algebroid_constants(
     r2 = 0.5 * r1
     regular = JetEvaluator(s.f.arity, lambda *a: s.f.fn(*a) - 1.0 / (a[0] - a[1]))
     # Taylor coefficients in p2 on an inner ring about z at each node of the
-    # outer p1 ring (its nodes are the identity's values there), then in p1
-    p1_ring = JetEvaluator(1, lambda p: p).eval_circle(0, (z,), z, r1, nodes, [None])[0]
-    rings = regular.eval_circles(1, np.broadcast_arrays(p1_ring, z, *v), [r2] * nodes, nodes)
+    # outer p1 ring, then in p1
+    p1_ring = z + r1 * _ring(nodes)
+    [rings] = regular.eval_circle(1, np.broadcast_arrays(p1_ring, z, *v), [r2] * nodes, nodes)
     inner = np.array([_circle_coeff(rings, r2, j) for j in range(order + 1)]).T
     coeffs = {
         (i, j): _circle_coeff(inner[:, j], r1, i)

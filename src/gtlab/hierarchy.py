@@ -90,11 +90,10 @@ class PotentialFamily:
 
     def sample_z(self, count: int, seed: int, v: Sequence[complex]) -> list[complex]:
         """Seeded z points inside z_box clearing every potential's poles by
-        the structure's minimum separation."""
-        floor, domains = self.structure.min_separation, [p.h.domain for p in self.potentials]
-        loci = [ex for d in domains for ex in d.exclusions if 0 in ex.slots]
-        out, _ = admitted(SplitMix64(seed), [self.z_box], v, count, 500 * count, loci, floor,
-                          lambda args: all(d.clearance(args, 0) > floor for d in domains))
+        more than the structure's minimum separation."""
+        loci = [ex for p in self.potentials for ex in p.h.domain.exclusions if 0 in ex.slots]
+        out, _ = admitted(SplitMix64(seed), [self.z_box], v, count, 500 * count, loci,
+                          self.structure.min_separation)
         if len(out) < count:
             raise SamplingExhausted(f"could not place {count} z points clear of the poles")
         return out[:, 0].tolist()

@@ -5,8 +5,10 @@ evaluators by Cauchy circle quadrature, Gauss-Legendre path integration (its rul
 from ``gauss_legendre``, are hyperell's period rules too), and a seeded
 generator of points in complex boxes, counter-based (``SplitMix64.block`` is n draws at
 once, the scalar stream bit for bit): the samplers that reject points near singular loci,
-``GTStructure.sample`` and ``PotentialFamily.sample_z``, judge blocks of its draws on
-argument columns in ``admitted``.  The genus-1 theta series and its log derivative live here.
+``GTStructure.sample`` and ``PotentialFamily.sample_z``, judge blocks of its draws in
+``admitted``, where every locus reads argument columns and a draw is kept only if its least
+distance is greater than the threshold.  The genus-1 theta series and its log derivative live
+here.
 
 ``JetEvaluator.partials(args, multis)`` is the one way to take values and
 partial derivatives (``partial`` and ``value`` ask it for one), and
@@ -30,8 +32,8 @@ argument tuples, given as argument columns, one row per requested partial,
 and is the one evaluator override: an evaluator with multivalued
 ingredients (a square root, say) continues its branch along every loop
 there, from one anchor per loop, and a wrapper maps the loops into the
-evaluator it wraps.  ``eval_circles`` hands it N circles and
-``eval_circle`` one.
+evaluator it wraps.  ``eval_circle`` hands it N circles on argument
+columns, a point's circle a column of one.
 
 Each genus-1 jet is one ``theta_jet`` sum over k at the points of one or
 more stacked columns (one ``np.exp`` over a points x (2K + 1) grid), with its
@@ -87,9 +89,9 @@ class Exclusion:
 
     slots: tuple[int, ...]
 
-    def distance(self, args: Sequence[complex]) -> float:
-        """The bound at one point, from a Python expression, or over argument columns
-        (arrays): not finite where the number would raise, else it but for the last bits."""
+    def distance(self, args: Sequence[np.ndarray]) -> np.ndarray:
+        """The bound over argument columns, one entry per point, from one array expression
+        (a number reads as a column of one); NaN where it cannot be measured."""
         raise NotImplementedError
 
     def remap(self, mapping: Sequence[int]) -> "Exclusion":
@@ -110,9 +112,7 @@ class FixedPoints(Exclusion):
         self.points = tuple(complex(p) for p in points)
 
     def distance(self, args):
-        z = args[self.slots[0]]
-        return (np.abs(np.subtract.outer(z, self.points)).min(axis=-1) if isinstance(z, np.ndarray)
-                else min(abs(z - p) for p in self.points))
+        return np.abs(np.subtract.outer(args[self.slots[0]], self.points)).min(axis=-1)
 
     def remap(self, mapping):
         return FixedPoints(mapping[self.slots[0]], self.points)
@@ -165,7 +165,7 @@ class LatticePoints(Exclusion):
 class PulledBack(Exclusion):
     """A locus of an evaluator behind a map, pulled back conservatively: ``locus``'s
     distance at ``image(args[t] for t in slots)``, halved to absorb the local stretch of the
-    map; at a point or on argument columns, as ``image`` answers either."""
+    map; ``image`` maps argument columns to argument columns."""
 
     def __init__(self, image, locus: Exclusion, slots: Sequence[int]):
         self.image, self.locus, self.slots = image, locus, tuple(slots)
@@ -177,23 +177,12 @@ class PulledBack(Exclusion):
         return PulledBack(self.image, self.locus, [mapping[t] for t in self.slots])
 
 
-def lattice_distance(z: complex, tau: complex) -> float:
-    """Distance from z to the lattice Z + tau Z (Im tau > 0) over 3 x 3 points about the
-    nearest; over arrays, the 3 x 3 broadcast, and NaN where Im tau <= 0."""
-    if isinstance(z, np.ndarray) or isinstance(tau, np.ndarray):
-        z, tau = np.asarray(z)[..., None, None], np.asarray(tau)[..., None, None]
-        w = z - (np.rint(z.imag / np.where(tau.imag > 0, tau.imag, np.nan)) + _NEAR[:, None]) * tau
-        return np.abs(w - (np.rint(w.real) + _NEAR)).min(axis=(-2, -1))
-    if tau.imag <= 0:
-        raise InvalidModulus(f"Im tau must be positive, got {tau}")
-    n = round(z.imag / tau.imag)
-    best = math.inf
-    for dn in (-1, 0, 1):
-        w = z - (n + dn) * tau
-        m = round(w.real)
-        for dm in (-1, 0, 1):
-            best = min(best, abs(w - (m + dm)))
-    return best
+def lattice_distance(z, tau) -> np.ndarray:
+    """Distance from z to the lattice Z + tau Z over 3 x 3 points about the nearest, on the
+    broadcast of z and tau (a number reads as a column of one), NaN where Im tau <= 0."""
+    z, tau = np.asarray(z)[..., None, None], np.asarray(tau)[..., None, None]
+    w = z - (np.rint(z.imag / np.where(tau.imag > 0, tau.imag, np.nan)) + _NEAR[:, None]) * tau
+    return np.abs(w - (np.rint(w.real) + _NEAR)).min(axis=(-2, -1))
 
 
 @dataclass(frozen=True)
@@ -202,10 +191,10 @@ class Domain:
 
     exclusions: tuple[Exclusion, ...] = ()
 
-    def clearance(self, args: Sequence[complex], slot: int) -> float:
+    def clearance(self, args: Sequence[np.ndarray], slot: int) -> np.ndarray:
         """How far args[slot] may move: the distance to the nearest locus
-        that involves the slot, inf when none does; at a point, or over
-        argument columns (NaN where any locus reads NaN)."""
+        that involves the slot, inf when none does, over argument columns
+        (NaN where any locus reads NaN)."""
         return functools.reduce(np.minimum, (e.distance(args) for e in self.exclusions
                                              if slot in e.slots), math.inf)
 
@@ -226,31 +215,24 @@ _NEAR = np.arange(-1.0, 2.0)
 
 
 def admitted(rng, boxes: Sequence, fixed: Sequence[complex], count: int, budget: int,
-             loci: Sequence[Exclusion], threshold: float, numbers) -> tuple[np.ndarray, int]:
-    """The first ``count`` of at most ``budget`` draws (in ``boxes``, then ``fixed``) that
-    clear ``loci`` by ``threshold``, one row each in draw order, and the draws made, ``rng``
-    left just past the last of them; blocks of 16 + 2 * (count - admitted) read by one array
-    expression per locus kind (pulled-back loci: their map once, then one per kind of what it
-    pulls back), kept as a mask over the block.  The scalar test ``numbers(args)`` decides,
-    in draw order up to the last draw needed, a draw within 1e-9 * threshold (numpy's abs
-    may differ in the last bit) or not finite."""
-    groups, band, tries = _locus_groups(tuple(loci)), 1e-9 * threshold, 0
+             loci: Sequence[Exclusion], threshold: float) -> tuple[np.ndarray, int]:
+    """The first ``count`` of at most ``budget`` draws (in ``boxes``, then ``fixed``) whose
+    least distance to ``loci`` is greater than ``threshold``, one row each in draw order, and
+    the draws made, ``rng`` left just past the last of them.  A NaN distance clears nothing,
+    and with no loci every draw is admitted.  Blocks of 16 + 2 * (count - admitted) draws are
+    read by one array expression per locus kind (pulled-back loci: their map once, then one
+    per kind of what it pulls back), kept as a mask over the block."""
+    groups, tries = _locus_groups(tuple(loci)), 0
     out = [np.empty((0, len(boxes) + len(fixed)), dtype=complex)]
     while (need := count - sum(map(len, out))) > 0 and tries < budget:
         n = min(16 + 2 * need, budget - tries)
         block = rng.complex_in_boxes(boxes, n)
         if len(fixed):
             block = np.hstack([block, np.tile(np.array(fixed, dtype=complex), (n, 1))])
-        with np.errstate(all="ignore"):  # without loci every distance reads NaN
-            d = np.vstack([rep.distance(block.T[slots]) for rep, slots in groups]
-                          or [np.full((1, n), np.nan)])
-            near, far = d.min(axis=0), d.max(axis=0)
-            # (far - near) * 0 is 0 only when every distance is finite: NaN reaches both, inf one
-            sure = ((far - near) * 0 == 0) & (abs(near - threshold) > band)
-            ok = sure & (near > threshold)
-        for i in np.flatnonzero(~sure):  # asked until the block holds the draws needed
-            ok[i] = np.count_nonzero(ok[:i]) < need and numbers(tuple(block[i].tolist()))
-        rows = np.flatnonzero(ok)[:need]
+        with np.errstate(all="ignore"):  # no loci, no rows: every draw is admitted
+            d = np.vstack([np.empty((0, n)), *(rep.distance(block.T[slots])
+                                               for rep, slots in groups)])
+        rows = np.flatnonzero((d > threshold).all(axis=0))[:need]
         used = int(rows[-1]) + 1 if len(rows) == need else n
         rng.skip(2 * len(boxes) * (used - n))
         tries += used
@@ -365,26 +347,29 @@ class JetEvaluator:
         table = self.partials(tuple(col.ravel() for col in loops), multis)
         return table.reshape(len(rests), *loops[0].shape)
 
-    def eval_circle(self, slot: int, args: Sequence[complex], center: complex, radius: float,
-                    nodes: int, rests: Sequence[Sequence[int] | None]) -> np.ndarray:
-        """``eval_rows`` on one equispaced circle about ``center`` in one
-        slot, anchored at ``args`` with ``center`` in that slot, one row per
-        rest: the circles of a column of one.  A non-finite sample (an
-        undeclared singularity on the circle, or an overflow) raises
-        ``DomainViolation``."""
-        anchors = [np.array([x], dtype=complex) for x in args]
-        anchors[slot] = np.array([center], dtype=complex)
-        return _on_circles(self, slot, anchors, np.array([radius]), nodes, rests)[:, 0]
-
-    def eval_circles(self, slot: int, args: Sequence[np.ndarray], radii: Sequence[float],
-                     nodes: int) -> np.ndarray:
-        """Values on N circles, an (N, nodes) array: circle i runs in one slot
-        about args[slot][i], ``args`` a tuple of argument columns, with radius
-        radii[i], through the nodes ``eval_circle`` would place, all N in one
-        ``eval_rows`` call.  A non-finite sample on any circle raises
-        ``DomainViolation``."""
+    def eval_circle(self, slot: int, args: Sequence[np.ndarray], radii: Sequence[float],
+                    nodes: int, rests: Sequence[Sequence[int] | None] = (None,)) -> np.ndarray:
+        """``eval_rows`` on N equispaced circles in one slot, circle i about
+        args[slot][i] with radius radii[i], anchored at the argument columns
+        ``args`` (a point's circle is a column of one): a (len(rests), N,
+        nodes) array taken under no floating-point warning, one row per rest.
+        A non-finite sample (an undeclared singularity on a circle, or an
+        overflow) raises ``DomainViolation`` naming the first circle that
+        has one."""
         args, radii = [np.asarray(col, dtype=complex) for col in args], np.asarray(radii, float)
-        return _on_circles(self, slot, args, radii, nodes, [None])[0]
+        loops = [np.repeat(col[:, None], nodes, axis=1) for col in args]
+        loops[slot] = args[slot][:, None] + radii[:, None] * _ring(nodes)
+        with np.errstate(all="ignore"):
+            vals = self.eval_rows(tuple(loops), tuple(args), rests)
+        bad = np.flatnonzero(~np.isfinite(vals).all(axis=(0, 2)))
+        if len(bad):
+            i = bad[0]
+            raise DomainViolation(
+                f"{self.label or 'evaluator'}: non-finite samples on circle {i} of "
+                f"{len(radii)}, radius {radii[i]} about {complex(args[slot][i])!r} "
+                f"in slot {slot}"
+            )
+        return vals
 
     def partial(self, args: Sequence[complex], multi: Sequence[int]) -> complex:
         return self.partials(args, (multi,))[0]
@@ -439,7 +424,7 @@ class JetEvaluator:
         for slot, group in circles.items():
             radii = _radii(self, cols, slot)
             rests = list(dict.fromkeys(rest for _, _, rest in group))
-            rows = _on_circles(self, slot, cols, radii, DEFAULT_NODES, rests)
+            rows = self.eval_circle(slot, cols, radii, DEFAULT_NODES, rests)
             for i, order, rest in group:
                 out[i] = _circle_coeff(rows[rests.index(rest)], radii, order) * math.factorial(order)
         table = np.empty((len(multis), cols[0].size), dtype=complex)
@@ -468,27 +453,9 @@ def _radii(e: JetEvaluator, cols: Sequence[np.ndarray], slot: int) -> np.ndarray
     return np.minimum(DEFAULT_RADIUS_FRACTION * c, MAX_RADIUS)
 
 
-def _on_circles(e: JetEvaluator, slot: int, anchors: Sequence[np.ndarray], radii: np.ndarray,
-                nodes: int, rests) -> np.ndarray:
-    """e's ``eval_rows`` on N equispaced circles in one slot, circle i about
-    anchor i's entry there with radius radii[i], a (len(rests), N, nodes)
-    array taken under no floating-point warning.  A non-finite sample (an
-    undeclared singularity on a circle, or an overflow) raises
-    ``DomainViolation`` naming the first circle that has one."""
-    ring = np.array([cmath.exp(TWO_PI_I * k / nodes) for k in range(nodes)])
-    loops = [np.repeat(col[:, None], nodes, axis=1) for col in anchors]
-    loops[slot] = anchors[slot][:, None] + radii[:, None] * ring
-    with np.errstate(all="ignore"):
-        vals = e.eval_rows(tuple(loops), tuple(anchors), rests)
-    bad = np.flatnonzero(~np.isfinite(vals).all(axis=(0, 2)))
-    if len(bad):
-        i = bad[0]
-        raise DomainViolation(
-            f"{e.label or 'evaluator'}: non-finite samples on circle {i} of "
-            f"{len(radii)}, radius {radii[i]} about {complex(anchors[slot][i])!r} "
-            f"in slot {slot}"
-        )
-    return vals
+def _ring(nodes: int) -> np.ndarray:
+    """The ``nodes`` equispaced points of the unit circle, from 1 counterclockwise."""
+    return np.array([cmath.exp(TWO_PI_I * k / nodes) for k in range(nodes)])
 
 
 def _circle_coeff(vals: np.ndarray, radius, k: int):
@@ -592,10 +559,11 @@ def laurent_coeff(
 ) -> complex:
     """k-th Laurent coefficient of e (in one slot) about ``center``."""
     require_finite(*args, center)
+    cols = [np.array([x], dtype=complex) for x in args]  # the point's column of one,
+    cols[slot] = np.array([center], dtype=complex)  # with the centre in its slot
 
     def compute(n):
-        vals = e.eval_circle(slot, args, center, radius, n, [None])[0]
-        return _circle_coeff(vals, radius, k)
+        return _circle_coeff(e.eval_circle(slot, cols, [radius], n)[0, 0], radius, k)
 
     res = compute(nodes)
     if tol is not None:

@@ -341,13 +341,13 @@ def test_genus2_batch_of_second_partials_opens_no_circle(monkeypatch):
     f = catalog.build_structure("genus2").f
     args = PARTIALS_AT["genus2", None]
     calls = []
-    original = kernel._on_circles
+    original = kernel.JetEvaluator.eval_circle
 
     def counted(e, slot, *rest):
         calls.append(slot)
         return original(e, slot, *rest)
 
-    monkeypatch.setattr(kernel, "_on_circles", counted)
+    monkeypatch.setattr(kernel.JetEvaluator, "eval_circle", counted)
     f.partials(args, [multi_index(5, 1, s) for s in range(5)])
     # d_1 d_s f for every s, from one closed-form jet at the point
     assert calls == []
@@ -694,14 +694,13 @@ def _looped():
 @pytest.mark.parametrize("index", range(3))
 def test_n_loops_on_columns_match_one_loop_at_a_time(index):
     # circles in slot 0 about p_1, as the pole check draws them: all N in
-    # one eval_rows call against each circle alone, to rounding
+    # one eval_rows call against each circle alone, a column of one, to rounding
     e, s = _looped()[index]
     points = _points(s, 2)
     points = (points[0], points[0], *points[2:])
-    rows = list(zip(*(c.tolist() for c in points)))
     radii = _diagonal_radius(e, points)
-    want = np.array([e.eval_circle(0, row, row[0], r, 16, [None])[0]
-                     for row, r in zip(rows, radii)])
-    got = e.eval_circles(0, points, radii, 16)
+    want = np.array([e.eval_circle(0, [col[i:i + 1] for col in points], radii[i:i + 1], 16)[0, 0]
+                     for i in range(len(radii))])
+    [got] = e.eval_circle(0, points, radii, 16)
     assert got.shape == want.shape == (32, 16)
     assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))

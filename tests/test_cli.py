@@ -115,11 +115,15 @@ def test_schema_violation_exits_2_without_report(tmp_path):
     assert not out.exists()
 
 
-def test_coincident_branch_points_exit_2(tmp_path):
+def test_coincident_branch_points_exit_2(tmp_path, capsys):
+    # the schema checks only the shape of the moduli; hyperell's own check
+    # refuses their order in the handler, naming the values
     code, out = _run(tmp_path, {"command": "rauch", "seed": 1,
                                 "moduli": [2.0, 2.0, 3.0]})
     assert code == 2
     assert not out.exists()
+    assert capsys.readouterr().err == (
+        "config error: branch points must satisfy 1 < a < b < c, got (2.0, 2.0, 3.0)\n")
 
 
 @pytest.mark.parametrize("cfg", [

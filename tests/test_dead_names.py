@@ -1,7 +1,8 @@
 """Every module-level function and class of the package, and every method
 of its classes, is used somewhere; evaluators override ``eval_rows``, never
-``eval_circle``; only ``Domain`` answers a per-slot ``clearance``; only the
-kernel tells one point from a tuple of argument columns; no evaluator
+``eval_circle``, and no second circle routine exists; only ``Domain``
+answers a per-slot ``clearance``; only ``kernel.on_columns`` asks whether a
+value is an array, so no locus keeps a branch for numbers; no evaluator
 is flagged as taking columns, since every one does; and each line that
 ``tests/linecover.py`` may find unrun is an executable line named with a
 reason.
@@ -78,10 +79,13 @@ def test_every_method_is_referenced():
 
 
 def test_only_the_base_evaluator_defines_eval_circle():
-    # eval_circle builds a circle's loop and hands it to eval_rows; an
-    # override would bypass wrappers that map loops into what they wrap
+    # eval_circle builds the loops of N circles and hands them to eval_rows;
+    # an override would bypass wrappers that map loops into what they wrap,
+    # and a point's circle is a column of one, so no routine answers N
+    # circles beside it
     owners = sorted(owner for owner, name in _method_definitions() if name == "eval_circle")
     assert owners == ["kernel.py:JetEvaluator"], owners
+    assert [owner for owner, name in _method_definitions() if name == "eval_circles"] == []
 
 
 def test_only_the_domain_defines_clearance():
@@ -92,18 +96,18 @@ def test_only_the_domain_defines_clearance():
 
 
 def _tells_a_point_from_columns(node: ast.AST) -> bool:
-    """Whether ``node`` is ``isinstance(<args>[0], np.ndarray)``: the test
-    of whether a request is one point or a tuple of argument columns."""
+    """Whether ``node`` is ``isinstance(<anything>, <a type naming ndarray>)``:
+    a test of whether a value is a number or an array of them."""
     return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
             and node.func.id == "isinstance" and len(node.args) == 2
-            and isinstance(node.args[0], ast.Subscript)
-            and ast.unparse(node.args[0].slice) == "0"
-            and ast.unparse(node.args[1]) == "np.ndarray")
+            and "ndarray" in ast.unparse(node.args[1]))
 
 
 def test_one_entry_point_answers_points_and_columns():
     # partials and value take a point or a tuple of argument columns: the
-    # kernel alone tells which, and no second entry for columns exists
+    # kernel alone tells which, in on_columns, and nothing else asks whether
+    # a value is an array (every locus and the sampler read columns only);
+    # no second entry for columns exists
     tests = []
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))

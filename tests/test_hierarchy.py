@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from gtlab import catalog, hierarchy
+from gtlab import catalog, hierarchy, kernel
 from gtlab.core import Potential
 from gtlab.errors import ConfigError, DomainViolation, NonConvergence, SamplingExhausted
 from gtlab.hierarchy import (
@@ -80,13 +80,19 @@ def test_sample_z_admits_what_the_scalar_draws_admit(name, n):
 
 
 def test_sample_z_keeps_its_strict_floor():
-    # a first draw exactly at the floor is not above it; one ulp lower, it is
+    # a first draw whose least distance, as the sampler's block reads it, is
+    # exactly the floor is not above it; one ulp lower, it is
     fam = _family()
     v = _fiber(fam)
-    z0 = SplitMix64(4).complex_in_box(fam.z_box)
-    floor = min(p.h.domain.clearance((z0, *v), 0) for p in fam.potentials)
+    loci = tuple(ex for p in fam.potentials for ex in p.h.domain.exclusions if 0 in ex.slots)
+    block = np.hstack([SplitMix64(4).complex_in_boxes([fam.z_box], 18),
+                       np.tile(np.array(v, dtype=complex), (18, 1))])
+    floor = float(min(np.concatenate([rep.distance(block.T[slots])
+                                      for rep, slots in kernel._locus_groups(loci)])[:, 0]))
+    z0 = complex(block[0, 0])
+    assert z0 == SplitMix64(4).complex_in_box(fam.z_box)
     fam.structure.min_separation = floor
-    assert fam.sample_z(1, 4, v) == _scalar_sample_z(fam, 1, 4, v) != [z0]
+    assert fam.sample_z(1, 4, v) != [z0]
     fam.structure.min_separation = math.nextafter(floor, 0.0)
     assert fam.sample_z(1, 4, v) == [z0]
 

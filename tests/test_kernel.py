@@ -137,8 +137,8 @@ def test_skip_moves_the_stream_as_its_draws_would(n):
 
 class _Planted(Exclusion):
     """A locus whose distance at a draw is planted by the draw's real part in
-    [0, 1): exactly ``t``, inside the 1e-9 band on either side, NaN, inf, or
-    clear of the band on either side; at a point or over argument columns."""
+    [0, 1): exactly ``t``, 4e-10 of it above or below ``t``, NaN, inf, or
+    clear of ``t`` on either side; over argument columns."""
 
     def __init__(self, slot, t):
         self.slots, self.t = (slot,), t
@@ -146,28 +146,26 @@ class _Planted(Exclusion):
     def distance(self, args):
         kind = (np.floor(np.real(args[self.slots[0]]) * 7) % 7).astype(int)
         t = self.t
-        out = np.array([t, t * (1 + 4e-10), t * (1 - 4e-10), np.nan, np.inf, 2 * t, t / 2])[kind]
-        return out if np.ndim(out) else float(out)
+        return np.array([t, t * (1 + 4e-10), t * (1 - 4e-10), np.nan, np.inf, 2 * t, t / 2])[kind]
 
     def remap(self, mapping):
         return _Planted(mapping[self.slots[0]], self.t)
 
 
-def _row_loop_admitted(rng, boxes, fixed, count, budget, loci, threshold, numbers):
-    """The accept rule before it kept a mask: each block scored as arrays,
-    then walked row by row, the scalar test asked in draw order."""
-    groups, out, tries, band = kernel._locus_groups(tuple(loci)), [], 0, 1e-9 * threshold
+def _row_loop_admitted(rng, boxes, fixed, count, budget, loci, threshold):
+    """The accept rule one row at a time: each block scored as arrays, each
+    locus on its own, then walked in draw order, a row kept when each of its
+    distances is greater than the threshold (a NaN one is not)."""
+    out, tries = [], 0
     while len(out) < count and tries < budget:
         block = rng.complex_in_boxes(boxes, min(16 + 2 * (count - len(out)), budget - tries))
         if len(fixed):
             block = np.hstack([block, np.tile(np.array(fixed, dtype=complex), (len(block), 1))])
         with np.errstate(all="ignore"):
-            d = np.vstack([rep.distance(block.T[slots]) for rep, slots in groups]
-                          or [np.full((1, len(block)), np.nan)])
-        for row, near, far in zip(block.tolist(), d.min(axis=0).tolist(), d.max(axis=0).tolist()):
+            d = [ex.distance(block.T).tolist() for ex in loci]
+        for i, row in enumerate(block.tolist()):
             tries += 1
-            sure = (far - near) * 0 == 0 and not -band <= near - threshold <= band
-            if (near > threshold) if sure else numbers(tuple(row)):
+            if all(col[i] > threshold for col in d):
                 out.append(tuple(row))
                 if len(out) == count:
                     break
@@ -177,39 +175,36 @@ def _row_loop_admitted(rng, boxes, fixed, count, budget, loci, threshold, number
 @pytest.mark.parametrize("count, budget", [(1, 100), (5, 100), (40, 1000), (30, 25)])
 @pytest.mark.parametrize("case", ["planted", "planted and a diagonal", "fixed", "no loci"])
 def test_the_block_mask_admits_what_the_row_loop_admitted(case, count, budget):
-    # draws at the threshold, inside the band, at NaN and at inf go to the
-    # scalar test, in draw order, and no other draw does; the rows, their
-    # order and the draws made are the row loop's, and the stream is left
-    # just past the last draw made
+    # a draw is admitted iff its least distance is greater than the
+    # threshold: one at the threshold, 4e-10 of it below, or at NaN is not,
+    # one 4e-10 of it above, at inf or clear of it is, and without loci every
+    # draw is; the rows, their order and the draws made are the row loop's,
+    # and the stream is left just past the last draw made
     t = 0.25
     boxes, fixed = [(0.0, 1.0, -1.0, 1.0), (-1.0, 1.0, -1.0, 1.0)], ()
     loci = {"planted": [_Planted(0, t)], "no loci": [],
             "planted and a diagonal": [_Planted(0, t), Diagonal(0, 1)]}.get(case)
     if case == "fixed":  # as sample_z: one box, the fiber point fixed
         boxes, fixed, loci = boxes[:1], (0.5 + 0.5j,), [_Planted(0, t), Diagonal(0, 1)]
+    kept, drawn = set(), set()
     for seed in (1, 2, 3):
-        asked = {"mask": [], "loop": []}
-
-        def numbers(args, log):
-            log.append(args)
-            return not any(ex.distance(args) < t for ex in loci)
-
         rng = SplitMix64(seed)
-        out, tries = kernel.admitted(rng, boxes, fixed, count, budget, loci, t,
-                                     lambda args: numbers(args, asked["mask"]))
+        out, tries = kernel.admitted(rng, boxes, fixed, count, budget, loci, t)
         want, want_tries = _row_loop_admitted(SplitMix64(seed), boxes, fixed, count, budget,
-                                              loci, t, lambda args: numbers(args, asked["loop"]))
+                                              loci, t)
         assert out.shape == (len(want), len(boxes) + len(fixed))
         assert out.tolist() == [list(row) for row in want] and tries == want_tries
-        assert asked["mask"] == asked["loop"]
-        if case != "no loci":
-            assert asked["mask"]
-        for args in asked["mask"]:  # without loci, every draw is the scalar test's
-            ds = [ex.distance(args) for ex in loci] or [math.nan]
-            assert not all(map(math.isfinite, ds)) or abs(min(ds) - t) <= 1e-9 * t, (case, ds)
+        if case == "no loci":
+            assert len(out) == min(count, budget) == tries
+        kept |= {int(k) for k in np.floor(out[:, 0].real * 7) % 7}
+        drawn |= {int(k) for k in np.floor(SplitMix64(seed).complex_in_boxes(boxes, tries)[:, 0]
+                                           .real * 7) % 7}
         resumed = SplitMix64(seed)
         resumed.skip(2 * len(boxes) * tries)
         assert rng.state == resumed.state
+    if loci:  # of the planted distances, only those above t are admitted
+        assert kept and kept <= {1, 4, 5}, kept
+        assert count == 1 or {0, 2, 3} <= drawn, drawn
 
 
 # ---------------------------------------------------------------------------
@@ -306,16 +301,35 @@ def test_distance_on_columns_is_the_number_to_rounding(seed):
     assert stacked.shape == (2, 200)
 
 
+def _python_lattice_distance(z: complex, tau: complex) -> float:
+    """Distance from z to Z + tau Z over the 3 x 3 lattice points about the
+    nearest, one Python number at a time: the oracle of the column form."""
+    n = round(z.imag / tau.imag)
+    best = math.inf
+    for dn in (-1, 0, 1):
+        w = z - (n + dn) * tau
+        m = round(w.real)
+        for dm in (-1, 0, 1):
+            best = min(best, abs(w - (m + dm)))
+    return best
+
+
 def test_lattice_distance_on_columns_is_nan_off_the_half_plane():
+    # columns and numbers alike: NaN where Im tau <= 0, with no warning and
+    # no error, and the 3 x 3 Python loop's distance to rounding elsewhere
     z = np.array([0.3 + 0.2j, 0.3 + 0.2j, 0.3 + 0.2j, 0.0j])
     tau = np.array([0.1 + 1.1j, 0.1 + 0.0j, 0.1 - 0.4j, 0.0j])
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         d = lattice_distance(z, tau)
-    assert d[0] == pytest.approx(lattice_distance(0.3 + 0.2j, 0.1 + 1.1j), rel=1e-15)
+        assert np.isnan(lattice_distance(0.3 + 0.2j, 0.1 + 0.0j))
+    assert d[0] == pytest.approx(_python_lattice_distance(0.3 + 0.2j, 0.1 + 1.1j), rel=1e-15)
     assert np.isnan(d[1:]).all()
-    with pytest.raises(InvalidModulus):
-        lattice_distance(0.3 + 0.2j, 0.1 + 0.0j)
+    for seed in (1, 2, 3):
+        rows = SplitMix64(seed).complex_in_boxes([(-3.0, 3.0, -3.0, 3.0), (-0.5, 0.5, 0.3, 2.0)],
+                                                 300)
+        want = [_python_lattice_distance(z, tau) for z, tau in rows.tolist()]
+        np.testing.assert_allclose(lattice_distance(*rows.T), want, rtol=4e-16)
 
 
 def test_lattice_distance_zero_on_lattice():
@@ -381,18 +395,24 @@ def test_a_non_finite_argument_is_refused_before_any_circle(bad):
         path_integrate(e, 0, (0.5, bad), polyline_path([0, 1]))
 
 
+def _column_of_one(args):
+    """A point's argument columns: one array of one entry per slot."""
+    return [np.array([x], dtype=complex) for x in args]
+
+
 def test_reindexed_circle_samples_map_rest_through_source():
     # e^{pv} with p fed from slot 2 and v from slot 0; slot 1 is inert
     base = JetEvaluator(2, lambda p, v: np.exp(p * v), domain=Domain())
     r = ReindexedEvaluator(base, 3, (2, 0))
     args = (0.7 - 0.2j, 5.0, 0.3 + 0.1j)
+    cols = _column_of_one(args)
     nodes = [args[2] + 0.1 * cmath.exp(2j * math.pi * k / 8) for k in range(8)]
     # d/dv on the p circle is p e^{pv}
-    got = r.eval_circle(2, args, args[2], 0.1, 8, [(1, 0, 0)])[0]
+    got = r.eval_circle(2, cols, [0.1], 8, [(1, 0, 0)])[0, 0]
     for g, p in zip(got, nodes):
         assert g == pytest.approx(p * cmath.exp(p * args[0]), rel=1e-9)
-    assert not r.eval_circle(2, args, args[2], 0.1, 8, [(0, 1, 0)])[0].any()
-    const = r.eval_circle(1, args, args[1], 0.1, 8, [None])[0]
+    assert not r.eval_circle(2, cols, [0.1], 8, [(0, 1, 0)]).any()
+    const = r.eval_circle(1, cols, [0.1], 8)[0, 0]
     assert (const == const[0]).all()
     assert const[0] == pytest.approx(cmath.exp(args[2] * args[0]), rel=1e-15)
 
@@ -405,9 +425,9 @@ def test_reindexed_batches_equal_single_rests_bit_for_bit():
     r = ReindexedEvaluator(base, 3, (2, 0))
     args = (0.7 - 0.2j, 5.0, 0.3 + 0.1j)
     rests = [None, (1, 0, 0), (0, 1, 0), (2, 0, 0)]
-    batch = r.eval_circle(2, args, args[2], 0.1, 16, rests)
+    batch = r.eval_circle(2, _column_of_one(args), [0.1], 16, rests)
     for row, rest in zip(batch, rests):
-        assert (row == r.eval_circle(2, args, args[2], 0.1, 16, [rest])[0]).all()
+        assert (row == r.eval_circle(2, _column_of_one(args), [0.1], 16, [rest])[0]).all()
     multis = [(1, 0, 1), (0, 0, 2), (2, 0, 0), (0, 1, 1), (0, 0, 0)]
     assert r.partials(args, multis) == [r.partial(args, multi) for multi in multis]
 
