@@ -14,18 +14,18 @@ with A = f / g_1, B_l = g_l / g_1 and
         + (f(p_1, p_2) g_1'(p_2) + g(p_1)(g_1(p_2))) / (g_1(p_1) g_1(p_2)).
 
 ``GTSystem.fiber`` asks each g_k once at a point, or once over argument
-columns, and gives their jets and the B_l there (``_b_row`` reads a B_l's
-first-partial row off the jets); ``GTSystem.pair`` reads the jets
-``fiber`` gave at two points (or two columns of points) and gives A and Q
-at the pairs, each with its first-partial row.  Both checks below run on
-batches: a ``_State`` holds one row per field over N states, and
-``_flows`` gives d_i of every field (p, v, w) of every state along every
-direction i, together with the A, Q and B_l values it used, A's and Q's
-rows and the g jets B_l's rows come from.  It asks each g_k once, one
-``fiber`` call over every point of every state, and f once, one ``pair``
-call over every ordered pair of points of every state.  One
-mixed-derivative rule takes d_a d_b of a field by the chain rule through
-the rows of the flow along b.
+columns, and gives their jets and the B_l there (``_b_rows`` reads the
+B_l's first-partial rows off the jets), and f's jet at the pairs of points
+it is given, all in one ``kernel.jets`` call; ``GTSystem.pair`` reads the
+jets ``fiber`` gave at two points (or two columns of points) and gives A
+and Q at the pairs, each with its first-partial row.  Both checks below
+run on batches: an array with one row per field and a column per state,
+and ``_flows`` gives one stacked record of d_i of every field (p, v, w) of
+every state along every direction i, the A and Q of every ordered pair of
+points of every state with their rows, the B_l and the g jets, from one
+``fiber`` and one ``pair`` call.  One stacked mixed-derivative pass
+(``_second``) takes d_a d_b of a field by the chain rule through the rows
+of the flow along b, for every (a, b, field, state) asked at once.
 ``compatibility_residual`` compares d_i d_j with d_j d_i for every field
 that evolves in both directions, over all its sampled states at once.
 ``integrate_reduction`` marches the system on a tensor grid, its state
@@ -36,7 +36,8 @@ grids of steps h and h/2 together and confirms the second-order accuracy
 of the scheme by step halving.  A grid state depends only on states one
 level (sum of grid indices) below it, so the march goes level by level
 (Lamport's hyperplane method): the states of one level, on every grid, are
-one batch, and so are the predictor states of every step leaving it.
+one batch, and so are the predictor states of every step leaving it, and a
+Heun stage is a fixed number of array operations over its batch.
 """
 
 from __future__ import annotations
@@ -44,14 +45,14 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from itertools import product
+from itertools import combinations, product
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .core import GTStructure, VerificationReport, _jet, _make_report, worst_residual
-from .errors import ConfigError, DomainViolation, NonConvergence
-from .kernel import JetEvaluator, SplitMix64, multi_index, on_columns
+from .errors import ConfigError, DomainViolation, GTLabError, NonConvergence
+from .kernel import JetEvaluator, SplitMix64, jets, multi_index, on_columns
 
 G1_FLOOR = 1e-8  # |g_1| below this counts as a zero of g_1
 
@@ -60,18 +61,20 @@ G1_FLOOR = 1e-8  # |g_1| below this counts as a zero of g_1
 class GTSystem:
     """Coefficient functions of the quasilinear system.
 
-    ``fiber(args)`` at (p, v), a point or a tuple of argument columns,
-    gives (jets, B): jets[k] is g_k followed by its first partials, and for
-    g_1 (k = 0) by its second partials too, a row per entry on columns;
-    B[l] = B_l(p, v), None at l = 0 (B_1 = 1), whose first-partial row
-    ``_b_row`` reads off the jets.  ``pair(jets_1, jets_2, args)`` gives
-    (A, Q, A_row, Q_row) at (p_1, p_2, v), A and Q with their first-partial
-    rows in slot order, from the jets ``fiber`` gave at (p_1, v) and
-    (p_2, v), of which it reads g_1's alone at p_2.
+    ``fiber(args, pairs)`` at (p, v), a point or a tuple of argument
+    columns, gives (jets, B, table): jets[k] is g_k followed by its first
+    partials, and for g_1 (k = 0) by its second partials too, a row per
+    entry on columns; B[l] = B_l(p, v), None at l = 0 (B_1 = 1), whose
+    first-partial rows ``_b_rows`` reads off the jets; and ``table`` is f's
+    at the pair arguments ``pairs``.  ``pair(jets_1,
+    jets_2, table)`` gives (A, Q, A_row, Q_row) at (p_1, p_2, v), A and Q
+    with their first-partial rows in slot order, from the jets ``fiber``
+    gave at (p_1, v) and (p_2, v), of which it reads g_1's alone at p_2,
+    and from f's ``table`` there.
     """
 
     structure: GTStructure
-    fiber: Callable[[Sequence[complex]], tuple]
+    fiber: Callable[[Sequence[complex], Sequence[complex]], tuple]
     pair: Callable[[list, list, Sequence[complex]], tuple]
 
     @property
@@ -82,12 +85,16 @@ class GTSystem:
 def build_system(s: GTStructure) -> GTSystem:
     """Convert a structure into its quasilinear system.
 
-    ``fiber`` asks each g_k once at (p, v), in one ``partials`` call, for
-    its value and first partials, and g_1 for its second partials too:
-    every point is some pair's p_2.  ``pair`` reads g at both points from
-    those jets and asks only f, once, for its value, every first partial
-    and every d_{p_2} d_k f.  It computes the terms A and Q share (F, F_2,
-    G_1, G_2, N) once and every first partial of both by the chain rule.
+    ``fiber`` asks each g_k once at (p, v) for its value and first
+    partials, and g_1 for its second partials too: every point is some
+    pair's p_2.  It asks f at the pairs in the same ``kernel.jets``
+    call, for its value, every first partial and every d_{p_2} d_k f, so
+    that an f and g's placed from one batch kernel (genus1's theta) sum
+    one series; an error of a g, and then the floor below, comes before
+    any error of f.  ``pair`` reads g at both points from those jets and f
+    from that table, and asks nothing.  It computes the terms A and Q
+    share (F, F_2, G_1, G_2, N) once and every first partial of both by
+    the chain rule.
     So f's second partials come from f's own ``partial_fn`` where it has
     them (every catalog f, genus2's included), and an f or g without closed
     forms opens its circles on its own domain, where no circle approaches
@@ -109,53 +116,59 @@ def build_system(s: GTStructure) -> GTSystem:
     g_pairs = [(a, b) for a in range(1 + m) for b in range(a, 1 + m)]
     g1_jet = g_jet + [multi_index(1 + m, a, b) for a, b in g_pairs]  # and every second partial
 
-    def fiber(args):
-        """(jets, B) at (p, v); see ``GTSystem``."""
-        jets = [g1.partials(args, g1_jet), *(gk.partials(args, g_jet) for gk in s.g[1:])]
-        G = jets[0][0]
+    def fiber(args, pairs):
+        """(jets, B, table) at (p, v) and ``pairs``; see ``GTSystem``."""
+        asks = [(g1, args, g1_jet), *((gk, args, g_jet) for gk in s.g[1:])]
+        try:
+            tables, err = jets(asks + [(s.f, pairs, f_jet + f_mixed)]), None
+        except (GTLabError, ArithmeticError) as exc:  # the first error of a request alone
+            tables, err = jets(asks), exc  # an error of a g, then the floor below, comes first
+        G = tables[0][0]
         low = np.abs(G) < G1_FLOOR  # a zero of g_1
-        if np.any(low):
+        if low.any():
             at = np.flatnonzero(low)[0]
             where = f" (point {at} of {low.size})" if on_columns(args) else ""
             raise DomainViolation(f"g_1({complex(np.ravel(args[0])[at])}) = "
                                   f"{complex(np.ravel(G)[at])} below floor {G1_FLOOR}{where}")
-        return jets, [None] + [jet[0] / G for jet in jets[1:]]
+        if err is not None:
+            raise err
+        return tables[:m], [None] + [jet[0] / G for jet in tables[1:m]], tables[m]
 
-    def pair(jets_1, jets_2, args):
+    def pair(jets_1, jets_2, table):
         """(A, Q, A_row, Q_row) at (p_1, p_2, v); see ``GTSystem``."""
         # g_k at p1 and g_1 at p2 with their partials: dg[k][j] = d_j g_k(p1)
         gv, dg = [jet[0] for jet in jets_1], [jet[1:] for jet in jets_1]
         G1 = gv[0]
         G2, *dG2 = jets_2[0]
-        F, *dfs = s.f.partials(args, f_jet + f_mixed)
+        F, *dfs = table
         df, d1f = dfs[:2 + m], dfs[2 + m:]
         N = F * dG2[0]
         for k in range(m):
             N += gv[k] * dG2[1 + k]
-        A, Q = F / G1, 2.0 * df[1] / G1 + N / (G1 * G2)
+        G11, G12, F2 = G1**2, G1 * G2, 2.0 * df[1]  # each computed once, read as written
+        A, Q = F / G1, F2 / G1 + N / G12
         dG1 = dg[0][0]
-        A_row = [df[0] / G1 - F * dG1 / G1**2, df[1] / G1,
-                 *(df[2 + l] / G1 - F * dg[0][1 + l] / G1**2 for l in range(m))]
+        A_row = [df[0] / G1 - F * dG1 / G11, df[1] / G1,
+                 *(df[2 + l] / G1 - F * dg[0][1 + l] / G11 for l in range(m))]
         H = {}  # second partials of g_1 at p2
         for (a, b), val in zip(g_pairs, dG2[1 + m:]):
             H[a, b] = H[b, a] = val
         dN = df[0] * dG2[0]
         for k in range(m):
             dN += dg[k][0] * dG2[1 + k]
-        Q_row = [2.0 * d1f[0] / G1 - 2.0 * df[1] * dG1 / G1**2 + dN / (G1 * G2)
-                 - N * dG1 / (G1**2 * G2)]
+        Q_row = [2.0 * d1f[0] / G1 - F2 * dG1 / G11 + dN / G12 - N * dG1 / (G11 * G2)]
         dN = df[1] * dG2[0] + F * H[0, 0]
         for k in range(m):
             dN += gv[k] * H[0, 1 + k]
-        Q_row.append(2.0 * d1f[1] / G1 + dN / (G1 * G2) - N * dG2[0] / (G1 * G2**2))
+        Q_row.append(2.0 * d1f[1] / G1 + dN / G12 - N * dG2[0] / (G1 * G2**2))
         for l in range(m):
             dG1 = dg[0][1 + l]
             dN = df[2 + l] * dG2[0] + F * H[0, 1 + l]
             for k in range(m):
                 dN += dg[k][1 + l] * dG2[1 + k]
                 dN += gv[k] * H[1 + k, 1 + l]
-            Q_row.append(2.0 * d1f[2 + l] / G1 - 2.0 * df[1] * dG1 / G1**2 + dN / (G1 * G2)
-                         - N * (dG1 * G2 + G1 * dG2[1 + l]) / (G1 * G2) ** 2)
+            Q_row.append(2.0 * d1f[2 + l] / G1 - F2 * dG1 / G11 + dN / G12
+                         - N * (dG1 * G2 + G1 * dG2[1 + l]) / G12**2)
         return A, Q, A_row, Q_row
 
     return GTSystem(structure=s, fiber=fiber, pair=pair)
@@ -211,107 +224,99 @@ def inject_defect(s: GTStructure, scale: float = 1e-2, seed: int = 0) -> GTStruc
 # ---------------------------------------------------------------------------
 
 
-class _State:
-    """A batch of N solution jets, one row per field over the states: the
-    points p_1..p_M, the fiber point v_1..v_m, the slopes w_i = d_i v_1 and,
-    for a reduction march, the own-direction slopes y_i = d_i p_i and
-    z_i = d_i w_i (no rows without them).  A batch of derivatives has the
-    same rows, 0 where a field has no equation along the direction, so a
-    step keeps that field as it is."""
-
-    def __init__(self, X: np.ndarray, M: int, m: int):
-        self.X, self.M, self.m = X, M, m
-        w = M + m  # the first row of w
-        self.p, self.v, self.w, self.y, self.z = (
-            X[:M], X[M:w], X[w:w + M], X[w + M:w + 2 * M], X[w + 2 * M:w + 3 * M])
-
-    def step(self, h, d: "_State") -> "_State":
-        """This batch advanced by h (a number or a column) along the derivatives d."""
-        return _State(self.X + h * d.X, self.M, self.m)
-
-    def take(self, at) -> "_State":
-        """The states ``at`` (an index array or a slice) of this batch."""
-        return _State(self.X[:, at], self.M, self.m)
-
-    @staticmethod
-    def join(batches: Sequence["_State"]) -> "_State":
-        """One batch of the states of ``batches``, in order."""
-        return _State(np.concatenate([b.X for b in batches], axis=1), batches[0].M, batches[0].m)
+@functools.lru_cache(maxsize=None)
+def _pairs(M: int, m: int) -> tuple:
+    """The ordered pairs (i, k), i != k, of M points in i-major order, as
+    columns I and K and as at[i, k], the place of (i, k) among them (-1 at
+    i = k); and the place of d_i of row r at [r, i] among the rows
+    ``_flows`` stacks."""
+    own, i = np.eye(M, dtype=bool), np.arange(M)
+    I, K = np.nonzero(~own)
+    P, at = len(I), np.full((M, M), -1)
+    at[I, K] = np.arange(P)
+    return I, K, at, np.concatenate((  # [r, i]: at.T[k, i] is the pair (i, k)
+        np.where(own, P + i, at.T), P + M + np.arange(m * M).reshape(m, M),
+        np.where(own, 2 * P + M + m * M + i, P + M + m * M + at.T)))
 
 
-def _flows(sys: GTSystem, st: _State) -> list[tuple]:
-    """The flow of every state of a batch along every direction i: for each
-    i, (d, A, Q, B, A_rows, Q_rows, g) over the batch, where d holds d_i of
-    p, v and w, A[k] = A(p_i, p_k, v) and Q[k] likewise (NaN at k = i),
-    B[l] = B_l(p_i, v) (1 at l = 0), A_rows[k] and Q_rows[k] are the
-    first-partial rows of A[k] and Q[k] (NaN at k = i), and g[l] is g_l's
-    value and first partials at (p_i, v), which B_l's row is read off
-    (``_b_row``).  d_i p_i and d_i w_i are the batch's own slopes y_i and
-    z_i, NaN without them.
-
-    Each g_k is asked once, by one ``fiber`` call over every point of every
-    state, and f once, by one ``pair`` call over every ordered pair of
-    points of every state."""
-    p, v, w = st.p, st.v, st.w
-    M, m, N = st.M, st.m, st.X.shape[1]
-    # the jet table: point k of state s in column k N + s
-    at = p.ravel()
-    jets, B = sys.fiber((at, *np.concatenate([v] * M, axis=1)))
-    # A and Q, and their rows, of the ordered pair (i, k) of state s at [..., i, k, s]
-    coef = np.full((2, M, M, N), np.nan, dtype=complex)
-    coef_rows = np.full((2, 2 + m, M, M, N), np.nan, dtype=complex)
-    i, k, s = np.nonzero(np.broadcast_to(~np.eye(M, dtype=bool)[:, :, None], (M, M, N)))
-    one, two = i * N + s, k * N + s
-    a, q, a_row, q_row = sys.pair([jet.take(one, axis=1) for jet in jets],
-                                  [jets[0].take(two, axis=1)], (at[one], at[two], *v[:, s]))
-    coef[:, i, k, s], coef_rows[:, :, i, k, s] = (a, q), (a_row, q_row)
-    (A, Q), (A_rows, Q_rows) = coef, coef_rows.transpose(0, 2, 3, 1, 4)
-    dp, dw = A * w[:, None], Q * w[:, None] * w  # [i, k]: A(p_i, p_k) w_i, Q(p_i, p_k) w_i w_k
-    if st.y.size:
-        diag = np.arange(M)
-        dp[diag, diag], dw[diag, diag] = st.y, st.z
-    B = np.array([np.ones(M * N), *B[1:]]).reshape(m, M, N)  # B_1 = 1
-    g = np.array([jet[:2 + m] for jet in jets]).reshape(m, 2 + m, M, N)
-    d = np.concatenate((dp, (B * w).transpose(1, 0, 2), dw), axis=1)
-    return [(_State(d[i], M, m), A[i], Q[i], B[:, i], A_rows[i], Q_rows[i], g[:, :, i])
-            for i in range(M)]
+@functools.lru_cache(maxsize=256)  # a batch size recurs across levels, marches and jobs
+def _columns(M: int, N: int) -> np.ndarray:
+    """For N states of M points, the jet table's columns (point k of state s
+    at k N + s) of the two points of the ordered pair n of state s, at
+    [0, n N + s] and [1, n N + s], and s at [2, n N + s]."""
+    I, K, _, _ = _pairs(M, 0)
+    s = np.tile(np.arange(N), len(I))
+    return np.array([np.repeat(I, N) * N + s, np.repeat(K, N) * N + s, s])
 
 
-def _b_row(jets, l: int):
-    """The first-partial row of B_l = g_l / g_1 in slot order, from the
-    values and first partials of g_1 and g_l: ``fiber``'s jets, or a
-    flow's."""
-    n = len(jets[l])
-    G, dG, gl, dgl = jets[0][0], np.asarray(jets[0][1:n]), jets[l][0], np.asarray(jets[l][1:])
-    return dgl / G - gl * dG / G**2
+def _flows(sys: GTSystem, X: np.ndarray, M: int) -> tuple:
+    """The flow along every direction of a batch X of states, one row per
+    field (p_1..p_M, v_1..v_m, w, y, z: w_i = d_i v_1, y_i = d_i p_i and
+    z_i = d_i w_i) and a column per state: (d, c, B, jets, w).
+
+    d[r, i, s] is d_i of row r (p, v, w) of state s: A(p_i, p_k) w_i,
+    B_l(p_i) w_i and Q(p_i, p_k) w_i w_k, and y_i and z_i at k = i.
+    c[0, 0, n, s] is A at the ordered pair n = (i, k) of state s
+    (``_pairs``) and c[0, 1:, n, s] its first-partial row in slot order
+    (p_i, p_k, v); c[1] holds Q likewise.  B[l, i, s] is B_l(p_i, v), 1 at
+    l = 0; ``jets`` are the g jets ``fiber`` gave, point k of state s in
+    column k N + s, which B's rows are read off (``_b_rows``); w the
+    states' slopes.  One ``fiber`` call asks each g_k over every point of
+    every state and f over every ordered pair of points of every state."""
+    m, N = sys.m, X.shape[1]
+    I, K, _, rows = _pairs(M, m)
+    one, two, s = _columns(M, N)
+    p, v, w = X[:M].ravel(), X[M:M + m], X[M + m:2 * M + m]
+    pairs = (p[one], p[two], *v[:, s])
+    jets, B, F = sys.fiber((p, *v[:, s[:M * N]]), pairs)  # s runs 0..N-1 once per pair
+    a, q, a_row, q_row = sys.pair([jet[:, one] for jet in jets], [jets[0][:, two]], F)
+    c = np.concatenate((a, *a_row, q, *q_row)).reshape(2, 3 + m, -1, N)
+    cw = c[:, 0] * w[I]  # A(p_i, p_k) w_i and Q(p_i, p_k) w_i
+    B = np.concatenate((np.ones(M * N), *B[1:])).reshape(m, M, N)
+    d = np.concatenate((cw[0], X[2 * M + m:3 * M + m], (B * w).reshape(m * M, N),
+                        cw[1] * w[K], X[3 * M + m:]))[rows]
+    return d, c, B, jets, w
 
 
-def _chain(row, da: _State, points):
-    """d_a of a coefficient through its first-partial row: the point slots
-    (p_t for t in ``points``) first, then the fiber slots."""
-    n = len(points)
-    return (sum(row[s] * da.p[t] for s, t in enumerate(points))
-            + sum(row[n + l] * dv for l, dv in enumerate(da.v)))
+def _b_rows(jets) -> np.ndarray:
+    """The first-partial rows of B_l = g_l / g_1, l >= 1, in slot order, at
+    [l - 1, slot], from the values and first partials of g_1 and the g_l:
+    ``fiber``'s jets at a point or on columns."""
+    n = 2 + len(jets)
+    G, dG = jets[0][0], np.asarray(jets[0][1:n])
+    g = np.reshape(jets[1:], (len(jets) - 1, n, *np.shape(G)))
+    return g[:, 1:] / G - g[:, :1] * dG / G**2
 
 
-def _mixed(st: _State, fa, fb, b: int, kind: str, k: int):
-    """d_a d_b of the field p_k, v_k or w_k (``kind`` "p", "v" or "w"),
-    from the flows ``fa`` along a and ``fb`` along b.
+def _second(fl: tuple, a, b, k, s) -> tuple[np.ndarray, np.ndarray]:
+    """d_a d_b p_k and d_a d_b w_k (k != b) of state s, over the broadcast of
+    the index arrays a, b, k and s.  d_b of the field is A(p_b, p_k) w_b or
+    Q(p_b, p_k) w_b w_k (``_flows``); the chain rule takes d_a of the
+    coefficient through its row, the point slots summed before the fiber
+    slots, and the product rule d_a of the slopes."""
+    d, c, B, _, w = fl
+    M, m = len(w), len(B)
+    coef = c[:, :, _pairs(M, m)[2][b, k], s]  # A and Q, each with its row
+    # each sum as one started at 0 and taken term by term, bit for bit:
+    # accumulate adds the fiber terms in order, and where it ends at -0 (a
+    # sum from 0 ends at +0) the point terms' sum, never -0, absorbs it
+    chain = (0 + coef[:, 1] * d[b, a, s] + coef[:, 2] * d[k, a, s]
+             + np.add.accumulate(coef[:, 3:] * d[M:M + m, a, s], axis=1)[:, -1])
+    w_b, w_k, dw_b, dw_k = w[b, s], w[k, s], d[M + m + b, a, s], d[M + m + k, a, s]
+    return (chain[0] * w_b + coef[0, 0] * dw_b,
+            chain[1] * w_b * w_k + coef[1, 0] * (dw_b * w_k + w_b * dw_k))
 
-    d_b of the field is A(p_b, p_k) w_b, B_k(p_b) w_b (w_b for v_1)
-    or Q(p_b, p_k) w_b w_k, with the coefficient value and its row read
-    off ``fb``; the chain and product rules take d_a of its factors from
-    ``fa``."""
-    da, (_, A, Q, B, A_rows, Q_rows, g) = fa[0], fb
-    w = st.w
-    if kind == "v":
-        if k == 0:
-            return da.w[b]
-        return _chain(_b_row(g, k), da, (b,)) * w[b] + B[k] * da.w[b]
-    if kind == "p":
-        return _chain(A_rows[k], da, (b, k)) * w[b] + A[k] * da.w[b]
-    dQ = _chain(Q_rows[k], da, (b, k))
-    return dQ * w[b] * w[k] + Q[k] * (da.w[b] * w[k] + w[b] * da.w[k])
+
+def _second_v(fl: tuple, a, b, s) -> np.ndarray:
+    """d_a d_b v_l of state s at [l, ...], over the broadcast of a, b and s:
+    d_a w_b at l = 0, else ``_second``'s rule through B_l's row."""
+    d, _, B, jets, w = fl
+    M, m = len(w), len(B)
+    row = _b_rows(jets).reshape(m - 1, 1 + m, *w.shape)[:, :, b, s]
+    chain = (0 + row[:, 0] * d[b, a, s]
+             + np.add.accumulate(row[:, 1:] * d[M:M + m, a, s], axis=1)[:, -1])
+    dw_b = d[M + m + b, a, s]
+    return np.concatenate((dw_b[None], chain * w[b, s] + B[1:, b, s] * dw_b))
 
 
 def compatibility_residual(
@@ -323,27 +328,23 @@ def compatibility_residual(
 ) -> VerificationReport:
     """Max over random states and index pairs of |d_i d_j F - d_j d_i F|
     for every field F that evolves in both directions, the states one
-    batch."""
+    batch, every d_a d_b of a kind of field from one stacked pass."""
     if M < 3:
         raise ConfigError("mixed-derivative compatibility needs M >= 3")
     s = sys.structure
     rng = SplitMix64(seed)
     raw = s.sample(states, seed, M)
     ws = [complex(rng.uniform(0.3, 1.2), rng.uniform(-0.5, 0.5)) for _ in range(M * len(raw))]
-    st = _State(np.hstack([raw, np.reshape(ws, (len(raw), M))]).T.copy(), M, sys.m)
-    diffs = []
+    nan = np.full((len(raw), 2 * M), np.nan)  # no own-direction slopes, and no field reads them
+    X = np.hstack([raw, np.reshape(ws, (len(raw), M)), nan]).T.copy()
+    pairs, at = list(combinations(range(M), 2)), np.arange(len(raw))
+    i, j = np.array(pairs).T[:, :, None]
+    i3, j3, k3 = np.array([(*ij, k) for ij in pairs for k in range(M) if k not in ij]).T[:, :, None]
     with np.errstate(all="ignore"):  # a non-finite residual fails the report
-        flows = _flows(sys, st)
-        for i in range(M):
-            for j in range(i + 1, M):
-                others = [k for k in range(M) if k not in (i, j)]
-                fields = ([("p", k) for k in others] + [("v", l) for l in range(sys.m)]
-                          + [("w", k) for k in others])
-                for kind, k in fields:
-                    d_ij = _mixed(st, flows[i], flows[j], j, kind, k)
-                    d_ji = _mixed(st, flows[j], flows[i], i, kind, k)
-                    diffs.append(np.abs(d_ij - d_ji))
-    residuals = np.max(diffs, axis=0)  # NaN at a state with any NaN difference
+        fl = _flows(sys, X, M)
+        d_ij = np.concatenate((*_second(fl, i3, j3, k3, at), *_second_v(fl, i, j, at)))
+        d_ji = np.concatenate((*_second(fl, j3, i3, k3, at), *_second_v(fl, j, i, at)))
+    residuals = np.max(np.abs(d_ij - d_ji), axis=0)  # NaN at a state with any NaN difference
     return _make_report("gt_compatibility", residuals.tolist(), tol, seed, M=M)
 
 
@@ -402,57 +403,56 @@ class ReductionResult:
     blow_up_at: tuple | None
 
 
-def _derivative(st: _State, flows: list[tuple], i: int) -> _State:
-    """d_i of every state of a march batch: the flow of (p, v, w) and, for
-    j != i, d_i y_j = d_j (A(p_i, p_j) w_i) and d_i z_j = d_j (Q(p_i, p_j) w_i w_j)
-    by the mixed rule, which reads the rows along i.  d_i y_i and d_i z_i
-    have no equation: 0."""
-    fi = flows[i]
-    yz = np.zeros((2, st.M, st.X.shape[1]), dtype=complex)
-    for j in range(st.M):
-        if j != i:
-            yz[0, j] = _mixed(st, flows[j], fi, i, "p", j)
-            yz[1, j] = _mixed(st, flows[j], fi, i, "w", j)
-    return _State(np.concatenate((fi[0].X, yz.reshape(2 * st.M, -1))), st.M, st.m)
+def _slopes(fl: tuple, dirs: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """d_i of every row (p, v, w, y, z) of state s[t] along i = dirs[t], a
+    column per t: the flow of p, v and w and, for j != i, d_i y_j =
+    d_j (A(p_i, p_j) w_i) and d_i z_j = d_j (Q(p_i, p_j) w_i w_j) from one
+    ``_second`` pass over every (t, j).  d_i y_i and d_i z_i have no
+    equation: 0."""
+    d, M = fl[0], len(fl[4])
+    t, j = np.nonzero(np.arange(M) != dirs[:, None])
+    out = np.zeros((2 * M + len(d), len(s)), dtype=complex)
+    out[:len(d)] = d[:, dirs, s]
+    out[len(d):].reshape(2, M, -1)[:, j, t] = _second(fl, j, dirs[t], j, s[t])
+    return out
 
 
-def _heun(sys: GTSystem, st: _State, flows: list[tuple], src: np.ndarray, h: np.ndarray,
-          cuts: Sequence[int]) -> _State:
-    """Every predictor-corrector step leaving a batch at once, in step order:
-    step t from state src[t] by h[t], along direction i for t in
-    [cuts[i], cuts[i + 1]).  ``flows`` are the batch's.  The predictor
-    states of all steps are one batch, asked for its flows in one ``_flows``
-    call.  y_i and z_i, which have no direction-i equation, are carried over
-    unchanged and must be fixed up by the caller."""
-    spans = [(i, slice(a, b)) for i, (a, b) in enumerate(zip(cuts, cuts[1:])) if b > a]
-    base = st.take(src)
-    k1 = _State.join([_derivative(st, flows, i).take(src[span]) for i, span in spans])
-    pred = base.step(h, k1)
-    flows = _flows(sys, pred)
-    k2 = _State.join([_derivative(pred, flows, i).take(span) for i, span in spans])
-    return base.step(h / 2, k1.step(1.0, k2))  # h along the mean of k1 and k2
+def _heun(sys: GTSystem, X: np.ndarray, fl: tuple, src: np.ndarray, dirs: np.ndarray,
+          h: np.ndarray) -> np.ndarray:
+    """Every predictor-corrector step leaving a batch X at once: step t from
+    state src[t] by h[t] along direction dirs[t], ``fl`` the batch's flow.
+    The predictor states of all steps are one batch, asked for its flow in
+    one ``_flows`` call.  y_i and z_i, which have no direction-i equation,
+    are carried over unchanged and must be fixed up by the caller."""
+    base, k1 = X[:, src], _slopes(fl, dirs, src)
+    pred = base + h * k1
+    k2 = _slopes(_flows(sys, pred, len(fl[4])), dirs, np.arange(len(src)))
+    return base + h / 2 * (k1 + 1.0 * k2)  # h along the mean of k1 and k2
 
 
 @functools.lru_cache(maxsize=8)
 def _plan(M: int, steps: tuple[int, ...]) -> tuple[tuple, ...]:
     """The levels of a march on grids of ``steps`` steps each, from the
-    origins up, each (record, src, grid_of, cuts, targets, main, on_axis,
-    transport); the states of a level, on every grid, are one batch.
-    ``record`` holds, per grid with states on the level, (g, their places in
-    the batch, their grid indices as an index tuple).  The steps leaving the
-    level go from src[t] on grid grid_of[t], along i for t in
-    [cuts[i], cuts[i + 1]).  Target t, targets[t] = (g, index) on the next
-    level, is step main[t] advanced, then fixed up: ``on_axis`` holds
-    (t, g, axis, n) for a target n steps out on a data axis, and
-    ``transport`` (axis, targets, their main steps, their transverse steps)
-    for the targets off the axes.  A target's main step goes along its first
-    nonzero axis and, off the data axes, its transverse step along the
-    next."""
+    origins up, each (at, src, grid, dirs, targets, main, on, moved).  A
+    level's states, on every grid, are one batch, grid after grid and each
+    grid's in lexicographic order; ``at`` holds their places in the grids'
+    values (grid after grid, each in C order).  Step t leaves state src[t]
+    on grid grid[t] along dirs[t], the steps in order of direction.  Target
+    n, targets[n] = (g, index) on the next level, is step main[n] advanced,
+    then fixed up along that step's axis: ``on`` = (axis, targets, data)
+    for the targets on a data axis, their p, w, y and z the data table's
+    columns ``data`` (grid after grid, axis after axis, steps 1..steps);
+    ``moved`` = (axis, targets, trans, prev, grid) for the others, their
+    own-direction slopes from step ``trans`` and their p and w integrated
+    from state ``prev`` of grid ``grid``.  A target's main step goes along
+    its first nonzero axis and, off the data axes, its transverse step
+    along the next."""
     levels = []
     for n in steps:
         levels.append([[] for _ in range(M * n + 1)])
         for idx in product(range(n + 1), repeat=M):  # each level in lexicographic order
             levels[-1][sum(idx)].append(idx)
+    start, first = np.cumsum([0, *((n + 1) ** M for n in steps)]), np.cumsum([0, *steps]) * M
     keys, plan = [(g, (0,) * M) for g in range(len(steps))], []
     for k in range(max(len(lv) for lv in levels)):
         pos = {key: t for t, key in enumerate(keys)}
@@ -467,22 +467,17 @@ def _plan(M: int, steps: tuple[int, ...]) -> tuple[tuple, ...]:
                 trans[t] = n
             else:
                 main[t] = n
-        record = []
-        for g in dict.fromkeys(g for g, _ in keys):
-            here = np.array([t for t, (gt, _) in enumerate(keys) if gt == g])
-            record.append((g, here, tuple(np.array([keys[t][1] for t in here]).T)))
-        transport = []
-        for axis in range(M):
-            ts = [t for t in trans if legs[main[t]][0] == axis]
-            if ts:
-                transport.append((axis, np.array(ts), main[ts], np.array([trans[t] for t in ts])))
+        dirs, src, grid = (np.array([step[x] for step in legs], int) for x in range(3))
+        on = np.array([t for t in range(len(targets)) if t not in trans], int)
+        moved = np.array(list(trans), int)
         plan.append((
-            tuple(record), np.array([step[1] for step in legs], int),
-            np.array([step[2] for step in legs], int),
-            np.searchsorted([step[0] for step in legs], range(M + 1)).tolist(), tuple(targets),
-            main, tuple((t, g, legs[main[t]][0], idx[legs[main[t]][0]])
-                        for t, (g, idx) in enumerate(targets) if t not in trans),
-            tuple(transport)))
+            np.array([start[g] + np.ravel_multi_index(idx, (steps[g] + 1,) * M)
+                      for g, idx in keys]), src, grid, dirs, tuple(targets), main,
+            (dirs[main[on]], on, np.array(
+                [first[g] + a * steps[g] + idx[a] - 1
+                 for (g, idx), a in zip([targets[t] for t in on], dirs[main[on]])], int)),
+            (dirs[main[moved]], moved, np.array([trans[t] for t in moved], int),
+             src[main[moved]], grid[main[moved]])))
         keys = targets
     return tuple(plan)
 
@@ -491,70 +486,72 @@ def _march(sys: GTSystem, M: int, grids: Sequence[tuple[int, float]],
            data: FreeData) -> list[ReductionResult]:
     """March the reduction from the free data on every grid (steps, h) of
     ``grids`` together, level by level (``_plan``): the states of one level
-    on every grid are one batch, whose flows serve every step that leaves
+    on every grid are one batch, whose flow serves every step that leaves
     it, and the predictors of those steps are one batch; so each g_k is
-    asked once per level and Heun stage, and f once there.
-    A grid's blow-up is at its first blown-up state in lexicographic
-    order."""
+    asked once per level and Heun stage, and f once there.  A level writes
+    v_1 and Q w_i w_j into the grids' values, the data into the targets on
+    the axes and the transported slopes into the others, each field with
+    one index.  A grid's blow-up is at its first blown-up state in
+    lexicographic order."""
     if M not in (2, 3):
         raise ConfigError("grid integration supports M = 2 or 3")
     if any(steps < 2 for steps, _ in grids):
         raise ConfigError("need at least 2 steps for an interior defect cell")
-    hs = np.array([h for _, h in grids], float)
-    v1 = [np.zeros((steps + 1,) * M, dtype=complex) for steps, _ in grids]
-    pairs = [(i, j) for i in range(M) for j in range(i + 1, M)]
-    qww = [{ij: np.zeros_like(grid) for ij in pairs} for grid in v1]  # Q w_i w_j along i
+    m, hs = len(data.v0), np.array([h for _, h in grids], float)
+    shapes = [(steps + 1,) * M for steps, _ in grids]
+    ends = np.cumsum([math.prod(shape) for shape in shapes])
+    I, J = np.triu_indices(M, 1)
+    v1, qww = np.zeros(ends[-1], dtype=complex), np.zeros((len(I), ends[-1]), dtype=complex)
+    table = np.array([[fns[axis](n * h) for steps, h in grids for axis in range(M)
+                       for n in range(1, steps + 1)]
+                      for fns in (data.p_funcs, data.w_funcs, data.p_derivs, data.w_derivs)],
+                     dtype=complex)  # the data on the axes, in ``_plan``'s order
+    fields = np.array([[0], [M + m], [2 * M + m], [3 * M + m]])  # p, w, y and z along axis 0
     blown = [[] for _ in grids]
 
     origin = [*(fn(0.0) for fn in data.p_funcs), *data.v0, *(fn(0.0) for fn in data.w_funcs),
               *(fn(0.0) for fn in data.p_derivs), *(fn(0.0) for fn in data.w_derivs)]
-    st = _State(np.array(origin, dtype=complex)[:, None].repeat(len(grids), axis=1),
-                M, len(data.v0))
+    X = np.array(origin, dtype=complex)[:, None].repeat(len(grids), axis=1)
     with np.errstate(all="ignore"):  # a non-finite field is a blow-up, flagged below
-        for (record, src, grid_of, cuts, targets, main, on_axis,
-             transport) in _plan(M, tuple(steps for steps, _ in grids)):
-            flows = _flows(sys, st)
-            for g, here, where in record:
-                v1[g][where] = st.v[0][here]
-                for i, j in pairs:
-                    qww[g][i, j][where] = flows[i][0].w[j][here]  # d_i w_j = Q w_i w_j
+        for at, src, grid, dirs, targets, main, on, moved in _plan(
+                M, tuple(steps for steps, _ in grids)):
+            fl = _flows(sys, X, M)
+            v1[at], qww[:, at] = X[M], fl[0][M + m + J, I]  # d_i w_j = Q w_i w_j
             if not targets:
                 break
-            done = _heun(sys, st, flows, src, hs[grid_of], cuts)
-            new = done.take(main)
-            for t, g, axis, n in on_axis:  # p, w and their slopes on a data axis are data
-                time = n * grids[g][1]
-                new.p[axis][t] = data.p_funcs[axis](time)
-                new.w[axis][t] = data.w_funcs[axis](time)
-                new.y[axis][t] = data.p_derivs[axis](time)
-                new.z[axis][t] = data.w_derivs[axis](time)
+            done = _heun(sys, X, fl, src, dirs, hs[grid])
+            new = done[:, main]
+            axis, ts, where = on  # p, w and their slopes on a data axis are data
+            new[fields + axis, ts] = table[:, where]
             # off the axes, transport the own-direction slopes from the
             # transverse step, then integrate p_axis, w_axis by the trapezoid
             # rule so their update stays second order (the main step only
             # sees the stale slope at its source)
-            for axis, ts, mains, trans in transport:
-                prev, h = src[mains], hs[grid_of[mains]]
-                new.y[axis][ts], new.z[axis][ts] = done.y[axis][trans], done.z[axis][trans]
-                new.p[axis][ts] = st.p[axis][prev] + 0.5 * h * (st.y[axis][prev] + new.y[axis][ts])
-                new.w[axis][ts] = st.w[axis][prev] + 0.5 * h * (st.z[axis][prev] + new.z[axis][ts])
-            far = ~(np.abs(new.X[:2 * M + new.m]) <= 1e6).all(axis=0)  # p, v and w
+            axis, ts, trans, prev, g = moved
+            rows = fields + axis
+            new[rows[2:], ts] = done[rows[2:], trans]
+            new[rows[:2], ts] = X[rows[:2], prev] + 0.5 * hs[g] * (
+                X[rows[2:], prev] + new[rows[2:], ts])
+            far = ~(np.abs(new[:2 * M + m]) <= 1e6).all(axis=0)  # p, v and w
             for t in np.flatnonzero(far):  # a NaN field is a blow-up too
                 blown[targets[t][0]].append(targets[t][1])
-            st = new
-    return [ReductionResult(M=M, steps=steps, h=h, grid_v1=v1[g],
-                            residual=_defect(v1[g], qww[g], steps, h),
-                            blow_up=bool(blown[g]), blow_up_at=min(blown[g], default=None))
-            for g, (steps, h) in enumerate(grids)]
+            X = new
+    return [ReductionResult(M=M, steps=steps, h=h, grid_v1=grid.reshape(shape),
+                            residual=_defect(grid.reshape(shape), q.reshape(-1, *shape), h),
+                            blow_up=bool(at), blow_up_at=min(at, default=None))
+            for (steps, h), shape, grid, q, at in zip(
+                grids, shapes, np.split(v1, ends[:-1]), np.split(qww, ends[:-1], axis=1), blown)]
 
 
-def _defect(v1: np.ndarray, qww: dict, steps: int, h: float) -> float:
-    """The compatibility defect on each (i, j) cell face: the finite-
-    difference mixed derivative of v_1 against Q w_i w_j averaged over the
-    cell corners.  Cells touching the data axes mix prescribed and evolved
-    corners and carry an error boundary layer, so the a-posteriori measure
-    runs over cells whose corners are all interior."""
-    defects = []
-    for (i, j), q in qww.items():
+def _defect(v1: np.ndarray, qww: np.ndarray, h: float) -> float:
+    """The compatibility defect on each (i, j) cell face, i < j: the finite-
+    difference mixed derivative of v_1 against Q w_i w_j (``qww``, a grid per
+    pair) averaged over the cell corners.  Cells touching the data axes mix
+    prescribed and evolved corners and carry an error boundary layer, so
+    the a-posteriori measure runs over cells whose corners are all
+    interior."""
+    steps, defects = len(v1) - 1, []
+    for i, j, q in zip(*np.triu_indices(v1.ndim, 1), qww):
         def corner(di, dj):
             shift = [di * (t == i) + dj * (t == j) for t in range(v1.ndim)]
             return tuple(slice(1 + x, steps + x) for x in shift)

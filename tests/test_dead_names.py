@@ -3,9 +3,10 @@ of its classes, is used somewhere; evaluators override ``eval_rows``, never
 ``eval_circle``, and no second circle routine exists; only ``Domain``
 answers a per-slot ``clearance``; only ``kernel.on_columns`` asks whether a
 value is an array, so no locus keeps a branch for numbers; no evaluator
-is flagged as taking columns, since every one does; and each line that
-``tests/linecover.py`` may find unrun is an executable line named with a
-reason.
+is flagged as taking columns, since every one does; gtsys's per-pair
+mixed rule and its batch class stay out of the package; and each line
+that ``tests/linecover.py`` may find unrun is an executable line named
+with a reason.
 
 A definition counts as used when its name appears as a code token in the
 package, the tests or the benchmark besides its own definitions.  Names
@@ -126,6 +127,25 @@ def test_no_evaluator_is_flagged_as_taking_columns():
     # no name in the package may say which do: a `columns` flag or attribute
     # would bring back a second evaluation path
     assert _name_tokens([PACKAGE])["columns"] == 0
+
+
+def test_the_march_reads_one_stacked_record_through_one_mixed_pass():
+    # gtsys's checks take every d_a d_b from one stacked pass over the
+    # record _flows builds: the per-pair rule (_mixed, _chain, _derivative,
+    # and _b_row, one B_l at a time) lives on only as the oracle in
+    # tests/test_gtsys.py, no batch class joins states, and _flows builds
+    # its record by gathers, with no NaN table and no assignment into one
+    tokens = _name_tokens([PACKAGE])
+    dead = ("_State", "_mixed", "_chain", "_derivative", "_b_row")
+    assert [name for name in dead if tokens[name]] == []
+    assert [owner for owner, name in _method_definitions() if name == "join"] == []
+    tree = ast.parse((PACKAGE / "gtsys.py").read_text(encoding="utf-8"))
+    flows = next(node for node in tree.body if getattr(node, "name", "") == "_flows")
+    assert [node for node in ast.walk(flows) if isinstance(node, ast.Attribute)
+            and node.attr in ("nan", "full")] == []
+    assert [node for node in ast.walk(flows) if isinstance(node, (ast.Assign, ast.AugAssign))
+            and any(isinstance(target, ast.Subscript)
+                    for target in getattr(node, "targets", [getattr(node, "target", None)]))] == []
 
 
 def test_every_line_left_unrun_on_purpose_is_named_with_a_reason():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
 import re
 from collections import Counter
@@ -11,14 +12,16 @@ import pytest
 import numpy as np
 
 from gtlab import catalog, gtsys
-from gtlab.core import GTStructure
-from gtlab.errors import ConfigError, DomainViolation, NonConvergence
+from gtlab.core import GTStructure, _jet
+from gtlab.errors import ConfigError, DomainViolation, GTLabError, InvalidModulus, NonConvergence
 from gtlab.gtsys import (
     G1_FLOOR,
     FreeData,
     ReductionResult,
     _flows,
-    _State,
+    _second,
+    _second_v,
+    _slopes,
     build_system,
     compatibility_residual,
     convergence_ratio,
@@ -48,8 +51,8 @@ def test_coefficient_values_match_closed_forms():
     def g(k, p):
         return 1.0 / (p - V[k])
 
-    jets, B = sys_.fiber((P1, *V))
-    A, Q, _, _ = sys_.pair(jets, sys_.fiber((P2, *V))[0], (P1, P2, *V))
+    jets, B, F = sys_.fiber((P1, *V), (P1, P2, *V))
+    A, Q, _, _ = sys_.pair(jets, sys_.fiber((P2, *V), (P1, P2, *V))[0], F)
     f12 = 1.0 / (P1 - P2)
     assert A == pytest.approx(f12 / g(0, P1), rel=1e-12)
     assert B[0] is None  # B_1 = 1: the flow uses w itself
@@ -93,15 +96,16 @@ def _value_cases(sys_, zeros=Domain()):
     g1 = s.g[0].domain.merged(zeros)
     pair_dom = (s.f.domain.merged(g1.remap([0, *range(2, 2 + m)]))
                 .merged(g1.remap([1, *range(2, 2 + m)])))
+    at = tuple(s.sample(1, 5, 2)[0].tolist())  # f's pair for B, which reads no f
 
     def pair(args):
-        jets_1, jets_2 = (sys_.fiber((p, *args[2:]))[0] for p in args[:2])
-        return sys_.pair(jets_1, jets_2, args)
+        jets_1, _, F = sys_.fiber((args[0], *args[2:]), args)
+        return sys_.pair(jets_1, sys_.fiber((args[1], *args[2:]), args)[0], F)
 
     cases = [("A", 2 + m, lambda *a: pair(a)[0], lambda a: pair(a)[2], pair_dom),
              ("Q", 2 + m, lambda *a: pair(a)[1], lambda a: pair(a)[3], pair_dom)]
-    cases += [(f"B[{l}]", 1 + m, lambda *a, l=l: sys_.fiber(a)[1][l],
-               lambda a, l=l: gtsys._b_row(sys_.fiber(a)[0], l), s.g[l].domain.merged(g1))
+    cases += [(f"B[{l}]", 1 + m, lambda *a, l=l: sys_.fiber(a, at)[1][l],
+               lambda a, l=l: gtsys._b_rows(sys_.fiber(a, at)[0])[l - 1], s.g[l].domain.merged(g1))
               for l in range(1, m)]
     return [(label, JetEvaluator(arity, fn, domain=dom, label=label), row)
             for label, arity, fn, row, dom in cases]
@@ -169,8 +173,9 @@ def test_rows_without_closed_forms_come_from_circles():
     exact = build_system(s)
 
     def rows(sys_):
-        jets, _ = sys_.fiber((P1, *V))
-        return [*sys_.pair(jets, sys_.fiber((P2, *V))[0], (P1, P2, *V))[2:], gtsys._b_row(jets, 1)]
+        jets, _, F = sys_.fiber((P1, *V), (P1, P2, *V))
+        return [*sys_.pair(jets, sys_.fiber((P2, *V), (P1, P2, *V))[0], F)[2:],
+                gtsys._b_rows(jets)[0]]
 
     for got, want in zip(rows(bare), rows(exact)):
         scale = max(abs(w) for w in want)
@@ -191,9 +196,9 @@ def test_pair_values_do_not_depend_on_rows(name):
         sys_ = build_system(s)
         args = tuple(s.sample(1, 5, 2)[0].tolist())
     m = sys_.m
-    jets_1, B = sys_.fiber((args[0], *args[2:]))
-    jets_2 = sys_.fiber((args[1], *args[2:]))[0]
-    A, Q, a_row, q_row = sys_.pair(jets_1, jets_2, args)
+    jets_1, B, table = sys_.fiber((args[0], *args[2:]), args)
+    jets_2 = sys_.fiber((args[1], *args[2:]), args)[0]
+    A, Q, a_row, q_row = sys_.pair(jets_1, jets_2, table)
     F, F_2 = sys_.structure.f.partials(args, [(0,) * len(args), multi_index(len(args), 1)])
     G1, (G2, *dG2) = jets_1[0][0], jets_2[0]
     N = F * dG2[0]
@@ -210,7 +215,7 @@ def test_pair_values_do_not_depend_on_rows(name):
         assert [jet[0] for jet in jets_1] == values
     assert B[1:] == [jet[0] / jets_1[0][0] for jet in jets_1[1:]]
     assert len(a_row) == len(q_row) == len(args)
-    assert all(len(gtsys._b_row(jets_1, l)) == 1 + m for l in range(1, m))
+    assert gtsys._b_rows(jets_1).shape == (m - 1, 1 + m)
 
 
 def _system(name):
@@ -230,21 +235,21 @@ def test_fiber_and_pair_on_columns_agree_with_points(name):
     sys_ = _system(name)
     pts = sys_.structure.sample(6, 7, 2)
     cols = list(np.ascontiguousarray(pts.T))
-    fib_1, fib_2 = sys_.fiber((cols[0], *cols[2:])), sys_.fiber((cols[1], *cols[2:]))
+    fib_1, fib_2 = (sys_.fiber((col, *cols[2:]), tuple(cols)) for col in cols[:2])
 
     def close(got, want):
         scale = max(abs(x) for x in want)
         assert max(abs(x - y) for x, y in zip(got, want)) <= 1e-13 * scale, (name, got, want)
 
     for n, (p1, p2, *v) in enumerate(pts.tolist()):
-        one, two = sys_.fiber((p1, *v)), sys_.fiber((p2, *v))
+        one, two = (sys_.fiber((p, *v), (p1, p2, *v)) for p in (p1, p2))
         for jet_col, jet in zip(fib_1[0], one[0]):
             close(jet_col[:, n], jet)
         for l in range(1, sys_.m):
             close([fib_1[1][l][n]], [one[1][l]])
-            close(gtsys._b_row(fib_1[0], l)[:, n], gtsys._b_row(one[0], l))
-        batch = sys_.pair(fib_1[0], fib_2[0], tuple(cols))
-        point = sys_.pair(one[0], two[0], (p1, p2, *v))
+            close(gtsys._b_rows(fib_1[0])[l - 1][:, n], gtsys._b_rows(one[0])[l - 1])
+        batch = sys_.pair(fib_1[0], fib_2[0], fib_1[2])
+        point = sys_.pair(one[0], two[0], one[2])
         close([batch[0][n]], [point[0]])
         close([batch[1][n]], [point[1]])
         for row_col, row in zip(batch[2:], point[2:]):
@@ -259,10 +264,45 @@ def test_fiber_on_columns_names_the_first_point_below_the_floor():
     sys_ = build_system(GTStructure(m=1, g=(g1,), f=s.f, p_box=s.p_box, v_boxes=s.v_boxes))
     p = np.array([0.1 + 0.2j, -0.4 + 0.1j, 0.3 + 0j, 0.2 - 0.3j, 0.5j])
     u = np.full(5, 1.2 + 0.4j)
+    pairs = (p[[0, 1]], p[[1, 3]], u[:2])
     with pytest.raises(DomainViolation, match=re.escape(f"g_1({complex(p[2])}) = ") + ".* below "
                        + re.escape(f"floor {G1_FLOOR} (point 2 of 5)") + "$"):
-        sys_.fiber((p, u))
-    sys_.fiber((p[[0, 1, 3]], u[:3]))
+        sys_.fiber((p, u), pairs)
+    sys_.fiber((p[[0, 1, 3]], u[:3]), pairs)
+
+
+def test_fiber_raises_a_g_error_then_the_floor_before_an_error_of_f():
+    # fiber asks the g's and f's pairs in one kernel.jets call, which sums
+    # one theta series for genus1's g_1 and f; an error of a g comes first,
+    # then a g_1 below the floor, and only then an error of f, as when f
+    # was asked after the floor check
+    s = catalog.build_structure("genus1", 1)
+    sys_ = build_system(s)
+    m = s.m
+    multis = _jet(2 + m, *range(2 + m)) + [multi_index(2 + m, 1, k) for k in range(2 + m)]
+    p, u = np.array([0.1 + 0.05j, -0.2 + 0.1j, 0.15 - 0.1j]), np.full(3, 0.4 + 0.3j)
+    tau = np.full(3, 0.1 + 1.2j)
+    good = (p, u, tau)
+    pairs = (p[[0, 1]], p[[1, 0]], u[:2], np.array([0.1 + 1.2j, 0.1 - 1.2j]))  # Im tau < 0
+    fine = pairs[:3] + (tau[:2],)  # pairs where f answers
+
+    def error(call):
+        with pytest.raises(GTLabError) as info:
+            call()
+        return type(info.value), str(info.value)
+
+    assert error(lambda: sys_.fiber(good, pairs)) == error(lambda: s.f.partials(pairs, multis))
+    assert error(lambda: sys_.fiber(good, pairs))[0] is InvalidModulus
+    zero = (p, np.array([0.4 + 0.3j, 0j, 0.4 + 0.3j]), tau)  # g_1 = rho(p) - rho(p) at u = 0
+    assert error(lambda: sys_.fiber(zero, pairs)) == error(lambda: sys_.fiber(zero, fine))
+    assert error(lambda: sys_.fiber(zero, fine))[1].endswith(f"below floor {G1_FLOOR} (point 1 of 3)")
+    nan = (np.array([p[0], p[1], np.nan]), u, tau)  # g_1's own theta fails
+    g_error = error(lambda: s.g[0].partials(nan, [multi_index(1 + m)]))
+    assert error(lambda: sys_.fiber(nan, pairs)) == error(lambda: sys_.fiber(nan, fine)) == g_error
+    assert g_error[0] is DomainViolation and "non-finite theta argument" in g_error[1]
+    # and where no evaluator fails, f's table is the one f alone gives
+    table = sys_.fiber(good, fine)[2]
+    assert table.tobytes() == s.f.partials(fine, multis).tobytes()
 
 
 def _points(args):
@@ -303,9 +343,9 @@ def test_state_asks_each_g_once_per_point(monkeypatch):
     s = catalog.build_structure("genus0", 2)
     sys_ = build_system(s)
     raw = s.sample(4, 5, 3)
-    st = _State(np.hstack([raw, np.ones((4, 3))]).T, 3, 2)
+    X = np.hstack([raw, np.ones((4, 3)), np.zeros((4, 6))]).T
     asked = _count_asks(monkeypatch, s)
-    _flows(sys_, st)
+    _flows(sys_, X, 3)
     g_asks = {(e, args): n for (e, args, _), n in asked.items() if e != id(s.f)}
     assert g_asks == {(id(gk), (p, *row[3:])): 1 for gk in s.g for row in raw.tolist()
                       for p in row[:3]}
@@ -401,25 +441,174 @@ def test_compatibility_keeps_every_float(name, n):
     assert rep.max_residual <= bound and abs(rep.max_residual - old) <= bound
 
 
+# ---------------------------------------------------------------------------
+# the per-pair mixed rule: the oracle of the stacked pass
+# ---------------------------------------------------------------------------
+
+
+class _Rows:
+    """A batch's rows by field, as the per-pair rule reads them."""
+
+    def __init__(self, X, M, m):
+        self.X, self.p, self.v, self.w = X, X[:M], X[M:M + m], X[M + m:2 * M + m]
+
+
+def _per_direction(fl, M):
+    """The stacked flow record read per direction i, as the per-pair rule
+    reads a flow: (d_i of p, v and w, A[k], Q[k], B[l], A_rows[k],
+    Q_rows[k], g), A[k] = A(p_i, p_k) with its row and Q likewise for
+    k != i, and g[l] g_l's value and first partials at p_i.  The ordered
+    pair (i, k) is the i (M - 1) + k - (k > i)-th of ``_flows``' i-major
+    pairs, counted here, not read off the record."""
+    d, c, B, jets, _ = fl
+    m = len(B)
+    g = np.array([jet[:2 + m] for jet in jets]).reshape(m, 2 + m, M, -1)
+    flows = []
+    for i in range(M):
+        at = {k: i * (M - 1) + k - (k > i) for k in range(M) if k != i}
+        A, Q, A_rows, Q_rows = ({k: c[x, y, n] for k, n in at.items()}
+                                for y in (0, slice(1, None)) for x in (0, 1))
+        flows.append((_Rows(d[:, i], M, m), A, Q, B[:, i], A_rows, Q_rows, g[:, :, i]))
+    return flows
+
+
+def _b_row(jets, l):
+    """The first-partial row of B_l = g_l / g_1 in slot order, from the
+    values and first partials of g_1 and g_l."""
+    n = len(jets[l])
+    G, dG, gl, dgl = jets[0][0], np.asarray(jets[0][1:n]), jets[l][0], np.asarray(jets[l][1:])
+    return dgl / G - gl * dG / G**2
+
+
+def _chain(row, da, points):
+    """d_a of a coefficient through its first-partial row: the point slots
+    (p_t for t in ``points``) first, then the fiber slots."""
+    n = len(points)
+    return (sum(row[s] * da.p[t] for s, t in enumerate(points))
+            + sum(row[n + l] * dv for l, dv in enumerate(da.v)))
+
+
+def _mixed(st, fa, fb, b, kind, k):
+    """d_a d_b of the field p_k, v_k or w_k (``kind`` "p", "v" or "w") of
+    the batch ``st``, from the flows ``fa`` along a and ``fb`` along b, one
+    field and one pair of directions at a time.
+
+    d_b of the field is A(p_b, p_k) w_b, B_k(p_b) w_b (w_b for v_1)
+    or Q(p_b, p_k) w_b w_k, with the coefficient value and its row read
+    off ``fb``; the chain and product rules take d_a of its factors from
+    ``fa``."""
+    da, (_, A, Q, B, A_rows, Q_rows, g) = fa[0], fb
+    w = st.w
+    if kind == "v":
+        if k == 0:
+            return da.w[b]
+        return _chain(_b_row(g, k), da, (b,)) * w[b] + B[k] * da.w[b]
+    if kind == "p":
+        return _chain(A_rows[k], da, (b, k)) * w[b] + A[k] * da.w[b]
+    dQ = _chain(Q_rows[k], da, (b, k))
+    return dQ * w[b] * w[k] + Q[k] * (da.w[b] * w[k] + w[b] * da.w[k])
+
+
+def _derivative(st, flows, i):
+    """d_i of every row of a march batch: the flow of (p, v, w) and, for
+    j != i, d_i y_j = d_j (A(p_i, p_j) w_i) and d_i z_j = d_j (Q(p_i, p_j) w_i w_j)
+    by the mixed rule, which reads the rows along i.  d_i y_i and d_i z_i
+    have no equation: 0."""
+    fi, M = flows[i], len(st.p)
+    yz = np.zeros((2, M, st.X.shape[1]), dtype=complex)
+    for j in range(M):
+        if j != i:
+            yz[0, j] = _mixed(st, flows[j], fi, i, "p", j)
+            yz[1, j] = _mixed(st, flows[j], fi, i, "w", j)
+    return np.concatenate((fi[0].X, yz.reshape(2 * M, -1)))
+
+
+def _batch(s, M, states, seed):
+    """A batch of sampled states of the structure, its slopes w, y and z
+    seeded draws."""
+    raw = s.sample(states, seed, M)
+    rng = np.random.default_rng(seed)
+    shape = (len(raw), 3 * M)
+    slopes = rng.uniform(0.3, 1.2, shape) + 1j * rng.uniform(-0.5, 0.5, shape)
+    return np.hstack([raw, slopes]).T.copy()
+
+
+def _mismatches(sys_, M, X, record=lambda fl: fl):
+    """The (direction, field) at which the stacked pass over the batch X
+    differs in any bit from the per-pair rule: ``_slopes`` along every
+    direction against ``_derivative`` and, at M >= 3, ``_second`` and
+    ``_second_v`` at every (a, b, field) against ``_mixed``.  The stacked
+    pass reads ``record`` of the flow, the rule the flow itself."""
+    m, N = sys_.m, X.shape[1]
+    fl = _flows(sys_, X, M)
+    st, flows, at, out = _Rows(X, M, m), _per_direction(fl, M), np.arange(N), []
+    for i in range(M):
+        if _slopes(record(fl), np.full(N, i), at).tobytes() != _derivative(st, flows, i).tobytes():
+            out.append((i, "slopes"))
+    for a, b in [(a, b) for a in range(M) for b in range(M) if a != b and M >= 3]:
+        got = {(kind, k): x for k in range(M) if k != b
+               for kind, x in zip("pw", _second(record(fl), a, b, k, at))}
+        got.update({("v", l): x for l, x in enumerate(_second_v(record(fl), a, b, at))})
+        out += [(a, b, key) for key, x in got.items()
+                if x.tobytes() != _mixed(st, flows[a], flows[b], b, *key).tobytes()]
+    return out
+
+
+CATALOG = [("benney", 1), ("benney", 2), ("genus0", 1), ("genus0", 2), ("genus1", 1),
+           ("genus1", 2), ("genus2", 2)]
+
+
+@pytest.mark.parametrize("M", [2, 3])
+@pytest.mark.parametrize("name,n", CATALOG)
+def test_stacked_mixed_pass_is_the_per_pair_rule_bit_for_bit(name, n, M):
+    # every d_a d_b the march and the compatibility check take from one
+    # stacked pass is the float the per-pair rule gives, field by field
+    s = catalog.build_structure(name, n)
+    assert _mismatches(build_system(s), M, _batch(s, M, 4, 31)) == []
+
+
+@pytest.mark.parametrize("M", [2, 3])
+def test_the_bit_for_bit_oracle_catches_swapped_pairs_and_a_dropped_v_term(monkeypatch, M):
+    # the stacked pass reading A(p_k, p_b) for A(p_b, p_k), or its chain
+    # rule missing the v_1 term, differs from the per-pair rule
+    s = catalog.build_structure("benney", 2)
+    sys_, X = build_system(s), _batch(s, M, 4, 31)
+
+    def dropped(fl):
+        c = fl[1].copy()
+        c[:, 3] = 0.0  # the d_{v_1} entry of every A and Q row
+        return fl[0], c, *fl[2:]
+
+    assert len(_mismatches(sys_, M, X, dropped)) >= M
+    pairs = gtsys._pairs
+
+    def swapped(M, m):
+        I, K, at, rows = pairs(M, m)
+        return I, K, at.T, rows
+
+    monkeypatch.setattr(gtsys, "_pairs", swapped)
+    assert len(_mismatches(sys_, M, X)) >= M
+
+
 def _per_state_compatibility(s, M, states, seed):
-    """compatibility_residual's batch, per state: (its residual, S, the
-    largest |d_a d_b F| among the differences it takes, and |g_1| at each
-    of its points)."""
+    """compatibility_residual's batch, per state, by the per-pair rule: (its
+    residual, S, the largest |d_a d_b F| among the differences it takes,
+    and |g_1| at each of its points)."""
     sys_ = build_system(s)
     rng = gtsys.SplitMix64(seed)
     raw = s.sample(states, seed, M)
     ws = [[complex(rng.uniform(0.3, 1.2), rng.uniform(-0.5, 0.5)) for _ in range(M)]
           for _ in raw]
-    st = _State(np.hstack([raw, np.reshape(ws, (len(raw), M))]).T.copy(), M, s.m)
-    flows = _flows(sys_, st)
+    X = np.hstack([raw, np.reshape(ws, (len(raw), M)), np.full((len(raw), 2 * M), np.nan)]).T
+    st, flows = _Rows(X, M, s.m), _per_direction(_flows(sys_, X, M), M)
     diffs, sizes = [], []
     for i in range(M):
         for j in range(i + 1, M):
             others = [k for k in range(M) if k not in (i, j)]
             for kind, k in ([("p", k) for k in others] + [("v", l) for l in range(s.m)]
                             + [("w", k) for k in others]):
-                d_ij = gtsys._mixed(st, flows[i], flows[j], j, kind, k)
-                d_ji = gtsys._mixed(st, flows[j], flows[i], i, kind, k)
+                d_ij = _mixed(st, flows[i], flows[j], j, kind, k)
+                d_ji = _mixed(st, flows[j], flows[i], i, kind, k)
                 diffs.append(np.abs(d_ij - d_ji))
                 sizes.append(np.maximum(np.abs(d_ij), np.abs(d_ji)))
     g1 = np.array([[abs(s.g[0].value((p, *row[M:]))) for p in row[:M]] for row in raw.tolist()])
@@ -590,6 +779,44 @@ def test_memoised_march_keeps_every_float():
     assert res.residual == GOLDEN_RESIDUAL
     assert [complex(x) for x in res.grid_v1.ravel()] == GOLDEN_V1
     assert res.residual == pytest.approx(PER_STATE_RESIDUAL, rel=RESIDUAL_ORACLE_REL, abs=0)
+
+
+def _digest(grid):
+    return hashlib.sha256(grid.tobytes()).hexdigest()
+
+
+# convergence_ratio(M=2, h=0.02, seed=23) on the marches benney(1) above does
+# not reach: (ratio, coarse and fine residual, sha256 of the coarse and fine
+# grid_v1 bytes), every float pinned as the per-pair mixed rule gave it
+GOLDEN_RATIOS = {
+    ("genus2", 2, 4): (3.1111798126669803, 0.003631779534517965, 0.0011673319297494135,
+                       "bfe20eec7f39e4e53dd9a643a5a6c4b8e2138effcf735301ea8416137d1cdd86",
+                       "98306701b2e2c52418485b41b42f3c71588d3a73ae0b35ed46047f5224dda31a"),
+    ("genus0", 2, 4): (3.1079658571734274, 0.004556048093670089, 0.0014659260439281773,
+                       "32aeb41e1167c7285e2995a797ae6c2ce5f5f237a97e0a145eee9a7c254376c5",
+                       "fd7fa1f48b7e54713cab0b3351f6eec974fc033fea7288b138e6946e3fb31355"),
+    ("genus1", 1, 2): (3.7506367548210853, 9.598641870905866e-05, 2.5592032762350895e-05,
+                       "6c8596043e80fb31563021146aa85d47496dbc9a78f26933273b625bdd2f7b38",
+                       "316d04d37be0172433f790820e1f73d2dde6791d2b933e85121b11417fe8d950"),
+}
+
+
+@pytest.mark.parametrize("name,n,steps", list(GOLDEN_RATIOS))
+def test_convergence_ratio_keeps_every_float(name, n, steps):
+    sys_ = build_system(catalog.build_structure(name, n))
+    ratio, coarse, fine = convergence_ratio(sys_, M=2, steps=steps, h=0.02)
+    assert (ratio, coarse.residual, fine.residual, _digest(coarse.grid_v1),
+            _digest(fine.grid_v1)) == GOLDEN_RATIOS[name, n, steps]
+    assert coarse.grid_v1.shape == (steps + 1,) * 2 and fine.grid_v1.shape == (2 * steps + 1,) * 2
+
+
+def test_three_component_march_keeps_every_float():
+    # integrate_reduction(benney(2), M=3, steps=3, h=0.02, seed=23): the residual
+    # and the sha256 of the grid_v1 bytes as the per-pair mixed rule gave them
+    res = integrate_reduction(_benney_system(2), M=3, steps=3, h=0.02)
+    assert res.residual == 0.1600269857458915 and res.grid_v1.shape == (4, 4, 4)
+    assert _digest(res.grid_v1) == (
+        "bbad74b672281bf25293ca511366834983fe02683a0a8d295c849b70f8886b00")
 
 
 @pytest.mark.parametrize("M,steps", [(2, 6), (3, 3)])
