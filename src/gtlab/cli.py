@@ -21,7 +21,7 @@ import os
 import sys
 import time
 from json.encoder import encode_basestring
-from typing import Any
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
@@ -38,111 +38,146 @@ from .core import (
 from .errors import ConfigError, GTLabError
 from .kernel import Domain, JetEvaluator
 
-COMMON_KEYS = {"command", "structure", "n", "seed", "samples", "tol", "out"}
-COMMAND_KEYS = {
-    "verify": set(),
-    "collide": {"groups"},
-    "pushforward": {"scale"},
-    "potentials": set(),
-    "gtsys": {"M", "states", "steps", "h"},
-    "hydro": {"z_count", "svd_tol", "triple"},
-    "reconstruct": {"pair", "index"},
-    "rauch": {"moduli", "delta", "nodes", "branch"},
-    "report": set(),
-}
-POSITIVE_KEYS = {"n", "samples", "tol", "M", "states", "steps", "h",
-                 "z_count", "svd_tol", "delta", "nodes"}
-INT_KEYS = {"seed", "n", "samples", "M", "states", "steps", "z_count", "nodes",
-            "index", "branch"}
-DEFAULT_N = {"benney": 3, "genus0": 2, "genus1": 2}
-# the keys that set a job's cost: the largest value each takes, and what the
-# cost grows with; beyond it a job runs for hours or exhausts memory, so it
-# exits 2 (rauch's nodes are bounded by hyperell.MAX_NODES)
-COST_BOUNDS = {
-    "n": (16, "punctures; a sample costs O(n^2) partials in bracket and cocycle"),
-    "samples": (1000, "sampled points; each costs one full residual per identity"),
-    "states": (1000, "gtsys states; each costs O(M^3) mixed derivatives"),
-    "steps": (64, "reduction steps; the fine march visits (2 steps + 1)^2 grid points"),
-    "M": (8, "points per gtsys state; a state costs O(M^3) mixed derivatives"),
-    "z_count": (1000, "spectral points; hydro samples 2 z_count of them per potential"),
-}
-
 
 def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
 def _is_real(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+    # an int past float range is no real number: float() of it overflows
+    return math.isfinite(x) if isinstance(x, float) else _is_int(x) and abs(x) <= sys.float_info.max
 
 
 def _is_int_list(val) -> bool:
     return isinstance(val, list) and all(_is_int(x) for x in val)
 
 
-def validate_config(cfg: dict) -> dict:
-    """Schema check; raises ConfigError with a reason on any violation."""
-    if not isinstance(cfg, dict):
-        raise ConfigError("config must be a JSON object")
-    command = cfg.get("command")
-    if not isinstance(command, str) or command not in COMMAND_KEYS:
-        raise ConfigError(f"unknown or missing command: {command!r}")
-    allowed = COMMON_KEYS | COMMAND_KEYS[command]
-    unknown = set(cfg) - allowed
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    if "seed" not in cfg:
-        raise ConfigError("seed is mandatory (no wall-clock defaults)")
-    for key in INT_KEYS & set(cfg):
-        if not _is_int(cfg[key]) or cfg[key] < 0:
-            raise ConfigError(f"{key} must be a non-negative integer, got {cfg[key]!r}")
-    for key in POSITIVE_KEYS & set(cfg):
-        if not _is_real(cfg[key]) or cfg[key] <= 0:
-            raise ConfigError(f"{key} must be a positive number, got {cfg[key]!r}")
-    for key, (limit, reason) in COST_BOUNDS.items():
-        if key in cfg and cfg[key] > limit:
-            raise ConfigError(f"{key} must be at most {limit} ({reason}), got {cfg[key]!r}")
-    if "scale" in cfg and not _is_real(cfg["scale"]):
-        raise ConfigError(f"scale must be a real number, got {cfg['scale']!r}")
-    if "out" in cfg and not isinstance(cfg["out"], str):
-        raise ConfigError("out must be a path string")
-    if command not in ("rauch", "report"):
-        name = cfg.get("structure")
-        if not isinstance(name, str) or name not in catalog.CATALOG:
-            raise ConfigError(
-                f"unknown structure {name!r}; choose from "
-                f"{sorted(catalog.CATALOG)}"
-            )
-    if command == "rauch":
-        moduli = cfg.get("moduli", [1.5, 2.9, 4.1])
-        if (not isinstance(moduli, (list, tuple)) or len(moduli) != 3
-                or not all(_is_real(x) for x in moduli)):
-            raise ConfigError("moduli must be three real numbers")
-    for key, length in (("pair", 2), ("triple", 3)):
-        val = cfg.get(key, list(range(length)))
-        if not (_is_int_list(val) and len(val) == len(set(val)) == length):
-            raise ConfigError(f"{key} must be {length} distinct integers, got {val!r}")
-    groups = cfg.get("groups", [])
-    if not (isinstance(groups, list) and all(_is_int_list(grp) for grp in groups)):
-        raise ConfigError(f"groups must be a list of slot lists, got {groups!r}")
-    slots = [slot for grp in groups for slot in grp]
+def _kind(name: str, admits, read=None, refusal="{key} must be {name}, got {value!r}"):
+    """A kind of value, ``name`` (its ``__doc__``): a function of (key, value) that gives
+    the value as a handler reads it, or raises ConfigError with ``refusal`` where the
+    value is not one ``admits``."""
+    def kind(key, value):
+        if not admits(value):
+            raise ConfigError(refusal.format(key=key, name=name, value=value))
+        return value if read is None else read(value)
+
+    kind.__doc__ = name
+    return kind
+
+
+_count = _kind("a non-negative integer", lambda v: _is_int(v) and v >= 0)
+_positive_int = _kind("a positive integer", lambda v: _is_int(v) and v > 0)
+_positive = _kind("a positive number", lambda v: _is_real(v) and v > 0, float)
+_real = _kind("a real number", _is_real, float)
+_path = _kind("a path string", lambda v: isinstance(v, str) and v != "",
+              refusal="{key} must be {name}")
+_structure = _kind(f"one of {sorted(catalog.CATALOG)}",
+                   lambda v: isinstance(v, str) and v in catalog.CATALOG)
+_moduli = _kind("three real numbers", lambda v: isinstance(v, (list, tuple)) and len(v) == 3
+                and all(map(_is_real, v)), refusal="{key} must be {name}")
+_pair, _triple = (_kind(f"{size} distinct integers", lambda v, size=size: _is_int_list(v)
+                         and len(v) == len(set(v)) == size) for size in (2, 3))
+_slot_lists = _kind("a list of slot lists",
+                    lambda v: isinstance(v, list) and all(map(_is_int_list, v)))
+
+
+def _slot_groups(key, value):
+    """a list of disjoint slot lists"""
+    slots = [slot for grp in _slot_lists(key, value) for slot in grp]
     if len(set(slots)) != len(slots):
         raise ConfigError("collision groups must be disjoint")
-    return cfg
+    return value
 
 
-def _build(cfg):
+class Key(NamedTuple):
+    """A config key: its kind, its default for each command that takes it (a dict
+    holds one per structure), and the bound of a key that sets a job's cost."""
+
+    kind: Callable[[str, Any], Any]
+    defaults: dict[str, Any]
+    bound: tuple[int, str] | None = None  # the largest value, and what the cost grows with
+
+
+REQUIRED = object()  # the default of a key every job must give
+_STRUCTURED = ("verify", "collide", "pushforward", "potentials", "gtsys", "hydro", "reconstruct")
+_EVERY = (*_STRUCTURED, "rauch", "report")
+
+# a job gives only keys its command takes; beyond a bound it runs for hours or
+# exhausts memory, so it exits 2
+KEYS = {
+    "seed": Key(_count, dict.fromkeys(_EVERY, REQUIRED)),  # no wall-clock defaults
+    "structure": Key(_structure, dict.fromkeys(_STRUCTURED, REQUIRED)),
+    "n": Key(_positive_int, dict.fromkeys((*_STRUCTURED, "report"),
+                                          {"benney": 3, "genus0": 2, "genus1": 2, "genus2": 2}),
+             (16, "punctures; a sample costs O(n^2) partials in bracket and cocycle")),
+    "samples": Key(_positive_int, {"verify": 100, "collide": 40, "pushforward": 40,
+                                   "potentials": 50, "reconstruct": 30, "report": 40},
+                   (1000, "sampled points; each costs one full residual per identity")),
+    "tol": Key(_positive, {"verify": 1e-8, "collide": 1e-6, "pushforward": 1e-6,
+                           "potentials": 1e-8, "gtsys": 1e-9, "hydro": 1e-8, "reconstruct": 1e-8,
+                           "rauch": 1e-4, "report": {"benney": 1e-8, "genus0": 1e-8,
+                                                     "genus1": 1e-8, "genus2": 1e-6}}),
+    "out": Key(_path, dict.fromkeys(_EVERY, "gtlab-report.json")),
+    "groups": Key(_slot_groups, {"collide": [[0, 1]]}),
+    "scale": Key(_real, {"pushforward": 0.05}),
+    "M": Key(_positive_int, {"gtsys": 3},
+             (8, "points per gtsys state; a state costs O(M^3) mixed derivatives")),
+    "states": Key(_positive_int, {"gtsys": 50},
+                  (1000, "gtsys states; each costs O(M^3) mixed derivatives")),
+    "steps": Key(_positive_int, {"gtsys": 10},
+                 (64, "reduction steps; the fine march visits (2 steps + 1)^2 grid points")),
+    "h": Key(_positive, {"gtsys": 0.02}),
+    "z_count": Key(_positive_int, {"hydro": 40},
+                   (1000, "spectral points; hydro samples 2 z_count of them per potential")),
+    "svd_tol": Key(_positive, {"hydro": 1e-8}),
+    "triple": Key(_triple, {"hydro": [0, 1, 2]}),
+    "pair": Key(_pair, {"reconstruct": [0, 1]}),
+    "index": Key(_count, {"reconstruct": 0}),
+    "moduli": Key(_moduli, {"rauch": [1.5, 2.9, 4.1]}),
+    "delta": Key(_positive, {"rauch": 1e-4}),
+    "nodes": Key(_positive_int, {"rauch": hyperell.DEFAULT_NODES},
+                 (hyperell.MAX_NODES, "Gauss nodes; a job builds an n- and a 2n-node rule")),
+    "branch": Key(_count, {"rauch": None}),  # None: every branch point
+}
+TAKES = {command: {key: row for key, row in KEYS.items() if command in row.defaults}
+         for command in _EVERY}
+
+
+def validate_config(cfg: dict) -> dict:
+    """``cfg`` resolved through ``KEYS``: its command and each key the command takes, as
+    its kind reads it (an integer tol reads 1.0) or at its default, one per structure at
+    the job's structure (report keeps them all).  Raises ConfigError with a reason."""
+    if not isinstance(cfg, dict):
+        raise ConfigError("config must be a JSON object")
+    command = cfg["command"] if "command" in cfg else None
+    if not isinstance(command, str) or command not in TAKES:
+        raise ConfigError(f"unknown or missing command: {command!r}")
+    takes = TAKES[command]
+    unknown = set(cfg).difference(takes, ("command",))
+    if unknown:
+        raise ConfigError(f"unknown config keys for {command}: {sorted(unknown, key=str)}")
+    job = {"command": command}
+    for key, (kind, defaults, bound) in takes.items():
+        if key in cfg:
+            value = kind(key, cfg[key])
+            if bound is not None and value > bound[0]:
+                raise ConfigError(f"{key} must be at most {bound[0]} ({bound[1]}), got {value!r}")
+        elif defaults[command] is REQUIRED:
+            raise ConfigError(f"{key} is mandatory")
+        else:
+            value = defaults[command]
+            if isinstance(value, dict) and "structure" in job:
+                value = value[job["structure"]]
+        job[key] = value
+    return job
+
+
+def _build(cfg, enhanced=False):
     ent = catalog.CATALOG[cfg["structure"]]
-    n = int(cfg.get("n", DEFAULT_N.get(ent.name, 2)))
-    return ent, ent.build(n), n
-
-
-def _build_enhanced(cfg):
-    ent = catalog.CATALOG[cfg["structure"]]
-    if ent.build_enhanced is None:
+    build = ent.build_enhanced if enhanced else ent.build
+    if build is None:
         raise ConfigError(f"{ent.name} has no enhancement in the catalog")
-    n = int(cfg.get("n", DEFAULT_N.get(ent.name, 2)))
-    return ent, ent.build_enhanced(n), n
+    return ent, build(cfg["n"])
 
 
 def _check_indices(key: str, indices, count: int) -> None:
@@ -152,40 +187,31 @@ def _check_indices(key: str, indices, count: int) -> None:
 
 
 # ---------------------------------------------------------------------------
-# command handlers: each returns (reports, extras), every report a
-# VerificationReport whose verdict is max_residual < tolerance
+# command handlers: each takes the resolved config and returns (reports,
+# extras), every report a VerificationReport whose verdict is max_residual < tolerance
 # ---------------------------------------------------------------------------
 
 
 def _cmd_verify(cfg):
-    samples = int(cfg.get("samples", 100))
-    tol = float(cfg.get("tol", 1e-8))
-    seed = cfg["seed"]
-    ent, s, _ = _build(cfg)
+    samples, seed, tol = cfg["samples"], cfg["seed"], cfg["tol"]
+    ent, s = _build(cfg)
     reports = verify_all(s, samples, seed, tol)
     if ent.build_enhanced is not None:
-        _, enh, n = _build_enhanced(cfg)
-        reports.append(verify_lambda(enh, samples, seed + 3, tol))
+        reports.append(verify_lambda(_build(cfg, enhanced=True)[1], samples, seed + 3, tol))
     return reports, {}
 
 
 def _cmd_potentials(cfg):
-    samples = int(cfg.get("samples", 50))
-    tol = float(cfg.get("tol", 1e-8))
-    seed = cfg["seed"]
-    ent, enh, n = _build_enhanced(cfg)
-    pots = catalog.build_potentials(ent.name, n)
-    return [verify_potential(enh, pot, samples, seed + idx, tol)
+    ent, enh = _build(cfg, enhanced=True)
+    pots = catalog.build_potentials(ent.name, cfg["n"])
+    return [verify_potential(enh, pot, cfg["samples"], cfg["seed"] + idx, cfg["tol"])
             for idx, pot in enumerate(pots)], {}
 
 
 def _cmd_collide(cfg):
-    samples = int(cfg.get("samples", 40))
-    tol = float(cfg.get("tol", 1e-6))
-    seed = cfg["seed"]
-    ent, s, _ = _build(cfg)
-    collided = collide_points_closed(s, cfg.get("groups", [[0, 1]]))
-    return (verify_all(collided, samples, seed, tol),
+    _, s = _build(cfg)
+    collided = collide_points_closed(s, cfg["groups"])
+    return (verify_all(collided, cfg["samples"], cfg["seed"], cfg["tol"]),
             {"collided_label": collided.label, "m": collided.m})
 
 
@@ -216,28 +242,20 @@ def quadratic_mu(m: int, scale: float) -> JetEvaluator:
 
 
 def _cmd_pushforward(cfg):
-    samples = int(cfg.get("samples", 40))
-    tol = float(cfg.get("tol", 1e-6))
-    seed = cfg["seed"]
-    scale = float(cfg.get("scale", 0.05))
-    ent, s, _ = _build(cfg)
+    scale = cfg["scale"]
+    _, s = _build(cfg)
     pushed = pushforward(s, CoordinateChange(quadratic_mu(s.m, scale)))
-    return verify_all(pushed, samples, seed, tol), {"mu": "p + scale*u1*p^2", "scale": scale}
+    return (verify_all(pushed, cfg["samples"], cfg["seed"], cfg["tol"]),
+            {"mu": "p + scale*u1*p^2", "scale": scale})
 
 
 def _cmd_gtsys(cfg):
-    seed = cfg["seed"]
-    tol = float(cfg.get("tol", 1e-9))
-    states = int(cfg.get("states", 50))
-    M = int(cfg.get("M", 3))
-    _, s, _ = _build(cfg)
+    seed, steps, h = cfg["seed"], cfg["steps"], cfg["h"]
+    _, s = _build(cfg)
     sys_ = gtsys.build_system(s)
-    comp = gtsys.compatibility_residual(sys_, M=M, states=states, seed=seed,
-                                        tol=tol)
-    steps = int(cfg.get("steps", 10))
-    h = float(cfg.get("h", 0.02))
-    ratio, coarse, fine = gtsys.convergence_ratio(sys_, M=2, steps=steps,
-                                                  h=h, seed=seed)
+    comp = gtsys.compatibility_residual(sys_, M=cfg["M"], states=cfg["states"], seed=seed,
+                                        tol=cfg["tol"])
+    ratio, coarse, fine = gtsys.convergence_ratio(sys_, M=2, steps=steps, h=h, seed=seed)
     # a second-order march cuts its defect by 4 when h halves (Richardson);
     # ratio - 4 is exact between 2 and 8, so this passes 3.5 < ratio < 4.5
     order = _make_report("reduction_order", [abs(ratio - 4.0)], 0.5, seed, ratio=ratio,
@@ -250,18 +268,14 @@ def _cmd_gtsys(cfg):
 
 
 def _cmd_hydro(cfg):
-    seed = cfg["seed"]
-    tol = float(cfg.get("tol", 1e-8))
-    z_count = int(cfg.get("z_count", 40))
-    svd_tol = float(cfg.get("svd_tol", 1e-8))
-    i, j, k = cfg.get("triple", [0, 1, 2])
-    ent, enh, n = _build_enhanced(cfg)
-    pots = catalog.build_potentials(ent.name, n)
-    fam = hierarchy.PotentialFamily(enh.base, pots, enhanced=enh,
-                                    label=ent.name)
+    seed, tol = cfg["seed"], cfg["tol"]
+    i, j, k = cfg["triple"]
+    ent, enh = _build(cfg, enhanced=True)
+    pots = catalog.build_potentials(ent.name, cfg["n"])
+    fam = hierarchy.PotentialFamily(enh.base, pots, enhanced=enh, label=ent.name)
     v = tuple(fam.structure.sample(1, seed, 1)[0, 1:].tolist())
-    hs = hierarchy.hydro_coefficients(fam, i, j, k, v, z_count=z_count,
-                                      seed=seed, svd_tol=svd_tol,
+    hs = hierarchy.hydro_coefficients(fam, i, j, k, v, z_count=cfg["z_count"],
+                                      seed=seed, svd_tol=cfg["svd_tol"],
                                       residual_tol=tol)
     D, m = hs.D, fam.m
     reports = [
@@ -286,33 +300,23 @@ def _cmd_hydro(cfg):
 
 
 def _cmd_reconstruct(cfg):
-    seed = cfg["seed"]
-    tol = float(cfg.get("tol", 1e-8))
-    samples = int(cfg.get("samples", 30))
-    pair = cfg.get("pair", [0, 1])
-    index = int(cfg.get("index", 0))
-    ent, enh, n = _build_enhanced(cfg)
-    pots = catalog.build_potentials(ent.name, n)
+    seed, tol, samples = cfg["seed"], cfg["tol"], cfg["samples"]
+    pair, index = cfg["pair"], cfg["index"]
+    ent, enh = _build(cfg, enhanced=True)
+    pots = catalog.build_potentials(ent.name, cfg["n"])
     _check_indices("pair", pair, len(pots))
     _check_indices("index", [index], len(pots))
-    fam = hierarchy.PotentialFamily(enh.base, pots, enhanced=enh,
-                                    label=ent.name)
+    fam = hierarchy.PotentialFamily(enh.base, pots, enhanced=enh, label=ent.name)
     i, j = pair
-    _, rep_f = hierarchy.reconstruct_f(fam, i, j, samples=samples,
-                                       seed=seed, tol=tol)
-    _, rep_l = hierarchy.reconstruct_lambda(fam, index, samples=samples,
-                                            seed=seed + 1, tol=tol)
+    _, rep_f = hierarchy.reconstruct_f(fam, i, j, samples=samples, seed=seed, tol=tol)
+    _, rep_l = hierarchy.reconstruct_lambda(fam, index, samples=samples, seed=seed + 1, tol=tol)
     return [rep_f, rep_l], {}
 
 
 def _cmd_rauch(cfg):
-    seed = cfg["seed"]
-    tol = float(cfg.get("tol", 1e-4))
-    moduli = cfg.get("moduli", [1.5, 2.9, 4.1])
-    delta = float(cfg.get("delta", 1e-4))
-    nodes = int(cfg.get("nodes", hyperell.DEFAULT_NODES))
-    branches = [int(cfg["branch"])] if "branch" in cfg else [0, 1, 2]
-    pd, checks = hyperell.rauch(moduli, branches, delta=delta, nodes=nodes)
+    seed, tol, moduli, delta = cfg["seed"], cfg["tol"], cfg["moduli"], cfg["delta"]
+    branches = [0, 1, 2] if cfg["branch"] is None else [cfg["branch"]]
+    pd, checks = hyperell.rauch(moduli, branches, delta=delta, nodes=cfg["nodes"])
     reports = [
         _make_report("period_symmetry", [pd.symmetry_error], 1e-8, seed,
                      moduli=list(moduli)),
@@ -329,11 +333,10 @@ def _cmd_rauch(cfg):
 def _cmd_report(cfg):
     reports = []
     for name in catalog.CATALOG:
-        # a config's tol holds for every structure; without one, genus2 is
-        # held to 1e-6
-        sub = {"samples": 40, "tol": 1e-6 if name == "genus2" else 1e-8, **cfg,
-               "structure": name}
-        entries, _ = _cmd_verify(sub)
+        # verify on each structure, a default per structure read at it: n,
+        # and a tol of 1e-6 on genus2 and 1e-8 on the others
+        sub = {key: cfg[key][name] if isinstance(cfg[key], dict) else cfg[key] for key in cfg}
+        entries, _ = _cmd_verify({**sub, "structure": name})
         for r in entries:
             r.params["structure"] = name
         reports.extend(entries)
@@ -416,7 +419,7 @@ def emit_report(report: dict, path: str, summary: str) -> None:
 def _summary_text(report: dict, elapsed: float) -> str:
     lines = [
         f"gtlab {report['artifact_version']} - command "
-        f"{report['config'].get('command')}",
+        f"{report['config']['command']}",
         f"elapsed: {elapsed:.2f} s",
     ]
     for entry in report["reports"]:
@@ -430,15 +433,11 @@ def _summary_text(report: dict, elapsed: float) -> str:
 
 
 def run(cfg: dict, out_path: str | None) -> int:
-    try:
-        cfg = validate_config(cfg)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
     t0 = time.perf_counter()
     error = None
     try:
-        reports, extras = HANDLERS[cfg["command"]](cfg)
+        job = validate_config(cfg)
+        reports, extras = HANDLERS[job["command"]](job)
         entries = [r.as_dict() for r in reports]
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -446,9 +445,7 @@ def run(cfg: dict, out_path: str | None) -> int:
     except (GTLabError, ArithmeticError) as exc:  # an overflow fails the job too
         entries, extras = [], {}
         error = f"{type(exc).__name__}: {exc}"
-    verdict = "pass" if entries and all(e["pass"] for e in entries) else "fail"
-    if error is not None:
-        verdict = "fail"
+    verdict = "pass" if entries and all(e["pass"] for e in entries) else "fail"  # an error has none
     report = {
         "artifact_version": __version__,
         "config": cfg,
@@ -458,7 +455,7 @@ def run(cfg: dict, out_path: str | None) -> int:
         "verdict": verdict,
     }
     elapsed = time.perf_counter() - t0
-    out = out_path or cfg.get("out") or "gtlab-report.json"
+    out = out_path or job["out"]
     summary = _summary_text(report, elapsed)
     try:
         emit_report(report, out, summary)

@@ -366,6 +366,14 @@ class FreeData:
     v0: tuple[complex, ...]
 
 
+def _phase(x: float) -> float:
+    """``x``, unless a step so wide overflowed it (math.sin(inf) raises
+    ValueError): then an OverflowError that names it."""
+    if math.isinf(x):
+        raise OverflowError(f"free data phase overflows float64: {x}")
+    return x
+
+
 def default_free_data(sys: GTSystem, M: int, seed: int = 23) -> FreeData:
     """Smooth seeded free data anchored at an admissible sample of the
     structure."""
@@ -376,8 +384,8 @@ def default_free_data(sys: GTSystem, M: int, seed: int = 23) -> FreeData:
     def make_pair(base):
         alpha = complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) * 0.05
         beta = rng.uniform(2.0, 4.0)
-        fn = lambda t, b=base, al=alpha, be=beta: b + al * math.sin(be * t)  # noqa: E731
-        dfn = lambda t, al=alpha, be=beta: al * be * math.cos(be * t)  # noqa: E731
+        fn = lambda t, b=base, al=alpha, be=beta: b + al * math.sin(_phase(be * t))  # noqa: E731
+        dfn = lambda t, al=alpha, be=beta: al * be * math.cos(_phase(be * t))  # noqa: E731
         return fn, dfn
 
     pf, pd, wf, wd = [], [], [], []

@@ -208,6 +208,17 @@ def rauch(moduli, branches=(0, 1, 2), delta: float = 1e-4,
     moduli = _validate_moduli(moduli)
     if any(branch not in (0, 1, 2) for branch in branches):
         raise ConfigError("branch must be 0 (a), 1 (b) or 2 (c)")
+    # a step as wide as a gap next to a varied branch point carries a stencil
+    # point onto or past its neighbour (1 below a, or the next modulus)
+    gaps = (moduli[0] - 1.0, moduli[1] - moduli[0], moduli[2] - moduli[1])
+    least = min((gaps[g] for branch in branches for g in (branch, branch + 1) if g < 3),
+                default=math.inf)
+    if not delta < least:
+        raise ConfigError(f"delta must be less than {least!r}, the least gap next to a "
+                          f"varied branch point, got {delta!r}")
+    if any(moduli[branch] + delta / 2.0 == moduli[branch] for branch in branches):
+        raise ConfigError(f"delta must move each varied branch point by half of it, "
+                          f"got {delta!r}")
     steps = (delta, -delta, delta / 2.0, -delta / 2.0)
     stencil = []
     for branch in branches:

@@ -769,6 +769,12 @@ Box = tuple[float, float, float, float]  # (re_min, re_max, im_min, im_max)
 # ---------------------------------------------------------------------------
 
 
+# a window wider than this may serve a point whose series overflows on any window, and
+# only then does theta_jet look for one: a point with Im tau >= 0.01 whose largest term
+# is in float range needs a window under about 200
+_WIDE_WINDOW = 256
+
+
 def _theta_window(im_p, im_tau, dp: int, dtau: int) -> int:
     """The smallest K such that each term |k| > K of every entry (i, j), i <= dp, j <= dtau,
     is below 2^-64 of its series' largest term at every point.  With k0 = 1/2 - im_p / im_tau
@@ -818,9 +824,9 @@ def theta_jet(p, tau, dp: int = 0, dtau: int = 0) -> np.ndarray:
     the ``_theta_window`` of all the columns: every term it drops, weighted for any entry,
     is below 2^-64 of its point's largest term.
     A non-finite argument raises ``DomainViolation``, Im tau <= 0 ``InvalidModulus`` and a
-    series not finite ``OverflowError``: the error of the first point at fault, the columns
-    read one after another and each point by point, naming that point by its place in its
-    column."""
+    series not finite, or whose largest term is past float range, ``OverflowError``: the
+    error of the first point at fault, the columns read one after another and each point
+    by point, naming that point by its place in its column."""
     cols = np.empty((2, *np.broadcast(p, tau, [0]).shape), dtype=complex)
     cols[0], cols[1] = p, tau  # broadcast in place: cheaper than np.broadcast_arrays
     p, tau = cols
@@ -829,9 +835,20 @@ def theta_jet(p, tau, dp: int = 0, dtau: int = 0) -> np.ndarray:
     valid = finite & (t.imag > 0)
     # the series runs over the points before the first invalid one, which may overflow first
     cut = len(x) if valid.all() else int(np.argmin(valid))
+    K = _theta_window(x[:cut].imag, t[:cut].imag, dp, dtau) if cut else 0
+    if K > _WIDE_WINDOW:
+        # a point whose largest term, at least exp(pi Im tau (k0^2 - 1/4)) with k0 =
+        # 1/2 - Im p / Im tau, is past float range overflows on any window: the series
+        # stops before it too, and its window, about |k0| wide, is never built
+        with np.errstate(over="ignore"):
+            k0 = 0.5 - x[:cut].imag / t[:cut].imag
+            huge = math.pi * t[:cut].imag * (k0 * k0 - 0.25) > 710.0
+        if huge.any():
+            cut = int(np.argmax(huge))
+            K = _theta_window(x[:cut].imag, t[:cut].imag, dp, dtau) if cut else 0
     at_x, at_t = x[:cut], t[:cut]
     if cut:
-        k, half, w = _theta_weights(_theta_window(at_x.imag, at_t.imag, dp, dtau), dp, dtau)
+        k, half, w = _theta_weights(K, dp, dtau)
         with np.errstate(over="ignore", invalid="ignore"):
             a = np.exp(k * (TWO_PI_I * at_x) + half * (TWO_PI_I * at_t)) @ w
         if not np.isfinite(a).all():  # row n of a is point n of the flattened columns
@@ -840,6 +857,7 @@ def theta_jet(p, tau, dp: int = 0, dtau: int = 0) -> np.ndarray:
     if cut < len(x):
         first = np.arange(len(x)) == cut
         _fail_closed(first & ~finite.ravel(), DomainViolation, "non-finite theta argument", p, tau)
+        _fail_closed(first & valid.ravel(), OverflowError, "theta series overflows", p, tau)
         _fail_closed(first, InvalidModulus, "Im tau must be positive", p, tau)
     return a.T.reshape(dp + 1, dtau + 1, *p.shape)
 

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from gtlab import catalog, gtsys, hierarchy, hyperell
+from gtlab import catalog, cli, gtsys, hierarchy, hyperell
 from gtlab.cli import emit_report, main, run, validate_config
 from gtlab.core import verify_potential
 from gtlab.errors import ConfigError
@@ -60,7 +60,7 @@ def _run_fuzz(tmp_path, cfg):
 
 
 def test_valid_config_passes_validation():
-    assert validate_config(dict(BASE)) == BASE
+    assert validate_config(dict(BASE)) == {**BASE, "out": "gtlab-report.json"}
 
 
 @pytest.mark.parametrize("patch", [
@@ -93,13 +93,96 @@ def test_cost_setting_keys_beyond_their_bound_exit_2(tmp_path, capsys, cfg, key)
 
 
 def test_benchmark_configs_stay_within_the_cost_bounds():
+    # each benchmark job resolves, as given, with every key its command takes
     spec = importlib.util.spec_from_file_location(
         "workloads", Path(__file__).resolve().parents[1] / "bench" / "workloads.py")
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
     for name in workloads.CONFIGS:
-        for cfg in workloads.generate(name, 101, workloads.REF_SECONDS):
-            assert validate_config(dict(cfg)) == cfg
+        for seed in range(101, 111):
+            for cfg in workloads.generate(name, seed, workloads.REF_SECONDS):
+                job = validate_config(dict(cfg))
+                assert set(job) == {"command", *cli.TAKES[cfg["command"]]}
+                assert {key: job[key] for key in cfg} == cfg
+
+
+def _cheap(command):
+    """A job of ``command`` that runs in milliseconds: benney, and each
+    cost-setting key at 3 (z_count at 20: hydro needs 3m + 5 points)."""
+    cfg = {"command": command, "seed": 3}
+    for key, row in cli.TAKES[command].items():
+        if row.bound:
+            cfg[key] = 20 if key == "z_count" else 3
+    if "structure" in cli.TAKES[command]:
+        cfg["structure"] = "benney"
+    return cfg
+
+
+class _Reads(dict):
+    """A resolved config that records each key read from it."""
+
+    def __init__(self, job):
+        super().__init__(job)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+
+@pytest.mark.parametrize("command", sorted(cli.HANDLERS))
+def test_a_job_reads_exactly_the_keys_its_command_takes(tmp_path, monkeypatch, command):
+    # the resolved config holds only the keys the table declares for its
+    # command, so a handler reaching for another raises KeyError; and each
+    # declared key is read
+    jobs = []
+    resolve = cli.validate_config
+    monkeypatch.setattr(cli, "validate_config", lambda cfg: jobs.append(_Reads(resolve(cfg)))
+                        or jobs[-1])
+    assert run({**_cheap(command), "out": str(tmp_path / "r.json")}, None) in (0, 1)
+    assert jobs[0].read == {"command", *cli.TAKES[command]}
+
+
+@pytest.mark.parametrize("command,key", [(command, key) for command in sorted(cli.HANDLERS)
+                                         for key in cli.KEYS if key not in cli.TAKES[command]])
+def test_a_key_its_command_does_not_read_exits_2(tmp_path, capsys, command, key):
+    # report reads no structure, rauch no structure, n or samples, hydro and
+    # gtsys no samples; the check comes before any value is read
+    assert run({**_cheap(command), key: 1}, str(tmp_path / "r.json")) == 2
+    assert capsys.readouterr().err == f"config error: unknown config keys for {command}: ['{key}']\n"
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_a_default_per_structure_has_one_for_each_catalog_structure():
+    per_structure = [default for row in cli.KEYS.values() for default in row.defaults.values()
+                     if isinstance(default, dict)]
+    assert per_structure and all(set(d) == set(catalog.CATALOG) for d in per_structure)
+
+
+def _readme_row(key, row):
+    """The README's row for ``key``: its kind, each default with the commands
+    that take it, and its bound."""
+    shown = {}
+    for command, default in row.defaults.items():
+        if default is cli.REQUIRED:
+            text = "required"
+        elif isinstance(default, dict):  # one per structure
+            text = ", ".join(f"{name} `{json.dumps(val)}`" for name, val in default.items())
+        else:
+            text = f"`{json.dumps(default)}`"
+        shown.setdefault(text, []).append(command)
+    defaults = "; ".join(
+        f"{'every command' if len(commands) == len(cli.HANDLERS) else ', '.join(commands)}: {text}"
+        for text, commands in shown.items())
+    bound = f"{row.bound[0]} ({row.bound[1]})" if row.bound else ""
+    return f"| `{key}` | {row.kind.__doc__} | {defaults} | {bound} |"
+
+
+def test_the_readme_key_table_is_the_config_table():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## CLI\n")[1].split("\n## ")[0]
+    rows = [line for line in section.splitlines() if line.startswith("| `")]
+    assert rows == [_readme_row(key, row) for key, row in cli.KEYS.items()]
 
 
 def test_missing_seed_is_rejected():
@@ -141,7 +224,9 @@ def test_coincident_branch_points_exit_2(tmp_path, capsys):
     {"command": "rauch", "branch": "a"},
 ])
 def test_malformed_keys_exit_2(tmp_path, cfg):
-    code, out = _run(tmp_path, {"structure": "genus0", "n": 2, "seed": 5, **cfg})
+    base = {"structure": "genus0", "n": 2, "seed": 5}
+    code, out = _run(tmp_path, {key: base[key] for key in base if key in cli.TAKES[cfg["command"]]}
+                     | cfg)
     assert code == 2
     assert not out.exists()
 
@@ -478,7 +563,7 @@ def test_config_guards_name_their_reason(tmp_path, capsys, cfg, reason):
 def test_a_structure_without_an_enhancement_exits_2(tmp_path, capsys, command):
     # genus2 validates, and its handler refuses it before any work
     cfg = {"command": command, "structure": "genus2", "seed": 1}
-    assert validate_config(dict(cfg)) == cfg
+    assert validate_config(dict(cfg)).items() >= cfg.items()
     assert run(cfg, str(tmp_path / "r.json")) == 2
     assert capsys.readouterr().err == "config error: genus2 has no enhancement in the catalog\n"
     assert not (tmp_path / "r.json").exists()
@@ -499,145 +584,110 @@ def test_potentials_verifies_each_catalog_potential_at_its_own_seed(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# config fuzzing
+# each kind of cli.KEYS: a value that runs in milliseconds, and the values it
+# refuses; a direct test per key, and one fuzz drawn from the table
 # ---------------------------------------------------------------------------
 
 _JUNK = st.one_of(st.none(), st.booleans(), st.text(max_size=3),
                   st.floats(allow_nan=True, allow_infinity=True),
+                  st.integers(min_value=2**1024, max_value=2**1030),
                   st.lists(st.integers(-2, 2), max_size=4),
                   st.dictionaries(st.text(max_size=2), st.integers(), max_size=1))
-_MODULI = st.one_of(
-    st.lists(st.floats(1.0, 8.0), min_size=3, max_size=3).map(sorted),
-    st.lists(st.floats(-1e300, 1e300), min_size=3, max_size=3),
-    st.lists(st.floats(1.0, 8.0), min_size=0, max_size=5),
-    _JUNK,
-)
-_RAUCH = st.fixed_dictionaries(
-    {"command": st.just("rauch"), "seed": st.integers(0, 2**31)},
-    optional={
-        "moduli": _MODULI,
-        "nodes": st.one_of(st.integers(1, 64), st.integers(max_value=0),
-                           st.integers(min_value=hyperell.MAX_NODES + 1), _JUNK),
-        "branch": st.one_of(st.integers(-1, 3), _JUNK),
-        "delta": st.one_of(st.floats(1e-8, 10.0), st.floats(), _JUNK),
-        "tol": st.one_of(st.floats(1e-12, 1.0), _JUNK),
-    },
-)
-
-
-@settings(max_examples=150, deadline=None, derandomize=True, database=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(cfg=_RAUCH)
-def test_rauch_configs_never_raise(tmp_path, cfg):
-    _run_fuzz(tmp_path, cfg)
-
-
-# a well-formed verify / potentials / collide config on a rational structure,
-# with up to two keys replaced by an out-of-range or junk value
-_GOOD = {
-    "structure": st.sampled_from(["benney", "genus0"]),
-    "seed": st.integers(0, 2**31),
-    "samples": st.integers(1, 3),
+_INDICES = st.integers(0, 3)  # some past a small family's count, which its handler refuses
+_KINDS = {
+    "a non-negative integer": (_INDICES | st.integers(0, 2**31), [-1, -2**31]),
+    "a positive integer": (st.integers(1, 3), [0, -1]),
+    "a positive number": (st.floats(0.0, exclude_min=True, allow_infinity=False), [0.0, -2.5]),
+    # an int past float range too: float() of it overflows
+    "a real number": (st.floats(allow_nan=False, allow_infinity=False), [math.nan, 10**400]),
+    "a path string": (st.just("fuzz.json"), ["", 5]),
+    f"one of {sorted(catalog.CATALOG)}": (st.sampled_from(sorted(catalog.CATALOG)), ["genus7"]),
+    "2 distinct integers": (st.lists(_INDICES, min_size=2, max_size=2, unique=True),
+                            [[0, 0], [], [0, 1, 2], [0, "1"]]),
+    "3 distinct integers": (st.lists(_INDICES, min_size=3, max_size=3, unique=True),
+                            [[0, 0, 1], [], [0, 1, 2, 3], [0, 1, "2"]]),
+    "a list of disjoint slot lists": (st.lists(st.lists(_INDICES, max_size=3), max_size=2),
+                                      [[[0, 1], [1, 2]], 5, [0, 1], [[0.5]]]),
+    "three real numbers": (st.lists(st.floats(1.0, 8.0), min_size=3, max_size=3).map(sorted)
+                           | st.lists(st.floats(-1e300, 1e300), min_size=3, max_size=3),
+                           [[1.5, 2.9], [1.5, 2.9, "4.1"], [1.5, 2.9, 4.1, 5.0]]),
 }
-_OPTIONAL = {"n": st.integers(1, 3), "tol": st.floats(1e-300, 1.0)}
-_SLOTS = st.lists(st.integers(-1, 4), max_size=3)
-_BAD = {
-    "command": st.one_of(st.sampled_from(["Verify", "rauch"]), _JUNK),
-    "structure": st.one_of(st.sampled_from(["genus7", ""]), _JUNK),
-    "seed": st.one_of(st.integers(max_value=-1), _JUNK),
-    "samples": st.one_of(st.integers(max_value=0), _JUNK),
-    "n": st.one_of(st.integers(max_value=0), _JUNK),
-    "tol": st.one_of(st.floats(max_value=0.0), st.floats(), _JUNK),
-    "groups": st.one_of(st.lists(_SLOTS, max_size=3), _SLOTS, _JUNK),
-    "pair": st.one_of(st.lists(st.integers(-1, 9), max_size=3), _JUNK),
-    "index": st.one_of(st.integers(-1, 9), _JUNK),
-    "scale": st.one_of(st.floats(), _JUNK),
-}
+
+
+_REFUSED = [*((key, value) for key, row in cli.KEYS.items()
+              for value in _KINDS[row.kind.__doc__][1]),
+            *((key, row.bound[0] + 1) for key, row in cli.KEYS.items() if row.bound)]
+
+
+@pytest.mark.parametrize("key,value", _REFUSED,
+                         ids=[f"{key}-{i}" for i, (key, _) in enumerate(_REFUSED)])
+def test_a_refused_value_of_each_key_exits_2_naming_it(tmp_path, capsys, key, value):
+    command = next(iter(cli.KEYS[key].defaults))
+    assert run({**_cheap(command), key: value}, str(tmp_path / "r.json")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and key in err
+    assert not (tmp_path / "r.json").exists()
+
+
+def _value(key, valid):
+    """A value of ``key`` its kind admits (cheap; a z_count hydro runs on), or
+    one it refuses (past its bound too)."""
+    row = cli.KEYS[key]
+    admitted, refused = _KINDS[row.kind.__doc__]
+    if valid:
+        return st.integers(11, 20) if key == "z_count" else admitted
+    past = [st.integers(min_value=row.bound[0] + 1)] if row.bound else []
+    return st.one_of(st.sampled_from(refused), _JUNK, *past)
 
 
 @st.composite
-def _rational_configs(draw):
-    cfg = {"command": draw(st.sampled_from(["verify", "potentials", "collide"]))}
-    cfg.update({key: draw(value) for key, value in _GOOD.items()})
-    for key, value in _OPTIONAL.items():
-        if draw(st.booleans()):
-            cfg[key] = draw(value)
-    if cfg["command"] == "collide":
-        cfg["groups"] = draw(st.lists(st.lists(st.integers(0, 3), max_size=3),
-                                      max_size=2))
-    for key in draw(st.lists(st.sampled_from(sorted(_BAD)), max_size=2,
-                             unique=True)):
-        cfg[key] = draw(_BAD[key])
+def _configs(draw, commands):
+    """A config of one of ``commands`` as cli.KEYS declares it: each key its
+    command takes at a valid value (always for a mandatory or cost-setting
+    key, so no job runs long) or left to its default; then up to two keys,
+    the command or any key of the table, set to a refused value (a key its
+    command does not take is refused whatever its value)."""
+    command = draw(st.sampled_from(commands))
+    cfg = {"command": command}
+    for key, row in cli.TAKES[command].items():
+        if row.bound or row.defaults[command] is cli.REQUIRED or draw(st.booleans()):
+            cfg[key] = draw(_value(key, valid=True))
+    for key in draw(st.lists(st.sampled_from(["command", *cli.KEYS]), max_size=2, unique=True)):
+        cfg[key] = draw(st.sampled_from(["Verify", *cli.HANDLERS]) | _JUNK if key == "command"
+                        else _value(key, valid=False))
     return cfg
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(cfg=_rational_configs())
-def test_verify_potentials_collide_configs_never_raise(tmp_path, cfg):
-    _run_fuzz(tmp_path, cfg)
+_FUZZED = {}
 
 
-# a well-formed gtsys config on a rational structure, small enough to run in
-# a few milliseconds, with up to two keys replaced by an out-of-range or junk
-# value
-_GTSYS_GOOD = {
-    "structure": st.sampled_from(["benney", "genus0"]),
-    "n": st.integers(1, 2),
-    "seed": st.integers(0, 2**31),
-    "states": st.integers(1, 2),
-    "steps": st.just(2),
-}
-_GTSYS_BAD = {
-    "command": st.one_of(st.sampled_from(["GTSYS", "hydro"]), _JUNK),
-    "structure": st.one_of(st.sampled_from(["genus7", ""]), _JUNK),
-    "n": st.one_of(st.integers(max_value=0), _JUNK),
-    "seed": st.one_of(st.integers(max_value=-1), _JUNK),
-    "states": st.one_of(st.integers(max_value=0), _JUNK),
-    "steps": st.one_of(st.integers(max_value=1), _JUNK),
-    "M": st.one_of(st.integers(max_value=2), _JUNK),
-    "h": st.one_of(st.floats(max_value=0.0), st.floats(), st.floats(1e3, 1e300), _JUNK),
-    "tol": st.one_of(st.floats(max_value=0.0), st.floats(), _JUNK),
-    "samples": _JUNK,
-}
+def _never_raise(*commands, examples):
+    _FUZZED[commands] = examples
+
+    @settings(max_examples=examples, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(cfg=_configs(commands))
+    def fuzz(tmp_path, cfg):
+        _run_fuzz(tmp_path, cfg)
+
+    return fuzz
 
 
-@st.composite
-def _gtsys_configs(draw):
-    cfg = {"command": "gtsys"}
-    cfg.update({key: draw(value) for key, value in _GTSYS_GOOD.items()})
-    for key in draw(st.lists(st.sampled_from(sorted(_GTSYS_BAD)), max_size=2,
-                             unique=True)):
-        cfg[key] = draw(_GTSYS_BAD[key])
-    return cfg
+test_rauch_configs_never_raise = _never_raise("rauch", examples=150)
+test_verify_potentials_collide_configs_never_raise = _never_raise(
+    "verify", "potentials", "collide", examples=200)
+test_gtsys_configs_never_raise = _never_raise("gtsys", examples=200)
+test_pushforward_configs_never_raise = _never_raise("pushforward", examples=80)
+test_hydro_reconstruct_report_configs_never_raise = _never_raise(
+    "hydro", "reconstruct", "report", examples=150)
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(cfg=_gtsys_configs())
-def test_gtsys_configs_never_raise(tmp_path, cfg):
-    _run_fuzz(tmp_path, cfg)
-
-
-# a pushforward config on benney, genus0 or genus2, small enough to run in
-# tens of milliseconds, with scale zero, negative, huge or junk
-_PUSHFORWARD = st.fixed_dictionaries(
-    {"command": st.just("pushforward"),
-     "structure": st.sampled_from(["benney", "genus0", "genus2"]),
-     "n": st.integers(1, 2),
-     "seed": st.integers(0, 2**31),
-     "samples": st.integers(1, 2)},
-    optional={"scale": st.one_of(st.just(0), st.just(0.0), st.floats(-10.0, -1e-300),
-                                 st.floats(1e3, 1e308), st.floats(-1e308, -1e3),
-                                 st.floats(), _JUNK)},
-)
-
-
-@settings(max_examples=80, deadline=None, derandomize=True, database=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(cfg=_PUSHFORWARD)
-def test_pushforward_configs_never_raise(tmp_path, cfg):
-    _run_fuzz(tmp_path, cfg)
+def test_the_fuzz_draws_every_key_the_table_declares():
+    drawn = {(command, key) for commands in _FUZZED for command in commands
+             for key in cli.TAKES[command]}
+    assert drawn == {(command, key) for key, row in cli.KEYS.items() for command in row.defaults}
+    assert {row.kind.__doc__ for row in cli.KEYS.values()} == set(_KINDS)
+    assert sum(_FUZZED.values()) <= 780
 
 
 def test_pushed_genus2_circle_through_non_finite_values_names_its_cause(tmp_path):
@@ -668,57 +718,3 @@ def test_genus1_march_overflowing_theta_names_its_cause(tmp_path):
     assert ", tau = " in report["error"]
     assert report["reports"] == []
     assert "nan" not in text and "inf" not in text
-
-
-# a well-formed hydro, reconstruct or report config, small enough to run in
-# tens of milliseconds, with up to two keys replaced by an out-of-range or
-# junk value (cost-setting keys stay small: a huge z_count or n is a valid
-# config that runs long, not a failure to close)
-_HIERARCHY_GOOD = {
-    "hydro": {"structure": st.sampled_from(["benney", "genus0", "genus1", "genus2"]),
-              "n": st.integers(2, 3), "z_count": st.integers(11, 20)},
-    "reconstruct": {"structure": st.sampled_from(["benney", "genus0", "genus1", "genus2"]),
-                    "n": st.integers(2, 3), "samples": st.integers(1, 3)},
-    "report": {"samples": st.integers(1, 2)},
-}
-_HIERARCHY_OPTIONAL = {
-    "hydro": {"triple": st.lists(st.integers(0, 3), min_size=3, max_size=3),
-              "svd_tol": st.floats(1e-14, 1e-2), "tol": st.floats(1e-300, 1.0)},
-    "reconstruct": {"pair": st.lists(st.integers(0, 3), min_size=2, max_size=2),
-                    "index": st.integers(0, 3), "tol": st.floats(1e-300, 1.0)},
-    "report": {"tol": st.floats(1e-300, 1.0), "n": st.integers(1, 3)},
-}
-_HIERARCHY_BAD = {
-    "command": st.one_of(st.sampled_from(["Hydro", "verify"]), _JUNK),
-    "structure": st.one_of(st.sampled_from(["genus7", ""]), _JUNK),
-    "n": st.one_of(st.integers(max_value=0), _JUNK),
-    "seed": st.one_of(st.integers(max_value=-1), _JUNK),
-    "samples": st.one_of(st.integers(max_value=0), _JUNK),
-    "tol": st.one_of(st.floats(max_value=0.0), st.floats(), _JUNK),
-    "z_count": st.one_of(st.integers(max_value=10), _JUNK),
-    "svd_tol": st.one_of(st.floats(max_value=0.0), st.floats(), st.floats(1.0, 1e300), _JUNK),
-    "triple": st.one_of(st.lists(st.integers(-1, 9), max_size=4), _JUNK),
-    "pair": st.one_of(st.lists(st.integers(-1, 9), max_size=3), _JUNK),
-    "index": st.one_of(st.integers(-9, 9), _JUNK),
-}
-
-
-@st.composite
-def _hierarchy_configs(draw):
-    command = draw(st.sampled_from(sorted(_HIERARCHY_GOOD)))
-    cfg = {"command": command, "seed": draw(st.integers(0, 2**31))}
-    cfg.update({key: draw(value) for key, value in _HIERARCHY_GOOD[command].items()})
-    for key, value in _HIERARCHY_OPTIONAL[command].items():
-        if draw(st.booleans()):
-            cfg[key] = draw(value)
-    for key in draw(st.lists(st.sampled_from(sorted(_HIERARCHY_BAD)), max_size=2,
-                             unique=True)):
-        cfg[key] = draw(_HIERARCHY_BAD[key])
-    return cfg
-
-
-@settings(max_examples=150, deadline=None, derandomize=True, database=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(cfg=_hierarchy_configs())
-def test_hydro_reconstruct_report_configs_never_raise(tmp_path, cfg):
-    _run_fuzz(tmp_path, cfg)

@@ -696,6 +696,15 @@ def test_integrate_reduction_runs_clean():
     assert res.residual < 1.0
 
 
+@pytest.mark.filterwarnings("error")
+def test_a_step_past_float_range_fails_on_the_phase_it_overflows():
+    # the free data's phase beta t overflows to inf on this grid, where
+    # math.sin would raise ValueError
+    sys_ = build_system(catalog.build_structure("benney", 1))
+    with pytest.raises(OverflowError, match="^free data phase overflows float64: inf$"):
+        integrate_reduction(sys_, M=2, steps=2, h=1e308)
+
+
 def test_integrate_reduction_marches_three_components():
     sys_ = build_system(catalog.build_structure("benney", 2))
     res = integrate_reduction(sys_, M=3, steps=3, h=0.02)

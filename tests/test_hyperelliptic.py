@@ -216,18 +216,41 @@ def test_non_finite_modulus_fails_before_any_rule_is_built(bad, no_rules):
 ])
 def test_stencil_point_across_a_branch_point_exits_2(branch, delta, point, tmp_path,
                                                       capsys, no_rules):
-    # every stencil row is validated before any rule is built, and the first
-    # bad one (in the order +delta, -delta, +delta/2, -delta/2 per branch)
-    # is named
+    # a delta that would carry a stencil point (the first bad one is
+    # ``point``) across a neighbouring branch point is refused before any
+    # rule is built, naming delta and the least gap next to a varied branch
+    # point, not a triple the config never gave
     job = {"command": "rauch", "seed": 1, "moduli": [1.5, 2.9, 4.1], "delta": delta}
     if branch is not None:
         job["branch"] = branch
+    gaps = (1.5 - 1.0, 2.9 - 1.5, 4.1 - 2.9)
+    least = min(gaps[g] for b in ((0, 1, 2) if branch is None else (branch,))
+                for g in (b, b + 1) if g < 3)
     cfg = tmp_path / "job.json"
     cfg.write_text(json.dumps(job))
     assert main(["--config", str(cfg), "--out", str(tmp_path / "r.json")]) == 2
     err = capsys.readouterr().err
-    assert f"branch points must satisfy 1 < a < b < c, got {point}" in err
-    assert "Traceback" not in err
+    assert err == (f"config error: delta must be less than {least!r}, the least gap next "
+                   f"to a varied branch point, got {delta!r}\n")
+    assert str(point) not in err
+
+
+def test_a_delta_past_the_least_gap_names_delta_and_the_gap(tmp_path, capsys, no_rules):
+    cfg = tmp_path / "job.json"
+    cfg.write_text(json.dumps({"command": "rauch", "seed": 1, "delta": 5.0}))
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "r.json")]) == 2
+    assert capsys.readouterr().err == (
+        "config error: delta must be less than 0.5, the least gap next to a varied branch "
+        "point, got 5.0\n")
+    # a delta just under the gap passes the check; its stencil point is then
+    # too close to the neighbour, which the stencil's own check names
+    with pytest.raises(ConfigError, match="branch points too close"):
+        hyperell.rauch((1.5, 2.9, 4.1), (0,), delta=0.4999, nodes=20)
+    # one so small that half of it leaves a branch point where it is would
+    # divide a zero difference by it
+    with pytest.raises(ConfigError, match="^delta must move each varied branch point by half "
+                                          "of it, got 1e-300$"):
+        hyperell.rauch((1.5, 2.9, 4.1), (2,), delta=1e-300, nodes=20)
 
 
 def test_rauch_job_makes_two_passes_and_one_periods_call(tmp_path, monkeypatch):

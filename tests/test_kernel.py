@@ -1052,6 +1052,21 @@ def test_a_batch_fails_closed_at_any_point(index, bad, error, match):
 
 
 @pytest.mark.filterwarnings("error")
+def test_a_series_past_float_range_builds_no_window(monkeypatch):
+    # at p = 15.5i, tau = i the largest term, e^(225 pi) ~ 1e307, is in
+    # range, and the series is summed: its p-derivative, 30 pi times that,
+    # is past it
+    with pytest.raises(OverflowError, match=r"^theta series overflows at p = 15\.5j"):
+        theta_jet(15.5j, 1j, 1)
+    # here the largest term is past float range on any window, and the
+    # window would hold about 2 |Im p / Im tau| = 2e7 terms
+    monkeypatch.setattr(kernel, "_theta_weights", lambda *args: pytest.fail("a window was built"))
+    with pytest.raises(OverflowError, match=r"^theta series overflows at p = 10000000j, "
+                                            r"tau = 1j \(point 0 of 1\)$"):
+        theta_jet(1e7j, 1j)
+
+
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("first, later, error", [
     ({"p": 0.1 + 300j}, {"tau": 0.3 - 1.1j}, OverflowError),
     ({"tau": 0.3 - 1.1j}, {"p": 0.1 + 300j}, InvalidModulus),
