@@ -13,13 +13,15 @@ the practical test.  A check asks each evaluator once per jet, on argument
 columns cut from the sample array (``_rows``), every jet in one
 ``kernel.jets`` call (the residue circles apart).
 
-The transforms build their evaluators from the evaluators they transform,
-and answer first partials by the chain rule through the ingredients' own
-partials (a pushed evaluator through mu's as well); partials of order two
-and above, and the Laurent coefficients of the pole checks, come from
-Cauchy circles over the transformed values.  Every evaluator answers a
-point and argument columns through the same closures, and a pushed
-evaluator's pulled-back loci read columns for the sampler.
+The transforms build each evaluator as one formula over the evaluators
+they transform (a pushed one over mu's entries as well): on argument
+columns it gives the value; on first-order forward-mode jets (``_Jet``)
+seeded in the slots asked it gives every first partial asked, each
+ingredient asked once per point for its entries and their first partials
+(``_entries``).  Partials of order two and above, and the Laurent
+coefficients of the pole checks, come from Cauchy circles over the
+transformed values.  A pushed evaluator's pulled-back loci read columns
+for the sampler.
 """
 
 from __future__ import annotations
@@ -591,11 +593,13 @@ def collide_points_closed(s: GTStructure, groups: Sequence[Sequence[int]]) -> GT
         # one (d_{p2}^order f, weight, powers (r', i_r') of the monomial) per term
         terms = [(fm(*[1] * sum(partition.values())), w, tuple(partition.items()))
                  for partition, w in (_partitions_weighted(r) if r > 0 else [({}, 1)])]
+        orders = list(dict.fromkeys(dm for dm, _, _ in terms))
 
-        def fn(*args):
+        def formula(args, at):
+            # u0 feeds f twice, as p2 and as its own fiber coordinate
             p, v = args[0], args[1:]
             u = [v[slot] for slot in owner]
-            dvals = _asked(s.f, (p, v[u0_slot], *v), [dm for dm, _, _ in terms])
+            dvals = dict(zip(orders, at(s.f, (p, v[u0_slot], *v), orders)))
             total = 0.0 + 0.0j
             for dm, w, powers in terms:
                 mono = 1.0 + 0.0j
@@ -604,44 +608,8 @@ def collide_points_closed(s: GTStructure, groups: Sequence[Sequence[int]]) -> GT
                 total += w * dvals[dm] * mono
             return total
 
-        def moved(t):
-            """f's partials that slot t moves, per term (the slots of f it
-            feeds: u0 feeds two, p2 and its own fiber slot), and the
-            monomial factor it moves (0, u0's, never in a monomial, for none)."""
-            fed = [0] if t == 0 else [1 + t] + ([1] if t - 1 == u0_slot else [])
-            return ({dm: [fm(*[1] * dm[1], sl) for sl in fed] for dm, _, _ in terms},
-                    owner.index(t - 1) if t and t - 1 in owner else 0)
-
-        def first(u, t, dvals):
-            """Term by term: the moved partials of f, which add up, and the
-            monomial's own derivative."""
-            moves, rr_t = moved(t)
-            total = 0.0 + 0.0j
-            for dm, w, powers in terms:
-                mono, dmono = 1.0 + 0.0j, 0.0 + 0.0j
-                for rr, c in powers:
-                    x = u[rr] ** c
-                    dmono = dmono * x + (mono * c * u[rr] ** (c - 1) if rr == rr_t else 0.0)
-                    mono *= x
-                dval = sum(dvals[d] for d in moves[dm])
-                total += w * (dval * mono + (dvals[dm] * dmono if rr_t else 0.0))
-            return total
-
-        def partial_fn(args, multis):
-            """Every first partial asked from one request to f."""
-            slots = [multi.index(1) for multi in multis if sum(multi) == 1]
-            if not slots:
-                return [NotImplemented] * len(multis)
-            p, v = args[0], args[1:]
-            dvals = _asked(s.f, (p, v[u0_slot], *v), [dm for dm, _, _ in terms] + [
-                d for t in slots for ds in moved(t)[0].values() for d in ds])
-            u = [v[slot] for slot in owner]
-            return [first(u, multi.index(1), dvals) if sum(multi) == 1 else NotImplemented
-                    for multi in multis]
-
         dom = _collided_domain(s.g[i].domain, groups, offset=1, arity=1 + m)
-        return JetEvaluator(1 + m, fn, domain=dom, partial_fn=partial_fn,
-                            label=f"{s.label}:closed-collided g[{i}]")
+        return _Formula(1 + m, formula, dom, f"{s.label}:closed-collided g[{i}]")
 
     return GTStructure(
         m=m,
@@ -695,73 +663,126 @@ def _undeclared(loci: Iterable[Exclusion], declared: Sequence[Exclusion] = ()) -
     return out
 
 
-class _Composed(JetEvaluator):
-    """outer(args, mapped, rates, inner(mapped)) with (mapped, rates) =
-    to_inner(args): the map gives inner's arguments and, from the same
-    call, whatever of its own partials ``outer`` scales by; ``image(args)``
-    is the map alone.
+class _Jet:
+    """A first-order forward-mode jet (Griewank & Walther, *Evaluating
+    Derivatives*, ch. 3): a value column ``v`` and ``d``, one row of first
+    partials per slot seeded.  Closed under + - * / and integer powers,
+    with numbers and arrays on either side (numpy defers to it)."""
 
-    Value rows map their loop through ``to_inner`` and take ``inner``'s
-    rows, so a branch ``inner`` continues along a loop survives the
-    composition.  First partials come from ``first(args, mapped, slot)``,
-    the chain rule through the ingredients' own partials; higher orders
-    fall back to circles.  The domain pulls back ``inner``'s loci and
-    ``loci``, the singular loci in ``inner``'s slots of what ``outer``
-    adds.
+    __array_ufunc__ = None
 
-    Every closure answers a point or a tuple of argument columns, as
-    ``catalog.place`` does."""
+    def __init__(self, v, d=0.0):
+        self.v, self.d = v, d
 
-    def __init__(self, inner: JetEvaluator, image, to_inner, outer, first, arity: int,
-                 label: str, loci: Sequence[Exclusion] = ()):
-        self.inner, self.image, self.to_inner = inner, image, to_inner
-        self.outer, self.first = outer, first
-        domain = Domain(tuple(PulledBack(image, ex, range(arity))
-                              for ex in (*inner.domain.exclusions, *loci)))
+    def __add__(self, o):
+        o = _lift(o)
+        return _Jet(self.v + o.v, self.d + o.d)
+
+    def __sub__(self, o):
+        o = _lift(o)
+        return _Jet(self.v - o.v, self.d - o.d)
+
+    def __rsub__(self, o):
+        return _lift(o) - self
+
+    def __mul__(self, o):
+        o = _lift(o)
+        return _Jet(self.v * o.v, self.d * o.v + self.v * o.d)
+
+    def __truediv__(self, o):
+        o = _lift(o)
+        q = self.v / o.v
+        return _Jet(q, (self.d - q * o.d) / o.v)
+
+    def __rtruediv__(self, o):
+        return _lift(o) / self
+
+    def __pow__(self, k: int):
+        return _Jet(self.v ** k, k * self.v ** (k - 1) * self.d)
+
+    __radd__, __rmul__ = __add__, __mul__
+
+
+def _lift(x) -> _Jet:
+    """x as a jet: a number or an array is one with no partials."""
+    return x if isinstance(x, _Jet) else _Jet(x)
+
+
+def _entries(e: JetEvaluator, point, multis) -> list:
+    """e's entries ``multis`` at ``point``: its ``partials`` rows on argument
+    columns.  At a point where some slots hold jets, one ``partials`` request
+    for the entries and their first partials in each of those slots, every
+    entry a jet chained through the point's own partials."""
+    live = [t for t, x in enumerate(point) if isinstance(x, _Jet)]
+    if not live:
+        return e.partials(point, multis)
+    up = [[tuple(o + (s == t) for s, o in enumerate(multi)) for t in live] for multi in multis]
+    keys = list(dict.fromkeys([*multis, *(d for ds in up for d in ds)]))
+    table = dict(zip(keys, e.partials(tuple(_lift(x).v for x in point), keys)))
+    return [_Jet(table[multi], sum(table[d] * point[t].d for d, t in zip(ds, live)))
+            for multi, ds in zip(multis, up)]
+
+
+class _Formula(JetEvaluator):
+    """The evaluator ``formula(args, at)``: arithmetic over entries of other
+    evaluators, each read as ``at(e, point, multis)``.  Its value is the
+    formula on argument columns; its first partials are the same formula on
+    jets seeded in the slots asked, with ``_entries`` asking each ingredient
+    once per point for all of them.  The value is left to ``fn`` (a genus-1
+    entry asked with its partials sums a wider theta window, so the jet's
+    value can round apart from it) and orders two and above to circles.
+    The formula answers argument columns, as ``catalog.place`` does."""
+
+    def __init__(self, arity: int, formula, domain: Domain, label: str):
+        self.formula = formula
         super().__init__(arity, self._fn, domain=domain, partial_fn=self._partial,
                          label=label)
 
     def _fn(self, *args):
-        mapped, rates = self.to_inner(args)
-        return self.outer(args, mapped, rates, self.inner.value(mapped))
+        return self.formula(args, _entries)
 
     def _partial(self, args, multis):
-        mapped = self.image(args) if any(sum(multi) == 1 for multi in multis) else None
-        return [self.first(args, mapped, multi.index(1)) if sum(multi) == 1 else NotImplemented
-                for multi in multis]
+        slots = list(dict.fromkeys(multi.index(1) for multi in multis if sum(multi) == 1))
+        if not slots:
+            return [NotImplemented] * len(multis)
+        point, seeds = list(args), np.eye(len(slots))[:, :, None]
+        for t, seed in zip(slots, seeds):
+            point[t] = _Jet(args[t], seed)
+        rows = dict(zip(slots, self.formula(tuple(point), _entries).d))
+        return [rows[multi.index(1)] if sum(multi) == 1 else NotImplemented for multi in multis]
+
+
+class _Composed(_Formula):
+    """A ``_Formula`` that reads ``inner``'s value at ``image(args)``, once,
+    beside other entries (the map's own partials, say).  The domain pulls
+    back ``inner``'s loci and ``loci``, the singular loci in ``inner``'s
+    slots of what the formula adds.  Value rows take ``inner``'s rows along
+    the loops as the formula maps them, so a branch ``inner`` continues
+    along a loop survives the composition."""
+
+    def __init__(self, inner: JetEvaluator, image, formula, arity: int, label: str,
+                 loci: Sequence[Exclusion] = ()):
+        self.inner, self.image = inner, image
+        super().__init__(arity, formula, Domain(tuple(
+            PulledBack(image, ex, range(arity)) for ex in (*inner.domain.exclusions, *loci))),
+            label)
 
     def eval_rows(self, loops, anchors, rests):
-        """Value rows continue ``inner``'s branch along the loops mapped
-        through ``to_inner``; a partial row takes the partial at each node."""
+        """The formula's value rows with ``inner``'s continued loop rows; a
+        partial row takes the partial at each node."""
         cols = tuple(col.ravel() for col in loops)
-        mapped, rates = self.to_inner(cols)
-        vals = self.inner.eval_rows(tuple(np.reshape(x, loops[0].shape) for x in mapped),
-                                    self.image(anchors), [None])[0]
+
+        def at(e, point, multis):
+            if e is not self.inner:
+                return _entries(e, point, multis)
+            return self.inner.eval_rows(tuple(np.reshape(x, loops[0].shape) for x in point),
+                                        self.image(anchors), [None])[0].reshape(1, -1)
+
         asked = [rest for rest in rests if rest is not None]
         table = iter(self.partials(cols, asked) if asked else ())
-        values = self.outer(cols, mapped, rates, vals.ravel())
+        values = self.formula(cols, at)
         return np.array([values if rest is None else next(table)
                          for rest in rests]).reshape(len(rests), *loops[0].shape)
-
-
-def _asked(e: JetEvaluator, args, multis) -> dict:
-    """e's partials at args keyed by multi-index: one ``partials`` call,
-    each distinct multi-index asked once."""
-    keys = list(dict.fromkeys(multis))
-    return dict(zip(keys, e.partials(args, keys)))
-
-
-def _moved(e: JetEvaluator, args, rates: dict) -> tuple[complex, complex]:
-    """e's value at args and its rate of change while slot t moves at
-    ``rates[t]`` (the first-order chain rule); one ``partials`` call."""
-    vals = e.partials(args, _jet(e.arity, *rates))
-    return vals[0], sum(r * d for r, d in zip(rates.values(), vals[1:]))
-
-
-def _mu_slots(t: int) -> tuple[int | None, int | None]:
-    """Slots of mu at p1 and at p2 that slot t of a pushed two-point
-    function over (p1, p2, v) moves; None where that point stays put."""
-    return {0: (0, None), 1: (None, 0)}.get(t, (t - 1, t - 1))
 
 
 def pushforward(s: GTStructure, c: CoordinateChange) -> GTStructure:
@@ -769,93 +790,52 @@ def pushforward(s: GTStructure, c: CoordinateChange) -> GTStructure:
 
     g~(p~) = mu'(p~)^2 g(mu(p~)); f picks up the extra g(mu(p~1))(mu(p~2))
     term so that the pole normalization survives, and with it each g_j
-    locus at (mu(p~1), v) that f does not already declare.  First partials
-    follow by the chain rule from the first partials of f and g and from
-    mu's first partials and second partials mixed with the moving slot,
-    asked for in one call per point of mu.  The values take mu and mu_p
-    (and mu_v at p2) from the map's one call per point.  Each closure
-    answers a sample set in the same calls, on argument columns.
+    locus at (mu(p~1), v) that f does not already declare.  Each is one
+    formula over mu's entries and the wrapped evaluators (``_Composed``):
+    mu asked once per point, for its value and mu_p (and mu_v at p2).  Its
+    first partials are the formula on jets.
     """
     m = s.m
     mu = c.mu
-    mi = functools.partial(multi_index, 1 + m)  # mu's multi-indices over (p, v)
+    mi = functools.partial(multi_index, 1 + m)  # mu's and g's multi-indices over (p, v)
     dvs = [mi(1 + j) for j in range(m)]
     value_dp = [mi(), mi(0)]  # mu and mu_p
 
     def g_image(args):
         return (mu.value(args), *args[1:])
 
-    def g_map(args):
-        mu_val, mu_p = mu.partials(args, value_dp)
-        return (mu_val, *args[1:]), mu_p
+    def g_formula(i):
+        def formula(args, at):
+            mu_val, mu_p = at(mu, args, value_dp)
+            [val] = at(s.g[i], (mu_val, *args[1:]), [mi()])
+            return mu_p ** 2 * val
 
-    def g_outer(args, mapped, mu_p, val):
-        return mu_p ** 2 * val
-
-    def g_first(i):
-        def first(args, mapped, t):
-            # slot t of g~ is slot t of mu: p~ for t = 0, v_{t-1} otherwise
-            d = _asked(mu, args, [mi(0), mi(t), mi(0, t)])
-            val, dval = _moved(s.g[i], mapped, {0: d[mi(t)], t: 1.0} if t else {0: d[mi(0)]})
-            return d[mi(0)] * (2.0 * d[mi(0, t)] * val + d[mi(0)] * dval)
-
-        return first
+        return formula
 
     def f_image(args):
         v = args[2:]
         return (mu.value((args[0], *v)), mu.value((args[1], *v)), *v)
 
-    def f_map(args):
-        """f_image(args), and mu_p at p1 and p2 with mu_v at p2."""
-        v = args[2:]
-        mu1, mu_p1 = mu.partials((args[0], *v), value_dp)
-        mu2, mu_p2, *mu_v2 = mu.partials((args[1], *v), value_dp + dvs)
-        return (mu1, mu2, *v), (mu_p1, mu_p2, mu_v2)
-
-    def f_outer(args, mapped, rates, val):
-        v = args[2:]
-        mu_p1, mu_p2, mu_v2 = rates
+    def f_formula(args, at):
+        p1, p2, *v = args
+        mu1, mu_p1 = at(mu, (p1, *v), value_dp)
+        mu2, mu_p2, *mu_v2 = at(mu, (p2, *v), value_dp + dvs)
+        [val] = at(s.f, (mu1, mu2, *v), [multi_index(2 + m)])
         # g(mu(p1)) applied to mu(p2, v) through the fiber coordinates
         gterm = 0.0 + 0.0j
         for j in range(m):
-            gterm += s.g[j].value((mapped[0], *v)) * mu_v2[j]
+            [G] = at(s.g[j], (mu1, *v), [mi()])
+            gterm += G * mu_v2[j]
         return (mu_p1 ** 2 / mu_p2) * (val - gterm)
-
-    def f_first(args, mapped, t):
-        # f~ = K B with K = mu_p(p1)^2 / mu_p(p2) and
-        # B = f(mu1, mu2, v) - sum_j g_j(mu1, v) d_{v_j} mu(p2, v)
-        v = args[2:]
-        t1, t2 = _mu_slots(t)
-        d1 = _asked(mu, (args[0], *v), [mi(0)] + ([] if t1 is None else [mi(t1), mi(0, t1)]))
-        d2 = _asked(mu, (args[1], *v), [mi(0), *dvs] + ([] if t2 is None else [
-            mi(t2), mi(0, t2), *(mi(1 + j, t2) for j in range(m))]))
-        f_rates, g_rates = {}, {}
-        if t1 is not None:
-            f_rates[0] = g_rates[0] = d1[mi(t1)]
-        if t2 is not None:
-            f_rates[1] = d2[mi(t2)]
-        if t >= 2:
-            f_rates[t] = g_rates[t - 1] = 1.0
-        B, dB = _moved(s.f, mapped, f_rates)
-        for j in range(m):
-            G, dG = _moved(s.g[j], (mapped[0], *v), g_rates)
-            B -= G * d2[dvs[j]]
-            dB -= dG * d2[dvs[j]] + (0.0 if t2 is None else G * d2[mi(1 + j, t2)])
-        P1, P2 = d1[mi(0)], d2[mi(0)]
-        K = P1 ** 2 / P2
-        dK = (0.0 if t1 is None else 2.0 * P1 * d1[mi(0, t1)] / P2) - (
-            0.0 if t2 is None else K * d2[mi(0, t2)] / P2)
-        return dK * B + K * dB
 
     g_loci = _undeclared([ex for g in s.g
                           for ex in g.domain.remap([0, *range(2, 2 + m)]).exclusions],
                          s.f.domain.exclusions)
     return GTStructure(
         m=m,
-        g=[_Composed(s.g[i], g_image, g_map, g_outer, g_first(i), 1 + m,
-                     f"{s.label}:pushed g[{i}]") for i in range(m)],
-        f=_Composed(s.f, f_image, f_map, f_outer, f_first, 2 + m, f"{s.label}:pushed f",
-                    g_loci),
+        g=[_Composed(s.g[i], g_image, g_formula(i), 1 + m, f"{s.label}:pushed g[{i}]")
+           for i in range(m)],
+        f=_Composed(s.f, f_image, f_formula, 2 + m, f"{s.label}:pushed f", g_loci),
         label=f"{s.label}:pushed",
         p_box=s.p_box,
         v_boxes=s.v_boxes,
@@ -864,30 +844,20 @@ def pushforward(s: GTStructure, c: CoordinateChange) -> GTStructure:
 
 
 def pushforward_lambda(e: EnhancedGT, c: CoordinateChange) -> EnhancedGT:
-    """lambda~ = mu_p(p~1) lambda(mu1, mu2, v) beside the pushed base, with
-    first partials by the chain rule."""
+    """lambda~ = mu_p(p~1) lambda(mu1, mu2, v) beside the pushed base, one
+    formula as there."""
     mu = c.mu
     base = pushforward(e.base, c)
-    f = base.f
     mi = functools.partial(multi_index, 1 + e.m)
 
-    def lam_outer(args, mapped, rates, val):
-        return rates[0] * val  # mu_p(p1), from f's map
+    def formula(args, at):
+        p1, p2, *v = args
+        mu1, mu_p1 = at(mu, (p1, *v), [mi(), mi(0)])
+        [mu2] = at(mu, (p2, *v), [mi()])
+        [val] = at(e.lam, (mu1, mu2, *v), [multi_index(2 + e.m)])
+        return mu_p1 * val
 
-    def lam_first(args, mapped, t):
-        v = args[2:]
-        t1, t2 = _mu_slots(t)
-        d1 = _asked(mu, (args[0], *v), [mi(0)] + ([] if t1 is None else [mi(t1), mi(0, t1)]))
-        rates = {t: 1.0} if t >= 2 else {}
-        if t1 is not None:
-            rates[0] = d1[mi(t1)]
-        if t2 is not None:
-            rates[1] = mu.partials((args[1], *v), [mi(t2)])[0]
-        lam, dlam = _moved(e.lam, mapped, rates)
-        return (0.0 if t1 is None else d1[mi(0, t1)] * lam) + d1[mi(0)] * dlam
-
-    lam = _Composed(e.lam, f.image, f.to_inner, lam_outer, lam_first, f.arity,
-                    f"{e.label}:pushed lambda")
+    lam = _Composed(e.lam, base.f.image, formula, base.f.arity, f"{e.label}:pushed lambda")
     return EnhancedGT(base, lam)
 
 

@@ -20,6 +20,7 @@ from gtlab.core import (
     EnhancedGT,
     GTStructure,
     _diagonal_radius,
+    _jet,
     _pairs,
     _make_report,
     add_points,
@@ -415,6 +416,76 @@ def test_pushed_f_without_the_prefactor_derivative_is_caught():
     reports = {r.identity: r for r in verify_all(pushed, 10, seed=5, tol=1e-6)}
     assert reports["diagonal_pole"].passed  # values are untouched
     assert not reports["bracket"].passed and not reports["cocycle"].passed
+
+
+def test_a_jet_quotient_without_its_divisor_term_is_caught(monkeypatch):
+    # d(a / b) = (da - (a / b) db) / b: without the (a / b) db term the
+    # pushed f's first partials, through mu_p(p1)^2 / mu_p(p2), miss the
+    # circle oracle, and the bracket that reads them fails
+    s = catalog.build_structure("benney", 2)
+    pushed = pushforward(s, _closed_form_quadratic_change(s.m))
+    points = [tuple(row) for row in pushed.sample(3, seed=11, n_p=2).tolist()]
+    assert _worst_first_partial_gap(pushed.f, points) < 1e-10
+    assert verify_bracket(pushed, 10, seed=5, tol=1e-6).passed
+
+    def without_the_divisor_term(self, o):
+        o = core._lift(o)
+        return core._Jet(self.v / o.v, self.d / o.v)
+
+    monkeypatch.setattr(core._Jet, "__truediv__", without_the_divisor_term)
+    assert _worst_first_partial_gap(pushed.f, points) > 1e-3
+    assert not verify_bracket(pushed, 10, seed=5, tol=1e-6).passed
+
+
+# each operation of a first-order jet against its closed form, as (the
+# operation, its value and partials from (a, da) and (b, db))
+_JET_RULES = {
+    "+": (lambda x, y: x + y, lambda a, da, b, db: (a + b, da + db)),
+    "-": (lambda x, y: x - y, lambda a, da, b, db: (a - b, da - db)),
+    "*": (lambda x, y: x * y, lambda a, da, b, db: (a * b, da * b + a * db)),
+    "/": (lambda x, y: x / y, lambda a, da, b, db: (a / b, (da * b - a * db) / b**2)),
+}
+
+
+def _jet_operands(n):
+    """Two value columns of n points away from 0, and two jets' partial rows in three slots."""
+    rng = np.random.default_rng(n)
+    cols = 2.0 + rng.normal(size=(2, n)) + 1j * rng.normal(size=(2, n))
+    rows = rng.normal(size=(2, 3, n)) + 1j * rng.normal(size=(2, 3, n))
+    return cols, rows
+
+
+def _close(got, want):
+    return np.allclose(got, want, rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("n", [1, 5])
+@pytest.mark.parametrize("sides", ["jet jet", "jet number", "number jet", "jet array",
+                                   "array jet"])
+@pytest.mark.parametrize("op", list(_JET_RULES))
+def test_a_jet_follows_the_closed_form_of_each_operation(op, sides, n):
+    # a number or an array is a jet with no partials, on either side (numpy
+    # defers to the jet); a column of one is a point
+    cols, rows = _jet_operands(n)
+    operands = []
+    for k, kind in enumerate(sides.split()):
+        value = complex(cols[k][0]) if kind == "number" else cols[k]
+        operands.append((core._Jet(value, rows[k]) if kind == "jet" else value, value,
+                         rows[k] if kind == "jet" else np.zeros((3, n))))
+    apply, closed = _JET_RULES[op]
+    (x, a, da), (y, b, db) = operands
+    got = apply(x, y)
+    want_v, want_d = closed(a, da, b, db)
+    assert isinstance(got, core._Jet)
+    assert _close(got.v, want_v) and _close(got.d, want_d), (op, sides)
+
+
+@pytest.mark.parametrize("n", [1, 5])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_a_jet_power_follows_its_closed_form(k, n):
+    cols, rows = _jet_operands(n)
+    got = core._Jet(cols[0], rows[0]) ** k
+    assert _close(got.v, cols[0] ** k) and _close(got.d, k * cols[0] ** (k - 1) * rows[0])
 
 
 def _catalog_evaluators():
@@ -1115,6 +1186,28 @@ def test_identities_ask_each_evaluator_at_most_once_per_point(monkeypatch, check
     assert run().passed
     assert asked and set(asked.values()) == {1}
     assert calls == {"benney:g[0]": 1, "benney:g[1]": 1, **CALLS_PER_CHECK[check]}
+
+
+def test_a_transformed_first_partial_request_asks_each_ingredient_once_per_point(monkeypatch):
+    # every first partial of a pushed f comes from one pass of its formula
+    # on jets: mu once at the p1 column and once at the p2 column, the
+    # wrapped f once and each g_j once; a closed-collided g asks f once
+    s = catalog.build_structure("benney", 2)
+    pushed = pushforward(s, _closed_form_quadratic_change(s.m))
+    points = pushed.sample(3, seed=11, n_p=2)
+    collided = collide_points_closed(catalog.build_structure("benney", 3), [[0, 1, 2]])
+    at = collided.sample(3, seed=13, n_p=1)
+    asked, calls = _asked_per_point(monkeypatch)
+    pushed.f.partials(tuple(points.T), _jet(pushed.f.arity, *range(pushed.f.arity))[1:])
+    assert set(asked.values()) == {1}
+    assert calls == {pushed.f.label: 1, "mu": 2, "benney:f": 1,
+                     "benney:g[0]": 1, "benney:g[1]": 1}
+    for g in collided.g[1:]:
+        asked.clear()
+        calls.clear()
+        g.partials(tuple(at.T), _jet(g.arity, *range(g.arity))[1:])
+        assert set(asked.values()) == {1}
+        assert calls == {g.label: 1, "benney:f": 1}, g.label
 
 
 # ---------------------------------------------------------------------------

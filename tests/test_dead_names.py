@@ -4,7 +4,8 @@ of its classes, is used somewhere; evaluators override ``eval_rows``, never
 answers a per-slot ``clearance``; only ``kernel.on_columns`` asks whether a
 value is an array, so no locus keeps a branch for numbers; no evaluator
 is flagged as taking columns, since every one does; gtsys's per-pair
-mixed rule and its batch class stay out of the package; and each line
+mixed rule and its batch class stay out of the package; the transforms
+keep no per-slot chain rule beside their jet rule; and each line
 that ``tests/linecover.py`` may find unrun is an executable line named
 with a reason.
 
@@ -29,7 +30,7 @@ SEARCHED = (PACKAGE, ROOT / "tests", ROOT / "bench")
 def _name_tokens(bases=SEARCHED) -> Counter:
     counts: Counter = Counter()
     for base in bases:
-        for path in sorted(base.rglob("*.py")):
+        for path in [base] if base.is_file() else sorted(base.rglob("*.py")):
             with tokenize.open(path) as fh:
                 for tok in tokenize.generate_tokens(fh.readline):
                     if tok.type == tokenize.NAME:
@@ -146,6 +147,19 @@ def test_the_march_reads_one_stacked_record_through_one_mixed_pass():
     assert [node for node in ast.walk(flows) if isinstance(node, (ast.Assign, ast.AugAssign))
             and any(isinstance(target, ast.Subscript)
                     for target in getattr(node, "targets", [getattr(node, "target", None)]))] == []
+
+
+def test_transforms_take_their_first_partials_from_one_jet_rule():
+    # pushed and collided evaluators take every first partial from their
+    # value formula on jets (core._Formula), so no per-slot chain rule lives
+    # beside it: no rates of a moving slot (_moved), no map from a slot to
+    # mu's (_mu_slots), no composition map apart from its formula
+    # (to_inner), and in core no `first` rule, `outer` step or `moved`
+    # partials
+    assert [name for name in ("_moved", "_mu_slots", "to_inner")
+            if _name_tokens([PACKAGE])[name]] == []
+    core = _name_tokens([PACKAGE / "core.py"])
+    assert [name for name in ("first", "outer", "moved") if core[name]] == []
 
 
 def test_every_line_left_unrun_on_purpose_is_named_with_a_reason():
