@@ -319,7 +319,7 @@ def _cmd_rauch(cfg):
     pd, checks = hyperell.rauch(moduli, branches, delta=delta, nodes=cfg["nodes"])
     reports = [
         _make_report("period_symmetry", [pd.symmetry_error], 1e-8, seed,
-                     moduli=list(moduli)),
+                     moduli=list(moduli), convergence_error=pd.convergence_error),
         _make_report("period_positivity", [pd.nonpositive], 0.5, seed,
                      min_eigenvalue=float(np.min(pd.im_eigenvalues))),
     ]

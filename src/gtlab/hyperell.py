@@ -2,14 +2,17 @@
 q^2 = p(p-1)(p-a)(p-b)(p-c) with real-separated branch points.
 
 Periods are computed from interval integrals of the holomorphic
-differentials dp/q and p dp/q between consecutive real branch points,
-continued along the upper lip of the real axis.  On the interval between
-the k-th and (k+1)-th branch point (1-indexed, ordering 0 < 1 < a < b < c)
-the root carries the constant phase i^(5-k).  The square-root endpoint
-singularities are removed by the substitution p = mid + half*sin(theta),
-after which Gauss-Legendre quadrature converges spectrally.
+differentials dp/q and p dp/q between consecutive real branch points
+(e_0, ..., e_4) = (0, 1, a, b, c), continued along the upper lip of the
+real axis, where q has the constant phase i^(4-k) on the gap (e_k, e_{k+1}).
+With p = mid + half*sin(theta) the gap's own factors (p - e_k)(e_{k+1} - p)
+of q^2 are half^2 cos^2(theta) and cancel the Jacobian half*cos(theta): the
+integrand is p^j / sqrt|R_k(p)| times 1/i^(4-k), R_k the product of p - e
+over the three other branch points.  It is smooth, so Gauss-Legendre
+converges spectrally, and takes no difference of close numbers next to an
+endpoint, so the sums sit at rounding at every node count.
 
-The homology basis, expressed in the interval integrals J_1..J_4, is
+The homology basis, in the interval integrals J_{k+1} over (e_k, e_{k+1}), is
 
     A_1 = 2 J_1,          A_2 = 2 J_3,
     B_1 = 2 (J_2 + J_4),  B_2 = 2 J_4.
@@ -36,12 +39,13 @@ from .errors import ConfigError, NonConvergence
 
 A_CYCLES = (np.array([2, 0, 0, 0]), np.array([0, 0, 2, 0]))
 B_CYCLES = (np.array([0, 2, 0, 2]), np.array([0, 0, 0, 2]))
+PHASES = np.array([1, 1j, -1, -1j])  # 1/q's phase 1/i^(4-k) on the k-th gap
 
 DEFAULT_NODES = 200
 # a rauch job builds an n- and a 2n-node rule (kernel.gauss_legendre, O(n^2)
-# array work) and sums over both, the 2n-node pass over 13 rows: at
-# n = MAX_NODES 60-80 ms for the rules and about 6 ms for the rest of the job
-# on a 2-vCPU host; the bound keeps a job small.
+# array work) and sums over both, the 2n-node pass over 13 rows: at n =
+# MAX_NODES 35-60 ms for the rules and 2-4 ms for the rest of the job on a
+# 2-vCPU host; the bound keeps a job small.
 MAX_NODES = 1000
 
 
@@ -65,14 +69,12 @@ def _check_nodes(nodes) -> None:
 
 
 @functools.lru_cache(maxsize=4)
-def _theta_rule(nodes: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(sin theta, cos theta, weight) of the Gauss-Legendre rule from
-    ``kernel.gauss_legendre`` mapped to theta in [-pi/2, pi/2]; built once
-    per node count, so a rauch job builds its n- and its 2n-node rule once
-    each, and read-only."""
+def _theta_rule(nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """(sin theta, weight) of ``kernel.gauss_legendre``'s rule mapped to theta
+    in [-pi/2, pi/2], read-only; built once per node count, so a rauch job
+    builds its n- and its 2n-node rule once each."""
     x, w = kernel.gauss_legendre(nodes)
-    th = 0.5 * math.pi * x
-    rule = (np.sin(th), np.cos(th), 0.5 * math.pi * w)
+    rule = (np.sin(0.5 * math.pi * x), 0.5 * math.pi * w)
     for arr in rule:
         arr.flags.writeable = False
     return rule
@@ -81,26 +83,23 @@ def _theta_rule(nodes: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def interval_integrals(moduli, nodes: int = DEFAULT_NODES) -> np.ndarray:
     """J[j, k] = integral of p^j dp / q over the k-th gap: (2, 4) for one
     triple (a, b, c), (K, 2, 4) for a (K, 3) stack of them.  Every row is
-    validated before the rule is read; each gap is one pass over (K, nodes)
-    arrays, and each row's sums equal a one-triple call's bit for bit."""
+    validated before the rule is read; each gap is one real pass over (K,
+    nodes) arrays, and each row's sums equal a one-triple call's bit for bit."""
     m = np.asarray(moduli, dtype=float)
     rows = np.atleast_2d(m)
     for row in rows:
         _validate_moduli(row)
-    sin_th, cos_th, wt = _theta_rule(nodes)
-    a, b, c = (rows[:, i, None] for i in range(3))
-    es = [0.0, 1.0, a, b, c]
-    J = np.zeros((len(rows), 2, 4), dtype=complex)
+    sin_th, wt = _theta_rule(nodes)
+    es = [0.0, 1.0, *(rows[:, i, None] for i in range(3))]
+    J = np.zeros((len(rows), 2, 4))
     for k in range(4):
         e0, e1 = es[k], es[k + 1]
-        mid, half = 0.5 * (e0 + e1), 0.5 * (e1 - e0)
-        p = mid + half * sin_th
-        quintic = p * (p - 1.0) * (p - a) * (p - b) * (p - c)
-        q = (1j ** (5 - (k + 1))) * np.sqrt(np.abs(quintic))
-        common = wt * half * cos_th / q
-        J[:, 0, k] = np.sum(common, axis=-1)
-        J[:, 1, k] = np.sum(common * p, axis=-1)
-    return J if m.ndim == 2 else J[0]
+        p = 0.5 * (e0 + e1) + 0.5 * (e1 - e0) * sin_th
+        f0, f1, f2 = (p - e for e in es[:k] + es[k + 2:])
+        s = wt / np.sqrt(np.abs(f0 * f1 * f2))
+        J[:, 0, k] = np.sum(s, axis=-1)
+        J[:, 1, k] = np.sum(s * p, axis=-1)
+    return (J if m.ndim == 2 else J[0]) * PHASES
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -14,7 +15,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from gtlab import hyperell, kernel
+from gtlab import cli, hyperell, kernel
 from gtlab.cli import main
 from gtlab.errors import ConfigError, NonConvergence
 from gtlab.hyperell import (
@@ -119,17 +120,14 @@ def test_cached_rule_matches_a_fresh_rule_bit_for_bit():
     a, b, c = MODULI
     es = [0.0, 1.0, a, b, c]
     x, w = kernel.gauss_legendre(100)
-    th = 0.5 * math.pi * x
+    sin_th = np.sin(0.5 * math.pi * x)
     wt = 0.5 * math.pi * w
     fresh = np.zeros((2, 4), dtype=complex)
     for k in range(4):
-        mid, half = 0.5 * (es[k] + es[k + 1]), 0.5 * (es[k + 1] - es[k])
-        p = mid + half * np.sin(th)
-        quintic = p * (p - 1.0) * (p - a) * (p - b) * (p - c)
-        q = (1j ** (4 - k)) * np.sqrt(np.abs(quintic))
-        common = wt * half * np.cos(th) / q
-        fresh[0, k] = np.sum(common)
-        fresh[1, k] = np.sum(common * p)
+        p = 0.5 * (es[k] + es[k + 1]) + 0.5 * (es[k + 1] - es[k]) * sin_th
+        f0, f1, f2 = (p - e for e in es[:k] + es[k + 2:])
+        s = wt / np.sqrt(np.abs(f0 * f1 * f2))
+        fresh[:, k] = [np.sum(s) / 1j ** (4 - k), np.sum(s * p) / 1j ** (4 - k)]
     interval_integrals(MODULI, 100)  # the second call reads the cache
     assert np.array_equal(interval_integrals(MODULI, 100), fresh)
 
@@ -318,3 +316,155 @@ def test_rauch_stencil_equals_one_triple_periods_bit_for_bit():
         assert np.array_equal(rd.dB_numeric, dB_half)
         assert rd.step_stability == float(np.max(np.abs(dB - dB_half)))
         assert np.array_equal(rd.dB_predicted, rauch_prediction(pd, rd.branch))
+
+
+def _cancelling_integrals(moduli, nodes):
+    """The interval integrals from all five factors of the quintic over the
+    cos-theta Jacobian, the gap's own endpoints included: next to an
+    endpoint p - e is a difference of numbers of order 1, so its relative
+    rounding grows like nodes^2."""
+    m = np.asarray(moduli, dtype=float)
+    rows = np.atleast_2d(m)
+    x, w = kernel.gauss_legendre(nodes)
+    th = 0.5 * math.pi * x
+    sin_th, cos_th, wt = np.sin(th), np.cos(th), 0.5 * math.pi * w
+    a, b, c = (rows[:, i, None] for i in range(3))
+    es = [0.0, 1.0, a, b, c]
+    J = np.zeros((len(rows), 2, 4), dtype=complex)
+    for k in range(4):
+        mid, half = 0.5 * (es[k] + es[k + 1]), 0.5 * (es[k + 1] - es[k])
+        p = mid + half * sin_th
+        quintic = p * (p - 1.0) * (p - a) * (p - b) * (p - c)
+        common = wt * half * cos_th / ((1j ** (4 - k)) * np.sqrt(np.abs(quintic)))
+        J[:, 0, k] = np.sum(common, axis=-1)
+        J[:, 1, k] = np.sum(common * p, axis=-1)
+    return J if m.ndim == 2 else J[0]
+
+
+RAUCH_AT_MAX_NODES = {"command": "rauch", "seed": 1, "nodes": 1000,
+                      "moduli": [1.9142, 3.3547, 3.8277]}
+
+
+def test_rauch_at_max_nodes_passes(tmp_path):
+    # at MAX_NODES, forming the gap's own endpoint factors p - e makes this
+    # job read 1.10e-4 against 1e-4 at branch b (the counter-test below)
+    out = tmp_path / "r.json"
+    assert cli.run(dict(RAUCH_AT_MAX_NODES), str(out)) == 0
+
+
+def test_rauch_at_max_nodes_fails_on_cancelling_integrals(tmp_path, monkeypatch):
+    # counter-test: the same job on the quintic's five factors fails at branch b
+    monkeypatch.setattr(hyperell, "interval_integrals", _cancelling_integrals)
+    out = tmp_path / "r.json"
+    assert cli.run(dict(RAUCH_AT_MAX_NODES), str(out)) == 1
+    failed = [r for r in json.loads(out.read_text())["reports"] if not r["pass"]]
+    assert [(r["identity"], r["params"]["branch"]) for r in failed] == [("rauch_variation", 1)]
+
+
+U = np.finfo(float).eps / 2  # unit roundoff
+NODE_ERROR = 2e-16  # |x - root| of kernel.gauss_legendre, pinned in tests/test_kernel.py
+
+
+@functools.lru_cache(maxsize=None)
+def _rule(nodes):
+    return kernel.gauss_legendre(nodes)
+
+
+def _integral_error_bound(moduli, nodes):
+    """First-order bound (2, 4) on |interval_integrals - exact|, summed node
+    by node from the rounding of each step.  Every term of a gap's sum has
+    one sign, so relative term errors add up to the sum's.
+    - The rule: a node dx off its root moves theta by pi/2 dx, and the
+      weight 2 (1 - x^2) / (n (P_{n-1} - x P_n))^2 by 2|x| dx / (1 - x^2)
+      relative; the three roundings of 1 - x^2 add 3u / (1 - x^2), the
+      recurrence n u per P (so 2 n u squared) and the weight's five
+      operations and the factor pi/2 6 u.
+    - sin theta: one ulp, 2 u, on theta's own error cos(theta) d_theta
+      (theta = pi/2 x rounds by 2 u |theta|, pi/2 and the product).
+    - p = mid + half sin theta: |dp| <= half |d sin| + 4 u c.
+    - Each other factor p - e: |dp| / |p - e| + u; the product, sqrt and
+      division 4 u more, and half of the factors' error (the square root).
+    - p^j: |dp| / p + u.
+    - numpy's pairwise sum: at most 26 additions inside a block of 128 (8
+      accumulators of 16, 3 to join them, 7 left over) and one per halving
+      above it.
+    - Truncation: the integrand is analytic in the Bernstein ellipse that
+      reaches the nearest other branch point, so the rule converges like
+      rho^(-2n); asserted below 1e-40, far under rounding."""
+    x, w = _rule(nodes)
+    th = 0.5 * math.pi * x
+    sin_th = np.sin(th)
+    d_sin = np.cos(th) * (0.5 * math.pi * NODE_ERROR + 2 * U * np.abs(th)) + 2 * U
+    d_w = (2 * np.abs(x) * NODE_ERROR + 3 * U) / (1 - x * x) + (2 * nodes + 6) * U
+    sum_rel = (26 + math.ceil(math.log2(nodes))) * U
+    es = [0.0, 1.0, *moduli]
+    bound = np.zeros((2, 4))
+    for k in range(4):
+        mid, half = 0.5 * (es[k] + es[k + 1]), 0.5 * (es[k + 1] - es[k])
+        others = es[:k] + es[k + 2:]
+        nearest = min(abs(e - mid) for e in others) / half
+        z = 1 + 2j / math.pi * math.acosh(nearest)
+        rho = max(abs(z + np.sqrt(z * z - 1)), abs(z - np.sqrt(z * z - 1)))
+        assert rho ** (-2 * nodes) < 1e-40
+        p = mid + half * sin_th
+        dp = half * d_sin + 4 * U * es[-1]
+        t = 0.5 * math.pi * w / np.sqrt(np.abs(np.prod([p - e for e in others], axis=0)))
+        rel = d_w + sum(0.5 * (dp / np.abs(p - e) + U) for e in others) + 4 * U
+        bound[0, k] = np.sum(t * rel) + sum_rel * np.sum(t)
+        bound[1, k] = np.sum(t * (p * (rel + U) + dp)) + sum_rel * np.sum(t * p)
+    return bound
+
+
+def _period_error_bound(moduli, nodes):
+    """First-order bound on |B - exact| entrywise: J's bound through
+    A = J V_A and Braw = J V_B (one rounded addition), C = A^-1 and B = C Braw
+    (6 u for LU and inversion at order 2, 2 u for the product)."""
+    dJ = _integral_error_bound(moduli, nodes)
+    _, A, Braw, C, B = (np.abs(v) for v in hyperell._assemble(moduli, nodes))
+    dA = dJ @ np.abs(np.stack(hyperell.A_CYCLES, -1)) + U * A
+    dBraw = dJ @ np.abs(np.stack(hyperell.B_CYCLES, -1)) + U * Braw
+    return C @ (dBraw + dA @ B) + 6 * U * C @ A @ C @ Braw + 2 * U * C @ Braw
+
+
+def _exact_integrals(moduli):
+    """J from mpmath's tanh-sinh rule at 40 digits.  Its nodes crowd the
+    endpoints, where p - e loses digits in mpmath too: at 30 digits it was
+    1e-17 off a 60-digit run, at 40 digits 2e-22."""
+    a, b, c = moduli
+    es = [0.0, 1.0, a, b, c]
+    J = np.zeros((2, 4), dtype=complex)
+    with mp.workdps(40):
+        for k in range(4):
+            for j in range(2):
+                val, err = mp.quad(lambda p: p**j / mp.sqrt(abs(p * (p - 1) * (p - a)
+                                                                  * (p - b) * (p - c))),
+                                   [es[k], es[k + 1]], error=True)
+                assert err < 1e-20 * val
+                J[j, k] = complex(1j ** (k - 4) * val)
+    return J
+
+
+@pytest.fixture(scope="module")
+def seeded_moduli():
+    # gaps from [0.3, 1.5], as bench/workloads._moduli draws them
+    stack = [tuple(row) for row in _stack(10, 43)]
+    return [(moduli, _exact_integrals(moduli)) for moduli in stack]
+
+
+@pytest.mark.parametrize("nodes", [100, 1000])
+def test_interval_integrals_sit_at_rounding(nodes, seeded_moduli):
+    # mpmath oracle at 40 digits; the bound is derived from rounding alone
+    for moduli, exact in seeded_moduli:
+        bound = _integral_error_bound(moduli, nodes)
+        error = np.abs(interval_integrals(moduli, nodes) - exact)
+        assert np.all(error <= bound + 1e-20 * np.abs(exact)), moduli
+        pd = periods(moduli, nodes)
+        dB, dB2 = _period_error_bound(moduli, nodes), _period_error_bound(moduli, 2 * nodes)
+        assert pd.symmetry_error <= 2 * np.max(dB2), moduli
+        assert pd.convergence_error <= np.max(dB + dB2), moduli
+
+
+def test_cancelling_integrals_fail_the_rounding_bound(seeded_moduli):
+    for moduli, exact in seeded_moduli:
+        bound = _integral_error_bound(moduli, 1000)
+        assert np.any(np.abs(_cancelling_integrals(moduli, 1000) - exact) > bound), moduli
