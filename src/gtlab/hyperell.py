@@ -44,7 +44,7 @@ PHASES = np.array([1, 1j, -1, -1j])  # 1/q's phase 1/i^(4-k) on the k-th gap
 DEFAULT_NODES = 200
 # a rauch job builds an n- and a 2n-node rule (kernel.gauss_legendre, O(n^2)
 # array work) and sums over both, the 2n-node pass over 13 rows: at n =
-# MAX_NODES 35-60 ms for the rules and 2-4 ms for the rest of the job on a
+# MAX_NODES 8-17 ms for the rules and 2-4 ms for the rest of the job on a
 # 2-vCPU host; the bound keeps a job small.
 MAX_NODES = 1000
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import cmath
+import inspect
 import math
 import re
 import warnings
@@ -674,10 +675,11 @@ def _mp_root_and_weight(seed: float, n: int):
     return x, 2 / ((1 - x * x) * dpn * dpn)
 
 
-def _check_rule_against_mpmath(n: int):
-    """gauss_legendre(n) against mpmath: nodes within 2e-16, ascending and
-    symmetric, weights summing to 2, and no weight further from mpmath's
-    (relative) than numpy's eigenvalue-based leggauss at the same nodes.
+def _rule_errors(n: int) -> tuple[float, float, float]:
+    """gauss_legendre(n) against mpmath: asserts the nodes ascend and the rule
+    is exactly symmetric with weights summing to 2, and returns the largest
+    node error and the largest relative weight errors, its own and those of
+    numpy's eigenvalue-based leggauss at the same nodes.
 
     The oracle's roots are refined from leggauss's nodes, an independent
     method.  Above 60 nodes it checks the eight outermost nodes (the
@@ -702,20 +704,56 @@ def _check_rule_against_mpmath(n: int):
             node_err = max(node_err, abs(float(x[i] - root)))
             ours = max(ours, abs(float((w[i] - weight) / weight)))
             theirs = max(theirs, abs(float((wl[i] - weight) / weight)))
+    return node_err, ours, theirs
+
+
+def _check_rule_against_mpmath(n: int):
+    """``_rule_errors(n)``: nodes within 2e-16 and no weight further from
+    mpmath's (relative) than leggauss's."""
+    node_err, ours, theirs = _rule_errors(n)
     assert node_err <= 2e-16, node_err
     # leggauss normalises its weights to sum 2, which at n = 2 lands on 1.0
     # exactly; the recurrence rounds that weight one unit off, hence the eps
     assert ours <= max(theirs, np.finfo(float).eps), (ours, theirs)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 24, 60, 401, 800, 2000])
+@pytest.mark.parametrize("n", [1, 2, 3, 24, 60, 100, 200, 400, 401, 800, 2000])
 def test_gauss_legendre_matches_mpmath_roots_and_weights(n):
     _check_rule_against_mpmath(n)
 
 
+def test_gauss_legendre_nodes_match_mpmath_for_every_small_rule():
+    # below 21 nodes the Bessel-zero starts seed every node of the positive
+    # half, so a start that ran to the wrong root would show here
+    for n in range(1, 41):
+        node_err, _, _ = _rule_errors(n)
+        assert node_err <= 2e-16, (n, node_err)
+
+
+def test_bessel_zero_starts_are_j0_zeros_to_the_ulp():
+    for k, j in enumerate(kernel._J0_ZEROS, start=1):
+        exact = float(mp.besseljzero(0, k))
+        assert abs(j - exact) <= math.ulp(exact), (k, j, exact)
+
+
+def test_gauss_legendre_takes_one_recurrence_pass_from_24_nodes(monkeypatch):
+    calls = []
+    legendre = kernel._legendre_and_derivative
+
+    def counting(x, n, a, b):
+        calls.append(n)
+        return legendre(x, n, a, b)
+
+    monkeypatch.setattr(kernel, "_legendre_and_derivative", counting)
+    for n in [*range(1, 200), 400, 401, 800, 1000, 2000]:
+        calls.clear()
+        kernel.gauss_legendre(n)
+        assert len(calls) == (1 if n == 1 or n >= 24 else 2), (n, len(calls))
+
+
 def test_gauss_legendre_oracle_catches_a_mutated_recurrence(monkeypatch):
-    # one of Bonnet's coefficients off by one part in 1e12: Newton converges
-    # to the roots of the wrong polynomial, about 7e-14 from Legendre's
+    # one of Bonnet's coefficients off by one part in 1e12: the nodes
+    # converge to the roots of the wrong polynomial, about 7e-14 from Legendre's
     recurrence = kernel._recurrence
 
     def mutated(n):
@@ -728,10 +766,31 @@ def test_gauss_legendre_oracle_catches_a_mutated_recurrence(monkeypatch):
         _check_rule_against_mpmath(24)
 
 
-def test_gauss_legendre_refuses_a_rule_whose_newton_passes_run_out(monkeypatch):
-    # Tricomi's guess is about 1e-6 off at 100 nodes: one pass cannot reach 1e-15
-    monkeypatch.setattr(kernel, "_NEWTON_PASSES", 1)
-    with pytest.raises(NonConvergence, match="after 1 Newton passes"):
+@pytest.mark.parametrize("term,mutant,ns", [
+    # n(n+1) -> n(n+1) + 1 adds -P / (1 - x^2) to P'', which vanishes at every
+    # root, so it only slows Halley's step: the 1- and 2-point rules start far
+    # enough off that it moves their weights, and no larger rule feels it
+    ("- lam * p", "- (lam + 1) * p", (1, 2)),
+    # 2x P' -> 2.001x P': the weights' Taylor carry reads P'' directly
+    ("2 * y * d1", "2.001 * y * d1", (2, 24, 100, 800)),
+], ids=["eigenvalue_term", "first_derivative_term"])
+def test_gauss_legendre_oracle_catches_a_mutated_legendre_equation(monkeypatch, term, mutant, ns):
+    source = inspect.getsource(kernel.gauss_legendre)
+    assert source.count(term) == 1
+    namespace = dict(vars(kernel))
+    exec(source.replace(term, mutant), namespace)
+    monkeypatch.setattr(kernel, "gauss_legendre", namespace["gauss_legendre"])
+    for n in ns:
+        with pytest.raises((AssertionError, NonConvergence)):
+            _check_rule_against_mpmath(n)
+
+
+def test_gauss_legendre_refuses_a_rule_whose_halley_passes_run_out(monkeypatch):
+    # Bessel zeros one part in 1e4 off start the nodes next to 1 far enough
+    # away that one pass cannot certify them
+    monkeypatch.setattr(kernel, "_J0_ZEROS", tuple(j * (1 + 1e-4) for j in kernel._J0_ZEROS))
+    monkeypatch.setattr(kernel, "_HALLEY_PASSES", 1)
+    with pytest.raises(NonConvergence, match=r"n=100 .* after 1 Halley passes"):
         kernel.gauss_legendre(100)
 
 
