@@ -134,7 +134,6 @@ KEYS = {
     "pair": Key(_pair, {"reconstruct": [0, 1]}),
     "index": Key(_count, {"reconstruct": 0}),
     "moduli": Key(_moduli, {"rauch": [1.5, 2.9, 4.1]}),
-    "delta": Key(_positive, {"rauch": 1e-4}),
     "nodes": Key(_positive_int, {"rauch": hyperell.DEFAULT_NODES},
                  (hyperell.MAX_NODES, "Gauss nodes; a job builds an n- and a 2n-node rule")),
     "branch": Key(_count, {"rauch": None}),  # None: every branch point
@@ -314,18 +313,16 @@ def _cmd_reconstruct(cfg):
 
 
 def _cmd_rauch(cfg):
-    seed, tol, moduli, delta = cfg["seed"], cfg["tol"], cfg["moduli"], cfg["delta"]
+    seed, tol, moduli = cfg["seed"], cfg["tol"], cfg["moduli"]
     branches = [0, 1, 2] if cfg["branch"] is None else [cfg["branch"]]
-    pd, checks = hyperell.rauch(moduli, branches, delta=delta, nodes=cfg["nodes"])
+    pd, checks = hyperell.rauch(moduli, branches, nodes=cfg["nodes"])
     reports = [
         _make_report("period_symmetry", [pd.symmetry_error], 1e-8, seed,
                      moduli=list(moduli), convergence_error=pd.convergence_error),
         _make_report("period_positivity", [pd.nonpositive], 0.5, seed,
                      min_eigenvalue=float(np.min(pd.im_eigenvalues))),
     ]
-    reports += [_make_report("rauch_variation", [rd.max_rel_error], tol, seed,
-                             branch=rd.branch, delta=delta,
-                             step_stability=rd.step_stability)
+    reports += [_make_report("rauch_variation", [rd.max_rel_error], tol, seed, branch=rd.branch)
                 for rd in checks]
     return reports, {"period_matrix": pd.B.tolist()}
 

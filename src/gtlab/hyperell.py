@@ -21,9 +21,13 @@ This combination was validated numerically: it yields a symmetric period
 matrix with positive-definite imaginary part whose branch-point derivatives
 match the local-coordinate variational formula at every branch point.
 
-``interval_integrals`` answers a (K, 3) stack of branch-point triples in one
-array pass per gap, so a whole ``rauch`` job is two passes: an n-node one
-over its moduli and a 2n-node one over its moduli and every stencil point.
+With theta's range fixed, p moves with its gap's ends by (1 -+ sin theta)/2,
+so the derivatives of J in (a, b, c) are Gauss sums on the same rule of the
+integrand's derivative, s d ln s (plus s dp for p^1), with
+d ln s = -1/2 sum_o (dp - [e = e_o]) / (p - e_o) over the other three, and
+dB = C (dBraw - dA B).  ``interval_integrals`` runs the four gaps as the rows
+of one array pass, so a whole ``rauch`` job is two passes: an n-node one for
+J, which node doubling reads, and a 2n-node one for J and its derivatives.
 """
 
 from __future__ import annotations
@@ -39,13 +43,19 @@ from .errors import ConfigError, NonConvergence
 
 A_CYCLES = (np.array([2, 0, 0, 0]), np.array([0, 0, 2, 0]))
 B_CYCLES = (np.array([0, 2, 0, 2]), np.array([0, 0, 0, 2]))
+_CYCLES = np.stack([*A_CYCLES, *B_CYCLES], -1) + 0j  # J @ _CYCLES = [A | Braw]
 PHASES = np.array([1, 1j, -1, -1j])  # 1/q's phase 1/i^(4-k) on the k-th gap
+# the other three of (e_0, ..., e_4) on each gap, and the slot (the gap's two
+# ends, then its others) of each of a, b, c on each gap
+_OTHERS = np.array([[o for o in range(5) if o not in (k, k + 1)] for k in range(4)])
+_SLOT = np.array([[[k, k + 1, *_OTHERS[k]].index(m) for k in range(4)] for m in (2, 3, 4)])
+_GAPS = np.arange(4)
 
 DEFAULT_NODES = 200
 # a rauch job builds an n- and a 2n-node rule (kernel.gauss_legendre, O(n^2)
-# array work) and sums over both, the 2n-node pass over 13 rows: at n =
-# MAX_NODES 8-17 ms for the rules and 2-4 ms for the rest of the job on a
-# 2-vCPU host; the bound keeps a job small.
+# array work) and sums over both, the 2n-node pass with the derivatives: at
+# n = MAX_NODES 8-13 ms for the rules and 0.3-1.1 ms for the rest of the job
+# on a 2-vCPU host (Python 3.11, numpy 2.4); the bound keeps a job small.
 MAX_NODES = 1000
 
 
@@ -69,37 +79,48 @@ def _check_nodes(nodes) -> None:
 
 
 @functools.lru_cache(maxsize=4)
-def _theta_rule(nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """(sin theta, weight) of ``kernel.gauss_legendre``'s rule mapped to theta
-    in [-pi/2, pi/2], read-only; built once per node count, so a rauch job
-    builds its n- and its 2n-node rule once each."""
+def _theta_rule(nodes: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(sin theta, weight, dp) of ``kernel.gauss_legendre``'s rule mapped to
+    theta in [-pi/2, pi/2], read-only, with dp = ((1 - sin theta)/2, (1 +
+    sin theta)/2), how p = mid + half sin theta moves with the gap's two
+    ends; built once per node count, so a rauch job builds its n- and its
+    2n-node rule once each."""
     x, w = kernel.gauss_legendre(nodes)
-    rule = (np.sin(0.5 * math.pi * x), 0.5 * math.pi * w)
+    sin_th = np.sin(0.5 * math.pi * x)
+    rule = (sin_th, 0.5 * math.pi * w, np.stack([0.5 - 0.5 * sin_th, 0.5 + 0.5 * sin_th]))
     for arr in rule:
         arr.flags.writeable = False
     return rule
 
 
-def interval_integrals(moduli, nodes: int = DEFAULT_NODES) -> np.ndarray:
-    """J[j, k] = integral of p^j dp / q over the k-th gap: (2, 4) for one
-    triple (a, b, c), (K, 2, 4) for a (K, 3) stack of them.  Every row is
-    validated before the rule is read; each gap is one real pass over (K,
-    nodes) arrays, and each row's sums equal a one-triple call's bit for bit."""
-    m = np.asarray(moduli, dtype=float)
-    rows = np.atleast_2d(m)
-    for row in rows:
-        _validate_moduli(row)
-    sin_th, wt = _theta_rule(nodes)
-    es = [0.0, 1.0, *(rows[:, i, None] for i in range(3))]
-    J = np.zeros((len(rows), 2, 4))
-    for k in range(4):
-        e0, e1 = es[k], es[k + 1]
-        p = 0.5 * (e0 + e1) + 0.5 * (e1 - e0) * sin_th
-        f0, f1, f2 = (p - e for e in es[:k] + es[k + 2:])
-        s = wt / np.sqrt(np.abs(f0 * f1 * f2))
-        J[:, 0, k] = np.sum(s, axis=-1)
-        J[:, 1, k] = np.sum(s * p, axis=-1)
-    return (J if m.ndim == 2 else J[0]) * PHASES
+def interval_integrals(moduli, nodes: int = DEFAULT_NODES,
+                       derivatives: bool = False) -> np.ndarray:
+    """J[j, k] = integral of p^j dp / q over the k-th gap, (2, 4), for the
+    triple (a, b, c), validated before the rule is read; with
+    ``derivatives``, (4, 2, 4): J and then dJ/da, dJ/db, dJ/dc on the same
+    rule.  The four gaps are the rows of one (4, nodes) pass."""
+    e = np.array([0.0, 1.0, *_validate_moduli(moduli)])
+    sin_th, wt, dp = _theta_rule(nodes)
+    lo, hi = e[:4, None], e[1:, None]
+    with np.errstate(over="raise", invalid="raise"):  # a modulus near float's range fails closed
+        p = 0.5 * (lo + hi) + 0.5 * (hi - lo) * sin_th
+        f = p - e[_OTHERS.T, None]  # (3, 4, nodes): p - e_o over each gap's other branch points
+        s = wt / np.sqrt(np.abs(f[0] * f[1] * f[2]))
+        J = np.stack([np.sum(s, -1), np.sum(s * p, -1)])
+        if not derivatives:
+            return J * PHASES
+        # theta's range is fixed, so p moves with its gap's ends by dp, and
+        # d ln s = -1/2 sum_o (dp - [e = e_o]) / (p - e_o)
+        ds = s / f  # 2 ds/de_o
+        sS = ds.sum(0)  # -2 ds/dp
+        # dot products, not pairwise sums: dB = C (dBraw - dA B) can cancel
+        # a hundredfold, and they keep the worst rauch residual 3x lower
+        ends = np.vecdot(np.stack([-sS, 2.0 * s - p * sS])[:, :, None], dp)
+        others = np.stack([ds.sum(-1), np.vecdot(ds, p)]).swapaxes(1, 2)
+    # twice dJ[j, k, slot] over each gap's slots (its two ends, then its
+    # others), of which _SLOT picks a's, b's and c's
+    dJ = 0.5 * np.concatenate([ends, others], -1)[:, _GAPS, _SLOT]
+    return np.concatenate([J[None], dJ.swapaxes(0, 1)]) * PHASES
 
 
 @dataclass(frozen=True)
@@ -110,7 +131,7 @@ class PeriodData:
     Braw: np.ndarray  # b-periods of the raw differentials, 2x2
     C: np.ndarray  # normalization: omega_j = sum_l C[j,l] p^l dp / q
     B: np.ndarray  # normalized period matrix, 2x2
-    B_stencil: np.ndarray  # B at each stencil triple on the same rule, Kx2x2
+    dB: np.ndarray  # dB/da, dB/db, dB/dc, 3x2x2
     symmetry_error: float
     im_eigenvalues: tuple[float, float]
     convergence_error: float
@@ -125,27 +146,26 @@ class PeriodData:
         return self.nonpositive == 0
 
 
-def _assemble(moduli, n: int):
-    """J, A, Braw, C and the normalized B = C @ Braw with an n-node rule,
-    for one triple or, stacked along a leading axis, for a (K, 3) stack."""
-    J = interval_integrals(moduli, n)
-    A = np.stack([J @ v for v in A_CYCLES], -1)
-    Braw = np.stack([J @ v for v in B_CYCLES], -1)
-    C = np.linalg.inv(A)
-    return J, A, Braw, C, C @ Braw
+def _assemble(moduli, n: int, derivatives: bool = False):
+    """J, A, Braw, C and the normalized B = C @ Braw with an n-node rule; with
+    ``derivatives`` J, A and Braw carry theirs in (a, b, c) behind them,
+    (4, ...), and C and B are the curve's own."""
+    J = interval_integrals(moduli, n, derivatives)
+    AB = J @ _CYCLES
+    A, Braw = AB[..., :2], AB[..., 2:]
+    C = np.linalg.inv(A[0] if derivatives else A)
+    return J, A, Braw, C, C @ (Braw[0] if derivatives else Braw)
 
 
 def periods(moduli, nodes: int = DEFAULT_NODES,
-            check_tol: float | None = None, stencil=()) -> PeriodData:
-    """Normalized period matrix of the curve; node doubling estimates the
-    quadrature error.  The 2n-node pass also answers the triples in
-    ``stencil`` (as ``B_stencil``), each validated before any rule is
-    built."""
+            check_tol: float | None = None) -> PeriodData:
+    """Normalized period matrix of the curve and its derivatives in (a, b,
+    c), dB = C (dBraw - dA B), from one 2n-node pass; the n-node pass
+    estimates the quadrature error by node doubling."""
     _check_nodes(nodes)
     moduli = _validate_moduli(moduli)
-    *_, B2s = _assemble([moduli, *stencil], 2 * nodes)
-    J, A, Braw, C, B = _assemble(moduli, nodes)
-    B2 = B2s[0]
+    J, A, Braw, C, B2 = _assemble(moduli, 2 * nodes, derivatives=True)
+    B = _assemble(moduli, nodes)[-1]
     conv = float(np.max(np.abs(B - B2)))
     if check_tol is not None and conv > check_tol:
         raise NonConvergence(
@@ -154,12 +174,12 @@ def periods(moduli, nodes: int = DEFAULT_NODES,
     ev = np.linalg.eigvalsh(B2.imag)
     return PeriodData(
         moduli=moduli,
-        J=J,
-        A=A,
-        Braw=Braw,
+        J=J[0],
+        A=A[0],
+        Braw=Braw[0],
         C=C,
         B=B2,
-        B_stencil=B2s[1:],
+        dB=C @ (Braw[1:] - A[1:] @ B2),
         symmetry_error=float(np.max(np.abs(B2 - B2.T))),
         im_eigenvalues=(float(ev[0]), float(ev[1])),
         convergence_error=conv,
@@ -170,11 +190,9 @@ def periods(moduli, nodes: int = DEFAULT_NODES,
 class RauchData:
     moduli: tuple[float, float, float]
     branch: int  # 0 -> a, 1 -> b, 2 -> c
-    delta: float
-    dB_numeric: np.ndarray
+    dB: np.ndarray  # the exact derivative of the period matrix in the branch point
     dB_predicted: np.ndarray
     max_rel_error: float
-    step_stability: float  # change of the numeric derivative when delta halves
 
 
 def rauch_prediction(pd: PeriodData, branch: int) -> np.ndarray:
@@ -195,57 +213,24 @@ def rauch_prediction(pd: PeriodData, branch: int) -> np.ndarray:
     )
 
 
-def rauch(moduli, branches=(0, 1, 2), delta: float = 1e-4,
+def rauch(moduli, branches=(0, 1, 2),
           nodes: int = DEFAULT_NODES) -> tuple[PeriodData, list[RauchData]]:
-    """The period matrix and, at each branch point in ``branches``, the
-    central-difference derivative of it against the variational formula;
-    the derivative is recomputed at half the step to confirm it has
-    converged.  One ``periods`` call answers every stencil point: one
-    n-node pass over the moduli and one 2n-node pass over the moduli and
-    the points at +-delta and +-delta/2 of every branch."""
-    _check_nodes(nodes)
-    moduli = _validate_moduli(moduli)
+    """The period matrix and, at each branch point in ``branches``, its
+    derivative there against the variational formula, both from one
+    ``periods`` call."""
     if any(branch not in (0, 1, 2) for branch in branches):
         raise ConfigError("branch must be 0 (a), 1 (b) or 2 (c)")
-    # a step as wide as a gap next to a varied branch point carries a stencil
-    # point onto or past its neighbour (1 below a, or the next modulus)
-    gaps = (moduli[0] - 1.0, moduli[1] - moduli[0], moduli[2] - moduli[1])
-    least = min((gaps[g] for branch in branches for g in (branch, branch + 1) if g < 3),
-                default=math.inf)
-    if not delta < least:
-        raise ConfigError(f"delta must be less than {least!r}, the least gap next to a "
-                          f"varied branch point, got {delta!r}")
-    if any(moduli[branch] + delta / 2.0 == moduli[branch] for branch in branches):
-        raise ConfigError(f"delta must move each varied branch point by half of it, "
-                          f"got {delta!r}")
-    steps = (delta, -delta, delta / 2.0, -delta / 2.0)
-    stencil = []
-    for branch in branches:
-        for step in steps:
-            point = list(moduli)
-            point[branch] += step
-            stencil.append(point)
-    pd = periods(moduli, nodes, stencil=stencil)
-    checks = []
-    for branch, (B_up, B_down, B_half_up, B_half_down) in zip(
-            branches, pd.B_stencil.reshape(-1, 4, 2, 2)):
-        dB = (B_up - B_down) / (2.0 * delta)
-        dB_half = (B_half_up - B_half_down) / (2.0 * (delta / 2.0))
-        pred = rauch_prediction(pd, branch)
-        rel = float(np.max(np.abs(dB_half - pred) / np.maximum(np.abs(pred), 1e-12)))
-        checks.append(RauchData(
-            moduli=moduli,
-            branch=branch,
-            delta=delta,
-            dB_numeric=dB_half,
-            dB_predicted=pred,
-            max_rel_error=rel,
-            step_stability=float(np.max(np.abs(dB - dB_half))),
-        ))
-    return pd, checks
+    pd = periods(moduli, nodes)
+    dB, pred = pd.dB[list(branches)], np.array([rauch_prediction(pd, b) for b in branches])
+    # relative to each entry, floored at 1e-12 of the largest, so the check
+    # scales with the curve; a vanishing prediction reads inf or NaN, a failure
+    floor = 1e-12 * np.abs(pred).max(axis=(1, 2), keepdims=True)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rel = np.max(np.abs(dB - pred) / np.maximum(np.abs(pred), floor), axis=(1, 2))
+    return pd, [RauchData(pd.moduli, branch, d, p, float(r))
+                for branch, d, p, r in zip(branches, dB, pred, rel)]
 
 
-def rauch_check(moduli, branch: int, delta: float = 1e-4,
-                nodes: int = DEFAULT_NODES) -> RauchData:
+def rauch_check(moduli, branch: int, nodes: int = DEFAULT_NODES) -> RauchData:
     """``rauch`` at one branch point."""
-    return rauch(moduli, (branch,), delta, nodes)[1][0]
+    return rauch(moduli, (branch,), nodes)[1][0]

@@ -100,10 +100,11 @@ def test_rauch_prediction_is_symmetric():
 
 @pytest.mark.parametrize("branch", [0, 1, 2])
 def test_rauch_variation_matches_finite_difference(branch):
-    rd = rauch_check(MODULI, branch, delta=1e-4)
+    rd = rauch_check(MODULI, branch)
     assert rd.max_rel_error < 1e-4, rd.max_rel_error
-    # the numeric derivative itself must have converged in the step
-    assert rd.step_stability < 1e-4
+    # the exact derivative against central differences, within their bound
+    oracle, bound = _richardson(MODULI, branch, 2 * hyperell.DEFAULT_NODES)
+    assert np.all(np.abs(rd.dB - oracle) <= bound)
 
 
 def test_rauch_rejects_bad_branch():
@@ -203,7 +204,7 @@ def test_non_finite_modulus_fails_before_any_rule_is_built(bad, no_rules):
     # into inf * 0 and returned an all-NaN period matrix
     calls = [lambda: periods(bad, 20), lambda: rauch_check(bad, 0, nodes=20),
              lambda: interval_integrals(bad, 20),
-             lambda: interval_integrals([MODULI, bad], 20)]
+             lambda: interval_integrals(bad, 20, derivatives=True)]
     for call in calls:
         with pytest.raises(ConfigError, match="branch points must"):
             call()
@@ -217,52 +218,42 @@ def test_non_finite_modulus_fails_before_any_rule_is_built(bad, no_rules):
 ])
 def test_stencil_point_across_a_branch_point_exits_2(branch, delta, point, tmp_path,
                                                       capsys, no_rules):
-    # a delta that would carry a stencil point (the first bad one is
-    # ``point``) across a neighbouring branch point is refused before any
-    # rule is built, naming delta and the least gap next to a varied branch
-    # point, not a triple the config never gave
+    # the derivatives are exact, so no stencil point is left to carry across a
+    # neighbouring branch point (the first one this delta would have is
+    # ``point``): the job exits 2 on its delta, a key rauch no longer takes,
+    # before any rule is built, naming the key and no triple
     job = {"command": "rauch", "seed": 1, "moduli": [1.5, 2.9, 4.1], "delta": delta}
     if branch is not None:
         job["branch"] = branch
-    gaps = (1.5 - 1.0, 2.9 - 1.5, 4.1 - 2.9)
-    least = min(gaps[g] for b in ((0, 1, 2) if branch is None else (branch,))
-                for g in (b, b + 1) if g < 3)
     cfg = tmp_path / "job.json"
     cfg.write_text(json.dumps(job))
     assert main(["--config", str(cfg), "--out", str(tmp_path / "r.json")]) == 2
     err = capsys.readouterr().err
-    assert err == (f"config error: delta must be less than {least!r}, the least gap next "
-                   f"to a varied branch point, got {delta!r}\n")
+    assert err == "config error: unknown config keys for rauch: ['delta']\n"
     assert str(point) not in err
 
 
-def test_a_delta_past_the_least_gap_names_delta_and_the_gap(tmp_path, capsys, no_rules):
+def test_a_config_with_delta_exits_2_naming_the_key(tmp_path, capsys, no_rules):
+    # a step past every gap, the old default, and one too small to move a
+    # branch point all exit 2 alike
     cfg = tmp_path / "job.json"
-    cfg.write_text(json.dumps({"command": "rauch", "seed": 1, "delta": 5.0}))
-    assert main(["--config", str(cfg), "--out", str(tmp_path / "r.json")]) == 2
-    assert capsys.readouterr().err == (
-        "config error: delta must be less than 0.5, the least gap next to a varied branch "
-        "point, got 5.0\n")
-    # a delta just under the gap passes the check; its stencil point is then
-    # too close to the neighbour, which the stencil's own check names
-    with pytest.raises(ConfigError, match="branch points too close"):
-        hyperell.rauch((1.5, 2.9, 4.1), (0,), delta=0.4999, nodes=20)
-    # one so small that half of it leaves a branch point where it is would
-    # divide a zero difference by it
-    with pytest.raises(ConfigError, match="^delta must move each varied branch point by half "
-                                          "of it, got 1e-300$"):
-        hyperell.rauch((1.5, 2.9, 4.1), (2,), delta=1e-300, nodes=20)
+    for delta in (5.0, 1e-4, 1e-300):
+        cfg.write_text(json.dumps({"command": "rauch", "seed": 1, "delta": delta}))
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "r.json")]) == 2
+        assert capsys.readouterr().err == ("config error: unknown config keys for rauch: "
+                                           "['delta']\n")
+        assert not (tmp_path / "r.json").exists()
 
 
 def test_rauch_job_makes_two_passes_and_one_periods_call(tmp_path, monkeypatch):
-    # the n-node pass answers the moduli; the 2n-node pass the moduli and the
-    # +-delta, +-delta/2 points of each of the three branches
+    # the n-node pass gives J for node doubling; the 2n-node pass gives J and
+    # its derivatives in (a, b, c)
     passes, calls = [], []
     interval_integrals_, periods_ = hyperell.interval_integrals, hyperell.periods
 
-    def counting_integrals(moduli, nodes):
-        passes.append((nodes, len(np.atleast_2d(moduli))))
-        return interval_integrals_(moduli, nodes)
+    def counting_integrals(moduli, nodes, derivatives=False):
+        passes.append((nodes, derivatives))
+        return interval_integrals_(moduli, nodes, derivatives)
 
     def counting_periods(*args, **kwargs):
         calls.append(args)
@@ -274,7 +265,7 @@ def test_rauch_job_makes_two_passes_and_one_periods_call(tmp_path, monkeypatch):
     cfg.write_text(json.dumps({"command": "rauch", "seed": 1, "nodes": 60,
                                "moduli": list(MODULI)}))
     assert main(["--config", str(cfg), "--out", str(tmp_path / "r.json")]) == 0
-    assert sorted(passes) == [(60, 1), (120, 13)]
+    assert sorted(passes) == [(60, False), (120, True)]
     assert len(calls) == 1
 
 
@@ -286,39 +277,37 @@ def _stack(count, seed):
 
 @pytest.mark.parametrize("nodes", [1, 7, 60, 200, 2000])
 def test_stacked_rows_equal_one_triple_calls_bit_for_bit(nodes):
-    stack = _stack(13, nodes)
-    J = interval_integrals(stack, nodes)
-    assert J.shape == (13, 2, 4)
-    for row, J_row in zip(stack, J):
-        assert np.array_equal(J_row, interval_integrals(tuple(row), nodes))
+    # the derivative pass stacks J and dJ/da, dJ/db, dJ/dc; its J row is the
+    # J-only pass's bit for bit
+    for row in _stack(13, nodes):
+        J = interval_integrals(tuple(row), nodes, derivatives=True)
+        assert J.shape == (4, 2, 4)
+        assert np.array_equal(J[0], interval_integrals(tuple(row), nodes))
 
 
 @pytest.mark.parametrize("nodes", [7, 60, 200])
 def test_stacked_assemble_equals_per_row_assemble(nodes):
-    stack = _stack(9, 100 + nodes)
-    stacked = hyperell._assemble(stack, nodes)
-    for i, row in enumerate(stack):
-        for whole, one in zip(stacked, hyperell._assemble(tuple(row), nodes)):
-            assert np.array_equal(whole[i], one)
+    # with derivatives stacked behind them, J, A and Braw lead with the
+    # J-only assembly's, and C and B are its own, bit for bit
+    for row in _stack(9, 100 + nodes):
+        J, A, Braw, C, B = hyperell._assemble(tuple(row), nodes, derivatives=True)
+        assert J.shape == (4, 2, 4) and A.shape == Braw.shape == (4, 2, 2)
+        for whole, one in zip((J[0], A[0], Braw[0], C, B), hyperell._assemble(tuple(row), nodes)):
+            assert np.array_equal(whole, one)
 
 
-def test_rauch_stencil_equals_one_triple_periods_bit_for_bit():
-    # the stacked stencil gives the central differences that one periods call
-    # per stencil point gives
-    delta, nodes = 1e-3, 60
-    pd, checks = hyperell.rauch(MODULI, (0, 1, 2), delta, nodes)
-    assert np.array_equal(pd.B, periods(MODULI, nodes).B)
+def test_rauch_equals_one_periods_call_bit_for_bit():
+    # every branch's check reads the derivative and C of one periods call
+    nodes = 60
+    pd, checks = hyperell.rauch(MODULI, (0, 1, 2), nodes)
+    alone = periods(MODULI, nodes)
+    assert np.array_equal(pd.B, alone.B) and np.array_equal(pd.dB, alone.dB)
+    assert pd.dB.shape == (3, 2, 2)
     for rd in checks:
-        def B_at(step):
-            point = list(MODULI)
-            point[rd.branch] += step
-            return periods(point, nodes).B
-
-        dB = (B_at(delta) - B_at(-delta)) / (2.0 * delta)
-        dB_half = (B_at(delta / 2.0) - B_at(-delta / 2.0)) / (2.0 * (delta / 2.0))
-        assert np.array_equal(rd.dB_numeric, dB_half)
-        assert rd.step_stability == float(np.max(np.abs(dB - dB_half)))
-        assert np.array_equal(rd.dB_predicted, rauch_prediction(pd, rd.branch))
+        pred = rauch_prediction(pd, rd.branch)
+        assert np.array_equal(rd.dB, pd.dB[rd.branch])
+        assert np.array_equal(rd.dB_predicted, pred)
+        assert rd.max_rel_error == float(np.max(np.abs(rd.dB - pred) / np.abs(pred)))
 
 
 def _cancelling_integrals(moduli, nodes):
@@ -356,12 +345,30 @@ def test_rauch_at_max_nodes_passes(tmp_path):
 
 
 def test_rauch_at_max_nodes_fails_on_cancelling_integrals(tmp_path, monkeypatch):
-    # counter-test: the same job on the quintic's five factors fails at branch b
-    monkeypatch.setattr(hyperell, "interval_integrals", _cancelling_integrals)
+    # counter-test: the same job with J on the quintic's five factors reports a
+    # period matrix outside the rounding bound of the 40-digit one, which the
+    # job on three factors sits inside
+    moduli, nodes = tuple(RAUCH_AT_MAX_NODES["moduli"]), 2 * RAUCH_AT_MAX_NODES["nodes"]
+    J = _exact_integrals(moduli)
+    A, Braw = (np.stack([J @ v for v in cycles], -1)
+               for cycles in (hyperell.A_CYCLES, hyperell.B_CYCLES))
+    exact, bound = np.linalg.inv(A) @ Braw, _period_error_bound(moduli, nodes)
+    interval_integrals_ = hyperell.interval_integrals
+
+    def cancelling(moduli, nodes, derivatives=False):
+        J = _cancelling_integrals(moduli, nodes)
+        return np.concatenate([J[None], interval_integrals_(moduli, nodes, True)[1:]]) \
+            if derivatives else J
+
+    def period_matrix(out):
+        return np.array(json.loads(out.read_text())["extras"]["period_matrix"]) @ [1, 1j]
+
     out = tmp_path / "r.json"
-    assert cli.run(dict(RAUCH_AT_MAX_NODES), str(out)) == 1
-    failed = [r for r in json.loads(out.read_text())["reports"] if not r["pass"]]
-    assert [(r["identity"], r["params"]["branch"]) for r in failed] == [("rauch_variation", 1)]
+    assert cli.run(dict(RAUCH_AT_MAX_NODES), str(out)) == 0
+    assert np.all(np.abs(period_matrix(out) - exact) <= bound)
+    monkeypatch.setattr(hyperell, "interval_integrals", cancelling)
+    cli.run(dict(RAUCH_AT_MAX_NODES), str(out))
+    assert np.any(np.abs(period_matrix(out) - exact) > bound)
 
 
 U = np.finfo(float).eps / 2  # unit roundoff
@@ -471,3 +478,120 @@ def test_cancelling_integrals_fail_the_rounding_bound(seeded_moduli):
     for moduli, exact in seeded_moduli:
         bound = _integral_error_bound(moduli, 1000)
         assert np.any(np.abs(_cancelling_integrals(moduli, 1000) - exact) > bound), moduli
+
+
+def _richardson(moduli, branch, nodes):
+    """An independent oracle for dB/de at one branch point e: central
+    differences D(h) = (B(e + h) - B(e - h)) / 2h of the n-node period matrix
+    in Richardson's combination R(h) = (4 D(h/2) - D(h)) / 3, whose
+    truncation is t h^4 + O(h^6).  Returns R(h/2) and an entrywise bound on
+    |R(h/2) - dB/de|, with h 1/32 of the least gap next to e:
+    - rounding: each B is within eps of the exact one (``_period_error_bound``),
+      so D(h) is within eps/h, R(h) within 3 eps/h and R(h/2) within 6 eps/h;
+    - truncation: R(h) - R(h/2) = 15/16 t h^4 plus both roundings, so R(h/2)'s
+      own t h^4/16 is at most (|R(h) - R(h/2)| + 9 eps/h)/15.  The bound
+      leaves out the 1/15 on |R(h) - R(h/2)|, which covers the O(h^6) terms:
+      |R(h) - R(h/2)| + 7 eps/h."""
+    gaps = np.diff([1.0, *moduli, math.inf])
+    h = min(gaps[branch], gaps[branch + 1]) / 32
+    B, eps = {}, 0.0
+    for step in (h, -h, h / 2, -h / 2, h / 4, -h / 4):
+        point = list(moduli)
+        point[branch] += step
+        B[step] = hyperell._assemble(point, nodes)[-1]
+        eps = max(eps, float(np.max(_period_error_bound(point, nodes))))
+
+    def R(h):
+        D, D_half = ((B[step] - B[-step]) / (2 * step) for step in (h, h / 2))
+        return (4 * D_half - D) / 3
+
+    return R(h / 2), np.abs(R(h) - R(h / 2)) + 7 * eps / h
+
+
+# valid configs that central differences failed: their (delta/gap)^2
+# truncation read 6.9e-4, 4.9e-4 and 2.1e-4 against 1e-4 at delta = 1e-4
+CLOSE_BRANCH_POINTS = [(1.5, 1.5011, 3.0), (1.0011, 2.0, 3.0), (1.5, 1.502, 3.0)]
+
+
+@pytest.mark.parametrize("moduli", CLOSE_BRANCH_POINTS)
+def test_close_branch_points_pass_rauch(moduli, tmp_path):
+    out = tmp_path / "r.json"
+    assert cli.run({"command": "rauch", "seed": 1, "moduli": list(moduli)}, str(out)) == 0
+
+
+def test_exact_derivatives_sit_within_the_richardson_bound():
+    # workload-style moduli (gaps from [0.3, 1.5]) and close branch points
+    for moduli in [*map(tuple, _stack(6, 46)), *CLOSE_BRANCH_POINTS]:
+        pd = periods(moduli)
+        for branch in range(3):
+            oracle, bound = _richardson(moduli, branch, 2 * hyperell.DEFAULT_NODES)
+            assert np.all(np.abs(pd.dB[branch] - oracle) <= bound), (moduli, branch)
+
+
+def _mutated_integrals(moduli, nodes, mutant):
+    """J and dJ/d(a, b, c) gap by gap and modulus by modulus, with one defect:
+    "log" drops dp/de from the log-derivative, "p1" drops s dp/de from the
+    p^1 integrand's derivative, "sign" flips the log-derivative; None has none."""
+    x, w = kernel.gauss_legendre(nodes)
+    sin_th, wt = np.sin(0.5 * math.pi * x), 0.5 * math.pi * w
+    es = [0.0, 1.0, *moduli]
+    out = np.zeros((4, 2, 4), dtype=complex)
+    for k in range(4):
+        p = 0.5 * (es[k] + es[k + 1]) + 0.5 * (es[k + 1] - es[k]) * sin_th
+        others = [e for e in range(5) if e not in (k, k + 1)]
+        s = wt / np.sqrt(np.abs(np.prod([p - es[o] for o in others], axis=0))) / 1j ** (4 - k)
+        out[0, :, k] = [np.sum(s), np.sum(s * p)]
+        for m in (2, 3, 4):
+            dp = (m == k) * (0.5 - 0.5 * sin_th) + (m == k + 1) * (0.5 + 0.5 * sin_th)
+            dlog = -0.5 * sum(((mutant != "log") * dp - (m == o)) / (p - es[o]) for o in others)
+            ds = s * dlog * (-1 if mutant == "sign" else 1)
+            out[m - 1, :, k] = [np.sum(ds), np.sum(ds * p + (mutant != "p1") * s * dp)]
+    return out
+
+
+@pytest.mark.parametrize("moduli", [(1.7, 2.9, 4.1), (1.9142, 3.3547, 3.8277)])
+@pytest.mark.parametrize("mutant, code", [(None, 0), ("log", 1), ("p1", 1), ("sign", 1)])
+def test_mutated_derivatives_fail_rauch_variation(moduli, mutant, code, tmp_path, monkeypatch):
+    # counter-test: each defect of the derivative pass fails rauch_variation,
+    # and only it; the same pass without a defect passes
+    interval_integrals_ = hyperell.interval_integrals
+
+    def mutated(moduli, nodes, derivatives=False):
+        if derivatives:
+            return _mutated_integrals(moduli, nodes, mutant)
+        return interval_integrals_(moduli, nodes)
+
+    monkeypatch.setattr(hyperell, "interval_integrals", mutated)
+    out = tmp_path / "r.json"
+    assert cli.run({"command": "rauch", "seed": 1, "moduli": list(moduli)}, str(out)) == code
+    failed = {r["identity"] for r in json.loads(out.read_text())["reports"] if not r["pass"]}
+    assert failed == ({"rauch_variation"} if mutant else set())
+
+
+def test_a_modulus_near_float_range_fails_closed(tmp_path):
+    # the product of three factors p - e overflows: the job exits 1 naming the
+    # overflow, never a warning or a traceback
+    out = tmp_path / "r.json"
+    assert cli.run({"command": "rauch", "seed": 1, "moduli": [1e200, 2e200, 3e200]},
+                   str(out)) == 1
+    assert json.loads(out.read_text())["error"] == (
+        "FloatingPointError: overflow encountered in multiply")
+
+
+@pytest.mark.parametrize("scale", [1e16, 1e80])
+def test_rauch_variation_stays_relative_at_any_scale(scale, tmp_path, monkeypatch):
+    # every predicted entry is below 1e-12 on these curves, so an absolute
+    # floor there passed a derivative of the wrong sign; at 1e80 R(e)
+    # overflows and the prediction is 0, which reads inf
+    periods_ = hyperell.periods
+
+    def flipped(*args, **kwargs):
+        pd = periods_(*args, **kwargs)
+        return dataclasses.replace(pd, dB=-pd.dB)
+
+    monkeypatch.setattr(hyperell, "periods", flipped)
+    out = tmp_path / "r.json"
+    moduli = [scale, 2 * scale, 3 * scale]
+    assert cli.run({"command": "rauch", "seed": 1, "moduli": moduli}, str(out)) == 1
+    reports = json.loads(out.read_text())["reports"]
+    assert [r["pass"] for r in reports if r["identity"] == "rauch_variation"] == [False] * 3
