@@ -135,7 +135,8 @@ KEYS = {
     "index": Key(_count, {"reconstruct": 0}),
     "moduli": Key(_moduli, {"rauch": [1.5, 2.9, 4.1]}),
     "nodes": Key(_positive_int, {"rauch": hyperell.DEFAULT_NODES},
-                 (hyperell.MAX_NODES, "Gauss nodes; a job builds an n- and a 2n-node rule")),
+                 (hyperell.MAX_NODES, "Gauss nodes; a job builds an n- and a 2n-node rule "
+                                      "and sums over both in one pass")),
     "branch": Key(_count, {"rauch": None}),  # None: every branch point
 }
 TAKES = {command: {key: row for key, row in KEYS.items() if command in row.defaults}
@@ -320,7 +321,7 @@ def _cmd_rauch(cfg):
         _make_report("period_symmetry", [pd.symmetry_error], 1e-8, seed,
                      moduli=list(moduli), convergence_error=pd.convergence_error),
         _make_report("period_positivity", [pd.nonpositive], 0.5, seed,
-                     min_eigenvalue=float(np.min(pd.im_eigenvalues))),
+                     min_eigenvalue=pd.min_eigenvalue),
     ]
     reports += [_make_report("rauch_variation", [rd.max_rel_error], tol, seed, branch=rd.branch)
                 for rd in checks]
@@ -361,31 +362,47 @@ HANDLERS = {
 _CONSTANTS = {None: "null", True: "true", False: "false"}
 
 
+def _float_text(x: float) -> str:
+    text = float.__repr__(x)
+    return text if math.isfinite(x) else encode_basestring(text)
+
+
 def _encode(obj: Any, indent: str, out: list[str]) -> None:
     """Append to ``out`` the JSON text of ``obj`` at ``indent``, in one walk, as
     ``json.dumps(obj, indent=2, ensure_ascii=False, allow_nan=False)`` writes it,
     with the report's forms: complex -> [re, im], a numpy float or complex ->
     python's, and a non-finite float (numpy's or a complex part too) -> its
-    repr string.  Handlers hand over ints and lists, never numpy ints or
-    arrays; any other type raises ``TypeError``, as ``json.dumps`` does."""
+    repr string.  A container writes its float, str and int children in
+    place and hands the others to a call of their own.  Handlers hand over
+    ints and lists, never numpy ints or arrays; any other type raises
+    ``TypeError``, as ``json.dumps`` does."""
     if isinstance(obj, float):
-        text = float.__repr__(obj)
-        out.append(text if math.isfinite(obj) else encode_basestring(text))
+        out.append(_float_text(obj))
     elif isinstance(obj, str):
         out.append(encode_basestring(obj))
     elif isinstance(obj, (list, tuple, dict)):
-        brackets = "{}" if isinstance(obj, dict) else "[]"
+        keyed = isinstance(obj, dict)
+        brackets = "{}" if keyed else "[]"
         if not obj:
             out.append(brackets)
             return
-        inner, sep = indent + "  ", brackets[0] + "\n"
-        for item in obj.items() if isinstance(obj, dict) else obj:
-            out.append(sep + inner)
-            sep = ",\n"
-            if isinstance(obj, dict):
-                out.append(encode_basestring(str(item[0])) + ": ")
+        inner = indent + "  "
+        head, sep = brackets[0] + "\n" + inner, ",\n" + inner
+        for item in obj.items() if keyed else obj:
+            if keyed:
+                head += encode_basestring(str(item[0])) + ": "
                 item = item[1]
-            _encode(item, inner, out)
+            kind = type(item)
+            if kind is float:
+                out.append(head + _float_text(item))
+            elif kind is str:
+                out.append(head + encode_basestring(item))
+            elif kind is int:
+                out.append(head + int.__repr__(item))
+            else:
+                out.append(head)
+                _encode(item, inner, out)
+            head = sep
         out.append("\n" + indent + brackets[1])
     elif obj is None or obj is True or obj is False:
         out.append(_CONSTANTS[obj])
@@ -399,18 +416,29 @@ def _encode(obj: Any, indent: str, out: list[str]) -> None:
         raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
+def _write(path: str, data: bytes) -> None:
+    """``data`` to the file at ``path``, created or truncated, by os.write
+    calls until every byte is out: one call unless a write comes up short."""
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+    try:
+        view = memoryview(data)
+        while view:
+            view = view[os.write(fd, view):]
+    finally:
+        os.close(fd)
+
+
 def emit_report(report: dict, path: str, summary: str) -> None:
-    """Atomic JSON write plus an adjacent .txt human summary."""
+    """The report's JSON and then its .txt summary, UTF-8 encoded, each in
+    one write of its bytes; the JSON goes to a temporary file first and
+    replaces ``path`` whole, so a failed write leaves a previous report."""
     parts: list[str] = []
     _encode(report, "", parts)
+    parts.append("\n")
     tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write("".join(parts))
-        fh.write("\n")
+    _write(tmp, "".join(parts).encode())
     os.replace(tmp, path)
-    stem, _ = os.path.splitext(path)
-    with open(stem + ".txt", "w", encoding="utf-8") as fh:
-        fh.write(summary)
+    _write(os.path.splitext(path)[0] + ".txt", summary.encode())
 
 
 def _summary_text(report: dict, elapsed: float) -> str:

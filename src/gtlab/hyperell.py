@@ -26,12 +26,16 @@ so the derivatives of J in (a, b, c) are Gauss sums on the same rule of the
 integrand's derivative, s d ln s (plus s dp for p^1), with
 d ln s = -1/2 sum_o (dp - [e = e_o]) / (p - e_o) over the other three, and
 dB = C (dBraw - dA B).  ``interval_integrals`` runs the four gaps as the rows
-of one array pass, so a whole ``rauch`` job is two passes: an n-node one for
-J, which node doubling reads, and a 2n-node one for J and its derivatives.
+of one array pass over the n-node and the 2n-node rule side by side, so a
+whole ``rauch`` job is one pass: J on the n nodes, which node doubling
+reads, and J and its derivatives on the 2n.  The 2x2 algebra after it is
+Python arithmetic on complex scalars, since a numpy or LAPACK call on a 2x2
+costs far more than its flops.
 """
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 from dataclasses import dataclass
@@ -39,23 +43,39 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernel
+from .core import worst_residual
 from .errors import ConfigError, NonConvergence
 
-A_CYCLES = (np.array([2, 0, 0, 0]), np.array([0, 0, 2, 0]))
-B_CYCLES = (np.array([0, 2, 0, 2]), np.array([0, 0, 0, 2]))
-_CYCLES = np.stack([*A_CYCLES, *B_CYCLES], -1) + 0j  # J @ _CYCLES = [A | Braw]
 PHASES = np.array([1, 1j, -1, -1j])  # 1/q's phase 1/i^(4-k) on the k-th gap
-# the other three of (e_0, ..., e_4) on each gap, and the slot (the gap's two
-# ends, then its others) of each of a, b, c on each gap
-_OTHERS = np.array([[o for o in range(5) if o not in (k, k + 1)] for k in range(4)])
-_SLOT = np.array([[[k, k + 1, *_OTHERS[k]].index(m) for k in range(4)] for m in (2, 3, 4)])
-_GAPS = np.arange(4)
+# the three other branch points of each gap (e_k, e_{k+1})
+_OTHERS = [[o for o in range(5) if o not in (k, k + 1)] for k in range(4)]
+
+
+def _derivative_map() -> np.ndarray:
+    """(4, 6, 21): per gap, dJ/da, dJ/db, dJ/dc of p^0 and p^1 (3 x 2) from
+    the gap's 21 sums: ds_o, ds_o p (o its three others, ds_o = s / (p - e_o))
+    and s (7 rows), each dotted with 1 and with dp for its two ends (3)."""
+    T = np.zeros((4, 3, 2, 7, 3))
+    for k in range(4):
+        for i, m in enumerate((2, 3, 4)):
+            if m in (k, k + 1):  # an end: d ln s = -1/2 sum_o dp / (p - e_o), p^1 adds s dp
+                col = 1 + m - k
+                T[k, i, 0, :3, col] = T[k, i, 1, 3:6, col] = -0.5
+                T[k, i, 1, 6, col] = 1.0
+            else:  # one of the others: d ln s = 1/2 / (p - e_m)
+                o = _OTHERS[k].index(m)
+                T[k, i, 0, o, 0] = T[k, i, 1, 3 + o, 0] = 0.5
+    return T.reshape(4, 6, 21)
+
+
+_DERIVATIVES = _derivative_map()
 
 DEFAULT_NODES = 200
 # a rauch job builds an n- and a 2n-node rule (kernel.gauss_legendre, O(n^2)
-# array work) and sums over both, the 2n-node pass with the derivatives: at
-# n = MAX_NODES 8-13 ms for the rules and 0.3-1.1 ms for the rest of the job
-# on a 2-vCPU host (Python 3.11, numpy 2.4); the bound keeps a job small.
+# array work) and sums over both in one pass, the 2n-node rule with the
+# derivatives: at n = MAX_NODES 7.9-8.7 ms for the rules and 0.33-0.37 ms for
+# the pass and the 2x2 algebra (``rauch``, rules cached) on a 2-vCPU host
+# (Python 3.11, numpy 2.4); the bound keeps a job small.
 MAX_NODES = 1000
 
 
@@ -80,14 +100,18 @@ def _check_nodes(nodes) -> None:
 
 @functools.lru_cache(maxsize=4)
 def _theta_rule(nodes: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(sin theta, weight, dp) of ``kernel.gauss_legendre``'s rule mapped to
-    theta in [-pi/2, pi/2], read-only, with dp = ((1 - sin theta)/2, (1 +
-    sin theta)/2), how p = mid + half sin theta moves with the gap's two
-    ends; built once per node count, so a rauch job builds its n- and its
-    2n-node rule once each."""
-    x, w = kernel.gauss_legendre(nodes)
+    """(sin theta, weight) of ``kernel.gauss_legendre``'s n-node rule and then
+    its 2n-node rule, 3n nodes, mapped to theta in [-pi/2, pi/2], and on the
+    2n-node rule's nodes the columns (1, dp), 2n x 3, with dp = ((1 - sin
+    theta)/2, (1 + sin theta)/2) how p = mid + half sin theta moves with the
+    gap's two ends; read-only, and built once per node count, so a rauch job
+    builds each rule once."""
+    x, w = map(np.concatenate, zip(kernel.gauss_legendre(nodes),
+                                   kernel.gauss_legendre(2 * nodes)))
     sin_th = np.sin(0.5 * math.pi * x)
-    rule = (sin_th, 0.5 * math.pi * w, np.stack([0.5 - 0.5 * sin_th, 0.5 + 0.5 * sin_th]))
+    fine = sin_th[nodes:]
+    rule = (sin_th, 0.5 * math.pi * w,
+            np.stack([np.ones_like(fine), 0.5 - 0.5 * fine, 0.5 + 0.5 * fine], -1))
     for arr in rule:
         arr.flags.writeable = False
     return rule
@@ -95,40 +119,40 @@ def _theta_rule(nodes: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def interval_integrals(moduli, nodes: int = DEFAULT_NODES,
                        derivatives: bool = False) -> np.ndarray:
-    """J[j, k] = integral of p^j dp / q over the k-th gap, (2, 4), for the
-    triple (a, b, c), validated before the rule is read; with
-    ``derivatives``, (4, 2, 4): J and then dJ/da, dJ/db, dJ/dc on the same
-    rule.  The four gaps are the rows of one (4, nodes) pass."""
-    e = np.array([0.0, 1.0, *_validate_moduli(moduli)])
-    sin_th, wt, dp = _theta_rule(nodes)
-    lo, hi = e[:4, None], e[1:, None]
+    """J[j, k] = integral of p^j dp / q over the k-th gap, (2, 4), on the
+    n-node rule, for the triple (a, b, c), validated before the rule is
+    read; with ``derivatives``, (5, 2, 4): that J, then J and dJ/da, dJ/db,
+    dJ/dc on the 2n-node rule.  The four gaps are the rows of one (4, 3n)
+    pass over both rules."""
+    es = (0.0, 1.0, *_validate_moduli(moduli))
+    sin_th, wt, dots = _theta_rule(nodes)
+    # per gap: its middle and half width, then its three other branch points
+    gap = np.array([[0.5 * (es[k] + es[k + 1]), 0.5 * (es[k + 1] - es[k]),
+                     *(es[o] for o in _OTHERS[k])] for k in range(4)]).T[..., None]
     with np.errstate(over="raise", invalid="raise"):  # a modulus near float's range fails closed
-        p = 0.5 * (lo + hi) + 0.5 * (hi - lo) * sin_th
-        f = p - e[_OTHERS.T, None]  # (3, 4, nodes): p - e_o over each gap's other branch points
+        p = gap[0] + gap[1] * sin_th
+        f = p - gap[2:]  # (3, 4, 3n): p - e_o over each gap's other branch points
         s = wt / np.sqrt(np.abs(f[0] * f[1] * f[2]))
-        J = np.stack([np.sum(s, -1), np.sum(s * p, -1)])
+        sp = np.concatenate([s, s * p])  # the p^0 and then the p^1 integrand
+        J = sp[:, :nodes].sum(-1).reshape(1, 2, 4)
         if not derivatives:
-            return J * PHASES
+            return J[0] * PHASES
+        J2 = sp[:, nodes:].sum(-1).reshape(1, 2, 4)
         # theta's range is fixed, so p moves with its gap's ends by dp, and
-        # d ln s = -1/2 sum_o (dp - [e = e_o]) / (p - e_o)
-        ds = s / f  # 2 ds/de_o
-        sS = ds.sum(0)  # -2 ds/dp
-        # dot products, not pairwise sums: dB = C (dBraw - dA B) can cancel
-        # a hundredfold, and they keep the worst rauch residual 3x lower
-        ends = np.vecdot(np.stack([-sS, 2.0 * s - p * sS])[:, :, None], dp)
-        others = np.stack([ds.sum(-1), np.vecdot(ds, p)]).swapaxes(1, 2)
-    # twice dJ[j, k, slot] over each gap's slots (its two ends, then its
-    # others), of which _SLOT picks a's, b's and c's
-    dJ = 0.5 * np.concatenate([ends, others], -1)[:, _GAPS, _SLOT]
-    return np.concatenate([J[None], dJ.swapaxes(0, 1)]) * PHASES
+        # d ln s = -1/2 sum_o (dp - [e = e_o]) / (p - e_o); the sums are
+        # products with the (1, dp) columns, not pairwise sums: dB = C (dBraw
+        # - dA B) can cancel a hundredfold, and they keep the worst rauch
+        # residual about 3x lower
+        s = s[:, nodes:]
+        ds = s / f[..., nodes:]  # 2 ds/de_o
+        sums = np.concatenate([ds @ dots, (ds * p[:, nodes:]) @ dots, (s @ dots)[None]])
+    dJ = _DERIVATIVES @ sums.transpose(1, 0, 2).reshape(4, 21, 1)
+    return np.concatenate([J, J2, dJ.reshape(4, 3, 2).transpose(1, 2, 0)]) * PHASES
 
 
 @dataclass(frozen=True)
 class PeriodData:
     moduli: tuple[float, float, float]
-    J: np.ndarray  # interval integrals, 2x4
-    A: np.ndarray  # a-periods of the raw differentials, 2x2
-    Braw: np.ndarray  # b-periods of the raw differentials, 2x2
     C: np.ndarray  # normalization: omega_j = sum_l C[j,l] p^l dp / q
     B: np.ndarray  # normalized period matrix, 2x2
     dB: np.ndarray  # dB/da, dB/db, dB/dc, 3x2x2
@@ -145,43 +169,84 @@ class PeriodData:
     def positive(self) -> bool:
         return self.nonpositive == 0
 
+    @property
+    def min_eigenvalue(self) -> float:
+        """The lower eigenvalue of Im B, NaN when either is."""
+        lo, hi = self.im_eigenvalues
+        return hi if hi < lo or math.isnan(hi) else lo
 
-def _assemble(moduli, n: int, derivatives: bool = False):
-    """J, A, Braw, C and the normalized B = C @ Braw with an n-node rule; with
-    ``derivatives`` J, A and Braw carry theirs in (a, b, c) behind them,
-    (4, ...), and C and B are the curve's own."""
-    J = interval_integrals(moduli, n, derivatives)
-    AB = J @ _CYCLES
-    A, Braw = AB[..., :2], AB[..., 2:]
-    C = np.linalg.inv(A[0] if derivatives else A)
-    return J, A, Braw, C, C @ (Braw[0] if derivatives else Braw)
+
+# The 2x2 algebra on nested lists of Python complex numbers.
+
+
+def _cycles(J):
+    """(A, Braw): the a- and b-periods (columns) of p^0 dp/q and p^1 dp/q
+    (rows) from their interval integrals J, 2x4, in the basis above."""
+    return ([[2 * row[0], 2 * row[2]] for row in J],
+            [[2 * (row[1] + row[3]), 2 * row[3]] for row in J])
+
+
+def _inverse(A):
+    """A^-1, the adjugate over the determinant; a singular A raises
+    ZeroDivisionError."""
+    (a, b), (c, d) = A
+    det = a * d - b * c
+    return [[d / det, -b / det], [-c / det, a / det]]
+
+
+def _product(X, Y):
+    (a, b), (c, d) = X
+    (e, f), (g, h) = Y
+    return [[a * e + b * g, a * f + b * h], [c * e + d * g, c * f + d * h]]
+
+
+def _im_eigenvalues(B) -> tuple[float, float]:
+    """Ascending eigenvalues of Im B from its lower triangle, as ``eigvalsh``
+    reads it, in closed form: with m the mean of the diagonal and r =
+    hypot((a - d)/2, b) they are m -+ r, of which the one on m's side adds
+    without cancelling and the other is the determinant over it.  For a
+    positive-definite Im B that is m + r and det / (m + r)."""
+    a, d, b = B[0][0].imag, B[1][1].imag, B[1][0].imag
+    m = 0.5 * (a + d)
+    r = math.hypot(0.5 * (a - d), b)
+    far = m + math.copysign(r, m)
+    near = (a * d - b * b) / far if far else 0.0  # far is 0 on Im B = 0 alone
+    return (near, far) if near <= far else (far, near)
 
 
 def periods(moduli, nodes: int = DEFAULT_NODES,
             check_tol: float | None = None) -> PeriodData:
     """Normalized period matrix of the curve and its derivatives in (a, b,
-    c), dB = C (dBraw - dA B), from one 2n-node pass; the n-node pass
-    estimates the quadrature error by node doubling."""
+    c), dB = C (dBraw - dA B), on the 2n-node rule of one pass, whose n-node
+    rule estimates the quadrature error by node doubling.  A singular
+    a-period matrix raises ZeroDivisionError."""
     _check_nodes(nodes)
     moduli = _validate_moduli(moduli)
-    J, A, Braw, C, B2 = _assemble(moduli, 2 * nodes, derivatives=True)
-    B = _assemble(moduli, nodes)[-1]
-    conv = float(np.max(np.abs(B - B2)))
+    J_n, J, *dJ = interval_integrals(moduli, nodes, derivatives=True).tolist()
+    A, Braw = _cycles(J)
+    C = _inverse(A)
+    B = _product(C, Braw)
+    A_n, Braw_n = _cycles(J_n)
+    B_n = _product(_inverse(A_n), Braw_n)
+    conv = worst_residual([abs(x - y) for row_n, row in zip(B_n, B)
+                           for x, y in zip(row_n, row)])
     if check_tol is not None and conv > check_tol:
         raise NonConvergence(
             f"period matrix changed by {conv:.3e} under node doubling"
         )
-    ev = np.linalg.eigvalsh(B2.imag)
+    dB = []
+    for dJ_e in dJ:
+        dA, dBraw = _cycles(dJ_e)
+        dAB = _product(dA, B)
+        dB.append(_product(C, [[x - y for x, y in zip(*rows)] for rows in zip(dBraw, dAB)]))
+    arrays = np.array([C, B, *dB])
     return PeriodData(
         moduli=moduli,
-        J=J[0],
-        A=A[0],
-        Braw=Braw[0],
-        C=C,
-        B=B2,
-        dB=C @ (Braw[1:] - A[1:] @ B2),
-        symmetry_error=float(np.max(np.abs(B2 - B2.T))),
-        im_eigenvalues=(float(ev[0]), float(ev[1])),
+        C=arrays[0],
+        B=arrays[1],
+        dB=arrays[2:],
+        symmetry_error=abs(B[0][1] - B[1][0]),
+        im_eigenvalues=_im_eigenvalues(B),
         convergence_error=conv,
     )
 
@@ -195,6 +260,15 @@ class RauchData:
     max_rel_error: float
 
 
+def _prediction(C, moduli, branch: int):
+    """``rauch_prediction`` as nested lists, from C as nested lists."""
+    e = moduli[branch]
+    others = [x for i, x in enumerate(moduli) if i != branch]
+    R = e * (e - 1.0) * (e - others[0]) * (e - others[1])
+    w = [2.0 * (C[j][0] + C[j][1] * e) / cmath.sqrt(R) for j in range(2)]
+    return [[1j * math.pi * w[j] * w[k] for k in range(2)] for j in range(2)]
+
+
 def rauch_prediction(pd: PeriodData, branch: int) -> np.ndarray:
     """Variational formula at one branch point.
 
@@ -203,14 +277,22 @@ def rauch_prediction(pd: PeriodData, branch: int) -> np.ndarray:
     R(p) = quintic(p) / (p - e); the derivative of the period matrix in e
     is pi i w_j w_k.
     """
-    a, b, c = pd.moduli
-    e = (a, b, c)[branch]
-    others = [x for i, x in enumerate((a, b, c)) if i != branch]
-    R = e * (e - 1.0) * (e - others[0]) * (e - others[1])
-    w = [2.0 * (pd.C[j, 0] + pd.C[j, 1] * e) / np.sqrt(complex(R)) for j in range(2)]
-    return np.array(
-        [[1j * math.pi * w[j] * w[k] for k in range(2)] for j in range(2)]
-    )
+    return np.array(_prediction(pd.C.tolist(), pd.moduli, branch))
+
+
+def _relative_error(dB, pred) -> float:
+    """The largest |dB - pred| / max(|pred|, floor) over the entries, the
+    floor 1e-12 of the largest |pred|, so the check scales with the curve.
+    As numpy divides, a zero denominator reads inf (0/0 NaN), and a NaN
+    entry makes it NaN: a vanishing or non-finite prediction fails."""
+    pairs = [*zip(dB[0], pred[0]), *zip(dB[1], pred[1])]
+    mags = [abs(y) for _, y in pairs]
+    floor = 1e-12 * max(mags)
+    errors = []
+    for (x, y), mag in zip(pairs, mags):
+        num, den = abs(x - y), max(mag, floor)  # a NaN mag stands first, so den keeps it
+        errors.append(num / den if den else num * math.inf)
+    return worst_residual(errors)
 
 
 def rauch(moduli, branches=(0, 1, 2),
@@ -221,14 +303,11 @@ def rauch(moduli, branches=(0, 1, 2),
     if any(branch not in (0, 1, 2) for branch in branches):
         raise ConfigError("branch must be 0 (a), 1 (b) or 2 (c)")
     pd = periods(moduli, nodes)
-    dB, pred = pd.dB[list(branches)], np.array([rauch_prediction(pd, b) for b in branches])
-    # relative to each entry, floored at 1e-12 of the largest, so the check
-    # scales with the curve; a vanishing prediction reads inf or NaN, a failure
-    floor = 1e-12 * np.abs(pred).max(axis=(1, 2), keepdims=True)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        rel = np.max(np.abs(dB - pred) / np.maximum(np.abs(pred), floor), axis=(1, 2))
-    return pd, [RauchData(pd.moduli, branch, d, p, float(r))
-                for branch, d, p, r in zip(branches, dB, pred, rel)]
+    C, dB = pd.C.tolist(), pd.dB.tolist()
+    pred = [_prediction(C, pd.moduli, branch) for branch in branches]
+    rel = [_relative_error(dB[branch], p) for branch, p in zip(branches, pred)]
+    return pd, [RauchData(pd.moduli, branch, pd.dB[branch], p, r)
+                for branch, p, r in zip(branches, np.array(pred), rel)]
 
 
 def rauch_check(moduli, branch: int, nodes: int = DEFAULT_NODES) -> RauchData:

@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import dataclasses
+import errno
 import importlib.util
 import json
 import math
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -495,12 +497,87 @@ def test_a_report_is_written_as_json_dumps_writes_its_form(tmp_path):
     assert out.read_text(encoding="utf-8") == want + "\n"
 
 
+def test_subclasses_of_str_int_and_float_are_written_as_their_base(tmp_path):
+    # a container writes exact str, int and float children in place; a
+    # subclass's goes through a call of its own, as json.dumps writes it
+    class Text(str):
+        pass
+
+    class Count(int):
+        pass
+
+    class Real(float):
+        pass
+
+    body = {"leaves": [Text("ü"), Count(7), Real(0.5), Real("inf")], Text("key"): Count(-1)}
+    out = tmp_path / "sub.json"
+    emit_report(body, str(out), "")
+    want = json.dumps(_reference_form(body), indent=2, ensure_ascii=False, allow_nan=False)
+    assert out.read_text(encoding="utf-8") == want + "\n"
+
+
 @pytest.mark.parametrize("leaf", [np.int64(3), np.array([1.0]), np.bool_(True), object()])
 def test_a_leaf_json_cannot_write_raises_type_error(tmp_path, leaf):
     with pytest.raises(TypeError, match="is not JSON serializable"):
         emit_report({"x": [leaf]}, str(tmp_path / "bad.json"), "")
     with pytest.raises(TypeError, match="is not JSON serializable"):
         json.dumps(_reference_form({"x": [leaf]}))
+
+
+RAUCH = {"command": "rauch", "seed": 3, "nodes": 60, "moduli": [1.6, 2.8, 4.3]}
+
+
+def _stopped_clock_run(monkeypatch, out):
+    """``run`` of a rauch job with cli's clock stopped, so that its .txt is
+    byte-deterministic too: (exit code, JSON bytes, .txt bytes)."""
+    monkeypatch.setattr(cli, "time", types.SimpleNamespace(perf_counter=lambda: 0.0))
+    code = run(dict(RAUCH), str(out))
+    return code, out.read_bytes(), out.with_suffix(".txt").read_bytes()
+
+
+def test_short_writes_cannot_truncate_a_report(tmp_path, monkeypatch):
+    # os.write may write fewer bytes than it is handed; the report is
+    # written on until every byte is out, byte-identical to whole writes
+    whole = _stopped_clock_run(monkeypatch, tmp_path / "whole.json")
+    write, asked = os.write, []
+
+    def short(fd, data):
+        asked.append(len(data))
+        return write(fd, bytes(data[:7]))
+
+    monkeypatch.setattr(os, "write", short)
+    assert _stopped_clock_run(monkeypatch, tmp_path / "short.json") == whole
+    assert len(asked) == sum(-(-len(body) // 7) for body in whole[1:])
+
+
+def test_a_failed_write_exits_3_and_keeps_the_previous_report(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "r.json"
+    assert run(dict(RAUCH), str(out)) == 0
+    previous = out.read_bytes()
+
+    def full(fd, data):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(os, "write", full)
+    capsys.readouterr()
+    assert run({**RAUCH, "seed": 4}, str(out)) == 3
+    assert capsys.readouterr().err.startswith("i/o error writing report: ")
+    assert out.read_bytes() == previous
+
+
+def test_a_report_with_non_ascii_text_is_utf_8(tmp_path):
+    # as json.dumps(ensure_ascii=False) writes it, encoded as UTF-8: the
+    # config's path echoed into the report, and text of any plane
+    out = tmp_path / "ρ-∂ report.json"
+    assert run({**RAUCH, "out": str(out)}, None) == 0
+    body = json.loads(out.read_bytes().decode("utf-8"))
+    assert body["config"]["out"] == str(out)
+    assert out.with_suffix(".txt").read_bytes().decode("utf-8").startswith("gtlab ")
+    text = {"τ": ["ü 日本", "\u2028", "\U0001f600"]}
+    emit_report(text, str(out), "summary ∂ρ\n")
+    assert out.read_bytes() == (json.dumps(text, indent=2, ensure_ascii=False)
+                                + "\n").encode("utf-8")
+    assert out.with_suffix(".txt").read_bytes() == "summary ∂ρ\n".encode("utf-8")
 
 
 def test_numeric_failure_exits_1_with_report(tmp_path):

@@ -4,11 +4,14 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import importlib.util
 import json
 import math
 import os
+import random
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import mpmath as mp
@@ -27,6 +30,18 @@ from gtlab.hyperell import (
 )
 
 MODULI = (1.6, 2.8, 4.3)
+# the homology basis of the module docstring: A_1 = 2 J_1, A_2 = 2 J_3, B_1 =
+# 2 (J_2 + J_4), B_2 = 2 J_4, as columns, so J @ V_A = A and J @ V_B = Braw
+V_A = np.array([[2, 0], [0, 0], [0, 2], [0, 0]]) + 0j
+V_B = np.array([[0, 0], [2, 0], [0, 0], [2, 2]]) + 0j
+
+
+def _assemble(J):
+    """A, Braw, C = A^-1 by LU and B = C Braw by numpy from interval integrals
+    J (..., 2, 4): an oracle apart from the module's scalar 2x2 algebra."""
+    A, Braw = J @ V_A, J @ V_B
+    C = np.linalg.inv(A)
+    return A, Braw, C, C @ Braw
 
 
 def test_moduli_validation():
@@ -245,9 +260,9 @@ def test_a_config_with_delta_exits_2_naming_the_key(tmp_path, capsys, no_rules):
         assert not (tmp_path / "r.json").exists()
 
 
-def test_rauch_job_makes_two_passes_and_one_periods_call(tmp_path, monkeypatch):
-    # the n-node pass gives J for node doubling; the 2n-node pass gives J and
-    # its derivatives in (a, b, c)
+def test_rauch_job_makes_one_pass_and_one_periods_call(tmp_path, monkeypatch):
+    # one pass over the n- and the 2n-node rule gives J on the n nodes for
+    # node doubling, and J and its derivatives in (a, b, c) on the 2n
     passes, calls = [], []
     interval_integrals_, periods_ = hyperell.interval_integrals, hyperell.periods
 
@@ -265,7 +280,7 @@ def test_rauch_job_makes_two_passes_and_one_periods_call(tmp_path, monkeypatch):
     cfg.write_text(json.dumps({"command": "rauch", "seed": 1, "nodes": 60,
                                "moduli": list(MODULI)}))
     assert main(["--config", str(cfg), "--out", str(tmp_path / "r.json")]) == 0
-    assert sorted(passes) == [(60, False), (120, True)]
+    assert passes == [(60, True)]
     assert len(calls) == 1
 
 
@@ -277,23 +292,30 @@ def _stack(count, seed):
 
 @pytest.mark.parametrize("nodes", [1, 7, 60, 200, 2000])
 def test_stacked_rows_equal_one_triple_calls_bit_for_bit(nodes):
-    # the derivative pass stacks J and dJ/da, dJ/db, dJ/dc; its J row is the
-    # J-only pass's bit for bit
+    # the derivative pass stacks J on the n-node rule, then J and dJ/da,
+    # dJ/db, dJ/dc on the 2n-node rule; its two J rows are the J-only pass's
+    # on each rule bit for bit
     for row in _stack(13, nodes):
         J = interval_integrals(tuple(row), nodes, derivatives=True)
-        assert J.shape == (4, 2, 4)
+        assert J.shape == (5, 2, 4)
         assert np.array_equal(J[0], interval_integrals(tuple(row), nodes))
+        assert np.array_equal(J[1], interval_integrals(tuple(row), 2 * nodes))
 
 
 @pytest.mark.parametrize("nodes", [7, 60, 200])
 def test_stacked_assemble_equals_per_row_assemble(nodes):
-    # with derivatives stacked behind them, J, A and Braw lead with the
-    # J-only assembly's, and C and B are its own, bit for bit
+    # periods assembles C and B from the 2n-node rows of its one stacked
+    # pass, and node doubling's B from its n-node rows, bit for bit as from
+    # a J-only pass on each rule alone
     for row in _stack(9, 100 + nodes):
-        J, A, Braw, C, B = hyperell._assemble(tuple(row), nodes, derivatives=True)
-        assert J.shape == (4, 2, 4) and A.shape == Braw.shape == (4, 2, 2)
-        for whole, one in zip((J[0], A[0], Braw[0], C, B), hyperell._assemble(tuple(row), nodes)):
-            assert np.array_equal(whole, one)
+        pd = periods(tuple(row), nodes)
+        Bs = []
+        for n in (nodes, 2 * nodes):
+            A, Braw = hyperell._cycles(interval_integrals(tuple(row), n).tolist())
+            C = hyperell._inverse(A)
+            Bs.append(hyperell._product(C, Braw))
+        assert np.array_equal(pd.C, C) and np.array_equal(pd.B, Bs[1])
+        assert pd.convergence_error == np.max(np.abs(np.subtract(*Bs)))
 
 
 def test_rauch_equals_one_periods_call_bit_for_bit():
@@ -349,16 +371,13 @@ def test_rauch_at_max_nodes_fails_on_cancelling_integrals(tmp_path, monkeypatch)
     # period matrix outside the rounding bound of the 40-digit one, which the
     # job on three factors sits inside
     moduli, nodes = tuple(RAUCH_AT_MAX_NODES["moduli"]), 2 * RAUCH_AT_MAX_NODES["nodes"]
-    J = _exact_integrals(moduli)
-    A, Braw = (np.stack([J @ v for v in cycles], -1)
-               for cycles in (hyperell.A_CYCLES, hyperell.B_CYCLES))
-    exact, bound = np.linalg.inv(A) @ Braw, _period_error_bound(moduli, nodes)
+    exact, bound = _assemble(_exact_integrals(moduli))[-1], _period_error_bound(moduli, nodes)
     interval_integrals_ = hyperell.interval_integrals
 
-    def cancelling(moduli, nodes, derivatives=False):
-        J = _cancelling_integrals(moduli, nodes)
-        return np.concatenate([J[None], interval_integrals_(moduli, nodes, True)[1:]]) \
-            if derivatives else J
+    def cancelling(moduli, nodes, derivatives=True):
+        # J on both rules from the five factors, the derivatives as the pass has them
+        J = [_cancelling_integrals(moduli, n)[None] for n in (nodes, 2 * nodes)]
+        return np.concatenate([*J, interval_integrals_(moduli, nodes, True)[2:]])
 
     def period_matrix(out):
         return np.array(json.loads(out.read_text())["extras"]["period_matrix"]) @ [1, 1j]
@@ -426,14 +445,20 @@ def _integral_error_bound(moduli, nodes):
 
 
 def _period_error_bound(moduli, nodes):
-    """First-order bound on |B - exact| entrywise: J's bound through
-    A = J V_A and Braw = J V_B (one rounded addition), C = A^-1 and B = C Braw
-    (6 u for LU and inversion at order 2, 2 u for the product)."""
+    """First-order bound on |B - exact| entrywise, for the module's B and for
+    ``_assemble``'s: J's bound through A = J V_A and Braw = J V_B (one rounded
+    addition), then C = A^-1 and B = C Braw.  A complex product rounds by at
+    most 2 sqrt(2) u and a quotient by 4 sqrt(2) u (Higham, Lemma 3.5):
+    - the adjugate's det = ad - bc is within (2 sqrt(2) + 1) u (|ad| + |bc|),
+      and C's entries take that over |det| plus a quotient, at most
+      12 u |C||A||C| entrywise, since (|C||A||C|)_jk >= |C_jk| (|ad| +
+      |bc|) / |det| >= |C_jk|; LU with partial pivoting stays within 6 u;
+    - each entry of C Braw is two products and a sum, 4 u |C||Braw|."""
     dJ = _integral_error_bound(moduli, nodes)
-    _, A, Braw, C, B = (np.abs(v) for v in hyperell._assemble(moduli, nodes))
-    dA = dJ @ np.abs(np.stack(hyperell.A_CYCLES, -1)) + U * A
-    dBraw = dJ @ np.abs(np.stack(hyperell.B_CYCLES, -1)) + U * Braw
-    return C @ (dBraw + dA @ B) + 6 * U * C @ A @ C @ Braw + 2 * U * C @ Braw
+    A, Braw, C, B = (np.abs(v) for v in _assemble(interval_integrals(moduli, nodes)))
+    dA = dJ @ np.abs(V_A) + U * A
+    dBraw = dJ @ np.abs(V_B) + U * Braw
+    return C @ (dBraw + dA @ B) + 12 * U * C @ A @ C @ Braw + 4 * U * C @ Braw
 
 
 def _exact_integrals(moduli):
@@ -498,7 +523,7 @@ def _richardson(moduli, branch, nodes):
     for step in (h, -h, h / 2, -h / 2, h / 4, -h / 4):
         point = list(moduli)
         point[branch] += step
-        B[step] = hyperell._assemble(point, nodes)[-1]
+        B[step] = _assemble(interval_integrals(point, nodes))[-1]
         eps = max(eps, float(np.max(_period_error_bound(point, nodes))))
 
     def R(h):
@@ -556,10 +581,10 @@ def test_mutated_derivatives_fail_rauch_variation(moduli, mutant, code, tmp_path
     # and only it; the same pass without a defect passes
     interval_integrals_ = hyperell.interval_integrals
 
-    def mutated(moduli, nodes, derivatives=False):
-        if derivatives:
-            return _mutated_integrals(moduli, nodes, mutant)
-        return interval_integrals_(moduli, nodes)
+    def mutated(moduli, nodes, derivatives=True):
+        # the pass's J on the n-node rule, then the mutant's J and dJ on the 2n
+        return np.concatenate([interval_integrals_(moduli, nodes)[None],
+                               _mutated_integrals(moduli, 2 * nodes, mutant)])
 
     monkeypatch.setattr(hyperell, "interval_integrals", mutated)
     out = tmp_path / "r.json"
@@ -595,3 +620,141 @@ def test_rauch_variation_stays_relative_at_any_scale(scale, tmp_path, monkeypatc
     assert cli.run({"command": "rauch", "seed": 1, "moduli": moduli}, str(out)) == 1
     reports = json.loads(out.read_text())["reports"]
     assert [r["pass"] for r in reports if r["identity"] == "rauch_variation"] == [False] * 3
+
+
+def _workload_moduli(count, seed):
+    """``count`` triples drawn as bench/workloads._moduli draws a job's."""
+    spec = importlib.util.spec_from_file_location(
+        "workloads", Path(__file__).resolve().parents[1] / "bench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    rng = random.Random(seed)
+    return [tuple(workloads._moduli(rng)) for _ in range(count)]
+
+
+WORKLOAD_MODULI = _workload_moduli(40, "scalar 2x2 algebra")
+
+
+def _tail_errors(periods_fn, moduli, nodes=hyperell.DEFAULT_NODES):
+    """The fields of ``periods_fn(moduli, nodes)`` outside their bound from
+    ``_assemble`` and ``eigvalsh`` on the same stacked J.  Each side's inverse
+    is within 8 u kappa_F(A) ||C||_F of A^-1, to first order (the adjugate's
+    worst entry reads 6 u kappa_F, from ``_period_error_bound``'s 12 u
+    |C||A||C| and (|ad| + |bc|) / |det| <= kappa_F / 2; LU on a 2x2 reads
+    less), so the two differ by d = 16 u kappa_F ||C||_F, and, with norms
+    Frobenius and d >= 16 u covering the 4 u of each product:
+    - C: d; B = C Braw: 2 d ||Braw|| (as is the n-node B, on its own A);
+    - dB = C (dBraw - dA B): 4 d (||dBraw|| + ||dA|| ||C|| ||Braw||), the
+      first d for C, two for B through dA, one for the products;
+    - each Im B eigenvalue: the symmetric part of the B difference, within
+      3 times its entrywise bound in norm (Weyl), plus each side's own
+      rounding, 8 u ||Im B||_2 for the determinant over the far root and a
+      few u for eigvalsh: 16 u ||Im B||_2."""
+    J = interval_integrals(moduli, nodes, derivatives=True)
+    pd = periods_fn(moduli, nodes)
+    A, Braw, _, _ = _assemble(J)
+    C = np.linalg.inv(A[1])
+    B, B_n = C @ Braw[1], np.linalg.inv(A[0]) @ Braw[0]
+    dB = C @ (Braw[2:] - A[2:] @ B)
+    norm = np.linalg.norm
+
+    def d(A):
+        return 16 * U * np.linalg.cond(A, "fro") * norm(np.linalg.inv(A))
+
+    dC, dB_n = d(A[1]), 2 * d(A[0]) * norm(Braw[0])
+    dB2 = 2 * dC * norm(Braw[1])
+    bounds = {
+        "C": (np.abs(pd.C - C), dC),
+        "B": (np.abs(pd.B - B), dB2),
+        "n-node B": (abs(pd.convergence_error - np.max(np.abs(B_n - B))), dB_n + dB2),
+        "dB": (np.abs(pd.dB - dB), [4 * dC * (norm(dBraw) + norm(dA) * norm(C) * norm(Braw[1]))
+                                     for dA, dBraw in zip(A[2:], Braw[2:])]),
+        "eigenvalues": (np.abs(np.subtract(pd.im_eigenvalues, np.linalg.eigvalsh(B.imag))),
+                        3 * dB2 + 16 * U * norm(B.imag, 2)),
+    }
+    return [name for name, (error, bound) in bounds.items()
+            if not np.all(error.T <= np.transpose(bound))]
+
+
+def test_scalar_tail_matches_numpy_on_the_same_integrals():
+    # C, B, the n-node B, dB and Im B's eigenvalues in Python scalars against
+    # np.linalg.inv and eigvalsh, within a bound from eps and cond(A)
+    for moduli in WORKLOAD_MODULI:
+        assert _tail_errors(periods, moduli) == [], moduli
+
+
+def _mutant_periods(old, new, monkeypatch):
+    """``periods`` of the module's source with ``old``, found once, made ``new``."""
+    path = Path(hyperell.__file__)
+    source = path.read_text(encoding="utf-8")
+    assert source.count(old) == 1, old
+    module = types.ModuleType("gtlab.mutant_hyperell")
+    module.__package__ = "gtlab"
+    monkeypatch.setitem(sys.modules, module.__name__, module)  # dataclass reads it
+    exec(compile(source.replace(old, new), str(path), "exec"), module.__dict__)
+    return module.periods
+
+
+@pytest.mark.parametrize("old, new, leaves", [
+    # the adjugate's upper off-diagonal sign flipped
+    ("[[d / det, -b / det]", "[[d / det, b / det]", "C"),
+    # the lower eigenvalue from the "+" root, m + r, like the upper
+    ("near = (a * d - b * b) / far if far else 0.0", "near = m + r", "eigenvalues"),
+    # dB = C dBraw, the dA B term dropped
+    ("_product(C, [[x - y for x, y in zip(*rows)] for rows in zip(dBraw, dAB)])",
+     "_product(C, dBraw)", "dB"),
+], ids=["adjugate-sign", "plus-root", "dropped-dA-B"])
+def test_a_mutated_scalar_tail_leaves_the_oracle(old, new, leaves, monkeypatch):
+    # counter-test: each defect of the 2x2 algebra leaves the bound on every curve
+    mutant = _mutant_periods(old, new, monkeypatch)
+    for moduli in WORKLOAD_MODULI[:5]:
+        assert leaves in _tail_errors(mutant, moduli), moduli
+
+
+@pytest.mark.parametrize("im", [
+    [[2.0, 0.5], [0.5, 1.0]], [[1.0, 9.0], [0.3, 1.0]], [[-1e8, 1.0], [1.0, 1.0]],
+    [[-3.0, 1.0], [1.0, -2.0]], [[1.0, 2.0], [2.0, 1.0]], [[-0.0, 1.0], [1.0, -0.0]],
+    [[0.0, 0.0], [0.0, 0.0]], [[5.0, 0.0], [0.0, 5.0]],
+])
+def test_im_eigenvalues_match_eigvalsh_on_any_symmetric_part(im):
+    # definite, indefinite and zero; the lower triangle counts, as in eigvalsh
+    got = hyperell._im_eigenvalues((1j * np.array(im)).tolist())
+    want = np.linalg.eigvalsh(np.array(im))
+    assert np.all(np.abs(np.subtract(got, want)) <= 16 * U * np.max(np.abs(want)))
+
+
+def _patched_job(tmp_path, monkeypatch, patch):
+    """A rauch job whose pass is ``patch``ed in place: (exit code, report)."""
+    interval_integrals_ = hyperell.interval_integrals
+
+    def patched(moduli, nodes, derivatives=True):
+        J = interval_integrals_(moduli, nodes, derivatives)
+        patch(J)
+        return J
+
+    monkeypatch.setattr(hyperell, "interval_integrals", patched)
+    out = tmp_path / "r.json"
+    code = cli.run({"command": "rauch", "seed": 1, "moduli": list(MODULI)}, str(out))
+    return code, json.loads(out.read_text())
+
+
+def test_a_singular_a_period_matrix_fails_closed(tmp_path, monkeypatch):
+    # the two differentials' integrals made equal, so A's rows are: the job
+    # ends on a named ZeroDivisionError and exit 1, never a traceback
+    def singular(J):
+        J[:, 1] = J[:, 0]
+
+    code, report = _patched_job(tmp_path, monkeypatch, singular)
+    assert code == 1 and report["verdict"] == "fail" and report["reports"] == []
+    assert report["error"] == "ZeroDivisionError: complex division by zero"
+
+
+def test_a_nan_integral_fails_the_job(tmp_path, monkeypatch):
+    # one NaN in J on the 2n-node rule: every check reads NaN and fails
+    def nan(J):
+        J[1, 0, 1] = math.nan
+
+    code, report = _patched_job(tmp_path, monkeypatch, nan)
+    assert code == 1 and report["verdict"] == "fail" and report["error"] is None
+    assert {r["identity"]: r["max_residual"] for r in report["reports"]} == {
+        "period_symmetry": "nan", "period_positivity": 2.0, "rauch_variation": "nan"}
