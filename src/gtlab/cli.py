@@ -15,6 +15,8 @@ Exit codes: 0 all identities pass, 1 numeric failure (report written),
 from __future__ import annotations
 
 import argparse
+import contextlib
+import functools
 import json
 import math
 import os
@@ -69,8 +71,8 @@ _count = _kind("a non-negative integer", lambda v: _is_int(v) and v >= 0)
 _positive_int = _kind("a positive integer", lambda v: _is_int(v) and v > 0)
 _positive = _kind("a positive number", lambda v: _is_real(v) and v > 0, float)
 _real = _kind("a real number", _is_real, float)
-_path = _kind("a path string", lambda v: isinstance(v, str) and v != "",
-              refusal="{key} must be {name}")
+_path = _kind("a path string", lambda v: isinstance(v, str) and v != ""  # and UTF-8 encodable
+              and v.encode(errors="ignore").decode() == v, refusal="{key} must be {name}")
 _structure = _kind(f"one of {sorted(catalog.CATALOG)}",
                    lambda v: isinstance(v, str) and v in catalog.CATALOG)
 _moduli = _kind("three real numbers", lambda v: isinstance(v, (list, tuple)) and len(v) == 3
@@ -172,12 +174,20 @@ def validate_config(cfg: dict) -> dict:
     return job
 
 
+@functools.lru_cache(maxsize=128)
+def _built(builder, *args):
+    """``builder(*args)`` once per process while among the 128 most recently used: a job's
+    config fixes what it builds, which its seed never reaches and no handler changes, so no
+    report depends on the jobs before it.  The key holds the builder: a replaced one is called."""
+    return builder(*args)
+
+
 def _build(cfg, enhanced=False):
     ent = catalog.CATALOG[cfg["structure"]]
     build = ent.build_enhanced if enhanced else ent.build
     if build is None:
         raise ConfigError(f"{ent.name} has no enhancement in the catalog")
-    return ent, build(cfg["n"])
+    return ent, _built(build, cfg["n"])
 
 
 def _check_indices(key: str, indices, count: int) -> None:
@@ -203,14 +213,14 @@ def _cmd_verify(cfg):
 
 def _cmd_potentials(cfg):
     ent, enh = _build(cfg, enhanced=True)
-    pots = catalog.build_potentials(ent.name, cfg["n"])
+    pots = _built(catalog.build_potentials, ent.name, cfg["n"])
     return [verify_potential(enh, pot, cfg["samples"], cfg["seed"] + idx, cfg["tol"])
             for idx, pot in enumerate(pots)], {}
 
 
 def _cmd_collide(cfg):
     _, s = _build(cfg)
-    collided = collide_points_closed(s, cfg["groups"])
+    collided = _built(collide_points_closed, s, tuple(map(tuple, cfg["groups"])))
     return (verify_all(collided, cfg["samples"], cfg["seed"], cfg["tol"]),
             {"collided_label": collided.label, "m": collided.m})
 
@@ -244,7 +254,7 @@ def quadratic_mu(m: int, scale: float) -> JetEvaluator:
 def _cmd_pushforward(cfg):
     scale = cfg["scale"]
     _, s = _build(cfg)
-    pushed = pushforward(s, CoordinateChange(quadratic_mu(s.m, scale)))
+    pushed = _built(pushforward, s, CoordinateChange(_built(quadratic_mu, s.m, scale)))
     return (verify_all(pushed, cfg["samples"], cfg["seed"], cfg["tol"]),
             {"mu": "p + scale*u1*p^2", "scale": scale})
 
@@ -252,7 +262,7 @@ def _cmd_pushforward(cfg):
 def _cmd_gtsys(cfg):
     seed, steps, h = cfg["seed"], cfg["steps"], cfg["h"]
     _, s = _build(cfg)
-    sys_ = gtsys.build_system(s)
+    sys_ = _built(gtsys.build_system, s)
     comp = gtsys.compatibility_residual(sys_, M=cfg["M"], states=cfg["states"], seed=seed,
                                         tol=cfg["tol"])
     ratio, coarse, fine = gtsys.convergence_ratio(sys_, M=2, steps=steps, h=h, seed=seed)
@@ -271,7 +281,7 @@ def _cmd_hydro(cfg):
     seed, tol = cfg["seed"], cfg["tol"]
     i, j, k = cfg["triple"]
     ent, enh = _build(cfg, enhanced=True)
-    pots = catalog.build_potentials(ent.name, cfg["n"])
+    pots = _built(catalog.build_potentials, ent.name, cfg["n"])
     fam = hierarchy.PotentialFamily(enh.base, pots, enhanced=enh, label=ent.name)
     v = tuple(fam.structure.sample(1, seed, 1)[0, 1:].tolist())
     hs = hierarchy.hydro_coefficients(fam, i, j, k, v, z_count=cfg["z_count"],
@@ -303,7 +313,7 @@ def _cmd_reconstruct(cfg):
     seed, tol, samples = cfg["seed"], cfg["tol"], cfg["samples"]
     pair, index = cfg["pair"], cfg["index"]
     ent, enh = _build(cfg, enhanced=True)
-    pots = catalog.build_potentials(ent.name, cfg["n"])
+    pots = _built(catalog.build_potentials, ent.name, cfg["n"])
     _check_indices("pair", pair, len(pots))
     _check_indices("index", [index], len(pots))
     fam = hierarchy.PotentialFamily(enh.base, pots, enhanced=enh, label=ent.name)
@@ -436,8 +446,13 @@ def emit_report(report: dict, path: str, summary: str) -> None:
     _encode(report, "", parts)
     parts.append("\n")
     tmp = path + ".tmp"
-    _write(tmp, "".join(parts).encode())
-    os.replace(tmp, path)
+    try:
+        _write(tmp, "".join(parts).encode())
+        os.replace(tmp, path)
+    except OSError:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
     _write(os.path.splitext(path)[0] + ".txt", summary.encode())
 
 

@@ -56,8 +56,6 @@ from .kernel import (
     path_integrate,
 )
 
-_LOCI: dict[tuple, tuple[Exclusion, ...]] = {}  # see GTStructure._sample_loci
-
 
 @dataclass(frozen=True)
 class VerificationReport:
@@ -147,6 +145,7 @@ class GTStructure:
         self.min_separation = min_separation
         # fiber slots whose g-component is f(p, v_slot): collidable punctures
         self.puncture_slots = puncture_slots
+        self._loci: dict[tuple, tuple[Exclusion, ...]] = {}  # see _sample_loci
 
     # -- sampling ----------------------------------------------------------
 
@@ -168,22 +167,17 @@ class GTStructure:
         over the coordinates (p_1..p_{n_p}, v) of a sample, each distinct
         one once; an evaluator's loci stay together, in declaration order.
         A diagonal between two points is left to the pairwise separation
-        test, which bounds it at the same threshold.  Cached by what it
-        reads, n_p and each evaluator's ``Domain.key``, so structures built
-        afresh share an entry and a reassigned f or g is read afresh."""
-        key = (n_p, *(e.domain.key for e in (*self.g, self.f)))
-        loci = _LOCI.pop(key, None)  # put back last, so the least recently used go first
-        if loci is None:
+        test, which bounds it at the same threshold.  Memoized on the structure
+        by n_p and its f and g objects: a reassigned f or g is read afresh."""
+        key = (n_p, self.f, *self.g)
+        if key not in self._loci:
             v = list(range(n_p, n_p + self.m))
             calls = [(gi, [a, *v]) for a in range(n_p) for gi in self.g]
             calls += [(self.f, [a, b, *v]) for a, b in product(range(n_p), repeat=2) if a != b]
-            loci = _undeclared(ex for e, mapping in calls
-                               for ex in e.domain.remap(mapping).exclusions
-                               if not (isinstance(ex, Diagonal) and max(ex.slots) < n_p))
-            if len(_LOCI) == 63:  # a pushed structure's maps are new every time
-                del _LOCI[next(iter(_LOCI))]
-        _LOCI[key] = tuple(loci)  # a tuple's tuple is itself
-        return _LOCI[key]
+            self._loci[key] = tuple(_undeclared(
+                ex for e, mapping in calls for ex in e.domain.remap(mapping).exclusions
+                if not (isinstance(ex, Diagonal) and max(ex.slots) < n_p)))
+        return self._loci[key]
 
 
 @functools.lru_cache(maxsize=None)
@@ -227,7 +221,7 @@ class Potential:
     label: str = ""
 
 
-@dataclass
+@dataclass(frozen=True)
 class CoordinateChange:
     """p = mu(p~, v), invertible in p~ on the working region."""
 

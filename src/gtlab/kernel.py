@@ -99,9 +99,8 @@ class Exclusion:
         raise NotImplementedError
 
     def key(self) -> tuple:
-        """The locus by content, its kind and hashable fields (a pulled-back map by identity)."""
-        return (type(self),
-                *(x.key() if isinstance(x, Exclusion) else x for x in vars(self).values()))
+        """The locus by content, its kind and fields (a pulled-back map and locus by identity)."""
+        return (type(self), *vars(self).values())
 
 
 class FixedPoints(Exclusion):
@@ -200,11 +199,6 @@ class Domain:
 
     def remap(self, mapping: Sequence[int]) -> "Domain":
         return Domain(tuple(e.remap(mapping) for e in self.exclusions))
-
-    @functools.cached_property
-    def key(self) -> tuple:
-        """The loci by content: domains built apart from the same loci share it."""
-        return tuple(ex.key() for ex in self.exclusions)
 
     def merged(self, other: "Domain") -> "Domain":
         return Domain(self.exclusions + other.exclusions)

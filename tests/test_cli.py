@@ -11,6 +11,7 @@ import os
 import subprocess
 import sys
 import types
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +21,7 @@ from hypothesis import strategies as st
 
 from gtlab import catalog, cli, gtsys, hierarchy, hyperell
 from gtlab.cli import emit_report, main, run, validate_config
-from gtlab.core import verify_potential
+from gtlab.core import CoordinateChange, pushforward, verify_potential
 from gtlab.errors import ConfigError
 
 BASE = {"command": "verify", "structure": "benney", "n": 1, "seed": 5,
@@ -304,6 +305,78 @@ def test_report_without_tol_holds_genus2_to_1e_6(tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# objects built once per process: a structure, its enhancement, potentials,
+# pushed and collided transforms and GT system, shared by every job of a config
+# ---------------------------------------------------------------------------
+
+
+_SHARED = [{**_cheap(command), **extra} for extra in ({}, {"structure": "genus0", "n": 2})
+           for command in cli._STRUCTURED] + [{**_cheap("report"), "samples": 2}]
+
+
+def _codes_and_reports(tmp_path, jobs):
+    """Each numbered job's exit code and report bytes, the jobs run in the order given."""
+    got = {}
+    for k, cfg in jobs:
+        out = tmp_path / f"{k}.json"
+        got[k] = run(dict(cfg), str(out)), out.read_bytes()
+    return got
+
+
+def test_no_report_depends_on_the_jobs_run_before_it(tmp_path):
+    # every structured command and report, on two structures: the same exit
+    # codes and report bytes built afresh, reusing what the jobs before them
+    # built in either order, and built afresh again
+    jobs = list(enumerate(_SHARED))
+    cli._built.cache_clear()
+    first = _codes_and_reports(tmp_path, jobs)
+    assert _codes_and_reports(tmp_path, jobs[::-1]) == first
+    assert cli._built.cache_info().hits >= len(jobs)
+    cli._built.cache_clear()
+    assert _codes_and_reports(tmp_path, jobs) == first
+    assert {code for code, _ in first.values()} <= {0, 1}
+
+
+def test_two_jobs_of_one_config_call_each_builder_once(tmp_path, monkeypatch):
+    # the cache key holds the builder and its arguments: a config run again
+    # calls none, while another scale or groups builds its transform anew
+    calls = Counter()
+
+    def counted(name, builder):
+        def build(*args):
+            calls[name] += 1
+            return builder(*args)
+        return build
+
+    entry = catalog.CATALOG["benney"]
+    monkeypatch.setitem(catalog.CATALOG, "benney", dataclasses.replace(
+        entry, build=counted("build", entry.build),
+        build_enhanced=counted("build_enhanced", entry.build_enhanced)))
+    for module, name in [(catalog, "build_potentials"), (cli, "collide_points_closed"),
+                         (cli, "quadratic_mu"), (cli, "pushforward"), (gtsys, "build_system")]:
+        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    out = str(tmp_path / "r.json")
+    for command in ("verify", "potentials", "hydro", "reconstruct", "collide", "pushforward",
+                    "gtsys"):
+        assert [run(_cheap(command), out) for _ in range(2)] in ([0, 0], [1, 1]), command
+    assert calls == dict.fromkeys(["build", "build_enhanced", "build_potentials",
+                                   "collide_points_closed", "quadratic_mu", "pushforward",
+                                   "build_system"], 1)
+    assert run({**_cheap("pushforward"), "scale": 0.07}, out) == 0
+    assert run({**_cheap("collide"), "groups": [[0, 1, 2]]}, out) == 0
+    assert calls["quadratic_mu"] == calls["pushforward"] == calls["collide_points_closed"] == 2
+    assert calls["build"] == calls["build_system"] == 1
+
+
+def test_library_builders_return_fresh_objects():
+    # the cache is the CLI's: a library call builds anew every time
+    assert catalog.build_structure("benney", 2) is not catalog.build_structure("benney", 2)
+    s = catalog.build_structure("benney", 2)
+    change = CoordinateChange(cli.quadratic_mu(s.m, 0.05))
+    assert pushforward(s, change) is not pushforward(s, change)
+
+
+# ---------------------------------------------------------------------------
 # the verdicts at the edges of the restated checks: each entry's own
 # residual against its own tolerance decides it
 # ---------------------------------------------------------------------------
@@ -563,6 +636,30 @@ def test_a_failed_write_exits_3_and_keeps_the_previous_report(tmp_path, monkeypa
     assert run({**RAUCH, "seed": 4}, str(out)) == 3
     assert capsys.readouterr().err.startswith("i/o error writing report: ")
     assert out.read_bytes() == previous
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["r.json", "r.txt"]  # no r.json.tmp
+
+
+def test_a_failed_replace_exits_3_and_leaves_no_temporary_file(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "r.json"
+
+    def refused(src, dst):
+        raise OSError(errno.EACCES, os.strerror(errno.EACCES))
+
+    monkeypatch.setattr(os, "replace", refused)
+    assert run(dict(RAUCH), str(out)) == 3
+    assert capsys.readouterr().err.startswith("i/o error writing report: ")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_an_out_utf_8_cannot_encode_exits_2(tmp_path, capsys):
+    # json.load reads "\udc80" as a lone surrogate, which no UTF-8 report can
+    # echo: the config is refused before the job runs
+    cfg_path = tmp_path / "job.json"
+    cfg_path.write_text(json.dumps({**RAUCH, "out": str(tmp_path / "r\udc80.json")}))
+    assert "\\udc80" in cfg_path.read_text()
+    assert main(["--config", str(cfg_path)]) == 2
+    assert capsys.readouterr().err == "config error: out must be a path string\n"
+    assert list(tmp_path.iterdir()) == [cfg_path]
 
 
 def test_a_report_with_non_ascii_text_is_utf_8(tmp_path):

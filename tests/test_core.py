@@ -654,44 +654,35 @@ def test_a_sample_continues_a_stream_where_the_last_call_left_it():
             assert all(part.shape == (count, n_p + s.m) for part, count in zip(parts, (3, 1, 0, 6)))
 
 
-def test_sampler_loci_are_cached_by_domain_content(monkeypatch):
-    # the cache is keyed by n_p and each evaluator's Domain.key, not by the
-    # structure: fresh builds of one catalog entry share an entry (and with
-    # it the kernel's grouping of the loci), while a reassigned f or g, a
-    # different point count and a pushforward through another map each miss
-    monkeypatch.setattr(core, "_LOCI", {})
-
-    def uncached(s, n_p):
-        with monkeypatch.context() as patch:
-            patch.setattr(core, "_LOCI", {})
-            return s._sample_loci(n_p)
+def test_sampler_loci_are_memoized_per_structure():
+    # the memo lives on the structure, keyed by n_p and its f and g objects:
+    # a second call returns the same tuple (and with it the kernel's grouping
+    # of the loci), while a fresh build, a different point count, a
+    # reassigned f or g and a pushforward through another map each read
+    # their evaluators afresh, to the loci a structure with an empty memo reads
+    def fresh(s, n_p):
+        return [ex.key() for ex in GTStructure(s.m, s.g, s.f)._sample_loci(n_p)]
 
     a, b = catalog.build_structure("genus0", 2), catalog.build_structure("genus0", 2)
-    assert a.f.domain is not b.f.domain and a.f.domain.exclusions[0] is not b.f.domain.exclusions[0]
     loci = a._sample_loci(2)
-    assert b._sample_loci(2) is loci and len(core._LOCI) == 1
+    assert a._sample_loci(2) is loci and b._sample_loci(2) is not loci
     a.sample(5, 1, 2)
     groups = kernel._locus_groups.cache_info()
-    b.sample(5, 1, 2)
+    a.sample(5, 1, 2)
     assert kernel._locus_groups.cache_info().hits == groups.hits + 1
-    c = catalog.build_structure("genus0", 2)
-    c.f = JetEvaluator(c.f.arity, c.f.fn, Domain(c.f.domain.exclusions[:-1]), c.f.partial_fn)
-    d = catalog.build_structure("genus0", 2)
-    d.g = (JetEvaluator(d.g[0].arity, d.g[0].fn, Domain(), d.g[0].partial_fn), *d.g[1:])
+    c, d = catalog.build_structure("genus0", 2), catalog.build_structure("genus0", 2)
+    before = c._sample_loci(2), d._sample_loci(2)
+    extra = Domain((FixedPoints(0, [0.5j]),))  # a locus no other evaluator declares
+    c.f = JetEvaluator(c.f.arity, c.f.fn, c.f.domain.merged(extra), c.f.partial_fn)
+    d.g = (JetEvaluator(d.g[0].arity, d.g[0].fn, extra, d.g[0].partial_fn), *d.g[1:])
     pushed = [pushforward(a, change(a.m)) for change in (_quadratic_change,
                                                          _closed_form_quadratic_change)]
-    misses = [(a, 3), (c, 2), (d, 2), (pushed[0], 2), (pushed[1], 2)]
-    for k, (s, n_p) in enumerate(misses, start=2):
-        assert s._sample_loci(n_p) is not loci and len(core._LOCI) == k, (s.label, n_p)
-        assert s._sample_loci(n_p) is s._sample_loci(n_p)
-    for s, n_p in [(a, 2), (b, 2), *misses]:
-        keys = [ex.key() for ex in s._sample_loci(n_p)]
-        assert keys == [ex.key() for ex in uncached(s, n_p)], (s.label, n_p)
-    for _ in range(80):  # a pushed structure's maps are new with every pushforward:
-        pushforward(a, _quadratic_change(a.m))._sample_loci(2)  # the oldest entries go,
-        assert b._sample_loci(2) is loci  # never the most recently used
-    assert len(core._LOCI) == 63
-    assert (2, *(e.domain.key for e in (*c.g, c.f))) not in core._LOCI
+    for s, n_p, old in [(a, 3, loci), (c, 2, before[0]), (d, 2, before[1]),
+                        (pushed[0], 2, loci), (pushed[1], 2, pushed[0]._sample_loci(2))]:
+        assert s._sample_loci(n_p) is not old and s._sample_loci(n_p) is s._sample_loci(n_p)
+    for s, n_p in [(a, 2), (b, 2), (a, 3), (c, 2), (d, 2), (pushed[0], 2), (pushed[1], 2)]:
+        assert [ex.key() for ex in s._sample_loci(n_p)] == fresh(s, n_p), (s.label, n_p)
+    assert fresh(c, 2) != fresh(b, 2) != fresh(d, 2)  # the extra locus is read
 
 
 def _draw_by_draw_sample(s, count, seed, n_p):
@@ -1254,7 +1245,6 @@ def test_one_pass_keeps_the_loci_the_scan_kept(monkeypatch):
     # every list the program dedupes (each structure's sample loci at 1 to 3
     # points, and each pushed f's g loci against f's own): the same loci,
     # the very objects, in the same order
-    monkeypatch.setattr(core, "_LOCI", {})
     real, lists = core._undeclared, []
 
     def recorded(loci, declared=()):
