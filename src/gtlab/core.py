@@ -18,10 +18,12 @@ they transform (a pushed one over mu's entries as well): on argument
 columns it gives the value; on first-order forward-mode jets (``_Jet``)
 seeded in the slots asked it gives every first partial asked, each
 ingredient asked once per point for its entries and their first partials
-(``_entries``).  Partials of order two and above, and the Laurent
-coefficients of the pole checks, come from Cauchy circles over the
-transformed values.  A pushed evaluator's pulled-back loci read columns
-for the sampler.
+(``_entries``); the limit collisions are such formulas too, Neville's
+tableau over the values of their eps ladder (``_limit``).  Partials of
+order two and above, the Laurent coefficients of the pole checks and the
+inner rings of ``algebroid_constants`` come from Cauchy circles, each read
+through ``kernel.laurent_coeff``.  A pushed evaluator's pulled-back loci
+read columns for the sampler.
 """
 
 from __future__ import annotations
@@ -52,6 +54,7 @@ from .kernel import (
     _ring,
     admitted,
     jets,
+    laurent_coeff,
     multi_index,
     path_integrate,
 )
@@ -261,13 +264,12 @@ def _values(evaluators: Sequence[JetEvaluator], cols: tuple) -> np.ndarray:
 
 
 def _residues(e: JetEvaluator, s: GTStructure, pts: np.ndarray, nodes: int,
-              ks: Sequence[int]) -> list[np.ndarray]:
+              ks: Sequence[int]) -> np.ndarray:
     """Laurent coefficients k in ``ks`` of e in its first slot about p_1
-    of every sample, from one ``eval_circle`` call over the samples' columns."""
+    of every sample, one row per k, from one ``laurent_coeff`` call over the
+    samples' columns."""
     cols = _rows(s, pts, (0, 0))
-    radii = _diagonal_radius(e, cols)
-    [vals] = e.eval_circle(0, cols, radii, nodes)
-    return [_circle_coeff(vals, radii, k) for k in ks]
+    return laurent_coeff(e, 0, cols, _diagonal_radius(e, cols), ks, nodes)[0]
 
 
 def verify_pole(s: GTStructure, samples: int = 100, seed: int = 1,
@@ -449,28 +451,25 @@ def _collision_substitution(
 LADDER = tuple(0.05 * 0.5**k for k in range(5))  # eps values, strictly toward 0
 
 
-class _RichardsonLimit(JetEvaluator):
-    """eps -> 0 limit of a family of values by Neville extrapolation over
-    LADDER.  ``fn_eps(args, eps)`` supplies the family."""
-
-    def __init__(self, arity, fn_eps, domain=EMPTY_DOMAIN, label=""):
-        self.fn_eps = fn_eps
-        super().__init__(arity, self._fn, domain=domain, label=label)
-
-    def _fn(self, *args):
+def _limit(fn_eps):
+    """The formula of the eps -> 0 limit of the family ``fn_eps(args, at, eps)``:
+    Neville's tableau over its values at LADDER, toward eps = 0."""
+    def formula(args, at):
         eps = LADDER
-        vals = [self.fn_eps(args, ei) for ei in eps]
-        # Neville tableau in eps toward 0
+        vals = [fn_eps(args, at, ei) for ei in eps]
         for level in range(1, len(eps)):
             for i in range(len(eps) - level):
                 num = eps[i] * vals[i + 1] - eps[i + level] * vals[i]
                 vals[i] = num / (eps[i] - eps[i + level])
         return vals[0]
 
+    return formula
+
 
 def collide_points_limit(s: GTStructure, groups: Sequence[Sequence[int]]) -> GTStructure:
-    """Collide each group of fiber coordinates; evaluators are the Richardson
-    eps -> 0 limit of the binomial substitution applied to s."""
+    """Collide each group of fiber coordinates; each evaluator is one formula,
+    the Richardson eps -> 0 limit of the binomial substitution applied to s
+    (``_limit``), so its first partials come from the jet rule."""
     flat = [slot for grp in groups for slot in grp]
     if not all(groups):
         raise ValueError(f"collision groups must be non-empty, got {groups!r}")
@@ -479,37 +478,37 @@ def collide_points_limit(s: GTStructure, groups: Sequence[Sequence[int]]) -> GTS
     if not all(0 <= slot < s.m for slot in flat):
         raise ValueError(f"collision slots must lie in 0..{s.m - 1}, got {groups!r}")
     m = s.m
+    value = [multi_index(1 + m)]
 
     # inverse-Jacobian rows for the group coordinates
     def g_component(i: int) -> JetEvaluator:
         owner = next((grp for grp in groups if i in grp), None)
 
-        def fn_eps(args, eps):
+        def fn_eps(args, at, eps):
             p, v = args[0], list(args[1:])
             vv = _collision_substitution(groups, eps, v)
             if owner is None:
-                return s.g[i].value((p, *vv))
+                return at(s.g[i], (p, *vv), value)[0]
             # r-th finite difference of f(p, v_l) across the group, scaled
             # by eps^-r (the inverse Jacobian of the triangular substitution)
             r = owner.index(i)
             total = 0.0 + 0.0j
             for l_idx in range(r + 1):
                 coeff = (-1) ** (r - l_idx) * math.comb(r, l_idx) / eps**r
-                total += coeff * s.g[owner[l_idx]].value((p, *vv))
+                total += coeff * at(s.g[owner[l_idx]], (p, *vv), value)[0]
             return total
 
         dom = _collided_domain(s.g[i].domain, groups, offset=1, arity=1 + m)
-        return _RichardsonLimit(1 + m, fn_eps, domain=dom,
-                                label=f"{s.label}:collided g[{i}]")
+        return _Formula(1 + m, _limit(fn_eps), dom, f"{s.label}:collided g[{i}]")
 
     def f_eval() -> JetEvaluator:
-        def fn_eps(args, eps):
+        def fn_eps(args, at, eps):
             p1, p2, v = args[0], args[1], list(args[2:])
-            return s.f.value((p1, p2, *_collision_substitution(groups, eps, v)))
+            return at(s.f, (p1, p2, *_collision_substitution(groups, eps, v)),
+                      [multi_index(2 + m)])[0]
 
         dom = _collided_domain(s.f.domain, groups, offset=2, arity=2 + m)
-        return _RichardsonLimit(2 + m, fn_eps, domain=dom,
-                                label=f"{s.label}:collided f")
+        return _Formula(2 + m, _limit(fn_eps), dom, f"{s.label}:collided f")
 
     return GTStructure(
         m=m,
@@ -621,12 +620,12 @@ def collide_enhanced(e: EnhancedGT, groups: Sequence[Sequence[int]]) -> Enhanced
     base = collide_points_limit(e.base, groups)
     m = e.m
 
-    def fn_eps(args, eps):
+    def fn_eps(args, at, eps):
         p1, p2, v = args[0], args[1], args[2:]
-        return e.lam.value((p1, p2, *_collision_substitution(groups, eps, v)))
+        return at(e.lam, (p1, p2, *_collision_substitution(groups, eps, v)),
+                  [multi_index(2 + m)])[0]
 
-    lam = _RichardsonLimit(2 + m, fn_eps, domain=e.lam.domain,
-                           label=f"{e.label}:collided lambda")
+    lam = _Formula(2 + m, _limit(fn_eps), e.lam.domain, f"{e.label}:collided lambda")
     return EnhancedGT(base, lam)
 
 
@@ -959,10 +958,10 @@ def algebroid_constants(
     # Taylor coefficients in p2 on an inner ring about z at each node of the
     # outer p1 ring, then in p1
     p1_ring = z + r1 * _ring(nodes)
-    [rings] = regular.eval_circle(1, np.broadcast_arrays(p1_ring, z, *v), [r2] * nodes, nodes)
-    inner = np.array([_circle_coeff(rings, r2, j) for j in range(order + 1)]).T
+    [inner] = laurent_coeff(regular, 1, np.broadcast_arrays(p1_ring, z, *v), [r2] * nodes,
+                            range(order + 1), nodes)
     coeffs = {
-        (i, j): _circle_coeff(inner[:, j], r1, i)
+        (i, j): _circle_coeff(inner[j], r1, i)
         for i in range(order + 1)
         for j in range(order + 1)
     }

@@ -117,13 +117,11 @@ def _theta_rule(nodes: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return rule
 
 
-def interval_integrals(moduli, nodes: int = DEFAULT_NODES,
-                       derivatives: bool = False) -> np.ndarray:
-    """J[j, k] = integral of p^j dp / q over the k-th gap, (2, 4), on the
-    n-node rule, for the triple (a, b, c), validated before the rule is
-    read; with ``derivatives``, (5, 2, 4): that J, then J and dJ/da, dJ/db,
-    dJ/dc on the 2n-node rule.  The four gaps are the rows of one (4, 3n)
-    pass over both rules."""
+def interval_integrals(moduli, nodes: int = DEFAULT_NODES) -> np.ndarray:
+    """J[j, k] = integral of p^j dp / q over the k-th gap, (2, 4), for the
+    triple (a, b, c), validated before the rule is read, stacked (5, 2, 4):
+    J on the n-node rule, then J and dJ/da, dJ/db, dJ/dc on the 2n-node
+    rule.  The four gaps are the rows of one (4, 3n) pass over both rules."""
     es = (0.0, 1.0, *_validate_moduli(moduli))
     sin_th, wt, dots = _theta_rule(nodes)
     # per gap: its middle and half width, then its three other branch points
@@ -135,8 +133,6 @@ def interval_integrals(moduli, nodes: int = DEFAULT_NODES,
         s = wt / np.sqrt(np.abs(f[0] * f[1] * f[2]))
         sp = np.concatenate([s, s * p])  # the p^0 and then the p^1 integrand
         J = sp[:, :nodes].sum(-1).reshape(1, 2, 4)
-        if not derivatives:
-            return J[0] * PHASES
         J2 = sp[:, nodes:].sum(-1).reshape(1, 2, 4)
         # theta's range is fixed, so p moves with its gap's ends by dp, and
         # d ln s = -1/2 sum_o (dp - [e = e_o]) / (p - e_o); the sums are
@@ -222,7 +218,7 @@ def periods(moduli, nodes: int = DEFAULT_NODES,
     a-period matrix raises ZeroDivisionError."""
     _check_nodes(nodes)
     moduli = _validate_moduli(moduli)
-    J_n, J, *dJ = interval_integrals(moduli, nodes, derivatives=True).tolist()
+    J_n, J, *dJ = interval_integrals(moduli, nodes).tolist()
     A, Braw = _cycles(J)
     C = _inverse(A)
     B = _product(C, Braw)

@@ -1,7 +1,8 @@
 """Deterministic complex-analytic numerics.
 
-Everything downstream is built on three primitives: derivatives of holomorphic
-evaluators by Cauchy circle quadrature, Gauss-Legendre path integration (its rules,
+Everything downstream is built on three primitives: Taylor and Laurent coefficients
+of holomorphic evaluators by Cauchy circle quadrature (``laurent_coeff``, the one routine
+that reads a coefficient from circles), Gauss-Legendre path integration (its rules,
 from ``gauss_legendre``, are hyperell's period rules too), and a seeded
 generator of points in complex boxes, counter-based (``SplitMix64.block`` is n draws at
 once, the scalar stream bit for bit): the samplers that reject points near singular loci,
@@ -21,19 +22,22 @@ asked, the value included, and answers or declines (NotImplemented) each
 entry in one call, so a closed form shares its terms across them; every
 ``fn`` and ``partial_fn`` answers columns with numpy arrays.  A declined
 value comes from ``fn``; the declined partials are grouped by their leading
-slot, so each slot costs one circle per point, its radius a quarter of the
-point's clearance, all N in one ``eval_rows`` call with one row of samples
-per distinct rest, whatever the number of partials read from it.  A
-consumer asks each evaluator for everything it needs over a sample set in
-one call, and ``jets`` (from ``pool``) takes many such requests at once:
-those whose evaluators have a ``pool`` share one call per ``Batch`` kernel.
+slot, so each slot costs one ``laurent_coeff`` call, one circle per point,
+its radius a quarter of the point's clearance, all N in one ``eval_rows``
+call with one row of samples per distinct rest, whatever the number of
+partials read from it.  A consumer asks each evaluator for everything it
+needs over a sample set in one call, and ``jets`` (from ``pool``) takes many
+such requests at once: those whose evaluators have a ``pool`` share one call
+per ``Batch`` kernel.
 ``JetEvaluator.eval_rows`` samples values or partials on N loops of
 argument tuples, given as argument columns, one row per requested partial,
 and is the one evaluator override: an evaluator with multivalued
 ingredients (a square root, say) continues its branch along every loop
 there, from one anchor per loop, and a wrapper maps the loops into the
 evaluator it wraps.  ``eval_circle`` hands it N circles on argument
-columns, a point's circle a column of one.
+columns, a point's circle a column of one, and ``laurent_coeff`` is its one
+caller: the declined partials here, and core's residues and algebroid rings,
+all read their coefficients through it.
 
 Each genus-1 jet is one ``theta_jet`` sum over k at the points of one or
 more stacked columns (one ``np.exp`` over a points x (2K + 1) grid), with its
@@ -71,10 +75,12 @@ MAX_RADIUS = 0.35
 
 
 def require_finite(*values) -> None:
-    """Raise ``DomainViolation`` unless every value, a number or an array, is finite."""
+    """Raise ``DomainViolation`` unless every value, a number or an array, is finite,
+    naming the first entry that is not."""
     for z in values:
-        if not np.isfinite(z).all():
-            raise DomainViolation(f"non-finite complex value {z if np.ndim(z) else complex(z)!r}")
+        bad = ~np.isfinite(z)
+        if bad.any():
+            raise DomainViolation(f"non-finite complex value {complex(np.asarray(z)[bad][0])!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -416,11 +422,12 @@ class JetEvaluator:
                 rest = tuple(0 if s == slot else o for s, o in enumerate(multi))
                 circles.setdefault(slot, []).append((i, multi[slot], rest if any(rest) else None))
         for slot, group in circles.items():
-            radii = _radii(self, cols, slot)
+            orders = list(dict.fromkeys(order for _, order, _ in group))
             rests = list(dict.fromkeys(rest for _, _, rest in group))
-            rows = self.eval_circle(slot, cols, radii, DEFAULT_NODES, rests)
+            coeffs = laurent_coeff(self, slot, cols, _radii(self, cols, slot), orders,
+                                   DEFAULT_NODES, rests)
             for i, order, rest in group:
-                out[i] = _circle_coeff(rows[rests.index(rest)], radii, order) * math.factorial(order)
+                out[i] = coeffs[rests.index(rest), orders.index(order)] * math.factorial(order)
         table = np.empty((len(multis), cols[0].size), dtype=complex)
         for i, entry in enumerate(out):
             table[i] = entry  # an array over the points, or a constant
@@ -510,63 +517,20 @@ class ReindexedEvaluator(JetEvaluator):
 # ---------------------------------------------------------------------------
 
 
-def cauchy_derivative(
-    e: JetEvaluator,
-    slot: int,
-    args: Sequence[complex],
-    order: int,
-    radius: float | None = None,
-    nodes: int = DEFAULT_NODES,
-    tol: float | None = None,
-) -> complex:
-    """order-th derivative in one slot via trapezoid quadrature on a circle.
-
-    Spectrally accurate for holomorphic integrands.  With ``tol`` set the
-    node count is doubled once and the two Taylor coefficients must agree.
-    """
+def laurent_coeff(e: JetEvaluator, slot: int, args: Sequence[np.ndarray], radii,
+                  ks: Sequence[int], nodes: int = DEFAULT_NODES,
+                  rests: Sequence[Sequence[int] | None] = (None,)) -> np.ndarray:
+    """Laurent coefficients k in ``ks`` of e in one slot about N points, by
+    the trapezoid rule on N circles, circle i about args[slot][i] with radius
+    radii[i] (``args`` argument columns, a point's a column of one): a
+    (len(rests), len(ks), N) array from one ``eval_circle`` call, the values'
+    coefficients for a None rest, else those of the partial with that
+    multi-index.  A non-finite argument raises ``DomainViolation`` before
+    any circle is opened."""
     require_finite(*args)
-    if order < 0:
-        raise ValueError("order must be >= 0")
-    if radius is None:  # the radius a declined partial's circle takes there
-        radius = float(_radii(e, np.array([args], dtype=complex).T, slot)[0])
-    clearance = e.domain.clearance(args, slot)
-    if radius >= clearance:
-        raise DomainViolation(
-            f"derivative disc of radius {radius} intersects a pole locus "
-            f"(clearance {clearance})"
-        )
-    if order == 0 and tol is None:
-        return e.value(args)
-    coeff = laurent_coeff(e, slot, args, args[slot], order, radius, nodes, tol)
-    return coeff * math.factorial(order)
-
-
-def laurent_coeff(
-    e: JetEvaluator,
-    slot: int,
-    args: Sequence[complex],
-    center: complex,
-    k: int,
-    radius: float,
-    nodes: int = DEFAULT_NODES,
-    tol: float | None = None,
-) -> complex:
-    """k-th Laurent coefficient of e (in one slot) about ``center``."""
-    require_finite(*args, center)
-    cols = [np.array([x], dtype=complex) for x in args]  # the point's column of one,
-    cols[slot] = np.array([center], dtype=complex)  # with the centre in its slot
-
-    def compute(n):
-        return _circle_coeff(e.eval_circle(slot, cols, [radius], n)[0, 0], radius, k)
-
-    res = compute(nodes)
-    if tol is not None:
-        res2 = compute(2 * nodes)
-        scale = max(abs(res2), 1.0)
-        if abs(res - res2) > tol * scale:
-            raise NonConvergence("laurent_coeff did not converge under node doubling")
-        res = res2
-    return res
+    radii = np.asarray(radii, float)
+    rows = e.eval_circle(slot, args, radii, nodes, rests)
+    return np.array([[_circle_coeff(row, radii, k) for k in ks] for row in rows])
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from gtlab.core import (
     pushforward,
 )
 from gtlab.errors import ConfigError, DomainViolation
-from gtlab.kernel import JetEvaluator, cauchy_derivative, multi_index, theta
+from gtlab.kernel import JetEvaluator, laurent_coeff, multi_index, theta
 
 
 def test_registry_contents():
@@ -61,15 +61,18 @@ def test_minimum_puncture_counts():
 
 
 def _quadrature(e, args, multi):
-    """A partial of a value-only evaluator: cauchy_derivative in the first
-    differentiated slot of the partial in the remaining slots (the inner
-    quadrature asked at each node of the outer circle in turn)."""
+    """A partial of a value-only evaluator: k! times its k-th laurent_coeff,
+    on the circle a declined partial takes, in the first differentiated slot
+    (of order k) of the partial in the remaining slots (the inner quadrature
+    asked at each node of the outer circle in turn)."""
     slot = next(s for s, o in enumerate(multi) if o)
     rest = tuple(0 if s == slot else o for s, o in enumerate(multi))
     if any(rest):
         e = JetEvaluator(e.arity, np.vectorize(lambda *a, _e=e: _quadrature(_e, a, rest),
                                                otypes=[complex]), domain=e.domain)
-    return cauchy_derivative(e, slot, args, multi[slot])
+    cols = np.array([args], dtype=complex).T
+    [[[coeff]]] = laurent_coeff(e, slot, cols, kernel._radii(e, cols, slot), [multi[slot]])
+    return coeff * math.factorial(multi[slot])
 
 
 def _partial_error(e, args, log=False):

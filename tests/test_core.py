@@ -51,8 +51,8 @@ from gtlab.kernel import (
     PulledBack,
     ReindexedEvaluator,
     SplitMix64,
-    cauchy_derivative,
     circle_path,
+    laurent_coeff,
     multi_index,
     on_columns,
     polyline_path,
@@ -289,7 +289,8 @@ def _worst_first_partial_gap(e, points):
         for slot in range(e.arity):
             multi = [0] * e.arity
             multi[slot] = 1
-            want = cauchy_derivative(oracle, slot, args, 1)
+            cols = np.array([args], dtype=complex).T
+            [[[want]]] = laurent_coeff(oracle, slot, cols, kernel._radii(oracle, cols, slot), [1])
             scale = max(abs(want), abs(e.value(args)))
             worst = max(worst, abs(e.partial(args, multi) - want) / scale)
     return worst

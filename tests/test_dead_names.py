@@ -1,6 +1,9 @@
 """Every module-level function and class of the package, and every method
 of its classes, is used somewhere; evaluators override ``eval_rows``, never
-``eval_circle``, and no second circle routine exists; only ``Domain``
+``eval_circle``, and no second circle routine exists: only
+``kernel.laurent_coeff`` calls ``eval_circle``, no one-point derivative
+routine or extrapolating evaluator class is left, and a limit collision's
+first partials open no circle; only ``Domain``
 answers a per-slot ``clearance``; only ``kernel.on_columns`` asks whether a
 value is an array, so no locus keeps a branch for numbers; no evaluator
 is flagged as taking columns, since every one does; gtsys's per-pair
@@ -21,6 +24,8 @@ import importlib.util
 import tokenize
 from collections import Counter
 from pathlib import Path
+
+from gtlab import catalog, core, kernel
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "gtlab"
@@ -88,6 +93,50 @@ def test_only_the_base_evaluator_defines_eval_circle():
     owners = sorted(owner for owner, name in _method_definitions() if name == "eval_circle")
     assert owners == ["kernel.py:JetEvaluator"], owners
     assert [owner for owner, name in _method_definitions() if name == "eval_circles"] == []
+
+
+def _callers(attr: str) -> list[str]:
+    """The top-level definition or method (module:Class.method) around each
+    call of ``<something>.attr(...)`` in the package."""
+    callers = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for top in tree.body:
+            scopes = [(getattr(top, "name", "<module>"), top)]
+            if isinstance(top, ast.ClassDef):
+                scopes = [(f"{top.name}.{getattr(node, 'name', '<class>')}", node)
+                          for node in top.body]
+            callers += [f"{path.name}:{name}" for name, scope in scopes
+                        for node in ast.walk(scope) if isinstance(node, ast.Call)
+                        and isinstance(node.func, ast.Attribute) and node.func.attr == attr]
+    return callers
+
+
+def test_every_circle_is_read_through_laurent_coeff():
+    # one circle routine: declined partials, the residues of verify_pole and
+    # verify_lambda and algebroid_constants' inner rings all read their
+    # coefficients through kernel.laurent_coeff, the one caller of
+    # eval_circle; the one-point derivative and the evaluator class that
+    # extrapolated values (whose partials were circles) are gone
+    assert _callers("eval_circle") == ["kernel.py:laurent_coeff"]
+    tokens = _name_tokens([PACKAGE])
+    assert [name for name in ("cauchy_derivative", "_RichardsonLimit") if tokens[name]] == []
+
+
+def test_a_limit_collision_opens_no_circle_for_its_first_partials(monkeypatch):
+    # the limit's evaluators are formulas over benney's closed forms, so the
+    # bracket check's first partials come from the jet rule
+    opened = []
+    eval_circle = kernel.JetEvaluator.eval_circle
+
+    def counted(e, *args, **kwargs):
+        opened.append(e.label)
+        return eval_circle(e, *args, **kwargs)
+
+    monkeypatch.setattr(kernel.JetEvaluator, "eval_circle", counted)
+    rep = core.verify_bracket(core.collide_points_limit(catalog.benney(2), [[0, 1]]), 10, tol=1e-6)
+    assert rep.passed, rep.max_residual
+    assert opened == []
 
 
 def test_only_the_domain_defines_clearance():

@@ -58,7 +58,7 @@ def test_interval_integrals_match_adaptive_quadrature():
     # nodes crowd the endpoints, where p - e loses digits inside mpmath too
     a, b, c = MODULI
     es = [0.0, 1.0, a, b, c]
-    J = interval_integrals(MODULI, nodes=200)
+    J = interval_integrals(MODULI, nodes=200)[0]
     for k in range(4):
         phase = 1j ** (k - 4)
         for j in range(2):
@@ -148,7 +148,7 @@ def test_cached_rule_matches_a_fresh_rule_bit_for_bit():
         s = wt / np.sqrt(np.abs(f0 * f1 * f2))
         fresh[:, k] = [np.sum(s) / 1j ** (4 - k), np.sum(s * p) / 1j ** (4 - k)]
     interval_integrals(MODULI, 100)  # the second call reads the cache
-    assert np.array_equal(interval_integrals(MODULI, 100), fresh)
+    assert np.array_equal(interval_integrals(MODULI, 100)[0], fresh)
 
 
 def test_cached_rule_is_read_only():
@@ -218,8 +218,7 @@ def test_non_finite_modulus_fails_before_any_rule_is_built(bad, no_rules):
     # c = +inf satisfies 1 < a < b < c; without the finiteness check it ran
     # into inf * 0 and returned an all-NaN period matrix
     calls = [lambda: periods(bad, 20), lambda: rauch_check(bad, 0, nodes=20),
-             lambda: interval_integrals(bad, 20),
-             lambda: interval_integrals(bad, 20, derivatives=True)]
+             lambda: interval_integrals(bad, 20)]
     for call in calls:
         with pytest.raises(ConfigError, match="branch points must"):
             call()
@@ -266,9 +265,9 @@ def test_rauch_job_makes_one_pass_and_one_periods_call(tmp_path, monkeypatch):
     passes, calls = [], []
     interval_integrals_, periods_ = hyperell.interval_integrals, hyperell.periods
 
-    def counting_integrals(moduli, nodes, derivatives=False):
-        passes.append((nodes, derivatives))
-        return interval_integrals_(moduli, nodes, derivatives)
+    def counting_integrals(moduli, nodes):
+        passes.append(nodes)
+        return interval_integrals_(moduli, nodes)
 
     def counting_periods(*args, **kwargs):
         calls.append(args)
@@ -280,7 +279,7 @@ def test_rauch_job_makes_one_pass_and_one_periods_call(tmp_path, monkeypatch):
     cfg.write_text(json.dumps({"command": "rauch", "seed": 1, "nodes": 60,
                                "moduli": list(MODULI)}))
     assert main(["--config", str(cfg), "--out", str(tmp_path / "r.json")]) == 0
-    assert passes == [(60, True)]
+    assert passes == [60]
     assert len(calls) == 1
 
 
@@ -292,14 +291,13 @@ def _stack(count, seed):
 
 @pytest.mark.parametrize("nodes", [1, 7, 60, 200, 2000])
 def test_stacked_rows_equal_one_triple_calls_bit_for_bit(nodes):
-    # the derivative pass stacks J on the n-node rule, then J and dJ/da,
-    # dJ/db, dJ/dc on the 2n-node rule; its two J rows are the J-only pass's
-    # on each rule bit for bit
+    # the pass stacks J on the n-node rule, then J and dJ/da, dJ/db, dJ/dc
+    # on the 2n-node rule; its 2n-node J row is, bit for bit, the n-node row
+    # of the pass at 2n
     for row in _stack(13, nodes):
-        J = interval_integrals(tuple(row), nodes, derivatives=True)
+        J = interval_integrals(tuple(row), nodes)
         assert J.shape == (5, 2, 4)
-        assert np.array_equal(J[0], interval_integrals(tuple(row), nodes))
-        assert np.array_equal(J[1], interval_integrals(tuple(row), 2 * nodes))
+        assert np.array_equal(J[1], interval_integrals(tuple(row), 2 * nodes)[0])
 
 
 @pytest.mark.parametrize("nodes", [7, 60, 200])
@@ -311,7 +309,7 @@ def test_stacked_assemble_equals_per_row_assemble(nodes):
         pd = periods(tuple(row), nodes)
         Bs = []
         for n in (nodes, 2 * nodes):
-            A, Braw = hyperell._cycles(interval_integrals(tuple(row), n).tolist())
+            A, Braw = hyperell._cycles(interval_integrals(tuple(row), n)[0].tolist())
             C = hyperell._inverse(A)
             Bs.append(hyperell._product(C, Braw))
         assert np.array_equal(pd.C, C) and np.array_equal(pd.B, Bs[1])
@@ -374,10 +372,10 @@ def test_rauch_at_max_nodes_fails_on_cancelling_integrals(tmp_path, monkeypatch)
     exact, bound = _assemble(_exact_integrals(moduli))[-1], _period_error_bound(moduli, nodes)
     interval_integrals_ = hyperell.interval_integrals
 
-    def cancelling(moduli, nodes, derivatives=True):
+    def cancelling(moduli, nodes):
         # J on both rules from the five factors, the derivatives as the pass has them
         J = [_cancelling_integrals(moduli, n)[None] for n in (nodes, 2 * nodes)]
-        return np.concatenate([*J, interval_integrals_(moduli, nodes, True)[2:]])
+        return np.concatenate([*J, interval_integrals_(moduli, nodes)[2:]])
 
     def period_matrix(out):
         return np.array(json.loads(out.read_text())["extras"]["period_matrix"]) @ [1, 1j]
@@ -455,7 +453,7 @@ def _period_error_bound(moduli, nodes):
       |bc|) / |det| >= |C_jk|; LU with partial pivoting stays within 6 u;
     - each entry of C Braw is two products and a sum, 4 u |C||Braw|."""
     dJ = _integral_error_bound(moduli, nodes)
-    A, Braw, C, B = (np.abs(v) for v in _assemble(interval_integrals(moduli, nodes)))
+    A, Braw, C, B = (np.abs(v) for v in _assemble(interval_integrals(moduli, nodes)[0]))
     dA = dJ @ np.abs(V_A) + U * A
     dBraw = dJ @ np.abs(V_B) + U * Braw
     return C @ (dBraw + dA @ B) + 12 * U * C @ A @ C @ Braw + 4 * U * C @ Braw
@@ -491,7 +489,7 @@ def test_interval_integrals_sit_at_rounding(nodes, seeded_moduli):
     # mpmath oracle at 40 digits; the bound is derived from rounding alone
     for moduli, exact in seeded_moduli:
         bound = _integral_error_bound(moduli, nodes)
-        error = np.abs(interval_integrals(moduli, nodes) - exact)
+        error = np.abs(interval_integrals(moduli, nodes)[0] - exact)
         assert np.all(error <= bound + 1e-20 * np.abs(exact)), moduli
         pd = periods(moduli, nodes)
         dB, dB2 = _period_error_bound(moduli, nodes), _period_error_bound(moduli, 2 * nodes)
@@ -523,7 +521,7 @@ def _richardson(moduli, branch, nodes):
     for step in (h, -h, h / 2, -h / 2, h / 4, -h / 4):
         point = list(moduli)
         point[branch] += step
-        B[step] = _assemble(interval_integrals(point, nodes))[-1]
+        B[step] = _assemble(interval_integrals(point, nodes)[0])[-1]
         eps = max(eps, float(np.max(_period_error_bound(point, nodes))))
 
     def R(h):
@@ -581,9 +579,9 @@ def test_mutated_derivatives_fail_rauch_variation(moduli, mutant, code, tmp_path
     # and only it; the same pass without a defect passes
     interval_integrals_ = hyperell.interval_integrals
 
-    def mutated(moduli, nodes, derivatives=True):
+    def mutated(moduli, nodes):
         # the pass's J on the n-node rule, then the mutant's J and dJ on the 2n
-        return np.concatenate([interval_integrals_(moduli, nodes)[None],
+        return np.concatenate([interval_integrals_(moduli, nodes)[:1],
                                _mutated_integrals(moduli, 2 * nodes, mutant)])
 
     monkeypatch.setattr(hyperell, "interval_integrals", mutated)
@@ -650,7 +648,7 @@ def _tail_errors(periods_fn, moduli, nodes=hyperell.DEFAULT_NODES):
       3 times its entrywise bound in norm (Weyl), plus each side's own
       rounding, 8 u ||Im B||_2 for the determinant over the far root and a
       few u for eigvalsh: 16 u ||Im B||_2."""
-    J = interval_integrals(moduli, nodes, derivatives=True)
+    J = interval_integrals(moduli, nodes)
     pd = periods_fn(moduli, nodes)
     A, Braw, _, _ = _assemble(J)
     C = np.linalg.inv(A[1])
@@ -727,8 +725,8 @@ def _patched_job(tmp_path, monkeypatch, patch):
     """A rauch job whose pass is ``patch``ed in place: (exit code, report)."""
     interval_integrals_ = hyperell.interval_integrals
 
-    def patched(moduli, nodes, derivatives=True):
-        J = interval_integrals_(moduli, nodes, derivatives)
+    def patched(moduli, nodes):
+        J = interval_integrals_(moduli, nodes)
         patch(J)
         return J
 

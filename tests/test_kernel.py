@@ -28,7 +28,6 @@ from gtlab.kernel import (
     PulledBack,
     ReindexedEvaluator,
     SplitMix64,
-    cauchy_derivative,
     circle_path,
     lattice_distance,
     laurent_coeff,
@@ -389,9 +388,9 @@ def test_a_non_finite_argument_is_refused_before_any_circle(bad):
     e = JetEvaluator(2, lambda p, q: 1.0 / (p - q), domain=Domain((Diagonal(0, 1),)))
     message = rf"^non-finite complex value {re.escape(repr(bad))}$"
     with pytest.raises(DomainViolation, match=message):
-        cauchy_derivative(e, 0, (bad, 1.0), 1)
+        laurent_coeff(e, 0, _column_of_one((bad, 1.0)), [0.1], [1])
     with pytest.raises(DomainViolation, match=message):
-        laurent_coeff(e, 0, (0.5, bad), 0.5, -1, 0.1)
+        laurent_coeff(e, 0, (COLUMN_P, np.where(COLUMN_P == 0.7, bad, COLUMN_Q)), [0.1] * 4, [-1])
     with pytest.raises(DomainViolation, match=message):
         path_integrate(e, 0, (0.5, bad), polyline_path([0, 1]))
 
@@ -484,27 +483,6 @@ def test_partial_fn_gets_the_request_as_asked_the_value_included():
     assert seen == [request, request]
 
 
-def test_cauchy_derivative_rejects_a_negative_order():
-    with pytest.raises(ValueError, match="^order must be >= 0$"):
-        cauchy_derivative(_rational(), 0, (0.0,), -1)
-
-
-def test_cauchy_derivative_rejects_disc_through_pole():
-    with pytest.raises(DomainViolation):
-        cauchy_derivative(_rational(), 0, (2.0 + 1e-12,), 1, radius=0.5)
-
-
-def test_cauchy_derivative_node_doubling_flags_noise():
-    # an integrand that is rough along the circle cannot converge under
-    # node doubling
-    e = JetEvaluator(
-        1, lambda p: (np.round(p.real * 1e6) * 7919.0 % 997.0 / 997.0).astype(complex),
-        domain=Domain(),
-    )
-    with pytest.raises(NonConvergence):
-        cauchy_derivative(e, 0, (0.7 + 0.2j,), 1, radius=0.3, tol=1e-10)
-
-
 @pytest.mark.parametrize("p1", [math.nan, math.inf])
 def test_circle_at_a_non_finite_point_fails_closed(p1):
     # the clearance there is NaN or inf; neither is a circle to sample on
@@ -572,8 +550,9 @@ def test_an_undeclared_singularity_on_one_circle_names_that_circle(where):
 
 def test_declined_partials_on_columns_agree_with_cauchy_derivative():
     # first and second partials in either slot, and the mixed one, read from
-    # the circles of all four points at once, against one cauchy_derivative
-    # circle per point (the same radius and nodes) and the closed form
+    # the circles of all four points at once, against k! times one
+    # laurent_coeff circle per point (the same radius and nodes) and the
+    # closed form
     e = _value_only_pole()
     multis = [(1, 0), (0, 1), (2, 0), (0, 2), (1, 1)]
     table = e.partials((COLUMN_P, COLUMN_Q), multis)
@@ -584,7 +563,7 @@ def test_declined_partials_on_columns_agree_with_cauchy_derivative():
             exact = (-1) ** multi[0] * math.factorial(sum(multi)) / d ** (sum(multi) + 1)
             if 0 in multi:
                 slot = multi.index(max(multi))
-                want = cauchy_derivative(e, slot, args, multi[slot])
+                want = _circle_derivative(e, slot, args, multi[slot])
                 assert abs(row[n] - want) <= 1e-13 * abs(want), (n, multi)
             assert row[n] == pytest.approx(exact, rel=1e-9), (n, multi)
 
@@ -632,22 +611,25 @@ def test_a_radius_on_a_declared_locus_is_refused():
     with pytest.raises(DomainViolation, match=r"^argument 0 of 1/\(p-2\) sits on a declared "
                                               r"singular locus at point 0 of 1 \(clearance 0\.0\)$"):
         _rational().partial((2.0,), (1,))
-    with pytest.raises(DomainViolation, match="sits on a declared singular locus at point 0 of 1"):
-        cauchy_derivative(_rational(), 0, (2.0,), 1)
-
-
-def test_an_order_zero_cauchy_derivative_is_the_value():
-    # without a node-doubling check the value opens no circle; with one it
-    # is the circle's mean, the same number to quadrature accuracy
-    e = _rational()
-    assert cauchy_derivative(e, 0, (0.5,), 0) == e.value((0.5,)) == 1.0 / (0.5 - 2.0)
-    assert cauchy_derivative(e, 0, (0.5,), 0, tol=1e-12) == pytest.approx(1.0 / (0.5 - 2.0),
-                                                                         rel=1e-13)
 
 
 def test_laurent_coeff_recovers_residue():
-    res = laurent_coeff(_rational(), 0, (0.0,), 2.0, -1, radius=0.3)
-    assert res == pytest.approx(1.0, rel=1e-10)
+    # the residue of 1/(p - 2) and its vanishing orders -2 and 0, about the
+    # pole in a column of one, and about three centres at once: the pole and
+    # two points off it, where the residue vanishes
+    [[res, c_m2, c_0]] = laurent_coeff(_rational(), 0, [np.array([2.0 + 0j])], [0.3], [-1, -2, 0])
+    assert res[0] == pytest.approx(1.0, rel=1e-10)
+    assert abs(c_m2[0]) < 1e-12 and abs(c_0[0]) < 1e-12
+    [[res]] = laurent_coeff(_rational(), 0, [np.array([2.0, 0.5, -1.0 + 1j])], [0.3] * 3, [-1])
+    assert res == pytest.approx([1.0, 0.0, 0.0], abs=1e-10)
+
+
+def _circle_derivative(e, slot, args, order):
+    """The order-th derivative in one slot at a point: order! times its
+    Taylor coefficient on the circle a declined partial takes there."""
+    cols = _column_of_one(args)
+    [[coeff]] = laurent_coeff(e, slot, cols, kernel._radii(e, cols, slot), [order])
+    return coeff[0] * math.factorial(order)
 
 
 # ---------------------------------------------------------------------------
