@@ -137,8 +137,8 @@ KEYS = {
     "index": Key(_count, {"reconstruct": 0}),
     "moduli": Key(_moduli, {"rauch": [1.5, 2.9, 4.1]}),
     "nodes": Key(_positive_int, {"rauch": hyperell.DEFAULT_NODES},
-                 (hyperell.MAX_NODES, "Gauss nodes; a job builds an n- and a 2n-node rule "
-                                      "and sums over both in one pass")),
+                 (hyperell.MAX_NODES, "the cap on Gauss nodes; a pass at n builds an n- and a "
+                                      "2n-node rule, and a job doubles n only to the cap")),
     "branch": Key(_count, {"rauch": None}),  # None: every branch point
 }
 TAKES = {command: {key: row for key, row in KEYS.items() if command in row.defaults}
@@ -328,8 +328,12 @@ def _cmd_rauch(cfg):
     branches = [0, 1, 2] if cfg["branch"] is None else [cfg["branch"]]
     pd, checks = hyperell.rauch(moduli, branches, nodes=cfg["nodes"])
     reports = [
-        _make_report("period_symmetry", [pd.symmetry_error], 1e-8, seed,
-                     moduli=list(moduli), convergence_error=pd.convergence_error),
+        # B on the n and the 2n nodes of the last pass, within their rounding bound
+        _make_report("period_convergence", [pd.convergence_error], pd.convergence_tol, seed,
+                     predicted_nodes=pd.predicted_nodes, nodes=pd.nodes, passes=pd.passes,
+                     gap=pd.gap),
+        _make_report("period_symmetry", [pd.symmetry_error], pd.symmetry_tol, seed,
+                     moduli=list(moduli)),
         _make_report("period_positivity", [pd.nonpositive], 0.5, seed,
                      min_eigenvalue=pd.min_eigenvalue),
     ]

@@ -26,11 +26,20 @@ so the derivatives of J in (a, b, c) are Gauss sums on the same rule of the
 integrand's derivative, s d ln s (plus s dp for p^1), with
 d ln s = -1/2 sum_o (dp - [e = e_o]) / (p - e_o) over the other three, and
 dB = C (dBraw - dA B).  ``interval_integrals`` runs the four gaps as the rows
-of one array pass over the n-node and the 2n-node rule side by side, so a
-whole ``rauch`` job is one pass: J on the n nodes, which node doubling
-reads, and J and its derivatives on the 2n.  The 2x2 algebra after it is
-Python arithmetic on complex scalars, since a numpy or LAPACK call on a 2x2
-costs far more than its flops.
+of one array pass over the n-node and the 2n-node rule side by side: J on
+the n nodes, J and its derivatives on the 2n, and a first-order rounding
+bound on each J.  The 2x2 algebra after it is Python arithmetic on complex
+scalars, since a numpy or LAPACK call on a 2x2 costs far more than its flops.
+
+The node count comes from the curve.  In x = 2 theta / pi a gap's integrand
+is analytic inside the Bernstein ellipse through its nearest other branch
+point, so Gauss-Legendre's error falls like rho^(-2n) (Trefethen,
+"Approximation Theory and Approximation Practice", ch. 19), and
+``periods`` starts at n = ln(1e16) / (2 ln rho) for the slowest gap, rounded
+up to a multiple of 8 and at least 24, with ``nodes`` the cap.  B on the n
+nodes and B on the 2n must agree within their rounding bounds, carried
+through the 2x2 algebra; where they do not, n doubles up to the cap.  On
+every curve the tests draw, near collisions too, the first pass agrees.
 """
 
 from __future__ import annotations
@@ -44,9 +53,10 @@ import numpy as np
 
 from . import kernel
 from .core import worst_residual
-from .errors import ConfigError, NonConvergence
+from .errors import ConfigError
 
 PHASES = np.array([1, 1j, -1, -1j])  # 1/q's phase 1/i^(4-k) on the k-th gap
+_ROW_PHASES = np.array([PHASES] * 5 + [np.ones(4)] * 2)[:, None]  # J's rows, then their bounds
 # the three other branch points of each gap (e_k, e_{k+1})
 _OTHERS = [[o for o in range(5) if o not in (k, k + 1)] for k in range(4)]
 
@@ -70,13 +80,24 @@ def _derivative_map() -> np.ndarray:
 
 _DERIVATIVES = _derivative_map()
 
-DEFAULT_NODES = 200
-# a rauch job builds an n- and a 2n-node rule (kernel.gauss_legendre, O(n^2)
-# array work) and sums over both in one pass, the 2n-node rule with the
-# derivatives: at n = MAX_NODES 7.9-8.7 ms for the rules and 0.33-0.37 ms for
-# the pass and the 2x2 algebra (``rauch``, rules cached) on a 2-vCPU host
-# (Python 3.11, numpy 2.4); the bound keeps a job small.
+DEFAULT_NODES = 200  # the cap on a job's node count
+MIN_NODES = 24  # kernel.gauss_legendre takes one recurrence pass from 24 nodes
+# a pass at n builds an n- and a 2n-node rule (kernel.gauss_legendre, O(n^2)
+# array work) and sums over both; a job starts at the count its curve calls
+# for (24 on the benchmark's curves, 80 to 104 with two branch points 1.1e-3
+# apart) and doubles only up to the cap.  At n = MAX_NODES: 9.5-12.7 ms for
+# the rules, and 0.9-1.2 ms for the pass, its rounding bound and the 2x2
+# algebra (``rauch``, rules cached); a ladder from 24 to 1000 that never
+# agrees, 7 passes with their rules, 25-35 ms; on a 2-vCPU host (Python 3.11,
+# numpy 2.4).  The bound keeps a job small.
 MAX_NODES = 1000
+_LN_1E16 = math.log(1e16)
+
+_U = 2.0**-53  # unit roundoff
+_NODE_ERROR = 2e-16  # |x - root| of kernel.gauss_legendre, pinned in tests/test_kernel.py
+# |d sin theta| at any node: theta = pi/2 x is off by pi/2 |dx| and 2 u |theta|
+# (cos theta <= 1, |theta| <= pi/2), and sin rounds by one ulp
+_D_SIN = 0.5 * math.pi * _NODE_ERROR + math.pi * _U + 2 * _U
 
 
 def _validate_moduli(moduli) -> tuple[float, float, float]:
@@ -98,20 +119,49 @@ def _check_nodes(nodes) -> None:
         raise ConfigError(f"nodes must be in 1..{MAX_NODES}, got {nodes}")
 
 
-@functools.lru_cache(maxsize=4)
-def _theta_rule(nodes: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _predicted_nodes(moduli) -> float:
+    """n = ln(1e16) / (2 ln rho) for the slowest gap, where Gauss's error
+    rho^(-2n) reaches 1e-16.  In x = 2 theta / pi the gap's nearest other
+    branch point, always a neighbour, sits at x = 1 + i y, y = (2/pi) acosh
+    t, t its distance from the gap's middle in half widths, and the
+    Bernstein ellipse through it has ln rho = acosh((|x - 1| + |x + 1|) / 2),
+    which grows with t.  A branch point that rounds onto a gap's end gives
+    rho = 1 and inf, and no value raises."""
+    es = (-math.inf, 0.0, 1.0, *moduli, math.inf)
+    t = min(min(lo + hi - 2 * left, 2 * right - lo - hi) / (hi - lo)
+            for left, lo, hi, right in zip(es, es[1:], es[2:], es[3:]))
+    y = 2 / math.pi * math.acosh(max(t, 1.0))
+    log_rho = math.acosh(0.5 * (y + math.hypot(2.0, y)))
+    return _LN_1E16 / (2 * log_rho) if log_rho else math.inf
+
+
+@functools.lru_cache(maxsize=8)
+def _theta_rule(nodes: int) -> tuple[np.ndarray, ...]:
     """(sin theta, weight) of ``kernel.gauss_legendre``'s n-node rule and then
-    its 2n-node rule, 3n nodes, mapped to theta in [-pi/2, pi/2], and on the
+    its 2n-node rule, 3n nodes, mapped to theta in [-pi/2, pi/2]; on the
     2n-node rule's nodes the columns (1, dp), 2n x 3, with dp = ((1 - sin
     theta)/2, (1 + sin theta)/2) how p = mid + half sin theta moves with the
-    gap's two ends; read-only, and built once per node count, so a rauch job
-    builds each rule once."""
-    x, w = map(np.concatenate, zip(kernel.gauss_legendre(nodes),
-                                   kernel.gauss_legendre(2 * nodes)))
+    gap's two ends; and the columns 3n x 4 of each rule's nodes (1 on them)
+    and of a term's relative rounding on each rule (``interval_integrals``).
+    Read-only, and built once per node count, so a rauch job builds each
+    rule once."""
+    rules = kernel.gauss_legendre(nodes), kernel.gauss_legendre(2 * nodes)
+    x, w = map(np.concatenate, zip(*rules))
     sin_th = np.sin(0.5 * math.pi * x)
-    fine = sin_th[nodes:]
-    rule = (sin_th, 0.5 * math.pi * w,
-            np.stack([np.ones_like(fine), 0.5 - 0.5 * fine, 0.5 + 0.5 * fine], -1))
+    coarse = np.arange(3 * nodes) < nodes
+    fine = ~coarse
+    # the weight: a node dx off its root moves it by 2|x| dx / (1 - x^2), the
+    # roundings of 1 - x^2 by 3 u / (1 - x^2), the recurrence by 2 m u (m the
+    # rule's nodes) and its five operations and pi/2 by 6 u; the three factors
+    # p - e, their product, sqrt and the quotient 5.5 u, p^1 u more; numpy's
+    # pairwise sum 26 u in a block of 128 and u per halving above it
+    m = np.where(coarse, nodes, 2 * nodes)
+    term = ((2 * np.abs(x) * _NODE_ERROR + 3 * _U) / (1 - x * x)
+            + (2 * m + 6 + 6.5 + 26 + np.ceil(np.log2(m))) * _U)
+    on_fine = sin_th[nodes:]
+    dots = np.stack([np.ones_like(on_fine), 0.5 - 0.5 * on_fine, 0.5 + 0.5 * on_fine], -1)
+    cols = np.stack([coarse, fine, coarse * term, fine * term], -1)
+    rule = (sin_th, 0.5 * math.pi * w, dots, cols)
     for arr in rule:
         arr.flags.writeable = False
     return rule
@@ -119,11 +169,13 @@ def _theta_rule(nodes: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def interval_integrals(moduli, nodes: int = DEFAULT_NODES) -> np.ndarray:
     """J[j, k] = integral of p^j dp / q over the k-th gap, (2, 4), for the
-    triple (a, b, c), validated before the rule is read, stacked (5, 2, 4):
+    triple (a, b, c), validated before the rule is read, stacked (7, 2, 4):
     J on the n-node rule, then J and dJ/da, dJ/db, dJ/dc on the 2n-node
-    rule.  The four gaps are the rows of one (4, 3n) pass over both rules."""
+    rule, then a first-order bound on |J - exact| from rounding alone on
+    each rule (real).  The four gaps are the rows of one (4, 3n) pass over
+    both rules."""
     es = (0.0, 1.0, *_validate_moduli(moduli))
-    sin_th, wt, dots = _theta_rule(nodes)
+    sin_th, wt, dots, cols = _theta_rule(nodes)
     # per gap: its middle and half width, then its three other branch points
     gap = np.array([[0.5 * (es[k] + es[k + 1]), 0.5 * (es[k + 1] - es[k]),
                      *(es[o] for o in _OTHERS[k])] for k in range(4)]).T[..., None]
@@ -139,11 +191,23 @@ def interval_integrals(moduli, nodes: int = DEFAULT_NODES) -> np.ndarray:
         # products with the (1, dp) columns, not pairwise sums: dB = C (dBraw
         # - dA B) can cancel a hundredfold, and they keep the worst rauch
         # residual about 3x lower
-        s = s[:, nodes:]
-        ds = s / f[..., nodes:]  # 2 ds/de_o
-        sums = np.concatenate([ds @ dots, (ds * p[:, nodes:]) @ dots, (s @ dots)[None]])
+        ds = s / f  # 2 ds/de_o
+        terms = np.concatenate([ds, ds * p, sp.reshape(2, 4, -1)])  # (8, 4, 3n)
+        # on the 2n nodes alone: a product over all 3n with zeros on the n
+        # read the worst rauch residual of seeds 101-110 at 7.6e-14, not 3.2e-14
+        sums = terms[:7, :, nodes:] @ dots
+        bound = terms @ cols
+        # rounding: a term's own error (the last two columns), and p's error
+        # dp, at most half |d sin theta| + 4 u c, which moves each factor p - e_o
+        # by dp / |p - e_o| relative, half of it through the square root, and
+        # the p^1 term by dp; p - e_o keeps one sign on the gap, so the sums
+        # of s / |p - e_o| are those of the derivatives, on each rule
+        dp = gap[1, :, 0, None] * _D_SIN + 4 * _U * es[-1]
+        err = bound[6:, :, 2:] + 0.5 * dp * np.abs(bound[:6, :, :2]).reshape(2, 3, 4, 2).sum(1)
+        err[1] += dp * bound[6, :, :2]
     dJ = _DERIVATIVES @ sums.transpose(1, 0, 2).reshape(4, 21, 1)
-    return np.concatenate([J, J2, dJ.reshape(4, 3, 2).transpose(1, 2, 0)]) * PHASES
+    return np.concatenate([J, J2, dJ.reshape(4, 3, 2).transpose(1, 2, 0),
+                           err.transpose(2, 0, 1)]) * _ROW_PHASES
 
 
 @dataclass(frozen=True)
@@ -153,8 +217,14 @@ class PeriodData:
     B: np.ndarray  # normalized period matrix, 2x2
     dB: np.ndarray  # dB/da, dB/db, dB/dc, 3x2x2
     symmetry_error: float
+    symmetry_tol: float  # the rounding bound on |B_12 - B_21|
     im_eigenvalues: tuple[float, float]
-    convergence_error: float
+    convergence_error: float  # the largest |B_n - B_2n| of the last pass
+    convergence_tol: float  # its rounding bound
+    predicted_nodes: float  # the count the slowest gap calls for, inf where none
+    nodes: int  # n of the last pass, which sums at n and 2n
+    passes: int
+    gap: tuple[float, float] | None  # unconverged: the gap whose J moved most past its bound
 
     @property
     def nonpositive(self) -> int:
@@ -210,26 +280,74 @@ def _im_eigenvalues(B) -> tuple[float, float]:
     return (near, far) if near <= far else (far, near)
 
 
-def periods(moduli, nodes: int = DEFAULT_NODES,
-            check_tol: float | None = None) -> PeriodData:
+def _tolerances(A, Braw, C, B, err_n, err) -> tuple[float, float]:
+    """(the convergence and the symmetry tolerance): first-order bounds on
+    the largest |B_n - B| and on |B_12 - B_21| from the bounds err_n and err
+    on |J - exact| on the two rules.  Entrywise, each B is within
+    |C| (dBraw + dA |B|) + 12 u |C||A||C||Braw| + 4 u |C||Braw| of the exact
+    one, with dA = err V_A + u |A| and dBraw = err V_B + u |Braw| (one
+    rounded addition); the adjugate rounds C by at most 12 u |C||A||C| and
+    C Braw adds 4 u |C||Braw|.  That is |C| (err V_B + (err V_A) |B| + u Q),
+    Q = 5 |Braw| + |A| (|B| + 12 |C||Braw|), and the two rules' bounds add
+    as their errs do.  The 2n-node rule's C and B stand in for the n-node
+    rule's, which differ by its truncation."""
+    aC, aA, aBraw, aB = ([[abs(x), abs(y)] for x, y in M] for M in (C, A, Braw, B))
+    Q = _product(aA, [[x + 12 * y for x, y in zip(*rows)]
+                      for rows in zip(aB, _product(aC, aBraw))])
+    (b00, b01), (b10, b11) = aB
+
+    def carried(e, k):  # |C| (e V_B + (e V_A) |B| + k Q), k = u per rule
+        return _product(aC, [[2 * (e1 + e3 + e0 * b00 + e2 * b10) + k * (5 * r0 + q0),
+                              2 * (e3 + e0 * b01 + e2 * b11) + k * (5 * r1 + q1)]
+                             for (e0, e1, e2, e3), (r0, r1), (q0, q1) in zip(e, aBraw, Q)])
+
+    both = carried([[x + y for x, y in zip(*rows)] for rows in zip(err_n, err)], 2 * _U)
+    fine = carried(err, _U)
+    return max(max(row) for row in both), fine[0][1] + fine[1][0]
+
+
+def _ladder(predicted: float, cap: int):
+    """The node counts ``periods`` tries in turn: the predicted count rounded
+    up to a multiple of 8 and at least ``MIN_NODES``, so that every rule
+    takes one recurrence pass and few sizes recur, then doubled, all at most
+    ``cap``, which ends the ladder."""
+    n = min(cap, max(MIN_NODES, 8 * math.ceil(predicted / 8))) if predicted < cap else cap
+    while n < cap:
+        yield n
+        n = min(2 * n, cap)
+    yield cap
+
+
+def periods(moduli, nodes: int = DEFAULT_NODES) -> PeriodData:
     """Normalized period matrix of the curve and its derivatives in (a, b,
-    c), dB = C (dBraw - dA B), on the 2n-node rule of one pass, whose n-node
-    rule estimates the quadrature error by node doubling.  A singular
-    a-period matrix raises ZeroDivisionError."""
+    c), dB = C (dBraw - dA B), on the 2n-node rule of one pass.  n climbs
+    ``_ladder`` from the count the slowest gap calls for to the cap
+    ``nodes`` while B on the n nodes and B on the 2n differ by their
+    rounding bound or more; the last pass is reported, converged or not.  A
+    singular a-period matrix raises ZeroDivisionError."""
     _check_nodes(nodes)
     moduli = _validate_moduli(moduli)
-    J_n, J, *dJ = interval_integrals(moduli, nodes).tolist()
-    A, Braw = _cycles(J)
-    C = _inverse(A)
-    B = _product(C, Braw)
-    A_n, Braw_n = _cycles(J_n)
-    B_n = _product(_inverse(A_n), Braw_n)
-    conv = worst_residual([abs(x - y) for row_n, row in zip(B_n, B)
-                           for x, y in zip(row_n, row)])
-    if check_tol is not None and conv > check_tol:
-        raise NonConvergence(
-            f"period matrix changed by {conv:.3e} under node doubling"
-        )
+    predicted = _predicted_nodes(moduli)
+    for passes, n in enumerate(_ladder(predicted, nodes), 1):
+        stack = interval_integrals(moduli, n)
+        J_n, J, *dJ = stack[:5].tolist()
+        err_n, err = stack[5:].real.tolist()
+        A, Braw = _cycles(J)
+        C = _inverse(A)
+        B = _product(C, Braw)
+        A_n, Braw_n = _cycles(J_n)
+        B_n = _product(_inverse(A_n), Braw_n)
+        conv = worst_residual([abs(x - y) for row_n, row in zip(B_n, B)
+                               for x, y in zip(row_n, row)])
+        conv_tol, sym_tol = _tolerances(A, Braw, C, B, err_n, err)
+        if not conv >= conv_tol:  # a NaN difference does not double
+            break
+    gap = None
+    if not conv < conv_tol:
+        es = (0.0, 1.0, *moduli)
+        k = max(range(4), key=lambda k: max(abs(J_n[j][k] - J[j][k]) / (err_n[j][k] + err[j][k])
+                                            for j in (0, 1)))
+        gap = es[k], es[k + 1]
     dB = []
     for dJ_e in dJ:
         dA, dBraw = _cycles(dJ_e)
@@ -242,8 +360,14 @@ def periods(moduli, nodes: int = DEFAULT_NODES,
         B=arrays[1],
         dB=arrays[2:],
         symmetry_error=abs(B[0][1] - B[1][0]),
+        symmetry_tol=sym_tol,
         im_eigenvalues=_im_eigenvalues(B),
         convergence_error=conv,
+        convergence_tol=conv_tol,
+        predicted_nodes=predicted,
+        nodes=n,
+        passes=passes,
+        gap=gap,
     )
 
 

@@ -20,7 +20,7 @@ import pytest
 
 from gtlab import cli, hyperell, kernel
 from gtlab.cli import main
-from gtlab.errors import ConfigError, NonConvergence
+from gtlab.errors import ConfigError
 from gtlab.hyperell import (
     PeriodData,
     interval_integrals,
@@ -95,15 +95,20 @@ def test_positivity_counts_every_eigenvalue_not_above_0(eigenvalues, nonpositive
 
 
 def test_period_matrix_converges_under_node_doubling():
-    pd = periods(MODULI, nodes=100, check_tol=1e-8)
-    assert pd.convergence_error < 1e-8
+    # the curve calls for 19.1 nodes: one pass at 24 and 48 agrees within
+    # its rounding bound, under the cap of 100
+    pd = periods(MODULI, nodes=100)
+    assert (pd.nodes, pd.passes) == (24, 1)
+    assert pd.convergence_error < pd.convergence_tol < 1e-12
 
 
 def test_period_matrix_refuses_an_unconverged_rule():
     # 4 against 8 nodes cannot resolve the periods: node doubling moves B
-    # by far more than the tolerance, and periods raises instead of returning
-    with pytest.raises(NonConvergence, match="under node doubling"):
-        periods(MODULI, nodes=4, check_tol=1e-8)
+    # by far more than its rounding bound, and a cap of 4 leaves no doubling
+    pd = periods(MODULI, nodes=4)
+    assert (pd.nodes, pd.passes) == (4, 1)
+    assert pd.convergence_error > 1e6 * pd.convergence_tol
+    assert pd.gap is not None
 
 
 def test_rauch_prediction_is_symmetric():
@@ -159,8 +164,8 @@ def test_cached_rule_is_read_only():
 
 
 def test_rauch_job_builds_each_rule_once(tmp_path, monkeypatch):
-    # one job uses an n- and a 2n-node rule; every other periods call and
-    # every stencil point must reuse them
+    # one job under a cap of 60 sums at the 24 nodes the curve calls for: it
+    # builds the 24- and the 48-node rule once, and nothing else
     builds = []
     gauss_legendre = kernel.gauss_legendre
 
@@ -174,7 +179,7 @@ def test_rauch_job_builds_each_rule_once(tmp_path, monkeypatch):
     cfg.write_text(json.dumps({"command": "rauch", "seed": 1, "nodes": 60,
                                "moduli": list(MODULI)}))
     assert main(["--config", str(cfg), "--out", str(tmp_path / "r.json")]) == 0
-    assert sorted(builds) == [60, 120]
+    assert sorted(builds) == [24, 48]
 
 
 @pytest.fixture
@@ -260,8 +265,9 @@ def test_a_config_with_delta_exits_2_naming_the_key(tmp_path, capsys, no_rules):
 
 
 def test_rauch_job_makes_one_pass_and_one_periods_call(tmp_path, monkeypatch):
-    # one pass over the n- and the 2n-node rule gives J on the n nodes for
-    # node doubling, and J and its derivatives in (a, b, c) on the 2n
+    # one pass over the n- and the 2n-node rule, at the curve's 24 nodes under
+    # the cap of 60, gives J on the n nodes for node doubling, and J and its
+    # derivatives in (a, b, c) on the 2n, which agree: no second pass
     passes, calls = [], []
     interval_integrals_, periods_ = hyperell.interval_integrals, hyperell.periods
 
@@ -279,7 +285,7 @@ def test_rauch_job_makes_one_pass_and_one_periods_call(tmp_path, monkeypatch):
     cfg.write_text(json.dumps({"command": "rauch", "seed": 1, "nodes": 60,
                                "moduli": list(MODULI)}))
     assert main(["--config", str(cfg), "--out", str(tmp_path / "r.json")]) == 0
-    assert passes == [60]
+    assert passes == [24]
     assert len(calls) == 1
 
 
@@ -292,23 +298,26 @@ def _stack(count, seed):
 @pytest.mark.parametrize("nodes", [1, 7, 60, 200, 2000])
 def test_stacked_rows_equal_one_triple_calls_bit_for_bit(nodes):
     # the pass stacks J on the n-node rule, then J and dJ/da, dJ/db, dJ/dc
-    # on the 2n-node rule; its 2n-node J row is, bit for bit, the n-node row
-    # of the pass at 2n
+    # on the 2n-node rule, then the rounding bounds of the two J rows; its
+    # 2n-node J row is, bit for bit, the n-node row of the pass at 2n
     for row in _stack(13, nodes):
         J = interval_integrals(tuple(row), nodes)
-        assert J.shape == (5, 2, 4)
+        assert J.shape == (7, 2, 4)
         assert np.array_equal(J[1], interval_integrals(tuple(row), 2 * nodes)[0])
+        assert np.all(J[5:].imag == 0) and np.all(J[5:].real > 0)
 
 
 @pytest.mark.parametrize("nodes", [7, 60, 200])
 def test_stacked_assemble_equals_per_row_assemble(nodes):
     # periods assembles C and B from the 2n-node rows of its one stacked
-    # pass, and node doubling's B from its n-node rows, bit for bit as from
-    # a J-only pass on each rule alone
+    # pass, at the curve's node count under the cap (the cap of 7 itself),
+    # and node doubling's B from its n-node rows, bit for bit as from a
+    # J-only pass on each rule alone
     for row in _stack(9, 100 + nodes):
         pd = periods(tuple(row), nodes)
+        assert (pd.nodes, pd.passes) == (min(nodes, 24), 1)
         Bs = []
-        for n in (nodes, 2 * nodes):
+        for n in (pd.nodes, 2 * pd.nodes):
             A, Braw = hyperell._cycles(interval_integrals(tuple(row), n)[0].tolist())
             C = hyperell._inverse(A)
             Bs.append(hyperell._product(C, Braw))
@@ -357,17 +366,27 @@ RAUCH_AT_MAX_NODES = {"command": "rauch", "seed": 1, "nodes": 1000,
                       "moduli": [1.9142, 3.3547, 3.8277]}
 
 
-def test_rauch_at_max_nodes_passes(tmp_path):
-    # at MAX_NODES, forming the gap's own endpoint factors p - e makes this
-    # job read 1.10e-4 against 1e-4 at branch b (the counter-test below)
+@pytest.fixture
+def at_the_cap(monkeypatch):
+    """Every job sums at its cap: the curve calls for no node count."""
+    monkeypatch.setattr(hyperell, "_predicted_nodes", lambda moduli: math.inf)
+
+
+def test_rauch_at_max_nodes_passes(tmp_path, at_the_cap):
+    # this curve calls for 24 nodes; summed at MAX_NODES instead, forming the
+    # gap's own endpoint factors p - e makes this job read 1.10e-4 against
+    # 1e-4 at branch b (the counter-test below), and three factors pass
     out = tmp_path / "r.json"
     assert cli.run(dict(RAUCH_AT_MAX_NODES), str(out)) == 0
+    convergence = json.loads(out.read_text())["reports"][0]
+    assert convergence["identity"] == "period_convergence"
+    assert (convergence["params"]["nodes"], convergence["params"]["passes"]) == (1000, 1)
 
 
-def test_rauch_at_max_nodes_fails_on_cancelling_integrals(tmp_path, monkeypatch):
-    # counter-test: the same job with J on the quintic's five factors reports a
-    # period matrix outside the rounding bound of the 40-digit one, which the
-    # job on three factors sits inside
+def test_rauch_at_max_nodes_fails_on_cancelling_integrals(tmp_path, monkeypatch, at_the_cap):
+    # counter-test: the same job at MAX_NODES with J on the quintic's five
+    # factors reports a period matrix outside the rounding bound of the
+    # 40-digit one, which the job on three factors sits inside
     moduli, nodes = tuple(RAUCH_AT_MAX_NODES["moduli"]), 2 * RAUCH_AT_MAX_NODES["nodes"]
     exact, bound = _assemble(_exact_integrals(moduli))[-1], _period_error_bound(moduli, nodes)
     interval_integrals_ = hyperell.interval_integrals
@@ -397,7 +416,7 @@ def _rule(nodes):
     return kernel.gauss_legendre(nodes)
 
 
-def _integral_error_bound(moduli, nodes):
+def _integral_error_bound(moduli, nodes, exact=True):
     """First-order bound (2, 4) on |interval_integrals - exact|, summed node
     by node from the rounding of each step.  Every term of a gap's sum has
     one sign, so relative term errors add up to the sum's.
@@ -417,7 +436,11 @@ def _integral_error_bound(moduli, nodes):
       above it.
     - Truncation: the integrand is analytic in the Bernstein ellipse that
       reaches the nearest other branch point, so the rule converges like
-      rho^(-2n); asserted below 1e-40, far under rounding."""
+      rho^(-2n); asserted below 1e-40, far under rounding, where the bound
+      is held against the exact integrals (``exact``).  Against the module's
+      own rounding bound (``exact=False``) it is left out: two rules' B then
+      agree within their rounding bounds only where truncation is below
+      them, which is what node doubling tests."""
     x, w = _rule(nodes)
     th = 0.5 * math.pi * x
     sin_th = np.sin(th)
@@ -432,7 +455,7 @@ def _integral_error_bound(moduli, nodes):
         nearest = min(abs(e - mid) for e in others) / half
         z = 1 + 2j / math.pi * math.acosh(nearest)
         rho = max(abs(z + np.sqrt(z * z - 1)), abs(z - np.sqrt(z * z - 1)))
-        assert rho ** (-2 * nodes) < 1e-40
+        assert not exact or rho ** (-2 * nodes) < 1e-40
         p = mid + half * sin_th
         dp = half * d_sin + 4 * U * es[-1]
         t = 0.5 * math.pi * w / np.sqrt(np.abs(np.prod([p - e for e in others], axis=0)))
@@ -442,7 +465,7 @@ def _integral_error_bound(moduli, nodes):
     return bound
 
 
-def _period_error_bound(moduli, nodes):
+def _period_error_bound(moduli, nodes, exact=True):
     """First-order bound on |B - exact| entrywise, for the module's B and for
     ``_assemble``'s: J's bound through A = J V_A and Braw = J V_B (one rounded
     addition), then C = A^-1 and B = C Braw.  A complex product rounds by at
@@ -452,7 +475,7 @@ def _period_error_bound(moduli, nodes):
       12 u |C||A||C| entrywise, since (|C||A||C|)_jk >= |C_jk| (|ad| +
       |bc|) / |det| >= |C_jk|; LU with partial pivoting stays within 6 u;
     - each entry of C Braw is two products and a sum, 4 u |C||Braw|."""
-    dJ = _integral_error_bound(moduli, nodes)
+    dJ = _integral_error_bound(moduli, nodes, exact)
     A, Braw, C, B = (np.abs(v) for v in _assemble(interval_integrals(moduli, nodes)[0]))
     dA = dJ @ np.abs(V_A) + U * A
     dBraw = dJ @ np.abs(V_B) + U * Braw
@@ -491,8 +514,8 @@ def test_interval_integrals_sit_at_rounding(nodes, seeded_moduli):
         bound = _integral_error_bound(moduli, nodes)
         error = np.abs(interval_integrals(moduli, nodes)[0] - exact)
         assert np.all(error <= bound + 1e-20 * np.abs(exact)), moduli
-        pd = periods(moduli, nodes)
-        dB, dB2 = _period_error_bound(moduli, nodes), _period_error_bound(moduli, 2 * nodes)
+        pd = periods(moduli, nodes)  # at the curve's node count under the cap
+        dB, dB2 = (_period_error_bound(moduli, n, exact=False) for n in (pd.nodes, 2 * pd.nodes))
         assert pd.symmetry_error <= 2 * np.max(dB2), moduli
         assert pd.convergence_error <= np.max(dB + dB2), moduli
 
@@ -580,9 +603,10 @@ def test_mutated_derivatives_fail_rauch_variation(moduli, mutant, code, tmp_path
     interval_integrals_ = hyperell.interval_integrals
 
     def mutated(moduli, nodes):
-        # the pass's J on the n-node rule, then the mutant's J and dJ on the 2n
-        return np.concatenate([interval_integrals_(moduli, nodes)[:1],
-                               _mutated_integrals(moduli, 2 * nodes, mutant)])
+        # the pass's J on the n-node rule, then the mutant's J and dJ on the
+        # 2n, then the pass's rounding bounds
+        J = interval_integrals_(moduli, nodes)
+        return np.concatenate([J[:1], _mutated_integrals(moduli, 2 * nodes, mutant), J[5:]])
 
     monkeypatch.setattr(hyperell, "interval_integrals", mutated)
     out = tmp_path / "r.json"
@@ -648,8 +672,8 @@ def _tail_errors(periods_fn, moduli, nodes=hyperell.DEFAULT_NODES):
       3 times its entrywise bound in norm (Weyl), plus each side's own
       rounding, 8 u ||Im B||_2 for the determinant over the far root and a
       few u for eigvalsh: 16 u ||Im B||_2."""
-    J = interval_integrals(moduli, nodes)
     pd = periods_fn(moduli, nodes)
+    J = interval_integrals(moduli, pd.nodes)[:5]  # the pass periods reported
     A, Braw, _, _ = _assemble(J)
     C = np.linalg.inv(A[1])
     B, B_n = C @ Braw[1], np.linalg.inv(A[0]) @ Braw[0]
@@ -755,4 +779,120 @@ def test_a_nan_integral_fails_the_job(tmp_path, monkeypatch):
     code, report = _patched_job(tmp_path, monkeypatch, nan)
     assert code == 1 and report["verdict"] == "fail" and report["error"] is None
     assert {r["identity"]: r["max_residual"] for r in report["reports"]} == {
-        "period_symmetry": "nan", "period_positivity": 2.0, "rauch_variation": "nan"}
+        "period_convergence": "nan", "period_symmetry": "nan", "period_positivity": 2.0,
+        "rauch_variation": "nan"}
+
+
+# ---------------------------------------------------------------------------
+# rules sized by the curve: the node count, node doubling and its tolerance
+# ---------------------------------------------------------------------------
+
+# two branch points 1.1e-3 apart, on one side of a gap or crowding one from both
+NEAR_COLLISIONS = [(1.0011, 2.0, 3.0), (1.5, 1.5011, 3.0), (1.5, 2.5, 2.5011),
+                   (1.5, 1.5011, 1.5022)]
+
+
+@pytest.mark.parametrize("moduli, predicted, nodes", [
+    *zip(NEAR_COLLISIONS, (89.337, 98.909, 89.337, 75.024), (96, 104, 96, 80)),
+    (MODULI, 19.078, 24),
+])
+def test_the_node_count_follows_the_nearest_branch_point(moduli, predicted, nodes, tmp_path):
+    # ln(1e16) / (2 ln rho) on the slowest gap, rounded up to a multiple of 8
+    # and at least 24; at the default cap one pass agrees, and the job passes
+    pd = periods(moduli)
+    assert pd.predicted_nodes == pytest.approx(predicted, abs=1e-3)
+    assert (pd.nodes, pd.passes, pd.gap) == (nodes, 1, None)
+    out = tmp_path / "r.json"
+    assert cli.run({"command": "rauch", "seed": 1, "moduli": list(moduli)}, str(out)) == 0
+
+
+def test_workload_curves_take_one_pass_at_24_nodes():
+    # gaps from [0.3, 1.5] call for 16 to 24 nodes
+    for moduli in WORKLOAD_MODULI:
+        pd = periods(moduli)
+        assert 16 < pd.predicted_nodes <= 24 and (pd.nodes, pd.passes) == (24, 1), moduli
+
+
+@pytest.mark.parametrize("moduli", [(1e16, 2e16, 3e16), (1e80, 2e80, 3e80),
+                                    (1e200, 2e200, 3e200), (1.5, 2.0, 1.7e308)])
+def test_a_branch_point_rounding_onto_a_gap_end_calls_for_the_cap(moduli):
+    # at these scales 0 lies one half width from the middle of (1, a) to the
+    # last bit, so rho reads 1: the count is inf, never a ZeroDivisionError,
+    # and the ladder is the cap alone
+    assert hyperell._predicted_nodes(moduli) == math.inf
+    assert list(hyperell._ladder(math.inf, 200)) == [200]
+
+
+def test_an_undersized_start_doubles_until_the_passes_agree(tmp_path, monkeypatch):
+    # a near collision that calls for 99 nodes, started at 24: 24 and 48
+    # disagree, so n doubles along 24, 48, 96 until two passes agree, each
+    # reported pass the one periods would make at its node count
+    moduli = (1.5, 1.5011, 3.0)
+    monkeypatch.setattr(hyperell, "_predicted_nodes", lambda moduli: 20.0)
+    passes = []
+    interval_integrals_ = hyperell.interval_integrals
+
+    def counting(moduli, nodes):
+        passes.append(nodes)
+        return interval_integrals_(moduli, nodes)
+
+    monkeypatch.setattr(hyperell, "interval_integrals", counting)
+    pd = periods(moduli)
+    assert passes == [24, 48, 96] and (pd.nodes, pd.passes, pd.gap) == (96, 3, None)
+    assert pd.convergence_error < pd.convergence_tol
+    out = tmp_path / "r.json"
+    assert cli.run({"command": "rauch", "seed": 1, "moduli": list(moduli)}, str(out)) == 0
+
+
+def test_a_rule_capped_below_the_need_fails_period_convergence_naming_the_gap(tmp_path):
+    # 25 nodes on a curve that calls for 99: B on 25 and 50 nodes differ by
+    # 3.5e-5, the job fails period_convergence and names the gap whose
+    # integrals moved most past their bound; at a fixed 1e-8, period_symmetry
+    # passed this B at 1.35e-9, and it now fails against its rounding bound
+    out = tmp_path / "r.json"
+    job = {"command": "rauch", "seed": 1, "nodes": 25, "moduli": [1.5, 1.5011, 3.0]}
+    assert cli.run(job, str(out)) == 1
+    reports = json.loads(out.read_text())["reports"]
+    assert {r["identity"] for r in reports if not r["pass"]} == {"period_convergence",
+                                                                 "period_symmetry"}
+    convergence = reports[0]
+    assert convergence["identity"] == "period_convergence"
+    assert convergence["max_residual"] == pytest.approx(3.5e-5, rel=0.01)
+    params = convergence["params"]
+    assert (params["nodes"], params["passes"], params["gap"]) == (25, 1, [1.5011, 3.0])
+    assert params["predicted_nodes"] == pytest.approx(98.909, abs=1e-3)
+
+
+def test_the_tolerances_cover_the_rounding_bound():
+    # the derivation: interval_integrals' bound on each J is the node-by-node
+    # one above with each node's |dp| at its largest (a few times larger at
+    # the ends, where a crowding branch point weighs most) and u |J_0| more,
+    # so it covers _integral_error_bound; periods carries it through the 2x2
+    # algebra as _period_error_bound does, with the 2n-node rule's C and B
+    # for both rules.  So the convergence tolerance covers the bounds of B_n
+    # and B_2n added, the symmetry tolerance those of B_12 and B_21 on the
+    # 2n nodes, and neither is looser than twice them
+    for moduli in [MODULI, *WORKLOAD_MODULI[:10], *NEAR_COLLISIONS, *CLOSE_BRANCH_POINTS]:
+        pd = periods(moduli)
+        n = pd.nodes
+        err = interval_integrals(moduli, n)[5:].real
+        for row, rule in zip(err, (n, 2 * n)):
+            tight = _integral_error_bound(moduli, rule, exact=False)
+            assert np.all((tight <= row) & (row <= 2 * tight)), (moduli, rule)
+        dB, dB2 = (_period_error_bound(moduli, rule, exact=False) for rule in (n, 2 * n))
+        assert np.max(dB + dB2) <= pd.convergence_tol <= 2 * np.max(dB + dB2), moduli
+        assert dB2[0, 1] + dB2[1, 0] <= pd.symmetry_tol <= 2 * (dB2[0, 1] + dB2[1, 0]), moduli
+        assert pd.convergence_error < pd.convergence_tol and pd.symmetry_error < pd.symmetry_tol
+
+
+def test_a_b12_moved_by_100_times_the_bound_fails_period_symmetry(tmp_path, monkeypatch):
+    # counter-test: B_12 of the reported pass moved by 100 symmetry
+    # tolerances fails period_symmetry, and only it
+    monkeypatch.setattr(hyperell, "periods", _mutant_periods(
+        "    gap = None\n", "    B[0][1] += 100 * sym_tol\n    gap = None\n", monkeypatch))
+    out = tmp_path / "r.json"
+    assert cli.run({"command": "rauch", "seed": 1, "moduli": list(MODULI)}, str(out)) == 1
+    reports = json.loads(out.read_text())["reports"]
+    symmetry = next(r for r in reports if r["identity"] == "period_symmetry")
+    assert symmetry["max_residual"] == pytest.approx(100 * symmetry["tolerance"], rel=1e-3)
+    assert [r["identity"] for r in reports if not r["pass"]] == ["period_symmetry"]

@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import cmath
+import importlib.util
 import inspect
 import math
 import re
 import warnings
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -14,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gtlab import kernel
+from gtlab import hyperell, kernel
 from gtlab.errors import DomainViolation, InvalidModulus, NonConvergence, PoleHit
 from gtlab.kernel import (
     Diagonal,
@@ -699,9 +701,42 @@ def _check_rule_against_mpmath(n: int):
     assert ours <= max(theirs, np.finfo(float).eps), (ours, theirs)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 24, 60, 100, 200, 400, 401, 800, 2000])
+# small rules, odd ones and the largest, and every rule a rauch job builds:
+# 24 and 48 on the benchmark's curves, and the node-doubling ladders of the
+# near collisions up to the default cap (test_every_rule_a_rauch_job_builds_is_checked)
+CHECKED_RULES = [1, 2, 3, 24, 48, 60, 80, 96, 100, 104, 160, 192, 200, 208, 320, 384, 400,
+                 401, 800, 2000]
+
+
+@pytest.mark.parametrize("n", CHECKED_RULES)
 def test_gauss_legendre_matches_mpmath_roots_and_weights(n):
     _check_rule_against_mpmath(n)
+
+
+def _periods_moduli(seeds):
+    """The moduli of every job of the benchmark's periods workload at ``seeds``."""
+    spec = importlib.util.spec_from_file_location(
+        "workloads", Path(__file__).resolve().parents[1] / "bench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return [tuple(cfg["moduli"]) for seed in seeds
+            for cfg in workloads.generate("periods", seed, 20)]
+
+
+def test_every_rule_a_rauch_job_builds_is_checked():
+    # the first pass of every job of seeds 101-110, and the whole ladder of
+    # the near collisions (1.1e-3 apart) up to the default cap
+    def rules(ladder):
+        return {size for n in ladder for size in (n, 2 * n)}
+
+    def ladder(moduli):
+        return hyperell._ladder(hyperell._predicted_nodes(moduli), hyperell.DEFAULT_NODES)
+
+    first = set().union(*(rules([next(ladder(m))]) for m in _periods_moduli(range(101, 111))))
+    assert first == {24, 48}
+    near = [(1.0011, 2.0, 3.0), (1.5, 1.5011, 3.0), (1.5, 2.5, 2.5011), (1.5, 1.5011, 1.5022)]
+    built = first.union(*(rules(ladder(m)) for m in near))
+    assert built <= set(CHECKED_RULES), sorted(built - set(CHECKED_RULES))
 
 
 def test_gauss_legendre_nodes_match_mpmath_for_every_small_rule():
