@@ -49,6 +49,24 @@ def _rank(mat: np.ndarray, tol: float) -> int:
     return int(np.sum(sv > tol * sv[0]))
 
 
+def _pivots(a: np.ndarray, count: int) -> list[int]:
+    """The first ``count`` column pivots of ``a`` by modified Gram-Schmidt with
+    column pivoting (Businger & Golub, Numer. Math. 7, 1965; Golub & Van Loan,
+    "Matrix Computations", 5.4.2): each step takes the column of largest
+    remaining norm, the lowest index among those within a relative 1e-12 of
+    it, and deflates every column by that column's unit direction.  ``count``
+    is at most the numeric rank of ``a``."""
+    a = np.array(a, dtype=complex)
+    piv = []
+    for _ in range(count):
+        norms = np.linalg.norm(a, axis=0)
+        p = int(np.argmax(norms >= norms.max() * (1 - 1e-12)))
+        q = a[:, p] / norms[p]
+        a -= np.outer(q, q.conj() @ a)
+        piv.append(p)
+    return piv
+
+
 @dataclass
 class PotentialFamily:
     """An ordered family of potentials over a shared structure.
@@ -213,23 +231,19 @@ def hydro_coefficients(
 ) -> HydroSystem:
     """Extract the hydrodynamic system of one compatibility triple.
 
-    The fit is ``dimension_D``'s first sample, its tensor and its rank D.  A
-    pivoted QR over the sampled coefficient functions picks the basis
-    S_1..S_D; least squares gives the expansion of every coefficient
-    function, and the expansion is validated on held-out z points, the next
-    z_count of the fit's seeded stream, before the a, b, c matrices are
-    assembled.
+    The fit is ``dimension_D``'s first sample, its tensor and its rank D.
+    ``_pivots`` picks the basis S_1..S_D from the sampled coefficient
+    functions by column-pivoted modified Gram-Schmidt: the function of
+    largest remaining norm first, the lowest index on a tie.  Least squares
+    gives the expansion of every coefficient function, and the expansion is
+    validated on held-out z points, the next z_count of the fit's seeded
+    stream, before the a, b, c matrices are assembled.
     """
     fit_z, mat, D, held_z = _fit(fam, i, j, k, v, z_count, seed, svd_tol, held=z_count)
     held = compatibility_tensor(fam, i, j, k, v, held_z)  # mat and held: (3m, nz)
     if D == 0:
         raise NonConvergence("compatibility tensor vanishes identically")
-    # pivoted QR on the transposed matrix: columns are the 3m functions;
-    # scipy is imported here so that CLI jobs without a hydro step skip it
-    from scipy.linalg import qr
-
-    _, _, piv = qr(mat.T, pivoting=True)
-    basis_rows = tuple(int(r) for r in piv[:D])
+    basis_rows = tuple(_pivots(mat.T, D))  # columns of mat.T are the 3m functions
     S = mat[list(basis_rows)]  # (D, nz)
     # expansion of every function in the S basis
     coef, *_ = np.linalg.lstsq(S.T, mat.T, rcond=None)  # (D, 3m)

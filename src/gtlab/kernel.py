@@ -183,11 +183,12 @@ class PulledBack(Exclusion):
 
 
 def lattice_distance(z, tau) -> np.ndarray:
-    """Distance from z to the lattice Z + tau Z over 3 x 3 points about the nearest, on the
-    broadcast of z and tau (a number reads as a column of one), NaN where Im tau <= 0."""
-    z, tau = np.asarray(z)[..., None, None], np.asarray(tau)[..., None, None]
-    w = z - (np.rint(z.imag / np.where(tau.imag > 0, tau.imag, np.nan)) + _NEAR[:, None]) * tau
-    return np.abs(w - (np.rint(w.real) + _NEAR)).min(axis=(-2, -1))
+    """Distance from z to the lattice Z + tau Z over the three tau offsets n about the nearest,
+    each against rint(Re w) for w = z - n tau (no other integer is nearer w), on the broadcast
+    of z and tau (a number reads as a column of one), NaN where Im tau <= 0."""
+    z, tau = np.asarray(z)[..., None], np.asarray(tau)[..., None]
+    w = z - (np.rint(z.imag / np.where(tau.imag > 0, tau.imag, np.nan)) + _NEAR) * tau
+    return np.abs(w - np.rint(w.real)).min(axis=-1)
 
 
 @dataclass(frozen=True)

@@ -702,6 +702,27 @@ def test_the_module_runs_as_a_script():
         "benney", "genus0", "genus1", "genus2"]
 
 
+def test_a_hydro_job_runs_without_scipy(tmp_path):
+    # a fresh process in which every scipy import fails writes the report of
+    # the in-process run, byte for byte, and loads no scipy module
+    cfg = {"command": "hydro", "structure": "benney", "n": 2, "seed": 7}
+    assert run(dict(cfg), str(tmp_path / "here.json")) == 0
+    code = (
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        "from gtlab import cli\n"
+        f"print(cli.run({cfg!r}, {str(tmp_path / 'there.json')!r}))\n"
+        "print(sorted(m for m, mod in sys.modules.items()\n"
+        "             if m.split('.')[0] == 'scipy' and mod is not None))\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-2:] == ["0", "[]"]
+    assert (tmp_path / "there.json").read_bytes() == (tmp_path / "here.json").read_bytes()
+
+
 def test_main_without_a_config_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main([])

@@ -152,6 +152,35 @@ def test_hydro_expansion_validates_on_held_out_points():
     assert len(hs.basis_rows) == hs.D
 
 
+def test_pivots_are_lapacks_on_separated_column_norms():
+    from scipy.linalg import qr
+
+    stream = SplitMix64(5)
+    for rows, cols, seed in ((40, 6, 1), (40, 12, 2), (30, 15, 3), (12, 12, 4)):
+        a = stream.complex_in_boxes([(-1.0, 1.0, -1.0, 1.0)], rows * cols).reshape(rows, cols)
+        # column norms a factor of 10 or more apart, in a shuffled order
+        a = a * 10.0 ** np.random.default_rng(seed).permutation(cols)
+        for m in (a, a.real):
+            want = [int(p) for p in qr(m, pivoting=True)[2]]
+            assert hierarchy._pivots(m, cols) == want
+
+
+def test_pivots_break_a_tie_toward_the_lowest_index():
+    # columns 1 and 2 tie at norm 3 (column 2 within 1e-13 of it), then norm 2, then 1
+    a = np.eye(4)[:, [2, 0, 3, 1]] * [1.0, 3.0, 3.0 * (1 + 1e-13), 2.0]
+    assert hierarchy._pivots(a, 4) == [1, 2, 3, 0]
+    assert hierarchy._pivots(a[:, [0, 2, 1, 3]], 4) == [1, 2, 3, 0]
+
+
+def test_pivots_skip_a_column_in_the_span_of_earlier_pivots():
+    # column 2 (norm about 9) lies in the span of columns 0 and 1; column 3 is
+    # independent but of norm 1e-8, and is still chosen before column 2
+    u, v, w = SplitMix64(9).complex_in_boxes([(-1.0, 1.0, -1.0, 1.0)], 60).reshape(3, 20)
+    c0, c1 = 10 * u / np.linalg.norm(u), 8 * v / np.linalg.norm(v)
+    a = np.stack([c0, c1, 0.7 * c0 + 0.7 * c1, 1e-8 * w / np.linalg.norm(w)], axis=1)
+    assert hierarchy._pivots(a, 3) == [0, 1, 3]
+
+
 def test_hydro_draws_its_held_out_points_once_after_its_fit_points(monkeypatch):
     # one sample_z call at the seed gives both: the fit's z_count points are
     # its first draws and the held-out points the next z_count, draws

@@ -334,6 +334,41 @@ def test_lattice_distance_on_columns_is_nan_off_the_half_plane():
         np.testing.assert_allclose(lattice_distance(*rows.T), want, rtol=4e-16)
 
 
+def _scan_3x3(z, tau) -> np.ndarray:
+    """Distance from z to Z + tau Z over the 3 x 3 lattice points about the nearest, on
+    argument columns: the real offsets -1, 0, 1 about rint(Re w) at each of the three tau
+    offsets, the reference the three-point scan must equal bit for bit."""
+    z, tau = np.asarray(z)[..., None, None], np.asarray(tau)[..., None, None]
+    near = np.arange(-1.0, 2.0)
+    w = z - (np.rint(z.imag / np.where(tau.imag > 0, tau.imag, np.nan)) + near[:, None]) * tau
+    return np.abs(w - (np.rint(w.real) + near)).min(axis=(-2, -1))
+
+
+def test_lattice_distance_equals_the_3x3_scan():
+    rows = SplitMix64(4).complex_in_boxes([(-3.0, 3.0, -3.0, 3.0), (-0.5, 0.5, -0.5, 2.0)],
+                                          2000)
+    # half-integer ties: quarter-grid z against taus whose Re w lands on .5 exactly
+    grid = (np.arange(-8, 9)[:, None] + 1j * np.arange(-8, 9)).ravel() / 4
+    taus = np.array([1j, 0.5 + 1j, 0.25 + 0.5j, -0.5 + 2j])
+    ties = np.stack(np.broadcast_arrays(grid[:, None], taus), axis=-1).reshape(-1, 2)
+    # non-finite z or tau, and Im tau <= 0: NaN (at tau = 1 + inf i one tau offset reads
+    # NaN and the other two inf)
+    bad = [complex(math.inf, 0), complex(-math.inf, 1), complex(0.5, math.inf),
+           complex(math.nan, 0), complex(0.5, math.nan), complex(math.inf, math.inf)]
+    odd = np.array([(z, 0.1 + 0.9j) for z in bad] + [
+        (0.3 + 0.2j, 0.3 + 0j), (0.5, 0.1 - 1j), (0.3, complex(1, math.inf)),
+        (0.3, complex(math.inf, 1))])
+    with np.errstate(all="ignore"):
+        for z, tau in (rows.T, ties.T, odd.T, (rows[:, 0].reshape(40, 50), 0.2 + 1.3j),
+                       (0.5 + 0.5j, 1j)):
+            np.testing.assert_array_equal(lattice_distance(z, tau), _scan_3x3(z, tau))
+        assert np.isnan(lattice_distance(*odd.T)).all()
+    assert (rows[:, 1].imag <= 0).any() and (rows[:, 1].imag > 0).any()
+    # Re w = Re z - n Re tau does land on .5 at some tau offset n of the grid
+    n = np.rint(ties[:, :1].imag / ties[:, 1:].imag) + np.arange(-1.0, 2.0)
+    assert ((ties[:, :1].real - n * ties[:, 1:].real) % 1 == 0.5).any()
+
+
 def test_lattice_distance_zero_on_lattice():
     tau = 0.1 + 0.9j
     assert lattice_distance(2.0 + 3.0 * tau, tau) < 1e-12
