@@ -27,6 +27,7 @@ from .errors import (
     DomainViolation,
     GTLabError,
     InvalidModulus,
+    NoClosedForm,
     NonConvergence,
     PoleHit,
     SamplingExhausted,
@@ -49,6 +50,7 @@ __all__ = [
     "ConfigError",
     "DomainViolation",
     "InvalidModulus",
+    "NoClosedForm",
     "NonConvergence",
     "PoleHit",
     "SamplingExhausted",

@@ -23,8 +23,8 @@ built on square roots, is its own evaluator: its partials of total order
 <= 2 are closed form too, one jet per batch from one log-derivative pass
 over the linear factors of its numerator's two terms and its denominator,
 on the principal square roots at each argument; its value comes from
-``fn``, and its circles (value rows only) continue the square-root sheet
-along every loop at once.
+``fn``, and its residue circles continue the square-root sheet along every
+loop at once.
 """
 
 from __future__ import annotations
@@ -381,10 +381,10 @@ class GenusTwoF(JetEvaluator):
     from one jet of f = N / D on the principal q1 and q2, which one
     log-derivative pass over the 21 linear factors of N's two terms and D
     gives: every ``partials`` call asking an order 1 or 2 reads it, and
-    builds its second order only when asked.  Circles (for higher orders in
-    one slot) sample values only, continuing the sheet along every loop so
-    the branch cut of the principal square root never contaminates a
-    derivative disc.
+    builds its second order only when asked; higher orders have no closed
+    form.  Its circles (the residue checks') continue the sheet along every
+    loop, so the branch cut of the principal square root never crosses a
+    disc.
     """
 
     # args: (p1, p2, a, b, c)
@@ -416,17 +416,12 @@ class GenusTwoF(JetEvaluator):
     def _fn(self, *args):
         return self._assemble(*args, *self._roots(args))
 
-    def eval_rows(self, loops, anchors, rests):
+    def eval_rows(self, loops, anchors):
         """Values on the loops, with q1 and q2 continued along each from
-        their principal values at its anchor.  Partials of order <= 2 never
-        reach a circle, and a partial rest (a mixed partial beyond them) is
-        not supported."""
-        if any(rest is not None for rest in rests):
-            raise NotImplementedError(
-                "genus-2 mixed partials beyond total order 2 are not supported")
+        their principal values at its anchor."""
         roots = map(_track_sqrt, (_quintic(loops[t], *loops[2:]) for t in (0, 1)),
                     self._roots(anchors))
-        return np.array([self._assemble(*loops, *roots)] * len(rests))
+        return self._assemble(*loops, *roots)
 
     # closed-form partials -------------------------------------------------
 
@@ -459,14 +454,18 @@ class GenusTwoF(JetEvaluator):
 
     def _partial_fn(self, args, multis):
         """Orders 1 and 2 from one jet at the points, its second partials
-        only when asked; the value goes to ``fn`` and higher orders to the
-        circles, a request for nothing else declined before any square root
-        is taken."""
+        only when asked; the value and higher orders are declined, a request
+        for nothing else before any square root is taken."""
         orders = [sum(multi) for multi in multis]
         if 1 not in orders and 2 not in orders:
             return [NotImplemented] * len(multis)
-        jet = self._factor_jet(args, 2 in orders)
-        return [jet[order - 1][tuple(slot for slot, o in enumerate(multi) for _ in range(o))]
+        # a lone point is read as a column of two: matmul rounds one column (gemv)
+        # apart from several (gemm), and a point must give its column's floats
+        n = len(args[0])
+        jet = self._factor_jet(args if n > 1 else [np.repeat(col, 2) for col in args],
+                               2 in orders)
+        return [jet[order - 1][(*(slot for slot, o in enumerate(multi) for _ in range(o)),
+                                slice(n))]
                 if order in (1, 2) else NotImplemented for multi, order in zip(multis, orders)]
 
 

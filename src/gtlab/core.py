@@ -15,15 +15,16 @@ columns cut from the sample array (``_rows``), every jet in one
 
 The transforms build each evaluator as one formula over the evaluators
 they transform (a pushed one over mu's entries as well): on argument
-columns it gives the value; on first-order forward-mode jets (``_Jet``)
-seeded in the slots asked it gives every first partial asked, each
-ingredient asked once per point for its entries and their first partials
+columns it gives the value; on forward-mode jets (``_Jet``) seeded in the
+slots asked it gives every partial of order 1 and 2 asked, each
+ingredient asked once per point for its entries and their partials
 (``_entries``); the limit collisions are such formulas too, Neville's
-tableau over the values of their eps ladder (``_limit``).  Partials of
-order two and above, the Laurent coefficients of the pole checks and the
-inner rings of ``algebroid_constants`` come from Cauchy circles, each read
-through ``kernel.laurent_coeff``.  A pushed evaluator's pulled-back loci
-read columns for the sampler.
+tableau over the values of their eps ladder (``_limit``).  A contour
+potential integrates lambda's partials along its path.  Only the Laurent
+coefficients of the residue checks and the inner rings of
+``algebroid_constants`` come from Cauchy circles, each read through
+``kernel.laurent_coeff``.  A pushed evaluator's pulled-back loci read
+columns for the sampler.
 """
 
 from __future__ import annotations
@@ -269,7 +270,7 @@ def _residues(e: JetEvaluator, s: GTStructure, pts: np.ndarray, nodes: int,
     of every sample, one row per k, from one ``laurent_coeff`` call over the
     samples' columns."""
     cols = _rows(s, pts, (0, 0))
-    return laurent_coeff(e, 0, cols, _diagonal_radius(e, cols), ks, nodes)[0]
+    return laurent_coeff(e, 0, cols, _diagonal_radius(e, cols), ks, nodes)
 
 
 def verify_pole(s: GTStructure, samples: int = 100, seed: int = 1,
@@ -657,73 +658,98 @@ def _undeclared(loci: Iterable[Exclusion], declared: Sequence[Exclusion] = ()) -
 
 
 class _Jet:
-    """A first-order forward-mode jet (Griewank & Walther, *Evaluating
-    Derivatives*, ch. 3): a value column ``v`` and ``d``, one row of first
-    partials per slot seeded.  Closed under + - * / and integer powers,
-    with numbers and arrays on either side (numpy defers to it)."""
+    """A forward-mode jet (Griewank & Walther, *Evaluating Derivatives*,
+    ch. 3 and 13): a value column ``v``, ``d``, one row of first partials
+    per slot seeded, and, in a second-order jet (``dd`` not None), ``dd``,
+    one row of second partials per ordered pair of those slots.  Closed
+    under + - * / and integer powers, with numbers and arrays on either
+    side (numpy defers to it)."""
 
     __array_ufunc__ = None
 
-    def __init__(self, v, d=0.0):
-        self.v, self.d = v, d
+    def __init__(self, v, d=0.0, dd=None):
+        self.v, self.d, self.dd = v, d, dd
 
     def __add__(self, o):
-        o = _lift(o)
-        return _Jet(self.v + o.v, self.d + o.d)
+        o = _lift(o, self)
+        return _Jet(self.v + o.v, self.d + o.d, None if self.dd is None else self.dd + o.dd)
 
     def __sub__(self, o):
-        o = _lift(o)
-        return _Jet(self.v - o.v, self.d - o.d)
+        o = _lift(o, self)
+        return _Jet(self.v - o.v, self.d - o.d, None if self.dd is None else self.dd - o.dd)
 
     def __rsub__(self, o):
-        return _lift(o) - self
+        return _lift(o, self) - self
 
     def __mul__(self, o):
-        o = _lift(o)
-        return _Jet(self.v * o.v, self.d * o.v + self.v * o.d)
+        o = _lift(o, self)
+        dd = None if self.dd is None else self.dd * o.v + self.v * o.dd + _sym(self.d, o.d)
+        return _Jet(self.v * o.v, self.d * o.v + self.v * o.d, dd)
 
     def __truediv__(self, o):
-        o = _lift(o)
+        o = _lift(o, self)
         q = self.v / o.v
-        return _Jet(q, (self.d - q * o.d) / o.v)
+        d = (self.d - q * o.d) / o.v
+        return _Jet(q, d, None if self.dd is None else (self.dd - q * o.dd - _sym(d, o.d)) / o.v)
 
     def __rtruediv__(self, o):
-        return _lift(o) / self
+        return _lift(o, self) / self
 
     def __pow__(self, k: int):
-        return _Jet(self.v ** k, k * self.v ** (k - 1) * self.d)
+        dd = None if self.dd is None else k * self.v ** (k - 2) * (
+            self.v * self.dd + 0.5 * (k - 1) * _sym(self.d, self.d))
+        return _Jet(self.v ** k, k * self.v ** (k - 1) * self.d, dd)
 
     __radd__, __rmul__ = __add__, __mul__
 
 
-def _lift(x) -> _Jet:
-    """x as a jet: a number or an array is one with no partials."""
-    return x if isinstance(x, _Jet) else _Jet(x)
+def _lift(x, like: _Jet | None = None) -> _Jet:
+    """x as a jet of ``like``'s order: a number or an array is one with no partials."""
+    dd = None if like is None or like.dd is None else 0.0
+    return x if isinstance(x, _Jet) else _Jet(x, 0.0, dd)
+
+
+def _sym(a, b):
+    """a_s b_t + a_t b_s over the ordered pairs (s, t) of the rows of first
+    partials a and b (b may be a number's 0)."""
+    ab = a[:, None] * b
+    return ab + ab.swapaxes(0, 1)
 
 
 def _entries(e: JetEvaluator, point, multis) -> list:
     """e's entries ``multis`` at ``point``: its ``partials`` rows on argument
     columns.  At a point where some slots hold jets, one ``partials`` request
-    for the entries and their first partials in each of those slots, every
-    entry a jet chained through the point's own partials."""
+    for the entries and their partials in those slots (second ones too, for
+    second-order jets), every entry a jet chained through the point's own
+    partials: d_a E = sum_t E_t x_t,a and d_a d_b E = sum_t E_t x_t,ab +
+    sum_t,u E_tu x_t,a x_u,b."""
     live = [t for t, x in enumerate(point) if isinstance(x, _Jet)]
     if not live:
         return e.partials(point, multis)
+    pairs = [(t, u) for t in live for u in live] if point[live[0]].dd is not None else []
     up = [[tuple(o + (s == t) for s, o in enumerate(multi)) for t in live] for multi in multis]
-    keys = list(dict.fromkeys([*multis, *(d for ds in up for d in ds)]))
+    up2 = [[tuple(o + (s == t) + (s == u) for s, o in enumerate(multi)) for t, u in pairs]
+           for multi in multis]
+    keys = list(dict.fromkeys([*multis, *(d for ds in up + up2 for d in ds)]))
     table = dict(zip(keys, e.partials(tuple(_lift(x).v for x in point), keys)))
-    return [_Jet(table[multi], sum(table[d] * point[t].d for d, t in zip(ds, live)))
-            for multi, ds in zip(multis, up)]
+    out = []
+    for multi, ds, ds2 in zip(multis, up, up2):
+        dd = (sum(table[d] * point[t].dd for d, t in zip(ds, live))
+              + sum(table[d] * (point[t].d[:, None] * point[u].d) for d, (t, u) in zip(ds2, pairs))
+              if pairs else None)
+        out.append(_Jet(table[multi], sum(table[d] * point[t].d for d, t in zip(ds, live)), dd))
+    return out
 
 
 class _Formula(JetEvaluator):
     """The evaluator ``formula(args, at)``: arithmetic over entries of other
     evaluators, each read as ``at(e, point, multis)``.  Its value is the
-    formula on argument columns; its first partials are the same formula on
-    jets seeded in the slots asked, with ``_entries`` asking each ingredient
+    formula on argument columns; its partials of order 1 and 2 are one run
+    of the same formula on jets seeded in the slots they name (second-order
+    jets when an order 2 is asked), with ``_entries`` asking each ingredient
     once per point for all of them.  The value is left to ``fn`` (a genus-1
     entry asked with its partials sums a wider theta window, so the jet's
-    value can round apart from it) and orders two and above to circles.
+    value can round apart from it), and a higher order has no closed form.
     The formula answers argument columns, as ``catalog.place`` does."""
 
     def __init__(self, arity: int, formula, domain: Domain, label: str):
@@ -735,14 +761,20 @@ class _Formula(JetEvaluator):
         return self.formula(args, _entries)
 
     def _partial(self, args, multis):
-        slots = list(dict.fromkeys(multi.index(1) for multi in multis if sum(multi) == 1))
+        slots = list(dict.fromkeys(t for multi in multis if sum(multi) in (1, 2)
+                                   for t, o in enumerate(multi) if o))
         if not slots:
             return [NotImplemented] * len(multis)
-        point, seeds = list(args), np.eye(len(slots))[:, :, None]
+        k = len(slots)
+        second = np.zeros((k, k, 1)) if any(sum(multi) == 2 for multi in multis) else None
+        point, seeds = list(args), np.eye(k)[:, :, None]
         for t, seed in zip(slots, seeds):
-            point[t] = _Jet(args[t], seed)
-        rows = dict(zip(slots, self.formula(tuple(point), _entries).d))
-        return [rows[multi.index(1)] if sum(multi) == 1 else NotImplemented for multi in multis]
+            point[t] = _Jet(args[t], seed, second)
+        jet = self.formula(tuple(point), _entries)
+        rows = [[slots.index(t) for t, o in enumerate(multi) for _ in range(o) if sum(multi) < 3]
+                for multi in multis]  # the seeds an order 1 or 2 reads, nothing for the others
+        return [jet.d[i[0]] if len(i) == 1 else jet.dd[i[0], i[1]] if i else NotImplemented
+                for i in rows]
 
 
 class _Composed(_Formula):
@@ -760,22 +792,15 @@ class _Composed(_Formula):
             PulledBack(image, ex, range(arity)) for ex in (*inner.domain.exclusions, *loci))),
             label)
 
-    def eval_rows(self, loops, anchors, rests):
-        """The formula's value rows with ``inner``'s continued loop rows; a
-        partial row takes the partial at each node."""
-        cols = tuple(col.ravel() for col in loops)
-
+    def eval_rows(self, loops, anchors):
+        """The formula's values with ``inner``'s continued loop rows."""
         def at(e, point, multis):
             if e is not self.inner:
                 return _entries(e, point, multis)
             return self.inner.eval_rows(tuple(np.reshape(x, loops[0].shape) for x in point),
-                                        self.image(anchors), [None])[0].reshape(1, -1)
+                                        self.image(anchors)).reshape(1, -1)
 
-        asked = [rest for rest in rests if rest is not None]
-        table = iter(self.partials(cols, asked) if asked else ())
-        values = self.formula(cols, at)
-        return np.array([values if rest is None else next(table)
-                         for rest in rests]).reshape(len(rests), *loops[0].shape)
+        return self.formula(tuple(col.ravel() for col in loops), at).reshape(loops[0].shape)
 
 
 def pushforward(s: GTStructure, c: CoordinateChange) -> GTStructure:
@@ -878,9 +903,10 @@ def potential_from_contour(
     domain: Domain = EMPTY_DOMAIN,
 ) -> Potential:
     """h(p, v) = integral of lambda(t, p, v) dt along the path, at a point
-    or on argument columns.  When ``endpoint_tol`` is set and the path is
-    open, the endpoint condition is enforced at the probe, a sample row
-    (p1, p2, v)."""
+    or on argument columns, and each partial of h the integral of lambda's
+    partial in (p, v).  When ``endpoint_tol`` is set and the path is open,
+    the endpoint condition is enforced at the probe, a sample row (p1, p2,
+    v)."""
     if endpoint_tol is not None and not path.closed:
         if endpoint_probe is None:
             raise ValueError("endpoint_tol requires an endpoint_probe sample")
@@ -894,7 +920,12 @@ def potential_from_contour(
     def fn(*args):
         return path_integrate(e.lam, 0, (0.0, *args), path)
 
-    return Potential(JetEvaluator(1 + e.m, fn, domain=domain, label=label), label=label)
+    def partial_fn(args, multis):  # the value goes to fn
+        return [path_integrate(e.lam, 0, (0.0, *args), path, (0, *multi)) if any(multi)
+                else NotImplemented for multi in multis]
+
+    return Potential(JetEvaluator(1 + e.m, fn, domain=domain, partial_fn=partial_fn,
+                                  label=label), label=label)
 
 
 # ---------------------------------------------------------------------------
@@ -958,8 +989,8 @@ def algebroid_constants(
     # Taylor coefficients in p2 on an inner ring about z at each node of the
     # outer p1 ring, then in p1
     p1_ring = z + r1 * _ring(nodes)
-    [inner] = laurent_coeff(regular, 1, np.broadcast_arrays(p1_ring, z, *v), [r2] * nodes,
-                            range(order + 1), nodes)
+    inner = laurent_coeff(regular, 1, np.broadcast_arrays(p1_ring, z, *v), [r2] * nodes,
+                          range(order + 1), nodes)
     coeffs = {
         (i, j): _circle_coeff(inner[j], r1, i)
         for i in range(order + 1)

@@ -25,5 +25,9 @@ class PoleHit(GTLabError):
     """Evaluation requested too close to a pole."""
 
 
+class NoClosedForm(GTLabError):
+    """A partial with no closed form: no ``partial_fn``, or one that declines it."""
+
+
 class ConfigError(GTLabError):
     """A job configuration failed schema validation."""

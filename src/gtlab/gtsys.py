@@ -95,12 +95,11 @@ def build_system(s: GTStructure) -> GTSystem:
     from that table, and asks nothing.  It computes the terms A and Q
     share (F, F_2, G_1, G_2, N) once and every first partial of both by
     the chain rule.
-    So f's second partials come from f's own ``partial_fn`` where it has
-    them (every catalog f, genus2's included), and an f or g without closed
-    forms opens its circles on its own domain, where no circle approaches
-    a zero of g_1.  Both answer a point or argument columns, with the same
-    expressions.  ``fiber`` raises ``DomainViolation`` at a |g_1| below
-    ``G1_FLOOR``, naming the first point at fault.
+    So f's second partials come from f's own ``partial_fn`` (every catalog
+    f, genus2's included); an f or g without them raises ``NoClosedForm``.
+    Both answer a point or argument columns, with the same expressions.
+    ``fiber`` raises ``DomainViolation`` at a |g_1| below ``G1_FLOOR``,
+    naming the first point at fault.
     """
     if s.m < 1:
         raise ConfigError("need at least one fiber coordinate")

@@ -279,8 +279,8 @@ def _redrawn(s: GTStructure, samples: int, seed: int, scored,
     call per round continuing the stream where the last left it, so each
     round admits and scores only its new draws.  ``scored(pts)`` gives a round's
     residuals and which of its draws are kept, asking each evaluator once
-    on argument columns.  A ``DomainViolation`` from that call (a circle
-    through non-finite values) rejects every draw of the round.  After
+    on argument columns.  A ``DomainViolation`` from that call (an evaluator
+    failing closed at some draw) rejects every draw of the round.  After
     50 * samples draws the run raises ``SamplingExhausted``."""
     residuals, stream, drawn, resampled = [], SplitMix64(seed), 0, 0
     while len(residuals) < samples:

@@ -21,23 +21,21 @@ is the one test of which), its row read back as a list.  The evaluator's
 asked, the value included, and answers or declines (NotImplemented) each
 entry in one call, so a closed form shares its terms across them; every
 ``fn`` and ``partial_fn`` answers columns with numpy arrays.  A declined
-value comes from ``fn``; the declined partials are grouped by their leading
-slot, so each slot costs one ``laurent_coeff`` call, one circle per point,
-its radius a quarter of the point's clearance, all N in one ``eval_rows``
-call with one row of samples per distinct rest, whatever the number of
-partials read from it.  A consumer asks each evaluator for everything it
-needs over a sample set in one call, and ``jets`` (from ``pool``) takes many
-such requests at once: those whose evaluators have a ``pool`` share one call
-per ``Batch`` kernel.
-``JetEvaluator.eval_rows`` samples values or partials on N loops of
-argument tuples, given as argument columns, one row per requested partial,
-and is the one evaluator override: an evaluator with multivalued
-ingredients (a square root, say) continues its branch along every loop
-there, from one anchor per loop, and a wrapper maps the loops into the
-evaluator it wraps.  ``eval_circle`` hands it N circles on argument
-columns, a point's circle a column of one, and ``laurent_coeff`` is its one
-caller: the declined partials here, and core's residues and algebroid rings,
-all read their coefficients through it.
+value comes from ``fn``.  Every partial is a closed form: one that the
+``partial_fn`` declines, or any partial of an evaluator without one, raises
+``NoClosedForm`` naming the evaluator and the multi-index.  A consumer asks
+each evaluator for everything it needs over a sample set in one call, and
+``jets`` (from ``pool``) takes many such requests at once: those whose
+evaluators have a ``pool`` share one call per ``Batch`` kernel.
+``JetEvaluator.eval_rows`` samples values on N loops of argument tuples,
+given as argument columns, and is the one evaluator override: an evaluator
+with multivalued ingredients (a square root, say) continues its branch
+along every loop there, from one anchor per loop, and a wrapper maps the
+loops into the evaluator it wraps.  ``eval_circle`` hands it N circles on
+argument columns, a point's circle a column of one, and ``laurent_coeff``
+is its one caller: core's residues and algebroid rings read their
+coefficients through it, and so may a ``partial_fn`` for a function known
+only by its values (the README shows one).
 
 Each genus-1 jet is one ``theta_jet`` sum over k at the points of one or
 more stacked columns (one ``np.exp`` over a points x (2K + 1) grid), with its
@@ -62,6 +60,7 @@ import numpy as np
 from .errors import (
     DomainViolation,
     InvalidModulus,
+    NoClosedForm,
     NonConvergence,
     PoleHit,
 )
@@ -70,8 +69,6 @@ from .pool import Batch, jets  # noqa: F401  (re-exported: kernel.jets)
 TWO_PI_I = 2j * math.pi
 
 DEFAULT_NODES = 32
-DEFAULT_RADIUS_FRACTION = 0.25
-MAX_RADIUS = 0.35
 
 
 def require_finite(*values) -> None:
@@ -299,20 +296,20 @@ def on_columns(args) -> bool:
 class JetEvaluator:
     """A pure holomorphic function handle: values plus partial derivatives.
 
-    ``fn`` maps ``arity`` complex arguments to a complex value.  Partials
-    default to Cauchy circle quadrature with the radius derived from the
-    declared domain; an optional ``partial_fn(args, multis)`` may supply
-    closed forms.  A ``partial_fn`` answers or declines every multi-index,
-    the value included: it gets the whole request, as asked, and returns
-    one entry per multi-index, NotImplemented where ``fn`` (for the value)
-    or the circles should answer.  One that has no closed form for the
-    value declines it before doing any work.  ``partials`` and ``value``
-    take a point or a tuple of ``arity`` argument columns; ``fn`` and
-    ``partial_fn`` see columns only (a point's is a column of one), and
-    each entry they give is an array over the points or a constant.
-    ``pool``, when set, names the parts whose entries make this evaluator's,
-    the first's minus the others' (each a ``Batch`` or an evaluator whose
-    ``partial_fn`` answers), so that ``jets`` can answer it with others.
+    ``fn`` maps ``arity`` complex arguments to a complex value, and an
+    optional ``partial_fn(args, multis)`` supplies the closed forms.  A
+    ``partial_fn`` answers or declines every multi-index, the value
+    included: it gets the whole request, as asked, and returns one entry
+    per multi-index, NotImplemented where it has no closed form.  A
+    declined value comes from ``fn``; a declined partial raises
+    ``NoClosedForm``.  One that has no closed form for the value declines
+    it before doing any work.  ``partials`` and ``value`` take a point or a
+    tuple of ``arity`` argument columns; ``fn`` and ``partial_fn`` see
+    columns only (a point's is a column of one), and each entry they give
+    is an array over the points or a constant.  ``pool``, when set, names
+    the parts whose entries make this evaluator's, the first's minus the
+    others' (each a ``Batch`` or an evaluator whose ``partial_fn``
+    answers), so that ``jets`` can answer it with others.
     """
 
     def __init__(
@@ -335,34 +332,28 @@ class JetEvaluator:
         """The value at a point, or the values on argument columns (through ``partials``)."""
         return self.partials(args, (multi_index(self.arity),))[0]
 
-    def eval_rows(self, loops: Sequence[np.ndarray], anchors: Sequence[np.ndarray],
-                  rests: Sequence[Sequence[int] | None]) -> np.ndarray:
-        """Samples on N loops of argument tuples, ``loops`` a tuple of ``arity``
-        (N, nodes) arrays: a (len(rests), N, nodes) array, values for a None
-        rest, else the partial with that (nonzero) multi-index, from one
-        ``partials`` call on the loops as argument columns.  Evaluators with
-        multivalued ingredients override this to continue them along each
-        loop from their values at its anchor, ``anchors`` the argument
-        columns of the N anchors."""
-        multis = [multi_index(self.arity) if rest is None else rest for rest in rests]
-        table = self.partials(tuple(col.ravel() for col in loops), multis)
-        return table.reshape(len(rests), *loops[0].shape)
+    def eval_rows(self, loops: Sequence[np.ndarray], anchors: Sequence[np.ndarray]) -> np.ndarray:
+        """Values on N loops of argument tuples, ``loops`` a tuple of ``arity``
+        (N, nodes) arrays: an (N, nodes) array from one ``value`` call on the
+        loops as argument columns.  Evaluators with multivalued ingredients
+        override this to continue them along each loop from their values at
+        its anchor, ``anchors`` the argument columns of the N anchors."""
+        return self.value(tuple(col.ravel() for col in loops)).reshape(loops[0].shape)
 
     def eval_circle(self, slot: int, args: Sequence[np.ndarray], radii: Sequence[float],
-                    nodes: int, rests: Sequence[Sequence[int] | None] = (None,)) -> np.ndarray:
+                    nodes: int) -> np.ndarray:
         """``eval_rows`` on N equispaced circles in one slot, circle i about
         args[slot][i] with radius radii[i], anchored at the argument columns
-        ``args`` (a point's circle is a column of one): a (len(rests), N,
-        nodes) array taken under no floating-point warning, one row per rest.
-        A non-finite sample (an undeclared singularity on a circle, or an
-        overflow) raises ``DomainViolation`` naming the first circle that
-        has one."""
+        ``args`` (a point's circle is a column of one): an (N, nodes) array
+        taken under no floating-point warning.  A non-finite sample (an
+        undeclared singularity on a circle, or an overflow) raises
+        ``DomainViolation`` naming the first circle that has one."""
         args, radii = [np.asarray(col, dtype=complex) for col in args], np.asarray(radii, float)
         loops = [np.repeat(col[:, None], nodes, axis=1) for col in args]
         loops[slot] = args[slot][:, None] + radii[:, None] * _ring(nodes)
         with np.errstate(all="ignore"):
-            vals = self.eval_rows(tuple(loops), tuple(args), rests)
-        bad = np.flatnonzero(~np.isfinite(vals).all(axis=(0, 2)))
+            vals = self.eval_rows(tuple(loops), tuple(args))
+        bad = np.flatnonzero(~np.isfinite(vals).all(axis=1))
         if len(bad):
             i = bad[0]
             raise DomainViolation(
@@ -382,9 +373,8 @@ class JetEvaluator:
         column of one.  ``partial_fn`` gets the request as asked, the zero
         multi-index included, and of what it declines the value comes from
         ``fn``, an overflow or inf - inf a non-finite entry (which fails a
-        check) with no warning first; the declined partials share one circle
-        per leading slot and point, all N in one ``eval_rows`` call, the
-        orders read with one rest sharing its row."""
+        check) with no warning first; a declined partial raises
+        ``NoClosedForm``."""
         cols, point = self._columns(args, multis)
         with np.errstate(all="ignore"):
             out = (list(self.partial_fn(tuple(cols), multis)) if self.partial_fn is not None
@@ -412,47 +402,18 @@ class JetEvaluator:
 
     def _table(self, cols, multis, out, point) -> list[complex] | np.ndarray:
         """The request's table from the entries ``out`` its ``partial_fn`` gave: a declined
-        value from ``fn``, the declined partials from the circles."""
-        circles: dict[int, list] = {}
-        for i, (multi, entry) in enumerate(zip(multis, out)):
-            if entry is NotImplemented and not any(multi):
-                with np.errstate(all="ignore"):
-                    out[i] = self.fn(*cols)
-            elif entry is NotImplemented:
-                slot = next(s for s, o in enumerate(multi) if o > 0)
-                rest = tuple(0 if s == slot else o for s, o in enumerate(multi))
-                circles.setdefault(slot, []).append((i, multi[slot], rest if any(rest) else None))
-        for slot, group in circles.items():
-            orders = list(dict.fromkeys(order for _, order, _ in group))
-            rests = list(dict.fromkeys(rest for _, _, rest in group))
-            coeffs = laurent_coeff(self, slot, cols, _radii(self, cols, slot), orders,
-                                   DEFAULT_NODES, rests)
-            for i, order, rest in group:
-                out[i] = coeffs[rests.index(rest), orders.index(order)] * math.factorial(order)
+        value from ``fn``, a declined partial a ``NoClosedForm``."""
+        for multi, entry in zip(multis, out):
+            if entry is NotImplemented and any(multi):
+                raise NoClosedForm(f"{self.label or 'evaluator'} has no closed form for the "
+                                   f"partial {tuple(multi)}")
         table = np.empty((len(multis), cols[0].size), dtype=complex)
         for i, entry in enumerate(out):
+            if entry is NotImplemented:
+                with np.errstate(all="ignore"):
+                    entry = self.fn(*cols)
             table[i] = entry  # an array over the points, or a constant
         return table[:, 0].tolist() if point else table
-
-
-def _radii(e: JetEvaluator, cols: Sequence[np.ndarray], slot: int) -> np.ndarray:
-    """The radius of the derivative circle in one slot about each point of
-    the argument columns: a quarter of its clearance, at most ``MAX_RADIUS``.
-    A point not finite, or whose clearance is not positive (NaN too: a locus
-    that cannot be measured is not cleared), raises ``DomainViolation``
-    naming it."""
-    with np.errstate(all="ignore"):
-        c = np.broadcast_to(e.domain.clearance(cols, slot), cols[0].shape)
-    unmeasured = ~np.isfinite(cols).all(axis=0)
-    bad = np.flatnonzero(unmeasured | ~(c > 0))
-    if len(bad):
-        i = bad[0]
-        where = f"at point {i} of {len(c)}"
-        raise DomainViolation(
-            f"{e.label or 'evaluator'}: non-finite argument {where}" if unmeasured[i] else
-            f"argument {slot} of {e.label or 'evaluator'} sits on a declared singular "
-            f"locus {where} (clearance {c[i]})")
-    return np.minimum(DEFAULT_RADIUS_FRACTION * c, MAX_RADIUS)
 
 
 def _ring(nodes: int) -> np.ndarray:
@@ -503,14 +464,8 @@ class ReindexedEvaluator(JetEvaluator):
         vals = iter(self.base.partials(self._to_base(args), live) if live else ())
         return [0.0 + 0.0j if self._inert(multi) else next(vals) for multi in multis]
 
-    def eval_rows(self, loops, anchors, rests):
-        out = np.zeros((len(rests), *loops[0].shape), dtype=complex)
-        live = [i for i, rest in enumerate(rests) if rest is None or not self._inert(rest)]
-        if live:
-            out[live] = self.base.eval_rows(
-                self._to_base(loops), self._to_base(anchors),
-                [None if rests[i] is None else self._to_base(rests[i]) for i in live])
-        return out
+    def eval_rows(self, loops, anchors):
+        return self.base.eval_rows(self._to_base(loops), self._to_base(anchors))
 
 
 # ---------------------------------------------------------------------------
@@ -519,19 +474,16 @@ class ReindexedEvaluator(JetEvaluator):
 
 
 def laurent_coeff(e: JetEvaluator, slot: int, args: Sequence[np.ndarray], radii,
-                  ks: Sequence[int], nodes: int = DEFAULT_NODES,
-                  rests: Sequence[Sequence[int] | None] = (None,)) -> np.ndarray:
+                  ks: Sequence[int], nodes: int = DEFAULT_NODES) -> np.ndarray:
     """Laurent coefficients k in ``ks`` of e in one slot about N points, by
     the trapezoid rule on N circles, circle i about args[slot][i] with radius
     radii[i] (``args`` argument columns, a point's a column of one): a
-    (len(rests), len(ks), N) array from one ``eval_circle`` call, the values'
-    coefficients for a None rest, else those of the partial with that
-    multi-index.  A non-finite argument raises ``DomainViolation`` before
-    any circle is opened."""
+    (len(ks), N) array from one ``eval_circle`` call.  A non-finite argument
+    raises ``DomainViolation`` before any circle is opened."""
     require_finite(*args)
     radii = np.asarray(radii, float)
-    rows = e.eval_circle(slot, args, radii, nodes, rests)
-    return np.array([[_circle_coeff(row, radii, k) for k in ks] for row in rows])
+    rows = e.eval_circle(slot, args, radii, nodes)
+    return np.array([_circle_coeff(rows, radii, k) for k in ks])
 
 
 # ---------------------------------------------------------------------------
@@ -657,10 +609,12 @@ def polyline_path(vertices: Sequence[complex], nodes: int = 24) -> PathSpec:
     return PathSpec("polyline", nodes, vertices=tuple(complex(v) for v in vertices))
 
 
-def path_integrate(e: JetEvaluator, slot: int, args: Sequence[complex], path: PathSpec) -> complex:
-    """Gauss-Legendre panel quadrature of e along the path (in one slot):
-    one panel per polyline segment, four per circle (by angle); at a point
-    or on argument columns, every node of every point in one ``fn`` call."""
+def path_integrate(e: JetEvaluator, slot: int, args: Sequence[complex], path: PathSpec,
+                   multi: Sequence[int] | None = None) -> complex:
+    """Gauss-Legendre panel quadrature of e's entry ``multi`` (its value when
+    None) along the path (in one slot): one panel per polyline segment, four
+    per circle (by angle); at a point or on argument columns, every node of
+    every point in one ``partials`` call."""
     require_finite(*args)
     x, w = gauss_legendre(path.nodes)
     if path.kind == "circle":
@@ -672,7 +626,8 @@ def path_integrate(e: JetEvaluator, slot: int, args: Sequence[complex], path: Pa
     z, weight, cols = z.ravel(), (w * dz).ravel(), np.broadcast_arrays(*args)
     flat = [np.repeat(col.ravel(), z.size) for col in cols]
     flat[slot] = np.tile(z, cols[0].size)
-    total = np.broadcast_to(e.fn(*flat), flat[0].shape).reshape(-1, z.size) @ weight
+    [vals] = e.partials(tuple(flat), [multi or multi_index(e.arity)])
+    total = vals.reshape(-1, z.size) @ weight
     return total.reshape(cols[0].shape)[()]
 
 

@@ -124,7 +124,16 @@ def test_criterion_3_transform_preservation():
         def fn(*args, _s=scale, _k=power):
             return args[0] + _s * args[1] * args[0] ** _k
 
-        mu = CoordinateChange(JetEvaluator(2, fn, domain=Domain(), label="mu"))
+        def partials(args, multis, _s=scale, _k=power):
+            # the pushforward's first partials ask mu's up to order 2
+            p, u = args
+            d = {(1, 0): 1.0 + _s * u * _k * p ** (_k - 1), (0, 1): _s * p ** _k,
+                 (2, 0): _s * u * _k * (_k - 1) * p ** (_k - 2), (1, 1): _s * _k * p ** (_k - 1),
+                 (0, 2): 0.0}
+            return [d[tuple(multi)] if any(multi) else NotImplemented for multi in multis]
+
+        mu = CoordinateChange(JetEvaluator(2, fn, domain=Domain(), partial_fn=partials,
+                                           label="mu"))
         check(pushforward(catalog.build_structure("genus0", 1), mu))
     # collisions of depth <= 2, one and two groups
     check(collide_points_closed(catalog.build_structure("benney", 3),

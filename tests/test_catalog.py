@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import re
 from itertools import combinations_with_replacement
 
 import mpmath as mp
@@ -20,7 +21,7 @@ from gtlab.core import (
     collide_points_limit,
     pushforward,
 )
-from gtlab.errors import ConfigError, DomainViolation
+from gtlab.errors import ConfigError, DomainViolation, NoClosedForm
 from gtlab.kernel import JetEvaluator, laurent_coeff, multi_index, theta
 
 
@@ -62,7 +63,7 @@ def test_minimum_puncture_counts():
 
 def _quadrature(e, args, multi):
     """A partial of a value-only evaluator: k! times its k-th laurent_coeff,
-    on the circle a declined partial takes, in the first differentiated slot
+    on a circle of ``_radius``, in the first differentiated slot
     (of order k) of the partial in the remaining slots (the inner quadrature
     asked at each node of the outer circle in turn)."""
     slot = next(s for s, o in enumerate(multi) if o)
@@ -71,8 +72,13 @@ def _quadrature(e, args, multi):
         e = JetEvaluator(e.arity, np.vectorize(lambda *a, _e=e: _quadrature(_e, a, rest),
                                                otypes=[complex]), domain=e.domain)
     cols = np.array([args], dtype=complex).T
-    [[[coeff]]] = laurent_coeff(e, slot, cols, kernel._radii(e, cols, slot), [multi[slot]])
+    [[coeff]] = laurent_coeff(e, slot, cols, [_radius(e, cols, slot)], [multi[slot]])
     return coeff * math.factorial(multi[slot])
+
+
+def _radius(e, cols, slot):
+    """A quarter of the slot's clearance at the point, at most 0.35."""
+    return min(0.25 * np.max(e.domain.clearance(cols, slot)), 0.35)
 
 
 def _partial_error(e, args, log=False):
@@ -290,8 +296,6 @@ def test_genus2_sheet_tracked_second_partials():
         down[outer] -= h
         return (first(up, inner) - first(down, inner)) / (2 * h)
 
-    principal = JetEvaluator(5, s.f.fn, domain=s.f.domain)
-    principal_errors = []
     for multi, outer, inner in [
         ((2, 0, 0, 0, 0), 0, 0),
         ((1, 1, 0, 0, 0), 0, 1),
@@ -299,11 +303,11 @@ def test_genus2_sheet_tracked_second_partials():
         ((1, 0, 1, 0, 0), 0, 2),
         ((0, 1, 0, 1, 0), 1, 3),
     ]:
-        want = central(outer, inner)
-        assert s.f.partial(args, multi) == pytest.approx(want, rel=1e-6)
-        principal_errors.append(abs(principal.partial(args, multi) - want) / abs(want))
-    # counter-check: without sheet tracking the same quadrature is far off
-    assert max(principal_errors) > 1.0
+        assert s.f.partial(args, multi) == pytest.approx(central(outer, inner), rel=1e-6)
+    # counter-check: d_p1^2 by a circle over principal values is far off
+    principal = JetEvaluator(5, s.f.fn, domain=s.f.domain)
+    want = central(0, 0)
+    assert abs(_quadrature(principal, args, (2, 0, 0, 0, 0)) - want) > abs(want)
 
 
 # a point per structure; genus2's is the one above, where the p1 circle
@@ -407,18 +411,19 @@ def test_genus2_mpmath_oracle_catches_q1_q2_taken_to_the_power_one(monkeypatch):
 
 
 def test_genus2_third_partials_in_one_slot_take_value_circles():
-    # beyond order 2 genus2's f opens a circle, which samples values on the
-    # sheet continued from the centre; a mixed third partial would need a
-    # partial row on that circle, which genus2's f does not sample
+    # beyond order 2 genus2's f has no closed form: a partial there raises,
+    # and a laurent_coeff circle over its values, which continue the sheet
+    # from the centre, reads the third partials in one slot
     f = catalog.build_structure("genus2").f
     args = PARTIALS_AT["genus2", None]
     point = [mp.mpc(x) for x in args]
     for multi in [(3, 0, 0, 0, 0), (0, 3, 0, 0, 0)]:
         with mp.workdps(30):
             want = complex(mp.diff(lambda *z: _genus2_f_oracle(*z, sqrt=mp.sqrt), point, multi))
-        assert f.partial(args, multi) == pytest.approx(want, rel=1e-8)
-    with pytest.raises(NotImplementedError):
-        f.partial(args, (2, 1, 0, 0, 0))
+        assert _quadrature(f, args, multi) == pytest.approx(want, rel=1e-8)
+        with pytest.raises(NoClosedForm, match=rf"^genus2:f has no closed form for the partial "
+                                               rf"{re.escape(str(multi))}$"):
+            f.partial(args, multi)
 
 
 def test_partials_reject_wrong_argument_count():
@@ -702,8 +707,8 @@ def test_n_loops_on_columns_match_one_loop_at_a_time(index):
     points = _points(s, 2)
     points = (points[0], points[0], *points[2:])
     radii = _diagonal_radius(e, points)
-    want = np.array([e.eval_circle(0, [col[i:i + 1] for col in points], radii[i:i + 1], 16)[0, 0]
+    want = np.array([e.eval_circle(0, [col[i:i + 1] for col in points], radii[i:i + 1], 16)[0]
                      for i in range(len(radii))])
-    [got] = e.eval_circle(0, points, radii, 16)
+    got = e.eval_circle(0, points, radii, 16)
     assert got.shape == want.shape == (32, 16)
     assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))

@@ -913,3 +913,45 @@ def test_genus1_march_overflowing_theta_names_its_cause(tmp_path):
     assert ", tau = " in report["error"]
     assert report["reports"] == []
     assert "nan" not in text and "inf" not in text
+
+
+# a small value of each key that sets a job's size (hydro needs 3 m + 5 z
+# points, 17 on genus1 at n = 3)
+_MINIMAL = {"samples": 2, "states": 2, "steps": 2, "z_count": 20}
+
+
+def _minimal_jobs():
+    """One config per command and catalog structure, at the smallest n the command
+    accepts there (first of 1, 2, 3) and the sizes of ``_MINIMAL``, plus report and
+    rauch, which take no structure."""
+    for command in cli.HANDLERS:
+        sizes = {key: value for key, value in _MINIMAL.items() if key in cli.TAKES[command]}
+        if "structure" not in cli.TAKES[command]:
+            yield [{"command": command, "seed": 7, **sizes}]
+            continue
+        for name in catalog.CATALOG:
+            yield [{"command": command, "structure": name, "n": n, "seed": 7, **sizes}
+                   for n in (1, 2, 3)]
+
+
+def test_no_job_meets_a_partial_without_a_closed_form(tmp_path):
+    # every partial a job asks has a closed form: a NoClosedForm is a
+    # GTLabError, so a job meeting one would exit 1 with a report (which the
+    # config fuzz does not flag); no job's report may name it.  A config
+    # exiting 2 (genus2 has no enhancement, a collision needs two punctures)
+    # moves on to the next n
+    ran = []
+    for tries in _minimal_jobs():
+        for cfg in tries:
+            out = tmp_path / "job.json"
+            code = run(cfg, str(out))
+            if code == 2:
+                continue
+            report = json.loads(out.read_text())
+            assert code in (0, 1) and "NoClosedForm" not in str(report["error"]), (cfg, report)
+            ran.append((cfg["command"], cfg.get("structure")))
+            break
+    # every (command, structure) the CLI takes, genus2 only where it has the data
+    assert Counter(command for command, _ in ran) == {
+        "verify": 4, "collide": 3, "pushforward": 4, "potentials": 3, "gtsys": 4, "hydro": 3,
+        "reconstruct": 3, "rauch": 1, "report": 1}

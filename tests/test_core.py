@@ -96,8 +96,8 @@ def test_potential_identity_holds(name):
 def test_axiom_violation_is_detected():
     # break the diagonal residue: f = 2/(p1-p2) has residue 2, not 1
     s = catalog.build_structure("benney", 1)
-    bad_f = JetEvaluator(3, lambda p1, p2, u: 2.0 / (p1 - p2),
-                         domain=s.f.domain, label="bad")
+    bad_f = JetEvaluator(3, lambda p1, p2, u: 2.0 / (p1 - p2), domain=s.f.domain, label="bad",
+                         partial_fn=lambda args, ms: [2.0 * x for x in s.f.partials(args, ms)])
     bad = type(s)(m=1, g=s.g, f=bad_f, p_box=s.p_box, v_boxes=s.v_boxes,
                   label="bad")
     reps = verify_all(bad, 10, seed=1, tol=1e-8)
@@ -178,12 +178,34 @@ def test_collide_enhanced_keeps_lambda_identity():
     assert rep.passed, rep.max_residual
 
 
+def _by_circles(arity, fn, label):
+    """The value-only ``fn`` as an evaluator whose partial_fn reads each
+    partial off laurent_coeff circles of radius 0.35 about every point; the
+    value goes to fn."""
+    def partial_fn(args, multis):
+        return [_circle_partial(e, args, multi) if any(multi) else NotImplemented
+                for multi in multis]
+
+    e = JetEvaluator(arity, fn, partial_fn=partial_fn, label=label)
+    return e
+
+
+def _circle_partial(e, args, multi):
+    """k! times the k-th coefficient in the first slot ``multi`` raises (to
+    k) of e's partial in the other slots: circles over circles for a mixed one."""
+    slot = next(t for t, o in enumerate(multi) if o)
+    rest = tuple(0 if t == slot else o for t, o in enumerate(multi))
+    inner = JetEvaluator(e.arity, lambda *a: e.partials(a, [rest])[0]) if any(rest) else e
+    [coeff] = laurent_coeff(inner, slot, args, np.full(len(args[0]), 0.35), [multi[slot]])
+    return coeff * math.factorial(multi[slot])
+
+
 def _quadratic_change(m, scale=0.05):
+    """mu = p + scale u1 p^2 given by its value, its partials from circles."""
     def fn(*args):
         return args[0] + scale * args[1] * args[0] ** 2
 
-    return CoordinateChange(JetEvaluator(1 + m, fn, domain=Domain(),
-                                         label="mu"))
+    return CoordinateChange(_by_circles(1 + m, fn, "mu"))
 
 
 def test_pushforward_keeps_axioms():
@@ -202,8 +224,11 @@ def test_pushforward_lambda_keeps_identity():
 
 def test_pushforward_identity_map_is_exact():
     s = catalog.build_structure("benney", 1)
-    ident = CoordinateChange(
-        JetEvaluator(1 + s.m, lambda *a: a[0], domain=Domain(), label="id"))
+    d_p = multi_index(1 + s.m, 0)
+    ident = CoordinateChange(JetEvaluator(
+        1 + s.m, lambda *a: a[0], domain=Domain(), label="id",
+        partial_fn=lambda args, multis: [float(multi == d_p) if any(multi) else NotImplemented
+                                         for multi in multis]))
     pushed = pushforward(s, ident)
     for row in s.sample(5, seed=10, n_p=2).tolist():
         assert pushed.f.value(tuple(row)) == pytest.approx(s.f.value(tuple(row)), rel=1e-9)
@@ -227,14 +252,15 @@ def test_genus2_pushforward_continues_the_sheet(tmp_path, seed):
 
 
 def test_principal_branch_pushed_genus2_f_fails(tmp_path, monkeypatch):
-    # the same pushed fn and domain in a plain evaluator: its circles take
-    # q1 and q2 on the principal branch at every node, so they cross the
-    # image of the square-root cut
+    # the same pushed fn, partials and domain in a plain evaluator: its
+    # residue circles take q1 and q2 on the principal branch at every node,
+    # so they cross the image of the square-root cut
     code, continued = _cli_pushforward(tmp_path, "genus2", 101)
 
     def principal(s, c):
         pushed = pushforward(s, c)
-        pushed.f = JetEvaluator(pushed.f.arity, pushed.f.fn, domain=pushed.f.domain)
+        pushed.f = JetEvaluator(pushed.f.arity, pushed.f.fn, domain=pushed.f.domain,
+                                partial_fn=pushed.f.partial_fn)
         return pushed
 
     monkeypatch.setattr(cli, "pushforward", principal)
@@ -242,6 +268,32 @@ def test_principal_branch_pushed_genus2_f_fails(tmp_path, monkeypatch):
     assert code == 0
     assert max(e["max_residual"] for e in continued["reports"]) < 1e-10
     assert max(e["max_residual"] for e in plain["reports"]) > 1e-3
+
+
+def test_pushed_genus2_mixed_partials_near_the_cut_match_differences_of_its_firsts():
+    # by the CLI's mu, at a point whose p1 lies near the image of the
+    # square-root cut: d_0 d_1 and d_0 d_2 of the pushed f from one
+    # second-order jet at the point, against central differences in p1 of
+    # its first partials.  With step h, D(h) = d + c h^2 + O(h^4), so
+    # |D(2h) - D(h)| / 3 estimates the truncation of D(h); twice that, plus
+    # the rounding of two first partials over 2h, bounds the gap
+    s = catalog.build_structure("genus2")
+    f = pushforward(s, _closed_form_quadratic_change(s.m)).f
+    args = (1.3 + 0.01j, -0.6 + 0.8j, 1.7, 2.9, 4.1)
+    h, eps = 1e-4, np.finfo(float).eps
+
+    def quotient(step, inner):
+        up, down = list(args), list(args)
+        up[0] += step
+        down[0] -= step
+        ends = [f.partial(x, multi_index(5, inner)) for x in (up, down)]
+        return (ends[0] - ends[1]) / (2 * step), max(map(abs, ends))
+
+    for inner in (1, 2):
+        got = f.partial(args, multi_index(5, 0, inner))
+        (d_h, size), (d_2h, _) = quotient(h, inner), quotient(2 * h, inner)
+        bound = 2 * abs(d_2h - d_h) / 3 + 64 * eps * size / h
+        assert abs(got - d_h) <= bound, (inner, got, d_h, bound)
 
 
 def test_pushed_f_declares_the_loci_of_its_g_term(tmp_path):
@@ -268,29 +320,18 @@ def test_genus1_pushforward_pole_circle_sees_each_locus(tmp_path):
     assert 0.0 < radius < 0.25
 
 
-class _ValueOnly(JetEvaluator):
-    """The same fn, domain and loop values as ``e``, without its
-    partial_fn: every partial is a Cauchy circle over e's value rows."""
-
-    def __init__(self, e):
-        self.e = e
-        super().__init__(e.arity, e.fn, domain=e.domain, label=f"value-only {e.label}")
-
-    def eval_rows(self, rows, anchor, rests):
-        return self.e.eval_rows(rows, anchor, rests)
-
-
 def _worst_first_partial_gap(e, points):
     """Largest gap between e's first partials and the circle oracle, relative
-    to the larger of the oracle and e's value."""
-    oracle = _ValueOnly(e)
+    to the larger of the oracle and e's value: a laurent_coeff circle over e's
+    loop values, of radius a quarter of the slot's clearance, at most 0.35."""
     worst = 0.0
     for args in points:
         for slot in range(e.arity):
             multi = [0] * e.arity
             multi[slot] = 1
             cols = np.array([args], dtype=complex).T
-            [[[want]]] = laurent_coeff(oracle, slot, cols, kernel._radii(oracle, cols, slot), [1])
+            radius = min(0.25 * np.max(e.domain.clearance(cols, slot)), 0.35)
+            [[want]] = laurent_coeff(e, slot, cols, [radius], [1])
             scale = max(abs(want), abs(e.value(args)))
             worst = max(worst, abs(e.partial(args, multi) - want) / scale)
     return worst
@@ -487,6 +528,61 @@ def test_a_jet_power_follows_its_closed_form(k, n):
     cols, rows = _jet_operands(n)
     got = core._Jet(cols[0], rows[0]) ** k
     assert _close(got.v, cols[0] ** k) and _close(got.d, k * cols[0] ** (k - 1) * rows[0])
+
+
+# each operation of a second-order jet against its closed form, as (the
+# operation, its second partials from (a, da, dda) and (b, db, ddb)); x y
+# below is the symmetric product x_s y_t + x_t y_s
+def _sym_product(x, y):
+    return x[:, None] * y + y[:, None] * x
+
+
+_SECOND_ORDER_RULES = {
+    "+": (lambda x, y: x + y, lambda a, da, dda, b, db, ddb: dda + ddb),
+    "-": (lambda x, y: x - y, lambda a, da, dda, b, db, ddb: dda - ddb),
+    "*": (lambda x, y: x * y,
+          lambda a, da, dda, b, db, ddb: dda * b + a * ddb + _sym_product(da, db)),
+    "/": (lambda x, y: x / y,
+          lambda a, da, dda, b, db, ddb: dda / b - _sym_product(da, db) / b**2 - a * ddb / b**2
+          + a * _sym_product(db, db) / b**3),
+}
+
+
+def _hessians(n):
+    """Two jets' symmetric rows of second partials in three slots."""
+    rng = np.random.default_rng(n + 7)
+    hess = rng.normal(size=(2, 3, 3, n)) + 1j * rng.normal(size=(2, 3, 3, n))
+    return hess + hess.swapaxes(1, 2)
+
+
+@pytest.mark.parametrize("n", [1, 5])
+@pytest.mark.parametrize("sides", ["jet jet", "jet number", "number jet"])
+@pytest.mark.parametrize("op", list(_SECOND_ORDER_RULES))
+def test_a_second_order_jet_follows_the_closed_form_of_each_operation(op, sides, n):
+    # a number beside a second-order jet is one with no partials, of its order
+    cols, rows = _jet_operands(n)
+    hess = _hessians(n)
+    operands = []
+    for k, kind in enumerate(sides.split()):
+        jet = kind == "jet"
+        value = cols[k] if jet else complex(cols[k][0])
+        operands.append((core._Jet(value, rows[k], hess[k]) if jet else value, value,
+                         rows[k] if jet else np.zeros((3, n)), hess[k] if jet else 0.0))
+    apply, closed = _SECOND_ORDER_RULES[op]
+    (x, *left), (y, *right) = operands
+    got = apply(x, y)
+    assert _close(got.dd, closed(*left, *right)), (op, sides)
+
+
+@pytest.mark.parametrize("n", [1, 5])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_a_second_order_jet_power_follows_its_closed_form(k, n):
+    cols, rows = _jet_operands(n)
+    hess = _hessians(n)
+    got = core._Jet(cols[0], rows[0], hess[0]) ** k
+    want = (k * cols[0] ** (k - 1) * hess[0]
+            + k * (k - 1) * cols[0] ** (k - 2) * rows[0][:, None] * rows[0])
+    assert _close(got.dd, want)
 
 
 def _catalog_evaluators():
@@ -915,9 +1011,10 @@ def test_contour_potential_matches_log_closed_form():
     v = (0.3 + 0.2j, -0.7 + 1.1j)
     for p in (0.5 + 1j, -1 + 0.5j, 2 - 1j, 0.3 - 0.8j, 1.6 + 0.2j):
         assert abs(pot.h.value((p, *v)) - cmath.log((p - 1) / p)) <= 1e-12
-    # the box keeps samples and their derivative circles clear of the cut
-    # [0, 1]: potential_from_contour cannot declare the cut in its domain, so
-    # on the default genus0 box the Cauchy circles cross it (a known defect)
+    # the box keeps samples clear of the path [0, 1]: h's partials integrate
+    # lambda's along it, so no circle crosses it, but near it the 24-node
+    # Gauss-Legendre values of h and its partials are inaccurate (on the
+    # default genus0 box seeds 6, 10 and 11 read 3.3, 3e-3 and 5.6)
     e.base.p_box = (-2.0, 2.0, 0.6, 2.0)
     rep = verify_potential(e, pot, samples=20, seed=5)
     assert rep.passed, rep.max_residual

@@ -3,7 +3,10 @@ of its classes, is used somewhere; evaluators override ``eval_rows``, never
 ``eval_circle``, and no second circle routine exists: only
 ``kernel.laurent_coeff`` calls ``eval_circle``, no one-point derivative
 routine or extrapolating evaluator class is left, and a limit collision's
-first partials open no circle; only ``Domain``
+first partials open no circle; no partial comes from a circle: the circle
+routines take no partial rest, ``JetEvaluator._table`` opens no circle, no
+radius rule is left, and only the residue checks and the algebroid table
+call ``laurent_coeff``; only ``Domain``
 answers a per-slot ``clearance``; only ``kernel.on_columns`` asks whether a
 value is an array, so no locus keeps a branch for numbers; no evaluator
 is flagged as taking columns, since every one does; gtsys's per-pair
@@ -97,7 +100,7 @@ def test_only_the_base_evaluator_defines_eval_circle():
 
 def _callers(attr: str) -> list[str]:
     """The top-level definition or method (module:Class.method) around each
-    call of ``<something>.attr(...)`` in the package."""
+    call of ``<something>.attr(...)`` or ``attr(...)`` in the package."""
     callers = []
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
@@ -108,19 +111,46 @@ def _callers(attr: str) -> list[str]:
                           for node in top.body]
             callers += [f"{path.name}:{name}" for name, scope in scopes
                         for node in ast.walk(scope) if isinstance(node, ast.Call)
-                        and isinstance(node.func, ast.Attribute) and node.func.attr == attr]
+                        and attr in (getattr(node.func, "attr", None),
+                                     getattr(node.func, "id", None))]
     return callers
 
 
 def test_every_circle_is_read_through_laurent_coeff():
-    # one circle routine: declined partials, the residues of verify_pole and
-    # verify_lambda and algebroid_constants' inner rings all read their
-    # coefficients through kernel.laurent_coeff, the one caller of
-    # eval_circle; the one-point derivative and the evaluator class that
-    # extrapolated values (whose partials were circles) are gone
+    # one circle routine: the residues of verify_pole and verify_lambda and
+    # algebroid_constants' inner rings read their coefficients through
+    # kernel.laurent_coeff, the one caller of eval_circle; the one-point
+    # derivative and the evaluator class that extrapolated values (whose
+    # partials were circles) are gone
     assert _callers("eval_circle") == ["kernel.py:laurent_coeff"]
     tokens = _name_tokens([PACKAGE])
     assert [name for name in ("cauchy_derivative", "_RichardsonLimit") if tokens[name]] == []
+
+
+def test_no_partial_is_read_off_a_circle():
+    # every partial is a closed form or a NoClosedForm: the circle routines
+    # sample values only (no partial rest), the kernel keeps no rule for a
+    # derivative circle's radius, JetEvaluator._table calls no circle
+    # routine, and in the package only the residue checks and the algebroid
+    # table call laurent_coeff (a partial_fn without a closed form may, from
+    # outside the package)
+    routines = ("eval_rows", "eval_circle", "laurent_coeff")
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and node.name in routines:
+                assert "rests" not in [a.arg for a in node.args.args], (path.name, node.name)
+    assert _name_tokens([PACKAGE])["rests"] == 0
+    assert [name for name in ("_radii", "DEFAULT_RADIUS_FRACTION", "MAX_RADIUS")
+            if _name_tokens([PACKAGE])[name]] == []
+    kernel_tree = ast.parse((PACKAGE / "kernel.py").read_text(encoding="utf-8"))
+    evaluator = next(node for node in kernel_tree.body
+                     if getattr(node, "name", "") == "JetEvaluator")
+    table = next(node for node in evaluator.body if getattr(node, "name", "") == "_table")
+    called = {getattr(node.func, "attr", getattr(node.func, "id", None))
+              for node in ast.walk(table) if isinstance(node, ast.Call)}
+    assert called.isdisjoint({*routines, "_circle_coeff", "_ring"}), called
+    assert _callers("laurent_coeff") == ["core.py:_residues", "core.py:algebroid_constants"]
 
 
 def test_a_limit_collision_opens_no_circle_for_its_first_partials(monkeypatch):

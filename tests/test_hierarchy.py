@@ -532,15 +532,22 @@ def test_f_and_g_are_evaluated_once_per_sample(monkeypatch):
     assert len(calls) == len(rounds) * (s.m + 1), (len(calls), len(rounds))
 
 
+def _square_in_p(m: int, c: complex, label: str) -> JetEvaluator:
+    """(p - c)^2 over (p, v), its partials in closed form and its value from fn."""
+    def partial_fn(args, multis):
+        d_p = {1: 2.0 * (args[0] - c), 2: 2.0}
+        return [NotImplemented if not any(multi) else d_p.get(multi[0], 0.0)
+                if multi[0] == sum(multi) else 0.0 for multi in multis]
+
+    return JetEvaluator(1 + m, lambda *a: (a[0] - c) ** 2, domain=Domain(), partial_fn=partial_fn,
+                        label=label)
+
+
 def test_integrability_criterion_rejects_foreign_potential():
     # replace one member by p^2, which is not a potential of this structure
     fam = _family()
     m = fam.m
-    fake = Potential(
-        JetEvaluator(1 + m, lambda *a: a[0] ** 2, domain=Domain(),
-                     label="fake"),
-        label="p^2",
-    )
+    fake = Potential(_square_in_p(m, 0.0, "fake"), label="p^2")
     broken = PotentialFamily(fam.structure,
                              [fam.potentials[0], fam.potentials[1], fake],
                              enhanced=fam.enhanced)
@@ -615,7 +622,7 @@ def test_lambda_reconstruction_refuses_a_vanishing_h_prime():
     # draws miss c, the returned reconstruction is asked there
     fam = _family("benney", 2)
     c = 0.3 + 0.2j
-    square = JetEvaluator(1 + fam.m, lambda *args: (args[0] - c) ** 2, label="(p-c)^2")
+    square = _square_in_p(fam.m, c, "(p-c)^2")
     fam = PotentialFamily(fam.structure, [Potential(square), *fam.potentials],
                           enhanced=fam.enhanced)
     rec, _ = reconstruct_lambda(fam, 0, samples=3, seed=13)

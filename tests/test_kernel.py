@@ -17,7 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gtlab import hyperell, kernel
-from gtlab.errors import DomainViolation, InvalidModulus, NonConvergence, PoleHit
+from gtlab.errors import (DomainViolation, GTLabError, InvalidModulus, NoClosedForm,
+                          NonConvergence, PoleHit)
 from gtlab.kernel import (
     Diagonal,
     Domain,
@@ -390,25 +391,30 @@ def _rational():
 
 
 def test_first_derivative_of_simple_pole():
-    # d/dp [1/(p-2)] at p=0 equals -1/(0-2)^2 = -1/4
-    val = _rational().partial((0.0,), (1,))
-    assert val == pytest.approx(-0.25, abs=1e-10)
+    # d/dp [1/(p-2)] at p=0 equals -1/(0-2)^2 = -1/4, read off one circle
+    [[coeff]] = laurent_coeff(_rational(), 0, [np.array([0.0 + 0j])], [0.35], [1])
+    assert coeff == pytest.approx(-0.25, abs=1e-10)
 
 
 def test_higher_derivatives_match_factorial_formula():
-    e = _rational()
-    for k in range(2, 6):
+    coeffs = laurent_coeff(_rational(), 0, [np.array([0.0 + 0j])], [0.35], range(2, 6))
+    for k, [coeff] in zip(range(2, 6), coeffs):
         expected = math.factorial(k) * (-1) ** k / (0.0 - 2.0) ** (k + 1)
-        assert e.partial((0.0,), (k,)) == pytest.approx(expected, rel=1e-9)
+        assert coeff * math.factorial(k) == pytest.approx(expected, rel=1e-9)
 
 
 def test_mixed_partials_of_exponential():
+    # d^2/dp dv e^{pv} = (1 + pv) e^{pv}: a circle in p over the v-circles of
+    # e at each of its nodes
     e = JetEvaluator(2, lambda p, v: np.exp(p * v), domain=Domain())
+    d_v = JetEvaluator(2, np.vectorize(
+        lambda p, v: laurent_coeff(e, 1, _column_of_one((p, v)), [0.35], [1])[0, 0],
+        otypes=[complex]))
     args = (0.3 + 0.1j, 0.7 - 0.2j)
     p, v = args
-    # d^2/dp dv e^{pv} = (1 + pv) e^{pv}
     expected = (1 + p * v) * cmath.exp(p * v)
-    assert e.partial(args, (1, 1)) == pytest.approx(expected, rel=1e-9)
+    [[coeff]] = laurent_coeff(d_v, 0, _column_of_one(args), [0.35], [1])
+    assert coeff == pytest.approx(expected, rel=1e-9)
 
 
 def test_a_reindexed_fn_reads_its_base_fn():
@@ -444,35 +450,18 @@ def test_reindexed_circle_samples_map_rest_through_source():
     args = (0.7 - 0.2j, 5.0, 0.3 + 0.1j)
     cols = _column_of_one(args)
     nodes = [args[2] + 0.1 * cmath.exp(2j * math.pi * k / 8) for k in range(8)]
-    # d/dv on the p circle is p e^{pv}
-    got = r.eval_circle(2, cols, [0.1], 8, [(1, 0, 0)])[0, 0]
+    # the p circle samples e^{pv} at each node p, v read from slot 0
+    got = r.eval_circle(2, cols, [0.1], 8)[0]
     for g, p in zip(got, nodes):
-        assert g == pytest.approx(p * cmath.exp(p * args[0]), rel=1e-9)
-    assert not r.eval_circle(2, cols, [0.1], 8, [(0, 1, 0)]).any()
-    const = r.eval_circle(1, cols, [0.1], 8)[0, 0]
+        assert g == pytest.approx(cmath.exp(p * args[0]), rel=1e-9)
+    const = r.eval_circle(1, cols, [0.1], 8)[0]
     assert (const == const[0]).all()
     assert const[0] == pytest.approx(cmath.exp(args[2] * args[0]), rel=1e-15)
 
 
-def test_reindexed_batches_equal_single_rests_bit_for_bit():
-    # a base without partial_fn, so the base answers by circles; slot 1 of
-    # the reindexed evaluator is inert
-    base = JetEvaluator(2, lambda p, v: np.exp(p * v) / (p - 2.0),
-                        domain=Domain((FixedPoints(0, [2.0]),)))
-    r = ReindexedEvaluator(base, 3, (2, 0))
-    args = (0.7 - 0.2j, 5.0, 0.3 + 0.1j)
-    rests = [None, (1, 0, 0), (0, 1, 0), (2, 0, 0)]
-    batch = r.eval_circle(2, _column_of_one(args), [0.1], 16, rests)
-    for row, rest in zip(batch, rests):
-        assert (row == r.eval_circle(2, _column_of_one(args), [0.1], 16, [rest])[0]).all()
-    multis = [(1, 0, 1), (0, 0, 2), (2, 0, 0), (0, 1, 1), (0, 0, 0)]
-    assert r.partials(args, multis) == [r.partial(args, multi) for multi in multis]
-
-
 def test_orders_read_from_one_slot_share_one_value_row():
-    # a value-only evaluator asked for d_p, d_p^2 and d_p^3 in one call runs
-    # fn once, over the circle's nodes, and each order equals the
-    # one-at-a-time answer
+    # laurent_coeff asked for orders 1, 2 and 3 in one call runs fn once,
+    # over the circle's nodes, and each order equals the one-at-a-time answer
     calls = []
 
     def fn(p, v):
@@ -480,10 +469,10 @@ def test_orders_read_from_one_slot_share_one_value_row():
         return np.exp(p * v)
 
     e = JetEvaluator(2, fn, domain=Domain())
-    args = (0.3 + 0.1j, 0.7 - 0.2j)
-    got = e.partials(args, [(1, 0), (2, 0), (3, 0)])
+    cols = _column_of_one((0.3 + 0.1j, 0.7 - 0.2j))
+    got = laurent_coeff(e, 0, cols, [0.35], [1, 2, 3])
     assert calls == [kernel.DEFAULT_NODES] == [32]
-    assert got == [e.partial(args, (k, 0)) for k in (1, 2, 3)]
+    assert got.tolist() == [laurent_coeff(e, 0, cols, [0.35], [k])[0].tolist() for k in (1, 2, 3)]
 
 
 def test_partial_fn_hook_takes_precedence():
@@ -493,11 +482,36 @@ def test_partial_fn_hook_takes_precedence():
         calls.extend(multis)
         return [123.0 + 0.0j if tuple(multi) == (1,) else NotImplemented for multi in multis]
 
-    e = JetEvaluator(1, lambda p: p * p, domain=Domain(), partial_fn=pf)
+    e = JetEvaluator(1, lambda p: p * p, domain=Domain(), partial_fn=pf, label="p^2")
     assert e.partial((0.5,), (1,)) == 123.0
-    # NotImplemented falls back to quadrature
-    assert e.partial((0.5,), (2,)) == pytest.approx(2.0, rel=1e-9)
+    # a declined partial has no second way: it raises, naming the evaluator
+    # and the multi-index
+    with pytest.raises(NoClosedForm, match=r"^p\^2 has no closed form for the partial \(2,\)$"):
+        e.partial((0.5,), (2,))
     assert (1,) in calls and (2,) in calls
+
+
+def test_a_value_only_evaluator_has_no_partial():
+    # without a partial_fn every value comes from fn and every partial
+    # raises NoClosedForm, a GTLabError, before fn is run
+    calls = []
+
+    def fn(p, v):
+        calls.append(np.size(p))
+        return np.exp(p * v)
+
+    e = JetEvaluator(2, fn, domain=Domain(), label="exp(pv)")
+    args = (0.3 + 0.1j, 0.7 - 0.2j)
+    for multi in [(1, 0), (0, 2), (1, 1)]:
+        with pytest.raises(NoClosedForm, match=rf"^exp\(pv\) has no closed form for the "
+                                               rf"partial {re.escape(str(multi))}$"):
+            e.partials(args, [(0, 0), multi])
+    assert calls == []
+    assert issubclass(NoClosedForm, GTLabError)
+    assert e.value(args) == pytest.approx(cmath.exp(args[0] * args[1]), rel=1e-15)
+    unlabelled = JetEvaluator(2, fn)
+    with pytest.raises(NoClosedForm, match=r"^evaluator has no closed form for the partial "):
+        unlabelled.partials((COLUMN_P, COLUMN_Q), [(1, 0)])
 
 
 def test_partial_fn_gets_the_request_as_asked_the_value_included():
@@ -522,10 +536,10 @@ def test_partial_fn_gets_the_request_as_asked_the_value_included():
 
 @pytest.mark.parametrize("p1", [math.nan, math.inf])
 def test_circle_at_a_non_finite_point_fails_closed(p1):
-    # the clearance there is NaN or inf; neither is a circle to sample on
+    # neither NaN nor inf is a centre to sample about
     e = JetEvaluator(2, lambda a, b: 1.0 / (a - b), domain=Domain((Diagonal(0, 1),)))
-    with pytest.raises(DomainViolation):
-        e.partial((p1, 1.0), (1, 0))
+    with pytest.raises(DomainViolation, match=r"^non-finite complex value "):
+        laurent_coeff(e, 0, _column_of_one((p1, 1.0)), [0.1], [1])
 
 
 def test_a_non_finite_circle_sample_fails_closed():
@@ -537,14 +551,16 @@ def test_a_non_finite_circle_sample_fails_closed():
         return np.where(p == node, math.nan, 1.0 / (p - q))
 
     e = JetEvaluator(2, fn, domain=Domain((Diagonal(0, 1),)), label="one nan")
+    cols, radius = _column_of_one((0.7, 0.3)), 0.25 * abs(0.7 - 0.3)
     with pytest.raises(DomainViolation, match=r"one nan: non-finite samples on circle 0 of 1, "
                                               r"radius 0\.0999\d* about \(0\.7\+0j\) in slot 0"):
-        e.partial((0.7, 0.3), (1, 0))
-    assert e.partial((0.7, 0.3), (0, 1)) == pytest.approx(1.0 / 0.4**2, rel=1e-10)
+        laurent_coeff(e, 0, cols, [radius], [1])
+    [[coeff]] = laurent_coeff(e, 1, cols, [radius], [1])
+    assert coeff == pytest.approx(1.0 / 0.4**2, rel=1e-10)
 
 
-# a value-only evaluator on columns: every partial it is asked is declined,
-# so each comes from one circle per point, all of a slot's in one call
+# a value-only evaluator on columns: one circle per point, all of a slot's
+# in one laurent_coeff call
 COLUMN_P = np.array([0.1 + 0.2j, 0.7, -0.4 + 0.5j, 0.3 - 0.6j])
 COLUMN_Q = np.array([0.9 - 0.1j, 0.3, 0.6 + 0.2j, -0.5 - 0.2j])
 
@@ -557,19 +573,24 @@ def _value_only_pole(label="value only", spoil=None):
     return JetEvaluator(2, fn, domain=Domain((Diagonal(0, 1),)), label=label)
 
 
+def _quarter_clearance(q):
+    """The radius of each point's p circle: a quarter of its distance to the diagonal."""
+    return 0.25 * abs(COLUMN_P - q)
+
+
 @pytest.mark.parametrize("where", range(len(COLUMN_P)))
 def test_a_column_point_on_a_declared_locus_is_named(where):
-    # one point of four on the diagonal: no circle to sample about it, and
-    # the error names that point, not the others
+    # one point of four on the diagonal: its circle has radius 0 and samples
+    # the pole, and the error names that circle, not the others
     q = COLUMN_Q.copy()
     q[where] = COLUMN_P[where]
     e = _value_only_pole()
-    with pytest.raises(DomainViolation, match=rf"^argument 0 of value only sits on a declared "
-                                              rf"singular locus at point {where} of 4 "
-                                              rf"\(clearance 0\.0\)$"):
-        e.partials((COLUMN_P, q), [(1, 0)])
+    with pytest.raises(DomainViolation, match=rf"^value only: non-finite samples on circle "
+                                              rf"{where} of 4, radius 0\.0 about "):
+        laurent_coeff(e, 0, (COLUMN_P, q), _quarter_clearance(q), [1])
     others = np.arange(len(q)) != where
-    assert np.isfinite(e.partials((COLUMN_P[others], q[others]), [(1, 0)])).all()
+    assert np.isfinite(laurent_coeff(e, 0, (COLUMN_P[others], q[others]),
+                                     _quarter_clearance(q)[others], [1])).all()
 
 
 @pytest.mark.parametrize("where", range(len(COLUMN_P)))
@@ -579,30 +600,11 @@ def test_an_undeclared_singularity_on_one_circle_names_that_circle(where):
     # raises naming that circle of four, and no coefficient is read
     node = COLUMN_P[where] + 0.25 * abs(COLUMN_P[where] - COLUMN_Q[where])
     e = _value_only_pole("spoiled", spoil=node)
+    radii = _quarter_clearance(COLUMN_Q)
     with pytest.raises(DomainViolation, match=rf"^spoiled: non-finite samples on circle "
                                               rf"{where} of 4, radius "):
-        e.partials((COLUMN_P, COLUMN_Q), [(1, 0), (2, 0)])
-    assert np.isfinite(e.partials((COLUMN_P, COLUMN_Q), [(0, 1)])).all()
-
-
-def test_declined_partials_on_columns_agree_with_cauchy_derivative():
-    # first and second partials in either slot, and the mixed one, read from
-    # the circles of all four points at once, against k! times one
-    # laurent_coeff circle per point (the same radius and nodes) and the
-    # closed form
-    e = _value_only_pole()
-    multis = [(1, 0), (0, 1), (2, 0), (0, 2), (1, 1)]
-    table = e.partials((COLUMN_P, COLUMN_Q), multis)
-    assert table.shape == (len(multis), len(COLUMN_P))
-    for n, args in enumerate(zip(COLUMN_P.tolist(), COLUMN_Q.tolist())):
-        d = args[0] - args[1]
-        for row, multi in zip(table, multis):
-            exact = (-1) ** multi[0] * math.factorial(sum(multi)) / d ** (sum(multi) + 1)
-            if 0 in multi:
-                slot = multi.index(max(multi))
-                want = _circle_derivative(e, slot, args, multi[slot])
-                assert abs(row[n] - want) <= 1e-13 * abs(want), (n, multi)
-            assert row[n] == pytest.approx(exact, rel=1e-9), (n, multi)
+        laurent_coeff(e, 0, (COLUMN_P, COLUMN_Q), radii, [1, 2])
+    assert np.isfinite(laurent_coeff(e, 1, (COLUMN_P, COLUMN_Q), radii, [1])).all()
 
 
 def test_jet_requests_of_the_wrong_shape_are_refused():
@@ -643,30 +645,22 @@ def test_column_requests_of_the_wrong_shape_are_refused(closed):
 
 
 def test_a_radius_on_a_declared_locus_is_refused():
-    # clearance 0 at the pole: no circle to sample on, named by slot, evaluator
-    # and point, a point being a column of one
-    with pytest.raises(DomainViolation, match=r"^argument 0 of 1/\(p-2\) sits on a declared "
-                                              r"singular locus at point 0 of 1 \(clearance 0\.0\)$"):
-        _rational().partial((2.0,), (1,))
+    # a circle of radius 0 about the pole samples it: refused, named by
+    # evaluator, circle and slot, a point being a column of one
+    with pytest.raises(DomainViolation, match=r"^1/\(p-2\): non-finite samples on circle 0 of 1, "
+                                              r"radius 0\.0 about \(2\+0j\) in slot 0$"):
+        laurent_coeff(_rational(), 0, [np.array([2.0 + 0j])], [0.0], [1])
 
 
 def test_laurent_coeff_recovers_residue():
     # the residue of 1/(p - 2) and its vanishing orders -2 and 0, about the
     # pole in a column of one, and about three centres at once: the pole and
     # two points off it, where the residue vanishes
-    [[res, c_m2, c_0]] = laurent_coeff(_rational(), 0, [np.array([2.0 + 0j])], [0.3], [-1, -2, 0])
+    [res, c_m2, c_0] = laurent_coeff(_rational(), 0, [np.array([2.0 + 0j])], [0.3], [-1, -2, 0])
     assert res[0] == pytest.approx(1.0, rel=1e-10)
     assert abs(c_m2[0]) < 1e-12 and abs(c_0[0]) < 1e-12
-    [[res]] = laurent_coeff(_rational(), 0, [np.array([2.0, 0.5, -1.0 + 1j])], [0.3] * 3, [-1])
+    [res] = laurent_coeff(_rational(), 0, [np.array([2.0, 0.5, -1.0 + 1j])], [0.3] * 3, [-1])
     assert res == pytest.approx([1.0, 0.0, 0.0], abs=1e-10)
-
-
-def _circle_derivative(e, slot, args, order):
-    """The order-th derivative in one slot at a point: order! times its
-    Taylor coefficient on the circle a declined partial takes there."""
-    cols = _column_of_one(args)
-    [[coeff]] = laurent_coeff(e, slot, cols, kernel._radii(e, cols, slot), [order])
-    return coeff[0] * math.factorial(order)
 
 
 # ---------------------------------------------------------------------------
