@@ -18,13 +18,12 @@ they transform (a pushed one over mu's entries as well): on argument
 columns it gives the value; on forward-mode jets (``_Jet``) seeded in the
 slots asked it gives every partial of order 1 and 2 asked, each
 ingredient asked once per point for its entries and their partials
-(``_entries``); the limit collisions are such formulas too, Neville's
-tableau over the values of their eps ladder (``_limit``).  A contour
-potential integrates lambda's partials along its path.  Only the Laurent
-coefficients of the residue checks and the inner rings of
-``algebroid_constants`` come from Cauchy circles, each read through
-``kernel.laurent_coeff``.  A pushed evaluator's pulled-back loci read
-columns for the sampler.
+(``_entries``); a collided lambda reads lambda with each group coordinate
+at its leader's value.  A contour potential integrates lambda's partials
+along its path.  Only the Laurent coefficients of the residue checks and
+the inner rings of ``algebroid_constants`` come from Cauchy circles, each
+read through ``kernel.laurent_coeff``.  A pushed evaluator's pulled-back
+loci read columns for the sampler.
 """
 
 from __future__ import annotations
@@ -436,102 +435,12 @@ def add_points(s: GTStructure, n: int) -> GTStructure:
     )
 
 
-def _collision_substitution(
-    groups: Sequence[Sequence[int]], eps: float, v: Sequence[complex]
-) -> list[complex]:
-    """Binomial collision ladder: old coordinate r of each group becomes
-    sum_{s<=r} C(r, s) eps^s u_s, with u the group's coordinates in v."""
-    out = list(v)
-    for group in groups:
-        u = [v[slot] for slot in group]
-        for r, slot in enumerate(group):
-            out[slot] = sum(math.comb(r, sk) * eps**sk * u[sk] for sk in range(r + 1))
-    return out
-
-
-LADDER = tuple(0.05 * 0.5**k for k in range(5))  # eps values, strictly toward 0
-
-
-def _limit(fn_eps):
-    """The formula of the eps -> 0 limit of the family ``fn_eps(args, at, eps)``:
-    Neville's tableau over its values at LADDER, toward eps = 0."""
-    def formula(args, at):
-        eps = LADDER
-        vals = [fn_eps(args, at, ei) for ei in eps]
-        for level in range(1, len(eps)):
-            for i in range(len(eps) - level):
-                num = eps[i] * vals[i + 1] - eps[i + level] * vals[i]
-                vals[i] = num / (eps[i] - eps[i + level])
-        return vals[0]
-
-    return formula
-
-
-def collide_points_limit(s: GTStructure, groups: Sequence[Sequence[int]]) -> GTStructure:
-    """Collide each group of fiber coordinates; each evaluator is one formula,
-    the Richardson eps -> 0 limit of the binomial substitution applied to s
-    (``_limit``), so its first partials come from the jet rule."""
-    flat = [slot for grp in groups for slot in grp]
-    if not all(groups):
-        raise ValueError(f"collision groups must be non-empty, got {groups!r}")
-    if len(set(flat)) != len(flat):
-        raise ValueError(f"collision groups must be disjoint, got {groups!r}")
-    if not all(0 <= slot < s.m for slot in flat):
-        raise ValueError(f"collision slots must lie in 0..{s.m - 1}, got {groups!r}")
-    m = s.m
-    value = [multi_index(1 + m)]
-
-    # inverse-Jacobian rows for the group coordinates
-    def g_component(i: int) -> JetEvaluator:
-        owner = next((grp for grp in groups if i in grp), None)
-
-        def fn_eps(args, at, eps):
-            p, v = args[0], list(args[1:])
-            vv = _collision_substitution(groups, eps, v)
-            if owner is None:
-                return at(s.g[i], (p, *vv), value)[0]
-            # r-th finite difference of f(p, v_l) across the group, scaled
-            # by eps^-r (the inverse Jacobian of the triangular substitution)
-            r = owner.index(i)
-            total = 0.0 + 0.0j
-            for l_idx in range(r + 1):
-                coeff = (-1) ** (r - l_idx) * math.comb(r, l_idx) / eps**r
-                total += coeff * at(s.g[owner[l_idx]], (p, *vv), value)[0]
-            return total
-
-        dom = _collided_domain(s.g[i].domain, groups, offset=1, arity=1 + m)
-        return _Formula(1 + m, _limit(fn_eps), dom, f"{s.label}:collided g[{i}]")
-
-    def f_eval() -> JetEvaluator:
-        def fn_eps(args, at, eps):
-            p1, p2, v = args[0], args[1], list(args[2:])
-            return at(s.f, (p1, p2, *_collision_substitution(groups, eps, v)),
-                      [multi_index(2 + m)])[0]
-
-        dom = _collided_domain(s.f.domain, groups, offset=2, arity=2 + m)
-        return _Formula(2 + m, _limit(fn_eps), dom, f"{s.label}:collided f")
-
-    return GTStructure(
-        m=m,
-        g=[g_component(i) for i in range(m)],
-        f=f_eval(),
-        label=f"{s.label}:collided",
-        p_box=s.p_box,
-        v_boxes=s.v_boxes,
-        min_separation=s.min_separation,
-    )
-
-
 def _collided_domain(domain: Domain, groups, offset: int, arity: int) -> Domain:
     """Domain for collided evaluators: every locus that mentioned a group
     coordinate now sits at the group's leading coordinate (in the limit all
     group members collapse onto the leader)."""
-    mapping = list(range(arity))
-    for grp in groups:
-        leader = offset + grp[0]
-        for slot in grp[1:]:
-            mapping[offset + slot] = leader
-    return domain.remap(mapping)
+    lead = {offset + slot: offset + grp[0] for grp in groups for slot in grp}
+    return domain.remap([lead.get(t, t) for t in range(arity)])
 
 
 def _partitions_weighted(s_total: int):
@@ -561,19 +470,17 @@ def _partitions_weighted(s_total: int):
 
 
 def collide_points_closed(s: GTStructure, groups: Sequence[Sequence[int]]) -> GTStructure:
-    """Closed-form collision: the depth-r component attached to a group is
-    the r-th coefficient of f(p, u0 + u1 t + u2 t^2/2! + ...), expanded by
-    the chain rule.  Only valid when every group coordinate is a puncture
-    (its g-component is f(p, u))."""
-    for grp in groups:
-        if not grp:
-            raise ConfigError(f"collision groups must be non-empty, got {groups!r}")
-        for slot in grp:
-            if slot not in s.puncture_slots:
-                raise ConfigError(
-                    f"coordinate {slot} of {s.label} is not a puncture; use "
-                    f"collide_points_limit"
-                )
+    """Collide each group of puncture coordinates: the depth-r component
+    attached to a group is the r-th coefficient of f(p, u0 + u1 t + u2
+    t^2/2! + ...), expanded by the chain rule.  Every group coordinate must
+    be a puncture (its g-component is f(p, u)), and the groups non-empty
+    and disjoint."""
+    flat = [slot for grp in groups for slot in grp]
+    if not all(groups) or len(set(flat)) != len(flat):
+        raise ConfigError(f"collision groups must be non-empty and disjoint, got {groups!r}")
+    for slot in flat:
+        if slot not in s.puncture_slots:
+            raise ConfigError(f"coordinate {slot} of {s.label} is not a puncture")
     m = s.m
 
     fm = functools.partial(multi_index, s.f.arity)  # f's multi-indices over (p, u0, v)
@@ -617,17 +524,19 @@ def collide_points_closed(s: GTStructure, groups: Sequence[Sequence[int]]) -> GT
 
 
 def collide_enhanced(e: EnhancedGT, groups: Sequence[Sequence[int]]) -> EnhancedGT:
-    """Collide the base structure and push lambda through the same limit."""
-    base = collide_points_limit(e.base, groups)
+    """Collide the base structure (``collide_points_closed``); lambda reads
+    every group coordinate at its leader's value, as the collision sets it."""
+    base = collide_points_closed(e.base, groups)
     m = e.m
+    lead = {slot: grp[0] for grp in groups for slot in grp}
 
-    def fn_eps(args, at, eps):
+    def formula(args, at):
         p1, p2, v = args[0], args[1], args[2:]
-        return at(e.lam, (p1, p2, *_collision_substitution(groups, eps, v)),
+        return at(e.lam, (p1, p2, *(v[lead.get(j, j)] for j in range(m))),
                   [multi_index(2 + m)])[0]
 
-    lam = _Formula(2 + m, _limit(fn_eps), e.lam.domain, f"{e.label}:collided lambda")
-    return EnhancedGT(base, lam)
+    dom = _collided_domain(e.lam.domain, groups, offset=2, arity=2 + m)
+    return EnhancedGT(base, _Formula(2 + m, formula, dom, f"{e.label}:collided lambda"))
 
 
 def _undeclared(loci: Iterable[Exclusion], declared: Sequence[Exclusion] = ()) -> list:
@@ -771,6 +680,8 @@ class _Formula(JetEvaluator):
         for t, seed in zip(slots, seeds):
             point[t] = _Jet(args[t], seed, second)
         jet = self.formula(tuple(point), _entries)
+        if not isinstance(jet, _Jet):  # the formula reads none of the slots seeded
+            jet = _Jet(jet, np.zeros((k, 1)), second)
         rows = [[slots.index(t) for t, o in enumerate(multi) for _ in range(o) if sum(multi) < 3]
                 for multi in multis]  # the seeds an order 1 or 2 reads, nothing for the others
         return [jet.d[i[0]] if len(i) == 1 else jet.dd[i[0], i[1]] if i else NotImplemented

@@ -19,7 +19,6 @@ from gtlab.cli import main as cli_main
 from gtlab.core import (
     CoordinateChange,
     collide_points_closed,
-    collide_points_limit,
     add_points,
     pushforward,
     verify_all,
@@ -140,17 +139,17 @@ def test_criterion_3_transform_preservation():
                                 [[0, 1]]), samples=25)
     check(collide_points_closed(catalog.build_structure("benney", 4),
                                 [[0, 1], [2, 3]]), samples=25)
-    # closed form against the Richardson-extrapolated limit
-    s = catalog.build_structure("benney", 2)
-    lim = collide_points_limit(s, [[0, 1]])
-    closed = collide_points_closed(s, [[0, 1]])
+    # the collided components against benney's own closed forms at depth 1
+    # and 2: u1/(p - u0)^2 and 2 u1^2/(p - u0)^3 + u2/(p - u0)^2
+    closed = collide_points_closed(catalog.build_structure("benney", 3), [[0, 1, 2]])
     gap = 0.0
-    for row in map(tuple, closed.sample(20, seed=9, n_p=2).tolist()):
-        a, b = lim.f.value(row), closed.f.value(row)
-        gap = max(gap, abs(a - b) / max(abs(b), 1.0))
-    ok = gap < 1e-5
+    for p, u0, u1, u2 in closed.sample(20, seed=9, n_p=1).tolist():
+        d = p - u0
+        for g, want in zip(closed.g[1:], [u1 / d ** 2, 2 * u1 ** 2 / d ** 3 + u2 / d ** 2]):
+            gap = max(gap, abs(g.value((p, u0, u1, u2)) - want) / abs(want))
+    ok = gap < 1e-13
     _verdict(3, ok, f"worst axiom residual {worst:.2e}, "
-                    f"limit-vs-closed gap {gap:.2e}")
+                    f"closed-form gap {gap:.2e}")
 
 
 def test_criterion_4_compatibility_forward_and_detection():

@@ -13,12 +13,10 @@ import pytest
 
 from gtlab import catalog, cli, kernel
 from gtlab.core import (
-    LADDER,
     CoordinateChange,
     _diagonal_radius,
     add_points,
     collide_points_closed,
-    collide_points_limit,
     pushforward,
 )
 from gtlab.errors import ConfigError, DomainViolation, NoClosedForm
@@ -479,17 +477,14 @@ def _column_evaluators(name):
     """(evaluator, structure, points per sample) for every evaluator the
     catalog builds for the name: each g, f, lambda and potential (genus0's
     and genus1's are differences), genus2's g and f; or for a transform of
-    the catalog's: a closed-collided g, the Richardson limit of a collision
-    (its g and f) and the reindexed evaluators of an added point."""
+    the catalog's: a closed-collided g and the reindexed evaluators of an
+    added point."""
     if name == "genus2":
         s = catalog.build_structure(name)
         return [(g, s, 1) for g in s.g] + [(s.f, s, 2)]
     if name == "closed-collided":
         s = collide_points_closed(catalog.build_structure("benney", 3), [[0, 1]])
         return [(s.g[1], s, 1)]
-    if name == "limit-collided":
-        s = collide_points_limit(catalog.build_structure("benney", 2), [[0, 1]])
-        return [(s.g[1], s, 1), (s.f, s, 2)]
     if name == "add_points":
         s = add_points(catalog.build_structure("genus0", 1), 1)
         return [(g, s, 1) for g in s.g] + [(s.f, s, 2)]
@@ -498,9 +493,9 @@ def _column_evaluators(name):
             + [(pot.h, s, 1) for pot in catalog.build_potentials(name, 2)])
 
 
-def _points(s, n_p, count=32):
-    """``count`` seeded sample points as a tuple of argument columns."""
-    return tuple(s.sample(count, 29, n_p).T)
+def _points(s, n_p):
+    """32 seeded sample points as a tuple of argument columns."""
+    return tuple(s.sample(32, 29, n_p).T)
 
 
 def _one_at_a_time(e, points, multis):
@@ -537,38 +532,18 @@ def _genus2_cancelling_size(points, firsts):
     return num / den + cross + cross.swapaxes(0, 1) + (A1B2 + Q1Q2) / den * hess_den
 
 
-def _limit_cancelling_size(points):
-    """S, per point, for the value of g[1] of benney(2) with u_1 and u_2
-    collided: the Richardson limit over LADDER of the difference quotients
-    (g_2(p, u_1 + eps u_2) - g_1(p, u_1)) / eps, g_i = 1/(p - u_i), is
-    sum_i w_i quotient(eps_i) with the Lagrange weights w_i at 0; S is
-    sum_i |w_i| (|g_2| + |g_1|) / eps_i, the size of the terms that cancel.
-    Each g rounds within 2 eps of its size, so two ways of rounding (points
-    and columns) land within 8 eps S of each other, the tableau's own
-    rounding included (its entries are at most S)."""
-    p, u1, u2 = points
-    size = 0.0
-    for i, e_i in enumerate(LADDER):
-        w = np.prod([e_j / (e_j - e_i) for j, e_j in enumerate(LADDER) if j != i])
-        size = size + abs(w) * (1.0 / abs(p - u1 - e_i * u2) + 1.0 / abs(p - u1)) / e_i
-    return size
-
-
 @pytest.mark.parametrize("name", ["benney", "genus0", "genus1", "genus2", "closed-collided",
-                                  "limit-collided", "add_points"])
+                                  "add_points"])
 def test_columns_agree_with_points(name):
     # the value and every partial of order <= 2 within 1e-13 of the point's;
     # genus2 f's second partials, whose closed form cancels terms far larger
-    # than itself, within 32 eps of the size of those terms, and a collision
-    # limit's value, whose difference quotients cancel, within 8 eps of theirs
+    # than itself, within 32 eps of the size of those terms
     for e, s, n_p in _column_evaluators(name):
-        points = _points(s, n_p, 8 if name == "limit-collided" else 32)
+        points = _points(s, n_p)
         multis = _to_order(e.arity, 2)
         batch, single = e.partials(points, multis), _one_at_a_time(e, points, multis)
         assert batch.shape == (len(multis), len(points[0]))
         bound = 1e-13 * np.abs(single)
-        if e.label == "benney[2]:collided g[1]":
-            bound[0] = 8 * np.finfo(float).eps * _limit_cancelling_size(points)
         if e.label == "genus2:f":
             firsts = single[1:1 + e.arity]
             size = _genus2_cancelling_size(points, firsts)

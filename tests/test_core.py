@@ -27,7 +27,6 @@ from gtlab.core import (
     algebroid_constants,
     collide_enhanced,
     collide_points_closed,
-    collide_points_limit,
     contour_endpoint_defect,
     potential_from_contour,
     pushforward,
@@ -39,7 +38,7 @@ from gtlab.core import (
     verify_pole,
     verify_potential,
 )
-from gtlab.errors import DomainViolation, SamplingExhausted
+from gtlab.errors import ConfigError, DomainViolation, SamplingExhausted
 from gtlab.gtsys import build_system, compatibility_residual, inject_defect
 from gtlab.kernel import (
     Diagonal,
@@ -145,37 +144,37 @@ def test_collision_closed_form_keeps_axioms():
 
 
 def test_collision_limit_agrees_with_closed_form():
-    s = catalog.build_structure("benney", 2)
-    lim = collide_points_limit(s, [[0, 1]])
-    closed = collide_points_closed(s, [[0, 1]])
-    for p1, p2, *v in closed.sample(10, seed=9, n_p=2).tolist():
-        ps = (p1, p2)
-        a = lim.f.value((*ps, *v))
-        b = closed.f.value((*ps, *v))
-        assert a == pytest.approx(b, rel=1e-5)
-        for gl, gc in zip(lim.g, closed.g):
-            assert gl.value((ps[0], *v)) == pytest.approx(
-                gc.value((ps[0], *v)), rel=1e-5)
-
-
-def test_a_coordinate_outside_every_group_keeps_its_field_through_the_limit():
-    # benney(3) collides u_1 and u_2; u_3 is in no group, so its limit
-    # component is g_3 at the substituted fiber point, the closed form's g_3
-    s = catalog.build_structure("benney", 3)
-    lim = collide_points_limit(s, [[0, 1]])
-    closed = collide_points_closed(s, [[0, 1]])
-    for rep in verify_all(lim, 10, tol=1e-6):
-        assert rep.passed, f"{rep.identity}: {rep.max_residual}"
-    for p, *v in lim.sample(10, seed=5, n_p=1).tolist():
-        want = closed.g[2].value((p, *v))
-        assert abs(lim.g[2].value((p, *v)) - want) <= 1e-12 * abs(want)
+    # benney's g = 1/(p - u) with u = u0 + u1 t + u2 t^2/2 collided at t = 0
+    # has the closed-form components u1/(p - u0)^2 at depth 1 and
+    # 2 u1^2/(p - u0)^3 + u2/(p - u0)^2 at depth 2; f stays 1/(p1 - p2)
+    s = collide_points_closed(catalog.build_structure("benney", 3), [[0, 1, 2]])
+    for p1, p2, u0, u1, u2 in s.sample(10, seed=9, n_p=2).tolist():
+        d = p1 - u0
+        want = [1 / d, u1 / d ** 2, 2 * u1 ** 2 / d ** 3 + u2 / d ** 2, 1 / (p1 - p2)]
+        got = [gi.value((p1, u0, u1, u2)) for gi in s.g] + [s.f.value((p1, p2, u0, u1, u2))]
+        assert all(abs(a - b) <= 1e-13 * abs(b) for a, b in zip(got, want)), (got, want)
 
 
 def test_collide_enhanced_keeps_lambda_identity():
-    e = catalog.build_enhanced("benney", 2)
-    ce = collide_enhanced(e, [[0, 1]])
-    rep = verify_lambda(ce, 10, seed=6, tol=1e-5)
-    assert rep.passed, rep.max_residual
+    for name in ("benney", "genus0", "genus1"):
+        ce = collide_enhanced(catalog.build_enhanced(name, 2), [[0, 1]])
+        for seed in range(1, 5):
+            rep = verify_lambda(ce, 20, seed, tol=1e-10)
+            assert rep.passed, (name, seed, rep.max_residual)
+
+
+def test_collided_lambda_reads_each_group_at_its_leader():
+    # lambda's loci move onto each group's leader, as the collided g's do, and
+    # the collided lambda does not move with a coordinate that is not a leader
+    s = catalog.build_structure("benney", 2)
+    lam = JetEvaluator(4, lambda p1, p2, u1, u2: 1 / (p1 - p2) + 1 / (p1 - u2),
+                       Domain((Diagonal(0, 1), Diagonal(0, 3))), label="lam")
+    ce = collide_enhanced(EnhancedGT(s, lam), [[0, 1]])
+    assert [ex.slots for ex in ce.lam.domain.exclusions] == [(0, 1), (0, 2)]
+    assert [ex.slots for ex in ce.base.g[1].domain.exclusions] == [(0, 1)]
+    p1, p2, u1, u2 = ce.base.sample(3, seed=4, n_p=2).T
+    assert np.allclose(ce.lam.value((p1, p2, u1, u2)), lam.value((p1, p2, u1, u1)), rtol=1e-15)
+    assert not ce.lam.partials((p1, p2, u1, u2), [(0, 0, 0, 1), (0, 0, 0, 2)]).any()
 
 
 def _by_circles(arity, fn, label):
@@ -1149,13 +1148,21 @@ def _const(arity: int) -> JetEvaluator:
     lambda s: EnhancedGT(base=s, lam=_const(3)),
     lambda s: ReindexedEvaluator(s.f, 5, (0, 1, 2)),
     lambda s: ReindexedEvaluator(s.f, 5, (0, 1, 1, 2)),
-    lambda s: collide_points_limit(s, [[0, 1], [1]]),
-    lambda s: collide_points_limit(s, [[0, 2]]),
-    lambda s: collide_points_limit(s, [[], [0]]),
 ])
 def test_bad_construction_raises_value_error(build):
     with pytest.raises(ValueError):
         build(catalog.build_structure("benney", 2))
+
+
+@pytest.mark.parametrize("groups", [[[0, 1], [1]], [[0, 3]], [[], [0]], [[0, 1], [1, 2]],
+                                    [[0, 0]]],
+                         ids=["overlapping", "not-a-puncture", "empty", "chained", "repeated"])
+def test_bad_collision_groups_raise_config_error(groups):
+    # a group must be non-empty, of punctures, and share no slot with itself
+    # or another group
+    with pytest.raises(ConfigError, match=r"^(collision groups must be non-empty and disjoint"
+                                          r"|coordinate 3 of benney\[3\] is not a puncture)"):
+        collide_points_closed(catalog.build_structure("benney", 3), groups)
 
 
 def test_arity_check_holds_under_optimize_flag():
@@ -1328,15 +1335,17 @@ def _scanned(loci, declared=()) -> list:
 
 
 def _transformed_structures():
-    """Every catalog structure, and its pushed, collided and added-point transforms."""
+    """Every catalog structure, and its pushed, collided and added-point transforms
+    (two added points collided too)."""
     for name, entry in catalog.CATALOG.items():
         s = entry.build(2)
         yield s
         yield pushforward(s, _quadratic_change(s.m))
-        yield collide_points_limit(s, [[0, 1]])
         if s.puncture_slots:
             yield collide_points_closed(s, [[0, 1]])
         yield add_points(s, 1)
+        # two added punctures collide on every structure, genus2's included
+        yield collide_points_closed(add_points(s, 2), [[s.m, s.m + 1]])
 
 
 def test_one_pass_keeps_the_loci_the_scan_kept(monkeypatch):

@@ -2,22 +2,23 @@
 of its classes, is used somewhere; evaluators override ``eval_rows``, never
 ``eval_circle``, and no second circle routine exists: only
 ``kernel.laurent_coeff`` calls ``eval_circle``, no one-point derivative
-routine or extrapolating evaluator class is left, and a limit collision's
-first partials open no circle; no partial comes from a circle: the circle
-routines take no partial rest, ``JetEvaluator._table`` opens no circle, no
-radius rule is left, and only the residue checks and the algebroid table
-call ``laurent_coeff``; only ``Domain``
-answers a per-slot ``clearance``; only ``kernel.on_columns`` asks whether a
-value is an array, so no locus keeps a branch for numbers; no evaluator
-is flagged as taking columns, since every one does; gtsys's per-pair
-mixed rule and its batch class stay out of the package; the transforms
-keep no per-slot chain rule beside their jet rule; and each line
-that ``tests/linecover.py`` may find unrun is an executable line named
-with a reason.
+routine or extrapolating evaluator class is left; no partial comes from a
+circle: the circle routines take no partial rest, ``JetEvaluator._table``
+opens no circle, no radius rule is left, and only the residue checks and
+the algebroid table call ``laurent_coeff``; only ``Domain`` answers a
+per-slot ``clearance``; only ``kernel.on_columns`` asks whether a value is
+an array, so no locus keeps a branch for numbers; no evaluator is flagged
+as taking columns, since every one does; gtsys's per-pair mixed rule and
+its batch class stay out of the package; the transforms keep no per-slot
+chain rule beside their jet rule; and each line that
+``tests/linecover.py`` may find unrun is an executable line named with a
+reason.  Every public name has a caller in the package or the
+benchmark, or a reason in ``LIBRARY_ONLY``.
 
 A definition counts as used when its name appears as a code token in the
 package, the tests or the benchmark besides its own definitions.  Names
-inside strings and comments do not count; dunder methods are exempt.
+inside strings and comments do not count (the tracer's, which name what it
+wraps, do for ``LIBRARY_ONLY``); dunder methods are exempt.
 """
 
 from __future__ import annotations
@@ -88,6 +89,52 @@ def test_every_method_is_referenced():
     assert not unused, f"defined but never referenced: {unused}"
 
 
+# public names that nothing in the package or the benchmark calls, each kept
+# on purpose for library users and the tests, with the reason
+LIBRARY_ONLY = {
+    "catalog.build_structure": "the catalog's entry point by name; jobs read CATALOG rows",
+    "core.add_points": "new punctures on a structure; no command takes them yet",
+    "core.collide_enhanced": "lambda under a collision; the collide command verifies g and f",
+    "core.pushforward_lambda": "lambda under a coordinate change; pushforward verifies g and f",
+    "core.potential_from_contour": "contour potentials; no potentials option builds them yet",
+    "core.algebroid_constants": "the Lie-algebroid constant table; no command prints it yet",
+    "gtsys.inject_defect": "the polluted f the tests feed the compatibility check to detect",
+    "hierarchy.PotentialFamily.independence_rank": "the family's rank at one fiber point, "
+                                                   "a test oracle for functional independence",
+    "hierarchy.criterion_integrable": "the pairwise integrability criterion; no command runs it",
+    "hyperell.PeriodData.positive": "whether Im B is positive definite, for library users",
+    "hyperell.rauch_prediction": "Rauch's formula as an array; rauch_check reads it as lists",
+    "kernel.Domain.clearance": "sizes the circle radii of the README's recipe and the tests' "
+                               "circle oracles",
+    "kernel.circle_path": "a closed path for potential_from_contour",
+    "kernel.polyline_path": "an open path for potential_from_contour",
+    "kernel.theta": "the odd theta series at one point, a test oracle for the theta kernels",
+    "kernel.rho": "theta'/theta at one point, a test oracle for the rho kernels",
+}
+
+
+def _tracer_strings() -> Counter:
+    """The string constants of bench/tracer.py: the names it wraps."""
+    tree = ast.parse((ROOT / "bench" / "tracer.py").read_text(encoding="utf-8"))
+    return Counter(node.value for node in ast.walk(tree)
+                   if isinstance(node, ast.Constant) and isinstance(node.value, str))
+
+
+def test_every_public_name_has_a_caller_or_a_reason():
+    # a public function, class or method that no code of the package or the
+    # benchmark calls (the tracer's strings count) is library-only on purpose,
+    # with a reason in LIBRARY_ONLY; an entry whose name gains a caller leaves
+    # the table
+    tokens = _name_tokens([PACKAGE, ROOT / "bench"]) + _tracer_strings()
+    defs = _module_level_definitions() + _method_definitions()
+    def_counts = Counter(name for _, name in defs)
+    uncalled = {f"{owner.replace('.py', '').replace(':', '.')}.{name}" for owner, name in defs
+                if not name.startswith("_") and tokens[name] <= def_counts[name]}
+    assert all(len(reason.split()) > 3 for reason in LIBRARY_ONLY.values())
+    assert sorted(uncalled - set(LIBRARY_ONLY)) == [], "public with no caller and no reason"
+    assert sorted(set(LIBRARY_ONLY) - uncalled) == [], "called, or gone, yet listed"
+
+
 def test_only_the_base_evaluator_defines_eval_circle():
     # eval_circle builds the loops of N circles and hands them to eval_rows;
     # an override would bypass wrappers that map loops into what they wrap,
@@ -153,9 +200,10 @@ def test_no_partial_is_read_off_a_circle():
     assert _callers("laurent_coeff") == ["core.py:_residues", "core.py:algebroid_constants"]
 
 
-def test_a_limit_collision_opens_no_circle_for_its_first_partials(monkeypatch):
-    # the limit's evaluators are formulas over benney's closed forms, so the
-    # bracket check's first partials come from the jet rule
+def test_a_collision_opens_no_circle_for_its_first_partials(monkeypatch):
+    # the collided g's and lambda are formulas over benney's closed forms, so
+    # their first partials come from the jet rule: the bracket check opens no
+    # circle and the lambda check only its residue circles
     opened = []
     eval_circle = kernel.JetEvaluator.eval_circle
 
@@ -164,9 +212,13 @@ def test_a_limit_collision_opens_no_circle_for_its_first_partials(monkeypatch):
         return eval_circle(e, *args, **kwargs)
 
     monkeypatch.setattr(kernel.JetEvaluator, "eval_circle", counted)
-    rep = core.verify_bracket(core.collide_points_limit(catalog.benney(2), [[0, 1]]), 10, tol=1e-6)
+    collided = core.collide_enhanced(catalog.benney_enhanced(2), [[0, 1]])
+    rep = core.verify_bracket(collided.base, 10)
     assert rep.passed, rep.max_residual
     assert opened == []
+    rep = core.verify_lambda(collided, 10)
+    assert rep.passed, rep.max_residual
+    assert opened == [collided.lam.label]
 
 
 def test_only_the_domain_defines_clearance():
