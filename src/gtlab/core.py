@@ -3,7 +3,7 @@
 Data model for (enhanced) local GT structures and potentials, numeric
 verification of the defining functional identities, and the structure
 transforms: adding punctures, colliding punctures, coordinate pushforward,
-contour-generated potentials, and the Lie-algebroid constant table.
+and the Lie-algebroid constant table.
 
 A structure with fiber dimension m carries m vector-field components
 g_i(p, v) and a two-point function f(p1, p2, v) with a normalized simple
@@ -19,8 +19,7 @@ columns it gives the value; on forward-mode jets (``_Jet``) seeded in the
 slots asked it gives every partial of order 1 and 2 asked, each
 ingredient asked once per point for its entries and their partials
 (``_entries``); a collided lambda reads lambda with each group coordinate
-at its leader's value.  A contour potential integrates lambda's partials
-along its path.  Only the Laurent coefficients of the residue checks and
+at its leader's value.  Only the Laurent coefficients of the residue checks and
 the inner rings of ``algebroid_constants`` come from Cauchy circles, each
 read through ``kernel.laurent_coeff``.  A pushed evaluator's pulled-back
 loci read columns for the sampler.
@@ -36,17 +35,15 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DomainViolation, SamplingExhausted
+from .errors import ConfigError, SamplingExhausted
 from .kernel import (
     Box,
     Diagonal,
     Domain,
-    EMPTY_DOMAIN,
     Exclusion,
     FixedPoints,
     JetEvaluator,
     LatticePoints,
-    PathSpec,
     PulledBack,
     ReindexedEvaluator,
     SplitMix64,
@@ -56,7 +53,6 @@ from .kernel import (
     jets,
     laurent_coeff,
     multi_index,
-    path_integrate,
 )
 
 
@@ -474,7 +470,10 @@ def collide_points_closed(s: GTStructure, groups: Sequence[Sequence[int]]) -> GT
     attached to a group is the r-th coefficient of f(p, u0 + u1 t + u2
     t^2/2! + ...), expanded by the chain rule.  Every group coordinate must
     be a puncture (its g-component is f(p, u)), and the groups non-empty
-    and disjoint."""
+    and disjoint.  The collided structure's punctures are the parent's
+    less every group member but the leader: a leader's component and every
+    puncture outside the groups are still f(p, u), so it can be collided
+    again."""
     flat = [slot for grp in groups for slot in grp]
     if not all(groups) or len(set(flat)) != len(flat):
         raise ConfigError(f"collision groups must be non-empty and disjoint, got {groups!r}")
@@ -520,6 +519,8 @@ def collide_points_closed(s: GTStructure, groups: Sequence[Sequence[int]]) -> GT
         p_box=s.p_box,
         v_boxes=s.v_boxes,
         min_separation=s.min_separation,
+        puncture_slots=tuple(slot for slot in s.puncture_slots
+                             if not any(slot in grp[1:] for grp in groups)),
     )
 
 
@@ -788,55 +789,6 @@ def pushforward_lambda(e: EnhancedGT, c: CoordinateChange) -> EnhancedGT:
 
     lam = _Composed(e.lam, base.f.image, formula, base.f.arity, f"{e.label}:pushed lambda")
     return EnhancedGT(base, lam)
-
-
-def contour_endpoint_defect(
-    e: EnhancedGT, path: PathSpec, p1: complex, p2: complex, v: Sequence[complex]
-) -> float:
-    """|[lambda(t, p2) f(p1, t)] at path end - same at path start|; zero is
-    the sufficient condition for the contour potential."""
-    if path.closed:
-        return 0.0
-    t0, t1 = path.vertices[0], path.vertices[-1]
-
-    def boundary(t):
-        return e.lam.value((t, p2, *v)) * e.base.f.value((p1, t, *v))
-
-    return abs(boundary(t1) - boundary(t0))
-
-
-def potential_from_contour(
-    e: EnhancedGT,
-    path: PathSpec,
-    label: str = "contour",
-    endpoint_tol: float | None = None,
-    endpoint_probe: np.ndarray | None = None,
-    domain: Domain = EMPTY_DOMAIN,
-) -> Potential:
-    """h(p, v) = integral of lambda(t, p, v) dt along the path, at a point
-    or on argument columns, and each partial of h the integral of lambda's
-    partial in (p, v).  When ``endpoint_tol`` is set and the path is open,
-    the endpoint condition is enforced at the probe, a sample row (p1, p2,
-    v)."""
-    if endpoint_tol is not None and not path.closed:
-        if endpoint_probe is None:
-            raise ValueError("endpoint_tol requires an endpoint_probe sample")
-        p1, p2, *v = endpoint_probe
-        defect = contour_endpoint_defect(e, path, p1, p2, v)
-        if defect > endpoint_tol:
-            raise DomainViolation(
-                f"contour endpoint condition violated: defect {defect:.3e}"
-            )
-
-    def fn(*args):
-        return path_integrate(e.lam, 0, (0.0, *args), path)
-
-    def partial_fn(args, multis):  # the value goes to fn
-        return [path_integrate(e.lam, 0, (0.0, *args), path, (0, *multi)) if any(multi)
-                else NotImplemented for multi in multis]
-
-    return Potential(JetEvaluator(1 + e.m, fn, domain=domain, partial_fn=partial_fn,
-                                  label=label), label=label)
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,10 @@
 
 Everything downstream is built on three primitives: Taylor and Laurent coefficients
 of holomorphic evaluators by Cauchy circle quadrature (``laurent_coeff``, the one routine
-that reads a coefficient from circles), Gauss-Legendre path integration (its rules,
-from ``gauss_legendre``, are hyperell's period rules too), and a seeded
-generator of points in complex boxes, counter-based (``SplitMix64.block`` is n draws at
-once, the scalar stream bit for bit): the samplers that reject points near singular loci,
+that reads a coefficient from circles), Gauss-Legendre rules (``gauss_legendre``, read by
+hyperell's period rules), and a seeded generator of points in complex boxes, counter-based
+(``SplitMix64.block`` is n draws at once, the scalar stream bit for bit): the samplers that
+reject points near singular loci,
 ``GTStructure.sample`` and ``PotentialFamily.sample_z``, judge blocks of its draws in
 ``admitted``, where every locus reads argument columns and a draw is kept only if its least
 distance is greater than the threshold.  The genus-1 theta series and its log derivative live
@@ -564,71 +564,6 @@ def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     # x descends from the largest node; the odd middle node, +0.0, is not repeated
     m = n // 2
     return np.concatenate((-x[:m], x[::-1])), np.concatenate((w[:m], w[::-1]))
-
-
-@dataclass(frozen=True)
-class PathSpec:
-    """Integration path: a circle or a polyline.
-
-    ``nodes`` is the Gauss-Legendre order used per panel.
-    """
-
-    kind: str  # "circle" | "polyline"
-    nodes: int = 24
-    center: complex = 0.0
-    radius: float = 0.0
-    vertices: tuple[complex, ...] = ()
-
-    def __post_init__(self):
-        if self.kind == "circle":
-            if self.radius <= 0:
-                raise ValueError("circle radius must be positive")
-        elif self.kind == "polyline":
-            if len(self.vertices) < 2:
-                raise ValueError("polyline needs at least 2 vertices")
-        else:
-            raise ValueError(f"unknown path kind {self.kind!r}")
-        if self.nodes < 8:
-            raise ValueError("node count must be >= 8")
-
-    @property
-    def closed(self) -> bool:
-        return self.kind == "circle" or abs(self.vertices[0] - self.vertices[-1]) < 1e-14
-
-    def segments(self) -> list[tuple[complex, complex]]:
-        if self.kind == "circle":
-            raise ValueError("circle paths have no straight segments")
-        return list(zip(self.vertices[:-1], self.vertices[1:]))
-
-
-def circle_path(center: complex, radius: float, nodes: int = 24) -> PathSpec:
-    return PathSpec("circle", nodes, center=complex(center), radius=radius)
-
-
-def polyline_path(vertices: Sequence[complex], nodes: int = 24) -> PathSpec:
-    return PathSpec("polyline", nodes, vertices=tuple(complex(v) for v in vertices))
-
-
-def path_integrate(e: JetEvaluator, slot: int, args: Sequence[complex], path: PathSpec,
-                   multi: Sequence[int] | None = None) -> complex:
-    """Gauss-Legendre panel quadrature of e's entry ``multi`` (its value when
-    None) along the path (in one slot): one panel per polyline segment, four
-    per circle (by angle); at a point or on argument columns, every node of
-    every point in one ``partials`` call."""
-    require_finite(*args)
-    x, w = gauss_legendre(path.nodes)
-    if path.kind == "circle":
-        turn = np.exp(0.5j * math.pi * (np.arange(4)[:, None] + 0.5 * (1.0 + x)))
-        z, dz = path.center + path.radius * turn, 0.25j * math.pi * path.radius * turn
-    else:
-        a, b = (np.array(ends, dtype=complex)[:, None] for ends in zip(*path.segments()))
-        z, dz = 0.5 * (a + b) + 0.5 * (b - a) * x, np.broadcast_to(0.5 * (b - a), (len(a), len(x)))
-    z, weight, cols = z.ravel(), (w * dz).ravel(), np.broadcast_arrays(*args)
-    flat = [np.repeat(col.ravel(), z.size) for col in cols]
-    flat[slot] = np.tile(z, cols[0].size)
-    [vals] = e.partials(tuple(flat), [multi or multi_index(e.arity)])
-    total = vals.reshape(-1, z.size) @ weight
-    return total.reshape(cols[0].shape)[()]
 
 
 # ---------------------------------------------------------------------------

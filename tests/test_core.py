@@ -27,8 +27,6 @@ from gtlab.core import (
     algebroid_constants,
     collide_enhanced,
     collide_points_closed,
-    contour_endpoint_defect,
-    potential_from_contour,
     pushforward,
     pushforward_lambda,
     verify_all,
@@ -50,11 +48,9 @@ from gtlab.kernel import (
     PulledBack,
     ReindexedEvaluator,
     SplitMix64,
-    circle_path,
     laurent_coeff,
     multi_index,
     on_columns,
-    polyline_path,
 )
 
 SAMPLES = 25
@@ -141,6 +137,23 @@ def test_collision_closed_form_keeps_axioms():
     assert collided.m == 3  # group of 2 -> position + multiplicity direction
     for rep in verify_all(collided, 15, seed=3, tol=1e-6):
         assert rep.passed, f"{rep.identity}: {rep.max_residual}"
+
+
+@pytest.mark.parametrize("name, n, second", [
+    ("benney", 3, [0, 2]), ("genus0", 3, [0, 2]), ("genus1", 3, [0, 2]), ("benney", 4, [0, 2, 3]),
+])
+def test_a_collided_structure_keeps_its_punctures(name, n, second):
+    # a group's leader and every puncture outside the groups still have
+    # g = f(p, u), so a collided structure can be collided again, and points
+    # added to it join its punctures
+    once = collide_points_closed(catalog.build_structure(name, n), [[0, 1]])
+    assert once.puncture_slots == (0, *range(2, n))
+    assert add_points(once, 1).puncture_slots == (*once.puncture_slots, once.m)
+    twice = collide_points_closed(once, [second])
+    assert twice.puncture_slots == tuple(slot for slot in once.puncture_slots
+                                         if slot not in second[1:])
+    for rep in verify_all(twice, 20, seed=1, tol=1e-8):
+        assert rep.passed, (rep.identity, rep.max_residual)
 
 
 def test_collision_limit_agrees_with_closed_form():
@@ -991,46 +1004,6 @@ def test_algebroid_table_refuses_what_it_does_not_hold():
         table.f_coeff(3, 0)
     with pytest.raises(ValueError, match=r"^basis indices start at 1$"):
         table.bracket(0, 2)
-
-
-def test_contour_endpoint_defect_zero_for_closed_path():
-    e = catalog.build_enhanced("benney", 1)
-    path = circle_path(5.0 + 5.0j, 0.5, nodes=16)
-    assert contour_endpoint_defect(e, path, 0.1, 0.2, (0.4,)) == 0.0
-
-
-def test_contour_potential_matches_log_closed_form():
-    # lambda = 1/(p1 - p2) on the sphere, so h(p) = int_0^1 dt / (t - p)
-    # = Log((p - 1)/p) off [0, 1]; the endpoint condition holds because
-    # f(p1, 0) = f(p1, 1) = 0
-    e = catalog.genus0_enhanced(2)
-    probe = e.base.sample(1, 3, 2)[0]
-    pot = potential_from_contour(e, polyline_path([0, 1]), endpoint_tol=1e-12,
-                                 endpoint_probe=probe)
-    v = (0.3 + 0.2j, -0.7 + 1.1j)
-    for p in (0.5 + 1j, -1 + 0.5j, 2 - 1j, 0.3 - 0.8j, 1.6 + 0.2j):
-        assert abs(pot.h.value((p, *v)) - cmath.log((p - 1) / p)) <= 1e-12
-    # the box keeps samples clear of the path [0, 1]: h's partials integrate
-    # lambda's along it, so no circle crosses it, but near it the 24-node
-    # Gauss-Legendre values of h and its partials are inaccurate (on the
-    # default genus0 box seeds 6, 10 and 11 read 3.3, 3e-3 and 5.6)
-    e.base.p_box = (-2.0, 2.0, 0.6, 2.0)
-    rep = verify_potential(e, pot, samples=20, seed=5)
-    assert rep.passed, rep.max_residual
-
-
-def test_contour_endpoint_tolerance_needs_a_probe():
-    e = catalog.genus0_enhanced(2)
-    with pytest.raises(ValueError, match=r"^endpoint_tol requires an endpoint_probe sample$"):
-        potential_from_contour(e, polyline_path([0, 1]), endpoint_tol=1e-12)
-
-
-def test_contour_endpoint_condition_is_enforced():
-    e = catalog.genus0_enhanced(2)
-    probe = e.base.sample(1, 3, 2)[0]
-    with pytest.raises(DomainViolation):
-        potential_from_contour(e, polyline_path([0, 0.5]), endpoint_tol=1e-12,
-                               endpoint_probe=probe)
 
 
 # ---------------------------------------------------------------------------

@@ -10,10 +10,12 @@ per-slot ``clearance``; only ``kernel.on_columns`` asks whether a value is
 an array, so no locus keeps a branch for numbers; no evaluator is flagged
 as taking columns, since every one does; gtsys's per-pair mixed rule and
 its batch class stay out of the package; the transforms keep no per-slot
-chain rule beside their jet rule; and each line that
-``tests/linecover.py`` may find unrun is an executable line named with a
-reason.  Every public name has a caller in the package or the
-benchmark, or a reason in ``LIBRARY_ONLY``.
+chain rule beside their jet rule; no potential is integrated along a
+path, so only hyperell's period rules call ``gauss_legendre``; every
+backticked ``module.name`` of the README names an attribute of that
+module; and each line that ``tests/linecover.py`` may find unrun is an
+executable line named with a reason.  Every public name has a caller in the
+package or the benchmark, or a reason in ``LIBRARY_ONLY``.
 
 A definition counts as used when its name appears as a code token in the
 package, the tests or the benchmark besides its own definitions.  Names
@@ -25,6 +27,7 @@ from __future__ import annotations
 
 import ast
 import importlib.util
+import re
 import tokenize
 from collections import Counter
 from pathlib import Path
@@ -96,7 +99,6 @@ LIBRARY_ONLY = {
     "core.add_points": "new punctures on a structure; no command takes them yet",
     "core.collide_enhanced": "lambda under a collision; the collide command verifies g and f",
     "core.pushforward_lambda": "lambda under a coordinate change; pushforward verifies g and f",
-    "core.potential_from_contour": "contour potentials; no potentials option builds them yet",
     "core.algebroid_constants": "the Lie-algebroid constant table; no command prints it yet",
     "gtsys.inject_defect": "the polluted f the tests feed the compatibility check to detect",
     "hierarchy.PotentialFamily.independence_rank": "the family's rank at one fiber point, "
@@ -106,8 +108,6 @@ LIBRARY_ONLY = {
     "hyperell.rauch_prediction": "Rauch's formula as an array; rauch_check reads it as lists",
     "kernel.Domain.clearance": "sizes the circle radii of the README's recipe and the tests' "
                                "circle oracles",
-    "kernel.circle_path": "a closed path for potential_from_contour",
-    "kernel.polyline_path": "an open path for potential_from_contour",
     "kernel.theta": "the odd theta series at one point, a test oracle for the theta kernels",
     "kernel.rho": "theta'/theta at one point, a test oracle for the rho kernels",
 }
@@ -198,6 +198,33 @@ def test_no_partial_is_read_off_a_circle():
               for node in ast.walk(table) if isinstance(node, ast.Call)}
     assert called.isdisjoint({*routines, "_circle_coeff", "_ring"}), called
     assert _callers("laurent_coeff") == ["core.py:_residues", "core.py:algebroid_constants"]
+
+
+def test_no_potential_is_integrated_along_a_path():
+    # every potential is a closed form: the contour potential and its path
+    # code are gone, so no second circle quadrature (Gauss-Legendre arcs)
+    # stands beside laurent_coeff's, and the Gauss-Legendre rules serve
+    # hyperell's period rules alone
+    tokens = _name_tokens([PACKAGE])
+    gone = ("PathSpec", "path_integrate", "circle_path", "polyline_path",
+            "potential_from_contour", "contour_endpoint_defect")
+    assert [name for name in gone if tokens[name]] == []
+    assert sorted(set(_callers("gauss_legendre"))) == ["hyperell.py:_theta_rule"]
+
+
+def test_every_module_name_in_the_readme_resolves():
+    # a backticked `module.name` in README.md names an attribute of that
+    # gtlab module, so the README cannot go on describing removed code; a
+    # file name such as `cli.py` is no attribute and is skipped
+    modules = {path.stem for path in PACKAGE.glob("*.py") if path.stem != "__init__"}
+    pattern = re.compile(r"`(%s)\.(\w+)" % "|".join(sorted(modules)))
+    named = {match.groups() for match in pattern.finditer((ROOT / "README.md").read_text())}
+    named = {(module, name) for module, name in named
+             if not (PACKAGE / f"{module}.{name}").exists()}
+    assert named
+    missing = sorted(f"{module}.{name}" for module, name in named
+                     if not hasattr(importlib.import_module(f"gtlab.{module}"), name))
+    assert missing == [], missing
 
 
 def test_a_collision_opens_no_circle_for_its_first_partials(monkeypatch):

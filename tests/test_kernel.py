@@ -27,17 +27,13 @@ from gtlab.kernel import (
     HalfPlane,
     JetEvaluator,
     LatticePoints,
-    PathSpec,
     PulledBack,
     ReindexedEvaluator,
     SplitMix64,
-    circle_path,
     lattice_distance,
     laurent_coeff,
     log_jet,
     log_theta_partial,
-    path_integrate,
-    polyline_path,
     rho,
     rho_partial,
     theta,
@@ -434,8 +430,6 @@ def test_a_non_finite_argument_is_refused_before_any_circle(bad):
         laurent_coeff(e, 0, _column_of_one((bad, 1.0)), [0.1], [1])
     with pytest.raises(DomainViolation, match=message):
         laurent_coeff(e, 0, (COLUMN_P, np.where(COLUMN_P == 0.7, bad, COLUMN_Q)), [0.1] * 4, [-1])
-    with pytest.raises(DomainViolation, match=message):
-        path_integrate(e, 0, (0.5, bad), polyline_path([0, 1]))
 
 
 def _column_of_one(args):
@@ -843,33 +837,6 @@ def test_gauss_legendre_refuses_a_rule_whose_halley_passes_run_out(monkeypatch):
 def test_gauss_legendre_refuses_an_empty_rule():
     with pytest.raises(ValueError, match="n >= 1"):
         kernel.gauss_legendre(0)
-
-
-def test_path_integrate_winding_number():
-    e = JetEvaluator(1, lambda p: 1.0 / p, domain=Domain((FixedPoints(0, [0.0]),)))
-    val = path_integrate(e, 0, (0.0,), circle_path(0.0, 1.0, nodes=32))
-    assert val == pytest.approx(2j * math.pi, rel=1e-10)
-
-
-@pytest.mark.parametrize("radius", [0.5, 2.0])
-def test_path_integrate_winding_number_off_the_unit_radius(radius):
-    # dz = i r e^{it} dt: a circle of radius r != 1 tells r from 1 / r
-    c = 0.3 - 0.2j
-    e = JetEvaluator(1, lambda z: 1.0 / (z - c), domain=Domain((FixedPoints(0, [c]),)))
-    val = path_integrate(e, 0, (0.0,), circle_path(c + 0.1 * radius, radius, nodes=32))
-    assert val == pytest.approx(2j * math.pi, rel=1e-10)
-
-
-@pytest.mark.parametrize("build, message", [
-    (lambda: circle_path(0.0, 0.0), "circle radius must be positive"),
-    (lambda: polyline_path([0.5]), "polyline needs at least 2 vertices"),
-    (lambda: PathSpec("spiral"), "unknown path kind 'spiral'"),
-    (lambda: circle_path(0.0, 1.0, nodes=7), "node count must be >= 8"),
-    (lambda: circle_path(0.0, 1.0).segments(), "circle paths have no straight segments"),
-])
-def test_path_spec_refuses_a_path_it_cannot_integrate(build, message):
-    with pytest.raises(ValueError, match=f"^{message}$"):
-        build()
 
 
 def test_the_bare_exclusion_locus_measures_nothing():
