@@ -2,8 +2,8 @@
 
 Data model for (enhanced) local GT structures and potentials, numeric
 verification of the defining functional identities, and the structure
-transforms: adding punctures, colliding punctures, coordinate pushforward,
-and the Lie-algebroid constant table.
+transforms: adding punctures, colliding punctures and coordinate
+pushforward.
 
 A structure with fiber dimension m carries m vector-field components
 g_i(p, v) and a two-point function f(p1, p2, v) with a normalized simple
@@ -19,10 +19,9 @@ columns it gives the value; on forward-mode jets (``_Jet``) seeded in the
 slots asked it gives every partial of order 1 and 2 asked, each
 ingredient asked once per point for its entries and their partials
 (``_entries``); a collided lambda reads lambda with each group coordinate
-at its leader's value.  Only the Laurent coefficients of the residue checks and
-the inner rings of ``algebroid_constants`` come from Cauchy circles, each
-read through ``kernel.laurent_coeff``.  A pushed evaluator's pulled-back
-loci read columns for the sampler.
+at its leader's value.  Only the Laurent coefficients of the residue checks
+come from Cauchy circles, read through ``kernel.laurent_coeff``.  A pushed
+evaluator's pulled-back loci read columns for the sampler.
 """
 
 from __future__ import annotations
@@ -47,8 +46,6 @@ from .kernel import (
     PulledBack,
     ReindexedEvaluator,
     SplitMix64,
-    _circle_coeff,
-    _ring,
     admitted,
     jets,
     laurent_coeff,
@@ -789,74 +786,3 @@ def pushforward_lambda(e: EnhancedGT, c: CoordinateChange) -> EnhancedGT:
 
     lam = _Composed(e.lam, base.f.image, formula, base.f.arity, f"{e.label}:pushed lambda")
     return EnhancedGT(base, lam)
-
-
-# ---------------------------------------------------------------------------
-# Lie-algebroid constants
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class AlgebroidTable:
-    """Taylor data of f - 1/(p1-p2) about a diagonal point z, plus the
-    induced structure-constant table on the basis e_1 = d/dz,
-    e_{i+2} = (i-th Taylor coefficient of g about z)."""
-
-    z: complex
-    order: int
-    f_coeffs: dict  # (i, j) -> complex
-
-    def f_coeff(self, i: int, j: int) -> complex:
-        if i < 0 or j < 0:
-            return 0.0 + 0.0j
-        if (i, j) not in self.f_coeffs:
-            raise ValueError(f"coefficient ({i},{j}) beyond truncation order {self.order}")
-        return self.f_coeffs[(i, j)]
-
-    def bracket(self, i: int, j: int) -> dict[int, complex]:
-        """[e_i, e_j] as a map basis-index -> coefficient."""
-        if min(i, j) < 1:
-            raise ValueError("basis indices start at 1")
-        out: dict[int, complex] = {}
-
-        def add(idx, coeff):
-            if abs(coeff) > 0:
-                out[idx] = out.get(idx, 0.0 + 0.0j) + coeff
-
-        add(i + j, complex(j - i))
-        for r in range(0, i):
-            add(i - r + 1, (i + r - 1) * self.f_coeff(j - 2, r))
-        for r in range(0, j):
-            add(j - r + 1, -(j + r - 1) * self.f_coeff(i - 2, r))
-        return {k: v for k, v in out.items() if abs(v) > 0}
-
-
-def algebroid_constants(
-    s: GTStructure,
-    z: complex,
-    v: Sequence[complex],
-    order: int,
-    nodes: int = 64,
-) -> AlgebroidTable:
-    """Taylor coefficients f_{i,j} of f - 1/(p1 - p2) about (z, z).
-
-    Nested circle quadrature with distinct radii keeps the two arguments
-    off the diagonal; the subtracted principal part makes the integrand
-    holomorphic there anyway.
-    """
-    if order > 6:
-        raise ValueError("truncation order above 6 is outside the reliable range")
-    r1 = 0.8 * float(_diagonal_radius(s.f, np.array([(z, z, *v)], dtype=complex).T)[0])
-    r2 = 0.5 * r1
-    regular = JetEvaluator(s.f.arity, lambda *a: s.f.fn(*a) - 1.0 / (a[0] - a[1]))
-    # Taylor coefficients in p2 on an inner ring about z at each node of the
-    # outer p1 ring, then in p1
-    p1_ring = z + r1 * _ring(nodes)
-    inner = laurent_coeff(regular, 1, np.broadcast_arrays(p1_ring, z, *v), [r2] * nodes,
-                          range(order + 1), nodes)
-    coeffs = {
-        (i, j): _circle_coeff(inner[j], r1, i)
-        for i in range(order + 1)
-        for j in range(order + 1)
-    }
-    return AlgebroidTable(z=z, order=order, f_coeffs=coeffs)

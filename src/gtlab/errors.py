@@ -6,11 +6,16 @@ class GTLabError(Exception):
 
 
 class DomainViolation(GTLabError):
-    """An evaluation disc or path intersects a declared singular locus."""
+    """An evaluation point or circle meets a singular locus: a non-finite
+    argument or circle sample, or a divisor that vanishes (g_1 in the march,
+    a reconstruction denominator)."""
 
 
 class NonConvergence(GTLabError):
-    """A quadrature or extrapolation failed its self-consistency check."""
+    """A self-consistency check failed: a Gauss-Legendre rule that Halley's
+    passes cannot certify, a hydro rank that moves under sample doubling or a
+    basis expansion off its held-out points, or a march ratio with a zero
+    fine-grid residual."""
 
 
 class SamplingExhausted(GTLabError):

@@ -232,10 +232,6 @@ class PeriodData:
         return sum(not ev > 0 for ev in self.im_eigenvalues)
 
     @property
-    def positive(self) -> bool:
-        return self.nonpositive == 0
-
-    @property
     def min_eigenvalue(self) -> float:
         """The lower eigenvalue of Im B, NaN when either is."""
         lo, hi = self.im_eigenvalues
@@ -381,23 +377,19 @@ class RauchData:
 
 
 def _prediction(C, moduli, branch: int):
-    """``rauch_prediction`` as nested lists, from C as nested lists."""
-    e = moduli[branch]
-    others = [x for i, x in enumerate(moduli) if i != branch]
-    R = e * (e - 1.0) * (e - others[0]) * (e - others[1])
-    w = [2.0 * (C[j][0] + C[j][1] * e) / cmath.sqrt(R) for j in range(2)]
-    return [[1j * math.pi * w[j] * w[k] for k in range(2)] for j in range(2)]
-
-
-def rauch_prediction(pd: PeriodData, branch: int) -> np.ndarray:
-    """Variational formula at one branch point.
+    """Variational formula at one branch point, as nested lists from C as
+    nested lists.
 
     In the local coordinate t with p = e + t^2 the normalized differential
     has value w_j = 2 (C[j,0] + C[j,1] e) / sqrt(R(e)) at the branch point,
     R(p) = quintic(p) / (p - e); the derivative of the period matrix in e
     is pi i w_j w_k.
     """
-    return np.array(_prediction(pd.C.tolist(), pd.moduli, branch))
+    e = moduli[branch]
+    others = [x for i, x in enumerate(moduli) if i != branch]
+    R = e * (e - 1.0) * (e - others[0]) * (e - others[1])
+    w = [2.0 * (C[j][0] + C[j][1] * e) / cmath.sqrt(R) for j in range(2)]
+    return [[1j * math.pi * w[j] * w[k] for k in range(2)] for j in range(2)]
 
 
 def _relative_error(dB, pred) -> float:

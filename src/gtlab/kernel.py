@@ -33,9 +33,9 @@ with multivalued ingredients (a square root, say) continues its branch
 along every loop there, from one anchor per loop, and a wrapper maps the
 loops into the evaluator it wraps.  ``eval_circle`` hands it N circles on
 argument columns, a point's circle a column of one, and ``laurent_coeff``
-is its one caller: core's residues and algebroid rings read their
-coefficients through it, and so may a ``partial_fn`` for a function known
-only by its values (the README shows one).
+is its one caller: core's residue checks read their coefficients
+through it, and so may a ``partial_fn`` for a function known only by its
+values (the README shows one).
 
 Each genus-1 jet is one ``theta_jet`` sum over k at the points of one or
 more stacked columns (one ``np.exp`` over a points x (2K + 1) grid), with its
@@ -421,14 +421,12 @@ def _ring(nodes: int) -> np.ndarray:
     return np.array([cmath.exp(TWO_PI_I * k / nodes) for k in range(nodes)])
 
 
-def _circle_coeff(vals: np.ndarray, radius, k: int):
-    """k-th Taylor/Laurent coefficient from equispaced circle samples along
-    the last axis: a complex for one circle, an array for a stack of
-    circles with an array of radii."""
+def _circle_coeff(vals: np.ndarray, radii: np.ndarray, k: int) -> np.ndarray:
+    """k-th Laurent coefficient on each of N circles from its equispaced
+    samples, ``vals`` an (N, nodes) array and ``radii`` the N radii."""
     n = vals.shape[-1]
     phases = np.exp(-TWO_PI_I * k * np.arange(n) / n)
-    out = np.sum(vals * phases, axis=-1) / (n * radius**k)
-    return complex(out) if np.ndim(out) == 0 else out
+    return np.sum(vals * phases, axis=-1) / (n * radii**k)
 
 
 class ReindexedEvaluator(JetEvaluator):
@@ -487,7 +485,7 @@ def laurent_coeff(e: JetEvaluator, slot: int, args: Sequence[np.ndarray], radii,
 
 
 # ---------------------------------------------------------------------------
-# Gauss-Legendre rules, paths and path integration
+# Gauss-Legendre rules
 # ---------------------------------------------------------------------------
 
 # From these starts one Halley pass is certified at n = 1 and at every n from 24

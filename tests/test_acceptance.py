@@ -245,7 +245,7 @@ def test_criterion_8_genus2_geometry():
         pd = periods((a, b, c))
         scale = float(np.max(np.abs(pd.B)))
         worst_sym = max(worst_sym, pd.symmetry_error / scale)
-        posdef = posdef and pd.positive
+        posdef = posdef and pd.nonpositive == 0
         for branch in range(3):
             rd = rauch_check((a, b, c), branch)
             worst_rauch = max(worst_rauch, rd.max_rel_error)

@@ -1,8 +1,7 @@
-"""Structure axioms, enhancement, transforms, and the algebroid table."""
+"""Structure axioms, enhancement and transforms."""
 
 from __future__ import annotations
 
-import cmath
 import json
 import math
 import os
@@ -24,7 +23,6 @@ from gtlab.core import (
     _pairs,
     _make_report,
     add_points,
-    algebroid_constants,
     collide_enhanced,
     collide_points_closed,
     pushforward,
@@ -943,67 +941,6 @@ def test_sampler_asks_a_lattice_difference_in_one_slot_order():
     for entry in catalog.CATALOG.values():
         assert not any(isinstance(ex, Diagonal) and max(ex.slots) < 3
                        for ex in entry.build(2)._sample_loci(3))
-
-
-# ---------------------------------------------------------------------------
-# algebroid structure constants
-# ---------------------------------------------------------------------------
-
-
-def test_algebroid_coeffs_vanish_when_f_is_bare_pole():
-    # benney has f = 1/(p1-p2) exactly, so every Taylor coefficient of the
-    # regular part is zero
-    s = catalog.build_structure("benney", 1)
-    table = algebroid_constants(s, z=0.3 + 0.4j, v=(1.5 + 0.2j,), order=3)
-    for coeff in table.f_coeffs.values():
-        assert abs(coeff) < 1e-10
-
-
-def test_algebroid_table_sees_a_diagonal_declared_as_lattice_points():
-    # genus1 declares its diagonal as LatticePoints(0, tau, 1): the radii
-    # skip it by vanishing at (z, z), as the pole check's do, and stay
-    # bounded by the lattice point at 0
-    s = catalog.build_structure("genus1", 1)
-    _, *v = s.sample(1, 3, 1)[0].tolist()
-    z = 0.1 + 0.05j
-    table = algebroid_constants(s, z=z, v=v, order=3)
-    assert all(cmath.isfinite(c) for c in table.f_coeffs.values())
-
-    def regular(p1):
-        return s.f.value((p1, z, *v)) - 1.0 / (p1 - z)
-
-    # the symmetric mean about z cancels the first-order term
-    d = 1e-5
-    assert abs(0.5 * (regular(z + d) + regular(z - d)) - table.f_coeffs[(0, 0)]) < 1e-6
-
-
-def test_algebroid_bracket_antisymmetry_and_lowest_rung():
-    s = catalog.build_structure("genus0", 1)
-    table = algebroid_constants(s, z=0.4 + 0.6j, v=(0.5 + 1.1j,), order=4)
-    for i in range(1, 4):
-        for j in range(1, 4):
-            bij = table.bracket(i, j)
-            bji = table.bracket(j, i)
-            keys = set(bij) | set(bji)
-            for k in keys:
-                assert bij.get(k, 0j) == pytest.approx(-bji.get(k, 0j),
-                                                       abs=1e-10)
-    # [e_1, e_j] = (j-1) e_{j+1}: e_1 only translates the expansion point
-    for j in range(2, 5):
-        b = table.bracket(1, j)
-        assert set(b) == {j + 1}
-        assert b[j + 1] == pytest.approx(complex(j - 1), abs=1e-10)
-
-
-def test_algebroid_table_refuses_what_it_does_not_hold():
-    s = catalog.build_structure("genus0", 1)
-    with pytest.raises(ValueError, match=r"^truncation order above 6 is outside the reliable"):
-        algebroid_constants(s, z=0.4 + 0.6j, v=(0.5 + 1.1j,), order=7)
-    table = algebroid_constants(s, z=0.4 + 0.6j, v=(0.5 + 1.1j,), order=2)
-    with pytest.raises(ValueError, match=r"^coefficient \(3,0\) beyond truncation order 2$"):
-        table.f_coeff(3, 0)
-    with pytest.raises(ValueError, match=r"^basis indices start at 1$"):
-        table.bracket(0, 2)
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,12 @@
 """Every module-level function and class of the package, and every method
 of its classes, is used somewhere; evaluators override ``eval_rows``, never
 ``eval_circle``, and no second circle routine exists: only
-``kernel.laurent_coeff`` calls ``eval_circle``, no one-point derivative
-routine or extrapolating evaluator class is left; no partial comes from a
-circle: the circle routines take no partial rest, ``JetEvaluator._table``
-opens no circle, no radius rule is left, and only the residue checks and
-the algebroid table call ``laurent_coeff``; only ``Domain`` answers a
+``kernel.laurent_coeff`` calls ``eval_circle`` and reads coefficients off
+its samples (``_circle_coeff``), no one-point derivative routine or
+extrapolating evaluator class is left; no partial comes from a circle: the
+circle routines take no partial rest, ``JetEvaluator._table`` opens no
+circle, no radius rule is left, and only the residue checks call
+``laurent_coeff``; only ``Domain`` answers a
 per-slot ``clearance``; only ``kernel.on_columns`` asks whether a value is
 an array, so no locus keeps a branch for numbers; no evaluator is flagged
 as taking columns, since every one does; gtsys's per-pair mixed rule and
@@ -99,13 +100,10 @@ LIBRARY_ONLY = {
     "core.add_points": "new punctures on a structure; no command takes them yet",
     "core.collide_enhanced": "lambda under a collision; the collide command verifies g and f",
     "core.pushforward_lambda": "lambda under a coordinate change; pushforward verifies g and f",
-    "core.algebroid_constants": "the Lie-algebroid constant table; no command prints it yet",
     "gtsys.inject_defect": "the polluted f the tests feed the compatibility check to detect",
     "hierarchy.PotentialFamily.independence_rank": "the family's rank at one fiber point, "
                                                    "a test oracle for functional independence",
     "hierarchy.criterion_integrable": "the pairwise integrability criterion; no command runs it",
-    "hyperell.PeriodData.positive": "whether Im B is positive definite, for library users",
-    "hyperell.rauch_prediction": "Rauch's formula as an array; rauch_check reads it as lists",
     "kernel.Domain.clearance": "sizes the circle radii of the README's recipe and the tests' "
                                "circle oracles",
     "kernel.theta": "the odd theta series at one point, a test oracle for the theta kernels",
@@ -164,12 +162,14 @@ def _callers(attr: str) -> list[str]:
 
 
 def test_every_circle_is_read_through_laurent_coeff():
-    # one circle routine: the residues of verify_pole and verify_lambda and
-    # algebroid_constants' inner rings read their coefficients through
-    # kernel.laurent_coeff, the one caller of eval_circle; the one-point
-    # derivative and the evaluator class that extrapolated values (whose
-    # partials were circles) are gone
+    # one circle routine: the residues of verify_pole and verify_lambda read
+    # their coefficients through kernel.laurent_coeff, the one caller of
+    # eval_circle and of _circle_coeff, and eval_circle alone lays out the
+    # unit ring; the one-point derivative and the evaluator class that
+    # extrapolated values (whose partials were circles) are gone
     assert _callers("eval_circle") == ["kernel.py:laurent_coeff"]
+    assert _callers("_circle_coeff") == ["kernel.py:laurent_coeff"]
+    assert _callers("_ring") == ["kernel.py:JetEvaluator.eval_circle"]
     tokens = _name_tokens([PACKAGE])
     assert [name for name in ("cauchy_derivative", "_RichardsonLimit") if tokens[name]] == []
 
@@ -178,9 +178,8 @@ def test_no_partial_is_read_off_a_circle():
     # every partial is a closed form or a NoClosedForm: the circle routines
     # sample values only (no partial rest), the kernel keeps no rule for a
     # derivative circle's radius, JetEvaluator._table calls no circle
-    # routine, and in the package only the residue checks and the algebroid
-    # table call laurent_coeff (a partial_fn without a closed form may, from
-    # outside the package)
+    # routine, and in the package only the residue checks call laurent_coeff
+    # (a partial_fn without a closed form may, from outside the package)
     routines = ("eval_rows", "eval_circle", "laurent_coeff")
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -197,7 +196,7 @@ def test_no_partial_is_read_off_a_circle():
     called = {getattr(node.func, "attr", getattr(node.func, "id", None))
               for node in ast.walk(table) if isinstance(node, ast.Call)}
     assert called.isdisjoint({*routines, "_circle_coeff", "_ring"}), called
-    assert _callers("laurent_coeff") == ["core.py:_residues", "core.py:algebroid_constants"]
+    assert _callers("laurent_coeff") == ["core.py:_residues"]
 
 
 def test_no_potential_is_integrated_along_a_path():

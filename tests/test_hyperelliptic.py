@@ -26,7 +26,6 @@ from gtlab.hyperell import (
     interval_integrals,
     periods,
     rauch_check,
-    rauch_prediction,
 )
 
 MODULI = (1.6, 2.8, 4.3)
@@ -77,7 +76,7 @@ def test_period_matrix_symmetry_and_positivity():
     assert isinstance(pd, PeriodData)
     scale = float(np.max(np.abs(pd.B)))
     assert pd.symmetry_error / scale < 1e-10
-    assert pd.positive
+    assert pd.nonpositive == 0
     assert min(pd.im_eigenvalues) > 0.1  # comfortably positive definite
     assert pd.convergence_error < 1e-10
 
@@ -91,7 +90,6 @@ def test_positivity_counts_every_eigenvalue_not_above_0(eigenvalues, nonpositive
     # tuple would keep or drop it by position)
     pd = dataclasses.replace(periods(MODULI), im_eigenvalues=eigenvalues)
     assert pd.nonpositive == nonpositive
-    assert pd.positive is (nonpositive == 0)
 
 
 def test_period_matrix_converges_under_node_doubling():
@@ -112,9 +110,9 @@ def test_period_matrix_refuses_an_unconverged_rule():
 
 
 def test_rauch_prediction_is_symmetric():
-    pd = periods(MODULI)
-    for branch in range(3):
-        dB = rauch_prediction(pd, branch)
+    _, checks = hyperell.rauch(MODULI)
+    for rd in checks:
+        dB = rd.dB_predicted
         assert abs(dB[0, 1] - dB[1, 0]) < 1e-14
 
 
@@ -333,7 +331,7 @@ def test_rauch_equals_one_periods_call_bit_for_bit():
     assert np.array_equal(pd.B, alone.B) and np.array_equal(pd.dB, alone.dB)
     assert pd.dB.shape == (3, 2, 2)
     for rd in checks:
-        pred = rauch_prediction(pd, rd.branch)
+        pred = np.array(hyperell._prediction(alone.C.tolist(), alone.moduli, rd.branch))
         assert np.array_equal(rd.dB, pd.dB[rd.branch])
         assert np.array_equal(rd.dB_predicted, pred)
         assert rd.max_rel_error == float(np.max(np.abs(rd.dB - pred) / np.abs(pred)))

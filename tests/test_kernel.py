@@ -414,8 +414,8 @@ def test_mixed_partials_of_exponential():
 
 
 def test_a_reindexed_fn_reads_its_base_fn():
-    # fn, the value a wrapper composes (as algebroid_constants does with f's),
-    # takes the base's fn at the reindexed arguments; slot 1 is inert
+    # fn, the value a wrapper composes (as catalog._difference does with its
+    # kernels'), takes the base's fn at the reindexed arguments; slot 1 is inert
     base = JetEvaluator(2, lambda p, v: np.exp(p * v) / (p - 2.0))
     r = ReindexedEvaluator(base, 3, (2, 0))
     args = (0.7 - 0.2j, 5.0, 0.3 + 0.1j)
