@@ -318,8 +318,8 @@ def _cmd_reconstruct(cfg):
     _check_indices("index", [index], len(pots))
     fam = hierarchy.PotentialFamily(enh.base, pots, enhanced=enh, label=ent.name)
     i, j = pair
-    _, rep_f = hierarchy.reconstruct_f(fam, i, j, samples=samples, seed=seed, tol=tol)
-    _, rep_l = hierarchy.reconstruct_lambda(fam, index, samples=samples, seed=seed + 1, tol=tol)
+    rep_f = hierarchy.reconstruct_f(fam, i, j, samples=samples, seed=seed, tol=tol)
+    rep_l = hierarchy.reconstruct_lambda(fam, index, samples=samples, seed=seed + 1, tol=tol)
     return [rep_f, rep_l], {}
 
 

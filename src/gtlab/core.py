@@ -251,11 +251,6 @@ def _rows(s: GTStructure, pts: np.ndarray, *orders: Sequence[int]) -> tuple:
     return tuple(np.concatenate([pts[:, [*order, *v]] for order in orders]).T)
 
 
-def _values(evaluators: Sequence[JetEvaluator], cols: tuple) -> np.ndarray:
-    """The value of each evaluator at every point of ``cols``, one row per evaluator."""
-    return np.array([e.value(cols) for e in evaluators])
-
-
 def _residues(e: JetEvaluator, s: GTStructure, pts: np.ndarray, nodes: int,
               ks: Sequence[int]) -> np.ndarray:
     """Laurent coefficients k in ``ks`` of e in its first slot about p_1
@@ -556,7 +551,7 @@ def _undeclared(loci: Iterable[Exclusion], declared: Sequence[Exclusion] = ()) -
         else:
             key = ((Diagonal, tuple(sorted(ex.slots))) if isinstance(ex, Diagonal) else
                    (LatticePoints, ex.tau_slot, frozenset((ex.i, ex.j)))
-                   if isinstance(ex, LatticePoints) else (type(ex), *vars(ex).items()))
+                   if isinstance(ex, LatticePoints) else ex.key())
             new = key not in seen
             seen.add(key)
         if new and k >= len(declared):

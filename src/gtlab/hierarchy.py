@@ -13,18 +13,20 @@ instantiated: everything is analyzed through the potentials as functions of
 the spectral parameter z and the fiber point v.
 
 Every check here runs on argument columns: each evaluator is asked once
-per set of points.  A reconstruction scores the samples of one seeded
-stream in draw order, in rounds: the first round asks for every wanted
-draw, and each later one for as many as were rejected before it, one
-``structure.sample`` call continuing the stream where the last left it,
-so a round scores only its new draws (see ``_redrawn``).
+per set of points.  The two reconstructions and the integrability criterion
+read f, each g_k, the potentials and lambda at a set of draws from one
+``jets`` call (``_terms``).  A reconstruction scores the samples of one
+seeded stream in draw order, in rounds: the first round asks for every
+wanted draw, and each later one for as many as were rejected before it, one
+``structure.sample`` call continuing the stream where the last left it, so a
+round scores only its new draws (see ``_redrawn``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -35,11 +37,10 @@ from .core import (
     VerificationReport,
     _make_report,
     _rows,
-    _values,
     apply_field,
 )
 from .errors import ConfigError, DomainViolation, NonConvergence, SamplingExhausted
-from .kernel import Box, SplitMix64, admitted, jets, multi_index
+from .kernel import SplitMix64, admitted, jets, multi_index
 
 
 def _rank(mat: np.ndarray, tol: float) -> int:
@@ -71,22 +72,22 @@ def _pivots(a: np.ndarray, count: int) -> list[int]:
 class PotentialFamily:
     """An ordered family of potentials over a shared structure.
 
-    ``z_box`` bounds the sampling region of the spectral parameter; fiber
-    points come from the structure's own boxes.  ``enhanced`` is optional
-    and only used as the oracle for lambda reconstruction.
+    The spectral parameter is sampled in the structure's ``p_box``; fiber
+    points come from the structure's own boxes.  ``enhanced`` is optional,
+    an enhancement of this very structure, and only used as the oracle for
+    lambda reconstruction.
     """
 
     structure: GTStructure
     potentials: list[Potential]
-    z_box: Box | None = None
     enhanced: EnhancedGT | None = None
     label: str = "family"
 
     def __post_init__(self):
         if len(self.potentials) < 3:
             raise ConfigError("a potential family needs at least 3 members")
-        if self.z_box is None:
-            self.z_box = self.structure.p_box
+        if self.enhanced is not None and self.enhanced.base is not self.structure:
+            raise ConfigError("the enhancement of a potential family must be of its structure")
 
     @property
     def N(self) -> int:
@@ -107,10 +108,10 @@ class PotentialFamily:
         return h.partials(at, multis)
 
     def sample_z(self, count: int, seed: int, v: Sequence[complex]) -> list[complex]:
-        """Seeded z points inside z_box clearing every potential's poles by
-        more than the structure's minimum separation."""
+        """Seeded z points inside the structure's p_box clearing every
+        potential's poles by more than the structure's minimum separation."""
         loci = [ex for p in self.potentials for ex in p.h.domain.exclusions if 0 in ex.slots]
-        out, _ = admitted(SplitMix64(seed), [self.z_box], v, count, 500 * count, loci,
+        out, _ = admitted(SplitMix64(seed), [self.structure.p_box], v, count, 500 * count, loci,
                           self.structure.min_separation)
         if len(out) < count:
             raise SamplingExhausted(f"could not place {count} z points clear of the poles")
@@ -200,7 +201,8 @@ class HydroSystem:
     a, b, c are (D x m) coefficient matrices at the fiber point: row r is
     sum_l a[r,l] dv_l/dt_i + b[r,l] dv_l/dt_j + c[r,l] dv_l/dt_k = 0.
     basis_rows indexes which sampled coefficient functions serve as
-    S_1..S_D; expansion_residual is measured on held-out z points.
+    S_1..S_D, sampled at z_points; expansion_residual is measured on
+    held-out z points.
     """
 
     D: int
@@ -208,10 +210,8 @@ class HydroSystem:
     b: np.ndarray
     c: np.ndarray
     basis_rows: tuple[int, ...]
-    basis_samples: np.ndarray
     z_points: tuple[complex, ...]
     expansion_residual: float
-    v: tuple[complex, ...]
 
     @property
     def rank_abc(self) -> int:
@@ -257,7 +257,7 @@ def hydro_coefficients(
         )
     # block 0 multiplies dv/dt_k, block 1 dv/dt_i, block 2 dv/dt_j
     c, a, b = (np.array(coef[:, k * fam.m:(k + 1) * fam.m]) for k in range(3))
-    return HydroSystem(D, a, b, c, basis_rows, S, tuple(fit_z), residual, tuple(v))
+    return HydroSystem(D, a, b, c, basis_rows, tuple(fit_z), residual)
 
 
 # ---------------------------------------------------------------------------
@@ -278,10 +278,10 @@ def _redrawn(s: GTStructure, samples: int, seed: int, scored,
     later one for as many as the rounds before it rejected, one ``sample``
     call per round continuing the stream where the last left it, so each
     round admits and scores only its new draws.  ``scored(pts)`` gives a round's
-    residuals and which of its draws are kept, asking each evaluator once
-    on argument columns.  A ``DomainViolation`` from that call (an evaluator
-    failing closed at some draw) rejects every draw of the round.  After
-    50 * samples draws the run raises ``SamplingExhausted``."""
+    residuals and which of its draws are kept, reading every evaluator from
+    one ``jets`` call on argument columns.  A ``DomainViolation`` from that
+    call (an evaluator failing closed at some draw) rejects every draw of the
+    round.  After 50 * samples draws the run raises ``SamplingExhausted``."""
     residuals, stream, drawn, resampled = [], SplitMix64(seed), 0, 0
     while len(residuals) < samples:
         if drawn == 50 * samples:
@@ -300,9 +300,28 @@ def _redrawn(s: GTStructure, samples: int, seed: int, scored,
 
 
 def _flow(fval: np.ndarray, gv: np.ndarray, jet: np.ndarray) -> np.ndarray:
-    """f(p1, p2) X'(p2) + g(p1)(X(p2)) for X with p2 jet ``jet`` (``h_jet``'s
+    """f(p1, p2) X'(p2) + g(p1)(X(p2)) for X with p2 jet ``jet`` (``h_request``'s
     rows): the numerator of the hierarchy derivative D1 and of lambda."""
     return fval * jet[0] + apply_field(gv, jet[1:])
+
+
+def _terms(fam: PotentialFamily, pts: np.ndarray, idxs: Sequence[int],
+           lam: bool = False) -> tuple:
+    """What a hierarchy formula reads at the draws ``pts`` of (p1, p2, v),
+    from one ``jets`` call: f(p1, p2); g(p1), one row per g_k; h'(p1), one
+    row per potential of ``idxs``; the ``h_request`` rows at p2 of each
+    potential of ``idxs``, one table each; and lambda(p1, p2) when ``lam``
+    is set, else None."""
+    s, n = fam.structure, len(idxs)
+    at1, at2, at12 = _rows(s, pts, (0,)), _rows(s, pts, (1,)), _rows(s, pts, (0, 1))
+    value1, value2 = [multi_index(1 + s.m)], [multi_index(2 + s.m)]
+    dz = [multi_index(1 + s.m, 0)]  # p1 needs only h'; p2 the whole h_request
+    [fval], *tables = jets([(s.f, at12, value2), *((gk, at1, value1) for gk in s.g),
+                            *((fam.potentials[idx].h, at1, dz) for idx in idxs),
+                            *(fam.h_request(idx, at2) for idx in idxs),
+                            *([(fam.enhanced.lam, at12, value2)] if lam else [])])
+    gv, hp1 = np.concatenate(tables[:s.m]), np.concatenate(tables[s.m:s.m + n])
+    return fval, gv, hp1, tables[s.m + n:s.m + 2 * n], tables[-1][0] if lam else None
 
 
 def reconstruct_f(
@@ -312,52 +331,31 @@ def reconstruct_f(
     samples: int = 30,
     seed: int = 11,
     tol: float = 1e-8,
-) -> tuple[Callable, VerificationReport]:
-    """Rebuild the two-point function from potentials i and j.
+) -> VerificationReport:
+    """Check the two-point function rebuilt from potentials i and j,
 
         f(p1, p2) = sum_k (h_i'(p1) h_{j,v_k}(p2) - h_j'(p1) h_{i,v_k}(p2)) g_k(p1)
-                    / (h_j'(p1) h_i'(p2) - h_j'(p2) h_i'(p1))
+                    / (h_j'(p1) h_i'(p2) - h_j'(p2) h_i'(p1)),
 
-    The report compares against the structure's own f (relative residual)
-    over the draws of ``_redrawn``; a draw whose denominator falls below
-    ``DEN_FLOOR`` or whose rebuilt value is not finite is redrawn.  In
-    each round h_i and h_j are asked once at p1 and once at p2, f and each
-    g_k once.  The returned callable raises ``DomainViolation`` at a point
-    whose denominator vanishes.
+    against the structure's own f (relative residual) over the draws of
+    ``_redrawn``; a draw whose denominator falls below ``DEN_FLOOR`` or
+    whose rebuilt value is not finite is redrawn.  Each round reads f, each
+    g_k, h_i and h_j from one ``jets`` call (``_terms``).
     """
     if i == j:
         raise ConfigError("need two distinct potentials")
-    s = fam.structure
-    dz = [multi_index(1 + s.m, 0)]  # p1 needs only h'; p2 the whole h_jet
-
-    def rebuilt(pts):
-        """The formula and its denominator at every draw."""
-        at1, at2 = _rows(s, pts, (0,)), _rows(s, pts, (1,))
-        [hpi1], [hpj1] = (fam.potentials[t].h.partials(at1, dz) for t in (i, j))
-        jet_i, jet_j = fam.h_jet(i, at2), fam.h_jet(j, at2)
-        num = apply_field(_values(s.g, at1), hpi1 * jet_j[1:] - hpj1 * jet_i[1:])
-        den = hpj1 * jet_i[0] - jet_j[0] * hpi1
-        with np.errstate(all="ignore"):
-            return num / den, den
-
-    def rec(p1, p2, v):
-        [got], [den] = rebuilt(np.array([(p1, p2, *v)], dtype=complex))
-        if abs(den) < DEN_FLOOR:
-            raise DomainViolation("reconstruction denominator vanishes")
-        return complex(got)
 
     def scored(pts):
-        got, den = rebuilt(pts)
-        want = s.f.value(_rows(s, pts, (0, 1)))
-        return (abs(got - want) / np.maximum(abs(want), 1.0),
+        fval, gv, (hpi1, hpj1), (jet_i, jet_j), _ = _terms(fam, pts, (i, j))
+        den = hpj1 * jet_i[0] - jet_j[0] * hpi1
+        got = apply_field(gv, hpi1 * jet_j[1:] - hpj1 * jet_i[1:]) / den
+        return (abs(got - fval) / np.maximum(abs(fval), 1.0),
                 (abs(den) >= DEN_FLOOR) & np.isfinite(got))
 
-    residuals, resampled = _redrawn(s, samples, seed, scored,
+    residuals, resampled = _redrawn(fam.structure, samples, seed, scored,
                                     "reconstruction denominator kept vanishing")
-    return rec, _make_report(
-        "reconstruct_f", residuals, tol, seed,
-        pair=(i, j), resampled=resampled, label=fam.label,
-    )
+    return _make_report("reconstruct_f", residuals, tol, seed, pair=(i, j), resampled=resampled,
+                        label=fam.label)
 
 
 def reconstruct_lambda(
@@ -366,53 +364,34 @@ def reconstruct_lambda(
     samples: int = 30,
     seed: int = 13,
     tol: float = 1e-8,
-) -> tuple[Callable, VerificationReport]:
-    """Rebuild lambda from potential i:
+) -> VerificationReport:
+    """Check lambda rebuilt from potential i,
 
-        lambda(p1, p2) = (f(p1, p2) h_i'(p2) + g(p1)(h_i(p2))) / h_i'(p1)
+        lambda(p1, p2) = (f(p1, p2) h_i'(p2) + g(p1)(h_i(p2))) / h_i'(p1),
 
-    compared against the enhanced structure's lambda when available and
-    against the same formula through every other potential (independence
-    of i) otherwise, over the draws of ``_redrawn``.  A draw where some
-    h'(p1) falls below ``DEN_FLOOR`` or some rebuilt value is not finite
-    is redrawn.  In each round every h is asked once at p1 and once at p2,
-    f, each g_j and lambda once.  The returned callable raises
-    ``DomainViolation`` at a point where h_i'(p1) vanishes.
+    against the enhanced structure's lambda when available and against the
+    same formula through every other potential (independence of i)
+    otherwise, over the draws of ``_redrawn``.  A draw where some h'(p1)
+    falls below ``DEN_FLOOR`` or some rebuilt value is not finite is
+    redrawn.  Each round reads f, each g_k, every h and lambda from one
+    ``jets`` call (``_terms``).
     """
-    s = fam.structure
-    dz = [multi_index(1 + s.m, 0)]  # p1 needs only h'; p2 the whole h_jet
     order = [i, *(idx for idx in range(fam.N) if idx != i)]
 
-    def through(idxs, pts):
-        """h'(p1) and the formula at every draw, one row per potential of idxs."""
-        at1, at2 = _rows(s, pts, (0,)), _rows(s, pts, (1,))
-        fval, gv = s.f.value(_rows(s, pts, (0, 1))), _values(s.g, at1)
-        hp1 = np.array([fam.potentials[idx].h.partials(at1, dz)[0] for idx in idxs])
-        flows = np.array([_flow(fval, gv, fam.h_jet(idx, at2)) for idx in idxs])
-        with np.errstate(all="ignore"):
-            return hp1, flows / hp1
-
-    def rec(p1, p2, v):
-        [[hp1]], [[got]] = through([i], np.array([(p1, p2, *v)], dtype=complex))
-        if abs(hp1) < DEN_FLOOR:
-            raise DomainViolation("h'(p1) vanishes")
-        return complex(got)
-
     def scored(pts):
-        hp1, rebuilt = through(order, pts)
+        fval, gv, hp1, h2, lam = _terms(fam, pts, order, lam=fam.enhanced is not None)
+        rebuilt = np.array([_flow(fval, gv, jet) for jet in h2]) / hp1
         got, alt = rebuilt[0], rebuilt[1:]
         diffs = [*abs(got - alt)]
-        if fam.enhanced is not None:
-            diffs.append(abs(got - fam.enhanced.lam.value(_rows(s, pts, (0, 1)))))
+        if lam is not None:
+            diffs.append(abs(got - lam))
         kept = (abs(hp1) >= DEN_FLOOR).all(axis=0) & np.isfinite(rebuilt).all(axis=0)
         return np.max(diffs, axis=0) / np.maximum(abs(got), 1.0), kept
 
-    residuals, resampled = _redrawn(s, samples, seed, scored,
+    residuals, resampled = _redrawn(fam.structure, samples, seed, scored,
                                     "lambda reconstruction kept hitting zeros")
-    return rec, _make_report(
-        "reconstruct_lambda", residuals, tol, seed,
-        index=i, resampled=resampled, label=fam.label,
-    )
+    return _make_report("reconstruct_lambda", residuals, tol, seed, index=i, resampled=resampled,
+                        label=fam.label)
 
 
 def criterion_integrable(
@@ -427,20 +406,14 @@ def criterion_integrable(
 
     where D1(X) = (f(p1, p2) X'(p2) + g(p1)(X(p2))) / g_1(p1) is the
     hierarchy derivative taken through the quasilinear system with unit
-    slope in v_1.  Over the seeded samples, every h is asked once at p1
-    and once at p2, f and each g_j once.
+    slope in v_1.  f, each g_k and every h are read at the seeded samples
+    from one ``jets`` call (``_terms``).
     """
-    s = fam.structure
-    dz = [multi_index(1 + s.m, 0)]  # p1 needs only h'; p2 the whole h_jet
-    pts = s.sample(samples, seed, 2)
-    at1, at2 = _rows(s, pts, (0,)), _rows(s, pts, (1,))
-    fval, gv = s.f.value(_rows(s, pts, (0, 1))), _values(s.g, at1)
-    hp1 = np.array([pot.h.partials(at1, dz)[0] for pot in fam.potentials])
+    pts = fam.structure.sample(samples, seed, 2)
+    fval, gv, hp1, h2, _ = _terms(fam, pts, range(fam.N))
     with np.errstate(all="ignore"):
-        d1 = np.array([_flow(fval, gv, fam.h_jet(idx, at2)) for idx in range(fam.N)]) / gv[0]
+        d1 = np.array([_flow(fval, gv, jet) for jet in h2]) / gv[0]
         scale = np.maximum(abs(d1).max(axis=0), 1.0)
         residuals = np.max([abs(hp1[b] * d1[a] - hp1[a] * d1[b]) / scale
                             for a, b in combinations(range(fam.N), 2)], axis=0)
-    return _make_report(
-        "integrability_criterion", residuals, tol, seed, label=fam.label,
-    )
+    return _make_report("integrability_criterion", residuals, tol, seed, label=fam.label)

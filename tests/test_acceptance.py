@@ -196,12 +196,11 @@ def test_criterion_6_reconstruction():
         fam = _family(name, n)
         pairs = [(0, 1), (1, 2), (0, 2)]  # (i, j)-independence
         for i, j in pairs:
-            _, rep = reconstruct_f(fam, i, j, samples=100, seed=11, tol=1e-8)
+            rep = reconstruct_f(fam, i, j, samples=100, seed=11, tol=1e-8)
             assert rep.passed, f"{name} f({i},{j}): {rep.max_residual:.3e}"
             worst = max(worst, rep.max_residual)
         for i in (0, 1):
-            _, rep = reconstruct_lambda(fam, i, samples=100, seed=13,
-                                        tol=1e-8)
+            rep = reconstruct_lambda(fam, i, samples=100, seed=13, tol=1e-8)
             assert rep.passed, f"{name} lambda({i}): {rep.max_residual:.3e}"
             worst = max(worst, rep.max_residual)
     _verdict(6, worst < 1e-8, f"worst relative residual {worst:.2e}")

@@ -1300,8 +1300,9 @@ def test_one_pass_keeps_the_superset_rule_and_pulled_back_identity():
 
 def _genus1_checks(n):
     """(name, call) of every genus-1 check at n punctures that asks ``jets``:
-    bracket, cocycle, lambda, each potential and, from n = 3 on, the
-    compatibility tensor of potentials 0, 1 and 2."""
+    bracket, cocycle, lambda, each potential and, from n = 3 on (when there
+    are n potentials), the compatibility tensor of potentials 0, 1 and 2,
+    a round of each reconstruction and the integrability criterion."""
     e = catalog.build_enhanced("genus1", n)
     s, pots = e.base, catalog.build_potentials("genus1", n)
     checks = [("bracket", lambda: verify_bracket(s, 6)), ("cocycle", lambda: verify_cocycle(s, 6)),
@@ -1312,8 +1313,11 @@ def _genus1_checks(n):
         fam = hierarchy.PotentialFamily(s, pots, enhanced=e)
         v = tuple(s.sample(1, 1, 1)[0, 1:].tolist())
         zs = fam.sample_z(12, 7, v)
-        checks.append(("compatibility tensor",
-                       lambda: hierarchy.compatibility_tensor(fam, 0, 1, 2, v, zs)))
+        checks += [("compatibility tensor",
+                    lambda: hierarchy.compatibility_tensor(fam, 0, 1, 2, v, zs)),
+                   ("reconstruct f", lambda: hierarchy.reconstruct_f(fam, 0, 1, 6)),
+                   ("reconstruct lambda", lambda: hierarchy.reconstruct_lambda(fam, 0, 6)),
+                   ("integrability criterion", lambda: hierarchy.criterion_integrable(fam, 6))]
     return checks
 
 
@@ -1334,7 +1338,8 @@ def _recorded_jets(monkeypatch) -> list:
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_pooled_tables_equal_each_requests_own(monkeypatch, n):
-    # one call per check; a pooled series has the widest window and orders
+    # one call per check (a reconstruction here keeps all six draws of its
+    # one round); a pooled series has the widest window and orders
     # of its columns, so an entry rounds apart from its own request's within
     # the 1e-13 of its size that test_each_half_of_a_stacked_series_matches_its_own_column
     # allows
@@ -1351,9 +1356,11 @@ def test_pooled_tables_equal_each_requests_own(monkeypatch, n):
 
 
 # theta series per check, at every n: one per kernel (rho, and log theta for
-# an h difference) and the lambda residue circles' own
+# an h difference) and the lambda residue circles' own; a hierarchy check
+# reads f, g (and lambda) off rho and its potentials off log theta
 SERIES_PER_CHECK = {"bracket": 1, "cocycle": 1, "lambda": 2, "potential p-tau": 1,
-                    "compatibility tensor": 1}
+                    "compatibility tensor": 1, "reconstruct f": 2, "reconstruct lambda": 2,
+                    "integrability criterion": 2}
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])

@@ -211,6 +211,16 @@ def test_no_potential_is_integrated_along_a_path():
     assert sorted(set(_callers("gauss_legendre"))) == ["hyperell.py:_theta_rule"]
 
 
+def test_a_hierarchy_check_asks_its_evaluators_through_jets():
+    # the reconstructions and the criterion read f, g, the potentials and
+    # lambda from one kernel.jets request per round (hierarchy._terms), as
+    # compatibility_tensor does: no check asks an evaluator on its own, and
+    # only independence_rank's h_jet calls partials
+    calls = [caller for attr in ("partials", "partial", "value") for caller in _callers(attr)
+             if caller.startswith("hierarchy.py:")]
+    assert calls == ["hierarchy.py:PotentialFamily.h_jet"]
+
+
 def test_every_module_name_in_the_readme_resolves():
     # a backticked `module.name` in README.md names an attribute of that
     # gtlab module, so the README cannot go on describing removed code; a

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from gtlab import catalog, hierarchy, kernel
-from gtlab.core import Potential
+from gtlab.core import EnhancedGT, Potential
 from gtlab.errors import ConfigError, DomainViolation, NonConvergence, SamplingExhausted
 from gtlab.hierarchy import (
     HydroSystem,
@@ -41,6 +41,17 @@ def test_family_needs_three_potentials():
         PotentialFamily(enh.base, catalog.build_potentials("benney", 2)[:2])
 
 
+@pytest.mark.parametrize("enhanced", [("genus0", 2), ("benney", 2)])
+def test_a_family_refuses_the_enhancement_of_another_structure(enhanced):
+    # an enhancement of another structure, or of another build of the same
+    # one, would be the oracle of a lambda that f and g do not define
+    s = catalog.build_structure("benney", 2)
+    with pytest.raises(ConfigError, match=r"^the enhancement of a potential family "
+                                          r"must be of its structure$"):
+        PotentialFamily(s, catalog.build_potentials("benney", 2),
+                        enhanced=catalog.build_enhanced(*enhanced))
+
+
 @pytest.mark.parametrize("triple, bad", [((0, 1, 3), 3), ((-1, 0, 1), -1)])
 def test_compatibility_tensor_rejects_a_potential_index_out_of_range(triple, bad):
     fam = _family("benney", 2)
@@ -63,7 +74,7 @@ def _scalar_sample_z(fam, count, seed, v):
     for _ in range(500 * count):
         if len(out) == count:
             break
-        z = rng.complex_in_box(fam.z_box)
+        z = rng.complex_in_box(fam.structure.p_box)
         if all(p.h.domain.clearance((z, *v), 0) > fam.structure.min_separation
                for p in fam.potentials):
             out.append(z)
@@ -85,12 +96,12 @@ def test_sample_z_keeps_its_strict_floor():
     fam = _family()
     v = _fiber(fam)
     loci = tuple(ex for p in fam.potentials for ex in p.h.domain.exclusions if 0 in ex.slots)
-    block = np.hstack([SplitMix64(4).complex_in_boxes([fam.z_box], 18),
+    block = np.hstack([SplitMix64(4).complex_in_boxes([fam.structure.p_box], 18),
                        np.tile(np.array(v, dtype=complex), (18, 1))])
     floor = float(min(np.concatenate([rep.distance(block.T[slots])
                                       for rep, slots in kernel._locus_groups(loci)])[:, 0]))
     z0 = complex(block[0, 0])
-    assert z0 == SplitMix64(4).complex_in_box(fam.z_box)
+    assert z0 == SplitMix64(4).complex_in_box(fam.structure.p_box)
     fam.structure.min_separation = floor
     assert fam.sample_z(1, 4, v) != [z0]
     fam.structure.min_separation = math.nextafter(floor, 0.0)
@@ -208,33 +219,33 @@ def test_hydro_draws_its_held_out_points_once_after_its_fit_points(monkeypatch):
 
 def test_reconstruct_f_matches_structure():
     fam = _family()
-    rec, rep = reconstruct_f(fam, 0, 1, samples=20, seed=11, tol=1e-8)
+    rep = reconstruct_f(fam, 0, 1, samples=20, seed=11, tol=1e-8)
     assert rep.passed, rep.max_residual
-    s = fam.structure
-    for p1, p2, *v in s.sample(5, seed=21, n_p=2).tolist():
-        assert rec(p1, p2, v) == pytest.approx(s.f.value((p1, p2, *v)), rel=1e-7)
 
 
 def test_reconstruct_f_is_pair_independent():
     fam = _family()
-    _, rep01 = reconstruct_f(fam, 0, 1, samples=20, seed=11)
-    _, rep12 = reconstruct_f(fam, 1, 2, samples=20, seed=11)
+    rep01 = reconstruct_f(fam, 0, 1, samples=20, seed=11)
+    rep12 = reconstruct_f(fam, 1, 2, samples=20, seed=11)
     assert rep01.passed and rep12.passed
 
 
 def test_reconstruct_lambda_matches_enhancement():
     fam = _family()
-    _, rep = reconstruct_lambda(fam, 0, samples=20, seed=13, tol=1e-8)
+    rep = reconstruct_lambda(fam, 0, samples=20, seed=13, tol=1e-8)
     assert rep.passed, rep.max_residual
 
 
 def test_reconstructed_lambda_reproduces_the_enhanced_lambda():
+    # the enhancement is read: with f in place of lambda the report fails,
+    # though the rebuilt lambdas still agree across the potentials
     fam = _family()
-    rec, rep = reconstruct_lambda(fam, 0, samples=20, seed=13, tol=1e-8)
+    rep = reconstruct_lambda(fam, 0, samples=20, seed=13, tol=1e-8)
     assert rep.passed, rep.max_residual
-    for p1, p2, *v in fam.structure.sample(5, seed=21, n_p=2).tolist():
-        want = fam.enhanced.lam.value((p1, p2, *v))
-        assert abs(rec(p1, p2, v) - want) / max(abs(want), 1.0) < rep.tol
+    s = fam.structure
+    wrong = PotentialFamily(s, fam.potentials, enhanced=EnhancedGT(s, s.f))
+    assert not reconstruct_lambda(wrong, 0, samples=20, seed=13, tol=1e-8).passed
+    assert reconstruct_lambda(PotentialFamily(s, fam.potentials), 0, samples=20, seed=13).passed
 
 
 def _captured_residuals(monkeypatch) -> list:
@@ -272,7 +283,7 @@ def test_reconstruct_f_redraws_below_the_floor_in_draw_order(monkeypatch):
     fam = _family()
     s = fam.structure
     runs = _captured_residuals(monkeypatch)
-    _, rep = reconstruct_f(fam, 0, 1, samples=12, seed=11)
+    rep = reconstruct_f(fam, 0, 1, samples=12, seed=11)
     assert rep.params["resampled"] == 0
     every = runs[-1]  # the residuals of stream draws 0..11
     dz = multi_index(1 + s.m, 0)
@@ -284,7 +295,7 @@ def test_reconstruct_f_redraws_below_the_floor_in_draw_order(monkeypatch):
     floor = sum(sorted(dens)[5:7]) / 2  # half the draws fall below it, none at it
     monkeypatch.setattr(hierarchy, "DEN_FLOOR", floor)
     kept = [k for k in range(12) if dens[k] > floor][:4]
-    _, rep = reconstruct_f(fam, 0, 1, samples=4, seed=11)
+    rep = reconstruct_f(fam, 0, 1, samples=4, seed=11)
     assert rep.params["resampled"] == kept[-1] + 1 - 4 > 0
     assert runs[-1] == [every[k] for k in kept]
 
@@ -359,7 +370,7 @@ def test_a_resumed_stream_keeps_the_prefix_protocols_residuals(monkeypatch):
     reports = []
     for protocol in (hierarchy._redrawn, _prefix_redrawn):
         monkeypatch.setattr(hierarchy, "_redrawn", protocol)
-        reports.append(reconstruct_f(fam, 0, 1, samples=30, seed=11)[1])
+        reports.append(reconstruct_f(fam, 0, 1, samples=30, seed=11))
     assert runs[0] == runs[1] and len(runs[0]) == 30
     assert reports[0].params["resampled"] == reports[1].params["resampled"] > 0
 
@@ -410,10 +421,10 @@ def test_each_evaluator_is_asked_once_per_round_on_columns(monkeypatch, what):
     rounds = _recorded_samples(monkeypatch, s)
     log = _asks(monkeypatch, (*hs, *s.g, s.f, fam.enhanced.lam))
     if what == "f":
-        _, rep = reconstruct_f(fam, 0, 1, samples=6, seed=seed)
+        rep = reconstruct_f(fam, 0, 1, samples=6, seed=seed)
         per_round = {hs[0]: 2, hs[1]: 2, s.f: 1, fam.enhanced.lam: 0}  # h at p1, at p2
     else:
-        _, rep = reconstruct_lambda(fam, 0, samples=6, seed=seed)
+        rep = reconstruct_lambda(fam, 0, samples=6, seed=seed)
         per_round = {**{h: 2 for h in hs}, s.f: 1, fam.enhanced.lam: 1}
     per_round.update({g: 1 for g in s.g})
     assert rep.passed and rep.params["resampled"] == 1 and len(rounds) == 2
@@ -446,7 +457,7 @@ def test_a_nan_at_one_draw_is_redrawn_or_fails_the_report(monkeypatch, what, see
         rep = criterion_integrable(fam, samples=5, seed=seed)
         assert math.isnan(rep.max_residual) and not rep.passed
     else:
-        _, rep = (reconstruct_f(fam, 0, 1, samples=5, seed=seed) if what == "f"
+        rep = (reconstruct_f(fam, 0, 1, samples=5, seed=seed) if what == "f"
                   else reconstruct_lambda(fam, 0, samples=5, seed=seed))
         assert rep.params["resampled"] == 1 and rep.samples == 5
         assert rep.passed and math.isfinite(rep.max_residual)
@@ -457,7 +468,7 @@ def test_a_nan_in_the_compared_f_fails_the_report(monkeypatch):
     fam = _family()
     s = fam.structure
     _nan_at(monkeypatch, s.f, s.sample(5, 11, 2)[2, 0])
-    _, rep = reconstruct_f(fam, 0, 1, samples=5, seed=11)
+    rep = reconstruct_f(fam, 0, 1, samples=5, seed=11)
     assert rep.params["resampled"] == 0
     assert math.isnan(rep.max_residual) and not rep.passed
 
@@ -477,18 +488,9 @@ def test_a_domain_violation_in_a_round_rejects_its_every_draw(monkeypatch):
         return partials(args, multis)
 
     monkeypatch.setattr(h, "partials", first_call_raises)
-    _, rep = reconstruct_f(fam, 0, 1, samples=4, seed=11)
+    rep = reconstruct_f(fam, 0, 1, samples=4, seed=11)
     assert rep.params["resampled"] == 4 and rep.passed
     assert runs[-1] == every[4:]
-
-
-def test_reconstructed_f_refuses_a_vanishing_denominator(monkeypatch):
-    fam = _family()
-    rec, _ = reconstruct_f(fam, 0, 1, samples=3, seed=11)
-    p1, p2, *v = fam.structure.sample(1, 21, 2)[0].tolist()
-    monkeypatch.setattr(hierarchy, "DEN_FLOOR", math.inf)
-    with pytest.raises(DomainViolation, match=r"^reconstruction denominator vanishes$"):
-        rec(p1, p2, v)
 
 
 # the catalog families with potentials (genus2 has none), at several n
@@ -504,32 +506,33 @@ def test_integrability_criterion_holds_for_catalog_family(name, n, seed):
     assert rep.passed, rep.max_residual
 
 
-def _count_values(monkeypatch, evaluators) -> list:
-    """Replace each evaluator's ``value`` by one that logs its call."""
-    calls = []
-    for e in evaluators:
-        def counted(args, e=e, value=e.value):
-            calls.append(e)
-            return value(args)
-
-        monkeypatch.setattr(e, "value", counted)
-    return calls
-
-
 def test_f_and_g_are_evaluated_once_per_sample(monkeypatch):
-    # every potential's formula reads the same f(p1, p2) and g_j(p1), asked
-    # once per round for all of the round's draws
+    # every potential's formula reads the same f(p1, p2) and g_k(p1): a
+    # round makes one jets call, which asks f and each g_k once for all of
+    # the round's draws, and no evaluator is asked outside it
     fam = _family()
     s = fam.structure
-    calls = _count_values(monkeypatch, (*s.g, s.f))
-    criterion_integrable(fam, samples=5, seed=19)
-    assert len(calls) == s.m + 1, len(calls)
-    calls.clear()
-    _nan_at(monkeypatch, fam.potentials[1].h, s.sample(5, 13, 2)[3, 1])  # one redraw
+    for seed in (11, 13):  # one redraw each
+        _nan_at(monkeypatch, fam.potentials[1].h, s.sample(5, seed, 2)[3, 1])
+    log = _asks(monkeypatch, (*(pot.h for pot in fam.potentials), *s.g, s.f, fam.enhanced.lam))
     rounds = _recorded_samples(monkeypatch, s)
-    _, rep = reconstruct_lambda(fam, 0, samples=5, seed=13)
-    assert rep.params["resampled"] == 1 and len(rounds) == 2
-    assert len(calls) == len(rounds) * (s.m + 1), (len(calls), len(rounds))
+    calls, real = [], hierarchy.jets
+
+    def recorded(requests):
+        requests, before = list(requests), len(log)
+        tables = real(requests)
+        calls.append(([e for e, _, _ in requests], len(log) - before))
+        return tables
+
+    monkeypatch.setattr(hierarchy, "jets", recorded)
+    reps = [reconstruct_f(fam, 0, 1, samples=5, seed=11),
+            reconstruct_lambda(fam, 0, samples=5, seed=13),
+            criterion_integrable(fam, samples=5, seed=19)]
+    assert [rep.params.get("resampled") for rep in reps] == [1, 1, None]
+    assert len(calls) == len(rounds) == 5
+    for asked, _ in calls:
+        assert [asked.count(e) for e in (s.f, *s.g)] == [1] * (1 + s.m)
+    assert sum(inside for _, inside in calls) == len(log)
 
 
 def _square_in_p(m: int, c: complex, label: str) -> JetEvaluator:
@@ -604,9 +607,8 @@ def test_a_vanishing_tensor_has_dimension_zero():
 
 def test_zero_coefficient_matrices_have_rank_zero():
     a, b, c = np.zeros((3, 1, 2), dtype=complex)
-    hs = HydroSystem(D=1, a=a, b=b, c=c, basis_rows=(0,),
-                     basis_samples=np.zeros((1, 1), dtype=complex), z_points=(0.5j,),
-                     expansion_residual=0.0, v=(0.1j, 0.2j))
+    hs = HydroSystem(D=1, a=a, b=b, c=c, basis_rows=(0,), z_points=(0.5j,),
+                     expansion_residual=0.0)
     assert hs.rank_abc == 0
     hs.a[0, 1] = 1e-3
     assert hs.rank_abc == 1
@@ -617,15 +619,19 @@ def test_reconstruct_f_needs_two_distinct_potentials():
         reconstruct_f(_family("benney", 2), 1, 1)
 
 
-def test_lambda_reconstruction_refuses_a_vanishing_h_prime():
-    # through (p - c)^2, whose derivative vanishes at p1 = c; the sampled
-    # draws miss c, the returned reconstruction is asked there
+def test_lambda_reconstruction_refuses_a_vanishing_h_prime(monkeypatch):
+    # through (p - c)^2, whose derivative 2 (p1 - c) is about 2e-8 at the
+    # stream's draw 1: below DEN_FLOOR, so that draw is redrawn though every
+    # value read there is finite; under a floor of 1e-9 it is kept
     fam = _family("benney", 2)
-    c = 0.3 + 0.2j
+    s = fam.structure
+    c = complex(s.sample(2, 13, 2)[1, 0]) - 1e-8
     square = _square_in_p(fam.m, c, "(p-c)^2")
-    fam = PotentialFamily(fam.structure, [Potential(square), *fam.potentials],
-                          enhanced=fam.enhanced)
-    rec, _ = reconstruct_lambda(fam, 0, samples=3, seed=13)
-    _, p2, *v = fam.structure.sample(1, 13, 2)[0].tolist()
-    with pytest.raises(DomainViolation, match=r"^h'\(p1\) vanishes$"):
-        rec(c, p2, v)
+    fam = PotentialFamily(s, [Potential(square), *fam.potentials], enhanced=fam.enhanced)
+    runs = _captured_residuals(monkeypatch)
+    rep = reconstruct_lambda(fam, 1, samples=3, seed=13)
+    monkeypatch.setattr(hierarchy, "DEN_FLOOR", 1e-9)
+    every = reconstruct_lambda(fam, 1, samples=4, seed=13)
+    assert rep.params["resampled"] == 1 and every.params["resampled"] == 0
+    assert all(map(math.isfinite, runs[1]))
+    assert runs[0] == [runs[1][k] for k in (0, 2, 3)]
